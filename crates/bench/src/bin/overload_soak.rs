@@ -1,13 +1,13 @@
 //! Overload soak: a stalled-sink endurance run for the flow-control layer.
 //!
 //! Drives a tightly-knobbed three-stage pipeline for `OVERLOAD_SOAK_SECS`
-//! (default 30) while repeatedly stalling the sink, so the credit windows,
-//! sender caps, and intake lanes saturate over and over. The run fails —
+//! (default 30) while repeatedly stalling the sink, so the link windows
+//! and intake lanes saturate over and over. The run fails —
 //! exits non-zero — if any bound the backpressure design promises is
 //! violated:
 //!
-//! * `edge.pending_hwm` above `pending_cap` plus the small per-event
-//!   overshoot (the sender's soft saturation gate leaked);
+//! * `edge.pending_hwm` (messages past the link window) above the small
+//!   per-event overshoot (the sender's soft saturation gate leaked);
 //! * `node.intake_depth` above the intake lane capacity (the bounded data
 //!   lane grew);
 //! * resident-set high-water mark (`VmHWM`, Linux) above
@@ -31,7 +31,7 @@ use streammine_common::event::Value;
 use streammine_core::{
     GraphBuilder, LoggingConfig, NodeConfig, OperatorConfig, Running, SinkId, SourceId,
 };
-use streammine_net::{LinkConfig, SenderLimits};
+use streammine_net::LinkConfig;
 use streammine_obs::Labels;
 use streammine_operators::StampedRelay;
 
@@ -40,11 +40,9 @@ const FAST_LOG: Duration = Duration::from_micros(200);
 // The same tight overload knobs the backpressure integration tests use: a
 // stalled sink saturates the whole chain within a handful of events.
 const LINK_CAPACITY: usize = 8;
-const REPLAY_RESERVE: usize = 4;
-const PENDING_CAP: usize = 8;
 const INTAKE_CAPACITY: usize = 16;
 // Soft-cap overshoot: an in-flight event's outputs may land after the
-// sender's gate check, so the hard bound is the cap plus a few events.
+// sender's gate check, so the hard bound is the window plus a few events.
 const PENDING_OVERSHOOT: usize = 4;
 
 const STALL_WINDOW: Duration = Duration::from_millis(80);
@@ -57,11 +55,7 @@ fn env_u64(name: &str, default: u64) -> u64 {
 /// src → relay → relay → relay → sink with tight flow-control knobs on
 /// every layer, mirroring `tests/backpressure.rs`.
 fn tight_pipeline() -> (Running, SourceId, SinkId) {
-    let mut b = GraphBuilder::new()
-        .with_links(
-            LinkConfig::instant().with_capacity(LINK_CAPACITY).with_replay_reserve(REPLAY_RESERVE),
-        )
-        .with_sender_limits(SenderLimits { pending_cap: PENDING_CAP, retained_cap: usize::MAX });
+    let mut b = GraphBuilder::new().with_links(LinkConfig::instant().with_capacity(LINK_CAPACITY));
     let cfg = || {
         OperatorConfig::logged(LoggingConfig::simulated(FAST_LOG))
             .with_checkpoint_every(7)
@@ -101,10 +95,10 @@ fn check_bounds(running: &Running) -> Vec<String> {
     let mut violations = Vec::new();
     for op in 0..running.operator_count() as u32 {
         let hwm = reg.gauge_value("edge.pending_hwm", Labels::op_port(op, 0)).unwrap_or(0);
-        if hwm > (PENDING_CAP + PENDING_OVERSHOOT) as i64 {
+        if hwm > PENDING_OVERSHOOT as i64 {
             violations.push(format!(
-                "op{op}: edge.pending_hwm {hwm} exceeds pending_cap {PENDING_CAP} + overshoot \
-                 {PENDING_OVERSHOOT}"
+                "op{op}: edge.pending_hwm {hwm} exceeds the {LINK_CAPACITY}-message window by \
+                 more than the overshoot {PENDING_OVERSHOOT}"
             ));
         }
         let depth = reg.gauge_value("node.intake_depth", Labels::op(op)).unwrap_or(0);
@@ -138,7 +132,7 @@ fn to_json(r: &SoakReport) -> String {
     let _ = writeln!(out, "  \"git_rev\": \"{}\",", streammine_bench::git_rev());
     let _ = writeln!(
         out,
-        "  \"config\": {{\"link_capacity\": {LINK_CAPACITY}, \"pending_cap\": {PENDING_CAP}, \
+        "  \"config\": {{\"link_capacity\": {LINK_CAPACITY}, \
          \"intake_capacity\": {INTAKE_CAPACITY}, \"events_per_cycle\": {EVENTS_PER_CYCLE}, \
          \"fast_log_us\": {}}},",
         FAST_LOG.as_micros()
@@ -174,7 +168,7 @@ fn main() {
 
     eprintln!(
         "overload soak: {soak_secs}s of stalled-sink cycles \
-         (links {LINK_CAPACITY}cr, pending cap {PENDING_CAP}, intake {INTAKE_CAPACITY})"
+         (link window {LINK_CAPACITY}, intake {INTAKE_CAPACITY})"
     );
     let (running, src, sink) = tight_pipeline();
 
@@ -185,7 +179,7 @@ fn main() {
         cycles += 1;
         // Stall the sink, then push straight into the stall. Paced pushes
         // keep the micro-batching transport from coalescing the cycle into
-        // a couple of jumbo frames that never consume the credit window.
+        // a couple of jumbo frames that never fill the window.
         running.sink(sink).stall_for(STALL_WINDOW);
         for _ in 0..EVENTS_PER_CYCLE {
             running.source(src).push(Value::Int(pushed as i64));

@@ -61,7 +61,7 @@ pub enum FaultKind {
     },
     /// Stall sink `sink`'s collector for `millis` milliseconds — the
     /// slow-consumer nemesis. The sink stops draining its link, the
-    /// link's credits run dry, and backpressure propagates upstream.
+    /// link's window fills, and backpressure propagates upstream.
     StallSink {
         /// Sink index.
         sink: usize,

@@ -40,7 +40,7 @@ pub trait ChaosTarget {
         0
     }
     /// Stalls sink `sink`'s consumer for `window`: it stops draining its
-    /// link, starving the upstream edge of delivery credits. Default no-op.
+    /// link, so the upstream edge's window fills. Default no-op.
     fn stall_sink(&self, sink: usize, window: Duration) {
         let _ = (sink, window);
     }

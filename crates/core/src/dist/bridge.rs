@@ -3,22 +3,22 @@
 //! Each graph edge that crosses a process boundary is carried by **one
 //! full-duplex connection**, dialed by the sending side:
 //!
-//! * the **out-bridge** (sender side) drains the sender's retained local
-//!   link and writes [`DistFrame::Data`] frames; the reverse direction of
-//!   the same socket carries the receiver's acks and replay requests back
-//!   into the sender's intake. On connection loss it redials with capped
-//!   exponential backoff, re-handshakes, and resends every retained frame
-//!   from the receiver's cursor (`Welcome.next_seq`) — resend-from-ack on
-//!   session re-establishment;
+//! * the **out-bridge** (sender side) is the receiver of the sender's
+//!   local link: it reads the ring and writes [`DistFrame::Data`] frames;
+//!   the reverse direction of the same socket carries the remote
+//!   receiver's acks and replay requests back into the sender's intake.
+//!   On connection loss it redials with capped exponential backoff,
+//!   re-handshakes, and rewinds its own read position to the remote cursor
+//!   (`Welcome.next_seq`) — every frame the peer has not consumed is still
+//!   in the ring, so it is simply read again;
 //! * the **acceptor** (receiver side) owns the process's single data
 //!   listener, routes each inbound connection to its edge by the opening
 //!   [`DistFrame::EdgeHello`], answers with the edge cursor, and forwards
-//!   in-order frames into the node's intake. A per-edge [`EdgeCursor`]
-//!   (a reorder buffer plus an event count) survives connection
-//!   replacement, so duplicates from overlapping replays or a zombie
-//!   sender are dropped exactly once and the consumed-event count stays
-//!   exact — it is the source of truth for a restarted sender's resend
-//!   suppression.
+//!   in-order frames into the node's intake. The per-edge [`EdgeCursor`]
+//!   survives connection replacement, so duplicates from overlapping
+//!   replays or a zombie sender are dropped and the consumed-event count
+//!   stays exact — it is the source of truth for a restarted sender's
+//!   resend suppression.
 //!
 //! The acceptor also implements the distributed nemesis faults: a
 //! listener *blackhole* (new connections dropped, existing ones severed)
@@ -34,67 +34,21 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use streammine_common::codec::{decode_from_slice, Encode};
-use streammine_net::{FrameError, FrameListener, FrameTx, LinkError, LinkReceiver, Transport};
+use streammine_net::{
+    BackoffConfig, FrameError, FrameListener, FrameTx, LinkError, LinkReceiver, Transport,
+};
 use streammine_obs::TransportMetrics;
 
 use crate::dist::wire::DistFrame;
 use crate::message::{Control, Message};
-use crate::plumbing::ReorderBuffer;
+use crate::plumbing::EdgeCursor;
 
-/// Initial reconnect backoff of an out-bridge.
-const RECONNECT_BASE: Duration = Duration::from_millis(10);
-/// Reconnect backoff cap.
-const RECONNECT_CAP: Duration = Duration::from_millis(400);
+/// Reconnect backoff of an out-bridge: 10 ms doubling to 400 ms.
+const RECONNECT: BackoffConfig = BackoffConfig::millis(10, 400);
 /// How long a handshake waits for the `Welcome` before redialing.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 /// Poll interval of local-link drains (shutdown / connection-death checks).
 const DRAIN_POLL: Duration = Duration::from_millis(20);
-
-/// The receiver-side cursor of one edge: in-order delivery position plus
-/// the cumulative count of data events consumed in order. Mirrors the
-/// node's reorder buffer so `Welcome{next_seq, events_received}` reports
-/// exactly what a restarted sender must suppress.
-pub(crate) struct EdgeCursor {
-    rb: ReorderBuffer,
-    events: u64,
-    scratch: Vec<(u64, Message)>,
-}
-
-impl EdgeCursor {
-    /// A cursor resuming at link sequence `seq` — the respawn case, primed
-    /// from the worker's persisted checkpoint so a reconnecting upstream
-    /// is asked to replay from the checkpoint position instead of 0
-    /// (everything below was acked away and is unreplayable; asking for it
-    /// parks the retained suffix behind a gap that can never fill). The
-    /// event count is primed to `seq` too: on unbatched edges frames carry
-    /// one event each, and only a *freshly restarted* sender consults it.
-    pub fn starting_at(seq: u64) -> EdgeCursor {
-        EdgeCursor { rb: ReorderBuffer::new(seq), events: seq, scratch: Vec::new() }
-    }
-
-    /// Next expected link sequence.
-    pub fn next_seq(&self) -> u64 {
-        self.rb.next_seq()
-    }
-
-    /// Data events consumed in order so far.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Offers a frame; returns the frames that became deliverable in
-    /// order (possibly empty for gaps/duplicates). The internal scratch
-    /// buffer is reused; the caller must consume the returned slice
-    /// before the next offer.
-    pub fn offer(&mut self, seq: u64, msg: Message) -> &[(u64, Message)] {
-        self.scratch.clear();
-        self.rb.offer_into(seq, msg, &mut self.scratch);
-        for (_, m) in &self.scratch {
-            self.events += m.event_count() as u64;
-        }
-        &self.scratch
-    }
-}
 
 /// Configuration of one sender-side bridge.
 pub(crate) struct OutBridge {
@@ -109,9 +63,6 @@ pub(crate) struct OutBridge {
     pub addr: Arc<Mutex<Option<String>>>,
     /// The retained local link's consumer side.
     pub data_rx: LinkReceiver<Message>,
-    /// Re-injects retained frames `>= from` into the local link
-    /// (resend-from-ack after reconnect).
-    pub replay: Box<dyn Fn(u64) -> usize + Send + Sync>,
     /// Where received control frames (acks, replay requests) go.
     pub ctrl_sink: Box<dyn Fn(Control) + Send + Sync>,
     pub metrics: TransportMetrics,
@@ -132,7 +83,7 @@ impl OutBridge {
     }
 
     fn run(mut self) {
-        let mut backoff = RECONNECT_BASE;
+        let mut failures = 0;
         let mut connected_before = false;
         while !self.shutdown.load(Ordering::Acquire) {
             let Some(addr) = self.addr.lock().clone() else {
@@ -140,23 +91,22 @@ impl OutBridge {
                 continue;
             };
             let Some((next_seq, events_received, conn)) = self.handshake(&addr) else {
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(RECONNECT_CAP);
+                failures += 1;
+                std::thread::sleep(RECONNECT.delay(failures));
                 continue;
             };
-            backoff = RECONNECT_BASE;
+            failures = 0;
             self.metrics.handshakes.incr();
             if connected_before {
                 self.metrics.reconnects.incr();
-                // Session re-establishment: resend every retained frame
-                // the receiver has not consumed. Frames lost with the old
-                // socket (or consumed from the local link but never
-                // written) are all covered — they are retained until
-                // acked.
-                (self.replay)(next_seq);
             } else if let Some(gate) = self.first_welcome.take() {
                 let _ = gate.send((next_seq, events_received));
             }
+            // Read again from what the receiver has not consumed: frames
+            // lost with the old socket (or read from the local link but
+            // never written) are all still in the ring — retained until
+            // acked. A no-op on a first connection.
+            self.data_rx.rewind_to(next_seq);
             connected_before = true;
             self.pump(conn);
         }
@@ -236,7 +186,7 @@ impl OutBridge {
                             }
                             Err(_) => {
                                 // The frame stays retained in the link; the
-                                // next handshake's replay re-sends it.
+                                // next handshake's rewind reads it again.
                                 dead.store(true, Ordering::Release);
                                 break;
                             }
@@ -489,8 +439,8 @@ fn serve_conn(mut conn: Box<dyn streammine_net::FrameConn>, shared: Arc<Acceptor
                     // connections of the same edge (old + replacement)
                     // cannot interleave out of order.
                     let mut cursor = state.cursor.lock();
-                    for (s, m) in cursor.offer(seq, msg).to_vec() {
-                        (state.deliver)(s, m);
+                    if cursor.accept(seq, &msg) {
+                        (state.deliver)(seq, msg);
                     }
                 }
             }
@@ -506,7 +456,7 @@ fn serve_conn(mut conn: Box<dyn streammine_net::FrameConn>, shared: Arc<Acceptor
 /// Pumps a node's upstream control link out over the edge's current
 /// connection. Control frames wait (bounded retained link, unbounded
 /// patience) while no connection exists — replay requests and acks are
-/// delayed, never lost, exactly like the in-process resilient links.
+/// delayed, never lost, exactly like a severed in-process link.
 fn pump_edge_ctrl(
     ctrl_rx: LinkReceiver<Control>,
     state: Arc<EdgeState>,
@@ -514,7 +464,7 @@ fn pump_edge_ctrl(
 ) {
     while !shutdown.load(Ordering::Acquire) {
         match ctrl_rx.recv_timeout(DRAIN_POLL) {
-            Ok((_seq, ctrl)) => {
+            Ok((seq, ctrl)) => {
                 let bytes = DistFrame::Ctrl(ctrl).encode_to_vec();
                 loop {
                     if shutdown.load(Ordering::Acquire) {
@@ -526,6 +476,8 @@ fn pump_edge_ctrl(
                             Ok(()) => {
                                 state.metrics.frames_out.incr();
                                 state.metrics.bytes_out.add(bytes.len() as u64);
+                                // Written: nobody re-reads a control link.
+                                ctrl_rx.ack_upto(seq + 1);
                                 break;
                             }
                             Err(_) => {
@@ -553,31 +505,6 @@ mod tests {
 
     fn ev(n: u64) -> Message {
         Message::Data(Event::new(EventId::new(OperatorId::new(0), n), 0, Value::Int(n as i64)))
-    }
-
-    #[test]
-    fn edge_cursor_counts_in_order_events_through_gaps() {
-        let mut c = EdgeCursor::starting_at(0);
-        assert_eq!(c.offer(0, ev(0)).len(), 1);
-        // Gap: seq 2 held, not counted yet.
-        assert_eq!(c.offer(2, ev(2)).len(), 0);
-        assert_eq!((c.next_seq(), c.events()), (1, 1));
-        // Gap fills: both deliver, both counted.
-        assert_eq!(
-            c.offer(
-                1,
-                Message::DataBatch(vec![
-                    Event::new(EventId::new(OperatorId::new(0), 10), 0, Value::Int(1)),
-                    Event::new(EventId::new(OperatorId::new(0), 11), 0, Value::Int(2)),
-                ])
-            )
-            .len(),
-            2
-        );
-        assert_eq!((c.next_seq(), c.events()), (3, 4), "batch counts events, not frames");
-        // Stale duplicate: ignored.
-        assert_eq!(c.offer(1, ev(1)).len(), 0);
-        assert_eq!(c.events(), 4);
     }
 
     /// End-to-end over the in-memory transport: an out-bridge dials an
@@ -610,7 +537,6 @@ mod tests {
 
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
         let (acks_tx, acks_rx) = crossbeam_channel::unbounded();
-        let replay_tx = data_tx.clone();
         let (gate_tx, gate_rx) = crossbeam_channel::bounded(1);
         let addr = Arc::new(Mutex::new(Some(acceptor.local_addr().to_string())));
         let _bridge = OutBridge {
@@ -619,7 +545,6 @@ mod tests {
             transport: transport.clone(),
             addr: addr.clone(),
             data_rx,
-            replay: Box::new(move |from| replay_tx.replay_from(from)),
             ctrl_sink: Box::new(move |c| {
                 acks_tx.send(c).unwrap();
             }),
@@ -689,7 +614,6 @@ mod tests {
         .unwrap();
 
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
-        let replay_tx = data_tx.clone();
         let addr = Arc::new(Mutex::new(Some(acceptor.local_addr().to_string())));
         let _bridge = OutBridge {
             edge: 1,
@@ -697,7 +621,6 @@ mod tests {
             transport,
             addr,
             data_rx,
-            replay: Box::new(move |from| replay_tx.replay_from(from)),
             ctrl_sink: Box::new(|_| {}),
             metrics: TransportMetrics::detached(),
             shutdown: shutdown.clone(),

@@ -23,15 +23,16 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use streammine_common::codec::{decode_from_slice, Encode};
-use streammine_net::{FrameError, SharedFrameTx, Transport};
+use streammine_net::{BackoffConfig, FrameError, SharedFrameTx, Transport};
 use streammine_obs::TelemetryReport;
 
 use crate::dist::wire::CtrlMsg;
 
 /// How long a worker keeps redialing the control listener at startup.
 const CTRL_DIAL_TIMEOUT: Duration = Duration::from_secs(10);
-/// Worker-side redial backoff cap for the control connection.
-const CTRL_REDIAL_CAP: Duration = Duration::from_millis(200);
+/// Worker-side redial backoff for the control connection: 5 ms doubling
+/// to 200 ms.
+const CTRL_REDIAL: BackoffConfig = BackoffConfig::millis(5, 200);
 
 /// A live lease: the newest incarnation seen for a worker slot and when
 /// it last proved liveness.
@@ -381,7 +382,7 @@ fn dial_backoff(
     shutdown: &AtomicBool,
 ) -> Option<Box<dyn streammine_net::FrameConn>> {
     let deadline = Instant::now() + CTRL_DIAL_TIMEOUT;
-    let mut backoff = Duration::from_millis(5);
+    let mut failures = 0;
     loop {
         if shutdown.load(Ordering::Acquire) || Instant::now() >= deadline {
             return None;
@@ -389,8 +390,8 @@ fn dial_backoff(
         match transport.dial(addr) {
             Ok(c) => return Some(c),
             Err(_) => {
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(CTRL_REDIAL_CAP);
+                failures += 1;
+                std::thread::sleep(CTRL_REDIAL.delay(failures));
             }
         }
     }

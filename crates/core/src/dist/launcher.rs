@@ -295,6 +295,9 @@ impl Cluster {
         // numbers (in-order from 0), so the sink's cumulative acks refer
         // to the sequences the last worker retained.
         let (sink_data_tx, sink_data_rx) = link::<Message>(LinkConfig::instant());
+        // The last worker retains the sink's input for replay; this local
+        // hop keeps nothing once the sink has read it.
+        sink_data_tx.ack_upto(u64::MAX);
         let (sink_ctrl_tx, sink_ctrl_rx) = link::<Control>(LinkConfig::instant());
         let sink =
             SinkHandle::new(sink_data_rx, sink_ctrl_tx, clock.clone(), &obs, (n - 1) as u32, 0);
@@ -324,13 +327,8 @@ impl Cluster {
         // thread answers replay requests arriving back over the socket.
         let (src_data_tx, src_data_rx) = link::<Message>(LinkConfig::instant());
         let (src_ctrl_tx, src_ctrl_rx) = link::<Control>(LinkConfig::instant());
-        let source = SourceHandle::new(
-            OperatorId::new(n as u32),
-            src_data_tx.clone(),
-            src_ctrl_rx,
-            clock,
-            &obs,
-        );
+        let source =
+            SourceHandle::new(OperatorId::new(n as u32), src_data_tx, src_ctrl_rx, clock, &obs);
         let src_slot: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
         OutBridge {
             edge: 0,
@@ -338,10 +336,6 @@ impl Cluster {
             transport: transport.clone(),
             addr: src_slot.clone(),
             data_rx: src_data_rx,
-            replay: {
-                let tx = src_data_tx.clone();
-                Box::new(move |from| tx.replay_from(from))
-            },
             ctrl_sink: Box::new(move |c| {
                 let _ = src_ctrl_tx.send(c);
             }),

@@ -28,7 +28,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use streammine_common::clock::{shared, SystemClock};
-use streammine_net::{link, LinkConfig, ResilientSender, TcpTransport, Transport};
+use streammine_net::{link, LinkConfig, TcpTransport, Transport};
 use streammine_obs::{Obs, TransportMetrics};
 
 use crate::config::{LoggingConfig, OperatorConfig};
@@ -216,7 +216,7 @@ pub(crate) fn run_worker(
     let mut in_edges = Vec::new();
     for (port, edge) in spec.in_edges.iter().copied().enumerate() {
         let (ctrl_tx, ctrl_rx) = link::<Control>(LinkConfig::instant());
-        up.push(UpEdge { ctrl_tx: ResilientSender::new(ctrl_tx), _data_pump: None });
+        up.push(UpEdge { ctrl_tx, _data_pump: None });
         let intake_data = intake.data_tx.clone();
         let start = resume_positions.get(port).copied().unwrap_or(0);
         let port = port as u32;
@@ -264,7 +264,6 @@ pub(crate) fn run_worker(
 
     // Out-edges: links + bridges now, addresses when the Wire arrives.
     let mut down_data = Vec::new();
-    let mut down_raw = Vec::new();
     let mut down_sent: Vec<Arc<AtomicU64>> = Vec::new();
     let mut addr_slots: HashMap<u32, Arc<Mutex<Option<String>>>> = HashMap::new();
     let mut gates = Vec::new();
@@ -273,7 +272,6 @@ pub(crate) fn run_worker(
         let sent = Arc::new(AtomicU64::new(0));
         let slot: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
         let (gate_tx, gate_rx) = crossbeam_channel::bounded(1);
-        let replay_tx = data_tx.clone();
         let intake_ctrl = intake.ctrl_tx.clone();
         let out = out as u32;
         OutBridge {
@@ -282,7 +280,6 @@ pub(crate) fn run_worker(
             transport: transport.clone(),
             addr: slot.clone(),
             data_rx,
-            replay: Box::new(move |from| replay_tx.replay_from(from)),
             ctrl_sink: Box::new(move |ctrl| {
                 let _ = intake_ctrl.send(Intake::Downstream { out, ctrl });
             }),
@@ -292,8 +289,7 @@ pub(crate) fn run_worker(
         }
         .start();
         addr_slots.insert(edge, slot);
-        down_raw.push(data_tx.clone());
-        down_data.push(ResilientSender::new(data_tx));
+        down_data.push(data_tx);
         down_sent.push(sent);
         gates.push(gate_rx);
     }
@@ -327,10 +323,10 @@ pub(crate) fn run_worker(
     // Handshake gates: the receiver cursors, applied to the link counters
     // before the node runs. `next_seq` re-bases fresh output frames;
     // `events_sent` is the count of re-derived outputs to suppress.
-    for ((gate, raw), sent) in gates.iter().zip(&down_raw).zip(&down_sent) {
+    for ((gate, data_tx), sent) in gates.iter().zip(&down_data).zip(&down_sent) {
         match gate.recv_timeout(WIRING_TIMEOUT) {
             Ok((next_seq, events_received)) => {
-                raw.set_next_seq(next_seq);
+                data_tx.set_next_seq(next_seq);
                 sent.store(events_received, Ordering::Release);
             }
             Err(_) => {

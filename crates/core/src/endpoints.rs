@@ -67,19 +67,19 @@ impl SourceHandle {
                     // doubling the replay (same discipline as the node's
                     // downstream-replay dedup).
                     let mut served: Option<(u64, u64)> = None;
-                    while let Ok((_seq, ctrl)) = ctrl_rx.recv() {
+                    while let Ok((seq, ctrl)) = ctrl_rx.recv() {
                         match ctrl {
                             Control::ReplayRequest { from, token } => {
-                                if served == Some((token, from)) {
-                                    continue;
-                                }
-                                if tx.replay_from(from) > 0 {
+                                let retry = served == Some((token, from));
+                                if !retry && tx.replay_from(from) > 0 {
                                     served = Some((token, from));
                                 }
                             }
                             Control::Ack { upto } => tx.ack_upto(upto),
                             _ => {}
                         }
+                        // Handled: nobody re-reads a control link.
+                        ctrl_rx.ack_upto(seq + 1);
                     }
                 })
                 .ok()
@@ -98,8 +98,7 @@ impl SourceHandle {
     /// the outermost producer: when the graph pushes back there is nowhere
     /// further upstream to shed load to, so the push call itself blocks —
     /// exactly how an overloaded publisher experiences backpressure.
-    /// Disconnects (severed link, shut-down graph) drop the frame, as
-    /// before.
+    /// A shut-down graph (receiver gone) drops the frame.
     fn send_blocking(&self, msg: Message) {
         loop {
             match self.tx.send(msg.clone()) {
@@ -301,8 +300,7 @@ impl SinkState {
 }
 
 /// How many data/control frames a sink consumes between `Ack`s to its
-/// upstream. Acks trim the upstream's replay-retention buffer (the
-/// end-to-end credit grant piggybacked on the control link), so the
+/// upstream. Acks trim the upstream's replay-retention buffer, so the
 /// interval bounds retained memory without an ack per frame.
 const SINK_ACK_INTERVAL: u64 = 16;
 
@@ -313,8 +311,10 @@ pub struct SinkHandle {
     cv: Arc<Condvar>,
     eof: Arc<AtomicU64>,
     /// Slow-consumer injection: the collector stops draining its link
-    /// until this deadline, holding the link's delivery credits hostage.
+    /// until this deadline, so the link's window stays full.
     stall_until: Arc<Mutex<Option<std::time::Instant>>>,
+    /// The upstream control link (the collector holds the working clone).
+    ctrl_tx: LinkSender<Control>,
     _collector: Option<JoinHandle<()>>,
 }
 
@@ -347,6 +347,7 @@ impl SinkHandle {
         let eof = Arc::new(AtomicU64::new(0));
         let stall_until: Arc<Mutex<Option<std::time::Instant>>> = Arc::new(Mutex::new(None));
         let collector = {
+            let ctrl_tx = ctrl_tx.clone();
             let state = state.clone();
             let cv = cv.clone();
             let clock = clock.clone();
@@ -358,8 +359,8 @@ impl SinkHandle {
                     let mut frames: u64 = 0;
                     loop {
                         // Chaos hook: a stalled sink simply stops calling
-                        // recv(), so the upstream link's in-flight credits
-                        // stay consumed and the edge saturates.
+                        // recv(), so the upstream link's window fills and
+                        // the edge saturates.
                         let stall = stall_until.lock().take();
                         if let Some(until) = stall {
                             let now = std::time::Instant::now();
@@ -371,7 +372,7 @@ impl SinkHandle {
                         frames += 1;
                         if frames.is_multiple_of(SINK_ACK_INTERVAL) {
                             // Periodic cumulative ack: trims upstream
-                            // replay retention (end-to-end credit grant).
+                            // replay retention.
                             let _ = ctrl_tx.send(Control::Ack { upto: seq + 1 });
                         }
                         let now = clock.now_micros();
@@ -414,13 +415,18 @@ impl SinkHandle {
                 })
                 .ok()
         };
-        SinkHandle { clock, state, cv, eof, stall_until, _collector: collector }
+        SinkHandle { clock, state, cv, eof, stall_until, ctrl_tx, _collector: collector }
+    }
+
+    /// Messages still held by the sink's upstream control link.
+    pub(crate) fn ctrl_retained(&self) -> usize {
+        self.ctrl_tx.retained_len()
     }
 
     /// Stalls the collector for `window` starting at its next loop
-    /// iteration: the slow-consumer nemesis. While stalled the sink holds
-    /// the link's delivery credits, saturating the upstream edge and
-    /// propagating backpressure into the graph. Delivery resumes (with
+    /// iteration: the slow-consumer nemesis. While stalled the sink reads
+    /// nothing, saturating the upstream edge and propagating backpressure
+    /// into the graph. Delivery resumes (with
     /// every message intact) when the window expires.
     pub fn stall_for(&self, window: Duration) {
         *self.stall_until.lock() = Some(std::time::Instant::now() + window);

@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 use streammine_common::clock::{shared, SharedClock, SystemClock};
 use streammine_common::error::{Error, Result};
 use streammine_common::ids::OperatorId;
-use streammine_net::{link, EdgeMetrics, LinkConfig, ResilientSender, SenderLimits};
+use streammine_net::{link, EdgeMetrics, LinkConfig, LinkSender};
 use streammine_obs::{Obs, RegistrySnapshot};
 use streammine_storage::checkpoint::{CheckpointObs, CheckpointStore};
 use streammine_storage::disk::DiskSpec;
@@ -53,7 +53,6 @@ pub struct GraphBuilder {
     sinks: Vec<OperatorId>,   // source operator of each sink
     clock: SharedClock,
     link_config: LinkConfig,
-    sender_limits: SenderLimits,
     obs: Obs,
 }
 
@@ -84,7 +83,6 @@ impl GraphBuilder {
             sinks: Vec::new(),
             clock: shared(SystemClock::new()),
             link_config: LinkConfig::instant(),
-            sender_limits: SenderLimits::default(),
             obs: Obs::new(),
         }
     }
@@ -111,15 +109,6 @@ impl GraphBuilder {
     #[must_use]
     pub fn with_links(mut self, config: LinkConfig) -> Self {
         self.link_config = config;
-        self
-    }
-
-    /// Overrides the saturation caps applied to every data edge's
-    /// [`ResilientSender`] (overload experiments tighten these to force
-    /// backpressure early).
-    #[must_use]
-    pub fn with_sender_limits(mut self, limits: SenderLimits) -> Self {
-        self.sender_limits = limits;
         self
     }
 
@@ -238,8 +227,8 @@ pub(crate) struct NodePersist {
     intake: IntakeHandle,
     log: Option<StableLog>,
     checkpoints: Option<Arc<CheckpointStore>>,
-    up_ctrl: Vec<ResilientSender<Control>>,
-    down_data: Vec<ResilientSender<Message>>,
+    up_ctrl: Vec<LinkSender<Control>>,
+    down_data: Vec<LinkSender<Message>>,
     /// Per-edge cumulative data-event send counters (see
     /// [`DownEdge::events_sent`]); survive restarts with the links.
     down_sent: Vec<Arc<AtomicU64>>,
@@ -324,12 +313,11 @@ impl Graph {
 
         // Intake data lanes are sized per operator: a slow coordinator
         // fills its lane, its pumps block, and its upstream links
-        // saturate — credit-based backpressure end to end.
+        // saturate — window-based backpressure end to end.
         let intakes: Vec<IntakeHandle> =
             b.ops.iter().map(|s| IntakeHandle::new(s.config.node.intake_capacity)).collect();
-        let mut up_ctrl: Vec<Vec<ResilientSender<Control>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut down_data: Vec<Vec<ResilientSender<Message>>> =
-            (0..n).map(|_| Vec::new()).collect();
+        let mut up_ctrl: Vec<Vec<LinkSender<Control>>> = (0..n).map(|_| Vec::new()).collect();
+        let mut down_data: Vec<Vec<LinkSender<Message>>> = (0..n).map(|_| Vec::new()).collect();
         let mut pumps: Vec<Vec<JoinHandle<()>>> = (0..n).map(|_| Vec::new()).collect();
         let mut next_port: Vec<u32> = vec![0; n];
         let mut next_out: Vec<u32> = vec![0; n];
@@ -341,8 +329,6 @@ impl Graph {
             let t = to.index() as usize;
             let (data_tx, data_rx) = link::<Message>(b.link_config.clone());
             let (ctrl_tx, ctrl_rx) = link::<Control>(b.link_config.clone());
-            let data_tx = ResilientSender::new(data_tx).with_limits(b.sender_limits.clone());
-            let ctrl_tx = ResilientSender::new(ctrl_tx);
             let port = next_port[t];
             next_port[t] += 1;
             let out = next_out[f];
@@ -372,7 +358,7 @@ impl Graph {
             let port = next_port[t];
             next_port[t] += 1;
             pumps[t].push(pump_data(port, data_rx, intakes[t].data_tx.clone()));
-            up_ctrl[t].push(ResilientSender::new(ctrl_tx));
+            up_ctrl[t].push(ctrl_tx);
             let source_id = OperatorId::new((n + i) as u32);
             sources.push(SourceHandle::new(source_id, data_tx, ctrl_rx, clock.clone(), &b.obs));
         }
@@ -386,7 +372,6 @@ impl Graph {
             let out = next_out[f];
             next_out[f] += 1;
             pumps[f].push(pump_ctrl(out, ctrl_rx, intakes[f].ctrl_tx.clone()));
-            let data_tx = ResilientSender::new(data_tx).with_limits(b.sender_limits.clone());
             data_tx.set_metrics(EdgeMetrics::registered(&obs.registry, f as u32, out));
             down_data[f].push(data_tx);
             sinks.push(SinkHandle::new(data_rx, ctrl_tx, clock.clone(), &obs, f as u32, out));
@@ -445,8 +430,8 @@ impl Graph {
 struct EdgeHandle {
     from: OperatorId,
     to: OperatorId,
-    data: ResilientSender<Message>,
-    ctrl: ResilientSender<Control>,
+    data: LinkSender<Message>,
+    ctrl: LinkSender<Control>,
 }
 
 /// A running graph: handles to sources, sinks and fault injection.
@@ -573,8 +558,8 @@ impl Running {
         (self.edges[i].from, self.edges[i].to)
     }
 
-    /// Severs the data link of edge `i`: the sender buffers instead of
-    /// delivering until [`Running::heal_edge_data`].
+    /// Severs the data link of edge `i`: what is sent from now on waits
+    /// in the link until [`Running::heal_edge_data`].
     ///
     /// # Panics
     ///
@@ -583,8 +568,7 @@ impl Running {
         self.edges[i].data.sever();
     }
 
-    /// Heals the data link of edge `i`; buffered messages retransmit with
-    /// backoff.
+    /// Heals the data link of edge `i`; the backlog flows in order.
     ///
     /// # Panics
     ///
@@ -612,13 +596,22 @@ impl Running {
         self.edges[i].ctrl.heal();
     }
 
+    /// Messages still held by every control link of the graph (each
+    /// node's upstream links, then each sink's): consumers acknowledge
+    /// what they forward, so these stay near zero however long the graph
+    /// runs (diagnostics).
+    pub fn control_links_retained(&self) -> Vec<usize> {
+        let nodes = self.nodes.iter().flat_map(|n| n.up_ctrl.iter().map(LinkSender::retained_len));
+        nodes.chain(self.sinks.iter().map(SinkHandle::ctrl_retained)).collect()
+    }
+
     /// Number of sinks (chaos-injection targets for slow-consumer stalls).
     pub fn sink_count(&self) -> usize {
         self.sinks.len()
     }
 
     /// Stalls sink `i`'s collector for `window`: it stops draining its
-    /// link, so the upstream edge's credits run dry and backpressure
+    /// link, so the upstream edge's window fills and backpressure
     /// propagates into the graph — the slow-consumer nemesis.
     ///
     /// # Panics

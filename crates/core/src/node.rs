@@ -51,6 +51,7 @@ use streammine_common::event::{Event, TraceCtx, Value};
 use streammine_common::ids::{EventId, OperatorId};
 use streammine_common::pool::ThreadPool;
 use streammine_common::rng::DetRng;
+use streammine_net::{BackoffConfig, LinkSender};
 use streammine_obs::{
     span_key, Counter, Gauge, Histogram, Journal, JournalKind, Labels, Obs, Tracer,
 };
@@ -64,7 +65,7 @@ use crate::determinant::{DecisionRecord, Determinant, ReplayCursor};
 use crate::message::{Control, Message};
 use crate::operator::{OpCtx, Operator, PortId, SetupCtx};
 use crate::plumbing::{
-    DownEdge, Intake, IntakeHandle, IntakeSender, NodeCommand, ReorderBuffer, UpEdge,
+    DownEdge, EdgeCursor, Intake, IntakeHandle, IntakeSender, NodeCommand, UpEdge,
 };
 use crate::state::{StateAccess, StateRegistry};
 use crate::supervisor::{NodeHealth, NodeState, HEARTBEAT_INTERVAL};
@@ -79,15 +80,13 @@ pub(crate) const BATCH_MAX_EVENTS: usize = 32;
 
 /// How long an input port may sit on a sequence gap (or an unanswered
 /// recovery replay request) before the node re-requests replay from the
-/// upstream. Replay requests are fire-and-forget control messages: if the
-/// upstream crashes between receiving one and serving it, the request dies
-/// with its intake — the retry turns that lost message into a bounded
-/// delay instead of a recovery deadlock.
-const REPLAY_RETRY: Duration = Duration::from_millis(50);
-
-/// Ceiling on the watchdog's exponential retry backoff: even a badly
-/// stalled replay is re-requested at least this often.
-const REPLAY_RETRY_CAP: Duration = Duration::from_millis(800);
+/// upstream: 50 ms, doubling per retry up to 800 ms, so even a badly
+/// stalled replay is re-requested at least that often. Replay requests are
+/// fire-and-forget control messages: if the upstream crashes between
+/// receiving one and serving it, the request dies with its intake — the
+/// retry turns that lost message into a bounded delay instead of a
+/// recovery deadlock.
+const REPLAY_RETRY: BackoffConfig = BackoffConfig::millis(50, 800);
 
 /// Capped retries a recovery replay request may fire without progress and
 /// without held frames before the watchdog disarms it. An upstream that
@@ -98,7 +97,7 @@ const REPLAY_RETRY_CAP: Duration = Duration::from_millis(800);
 /// on the same edge minutes later is first detected at 800 ms instead of
 /// 50 ms. Any live upstream answers within the ~2.4 s the disarm
 /// tolerates; a sequence gap appearing later re-arms detection via the
-/// reorder buffer's held frames at the fresh 50 ms interval.
+/// cursor's gap flag at the fresh 50 ms interval.
 const REPLAY_DISARM_RETRIES: u32 = 2;
 
 /// The current view of a pending event's input (revisions replace it).
@@ -167,28 +166,29 @@ struct HeldOutput {
 /// deliver the in-flight answer instead of being piled with duplicates.
 struct ReplayWatch {
     /// Position of an unanswered recovery replay request (cleared once the
-    /// reorder buffer advances past it).
+    /// cursor advances past it).
     outstanding: Option<u64>,
-    /// The reorder buffer's expected sequence at the last check.
+    /// The cursor's expected sequence at the last check.
     last_next: u64,
     /// Last time the port made progress (or was re-requested).
     last_progress: Instant,
-    /// Current quiet period before the next re-request. Doubles on every
-    /// retry up to [`REPLAY_RETRY_CAP`]; resets to [`REPLAY_RETRY`] when
-    /// the port makes progress.
-    retry_interval: Duration,
+    /// Re-requests fired since the port last made progress; the quiet
+    /// period before the next one is `REPLAY_RETRY.delay(retries + 1)`.
+    retries: u32,
     /// Consecutive retries fired at the backoff cap without progress;
     /// feeds the vacuous-request disarm ([`REPLAY_DISARM_RETRIES`]).
     capped_retries: u32,
 }
 
 impl ReplayWatch {
-    fn new() -> Self {
+    /// A watch on a port whose cursor expects `next`, with a recovery
+    /// replay request from there `outstanding` or not.
+    fn at(next: u64, outstanding: bool) -> Self {
         ReplayWatch {
-            outstanding: None,
-            last_next: 0,
+            outstanding: outstanding.then_some(next),
+            last_next: next,
             last_progress: Instant::now(),
-            retry_interval: REPLAY_RETRY,
+            retries: 0,
             capped_retries: 0,
         }
     }
@@ -249,7 +249,7 @@ impl ApproxState {
 /// Why the overload gate closed (see [`Node::overload_reason`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StallReason {
-    /// A downstream edge is saturated (credit window / sender caps).
+    /// A downstream edge is saturated (its link window is full).
     Edge(u32),
     /// Speculation admission control: too many open transactions or
     /// retained speculative outputs.
@@ -393,15 +393,13 @@ pub(crate) struct Node {
     obs: Obs,
     metrics: NodeMetrics,
 
-    reorder: Vec<ReorderBuffer>,
-    /// Reusable buffer for messages the reorder buffer releases; drained
-    /// immediately after each `offer_into`, kept for its capacity.
-    reorder_scratch: Vec<(u64, Message)>,
+    /// Per-port receive cursors: in-order delivery position, duplicates
+    /// and pre-rewind stragglers dropped.
+    cursors: Vec<EdgeCursor>,
     /// Per-port replay progress watchdogs (lost-replay-request retry).
     replay_watch: Vec<ReplayWatch>,
     /// Last time periodic maintenance ([`Node::tick`]) ran; checked in the
-    /// main loop so a busy node still flushes severed-link queues and
-    /// retries replay on schedule.
+    /// main loop so a busy node still retries replay on schedule.
     last_tick: Instant,
     /// Per-port queues of `(link_seq, event, enqueued_at)` awaiting
     /// processing (replay-order merge; the link seq feeds checkpoint
@@ -567,9 +565,8 @@ impl Node {
             health: seed.health,
             obs: seed.obs,
             metrics,
-            reorder: (0..inputs).map(|_| ReorderBuffer::new(0)).collect(),
-            reorder_scratch: Vec::new(),
-            replay_watch: (0..inputs).map(|_| ReplayWatch::new()).collect(),
+            cursors: (0..inputs).map(|_| EdgeCursor::starting_at(0)).collect(),
+            replay_watch: (0..inputs).map(|_| ReplayWatch::at(0, false)).collect(),
             last_tick: Instant::now(),
             port_queues: (0..inputs).map(|_| VecDeque::new()).collect(),
             parked: HashMap::new(),
@@ -639,8 +636,8 @@ impl Node {
             }
         }
         self.next_serial = covered_serials;
-        for (port, rb) in self.reorder.iter_mut().enumerate() {
-            *rb = ReorderBuffer::new(from_positions[port]);
+        for (cursor, from) in self.cursors.iter_mut().zip(&from_positions) {
+            *cursor = EdgeCursor::starting_at(*from);
         }
         // Rebuild the determinant cursor from the stable log suffix.
         if let Some(log) = &self.log {
@@ -664,9 +661,9 @@ impl Node {
                 self.replay = Some(ReplayCursor::new(records));
             }
         }
-        // Ask every upstream for the suffix we have not durably covered.
-        // The resilient sender queues the request if the control link is
-        // down and retransmits on heal — recovery is delayed, never lost.
+        // Ask every upstream for the suffix we have not durably covered. A
+        // severed control link holds the request until it heals —
+        // recovery is delayed, never lost.
         if self.recovering {
             if !self.config.speculative {
                 // Per-edge count of regenerated outputs already on the
@@ -709,7 +706,7 @@ impl Node {
                 }
             }
             for (port, edge) in self.up.iter().enumerate() {
-                edge.ctrl_tx.send(Control::ReplayRequest {
+                edge.ctrl_tx.push(Control::ReplayRequest {
                     from: from_positions[port],
                     token: self.incarnation,
                 });
@@ -721,13 +718,7 @@ impl Node {
                 // Watch the port until the replay actually lands: the
                 // request can be lost if the upstream crashes before
                 // serving it, and then only a retry unwedges recovery.
-                self.replay_watch[port] = ReplayWatch {
-                    outstanding: Some(from_positions[port]),
-                    last_next: from_positions[port],
-                    last_progress: Instant::now(),
-                    retry_interval: REPLAY_RETRY,
-                    capped_retries: 0,
-                };
+                self.replay_watch[port] = ReplayWatch::at(from_positions[port], true);
             }
         }
     }
@@ -792,8 +783,8 @@ impl Node {
             // While stalled on backpressure or an admission cap, only the
             // control lane is served: data stays queued on the bounded
             // intake lane, so its pumps block and the upstream link's
-            // credit window stays consumed — backpressure propagates hop
-            // by hop. Control keeps flowing, so the node still serves
+            // window stays full — backpressure propagates hop by hop.
+            // Control keeps flowing, so the node still serves
             // downstream replay requests and receives the acks, commits
             // and log-stability callbacks that end the stall.
             let accept_data = self.stall_since.is_none();
@@ -808,15 +799,14 @@ impl Node {
                 Err(crossbeam_channel::TryRecvError::Empty) => {
                     self.flush_out_batches();
                     // Block with a bounded timeout so an idle node still
-                    // beats its heartbeat and retries buffered sends on
-                    // severed-then-healed links.
+                    // beats its heartbeat and runs the replay watchdog.
                     match self.intake.recv_timeout(HEARTBEAT_INTERVAL, accept_data) {
                         Ok(i) => i,
                         Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
                             self.tick();
                             // A stall can end without any intake message
                             // (the consumer draining the link frees
-                            // credits silently); re-check here so queued
+                            // the window silently); re-check here so queued
                             // work resumes within one heartbeat.
                             self.drain_ready_events();
                             continue;
@@ -830,8 +820,7 @@ impl Node {
             self.handle_intake(intake);
             self.drain_ready_events();
             // A node under steady load never hits the idle timeout above,
-            // but severed-link queues and stalled replays still need
-            // periodic service.
+            // but stalled replays still need periodic service.
             if self.last_tick.elapsed() >= HEARTBEAT_INTERVAL {
                 self.tick();
             }
@@ -852,16 +841,12 @@ impl Node {
         self.health.set_state(if self.crashed { NodeState::Crashed } else { NodeState::CleanExit });
     }
 
-    /// Periodic idle work: heartbeat plus retransmission of messages
-    /// queued behind severed links (respecting each sender's backoff).
+    /// Periodic idle work: heartbeat, replay watchdog, gauges.
     fn tick(&mut self) {
         self.last_tick = Instant::now();
         self.health.beat();
         for edge in &self.down {
-            edge.data_tx.flush();
-        }
-        for edge in &self.up {
-            edge.ctrl_tx.flush();
+            edge.data_tx.publish_gauges();
         }
         self.retry_stalled_replay();
         self.metrics.intake_depth.set(self.intake.data_depth() as i64);
@@ -876,19 +861,18 @@ impl Node {
     }
 
     // -----------------------------------------------------------------
-    // Overload control: credit-backed backpressure + speculation
+    // Overload control: window-backed backpressure + speculation
     // admission (bounded optimism).
     // -----------------------------------------------------------------
 
     /// Why the node must stop pulling new data events, if it must.
     fn overload_reason(&self) -> Option<StallReason> {
         // Outputs already produced but held for log stability will land on
-        // every downstream sender once their records turn stable; counting
-        // them against the cap keeps the pending queue bounded by
-        // `pending_cap` + one event's outputs, instead of overshooting by
-        // everything admitted inside a stability window. (Event count is
-        // conservative: micro-batching can coalesce them into fewer
-        // frames, never more.)
+        // every downstream link once their records turn stable; counting
+        // them against the window keeps the overshoot past it bounded by
+        // one event's outputs, instead of everything admitted inside a
+        // stability wait. (Event count is conservative: micro-batching
+        // can coalesce them into fewer frames, never more.)
         let held: usize = self.hold_queue.iter().map(|(_, h)| h.outputs.len()).sum();
         for (out, edge) in self.down.iter().enumerate() {
             if edge.data_tx.is_saturated_with(held) {
@@ -910,8 +894,8 @@ impl Node {
     /// Evaluates the overload gate, entering or ending a stall episode.
     /// Returns `true` while the node must not pull data. Control-plane
     /// work (replay serving, acks, commits, log callbacks) is never
-    /// gated — that asymmetry is what makes the credit protocol
-    /// deadlock-free: a stalled consumer still grants credits and replay.
+    /// gated — that asymmetry is what makes the flow-control protocol
+    /// deadlock-free: a stalled consumer still serves acks and replay.
     fn check_overload(&mut self) -> bool {
         match self.overload_reason() {
             Some(reason) => {
@@ -961,24 +945,20 @@ impl Node {
     /// Re-requests upstream replay for any input port that is stuck: either
     /// a recovery replay request went unanswered, or live traffic is parked
     /// behind a sequence gap that nothing is filling. Replay is idempotent
-    /// (the reorder buffer drops duplicates), so a spurious retry costs
+    /// (the cursor drops duplicates), so a spurious retry costs
     /// bandwidth, never correctness.
     fn retry_stalled_replay(&mut self) {
         let now = Instant::now();
         for (port, watch) in self.replay_watch.iter_mut().enumerate() {
-            let next = self.reorder[port].next_seq();
+            let (next, gap) = (self.cursors[port].next_seq(), self.cursors[port].saw_gap());
             if next != watch.last_next {
-                watch.last_next = next;
-                watch.last_progress = now;
-                watch.retry_interval = REPLAY_RETRY;
-                watch.capped_retries = 0;
-                if watch.outstanding.is_some_and(|from| next > from) {
-                    watch.outstanding = None;
-                }
+                let outstanding = watch.outstanding.filter(|from| next <= *from);
+                *watch = ReplayWatch { outstanding, ..ReplayWatch::at(next, false) };
                 continue;
             }
-            let stuck = watch.outstanding.is_some() || self.reorder[port].has_held();
-            if stuck && now.duration_since(watch.last_progress) >= watch.retry_interval {
+            let interval = REPLAY_RETRY.delay(watch.retries + 1);
+            let stuck = watch.outstanding.is_some() || gap;
+            if stuck && now.duration_since(watch.last_progress) >= interval {
                 // Vacuous-request disarm: a recovery request that survived
                 // the whole backoff ramp plus capped retries, with nothing
                 // held behind a gap, is asking for data nobody retains —
@@ -986,12 +966,10 @@ impl Node {
                 // next fault on this edge is detected at the fresh 50 ms
                 // interval, not the 800 ms cap.
                 if watch.outstanding.is_some()
-                    && !self.reorder[port].has_held()
+                    && !gap
                     && watch.capped_retries >= REPLAY_DISARM_RETRIES
                 {
-                    watch.outstanding = None;
-                    watch.retry_interval = REPLAY_RETRY;
-                    watch.capped_retries = 0;
+                    *watch = ReplayWatch::at(next, false);
                     self.obs.journal.warn(
                         Some(self.id.index()),
                         "replay-watch-disarmed",
@@ -1004,20 +982,20 @@ impl Node {
                 }
                 self.up[port]
                     .ctrl_tx
-                    .send(Control::ReplayRequest { from: next, token: self.incarnation });
+                    .push(Control::ReplayRequest { from: next, token: self.incarnation });
                 self.metrics.replay_requests.incr();
                 self.obs.journal.record(
                     Some(self.id.index()),
                     JournalKind::ReplayRequest { port: port as u32, from: next },
                 );
                 watch.last_progress = now;
-                if watch.retry_interval >= REPLAY_RETRY_CAP {
+                if interval >= REPLAY_RETRY.cap {
                     watch.capped_retries += 1;
                 }
                 // Back off: over a real socket the previous answer may
                 // simply still be in flight. Without this, a 500 ms lane
                 // collects ten duplicate requests per lost one.
-                watch.retry_interval = (watch.retry_interval * 2).min(REPLAY_RETRY_CAP);
+                watch.retries += 1;
             }
         }
     }
@@ -1025,15 +1003,9 @@ impl Node {
     fn handle_intake(&mut self, intake: Intake) {
         match intake {
             Intake::Upstream { port, link_seq, msg } => {
-                // Reusable deliverable buffer: taken out of `self` so
-                // `handle_upstream` can borrow the node mutably while we
-                // drain it, then put back with its capacity intact.
-                let mut deliverable = std::mem::take(&mut self.reorder_scratch);
-                self.reorder[port as usize].offer_into(link_seq, msg, &mut deliverable);
-                for (seq, msg) in deliverable.drain(..) {
-                    self.handle_upstream(port, seq, msg);
+                if self.cursors[port as usize].accept(link_seq, &msg) {
+                    self.handle_upstream(port, link_seq, msg);
                 }
-                self.reorder_scratch = deliverable;
             }
             Intake::Downstream { out, ctrl } => self.handle_downstream(out, ctrl),
             Intake::TxnCommitted(txn) => self.on_txn_committed(txn),
@@ -1076,7 +1048,7 @@ impl Node {
                     // Buffered data must precede EOF on the wire.
                     self.flush_out_batches();
                     for edge in &self.down {
-                        let _ = edge.data_tx.send(Message::Control(Control::Eof));
+                        edge.data_tx.push(Message::Control(Control::Eof));
                     }
                 }
             }
@@ -1092,10 +1064,10 @@ impl Node {
             Control::ReplayRequest { from, token } => {
                 // Same incarnation asking for the same position again is
                 // the watchdog retrying over a slow lane: the first serve
-                // already put the frames in flight, so a second serve
-                // would deliver every one of them twice. Only a serve
-                // that actually re-sent frames dedups — an empty serve
-                // means the data wasn't retained-behind yet, and the
+                // already rewound the link, so a second serve would
+                // deliver every frame twice. Only a serve that actually
+                // moved the link's cursor back dedups — an empty serve
+                // means the receiver had not read that far yet, and the
                 // retry must stay answerable.
                 if self.served_replays[out as usize] == Some((token, from)) {
                     return;
@@ -1123,7 +1095,7 @@ impl Node {
             // node paces itself by downstream drain / log stability
             // instead of speculating further (it never aborts admitted
             // work). Applies to replay identically: replayed input obeys
-            // the same credit window as live input.
+            // the same window as live input.
             if self.check_overload() {
                 return;
             }
@@ -1436,7 +1408,7 @@ impl Node {
         };
         self.metrics.batch_events.record(msg.event_count() as u64);
         self.down[out].events_sent.fetch_add(msg.event_count() as u64, Ordering::AcqRel);
-        let _ = self.down[out].data_tx.send(msg);
+        self.down[out].data_tx.push(msg);
     }
 
     fn flush_out_batches(&mut self) {
@@ -1659,9 +1631,7 @@ impl Node {
                 for (event, target) in sent.iter() {
                     for (out, edge) in self.down.iter().enumerate() {
                         if target.map(|t| t as usize == out).unwrap_or(true) {
-                            let _ = edge
-                                .data_tx
-                                .send(Message::Control(Control::Revoke { id: event.id }));
+                            edge.data_tx.push(Message::Control(Control::Revoke { id: event.id }));
                         }
                     }
                 }
@@ -1692,7 +1662,7 @@ impl Node {
                 if event.speculative {
                     for (out, edge) in self.down.iter().enumerate() {
                         if target.map(|t| t as usize == out).unwrap_or(true) {
-                            let _ = edge.data_tx.send(Message::Control(Control::Finalize {
+                            edge.data_tx.push(Message::Control(Control::Finalize {
                                 id: event.id,
                                 version: event.version,
                             }));
@@ -1790,11 +1760,11 @@ impl Node {
         let Some(store) = &self.checkpoints else { return };
         // Positions = the link seq each upstream must replay from: the
         // first *unprocessed* message — the queue front if data is parked,
-        // else the reorder buffer's delivery position.
+        // else the cursor's delivery position.
         let positions: Vec<u64> = self
             .port_queues
             .iter()
-            .zip(&self.reorder)
+            .zip(&self.cursors)
             .map(|(q, r)| q.front().map(|(seq, _, _)| *seq).unwrap_or_else(|| r.next_seq()))
             .collect();
         let covers_log = LogSeq(self.log.as_ref().map(|l| l.appended()).unwrap_or(0));
@@ -1832,7 +1802,7 @@ impl Node {
             log.truncate_below(covers_log);
         }
         for (port, edge) in self.up.iter().enumerate() {
-            edge.ctrl_tx.send(Control::Ack { upto: positions[port] });
+            edge.ctrl_tx.push(Control::Ack { upto: positions[port] });
         }
         self.events_since_checkpoint = 0;
     }
@@ -1842,7 +1812,7 @@ impl Node {
 /// publishes: assign output ids, send them, log decisions, arm the gate.
 struct NodeSendView {
     id: OperatorId,
-    down: Vec<streammine_net::ResilientSender<Message>>,
+    down: Vec<LinkSender<Message>>,
     log: Option<StableLog>,
     intake: IntakeSender,
     journal: Arc<Journal>,
@@ -1939,7 +1909,7 @@ impl NodeSendView {
                         }
                         other => {
                             flush_run(edge, &mut run, &self.batch_events);
-                            edge.send(other.clone());
+                            edge.push(other.clone());
                         }
                     }
                 }
@@ -1986,11 +1956,7 @@ impl NodeSendView {
 
 /// Sends a run of consecutive data events on one edge: nothing for an
 /// empty run, plain `Data` for one event, a `DataBatch` frame otherwise.
-fn flush_run(
-    edge: &streammine_net::ResilientSender<Message>,
-    run: &mut Vec<Event>,
-    batch_events: &Histogram,
-) {
+fn flush_run(edge: &LinkSender<Message>, run: &mut Vec<Event>, batch_events: &Histogram) {
     let msg = match run.len() {
         0 => return,
         // As in `flush_edge`: a lone event is popped so the run buffer
@@ -1999,7 +1965,7 @@ fn flush_run(
         _ => Message::DataBatch(std::mem::take(run)),
     };
     batch_events.record(msg.event_count() as u64);
-    edge.send(msg);
+    edge.push(msg);
 }
 
 /// Opens the commit gate when (and only when) every condition holds: the

@@ -1,5 +1,5 @@
-//! Node plumbing: link endpoints, intake merging, and per-link FIFO
-//! reordering.
+//! Node plumbing: link endpoints, intake merging, and the per-edge
+//! receive cursor.
 //!
 //! Each operator runs a single coordinator loop fed by one *intake*.
 //! Small forwarder threads pump every upstream data link and every
@@ -7,9 +7,8 @@
 //!
 //! * a **bounded data lane** fed only by the data pumps — when the
 //!   coordinator stops draining it (backpressure stall), the pumps block,
-//!   the upstream link's credit window stays consumed, and the producer
-//!   saturates in turn: backpressure propagates hop by hop instead of
-//!   growing memory;
+//!   the upstream link's window stays full, and the producer saturates in
+//!   turn: backpressure propagates hop by hop instead of growing memory;
 //! * an **unbounded control lane** for everything else (acks, replay
 //!   requests, commit/abort notifications, log-stability callbacks,
 //!   engine commands). It must never block: log tickets fire their
@@ -17,16 +16,16 @@
 //!   already stable, so the coordinator itself sends into this lane — a
 //!   bounded lane could self-deadlock. It is intrinsically bounded
 //!   anyway: every message class is capped by bounded in-flight state
-//!   (open transactions, the hold queue, per-edge ctrl-link credit
-//!   windows), not by external producers.
+//!   (open transactions, the hold queue, per-edge ctrl-link windows), not
+//!   by external producers.
 //!
 //! Receives service the control lane first so a stalled node keeps
-//! serving replay requests and credit grants — the deadlock-freedom core
-//! of the credit protocol. The plumbing survives operator crashes —
-//! links, sequence counters and retained output buffers are exactly the
-//! state that lives *outside* the failed process in the paper's model.
+//! serving replay requests and acks — the deadlock-freedom core of the
+//! flow-control protocol. The plumbing survives operator crashes — links,
+//! sequence counters and retained output buffers are exactly the state
+//! that lives *outside* the failed process in the paper's model.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -34,7 +33,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{RecvTimeoutError, TryRecvError};
-use streammine_net::{LinkReceiver, ResilientSender};
+use streammine_net::{LinkReceiver, LinkSender};
 use streammine_stm::TxnId;
 
 use crate::message::{Control, Message};
@@ -68,12 +67,11 @@ pub(crate) enum NodeCommand {
 
 /// The downstream-facing half of an edge at the sending node.
 ///
-/// The sender is resilient: while the link is severed, outgoing messages
-/// queue inside the (crash-surviving) sender and are retransmitted with
-/// capped exponential backoff once the link heals.
+/// While the link is severed, outgoing messages wait inside the
+/// (crash-surviving) link and flow in order once it heals.
 pub(crate) struct DownEdge {
     /// Data + finalize/revoke to the receiver.
-    pub data_tx: ResilientSender<Message>,
+    pub data_tx: LinkSender<Message>,
     /// Cumulative count of data *events* (not frames) ever put on this
     /// edge, across every incarnation of the sending node. Lives outside
     /// the node like the link itself, so a recovering node knows how many
@@ -93,10 +91,9 @@ impl fmt::Debug for DownEdge {
 
 /// The upstream-facing half of an edge at the receiving node.
 pub(crate) struct UpEdge {
-    /// Control back to the sender (acks, replay requests); resilient so a
-    /// severed control link delays — never loses — acks and replay
-    /// requests.
-    pub ctrl_tx: ResilientSender<Control>,
+    /// Control back to the sender (acks, replay requests): a severed
+    /// control link delays — never loses — them.
+    pub ctrl_tx: LinkSender<Control>,
     /// Forwarder feeding the sender's data into our intake.
     pub _data_pump: Option<JoinHandle<()>>,
 }
@@ -134,33 +131,43 @@ pub(crate) fn pump_ctrl(
     std::thread::Builder::new()
         .name(format!("pump-ctrl-o{out}"))
         .spawn(move || {
-            while let Ok((_seq, ctrl)) = rx.recv() {
+            while let Ok((seq, ctrl)) = rx.recv() {
                 if intake.send(Intake::Downstream { out, ctrl }).is_err() {
                     break;
                 }
+                // Forwarded: nobody re-reads a control link.
+                rx.ack_upto(seq + 1);
             }
         })
         .expect("spawn ctrl pump")
 }
 
-/// Per-input-port FIFO repair.
+/// The receive cursor of one edge: the next link sequence it accepts and
+/// the cumulative count of data events accepted.
 ///
-/// Replay after a crash re-delivers retained messages with their *original*
-/// link sequence numbers, and live messages sent in the meantime carry
-/// higher ones; both can interleave in the intake. The reorder buffer
-/// delivers messages strictly in link-sequence order starting from the
-/// recovery position, dropping anything older (already covered by the
-/// checkpoint).
+/// A link hands its receiver consecutive sequences, and after every rewind
+/// (crash replay, reconnect) consecutive sequences again from the rewind
+/// point — so the cursor only has to ask "is this the sequence I expect?"
+/// and drop everything else: a lower sequence is a duplicate from an
+/// overlapping replay or a zombie sender; a higher one was read before a
+/// rewind that is about to deliver it again, in order.
 #[derive(Debug)]
-pub(crate) struct ReorderBuffer {
+pub(crate) struct EdgeCursor {
     next: u64,
-    held: BTreeMap<u64, Message>,
+    events: u64,
+    /// A sequence past `next` was dropped and nothing was accepted since:
+    /// only a rewind (which the replay watchdog requests) fills the gap.
+    gap: bool,
 }
 
-impl ReorderBuffer {
-    /// Starts expecting sequence `next`.
-    pub fn new(next: u64) -> Self {
-        ReorderBuffer { next, held: BTreeMap::new() }
+impl EdgeCursor {
+    /// A cursor expecting link sequence `seq` next — 0 on a fresh edge, a
+    /// checkpoint's input position after recovery (everything below was
+    /// acknowledged away upstream and is unreplayable). The event count is
+    /// primed to `seq` too: on unbatched edges frames carry one event
+    /// each, and only a *freshly restarted* sender consults it.
+    pub fn starting_at(seq: u64) -> EdgeCursor {
+        EdgeCursor { next: seq, events: seq, gap: false }
     }
 
     /// The next expected link sequence.
@@ -168,46 +175,27 @@ impl ReorderBuffer {
         self.next
     }
 
-    /// Offers a message, appending every message now deliverable (in
-    /// order) to `out`.
-    ///
-    /// The caller owns `out` so the steady state borrows a reusable buffer
-    /// instead of allocating a result vector per message, and the in-order
-    /// case bypasses the `BTreeMap` — an insert/remove round-trip there is
-    /// a tree-node heap allocation per event.
-    pub fn offer_into(&mut self, link_seq: u64, msg: Message, out: &mut Vec<(u64, Message)>) {
-        if link_seq < self.next {
-            return; // stale duplicate (pre-checkpoint or replayed twice)
-        }
-        if link_seq == self.next && self.held.is_empty() {
-            self.next += 1;
-            out.push((link_seq, msg));
-            return;
-        }
-        self.held.insert(link_seq, msg);
-        while let Some(msg) = self.held.remove(&self.next) {
-            out.push((self.next, msg));
-            self.next += 1;
-        }
+    /// Data events accepted so far.
+    pub fn events(&self) -> u64 {
+        self.events
     }
 
-    /// Allocating convenience wrapper around [`ReorderBuffer::offer_into`].
-    #[cfg(test)]
-    pub fn offer(&mut self, link_seq: u64, msg: Message) -> Vec<(u64, Message)> {
-        let mut out = Vec::new();
-        self.offer_into(link_seq, msg, &mut out);
-        out
+    /// Whether the cursor is waiting behind a gap.
+    pub fn saw_gap(&self) -> bool {
+        self.gap
     }
 
-    /// Whether any message is parked waiting for a gap to fill.
-    pub fn has_held(&self) -> bool {
-        !self.held.is_empty()
-    }
-
-    /// Messages parked waiting for a gap to fill.
-    #[cfg(test)]
-    pub fn held_len(&self) -> usize {
-        self.held.len()
+    /// Offers a frame; `true` when it is the expected one (the cursor
+    /// advances and the caller processes it), `false` when it is dropped.
+    pub fn accept(&mut self, link_seq: u64, msg: &Message) -> bool {
+        if link_seq != self.next {
+            self.gap |= link_seq > self.next;
+            return false;
+        }
+        self.next += 1;
+        self.events += msg.event_count() as u64;
+        self.gap = false;
+        true
     }
 }
 
@@ -407,49 +395,35 @@ mod tests {
     }
 
     #[test]
-    fn reorder_buffer_delivers_in_order() {
-        let mut rb = ReorderBuffer::new(0);
-        assert!(rb.offer(1, msg(1)).is_empty());
-        assert_eq!(rb.held_len(), 1);
-        let out = rb.offer(0, msg(0));
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].0, 0);
-        assert_eq!(out[1].0, 1);
-        assert_eq!(rb.next_seq(), 2);
+    fn cursor_accepts_only_the_expected_sequence() {
+        let mut c = EdgeCursor::starting_at(0);
+        assert!(c.accept(0, &msg(0)));
+        // Ahead of the cursor: dropped, and remembered as a gap.
+        assert!(!c.accept(2, &msg(2)));
+        assert!(c.saw_gap());
+        assert_eq!((c.next_seq(), c.events()), (1, 1));
+        // The rewind delivers from the gap on, in order; batches count
+        // events, not frames.
+        let batch = Message::DataBatch(vec![
+            Event::new(EventId::new(OperatorId::new(0), 10), 0, Value::Int(1)),
+            Event::new(EventId::new(OperatorId::new(0), 11), 0, Value::Int(2)),
+        ]);
+        assert!(c.accept(1, &batch));
+        assert!(!c.saw_gap());
+        assert!(c.accept(2, &msg(2)));
+        assert_eq!((c.next_seq(), c.events()), (3, 4));
+        // Stale duplicate: dropped, and not a gap.
+        assert!(!c.accept(1, &msg(1)));
+        assert!(!c.saw_gap());
+        assert_eq!(c.events(), 4);
     }
 
     #[test]
-    fn reorder_buffer_drops_stale() {
-        let mut rb = ReorderBuffer::new(5);
-        assert!(rb.offer(3, msg(3)).is_empty());
-        assert_eq!(rb.held_len(), 0, "stale must be dropped, not held");
-        let out = rb.offer(5, msg(5));
-        assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn reorder_buffer_handles_duplicate_of_held() {
-        let mut rb = ReorderBuffer::new(0);
-        rb.offer(2, msg(2));
-        rb.offer(2, msg(2));
-        assert_eq!(rb.held_len(), 1);
-        let out = rb.offer(0, msg(0));
-        assert_eq!(out.len(), 1); // only seq 0; 1 still missing
-        let out = rb.offer(1, msg(1));
-        assert_eq!(out.len(), 2); // 1 and 2
-    }
-
-    #[test]
-    fn reorder_buffer_in_order_stream_never_holds() {
-        let mut rb = ReorderBuffer::new(0);
-        let mut out = Vec::new();
-        for seq in 0..4 {
-            rb.offer_into(seq, msg(seq as i64), &mut out);
-            assert_eq!(rb.held_len(), 0, "in-order messages must bypass the hold map");
-        }
-        assert_eq!(out.len(), 4);
-        assert!(out.iter().enumerate().all(|(i, (s, _))| *s == i as u64));
-        assert_eq!(rb.next_seq(), 4);
+    fn cursor_resumes_at_a_checkpoint_position() {
+        let mut c = EdgeCursor::starting_at(5);
+        assert!(!c.accept(3, &msg(3)), "pre-checkpoint frames are stale");
+        assert!(c.accept(5, &msg(5)));
+        assert_eq!((c.next_seq(), c.events()), (6, 6));
     }
 
     #[test]

@@ -24,8 +24,8 @@ use streammine_obs::{JournalKind, Labels, Obs};
 
 use crate::graph::NodePersist;
 
-/// How often an idle coordinator wakes up to beat its heartbeat and flush
-/// resilient senders.
+/// How often an idle coordinator wakes up to beat its heartbeat and run
+/// the replay watchdog.
 pub(crate) const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(10);
 
 /// Lifecycle state of one node, as seen by the supervisor.

@@ -3,27 +3,31 @@
 //! In the paper's testbed, operators are OS processes connected by TCP
 //! (§2.3); the evaluation notes that real network hops only add a
 //! roughly-constant latency to the curves (§4, discussion of Figure 3).
-//! This crate reproduces exactly the properties the protocols rely on:
+//! This crate reproduces exactly the properties the protocols rely on.
 //!
-//! * **ordered, reliable delivery** while connected (TCP semantics);
-//! * configurable **propagation delay** with optional jitter (FIFO order is
-//!   preserved, as on a TCP stream);
-//! * **output-buffer retention**: every message gets a link sequence
-//!   number and is retained by the sender until acknowledged, so a
-//!   recovering downstream can request **replay from a sequence number**
-//!   (upstream backup, §2.2);
-//! * **credit-based flow control**: each link carries at most
-//!   [`LinkConfig::capacity`] undelivered messages. A send consumes one
-//!   credit; delivery returns it. When credits are exhausted the send
-//!   fails fast with [`LinkError::Saturated`] instead of growing memory —
-//!   the TCP-window analogue that propagates backpressure upstream.
-//!   Replay traffic draws from a **reserved credit class**
-//!   ([`LinkConfig::replay_reserve`]) so a recovering consumer can always
-//!   make progress even when the normal window is saturated (the
-//!   deadlock-freedom requirement: replay and credit grants must never
-//!   wait on each other);
-//! * **failure injection**: a link can be severed and healed, sends while
-//!   severed fail like writes on a broken socket, and a transient
+//! A link is **one ring per edge**: a queue of unacknowledged messages
+//! with a base sequence number, under one mutex. The sender appends, the
+//! receiver reads through a cursor kept in the same shared state, and an
+//! acknowledgment trims the front. That one buffer is, at once,
+//!
+//! * the **output buffer** of upstream backup (§2.2): a message stays in
+//!   the ring until acknowledged, so a recovering downstream re-reads from
+//!   a sequence number — [`LinkSender::replay_from`] moves the cursor back,
+//!   it copies nothing and can never stop half way;
+//! * the **in-flight queue**, delivering in order and reliably, with a
+//!   configurable **propagation delay** and optional jitter (the due time
+//!   is stored with the entry; FIFO order is preserved, as on a TCP
+//!   stream);
+//! * the **flow-control window**: at most [`LinkConfig::capacity`]
+//!   messages may be unread (tail − cursor). [`LinkSender::send`] beyond it
+//!   fails fast with [`LinkError::Saturated`] instead of growing memory;
+//!   the coordinator's [`LinkSender::push`] never rejects — dropping would
+//!   break precise recovery — but reports the saturation so the producer
+//!   stops. A rewind consumes no window, so replay can never wait on the
+//!   live traffic it is about to re-deliver;
+//! * the **severed-link backlog** (failure injection): severing freezes
+//!   how far the cursor may read; what is sent meanwhile waits in the ring
+//!   and flows, in order, when the link heals. A transient
 //!   [`LinkSender::delay_spike`] models congestion without reordering.
 //!
 //! # Example
@@ -36,7 +40,7 @@
 //! tx.send(8)?;
 //! assert_eq!(rx.recv()?, (0, 7));
 //! assert_eq!(rx.recv()?, (1, 8));
-//! // Downstream crashed and recovered: replay everything retained.
+//! // Downstream crashed and recovered: re-read everything retained.
 //! tx.replay_from(0);
 //! assert_eq!(rx.recv()?, (0, 7));
 //! # Ok::<(), streammine_net::LinkError>(())
@@ -45,11 +49,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod resilient;
+pub mod backoff;
 pub mod tcp;
 pub mod transport;
 
-pub use resilient::{BackoffConfig, EdgeMetrics, ResilientSender, SendOutcome, SenderLimits};
+pub use backoff::BackoffConfig;
 pub use tcp::TcpTransport;
 pub use transport::{
     FrameConn, FrameError, FrameListener, FrameRx, FrameTx, MemTransport, SharedFrameTx, Transport,
@@ -58,24 +62,23 @@ pub use transport::{
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use streammine_common::rng::DetRng;
+use streammine_obs::{Counter, Gauge, Labels, Registry};
 
 /// Errors surfaced by link operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkError {
-    /// The link is severed (failure injection) or the peer was dropped.
+    /// The peer half of the link was dropped.
     Disconnected,
     /// `recv_timeout` elapsed without a message.
     Timeout,
-    /// The link's credit window is exhausted: the consumer has not yet
-    /// delivered enough in-flight messages. The message was **not** sent;
-    /// retry after the consumer drains (backpressure, not failure).
+    /// The link's window is full: the consumer has not yet read enough of
+    /// what was sent. The message was **not** accepted; retry after the
+    /// consumer drains (backpressure, not failure).
     Saturated,
 }
 
@@ -91,11 +94,8 @@ impl fmt::Display for LinkError {
 
 impl std::error::Error for LinkError {}
 
-/// Default normal-class credit window of a link.
+/// Default window of a link.
 pub const DEFAULT_LINK_CAPACITY: usize = 1024;
-
-/// Default reserved replay credit class of a link.
-pub const DEFAULT_REPLAY_RESERVE: usize = 64;
 
 /// Propagation-delay and flow-control model of a link.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,14 +106,10 @@ pub struct LinkConfig {
     pub jitter: f64,
     /// Seed for the jitter generator.
     pub seed: u64,
-    /// Normal-class credit window: the maximum number of undelivered
-    /// live messages in flight. Sends beyond it fail with
-    /// [`LinkError::Saturated`] until the consumer drains.
+    /// The window: the maximum number of sent-but-unread messages. Sends
+    /// beyond it fail with [`LinkError::Saturated`] until the consumer
+    /// drains.
     pub capacity: usize,
-    /// Reserved credit class for replay traffic, on top of `capacity`.
-    /// Replay re-sends draw from this pool so recovery makes progress
-    /// even when the normal window is saturated.
-    pub replay_reserve: usize,
 }
 
 impl Default for LinkConfig {
@@ -125,13 +121,7 @@ impl Default for LinkConfig {
 impl LinkConfig {
     /// Zero-delay link (operators co-located in one process).
     pub fn instant() -> Self {
-        LinkConfig {
-            delay: Duration::ZERO,
-            jitter: 0.0,
-            seed: 0,
-            capacity: DEFAULT_LINK_CAPACITY,
-            replay_reserve: DEFAULT_REPLAY_RESERVE,
-        }
+        LinkConfig { delay: Duration::ZERO, jitter: 0.0, seed: 0, capacity: DEFAULT_LINK_CAPACITY }
     }
 
     /// Typical LAN hop: 300 µs ± 20 %.
@@ -154,27 +144,83 @@ impl LinkConfig {
         LinkConfig { delay, ..Self::instant() }
     }
 
-    /// Overrides the normal-class credit window.
+    /// Overrides the window.
     #[must_use]
     pub fn with_capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity;
         self
     }
+}
 
-    /// Overrides the reserved replay credit class.
-    #[must_use]
-    pub fn with_replay_reserve(mut self, reserve: usize) -> Self {
-        self.replay_reserve = reserve;
-        self
+/// Per-edge transport metrics, registered under `(op, edge)` labels.
+///
+/// `sent` counts messages put on the wire (at once, or when a heal
+/// releases them), `queued` counts messages accepted behind a severed
+/// link, `retransmits` counts those released by a heal, and `saturated`
+/// counts sends that found or left the window full. The gauges track live
+/// depths: `pending` (accepted but not yet deliverable: behind a sever or
+/// beyond the window), `pending_hwm` (its high-water mark), `retained`
+/// (unacknowledged messages in the ring), and `credits` (window remaining).
+#[derive(Clone, Debug)]
+pub struct EdgeMetrics {
+    /// Messages put on the wire.
+    pub sent: Counter,
+    /// Sends accepted behind a severed link.
+    pub queued: Counter,
+    /// Backlogged messages released when the link healed.
+    pub retransmits: Counter,
+    /// Sends that found or left the window full.
+    pub saturated: Counter,
+    /// Messages accepted but not yet deliverable.
+    pub pending: Gauge,
+    /// High-water mark of `pending`.
+    pub pending_hwm: Gauge,
+    /// Messages in the ring awaiting acknowledgment.
+    pub retained: Gauge,
+    /// Window remaining.
+    pub credits: Gauge,
+}
+
+impl EdgeMetrics {
+    /// Registers the metrics as `edge.sent` / `edge.queued` /
+    /// `edge.retransmits` / `edge.saturated` / `edge.pending` /
+    /// `edge.pending_hwm` / `edge.retained` / `edge.credits` labeled with
+    /// the owning operator and edge index.
+    pub fn registered(registry: &Registry, op: u32, edge: u32) -> EdgeMetrics {
+        let labels = Labels::op_port(op, edge);
+        EdgeMetrics {
+            sent: registry.counter("edge.sent", labels),
+            queued: registry.counter("edge.queued", labels),
+            retransmits: registry.counter("edge.retransmits", labels),
+            saturated: registry.counter("edge.saturated", labels),
+            pending: registry.gauge("edge.pending", labels),
+            pending_hwm: registry.gauge("edge.pending_hwm", labels),
+            retained: registry.gauge("edge.retained", labels),
+            credits: registry.gauge("edge.credits", labels),
+        }
     }
 }
 
-/// Which credit pool an in-flight message drew from. Returned to the same
-/// pool at delivery.
+/// What [`LinkSender::push`] did with a message. The message is accepted
+/// in every case and carries the link sequence number it was given.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CreditClass {
-    Normal,
-    Replay,
+pub enum SendOutcome {
+    /// On the wire, window not yet full.
+    Sent(u64),
+    /// Accepted behind a severed link; it flows when the link heals.
+    Queued(u64),
+    /// Accepted, but the window is now full (or overfull): the producer
+    /// must stop generating output until the consumer drains.
+    Saturated(u64),
+}
+
+impl SendOutcome {
+    /// The link sequence number the message was given.
+    pub fn seq(self) -> u64 {
+        match self {
+            SendOutcome::Sent(seq) | SendOutcome::Queued(seq) | SendOutcome::Saturated(seq) => seq,
+        }
+    }
 }
 
 struct Spike {
@@ -182,324 +228,472 @@ struct Spike {
     until: Instant,
 }
 
-struct LinkShared<T> {
-    severed: AtomicBool,
-    retained: Mutex<VecDeque<(u64, T)>>,
-    /// Normal-class credits remaining; a live send consumes one, delivery
-    /// returns it. Never exceeds `capacity`, never goes below zero
-    /// (acquire is fetch_sub + restore on failure).
-    credits: AtomicI64,
-    /// Replay-class credits remaining (reserved pool).
-    replay_credits: AtomicI64,
-    /// Transient extra delay window (congestion spike); self-clearing.
-    spike: Mutex<Option<Spike>>,
+/// The edge's whole state. Sequence `base + i` is `entries[i]`;
+/// `base <= cursor <= tail`, and everything below `min(acked, cursor)` has
+/// been dropped.
+struct Ring<T> {
+    /// Unacknowledged messages with the instant each is due at the
+    /// receiver (`None`: at once).
+    entries: VecDeque<(Option<Instant>, T)>,
+    base: u64,
+    /// The next sequence the receiver reads.
+    cursor: u64,
+    /// Sever: sequences at or past it are not readable (`u64::MAX` while
+    /// connected).
+    limit: u64,
+    /// Everything below it is acknowledged; an entry goes once it is also
+    /// read.
+    acked: u64,
+    last_due: Option<Instant>,
+    spike: Option<Spike>,
+    rng: DetRng,
+    metrics: Option<EdgeMetrics>,
+    pending_hwm: usize,
+    /// The receiver is parked on the condvar (so an idle send skips the
+    /// wake-up call).
+    rx_waiting: bool,
+    tx_alive: bool,
+    rx_alive: bool,
 }
 
-/// Sending half of a link.
-pub struct LinkSender<T> {
-    shared: Arc<LinkShared<T>>,
-    tx: Sender<(Instant, u64, CreditClass, T)>,
-    next_seq: Arc<AtomicU64>,
-    last_due: Arc<Mutex<Instant>>,
+impl<T> Ring<T> {
+    fn tail(&self) -> u64 {
+        self.base + self.entries.len() as u64
+    }
+
+    fn unread(&self) -> usize {
+        (self.tail() - self.cursor) as usize
+    }
+
+    /// Accepted messages the receiver cannot be handed yet: behind a sever
+    /// or beyond the window.
+    fn pending(&self, capacity: usize) -> usize {
+        let deliverable = self.tail().min(self.limit).min(self.cursor + capacity as u64);
+        (self.tail() - deliverable.max(self.cursor)) as usize
+    }
+
+    fn trim(&mut self) {
+        let keep_from = self.acked.min(self.cursor);
+        while self.base < keep_from {
+            self.entries.pop_front();
+            self.base += 1;
+        }
+    }
+
+    fn publish_gauges(&mut self, capacity: usize) {
+        let Some(m) = &self.metrics else { return };
+        let pending = self.pending(capacity);
+        m.pending.set(pending as i64);
+        if pending > self.pending_hwm {
+            self.pending_hwm = pending;
+            m.pending_hwm.set(pending as i64);
+        }
+        m.retained.set(self.entries.len() as i64);
+        m.credits.set(capacity.saturating_sub(self.unread()) as i64);
+    }
+
+    /// When a message sent now is due at the receiver.
+    fn due(&mut self, config: &LinkConfig) -> Option<Instant> {
+        if config.delay.is_zero() && self.spike.is_none() {
+            // FIFO: still never before a delayed predecessor.
+            return self.last_due;
+        }
+        let now = Instant::now();
+        let mut delay = config.delay.as_secs_f64();
+        if config.jitter > 0.0 {
+            delay *= 1.0 + config.jitter * (2.0 * self.rng.next_f64() - 1.0);
+        }
+        let mut due = now + Duration::from_secs_f64(delay.max(0.0));
+        match &self.spike {
+            Some(s) if now < s.until => due += s.extra,
+            Some(_) => self.spike = None, // expired: self-clearing
+            None => {}
+        }
+        // FIFO: a message never arrives before its predecessor.
+        let due = self.last_due.map_or(due, |last| due.max(last));
+        self.last_due = Some(due);
+        Some(due)
+    }
+
+    /// Hands the receiver the message at the cursor, if it may read one.
+    fn take(&mut self) -> Option<(Option<Instant>, u64, T)>
+    where
+        T: Clone,
+    {
+        let seq = self.cursor;
+        if seq >= self.tail().min(self.limit) {
+            return None;
+        }
+        self.cursor += 1;
+        if seq < self.acked {
+            // Acknowledged ahead of the read (a link nobody replays):
+            // nothing keeps the stored message, so it is moved out.
+            self.base += 1;
+            let (due, msg) = self.entries.pop_front().expect("cursor below tail");
+            return Some((due, seq, msg));
+        }
+        let (due, msg) = &self.entries[(seq - self.base) as usize];
+        Some((*due, seq, msg.clone()))
+    }
+}
+
+struct Shared<T> {
+    ring: Mutex<Ring<T>>,
+    /// Signalled when the receiver may have something to read.
+    readable: Condvar,
     config: LinkConfig,
-    rng: Arc<Mutex<DetRng>>,
+}
+
+impl<T> Shared<T> {
+    /// Wakes the receiver if it is parked; call with the ring locked.
+    fn wake(&self, ring: &mut Ring<T>) {
+        if std::mem::take(&mut ring.rx_waiting) {
+            self.readable.notify_one();
+        }
+    }
+
+    fn ack_upto(&self, upto: u64) {
+        let mut ring = self.ring.lock();
+        ring.acked = ring.acked.max(upto);
+        ring.trim();
+        if let Some(m) = &ring.metrics {
+            m.retained.set(ring.entries.len() as i64);
+        }
+    }
+
+    fn rewind(&self, from: u64) -> usize {
+        let mut ring = self.ring.lock();
+        let to = from.max(ring.base).min(ring.cursor);
+        let moved = (ring.cursor - to) as usize;
+        ring.cursor = to;
+        if moved > 0 {
+            self.wake(&mut ring);
+        }
+        moved
+    }
+}
+
+/// Marks the link closed when the last [`LinkSender`] clone drops.
+struct SenderToken<T> {
+    shared: Arc<Shared<T>>,
+}
+
+impl<T> Drop for SenderToken<T> {
+    fn drop(&mut self) {
+        let mut ring = self.shared.ring.lock();
+        ring.tx_alive = false;
+        self.shared.wake(&mut ring);
+    }
+}
+
+/// Sending half of a link. Clones share the one ring.
+pub struct LinkSender<T> {
+    shared: Arc<Shared<T>>,
+    _token: Arc<SenderToken<T>>,
 }
 
 impl<T> Clone for LinkSender<T> {
     fn clone(&self) -> Self {
-        LinkSender {
-            shared: self.shared.clone(),
-            tx: self.tx.clone(),
-            next_seq: self.next_seq.clone(),
-            last_due: self.last_due.clone(),
-            config: self.config.clone(),
-            rng: self.rng.clone(),
-        }
+        LinkSender { shared: self.shared.clone(), _token: self._token.clone() }
     }
 }
 
 impl<T> fmt::Debug for LinkSender<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ring = self.shared.ring.lock();
         f.debug_struct("LinkSender")
-            .field("next_seq", &self.next_seq.load(Ordering::Relaxed))
-            .field("severed", &self.shared.severed.load(Ordering::Relaxed))
-            .field("credits", &self.shared.credits.load(Ordering::Relaxed))
+            .field("base", &ring.base)
+            .field("cursor", &ring.cursor)
+            .field("tail", &ring.tail())
+            .field("severed", &(ring.limit != u64::MAX))
             .finish()
     }
 }
 
 /// Receiving half of a link.
 pub struct LinkReceiver<T> {
-    shared: Arc<LinkShared<T>>,
-    rx: Receiver<(Instant, u64, CreditClass, T)>,
+    shared: Arc<Shared<T>>,
+}
+
+impl<T> Drop for LinkReceiver<T> {
+    fn drop(&mut self) {
+        self.shared.ring.lock().rx_alive = false;
+    }
 }
 
 impl<T> fmt::Debug for LinkReceiver<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LinkReceiver")
-            .field("severed", &self.shared.severed.load(Ordering::Relaxed))
-            .finish()
+        f.debug_struct("LinkReceiver").field("cursor", &self.shared.ring.lock().cursor).finish()
     }
-}
-
-fn as_credits(n: usize) -> i64 {
-    i64::try_from(n).unwrap_or(i64::MAX)
 }
 
 /// Creates a link with the given delay and flow-control model.
 ///
 /// # Panics
 ///
-/// Panics when `config.capacity` or `config.replay_reserve` is zero: a
-/// zero-credit link could never carry (or replay) a message.
+/// Panics when `config.capacity` is zero: a link without a window could
+/// never carry a message.
 pub fn link<T: Clone + Send + 'static>(config: LinkConfig) -> (LinkSender<T>, LinkReceiver<T>) {
     assert!(config.capacity > 0, "link capacity must be at least 1");
-    assert!(config.replay_reserve > 0, "replay reserve must be at least 1");
-    // The channel bound is a backstop: credit accounting already caps the
-    // queue at capacity + replay_reserve, so channel sends never block.
-    let (tx, rx) = crossbeam_channel::bounded(config.capacity + config.replay_reserve);
-    let shared = Arc::new(LinkShared {
-        severed: AtomicBool::new(false),
-        retained: Mutex::new(VecDeque::new()),
-        credits: AtomicI64::new(as_credits(config.capacity)),
-        replay_credits: AtomicI64::new(as_credits(config.replay_reserve)),
-        spike: Mutex::new(None),
+    let shared = Arc::new(Shared {
+        ring: Mutex::new(Ring {
+            entries: VecDeque::new(),
+            base: 0,
+            cursor: 0,
+            limit: u64::MAX,
+            acked: 0,
+            last_due: None,
+            spike: None,
+            rng: DetRng::seed_from(config.seed),
+            metrics: None,
+            pending_hwm: 0,
+            rx_waiting: false,
+            tx_alive: true,
+            rx_alive: true,
+        }),
+        readable: Condvar::new(),
+        config,
     });
-    let seed = config.seed;
-    (
-        LinkSender {
-            shared: shared.clone(),
-            tx,
-            next_seq: Arc::new(AtomicU64::new(0)),
-            last_due: Arc::new(Mutex::new(Instant::now())),
-            config,
-            rng: Arc::new(Mutex::new(DetRng::seed_from(seed))),
-        },
-        LinkReceiver { shared, rx },
-    )
-}
-
-impl<T> LinkShared<T> {
-    /// Takes one credit from `class`; `false` when the pool is empty.
-    fn acquire(&self, class: CreditClass) -> bool {
-        let pool = match class {
-            CreditClass::Normal => &self.credits,
-            CreditClass::Replay => &self.replay_credits,
-        };
-        if pool.fetch_sub(1, Ordering::AcqRel) <= 0 {
-            pool.fetch_add(1, Ordering::AcqRel);
-            return false;
-        }
-        true
-    }
-
-    /// Returns one credit to `class` (at delivery or on a failed send).
-    fn release(&self, class: CreditClass) {
-        match class {
-            CreditClass::Normal => self.credits.fetch_add(1, Ordering::AcqRel),
-            CreditClass::Replay => self.replay_credits.fetch_add(1, Ordering::AcqRel),
-        };
-    }
+    let token = Arc::new(SenderToken { shared: shared.clone() });
+    (LinkSender { shared: shared.clone(), _token: token }, LinkReceiver { shared })
 }
 
 impl<T: Clone + Send + 'static> LinkSender<T> {
-    fn due_time(&self) -> Instant {
-        let mut delay = self.config.delay.as_secs_f64();
-        if self.config.jitter > 0.0 {
-            let f = 1.0 + self.config.jitter * (2.0 * self.rng.lock().next_f64() - 1.0);
-            delay *= f;
-        }
-        let now = Instant::now();
-        let mut due = now + Duration::from_secs_f64(delay.max(0.0));
-        {
-            let mut spike = self.shared.spike.lock();
-            match spike.as_ref() {
-                Some(s) if now < s.until => due += s.extra,
-                Some(_) => *spike = None, // expired: self-clearing
-                None => {}
+    /// Appends `msg` to the locked ring and wakes the receiver.
+    fn append(&self, mut ring: MutexGuard<'_, Ring<T>>, msg: T) -> SendOutcome {
+        let capacity = self.shared.config.capacity;
+        let seq = ring.tail();
+        let due = ring.due(&self.shared.config);
+        ring.entries.push_back((due, msg));
+        let severed = seq >= ring.limit;
+        let saturated = ring.unread() >= capacity;
+        if let Some(m) = &ring.metrics {
+            if severed { &m.queued } else { &m.sent }.incr();
+            if saturated {
+                m.saturated.incr();
             }
         }
-        // FIFO: a message never arrives before its predecessor.
-        let mut last = self.last_due.lock();
-        let due = due.max(*last);
-        *last = due;
-        due
+        ring.publish_gauges(capacity);
+        let wake = !severed && std::mem::take(&mut ring.rx_waiting);
+        drop(ring);
+        if wake {
+            self.shared.readable.notify_one();
+        }
+        match (saturated, severed) {
+            (true, _) => SendOutcome::Saturated(seq),
+            (false, true) => SendOutcome::Queued(seq),
+            (false, false) => SendOutcome::Sent(seq),
+        }
     }
 
-    /// Sends a message; returns its link sequence number.
-    ///
-    /// The message is retained for replay until acknowledged via
-    /// [`LinkSender::ack_upto`]. Consumes one normal-class credit,
-    /// returned when the receiver delivers the message.
+    /// Sends a message unless the window is full; returns its link
+    /// sequence number. The message stays in the ring, re-readable, until
+    /// acknowledged via [`LinkSender::ack_upto`]. While the link is
+    /// severed an accepted message waits in the ring for the heal.
     ///
     /// # Errors
     ///
-    /// [`LinkError::Disconnected`] while the link is severed or the
-    /// receiver is gone; [`LinkError::Saturated`] when the credit window
-    /// is exhausted (the message is neither sent nor retained — retry
-    /// after the consumer drains).
+    /// [`LinkError::Saturated`] when the window is full — the message is
+    /// not accepted and no sequence number is used; retry after the
+    /// consumer drains. [`LinkError::Disconnected`] when the receiver is
+    /// gone.
     pub fn send(&self, msg: T) -> Result<u64, LinkError> {
-        if self.shared.severed.load(Ordering::Acquire) {
+        let ring = self.shared.ring.lock();
+        if !ring.rx_alive {
             return Err(LinkError::Disconnected);
         }
-        // Credit before sequence: a saturated send must not burn a seq
-        // number, or the receiver's reorder buffer would see a gap.
-        if !self.shared.acquire(CreditClass::Normal) {
+        if ring.unread() >= self.shared.config.capacity {
+            if let Some(m) = &ring.metrics {
+                m.saturated.incr();
+            }
             return Err(LinkError::Saturated);
         }
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut retained = self.shared.retained.lock();
-            retained.push_back((seq, msg.clone()));
-        }
-        let due = self.due_time();
-        if self.tx.send((due, seq, CreditClass::Normal, msg)).is_err() {
-            // Receiver gone; the message stays retained for replay but its
-            // credit comes back so accounting cannot leak.
-            self.shared.release(CreditClass::Normal);
-            return Err(LinkError::Disconnected);
-        }
-        Ok(seq)
+        Ok(self.append(ring, msg).seq())
     }
 
-    /// Re-delivers every retained message with sequence `>= from`, in
-    /// order, drawing from the reserved replay credit class. Used when the
-    /// downstream recovers from a crash.
-    ///
-    /// Returns how many messages were re-sent. When the replay reserve
-    /// runs out mid-replay the remainder is **not** sent (never skipped —
-    /// a gap would wedge the receiver's reorder buffer); the caller's
-    /// replay-retry watchdog re-requests the suffix once the consumer has
-    /// drained.
+    /// Sends a message and never rejects, drops or reorders it: a producer
+    /// that has already computed an output cannot un-compute it, and
+    /// dropping it would break precise recovery. The outcome says whether
+    /// the window is now full, which is the producer's signal to stop
+    /// (see [`LinkSender::is_saturated_with`]) — so the ring exceeds the
+    /// window by at most what the producer emits between two checks.
+    pub fn push(&self, msg: T) -> SendOutcome {
+        self.append(self.shared.ring.lock(), msg)
+    }
+
+    /// Whether the window is full once `inflight` more messages the
+    /// producer has already committed to sending — outputs held for log
+    /// stability, say — are counted. Admission gates use this so deferred
+    /// publication cannot overshoot the window by everything admitted
+    /// inside one stability wait.
+    pub fn is_saturated_with(&self, inflight: usize) -> bool {
+        self.shared.ring.lock().unread() + inflight >= self.shared.config.capacity
+    }
+
+    /// Makes the receiver re-read from sequence `from` (clamped to what is
+    /// still retained); never moves it forward. Used when the downstream
+    /// recovers from a crash. Returns how many already-read messages will
+    /// be delivered again — zero when the receiver had not got that far
+    /// yet, in which case it gets them in order anyway.
     pub fn replay_from(&self, from: u64) -> usize {
-        let to_replay: Vec<(u64, T)> = {
-            let retained = self.shared.retained.lock();
-            retained.iter().filter(|(s, _)| *s >= from).cloned().collect()
-        };
-        let mut sent = 0;
-        for (seq, msg) in to_replay {
-            if !self.shared.acquire(CreditClass::Replay) {
-                break;
-            }
-            let due = self.due_time();
-            if self.tx.send((due, seq, CreditClass::Replay, msg)).is_err() {
-                self.shared.release(CreditClass::Replay);
-                break;
-            }
-            sent += 1;
-        }
-        sent
+        self.shared.rewind(from)
     }
 
-    /// Drops retained messages with sequence `< upto` — the downstream
-    /// confirmed it will never need them again (paper's control message 5).
-    /// This is the end-to-end credit grant piggybacked on acks: trimming
-    /// retention is what lets the producer's retained-buffer cap admit new
-    /// work.
+    /// Acknowledges everything with sequence `< upto` — the downstream
+    /// confirmed it will never need it again (paper's control message 5).
+    /// An acknowledged message leaves the ring once it has also been read.
     pub fn ack_upto(&self, upto: u64) {
-        let mut retained = self.shared.retained.lock();
-        while retained.front().map(|(s, _)| *s < upto).unwrap_or(false) {
-            retained.pop_front();
-        }
+        self.shared.ack_upto(upto);
     }
 
-    /// Number of messages currently retained for replay.
+    /// Number of messages in the ring (unacknowledged or unread).
     pub fn retained_len(&self) -> usize {
-        self.shared.retained.lock().len()
+        self.shared.ring.lock().entries.len()
     }
 
-    /// Total messages ever sent.
+    /// Accepted messages the receiver cannot be handed yet: behind a sever
+    /// or beyond the window.
+    pub fn pending_len(&self) -> usize {
+        self.shared.ring.lock().pending(self.shared.config.capacity)
+    }
+
+    /// Total messages ever accepted (the next sequence number).
     pub fn sent(&self) -> u64 {
-        self.next_seq.load(Ordering::Relaxed)
+        self.shared.ring.lock().tail()
     }
 
-    /// Overrides the next link sequence number.
+    /// Starts numbering at `next`.
     ///
     /// Used when a fresh process incarnation adopts a surviving peer's
     /// delivery state: the reconnect handshake reports how many frames
     /// the receiver already consumed, and the sender continues numbering
-    /// from there so the receiver's reorder buffer sees neither a gap
-    /// nor stale duplicates. Only meaningful before the first send.
+    /// from there so the receiver's cursor sees neither a gap nor stale
+    /// duplicates.
+    ///
+    /// # Panics
+    ///
+    /// Panics when something was already sent.
     pub fn set_next_seq(&self, next: u64) {
-        self.next_seq.store(next, Ordering::Relaxed);
+        let mut ring = self.shared.ring.lock();
+        assert!(ring.entries.is_empty(), "set_next_seq after the first send");
+        ring.base = next;
+        ring.cursor = next;
     }
 
-    /// Normal-class credits currently available.
-    pub fn credits_available(&self) -> i64 {
-        self.shared.credits.load(Ordering::Acquire)
+    /// Attaches registered transport metrics; shared by all clones.
+    pub fn set_metrics(&self, metrics: EdgeMetrics) {
+        self.shared.ring.lock().metrics = Some(metrics);
     }
 
-    /// Replay-class credits currently available.
-    pub fn replay_credits_available(&self) -> i64 {
-        self.shared.replay_credits.load(Ordering::Acquire)
+    /// Refreshes the depth gauges (they otherwise move only on a send, so
+    /// a drained edge would keep showing its last busy reading).
+    pub fn publish_gauges(&self) {
+        self.shared.ring.lock().publish_gauges(self.shared.config.capacity);
     }
 
-    /// The configured normal-class credit window.
-    pub fn capacity(&self) -> usize {
-        self.config.capacity
-    }
-
-    /// Severs the link (failure injection): subsequent sends fail.
+    /// Severs the link (failure injection): what was sent so far is still
+    /// delivered, everything sent from now on waits for the heal.
     pub fn sever(&self) {
-        self.shared.severed.store(true, Ordering::Release);
+        let mut ring = self.shared.ring.lock();
+        ring.limit = ring.limit.min(ring.tail());
     }
 
-    /// Heals a severed link.
+    /// Heals a severed link: the backlog flows, in order.
     pub fn heal(&self) {
-        self.shared.severed.store(false, Ordering::Release);
+        let mut ring = self.shared.ring.lock();
+        let released = ring.tail().saturating_sub(ring.limit);
+        ring.limit = u64::MAX;
+        if let Some(m) = &ring.metrics {
+            m.retransmits.add(released);
+            m.sent.add(released);
+        }
+        ring.publish_gauges(self.shared.config.capacity);
+        self.shared.wake(&mut ring);
     }
 
     /// Whether the link is currently severed.
     pub fn is_severed(&self) -> bool {
-        self.shared.severed.load(Ordering::Acquire)
+        self.shared.ring.lock().limit != u64::MAX
     }
 
     /// Adds `extra` propagation delay to every message sent within the
     /// next `window` (a congestion spike). Self-clearing; FIFO order is
     /// still preserved.
     pub fn delay_spike(&self, extra: Duration, window: Duration) {
-        *self.shared.spike.lock() = Some(Spike { extra, until: Instant::now() + window });
+        self.shared.ring.lock().spike = Some(Spike { extra, until: Instant::now() + window });
     }
 
     /// Clears any active delay spike.
     pub fn clear_delay_spike(&self) {
-        *self.shared.spike.lock() = None;
+        self.shared.ring.lock().spike = None;
     }
 }
 
 impl<T: Clone + Send + 'static> LinkReceiver<T> {
-    fn deliver(&self, due: Instant, seq: u64, class: CreditClass, msg: T) -> (u64, T) {
-        // Credit returns at dequeue, before the propagation-delay sleep:
-        // the wire slot is free as soon as the consumer takes the message.
-        self.shared.release(class);
-        let now = Instant::now();
-        if due > now {
-            std::thread::sleep(due - now);
+    /// Sleeps out what is left of the message's propagation delay. The
+    /// window slot was freed when the cursor passed the message, before
+    /// this sleep: the wire is free as soon as the consumer takes it.
+    fn deliver((due, seq, msg): (Option<Instant>, u64, T)) -> (u64, T) {
+        if let Some(due) = due {
+            let now = Instant::now();
+            if due > now {
+                std::thread::sleep(due - now);
+            }
         }
         (seq, msg)
+    }
+
+    /// Waits until `deadline` (for ever when `None`) for a message.
+    fn recv_until(&self, deadline: Option<Instant>) -> Result<(u64, T), LinkError> {
+        let mut ring = self.shared.ring.lock();
+        loop {
+            if let Some(taken) = ring.take() {
+                drop(ring);
+                return Ok(Self::deliver(taken));
+            }
+            if !ring.tx_alive {
+                return Err(LinkError::Disconnected);
+            }
+            ring.rx_waiting = true;
+            match deadline {
+                None => self.shared.readable.wait(&mut ring),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Err(LinkError::Timeout);
+                    }
+                    let _ = self.shared.readable.wait_for(&mut ring, deadline - now);
+                }
+            }
+        }
     }
 
     /// Blocks for the next message; returns `(link_seq, message)`.
     ///
     /// # Errors
     ///
-    /// [`LinkError::Disconnected`] when every sender is gone.
+    /// [`LinkError::Disconnected`] when every sender is gone and nothing
+    /// is left to read.
     pub fn recv(&self) -> Result<(u64, T), LinkError> {
-        let (due, seq, class, msg) = self.rx.recv().map_err(|_| LinkError::Disconnected)?;
-        Ok(self.deliver(due, seq, class, msg))
+        self.recv_until(None)
     }
 
-    /// Non-blocking receive. `Ok(None)` when no message is queued (a taken
+    /// Non-blocking receive. `Ok(None)` when nothing is readable (a taken
     /// message still sleeps out its remaining propagation delay).
     ///
     /// # Errors
     ///
-    /// [`LinkError::Disconnected`] when every sender is gone.
+    /// [`LinkError::Disconnected`] when every sender is gone and nothing
+    /// is left to read.
     pub fn try_recv(&self) -> Result<Option<(u64, T)>, LinkError> {
-        match self.rx.try_recv() {
-            Ok((due, seq, class, msg)) => Ok(Some(self.deliver(due, seq, class, msg))),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(LinkError::Disconnected),
+        let mut ring = self.shared.ring.lock();
+        match ring.take() {
+            Some(taken) => {
+                drop(ring);
+                Ok(Some(Self::deliver(taken)))
+            }
+            None if ring.tx_alive => Ok(None),
+            None => Err(LinkError::Disconnected),
         }
     }
 
@@ -508,25 +702,23 @@ impl<T: Clone + Send + 'static> LinkReceiver<T> {
     /// # Errors
     ///
     /// [`LinkError::Timeout`] on timeout, [`LinkError::Disconnected`] when
-    /// every sender is gone.
+    /// every sender is gone and nothing is left to read.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<(u64, T), LinkError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok((due, seq, class, msg)) => Ok(self.deliver(due, seq, class, msg)),
-            Err(RecvTimeoutError::Timeout) => Err(LinkError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(LinkError::Disconnected),
-        }
+        self.recv_until(Some(Instant::now() + timeout))
     }
 
-    /// Drains and discards everything currently queued (crash simulation:
-    /// in-flight messages to a dead process are lost). Credits return to
-    /// their pools — the wire empties even though the process died.
-    pub fn drain(&self) -> usize {
-        let mut n = 0;
-        while let Ok((_, _, class, _)) = self.rx.try_recv() {
-            self.shared.release(class);
-            n += 1;
-        }
-        n
+    /// The receiver's side of [`LinkSender::replay_from`]: a consumer that
+    /// learns how far its peer really got (a bridge, from the reconnect
+    /// handshake) moves its own cursor back to there.
+    pub fn rewind_to(&self, from: u64) -> usize {
+        self.shared.rewind(from)
+    }
+
+    /// The receiver's side of [`LinkSender::ack_upto`], for a consumer
+    /// that is the last one to need what it reads (a control-link pump
+    /// acknowledges what it has forwarded).
+    pub fn ack_upto(&self, upto: u64) {
+        self.shared.ack_upto(upto);
     }
 }
 
@@ -577,7 +769,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_redelivers_retained_suffix() {
+    fn replay_rereads_the_retained_suffix() {
         let (tx, rx) = link::<u8>(LinkConfig::instant());
         for i in 0..5 {
             tx.send(i).unwrap();
@@ -589,30 +781,109 @@ mod tests {
         assert_eq!(rx.recv().unwrap(), (2, 2));
         assert_eq!(rx.recv().unwrap(), (3, 3));
         assert_eq!(rx.recv().unwrap(), (4, 4));
+        // Never forward: the receiver is at 5, asking from 9 moves nothing.
+        assert_eq!(tx.replay_from(9), 0);
+        assert_eq!(rx.try_recv().unwrap(), None);
+        // Below the acknowledged base: clamped to what is retained.
+        tx.ack_upto(4);
+        assert_eq!(rx.rewind_to(0), 1);
+        assert_eq!(rx.recv().unwrap(), (4, 4));
     }
 
     #[test]
-    fn ack_trims_retention() {
-        let (tx, _rx) = link::<u8>(LinkConfig::instant());
+    fn replay_needs_no_window() {
+        let (tx, rx) = link::<u8>(LinkConfig::instant().with_capacity(2));
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        assert_eq!(rx.recv().unwrap(), (0, 1));
+        tx.send(3).unwrap();
+        assert_eq!(tx.send(4).unwrap_err(), LinkError::Saturated);
+        // The window is full, yet the rewind goes through, whole, and the
+        // receiver gets every sequence from 0 in order.
+        assert_eq!(tx.replay_from(0), 1);
+        assert_eq!(tx.send(4).unwrap_err(), LinkError::Saturated);
+        let seqs: Vec<u64> = (0..3).map(|_| rx.recv().unwrap().0).collect();
+        assert_eq!(seqs, vec![0, 1, 2]);
+        assert_eq!(tx.send(4).unwrap(), 3);
+    }
+
+    #[test]
+    fn ack_trims_what_was_read() {
+        let (tx, rx) = link::<u8>(LinkConfig::instant());
         for i in 0..10 {
             tx.send(i).unwrap();
         }
         assert_eq!(tx.retained_len(), 10);
+        // Nothing read yet: an ack alone frees nothing the receiver still
+        // has to be handed.
         tx.ack_upto(7);
+        assert_eq!(tx.retained_len(), 10);
+        for _ in 0..10 {
+            rx.recv().unwrap();
+        }
         assert_eq!(tx.retained_len(), 3);
+        rx.ack_upto(10);
+        assert_eq!(tx.retained_len(), 0);
     }
 
     #[test]
-    fn severed_link_rejects_sends_until_healed() {
+    fn acked_ahead_link_retains_nothing() {
         let (tx, rx) = link::<u8>(LinkConfig::instant());
-        tx.send(1).unwrap();
+        tx.ack_upto(u64::MAX);
+        for i in 0..4 {
+            tx.send(i).unwrap();
+        }
+        for i in 0..4u8 {
+            assert_eq!(rx.recv().unwrap(), (u64::from(i), i));
+        }
+        assert_eq!(tx.retained_len(), 0);
+    }
+
+    #[test]
+    fn severed_sends_backlog_and_flow_in_order_on_heal() {
+        let (tx, rx) = link::<u8>(LinkConfig::instant());
+        assert_eq!(tx.push(1), SendOutcome::Sent(0));
         tx.sever();
         assert!(tx.is_severed());
-        assert_eq!(tx.send(2).unwrap_err(), LinkError::Disconnected);
+        assert_eq!(tx.push(2), SendOutcome::Queued(1));
+        assert_eq!(tx.send(3), Ok(2));
+        assert_eq!(tx.pending_len(), 2);
+        // What was on the wire before the sever still arrives; the rest
+        // waits.
+        assert_eq!(rx.recv().unwrap(), (0, 1));
+        assert_eq!(rx.try_recv().unwrap(), None);
         tx.heal();
-        tx.send(3).unwrap();
-        assert_eq!(rx.recv().unwrap().1, 1);
-        assert_eq!(rx.recv().unwrap().1, 3);
+        assert_eq!(tx.push(4), SendOutcome::Sent(3));
+        assert_eq!(tx.pending_len(), 0);
+        let got: Vec<u8> = (0..3).map(|_| rx.recv().unwrap().1).collect();
+        assert_eq!(got, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn heal_wakes_a_blocked_receiver() {
+        let (tx, rx) = link::<u8>(LinkConfig::instant());
+        tx.sever();
+        tx.push(7);
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| rx.recv().unwrap());
+            std::thread::sleep(Duration::from_millis(20));
+            tx.heal();
+            assert_eq!(reader.join().unwrap(), (0, 7));
+        });
+    }
+
+    #[test]
+    fn clones_share_the_ring() {
+        let (tx, rx) = link::<u8>(LinkConfig::instant());
+        let tx2 = tx.clone();
+        tx.sever();
+        tx.push(1);
+        tx2.push(2);
+        assert_eq!(tx.sent(), 2);
+        assert_eq!(tx.pending_len(), 2);
+        tx2.heal();
+        assert_eq!(rx.recv().unwrap(), (0, 1));
+        assert_eq!(rx.recv().unwrap(), (1, 2));
     }
 
     #[test]
@@ -625,71 +896,116 @@ mod tests {
     }
 
     #[test]
-    fn disconnect_when_sender_dropped() {
+    fn disconnect_when_either_half_dropped() {
         let (tx, rx) = link::<u8>(LinkConfig::instant());
-        drop(tx);
-        assert_eq!(rx.recv().unwrap_err(), LinkError::Disconnected);
-    }
-
-    #[test]
-    fn drain_discards_queued_messages() {
-        let (tx, rx) = link::<u8>(LinkConfig::instant());
-        for i in 0..4 {
-            tx.send(i).unwrap();
-        }
-        assert_eq!(rx.drain(), 4);
-        assert_eq!(rx.try_recv().unwrap(), None);
-    }
-
-    #[test]
-    fn cloned_sender_shares_sequence_space() {
-        let (tx, rx) = link::<u8>(LinkConfig::instant());
-        let tx2 = tx.clone();
         tx.send(1).unwrap();
-        tx2.send(2).unwrap();
-        assert_eq!(tx.sent(), 2);
-        assert_eq!(rx.recv().unwrap(), (0, 1));
-        assert_eq!(rx.recv().unwrap(), (1, 2));
+        drop(tx);
+        assert_eq!(rx.recv().unwrap(), (0, 1), "what was sent is still delivered");
+        assert_eq!(rx.recv().unwrap_err(), LinkError::Disconnected);
+        let (tx, rx) = link::<u8>(LinkConfig::instant());
+        drop(rx);
+        assert_eq!(tx.send(1).unwrap_err(), LinkError::Disconnected);
     }
 
     #[test]
     fn saturated_send_fails_without_burning_sequence() {
-        let cfg = LinkConfig::instant().with_capacity(2).with_replay_reserve(1);
-        let (tx, rx) = link::<u8>(cfg);
+        let (tx, rx) = link::<u8>(LinkConfig::instant().with_capacity(2));
         tx.send(1).unwrap();
         tx.send(2).unwrap();
         assert_eq!(tx.send(3).unwrap_err(), LinkError::Saturated);
         assert_eq!(tx.sent(), 2, "a saturated send must not allocate a seq");
-        assert_eq!(tx.credits_available(), 0);
-        // Draining returns the credits; the send then succeeds with the
-        // next contiguous sequence number.
+        // Reading frees the window; the send then succeeds with the next
+        // contiguous sequence number.
         assert_eq!(rx.recv().unwrap(), (0, 1));
         assert_eq!(tx.send(3).unwrap(), 2);
         assert_eq!(rx.recv().unwrap(), (1, 2));
         assert_eq!(rx.recv().unwrap(), (2, 3));
-        assert_eq!(tx.credits_available(), 2);
     }
 
     #[test]
-    fn replay_uses_reserved_credits_when_saturated() {
-        let cfg = LinkConfig::instant().with_capacity(2).with_replay_reserve(2);
-        let (tx, rx) = link::<u8>(cfg);
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        assert_eq!(tx.send(3).unwrap_err(), LinkError::Saturated);
-        // The normal window is fully saturated, yet replay still proceeds
-        // from the reserved pool.
-        assert_eq!(tx.replay_from(0), 2);
-        assert_eq!(tx.replay_credits_available(), 0);
-        // Further replay stops (never skips) until the consumer drains.
-        assert_eq!(tx.replay_from(0), 0);
-        let mut seqs = Vec::new();
-        for _ in 0..4 {
-            seqs.push(rx.recv().unwrap().0);
+    fn push_past_the_window_is_accepted_and_reported() {
+        let registry = Registry::new();
+        let (tx, rx) = link::<u8>(LinkConfig::instant().with_capacity(2));
+        tx.set_metrics(EdgeMetrics::registered(&registry, 0, 0));
+        assert_eq!(tx.push(1), SendOutcome::Sent(0));
+        assert!(!tx.is_saturated_with(0));
+        assert!(tx.is_saturated_with(1), "held outputs count against the window");
+        assert_eq!(tx.push(2), SendOutcome::Saturated(1), "the window is now full");
+        assert!(tx.is_saturated_with(0));
+        assert_eq!(tx.push(3), SendOutcome::Saturated(2), "over the window: still accepted");
+        assert_eq!(tx.pending_len(), 1, "soft cap: nothing is dropped");
+        let labels = Labels::op_port(0, 0);
+        assert_eq!(registry.gauge_value("edge.pending", labels), Some(1));
+        assert_eq!(registry.gauge_value("edge.pending_hwm", labels), Some(1));
+        assert_eq!(registry.gauge_value("edge.credits", labels), Some(0));
+        assert_eq!(registry.counter_value("edge.saturated", labels), Some(2));
+        // The consumer draining (not time passing) is what frees space.
+        let got: Vec<u8> = (0..3).map(|_| rx.recv().unwrap().1).collect();
+        assert_eq!(got, vec![1, 2, 3]);
+        assert!(!tx.is_saturated_with(0));
+        tx.publish_gauges();
+        assert_eq!(registry.gauge_value("edge.pending", labels), Some(0));
+        assert_eq!(registry.gauge_value("edge.pending_hwm", labels), Some(1));
+        assert_eq!(registry.gauge_value("edge.retained", labels), Some(3));
+    }
+
+    #[test]
+    fn metrics_count_sends_queues_and_retransmits() {
+        let registry = Registry::new();
+        let (tx, rx) = link::<u8>(LinkConfig::instant());
+        tx.set_metrics(EdgeMetrics::registered(&registry, 2, 0));
+        let labels = Labels::op_port(2, 0);
+        tx.push(1);
+        tx.sever();
+        tx.push(2);
+        tx.push(3);
+        assert_eq!(registry.counter_value("edge.sent", labels), Some(1));
+        assert_eq!(registry.counter_value("edge.queued", labels), Some(2));
+        assert_eq!(registry.gauge_value("edge.pending", labels), Some(2));
+        tx.heal();
+        assert_eq!(registry.counter_value("edge.retransmits", labels), Some(2));
+        assert_eq!(registry.counter_value("edge.sent", labels), Some(3));
+        assert_eq!(registry.gauge_value("edge.pending", labels), Some(0));
+        drop(rx);
+    }
+
+    #[test]
+    fn concurrent_edge_registration_converges_on_shared_cells() {
+        let registry = Arc::new(Registry::new());
+        // Every thread registers the same (op, edge) cells and bumps them:
+        // registration is idempotent, so the totals must all land on one
+        // counter per name regardless of interleaving.
+        let threads: Vec<_> = (0..8)
+            .map(|_| {
+                let registry = Arc::clone(&registry);
+                std::thread::spawn(move || {
+                    for _ in 0..100 {
+                        let m = EdgeMetrics::registered(&registry, 1, 2);
+                        m.sent.incr();
+                        m.queued.incr();
+                        m.retransmits.incr();
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
         }
-        assert_eq!(seqs, vec![0, 1, 0, 1]);
-        assert_eq!(tx.credits_available(), 2);
-        assert_eq!(tx.replay_credits_available(), 2);
+        let snap = registry.snapshot();
+        for name in ["edge.sent", "edge.queued", "edge.retransmits"] {
+            assert_eq!(snap.counter(name, Labels::op_port(1, 2)), Some(800), "{name}");
+        }
+        // 4 counters + 4 gauges per edge, one cell each.
+        assert_eq!(snap.samples.len(), 8, "no duplicate cells from racing registrations");
+    }
+
+    #[test]
+    fn fresh_incarnation_continues_numbering() {
+        let (tx, rx) = link::<u8>(LinkConfig::instant());
+        tx.set_next_seq(40);
+        assert_eq!(tx.send(1).unwrap(), 40);
+        assert_eq!(rx.recv().unwrap(), (40, 1));
+        assert_eq!(rx.rewind_to(0), 1, "a rewind stops at the first retained sequence");
     }
 
     #[test]

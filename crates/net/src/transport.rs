@@ -1,6 +1,6 @@
 //! Pluggable frame transport: the process-boundary seam.
 //!
-//! The credit/replay/ack protocol that runs over [`crate::link`]s is
+//! The window/replay/ack protocol that runs over [`crate::link`]s is
 //! already message-framed — every hop exchanges discrete encoded frames,
 //! never a byte stream — so the only thing a *real* network backend has
 //! to provide is reliable delivery of opaque frames between two

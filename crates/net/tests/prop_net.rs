@@ -1,9 +1,9 @@
 //! Property-based tests for the link substrate: FIFO order, replay
-//! equivalence, ack/retention consistency, backoff arithmetic, and
-//! credit-accounting invariants.
+//! equivalence, ack/retention consistency, backoff arithmetic, and the
+//! ring checked against a `Vec` model.
 
 use proptest::prelude::*;
-use streammine_net::{link, BackoffConfig, LinkConfig};
+use streammine_net::{link, BackoffConfig, LinkConfig, LinkError, SendOutcome};
 
 proptest! {
     #[test]
@@ -58,15 +58,15 @@ proptest! {
         for i in 0..count {
             tx.send(i).unwrap();
         }
+        for _ in 0..count {
+            // original deliveries
+            rx.recv().unwrap();
+        }
         let ack = (count as f64 * ack_frac) as u64;
         tx.ack_upto(ack);
         prop_assert_eq!(tx.retained_len() as u64, count - ack);
         tx.replay_from(0);
         let mut replayed = 0;
-        for _ in 0..count {
-            // original deliveries
-            rx.recv().unwrap();
-        }
         while let Ok(Some((seq, _))) = rx.try_recv() {
             prop_assert!(seq >= ack, "acked message {} replayed", seq);
             replayed += 1;
@@ -109,42 +109,92 @@ proptest! {
             failures, failures + 1);
     }
 
+    /// The ring against a `Vec` model under arbitrary interleavings of
+    /// send / push / recv / sever / heal / replay / ack / delay spike: the
+    /// receiver is handed exactly the sequence at its cursor (in order,
+    /// never a gap), a rewind stops at what is retained, the rejecting
+    /// send says `Saturated` iff the window is full and then uses no
+    /// sequence number, and nothing accepted is lost before it is both
+    /// read and acknowledged.
     #[test]
-    fn credit_accounting_never_negative_or_leaked(
-        capacity in 1usize..12,
-        reserve in 1usize..6,
-        ops in proptest::collection::vec(0u8..4, 1..120),
+    fn ring_matches_vec_model(
+        capacity in 1usize..10,
+        ops in proptest::collection::vec((0u8..10, 0u64..48), 1..160),
     ) {
-        let cfg = LinkConfig::instant().with_capacity(capacity).with_replay_reserve(reserve);
-        let (tx, rx) = link::<u64>(cfg);
-        let mut next = 0u64;
-        for op in ops {
+        let (tx, rx) = link::<u64>(LinkConfig::instant().with_capacity(capacity));
+        // The model: sequence `s` carries payload `s`; `tail` messages were
+        // accepted, those below `base` are gone.
+        let (mut tail, mut base, mut cursor, mut acked) = (0u64, 0u64, 0u64, 0u64);
+        let mut limit = u64::MAX;
+        for (op, arg) in ops {
+            let full = (tail - cursor) as usize >= capacity;
             match op {
-                // Live send: consumes a normal credit or saturates.
-                0 => {
-                    if tx.send(next).is_ok() {
-                        next += 1;
+                0 | 1 => match tx.send(tail) {
+                    Ok(seq) => {
+                        prop_assert!(!full, "send accepted into a full window");
+                        prop_assert_eq!(seq, tail);
+                        tail += 1;
+                    }
+                    Err(e) => {
+                        prop_assert_eq!(e, LinkError::Saturated);
+                        prop_assert!(full, "send rejected with room in the window");
+                        prop_assert_eq!(tx.sent(), tail, "a rejected send used a sequence number");
+                    }
+                },
+                2 => {
+                    let expect = if (tail + 1 - cursor) as usize >= capacity {
+                        SendOutcome::Saturated(tail)
+                    } else if tail >= limit {
+                        SendOutcome::Queued(tail)
+                    } else {
+                        SendOutcome::Sent(tail)
+                    };
+                    prop_assert_eq!(tx.push(tail), expect);
+                    tail += 1;
+                }
+                3 | 4 => {
+                    let got = rx.try_recv().unwrap();
+                    if cursor < tail.min(limit) {
+                        prop_assert_eq!(got, Some((cursor, cursor)));
+                        cursor += 1;
+                    } else {
+                        prop_assert_eq!(got, None);
                     }
                 }
-                // Consume one delivery: returns its credit.
-                1 => { let _ = rx.try_recv(); }
-                // Replay everything retained: draws only replay credits.
-                2 => { tx.replay_from(0); }
-                // Ack everything: trims retention (grant-by-ack).
-                _ => { tx.ack_upto(next); }
+                5 => {
+                    tx.sever();
+                    limit = limit.min(tail);
+                }
+                6 => {
+                    tx.heal();
+                    limit = u64::MAX;
+                }
+                7 => {
+                    let to = arg.max(base).min(cursor);
+                    prop_assert_eq!(tx.replay_from(arg), (cursor - to) as usize);
+                    cursor = to;
+                }
+                8 => {
+                    tx.ack_upto(arg);
+                    acked = acked.max(arg);
+                }
+                _ => tx.delay_spike(
+                    std::time::Duration::from_micros(arg),
+                    std::time::Duration::from_micros(200),
+                ),
             }
-            // Invariant: both pools stay within [0, configured size] at
-            // every step — no negative balances, no manufactured credits.
-            let c = tx.credits_available();
-            let r = tx.replay_credits_available();
-            prop_assert!((0..=capacity as i64).contains(&c), "normal credits {c}");
-            prop_assert!((0..=reserve as i64).contains(&r), "replay credits {r}");
+            base = base.max(acked.min(cursor));
+            prop_assert_eq!(tx.retained_len() as u64, tail - base);
+            prop_assert_eq!(tx.is_severed(), limit != u64::MAX);
         }
-        // Draining every in-flight message must restore both pools in
-        // full: credits can neither leak nor duplicate.
-        while let Ok(Some(_)) = rx.try_recv() {}
-        prop_assert_eq!(tx.credits_available(), capacity as i64);
-        prop_assert_eq!(tx.replay_credits_available(), reserve as i64);
+        // Nothing accepted and still owed is lost: from the first retained
+        // sequence the receiver gets every one, in order, to the tail.
+        tx.heal();
+        tx.replay_from(0);
+        for seq in base..tail {
+            prop_assert_eq!(rx.try_recv().unwrap(), Some((seq, seq)));
+        }
+        prop_assert_eq!(rx.try_recv().unwrap(), None);
     }
 
     #[test]
@@ -159,14 +209,14 @@ proptest! {
         }
         tx.sever();
         for i in 0..during {
-            prop_assert!(tx.send(i).is_err());
+            tx.send(i).unwrap();
         }
         tx.heal();
         for i in 0..after {
             tx.send(i).unwrap();
         }
         let mut prev = None;
-        for _ in 0..(before + after) {
+        for _ in 0..(before + during + after) {
             let (seq, _) = rx.recv().unwrap();
             if let Some(p) = prev {
                 prop_assert!(seq > p);

@@ -117,8 +117,8 @@ pub enum JournalKind {
         backoff_us: u64,
     },
     /// The node stopped pulling new data events because output edge
-    /// `edge` is saturated (its credit window or sender caps are
-    /// exhausted); upstream pumps block and backpressure propagates.
+    /// `edge` is saturated (its link window is full); upstream pumps
+    /// block and backpressure propagates.
     BackpressureStall {
         /// Saturated output edge index.
         edge: u32,

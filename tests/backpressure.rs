@@ -1,17 +1,18 @@
-//! Overload robustness: credit-based backpressure, bounded speculation,
-//! and the deadlock-freedom of the replay/credit protocol.
+//! Overload robustness: window-based backpressure, bounded speculation,
+//! and the deadlock-freedom of replay under flow control.
 //!
 //! These tests run a pipeline with deliberately *tight* flow-control
-//! knobs — small link credit windows, small sender caps, small intakes —
-//! so that a stalled consumer saturates every hop. The claims:
+//! knobs — small link windows, small intakes — so that a stalled consumer
+//! saturates every hop. The claims:
 //!
 //! * backpressure only ever *delays* outputs, never changes a byte;
 //! * every queue stays within its configured bound while saturated;
 //! * stall episodes are journaled symmetrically (stall ⇔ resume) and
 //!   metered;
-//! * crash recovery *while saturated* completes, because replay traffic
-//!   draws from a reserved credit class and control-plane work is never
-//!   gated by the overload stall (the deadlock-freedom argument);
+//! * crash recovery *while saturated* completes, because a replay is a
+//!   cursor rewind that needs no room in the window and control-plane
+//!   work is never gated by the overload stall (the deadlock-freedom
+//!   argument);
 //! * speculation admission caps pace a speculative operator down to
 //!   log-stable progress instead of aborting or growing memory.
 
@@ -23,7 +24,7 @@ use streammine::core::{
     GraphBuilder, LoggingConfig, NodeConfig, OpCtx, Operator, OperatorConfig, Running, SinkId,
     SourceId,
 };
-use streammine::net::{LinkConfig, SenderLimits};
+use streammine::net::LinkConfig;
 use streammine::obs::{JournalKind, Labels};
 use streammine::stm::StmAbort;
 
@@ -34,9 +35,11 @@ const EVENTS: u64 = 48;
 // whole chain within a handful of events, large enough that the pipeline
 // still makes progress between stall episodes.
 const LINK_CAPACITY: usize = 8;
-const REPLAY_RESERVE: usize = 4;
-const PENDING_CAP: usize = 8;
 const INTAKE_CAPACITY: usize = 16;
+// The window is a soft cap for a coordinator (an in-flight event's outputs
+// may land after the gate check), so the hard bound on what an edge holds
+// past its window is a small per-event overshoot.
+const PENDING_OVERSHOOT: i64 = 4;
 
 /// Non-deterministic relay (same shape as the chaos suite): byte-identical
 /// outputs require bit-exact determinant replay, so backpressure-induced
@@ -55,22 +58,23 @@ impl Operator for RandomTagger {
 }
 
 /// src → tagger → tagger → tagger → sink with tight flow-control knobs on
-/// every layer: link credit windows, sender saturation caps, and intake
-/// lanes.
+/// every layer: link windows and intake lanes.
 fn tight_pipeline() -> (Running, SourceId, SinkId) {
-    let mut b = GraphBuilder::new()
-        .with_links(
-            LinkConfig::instant().with_capacity(LINK_CAPACITY).with_replay_reserve(REPLAY_RESERVE),
-        )
-        .with_sender_limits(SenderLimits { pending_cap: PENDING_CAP, retained_cap: usize::MAX });
-    let cfg = || {
+    tight_pipeline_with(INTAKE_CAPACITY)
+}
+
+/// [`tight_pipeline`] with the middle operator's intake lane holding
+/// `op1_intake` messages.
+fn tight_pipeline_with(op1_intake: usize) -> (Running, SourceId, SinkId) {
+    let mut b = GraphBuilder::new().with_links(LinkConfig::instant().with_capacity(LINK_CAPACITY));
+    let cfg = |intake_capacity| {
         OperatorConfig::logged(LoggingConfig::simulated(FAST_LOG))
             .with_checkpoint_every(7)
-            .with_node(NodeConfig { intake_capacity: INTAKE_CAPACITY, ..NodeConfig::default() })
+            .with_node(NodeConfig { intake_capacity, ..NodeConfig::default() })
     };
-    let op0 = b.add_operator(RandomTagger, cfg());
-    let op1 = b.add_operator(RandomTagger, cfg());
-    let op2 = b.add_operator(RandomTagger, cfg());
+    let op0 = b.add_operator(RandomTagger, cfg(INTAKE_CAPACITY));
+    let op1 = b.add_operator(RandomTagger, cfg(op1_intake));
+    let op2 = b.add_operator(RandomTagger, cfg(INTAKE_CAPACITY));
     b.connect(op0, op1).unwrap();
     b.connect(op1, op2).unwrap();
     let src = b.source_into(op0).unwrap();
@@ -83,11 +87,15 @@ fn payloads(events: &[Event]) -> Vec<Value> {
 }
 
 fn run_reference() -> Vec<Value> {
+    run_reference_of(EVENTS)
+}
+
+fn run_reference_of(events: u64) -> Vec<Value> {
     let (running, src, sink) = tight_pipeline();
-    for i in 0..EVENTS {
+    for i in 0..events {
         running.source(src).push(Value::Int(i as i64));
     }
-    assert!(running.sink(sink).wait_final(EVENTS as usize, Duration::from_secs(30)));
+    assert!(running.sink(sink).wait_final(events as usize, Duration::from_secs(30)));
     let out = payloads(&running.sink(sink).final_events_by_id());
     running.shutdown();
     out
@@ -134,16 +142,15 @@ fn assert_stalls_reconcile(running: &Running) {
         .unwrap_or_else(|e| panic!("{e}\n{}", running.journal_dump()));
 }
 
-/// Every edge's retry queue stayed within its configured bound. The cap is
-/// soft — an in-flight event's outputs may land after the gate check — so
-/// the hard bound is `pending_cap` plus a small per-event overshoot.
+/// Every edge stayed within its configured bound: nothing beyond the
+/// window but the per-event overshoot.
 fn assert_queues_bounded(running: &Running) {
     let reg = &running.obs().registry;
     for op in 0..running.operator_count() as u32 {
         let hwm = reg.gauge_value("edge.pending_hwm", Labels::op_port(op, 0)).unwrap_or(0);
         assert!(
-            hwm <= (PENDING_CAP + 4) as i64,
-            "op{op} edge 0: pending high-water mark {hwm} exceeds cap {PENDING_CAP} + overshoot"
+            hwm <= PENDING_OVERSHOOT,
+            "op{op} edge 0: {hwm} messages past the {LINK_CAPACITY}-message window"
         );
         let depth = reg.gauge_value("node.intake_depth", Labels::op(op)).unwrap_or(0);
         assert!(
@@ -162,11 +169,11 @@ fn stalled_sink_backpressure_is_bounded_and_precise() {
     let (running, src, sink) = tight_pipeline();
 
     // Stall the sink for far longer than it takes the tight windows to
-    // fill (8-credit links drain in microseconds; 300ms ≫ 10× that).
+    // fill (8-message links drain in microseconds; 300ms ≫ 10× that).
     running.sink(sink).stall_for(Duration::from_millis(300));
     for i in 0..EVENTS {
         // Push straight into the stall: once every window is full this
-        // call blocks on the source link's credits — the source is the
+        // call blocks on the source link's window — the source is the
         // last hop of the backpressure chain. Paced pushes keep the
         // micro-batching transport from coalescing the whole workload
         // into a handful of jumbo frames that never consume the window.
@@ -208,9 +215,8 @@ fn stalled_sink_backpressure_is_bounded_and_precise() {
 /// The deadlock-freedom property, exercised rather than argued: a node
 /// crashes *while the whole chain is saturated* and recovery still
 /// completes, because (a) replay requests ride the ungated control lane
-/// and (b) replayed data draws from the reserved replay credit class, so
-/// replay and credit grants never wait on each other. A lost race on the
-/// reserve is retried by the replay watchdog.
+/// and (b) a replay rewinds the link's cursor, which needs no room in the
+/// (full) window, so replay never waits on the traffic it re-delivers.
 #[test]
 fn crash_while_saturated_recovers_without_deadlock() {
     let reference = run_reference();
@@ -243,6 +249,60 @@ fn crash_while_saturated_recovers_without_deadlock() {
     let out = payloads(&running.sink(sink).final_events_by_id());
     assert_eq!(out, reference, "crash-while-saturated recovery changed output bytes");
     assert_queues_bounded(&running);
+    running.shutdown();
+}
+
+/// The stale-pump race the in-order cursor relies on. With a one-message
+/// intake lane and a saturated chain, the middle operator's data pump is
+/// parked inside its push, holding a frame it read from the link before
+/// the crash. The crash empties the lane, so the pump delivers that frame
+/// — and whatever it reads next — to the *recovered* node ahead of the
+/// replay the node is about to request. The cursor drops those
+/// stragglers (they are past the checkpoint position it expects) and the
+/// rewind hands them over again in order: same bytes, nothing lost.
+#[test]
+fn crash_with_a_pump_blocked_mid_push_recovers_precisely() {
+    // More than every window and lane of the chain holds together, so the
+    // source itself ends up blocked.
+    const EVENTS: u64 = 160;
+    let reference = run_reference_of(EVENTS);
+    let (running, src, sink) = tight_pipeline_with(1);
+
+    running.sink(sink).stall_for(Duration::from_millis(600));
+    std::thread::scope(|s| {
+        let pusher = s.spawn(|| {
+            for i in 0..EVENTS {
+                // Paced: one event per frame, so the windows fill.
+                running.source(src).push(Value::Int(i as i64));
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        // The source only stops making progress once every hop behind it
+        // is full — which, for op1, means a full lane and a pump blocked
+        // on it with the next frame in hand.
+        let mut pushed = running.source(src).pushed();
+        loop {
+            std::thread::sleep(Duration::from_millis(30));
+            let now = running.source(src).pushed();
+            if now == pushed {
+                break;
+            }
+            pushed = now;
+        }
+        assert!(pushed < EVENTS, "the chain never saturated");
+        let op1 = OperatorId::new(1);
+        running.crash(op1);
+        running.recover(op1);
+        pusher.join().unwrap();
+    });
+    assert!(
+        running.sink(sink).wait_final(EVENTS as usize, Duration::from_secs(60)),
+        "recovery stuck at {}/{EVENTS}\n{}",
+        running.sink(sink).final_count(),
+        running.journal_dump()
+    );
+    let out = payloads(&running.sink(sink).final_events_by_id());
+    assert_eq!(out, reference, "recovery behind a blocked pump changed output bytes");
     running.shutdown();
 }
 

@@ -184,6 +184,40 @@ fn sigkill_mid_stream_recovers_byte_identical() {
     assert!(t.drain_us.is_some(), "drain never stamped");
 }
 
+/// A SIGKILL with a long retained history: 100 events are final at the
+/// sink when the middle worker dies, so its upstream holds 100 frames the
+/// replacement must be handed again, whole, with the 50 live ones behind
+/// them. A replay that stops part way (a bounded replay budget) or a gap
+/// parked where no watchdog looks never finishes this.
+#[test]
+fn sigkill_after_100_delivered_recovers_within_10s() {
+    let input = inputs(150);
+    let expected = reference(3, &input);
+    let cluster = Cluster::launch(tagger_chain(3)).expect("cluster launch");
+    assert!(cluster.wait_connected(Duration::from_secs(30)), "cluster never wired up");
+    for v in &input[..100] {
+        // Paced, so that every event is a frame of its own and the
+        // upstream really retains 100 of them.
+        cluster.source().push(v.clone());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(cluster.sink().wait_final(100, Duration::from_secs(30)), "pre-kill stream stalled");
+    cluster.kill_worker(1);
+    for v in &input[100..] {
+        cluster.source().push(v.clone());
+    }
+    assert!(
+        cluster.sink().wait_final(input.len(), Duration::from_secs(10)),
+        "recovery wedged at {}/{} final events (sink cursor {:?})",
+        cluster.sink().final_count(),
+        input.len(),
+        cluster.sink_cursor(),
+    );
+    assert_eq!(payloads(&cluster.sink().final_events()), expected);
+    assert_eq!(cluster.crashes_detected(), 1);
+    cluster.shutdown();
+}
+
 #[test]
 fn lease_expiry_fences_a_silent_worker_and_recovers() {
     // Long enough (60 steps × 10 ms) that the 250 ms lease expires while

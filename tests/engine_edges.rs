@@ -220,3 +220,31 @@ fn double_crash_recovery_still_precise() {
     }
     running.shutdown();
 }
+
+/// Control links are consumed, not replayed: every consumer acknowledges
+/// what it has forwarded, so however long the graph runs no `Ack` or
+/// `ReplayRequest` stays behind in a link.
+#[test]
+fn control_links_retain_nothing_over_a_long_run() {
+    const EVENTS: usize = 50_000;
+    let mut b = GraphBuilder::new();
+    // Checkpoints make both operators ack their upstreams; the sink acks
+    // every 16 frames on its own.
+    let cfg = || OperatorConfig::plain().with_checkpoint_every(64);
+    let a = b.add_operator(StampedRelay::new(), cfg());
+    let c = b.add_operator(StampedRelay::new(), cfg());
+    b.connect(a, c).unwrap();
+    let src = b.source_into(a).unwrap();
+    let sink = b.sink_from(c).unwrap();
+    let running = b.build().unwrap().start();
+    for i in 0..EVENTS {
+        running.source(src).push(Value::Int(i as i64));
+    }
+    assert!(running.sink(sink).wait_final(EVENTS, Duration::from_secs(120)));
+    // Let the last acks in flight reach their pumps.
+    std::thread::sleep(Duration::from_millis(100));
+    let retained = running.control_links_retained();
+    assert_eq!(retained.len(), 3, "source, operator and sink control links");
+    assert!(retained.iter().all(|&n| n <= 4), "control links leak: {retained:?} retained");
+    running.shutdown();
+}
