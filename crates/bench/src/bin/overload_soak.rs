@@ -2,14 +2,13 @@
 //!
 //! Drives a tightly-knobbed three-stage pipeline for `OVERLOAD_SOAK_SECS`
 //! (default 30) while repeatedly stalling the sink, so the link windows
-//! and intake lanes saturate over and over. The run fails —
-//! exits non-zero — if any bound the backpressure design promises is
-//! violated:
+//! saturate over and over. The run fails — exits non-zero — if any bound
+//! the backpressure design promises is violated:
 //!
 //! * `edge.pending_hwm` (messages past the link window) above the small
 //!   per-event overshoot (the sender's soft saturation gate leaked);
-//! * `node.intake_depth` above the intake lane capacity (the bounded data
-//!   lane grew);
+//! * `node.intake_depth` (events read but not admitted) above what the
+//!   upstream's speculation cap lets a stalled node read ahead;
 //! * resident-set high-water mark (`VmHWM`, Linux) above
 //!   `OVERLOAD_RSS_MB` (default 512) — an unbounded queue anywhere shows
 //!   up here even if it dodges its gauge;
@@ -37,10 +36,9 @@ use streammine_operators::StampedRelay;
 
 const FAST_LOG: Duration = Duration::from_micros(200);
 
-// The same tight overload knobs the backpressure integration tests use: a
+// The same tight link window the backpressure integration tests use: a
 // stalled sink saturates the whole chain within a handful of events.
 const LINK_CAPACITY: usize = 8;
-const INTAKE_CAPACITY: usize = 16;
 // Soft-cap overshoot: an in-flight event's outputs may land after the
 // sender's gate check, so the hard bound is the window plus a few events.
 const PENDING_OVERSHOOT: usize = 4;
@@ -52,15 +50,12 @@ fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
-/// src → relay → relay → relay → sink with tight flow-control knobs on
-/// every layer, mirroring `tests/backpressure.rs`.
+/// src → relay → relay → relay → sink with a tight window on every link,
+/// mirroring `tests/backpressure.rs`.
 fn tight_pipeline() -> (Running, SourceId, SinkId) {
     let mut b = GraphBuilder::new().with_links(LinkConfig::instant().with_capacity(LINK_CAPACITY));
-    let cfg = || {
-        OperatorConfig::logged(LoggingConfig::simulated(FAST_LOG))
-            .with_checkpoint_every(7)
-            .with_node(NodeConfig { intake_capacity: INTAKE_CAPACITY, ..NodeConfig::default() })
-    };
+    let cfg =
+        || OperatorConfig::logged(LoggingConfig::simulated(FAST_LOG)).with_checkpoint_every(7);
     let op0 = b.add_operator(StampedRelay::new(), cfg());
     let op1 = b.add_operator(StampedRelay::new(), cfg());
     let op2 = b.add_operator(StampedRelay::new(), cfg());
@@ -92,6 +87,7 @@ fn vm_hwm_kb() -> Option<u64> {
 /// descriptions (empty when all queues are within their promises).
 fn check_bounds(running: &Running) -> Vec<String> {
     let reg = &running.obs().registry;
+    let read_ahead_cap = NodeConfig::default().max_open_speculations as i64;
     let mut violations = Vec::new();
     for op in 0..running.operator_count() as u32 {
         let hwm = reg.gauge_value("edge.pending_hwm", Labels::op_port(op, 0)).unwrap_or(0);
@@ -102,9 +98,10 @@ fn check_bounds(running: &Running) -> Vec<String> {
             ));
         }
         let depth = reg.gauge_value("node.intake_depth", Labels::op(op)).unwrap_or(0);
-        if depth > INTAKE_CAPACITY as i64 {
+        if depth > read_ahead_cap {
             violations.push(format!(
-                "op{op}: node.intake_depth {depth} exceeds lane capacity {INTAKE_CAPACITY}"
+                "op{op}: node.intake_depth {depth} exceeds the upstream's speculation cap \
+                 {read_ahead_cap}"
             ));
         }
     }
@@ -133,8 +130,7 @@ fn to_json(r: &SoakReport) -> String {
     let _ = writeln!(
         out,
         "  \"config\": {{\"link_capacity\": {LINK_CAPACITY}, \
-         \"intake_capacity\": {INTAKE_CAPACITY}, \"events_per_cycle\": {EVENTS_PER_CYCLE}, \
-         \"fast_log_us\": {}}},",
+         \"events_per_cycle\": {EVENTS_PER_CYCLE}, \"fast_log_us\": {}}},",
         FAST_LOG.as_micros()
     );
     let _ = writeln!(out, "  \"soak_secs\": {},", r.soak_secs);
@@ -166,10 +162,7 @@ fn main() {
     let rss_ceiling_mb = env_u64("OVERLOAD_RSS_MB", 512);
     let deadline = Instant::now() + Duration::from_secs(soak_secs);
 
-    eprintln!(
-        "overload soak: {soak_secs}s of stalled-sink cycles \
-         (link window {LINK_CAPACITY}, intake {INTAKE_CAPACITY})"
-    );
+    eprintln!("overload soak: {soak_secs}s of stalled-sink cycles (link window {LINK_CAPACITY})");
     let (running, src, sink) = tight_pipeline();
 
     let mut pushed: u64 = 0;

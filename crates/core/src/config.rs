@@ -28,15 +28,12 @@ impl LoggingConfig {
     }
 }
 
-/// Overload-robustness knobs of one node: intake sizing and speculation
-/// admission control (the in-memory analogue of the paper's
-/// bounded-optimism discussion).
+/// Overload-robustness knobs of one node: speculation admission control
+/// (the in-memory analogue of the paper's bounded-optimism discussion).
+/// What a node may hold unread is not a knob of its own — it is the
+/// window of the link it reads ([`streammine_net::LinkConfig::capacity`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeConfig {
-    /// Capacity of the node's data intake lane. Pump threads feeding the
-    /// coordinator block when it fills, propagating backpressure onto the
-    /// upstream link instead of growing memory.
-    pub intake_capacity: usize,
     /// Maximum concurrently open speculative transactions. At the cap the
     /// node stops admitting new speculative work and paces itself by log
     /// stability instead (paper §2 semantics) — it never aborts.
@@ -48,11 +45,7 @@ pub struct NodeConfig {
 
 impl Default for NodeConfig {
     fn default() -> Self {
-        NodeConfig {
-            intake_capacity: 4096,
-            max_open_speculations: 256,
-            max_retained_spec_outputs: 4096,
-        }
+        NodeConfig { max_open_speculations: 256, max_retained_spec_outputs: 4096 }
     }
 }
 
@@ -92,7 +85,7 @@ pub struct OperatorConfig {
     pub checkpoint_every: Option<u64>,
     /// STM tuning (speculative mode).
     pub stm: StmConfig,
-    /// Overload robustness: intake sizing and speculation admission caps.
+    /// Overload robustness: speculation admission caps.
     pub node: NodeConfig,
     /// Crash-recovery contract: precise (byte-identical, the default) or
     /// approximate (bounded error, sketch state only).
@@ -169,8 +162,7 @@ impl OperatorConfig {
         self
     }
 
-    /// Sets the overload-robustness knobs (intake capacity, speculation
-    /// admission caps).
+    /// Sets the overload-robustness knobs (speculation admission caps).
     #[must_use]
     pub fn with_node(mut self, node: NodeConfig) -> Self {
         self.node = node;
@@ -198,9 +190,6 @@ impl OperatorConfig {
         }
         if self.checkpoint_every == Some(0) {
             return Err(Error::Config("checkpoint interval must be positive".into()));
-        }
-        if self.node.intake_capacity == 0 {
-            return Err(Error::Config("intake capacity must be at least 1".into()));
         }
         if self.node.max_open_speculations == 0 {
             return Err(Error::Config("max open speculations must be at least 1".into()));
@@ -256,10 +245,6 @@ mod tests {
         assert!(matches!(c.validate(), Err(Error::Config(_))));
 
         let c = OperatorConfig::plain().with_checkpoint_every(0);
-        assert!(matches!(c.validate(), Err(Error::Config(_))));
-
-        let c = OperatorConfig::plain()
-            .with_node(NodeConfig { intake_capacity: 0, ..NodeConfig::default() });
         assert!(matches!(c.validate(), Err(Error::Config(_))));
 
         let c = OperatorConfig::plain()

@@ -6,19 +6,21 @@
 //! * the **out-bridge** (sender side) is the receiver of the sender's
 //!   local link: it reads the ring and writes [`DistFrame::Data`] frames;
 //!   the reverse direction of the same socket carries the remote
-//!   receiver's acks and replay requests back into the sender's intake.
+//!   receiver's acks and replay requests back into the sender's inbox.
 //!   On connection loss it redials with capped exponential backoff,
 //!   re-handshakes, and rewinds its own read position to the remote cursor
 //!   (`Welcome.next_seq`) — every frame the peer has not consumed is still
 //!   in the ring, so it is simply read again;
 //! * the **acceptor** (receiver side) owns the process's single data
 //!   listener, routes each inbound connection to its edge by the opening
-//!   [`DistFrame::EdgeHello`], answers with the edge cursor, and forwards
-//!   in-order frames into the node's intake. The per-edge [`EdgeCursor`]
-//!   survives connection replacement, so duplicates from overlapping
-//!   replays or a zombie sender are dropped and the consumed-event count
-//!   stays exact — it is the source of truth for a restarted sender's
-//!   resend suppression.
+//!   [`DistFrame::EdgeHello`], answers with the edge cursor, and appends
+//!   in-order frames to the edge's local ring, which the consumer (a node,
+//!   a sink) reads like any in-process edge — the socket thread hands over
+//!   directly, blocking while the ring's window is full. The per-edge
+//!   [`EdgeCursor`] survives connection replacement, so duplicates from
+//!   overlapping replays or a zombie sender are dropped and the
+//!   consumed-event count stays exact — it is the source of truth for a
+//!   restarted sender's resend suppression.
 //!
 //! The acceptor also implements the distributed nemesis faults: a
 //! listener *blackhole* (new connections dropped, existing ones severed)
@@ -35,7 +37,8 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use streammine_common::codec::{decode_from_slice, Encode};
 use streammine_net::{
-    BackoffConfig, FrameError, FrameListener, FrameTx, LinkError, LinkReceiver, Transport,
+    BackoffConfig, FrameError, FrameListener, FrameTx, LinkError, LinkReceiver, LinkSender,
+    Transport,
 };
 use streammine_obs::TransportMetrics;
 
@@ -217,10 +220,12 @@ fn classify(metrics: &TransportMetrics, e: &FrameError) {
 pub(crate) struct InEdge {
     /// Graph-global edge id.
     pub edge: u32,
-    /// Forwards one in-order `(seq, message)` into the local consumer
-    /// (the node's intake data lane, or a sink's local link). May block —
-    /// that blocking is the backpressure that fills the socket.
-    pub deliver: Box<dyn Fn(u64, Message) + Send + Sync>,
+    /// The local ring the consumer (a node's inbox, a sink) reads; it must
+    /// be unused. The remote sender retains the edge for replay, so this
+    /// hop is acknowledged ahead — it keeps nothing once read — and it is
+    /// numbered from `start`, so the consumer sees the wire's own
+    /// sequences.
+    pub data_tx: LinkSender<Message>,
     /// The node's upstream control link (acks, replay requests), pumped
     /// to the current connection's reverse direction.
     pub ctrl_rx: LinkReceiver<Control>,
@@ -235,7 +240,7 @@ pub(crate) struct InEdge {
 
 struct EdgeState {
     cursor: Mutex<EdgeCursor>,
-    deliver: Box<dyn Fn(u64, Message) + Send + Sync>,
+    data_tx: LinkSender<Message>,
     writer: Mutex<Option<Box<dyn FrameTx>>>,
     pause_until: Mutex<Option<Instant>>,
     metrics: TransportMetrics,
@@ -272,9 +277,11 @@ impl Acceptor {
         let mut map = HashMap::new();
         let mut pumps = Vec::new();
         for e in edges {
+            e.data_tx.ack_upto(u64::MAX);
+            e.data_tx.set_next_seq(e.start);
             let state = Arc::new(EdgeState {
                 cursor: Mutex::new(EdgeCursor::starting_at(e.start)),
-                deliver: e.deliver,
+                data_tx: e.data_tx,
                 writer: Mutex::new(None),
                 pause_until: Mutex::new(None),
                 metrics: e.metrics,
@@ -435,12 +442,20 @@ fn serve_conn(mut conn: Box<dyn streammine_net::FrameConn>, shared: Arc<Acceptor
                 state.metrics.frames_in.incr();
                 state.metrics.bytes_in.add(bytes.len() as u64);
                 if let Ok(DistFrame::Data { seq, msg }) = decode_from_slice::<DistFrame>(&bytes) {
-                    // Deliver under the cursor lock so concurrent
+                    // Hand over under the cursor lock so concurrent
                     // connections of the same edge (old + replacement)
-                    // cannot interleave out of order.
+                    // cannot interleave out of order. Waiting on a full
+                    // window is the backpressure that fills the socket.
                     let mut cursor = state.cursor.lock();
                     if cursor.accept(seq, &msg) {
-                        (state.deliver)(seq, msg);
+                        // The cursor accepts consecutive sequences only and
+                        // the ring numbers from the same start; a consumer
+                        // that is gone means the process is going too.
+                        let local = state.data_tx.send_blocking(msg);
+                        assert!(
+                            local.map_or(true, |local| local == seq),
+                            "edge ring numbered {local:?} for wire sequence {seq}"
+                        );
                     }
                 }
             }
@@ -517,16 +532,14 @@ mod tests {
             Arc::new(MemTransport::new().with_read_timeout(Duration::from_millis(50)));
         let shutdown = Arc::new(AtomicBool::new(false));
 
-        let (got_tx, got_rx) = crossbeam_channel::unbounded();
+        let (got_tx, got_rx) = link::<Message>(LinkConfig::instant());
         let (up_ctrl_tx, up_ctrl_rx) = link::<Control>(LinkConfig::instant());
         let acceptor = Acceptor::start(
             transport.clone(),
             "mem-acc:0",
             vec![InEdge {
                 edge: 7,
-                deliver: Box::new(move |seq, msg| {
-                    got_tx.send((seq, msg)).unwrap();
-                }),
+                data_tx: got_tx,
                 ctrl_rx: up_ctrl_rx,
                 start: 0,
                 metrics: TransportMetrics::detached(),
@@ -595,16 +608,14 @@ mod tests {
         let transport: Arc<dyn Transport> =
             Arc::new(MemTransport::new().with_read_timeout(Duration::from_millis(20)));
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (got_tx, got_rx) = crossbeam_channel::unbounded();
+        let (got_tx, got_rx) = link::<Message>(LinkConfig::instant());
         let (_up_ctrl_tx, up_ctrl_rx) = link::<Control>(LinkConfig::instant());
         let acceptor = Acceptor::start(
             transport.clone(),
             "mem-pause:0",
             vec![InEdge {
                 edge: 1,
-                deliver: Box::new(move |seq, msg| {
-                    got_tx.send((seq, msg)).unwrap();
-                }),
+                data_tx: got_tx,
                 ctrl_rx: up_ctrl_rx,
                 start: 0,
                 metrics: TransportMetrics::detached(),

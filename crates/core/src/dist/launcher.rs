@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use streammine_common::clock::{shared, SystemClock};
 use streammine_common::ids::OperatorId;
-use streammine_net::{link, LinkConfig, LinkError, TcpTransport, Transport};
+use streammine_net::{link, LinkConfig, TcpTransport, Transport};
 use streammine_obs::{
     prometheus_text, timelines_json, ClusterObs, Counter, FaultKind, HttpServer, Labels, Obs,
     RecoveryModeTag, RecoveryTimeline, RegistrySnapshot, TransportMetrics,
@@ -291,13 +291,10 @@ impl Cluster {
         );
 
         // Sink: real SinkHandle on a local link, fed by an acceptor for
-        // the last edge (id = n). Delivery preserves remote sequence
+        // the last edge (id = n). The link carries the remote sequence
         // numbers (in-order from 0), so the sink's cumulative acks refer
         // to the sequences the last worker retained.
         let (sink_data_tx, sink_data_rx) = link::<Message>(LinkConfig::instant());
-        // The last worker retains the sink's input for replay; this local
-        // hop keeps nothing once the sink has read it.
-        sink_data_tx.ack_upto(u64::MAX);
         let (sink_ctrl_tx, sink_ctrl_rx) = link::<Control>(LinkConfig::instant());
         let sink =
             SinkHandle::new(sink_data_rx, sink_ctrl_tx, clock.clone(), &obs, (n - 1) as u32, 0);
@@ -307,12 +304,7 @@ impl Cluster {
                 "127.0.0.1:0",
                 vec![InEdge {
                     edge: n as u32,
-                    deliver: Box::new(move |_seq, msg| loop {
-                        match sink_data_tx.send(msg.clone()) {
-                            Ok(_) | Err(LinkError::Disconnected) => return,
-                            Err(_) => std::thread::sleep(Duration::from_micros(100)),
-                        }
-                    }),
+                    data_tx: sink_data_tx,
                     ctrl_rx: sink_ctrl_rx,
                     start: 0,
                     metrics: TransportMetrics::registered(&obs.registry, (n - 1) as u32, n as u32),

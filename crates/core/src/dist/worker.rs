@@ -43,7 +43,7 @@ use streammine_storage::{CheckpointObs, CheckpointStore, DiskSpec};
 use crate::message::{Control, Message};
 use crate::node::{Node, NodeSeed};
 use crate::operator::Operator;
-use crate::plumbing::{Intake, IntakeHandle, UpEdge};
+use crate::plumbing::{DownEdge, Inbox, Notice};
 use crate::supervisor::NodeHealth;
 use streammine_common::ids::OperatorId;
 
@@ -177,8 +177,6 @@ pub(crate) fn run_worker(
         }
         c
     };
-    let intake = IntakeHandle::new(config.node.intake_capacity);
-
     // Checkpoint store, when the spec asks for one — created before the
     // in-edges so a respawn can prime its receive cursors from the image.
     // Attaching a file under `checkpoint_dir` makes the image durable
@@ -209,29 +207,29 @@ pub(crate) fn run_worker(
         .map(|cp| cp.input_positions.clone())
         .unwrap_or_default();
 
-    // In-edges: the acceptor delivers in-order frames straight into the
-    // node's intake; each edge's upstream control link is pumped back over
-    // the edge's current connection.
+    // In-edges: each is a local ring the node reads like any other, fed
+    // by the acceptor's socket threads with the in-order frames of the
+    // wire; each edge's upstream control link is pumped back over the
+    // edge's current connection.
     let mut up = Vec::new();
+    let mut inputs = Vec::new();
     let mut in_edges = Vec::new();
     for (port, edge) in spec.in_edges.iter().copied().enumerate() {
         let (ctrl_tx, ctrl_rx) = link::<Control>(LinkConfig::instant());
-        up.push(UpEdge { ctrl_tx, _data_pump: None });
-        let intake_data = intake.data_tx.clone();
-        let start = resume_positions.get(port).copied().unwrap_or(0);
-        let port = port as u32;
+        up.push(ctrl_tx);
+        let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
+        inputs.push(data_rx);
         in_edges.push(InEdge {
             edge,
-            deliver: Box::new(move |link_seq, msg| {
-                // Blocking on a full intake lane is the backpressure that
-                // stalls the socket read.
-                let _ = intake_data.send(Intake::Upstream { port, link_seq, msg });
-            }),
+            data_tx,
             ctrl_rx,
-            start,
+            start: resume_positions.get(port).copied().unwrap_or(0),
             metrics: TransportMetrics::registered(&obs.registry, spec.worker, edge),
         });
     }
+    // Out-edges have no control ring here: their bridges post what they
+    // read off the socket as notices.
+    let inbox = Inbox::new(inputs, Vec::new());
     let acceptor =
         match Acceptor::start(transport.clone(), "127.0.0.1:0", in_edges, shutdown.clone()) {
             Ok(a) => a,
@@ -272,7 +270,7 @@ pub(crate) fn run_worker(
         let sent = Arc::new(AtomicU64::new(0));
         let slot: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
         let (gate_tx, gate_rx) = crossbeam_channel::bounded(1);
-        let intake_ctrl = intake.ctrl_tx.clone();
+        let notices = inbox.clone();
         let out = out as u32;
         OutBridge {
             edge,
@@ -280,9 +278,7 @@ pub(crate) fn run_worker(
             transport: transport.clone(),
             addr: slot.clone(),
             data_rx,
-            ctrl_sink: Box::new(move |ctrl| {
-                let _ = intake_ctrl.send(Intake::Downstream { out, ctrl });
-            }),
+            ctrl_sink: Box::new(move |ctrl| notices.post(Notice::Downstream { out, ctrl })),
             metrics: TransportMetrics::registered(&obs.registry, spec.worker, edge),
             shutdown: shutdown.clone(),
             first_welcome: Some(gate_tx),
@@ -341,11 +337,7 @@ pub(crate) fn run_worker(
     let down = down_data
         .iter()
         .zip(&down_sent)
-        .map(|(d, sent)| crate::plumbing::DownEdge {
-            data_tx: d.clone(),
-            events_sent: sent.clone(),
-            _ctrl_pump: None,
-        })
+        .map(|(d, sent)| DownEdge { data_tx: d.clone(), events_sent: sent.clone() })
         .collect();
     let reporter_obs = obs.clone();
     let seed = NodeSeed {
@@ -353,7 +345,7 @@ pub(crate) fn run_worker(
         operator,
         config,
         clock,
-        intake,
+        inbox,
         up,
         down,
         log: Some(log),

@@ -16,7 +16,7 @@ use parking_lot::{Condvar, Mutex};
 use streammine_common::clock::SharedClock;
 use streammine_common::event::{Event, Timestamp, TraceCtx, Value};
 use streammine_common::ids::{EventId, OperatorId};
-use streammine_net::{LinkError, LinkReceiver, LinkSender};
+use streammine_net::{LinkReceiver, LinkSender};
 use streammine_obs::{Histogram, Labels, Obs, Tracer};
 
 use crate::message::{Control, Message};
@@ -100,12 +100,7 @@ impl SourceHandle {
     /// exactly how an overloaded publisher experiences backpressure.
     /// A shut-down graph (receiver gone) drops the frame.
     fn send_blocking(&self, msg: Message) {
-        loop {
-            match self.tx.send(msg.clone()) {
-                Ok(_) | Err(LinkError::Disconnected) => return,
-                Err(_) => std::thread::sleep(Duration::from_micros(100)),
-            }
-        }
+        let _ = self.tx.send_blocking(msg);
     }
 
     /// The root trace context for the event at `seq`, when sampled. The

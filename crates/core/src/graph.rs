@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 use streammine_common::clock::{shared, SharedClock, SystemClock};
 use streammine_common::error::{Error, Result};
 use streammine_common::ids::OperatorId;
-use streammine_net::{link, EdgeMetrics, LinkConfig, LinkSender};
+use streammine_net::{link, EdgeMetrics, LinkConfig, LinkReceiver, LinkSender};
 use streammine_obs::{Obs, RegistrySnapshot};
 use streammine_storage::checkpoint::{CheckpointObs, CheckpointStore};
 use streammine_storage::disk::DiskSpec;
@@ -27,7 +27,7 @@ use crate::endpoints::{SinkHandle, SourceHandle};
 use crate::message::{Control, Message};
 use crate::node::{Node, NodeSeed};
 use crate::operator::Operator;
-use crate::plumbing::{pump_ctrl, pump_data, DownEdge, Intake, IntakeHandle, NodeCommand, UpEdge};
+use crate::plumbing::{DownEdge, Inbox, NodeCommand, Notice};
 use crate::supervisor::{NodeHealth, Supervisor, SupervisorConfig};
 
 /// Identifies an external source created by the builder.
@@ -224,7 +224,7 @@ pub(crate) struct NodePersist {
     id: OperatorId,
     operator: Arc<dyn Operator>,
     config: OperatorConfig,
-    intake: IntakeHandle,
+    inbox: Arc<Inbox>,
     log: Option<StableLog>,
     checkpoints: Option<Arc<CheckpointStore>>,
     up_ctrl: Vec<LinkSender<Control>>,
@@ -232,7 +232,6 @@ pub(crate) struct NodePersist {
     /// Per-edge cumulative data-event send counters (see
     /// [`DownEdge::events_sent`]); survive restarts with the links.
     down_sent: Vec<Arc<AtomicU64>>,
-    _pumps: Vec<JoinHandle<()>>,
     join: Mutex<Option<JoinHandle<()>>>,
     rng_seed: u64,
     clock: SharedClock,
@@ -250,21 +249,13 @@ impl NodePersist {
             operator: self.operator.clone(),
             config: self.config.clone(),
             clock: self.clock.clone(),
-            intake: self.intake.clone(),
-            up: self
-                .up_ctrl
-                .iter()
-                .map(|c| UpEdge { ctrl_tx: c.clone(), _data_pump: None })
-                .collect(),
+            inbox: self.inbox.clone(),
+            up: self.up_ctrl.clone(),
             down: self
                 .down_data
                 .iter()
                 .zip(&self.down_sent)
-                .map(|(d, sent)| DownEdge {
-                    data_tx: d.clone(),
-                    events_sent: sent.clone(),
-                    _ctrl_pump: None,
-                })
+                .map(|(d, sent)| DownEdge { data_tx: d.clone(), events_sent: sent.clone() })
                 .collect(),
             log: self.log.clone(),
             checkpoints: self.checkpoints.clone(),
@@ -289,14 +280,14 @@ impl NodePersist {
         self.join.lock().as_ref().map(JoinHandle::is_finished).unwrap_or(true)
     }
 
-    /// Joins a dead coordinator, discards in-flight intake messages, and
+    /// Joins a dead coordinator, discards the notices in flight to it, and
     /// starts a fresh coordinator in recovery mode (checkpoint restore +
     /// log replay + upstream replay).
     pub(crate) fn restart(&self) {
         if let Some(join) = self.join.lock().take() {
             let _ = join.join();
         }
-        self.intake.drain();
+        self.inbox.drain();
         self.health.reset();
         self.restarts.fetch_add(1, Ordering::AcqRel);
         *self.join.lock() = Some(Node::start(self.seed(true)));
@@ -311,16 +302,13 @@ impl Graph {
         let obs = b.obs.clone();
         let n = b.ops.len();
 
-        // Intake data lanes are sized per operator: a slow coordinator
-        // fills its lane, its pumps block, and its upstream links
-        // saturate — window-based backpressure end to end.
-        let intakes: Vec<IntakeHandle> =
-            b.ops.iter().map(|s| IntakeHandle::new(s.config.node.intake_capacity)).collect();
+        // Per node, in port / output order: the rings it reads (its
+        // inbox) and the senders it writes. A node reads its rings itself;
+        // what it leaves unread fills the window — backpressure end to end.
+        let mut inputs: Vec<Vec<LinkReceiver<Message>>> = (0..n).map(|_| Vec::new()).collect();
+        let mut ctrls: Vec<Vec<LinkReceiver<Control>>> = (0..n).map(|_| Vec::new()).collect();
         let mut up_ctrl: Vec<Vec<LinkSender<Control>>> = (0..n).map(|_| Vec::new()).collect();
         let mut down_data: Vec<Vec<LinkSender<Message>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut pumps: Vec<Vec<JoinHandle<()>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut next_port: Vec<u32> = vec![0; n];
-        let mut next_out: Vec<u32> = vec![0; n];
         let mut edges: Vec<EdgeHandle> = Vec::new();
 
         // Operator-to-operator edges.
@@ -329,16 +317,10 @@ impl Graph {
             let t = to.index() as usize;
             let (data_tx, data_rx) = link::<Message>(b.link_config.clone());
             let (ctrl_tx, ctrl_rx) = link::<Control>(b.link_config.clone());
-            let port = next_port[t];
-            next_port[t] += 1;
-            let out = next_out[f];
-            next_out[f] += 1;
+            let out = down_data[f].len() as u32;
             data_tx.set_metrics(EdgeMetrics::registered(&obs.registry, f as u32, out));
-            // Data rides the bounded lane (pumps block when the intake is
-            // full — that is the hop-by-hop backpressure); control must
-            // never block, so it rides the unbounded lane.
-            pumps[t].push(pump_data(port, data_rx, intakes[t].data_tx.clone()));
-            pumps[f].push(pump_ctrl(out, ctrl_rx, intakes[f].ctrl_tx.clone()));
+            inputs[t].push(data_rx);
+            ctrls[f].push(ctrl_rx);
             edges.push(EdgeHandle {
                 from: *from,
                 to: *to,
@@ -355,9 +337,7 @@ impl Graph {
             let t = to.index() as usize;
             let (data_tx, data_rx) = link::<Message>(b.link_config.clone());
             let (ctrl_tx, ctrl_rx) = link::<Control>(b.link_config.clone());
-            let port = next_port[t];
-            next_port[t] += 1;
-            pumps[t].push(pump_data(port, data_rx, intakes[t].data_tx.clone()));
+            inputs[t].push(data_rx);
             up_ctrl[t].push(ctrl_tx);
             let source_id = OperatorId::new((n + i) as u32);
             sources.push(SourceHandle::new(source_id, data_tx, ctrl_rx, clock.clone(), &b.obs));
@@ -369,9 +349,8 @@ impl Graph {
             let f = from.index() as usize;
             let (data_tx, data_rx) = link::<Message>(b.link_config.clone());
             let (ctrl_tx, ctrl_rx) = link::<Control>(b.link_config.clone());
-            let out = next_out[f];
-            next_out[f] += 1;
-            pumps[f].push(pump_ctrl(out, ctrl_rx, intakes[f].ctrl_tx.clone()));
+            let out = down_data[f].len() as u32;
+            ctrls[f].push(ctrl_rx);
             data_tx.set_metrics(EdgeMetrics::registered(&obs.registry, f as u32, out));
             down_data[f].push(data_tx);
             sinks.push(SinkHandle::new(data_rx, ctrl_tx, clock.clone(), &obs, f as u32, out));
@@ -395,13 +374,12 @@ impl Graph {
                 id: OperatorId::new(i as u32),
                 operator: spec.operator,
                 config: spec.config,
-                intake: intakes[i].clone(),
+                inbox: Inbox::new(std::mem::take(&mut inputs[i]), std::mem::take(&mut ctrls[i])),
                 log,
                 checkpoints,
                 up_ctrl: std::mem::take(&mut up_ctrl[i]),
                 down_sent: (0..down_data[i].len()).map(|_| Arc::new(AtomicU64::new(0))).collect(),
                 down_data: std::mem::take(&mut down_data[i]),
-                _pumps: std::mem::take(&mut pumps[i]),
                 join: Mutex::new(None),
                 rng_seed: 0xABCD_0000 + i as u64,
                 clock: clock.clone(),
@@ -686,14 +664,14 @@ impl Running {
     /// Panics on an unknown operator.
     pub fn crash(&self, op: OperatorId) {
         let node = &self.nodes[op.index() as usize];
-        // Commands ride the control lane: a node stalled on backpressure
-        // still sees the crash immediately.
-        let _ = node.intake.ctrl_tx.send(Intake::Command(NodeCommand::Crash));
+        // Commands are notices: a node stalled on backpressure still sees
+        // the crash immediately.
+        node.inbox.post(Notice::Command(NodeCommand::Crash));
         if let Some(join) = node.join.lock().take() {
             let _ = join.join();
         }
-        // In-flight intake messages die with the process.
-        node.intake.drain();
+        // Notices in flight die with the process.
+        node.inbox.drain();
     }
 
     /// Restarts a crashed operator: restores the latest checkpoint, replays
@@ -715,7 +693,7 @@ impl Running {
         // exits below could be mistaken for anything else.
         self.stopping.store(true, Ordering::Release);
         for node in self.nodes.iter() {
-            let _ = node.intake.ctrl_tx.send(Intake::Command(NodeCommand::Shutdown));
+            node.inbox.post(Notice::Command(NodeCommand::Shutdown));
         }
         for node in self.nodes.iter() {
             if let Some(join) = node.join.lock().take() {

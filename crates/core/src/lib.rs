@@ -14,8 +14,8 @@
 //!   §2.3) with dual-mode state ([`state`]) and intercepted non-determinism
 //!   ([`determinant`]).
 //! * [`message`] / [`plumbing`] — the wire protocol between operators
-//!   (speculative data, finalize / revoke, acks, replay) and the intake
-//!   machinery.
+//!   (speculative data, finalize / revoke, acks, replay) and the inbox a
+//!   coordinator reads it from.
 //! * [`node`] — the per-operator runtime implementing both execution modes
 //!   and the recovery procedure.
 //! * [`graph`] / [`endpoints`] — graph assembly, sources, sinks and fault

@@ -64,9 +64,7 @@ use crate::config::{OperatorConfig, RecoveryMode};
 use crate::determinant::{DecisionRecord, Determinant, ReplayCursor};
 use crate::message::{Control, Message};
 use crate::operator::{OpCtx, Operator, PortId, SetupCtx};
-use crate::plumbing::{
-    DownEdge, EdgeCursor, Intake, IntakeHandle, IntakeSender, NodeCommand, UpEdge,
-};
+use crate::plumbing::{DownEdge, EdgeCursor, Inbox, NodeCommand, Notice};
 use crate::state::{StateAccess, StateRegistry};
 use crate::supervisor::{NodeHealth, NodeState, HEARTBEAT_INTERVAL};
 
@@ -75,7 +73,9 @@ use crate::supervisor::{NodeHealth, NodeState, HEARTBEAT_INTERVAL};
 pub const MAX_OUTPUTS_PER_EVENT: u64 = 1 << 16;
 
 /// Size threshold at which a per-edge output buffer flushes as a
-/// [`Message::DataBatch`] without waiting for the intake to drain.
+/// [`Message::DataBatch`] without waiting for the inbox to run dry; also
+/// how many frames the coordinator reads from one input ring before it
+/// looks at control again.
 pub(crate) const BATCH_MAX_EVENTS: usize = 32;
 
 /// How long an input port may sit on a sequence gap (or an unanswered
@@ -83,9 +83,8 @@ pub(crate) const BATCH_MAX_EVENTS: usize = 32;
 /// upstream: 50 ms, doubling per retry up to 800 ms, so even a badly
 /// stalled replay is re-requested at least that often. Replay requests are
 /// fire-and-forget control messages: if the upstream crashes between
-/// receiving one and serving it, the request dies with its intake — the
-/// retry turns that lost message into a bounded delay instead of a
-/// recovery deadlock.
+/// reading one and serving it, the request dies with it — the retry turns
+/// that lost message into a bounded delay instead of a recovery deadlock.
 const REPLAY_RETRY: BackoffConfig = BackoffConfig::millis(50, 800);
 
 /// Capped retries a recovery replay request may fire without progress and
@@ -305,7 +304,7 @@ struct NodeMetrics {
     spec_open: Gauge,
     /// Published-but-unfinalized speculative outputs right now.
     spec_retained: Gauge,
-    /// Messages queued on the bounded data intake lane.
+    /// Events read from the input rings but not yet admitted.
     intake_depth: Gauge,
     /// STM runtime counters (`stm.*`, including `stm.fastpath.*`),
     /// refreshed from [`StatsSnapshot::fields`] each tick. Empty on
@@ -355,8 +354,11 @@ pub(crate) struct NodeSeed {
     pub operator: Arc<dyn Operator>,
     pub config: OperatorConfig,
     pub clock: SharedClock,
-    pub intake: IntakeHandle,
-    pub up: Vec<UpEdge>,
+    /// Everything the node reads; survives its crashes.
+    pub inbox: Arc<Inbox>,
+    /// Control back to each input port's sender (acks, replay requests): a
+    /// severed control link delays — never loses — them.
+    pub up: Vec<LinkSender<Control>>,
     pub down: Vec<DownEdge>,
     pub log: Option<StableLog>,
     pub checkpoints: Option<Arc<CheckpointStore>>,
@@ -380,8 +382,10 @@ pub(crate) struct Node {
     operator: Arc<dyn Operator>,
     config: OperatorConfig,
     clock: SharedClock,
-    intake: IntakeHandle,
-    up: Vec<UpEdge>,
+    inbox: Arc<Inbox>,
+    /// Spare storage the notice queue is swapped against.
+    notices: VecDeque<Notice>,
+    up: Vec<LinkSender<Control>>,
     down: Vec<DownEdge>,
     log: Option<StableLog>,
     checkpoints: Option<Arc<CheckpointStore>>,
@@ -401,10 +405,10 @@ pub(crate) struct Node {
     /// Last time periodic maintenance ([`Node::tick`]) ran; checked in the
     /// main loop so a busy node still retries replay on schedule.
     last_tick: Instant,
-    /// Per-port queues of `(link_seq, event, enqueued_at)` awaiting
-    /// processing (replay-order merge; the link seq feeds checkpoint
-    /// positions; the enqueue instant feeds the queue-wait histogram).
-    port_queues: Vec<VecDeque<(u64, Event, Instant)>>,
+    /// Per-port queues of `(event, enqueued_at)` read but not admitted yet
+    /// (replay-order merge, overload gate; the enqueue instant feeds the
+    /// queue-wait histogram).
+    port_queues: Vec<VecDeque<(Event, Instant)>>,
     /// Speculative inputs parked by a non-speculative operator.
     parked: HashMap<EventId, (u32, Event)>,
     replay: Option<ReplayCursor>,
@@ -417,8 +421,8 @@ pub(crate) struct Node {
     hold_queue: VecDeque<(u64, HeldOutput)>,
     /// Per-down-edge buffers of final outputs awaiting a batched send
     /// (non-speculative path). Flushed when they reach
-    /// [`BATCH_MAX_EVENTS`] or when the intake drains, so batching never
-    /// adds latency under low load.
+    /// [`BATCH_MAX_EVENTS`] or when nothing is left to read, so batching
+    /// never adds latency under low load.
     out_batch: Vec<Vec<Event>>,
     /// Per-down-edge count of re-executed outputs to swallow instead of
     /// sending (non-speculative recovery). A recovering node regenerates
@@ -447,9 +451,11 @@ pub(crate) struct Node {
     running: bool,
     crashed: bool,
     /// When the current backpressure / admission-control stall began
-    /// (`None`: flowing normally). While set, the coordinator serves only
-    /// the control lane — data stays queued on the bounded intake lane and
-    /// in `port_queues`, pumps block, and the upstream saturates in turn.
+    /// (`None`: flowing normally). While set, the coordinator admits
+    /// nothing and reads an input ring only for the notices its admitted
+    /// inputs still await (see [`Node::reads_port`]) — data stays unread in
+    /// the ring and un-admitted in `port_queues`, and the upstream
+    /// saturates in turn.
     stall_since: Option<Instant>,
     /// Running count of published-but-unfinalized speculative output
     /// events across all pending transactions (updated by worker threads
@@ -494,8 +500,6 @@ impl Node {
     }
 
     fn build(seed: NodeSeed) -> Node {
-        let recovering = seed.recovering;
-        let _ = recovering;
         let stm = seed.config.speculative.then(|| StmRuntime::with_config(seed.config.stm.clone()));
         let mut registry = match &stm {
             Some(rt) => StateRegistry::speculative(rt.clone()),
@@ -503,37 +507,14 @@ impl Node {
         };
         seed.operator.setup(&mut SetupCtx { registry: &mut registry });
         if let Some(rt) = &stm {
-            let (abort_tx, abort_rx) = crossbeam_channel::unbounded::<TxnId>();
-            let (commit_tx, commit_rx) = crossbeam_channel::unbounded::<TxnId>();
-            rt.set_abort_sink(abort_tx);
-            rt.set_commit_sink(commit_tx);
-            // Forward STM notifications into the intake's control lane.
-            // The abort/commit channels themselves are unbounded but
-            // intrinsically bounded: at most `max_open_speculations`
-            // transactions are in flight (admission control), each with at
-            // most one outstanding notification per state change.
-            let intake = seed.intake.ctrl_tx.clone();
-            std::thread::Builder::new()
-                .name(format!("stm-aborts-{}", seed.id))
-                .spawn(move || {
-                    while let Ok(id) = abort_rx.recv() {
-                        if intake.send(Intake::TxnAborted(id)).is_err() {
-                            break;
-                        }
-                    }
-                })
-                .expect("spawn abort pump");
-            let intake = seed.intake.ctrl_tx.clone();
-            std::thread::Builder::new()
-                .name(format!("stm-commits-{}", seed.id))
-                .spawn(move || {
-                    while let Ok(id) = commit_rx.recv() {
-                        if intake.send(Intake::TxnCommitted(id)).is_err() {
-                            break;
-                        }
-                    }
-                })
-                .expect("spawn commit pump");
+            // STM notifications go straight into the notice queue:
+            // unbounded, but at most `max_open_speculations` transactions
+            // are in flight (admission control), each with at most one
+            // outstanding notification per state change.
+            let inbox = seed.inbox.clone();
+            rt.set_abort_sink(move |txn| inbox.post(Notice::TxnAborted(txn)));
+            let inbox = seed.inbox.clone();
+            rt.set_commit_sink(move |txn| inbox.post(Notice::TxnCommitted(txn)));
         }
         let pool = (seed.config.speculative && seed.config.threads > 1).then(|| {
             Arc::new(ThreadPool::new(&format!("op{}-worker", seed.id.index()), seed.config.threads))
@@ -553,7 +534,8 @@ impl Node {
             operator: seed.operator,
             config: seed.config,
             clock: seed.clock,
-            intake: seed.intake,
+            inbox: seed.inbox,
+            notices: VecDeque::new(),
             up: seed.up,
             down: seed.down,
             log: seed.log,
@@ -584,7 +566,7 @@ impl Node {
             approx,
             events_since_checkpoint: 0,
             eof_count: 0,
-            recovering,
+            recovering: seed.recovering,
             running: true,
             crashed: false,
             stall_since: None,
@@ -705,8 +687,8 @@ impl Node {
                     }
                 }
             }
-            for (port, edge) in self.up.iter().enumerate() {
-                edge.ctrl_tx.push(Control::ReplayRequest {
+            for (port, ctrl_tx) in self.up.iter().enumerate() {
+                ctrl_tx.push(Control::ReplayRequest {
                     from: from_positions[port],
                     token: self.incarnation,
                 });
@@ -780,47 +762,40 @@ impl Node {
 
     fn run(&mut self) {
         while self.running {
-            // While stalled on backpressure or an admission cap, only the
-            // control lane is served: data stays queued on the bounded
-            // intake lane, so its pumps block and the upstream link's
-            // window stays full — backpressure propagates hop by hop.
-            // Control keeps flowing, so the node still serves
-            // downstream replay requests and receives the acks, commits
-            // and log-stability callbacks that end the stall.
-            let accept_data = self.stall_since.is_none();
-            // Adaptive flush: buffered outputs only hit the wire when the
-            // intake has drained (about to block) or a buffer reached the
-            // size threshold. Under low load the intake is empty after
-            // every event, so each output flushes immediately as a plain
-            // `Data` message and latency is unchanged; under backlog the
-            // buffers fill toward `BATCH_MAX_EVENTS`-sized frames.
-            let intake = match self.intake.try_recv(accept_data) {
-                Ok(i) => i,
-                Err(crossbeam_channel::TryRecvError::Empty) => {
-                    self.flush_out_batches();
-                    // Block with a bounded timeout so an idle node still
-                    // beats its heartbeat and runs the replay watchdog.
-                    match self.intake.recv_timeout(HEARTBEAT_INTERVAL, accept_data) {
-                        Ok(i) => i,
-                        Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                            self.tick();
-                            // A stall can end without any intake message
-                            // (the consumer draining the link frees
-                            // the window silently); re-check here so queued
-                            // work resumes within one heartbeat.
-                            self.drain_ready_events();
-                            continue;
-                        }
-                        Err(crossbeam_channel::RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                Err(crossbeam_channel::TryRecvError::Disconnected) => break,
-            };
-            self.health.beat();
-            self.handle_intake(intake);
+            // Control first, and never gated: a node stalled on
+            // backpressure or an admission cap still serves downstream
+            // replay requests and receives the acks, commits and
+            // log-stability callbacks that end the stall.
+            let mut worked = self.serve_control();
+            if !self.running {
+                break;
+            }
+            // The gate decides what may be read, and a stall can end
+            // without any message (the consumer draining a link frees its
+            // window silently): evaluate it on every pass, so queued work
+            // resumes within one heartbeat at the latest.
             self.drain_ready_events();
-            // A node under steady load never hits the idle timeout above,
-            // but stalled replays still need periodic service.
+            worked |= self.read_inputs();
+            if worked {
+                self.health.beat();
+            } else {
+                // Adaptive flush: buffered outputs only hit the wire when
+                // nothing is readable (about to sleep) or a buffer reached
+                // the size threshold. Under low load that is after every
+                // event, so each output goes out at once as a plain `Data`
+                // message and latency is unchanged; under backlog the
+                // buffers fill toward `BATCH_MAX_EVENTS`-sized frames.
+                self.flush_out_batches();
+                // The one place the coordinator sleeps — never inside a
+                // read: until something signals, a frame in flight falls
+                // due, or the heartbeat (an idle node still beats and runs
+                // the replay watchdog).
+                let heartbeat = self.last_tick + HEARTBEAT_INTERVAL;
+                let deadline = self.earliest_due().map_or(heartbeat, |due| due.min(heartbeat));
+                self.inbox.park_until(deadline);
+            }
+            // A node under steady load never sleeps out a heartbeat, but
+            // stalled replays still need periodic service.
             if self.last_tick.elapsed() >= HEARTBEAT_INTERVAL {
                 self.tick();
             }
@@ -849,7 +824,8 @@ impl Node {
             edge.data_tx.publish_gauges();
         }
         self.retry_stalled_replay();
-        self.metrics.intake_depth.set(self.intake.data_depth() as i64);
+        let unadmitted: usize = self.port_queues.iter().map(VecDeque::len).sum();
+        self.metrics.intake_depth.set(unadmitted as i64);
         self.metrics.spec_open.set(self.pending.len() as i64);
         self.metrics.spec_retained.set(self.spec_retained.load(Ordering::Relaxed).max(0));
         if let Some(stm) = &self.stm {
@@ -980,9 +956,7 @@ impl Node {
                     );
                     continue;
                 }
-                self.up[port]
-                    .ctrl_tx
-                    .push(Control::ReplayRequest { from: next, token: self.incarnation });
+                self.up[port].push(Control::ReplayRequest { from: next, token: self.incarnation });
                 self.metrics.replay_requests.incr();
                 self.obs.journal.record(
                     Some(self.id.index()),
@@ -1000,21 +974,96 @@ impl Node {
         }
     }
 
-    fn handle_intake(&mut self, intake: Intake) {
-        match intake {
-            Intake::Upstream { port, link_seq, msg } => {
-                if self.cursors[port as usize].accept(link_seq, &msg) {
-                    self.handle_upstream(port, link_seq, msg);
-                }
+    /// Handles every queued notice, then every readable downstream
+    /// control frame, acknowledging what it read; `true` when there was
+    /// any.
+    fn serve_control(&mut self) -> bool {
+        let mut notices = std::mem::take(&mut self.notices);
+        self.inbox.take_notices(&mut notices);
+        let mut worked = !notices.is_empty();
+        for notice in notices.drain(..) {
+            self.handle_notice(notice);
+        }
+        self.notices = notices;
+        for out in 0..self.inbox.ctrls.len() {
+            let mut handled = None;
+            while let Ok(Some((seq, ctrl))) = self.inbox.ctrls[out].try_recv() {
+                self.handle_downstream(out as u32, ctrl);
+                handled = Some(seq);
             }
-            Intake::Downstream { out, ctrl } => self.handle_downstream(out, ctrl),
-            Intake::TxnCommitted(txn) => self.on_txn_committed(txn),
-            Intake::TxnAborted(txn) => self.on_txn_aborted(txn),
-            Intake::LogStable { serial } => self.on_log_stable(serial),
-            Intake::Command(NodeCommand::Shutdown) => {
+            if let Some(seq) = handled {
+                // Handled: nobody re-reads a control link.
+                self.inbox.ctrls[out].ack_upto(seq + 1);
+                worked = true;
+            }
+        }
+        worked
+    }
+
+    /// Reads the input rings by cursor, admitting after every frame so
+    /// the order of processing stays a function of the order of frames; at
+    /// most [`BATCH_MAX_EVENTS`] frames per port, then control is looked at
+    /// again. `true` when anything was read.
+    ///
+    /// A stalled node admits nothing, and what it does not read is what
+    /// fills the window and stops its upstream. It must not stop reading
+    /// altogether, though: the `Finalize` (or `Revoke`) that lets an open
+    /// transaction commit — and so ends a stall on the speculation caps,
+    /// here or downstream — travels on the same ring, behind data. So a
+    /// stalled node keeps reading a port exactly while an input it already
+    /// admitted from there still awaits that notice ([`Self::reads_port`]);
+    /// events read on the way wait un-admitted in `port_queues`. The notice
+    /// is at most the upstream's own speculation caps behind, which bounds
+    /// the read-ahead by configuration; a node whose admitted inputs are
+    /// all final (fed by a source, say) reads nothing.
+    fn read_inputs(&mut self) -> bool {
+        let mut worked = false;
+        for port in 0..self.inbox.inputs.len() {
+            for _ in 0..BATCH_MAX_EVENTS {
+                if !self.reads_port(port) {
+                    break;
+                }
+                let Ok(Some((link_seq, msg))) = self.inbox.inputs[port].try_recv() else { break };
+                worked = true;
+                if self.cursors[port].accept(link_seq, &msg) {
+                    self.handle_upstream(port as u32, msg);
+                }
+                self.drain_ready_events();
+            }
+        }
+        worked
+    }
+
+    /// Whether the node reads input ring `port` right now: always while it
+    /// flows; stalled, only while an input admitted from that port is
+    /// still speculative — open and unfinalized, or parked.
+    fn reads_port(&self, port: usize) -> bool {
+        self.stall_since.is_none()
+            || self.parked.values().any(|(p, _)| *p as usize == port)
+            || self.pending.values().any(|p| p.port as usize == port && p.input.lock().speculative)
+    }
+
+    /// When the earliest frame in flight on a ring the node reads falls
+    /// due, if any is.
+    fn earliest_due(&self) -> Option<Instant> {
+        let inputs =
+            self.inbox.inputs.iter().enumerate().filter(|(port, _)| self.reads_port(*port));
+        let rings = inputs
+            .map(|(_, rx)| rx.next_due())
+            .chain(self.inbox.ctrls.iter().map(|rx| rx.next_due()));
+        rings.flatten().min()
+    }
+
+    fn handle_notice(&mut self, notice: Notice) {
+        match notice {
+            Notice::Downstream { out, ctrl } => self.handle_downstream(out, ctrl),
+            Notice::TxnCommitted(txn) => self.on_txn_committed(txn),
+            Notice::TxnAborted(txn) => self.on_txn_aborted(txn),
+            Notice::LogStable { serial } => self.on_log_stable(serial),
+            Notice::Command(NodeCommand::Shutdown) => {
                 self.running = false;
             }
-            Intake::Command(NodeCommand::Crash) => {
+            Notice::Command(NodeCommand::Crash) => {
                 // Simulated crash: just stop; all volatile state dies with
                 // this object. Links, log and checkpoints survive outside.
                 self.running = false;
@@ -1023,25 +1072,19 @@ impl Node {
         }
     }
 
-    fn handle_upstream(&mut self, port: u32, link_seq: u64, msg: Message) {
+    fn handle_upstream(&mut self, port: u32, msg: Message) {
         match msg {
             Message::Data(event) => {
-                self.port_queues[port as usize].push_back((link_seq, event, Instant::now()));
+                self.port_queues[port as usize].push_back((event, Instant::now()));
             }
             Message::DataBatch(events) => {
-                // Expand the batch in place: every event shares the
-                // frame's link sequence, so replay positions stay at
-                // whole-batch boundaries.
                 let now = Instant::now();
-                let queue = &mut self.port_queues[port as usize];
-                for event in events {
-                    queue.push_back((link_seq, event, now));
-                }
+                self.port_queues[port as usize].extend(events.into_iter().map(|e| (e, now)));
             }
             Message::Control(Control::Finalize { id, version }) => {
-                self.on_input_finalized(id, version)
+                self.on_input_finalized(port, id, version)
             }
-            Message::Control(Control::Revoke { id }) => self.on_input_revoked(id),
+            Message::Control(Control::Revoke { id }) => self.on_input_revoked(port, id),
             Message::Control(Control::Eof) => {
                 self.eof_count += 1;
                 if self.eof_count >= self.up.len() {
@@ -1091,7 +1134,7 @@ impl Node {
         loop {
             // Overload gate first: while a downstream edge is saturated or
             // a speculation cap is hit, admit nothing — queued events wait
-            // in `port_queues` and on the bounded intake lane, and the
+            // in `port_queues` and unread in the input rings, and the
             // node paces itself by downstream drain / log stability
             // instead of speculating further (it never aborts admitted
             // work). Applies to replay identically: replayed input obeys
@@ -1114,8 +1157,7 @@ impl Node {
                     // enable logging for precise recovery.
                     match (0..self.port_queues.len()).find(|&p| !self.port_queues[p].is_empty()) {
                         Some(p) => {
-                            let (_seq, event, enq) =
-                                self.port_queues[p].pop_front().expect("nonempty");
+                            let (event, enq) = self.port_queues[p].pop_front().expect("nonempty");
                             let queue_wait = enq.elapsed();
                             self.metrics.queue_wait_us.record_duration(queue_wait);
                             self.accept_event(p as u32, event, None, queue_wait);
@@ -1127,8 +1169,7 @@ impl Node {
                 // Find the logged input-choice; default port 0.
                 let record_port =
                     self.replay.as_ref().and_then(ReplayCursor::peek_input_choice).unwrap_or(0);
-                if let Some((_seq, event, enq)) = self.port_queues[record_port as usize].pop_front()
-                {
+                if let Some((event, enq)) = self.port_queues[record_port as usize].pop_front() {
                     let queue_wait = enq.elapsed();
                     self.metrics.queue_wait_us.record_duration(queue_wait);
                     let record = self.replay.as_mut().expect("replaying").take(front_serial);
@@ -1145,7 +1186,7 @@ impl Node {
                 Some(p) => p,
                 None => return,
             };
-            let (_seq, event, enq) = self.port_queues[port].pop_front().expect("nonempty");
+            let (event, enq) = self.port_queues[port].pop_front().expect("nonempty");
             let queue_wait = enq.elapsed();
             self.metrics.queue_wait_us.record_duration(queue_wait);
             self.accept_event(port as u32, event, None, queue_wait);
@@ -1296,10 +1337,10 @@ impl Node {
                 // Hold outputs until the decision record is stable (§2.4).
                 let appended_at = Instant::now();
                 let ticket = log.append_batch(vec![encode_to_vec(&decisions)]);
-                // Control lane: the subscribe callback can fire
-                // synchronously on this very thread when the serial is
-                // already stable — a bounded lane would self-deadlock.
-                let intake = self.intake.ctrl_tx.clone();
+                // The subscribe callback can fire synchronously on this
+                // very thread when the serial is already stable — posting
+                // a notice never blocks.
+                let inbox = self.inbox.clone();
                 let log_wait = self.metrics.log_wait_us.clone();
                 let tracer = event.trace.is_some().then(|| self.obs.tracer.clone());
                 let op = self.id.index();
@@ -1310,7 +1351,7 @@ impl Node {
                     if let Some(tracer) = &tracer {
                         tracer.record_log_wait(op, s, waited.as_micros() as u64);
                     }
-                    let _ = intake.send(Intake::LogStable { serial: s });
+                    inbox.post(Notice::LogStable { serial: s });
                 });
                 self.hold_queue.push_back((
                     serial,
@@ -1371,7 +1412,7 @@ impl Node {
     /// Stages final outputs for sending. Events accumulate in per-edge
     /// buffers (payloads are shared via their `Arc`, not deep-copied) and
     /// go out as one `DataBatch` frame when a buffer reaches
-    /// [`BATCH_MAX_EVENTS`] or the coordinator runs out of intake work.
+    /// [`BATCH_MAX_EVENTS`] or the coordinator runs out of readable work.
     fn send_outputs_final(&mut self, outputs: Vec<(Event, Option<u32>)>) {
         for (event, target) in outputs {
             for out in 0..self.down.len() {
@@ -1548,16 +1589,11 @@ impl Node {
                 stm.reexecute(&pending.handle, body)
             }
         };
-        // NOTE: dispatching/post-processing is finished by the caller via
-        // `finish_attempt`, which must run on the coordinator; workers send
-        // the result back through the intake only implicitly (publish →
-        // outputs are sent directly from the worker below).
-        let this_intake = self.intake.ctrl_tx.clone();
         let node_view = NodeSendView {
             id: self.id,
             down: self.down.iter().map(|d| d.data_tx.clone()).collect(),
             log: self.log.clone(),
-            intake: this_intake,
+            inbox: self.inbox.clone(),
             journal: self.obs.journal.clone(),
             tracer: self.obs.tracer.clone(),
             spec_published: self.metrics.spec_published.clone(),
@@ -1593,16 +1629,7 @@ impl Node {
         self.spawn_attempt(pending.clone(), None);
     }
 
-    fn on_input_finalized(&mut self, id: EventId, version: u32) {
-        if let Some((port, event)) = self.parked.remove(&id) {
-            // Non-speculative operator: the parked event is now final.
-            let mut event = event;
-            if event.version == version {
-                event.speculative = false;
-                self.accept_event(port, event, None, Duration::ZERO);
-            }
-            return;
-        }
+    fn on_input_finalized(&mut self, port: u32, id: EventId, version: u32) {
         if let Some(pending) = self.pending.get(&id).cloned() {
             let matches = {
                 let mut view = pending.input.lock();
@@ -1615,12 +1642,39 @@ impl Node {
             };
             if matches {
                 self.maybe_authorize(&pending);
+                return;
             }
         }
+        let queue = &mut self.port_queues[port as usize];
+        let is_it = |e: &Event| e.id == id && e.version == version;
+        if self.config.speculative {
+            // Read but not admitted yet (the node was stalled, or is
+            // replaying in logged order): final when its turn comes.
+            if let Some((event, _)) = queue.iter_mut().find(|(e, _)| is_it(e)) {
+                event.speculative = false;
+            }
+            return;
+        }
+        // A non-speculative operator parks a speculative input when its
+        // turn comes and processes it when the finalize arrives — behind
+        // everything read before this notice. Parked already or still
+        // waiting its turn, the event joins the back of the queue as
+        // final: the order of processing is that of the frames, whether or
+        // not the node was stalled in between.
+        let parked = self.parked.remove(&id).map(|(_, event)| event).filter(is_it);
+        let at = queue.iter().position(|(e, _)| is_it(e));
+        let Some(mut event) = parked.or_else(|| at.and_then(|at| queue.remove(at)).map(|(e, _)| e))
+        else {
+            return;
+        };
+        queue.retain(|(e, _)| e.id != id); // versions it superseded
+        event.speculative = false;
+        queue.push_back((event, Instant::now()));
     }
 
-    fn on_input_revoked(&mut self, id: EventId) {
+    fn on_input_revoked(&mut self, port: u32, id: EventId) {
         self.parked.remove(&id);
+        self.port_queues[port as usize].retain(|(e, _)| e.id != id);
         if let Some(pending) = self.pending.remove(&id) {
             self.pending_by_txn.remove(&pending.handle.id());
             self.pending_by_serial.remove(&pending.serial);
@@ -1758,15 +1812,10 @@ impl Node {
         // unreplayable.
         self.flush_out_batches();
         let Some(store) = &self.checkpoints else { return };
-        // Positions = the link seq each upstream must replay from: the
-        // first *unprocessed* message — the queue front if data is parked,
-        // else the cursor's delivery position.
-        let positions: Vec<u64> = self
-            .port_queues
-            .iter()
-            .zip(&self.cursors)
-            .map(|(q, r)| q.front().map(|(seq, _, _)| *seq).unwrap_or_else(|| r.next_seq()))
-            .collect();
+        // Positions = the link seq each upstream must replay from. Every
+        // frame read is fully processed (the queues are empty), so that is
+        // the cursor's delivery position.
+        let positions: Vec<u64> = self.cursors.iter().map(EdgeCursor::next_seq).collect();
         let covers_log = LogSeq(self.log.as_ref().map(|l| l.appended()).unwrap_or(0));
         // The serialized RNG goes into the checkpoint so the random stream
         // stays continuous across a crash (see `recover`).
@@ -1801,8 +1850,8 @@ impl Node {
         if let Some(log) = &self.log {
             log.truncate_below(covers_log);
         }
-        for (port, edge) in self.up.iter().enumerate() {
-            edge.ctrl_tx.push(Control::Ack { upto: positions[port] });
+        for (port, ctrl_tx) in self.up.iter().enumerate() {
+            ctrl_tx.push(Control::Ack { upto: positions[port] });
         }
         self.events_since_checkpoint = 0;
     }
@@ -1814,7 +1863,7 @@ struct NodeSendView {
     id: OperatorId,
     down: Vec<LinkSender<Message>>,
     log: Option<StableLog>,
-    intake: IntakeSender,
+    inbox: Arc<Inbox>,
     journal: Arc<Journal>,
     tracer: Arc<Tracer>,
     spec_published: Counter,
@@ -1933,7 +1982,7 @@ impl NodeSendView {
                 let log = self.log.as_ref().expect("must_log implies log");
                 let appended_at = Instant::now();
                 let ticket = log.append_batch(vec![encode_to_vec(&decisions)]);
-                let intake = self.intake.clone();
+                let inbox = self.inbox.clone();
                 let log_wait = self.log_wait_us.clone();
                 let tracer = pending.trace.is_some().then(|| self.tracer.clone());
                 let op = self.id.index();
@@ -1944,7 +1993,7 @@ impl NodeSendView {
                     if let Some(tracer) = &tracer {
                         tracer.record_log_wait(op, serial, waited.as_micros() as u64);
                     }
-                    let _ = intake.send(Intake::LogStable { serial });
+                    inbox.post(Notice::LogStable { serial });
                 });
                 *pending.log_ticket.lock() = Some(ticket);
             } else {
@@ -2019,6 +2068,272 @@ fn assign_output_ids(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{LoggingConfig, NodeConfig};
+    use streammine_common::clock::{shared, SystemClock};
+    use streammine_net::{link, LinkConfig, LinkReceiver};
+
+    struct Relay;
+    impl Operator for Relay {
+        fn process(&self, ctx: &mut OpCtx<'_, '_>, event: &Event) -> Result<(), StmAbort> {
+            ctx.emit(event.payload.clone());
+            Ok(())
+        }
+    }
+
+    /// One relay node on hand-held rings: what a graph wires around a
+    /// coordinator, with every end in the test's hands.
+    struct Rig {
+        /// Into the node's one input port.
+        input: LinkSender<Message>,
+        /// The node's one output, sender side (retention, window).
+        out_tx: LinkSender<Message>,
+        /// The node's one output, as its downstream reads it.
+        out_rx: LinkReceiver<Message>,
+        /// The downstream's control back to the node.
+        out_ctrl: LinkSender<Control>,
+        inbox: Arc<Inbox>,
+        obs: Obs,
+        seed: Option<NodeSeed>,
+        node: Option<std::thread::JoinHandle<()>>,
+    }
+
+    impl Rig {
+        fn new(config: OperatorConfig, input_link: LinkConfig, output_link: LinkConfig) -> Rig {
+            let (input, input_rx) = link::<Message>(input_link);
+            let (up_ctrl, _) = link::<Control>(LinkConfig::instant());
+            let (out_tx, out_rx) = link::<Message>(output_link);
+            let (out_ctrl, out_ctrl_rx) = link::<Control>(LinkConfig::instant());
+            let inbox = Inbox::new(vec![input_rx], vec![out_ctrl_rx]);
+            let obs = Obs::tracing();
+            let seed = NodeSeed {
+                id: OperatorId::new(0),
+                operator: Arc::new(Relay),
+                log: config.logging.as_ref().map(|l| StableLog::new(l.disks.clone())),
+                config,
+                clock: shared(SystemClock::new()),
+                inbox: inbox.clone(),
+                up: vec![up_ctrl],
+                down: vec![DownEdge {
+                    data_tx: out_tx.clone(),
+                    events_sent: Arc::new(std::sync::atomic::AtomicU64::new(0)),
+                }],
+                checkpoints: None,
+                rng_seed: 1,
+                obs: obs.clone(),
+                health: Arc::new(NodeHealth::new()),
+                recovering: false,
+                incarnation: 0,
+            };
+            Rig { input, out_tx, out_rx, out_ctrl, inbox, obs, seed: Some(seed), node: None }
+        }
+
+        fn start(mut self) -> Rig {
+            self.node = Some(Node::start(self.seed.take().expect("started once")));
+            self
+        }
+
+        fn send(&self, n: u64, speculative: bool) -> EventId {
+            let mut event = source_event(n);
+            event.speculative = speculative;
+            self.input.send(Message::Data(event)).expect("room in the input window");
+            source_event(n).id
+        }
+
+        fn notify(&self, ctrl: Control) {
+            self.input.send(Message::Control(ctrl)).expect("room in the input window");
+        }
+
+        /// The payloads of the data events the node emits next, until
+        /// `count` arrived.
+        fn outputs(&self, count: usize) -> Vec<Value> {
+            let mut got = Vec::new();
+            while got.len() < count {
+                let (_, msg) = self.out_rx.recv_timeout(PATIENCE).expect("the node fell silent");
+                match msg {
+                    Message::Data(event) => got.push(event.payload),
+                    Message::DataBatch(events) => got.extend(events.into_iter().map(|e| e.payload)),
+                    Message::Control(_) => {}
+                }
+            }
+            got
+        }
+    }
+
+    impl Drop for Rig {
+        fn drop(&mut self) {
+            self.inbox.post(Notice::Command(NodeCommand::Shutdown));
+            if let Some(node) = self.node.take() {
+                let _ = node.join();
+            }
+        }
+    }
+
+    const PATIENCE: Duration = Duration::from_secs(10);
+
+    fn source_event(n: u64) -> Event {
+        Event::new(EventId::new(OperatorId::new(9), n), 0, Value::Int(n as i64))
+    }
+
+    fn wait_until(what: &str, done: impl Fn() -> bool) -> Duration {
+        let start = Instant::now();
+        while !done() {
+            assert!(start.elapsed() < PATIENCE, "timed out waiting until {what}");
+            std::thread::yield_now();
+        }
+        start.elapsed()
+    }
+
+    #[test]
+    fn control_is_served_before_data() {
+        let rig = Rig::new(OperatorConfig::plain(), LinkConfig::instant(), LinkConfig::instant());
+        // Both wait when the coordinator first looks: data sent first.
+        rig.send(0, false);
+        rig.out_ctrl.send(Control::ReplayRequest { from: 0, token: 1 }).unwrap();
+        let rig = rig.start();
+        assert_eq!(rig.outputs(1), vec![Value::Int(0)]);
+        let order: Vec<&str> = rig
+            .obs
+            .journal
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                JournalKind::ReplayServe { .. } => Some("replay-serve"),
+                JournalKind::Ingest { .. } => Some("ingest"),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(order, vec!["replay-serve", "ingest"]);
+        wait_until("the control frame is acknowledged", || rig.out_ctrl.retained_len() == 0);
+    }
+
+    /// The coordinator never sleeps inside a read: while a data frame is in
+    /// flight on a 20 ms link, downstream control is served at once.
+    #[test]
+    fn control_is_served_while_a_data_frame_is_in_flight() {
+        const DELAY: Duration = Duration::from_millis(20);
+        const PROMPT: Duration = Duration::from_millis(5);
+        let rig =
+            Rig::new(OperatorConfig::plain(), LinkConfig::with_delay(DELAY), LinkConfig::instant())
+                .start();
+        rig.send(0, false);
+        assert_eq!(rig.outputs(1), vec![Value::Int(0)]);
+        // A loaded machine can delay any one wake-up; a coordinator asleep
+        // in a read delays every one of them by most of the 20 ms.
+        let mut best = [Duration::MAX; 2];
+        for round in 1..=5u64 {
+            // Outputs 0..round are read, the last one not yet acknowledged.
+            let sent = Instant::now();
+            rig.send(round, false);
+            rig.out_ctrl.send(Control::ReplayRequest { from: round - 1, token: round }).unwrap();
+            let replay = wait_until(
+                "the replay is served",
+                || matches!(rig.out_rx.try_recv(), Ok(Some((seq, _))) if seq == round - 1),
+            );
+            rig.out_ctrl.send(Control::Ack { upto: round }).unwrap();
+            let ack = wait_until("the ack is applied", || rig.out_tx.retained_len() == 0);
+            best = [best[0].min(replay), best[1].min(ack)];
+            assert_eq!(rig.outputs(1), vec![Value::Int(round as i64)]);
+            assert!(sent.elapsed() >= DELAY, "the frame arrived before it was due");
+        }
+        assert!(best[0] < PROMPT, "a replay request waited {:?} behind a frame in flight", best[0]);
+        assert!(best[1] < PROMPT, "an ack waited {:?} behind a frame in flight", best[1]);
+    }
+
+    /// What a stalled node does not read stays in the ring, the full
+    /// window blocks the producer, and draining downstream resumes both.
+    #[test]
+    fn stalled_node_leaves_its_input_unread_and_the_window_blocks_the_producer() {
+        let rig = Rig::new(
+            OperatorConfig::plain(),
+            LinkConfig::instant().with_capacity(2),
+            LinkConfig::instant().with_capacity(1),
+        )
+        .start();
+        // One output fills the downstream window: the node stalls.
+        rig.send(0, false);
+        wait_until("the output window is full", || rig.out_tx.is_saturated_with(0));
+        rig.send(1, false);
+        rig.send(2, false);
+        std::thread::sleep(HEARTBEAT_INTERVAL * 5);
+        assert_eq!(
+            rig.input.send(Message::Data(source_event(3))),
+            Err(streammine_net::LinkError::Saturated),
+            "the stalled node read its input"
+        );
+        std::thread::scope(|s| {
+            let producer = s.spawn(|| rig.input.send_blocking(Message::Data(source_event(3))));
+            std::thread::sleep(HEARTBEAT_INTERVAL * 5);
+            assert!(!producer.is_finished(), "sent into a full window");
+            // The downstream drains: the stall ends within a heartbeat,
+            // the node reads on, and the producer's send goes through.
+            let drained: Vec<Value> = (0..4).map(Value::Int).collect();
+            assert_eq!(rig.outputs(4), drained);
+            assert_eq!(producer.join().unwrap(), Ok(3));
+        });
+    }
+
+    /// A speculative node stalled at its cap keeps reading for the notices
+    /// its open transaction awaits; a `Finalize` and a `Revoke` for events
+    /// it read on the way — still waiting, un-admitted — take effect.
+    #[test]
+    fn notices_find_events_a_stalled_speculative_node_read_ahead() {
+        let caps = NodeConfig { max_open_speculations: 1, ..NodeConfig::default() };
+        let log = LoggingConfig::simulated(Duration::from_millis(1));
+        let rig = Rig::new(
+            OperatorConfig::speculative(log).with_node(caps),
+            LinkConfig::instant(),
+            LinkConfig::instant(),
+        )
+        .start();
+        let open = rig.send(0, true);
+        let kept = rig.send(1, true);
+        let dropped = rig.send(2, true);
+        rig.send(3, false);
+        assert_eq!(rig.outputs(1), vec![Value::Int(0)]);
+        // Event 0 stays open until finalized, so 1, 2 and 3 wait.
+        rig.notify(Control::Finalize { id: kept, version: 0 });
+        rig.notify(Control::Revoke { id: dropped });
+        std::thread::sleep(HEARTBEAT_INTERVAL * 3);
+        assert_eq!(rig.out_rx.try_recv(), Ok(None), "admitted past the cap");
+        rig.notify(Control::Finalize { id: open, version: 0 });
+        assert_eq!(rig.outputs(2), vec![Value::Int(1), Value::Int(3)]);
+        // All three commit — event 1's finalize was not lost — and nothing
+        // was ever emitted for the revoked event.
+        let finalized = |count| {
+            wait_until("the outputs are finalized", || {
+                rig.obs.registry.counter_value("spec.finalized", Labels::op(0)) == Some(count)
+            })
+        };
+        finalized(3);
+        let journal = rig.obs.journal.events();
+        let ingested = journal.iter().filter(|e| matches!(e.kind, JournalKind::Ingest { .. }));
+        assert_eq!(ingested.count(), 3);
+    }
+
+    /// The same for a non-speculative node, which parks a speculative
+    /// input until its finalize: stalled on its output window with one
+    /// input parked, it keeps reading, and finalized events are processed
+    /// in the order of their finalizes — as if it had never stalled.
+    #[test]
+    fn notices_find_events_a_stalled_plain_node_read_ahead() {
+        let rig = Rig::new(
+            OperatorConfig::plain(),
+            LinkConfig::instant(),
+            LinkConfig::instant().with_capacity(1),
+        )
+        .start();
+        let parked = rig.send(10, true);
+        rig.send(0, false);
+        wait_until("the output window is full", || rig.out_tx.is_saturated_with(0));
+        let kept = rig.send(1, true);
+        let dropped = rig.send(2, true);
+        rig.notify(Control::Finalize { id: kept, version: 0 });
+        rig.notify(Control::Revoke { id: dropped });
+        rig.notify(Control::Finalize { id: parked, version: 0 });
+        rig.send(3, false);
+        let in_frame_order = [0, 1, 10, 3].map(Value::Int).to_vec();
+        assert_eq!(rig.outputs(4), in_frame_order);
+    }
 
     #[test]
     fn output_ids_are_deterministic_and_ordered() {

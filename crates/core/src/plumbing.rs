@@ -1,50 +1,51 @@
-//! Node plumbing: link endpoints, intake merging, and the per-edge
-//! receive cursor.
+//! Node plumbing: the inbox a coordinator reads, the edge halves it
+//! writes, and the per-edge receive cursor.
 //!
-//! Each operator runs a single coordinator loop fed by one *intake*.
-//! Small forwarder threads pump every upstream data link and every
-//! downstream control link into the intake. The intake has **two lanes**:
+//! Each operator is one coordinator loop that reads its own connections
+//! (§2.3). Everything it reads sits in one [`Inbox`]:
 //!
-//! * a **bounded data lane** fed only by the data pumps — when the
-//!   coordinator stops draining it (backpressure stall), the pumps block,
-//!   the upstream link's window stays full, and the producer saturates in
-//!   turn: backpressure propagates hop by hop instead of growing memory;
-//! * an **unbounded control lane** for everything else (acks, replay
-//!   requests, commit/abort notifications, log-stability callbacks,
-//!   engine commands). It must never block: log tickets fire their
-//!   callbacks *synchronously on the caller's thread* when the serial is
-//!   already stable, so the coordinator itself sends into this lane — a
-//!   bounded lane could self-deadlock. It is intrinsically bounded
-//!   anyway: every message class is capped by bounded in-flight state
-//!   (open transactions, the hold queue, per-edge ctrl-link windows), not
-//!   by external producers.
+//! * its **input rings**, one per port — data, finalize / revoke and EOF
+//!   from the upstream, read by cursor. The ring's window is the whole of
+//!   backpressure: what a stalled coordinator does not read stays unread
+//!   in the ring, the window fills and the producer saturates in turn, hop
+//!   by hop, with no second queue in between;
+//! * its **downstream control rings**, one per output — acks and replay
+//!   requests, acknowledged as they are read (nobody re-reads a control
+//!   link);
+//! * one unbounded **notice queue** for what is not an edge: log-stability
+//!   callbacks, STM commits and aborts, engine commands, and the control
+//!   frames a bridge read off its socket. It must never block — a log
+//!   ticket fires its callback *synchronously on the caller's thread* when
+//!   the serial is already stable, so the coordinator itself posts here —
+//!   and it is bounded anyway by bounded in-flight state (open
+//!   transactions, the hold queue, the control windows);
+//! * one **waker** all of them signal, the only place the coordinator
+//!   sleeps.
 //!
-//! Receives service the control lane first so a stalled node keeps
-//! serving replay requests and acks — the deadlock-freedom core of the
-//! flow-control protocol. The plumbing survives operator crashes — links,
-//! sequence counters and retained output buffers are exactly the state
-//! that lives *outside* the failed process in the paper's model.
+//! The coordinator serves notices and control rings first, so a stalled
+//! node keeps serving replay requests and acks — the deadlock-freedom core
+//! of the flow-control protocol. The inbox survives operator crashes —
+//! links, sequence counters and retained output buffers are exactly the
+//! state that lives *outside* the failed process in the paper's model;
+//! only the notices in flight die with it.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crossbeam_channel::{RecvTimeoutError, TryRecvError};
-use streammine_net::{LinkReceiver, LinkSender};
+use parking_lot::Mutex;
+use streammine_net::{LinkReceiver, LinkSender, Waker};
 use streammine_stm::TxnId;
 
 use crate::message::{Control, Message};
 
-/// Messages arriving at a node's coordinator.
+/// What reaches a node's coordinator other than over a ring.
 #[derive(Debug)]
-pub(crate) enum Intake {
-    /// A message from the upstream on input port `port`, with its link
-    /// sequence number.
-    Upstream { port: u32, link_seq: u64, msg: Message },
-    /// A control message from the downstream on output `out`.
+pub(crate) enum Notice {
+    /// A control message from the downstream on output `out` that a bridge
+    /// read off its socket (in process it comes over a control ring).
     Downstream { out: u32, ctrl: Control },
     /// The STM committed a transaction (speculative mode).
     TxnCommitted(TxnId),
@@ -78,9 +79,6 @@ pub(crate) struct DownEdge {
     /// of its re-executed outputs are already on the wire and must not be
     /// appended again.
     pub events_sent: Arc<AtomicU64>,
-    /// Forwarder feeding the receiver's acknowledgments into our intake
-    /// (held only to keep the thread alive).
-    pub _ctrl_pump: Option<JoinHandle<()>>,
 }
 
 impl fmt::Debug for DownEdge {
@@ -89,57 +87,57 @@ impl fmt::Debug for DownEdge {
     }
 }
 
-/// The upstream-facing half of an edge at the receiving node.
-pub(crate) struct UpEdge {
-    /// Control back to the sender (acks, replay requests): a severed
-    /// control link delays — never loses — them.
-    pub ctrl_tx: LinkSender<Control>,
-    /// Forwarder feeding the sender's data into our intake.
-    pub _data_pump: Option<JoinHandle<()>>,
+/// Everything one coordinator reads, behind one waker. See the module
+/// docs.
+#[derive(Debug)]
+pub(crate) struct Inbox {
+    /// The input rings, by port.
+    pub inputs: Vec<LinkReceiver<Message>>,
+    /// The downstream control rings, by output (none where a bridge
+    /// carries the edge: its control arrives as notices).
+    pub ctrls: Vec<LinkReceiver<Control>>,
+    notices: Mutex<VecDeque<Notice>>,
+    waker: Waker,
 }
 
-impl fmt::Debug for UpEdge {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("UpEdge").finish()
+impl Inbox {
+    /// An inbox over the given rings; each signals the inbox's waker from
+    /// now on.
+    pub fn new(
+        inputs: Vec<LinkReceiver<Message>>,
+        ctrls: Vec<LinkReceiver<Control>>,
+    ) -> Arc<Inbox> {
+        let waker = Waker::new();
+        inputs.iter().for_each(|rx| rx.set_waker(waker.clone()));
+        ctrls.iter().for_each(|rx| rx.set_waker(waker.clone()));
+        Arc::new(Inbox { inputs, ctrls, notices: Mutex::new(VecDeque::new()), waker })
     }
-}
 
-/// Spawns a forwarder pumping a data link into an intake channel.
-pub(crate) fn pump_data(
-    port: u32,
-    rx: LinkReceiver<Message>,
-    intake: IntakeSender,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("pump-data-p{port}"))
-        .spawn(move || {
-            while let Ok((link_seq, msg)) = rx.recv() {
-                if intake.send(Intake::Upstream { port, link_seq, msg }).is_err() {
-                    break;
-                }
-            }
-        })
-        .expect("spawn data pump")
-}
+    /// Queues a notice and wakes the coordinator. Never blocks.
+    pub fn post(&self, notice: Notice) {
+        self.notices.lock().push_back(notice);
+        self.waker.wake();
+    }
 
-/// Spawns a forwarder pumping a downstream control link into an intake.
-pub(crate) fn pump_ctrl(
-    out: u32,
-    rx: LinkReceiver<Control>,
-    intake: IntakeSender,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("pump-ctrl-o{out}"))
-        .spawn(move || {
-            while let Ok((seq, ctrl)) = rx.recv() {
-                if intake.send(Intake::Downstream { out, ctrl }).is_err() {
-                    break;
-                }
-                // Forwarded: nobody re-reads a control link.
-                rx.ack_upto(seq + 1);
-            }
-        })
-        .expect("spawn ctrl pump")
+    /// Moves every queued notice, in order, into the empty `into` (whose
+    /// storage the queue takes over, so a steady state allocates nothing).
+    pub fn take_notices(&self, into: &mut VecDeque<Notice>) {
+        debug_assert!(into.is_empty());
+        std::mem::swap(&mut *self.notices.lock(), into);
+    }
+
+    /// Sleeps until a ring or the notice queue signals, or `deadline`;
+    /// `false` when the deadline came first. A signal since the last park
+    /// returns at once — poll everything, *then* park.
+    pub fn park_until(&self, deadline: Instant) -> bool {
+        self.waker.park_until(deadline)
+    }
+
+    /// Discards the queued notices (crash simulation: they die with the
+    /// process; the rings are what survives).
+    pub fn drain(&self) {
+        self.notices.lock().clear();
+    }
 }
 
 /// The receive cursor of one edge: the next link sequence it accepts and
@@ -199,193 +197,10 @@ impl EdgeCursor {
     }
 }
 
-/// Which intake lane an [`IntakeSender`] feeds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Lane {
-    Data,
-    Ctrl,
-}
-
-/// Both lanes of an intake, behind one mutex. A single lock for both lanes
-/// is what lets a blocking receive wait on *either* lane with one condvar —
-/// the channel stand-in has no multi-channel select, and the previous
-/// slice-polling workaround cost up to 500µs of added latency per hop.
-#[derive(Debug)]
-struct IntakeQueues {
-    data: VecDeque<Intake>,
-    ctrl: VecDeque<Intake>,
-    data_cap: usize,
-    /// Cleared when the last [`IntakeHandle`] clone drops; senders then
-    /// fail fast so pump threads exit.
-    receiver_alive: bool,
-}
-
-#[derive(Debug)]
-struct IntakeShared {
-    inner: parking_lot::Mutex<IntakeQueues>,
-    /// Signalled on every send: the coordinator waits here for messages.
-    recv_cv: parking_lot::Condvar,
-    /// Signalled when the data lane gains space: data pumps wait here —
-    /// this blocking *is* the backpressure mechanism.
-    space_cv: parking_lot::Condvar,
-}
-
-/// A cloneable producer endpoint for one intake lane.
-///
-/// Data-lane sends block while the lane is full (backpressure); control-lane
-/// sends never block. Both fail once the receiving coordinator is gone.
-#[derive(Debug, Clone)]
-pub(crate) struct IntakeSender {
-    shared: Arc<IntakeShared>,
-    lane: Lane,
-}
-
-/// Error returned by [`IntakeSender::send`] when the receiver is gone.
-#[derive(Debug)]
-pub(crate) struct IntakeClosed;
-
-impl IntakeSender {
-    /// Enqueues a message on this sender's lane. Blocks on a full data
-    /// lane; returns `Err` once the receiver has been dropped.
-    pub fn send(&self, m: Intake) -> Result<(), IntakeClosed> {
-        let mut q = self.shared.inner.lock();
-        match self.lane {
-            Lane::Ctrl => {
-                if !q.receiver_alive {
-                    return Err(IntakeClosed);
-                }
-                q.ctrl.push_back(m);
-            }
-            Lane::Data => {
-                while q.receiver_alive && q.data.len() >= q.data_cap {
-                    self.shared.space_cv.wait(&mut q);
-                }
-                if !q.receiver_alive {
-                    return Err(IntakeClosed);
-                }
-                q.data.push_back(m);
-            }
-        }
-        drop(q);
-        self.shared.recv_cv.notify_one();
-        Ok(())
-    }
-}
-
-/// Drops ownership of the receiving side: the last [`IntakeHandle`] clone
-/// going away marks the intake closed and wakes every blocked sender.
-#[derive(Debug)]
-struct ReceiverToken {
-    shared: Arc<IntakeShared>,
-}
-
-impl Drop for ReceiverToken {
-    fn drop(&mut self) {
-        self.shared.inner.lock().receiver_alive = false;
-        self.shared.space_cv.notify_all();
-        self.shared.recv_cv.notify_all();
-    }
-}
-
-/// The two-lane queue bundle feeding a node's coordinator. Survives
-/// crashes. See the module docs for the lane semantics.
-#[derive(Debug, Clone)]
-pub(crate) struct IntakeHandle {
-    /// Bounded data lane: data pumps only. A blocking send here *is* the
-    /// backpressure mechanism.
-    pub data_tx: IntakeSender,
-    /// Unbounded control lane: everything that must never block.
-    pub ctrl_tx: IntakeSender,
-    _receiver: Arc<ReceiverToken>,
-}
-
-impl IntakeHandle {
-    /// Creates an intake whose data lane holds at most `data_capacity`
-    /// messages (`NodeConfig::intake_capacity`).
-    pub fn new(data_capacity: usize) -> Self {
-        let shared = Arc::new(IntakeShared {
-            inner: parking_lot::Mutex::new(IntakeQueues {
-                data: VecDeque::with_capacity(data_capacity.max(1)),
-                ctrl: VecDeque::new(),
-                data_cap: data_capacity.max(1),
-                receiver_alive: true,
-            }),
-            recv_cv: parking_lot::Condvar::new(),
-            space_cv: parking_lot::Condvar::new(),
-        });
-        IntakeHandle {
-            data_tx: IntakeSender { shared: shared.clone(), lane: Lane::Data },
-            ctrl_tx: IntakeSender { shared: shared.clone(), lane: Lane::Ctrl },
-            _receiver: Arc::new(ReceiverToken { shared }),
-        }
-    }
-
-    /// Pops the next message under the queue lock; control lane first. With
-    /// `accept_data == false` (backpressure stall) the data lane is left
-    /// untouched so its pumps stay blocked.
-    fn pop_locked(&self, q: &mut IntakeQueues, accept_data: bool) -> Option<Intake> {
-        if let Some(m) = q.ctrl.pop_front() {
-            return Some(m);
-        }
-        if accept_data {
-            if let Some(m) = q.data.pop_front() {
-                self.data_tx.shared.space_cv.notify_one();
-                return Some(m);
-            }
-        }
-        None
-    }
-
-    /// Non-blocking receive; control lane first.
-    pub fn try_recv(&self, accept_data: bool) -> Result<Intake, TryRecvError> {
-        let mut q = self.data_tx.shared.inner.lock();
-        self.pop_locked(&mut q, accept_data).ok_or(TryRecvError::Empty)
-    }
-
-    /// Blocking receive with a timeout; control lane first. Waits on the
-    /// shared condvar — a send on either lane wakes it immediately, with no
-    /// polling slice.
-    pub fn recv_timeout(
-        &self,
-        timeout: Duration,
-        accept_data: bool,
-    ) -> Result<Intake, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
-        let mut q = self.data_tx.shared.inner.lock();
-        loop {
-            if let Some(m) = self.pop_locked(&mut q, accept_data) {
-                return Ok(m);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(RecvTimeoutError::Timeout);
-            }
-            let _ = self.data_tx.shared.recv_cv.wait_for(&mut q, deadline - now);
-        }
-    }
-
-    /// Discards everything queued on both lanes (crash simulation:
-    /// in-flight intake messages die with the process). Draining the data
-    /// lane also unblocks any pump waiting on a full lane.
-    pub fn drain(&self) -> usize {
-        let mut q = self.data_tx.shared.inner.lock();
-        let n = q.ctrl.len() + q.data.len();
-        q.ctrl.clear();
-        q.data.clear();
-        drop(q);
-        self.data_tx.shared.space_cv.notify_all();
-        n
-    }
-
-    /// Messages currently queued on the bounded data lane.
-    pub fn data_depth(&self) -> usize {
-        self.data_tx.shared.inner.lock().data.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
     use streammine_common::event::{Event, Value};
     use streammine_common::ids::{EventId, OperatorId};
     use streammine_net::{link, LinkConfig};
@@ -427,70 +242,109 @@ mod tests {
     }
 
     #[test]
-    fn data_pump_forwards_with_port_tag() {
-        let (tx, rx) = link::<Message>(LinkConfig::instant());
-        let intake = IntakeHandle::new(16);
-        let _h = pump_data(3, rx, intake.data_tx.clone());
-        tx.send(msg(7)).unwrap();
-        match intake.recv_timeout(Duration::from_secs(5), true).unwrap() {
-            Intake::Upstream { port, link_seq, msg: Message::Data(e) } => {
-                assert_eq!(port, 3);
-                assert_eq!(link_seq, 0);
-                assert_eq!(e.payload, Value::Int(7));
+    fn notices_are_taken_in_order_and_die_with_a_crash() {
+        let inbox = Inbox::new(Vec::new(), Vec::new());
+        inbox.post(Notice::LogStable { serial: 1 });
+        inbox.post(Notice::LogStable { serial: 2 });
+        let mut got = VecDeque::new();
+        inbox.take_notices(&mut got);
+        let serials: Vec<u64> = got
+            .drain(..)
+            .map(|n| match n {
+                Notice::LogStable { serial } => serial,
+                other => panic!("unexpected notice {other:?}"),
+            })
+            .collect();
+        assert_eq!(serials, vec![1, 2]);
+        inbox.post(Notice::Command(NodeCommand::Shutdown));
+        inbox.drain();
+        inbox.take_notices(&mut got);
+        assert!(got.is_empty());
+    }
+
+    /// Several producers over several rings plus the notice queue, one
+    /// consumer on the waker: everything sent is consumed, in per-ring
+    /// order, and the consumer never sleeps out a park while something is
+    /// readable — a signal between its last poll and its park is kept.
+    #[test]
+    fn one_consumer_drains_many_producers_without_a_lost_wakeup() {
+        const RINGS: usize = 3;
+        const PER_PRODUCER: u64 = 2_000;
+        /// Far longer than any hand-over; a park that lasts this long with
+        /// something readable slept through its signal.
+        const PARK: Duration = Duration::from_millis(500);
+
+        // Tiny windows, so producers also block on the consumer's cursor.
+        let (data_txs, data_rxs): (Vec<_>, Vec<_>) =
+            (0..RINGS).map(|_| link::<Message>(LinkConfig::instant().with_capacity(4))).unzip();
+        let (ctrl_txs, ctrl_rxs): (Vec<_>, Vec<_>) =
+            (0..RINGS).map(|_| link::<Control>(LinkConfig::instant().with_capacity(4))).unzip();
+        let inbox = Inbox::new(data_rxs, ctrl_rxs);
+        let total = PER_PRODUCER * (2 * RINGS as u64 + 1);
+
+        std::thread::scope(|s| {
+            for tx in &data_txs {
+                s.spawn(move || {
+                    for n in 0..PER_PRODUCER {
+                        tx.send_blocking(msg(n as i64)).unwrap();
+                    }
+                });
             }
-            other => panic!("unexpected intake {other:?}"),
-        }
-    }
-
-    #[test]
-    fn ctrl_pump_forwards_with_out_tag() {
-        let (tx, rx) = link::<Control>(LinkConfig::instant());
-        let intake = IntakeHandle::new(16);
-        let _h = pump_ctrl(1, rx, intake.ctrl_tx.clone());
-        tx.send(Control::Ack { upto: 9 }).unwrap();
-        match intake.recv_timeout(Duration::from_secs(5), true).unwrap() {
-            Intake::Downstream { out, ctrl: Control::Ack { upto } } => {
-                assert_eq!(out, 1);
-                assert_eq!(upto, 9);
+            for tx in &ctrl_txs {
+                s.spawn(move || {
+                    for n in 0..PER_PRODUCER {
+                        tx.send_blocking(Control::Ack { upto: n }).unwrap();
+                    }
+                });
             }
-            other => panic!("unexpected intake {other:?}"),
-        }
-    }
+            let notifier = inbox.clone();
+            s.spawn(move || {
+                for serial in 0..PER_PRODUCER {
+                    notifier.post(Notice::LogStable { serial });
+                }
+            });
 
-    #[test]
-    fn control_lane_is_served_before_data() {
-        let intake = IntakeHandle::new(16);
-        intake.data_tx.send(Intake::Upstream { port: 0, link_seq: 0, msg: msg(1) }).unwrap();
-        intake.ctrl_tx.send(Intake::LogStable { serial: 5 }).unwrap();
-        // Control wins even though data arrived first.
-        assert!(matches!(intake.try_recv(true), Ok(Intake::LogStable { serial: 5 })));
-        assert!(matches!(intake.try_recv(true), Ok(Intake::Upstream { .. })));
-    }
-
-    #[test]
-    fn stalled_receive_leaves_data_lane_untouched() {
-        let intake = IntakeHandle::new(16);
-        intake.data_tx.send(Intake::Upstream { port: 0, link_seq: 0, msg: msg(1) }).unwrap();
-        assert!(intake.try_recv(false).is_err(), "data must stay queued while stalled");
-        assert_eq!(intake.data_depth(), 1);
-        assert!(matches!(intake.try_recv(true), Ok(Intake::Upstream { .. })));
-    }
-
-    #[test]
-    fn full_data_lane_blocks_pump_until_drained() {
-        let (tx, rx) = link::<Message>(LinkConfig::instant());
-        let intake = IntakeHandle::new(1);
-        let _h = pump_data(0, rx, intake.data_tx.clone());
-        tx.send(msg(1)).unwrap();
-        tx.send(msg(2)).unwrap();
-        tx.send(msg(3)).unwrap();
-        // Lane capacity 1: the pump holds one message blocked in send; the
-        // third stays on the link until the coordinator drains.
-        let first = intake.recv_timeout(Duration::from_secs(5), true).unwrap();
-        assert!(matches!(first, Intake::Upstream { link_seq: 0, .. }));
-        let second = intake.recv_timeout(Duration::from_secs(5), true).unwrap();
-        assert!(matches!(second, Intake::Upstream { link_seq: 1, .. }));
-        let third = intake.recv_timeout(Duration::from_secs(5), true).unwrap();
-        assert!(matches!(third, Intake::Upstream { link_seq: 2, .. }));
+            let mut next_data = [0u64; RINGS];
+            let mut next_ctrl = [0u64; RINGS];
+            let mut next_notice = 0u64;
+            let mut notices = VecDeque::new();
+            let mut consumed = 0u64;
+            while consumed < total {
+                let before = consumed;
+                inbox.take_notices(&mut notices);
+                for notice in notices.drain(..) {
+                    assert!(
+                        matches!(notice, Notice::LogStable { serial } if serial == next_notice)
+                    );
+                    next_notice += 1;
+                    consumed += 1;
+                }
+                for (ring, rx) in inbox.ctrls.iter().enumerate() {
+                    while let Some((seq, ctrl)) = rx.try_recv().unwrap() {
+                        assert_eq!((seq, ctrl), (next_ctrl[ring], Control::Ack { upto: seq }));
+                        rx.ack_upto(seq + 1);
+                        next_ctrl[ring] += 1;
+                        consumed += 1;
+                    }
+                }
+                for (ring, rx) in inbox.inputs.iter().enumerate() {
+                    // One frame per ring per pass: the consumer parks often.
+                    if let Some((seq, _)) = rx.try_recv().unwrap() {
+                        assert_eq!(seq, next_data[ring]);
+                        next_data[ring] += 1;
+                        consumed += 1;
+                    }
+                }
+                if consumed == before {
+                    let parked_at = Instant::now();
+                    let signalled = inbox.park_until(parked_at + PARK);
+                    assert!(
+                        signalled,
+                        "slept {:?} through a wake-up at {consumed}/{total}",
+                        parked_at.elapsed()
+                    );
+                }
+            }
+        });
     }
 }

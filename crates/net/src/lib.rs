@@ -15,13 +15,16 @@
 //!   a sequence number — [`LinkSender::replay_from`] moves the cursor back,
 //!   it copies nothing and can never stop half way;
 //! * the **in-flight queue**, delivering in order and reliably, with a
-//!   configurable **propagation delay** and optional jitter (the due time
-//!   is stored with the entry; FIFO order is preserved, as on a TCP
-//!   stream);
+//!   configurable **propagation delay** and optional jitter. The instant a
+//!   message is due is stored with the entry, and a message is *readable*
+//!   only when it is present, below the sever limit and due: a read never
+//!   sleeps, it finds the message or it does not (FIFO order is preserved,
+//!   as on a TCP stream);
 //! * the **flow-control window**: at most [`LinkConfig::capacity`]
 //!   messages may be unread (tail − cursor). [`LinkSender::send`] beyond it
-//!   fails fast with [`LinkError::Saturated`] instead of growing memory;
-//!   the coordinator's [`LinkSender::push`] never rejects — dropping would
+//!   fails fast with [`LinkError::Saturated`] instead of growing memory,
+//!   [`LinkSender::send_blocking`] waits for the cursor to advance, and the
+//!   coordinator's [`LinkSender::push`] never rejects — dropping would
 //!   break precise recovery — but reports the saturation so the producer
 //!   stops. A rewind consumes no window, so replay can never wait on the
 //!   live traffic it is about to re-deliver;
@@ -29,6 +32,12 @@
 //!   how far the cursor may read; what is sent meanwhile waits in the ring
 //!   and flows, in order, when the link heals. A transient
 //!   [`LinkSender::delay_spike`] models congestion without reordering.
+//!
+//! A receiver either blocks on its own ring ([`LinkReceiver::recv`]) or —
+//! a consumer of several rings — polls each with
+//! [`LinkReceiver::try_recv`] and parks on one [`Waker`] that every ring
+//! signals ([`LinkReceiver::set_waker`]) until something was sent or the
+//! earliest in-flight message ([`LinkReceiver::next_due`]) is due.
 //!
 //! # Example
 //!
@@ -62,7 +71,7 @@ pub use transport::{
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -223,6 +232,65 @@ impl SendOutcome {
     }
 }
 
+/// The one place a consumer of several rings sleeps. Everything it reads
+/// signals the waker after making something readable; the consumer polls
+/// its sources, and when none had anything parks here. A signal between
+/// its last poll and the park is remembered, so it is never slept through.
+#[derive(Clone, Debug, Default)]
+pub struct Waker {
+    inner: Arc<WakerInner>,
+}
+
+#[derive(Debug, Default)]
+struct WakerInner {
+    state: Mutex<WakerState>,
+    cv: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct WakerState {
+    signalled: bool,
+    /// The consumer is waiting on the condvar (so a signal to a busy
+    /// consumer skips the wake-up call).
+    parked: bool,
+}
+
+impl Waker {
+    /// A waker nobody has signalled.
+    pub fn new() -> Waker {
+        Waker::default()
+    }
+
+    /// Signals the consumer: its next (or current) park returns at once.
+    pub fn wake(&self) {
+        let mut state = self.inner.state.lock();
+        state.signalled = true;
+        if std::mem::take(&mut state.parked) {
+            drop(state);
+            self.inner.cv.notify_one();
+        }
+    }
+
+    /// Sleeps until signalled or `deadline`, consuming the signal; `false`
+    /// when the deadline came first.
+    pub fn park_until(&self, deadline: Instant) -> bool {
+        let mut state = self.inner.state.lock();
+        loop {
+            if std::mem::take(&mut state.signalled) {
+                state.parked = false;
+                return true;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                state.parked = false;
+                return false;
+            }
+            state.parked = true;
+            let _ = self.inner.cv.wait_for(&mut state, deadline - now);
+        }
+    }
+}
+
 struct Spike {
     extra: Duration,
     until: Instant,
@@ -252,6 +320,8 @@ struct Ring<T> {
     /// The receiver is parked on the condvar (so an idle send skips the
     /// wake-up call).
     rx_waiting: bool,
+    /// A blocking send is parked until the cursor advances.
+    tx_waiting: bool,
     tx_alive: bool,
     rx_alive: bool,
 }
@@ -315,40 +385,63 @@ impl<T> Ring<T> {
         Some(due)
     }
 
-    /// Hands the receiver the message at the cursor, if it may read one.
-    fn take(&mut self) -> Option<(Option<Instant>, u64, T)>
+    /// Hands the receiver the message at the cursor, if it is readable:
+    /// present, below the sever limit and due.
+    fn take(&mut self) -> Head<T>
     where
         T: Clone,
     {
         let seq = self.cursor;
         if seq >= self.tail().min(self.limit) {
-            return None;
+            return Head::Empty;
+        }
+        let idx = (seq - self.base) as usize;
+        if let Some(due) = self.entries[idx].0 {
+            if due > Instant::now() {
+                return Head::InFlight(due);
+            }
         }
         self.cursor += 1;
         if seq < self.acked {
             // Acknowledged ahead of the read (a link nobody replays):
             // nothing keeps the stored message, so it is moved out.
             self.base += 1;
-            let (due, msg) = self.entries.pop_front().expect("cursor below tail");
-            return Some((due, seq, msg));
+            let (_, msg) = self.entries.pop_front().expect("cursor below tail");
+            return Head::Ready(seq, msg);
         }
-        let (due, msg) = &self.entries[(seq - self.base) as usize];
-        Some((*due, seq, msg.clone()))
+        Head::Ready(seq, self.entries[idx].1.clone())
     }
+}
+
+/// What the receiver finds at its cursor.
+enum Head<T> {
+    /// A readable message, now read.
+    Ready(u64, T),
+    /// A message still in flight, due at the instant.
+    InFlight(Instant),
+    /// Nothing below the tail and the sever limit.
+    Empty,
 }
 
 struct Shared<T> {
     ring: Mutex<Ring<T>>,
     /// Signalled when the receiver may have something to read.
     readable: Condvar,
+    /// Signalled when the cursor advanced under a blocked sender.
+    writable: Condvar,
+    /// The consumer's own waker, signalled with `readable`.
+    waker: OnceLock<Waker>,
     config: LinkConfig,
 }
 
 impl<T> Shared<T> {
-    /// Wakes the receiver if it is parked; call with the ring locked.
+    /// Wakes the receiver wherever it sleeps; call with the ring locked.
     fn wake(&self, ring: &mut Ring<T>) {
         if std::mem::take(&mut ring.rx_waiting) {
             self.readable.notify_one();
+        }
+        if let Some(waker) = self.waker.get() {
+            waker.wake();
         }
     }
 
@@ -418,6 +511,7 @@ pub struct LinkReceiver<T> {
 impl<T> Drop for LinkReceiver<T> {
     fn drop(&mut self) {
         self.shared.ring.lock().rx_alive = false;
+        self.shared.writable.notify_all();
     }
 }
 
@@ -448,10 +542,13 @@ pub fn link<T: Clone + Send + 'static>(config: LinkConfig) -> (LinkSender<T>, Li
             metrics: None,
             pending_hwm: 0,
             rx_waiting: false,
+            tx_waiting: false,
             tx_alive: true,
             rx_alive: true,
         }),
         readable: Condvar::new(),
+        writable: Condvar::new(),
+        waker: OnceLock::new(),
         config,
     });
     let token = Arc::new(SenderToken { shared: shared.clone() });
@@ -479,6 +576,11 @@ impl<T: Clone + Send + 'static> LinkSender<T> {
         if wake {
             self.shared.readable.notify_one();
         }
+        if !severed {
+            if let Some(waker) = self.shared.waker.get() {
+                waker.wake();
+            }
+        }
         match (saturated, severed) {
             (true, _) => SendOutcome::Saturated(seq),
             (false, true) => SendOutcome::Queued(seq),
@@ -498,17 +600,39 @@ impl<T: Clone + Send + 'static> LinkSender<T> {
     /// consumer drains. [`LinkError::Disconnected`] when the receiver is
     /// gone.
     pub fn send(&self, msg: T) -> Result<u64, LinkError> {
-        let ring = self.shared.ring.lock();
-        if !ring.rx_alive {
-            return Err(LinkError::Disconnected);
-        }
-        if ring.unread() >= self.shared.config.capacity {
+        self.send_when_room(msg, false)
+    }
+
+    /// [`LinkSender::send`] for a producer with nowhere to shed load to (a
+    /// source, a socket reader): while the window is full it waits for the
+    /// receiver's cursor to advance — backpressure felt as a blocked call.
+    ///
+    /// # Errors
+    ///
+    /// [`LinkError::Disconnected`] when the receiver is gone, before or
+    /// during the wait.
+    pub fn send_blocking(&self, msg: T) -> Result<u64, LinkError> {
+        self.send_when_room(msg, true)
+    }
+
+    fn send_when_room(&self, msg: T, wait: bool) -> Result<u64, LinkError> {
+        let mut ring = self.shared.ring.lock();
+        loop {
+            if !ring.rx_alive {
+                return Err(LinkError::Disconnected);
+            }
+            if ring.unread() < self.shared.config.capacity {
+                return Ok(self.append(ring, msg).seq());
+            }
             if let Some(m) = &ring.metrics {
                 m.saturated.incr();
             }
-            return Err(LinkError::Saturated);
+            if !wait {
+                return Err(LinkError::Saturated);
+            }
+            ring.tx_waiting = true;
+            self.shared.writable.wait(&mut ring);
         }
-        Ok(self.append(ring, msg).seq())
     }
 
     /// Sends a message and never rejects, drops or reorders it: a producer
@@ -630,39 +754,43 @@ impl<T: Clone + Send + 'static> LinkSender<T> {
 }
 
 impl<T: Clone + Send + 'static> LinkReceiver<T> {
-    /// Sleeps out what is left of the message's propagation delay. The
-    /// window slot was freed when the cursor passed the message, before
-    /// this sleep: the wire is free as soon as the consumer takes it.
-    fn deliver((due, seq, msg): (Option<Instant>, u64, T)) -> (u64, T) {
-        if let Some(due) = due {
-            let now = Instant::now();
-            if due > now {
-                std::thread::sleep(due - now);
-            }
+    /// Reads the message at the cursor if it is readable, and lets a
+    /// blocked sender know the window moved.
+    fn take(&self, ring: &mut Ring<T>) -> Head<T> {
+        let head = ring.take();
+        if matches!(head, Head::Ready(..)) && std::mem::take(&mut ring.tx_waiting) {
+            self.shared.writable.notify_all();
         }
-        (seq, msg)
+        head
     }
 
     /// Waits until `deadline` (for ever when `None`) for a message.
     fn recv_until(&self, deadline: Option<Instant>) -> Result<(u64, T), LinkError> {
         let mut ring = self.shared.ring.lock();
         loop {
-            if let Some(taken) = ring.take() {
-                drop(ring);
-                return Ok(Self::deliver(taken));
-            }
-            if !ring.tx_alive {
-                return Err(LinkError::Disconnected);
-            }
+            let due = match self.take(&mut ring) {
+                Head::Ready(seq, msg) => return Ok((seq, msg)),
+                Head::InFlight(due) => Some(due),
+                Head::Empty if ring.tx_alive => None,
+                Head::Empty => return Err(LinkError::Disconnected),
+            };
+            // Until a send, a heal or a rewind — or the head falls due.
+            let until = match (deadline, due) {
+                (Some(deadline), Some(due)) => Some(deadline.min(due)),
+                (deadline, due) => deadline.or(due),
+            };
             ring.rx_waiting = true;
-            match deadline {
+            match until {
                 None => self.shared.readable.wait(&mut ring),
-                Some(deadline) => {
+                Some(until) => {
                     let now = Instant::now();
-                    if now >= deadline {
+                    if deadline.is_some_and(|deadline| now >= deadline) {
                         return Err(LinkError::Timeout);
                     }
-                    let _ = self.shared.readable.wait_for(&mut ring, deadline - now);
+                    let _ = self
+                        .shared
+                        .readable
+                        .wait_for(&mut ring, until.saturating_duration_since(now));
                 }
             }
         }
@@ -678,8 +806,9 @@ impl<T: Clone + Send + 'static> LinkReceiver<T> {
         self.recv_until(None)
     }
 
-    /// Non-blocking receive. `Ok(None)` when nothing is readable (a taken
-    /// message still sleeps out its remaining propagation delay).
+    /// Non-blocking receive. `Ok(None)` when nothing is readable — nothing
+    /// sent, severed, or the next message still in flight (see
+    /// [`LinkReceiver::next_due`]).
     ///
     /// # Errors
     ///
@@ -687,14 +816,31 @@ impl<T: Clone + Send + 'static> LinkReceiver<T> {
     /// is left to read.
     pub fn try_recv(&self) -> Result<Option<(u64, T)>, LinkError> {
         let mut ring = self.shared.ring.lock();
-        match ring.take() {
-            Some(taken) => {
-                drop(ring);
-                Ok(Some(Self::deliver(taken)))
-            }
-            None if ring.tx_alive => Ok(None),
-            None => Err(LinkError::Disconnected),
+        match self.take(&mut ring) {
+            Head::Ready(seq, msg) => Ok(Some((seq, msg))),
+            Head::Empty if !ring.tx_alive => Err(LinkError::Disconnected),
+            Head::InFlight(_) | Head::Empty => Ok(None),
         }
+    }
+
+    /// When the message at the cursor is due, if it has a due instant: how
+    /// long a consumer that just found nothing readable may sleep without
+    /// being signalled.
+    pub fn next_due(&self) -> Option<Instant> {
+        let ring = self.shared.ring.lock();
+        let present = ring.cursor < ring.tail().min(ring.limit);
+        present.then(|| ring.entries[(ring.cursor - ring.base) as usize].0).flatten()
+    }
+
+    /// Makes the ring signal `waker` whenever it may have become readable
+    /// (a send, a heal, a rewind, the last sender leaving), for a consumer
+    /// that polls with [`LinkReceiver::try_recv`] and sleeps on the waker.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the ring already has a waker: a ring has one consumer.
+    pub fn set_waker(&self, waker: Waker) {
+        assert!(self.shared.waker.set(waker).is_ok(), "the ring already has a waker");
     }
 
     /// Blocking receive with a timeout.
@@ -715,8 +861,8 @@ impl<T: Clone + Send + 'static> LinkReceiver<T> {
     }
 
     /// The receiver's side of [`LinkSender::ack_upto`], for a consumer
-    /// that is the last one to need what it reads (a control-link pump
-    /// acknowledges what it has forwarded).
+    /// that is the last one to need what it reads (the reader of a control
+    /// link acknowledges what it has handled).
     pub fn ack_upto(&self, upto: u64) {
         self.shared.ack_upto(upto);
     }
@@ -1006,6 +1152,79 @@ mod tests {
         assert_eq!(tx.send(1).unwrap(), 40);
         assert_eq!(rx.recv().unwrap(), (40, 1));
         assert_eq!(rx.rewind_to(0), 1, "a rewind stops at the first retained sequence");
+    }
+
+    #[test]
+    fn in_flight_message_is_not_readable_until_due() {
+        let delay = Duration::from_millis(20);
+        let (tx, rx) = link::<u8>(LinkConfig::with_delay(delay).with_capacity(1));
+        let sent_at = Instant::now();
+        tx.send(1).unwrap();
+        // A read never sleeps: it finds nothing, and says until when.
+        assert_eq!(rx.try_recv().unwrap(), None);
+        assert!(sent_at.elapsed() < delay, "try_recv slept out the delay");
+        let due = rx.next_due().expect("a message is in flight");
+        assert!(due >= sent_at + delay);
+        // The window slot is the message's until it is read.
+        assert_eq!(tx.send(2).unwrap_err(), LinkError::Saturated);
+        assert_eq!(rx.recv_timeout(Duration::from_millis(1)).unwrap_err(), LinkError::Timeout);
+        // A blocking read wakes itself when the head falls due.
+        assert_eq!(rx.recv().unwrap(), (0, 1));
+        assert!(Instant::now() >= due);
+        assert_eq!(rx.next_due(), None);
+        // What was sent is delivered when due, sender gone or not.
+        tx.send(2).unwrap();
+        drop(tx);
+        assert_eq!(rx.try_recv().unwrap(), None);
+        assert_eq!(rx.recv().unwrap(), (1, 2));
+        assert_eq!(rx.recv().unwrap_err(), LinkError::Disconnected);
+    }
+
+    #[test]
+    fn blocking_send_waits_for_the_cursor() {
+        let (tx, rx) = link::<u8>(LinkConfig::instant().with_capacity(1));
+        tx.send(1).unwrap();
+        std::thread::scope(|s| {
+            let sender = s.spawn(|| tx.send_blocking(2));
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(!sender.is_finished(), "sent into a full window");
+            assert_eq!(tx.sent(), 1);
+            assert_eq!(rx.recv().unwrap(), (0, 1));
+            assert_eq!(sender.join().unwrap(), Ok(1));
+        });
+        assert_eq!(rx.recv().unwrap(), (1, 2));
+        // The receiver leaving ends the wait.
+        tx.send(3).unwrap();
+        std::thread::scope(|s| {
+            let sender = s.spawn(|| tx.send_blocking(4));
+            std::thread::sleep(Duration::from_millis(20));
+            drop(rx);
+            assert_eq!(sender.join().unwrap(), Err(LinkError::Disconnected));
+        });
+    }
+
+    #[test]
+    fn ring_signals_its_waker() {
+        let waker = Waker::new();
+        let (tx, rx) = link::<u8>(LinkConfig::instant());
+        rx.set_waker(waker.clone());
+        let soon = || Instant::now() + Duration::from_millis(5);
+        assert!(!waker.park_until(soon()), "nothing was sent");
+        tx.send(1).unwrap();
+        assert!(waker.park_until(soon()), "a send is a signal");
+        assert!(!waker.park_until(soon()), "the signal is consumed");
+        assert_eq!(rx.try_recv().unwrap(), Some((0, 1)));
+        // Behind a sever nothing became readable; the heal is the signal.
+        tx.sever();
+        tx.send(2).unwrap();
+        assert!(!waker.park_until(soon()));
+        tx.heal();
+        assert!(waker.park_until(soon()));
+        assert_eq!(rx.try_recv().unwrap(), Some((1, 2)));
+        tx.replay_from(0);
+        assert!(waker.park_until(soon()), "a rewind is a signal");
+        drop(tx);
+        assert!(waker.park_until(soon()), "the last sender leaving is a signal");
     }
 
     #[test]

@@ -124,7 +124,9 @@ impl Speculator {
         // deadlock — the abort sink fires from commit/validation paths
         // that must never block on the monitor draining.
         let (abort_tx, abort_rx) = crossbeam_channel::unbounded::<TxnId>();
-        runtime.set_abort_sink(abort_tx);
+        runtime.set_abort_sink(move |id| {
+            let _ = abort_tx.send(id);
+        });
         let (completion_tx, completion_rx) = crossbeam_channel::unbounded::<TxnHandle>();
 
         let monitor = {
@@ -318,18 +320,17 @@ impl Speculator {
 
     fn shutdown_in_place(&mut self) {
         self.shared.stopping.store(true, Ordering::Release);
-        // Closing the completion channel ends the waiter; dropping our
-        // abort sink clone does not end the monitor (the runtime holds the
-        // sender), so shut the runtime's sink by replacing it.
-        let (dead_tx, _dead_rx) = crossbeam_channel::unbounded();
-        self.runtime.set_abort_sink(dead_tx);
+        // Closing the completion channel ends the waiter; the monitor ends
+        // when the abort sender does, and the runtime's sink owns it — so
+        // replace the sink.
+        self.runtime.set_abort_sink(|_| {});
         self.runtime.inner.cv.notify_all();
         let (tx, _rx) = crossbeam_channel::unbounded();
         let old_tx = std::mem::replace(&mut self.completion_tx, tx);
         drop(old_tx);
         if let Some(h) = self.monitor.take() {
-            // Monitor may be blocked on recv; it wakes when the old abort
-            // sender inside the runtime is dropped above.
+            // Monitor may be blocked on recv; it wakes when the old sink,
+            // and the abort sender inside it, is dropped above.
             let _ = h.join();
         }
         if let Some(h) = self.waiter.take() {

@@ -58,7 +58,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam_channel::Sender;
 use parking_lot::{Condvar, Mutex};
 
 use crate::fence::{ColdSection, HotSection};
@@ -113,6 +112,11 @@ pub struct StmRuntime {
     pub(crate) inner: Arc<RuntimeInner>,
 }
 
+/// Where the runtime reports a transaction id. Called on the commit and
+/// abort paths, under the sink's lock: it must hand the id over without
+/// blocking and without calling back into the runtime's sink setters.
+type TxnSink = Box<dyn Fn(TxnId) + Send + Sync>;
+
 pub(crate) struct RuntimeInner {
     next_var: AtomicU64,
     next_txn: AtomicU64,
@@ -120,8 +124,8 @@ pub(crate) struct RuntimeInner {
     pub(crate) cv: Condvar,
     pub(crate) config: StmConfig,
     pub(crate) stats: StmStats,
-    abort_sink: Mutex<Option<Sender<TxnId>>>,
-    commit_sink: Mutex<Option<Sender<TxnId>>>,
+    abort_sink: Mutex<Option<TxnSink>>,
+    commit_sink: Mutex<Option<TxnSink>>,
     shutdown: AtomicBool,
     /// Recycled transaction states; their buffer vectors keep warmed-up
     /// capacity, so `begin` allocates nothing in steady state.
@@ -340,17 +344,19 @@ impl StmRuntime {
         std::thread::sleep(wait);
     }
 
-    /// Registers a channel that receives the id of every *open* transaction
-    /// torn down by a cascade abort, so its owner can re-execute it.
-    pub fn set_abort_sink(&self, sink: Sender<TxnId>) {
-        *self.inner.abort_sink.lock() = Some(sink);
+    /// Registers a non-blocking callback that is handed the id of every
+    /// *open* transaction torn down by a cascade abort, so its owner can
+    /// re-execute it. Replaces (and drops) the previous one.
+    pub fn set_abort_sink(&self, sink: impl Fn(TxnId) + Send + Sync + 'static) {
+        *self.inner.abort_sink.lock() = Some(Box::new(sink));
     }
 
-    /// Registers a channel that receives the id of every transaction that
-    /// commits. Engines use this to finalize the speculative outputs of the
-    /// corresponding event (paper's control message 6 → event 7).
-    pub fn set_commit_sink(&self, sink: Sender<TxnId>) {
-        *self.inner.commit_sink.lock() = Some(sink);
+    /// Registers a non-blocking callback that is handed the id of every
+    /// transaction that commits. Engines use this to finalize the
+    /// speculative outputs of the corresponding event (paper's control
+    /// message 6 → event 7).
+    pub fn set_commit_sink(&self, sink: impl Fn(TxnId) + Send + Sync + 'static) {
+        *self.inner.commit_sink.lock() = Some(Box::new(sink));
     }
 
     /// Snapshot of the runtime's counters.
@@ -1019,7 +1025,7 @@ impl RuntimeInner {
         if !actions.notifies.is_empty() {
             if let Some(sink) = &*self.abort_sink.lock() {
                 for id in actions.notifies {
-                    let _ = sink.send(id);
+                    sink(id);
                 }
             }
         }
@@ -1135,13 +1141,12 @@ impl RuntimeInner {
         }
         self.stats.committed.fetch_add(1, Ordering::Relaxed);
         if let Some(sink) = &*self.commit_sink.lock() {
-            // The notification channel is owned by the embedding layer and
-            // unbounded: a send occasionally allocates a fresh block inside
-            // the channel (amortized). That is the caller's buffer, not the
-            // commit path's working set, so it is excluded from the
-            // allocation fence.
+            // The notification queue is owned by the embedding layer and
+            // unbounded: a hand-over occasionally grows it (amortized).
+            // That is the caller's buffer, not the commit path's working
+            // set, so it is excluded from the allocation fence.
             let _cold = crate::fence::ColdSection::enter();
-            let _ = sink.send(st.id);
+            sink(st.id);
         }
     }
 }

@@ -1,9 +1,8 @@
 //! Overload robustness: window-based backpressure, bounded speculation,
 //! and the deadlock-freedom of replay under flow control.
 //!
-//! These tests run a pipeline with deliberately *tight* flow-control
-//! knobs — small link windows, small intakes — so that a stalled consumer
-//! saturates every hop. The claims:
+//! These tests run a pipeline with deliberately *tight* link windows, so
+//! that a stalled consumer saturates every hop. The claims:
 //!
 //! * backpressure only ever *delays* outputs, never changes a byte;
 //! * every queue stays within its configured bound while saturated;
@@ -14,7 +13,9 @@
 //!   work is never gated by the overload stall (the deadlock-freedom
 //!   argument);
 //! * speculation admission caps pace a speculative operator down to
-//!   log-stable progress instead of aborting or growing memory.
+//!   log-stable progress instead of aborting or growing memory — and a
+//!   chain of capped operators still drains, because a stalled node keeps
+//!   reading the finalizes its open transactions wait for.
 
 use std::time::Duration;
 
@@ -26,16 +27,16 @@ use streammine::core::{
 };
 use streammine::net::LinkConfig;
 use streammine::obs::{JournalKind, Labels};
+use streammine::operators::StampedRelay;
 use streammine::stm::StmAbort;
 
 const FAST_LOG: Duration = Duration::from_micros(200);
 const EVENTS: u64 = 48;
 
-// Tight overload knobs: small enough that a stalled sink saturates the
+// A tight link window: small enough that a stalled sink saturates the
 // whole chain within a handful of events, large enough that the pipeline
 // still makes progress between stall episodes.
 const LINK_CAPACITY: usize = 8;
-const INTAKE_CAPACITY: usize = 16;
 // The window is a soft cap for a coordinator (an in-flight event's outputs
 // may land after the gate check), so the hard bound on what an edge holds
 // past its window is a small per-event overshoot.
@@ -57,24 +58,15 @@ impl Operator for RandomTagger {
     }
 }
 
-/// src → tagger → tagger → tagger → sink with tight flow-control knobs on
-/// every layer: link windows and intake lanes.
+/// src → tagger → tagger → tagger → sink with a tight window on every
+/// link.
 fn tight_pipeline() -> (Running, SourceId, SinkId) {
-    tight_pipeline_with(INTAKE_CAPACITY)
-}
-
-/// [`tight_pipeline`] with the middle operator's intake lane holding
-/// `op1_intake` messages.
-fn tight_pipeline_with(op1_intake: usize) -> (Running, SourceId, SinkId) {
     let mut b = GraphBuilder::new().with_links(LinkConfig::instant().with_capacity(LINK_CAPACITY));
-    let cfg = |intake_capacity| {
-        OperatorConfig::logged(LoggingConfig::simulated(FAST_LOG))
-            .with_checkpoint_every(7)
-            .with_node(NodeConfig { intake_capacity, ..NodeConfig::default() })
-    };
-    let op0 = b.add_operator(RandomTagger, cfg(INTAKE_CAPACITY));
-    let op1 = b.add_operator(RandomTagger, cfg(op1_intake));
-    let op2 = b.add_operator(RandomTagger, cfg(INTAKE_CAPACITY));
+    let cfg =
+        || OperatorConfig::logged(LoggingConfig::simulated(FAST_LOG)).with_checkpoint_every(7);
+    let op0 = b.add_operator(RandomTagger, cfg());
+    let op1 = b.add_operator(RandomTagger, cfg());
+    let op2 = b.add_operator(RandomTagger, cfg());
     b.connect(op0, op1).unwrap();
     b.connect(op1, op2).unwrap();
     let src = b.source_into(op0).unwrap();
@@ -142,10 +134,13 @@ fn assert_stalls_reconcile(running: &Running) {
         .unwrap_or_else(|e| panic!("{e}\n{}", running.journal_dump()));
 }
 
-/// Every edge stayed within its configured bound: nothing beyond the
-/// window but the per-event overshoot.
+/// Every edge stayed within its configured bound — nothing beyond the
+/// window but the per-event overshoot — and no node holds more events
+/// read but not admitted than its upstream's speculation cap lets it read
+/// ahead (these upstreams emit final events: it should hold next to none).
 fn assert_queues_bounded(running: &Running) {
     let reg = &running.obs().registry;
+    let read_ahead_cap = NodeConfig::default().max_open_speculations as i64;
     for op in 0..running.operator_count() as u32 {
         let hwm = reg.gauge_value("edge.pending_hwm", Labels::op_port(op, 0)).unwrap_or(0);
         assert!(
@@ -154,8 +149,8 @@ fn assert_queues_bounded(running: &Running) {
         );
         let depth = reg.gauge_value("node.intake_depth", Labels::op(op)).unwrap_or(0);
         assert!(
-            depth <= INTAKE_CAPACITY as i64,
-            "op{op}: intake depth {depth} exceeds its bounded lane capacity"
+            depth <= read_ahead_cap,
+            "op{op}: {depth} events read but not admitted, past the upstream's speculation cap"
         );
     }
 }
@@ -252,21 +247,18 @@ fn crash_while_saturated_recovers_without_deadlock() {
     running.shutdown();
 }
 
-/// The stale-pump race the in-order cursor relies on. With a one-message
-/// intake lane and a saturated chain, the middle operator's data pump is
-/// parked inside its push, holding a frame it read from the link before
-/// the crash. The crash empties the lane, so the pump delivers that frame
-/// — and whatever it reads next — to the *recovered* node ahead of the
-/// replay the node is about to request. The cursor drops those
-/// stragglers (they are past the checkpoint position it expects) and the
-/// rewind hands them over again in order: same bytes, nothing lost.
+/// A node crashes while its input ring's window is full — read up to
+/// its cursor, stalled, the upstream saturated behind it — and recovers.
+/// The ring and its cursor survive the crash; the recovered node expects
+/// its checkpoint position, drops what it reads past it, and the rewind it
+/// requests needs no room in the full window: same bytes, nothing lost.
 #[test]
-fn crash_with_a_pump_blocked_mid_push_recovers_precisely() {
-    // More than every window and lane of the chain holds together, so the
-    // source itself ends up blocked.
+fn crash_with_a_full_input_window_recovers_precisely() {
+    // More than every window of the chain holds together, so the source
+    // itself ends up blocked.
     const EVENTS: u64 = 160;
     let reference = run_reference_of(EVENTS);
-    let (running, src, sink) = tight_pipeline_with(1);
+    let (running, src, sink) = tight_pipeline();
 
     running.sink(sink).stall_for(Duration::from_millis(600));
     std::thread::scope(|s| {
@@ -278,8 +270,7 @@ fn crash_with_a_pump_blocked_mid_push_recovers_precisely() {
             }
         });
         // The source only stops making progress once every hop behind it
-        // is full — which, for op1, means a full lane and a pump blocked
-        // on it with the next frame in hand.
+        // is full.
         let mut pushed = running.source(src).pushed();
         loop {
             std::thread::sleep(Duration::from_millis(30));
@@ -290,6 +281,8 @@ fn crash_with_a_pump_blocked_mid_push_recovers_precisely() {
             pushed = now;
         }
         assert!(pushed < EVENTS, "the chain never saturated");
+        let credits = running.obs().registry.gauge_value("edge.credits", Labels::op_port(0, 0));
+        assert_eq!(credits, Some(0), "op1's input window is not full");
         let op1 = OperatorId::new(1);
         running.crash(op1);
         running.recover(op1);
@@ -302,14 +295,15 @@ fn crash_with_a_pump_blocked_mid_push_recovers_precisely() {
         running.journal_dump()
     );
     let out = payloads(&running.sink(sink).final_events_by_id());
-    assert_eq!(out, reference, "recovery behind a blocked pump changed output bytes");
+    assert_eq!(out, reference, "recovery behind a full window changed output bytes");
+    assert_queues_bounded(&running);
     running.shutdown();
 }
 
 /// Speculation admission control: with a tiny open-transaction cap, a
-/// speculative operator hits the cap, stalls speculative intake, and
-/// paces itself by log stability — it never aborts and the outputs are
-/// byte-identical to an uncapped run.
+/// speculative operator hits the cap, stops admitting, and paces itself
+/// by log stability — it never aborts and the outputs are byte-identical
+/// to an uncapped run.
 #[test]
 fn speculation_cap_paces_without_aborting() {
     const SPEC_EVENTS: u64 = 24;
@@ -365,4 +359,95 @@ fn speculation_cap_paces_without_aborting() {
     );
     assert_stalls_reconcile(&running);
     running.shutdown();
+}
+
+/// Two speculative operators in a row, both capped: the downstream one
+/// stalls at its cap on transactions whose inputs the upstream has not
+/// finalized yet, and those finalizes travel on the ring it stalls on. It
+/// must keep reading them (and only them: what data it reads on the way
+/// waits, un-admitted) or the pair wedges for ever with nothing final.
+#[test]
+fn capped_speculative_chain_drains_and_keeps_its_bytes() {
+    const SPEC_EVENTS: u64 = 24;
+    let run = |caps: [usize; 2], log: [Duration; 2]| {
+        let mut b = GraphBuilder::new();
+        let ops: Vec<_> = (0..2)
+            .map(|i| {
+                let node = NodeConfig { max_open_speculations: caps[i], ..NodeConfig::default() };
+                let cfg = OperatorConfig::speculative(LoggingConfig::simulated(log[i]));
+                b.add_operator(RandomTagger, cfg.with_node(node))
+            })
+            .collect();
+        b.connect(ops[0], ops[1]).unwrap();
+        let src = b.source_into(ops[0]).unwrap();
+        let sink = b.sink_from(ops[1]).unwrap();
+        let running = b.build().unwrap().start();
+        for i in 0..SPEC_EVENTS {
+            running.source(src).push(Value::Int(i as i64));
+        }
+        assert!(
+            running.sink(sink).wait_final(SPEC_EVENTS as usize, Duration::from_secs(10)),
+            "caps {caps:?} wedged at {}/{SPEC_EVENTS} final\n{}",
+            running.sink(sink).final_count(),
+            running.journal_dump()
+        );
+        std::thread::sleep(Duration::from_millis(50));
+        let out = payloads(&running.sink(sink).final_events_by_id());
+        // What a stalled node read ahead is bounded by its upstream's cap.
+        let depth =
+            running.obs().registry.gauge_value("node.intake_depth", Labels::op(1)).unwrap_or(0);
+        assert!(depth <= caps[0] as i64, "op1 holds {depth} un-admitted events, cap {}", caps[0]);
+        assert_stalls_reconcile(&running);
+        running.shutdown();
+        out
+    };
+    let ms = Duration::from_millis;
+    let uncapped = NodeConfig::default().max_open_speculations;
+    let reference = run([uncapped; 2], [ms(2); 2]);
+    assert_eq!(run([2, 2], [ms(2); 2]), reference, "caps 2/2 changed output bytes");
+    assert_eq!(run([8, 2], [ms(2); 2]), reference, "caps 8/2 changed output bytes");
+    // A slow downstream log keeps the downstream stalled while the upstream
+    // runs its whole cap ahead: finalizes then arrive for events that still
+    // wait, read but not admitted, and must take effect there.
+    assert_eq!(run([8, 2], [ms(2), ms(6)]), reference, "slow downstream log changed bytes");
+}
+
+/// The benchmark's `chain4` graph (four speculative relays, one 2 ms log
+/// each) in a closed loop holding as many events in flight as the
+/// speculation cap (256) and four times as many: every node runs at its
+/// cap for the whole run, and the loop still completes.
+#[test]
+fn closed_loop_at_and_past_the_speculation_cap_completes() {
+    const EVENTS: usize = 8_000;
+    for in_flight in [256, 1_024] {
+        let mut b = GraphBuilder::new();
+        let cfg =
+            || OperatorConfig::speculative(LoggingConfig::simulated(Duration::from_millis(2)));
+        let ops: Vec<_> = (0..4).map(|_| b.add_operator(StampedRelay::new(), cfg())).collect();
+        for pair in ops.windows(2) {
+            b.connect(pair[0], pair[1]).unwrap();
+        }
+        let src = b.source_into(ops[0]).unwrap();
+        let sink = b.sink_from(ops[3]).unwrap();
+        let running = b.build().unwrap().start();
+        for pushed in 0..EVENTS {
+            if pushed >= in_flight {
+                assert!(
+                    running.sink(sink).wait_final(pushed + 1 - in_flight, Duration::from_secs(20)),
+                    "{in_flight} in flight: no slot came free after {pushed} pushed, {} final",
+                    running.sink(sink).final_count()
+                );
+            }
+            running.source(src).push(Value::Int(pushed as i64));
+        }
+        assert!(
+            running.sink(sink).wait_final(EVENTS, Duration::from_secs(20)),
+            "{in_flight} in flight: stuck at {}/{EVENTS} final",
+            running.sink(sink).final_count()
+        );
+        let out = payloads(&running.sink(sink).final_events_by_id());
+        let expected: Vec<Value> = (0..EVENTS).map(|i| Value::Int(i as i64)).collect();
+        assert_eq!(out, expected, "{in_flight} in flight: the loop changed or lost events");
+        running.shutdown();
+    }
 }
