@@ -7,10 +7,12 @@
 //!   local link: it reads the ring and writes [`DistFrame::Data`] frames;
 //!   the reverse direction of the same socket carries the remote
 //!   receiver's acks and replay requests back into the sender's inbox.
-//!   On connection loss it redials with capped exponential backoff,
-//!   re-handshakes, and rewinds its own read position to the remote cursor
-//!   (`Welcome.next_seq`) — every frame the peer has not consumed is still
-//!   in the ring, so it is simply read again;
+//!   On connection loss it redials, re-handshakes, and rewinds its own
+//!   read position to the remote cursor (`Welcome.next_seq`) — every frame
+//!   the peer has not consumed is still in the ring, so it is simply read
+//!   again. Between failed dials it parks on its [`DialSlot`]: being wired
+//!   anew ends the wait at once, and the capped exponential back-off is
+//!   only the deadline that paces retries against an unchanged address;
 //! * the **acceptor** (receiver side) owns the process's single data
 //!   listener, routes each inbound connection to its edge by the opening
 //!   [`DistFrame::EdgeHello`], answers with the edge cursor, and appends
@@ -18,9 +20,12 @@
 //!   a sink) reads like any in-process edge — the socket thread hands over
 //!   directly, blocking while the ring's window is full. The per-edge
 //!   [`EdgeCursor`] survives connection replacement, so duplicates from
-//!   overlapping replays or a zombie sender are dropped and the
-//!   consumed-event count stays exact — it is the source of truth for a
-//!   restarted sender's resend suppression.
+//!   overlapping replays are dropped and the consumed-event count stays
+//!   exact — it is the source of truth for a restarted sender's resend
+//!   suppression. Once a restarted sender has been told that count, the
+//!   connections of its predecessors are cut off: frames a dead process
+//!   left in a socket buffer must not arrive after its successor was
+//!   welcomed.
 //!
 //! The acceptor also implements the distributed nemesis faults: a
 //! listener *blackhole* (new connections dropped, existing ones severed)
@@ -38,7 +43,7 @@ use parking_lot::Mutex;
 use streammine_common::codec::{decode_from_slice, Encode};
 use streammine_net::{
     BackoffConfig, FrameError, FrameListener, FrameTx, LinkError, LinkReceiver, LinkSender,
-    Transport,
+    Transport, Waker,
 };
 use streammine_obs::TransportMetrics;
 
@@ -53,6 +58,29 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 /// Poll interval of local-link drains (shutdown / connection-death checks).
 const DRAIN_POLL: Duration = Duration::from_millis(20);
 
+/// Where an out-bridge dials: the address the control plane last wired
+/// (`None`: nowhere yet, or the peer is known dead) and the waker its
+/// bridge parks on while it has nobody to talk to. Setting it signals, so
+/// a restarted downstream (new port) is dialed the moment it is known.
+#[derive(Clone, Default)]
+pub(crate) struct DialSlot {
+    addr: Arc<Mutex<Option<String>>>,
+    waker: Waker,
+}
+
+impl DialSlot {
+    /// A slot pointing nowhere.
+    pub fn new() -> DialSlot {
+        DialSlot::default()
+    }
+
+    /// Points the bridge at `addr` and wakes it.
+    pub fn set(&self, addr: Option<String>) {
+        *self.addr.lock() = addr;
+        self.waker.wake();
+    }
+}
+
 /// Configuration of one sender-side bridge.
 pub(crate) struct OutBridge {
     /// Graph-global edge id (sent in the `EdgeHello`).
@@ -60,10 +88,9 @@ pub(crate) struct OutBridge {
     /// Incarnation of the sending process.
     pub incarnation: u64,
     pub transport: Arc<dyn Transport>,
-    /// Dial address of the receiving process's listener; `None` until the
-    /// control plane wires it. Re-read on every dial attempt so a
-    /// restarted downstream (new port) is picked up automatically.
-    pub addr: Arc<Mutex<Option<String>>>,
+    /// Dial address of the receiving process's listener, set by the
+    /// control plane's wiring and re-read on every dial attempt.
+    pub dial: DialSlot,
     /// The retained local link's consumer side.
     pub data_rx: LinkReceiver<Message>,
     /// Where received control frames (acks, replay requests) go.
@@ -89,13 +116,24 @@ impl OutBridge {
         let mut failures = 0;
         let mut connected_before = false;
         while !self.shutdown.load(Ordering::Acquire) {
-            let Some(addr) = self.addr.lock().clone() else {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            };
-            let Some((next_seq, events_received, conn)) = self.handshake(&addr) else {
-                failures += 1;
-                std::thread::sleep(RECONNECT.delay(failures));
+            let addr = self.dial.addr.lock().clone();
+            let Some((next_seq, events_received, conn)) =
+                addr.as_deref().and_then(|addr| self.handshake(addr))
+            else {
+                // Nobody answers (or nobody to dial): wait to be wired
+                // anew. The back-off is the deadline, so it only paces
+                // retries against an address that has not changed; with no
+                // address the deadline is just the shutdown check.
+                let patience = match addr {
+                    Some(_) => {
+                        failures += 1;
+                        RECONNECT.delay(failures)
+                    }
+                    None => DRAIN_POLL,
+                };
+                if self.dial.waker.park_until(Instant::now() + patience) {
+                    failures = 0;
+                }
                 continue;
             };
             failures = 0;
@@ -235,13 +273,34 @@ pub(crate) struct InEdge {
     /// reconnecting sender with anything smaller would park the retained
     /// suffix behind a gap that can never fill.
     pub start: u64,
+    /// Called with the cursor's event count after each accepted frame,
+    /// under the cursor lock (so calls are in cursor order): the cluster's
+    /// sink edge stamps its recovery timelines here, at the moment output
+    /// arrives. `None` in workers.
+    pub on_advance: Option<Box<dyn Fn(u64) + Send + Sync>>,
     pub metrics: TransportMetrics,
 }
 
+/// What an edge has taken in, and from whom.
+struct Intake {
+    cursor: EdgeCursor,
+    /// The newest sender incarnation welcomed on this edge. A respawned
+    /// sender re-derives its output and may frame it differently (batches
+    /// form by timing), so from its `Welcome` on, what a connection of its
+    /// predecessor still holds — frames the kernel buffered for a process
+    /// that is dead — must not move the cursor: the same sequence would
+    /// name other events.
+    sender: u64,
+}
+
 struct EdgeState {
-    cursor: Mutex<EdgeCursor>,
+    intake: Mutex<Intake>,
     data_tx: LinkSender<Message>,
+    on_advance: Option<Box<dyn Fn(u64) + Send + Sync>>,
     writer: Mutex<Option<Box<dyn FrameTx>>>,
+    /// Signalled when a connection installs itself as `writer`; the
+    /// control pump parks here while it has a frame and no connection.
+    writer_installed: Waker,
     pause_until: Mutex<Option<Instant>>,
     metrics: TransportMetrics,
 }
@@ -280,9 +339,11 @@ impl Acceptor {
             e.data_tx.ack_upto(u64::MAX);
             e.data_tx.set_next_seq(e.start);
             let state = Arc::new(EdgeState {
-                cursor: Mutex::new(EdgeCursor::starting_at(e.start)),
+                intake: Mutex::new(Intake { cursor: EdgeCursor::starting_at(e.start), sender: 0 }),
                 data_tx: e.data_tx,
+                on_advance: e.on_advance,
                 writer: Mutex::new(None),
+                writer_installed: Waker::new(),
                 pause_until: Mutex::new(None),
                 metrics: e.metrics,
             });
@@ -317,8 +378,8 @@ impl Acceptor {
 
     /// The cursor of one edge: `(next_seq, events_received)`.
     pub fn cursor(&self, edge: u32) -> (u64, u64) {
-        let c = self.shared.edges[&edge].cursor.lock();
-        (c.next_seq(), c.events())
+        let intake = self.shared.edges[&edge].intake.lock();
+        (intake.cursor.next_seq(), intake.cursor.events())
     }
 
     /// Nemesis: drop new connections and sever existing ones for `window`.
@@ -378,10 +439,10 @@ fn serve_conn(mut conn: Box<dyn streammine_net::FrameConn>, shared: Arc<Acceptor
     let joined_epoch = shared.conn_epoch.load(Ordering::Acquire);
     // Handshake: first frame must be an EdgeHello.
     let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-    let edge = loop {
+    let (edge, incarnation) = loop {
         match conn.recv() {
             Ok(bytes) => match decode_from_slice::<DistFrame>(&bytes) {
-                Ok(DistFrame::EdgeHello { edge, .. }) => break edge,
+                Ok(DistFrame::EdgeHello { edge, incarnation }) => break (edge, incarnation),
                 _ => return,
             },
             Err(e) if e.is_fatal() => return,
@@ -394,8 +455,15 @@ fn serve_conn(mut conn: Box<dyn streammine_net::FrameConn>, shared: Arc<Acceptor
     };
     let Some(state) = shared.edges.get(&edge).cloned() else { return };
     let welcome = {
-        let c = state.cursor.lock();
-        DistFrame::Welcome { next_seq: c.next_seq(), events_received: c.events() }
+        let mut intake = state.intake.lock();
+        if incarnation < intake.sender {
+            return; // a zombie: its successor has been welcomed already
+        }
+        intake.sender = incarnation;
+        DistFrame::Welcome {
+            next_seq: intake.cursor.next_seq(),
+            events_received: intake.cursor.events(),
+        }
     };
     if conn.send(&welcome.encode_to_vec()).is_err() {
         return;
@@ -404,6 +472,7 @@ fn serve_conn(mut conn: Box<dyn streammine_net::FrameConn>, shared: Arc<Acceptor
     // This connection becomes the edge's current outbound control path;
     // an older connection's writer (if any) is dropped here.
     *state.writer.lock() = Some(tx);
+    state.writer_installed.wake();
     loop {
         if shared.shutdown.load(Ordering::Acquire)
             || shared.conn_epoch.load(Ordering::Acquire) != joined_epoch
@@ -446,8 +515,11 @@ fn serve_conn(mut conn: Box<dyn streammine_net::FrameConn>, shared: Arc<Acceptor
                     // connections of the same edge (old + replacement)
                     // cannot interleave out of order. Waiting on a full
                     // window is the backpressure that fills the socket.
-                    let mut cursor = state.cursor.lock();
-                    if cursor.accept(seq, &msg) {
+                    let mut intake = state.intake.lock();
+                    if intake.sender != incarnation {
+                        return; // superseded since this frame was sent
+                    }
+                    if intake.cursor.accept(seq, &msg) {
                         // The cursor accepts consecutive sequences only and
                         // the ring numbers from the same start; a consumer
                         // that is gone means the process is going too.
@@ -456,6 +528,9 @@ fn serve_conn(mut conn: Box<dyn streammine_net::FrameConn>, shared: Arc<Acceptor
                             local.map_or(true, |local| local == seq),
                             "edge ring numbered {local:?} for wire sequence {seq}"
                         );
+                        if let Some(on_advance) = &state.on_advance {
+                            on_advance(intake.cursor.events());
+                        }
                     }
                 }
             }
@@ -501,7 +576,7 @@ fn pump_edge_ctrl(
                         }
                     }
                     drop(writer);
-                    std::thread::sleep(Duration::from_millis(5));
+                    state.writer_installed.park_until(Instant::now() + DRAIN_POLL);
                 }
             }
             Err(LinkError::Timeout) => continue,
@@ -542,6 +617,7 @@ mod tests {
                 data_tx: got_tx,
                 ctrl_rx: up_ctrl_rx,
                 start: 0,
+                on_advance: None,
                 metrics: TransportMetrics::detached(),
             }],
             shutdown.clone(),
@@ -551,12 +627,13 @@ mod tests {
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
         let (acks_tx, acks_rx) = crossbeam_channel::unbounded();
         let (gate_tx, gate_rx) = crossbeam_channel::bounded(1);
-        let addr = Arc::new(Mutex::new(Some(acceptor.local_addr().to_string())));
+        let dial = DialSlot::new();
+        dial.set(Some(acceptor.local_addr().to_string()));
         let _bridge = OutBridge {
             edge: 7,
             incarnation: 0,
             transport: transport.clone(),
-            addr: addr.clone(),
+            dial,
             data_rx,
             ctrl_sink: Box::new(move |c| {
                 acks_tx.send(c).unwrap();
@@ -618,6 +695,7 @@ mod tests {
                 data_tx: got_tx,
                 ctrl_rx: up_ctrl_rx,
                 start: 0,
+                on_advance: None,
                 metrics: TransportMetrics::detached(),
             }],
             shutdown.clone(),
@@ -625,12 +703,13 @@ mod tests {
         .unwrap();
 
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
-        let addr = Arc::new(Mutex::new(Some(acceptor.local_addr().to_string())));
+        let dial = DialSlot::new();
+        dial.set(Some(acceptor.local_addr().to_string()));
         let _bridge = OutBridge {
             edge: 1,
             incarnation: 0,
             transport,
-            addr,
+            dial,
             data_rx,
             ctrl_sink: Box::new(|_| {}),
             metrics: TransportMetrics::detached(),
@@ -652,6 +731,194 @@ mod tests {
             paused_at.elapsed() >= Duration::from_millis(80),
             "frame should have been delayed by the pause window"
         );
+        shutdown.store(true, Ordering::Release);
+        acceptor.poke();
+    }
+
+    /// A [`MemTransport`] that reports every finished dial, so a test
+    /// knows how often a bridge has tried without timing it.
+    struct ReportingTransport {
+        inner: MemTransport,
+        dials: crossbeam_channel::Sender<Instant>,
+    }
+
+    impl Transport for ReportingTransport {
+        fn bind(&self, addr: &str) -> Result<Box<dyn FrameListener>, FrameError> {
+            self.inner.bind(addr)
+        }
+
+        fn dial(&self, addr: &str) -> Result<Box<dyn streammine_net::FrameConn>, FrameError> {
+            let conn = self.inner.dial(addr);
+            let _ = self.dials.send(Instant::now());
+            conn
+        }
+    }
+
+    /// A reporting transport, an out-bridge on edge 3 dialing `first`
+    /// (where nothing listens), and what the test holds of them.
+    struct Rig {
+        transport: Arc<dyn Transport>,
+        dials: crossbeam_channel::Receiver<Instant>,
+        dial: DialSlot,
+        connected: crossbeam_channel::Receiver<(u64, u64)>,
+        shutdown: Arc<AtomicBool>,
+        _data_tx: LinkSender<Message>,
+    }
+
+    fn bridge_dialing(first: &str) -> Rig {
+        let (dials_tx, dials) = crossbeam_channel::unbounded();
+        let transport: Arc<dyn Transport> = Arc::new(ReportingTransport {
+            inner: MemTransport::new().with_read_timeout(Duration::from_millis(20)),
+            dials: dials_tx,
+        });
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
+        let (gate_tx, connected) = crossbeam_channel::bounded(1);
+        let dial = DialSlot::new();
+        dial.set(Some(first.to_string()));
+        OutBridge {
+            edge: 3,
+            incarnation: 0,
+            transport: transport.clone(),
+            dial: dial.clone(),
+            data_rx,
+            ctrl_sink: Box::new(|_| {}),
+            metrics: TransportMetrics::detached(),
+            shutdown: shutdown.clone(),
+            first_welcome: Some(gate_tx),
+        }
+        .start();
+        Rig { transport, dials, dial, connected, shutdown, _data_tx: data_tx }
+    }
+
+    /// An acceptor at `addr` with the one in-edge `edge`, and the ring it
+    /// feeds.
+    fn acceptor_at(
+        transport: &Arc<dyn Transport>,
+        addr: &str,
+        edge: u32,
+        shutdown: &Arc<AtomicBool>,
+    ) -> (Acceptor, LinkReceiver<Message>) {
+        let (got_tx, got_rx) = link::<Message>(LinkConfig::instant());
+        let (_up_ctrl_tx, up_ctrl_rx) = link::<Control>(LinkConfig::instant());
+        let edges = vec![InEdge {
+            edge,
+            data_tx: got_tx,
+            ctrl_rx: up_ctrl_rx,
+            start: 0,
+            on_advance: None,
+            metrics: TransportMetrics::detached(),
+        }];
+        let acceptor = Acceptor::start(transport.clone(), addr, edges, shutdown.clone()).unwrap();
+        (acceptor, got_rx)
+    }
+
+    fn listen(rig: &Rig, addr: &str) -> Acceptor {
+        acceptor_at(&rig.transport, addr, 3, &rig.shutdown).0
+    }
+
+    /// Being wired ends a bridge's back-off: after four failed dials (the
+    /// first does not count, see the next test) it is parked for 40 ms,
+    /// and connects within 5 ms of its slot being set. The bound shares
+    /// the machine with the other tests, so the best of three rounds
+    /// counts.
+    #[test]
+    fn a_wired_bridge_dials_at_once_not_after_its_backoff() {
+        let mut best = Duration::MAX;
+        for _ in 0..3 {
+            let rig = bridge_dialing("mem:nobody");
+            for _ in 0..4 {
+                rig.dials.recv_timeout(Duration::from_secs(5)).unwrap();
+            }
+            let acceptor = listen(&rig, "mem-wired:0");
+            let wired = Instant::now();
+            rig.dial.set(Some(acceptor.local_addr().to_string()));
+            rig.connected.recv_timeout(Duration::from_secs(5)).unwrap();
+            best = best.min(wired.elapsed());
+            rig.shutdown.store(true, Ordering::Release);
+            acceptor.poke();
+            if best < Duration::from_millis(5) {
+                return;
+            }
+        }
+        panic!("a freshly wired bridge took {best:?} to connect: it slept out its back-off");
+    }
+
+    /// With nobody signalling, the back-off still paces the retries
+    /// against an unchanged address, and they go on until one is answered.
+    #[test]
+    fn an_unsignalled_bridge_keeps_retrying_on_its_backoff() {
+        let rig = bridge_dialing("mem:late");
+        let attempts: Vec<Instant> =
+            (0..5).map(|_| rig.dials.recv_timeout(Duration::from_secs(5)).unwrap()).collect();
+        // Setting the slot signalled once, which the park after the first
+        // failure consumes; from the second on it is 10 + 20 + 40 ms.
+        assert!(attempts[4] - attempts[1] >= Duration::from_millis(70), "retries were not paced");
+        let acceptor = listen(&rig, "mem:late");
+        rig.connected.recv_timeout(Duration::from_secs(5)).expect("the retries stopped");
+        rig.shutdown.store(true, Ordering::Release);
+        acceptor.poke();
+    }
+
+    /// A respawned sender frames its re-derived output by its own timing.
+    /// What its predecessor left unread in a socket (here: sent after the
+    /// successor's `Welcome`, as a paused edge delivers it) carries the
+    /// same sequence for other events, and must not be taken.
+    #[test]
+    fn frames_of_a_superseded_sender_incarnation_are_dropped() {
+        let transport: Arc<dyn Transport> =
+            Arc::new(MemTransport::new().with_read_timeout(Duration::from_millis(20)));
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (acceptor, got_rx) = acceptor_at(&transport, "mem-superseded:0", 2, &shutdown);
+        let join = |incarnation: u64| {
+            let mut conn = transport.dial(acceptor.local_addr()).unwrap();
+            conn.send(&DistFrame::EdgeHello { edge: 2, incarnation }.encode_to_vec()).unwrap();
+            let welcome = loop {
+                match conn.recv() {
+                    Ok(bytes) => break decode_from_slice::<DistFrame>(&bytes).unwrap(),
+                    Err(FrameError::Timeout) => continue,
+                    Err(e) => panic!("no welcome: {e}"),
+                }
+            };
+            (conn, welcome)
+        };
+        let hung_up = |conn: &mut dyn streammine_net::FrameConn| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            loop {
+                match conn.recv() {
+                    Err(e) if e.is_fatal() => return true,
+                    _ if Instant::now() >= deadline => return false,
+                    _ => continue,
+                }
+            }
+        };
+        let data = |seq: u64, msg: Message| DistFrame::Data { seq, msg }.encode_to_vec();
+        let event = |n: u64| match ev(n) {
+            Message::Data(e) => e,
+            _ => unreachable!(),
+        };
+
+        let (mut old, welcome) = join(0);
+        assert_eq!(welcome, DistFrame::Welcome { next_seq: 0, events_received: 0 });
+        old.send(&data(0, ev(0))).unwrap();
+        assert_eq!(got_rx.recv_timeout(Duration::from_secs(5)).unwrap().0, 0);
+
+        let (mut new, welcome) = join(1);
+        assert_eq!(welcome, DistFrame::Welcome { next_seq: 1, events_received: 1 });
+        // The predecessor's leftover: event 1 alone under sequence 1. The
+        // acceptor hangs up on it.
+        old.send(&data(1, ev(1))).unwrap();
+        assert!(hung_up(&mut *old), "a superseded connection stayed open");
+        // The successor batches events 1 and 2 under the same sequence.
+        new.send(&data(1, Message::DataBatch(vec![event(1), event(2)]))).unwrap();
+        let (seq, msg) = got_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!((seq, msg.event_count()), (1, 2));
+        assert_eq!(acceptor.cursor(2), (2, 3));
+        // And a zombie that dials after its successor is not welcomed.
+        let mut zombie = transport.dial(acceptor.local_addr()).unwrap();
+        zombie.send(&DistFrame::EdgeHello { edge: 2, incarnation: 0 }.encode_to_vec()).unwrap();
+        assert!(hung_up(&mut *zombie), "a zombie was welcomed");
+
         shutdown.store(true, Ordering::Release);
         acceptor.poke();
     }

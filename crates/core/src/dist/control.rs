@@ -11,6 +11,12 @@
 //!   unreachable (or wedged): a partition, handled identically (kill,
 //!   then restart) but counted separately.
 //!
+//! The end of a control connection that had said `Hello` is surfaced as
+//! [`CtrlEvent::WorkerGone`]: the kernel closes a SIGKILLed process's
+//! socket, so the monitor learns of a crash from the read that fails, not
+//! from its next poll. It is a reason to look, never a verdict — the lease
+//! table is untouched by it.
+//!
 //! Restarts bump the worker's *expected epoch* **before** the replacement
 //! is spawned, so any zombie of the old incarnation that still manages to
 //! present a `Hello` or `Beat` is answered with [`CtrlMsg::Fence`] and
@@ -63,6 +69,16 @@ pub(crate) enum CtrlEvent {
         incarnation: u64,
         /// The worker's data listener address.
         data_addr: String,
+    },
+    /// The control connection this incarnation's `Hello` was accepted on
+    /// has ended (EOF, reset, torn frame). Parent-local: nothing on the
+    /// wire says so, the failed read does. The process may be dead or may
+    /// be redialing; whoever reads this has to look.
+    WorkerGone {
+        /// Worker index.
+        worker: u32,
+        /// The incarnation whose connection ended.
+        incarnation: u64,
     },
     /// A worker pushed a telemetry report. Surfaced regardless of lease
     /// state: a fenced or superseded incarnation's history is still valid
@@ -179,13 +195,20 @@ fn serve_worker(conn: Box<dyn streammine_net::FrameConn>, shared: Arc<PlaneShare
     let fence = |tx: &SharedFrameTx| {
         tx.send(&CtrlMsg::Fence.encode_to_vec());
     };
+    // Who the accepted `Hello` on this connection said it was.
+    let mut accepted: Option<(u32, u64)> = None;
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
         let bytes = match rx.recv() {
             Ok(b) => b,
-            Err(e) if e.is_fatal() => return,
+            Err(e) if e.is_fatal() => {
+                if let Some((worker, incarnation)) = accepted {
+                    let _ = shared.events.send(CtrlEvent::WorkerGone { worker, incarnation });
+                }
+                return;
+            }
             Err(_) => continue,
         };
         let Ok(msg) = decode_from_slice::<CtrlMsg>(&bytes) else { continue };
@@ -207,6 +230,7 @@ fn serve_worker(conn: Box<dyn streammine_net::FrameConn>, shared: Arc<PlaneShare
                         tx: tx.clone(),
                     },
                 );
+                accepted = Some((worker, incarnation));
                 let _ = shared.events.send(CtrlEvent::WorkerUp { worker, incarnation, data_addr });
             }
             CtrlMsg::Beat { worker, incarnation } => {
@@ -578,6 +602,98 @@ mod tests {
             }
         }
         assert!(plane.lease(1).is_none());
+        shutdown.store(true, Ordering::Release);
+        plane.poke();
+    }
+
+    /// A raw control connection that has said `Hello` as `(worker,
+    /// incarnation)` and whose `WorkerUp` has been read off `plane`.
+    fn hello(
+        t: &Arc<dyn Transport>,
+        plane: &ControlPlane,
+        worker: u32,
+        incarnation: u64,
+    ) -> Box<dyn streammine_net::FrameConn> {
+        let mut conn = t.dial(plane.local_addr()).unwrap();
+        let hello = CtrlMsg::Hello { worker, incarnation, data_addr: "mem:data".into() };
+        conn.send(&hello.encode_to_vec()).unwrap();
+        let up = plane.events().recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(up, CtrlEvent::WorkerUp { worker, incarnation, data_addr: "mem:data".into() });
+        conn
+    }
+
+    fn recv_msg(conn: &mut dyn streammine_net::FrameConn) -> CtrlMsg {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            match conn.recv() {
+                Ok(bytes) => return decode_from_slice(&bytes).unwrap(),
+                Err(FrameError::Timeout) if Instant::now() < deadline => continue,
+                Err(e) => panic!("no control message: {e}"),
+            }
+        }
+    }
+
+    /// How long a test listens for an event that must not come.
+    const QUIET: Duration = Duration::from_millis(100);
+
+    #[test]
+    fn closed_connection_after_hello_is_reported_exactly_once() {
+        let t = mem();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let plane = ControlPlane::start(t.clone(), "mem-gone:0", shutdown.clone()).unwrap();
+        let conn = hello(&t, &plane, 5, 2);
+        // What a SIGKILL does to the worker's socket.
+        drop(conn);
+        let gone = plane.events().recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(gone, CtrlEvent::WorkerGone { worker: 5, incarnation: 2 });
+        assert!(plane.events().recv_timeout(QUIET).is_err(), "the close was reported twice");
+        // The event is a hint: the lease is the monitor's to expire.
+        assert_eq!(plane.lease(5).map(|l| l.epoch), Some(2));
+        shutdown.store(true, Ordering::Release);
+        plane.poke();
+    }
+
+    #[test]
+    fn silent_and_fenced_connections_report_nothing() {
+        let t = mem();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let plane = ControlPlane::start(t.clone(), "mem-nobody:0", shutdown.clone()).unwrap();
+        // Never said Hello.
+        drop(t.dial(plane.local_addr()).unwrap());
+        // Fenced at its Hello: the monitor had already moved on.
+        plane.expect_epoch(4, 1);
+        let mut zombie = t.dial(plane.local_addr()).unwrap();
+        let stale = CtrlMsg::Hello { worker: 4, incarnation: 0, data_addr: "mem:data".into() };
+        zombie.send(&stale.encode_to_vec()).unwrap();
+        assert_eq!(recv_msg(&mut *zombie), CtrlMsg::Fence);
+        drop(zombie);
+        // Fenced at a Beat: accepted once, superseded since.
+        let mut old = hello(&t, &plane, 6, 0);
+        plane.expect_epoch(6, 1);
+        assert_eq!(recv_msg(&mut *old), CtrlMsg::Fence);
+        old.send(&CtrlMsg::Beat { worker: 6, incarnation: 0 }.encode_to_vec()).unwrap();
+        assert_eq!(recv_msg(&mut *old), CtrlMsg::Fence);
+        drop(old);
+        assert_eq!(plane.events().recv_timeout(QUIET).ok(), None);
+        shutdown.store(true, Ordering::Release);
+        plane.poke();
+    }
+
+    #[test]
+    fn redial_at_the_same_incarnation_keeps_the_lease() {
+        let t = mem();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let plane = ControlPlane::start(t.clone(), "mem-redial:0", shutdown.clone()).unwrap();
+        let first = hello(&t, &plane, 3, 0);
+        let mut second = hello(&t, &plane, 3, 0);
+        // The old connection's end is noticed after the new Hello: it must
+        // not take the lease the new connection holds with it.
+        drop(first);
+        let gone = plane.events().recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(gone, CtrlEvent::WorkerGone { worker: 3, incarnation: 0 });
+        assert_eq!(plane.lease(3).map(|l| l.epoch), Some(0));
+        assert!(plane.send_to(3, &CtrlMsg::Shutdown));
+        assert_eq!(recv_msg(&mut *second), CtrlMsg::Shutdown);
         shutdown.store(true, Ordering::Release);
         plane.poke();
     }

@@ -10,6 +10,13 @@
 //!   process still runs: a partition (or a wedged process), killed and
 //!   restarted just like a crash but counted separately.
 //!
+//! The monitor sleeps on the control plane's event queue, not on a timer:
+//! a `Hello` is wired the moment it arrives, and the close of a worker's
+//! control connection makes it look at that worker's process at once. The
+//! poll tick remains as the bound — it is the lease check, and it finds
+//! the exit no closed connection announced (a worker killed before its
+//! `Hello`). A closed connection alone restarts nobody.
+//!
 //! A restart bumps the worker's incarnation and raises the control
 //! plane's expected epoch *before* the replacement spawns, so a zombie of
 //! the old incarnation is fenced rather than allowed to double-drive the
@@ -22,12 +29,14 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use crossbeam_channel::RecvTimeoutError;
+use parking_lot::{Condvar, Mutex};
 use streammine_common::clock::{shared, SystemClock};
 use streammine_common::ids::OperatorId;
-use streammine_net::{link, LinkConfig, TcpTransport, Transport};
+use streammine_net::{link, BackoffConfig, LinkConfig, TcpTransport, Transport};
 use streammine_obs::{
     prometheus_text, timelines_json, ClusterObs, Counter, FaultKind, HttpServer, Labels, Obs,
     RecoveryModeTag, RecoveryTimeline, RegistrySnapshot, TransportMetrics,
@@ -36,12 +45,22 @@ use streammine_obs::{
 use streammine_sketch::ErrorBound;
 
 use crate::config::RecoveryMode;
-use crate::dist::bridge::{Acceptor, InEdge, OutBridge};
-use crate::dist::control::{ControlPlane, CtrlEvent};
+use crate::dist::bridge::{Acceptor, DialSlot, InEdge, OutBridge};
+use crate::dist::control::{ControlPlane, CtrlEvent, LeaseView};
 use crate::dist::spec::{WorkerSpec, SPEC_ENV};
 use crate::dist::wire::{CtrlMsg, FaultCmd};
 use crate::endpoints::{SinkHandle, SourceHandle};
 use crate::message::{Control, Message};
+
+/// How long [`Cluster::shutdown`] lets the workers finish by themselves.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
+/// Spacing of the looks at a suspect that has not exited yet: the kernel
+/// closes a dying process's sockets a moment before its parent can reap
+/// it. 100 µs doubling to 2 ms; after [`REAP_RECHECKS`] of them (~5 ms)
+/// the suspect is left to the poll tick.
+const REAP_RECHECK: BackoffConfig =
+    BackoffConfig { base: Duration::from_micros(100), cap: Duration::from_millis(2) };
+const REAP_RECHECKS: u32 = 6;
 
 /// One operator slot in the cluster chain.
 #[derive(Debug, Clone)]
@@ -145,6 +164,53 @@ struct WorkerSlot {
     /// Set once this incarnation's `Hello` arrived (lease checks start
     /// only then — a booting process is not "partitioned").
     seen_hello: bool,
+    /// Control connections of this incarnation that said `Hello` and have
+    /// not closed since. Shutdown waits for it to reach zero.
+    open_conns: u32,
+}
+
+/// What the monitor concludes from one look at a slot.
+#[derive(Debug, PartialEq, Eq)]
+enum Verdict {
+    Healthy,
+    /// Its control connection closed, its process has not exited (yet):
+    /// worth another look soon, nothing more.
+    Suspect,
+    Restart(FaultKind),
+}
+
+/// The monitor's decision rule. A restart needs an observed exit or an
+/// expired lease; `suspect` (the control connection closed) never
+/// suffices, because a live worker that lost its connection redials.
+fn verdict(
+    exited: bool,
+    lease: Option<&LeaseView>,
+    slot: &WorkerSlot,
+    suspect: bool,
+    now: Instant,
+    lease_timeout: Duration,
+) -> Verdict {
+    if exited {
+        return Verdict::Restart(FaultKind::Crash);
+    }
+    let expired = slot.seen_hello
+        && match lease {
+            Some(l) => {
+                l.epoch == slot.incarnation
+                    && now.saturating_duration_since(l.last_beat) > lease_timeout
+            }
+            // Lease evicted (e.g. fenced) without a newer incarnation of
+            // ours: treat as expired once the process has had time to
+            // re-Hello.
+            None => now.saturating_duration_since(slot.spawned_at) > lease_timeout * 4,
+        };
+    if expired {
+        Verdict::Restart(FaultKind::LeaseExpiry)
+    } else if suspect {
+        Verdict::Suspect
+    } else {
+        Verdict::Healthy
+    }
 }
 
 /// Recovery bookkeeping shared between the monitor and the test API.
@@ -158,8 +224,9 @@ struct Counters {
 }
 
 /// A recovery timeline under assembly: the launcher-side phases are
-/// stamped synchronously by the monitor; the worker-side phases fill in
-/// as the replacement handshakes and the sink cursor moves again.
+/// stamped synchronously by the monitor; the rest fill in as the
+/// replacement's `Hello` arrives (monitor) and the sink edge accepts
+/// output again (the sink connection's thread, as it happens).
 struct PendingTimeline {
     timeline: RecoveryTimeline,
     /// Sink event cursor at detection: output beyond this proves the
@@ -176,6 +243,8 @@ struct TimelineState {
 struct MonitorShared {
     slots: Mutex<Vec<WorkerSlot>>,
     addrs: Mutex<Vec<Option<String>>>,
+    /// Notified whenever the monitor records an address in `addrs`.
+    wired: Condvar,
     counters: Counters,
     stopping: AtomicBool,
     /// Cluster-level aggregation of worker telemetry reports.
@@ -186,20 +255,49 @@ struct MonitorShared {
 }
 
 impl MonitorShared {
+    /// The bookkeeping of an `n`-worker cluster nobody has joined yet.
+    fn new(obs: &Obs, n: usize) -> MonitorShared {
+        MonitorShared {
+            slots: Mutex::new(Vec::new()),
+            addrs: Mutex::new(vec![None; n]),
+            wired: Condvar::new(),
+            counters: Counters {
+                crash_detected: obs.registry.counter("control.crash_detected", Labels::NONE),
+                lease_expired: obs.registry.counter("control.lease_expired", Labels::NONE),
+                restarts: obs.registry.counter("recovery.restarts", Labels::NONE),
+                crashes: AtomicU64::new(0),
+                expiries: AtomicU64::new(0),
+                total_restarts: AtomicU64::new(0),
+            },
+            stopping: AtomicBool::new(false),
+            telemetry: ClusterObs::new(),
+            timelines: Mutex::new(TimelineState {
+                pending: Vec::new(),
+                last_cursor: 0,
+                last_advance_us: 0,
+            }),
+            epoch: Instant::now(),
+        }
+    }
+
     fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Tracks sink-cursor movement and stamps `first_output` on pending
-    /// timelines whose replacement has handshaked and whose backlog the
-    /// cursor has now passed.
+    /// The sink edge's advance hook: tracks the sink cursor and stamps
+    /// `first_output` on pending timelines whose replacement has
+    /// handshaked and whose backlog the cursor has now passed. Without a
+    /// fault on record it reads no clock.
     fn observe_cursor(&self, cursor_events: u64) {
-        let now = self.now_us();
         let mut st = self.timelines.lock();
-        if cursor_events <= st.last_cursor && st.last_advance_us != 0 {
+        if cursor_events <= st.last_cursor {
             return;
         }
         st.last_cursor = cursor_events;
+        if st.pending.is_empty() {
+            return;
+        }
+        let now = self.now_us();
         st.last_advance_us = now;
         for p in st.pending.iter_mut() {
             if p.timeline.handshake_us.is_some()
@@ -211,11 +309,25 @@ impl MonitorShared {
         }
     }
 
+    /// A control connection of `worker` at `incarnation` closed. `true`
+    /// when that is the slot's current incarnation and leaves it without
+    /// one — a suspect; an older incarnation's is history.
+    fn note_gone(&self, worker: u32, incarnation: u64) -> bool {
+        let mut slots = self.slots.lock();
+        match slots.get_mut(worker as usize) {
+            Some(slot) if slot.incarnation == incarnation => {
+                slot.open_conns = slot.open_conns.saturating_sub(1);
+                slot.open_conns == 0
+            }
+            _ => false,
+        }
+    }
+
     /// Stamps `handshake` on the pending timeline waiting for this
     /// worker incarnation's `Hello`.
     fn stamp_handshake(&self, worker: u32, incarnation: u64) {
-        let now = self.now_us();
         let mut st = self.timelines.lock();
+        let now = self.now_us();
         for p in st.pending.iter_mut() {
             if p.timeline.worker == worker
                 && p.timeline.incarnation == incarnation
@@ -227,8 +339,8 @@ impl MonitorShared {
     }
 
     /// The timelines assembled so far. `drain` resolves lazily to the
-    /// last observed sink-cursor advance, so it settles once the run has
-    /// drained and the cursor stops moving.
+    /// sink cursor's last advance, so it settles once the run has drained
+    /// and the cursor stops moving.
     fn recovery_timelines(&self) -> Vec<RecoveryTimeline> {
         let st = self.timelines.lock();
         st.pending
@@ -255,7 +367,9 @@ pub struct Cluster {
     plane: Arc<ControlPlane>,
     shared: Arc<MonitorShared>,
     shutdown: Arc<AtomicBool>,
-    sink_acceptor: Arc<Acceptor>,
+    sink_acceptor: Acceptor,
+    /// The monitor thread, joined by the first [`Cluster::shutdown`].
+    monitor: Mutex<Option<JoinHandle<()>>>,
     n: usize,
 }
 
@@ -290,6 +404,8 @@ impl Cluster {
                 .map_err(|e| format!("control listener: {e}"))?,
         );
 
+        let shared = Arc::new(MonitorShared::new(&obs, n));
+
         // Sink: real SinkHandle on a local link, fed by an acceptor for
         // the last edge (id = n). The link carries the remote sequence
         // numbers (in-order from 0), so the sink's cumulative acks refer
@@ -298,21 +414,21 @@ impl Cluster {
         let (sink_ctrl_tx, sink_ctrl_rx) = link::<Control>(LinkConfig::instant());
         let sink =
             SinkHandle::new(sink_data_rx, sink_ctrl_tx, clock.clone(), &obs, (n - 1) as u32, 0);
-        let sink_acceptor = Arc::new(
-            Acceptor::start(
-                transport.clone(),
-                "127.0.0.1:0",
-                vec![InEdge {
-                    edge: n as u32,
-                    data_tx: sink_data_tx,
-                    ctrl_rx: sink_ctrl_rx,
-                    start: 0,
-                    metrics: TransportMetrics::registered(&obs.registry, (n - 1) as u32, n as u32),
-                }],
-                shutdown.clone(),
-            )
-            .map_err(|e| format!("sink listener: {e}"))?,
-        );
+        let timelines = shared.clone();
+        let sink_acceptor = Acceptor::start(
+            transport.clone(),
+            "127.0.0.1:0",
+            vec![InEdge {
+                edge: n as u32,
+                data_tx: sink_data_tx,
+                ctrl_rx: sink_ctrl_rx,
+                start: 0,
+                on_advance: Some(Box::new(move |events| timelines.observe_cursor(events))),
+                metrics: TransportMetrics::registered(&obs.registry, (n - 1) as u32, n as u32),
+            }],
+            shutdown.clone(),
+        )
+        .map_err(|e| format!("sink listener: {e}"))?;
 
         // Source: real SourceHandle on a local link; its consumer side is
         // a bridge dialing worker 0 (edge 0). The source's responder
@@ -321,12 +437,12 @@ impl Cluster {
         let (src_ctrl_tx, src_ctrl_rx) = link::<Control>(LinkConfig::instant());
         let source =
             SourceHandle::new(OperatorId::new(n as u32), src_data_tx, src_ctrl_rx, clock, &obs);
-        let src_slot: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
+        let src_slot = DialSlot::new();
         OutBridge {
             edge: 0,
             incarnation: 0, // the parent process never restarts
             transport: transport.clone(),
-            addr: src_slot.clone(),
+            dial: src_slot.clone(),
             data_rx: src_data_rx,
             ctrl_sink: Box::new(move |c| {
                 let _ = src_ctrl_tx.send(c);
@@ -336,28 +452,6 @@ impl Cluster {
             first_welcome: None,
         }
         .start();
-
-        let counters = Counters {
-            crash_detected: obs.registry.counter("control.crash_detected", Labels::NONE),
-            lease_expired: obs.registry.counter("control.lease_expired", Labels::NONE),
-            restarts: obs.registry.counter("recovery.restarts", Labels::NONE),
-            crashes: AtomicU64::new(0),
-            expiries: AtomicU64::new(0),
-            total_restarts: AtomicU64::new(0),
-        };
-        let shared = Arc::new(MonitorShared {
-            slots: Mutex::new(Vec::new()),
-            addrs: Mutex::new(vec![None; n]),
-            counters,
-            stopping: AtomicBool::new(false),
-            telemetry: ClusterObs::new(),
-            timelines: Mutex::new(TimelineState {
-                pending: Vec::new(),
-                last_cursor: 0,
-                last_advance_us: 0,
-            }),
-            epoch: Instant::now(),
-        });
 
         // First generation of children.
         {
@@ -369,25 +463,26 @@ impl Cluster {
                     incarnation: 0,
                     spawned_at: Instant::now(),
                     seen_hello: false,
+                    open_conns: 0,
                 });
             }
         }
 
         // Monitor: lease/exit watching + wiring pushes.
-        {
-            let shared = shared.clone();
-            let plane = plane.clone();
-            let spec = spec.clone();
-            let src_slot = src_slot.clone();
-            let sink_addr = sink_acceptor.local_addr().to_string();
-            let sink_acceptor = sink_acceptor.clone();
-            std::thread::Builder::new()
-                .name("cluster-monitor".into())
-                .spawn(move || monitor(shared, plane, spec, src_slot, sink_addr, sink_acceptor))
-                .expect("spawn cluster monitor");
-        }
+        let monitor = Monitor {
+            shared: shared.clone(),
+            plane: plane.clone(),
+            spec,
+            src_slot,
+            sink_addr: sink_acceptor.local_addr().to_string(),
+        };
+        let monitor = std::thread::Builder::new()
+            .name("cluster-monitor".into())
+            .spawn(move || monitor.run())
+            .expect("spawn cluster monitor");
+        let monitor = Mutex::new(Some(monitor));
 
-        Ok(Cluster { source, sink, obs, plane, shared, shutdown, sink_acceptor, n })
+        Ok(Cluster { source, sink, obs, plane, shared, shutdown, sink_acceptor, monitor, n })
     }
 
     /// The cluster's source endpoint.
@@ -408,14 +503,15 @@ impl Cluster {
     /// Blocks until every worker holds a lease and is wired end to end.
     pub fn wait_connected(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
-            let all_up = self.shared.addrs.lock().iter().all(Option::is_some);
-            if all_up {
-                return true;
+        let mut addrs = self.shared.addrs.lock();
+        while !addrs.iter().all(Option::is_some) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
             }
-            std::thread::sleep(Duration::from_millis(10));
+            self.shared.wired.wait_for(&mut addrs, left);
         }
-        false
+        true
     }
 
     /// Nemesis: SIGKILL worker `i`'s process. The monitor detects the
@@ -563,36 +659,21 @@ impl Cluster {
         for i in 0..self.n {
             self.plane.send_to(i as u32, &CtrlMsg::Shutdown);
         }
-        let deadline = Instant::now() + Duration::from_secs(2);
-        {
-            let mut slots = self.shared.slots.lock();
-            for slot in slots.iter_mut() {
-                if let Some(child) = slot.child.as_mut() {
-                    while Instant::now() < deadline {
-                        match child.try_wait() {
-                            Ok(Some(_)) => break,
-                            Ok(None) => std::thread::sleep(Duration::from_millis(10)),
-                            Err(_) => break,
-                        }
-                    }
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
-                slot.child = None;
+        // The monitor ends its watch at the next event — the workers'
+        // final telemetry flushes are on their way — and merges what still
+        // arrives until every worker's control connection has closed.
+        if let Some(monitor) = self.monitor.lock().take() {
+            let _ = monitor.join();
+        }
+        // A closed connection means the process is exiting; whoever is
+        // still running had its grace, or never had a connection to be
+        // told on.
+        for slot in self.shared.slots.lock().iter_mut() {
+            if let Some(mut child) = slot.child.take() {
+                let _ = child.kill();
+                let _ = child.wait();
             }
         }
-        // The monitor has stopped draining events, but each worker sent a
-        // final telemetry flush on its way out; give the control-lane
-        // reader threads a beat to forward them, then merge here.
-        for _ in 0..2 {
-            while let Ok(ev) = self.plane.events().try_recv() {
-                if let CtrlEvent::Telemetry(report) = ev {
-                    self.shared.telemetry.merge(&report);
-                }
-            }
-            std::thread::sleep(Duration::from_millis(30));
-        }
-        self.shared.observe_cursor(self.sink_cursor().1);
         self.shutdown.store(true, Ordering::Release);
         self.plane.poke();
         self.sink_acceptor.poke();
@@ -651,163 +732,297 @@ fn spawn_worker(
         .map_err(|e| format!("spawn worker {i}: {e}"))
 }
 
-/// The monitor loop: watches exits and leases, restarts dead workers,
-/// pushes wiring on topology changes.
-fn monitor(
+/// The monitor thread's view of the cluster.
+struct Monitor {
     shared: Arc<MonitorShared>,
     plane: Arc<ControlPlane>,
     spec: ClusterSpec,
-    src_slot: Arc<Mutex<Option<String>>>,
+    /// Where the source's bridge dials: worker 0.
+    src_slot: DialSlot,
     sink_addr: String,
-    sink_acceptor: Arc<Acceptor>,
-) {
-    let n = spec.operators.len();
-    loop {
-        if shared.stopping.load(Ordering::Acquire) {
-            return;
-        }
+}
 
-        // Drain control-plane events: merge telemetry, record addresses,
-        // push wiring.
-        while let Ok(ev) = plane.events().try_recv() {
-            let (worker, incarnation, data_addr) = match ev {
-                CtrlEvent::Telemetry(report) => {
-                    shared.telemetry.merge(&report);
+impl Monitor {
+    /// Supervises until [`Cluster::shutdown`], then sees the workers out.
+    fn run(&self) {
+        self.supervise();
+        // Every worker has been told to stop. Each one's final telemetry
+        // report precedes the close of its control connection, so once
+        // every connection has closed there is nothing left to merge.
+        let deadline = Instant::now() + SHUTDOWN_GRACE;
+        while self.shared.slots.lock().iter().any(|slot| slot.open_conns > 0) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self.plane.events().recv_timeout(left) {
+                Ok(CtrlEvent::Telemetry(report)) => {
+                    self.shared.telemetry.merge(&report);
+                }
+                Ok(CtrlEvent::WorkerGone { worker, incarnation }) => {
+                    self.shared.note_gone(worker, incarnation);
+                }
+                Ok(CtrlEvent::WorkerUp { .. }) => {}
+                Err(_) => return,
+            }
+        }
+    }
+
+    fn stopping(&self) -> bool {
+        self.shared.stopping.load(Ordering::Acquire)
+    }
+
+    /// The supervision loop: wires workers as they say `Hello`, restarts
+    /// dead and silent ones. Returns once the cluster is stopping.
+    fn supervise(&self) {
+        let n = self.spec.operators.len();
+        let mut tick = Instant::now() + self.spec.poll;
+        // Checked before the wait, not after it: an event taken off the
+        // queue is accounted for even when it is the last one.
+        while !self.stopping() {
+            // Sleep until the control plane has something to say or the
+            // tick is due; a due tick is not kept waiting by a busy queue.
+            let now = Instant::now();
+            let event = if now < tick {
+                self.plane.events().recv_timeout(tick - now)
+            } else {
+                Err(RecvTimeoutError::Timeout)
+            };
+            // Which slots to look at, and whether a closed control
+            // connection is the reason.
+            let (look, suspect) = match event {
+                Ok(CtrlEvent::Telemetry(report)) => {
+                    self.shared.telemetry.merge(&report);
                     continue;
                 }
-                CtrlEvent::WorkerUp { worker, incarnation, data_addr } => {
-                    (worker, incarnation, data_addr)
+                Ok(CtrlEvent::WorkerUp { worker, incarnation, data_addr }) => {
+                    if (worker as usize) < n {
+                        self.wire(worker, incarnation, data_addr);
+                    }
+                    continue;
                 }
-            };
-            let i = worker as usize;
-            if i >= n {
-                continue;
-            }
-            {
-                let mut slots = shared.slots.lock();
-                if slots[i].incarnation != incarnation {
-                    continue; // stale Hello raced a restart; it gets fenced
+                Ok(CtrlEvent::WorkerGone { worker, incarnation }) => {
+                    if !self.shared.note_gone(worker, incarnation) {
+                        continue;
+                    }
+                    let i = worker as usize;
+                    (i..i + 1, true)
                 }
-                slots[i].seen_hello = true;
-            }
-            shared.stamp_handshake(worker, incarnation);
-            shared.addrs.lock()[i] = Some(data_addr.clone());
-            if i == 0 {
-                *src_slot.lock() = Some(data_addr.clone());
-            }
-            // Wire this worker's out-edge…
-            let downstream = if i == n - 1 {
-                Some(sink_addr.clone())
-            } else {
-                shared.addrs.lock()[i + 1].clone()
+                // The tick: every lease, and every exit that no closed
+                // connection announced (a worker killed before its `Hello`).
+                Err(RecvTimeoutError::Timeout) => {
+                    tick = Instant::now() + self.spec.poll;
+                    (0..n, false)
+                }
+                Err(RecvTimeoutError::Disconnected) => return,
             };
-            if let Some(addr) = downstream {
-                plane.send_to(worker, &CtrlMsg::Wire { outs: vec![(worker + 1, addr)] });
-            }
-            // …and refresh the upstream neighbor's, which now dials here.
-            if i > 0 {
-                plane.send_to((i - 1) as u32, &CtrlMsg::Wire { outs: vec![(worker, data_addr)] });
+            for i in look {
+                let Some(kind) = self.examine(i, suspect) else { continue };
+                if self.stopping() {
+                    return;
+                }
+                self.restart(i, kind);
             }
         }
+    }
 
-        // Track end-to-end progress for the recovery timelines.
-        shared.observe_cursor(sink_acceptor.cursor(n as u32).1);
-
-        // Failure detection.
-        for i in 0..n {
-            if shared.stopping.load(Ordering::Acquire) {
-                return;
+    /// Records a worker's address and pushes the wiring it changes.
+    fn wire(&self, worker: u32, incarnation: u64, data_addr: String) {
+        let i = worker as usize;
+        {
+            let mut slots = self.shared.slots.lock();
+            if slots[i].incarnation != incarnation {
+                return; // stale Hello raced a restart; it gets fenced
             }
-            let (dead, expired, incarnation) = {
-                let mut slots = shared.slots.lock();
+            slots[i].seen_hello = true;
+            slots[i].open_conns += 1;
+        }
+        self.shared.stamp_handshake(worker, incarnation);
+        let downstream = {
+            let mut addrs = self.shared.addrs.lock();
+            addrs[i] = Some(data_addr.clone());
+            self.shared.wired.notify_all();
+            if i + 1 == addrs.len() {
+                Some(self.sink_addr.clone())
+            } else {
+                addrs[i + 1].clone()
+            }
+        };
+        // Wire this worker's out-edge…
+        if let Some(addr) = downstream {
+            self.plane.send_to(worker, &CtrlMsg::Wire { outs: vec![(worker + 1, addr)] });
+        }
+        // …and refresh the upstream neighbor's, which now dials here.
+        if i == 0 {
+            self.src_slot.set(Some(data_addr));
+        } else {
+            self.plane.send_to(worker - 1, &CtrlMsg::Wire { outs: vec![(worker, data_addr)] });
+        }
+    }
+
+    /// Looks at slot `i`: has its process exited, has its lease expired?
+    /// A suspect that has done neither is looked at a few more times, off
+    /// the `slots` lock, before it is left to the tick — never waited for.
+    fn examine(&self, i: usize, suspect: bool) -> Option<FaultKind> {
+        let mut rechecks = 0;
+        loop {
+            let verdict = {
+                let mut slots = self.shared.slots.lock();
                 let slot = &mut slots[i];
                 let exited = match slot.child.as_mut() {
                     Some(child) => child.try_wait().ok().flatten().is_some(),
                     None => false,
                 };
-                let lease = plane.lease(i as u32);
-                let expired = !exited
-                    && slot.seen_hello
-                    && match &lease {
-                        Some(l) => {
-                            l.epoch == slot.incarnation
-                                && l.last_beat.elapsed() > spec.lease_timeout
-                        }
-                        // Lease evicted (e.g. fenced) without a newer
-                        // incarnation of ours: treat as expired once the
-                        // process has had time to re-Hello.
-                        None => slot.spawned_at.elapsed() > spec.lease_timeout * 4,
-                    };
-                (exited, expired, slot.incarnation)
+                let lease = self.plane.lease(i as u32);
+                let now = Instant::now();
+                verdict(exited, lease.as_ref(), slot, suspect, now, self.spec.lease_timeout)
             };
-            if !(dead || expired) {
-                continue;
+            match verdict {
+                Verdict::Healthy => return None,
+                Verdict::Restart(kind) => return Some(kind),
+                Verdict::Suspect => {
+                    rechecks += 1;
+                    if rechecks > REAP_RECHECKS || self.stopping() {
+                        return None;
+                    }
+                    std::thread::sleep(REAP_RECHECK.delay(rechecks));
+                }
             }
-            if shared.stopping.load(Ordering::Acquire) {
-                return;
-            }
-            let detect_us = shared.now_us();
-            let cursor_at_detect = sink_acceptor.cursor(n as u32).1;
-            if dead {
+        }
+    }
+
+    /// Replaces worker `i`'s process by its next incarnation and opens the
+    /// fault's recovery timeline.
+    fn restart(&self, i: usize, kind: FaultKind) {
+        let (shared, plane) = (&self.shared, &self.plane);
+        let detect_us = shared.now_us();
+        let cursor_at_detect = shared.timelines.lock().last_cursor;
+        match kind {
+            FaultKind::Crash => {
                 shared.counters.crash_detected.incr();
                 shared.counters.crashes.fetch_add(1, Ordering::AcqRel);
-            } else {
+            }
+            FaultKind::LeaseExpiry => {
                 shared.counters.lease_expired.incr();
                 shared.counters.expiries.fetch_add(1, Ordering::AcqRel);
             }
-            let next = incarnation + 1;
-            // Fence first: anything still claiming the old incarnation
-            // must not survive alongside the replacement.
-            plane.expect_epoch(i as u32, next);
-            let fence_us = shared.now_us();
-            {
-                let mut slots = shared.slots.lock();
-                let slot = &mut slots[i];
-                if let Some(child) = slot.child.as_mut() {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
-                match spawn_worker(&spec, i, next, plane.local_addr()) {
-                    Ok(child) => {
-                        slot.child = Some(child);
-                        slot.incarnation = next;
-                        slot.spawned_at = Instant::now();
-                        slot.seen_hello = false;
-                    }
-                    Err(e) => {
-                        eprintln!("cluster: respawn of worker {i} failed: {e}");
-                        slot.child = None;
-                    }
-                }
-            }
-            shared.addrs.lock()[i] = None;
-            if i == 0 {
-                // Dialing the dead address is pointless; the bridge waits
-                // for the replacement's Hello.
-                *src_slot.lock() = None;
-            }
-            shared.counters.restarts.incr();
-            shared.counters.total_restarts.fetch_add(1, Ordering::AcqRel);
-            shared.timelines.lock().pending.push(PendingTimeline {
-                timeline: RecoveryTimeline {
-                    worker: i as u32,
-                    incarnation: next,
-                    kind: if dead { FaultKind::Crash } else { FaultKind::LeaseExpiry },
-                    mode: match spec.operators[i].recovery {
-                        RecoveryMode::Approximate(_) => RecoveryModeTag::Approximate,
-                        RecoveryMode::Precise => RecoveryModeTag::Precise,
-                    },
-                    detect_us,
-                    fence_us,
-                    respawn_us: shared.now_us(),
-                    handshake_us: None,
-                    first_output_us: None,
-                    drain_us: None,
-                },
-                cursor_at_detect,
-            });
         }
+        let next = shared.slots.lock()[i].incarnation + 1;
+        // Fence first: anything still claiming the old incarnation must
+        // not survive alongside the replacement.
+        plane.expect_epoch(i as u32, next);
+        let fence_us = shared.now_us();
+        {
+            let mut slots = shared.slots.lock();
+            let slot = &mut slots[i];
+            if let Some(child) = slot.child.as_mut() {
+                let _ = child.kill();
+                let _ = child.wait();
+            }
+            match spawn_worker(&self.spec, i, next, plane.local_addr()) {
+                Ok(child) => {
+                    slot.child = Some(child);
+                    slot.incarnation = next;
+                    slot.spawned_at = Instant::now();
+                    slot.seen_hello = false;
+                    slot.open_conns = 0;
+                }
+                Err(e) => {
+                    eprintln!("cluster: respawn of worker {i} failed: {e}");
+                    slot.child = None;
+                }
+            }
+        }
+        shared.addrs.lock()[i] = None;
+        if i == 0 {
+            // Dialing the dead address is pointless; the bridge waits for
+            // the replacement's Hello.
+            self.src_slot.set(None);
+        }
+        shared.counters.restarts.incr();
+        shared.counters.total_restarts.fetch_add(1, Ordering::AcqRel);
+        shared.timelines.lock().pending.push(PendingTimeline {
+            timeline: RecoveryTimeline {
+                worker: i as u32,
+                incarnation: next,
+                kind,
+                mode: match self.spec.operators[i].recovery {
+                    RecoveryMode::Approximate(_) => RecoveryModeTag::Approximate,
+                    RecoveryMode::Precise => RecoveryModeTag::Precise,
+                },
+                detect_us,
+                fence_us,
+                respawn_us: shared.now_us(),
+                handshake_us: None,
+                first_output_us: None,
+                drain_us: None,
+            },
+            cursor_at_detect,
+        });
+    }
+}
 
-        std::thread::sleep(spec.poll);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const LEASE: Duration = Duration::from_millis(250);
+
+    fn slot(incarnation: u64, seen_hello: bool, spawned_at: Instant) -> WorkerSlot {
+        WorkerSlot { child: None, incarnation, spawned_at, seen_hello, open_conns: 0 }
+    }
+
+    fn lease(epoch: u64, last_beat: Instant) -> LeaseView {
+        LeaseView { epoch, last_beat, data_addr: "mem:data".into() }
+    }
+
+    /// The safety of the crash signal: a closed control connection makes
+    /// the monitor look, and only what it then sees restarts anybody.
+    #[test]
+    fn a_dropped_control_connection_alone_restarts_nobody() {
+        let now = Instant::now();
+        let beating = lease(1, now);
+        let up = slot(1, true, now);
+        assert_eq!(verdict(false, Some(&beating), &up, false, now, LEASE), Verdict::Healthy);
+        assert_eq!(verdict(false, Some(&beating), &up, true, now, LEASE), Verdict::Suspect);
+        // Nor while the replacement boots (no Hello yet, nobody's lease).
+        let booting = slot(2, false, now);
+        assert_eq!(verdict(false, None, &booting, true, now, LEASE), Verdict::Suspect);
+        assert_eq!(verdict(false, None, &booting, false, now + LEASE * 8, LEASE), Verdict::Healthy);
+    }
+
+    #[test]
+    fn an_observed_exit_is_a_crash_and_a_silent_lease_an_expiry() {
+        let now = Instant::now();
+        let up = slot(1, true, now);
+        for suspect in [false, true] {
+            let crash = Verdict::Restart(FaultKind::Crash);
+            assert_eq!(verdict(true, Some(&lease(1, now)), &up, suspect, now, LEASE), crash);
+            assert_eq!(verdict(true, None, &slot(1, false, now), suspect, now, LEASE), crash);
+
+            let expiry = Verdict::Restart(FaultKind::LeaseExpiry);
+            let later = now + LEASE + Duration::from_millis(1);
+            assert_eq!(verdict(false, Some(&lease(1, now)), &up, suspect, later, LEASE), expiry);
+            // Evicted (fenced) and not back after four lease times.
+            let much_later = now + LEASE * 4 + Duration::from_millis(1);
+            assert_eq!(verdict(false, None, &up, suspect, much_later, LEASE), expiry);
+        }
+        // A predecessor's stale lease says nothing about this incarnation.
+        let later = now + LEASE * 2;
+        assert_eq!(
+            verdict(false, Some(&lease(0, now)), &up, false, later, LEASE),
+            Verdict::Healthy
+        );
+    }
+
+    #[test]
+    fn a_gone_event_counts_only_against_the_current_incarnation() {
+        let shared = MonitorShared::new(&Obs::new(), 1);
+        let mut current = slot(2, true, Instant::now());
+        current.open_conns = 2;
+        shared.slots.lock().push(current);
+        assert!(!shared.note_gone(0, 1), "an older incarnation's connection is history");
+        assert!(!shared.note_gone(7, 2), "no such worker");
+        assert_eq!(shared.slots.lock()[0].open_conns, 2);
+        assert!(!shared.note_gone(0, 2), "it redialed: one connection is still open");
+        assert!(shared.note_gone(0, 2));
+        assert_eq!(shared.slots.lock()[0].open_conns, 0);
     }
 }

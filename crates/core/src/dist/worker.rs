@@ -26,13 +26,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use streammine_common::clock::{shared, SystemClock};
 use streammine_net::{link, LinkConfig, TcpTransport, Transport};
 use streammine_obs::{Obs, TransportMetrics};
 
 use crate::config::{LoggingConfig, OperatorConfig};
-use crate::dist::bridge::{Acceptor, InEdge, OutBridge};
+use crate::dist::bridge::{Acceptor, DialSlot, InEdge, OutBridge};
 use crate::dist::control::{CtrlClient, CtrlIdentity};
 use crate::dist::spec::{WorkerSpec, SPEC_ENV};
 use crate::dist::wire::{CtrlMsg, FaultCmd};
@@ -224,6 +223,7 @@ pub(crate) fn run_worker(
             data_tx,
             ctrl_rx,
             start: resume_positions.get(port).copied().unwrap_or(0),
+            on_advance: None,
             metrics: TransportMetrics::registered(&obs.registry, spec.worker, edge),
         });
     }
@@ -263,12 +263,12 @@ pub(crate) fn run_worker(
     // Out-edges: links + bridges now, addresses when the Wire arrives.
     let mut down_data = Vec::new();
     let mut down_sent: Vec<Arc<AtomicU64>> = Vec::new();
-    let mut addr_slots: HashMap<u32, Arc<Mutex<Option<String>>>> = HashMap::new();
+    let mut dial_slots: HashMap<u32, DialSlot> = HashMap::new();
     let mut gates = Vec::new();
     for (out, edge) in spec.out_edges.iter().copied().enumerate() {
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
         let sent = Arc::new(AtomicU64::new(0));
-        let slot: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
+        let slot = DialSlot::new();
         let (gate_tx, gate_rx) = crossbeam_channel::bounded(1);
         let notices = inbox.clone();
         let out = out as u32;
@@ -276,7 +276,7 @@ pub(crate) fn run_worker(
             edge,
             incarnation: spec.incarnation,
             transport: transport.clone(),
-            addr: slot.clone(),
+            dial: slot.clone(),
             data_rx,
             ctrl_sink: Box::new(move |ctrl| notices.post(Notice::Downstream { out, ctrl })),
             metrics: TransportMetrics::registered(&obs.registry, spec.worker, edge),
@@ -284,23 +284,26 @@ pub(crate) fn run_worker(
             first_welcome: Some(gate_tx),
         }
         .start();
-        addr_slots.insert(edge, slot);
+        dial_slots.insert(edge, slot);
         down_data.push(data_tx);
         down_sent.push(sent);
         gates.push(gate_rx);
     }
 
-    // First Wire: fill the dial slots.
+    // A `Wire` fills the dial slots, which wakes their bridges.
+    let wire = |outs: Vec<(u32, String)>| {
+        for (edge, addr) in outs {
+            if let Some(slot) = dial_slots.get(&edge) {
+                slot.set(Some(addr));
+            }
+        }
+    };
     let deadline = std::time::Instant::now() + WIRING_TIMEOUT;
     'wired: loop {
         let left = deadline.saturating_duration_since(std::time::Instant::now());
         match ctrl_events.recv_timeout(left) {
             Ok(CtrlMsg::Wire { outs }) => {
-                for (edge, addr) in outs {
-                    if let Some(slot) = addr_slots.get(&edge) {
-                        *slot.lock() = Some(addr);
-                    }
-                }
+                wire(outs);
                 break 'wired;
             }
             Ok(CtrlMsg::Fence) => return exit::FENCED,
@@ -401,15 +404,9 @@ pub(crate) fn run_worker(
     // Steady state: obey the parent until told to stop.
     loop {
         match ctrl_events.recv() {
-            Ok(CtrlMsg::Wire { outs }) => {
-                // A downstream neighbor restarted at a new address; the
-                // bridge picks the slot up on its next dial attempt.
-                for (edge, addr) in outs {
-                    if let Some(slot) = addr_slots.get(&edge) {
-                        *slot.lock() = Some(addr);
-                    }
-                }
-            }
+            // A downstream neighbor restarted at a new address: its
+            // bridge, parked between dials of the dead one, redials now.
+            Ok(CtrlMsg::Wire { outs }) => wire(outs),
             Ok(CtrlMsg::Fault(cmd)) => match cmd {
                 FaultCmd::ListenerDrop { millis } => {
                     acceptor.drop_listener(Duration::from_millis(millis));

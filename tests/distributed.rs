@@ -441,3 +441,146 @@ fn cluster_telemetry_aggregates_metrics_traces_and_timelines() {
         "telemetry undercounted worker 1's restart"
     );
 }
+
+/// One fault trial the way the benchmark's `tcp_kill` runs it: `pre`
+/// paced events final at the sink, SIGKILL of the middle worker after
+/// `kill_delay`, the rest of `input` pushed at once, drained.
+struct KillTrial {
+    out: Vec<Value>,
+    /// The kill on the cluster clock (the timelines' time base).
+    kill_cluster_us: u64,
+    /// Kill → first event final after it, on the sink's own clock.
+    first_final_us: u64,
+    timelines: Vec<RecoveryTimeline>,
+}
+
+fn kill_trial(input: &[Value], pre: usize, kill_delay: Duration) -> KillTrial {
+    let cluster = Cluster::launch(tagger_chain(3)).expect("cluster launch");
+    assert!(cluster.wait_connected(Duration::from_secs(30)), "cluster never wired up");
+    for v in &input[..pre] {
+        cluster.source().push(v.clone());
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert!(cluster.sink().wait_final(pre, Duration::from_secs(30)), "pre-kill stream stalled");
+    std::thread::sleep(kill_delay);
+    // Both clocks are read at the kill: they share no zero.
+    let kill_sink_us = cluster.sink().clock().now_micros();
+    let kill_cluster_us = cluster.now_us();
+    cluster.kill_worker(1);
+    for v in &input[pre..] {
+        cluster.source().push(v.clone());
+    }
+    assert!(
+        cluster.sink().wait_final(input.len(), Duration::from_secs(10)),
+        "recovery wedged at {}/{} final events",
+        cluster.sink().final_count(),
+        input.len(),
+    );
+    let first_final_us = cluster
+        .sink()
+        .records()
+        .iter()
+        .filter_map(|r| r.final_at_us)
+        .filter(|&at| at >= kill_sink_us)
+        .min()
+        .expect("nothing became final after the kill")
+        - kill_sink_us;
+    let out = payloads(&cluster.sink().final_events());
+    cluster.shutdown();
+    KillTrial { out, kill_cluster_us, first_final_us, timelines: cluster.recovery_timelines() }
+}
+
+/// Recovery is bound by what it has to do, not by the timers that bound
+/// it: the monitor's poll, the bridges' dial back-off. Seven kills spread
+/// over one poll period; timer-bound recovery has no mode under 35 ms
+/// (detection alone waits half a poll on average, the wiring a whole
+/// one). The test shares the machine with the rest of its binary, so it
+/// gates the fast trials, not the median.
+#[test]
+fn sigkill_first_output_is_not_timer_bound() {
+    let input = inputs(60);
+    let expected = reference(3, &input);
+    let mut recovered_ms = Vec::new();
+    for trial in 0..7 {
+        let t = kill_trial(&input, 40, Duration::from_millis(3) * trial);
+        assert_eq!(t.out, expected, "trial {trial}: recovery changed the output bytes");
+        recovered_ms.push(t.first_final_us as f64 / 1e3);
+    }
+    eprintln!("kill -> first output, ms: {recovered_ms:?}");
+    let fast = recovered_ms.iter().filter(|&&ms| ms < 25.0).count();
+    assert!(fast >= 3, "only {fast} of 7 recoveries beat a poll period: {recovered_ms:?} ms");
+}
+
+/// The timeline's `first_output` and `drain` are stamped by the sink edge
+/// as output arrives, not by the monitor's next look at the cursor: the
+/// timeline and the sink's own clock tell the same story about the same
+/// kill. (Agreement within 5 ms is asked of one trial in three — the two
+/// stamps are taken by two threads of a busy test binary; read from a poll
+/// they are tens of milliseconds apart every time.)
+#[test]
+fn recovery_timeline_is_stamped_when_the_output_arrives() {
+    let input = inputs(60);
+    let mut apart_us = Vec::new();
+    for _ in 0..3 {
+        let t = kill_trial(&input, 40, Duration::ZERO);
+        let crash = t
+            .timelines
+            .iter()
+            .find(|c| c.kind == FaultKind::Crash && c.worker == 1)
+            .expect("no crash timeline for the killed worker");
+        assert!(crash.monotonic(), "non-monotonic timeline: {}", crash.to_json());
+        let first = crash.first_output_us.expect("post-recovery output never stamped");
+        let drain = crash.drain_us.expect("drain never stamped");
+        assert!(drain >= first, "drained before the first output: {}", crash.to_json());
+        assert!(first >= t.kill_cluster_us, "output stamped before the kill");
+        apart_us.push((first - t.kill_cluster_us).abs_diff(t.first_final_us));
+        if apart_us.last().is_some_and(|&us| us < 5_000) {
+            return;
+        }
+    }
+    panic!("timeline and sink disagree on kill -> first output by {apart_us:?} us");
+}
+
+/// A second SIGKILL that hits the replacement while it boots — before its
+/// `Hello`, or just after — is found by the poll tick when no closed
+/// connection announces it, and recovered from like the first.
+#[test]
+fn kill_of_a_booting_replacement_recovers() {
+    let input = inputs(40);
+    let expected = reference(3, &input);
+    for delay_us in [0, 300, 600, 900, 1200] {
+        let cluster = Cluster::launch(tagger_chain(3)).expect("cluster launch");
+        assert!(cluster.wait_connected(Duration::from_secs(30)), "cluster never wired up");
+        for v in &input[..20] {
+            cluster.source().push(v.clone());
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert!(cluster.sink().wait_final(20, Duration::from_secs(30)), "pre-kill stream stalled");
+        cluster.kill_worker(1);
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while cluster.restarts() < 1 {
+            assert!(std::time::Instant::now() < deadline, "the first kill was never handled");
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        std::thread::sleep(Duration::from_micros(delay_us));
+        cluster.kill_worker(1);
+        for v in &input[20..] {
+            cluster.source().push(v.clone());
+        }
+        assert!(
+            cluster.sink().wait_final(input.len(), Duration::from_secs(10)),
+            "second kill {delay_us} us into the boot: wedged at {}/{} final events",
+            cluster.sink().final_count(),
+            input.len(),
+        );
+        assert_eq!(payloads(&cluster.sink().final_events()), expected, "delay {delay_us} us");
+        assert_eq!(cluster.crashes_detected(), 2, "delay {delay_us} us");
+        cluster.shutdown();
+        let crashes = cluster
+            .recovery_timelines()
+            .iter()
+            .filter(|t| t.kind == FaultKind::Crash && t.worker == 1)
+            .count();
+        assert_eq!(crashes, 2, "delay {delay_us} us: one timeline per crash");
+    }
+}
