@@ -4,7 +4,13 @@
 //! full-duplex connection**, dialed by the sending side:
 //!
 //! * the **out-bridge** (sender side) is the receiver of the sender's
-//!   local link: it reads the ring and writes [`DistFrame::Data`] frames;
+//!   local link: it reads the ring and writes [`DistFrame::Data`] frames
+//!   — speculative events, and the finalizes that follow them, as the
+//!   node put them there: a bridge holds nothing back and reorders
+//!   nothing. A frame carries everything the ring held ready when the
+//!   bridge looked (a replay, a burst, an event with its finalize: one
+//!   write), and what was written on a connection is not written on it
+//!   again when the sending node rewinds the ring for a replay request;
 //!   the reverse direction of the same socket carries the remote
 //!   receiver's acks and replay requests back into the sender's inbox.
 //!   On connection loss it redials, re-handshakes, and rewinds its own
@@ -20,12 +26,15 @@
 //!   a sink) reads like any in-process edge — the socket thread hands over
 //!   directly, blocking while the ring's window is full. The per-edge
 //!   [`EdgeCursor`] survives connection replacement, so duplicates from
-//!   overlapping replays are dropped and the consumed-event count stays
-//!   exact — it is the source of truth for a restarted sender's resend
-//!   suppression. Once a restarted sender has been told that count, the
-//!   connections of its predecessors are cut off: frames a dead process
-//!   left in a socket buffer must not arrive after its successor was
-//!   welcomed.
+//!   overlapping replays are dropped and its counts — events consumed,
+//!   and how many of them are known final — stay exact: they are the
+//!   source of truth for a restarted sender, which swallows that many of
+//!   the events and finalizes it re-derives and sends the rest. Once a
+//!   restarted sender has been told the counts, the connections of its
+//!   predecessors are cut off: frames a dead process left in a socket
+//!   buffer — a speculative event, a finalize — must not arrive after its
+//!   successor was welcomed, or the receiver would hold one more than the
+//!   successor was told and get it a second time.
 //!
 //! The acceptor also implements the distributed nemesis faults: a
 //! listener *blackhole* (new connections dropped, existing ones severed)
@@ -57,6 +66,8 @@ const RECONNECT: BackoffConfig = BackoffConfig::millis(10, 400);
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 /// Poll interval of local-link drains (shutdown / connection-death checks).
 const DRAIN_POLL: Duration = Duration::from_millis(20);
+/// Most ring messages an out-bridge puts into one frame.
+const MAX_RUN: usize = 64;
 
 /// Where an out-bridge dials: the address the control plane last wired
 /// (`None`: nowhere yet, or the peer is known dead) and the waker its
@@ -81,6 +92,17 @@ impl DialSlot {
     }
 }
 
+/// Where a receiver's edge cursor stood when it welcomed a connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Welcomed {
+    /// The next link sequence the receiver expects.
+    pub next_seq: u64,
+    /// Data events it has consumed on the edge.
+    pub events: u64,
+    /// How many of them it knows to be final.
+    pub finals: u64,
+}
+
 /// Configuration of one sender-side bridge.
 pub(crate) struct OutBridge {
     /// Graph-global edge id (sent in the `EdgeHello`).
@@ -97,10 +119,10 @@ pub(crate) struct OutBridge {
     pub ctrl_sink: Box<dyn Fn(Control) + Send + Sync>,
     pub metrics: TransportMetrics,
     pub shutdown: Arc<AtomicBool>,
-    /// Receives `(next_seq, events_received)` from the **first**
-    /// successful handshake — a freshly started sender applies it to its
-    /// link counters before the node runs.
-    pub first_welcome: Option<crossbeam_channel::Sender<(u64, u64)>>,
+    /// Receives the receiver's cursor from the **first** successful
+    /// handshake — a freshly started sender applies it to its link
+    /// counters before the node runs.
+    pub first_welcome: Option<crossbeam_channel::Sender<Welcomed>>,
 }
 
 impl OutBridge {
@@ -117,8 +139,7 @@ impl OutBridge {
         let mut connected_before = false;
         while !self.shutdown.load(Ordering::Acquire) {
             let addr = self.dial.addr.lock().clone();
-            let Some((next_seq, events_received, conn)) =
-                addr.as_deref().and_then(|addr| self.handshake(addr))
+            let Some((welcomed, conn)) = addr.as_deref().and_then(|addr| self.handshake(addr))
             else {
                 // Nobody answers (or nobody to dial): wait to be wired
                 // anew. The back-off is the deadline, so it only paces
@@ -141,20 +162,20 @@ impl OutBridge {
             if connected_before {
                 self.metrics.reconnects.incr();
             } else if let Some(gate) = self.first_welcome.take() {
-                let _ = gate.send((next_seq, events_received));
+                let _ = gate.send(welcomed);
             }
             // Read again from what the receiver has not consumed: frames
             // lost with the old socket (or read from the local link but
             // never written) are all still in the ring — retained until
             // acked. A no-op on a first connection.
-            self.data_rx.rewind_to(next_seq);
+            self.data_rx.rewind_to(welcomed.next_seq);
             connected_before = true;
-            self.pump(conn);
+            self.pump(conn, welcomed.next_seq);
         }
     }
 
     /// Dials, sends `EdgeHello`, waits for `Welcome`.
-    fn handshake(&self, addr: &str) -> Option<(u64, u64, Box<dyn streammine_net::FrameConn>)> {
+    fn handshake(&self, addr: &str) -> Option<(Welcomed, Box<dyn streammine_net::FrameConn>)> {
         let mut conn = self.transport.dial(addr).ok()?;
         let hello =
             DistFrame::EdgeHello { edge: self.edge, incarnation: self.incarnation }.encode_to_vec();
@@ -163,8 +184,10 @@ impl OutBridge {
         loop {
             match conn.recv() {
                 Ok(bytes) => match decode_from_slice::<DistFrame>(&bytes) {
-                    Ok(DistFrame::Welcome { next_seq, events_received }) => {
-                        return Some((next_seq, events_received, conn));
+                    Ok(DistFrame::Welcome { next_seq, events_received, finals_received }) => {
+                        let welcomed =
+                            Welcomed { next_seq, events: events_received, finals: finals_received };
+                        return Some((welcomed, conn));
                     }
                     _ => return None,
                 },
@@ -178,10 +201,11 @@ impl OutBridge {
         }
     }
 
-    /// Drives one established connection: this thread writes data frames,
-    /// a scoped helper thread reads control frames. Returns when the
-    /// connection dies (either direction) or shutdown is requested.
-    fn pump(&self, conn: Box<dyn streammine_net::FrameConn>) {
+    /// Drives one established connection, whose receiver expects sequence
+    /// `unwritten` next: this thread writes data frames, a scoped helper
+    /// thread reads control frames. Returns when the connection dies
+    /// (either direction) or shutdown is requested.
+    fn pump(&self, conn: Box<dyn streammine_net::FrameConn>, mut unwritten: u64) {
         let (mut tx, mut rx) = conn.split();
         let dead = Arc::new(AtomicBool::new(false));
         std::thread::scope(|s| {
@@ -218,16 +242,38 @@ impl OutBridge {
                     break;
                 }
                 match self.data_rx.recv_timeout(DRAIN_POLL) {
-                    Ok((seq, msg)) => {
-                        let bytes = DistFrame::Data { seq, msg }.encode_to_vec();
+                    Ok(first) => {
+                        // Whatever else is readable rides along: a replay,
+                        // a burst, an event and the finalize behind it cost
+                        // one write and one wake-up of the peer, not one
+                        // per message. Nothing is waited for.
+                        let mut run = vec![first];
+                        while run.len() < MAX_RUN {
+                            match self.data_rx.try_recv() {
+                                Ok(Some(next)) => run.push(next),
+                                // Empty, or gone: the next `recv` says which.
+                                Ok(None) | Err(_) => break,
+                            }
+                        }
+                        // The sending node rewinds this ring when the
+                        // receiving node asks for a replay, which a new
+                        // process does as it starts — after this connection
+                        // welcomed it and began replaying. What was written
+                        // on this connection arrives or the connection
+                        // dies: it is not written again.
+                        run.retain(|(seq, _)| *seq >= unwritten);
+                        let Some((last, _)) = run.last() else { continue };
+                        let written = last + 1;
+                        let bytes = DistFrame::Data(run).encode_to_vec();
                         match tx.send(&bytes) {
                             Ok(()) => {
+                                unwritten = written;
                                 self.metrics.frames_out.incr();
                                 self.metrics.bytes_out.add(bytes.len() as u64);
                             }
                             Err(_) => {
-                                // The frame stays retained in the link; the
-                                // next handshake's rewind reads it again.
+                                // Its messages stay retained in the link; the
+                                // next handshake's rewind reads them again.
                                 dead.store(true, Ordering::Release);
                                 break;
                             }
@@ -261,22 +307,22 @@ pub(crate) struct InEdge {
     /// The local ring the consumer (a node's inbox, a sink) reads; it must
     /// be unused. The remote sender retains the edge for replay, so this
     /// hop is acknowledged ahead — it keeps nothing once read — and it is
-    /// numbered from `start`, so the consumer sees the wire's own
-    /// sequences.
+    /// numbered from `cursor`'s sequence, so the consumer sees the wire's
+    /// own sequences.
     pub data_tx: LinkSender<Message>,
     /// The node's upstream control link (acks, replay requests), pumped
     /// to the current connection's reverse direction.
     pub ctrl_rx: LinkReceiver<Control>,
-    /// Link sequence this edge resumes at — 0 for a fresh worker, the
+    /// Where this edge resumes — at 0 for a fresh worker, at the
     /// checkpoint's input position for a respawn. Earlier checkpoint acks
-    /// trimmed the upstream's retention below this point, so welcoming a
+    /// trimmed the upstream's retention below that point, so welcoming a
     /// reconnecting sender with anything smaller would park the retained
     /// suffix behind a gap that can never fill.
-    pub start: u64,
-    /// Called with the cursor's event count after each accepted frame,
+    pub cursor: EdgeCursor,
+    /// Called with the cursor's count of finals after each accepted frame,
     /// under the cursor lock (so calls are in cursor order): the cluster's
     /// sink edge stamps its recovery timelines here, at the moment output
-    /// arrives. `None` in workers.
+    /// a user may act on arrives. `None` in workers.
     pub on_advance: Option<Box<dyn Fn(u64) + Send + Sync>>,
     pub metrics: TransportMetrics,
 }
@@ -337,9 +383,9 @@ impl Acceptor {
         let mut pumps = Vec::new();
         for e in edges {
             e.data_tx.ack_upto(u64::MAX);
-            e.data_tx.set_next_seq(e.start);
+            e.data_tx.set_next_seq(e.cursor.next_seq());
             let state = Arc::new(EdgeState {
-                intake: Mutex::new(Intake { cursor: EdgeCursor::starting_at(e.start), sender: 0 }),
+                intake: Mutex::new(Intake { cursor: e.cursor, sender: 0 }),
                 data_tx: e.data_tx,
                 on_advance: e.on_advance,
                 writer: Mutex::new(None),
@@ -463,6 +509,7 @@ fn serve_conn(mut conn: Box<dyn streammine_net::FrameConn>, shared: Arc<Acceptor
         DistFrame::Welcome {
             next_seq: intake.cursor.next_seq(),
             events_received: intake.cursor.events(),
+            finals_received: intake.cursor.finals(),
         }
     };
     if conn.send(&welcome.encode_to_vec()).is_err() {
@@ -510,7 +557,7 @@ fn serve_conn(mut conn: Box<dyn streammine_net::FrameConn>, shared: Arc<Acceptor
                 }
                 state.metrics.frames_in.incr();
                 state.metrics.bytes_in.add(bytes.len() as u64);
-                if let Ok(DistFrame::Data { seq, msg }) = decode_from_slice::<DistFrame>(&bytes) {
+                if let Ok(DistFrame::Data(run)) = decode_from_slice::<DistFrame>(&bytes) {
                     // Hand over under the cursor lock so concurrent
                     // connections of the same edge (old + replacement)
                     // cannot interleave out of order. Waiting on a full
@@ -519,17 +566,20 @@ fn serve_conn(mut conn: Box<dyn streammine_net::FrameConn>, shared: Arc<Acceptor
                     if intake.sender != incarnation {
                         return; // superseded since this frame was sent
                     }
-                    if intake.cursor.accept(seq, &msg) {
-                        // The cursor accepts consecutive sequences only and
-                        // the ring numbers from the same start; a consumer
-                        // that is gone means the process is going too.
-                        let local = state.data_tx.send_blocking(msg);
-                        assert!(
-                            local.map_or(true, |local| local == seq),
-                            "edge ring numbered {local:?} for wire sequence {seq}"
-                        );
-                        if let Some(on_advance) = &state.on_advance {
-                            on_advance(intake.cursor.events());
+                    for (seq, msg) in run {
+                        if intake.cursor.accept(seq, &msg) {
+                            // The cursor accepts consecutive sequences only
+                            // and the ring numbers from the same start; a
+                            // consumer that is gone means the process is
+                            // going too.
+                            let local = state.data_tx.send_blocking(msg);
+                            assert!(
+                                local.map_or(true, |local| local == seq),
+                                "edge ring numbered {local:?} for wire sequence {seq}"
+                            );
+                            if let Some(on_advance) = &state.on_advance {
+                                on_advance(intake.cursor.finals());
+                            }
                         }
                     }
                 }
@@ -616,7 +666,7 @@ mod tests {
                 edge: 7,
                 data_tx: got_tx,
                 ctrl_rx: up_ctrl_rx,
-                start: 0,
+                cursor: EdgeCursor::starting_at(0),
                 on_advance: None,
                 metrics: TransportMetrics::detached(),
             }],
@@ -645,7 +695,8 @@ mod tests {
         .start();
 
         // First handshake reports a zero cursor.
-        assert_eq!(gate_rx.recv_timeout(Duration::from_secs(5)).unwrap(), (0, 0));
+        let fresh = Welcomed { next_seq: 0, events: 0, finals: 0 };
+        assert_eq!(gate_rx.recv_timeout(Duration::from_secs(5)).unwrap(), fresh);
         for n in 0..5u64 {
             data_tx.send(ev(n)).unwrap();
         }
@@ -678,6 +729,42 @@ mod tests {
         acceptor.poke();
     }
 
+    /// What the ring holds ready when the bridge looks goes out as one
+    /// frame, and is handed over in ring order under the ring's sequences.
+    #[test]
+    fn a_backlog_rides_in_one_frame() {
+        let transport: Arc<dyn Transport> =
+            Arc::new(MemTransport::new().with_read_timeout(Duration::from_millis(20)));
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (acceptor, got_rx) = acceptor_at(&transport, "mem-backlog:0", 4, &shutdown);
+        let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
+        for n in 0..10u64 {
+            data_tx.send(ev(n)).unwrap();
+        }
+        let metrics = TransportMetrics::detached();
+        let dial = DialSlot::new();
+        dial.set(Some(acceptor.local_addr().to_string()));
+        OutBridge {
+            edge: 4,
+            incarnation: 0,
+            transport,
+            dial,
+            data_rx,
+            ctrl_sink: Box::new(|_| {}),
+            metrics: metrics.clone(),
+            shutdown: shutdown.clone(),
+            first_welcome: None,
+        }
+        .start();
+        for n in 0..10u64 {
+            assert_eq!(got_rx.recv_timeout(Duration::from_secs(5)).unwrap(), (n, ev(n)));
+        }
+        assert_eq!(metrics.frames_out.get(), 1, "ten ready messages, one write");
+        assert_eq!(acceptor.cursor(4), (10, 10));
+        shutdown.store(true, Ordering::Release);
+        acceptor.poke();
+    }
+
     /// A paused inbound edge (one-way partition) delays frames but the
     /// cursor dedups any overlap once the window ends.
     #[test]
@@ -694,7 +781,7 @@ mod tests {
                 edge: 1,
                 data_tx: got_tx,
                 ctrl_rx: up_ctrl_rx,
-                start: 0,
+                cursor: EdgeCursor::starting_at(0),
                 on_advance: None,
                 metrics: TransportMetrics::detached(),
             }],
@@ -760,7 +847,7 @@ mod tests {
         transport: Arc<dyn Transport>,
         dials: crossbeam_channel::Receiver<Instant>,
         dial: DialSlot,
-        connected: crossbeam_channel::Receiver<(u64, u64)>,
+        connected: crossbeam_channel::Receiver<Welcomed>,
         shutdown: Arc<AtomicBool>,
         _data_tx: LinkSender<Message>,
     }
@@ -805,7 +892,7 @@ mod tests {
             edge,
             data_tx: got_tx,
             ctrl_rx: up_ctrl_rx,
-            start: 0,
+            cursor: EdgeCursor::starting_at(0),
             on_advance: None,
             metrics: TransportMetrics::detached(),
         }];
@@ -860,10 +947,12 @@ mod tests {
         acceptor.poke();
     }
 
-    /// A respawned sender frames its re-derived output by its own timing.
-    /// What its predecessor left unread in a socket (here: sent after the
-    /// successor's `Welcome`, as a paused edge delivers it) carries the
-    /// same sequence for other events, and must not be taken.
+    /// A respawned sender is told what the receiver holds and sends the
+    /// rest, framed by its own timing. What its predecessor left unread in
+    /// a socket (here: sent after the successor's `Welcome`, as a paused
+    /// edge delivers it) is part of that rest — the finalize of an event
+    /// the receiver holds speculative — under a sequence the successor
+    /// uses for something else, and must not be taken.
     #[test]
     fn frames_of_a_superseded_sender_incarnation_are_dropped() {
         let transport: Arc<dyn Transport> =
@@ -892,28 +981,41 @@ mod tests {
                 }
             }
         };
-        let data = |seq: u64, msg: Message| DistFrame::Data { seq, msg }.encode_to_vec();
-        let event = |n: u64| match ev(n) {
-            Message::Data(e) => e,
-            _ => unreachable!(),
+        let data = |seq: u64, msg: Message| DistFrame::Data(vec![(seq, msg)]).encode_to_vec();
+        let speculative = |n: u64| {
+            Event::speculative(EventId::new(OperatorId::new(0), n), 0, Value::Int(n as i64))
+        };
+        let finalize =
+            |n: u64| Message::Control(Control::Finalize { id: speculative(n).id, version: 0 });
+        let welcome = |next_seq, events_received, finals_received| DistFrame::Welcome {
+            next_seq,
+            events_received,
+            finals_received,
         };
 
-        let (mut old, welcome) = join(0);
-        assert_eq!(welcome, DistFrame::Welcome { next_seq: 0, events_received: 0 });
-        old.send(&data(0, ev(0))).unwrap();
+        let (mut old, welcomed) = join(0);
+        assert_eq!(welcomed, welcome(0, 0, 0));
+        old.send(&data(0, Message::Data(speculative(0)))).unwrap();
         assert_eq!(got_rx.recv_timeout(Duration::from_secs(5)).unwrap().0, 0);
 
-        let (mut new, welcome) = join(1);
-        assert_eq!(welcome, DistFrame::Welcome { next_seq: 1, events_received: 1 });
-        // The predecessor's leftover: event 1 alone under sequence 1. The
-        // acceptor hangs up on it.
-        old.send(&data(1, ev(1))).unwrap();
+        // The successor is told: one event, not final yet.
+        let (mut new, welcomed) = join(1);
+        assert_eq!(welcomed, welcome(1, 1, 0));
+        // The predecessor's leftover: that event's finalize under sequence
+        // 1. The acceptor hangs up on it.
+        old.send(&data(1, finalize(0))).unwrap();
         assert!(hung_up(&mut *old), "a superseded connection stayed open");
-        // The successor batches events 1 and 2 under the same sequence.
-        new.send(&data(1, Message::DataBatch(vec![event(1), event(2)]))).unwrap();
+        // The successor swallowed event 0 and batches events 1 and 2 under
+        // the same sequence, ahead of the finalize it owes.
+        new.send(&data(1, Message::DataBatch(vec![speculative(1), speculative(2)]))).unwrap();
+        new.send(&data(2, finalize(0))).unwrap();
         let (seq, msg) = got_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!((seq, msg.event_count()), (1, 2));
-        assert_eq!(acceptor.cursor(2), (2, 3));
+        assert_eq!(got_rx.recv_timeout(Duration::from_secs(5)).unwrap(), (2, finalize(0)));
+        assert_eq!(acceptor.cursor(2), (3, 3));
+        // Exactly one finalize was counted.
+        let (_third, welcomed) = join(1);
+        assert_eq!(welcomed, welcome(3, 3, 1));
         // And a zombie that dials after its successor is not welcomed.
         let mut zombie = transport.dial(acceptor.local_addr()).unwrap();
         zombie.send(&DistFrame::EdgeHello { edge: 2, incarnation: 0 }.encode_to_vec()).unwrap();

@@ -24,6 +24,13 @@
 //! (checkpoint-free), re-handshakes its edges, and the combination of
 //! upstream retention replay + handshake resend-suppression yields output
 //! byte-identical to a failure-free run.
+//!
+//! Precise workers speculate ([`super::worker`]): what crosses the
+//! sockets between them is speculative until its `Finalize` follows. The
+//! cluster's sink is the barrier — [`SinkHandle`] reports an event final
+//! only when the last worker said so, and only finals count as output
+//! here: in what [`Cluster::sink`] hands out and in the recovery
+//! timelines' `first_output` and `drain`.
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -51,6 +58,7 @@ use crate::dist::spec::{WorkerSpec, SPEC_ENV};
 use crate::dist::wire::{CtrlMsg, FaultCmd};
 use crate::endpoints::{SinkHandle, SourceHandle};
 use crate::message::{Control, Message};
+use crate::plumbing::EdgeCursor;
 
 /// How long [`Cluster::shutdown`] lets the workers finish by themselves.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
@@ -85,7 +93,12 @@ pub struct NodeSpec {
 }
 
 impl NodeSpec {
-    /// A precise, checkpoint-free logged slot — the classic worker.
+    /// A precise, checkpoint-free slot that logs each event's decisions on
+    /// `disks` devices of `log_micros` write latency. The log makes its
+    /// output *final*, not sendable: the worker forwards every output at
+    /// once, speculative, and finalizes it when the record is stable (and
+    /// the input itself final), so a chain of such slots waits for one log
+    /// write, not one per slot.
     pub fn logged(operator: &str, log_micros: u64, disks: u32) -> NodeSpec {
         NodeSpec {
             operator: operator.into(),
@@ -229,8 +242,9 @@ struct Counters {
 /// output again (the sink connection's thread, as it happens).
 struct PendingTimeline {
     timeline: RecoveryTimeline,
-    /// Sink event cursor at detection: output beyond this proves the
-    /// replacement's replayed deliveries reached the end of the chain.
+    /// Finals the sink edge had counted at detection: one beyond this
+    /// proves the replacement's replayed deliveries — and their finalizes
+    /// — reached the end of the chain.
     cursor_at_detect: u64,
 }
 
@@ -284,16 +298,17 @@ impl MonitorShared {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// The sink edge's advance hook: tracks the sink cursor and stamps
-    /// `first_output` on pending timelines whose replacement has
-    /// handshaked and whose backlog the cursor has now passed. Without a
-    /// fault on record it reads no clock.
-    fn observe_cursor(&self, cursor_events: u64) {
+    /// The sink edge's advance hook: tracks how many events the edge has
+    /// delivered *final* — a speculative arrival is not output anybody may
+    /// act on — and stamps `first_output` on pending timelines whose
+    /// replacement has handshaked and whose backlog that count has now
+    /// passed. Without a fault on record it reads no clock.
+    fn observe_cursor(&self, cursor_finals: u64) {
         let mut st = self.timelines.lock();
-        if cursor_events <= st.last_cursor {
+        if cursor_finals <= st.last_cursor {
             return;
         }
-        st.last_cursor = cursor_events;
+        st.last_cursor = cursor_finals;
         if st.pending.is_empty() {
             return;
         }
@@ -302,7 +317,7 @@ impl MonitorShared {
         for p in st.pending.iter_mut() {
             if p.timeline.handshake_us.is_some()
                 && p.timeline.first_output_us.is_none()
-                && cursor_events > p.cursor_at_detect
+                && cursor_finals > p.cursor_at_detect
             {
                 p.timeline.first_output_us = Some(now);
             }
@@ -422,8 +437,8 @@ impl Cluster {
                 edge: n as u32,
                 data_tx: sink_data_tx,
                 ctrl_rx: sink_ctrl_rx,
-                start: 0,
-                on_advance: Some(Box::new(move |events| timelines.observe_cursor(events))),
+                cursor: EdgeCursor::starting_at(0),
+                on_advance: Some(Box::new(move |finals| timelines.observe_cursor(finals))),
                 metrics: TransportMetrics::registered(&obs.registry, (n - 1) as u32, n as u32),
             }],
             shutdown.clone(),
@@ -548,8 +563,10 @@ impl Cluster {
     }
 
     /// In-order progress of the sink edge: `(next expected link seq,
-    /// events delivered)`. The event count only moves when a frame arrives
-    /// in order, so it is the cluster's end-to-end progress watermark.
+    /// events delivered)` — delivered, not necessarily final yet
+    /// ([`SinkHandle::final_count`] says how many are). The event count
+    /// only moves when a frame arrives in order, so it is the cluster's
+    /// end-to-end progress watermark.
     pub fn sink_cursor(&self) -> (u64, u64) {
         self.sink_acceptor.cursor(self.n as u32)
     }

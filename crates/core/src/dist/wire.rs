@@ -10,8 +10,12 @@
 //!   resend-from-ack after a reconnect and output suppression after a
 //!   sender restart. Data frames carry the link sequence number assigned
 //!   by the sender's retained link, so replayed frames keep their
-//!   original positions; control frames flow the *other* way on the same
-//!   socket (acks, replay requests).
+//!   original positions. What they carry is speculative between precise
+//!   workers: an event goes out flagged `speculative` before its sender's
+//!   decision log is stable, and a `Control::Finalize` (or `Revoke`)
+//!   follows it on the same lane, in order, once the sender committed.
+//!   Control frames flow the *other* way on the same socket (acks, replay
+//!   requests).
 //! * **Control lane** ([`CtrlMsg`]) — one connection per worker process,
 //!   dialed by the worker at startup. Workers introduce themselves with
 //!   [`CtrlMsg::Hello`] (carrying their data listener address), then renew
@@ -45,14 +49,17 @@ pub enum DistFrame {
         /// on this edge — the resend-suppression count for a freshly
         /// restarted sender.
         events_received: u64,
+        /// How many of them the receiver knows to be final (they arrived
+        /// final, or their `Finalize` did). The rest it holds speculative:
+        /// a restarted sender owes it their finalizes, and only those.
+        finals_received: u64,
     },
-    /// A data-lane message with its sender-assigned link sequence.
-    Data {
-        /// Link sequence number (original position, even on replay).
-        seq: u64,
-        /// The message.
-        msg: Message,
-    },
+    /// Data-lane messages, each with its sender-assigned link sequence
+    /// (original position, even on replay): everything the sender's ring
+    /// held ready when its bridge looked, in ring order. One message under
+    /// a paced stream; a replay, or an event's worth of speculative output
+    /// and finalizes, shares one frame.
+    Data(Vec<(u64, Message)>),
     /// Receiver-to-sender control traffic (acks, replay requests) riding
     /// the same socket in the reverse direction.
     Ctrl(Control),
@@ -66,15 +73,19 @@ impl Encode for DistFrame {
                 enc.put_u32(*edge);
                 enc.put_u64(*incarnation);
             }
-            DistFrame::Welcome { next_seq, events_received } => {
+            DistFrame::Welcome { next_seq, events_received, finals_received } => {
                 enc.put_u8(1);
                 enc.put_u64(*next_seq);
                 enc.put_u64(*events_received);
+                enc.put_u64(*finals_received);
             }
-            DistFrame::Data { seq, msg } => {
+            DistFrame::Data(run) => {
                 enc.put_u8(2);
-                enc.put_u64(*seq);
-                msg.encode(enc);
+                enc.put_u64(run.len() as u64);
+                for (seq, msg) in run {
+                    enc.put_u64(*seq);
+                    msg.encode(enc);
+                }
             }
             DistFrame::Ctrl(ctrl) => {
                 enc.put_u8(3);
@@ -88,8 +99,19 @@ impl Decode for DistFrame {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         Ok(match dec.get_u8()? {
             0 => DistFrame::EdgeHello { edge: dec.get_u32()?, incarnation: dec.get_u64()? },
-            1 => DistFrame::Welcome { next_seq: dec.get_u64()?, events_received: dec.get_u64()? },
-            2 => DistFrame::Data { seq: dec.get_u64()?, msg: Message::decode(dec)? },
+            1 => DistFrame::Welcome {
+                next_seq: dec.get_u64()?,
+                events_received: dec.get_u64()?,
+                finals_received: dec.get_u64()?,
+            },
+            2 => {
+                let len = dec.get_len()?;
+                let mut run = Vec::with_capacity(len.min(1024));
+                for _ in 0..len {
+                    run.push((dec.get_u64()?, Message::decode(dec)?));
+                }
+                DistFrame::Data(run)
+            }
             3 => DistFrame::Ctrl(Control::decode(dec)?),
             tag => return Err(DecodeError::InvalidTag { type_name: "DistFrame", tag }),
         })
@@ -261,10 +283,13 @@ mod tests {
         let ev = Event::new(EventId::new(OperatorId::new(1), 9), 3, Value::Int(7));
         let cases = vec![
             DistFrame::EdgeHello { edge: 2, incarnation: 5 },
-            DistFrame::Welcome { next_seq: 11, events_received: 40 },
-            DistFrame::Data { seq: 3, msg: Message::Data(ev.clone()) },
-            DistFrame::Data { seq: 4, msg: Message::DataBatch(vec![ev.clone(), ev]) },
-            DistFrame::Data { seq: 5, msg: Message::Control(Control::Eof) },
+            DistFrame::Welcome { next_seq: 11, events_received: 40, finals_received: 37 },
+            DistFrame::Data(vec![(3, Message::Data(ev.clone()))]),
+            DistFrame::Data(vec![
+                (4, Message::DataBatch(vec![ev.clone(), ev])),
+                (5, Message::Control(Control::Eof)),
+            ]),
+            DistFrame::Data(Vec::new()),
             DistFrame::Ctrl(Control::ReplayRequest { from: 6, token: 1 }),
             DistFrame::Ctrl(Control::Ack { upto: 17 }),
         ];

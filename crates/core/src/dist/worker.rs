@@ -8,12 +8,39 @@
 //! suppresses exactly the outputs already on the wire), and then runs the
 //! node until the parent says otherwise.
 //!
+//! A **precise** slot runs a speculative node on one thread: every output
+//! goes on the wire the moment it is computed, flagged speculative, while
+//! its decision record is still on its way to the log, and a `Finalize`
+//! follows once the log is stable and the input itself was finalized. The
+//! log waits of a chain of workers overlap instead of adding up; only the
+//! launcher's sink, which externalises finals alone, waits for all of
+//! them. An **approximate** slot stays non-speculative (it skips the log
+//! hold anyway) and parks a speculative input until its `Finalize`.
+//!
 //! By default workers are **checkpoint-free**: recovery is a full
 //! upstream replay plus handshake-driven resend suppression. Nothing the
 //! process loses on SIGKILL is needed for correctness — the deterministic
 //! RNG re-derives every decision from the fixed per-slot seed and the
 //! replayed input order, and non-checkpointing nodes never ack (and
-//! therefore never trim) upstream retention. A spec with
+//! therefore never trim) upstream retention. The downstream may hold open
+//! transactions on what the dead incarnation published and never
+//! finalized; the replacement re-derives the same events under the same
+//! ids, swallows the ones the receiver's cursor counted, and sends the
+//! finalizes still owed — it re-confirms its predecessor's speculation,
+//! so nothing has to be revoked.
+//!
+//! **Precondition of that re-derivation:** no transaction of the slot ever
+//! re-executes. The decision log lives in process memory and dies with the
+//! process, so a replacement cannot replay a logged draw — it re-draws
+//! from the shared per-slot RNG, in serial order, once per event. A
+//! transaction that re-executed (its input was revised, or an earlier one
+//! conflicted with it) would have drawn twice and shifted every later
+//! draw, and the replacement, whose replayed inputs arrive final, would
+//! not repeat that. A slot has one input and one thread and its upstream
+//! never revises, so nothing re-executes; the cluster tests assert
+//! `spec.rollbacks == 0` for every worker, and a worker that does see a
+//! rollback journals one `rederivation-broken` warning, which reaches the
+//! launcher with its telemetry. A spec with
 //! `checkpoint_every > 0` opts into checkpointing; pointing
 //! `checkpoint_dir` at a directory makes the image durable across the
 //! process boundary so a respawned incarnation resumes from its
@@ -28,13 +55,14 @@ use std::time::Duration;
 
 use streammine_common::clock::{shared, SystemClock};
 use streammine_net::{link, LinkConfig, TcpTransport, Transport};
-use streammine_obs::{Obs, TransportMetrics};
+use streammine_obs::{Labels, Obs, TransportMetrics, REDERIVATION_BROKEN};
 
 use crate::config::{LoggingConfig, OperatorConfig};
 use crate::dist::bridge::{Acceptor, DialSlot, InEdge, OutBridge};
 use crate::dist::control::{CtrlClient, CtrlIdentity};
 use crate::dist::spec::{WorkerSpec, SPEC_ENV};
 use crate::dist::wire::{CtrlMsg, FaultCmd};
+use crate::plumbing::{DownEdge, EdgeCursor, Inbox, Notice, Sent};
 use streammine_sketch::ErrorBound;
 use streammine_storage::log::{LogObs, StableLog};
 use streammine_storage::{CheckpointObs, CheckpointStore, DiskSpec};
@@ -42,7 +70,6 @@ use streammine_storage::{CheckpointObs, CheckpointStore, DiskSpec};
 use crate::message::{Control, Message};
 use crate::node::{Node, NodeSeed};
 use crate::operator::Operator;
-use crate::plumbing::{DownEdge, Inbox, Notice};
 use crate::supervisor::NodeHealth;
 use streammine_common::ids::OperatorId;
 
@@ -101,6 +128,23 @@ impl OperatorRegistry {
     }
 }
 
+/// The re-derivation precondition (module docs), checked where the
+/// launcher gets to see it: the first rollback this worker's node counts
+/// is journaled, once, ahead of the telemetry report that carries it.
+fn warn_if_rederivation_broke(obs: &Obs, worker: u32, warned: &AtomicBool) {
+    let rollbacks = obs.registry.counter_value("spec.rollbacks", Labels::op(worker)).unwrap_or(0);
+    if rollbacks > 0 && !warned.swap(true, Ordering::Relaxed) {
+        obs.journal.warn(
+            Some(worker),
+            REDERIVATION_BROKEN,
+            format!(
+                "{rollbacks} transaction(s) re-executed and drew again from the slot's RNG: a \
+                 replacement of this worker would not re-derive the same decisions"
+            ),
+        );
+    }
+}
+
 /// Entry point of a worker binary: runs one node per the spec in
 /// [`SPEC_ENV`], returns the process exit code.
 pub fn worker_main(registry: &OperatorRegistry) -> i32 {
@@ -149,10 +193,15 @@ pub(crate) fn run_worker(
     let clock = shared(SystemClock::new());
     let shutdown = Arc::new(AtomicBool::new(false));
     let config = {
-        let mut c = OperatorConfig::logged(LoggingConfig::simulated_n(
-            spec.disks as usize,
-            Duration::from_micros(spec.log_micros),
-        ));
+        let logging =
+            LoggingConfig::simulated_n(spec.disks as usize, Duration::from_micros(spec.log_micros));
+        // Precise slots speculate; approximate ones may not (and skip the
+        // log hold without it).
+        let mut c = if spec.approx_eps_ppm > 0 {
+            OperatorConfig::logged(logging)
+        } else {
+            OperatorConfig::speculative(logging)
+        };
         if spec.checkpoint_every > 0 {
             c = c.with_checkpoint_every(spec.checkpoint_every);
         }
@@ -199,12 +248,19 @@ pub(crate) fn run_worker(
     // A respawn resumes each in-edge at the checkpoint's input position:
     // every pre-crash checkpoint acked the upstream up to that position,
     // trimming its retention, so a cursor welcoming the reconnect from 0
-    // would wait forever for frames nobody can replay.
-    let resume_positions: Vec<u64> = checkpoints
+    // would wait forever for frames nobody can replay. The events consumed
+    // before it are the serials the checkpoint covers when there is one
+    // input (frames are not events: batches, finalizes); with several the
+    // split is not recorded and the position stands in.
+    let resume: Vec<EdgeCursor> = checkpoints
         .as_ref()
         .and_then(|s| s.latest())
-        .map(|cp| cp.input_positions.clone())
+        .map(|cp| match cp.input_positions[..] {
+            [seq] => vec![EdgeCursor::resuming(seq, cp.events_processed)],
+            _ => cp.input_positions.iter().map(|&seq| EdgeCursor::resuming(seq, seq)).collect(),
+        })
         .unwrap_or_default();
+    let mut resume = resume.into_iter();
 
     // In-edges: each is a local ring the node reads like any other, fed
     // by the acceptor's socket threads with the in-order frames of the
@@ -213,7 +269,7 @@ pub(crate) fn run_worker(
     let mut up = Vec::new();
     let mut inputs = Vec::new();
     let mut in_edges = Vec::new();
-    for (port, edge) in spec.in_edges.iter().copied().enumerate() {
+    for edge in spec.in_edges.iter().copied() {
         let (ctrl_tx, ctrl_rx) = link::<Control>(LinkConfig::instant());
         up.push(ctrl_tx);
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
@@ -222,7 +278,7 @@ pub(crate) fn run_worker(
             edge,
             data_tx,
             ctrl_rx,
-            start: resume_positions.get(port).copied().unwrap_or(0),
+            cursor: resume.next().unwrap_or_else(|| EdgeCursor::starting_at(0)),
             on_advance: None,
             metrics: TransportMetrics::registered(&obs.registry, spec.worker, edge),
         });
@@ -262,12 +318,10 @@ pub(crate) fn run_worker(
 
     // Out-edges: links + bridges now, addresses when the Wire arrives.
     let mut down_data = Vec::new();
-    let mut down_sent: Vec<Arc<AtomicU64>> = Vec::new();
     let mut dial_slots: HashMap<u32, DialSlot> = HashMap::new();
     let mut gates = Vec::new();
     for (out, edge) in spec.out_edges.iter().copied().enumerate() {
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
-        let sent = Arc::new(AtomicU64::new(0));
         let slot = DialSlot::new();
         let (gate_tx, gate_rx) = crossbeam_channel::bounded(1);
         let notices = inbox.clone();
@@ -286,7 +340,6 @@ pub(crate) fn run_worker(
         .start();
         dial_slots.insert(edge, slot);
         down_data.push(data_tx);
-        down_sent.push(sent);
         gates.push(gate_rx);
     }
 
@@ -320,28 +373,25 @@ pub(crate) fn run_worker(
     }
 
     // Handshake gates: the receiver cursors, applied to the link counters
-    // before the node runs. `next_seq` re-bases fresh output frames;
-    // `events_sent` is the count of re-derived outputs to suppress.
-    for ((gate, data_tx), sent) in gates.iter().zip(&down_data).zip(&down_sent) {
-        match gate.recv_timeout(WIRING_TIMEOUT) {
-            Ok((next_seq, events_received)) => {
-                data_tx.set_next_seq(next_seq);
-                sent.store(events_received, Ordering::Release);
-            }
-            Err(_) => {
-                eprintln!("worker {}: out-edge handshake timed out", spec.worker);
-                return exit::WIRING;
-            }
-        }
+    // before the node runs. `next_seq` re-bases fresh output frames; the
+    // counts are the re-derived events and finalizes to suppress.
+    let mut down = Vec::new();
+    for (gate, data_tx) in gates.iter().zip(down_data) {
+        let Ok(welcomed) = gate.recv_timeout(WIRING_TIMEOUT) else {
+            eprintln!("worker {}: out-edge handshake timed out", spec.worker);
+            return exit::WIRING;
+        };
+        data_tx.set_next_seq(welcomed.next_seq);
+        let sent = Sent {
+            events: AtomicU64::new(welcomed.events),
+            finals: AtomicU64::new(welcomed.finals),
+            by_receiver: true,
+        };
+        down.push(DownEdge { data_tx, sent: Arc::new(sent) });
     }
 
     let log = StableLog::new(config.logging.as_ref().expect("logged config").disks.clone());
     log.attach_obs(LogObs::registered(&obs, spec.worker));
-    let down = down_data
-        .iter()
-        .zip(&down_sent)
-        .map(|(d, sent)| DownEdge { data_tx: d.clone(), events_sent: sent.clone() })
-        .collect();
     let reporter_obs = obs.clone();
     let seed = NodeSeed {
         id: OperatorId::new(spec.worker),
@@ -368,8 +418,10 @@ pub(crate) fn run_worker(
     // so no record is lost. `0` disables the periodic push; the final
     // flush below still runs.
     let report_seq = Arc::new(AtomicU64::new(0));
+    let warned = Arc::new(AtomicBool::new(false));
     if spec.telemetry_millis > 0 {
         let obs = reporter_obs.clone();
+        let warned = warned.clone();
         let ctrl = ctrl.clone();
         let shutdown = shutdown.clone();
         let report_seq = report_seq.clone();
@@ -384,6 +436,7 @@ pub(crate) fn run_worker(
                     if shutdown.load(Ordering::Acquire) {
                         return;
                     }
+                    warn_if_rederivation_broke(&obs, worker, &warned);
                     let seq = report_seq.fetch_add(1, Ordering::Relaxed) + 1;
                     let (report, mark) = streammine_obs::TelemetryReport::gather(
                         worker,
@@ -427,6 +480,7 @@ pub(crate) fn run_worker(
                 // the aggregator dedups) plus the closing snapshot, so a
                 // clean shutdown never strands the tail of this
                 // incarnation's history.
+                warn_if_rederivation_broke(&reporter_obs, spec.worker, &warned);
                 let seq = report_seq.fetch_add(1, Ordering::Relaxed) + 1;
                 let (report, _) = streammine_obs::TelemetryReport::gather(
                     spec.worker,

@@ -372,6 +372,7 @@ impl SinkHandle {
                         }
                         let now = clock.now_micros();
                         let mut s = state.lock();
+                        let finals_before = s.final_order.len();
                         match msg {
                             Message::Data(event) => s.record_arrival(event, now),
                             Message::DataBatch(events) => {
@@ -404,8 +405,13 @@ impl SinkHandle {
                             }
                             Message::Control(_) => {}
                         }
+                        // Waiters wait for finals: a speculative arrival
+                        // is not worth waking them for.
+                        let finals_grew = s.final_order.len() > finals_before;
                         drop(s);
-                        cv.notify_all();
+                        if finals_grew {
+                            cv.notify_all();
+                        }
                     }
                 })
                 .ok()

@@ -27,7 +27,7 @@ use crate::endpoints::{SinkHandle, SourceHandle};
 use crate::message::{Control, Message};
 use crate::node::{Node, NodeSeed};
 use crate::operator::Operator;
-use crate::plumbing::{DownEdge, Inbox, NodeCommand, Notice};
+use crate::plumbing::{DownEdge, Inbox, NodeCommand, Notice, Sent};
 use crate::supervisor::{NodeHealth, Supervisor, SupervisorConfig};
 
 /// Identifies an external source created by the builder.
@@ -229,9 +229,9 @@ pub(crate) struct NodePersist {
     checkpoints: Option<Arc<CheckpointStore>>,
     up_ctrl: Vec<LinkSender<Control>>,
     down_data: Vec<LinkSender<Message>>,
-    /// Per-edge cumulative data-event send counters (see
-    /// [`DownEdge::events_sent`]); survive restarts with the links.
-    down_sent: Vec<Arc<AtomicU64>>,
+    /// Per-edge cumulative send counters (see [`Sent`]); survive restarts
+    /// with the links.
+    down_sent: Vec<Arc<Sent>>,
     join: Mutex<Option<JoinHandle<()>>>,
     rng_seed: u64,
     clock: SharedClock,
@@ -255,7 +255,7 @@ impl NodePersist {
                 .down_data
                 .iter()
                 .zip(&self.down_sent)
-                .map(|(d, sent)| DownEdge { data_tx: d.clone(), events_sent: sent.clone() })
+                .map(|(d, sent)| DownEdge { data_tx: d.clone(), sent: sent.clone() })
                 .collect(),
             log: self.log.clone(),
             checkpoints: self.checkpoints.clone(),
@@ -378,7 +378,7 @@ impl Graph {
                 log,
                 checkpoints,
                 up_ctrl: std::mem::take(&mut up_ctrl[i]),
-                down_sent: (0..down_data[i].len()).map(|_| Arc::new(AtomicU64::new(0))).collect(),
+                down_sent: (0..down_data[i].len()).map(|_| Arc::default()).collect(),
                 down_data: std::mem::take(&mut down_data[i]),
                 join: Mutex::new(None),
                 rng_seed: 0xABCD_0000 + i as u64,

@@ -98,6 +98,17 @@ impl Message {
             Message::DataBatch(events) => events.len(),
         }
     }
+
+    /// Number of events this message makes known as final: its data events
+    /// that are not speculative, or the one a `Finalize` upgrades.
+    pub fn final_count(&self) -> usize {
+        match self {
+            Message::Data(e) => usize::from(e.is_final()),
+            Message::DataBatch(events) => events.iter().filter(|e| e.is_final()).count(),
+            Message::Control(Control::Finalize { .. }) => 1,
+            Message::Control(_) => 0,
+        }
+    }
 }
 
 impl fmt::Display for Message {
@@ -249,8 +260,11 @@ mod tests {
         let m = Message::DataBatch(events);
         assert_eq!(roundtrip(&m).unwrap(), m);
         assert_eq!(m.event_count(), 2);
+        assert_eq!(m.final_count(), 1, "one of the two is speculative");
+        assert_eq!(Message::Control(Control::Finalize { id: id(), version: 0 }).final_count(), 1);
         assert!(m.as_event().is_none(), "a batch is not a single event");
         assert_eq!(Message::Control(Control::Eof).event_count(), 0);
+        assert_eq!(Message::Control(Control::Eof).final_count(), 0);
         assert!(m.to_string().contains("batch[2]"));
     }
 

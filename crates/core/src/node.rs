@@ -40,7 +40,7 @@
 //!    the wire.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -155,6 +155,29 @@ struct HeldOutput {
     input_port: u32,
     /// Trace id of the input event, when sampled for tracing.
     trace: Option<u64>,
+}
+
+/// Per down-edge: how many of the outputs a recovering node re-derives it
+/// must swallow instead of sending, because the edge carries them already
+/// ([`crate::plumbing::Sent`] minus the checkpoint's baseline). Re-derived
+/// output comes in the order it was first sent, so the first `events` data
+/// events and the first `finals` finalizes are exactly the ones on the
+/// wire. Putting them on again would park copies at fresh link sequences,
+/// which a *later* downstream crash would replay and process as new
+/// events, and would count twice in a receiver's cursor. Set by
+/// [`Node::recover`] before the first event is admitted, then only counted
+/// down — by the coordinator, or by the one thread of a speculative node
+/// that has any to swallow.
+#[derive(Default)]
+struct Resend {
+    events: AtomicU64,
+    finals: AtomicU64,
+}
+
+/// Takes one off `count` if any is left: `true` when the caller's output
+/// is one of the swallowed.
+fn swallow(count: &AtomicU64) -> bool {
+    count.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1)).is_ok()
 }
 
 /// Watches one input port for replay progress: while a recovery replay
@@ -424,15 +447,11 @@ pub(crate) struct Node {
     /// [`BATCH_MAX_EVENTS`] or when nothing is left to read, so batching
     /// never adds latency under low load.
     out_batch: Vec<Vec<Event>>,
-    /// Per-down-edge count of re-executed outputs to swallow instead of
-    /// sending (non-speculative recovery). A recovering node regenerates
-    /// its output stream from the start of the replayed suffix, but the
-    /// first [`DownEdge::events_sent`] of those events are already on the
-    /// wire — retained by the link for downstream replay, or acked and
-    /// covered by a downstream checkpoint. Re-appending them would park
-    /// duplicate copies at fresh link sequences, which a *later* downstream
-    /// crash would then replay and re-process as new events.
-    suppress_sent: Vec<u64>,
+    /// Per down-edge: re-derived outputs still to swallow (shared with the
+    /// speculative send path).
+    resend: Arc<Vec<Resend>>,
+    /// What an attempt needs to publish, shared by every attempt.
+    send_view: Arc<NodeSendView>,
     /// Per-down-edge `(token, from)` of the last replay request served
     /// with at least one re-delivered frame. A watchdog retry of the same
     /// request (same token, same position) is dropped instead of resent:
@@ -523,6 +542,22 @@ impl Node {
         let outputs = seed.down.len();
         let metrics =
             NodeMetrics::registered(&seed.obs, seed.id.index(), inputs, seed.config.speculative);
+        let resend: Arc<Vec<Resend>> = Arc::new((0..outputs).map(|_| Resend::default()).collect());
+        let spec_retained = Arc::new(AtomicI64::new(0));
+        let send_view = Arc::new(NodeSendView {
+            id: seed.id,
+            down: seed.down.clone(),
+            resend: resend.clone(),
+            log: seed.log.clone(),
+            inbox: seed.inbox.clone(),
+            journal: seed.obs.journal.clone(),
+            tracer: seed.obs.tracer.clone(),
+            spec_published: metrics.spec_published.clone(),
+            resend_suppressed: metrics.resend_suppressed.clone(),
+            log_wait_us: metrics.log_wait_us.clone(),
+            batch_events: metrics.batch_events.clone(),
+            spec_retained: spec_retained.clone(),
+        });
         let approx = match seed.config.recovery {
             RecoveryMode::Approximate(bound) => {
                 Some(ApproxState::registered(bound, &seed.obs, seed.id.index()))
@@ -560,7 +595,8 @@ impl Node {
             pending_by_serial: HashMap::new(),
             hold_queue: VecDeque::new(),
             out_batch: (0..outputs).map(|_| Vec::new()).collect(),
-            suppress_sent: vec![0; outputs],
+            resend,
+            send_view,
             served_replays: vec![None; outputs],
             incarnation: seed.incarnation,
             approx,
@@ -570,7 +606,7 @@ impl Node {
             running: true,
             crashed: false,
             stall_since: None,
-            spec_retained: Arc::new(AtomicI64::new(0)),
+            spec_retained,
         }
     }
 
@@ -647,43 +683,46 @@ impl Node {
         // severed control link holds the request until it heals —
         // recovery is delayed, never lost.
         if self.recovering {
-            if !self.config.speculative {
-                // Per-edge count of regenerated outputs already on the
-                // wire: the link's live send counter minus the
-                // checkpoint's baseline.
-                let excess: Vec<u64> = self
-                    .down
-                    .iter()
-                    .enumerate()
-                    .map(|(out, edge)| {
-                        edge.events_sent.load(Ordering::Acquire).saturating_sub(sent_baseline[out])
-                    })
-                    .collect();
-                // Approximate mode first tries a stale-snapshot resume:
-                // instead of re-executing the suffix (and suppressing its
-                // re-sent outputs), drop the replayed inputs whose outputs
-                // are already downstream, charging their lost state
-                // updates to the error budget. Falls back to the precise
-                // path when the budget refuses.
-                if !self.try_approx_resume(&excess, covered_serials) {
-                    // Replay regenerates the post-checkpoint output stream
-                    // in its original send order (sends are a serial-order
-                    // prefix), so the first `events_sent - baseline`
-                    // regenerated events per edge are byte-identical to
-                    // what the link already carries. Swallow them; the
-                    // link's retained buffer serves any downstream replay
-                    // of that range.
-                    for (out, count) in excess.iter().enumerate() {
-                        self.suppress_sent[out] = *count;
-                        if self.suppress_sent[out] > 0 {
-                            self.obs.journal.record(
-                                Some(self.id.index()),
-                                JournalKind::ResendSuppressed {
-                                    edge: out as u32,
-                                    count: self.suppress_sent[out],
-                                },
-                            );
-                        }
+            // Per edge, the re-derived events and finalizes already on the
+            // wire: the edge's counts minus the checkpoint's baseline (at a
+            // checkpoint every event sent is final, so one baseline serves
+            // both). A speculative node subtracts only from a receiver's
+            // count ([`crate::plumbing::Sent::by_receiver`]).
+            let excess: Vec<(u64, u64)> = self
+                .down
+                .iter()
+                .zip(&sent_baseline)
+                .map(|(edge, baseline)| {
+                    if self.config.speculative && !edge.sent.by_receiver {
+                        return (0, 0);
+                    }
+                    let over = |n: &AtomicU64| n.load(Ordering::Acquire).saturating_sub(*baseline);
+                    (over(&edge.sent.events), over(&edge.sent.finals))
+                })
+                .collect();
+            // Approximate mode first tries a stale-snapshot resume:
+            // instead of re-executing the suffix (and suppressing its
+            // re-sent outputs), drop the replayed inputs whose outputs
+            // are already downstream, charging their lost state
+            // updates to the error budget. Falls back to the precise
+            // path when the budget refuses.
+            let events: Vec<u64> = excess.iter().map(|(events, _)| *events).collect();
+            if !self.try_approx_resume(&events, covered_serials) {
+                // Replay regenerates the post-checkpoint output stream
+                // in its original send order (sends are a serial-order
+                // prefix), so the first `excess` regenerated events per
+                // edge are byte-identical to what the edge already
+                // carries. Swallow them; whoever holds them (the link's
+                // retained buffer, the receiver) serves any downstream
+                // replay of that range.
+                for (out, (events, finals)) in excess.into_iter().enumerate() {
+                    self.resend[out].events.store(events, Ordering::Relaxed);
+                    self.resend[out].finals.store(finals, Ordering::Relaxed);
+                    if events > 0 {
+                        self.obs.journal.record(
+                            Some(self.id.index()),
+                            JournalKind::ResendSuppressed { edge: out as u32, count: events },
+                        );
                     }
                 }
             }
@@ -1417,11 +1456,7 @@ impl Node {
         for (event, target) in outputs {
             for out in 0..self.down.len() {
                 if target.map(|t| t as usize == out).unwrap_or(true) {
-                    if self.suppress_sent[out] > 0 {
-                        // Re-executed output already on the wire (see the
-                        // `suppress_sent` field) — do not append a
-                        // duplicate copy at a fresh link sequence.
-                        self.suppress_sent[out] -= 1;
+                    if swallow(&self.resend[out].events) {
                         self.metrics.resend_suppressed.incr();
                         continue;
                     }
@@ -1448,7 +1483,7 @@ impl Node {
             _ => Message::DataBatch(std::mem::take(events)),
         };
         self.metrics.batch_events.record(msg.event_count() as u64);
-        self.down[out].events_sent.fetch_add(msg.event_count() as u64, Ordering::AcqRel);
+        self.down[out].sent.events.fetch_add(msg.event_count() as u64, Ordering::AcqRel);
         self.down[out].data_tx.push(msg);
     }
 
@@ -1589,18 +1624,7 @@ impl Node {
                 stm.reexecute(&pending.handle, body)
             }
         };
-        let node_view = NodeSendView {
-            id: self.id,
-            down: self.down.iter().map(|d| d.data_tx.clone()).collect(),
-            log: self.log.clone(),
-            inbox: self.inbox.clone(),
-            journal: self.obs.journal.clone(),
-            tracer: self.obs.tracer.clone(),
-            spec_published: self.metrics.spec_published.clone(),
-            log_wait_us: self.metrics.log_wait_us.clone(),
-            batch_events: self.metrics.batch_events.clone(),
-            spec_retained: self.spec_retained.clone(),
-        };
+        let node_view = self.send_view.clone();
         let run = move || {
             if job().is_ok() {
                 node_view.after_publish(&pending);
@@ -1715,7 +1739,10 @@ impl Node {
             for (event, target) in sent.iter() {
                 if event.speculative {
                     for (out, edge) in self.down.iter().enumerate() {
-                        if target.map(|t| t as usize == out).unwrap_or(true) {
+                        if target.map(|t| t as usize == out).unwrap_or(true)
+                            && !swallow(&self.resend[out].finals)
+                        {
+                            edge.sent.finals.fetch_add(1, Ordering::AcqRel);
                             edge.data_tx.push(Message::Control(Control::Finalize {
                                 id: event.id,
                                 version: event.version,
@@ -1824,7 +1851,7 @@ impl Node {
         // counters cover exactly the outputs of the checkpointed prefix —
         // the baseline recovery subtracts to size its resend suppression.
         let outputs_sent: Vec<u64> =
-            self.down.iter().map(|e| e.events_sent.load(Ordering::Acquire)).collect();
+            self.down.iter().map(|e| e.sent.events.load(Ordering::Acquire)).collect();
         let cp = store.save(
             covers_log,
             self.next_serial,
@@ -1861,12 +1888,14 @@ impl Node {
 /// publishes: assign output ids, send them, log decisions, arm the gate.
 struct NodeSendView {
     id: OperatorId,
-    down: Vec<LinkSender<Message>>,
+    down: Vec<DownEdge>,
+    resend: Arc<Vec<Resend>>,
     log: Option<StableLog>,
     inbox: Arc<Inbox>,
     journal: Arc<Journal>,
     tracer: Arc<Tracer>,
     spec_published: Counter,
+    resend_suppressed: Counter,
     log_wait_us: Histogram,
     batch_events: Histogram,
     /// Shared retained-speculative-output count (admission control input).
@@ -1947,22 +1976,31 @@ impl NodeSendView {
             let mut published = 0u64;
             for (out, edge) in self.down.iter().enumerate() {
                 let mut run: Vec<Event> = Vec::new();
+                let mut sent_here = 0u64;
                 for (msg, target) in &to_send {
                     if !target.map(|t| t as usize == out).unwrap_or(true) {
                         continue;
                     }
                     match msg {
+                        // Re-derived and on the wire already: it stays in
+                        // `sent` (its finalize is still owed) and off the
+                        // edge.
+                        Message::Data(_) if swallow(&self.resend[out].events) => {
+                            self.resend_suppressed.incr();
+                        }
                         Message::Data(e) => {
                             run.push(e.clone());
-                            published += 1;
+                            sent_here += 1;
                         }
                         other => {
-                            flush_run(edge, &mut run, &self.batch_events);
-                            edge.push(other.clone());
+                            flush_run(&edge.data_tx, &mut run, &self.batch_events);
+                            edge.data_tx.push(other.clone());
                         }
                     }
                 }
-                flush_run(edge, &mut run, &self.batch_events);
+                flush_run(&edge.data_tx, &mut run, &self.batch_events);
+                edge.sent.events.fetch_add(sent_here, Ordering::AcqRel);
+                published += sent_here;
             }
             if published > 0 {
                 self.spec_published.add(published);
@@ -2113,10 +2151,7 @@ mod tests {
                 clock: shared(SystemClock::new()),
                 inbox: inbox.clone(),
                 up: vec![up_ctrl],
-                down: vec![DownEdge {
-                    data_tx: out_tx.clone(),
-                    events_sent: Arc::new(std::sync::atomic::AtomicU64::new(0)),
-                }],
+                down: vec![DownEdge { data_tx: out_tx.clone(), sent: Arc::default() }],
                 checkpoints: None,
                 rng_seed: 1,
                 obs: obs.clone(),
@@ -2333,6 +2368,52 @@ mod tests {
         rig.send(3, false);
         let in_frame_order = [0, 1, 10, 3].map(Value::Int).to_vec();
         assert_eq!(rig.outputs(4), in_frame_order);
+    }
+
+    /// The speculative node of a new process swallows what the receiver's
+    /// cursor counted — events and finalizes each by their own count — and
+    /// sends the rest: for an event the receiver holds speculative, the
+    /// finalize alone.
+    #[test]
+    fn respawned_speculative_node_sends_only_what_the_receiver_lacks() {
+        use crate::plumbing::Sent;
+        let log = LoggingConfig::simulated(Duration::from_millis(1));
+        let mut rig = Rig::new(
+            OperatorConfig::speculative(log),
+            LinkConfig::instant(),
+            LinkConfig::instant(),
+        );
+        // The receiver holds the outputs of events 0 and 1, the second not
+        // final yet.
+        let sent = Arc::new(Sent { events: 2.into(), finals: 1.into(), by_receiver: true });
+        let seed = rig.seed.as_mut().expect("not started");
+        seed.recovering = true;
+        seed.down[0].sent = sent.clone();
+        let rig = rig.start();
+        for n in 0..3 {
+            rig.send(n, false);
+        }
+        let output = |serial: u64| EventId::new(OperatorId::new(0), serial << 16);
+        let frames: Vec<Message> =
+            (0..3).map(|_| rig.out_rx.recv_timeout(PATIENCE).expect("a frame is owed").1).collect();
+        let [Message::Data(event), finalizes @ ..] = &frames[..] else {
+            panic!("expected the missing event first: {frames:?}")
+        };
+        assert_eq!(
+            (event.id, &event.payload, event.speculative),
+            (output(2), &Value::Int(2), true)
+        );
+        let finalize =
+            |serial| Message::Control(Control::Finalize { id: output(serial), version: 0 });
+        assert_eq!(finalizes, [finalize(1), finalize(2)]);
+        std::thread::sleep(HEARTBEAT_INTERVAL * 3);
+        assert_eq!(rig.out_rx.try_recv(), Ok(None), "something the receiver holds was sent again");
+        let counter = |name| rig.obs.registry.counter_value(name, Labels::op(0));
+        assert_eq!(counter("resend.suppressed"), Some(2));
+        assert_eq!(counter("spec.published"), Some(1));
+        // What the edge carries now, whoever sent it.
+        assert_eq!(sent.events.load(Ordering::Acquire), 3);
+        assert_eq!(sent.finals.load(Ordering::Acquire), 3);
     }
 
     #[test]

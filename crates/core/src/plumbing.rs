@@ -66,24 +66,43 @@ pub(crate) enum NodeCommand {
     Shutdown,
 }
 
+/// What an edge carries already, as a recovering sender subtracts it from
+/// the output it re-derives. Lives outside the node like the link itself.
+#[derive(Debug, Default)]
+pub(crate) struct Sent {
+    /// Cumulative count of data *events* (not frames) ever put on the
+    /// edge, across every incarnation of the sending node.
+    pub events: AtomicU64,
+    /// Cumulative count of `Finalize` notices put on the edge. Only a
+    /// speculative sender sends any; it sends no final data, so this is
+    /// how many of its events the receiver knows to be final.
+    pub finals: AtomicU64,
+    /// Whether the counts are the receiver's cursor, told at the handshake
+    /// of a new sender process, rather than this ring's own sends. A new
+    /// process starts on an empty ring: what the receiver counted is all
+    /// that is left of its predecessor's output, the receiver keeps
+    /// counting whatever arrives, and so every re-derived output below the
+    /// count must be swallowed, speculative or not. In process the ring
+    /// survives the node, a speculative node's sends are not a function of
+    /// the count (threads, revisions), and it re-sends instead: the
+    /// downstream drops by event id.
+    pub by_receiver: bool,
+}
+
 /// The downstream-facing half of an edge at the sending node.
 ///
 /// While the link is severed, outgoing messages wait inside the
 /// (crash-surviving) link and flow in order once it heals.
+#[derive(Clone)]
 pub(crate) struct DownEdge {
     /// Data + finalize/revoke to the receiver.
     pub data_tx: LinkSender<Message>,
-    /// Cumulative count of data *events* (not frames) ever put on this
-    /// edge, across every incarnation of the sending node. Lives outside
-    /// the node like the link itself, so a recovering node knows how many
-    /// of its re-executed outputs are already on the wire and must not be
-    /// appended again.
-    pub events_sent: Arc<AtomicU64>,
+    pub sent: Arc<Sent>,
 }
 
 impl fmt::Debug for DownEdge {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DownEdge").finish()
+        f.debug_struct("DownEdge").field("sent", &self.sent).finish()
     }
 }
 
@@ -141,7 +160,7 @@ impl Inbox {
 }
 
 /// The receive cursor of one edge: the next link sequence it accepts and
-/// the cumulative count of data events accepted.
+/// the cumulative counts of data events accepted and of events known final.
 ///
 /// A link hands its receiver consecutive sequences, and after every rewind
 /// (crash replay, reconnect) consecutive sequences again from the rewind
@@ -153,19 +172,26 @@ impl Inbox {
 pub(crate) struct EdgeCursor {
     next: u64,
     events: u64,
+    finals: u64,
     /// A sequence past `next` was dropped and nothing was accepted since:
     /// only a rewind (which the replay watchdog requests) fills the gap.
     gap: bool,
 }
 
 impl EdgeCursor {
-    /// A cursor expecting link sequence `seq` next — 0 on a fresh edge, a
-    /// checkpoint's input position after recovery (everything below was
-    /// acknowledged away upstream and is unreplayable). The event count is
-    /// primed to `seq` too: on unbatched edges frames carry one event
-    /// each, and only a *freshly restarted* sender consults it.
+    /// A cursor expecting link sequence `seq` next that has counted
+    /// nothing: a fresh edge, or a node's own cursor (only an acceptor's
+    /// counts are ever read).
     pub fn starting_at(seq: u64) -> EdgeCursor {
-        EdgeCursor { next: seq, events: seq, gap: false }
+        EdgeCursor::resuming(seq, 0)
+    }
+
+    /// A cursor resuming at a checkpoint: link sequence `seq` next
+    /// (everything below was acknowledged away upstream and is
+    /// unreplayable), `events` data events consumed before it — all of
+    /// them final, or the checkpoint would not have been taken.
+    pub fn resuming(seq: u64, events: u64) -> EdgeCursor {
+        EdgeCursor { next: seq, events, finals: events, gap: false }
     }
 
     /// The next expected link sequence.
@@ -176,6 +202,12 @@ impl EdgeCursor {
     /// Data events accepted so far.
     pub fn events(&self) -> u64 {
         self.events
+    }
+
+    /// Events known final so far: data that arrived final plus `Finalize`
+    /// notices (one per event that arrived speculative).
+    pub fn finals(&self) -> u64 {
+        self.finals
     }
 
     /// Whether the cursor is waiting behind a gap.
@@ -192,6 +224,7 @@ impl EdgeCursor {
         }
         self.next += 1;
         self.events += msg.event_count() as u64;
+        self.finals += msg.final_count() as u64;
         self.gap = false;
         true
     }
@@ -230,15 +263,23 @@ mod tests {
         // Stale duplicate: dropped, and not a gap.
         assert!(!c.accept(1, &msg(1)));
         assert!(!c.saw_gap());
-        assert_eq!(c.events(), 4);
+        assert_eq!((c.events(), c.finals()), (4, 4));
+        // A speculative event is an event when it arrives and a final only
+        // with its `Finalize`.
+        let id = EventId::new(OperatorId::new(0), 12);
+        assert!(c.accept(3, &Message::Data(Event::speculative(id, 0, Value::Int(3)))));
+        assert_eq!((c.events(), c.finals()), (5, 4));
+        assert!(c.accept(4, &Message::Control(Control::Finalize { id, version: 0 })));
+        assert_eq!((c.events(), c.finals()), (5, 5));
     }
 
     #[test]
     fn cursor_resumes_at_a_checkpoint_position() {
-        let mut c = EdgeCursor::starting_at(5);
+        // Sequence 5 next, three events (two frames were notices) before.
+        let mut c = EdgeCursor::resuming(5, 3);
         assert!(!c.accept(3, &msg(3)), "pre-checkpoint frames are stale");
         assert!(c.accept(5, &msg(5)));
-        assert_eq!((c.next_seq(), c.events()), (6, 6));
+        assert_eq!((c.next_seq(), c.events(), c.finals()), (6, 4, 4));
     }
 
     #[test]

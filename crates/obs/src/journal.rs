@@ -167,6 +167,11 @@ pub enum JournalKind {
     },
 }
 
+/// Code of the one [`JournalKind::Warn`] that is pinned: a cluster
+/// worker's transaction re-executed, so a replacement process re-deriving
+/// its decisions from the slot's seed would not draw what it drew.
+pub const REDERIVATION_BROKEN: &str = "rederivation-broken";
+
 impl JournalKind {
     /// The minimum verbosity at which this record is kept.
     pub fn level(&self) -> Verbosity {
@@ -197,6 +202,7 @@ impl JournalKind {
                 | JournalKind::CheckpointSaved { .. }
                 | JournalKind::ApproxResume { .. }
                 | JournalKind::ApproxEscalate { .. }
+                | JournalKind::Warn { code: REDERIVATION_BROKEN, .. }
         )
     }
 }
@@ -599,6 +605,9 @@ mod tests {
         let j = trace_journal(4);
         j.record(Some(1), JournalKind::Restart { attempt: 1, backoff_us: 100 });
         j.record(Some(0), JournalKind::CheckpointSaved { id: 1, covers_log: 9 });
+        // Of the warnings only the broken re-derivation is pinned.
+        j.warn(Some(0), REDERIVATION_BROKEN, "1 rollback".into());
+        j.warn(Some(0), "plain-mode-abort", "evictable".into());
         // Flood with ordinary traffic far past the ring capacity.
         for serial in 0..50 {
             j.record(Some(0), JournalKind::Commit { serial });
@@ -607,7 +616,8 @@ mod tests {
         // The restart + checkpoint are still there, oldest first.
         assert!(matches!(evs[0].kind, JournalKind::Restart { attempt: 1, .. }));
         assert!(matches!(evs[1].kind, JournalKind::CheckpointSaved { id: 1, .. }));
-        assert_eq!(j.len(), 4 + 2);
+        assert!(matches!(evs[2].kind, JournalKind::Warn { code: REDERIVATION_BROKEN, .. }));
+        assert_eq!(j.len(), 4 + 3);
         assert_eq!(
             j.count_matching(|e| matches!(e.kind, JournalKind::Restart { .. })),
             1,
@@ -615,7 +625,7 @@ mod tests {
         );
         let dump = j.render();
         assert!(dump.contains("restart attempt=1"), "{dump}");
-        assert!(dump.contains("2 pinned"), "{dump}");
+        assert!(dump.contains("3 pinned"), "{dump}");
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use export::{json, prometheus_text, sanitize_name, validate_prometheus};
 pub use http::{serve, serve_with, HttpServer, Routes};
 pub use journal::{
     Journal, JournalEvent, JournalKind, Verbosity, DEFAULT_JOURNAL_CAPACITY,
-    PINNED_JOURNAL_CAPACITY,
+    PINNED_JOURNAL_CAPACITY, REDERIVATION_BROKEN,
 };
 pub use registry::{
     bucket_bound, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, Labels, Registry,

@@ -280,8 +280,19 @@ impl Graph {
     pub fn take_eligible_into(&mut self, order: CommitOrder, out: &mut Vec<Arc<TxnState>>) {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
+        // In timestamp order only the lowest uncommitted serial can be
+        // eligible: looking at the others would make every commit of a
+        // burst cost a pass over everything still open behind it.
+        let candidates = match order {
+            CommitOrder::Timestamp => 1,
+            CommitOrder::Conflict => usize::MAX,
+        };
         scratch.extend(
-            self.uncommitted.values().copied().filter(|&id| self.commit_eligible(id, order)),
+            self.uncommitted
+                .values()
+                .take(candidates)
+                .copied()
+                .filter(|&id| self.commit_eligible(id, order)),
         );
         for &id in &scratch {
             let node = self.node_mut(id);
