@@ -29,15 +29,19 @@
 //! finalizes still owed — it re-confirms its predecessor's speculation,
 //! so nothing has to be revoked.
 //!
-//! **Precondition of that re-derivation:** no transaction of the slot ever
-//! re-executes. The decision log lives in process memory and dies with the
-//! process, so a replacement cannot replay a logged draw — it re-draws
-//! from the shared per-slot RNG, in serial order, once per event. A
-//! transaction that re-executed (its input was revised, or an earlier one
-//! conflicted with it) would have drawn twice and shifted every later
-//! draw, and the replacement, whose replayed inputs arrive final, would
-//! not repeat that. A slot has one input and one thread and its upstream
-//! never revises, so nothing re-executes; the cluster tests assert
+//! **Precondition of that re-derivation:** the slot takes its decisions in
+//! serial order. The decision log lives in process memory and dies with
+//! the process, so a replacement cannot read a logged draw back — it draws
+//! again from the per-slot RNG, event by event, in serial order. A
+//! re-execution by itself no longer disturbs that: it reads the decisions
+//! of its first execution from the event's tape and the stream does not
+//! move. What would is a draw *out of serial order*: two STM threads
+//! drawing for neighbouring serials in whichever order they get there, or
+//! a re-execution that asks for more decisions than its tape holds after
+//! later events have drawn — the replacement, whose replayed inputs
+//! arrive final, executes each event once and draws them the other way
+//! round. A slot has one input and one thread and its upstream never
+//! revises, so nothing re-executes at all; the cluster tests assert
 //! `spec.rollbacks == 0` for every worker, and a worker that does see a
 //! rollback journals one `rederivation-broken` warning, which reaches the
 //! launcher with its telemetry. A spec with
@@ -129,8 +133,10 @@ impl OperatorRegistry {
 }
 
 /// The re-derivation precondition (module docs), checked where the
-/// launcher gets to see it: the first rollback this worker's node counts
-/// is journaled, once, ahead of the telemetry report that carries it.
+/// launcher gets to see it. A rollback is the one way a single-threaded
+/// slot can take a decision out of serial order (a re-execution that asks
+/// past its tape), so the first one this worker's node counts is
+/// journaled, once, ahead of the telemetry report that carries it.
 fn warn_if_rederivation_broke(obs: &Obs, worker: u32, warned: &AtomicBool) {
     let rollbacks = obs.registry.counter_value("spec.rollbacks", Labels::op(worker)).unwrap_or(0);
     if rollbacks > 0 && !warned.swap(true, Ordering::Relaxed) {
@@ -138,8 +144,9 @@ fn warn_if_rederivation_broke(obs: &Obs, worker: u32, warned: &AtomicBool) {
             Some(worker),
             REDERIVATION_BROKEN,
             format!(
-                "{rollbacks} transaction(s) re-executed and drew again from the slot's RNG: a \
-                 replacement of this worker would not re-derive the same decisions"
+                "{rollbacks} transaction(s) re-executed: one that took a decision its first \
+                 execution had not drew after later events, and a replacement of this worker \
+                 would not re-derive the same decisions"
             ),
         );
     }

@@ -9,10 +9,11 @@
 //! # The two execution modes (§2.3, §2.4)
 //!
 //! * **Non-speculative**: events are processed sequentially; outputs are
-//!   *held* until the event's decision record is stable on disk, then sent
-//!   as final. A speculative input event is parked until its finalize
-//!   arrives — a non-speculative operator only consumes and produces final
-//!   events.
+//!   *held* until every decision record of the event is stable on disk —
+//!   each was appended the moment the decision was taken, so the write
+//!   runs beside the operator — then sent as final. A speculative input
+//!   event is parked until its finalize arrives — a non-speculative
+//!   operator only consumes and produces final events.
 //! * **Speculative**: each event runs as an STM transaction; outputs are
 //!   sent immediately, tagged speculative when anything about them may
 //!   still change (speculative inputs, open dependencies, unstable log).
@@ -52,16 +53,14 @@ use streammine_common::ids::{EventId, OperatorId};
 use streammine_common::pool::ThreadPool;
 use streammine_common::rng::DetRng;
 use streammine_net::{BackoffConfig, LinkSender};
-use streammine_obs::{
-    span_key, Counter, Gauge, Histogram, Journal, JournalKind, Labels, Obs, Tracer,
-};
+use streammine_obs::{span_key, Counter, Gauge, Histogram, Journal, JournalKind, Labels, Obs};
 use streammine_sketch::{ErrorBound, ErrorBudget};
 use streammine_stm::{Serial, StatsSnapshot, StmAbort, StmRuntime, TxnHandle, TxnId};
 use streammine_storage::checkpoint::CheckpointStore;
-use streammine_storage::log::{LogSeq, LogTicket, StableLog};
+use streammine_storage::log::{LogSeq, StableLog};
 
 use crate::config::{OperatorConfig, RecoveryMode};
-use crate::determinant::{DecisionRecord, Determinant, ReplayCursor};
+use crate::determinant::{recovered_tapes, DecisionLog, DecisionRecord, Determinant, Tape};
 use crate::message::{Control, Message};
 use crate::operator::{OpCtx, Operator, PortId, SetupCtx};
 use crate::plumbing::{DownEdge, EdgeCursor, Inbox, NodeCommand, Notice};
@@ -107,8 +106,8 @@ struct InputView {
     speculative: bool,
 }
 
-/// `(generation, outputs, decisions)` captured by one execution attempt.
-type AttemptCapture = (u64, Vec<(Option<u32>, Value)>, DecisionRecord);
+/// `(generation, outputs)` captured by one execution attempt.
+type AttemptCapture = (u64, Vec<(Option<u32>, Value)>);
 
 /// Tracking info for one in-flight speculative event.
 struct PendingTxn {
@@ -125,14 +124,15 @@ struct PendingTxn {
     rollbacks: std::sync::atomic::AtomicU64,
     input: Mutex<InputView>,
     handle: TxnHandle,
-    /// `(generation, outputs, decisions)` captured by the latest
-    /// successful attempt; the generation orders diff application.
+    /// `(generation, outputs)` captured by the latest successful attempt;
+    /// the generation orders diff application.
     attempt: Mutex<Option<AttemptCapture>>,
     /// Highest generation whose outputs were applied to `sent` (guarded by
     /// the `sent` mutex's critical sections).
     applied_gen: std::sync::atomic::AtomicU64,
-    /// Latest ticket guarding this event's decisions (replaced per attempt).
-    log_ticket: Mutex<Option<LogTicket>>,
+    /// The event's decisions, taken once and read by every later attempt;
+    /// its records turning stable is the log leg of the commit gate.
+    tape: Tape,
     /// Events as last sent downstream (by emit index), with their routing.
     sent: Mutex<Vec<(Event, Option<u32>)>>,
     /// True once every sent output is final (txn committed + finalizes sent).
@@ -150,9 +150,8 @@ struct PendingTxn {
 
 /// Output held by a non-speculative operator until its log is stable.
 struct HeldOutput {
-    ticket: LogTicket,
+    tape: Tape,
     outputs: Vec<(Event, Option<u32>)>,
-    input_port: u32,
     /// Trace id of the input event, when sampled for tracing.
     trace: Option<u64>,
 }
@@ -309,11 +308,14 @@ struct NodeMetrics {
     queue_wait_us: Histogram,
     /// Operator `process` call duration.
     process_us: Histogram,
-    /// Append-to-stable latency of decision-log writes, as observed by the
-    /// commit gate (the paper's "one parallel log write" leg).
+    /// Append-to-stable latency of decision-log writes, per record (the
+    /// paper's "one parallel log write" leg). A record is appended when
+    /// its decision is taken, so this runs beside `process_us`; the two
+    /// must not be added.
     log_wait_us: Histogram,
-    /// Speculative publish → commit time (how long outputs stayed
-    /// speculative).
+    /// Admission → commit time of a transaction: its processing, its log
+    /// wait (overlapping), its input's finalize and its turn in the commit
+    /// order.
     commit_gate_us: Histogram,
     /// Events per outgoing data frame (micro-batching effectiveness).
     batch_events: Histogram,
@@ -434,7 +436,10 @@ pub(crate) struct Node {
     port_queues: Vec<VecDeque<(Event, Instant)>>,
     /// Speculative inputs parked by a non-speculative operator.
     parked: HashMap<EventId, (u32, Event)>,
-    replay: Option<ReplayCursor>,
+    /// Tapes recovered from the stable log, by serial, until the event is
+    /// admitted again; while any is left the merge follows their input
+    /// choices.
+    recovered: HashMap<u64, Vec<Determinant>>,
 
     next_serial: u64,
     processed: HashMap<EventId, ProcessedInfo>,
@@ -544,26 +549,35 @@ impl Node {
             NodeMetrics::registered(&seed.obs, seed.id.index(), inputs, seed.config.speculative);
         let resend: Arc<Vec<Resend>> = Arc::new((0..outputs).map(|_| Resend::default()).collect());
         let spec_retained = Arc::new(AtomicI64::new(0));
-        let send_view = Arc::new(NodeSendView {
-            id: seed.id,
-            down: seed.down.clone(),
-            resend: resend.clone(),
-            log: seed.log.clone(),
-            inbox: seed.inbox.clone(),
-            journal: seed.obs.journal.clone(),
-            tracer: seed.obs.tracer.clone(),
-            spec_published: metrics.spec_published.clone(),
-            resend_suppressed: metrics.resend_suppressed.clone(),
-            log_wait_us: metrics.log_wait_us.clone(),
-            batch_events: metrics.batch_events.clone(),
-            spec_retained: spec_retained.clone(),
-        });
         let approx = match seed.config.recovery {
             RecoveryMode::Approximate(bound) => {
                 Some(ApproxState::registered(bound, &seed.obs, seed.id.index()))
             }
             RecoveryMode::Precise => None,
         };
+        // Approximate mode trades the determinant log for the error
+        // budget: bound-covered state never needs deterministic
+        // re-execution (a budget refusal escalates to full replay, which
+        // re-derives determinants live off the checkpointed RNG), so no
+        // decision is appended and no output waits for the log.
+        let decisions = seed.log.clone().filter(|_| approx.is_none()).map(|log| DecisionLog {
+            log,
+            inbox: seed.inbox.clone(),
+            log_wait_us: metrics.log_wait_us.clone(),
+            tracer: seed.obs.tracer.clone(),
+            op: seed.id.index(),
+        });
+        let send_view = Arc::new(NodeSendView {
+            id: seed.id,
+            down: seed.down.clone(),
+            resend: resend.clone(),
+            decisions,
+            journal: seed.obs.journal.clone(),
+            spec_published: metrics.spec_published.clone(),
+            resend_suppressed: metrics.resend_suppressed.clone(),
+            batch_events: metrics.batch_events.clone(),
+            spec_retained: spec_retained.clone(),
+        });
         Node {
             id: seed.id,
             operator: seed.operator,
@@ -587,7 +601,7 @@ impl Node {
             last_tick: Instant::now(),
             port_queues: (0..inputs).map(|_| VecDeque::new()).collect(),
             parked: HashMap::new(),
-            replay: None,
+            recovered: HashMap::new(),
             next_serial: 0,
             processed: HashMap::new(),
             pending: HashMap::new(),
@@ -611,8 +625,8 @@ impl Node {
     }
 
     // -----------------------------------------------------------------
-    // Recovery (§2.2): restore checkpoint, rebuild the determinant
-    // cursor from the stable log, ask upstreams to replay.
+    // Recovery (§2.2): restore checkpoint, rebuild the decision tapes
+    // from the stable log, ask upstreams to replay.
     // -----------------------------------------------------------------
 
     fn recover(&mut self) {
@@ -657,27 +671,13 @@ impl Node {
         for (cursor, from) in self.cursors.iter_mut().zip(&from_positions) {
             *cursor = EdgeCursor::starting_at(*from);
         }
-        // Rebuild the determinant cursor from the stable log suffix.
+        // Rebuild the tapes of the uncovered serials from the stable log.
         if let Some(log) = &self.log {
-            let mut records = Vec::new();
-            let mut latest: HashMap<u64, DecisionRecord> = HashMap::new();
-            for (seq, group) in log.stable_groups() {
-                if seq < covers_log {
-                    continue;
-                }
-                for bytes in group {
-                    if let Ok(rec) = decode_from_slice::<DecisionRecord>(&bytes) {
-                        if rec.serial >= covered_serials {
-                            // Later attempts overwrite earlier ones.
-                            latest.insert(rec.serial, rec);
-                        }
-                    }
-                }
-            }
-            records.extend(latest.into_values());
-            if !records.is_empty() {
-                self.replay = Some(ReplayCursor::new(records));
-            }
+            let entries = log.stable_entries().into_iter().filter(|(seq, _)| *seq >= covers_log);
+            let records = entries
+                .filter_map(|(_, bytes)| decode_from_slice::<DecisionRecord>(&bytes).ok())
+                .filter(|record| record.serial >= covered_serials);
+            self.recovered = recovered_tapes(records);
         }
         // Ask every upstream for the suffix we have not durably covered. A
         // severed control link holds the request until it heals —
@@ -1167,8 +1167,8 @@ impl Node {
         }
     }
 
-    /// Pulls queued events into processing: during replay, in the logged
-    /// order; live, in arrival order.
+    /// Pulls queued events into processing: what the log recorded, in the
+    /// logged order; live, in arrival order.
     fn drain_ready_events(&mut self) {
         loop {
             // Overload gate first: while a downstream edge is saturated or
@@ -1181,66 +1181,36 @@ impl Node {
             if self.check_overload() {
                 return;
             }
-            // Replay phase: the next event must come from the logged port.
-            if let Some(cursor) = &self.replay {
-                if cursor.is_done() {
-                    self.replay = None;
-                    continue;
-                }
-                let front_serial = cursor.next_serial().expect("cursor nonempty");
-                if front_serial != self.next_serial {
-                    // The event at next_serial consumed no determinants
-                    // (fully deterministic): reprocess it live. Without a
-                    // logged input choice this is only unambiguous for
-                    // single-input operators — multi-input operators must
-                    // enable logging for precise recovery.
-                    match (0..self.port_queues.len()).find(|&p| !self.port_queues[p].is_empty()) {
-                        Some(p) => {
-                            let (event, enq) = self.port_queues[p].pop_front().expect("nonempty");
-                            let queue_wait = enq.elapsed();
-                            self.metrics.queue_wait_us.record_duration(queue_wait);
-                            self.accept_event(p as u32, event, None, queue_wait);
-                            continue;
-                        }
-                        None => return,
-                    }
-                }
-                // Find the logged input-choice; default port 0.
-                let record_port =
-                    self.replay.as_ref().and_then(ReplayCursor::peek_input_choice).unwrap_or(0);
-                if let Some((event, enq)) = self.port_queues[record_port as usize].pop_front() {
-                    let queue_wait = enq.elapsed();
-                    self.metrics.queue_wait_us.record_duration(queue_wait);
-                    let record = self.replay.as_mut().expect("replaying").take(front_serial);
-                    self.accept_event(record_port, event, Some(record), queue_wait);
-                    continue;
-                }
-                return; // wait for the replayed event to arrive
-            }
-            // Live phase: take from any non-empty queue, lowest port first
-            // (the *choice* is logged, so any policy is legal; port order
-            // keeps tests deterministic).
-            let port = match (0..self.port_queues.len()).find(|&p| !self.port_queues[p].is_empty())
-            {
-                Some(p) => p,
-                None => return,
+            // The event at `next_serial` comes from the port its recovered
+            // tape names (a single-input node logs no choice: port 0) and
+            // waits until that port has it. Without a tape — live, or the
+            // serial left nothing in the log — take from any non-empty
+            // queue, lowest port first (the *choice* is logged, so any
+            // policy is legal; port order keeps tests deterministic). For
+            // a serial recovery lost that is only unambiguous on a
+            // single-input operator.
+            let logged_port =
+                self.recovered.get(&self.next_serial).map(|tape| match tape.first() {
+                    Some(Determinant::InputChoice(port)) => *port as usize,
+                    _ => 0,
+                });
+            let port = match logged_port {
+                Some(port) => port,
+                None => match self.port_queues.iter().position(|q| !q.is_empty()) {
+                    Some(port) => port,
+                    None => return,
+                },
             };
-            let (event, enq) = self.port_queues[port].pop_front().expect("nonempty");
+            let Some((event, enq)) = self.port_queues[port].pop_front() else { return };
             let queue_wait = enq.elapsed();
             self.metrics.queue_wait_us.record_duration(queue_wait);
-            self.accept_event(port as u32, event, None, queue_wait);
+            self.accept_event(port as u32, event, queue_wait);
         }
     }
 
     /// Routes one data event into processing, handling duplicates,
     /// revisions, and non-speculative parking.
-    fn accept_event(
-        &mut self,
-        port: u32,
-        event: Event,
-        replayed: Option<DecisionRecord>,
-        queue_wait: Duration,
-    ) {
+    fn accept_event(&mut self, port: u32, event: Event, queue_wait: Duration) {
         if let Some(c) = self.metrics.events_in.get(port as usize) {
             c.incr();
         }
@@ -1263,23 +1233,41 @@ impl Node {
                 self.parked.insert(event.id, (port, event));
                 return;
             }
-            self.process_nonspec(port, event, replayed, queue_wait);
+            self.process_nonspec(port, event, queue_wait);
         } else {
-            self.process_spec(port, event, replayed, queue_wait);
+            self.process_spec(port, event, queue_wait);
         }
+    }
+
+    /// The decision tape of the event admitted at `serial` from `port`:
+    /// what recovery read from the log for it, and on a multi-input node
+    /// the merge's choice as entry 0 (§1's union-order rule) — read back
+    /// if recovered, taken and logged now otherwise. The live generator
+    /// steps over each recovered draw here, once per serial however often
+    /// the event then executes, so a draw past the recovered prefix, and
+    /// every later event's, continues the stream of the run that crashed.
+    fn open_tape(&mut self, serial: u64, port: u32, traced: bool) -> Tape {
+        let recovered = self.recovered.remove(&serial).unwrap_or_default();
+        let draws = recovered.iter().filter(|d| matches!(d, Determinant::Random(_))).count();
+        if draws > 0 {
+            let mut rng = self.rng.lock();
+            for _ in 0..draws {
+                let _ = rng.next_u64();
+            }
+        }
+        let tape = Tape::new(serial, traced, recovered);
+        if self.up.len() > 1 {
+            let log = self.send_view.decisions.as_ref();
+            tape.decide(0, log, || Determinant::InputChoice(port));
+        }
+        tape
     }
 
     // -----------------------------------------------------------------
     // Non-speculative path
     // -----------------------------------------------------------------
 
-    fn process_nonspec(
-        &mut self,
-        port: u32,
-        event: Event,
-        replayed: Option<DecisionRecord>,
-        queue_wait: Duration,
-    ) {
+    fn process_nonspec(&mut self, port: u32, event: Event, queue_wait: Duration) {
         if let Some(approx) = &mut self.approx {
             if approx.skip_remaining > 0 {
                 // Approximate resume window: this replayed input's output
@@ -1311,26 +1299,14 @@ impl Node {
             trace_id,
             JournalKind::Ingest { serial, port },
         );
-        let replaying = replayed.is_some();
-        let mut decisions = DecisionRecord::new(serial);
-        if self.up.len() > 1 {
-            decisions.decisions.push(Determinant::InputChoice(port));
-        }
-        let mut replay_queue = None;
-        if let Some(rec) = replayed {
-            let mut q: VecDeque<Determinant> = rec.decisions.into();
-            // The input choice was consumed by the merge step.
-            if matches!(q.front(), Some(Determinant::InputChoice(_))) {
-                q.pop_front();
-            }
-            replay_queue = Some(q);
-        }
+        let tape = self.open_tape(serial, port, trace_id.is_some());
         let mut ctx = OpCtx {
             registry: &self.registry,
             access: StateAccess::Plain,
             outputs: Vec::new(),
-            decisions,
-            replay: replay_queue,
+            tape: &tape,
+            drawn: usize::from(self.up.len() > 1),
+            log: self.send_view.decisions.as_ref(),
             rng: &self.rng,
             clock: &self.clock,
             input_port: PortId(port),
@@ -1360,51 +1336,23 @@ impl Node {
         let child = event.trace.map(|c| c.child(span_key(self.id.index(), serial)));
         let outputs =
             assign_output_ids(self.id, serial, event.timestamp, &ctx.outputs, false, child);
-        let decisions = std::mem::take(&mut ctx.decisions);
         drop(ctx);
 
         self.processed.insert(event.id, ProcessedInfo { version: event.version });
         self.note_event_consumed(port);
 
-        // Approximate mode trades the determinant log for the error
-        // budget: bound-covered state never needs deterministic
-        // re-execution (a budget refusal escalates to full replay, which
-        // re-derives determinants live off the checkpointed RNG), so the
-        // per-event stable-log wait disappears from the hot path.
-        match (&self.log, replaying || self.approx.is_some()) {
-            (Some(log), false) if !decisions.is_empty() => {
-                // Hold outputs until the decision record is stable (§2.4).
-                let appended_at = Instant::now();
-                let ticket = log.append_batch(vec![encode_to_vec(&decisions)]);
-                // The subscribe callback can fire synchronously on this
-                // very thread when the serial is already stable — posting
-                // a notice never blocks.
-                let inbox = self.inbox.clone();
-                let log_wait = self.metrics.log_wait_us.clone();
-                let tracer = event.trace.is_some().then(|| self.obs.tracer.clone());
-                let op = self.id.index();
-                let s = serial;
-                ticket.subscribe(move || {
-                    let waited = appended_at.elapsed();
-                    log_wait.record_duration(waited);
-                    if let Some(tracer) = &tracer {
-                        tracer.record_log_wait(op, s, waited.as_micros() as u64);
-                    }
-                    inbox.post(Notice::LogStable { serial: s });
-                });
-                self.hold_queue.push_back((
-                    serial,
-                    HeldOutput { ticket, outputs, input_port: port, trace: trace_id },
-                ));
+        // Hold the outputs until every decision the event took is stable
+        // (§2.4) — each record has been on its way since it was taken.
+        // Nothing taken live (deterministic, or all of it read back from
+        // the log) or stable already: forward now, unless earlier outputs
+        // are still held, which go first.
+        if self.hold_queue.is_empty() && tape.is_stable() {
+            if trace_id.is_some() {
+                self.obs.tracer.record_commit(self.id.index(), serial, 0);
             }
-            _ => {
-                // Deterministic (nothing logged) or replaying (decisions
-                // already stable): forward immediately.
-                if event.trace.is_some() {
-                    self.obs.tracer.record_commit(self.id.index(), serial, 0);
-                }
-                self.send_outputs_final(outputs);
-            }
+            self.send_outputs_final(outputs);
+        } else {
+            self.hold_queue.push_back((serial, HeldOutput { tape, outputs, trace: trace_id }));
         }
         self.maybe_checkpoint();
     }
@@ -1426,7 +1374,7 @@ impl Node {
         // Non-speculative mode: flush the stable prefix in serial order
         // (keeps FIFO downstream).
         while let Some((_s, held)) = self.hold_queue.front() {
-            if !held.ticket.is_stable() {
+            if !held.tape.is_stable() {
                 break;
             }
             let (s, held) = self.hold_queue.pop_front().expect("nonempty");
@@ -1436,7 +1384,6 @@ impl Node {
                 self.obs.tracer.record_commit(self.id.index(), s, 0);
             }
             self.send_outputs_final(held.outputs);
-            let _ = held.input_port;
         }
         // Speculative mode: a stable log is one leg of the commit gate.
         if let Some(id) = self.pending_by_serial.get(&serial).cloned() {
@@ -1497,13 +1444,7 @@ impl Node {
     // Speculative path
     // -----------------------------------------------------------------
 
-    fn process_spec(
-        &mut self,
-        port: u32,
-        event: Event,
-        replayed: Option<DecisionRecord>,
-        queue_wait: Duration,
-    ) {
+    fn process_spec(&mut self, port: u32, event: Event, queue_wait: Duration) {
         let serial = self.next_serial;
         self.next_serial += 1;
         if let Some(ctx) = event.trace {
@@ -1520,6 +1461,7 @@ impl Node {
             event.trace.map(|c| c.id),
             JournalKind::Ingest { serial, port },
         );
+        let tape = self.open_tape(serial, port, event.trace.is_some());
         let stm = self.stm.as_ref().expect("speculative node has an stm");
         let handle = stm.begin(Serial(serial));
         let pending = Arc::new(PendingTxn {
@@ -1537,7 +1479,7 @@ impl Node {
             handle: handle.clone(),
             attempt: Mutex::new(None),
             applied_gen: std::sync::atomic::AtomicU64::new(0),
-            log_ticket: Mutex::new(None),
+            tape,
             sent: Mutex::new(Vec::new()),
             finalized: AtomicBool::new(false),
             attempts_pending: std::sync::atomic::AtomicU64::new(0),
@@ -1547,86 +1489,64 @@ impl Node {
         self.pending_by_txn.insert(handle.id(), event.id);
         self.pending_by_serial.insert(serial, event.id);
         self.note_event_consumed(port);
-        self.spawn_attempt(pending, replayed);
+        self.spawn_attempt(pending);
     }
 
     /// Runs (or re-runs) the processing transaction for `pending`.
-    fn spawn_attempt(&self, pending: Arc<PendingTxn>, replayed: Option<DecisionRecord>) {
+    fn spawn_attempt(&self, pending: Arc<PendingTxn>) {
         pending.attempts_pending.fetch_add(1, Ordering::SeqCst);
         let stm = self.stm.as_ref().expect("speculative node").clone();
         let operator = self.operator.clone();
         let registry = self.registry.clone();
         let rng = self.rng.clone();
         let clock = self.clock.clone();
-        let multi_input = self.up.len() > 1;
+        let first_draw = usize::from(self.up.len() > 1);
         let process_us = self.metrics.process_us.clone();
         let attempt_tracer = pending.trace.is_some().then(|| self.obs.tracer.clone());
         let op_index = self.id.index();
-        let job = {
-            let pending = pending.clone();
-            move || {
-                let mut replay_queue = replayed.map(|rec| {
-                    let mut q: VecDeque<Determinant> = rec.decisions.into();
-                    if matches!(q.front(), Some(Determinant::InputChoice(_))) {
-                        q.pop_front();
-                    }
-                    q
-                });
-                let body = |txn: &mut streammine_stm::Txn<'_>| -> Result<(), StmAbort> {
-                    let view = pending.input.lock().clone();
-                    let event = Event {
-                        id: pending.input_id,
-                        version: view.version,
-                        timestamp: pending.input_ts,
-                        speculative: view.speculative,
-                        payload: view.payload,
-                        trace: pending.trace,
-                    };
-                    let replaying_now = replay_queue.is_some();
-                    let generation = txn.generation();
-                    let mut decisions = DecisionRecord::new(pending.serial);
-                    // The engine's merge choice is a logged determinant for
-                    // multi-input operators (§1's union-order rule) — except
-                    // during replay, where it is already on disk.
-                    if multi_input && !replaying_now {
-                        decisions.decisions.push(Determinant::InputChoice(pending.port));
-                    }
-                    let mut ctx = OpCtx {
-                        registry: &registry,
-                        access: StateAccess::Txn(txn),
-                        outputs: Vec::new(),
-                        decisions,
-                        replay: replay_queue.take(),
-                        rng: &rng,
-                        clock: &clock,
-                        input_port: PortId(pending.port),
-                        input_ts: pending.input_ts,
-                    };
-                    let process_start = Instant::now();
-                    let process_result = operator.process(&mut ctx, &event);
-                    let process_took = process_start.elapsed();
-                    process_us.record_duration(process_took);
-                    if let Some(tracer) = &attempt_tracer {
-                        tracer.record_process(
-                            op_index,
-                            pending.serial,
-                            process_took.as_micros() as u64,
-                        );
-                    }
-                    process_result?;
-                    // Live draws re-draw on retry; the final attempt's
-                    // record is what gets logged and later replayed. The
-                    // generation tag orders diff application across
-                    // concurrently finishing attempts.
-                    *pending.attempt.lock() = Some((generation, ctx.outputs, ctx.decisions));
-                    Ok(())
-                };
-                stm.reexecute(&pending.handle, body)
-            }
-        };
         let node_view = self.send_view.clone();
         let run = move || {
-            if job().is_ok() {
+            let body = |txn: &mut streammine_stm::Txn<'_>| -> Result<(), StmAbort> {
+                let view = pending.input.lock().clone();
+                let event = Event {
+                    id: pending.input_id,
+                    version: view.version,
+                    timestamp: pending.input_ts,
+                    speculative: view.speculative,
+                    payload: view.payload,
+                    trace: pending.trace,
+                };
+                let generation = txn.generation();
+                let mut ctx = OpCtx {
+                    registry: &registry,
+                    access: StateAccess::Txn(txn),
+                    outputs: Vec::new(),
+                    tape: &pending.tape,
+                    drawn: first_draw,
+                    log: node_view.decisions.as_ref(),
+                    rng: &rng,
+                    clock: &clock,
+                    input_port: PortId(pending.port),
+                    input_ts: pending.input_ts,
+                };
+                let process_start = Instant::now();
+                let process_result = operator.process(&mut ctx, &event);
+                let process_took = process_start.elapsed();
+                process_us.record_duration(process_took);
+                if let Some(tracer) = &attempt_tracer {
+                    tracer.record_process(
+                        op_index,
+                        pending.serial,
+                        process_took.as_micros() as u64,
+                    );
+                }
+                process_result?;
+                // The generation tag orders diff application across
+                // concurrently finishing attempts.
+                *pending.attempt.lock() = Some((generation, ctx.outputs));
+                Ok(())
+            };
+            if stm.reexecute(&pending.handle, body).is_ok() {
                 node_view.after_publish(&pending);
             }
             // Only after the attempt's outputs are fully on the wire may
@@ -1650,7 +1570,7 @@ impl Node {
             view.speculative = event.speculative;
         }
         pending.handle.revoke();
-        self.spawn_attempt(pending.clone(), None);
+        self.spawn_attempt(pending.clone());
     }
 
     fn on_input_finalized(&mut self, port: u32, id: EventId, version: u32) {
@@ -1788,7 +1708,7 @@ impl Node {
             JournalKind::Rollback { serial: pending.serial, cascade_depth: depth as u32 },
         );
         // Cascade abort: re-execute the event (§3: rollback + re-execution).
-        self.spawn_attempt(pending, None);
+        self.spawn_attempt(pending);
     }
 
     // -----------------------------------------------------------------
@@ -1884,19 +1804,19 @@ impl Node {
     }
 }
 
-/// The subset of node context a worker thread needs after a transaction
-/// publishes: assign output ids, send them, log decisions, arm the gate.
+/// The subset of node context an execution needs off the coordinator:
+/// where its live decisions are logged, and — after a transaction
+/// publishes — what it takes to assign output ids and send them.
 struct NodeSendView {
     id: OperatorId,
     down: Vec<DownEdge>,
     resend: Arc<Vec<Resend>>,
-    log: Option<StableLog>,
-    inbox: Arc<Inbox>,
+    /// `None`: the node logs nothing (no log configured, or approximate
+    /// recovery).
+    decisions: Option<DecisionLog>,
     journal: Arc<Journal>,
-    tracer: Arc<Tracer>,
     spec_published: Counter,
     resend_suppressed: Counter,
-    log_wait_us: Histogram,
     batch_events: Histogram,
     /// Shared retained-speculative-output count (admission control input).
     spec_retained: Arc<AtomicI64>,
@@ -1904,10 +1824,7 @@ struct NodeSendView {
 
 impl NodeSendView {
     fn after_publish(&self, pending: &Arc<PendingTxn>) {
-        let (generation, outputs, decisions) = match pending.attempt.lock().take() {
-            Some(x) => x,
-            None => return,
-        };
+        let Some((generation, outputs)) = pending.attempt.lock().take() else { return };
         // First emissions are always speculative: even with final inputs, a
         // stable-by-construction log and no *observed* dependencies, an
         // earlier-serial transaction's re-execution can still invalidate
@@ -1916,7 +1833,6 @@ impl NodeSendView {
         // the configured commit order is precisely when nothing can change
         // anymore. For gate-ready transactions the commit — and thus the
         // finalize — follows within microseconds.
-        let must_log = !decisions.is_empty() && self.log.is_some();
         let child = pending.trace.map(|c| c.child(span_key(self.id.index(), pending.serial)));
         let new_events =
             assign_output_ids(self.id, pending.serial, pending.input_ts, &outputs, true, child);
@@ -2010,33 +1926,6 @@ impl NodeSendView {
                     JournalKind::SpecPublish { serial: pending.serial, outputs: published as u32 },
                 );
             }
-
-            // Log this attempt's decisions inside the same generation-
-            // guarded critical section: a stale attempt must never append
-            // its decisions after (or instead of) a newer attempt's —
-            // recovery replays the *last* record per serial, which must be
-            // the surviving generation's.
-            if must_log {
-                let log = self.log.as_ref().expect("must_log implies log");
-                let appended_at = Instant::now();
-                let ticket = log.append_batch(vec![encode_to_vec(&decisions)]);
-                let inbox = self.inbox.clone();
-                let log_wait = self.log_wait_us.clone();
-                let tracer = pending.trace.is_some().then(|| self.tracer.clone());
-                let op = self.id.index();
-                let serial = pending.serial;
-                ticket.subscribe(move || {
-                    let waited = appended_at.elapsed();
-                    log_wait.record_duration(waited);
-                    if let Some(tracer) = &tracer {
-                        tracer.record_log_wait(op, serial, waited.as_micros() as u64);
-                    }
-                    inbox.post(Notice::LogStable { serial });
-                });
-                *pending.log_ticket.lock() = Some(ticket);
-            } else {
-                *pending.log_ticket.lock() = None;
-            }
         }
     }
 }
@@ -2055,16 +1944,15 @@ fn flush_run(edge: &LinkSender<Message>, run: &mut Vec<Event>, batch_events: &Hi
     edge.push(msg);
 }
 
-/// Opens the commit gate when (and only when) every condition holds: the
-/// latest attempt's decision log is stable, the input event is final, and
-/// no attempt is mid-flight (its outputs must hit the wire before any
-/// finalize can).
+/// Opens the commit gate when (and only when) every condition holds: no
+/// attempt is mid-flight (its outputs must hit the wire before any
+/// finalize can, and it may still take decisions), every decision on the
+/// tape is stable, and the input event is final.
 fn maybe_authorize_pending(pending: &Arc<PendingTxn>) {
     if pending.attempts_pending.load(Ordering::SeqCst) != 0 {
         return;
     }
-    let log_ok = pending.log_ticket.lock().as_ref().map(|t| t.is_stable()).unwrap_or(true);
-    if log_ok && !pending.input.lock().speculative {
+    if pending.tape.is_stable() && !pending.input.lock().speculative {
         pending.handle.authorize();
     }
 }

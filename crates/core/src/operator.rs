@@ -13,7 +13,6 @@
 //! non-idempotent external actions — the paper's "non-speculative external
 //! actions" restriction (§2.3).
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use parking_lot::Mutex;
@@ -23,7 +22,7 @@ use streammine_common::event::{Event, Timestamp, Value};
 use streammine_common::rng::DetRng;
 use streammine_stm::StmAbort;
 
-use crate::determinant::{DecisionRecord, Determinant};
+use crate::determinant::{DecisionLog, Determinant, Tape};
 use crate::state::{StateAccess, StateHandle, StateRegistry};
 
 /// Index of an input port of an operator.
@@ -58,8 +57,13 @@ pub struct OpCtx<'a, 'rt> {
     pub(crate) registry: &'a StateRegistry,
     pub(crate) access: StateAccess<'a, 'rt>,
     pub(crate) outputs: Vec<(Option<u32>, Value)>,
-    pub(crate) decisions: DecisionRecord,
-    pub(crate) replay: Option<VecDeque<Determinant>>,
+    /// The event's decision tape, shared by every execution of it.
+    pub(crate) tape: &'a Tape,
+    /// Tape entries this execution has asked for so far (the engine's
+    /// input choice included): the index of its next decision.
+    pub(crate) drawn: usize,
+    /// Where a decision taken live is appended; `None`: nothing is logged.
+    pub(crate) log: Option<&'a DecisionLog>,
     pub(crate) rng: &'a Mutex<DetRng>,
     pub(crate) clock: &'a SharedClock,
     pub(crate) input_port: PortId,
@@ -71,7 +75,7 @@ impl fmt::Debug for OpCtx<'_, '_> {
         f.debug_struct("OpCtx")
             .field("port", &self.input_port)
             .field("outputs", &self.outputs.len())
-            .field("replaying", &self.replay.is_some())
+            .field("drawn", &self.drawn)
             .finish()
     }
 }
@@ -143,32 +147,30 @@ impl<'a, 'rt> OpCtx<'a, 'rt> {
         self.input_ts
     }
 
+    /// The next entry of the event's tape: read if an earlier execution
+    /// (or the run before a crash) took it, taken by `draw` and logged
+    /// otherwise.
+    fn decide(&mut self, draw: impl FnOnce() -> Determinant) -> Determinant {
+        let index = self.drawn;
+        self.drawn += 1;
+        self.tape.decide(index, self.log, draw)
+    }
+
     /// Draws a random 64-bit value. **This is a logged non-deterministic
-    /// decision**: recorded during live processing, replayed verbatim
-    /// during recovery.
+    /// decision**: taken and appended to the log the first time the event
+    /// asks for it, read back verbatim by a re-execution and by recovery.
     ///
     /// # Panics
     ///
-    /// Panics if replay diverges (the logged decision is of another kind) —
-    /// that indicates a non-deterministic `process` outside this API.
+    /// Panics if replay diverges (the recorded decision is of another
+    /// kind) — that indicates a non-deterministic `process` outside this
+    /// API.
     pub fn random_u64(&mut self) -> u64 {
-        if let Some(replay) = &mut self.replay {
-            match replay.pop_front() {
-                Some(Determinant::Random(v)) => {
-                    // Advance the live generator past the replayed draw so
-                    // its position matches the original run's: events after
-                    // the log's end then re-draw identical values, keeping
-                    // recovered output byte-identical (`Time` replays don't
-                    // advance it because time reads never did).
-                    let _ = self.rng.lock().next_u64();
-                    return v;
-                }
-                other => panic!("replay divergence: expected Random, got {other:?}"),
-            }
+        let rng = self.rng;
+        match self.decide(|| Determinant::Random(rng.lock().next_u64())) {
+            Determinant::Random(v) => v,
+            other => panic!("replay divergence: expected Random, got {other:?}"),
         }
-        let v = self.rng.lock().next_u64();
-        self.decisions.decisions.push(Determinant::Random(v));
-        v
     }
 
     /// Uniform random value in `[0, bound)`, logged like
@@ -185,26 +187,18 @@ impl<'a, 'rt> OpCtx<'a, 'rt> {
     }
 
     /// Reads physical time in microseconds. **This is a logged
-    /// non-deterministic decision** (system-time windows etc., §1).
+    /// non-deterministic decision** (system-time windows etc., §1); a
+    /// re-execution reads the time its first execution saw.
     ///
     /// # Panics
     ///
     /// Panics on replay divergence.
     pub fn now_micros(&mut self) -> Timestamp {
-        if let Some(replay) = &mut self.replay {
-            match replay.pop_front() {
-                Some(Determinant::Time(t)) => return t,
-                other => panic!("replay divergence: expected Time, got {other:?}"),
-            }
+        let clock = self.clock;
+        match self.decide(|| Determinant::Time(clock.now_micros())) {
+            Determinant::Time(t) => t,
+            other => panic!("replay divergence: expected Time, got {other:?}"),
         }
-        let t = self.clock.now_micros();
-        self.decisions.decisions.push(Determinant::Time(t));
-        t
-    }
-
-    /// Whether this call replays logged decisions (recovery).
-    pub fn is_replaying(&self) -> bool {
-        self.replay.is_some()
     }
 }
 
@@ -240,21 +234,32 @@ pub trait Operator: Send + Sync + 'static {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
     use streammine_common::clock::{shared, ManualClock};
+    use streammine_common::codec::decode_from_slice;
     use streammine_common::ids::{EventId, OperatorId};
+    use streammine_obs::{Labels, Obs};
+    use streammine_storage::disk::DiskSpec;
+    use streammine_storage::log::StableLog;
+
+    use crate::determinant::DecisionRecord;
+    use crate::plumbing::Inbox;
 
     fn test_ctx<'a>(
         registry: &'a StateRegistry,
         rng: &'a Mutex<DetRng>,
         clock: &'a SharedClock,
-        replay: Option<VecDeque<Determinant>>,
+        tape: &'a Tape,
+        log: Option<&'a DecisionLog>,
     ) -> OpCtx<'a, 'static> {
         OpCtx {
             registry,
             access: StateAccess::Plain,
             outputs: Vec::new(),
-            decisions: DecisionRecord::new(0),
-            replay,
+            tape,
+            drawn: 0,
+            log,
             rng,
             clock,
             input_port: PortId(0),
@@ -262,31 +267,137 @@ mod tests {
         }
     }
 
-    #[test]
-    fn live_draws_are_recorded() {
-        let registry = StateRegistry::plain();
-        let rng = Mutex::new(DetRng::seed_from(1));
-        let clock: SharedClock = shared(ManualClock::new());
-        let mut ctx = test_ctx(&registry, &rng, &clock, None);
-        let r = ctx.random_u64();
-        let t = ctx.now_micros();
-        assert_eq!(ctx.decisions.decisions.len(), 2);
-        assert_eq!(ctx.decisions.decisions[0], Determinant::Random(r));
-        assert_eq!(ctx.decisions.decisions[1], Determinant::Time(t));
-        assert!(!ctx.is_replaying());
+    fn decision_log() -> DecisionLog {
+        let obs = Obs::tracing();
+        DecisionLog {
+            log: StableLog::new(vec![DiskSpec::simulated(Duration::from_micros(100))]),
+            inbox: Inbox::new(Vec::new(), Vec::new()),
+            log_wait_us: obs.registry.histogram("stage.log_wait_us", Labels::op(0)),
+            tracer: obs.tracer.clone(),
+            op: 0,
+        }
+    }
+
+    /// What the log holds once everything appended is stable.
+    fn logged(log: &DecisionLog) -> Vec<DecisionRecord> {
+        log.log.flush();
+        log.log.stable_entries().iter().map(|(_, r)| decode_from_slice(r).unwrap()).collect()
     }
 
     #[test]
-    fn replay_returns_logged_values_and_records_nothing() {
+    fn live_decisions_are_logged_as_they_are_taken() {
+        let registry = StateRegistry::plain();
+        let rng = Mutex::new(DetRng::seed_from(1));
+        let clock: SharedClock = shared(ManualClock::new());
+        let log = decision_log();
+        let tape = Tape::new(7, false, Vec::new());
+        let mut ctx = test_ctx(&registry, &rng, &clock, &tape, Some(&log));
+        let r = ctx.random_u64();
+        // Appended by the draw itself, not when the operator returns.
+        assert_eq!(log.log.appended(), 1);
+        let t = ctx.now_micros();
+        assert_eq!(
+            logged(&log),
+            vec![
+                DecisionRecord { serial: 7, index: 0, decision: Determinant::Random(r) },
+                DecisionRecord { serial: 7, index: 1, decision: Determinant::Time(t) },
+            ]
+        );
+    }
+
+    #[test]
+    fn an_event_posts_one_stability_notice_however_many_decisions_it_took() {
+        let registry = StateRegistry::plain();
+        let rng = Mutex::new(DetRng::seed_from(6));
+        let clock: SharedClock = shared(ManualClock::new());
+        // Slow enough that all five draws are appended before the first
+        // write returns.
+        let log = DecisionLog {
+            log: StableLog::new(vec![DiskSpec::simulated(Duration::from_millis(20)); 2]),
+            ..decision_log()
+        };
+        let tape = Tape::new(3, false, Vec::new());
+        let mut ctx = test_ctx(&registry, &rng, &clock, &tape, Some(&log));
+        for _ in 0..5 {
+            ctx.random_u64();
+        }
+        assert!(!tape.is_stable());
+        let mut notices = std::collections::VecDeque::new();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !tape.is_stable() && Instant::now() < deadline {
+            log.inbox.park_until(deadline);
+        }
+        assert!(tape.is_stable());
+        log.inbox.take_notices(&mut notices);
+        assert_eq!(notices.len(), 1, "{notices:?}");
+        assert_eq!(log.log_wait_us.snapshot().count(), 5, "the wait is measured per record");
+    }
+
+    #[test]
+    fn second_attempt_reads_the_first_attempts_decisions_and_appends_nothing() {
         let registry = StateRegistry::plain();
         let rng = Mutex::new(DetRng::seed_from(2));
+        let clock = Arc::new(ManualClock::new());
+        let shared_clock: SharedClock = clock.clone();
+        let log = decision_log();
+        let tape = Tape::new(0, false, Vec::new());
+        let mut first = test_ctx(&registry, &rng, &shared_clock, &tape, Some(&log));
+        let (r, t) = (first.random_u64(), first.now_micros());
+        let position = rng.lock().clone();
+        clock.advance(Duration::from_micros(500));
+        let mut second = test_ctx(&registry, &rng, &shared_clock, &tape, Some(&log));
+        assert_eq!((second.random_u64(), second.now_micros()), (r, t));
+        assert_eq!(log.log.appended(), 2, "a re-execution logged again");
+        assert_eq!(*rng.lock(), position, "a re-execution moved the random stream");
+    }
+
+    #[test]
+    fn attempt_that_draws_more_extends_tape_and_log_by_the_new_entries() {
+        let registry = StateRegistry::plain();
+        let rng = Mutex::new(DetRng::seed_from(3));
         let clock: SharedClock = shared(ManualClock::new());
-        let replay = VecDeque::from(vec![Determinant::Random(99), Determinant::Time(123)]);
-        let mut ctx = test_ctx(&registry, &rng, &clock, Some(replay));
-        assert!(ctx.is_replaying());
+        let log = decision_log();
+        let tape = Tape::new(4, false, Vec::new());
+        let first = test_ctx(&registry, &rng, &clock, &tape, Some(&log)).random_u64();
+        let mut second = test_ctx(&registry, &rng, &clock, &tape, Some(&log));
+        assert_eq!(second.random_u64(), first);
+        let extra = second.random_u64();
+        assert_ne!(extra, first);
+        assert_eq!(
+            logged(&log),
+            vec![
+                DecisionRecord { serial: 4, index: 0, decision: Determinant::Random(first) },
+                DecisionRecord { serial: 4, index: 1, decision: Determinant::Random(extra) },
+            ]
+        );
+    }
+
+    #[test]
+    fn recovered_prefix_is_read_and_live_draws_follow_it() {
+        let registry = StateRegistry::plain();
+        let rng = Mutex::new(DetRng::seed_from(4));
+        let clock: SharedClock = shared(ManualClock::new());
+        let log = decision_log();
+        let tape = Tape::new(9, false, vec![Determinant::Random(99), Determinant::Time(123)]);
+        let mut ctx = test_ctx(&registry, &rng, &clock, &tape, Some(&log));
         assert_eq!(ctx.random_u64(), 99);
         assert_eq!(ctx.now_micros(), 123);
-        assert!(ctx.decisions.is_empty());
+        assert_eq!(log.log.appended(), 0, "an entry read back was logged again");
+        let live = ctx.random_u64();
+        let record = DecisionRecord { serial: 9, index: 2, decision: Determinant::Random(live) };
+        assert_eq!(logged(&log), vec![record]);
+    }
+
+    #[test]
+    fn without_a_log_decisions_are_taken_once_and_nothing_is_awaited() {
+        let registry = StateRegistry::plain();
+        let rng = Mutex::new(DetRng::seed_from(5));
+        let clock: SharedClock = shared(ManualClock::new());
+        let tape = Tape::new(0, false, Vec::new());
+        let v = test_ctx(&registry, &rng, &clock, &tape, None).random_below(10);
+        assert!(v < 10);
+        assert_eq!(test_ctx(&registry, &rng, &clock, &tape, None).random_below(10), v);
+        assert!(tape.is_stable());
     }
 
     #[test]
@@ -295,23 +406,8 @@ mod tests {
         let registry = StateRegistry::plain();
         let rng = Mutex::new(DetRng::seed_from(3));
         let clock: SharedClock = shared(ManualClock::new());
-        let replay = VecDeque::from(vec![Determinant::Time(1)]);
-        let mut ctx = test_ctx(&registry, &rng, &clock, Some(replay));
-        let _ = ctx.random_u64();
-    }
-
-    #[test]
-    fn random_below_is_in_range_and_replayable() {
-        let registry = StateRegistry::plain();
-        let rng = Mutex::new(DetRng::seed_from(4));
-        let clock: SharedClock = shared(ManualClock::new());
-        let mut ctx = test_ctx(&registry, &rng, &clock, None);
-        let v = ctx.random_below(10);
-        assert!(v < 10);
-        // Replaying the logged record reproduces the same value.
-        let logged = ctx.decisions.decisions.clone();
-        let mut ctx2 = test_ctx(&registry, &rng, &clock, Some(logged.into()));
-        assert_eq!(ctx2.random_below(10), v);
+        let tape = Tape::new(0, false, vec![Determinant::Time(1)]);
+        let _ = test_ctx(&registry, &rng, &clock, &tape, None).random_u64();
     }
 
     #[test]
@@ -320,7 +416,8 @@ mod tests {
         let h = registry.register(5i64);
         let rng = Mutex::new(DetRng::seed_from(5));
         let clock: SharedClock = shared(ManualClock::new());
-        let mut ctx = test_ctx(&registry, &rng, &clock, None);
+        let tape = Tape::new(0, false, Vec::new());
+        let mut ctx = test_ctx(&registry, &rng, &clock, &tape, None);
         ctx.update(h, |v| v + 1).unwrap();
         assert_eq!(*ctx.get(h).unwrap(), 6);
         ctx.emit(Value::Int(1));
@@ -355,7 +452,8 @@ mod tests {
         }
         let rng = Mutex::new(DetRng::seed_from(6));
         let clock: SharedClock = shared(ManualClock::new());
-        let mut ctx = test_ctx(&registry, &rng, &clock, None);
+        let tape = Tape::new(0, false, Vec::new());
+        let mut ctx = test_ctx(&registry, &rng, &clock, &tape, None);
         let ev = Event::new(EventId::new(OperatorId::new(0), 0), 1, Value::Int(21));
         op.process(&mut ctx, &ev).unwrap();
         assert_eq!(ctx.outputs, vec![(None, Value::Int(42))]);

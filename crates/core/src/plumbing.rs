@@ -51,7 +51,7 @@ pub(crate) enum Notice {
     TxnCommitted(TxnId),
     /// The STM cascade-aborted an open transaction (speculative mode).
     TxnAborted(TxnId),
-    /// A decision-log ticket for `serial` became stable.
+    /// Every decision record appended for `serial` is stable.
     LogStable { serial: u64 },
     /// Engine command.
     Command(NodeCommand),

@@ -306,6 +306,10 @@ struct Ring<T> {
     base: u64,
     /// The next sequence the receiver reads.
     cursor: u64,
+    /// The furthest the cursor ever got: the window senders were admitted
+    /// against. A rewind makes read messages unread again, it does not
+    /// put anything past the window.
+    read_hwm: u64,
     /// Sever: sequences at or past it are not readable (`u64::MAX` while
     /// connected).
     limit: u64,
@@ -336,9 +340,9 @@ impl<T> Ring<T> {
     }
 
     /// Accepted messages the receiver cannot be handed yet: behind a sever
-    /// or beyond the window.
+    /// or beyond the window, which ends `capacity` past the furthest read.
     fn pending(&self, capacity: usize) -> usize {
-        let deliverable = self.tail().min(self.limit).min(self.cursor + capacity as u64);
+        let deliverable = self.tail().min(self.limit).min(self.read_hwm + capacity as u64);
         (self.tail() - deliverable.max(self.cursor)) as usize
     }
 
@@ -402,6 +406,7 @@ impl<T> Ring<T> {
             }
         }
         self.cursor += 1;
+        self.read_hwm = self.read_hwm.max(self.cursor);
         if seq < self.acked {
             // Acknowledged ahead of the read (a link nobody replays):
             // nothing keeps the stored message, so it is moved out.
@@ -534,6 +539,7 @@ pub fn link<T: Clone + Send + 'static>(config: LinkConfig) -> (LinkSender<T>, Li
             entries: VecDeque::new(),
             base: 0,
             cursor: 0,
+            read_hwm: 0,
             limit: u64::MAX,
             acked: 0,
             last_due: None,
@@ -702,6 +708,7 @@ impl<T: Clone + Send + 'static> LinkSender<T> {
         assert!(ring.entries.is_empty(), "set_next_seq after the first send");
         ring.base = next;
         ring.cursor = next;
+        ring.read_hwm = next;
     }
 
     /// Attaches registered transport metrics; shared by all clones.
@@ -1093,6 +1100,30 @@ mod tests {
         assert_eq!(registry.gauge_value("edge.pending", labels), Some(0));
         assert_eq!(registry.gauge_value("edge.pending_hwm", labels), Some(1));
         assert_eq!(registry.gauge_value("edge.retained", labels), Some(3));
+    }
+
+    #[test]
+    fn a_rewind_in_a_full_window_puts_nothing_past_it() {
+        let registry = Registry::new();
+        let (tx, rx) = link::<u8>(LinkConfig::instant().with_capacity(2));
+        tx.set_metrics(EdgeMetrics::registered(&registry, 0, 0));
+        for i in 0..2 {
+            tx.send(i).unwrap();
+            rx.recv().unwrap();
+        }
+        tx.send(2).unwrap();
+        tx.send(3).unwrap();
+        // Window full; the receiver crashes and reads from 0 again.
+        assert_eq!(tx.replay_from(0), 2);
+        tx.publish_gauges();
+        let labels = Labels::op_port(0, 0);
+        assert_eq!(registry.gauge_value("edge.pending_hwm", labels), Some(0));
+        assert_eq!(registry.gauge_value("edge.credits", labels), Some(0));
+        // A push on top of that is past the window, as ever.
+        assert_eq!(tx.push(4), SendOutcome::Saturated(4));
+        assert_eq!(registry.gauge_value("edge.pending_hwm", labels), Some(1));
+        let got: Vec<u8> = (0..5).map(|_| rx.recv().unwrap().1).collect();
+        assert_eq!(got, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

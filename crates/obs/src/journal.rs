@@ -168,8 +168,9 @@ pub enum JournalKind {
 }
 
 /// Code of the one [`JournalKind::Warn`] that is pinned: a cluster
-/// worker's transaction re-executed, so a replacement process re-deriving
-/// its decisions from the slot's seed would not draw what it drew.
+/// worker's transaction re-executed and may have drawn out of serial
+/// order, so a replacement process re-deriving its decisions from the
+/// slot's seed might not draw what it drew.
 pub const REDERIVATION_BROKEN: &str = "rederivation-broken";
 
 impl JournalKind {

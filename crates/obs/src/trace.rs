@@ -83,11 +83,14 @@ pub struct Span {
     pub queue_wait_us: u64,
     /// Operator `process` duration (latest attempt), µs.
     pub process_us: u64,
-    /// Decision-log append → stable, µs (`None`: nothing logged yet, or a
-    /// deterministic hop that never logs).
+    /// Decision-log append → stable, µs, of the record that turned stable
+    /// last (`None`: nothing logged yet, or a deterministic hop that never
+    /// logs). The append happens when the decision is taken, so this
+    /// interval runs beside `process_us`, not after it.
     pub log_wait_us: Option<u64>,
-    /// Speculative publish → ordered final commit, µs (`None` until the
-    /// commit gate opened; stays `None` on non-speculative hops).
+    /// Admission → ordered final commit, µs: contains `process_us` and the
+    /// log wait, which overlap (`None` until the commit gate opened; stays
+    /// `None` on non-speculative hops).
     pub commit_gate_us: Option<u64>,
     /// Rollback + re-execution rounds this span absorbed.
     pub rollbacks: u32,
@@ -547,9 +550,9 @@ impl Tracer {
                     sp.op, sp.op
                 );
             }
-            let dur = sp.queue_wait_us
-                + sp.process_us
-                + sp.log_wait_us.unwrap_or(0).max(sp.commit_gate_us.unwrap_or(0));
+            // Processing, log wait and commit gate all start at admission.
+            let held = sp.log_wait_us.unwrap_or(0).max(sp.commit_gate_us.unwrap_or(0));
+            let dur = sp.queue_wait_us + sp.process_us.max(held);
             sep(&mut out);
             let _ = write!(
                 out,

@@ -6,6 +6,7 @@
 //! counters can be processed in parallel without conflicts, which static
 //! analysis cannot prove but optimistic execution exploits.
 
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use streammine_common::event::{Event, Value};
@@ -14,9 +15,19 @@ use streammine_core::{OpCtx, Operator, SetupCtx, StateHandle};
 use streammine_sketch::hashing::PairwiseHash;
 use streammine_stm::StmAbort;
 
-use parking_lot::Mutex;
-
 use crate::basic::busy_work;
+
+/// The `n` counters of a sketch, resolved once and read without a lock on
+/// the per-event path (both STM threads share the operator).
+type Cells = OnceLock<Box<[StateHandle<i64>]>>;
+
+/// Registers `n` zeroed counters. Every start of a node runs `setup` on a
+/// fresh registry and registers the same cells in the same order, so a
+/// restart's handles equal the first start's and `cells` keeps those.
+fn register_counters(ctx: &mut SetupCtx<'_>, n: usize, cells: &Cells) {
+    let handles = (0..n).map(|_| ctx.state(0i64)).collect();
+    let _ = cells.set(handles);
+}
 
 /// Count-sketch update + estimate operator: for each input event (keyed by
 /// its integer payload or stable hash), updates the sketch and emits
@@ -28,7 +39,7 @@ pub struct SketchOp {
     sign_hashes: Vec<PairwiseHash>,
     cost: Duration,
     stamped: bool,
-    cells: Mutex<Vec<StateHandle<i64>>>,
+    cells: Cells,
 }
 
 impl SketchOp {
@@ -51,7 +62,7 @@ impl SketchOp {
             sign_hashes,
             cost,
             stamped: false,
-            cells: Mutex::new(Vec::new()),
+            cells: OnceLock::new(),
         }
     }
 
@@ -75,11 +86,7 @@ impl Operator for SketchOp {
     }
 
     fn setup(&self, ctx: &mut SetupCtx<'_>) {
-        let mut cells = self.cells.lock();
-        cells.clear();
-        for _ in 0..self.width * self.depth {
-            cells.push(ctx.state(0i64));
-        }
+        register_counters(ctx, self.width * self.depth, &self.cells);
     }
 
     fn process(&self, ctx: &mut OpCtx<'_, '_>, event: &Event) -> Result<(), StmAbort> {
@@ -88,7 +95,7 @@ impl Operator for SketchOp {
         }
         busy_work(self.cost);
         let key = Self::key_of(event);
-        let cells = self.cells.lock().clone();
+        let cells = self.cells.get().expect("setup ran");
         let mut samples = Vec::with_capacity(self.depth);
         for (r, (bh, sh)) in self.bucket_hashes.iter().zip(&self.sign_hashes).enumerate() {
             let b = bh.bucket(key, self.width);
@@ -121,7 +128,7 @@ pub struct CountMinOp {
     hashes: Vec<PairwiseHash>,
     cost: Duration,
     stamped: bool,
-    cells: Mutex<Vec<StateHandle<i64>>>,
+    cells: Cells,
 }
 
 impl CountMinOp {
@@ -135,7 +142,7 @@ impl CountMinOp {
         assert!(width > 0 && depth > 0, "width and depth must be positive");
         let mut rng = DetRng::seed_from(seed);
         let hashes = (0..depth).map(|_| PairwiseHash::sample(&mut rng)).collect();
-        CountMinOp { width, depth, hashes, cost, stamped: false, cells: Mutex::new(Vec::new()) }
+        CountMinOp { width, depth, hashes, cost, stamped: false, cells: OnceLock::new() }
     }
 
     /// Makes the operator draw one logged random decision per event, so
@@ -158,11 +165,7 @@ impl Operator for CountMinOp {
     }
 
     fn setup(&self, ctx: &mut SetupCtx<'_>) {
-        let mut cells = self.cells.lock();
-        cells.clear();
-        for _ in 0..self.width * self.depth {
-            cells.push(ctx.state(0i64));
-        }
+        register_counters(ctx, self.width * self.depth, &self.cells);
     }
 
     fn process(&self, ctx: &mut OpCtx<'_, '_>, event: &Event) -> Result<(), StmAbort> {
@@ -171,7 +174,7 @@ impl Operator for CountMinOp {
         }
         busy_work(self.cost);
         let key = Self::key_of(event);
-        let cells = self.cells.lock().clone();
+        let cells = self.cells.get().expect("setup ran");
         let mut est = i64::MAX;
         for (r, h) in self.hashes.iter().enumerate() {
             let cell = cells[r * self.width + h.bucket(key, self.width)];

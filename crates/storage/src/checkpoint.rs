@@ -301,7 +301,7 @@ impl CheckpointStore {
         let mut retries = 0u64;
         let mut delay = Duration::from_micros(100);
         for attempt in 1..=MAX_SAVE_ATTEMPTS {
-            if self.device.write_batch(std::slice::from_ref(&framed)).is_ok() {
+            if self.device.write(framed.len()).is_ok() {
                 break;
             }
             retries += 1;

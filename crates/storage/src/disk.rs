@@ -107,10 +107,10 @@ impl DiskSpec {
 }
 
 /// A simulated storage device: charges the model's latency for each write
-/// and durably retains the written records (in memory) for recovery reads.
+/// and injects its faults. It keeps no bytes — whoever writes holds the one
+/// copy (the log's readable set, the checkpoint store's images).
 pub struct StorageDevice {
     spec: DiskSpec,
-    records: Mutex<Vec<Vec<u8>>>,
     rng: Mutex<DetRng>,
     writes: AtomicU64,
     bytes: AtomicU64,
@@ -136,7 +136,6 @@ impl StorageDevice {
         let fault_bits = AtomicU64::new(spec.fault_rate.to_bits());
         StorageDevice {
             spec,
-            records: Mutex::new(Vec::new()),
             rng: Mutex::new(DetRng::seed_from(seed)),
             writes: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
@@ -151,15 +150,14 @@ impl StorageDevice {
         &self.spec
     }
 
-    /// Synchronously writes a batch of records: blocks for the modeled
-    /// duration of **one** stable write covering the batch (group commit),
-    /// then retains the records.
+    /// One synchronous stable write of `total` bytes — a whole batch of
+    /// records under group commit: blocks for the modeled duration.
     ///
     /// # Errors
     ///
-    /// [`DiskError`] with the configured fault probability; nothing is
-    /// persisted and the caller should retry the whole batch.
-    pub fn write_batch(&self, batch: &[Vec<u8>]) -> Result<(), DiskError> {
+    /// [`DiskError`] with the configured fault probability; nothing counts
+    /// as persisted and the caller should retry the whole write.
+    pub fn write(&self, total: usize) -> Result<(), DiskError> {
         let stall = *self.stall_until.lock();
         if let Some(until) = stall {
             let now = Instant::now();
@@ -167,7 +165,6 @@ impl StorageDevice {
                 std::thread::sleep(until - now);
             }
         }
-        let total: usize = batch.iter().map(Vec::len).sum();
         let (d, faulted) = {
             let mut rng = self.rng.lock();
             let d = self.spec.write_duration(total, &mut rng);
@@ -184,7 +181,6 @@ impl StorageDevice {
         }
         self.writes.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(total as u64, Ordering::Relaxed);
-        self.records.lock().extend_from_slice(batch);
         Ok(())
     }
 
@@ -221,11 +217,6 @@ impl StorageDevice {
     pub fn bytes_written(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
     }
-
-    /// All records stored on this device, in write order.
-    pub fn records(&self) -> Vec<Vec<u8>> {
-        self.records.lock().clone()
-    }
 }
 
 #[cfg(test)]
@@ -261,13 +252,12 @@ mod tests {
     }
 
     #[test]
-    fn device_retains_records_and_counts_batches() {
+    fn device_counts_writes_and_bytes() {
         let dev = StorageDevice::new(DiskSpec::simulated(Duration::ZERO), 7);
-        dev.write_batch(&[b"a".to_vec(), b"b".to_vec()]).unwrap();
-        dev.write_batch(&[b"c".to_vec()]).unwrap();
+        dev.write(2).unwrap();
+        dev.write(1).unwrap();
         assert_eq!(dev.write_count(), 2);
         assert_eq!(dev.bytes_written(), 3);
-        assert_eq!(dev.records(), vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]);
     }
 
     #[test]
@@ -283,7 +273,7 @@ mod tests {
         let mut ok = 0;
         let mut failed = 0;
         for _ in 0..200 {
-            match dev.write_batch(&[b"r".to_vec()]) {
+            match dev.write(1) {
                 Ok(()) => ok += 1,
                 Err(DiskError) => failed += 1,
             }
@@ -291,7 +281,8 @@ mod tests {
         assert!(ok > 0 && failed > 0, "expected a mix, got ok={ok} failed={failed}");
         assert_eq!(dev.fault_count(), failed);
         // Failed writes persist nothing.
-        assert_eq!(dev.records().len(), ok as usize);
+        assert_eq!(dev.write_count(), ok);
+        assert_eq!(dev.bytes_written(), ok);
     }
 
     #[test]
@@ -301,13 +292,13 @@ mod tests {
         assert!(dev.fault_rate() > 0.99);
         let mut failed = 0;
         for _ in 0..50 {
-            if dev.write_batch(&[b"r".to_vec()]).is_err() {
+            if dev.write(1).is_err() {
                 failed += 1;
             }
         }
         assert!(failed > 0);
         dev.set_fault_rate(0.0);
-        assert!(dev.write_batch(&[b"r".to_vec()]).is_ok());
+        assert!(dev.write(1).is_ok());
     }
 
     #[test]
@@ -315,11 +306,11 @@ mod tests {
         let dev = StorageDevice::new(DiskSpec::simulated(Duration::ZERO), 13);
         dev.stall_for(Duration::from_millis(20));
         let start = Instant::now();
-        dev.write_batch(&[b"r".to_vec()]).unwrap();
+        dev.write(1).unwrap();
         assert!(start.elapsed() >= Duration::from_millis(18), "write did not stall");
         // Window over: writes are fast again.
         let start = Instant::now();
-        dev.write_batch(&[b"r".to_vec()]).unwrap();
+        dev.write(1).unwrap();
         assert!(start.elapsed() < Duration::from_millis(10));
     }
 }

@@ -29,7 +29,7 @@
 //! let ticket = log.append(b"decision: 42".to_vec());
 //! ticket.wait();
 //! assert!(ticket.is_stable());
-//! assert_eq!(log.stable_records().len(), 1);
+//! assert_eq!(log.stable_entries().len(), 1);
 //! ```
 
 #![warn(missing_docs)]

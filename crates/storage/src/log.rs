@@ -1,21 +1,34 @@
 //! The asynchronous decision log.
 //!
 //! Implements the logging algorithm of §2.4: processing functions *issue an
-//! asynchronous storage request* for their non-deterministic decisions and
+//! asynchronous storage request* for a non-deterministic decision and
 //! continue; resulting events are held (non-speculative mode) or sent
-//! speculatively (speculative mode) until the request is stable.
+//! speculatively (speculative mode) until the request is stable. The engine
+//! appends one record per decision, at the moment the decision is taken
+//! (`core::determinant`), so a write runs beside the operator that caused
+//! it; a record here is opaque bytes under a dense sequence number.
 //!
 //! The paper provisions *"one thread per storage point plus 1 extra thread
 //! that collects the requests while the others are busy"*. Here the
 //! collector is the shared pending queue itself: each of the N device
 //! writer threads drains whatever accumulated while it was busy (group
 //! commit) and writes it as one batch — the same N-way parallel,
-//! batch-amortized behaviour with one fewer moving part.
+//! batch-amortized behaviour with one fewer moving part. With N > 1 the
+//! devices stripe the sequence: record *n + 1* can be stable before record
+//! *n*, which is why a caller that needs several records waits for each
+//! ticket, and why a recovery read takes, per event, only the contiguous
+//! prefix of what it finds.
+//!
+//! A record exists once: the append frames it (CRC32), the writer moves
+//! the frame into the readable set after the device write, and reads
+//! validate it there. The first frame that fails its checksum truncates
+//! the log from that sequence number onward — a torn tail shortens the
+//! replayable suffix, it does not fail recovery.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -38,7 +51,7 @@ pub struct LogObs {
     pub journal: Arc<Journal>,
     /// Device write duration per batch, microseconds (`log.write_us`).
     pub write_us: Histogram,
-    /// Pending groups drained per device batch (`log.batch_groups`).
+    /// Records drained per device batch (`log.batch_groups`).
     pub batch_groups: Histogram,
     /// Mirror of [`StableLog::write_retries`] (`log.write_retries`).
     pub write_retries: Counter,
@@ -89,7 +102,7 @@ struct TicketInner {
     cv: Condvar,
 }
 
-/// Acknowledgment handle for one appended record (or batch).
+/// Acknowledgment handle for one appended record.
 ///
 /// Supports blocking waits and callbacks; the engine subscribes a callback
 /// that releases the corresponding output events / authorizes the
@@ -185,14 +198,20 @@ impl LogTicket {
 
 struct Pending {
     seq: u64,
-    records: Vec<Vec<u8>>,
+    /// The CRC-framed record; moved into the readable set once written.
+    record: Vec<u8>,
     ticket: LogTicket,
 }
 
 struct LogShared {
     queue: Mutex<VecDeque<Pending>>,
     queue_cv: Condvar,
-    stable: Mutex<BTreeMap<u64, Vec<Vec<u8>>>>,
+    /// The readable set: every written record not yet truncated, framed.
+    /// The one copy of a record after its write — the device models the
+    /// write's latency and faults, it does not keep the bytes.
+    stable: Mutex<BTreeMap<u64, Vec<u8>>>,
+    /// Signalled, under `stable`'s lock, after `stable_count` moved.
+    stable_cv: Condvar,
     stopping: AtomicBool,
     appended: AtomicU64,
     stable_count: AtomicU64,
@@ -203,8 +222,8 @@ struct LogShared {
     corrupt_dropped: AtomicU64,
     /// Device write attempts retried after a transient disk fault.
     write_retries: AtomicU64,
-    /// Observability hooks, when the engine attached them.
-    obs: Mutex<Option<LogObs>>,
+    /// Observability hooks, once the engine attached them.
+    obs: OnceLock<LogObs>,
 }
 
 /// The stable decision log: N parallel storage points with group commit.
@@ -239,8 +258,10 @@ impl fmt::Debug for StableLog {
     }
 }
 
-/// Cap on records drained into one device batch (group commit size).
-const MAX_BATCH: usize = 512;
+/// Cap on records drained into one device batch (group commit size). A
+/// record is one decision (≈ 30 framed bytes), and an event may take
+/// hundreds: the cap must not be what bounds such an operator's throughput.
+const MAX_BATCH: usize = 16_384;
 
 impl StableLog {
     /// Creates a log over one storage point per spec.
@@ -259,13 +280,14 @@ impl StableLog {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             stable: Mutex::new(BTreeMap::new()),
+            stable_cv: Condvar::new(),
             stopping: AtomicBool::new(false),
             appended: AtomicU64::new(0),
             stable_count: AtomicU64::new(0),
             truncate_watermark: AtomicU64::new(0),
             corrupt_dropped: AtomicU64::new(0),
             write_retries: AtomicU64::new(0),
-            obs: Mutex::new(None),
+            obs: OnceLock::new(),
         });
         let writers = devices
             .iter()
@@ -300,48 +322,37 @@ impl StableLog {
                 let take = q.len().min(MAX_BATCH);
                 q.drain(..take).collect()
             };
-            // Drain records by move into the device batch; only records the
-            // readable set will keep (not already truncated) are cloned, and
-            // only once.
-            let watermark = shared.truncate_watermark.load(Ordering::Acquire);
-            let mut retained: Vec<(u64, Vec<Vec<u8>>)> = Vec::new();
-            let mut bytes: Vec<Vec<u8>> = Vec::new();
-            for p in &mut batch {
-                let records = std::mem::take(&mut p.records);
-                if p.seq >= watermark {
-                    retained.push((p.seq, records.clone()));
-                }
-                bytes.extend(records);
-            }
             // Transient disk faults (injected or real) fail the whole
             // batch; retry with a small exponential backoff until the
             // write sticks — the record is not acknowledged before then.
+            let bytes: usize = batch.iter().map(|p| p.record.len()).sum();
             let write_start = std::time::Instant::now();
             let mut retries = 0u64;
             let mut delay = Duration::from_micros(100);
-            while dev.write_batch(&bytes).is_err() {
+            while dev.write(bytes).is_err() {
                 retries += 1;
                 shared.write_retries.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(delay);
                 delay = (delay * 2).min(Duration::from_millis(5));
             }
-            if let Some(obs) = shared.obs.lock().clone() {
+            if let Some(obs) = shared.obs.get() {
                 obs.write_us.record_duration(write_start.elapsed());
                 obs.batch_groups.record(batch.len() as u64);
                 obs.write_retries.add(retries);
             }
             {
-                // Re-read the watermark: a truncation issued during the
-                // device write still applies to these in-flight records.
+                // The watermark is read after the write: a truncation
+                // issued during it still applies to these records.
                 let watermark = shared.truncate_watermark.load(Ordering::Acquire);
                 let mut stable = shared.stable.lock();
-                for (seq, records) in retained {
-                    if seq >= watermark {
-                        stable.insert(seq, records);
+                for p in &mut batch {
+                    if p.seq >= watermark {
+                        stable.insert(p.seq, std::mem::take(&mut p.record));
                     }
                 }
+                shared.stable_count.fetch_add(batch.len() as u64, Ordering::Relaxed);
             }
-            shared.stable_count.fetch_add(batch.len() as u64, Ordering::Relaxed);
+            shared.stable_cv.notify_all();
             for p in batch {
                 p.ticket.mark_stable();
             }
@@ -349,83 +360,55 @@ impl StableLog {
     }
 
     /// Appends one record asynchronously; the returned ticket resolves when
-    /// the record is stable.
+    /// the record is stable. The record is framed with a CRC32 checksum so
+    /// recovery reads can detect a torn or corrupted tail.
     pub fn append(&self, record: Vec<u8>) -> LogTicket {
-        self.append_batch(vec![record])
-    }
-
-    /// Appends a group of records that become stable atomically under one
-    /// sequence number (e.g. an event's input-order decision plus all its
-    /// random draws).
-    ///
-    /// Each record is framed with a CRC32 checksum so recovery reads can
-    /// detect a torn or corrupted tail.
-    pub fn append_batch(&self, records: Vec<Vec<u8>>) -> LogTicket {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let ticket = LogTicket::new(LogSeq(seq));
         self.shared.appended.fetch_add(1, Ordering::Relaxed);
-        let records = records.into_iter().map(crc32::frame).collect();
-        {
-            let mut q = self.shared.queue.lock();
-            q.push_back(Pending { seq, records, ticket: ticket.clone() });
-        }
+        let record = crc32::frame(record);
+        self.shared.queue.lock().push_back(Pending { seq, record, ticket: ticket.clone() });
         self.shared.queue_cv.notify_one();
         ticket
     }
 
-    /// Validates every stable group's CRC frames in sequence order. The
-    /// first corrupt record truncates the log from its group onward — a
-    /// torn tail must not panic recovery, only shorten the replayable
-    /// suffix (upstream replay re-derives the rest).
-    fn validated_groups(&self) -> Vec<(LogSeq, Vec<Vec<u8>>)> {
+    /// Every stable record with its sequence number, in sequence order,
+    /// CRC validated. The first corrupt record truncates the log from
+    /// there onward — a torn tail must not panic recovery, only shorten
+    /// the replayable suffix (upstream replay re-derives the rest).
+    pub fn stable_entries(&self) -> Vec<(LogSeq, Vec<u8>)> {
         let mut stable = self.shared.stable.lock();
-        let mut bad_from: Option<u64> = None;
         let mut out = Vec::with_capacity(stable.len());
-        'groups: for (&seq, group) in stable.iter() {
-            let mut decoded = Vec::with_capacity(group.len());
-            for rec in group {
-                match crc32::unframe(rec) {
-                    Some(payload) => decoded.push(payload.to_vec()),
-                    None => {
-                        bad_from = Some(seq);
-                        break 'groups;
-                    }
+        let mut bad_from: Option<u64> = None;
+        for (&seq, framed) in stable.iter() {
+            match crc32::unframe(framed) {
+                Some(payload) => out.push((LogSeq(seq), payload.to_vec())),
+                None => {
+                    bad_from = Some(seq);
+                    break;
                 }
             }
-            out.push((LogSeq(seq), decoded));
         }
         if let Some(from) = bad_from {
-            let dropped: usize = stable.range(from..).map(|(_, g)| g.len()).sum();
-            stable.retain(|&s, _| s < from);
-            self.shared.corrupt_dropped.fetch_add(dropped as u64, Ordering::Relaxed);
-            if let Some(obs) = self.shared.obs.lock().clone() {
-                obs.corrupt_dropped.add(dropped as u64);
+            let dropped = stable.split_off(&from).len() as u64;
+            self.shared.corrupt_dropped.fetch_add(dropped, Ordering::Relaxed);
+            if let Some(obs) = self.shared.obs.get() {
+                obs.corrupt_dropped.add(dropped);
                 obs.journal.warn(
                     Some(obs.op),
                     "log-torn-tail",
-                    format!("corrupt record in group {from}: dropped {dropped} record(s)"),
+                    format!("corrupt record {from}: dropped {dropped} record(s)"),
                 );
             }
         }
         out
     }
 
-    /// All stable records in sequence order (flattened groups), CRC
-    /// validated; a corrupt tail is truncated, not returned.
-    pub fn stable_records(&self) -> Vec<Vec<u8>> {
-        self.validated_groups().into_iter().flat_map(|(_, g)| g).collect()
-    }
-
-    /// Stable record groups with their sequence numbers, CRC validated; a
-    /// corrupt tail is truncated, not returned.
-    pub fn stable_groups(&self) -> Vec<(LogSeq, Vec<Vec<u8>>)> {
-        self.validated_groups()
-    }
-
     /// Attaches observability hooks (write timing, group-commit sizes,
-    /// degradation counters, journal warnings). Shared by all clones.
+    /// degradation counters, journal warnings). Shared by all clones; a
+    /// log is attached once, a second call changes nothing.
     pub fn attach_obs(&self, obs: LogObs) {
-        *self.shared.obs.lock() = Some(obs);
+        let _ = self.shared.obs.set(obs);
     }
 
     /// Records dropped so far by torn-tail truncation.
@@ -442,13 +425,13 @@ impl StableLog {
     /// (fault injection). Returns `false` when the log is empty.
     pub fn corrupt_tail(&self) -> bool {
         let mut stable = self.shared.stable.lock();
-        if let Some((_, group)) = stable.iter_mut().next_back() {
-            if let Some(byte) = group.last_mut().and_then(|rec| rec.last_mut()) {
+        match stable.values_mut().next_back().and_then(|record| record.last_mut()) {
+            Some(byte) => {
                 *byte ^= 0x40;
-                return true;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Prunes records with sequence `< upto` (after a checkpoint). Also
@@ -472,11 +455,9 @@ impl StableLog {
     /// Blocks until everything appended so far is stable.
     pub fn flush(&self) {
         let target = self.appended();
-        let mut q = self.shared.queue.lock();
+        let mut stable = self.shared.stable.lock();
         while self.shared.stable_count.load(Ordering::Relaxed) < target {
-            drop(q);
-            std::thread::yield_now();
-            q = self.shared.queue.lock();
+            self.shared.stable_cv.wait(&mut stable);
         }
     }
 
@@ -516,13 +497,17 @@ mod tests {
         StableLog::new(vec![DiskSpec::simulated(Duration::from_micros(200)); n])
     }
 
+    fn records(log: &StableLog) -> Vec<Vec<u8>> {
+        log.stable_entries().into_iter().map(|(_, record)| record).collect()
+    }
+
     #[test]
     fn append_becomes_stable_and_readable() {
         let log = fast_log(1);
         let t = log.append(b"hello".to_vec());
         t.wait();
         assert!(t.is_stable());
-        assert_eq!(log.stable_records(), vec![b"hello".to_vec()]);
+        assert_eq!(records(&log), vec![b"hello".to_vec()]);
         assert_eq!(log.appended(), 1);
         assert_eq!(log.stable_len(), 1);
     }
@@ -534,7 +519,7 @@ mod tests {
         for t in &tickets {
             t.wait();
         }
-        let recs = log.stable_records();
+        let recs = records(&log);
         assert_eq!(recs.len(), 50);
         for (i, r) in recs.iter().enumerate() {
             assert_eq!(r[0] as usize, i, "stable order must follow append order");
@@ -542,13 +527,16 @@ mod tests {
     }
 
     #[test]
-    fn batch_is_one_atomic_group() {
-        let log = fast_log(1);
-        let t = log.append_batch(vec![b"a".to_vec(), b"b".to_vec()]);
-        t.wait();
-        let groups = log.stable_groups();
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].1.len(), 2);
+    fn entries_carry_their_sequence_numbers() {
+        let log = fast_log(2);
+        let tickets: Vec<_> = (0..6u8).map(|i| log.append(vec![i])).collect();
+        log.flush();
+        let entries = log.stable_entries();
+        assert_eq!(entries.len(), 6);
+        for ((seq, record), ticket) in entries.iter().zip(&tickets) {
+            assert_eq!(*seq, ticket.seq());
+            assert_eq!(record[0] as u64, seq.0);
+        }
     }
 
     #[test]
@@ -605,7 +593,7 @@ mod tests {
             t.wait();
         }
         log.truncate_below(LogSeq(5));
-        let recs = log.stable_records();
+        let recs = records(&log);
         assert_eq!(recs.len(), 5);
         assert_eq!(recs[0], vec![5u8]);
     }
@@ -643,27 +631,28 @@ mod tests {
             log.append(vec![i]).wait();
         }
         assert!(log.corrupt_tail());
-        let recs = log.stable_records();
+        let recs = records(&log);
         assert_eq!(recs, vec![vec![0u8], vec![1], vec![2], vec![3]]);
         assert_eq!(log.corrupt_dropped(), 1);
         // The log stays usable after truncation.
         log.append(vec![9]).wait();
-        assert_eq!(log.stable_records().len(), 5);
+        assert_eq!(records(&log).len(), 5);
     }
 
     #[test]
-    fn corrupt_group_truncates_everything_after_it() {
+    fn corrupt_record_truncates_everything_after_it() {
         let log = fast_log(1);
-        log.append_batch(vec![b"a".to_vec(), b"b".to_vec()]).wait();
-        log.append(b"c".to_vec()).wait();
-        // Corrupt the *middle* group: the tail after it must go too.
+        for r in [b"a", b"b", b"c"] {
+            log.append(r.to_vec()).wait();
+        }
+        // Corrupt the *middle* record: the tail after it must go too.
         {
             let mut stable = log.shared.stable.lock();
-            let first = stable.values_mut().next().unwrap();
-            *first[1].last_mut().unwrap() ^= 0x01;
+            let middle = stable.values_mut().nth(1).unwrap();
+            *middle.last_mut().unwrap() ^= 0x01;
         }
-        assert!(log.stable_records().is_empty());
-        assert_eq!(log.corrupt_dropped(), 3);
+        assert_eq!(records(&log), vec![b"a".to_vec()]);
+        assert_eq!(log.corrupt_dropped(), 2);
     }
 
     #[test]
@@ -680,10 +669,10 @@ mod tests {
         // 200us simulated writes land well above zero.
         assert!(write_us.sum >= 200, "write_us sum {} too small", write_us.sum);
         let groups = obs.registry.histogram_snapshot("log.batch_groups", Labels::op(3)).unwrap();
-        assert_eq!(groups.sum, 5, "5 groups must pass through group commit");
+        assert_eq!(groups.sum, 5, "5 records must pass through group commit");
 
         assert!(log.corrupt_tail());
-        let _ = log.stable_records();
+        let _ = records(&log);
         assert_eq!(
             obs.registry.counter_value("log.corrupt_dropped", Labels::op(3)),
             Some(1),
@@ -707,7 +696,7 @@ mod tests {
         for i in 0..10u8 {
             log.append(vec![i]).wait();
         }
-        assert_eq!(log.stable_records().len(), 10);
+        assert_eq!(records(&log).len(), 10);
         assert!(log.write_retries() > 0, "0.9 fault rate produced no retries");
         assert!(log.devices()[0].fault_count() > 0);
     }

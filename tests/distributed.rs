@@ -82,9 +82,10 @@ fn worker_counter(snapshot: &RegistrySnapshot, name: &str, w: u32) -> u64 {
 
 /// The run did not silently take a non-speculative path: each of the
 /// `precise` workers put speculative output on its socket. And none of
-/// them re-executed a transaction — the precondition under which a
-/// replacement process re-derives its predecessor's decisions from the
-/// slot's seed (DESIGN §13).
+/// them re-executed a transaction — the one way a single-threaded slot
+/// could take a decision out of serial order, which is the precondition
+/// under which a replacement process re-derives its predecessor's
+/// decisions from the slot's seed (DESIGN §13).
 fn assert_speculated(snapshot: &RegistrySnapshot, precise: std::ops::Range<u32>, what: &str) {
     for w in precise {
         let published = worker_counter(snapshot, "spec.published", w);

@@ -168,9 +168,9 @@ fn checkpointing_truncates_the_decision_log() {
     let log = running.operator_log(OperatorId::new(0)).expect("operator logs");
     assert_eq!(log.appended(), 20, "one decision record per event");
     assert!(
-        log.stable_records().len() <= 6,
+        log.stable_entries().len() <= 6,
         "checkpoints must prune the log, {} records remain",
-        log.stable_records().len()
+        log.stable_entries().len()
     );
     running.shutdown();
 }

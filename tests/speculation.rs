@@ -321,3 +321,34 @@ fn speculative_union_merge_order_survives_crash() {
     }
     running.shutdown();
 }
+
+#[test]
+fn log_write_overlaps_the_operator() {
+    // §2.4: a processing function issues the storage request for a decision
+    // and continues. The relay takes its decision first and then computes
+    // for 20 ms, on a 20 ms device: the write runs beside the computation,
+    // so an event is final after about the longer of the two, not their
+    // sum. Both halves are set by the clock, so a busy machine only delays
+    // an event; the best of three still has to beat the sum.
+    const COST: Duration = Duration::from_millis(20);
+    let log = || LoggingConfig::simulated(COST);
+    for (mode, cfg) in [
+        ("speculative", OperatorConfig::speculative(log())),
+        ("plain", OperatorConfig::logged(log())),
+    ] {
+        let mut b = GraphBuilder::new();
+        let op = b.add_operator(StampedRelay::with_cost(COST), cfg);
+        let src = b.source_into(op).unwrap();
+        let sink = b.sink_from(op).unwrap();
+        let running = b.build().unwrap().start();
+        for i in 0..3 {
+            running.source(src).push(Value::Int(i));
+            assert!(running.sink(sink).wait_final(i as usize + 1, Duration::from_secs(10)));
+        }
+        let lat = running.sink(sink).final_latencies_us();
+        running.shutdown();
+        let best = lat.iter().cloned().fold(f64::MAX, f64::min);
+        assert!(best >= 20_000.0, "{mode}: final before the log write could finish: {best}us");
+        assert!(best < 32_000.0, "{mode}: the log write followed the operator: {best}us");
+    }
+}
