@@ -27,9 +27,10 @@ use crate::proc_plan::ProcFaultPlan;
 ///
 /// * `recovery.restarts{op}` equals the number of [`RecoveryEvent`]s for
 ///   that operator — no more, no fewer;
-/// * every restarted operator issued at least one upstream
-///   `replay.requests{op}` (a restart without a replay request would mean
-///   recovery skipped the paper's upstream-replay step);
+/// * every restarted operator counted at least one `replay.requests{op}`
+///   per restart — the counter keeps the paper's name for the step and
+///   counts the input rings a recovering node rewound (a restart without
+///   one would mean recovery skipped upstream replay);
 /// * per operator, journal `BackpressureResume` records never outnumber
 ///   stall entries (`BackpressureStall` + `SpecCapHit`) — a resume
 ///   without a stall is impossible;

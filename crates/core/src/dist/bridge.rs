@@ -9,16 +9,16 @@
 //!   node put them there: a bridge holds nothing back and reorders
 //!   nothing. A frame carries everything the ring held ready when the
 //!   bridge looked (a replay, a burst, an event with its finalize: one
-//!   write), and what was written on a connection is not written on it
-//!   again when the sending node rewinds the ring for a replay request;
-//!   the reverse direction of the same socket carries the remote
-//!   receiver's acks and replay requests back into the sender's inbox.
-//!   On connection loss it redials, re-handshakes, and rewinds its own
-//!   read position to the remote cursor (`Welcome.next_seq`) — every frame
-//!   the peer has not consumed is still in the ring, so it is simply read
-//!   again. Between failed dials it parks on its [`DialSlot`]: being wired
-//!   anew ends the wait at once, and the capped exponential back-off is
-//!   only the deadline that paces retries against an unchanged address;
+//!   write). The bridge is the ring's reader and the only one who rewinds
+//!   it, once per connection, so a sequence is written on a connection at
+//!   most once; the reverse direction of the same socket carries the
+//!   remote receiver's acks back into the sender's inbox. On connection
+//!   loss it redials, re-handshakes, and rewinds its own read position to
+//!   the remote cursor (`Welcome.next_seq`) — every frame the peer has not
+//!   consumed is still in the ring, so it is simply read again. Between
+//!   failed dials it parks on its [`DialSlot`]: being wired anew ends the
+//!   wait at once, and the capped exponential back-off is only the
+//!   deadline that paces retries against an unchanged address;
 //! * the **acceptor** (receiver side) owns the process's single data
 //!   listener, routes each inbound connection to its edge by the opening
 //!   [`DistFrame::EdgeHello`], answers with the edge cursor, and appends
@@ -115,7 +115,7 @@ pub(crate) struct OutBridge {
     pub dial: DialSlot,
     /// The retained local link's consumer side.
     pub data_rx: LinkReceiver<Message>,
-    /// Where received control frames (acks, replay requests) go.
+    /// Where received control frames (acks) go.
     pub ctrl_sink: Box<dyn Fn(Control) + Send + Sync>,
     pub metrics: TransportMetrics,
     pub shutdown: Arc<AtomicBool>,
@@ -170,7 +170,7 @@ impl OutBridge {
             // acked. A no-op on a first connection.
             self.data_rx.rewind_to(welcomed.next_seq);
             connected_before = true;
-            self.pump(conn, welcomed.next_seq);
+            self.pump(conn);
         }
     }
 
@@ -201,11 +201,10 @@ impl OutBridge {
         }
     }
 
-    /// Drives one established connection, whose receiver expects sequence
-    /// `unwritten` next: this thread writes data frames, a scoped helper
-    /// thread reads control frames. Returns when the connection dies
-    /// (either direction) or shutdown is requested.
-    fn pump(&self, conn: Box<dyn streammine_net::FrameConn>, mut unwritten: u64) {
+    /// Drives one established connection: this thread writes data frames,
+    /// a scoped helper thread reads control frames. Returns when the
+    /// connection dies (either direction) or shutdown is requested.
+    fn pump(&self, conn: Box<dyn streammine_net::FrameConn>) {
         let (mut tx, mut rx) = conn.split();
         let dead = Arc::new(AtomicBool::new(false));
         std::thread::scope(|s| {
@@ -255,19 +254,9 @@ impl OutBridge {
                                 Ok(None) | Err(_) => break,
                             }
                         }
-                        // The sending node rewinds this ring when the
-                        // receiving node asks for a replay, which a new
-                        // process does as it starts — after this connection
-                        // welcomed it and began replaying. What was written
-                        // on this connection arrives or the connection
-                        // dies: it is not written again.
-                        run.retain(|(seq, _)| *seq >= unwritten);
-                        let Some((last, _)) = run.last() else { continue };
-                        let written = last + 1;
                         let bytes = DistFrame::Data(run).encode_to_vec();
                         match tx.send(&bytes) {
                             Ok(()) => {
-                                unwritten = written;
                                 self.metrics.frames_out.incr();
                                 self.metrics.bytes_out.add(bytes.len() as u64);
                             }
@@ -310,8 +299,8 @@ pub(crate) struct InEdge {
     /// numbered from `cursor`'s sequence, so the consumer sees the wire's
     /// own sequences.
     pub data_tx: LinkSender<Message>,
-    /// The node's upstream control link (acks, replay requests), pumped
-    /// to the current connection's reverse direction.
+    /// The node's upstream control link (acks), pumped to the current
+    /// connection's reverse direction.
     pub ctrl_rx: LinkReceiver<Control>,
     /// Where this edge resumes — at 0 for a fresh worker, at the
     /// checkpoint's input position for a respawn. Earlier checkpoint acks
@@ -595,8 +584,8 @@ fn serve_conn(mut conn: Box<dyn streammine_net::FrameConn>, shared: Arc<Acceptor
 
 /// Pumps a node's upstream control link out over the edge's current
 /// connection. Control frames wait (bounded retained link, unbounded
-/// patience) while no connection exists — replay requests and acks are
-/// delayed, never lost, exactly like a severed in-process link.
+/// patience) while no connection exists — acks are delayed, never lost,
+/// exactly like a severed in-process link.
 fn pump_edge_ctrl(
     ctrl_rx: LinkReceiver<Control>,
     state: Arc<EdgeState>,
@@ -763,6 +752,71 @@ mod tests {
         assert_eq!(acceptor.cursor(4), (10, 10));
         shutdown.store(true, Ordering::Release);
         acceptor.poke();
+    }
+
+    /// The bridge is its ring's only reader and rewinds it once per
+    /// connection, at the handshake, to where the receiver says it stands:
+    /// each connection carries every sequence from there on exactly once,
+    /// and a reconnect writes again exactly what the new `Welcome` asks for.
+    #[test]
+    fn each_sequence_is_written_once_per_connection() {
+        let transport: Arc<dyn Transport> =
+            Arc::new(MemTransport::new().with_read_timeout(Duration::from_millis(20)));
+        let listener = transport.bind("mem-once:0").unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
+        let dial = DialSlot::new();
+        dial.set(Some(listener.local_addr()));
+        OutBridge {
+            edge: 5,
+            incarnation: 0,
+            transport: transport.clone(),
+            dial,
+            data_rx,
+            ctrl_sink: Box::new(|_| {}),
+            metrics: TransportMetrics::detached(),
+            shutdown: shutdown.clone(),
+            first_welcome: None,
+        }
+        .start();
+        // Welcomes the bridge's next connection at `next_seq` and returns
+        // the sequences written on it up to `last`, then hangs up.
+        let serve = |next_seq: u64, last: u64| -> Vec<u64> {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let frame_of = |conn: &mut dyn streammine_net::FrameConn| loop {
+                match conn.recv() {
+                    Ok(bytes) => break decode_from_slice::<DistFrame>(&bytes).unwrap(),
+                    Err(FrameError::Timeout) if Instant::now() < deadline => continue,
+                    Err(e) => panic!("the bridge fell silent: {e}"),
+                }
+            };
+            let mut conn = loop {
+                match listener.accept() {
+                    Ok(conn) => break conn,
+                    Err(FrameError::Timeout) if Instant::now() < deadline => continue,
+                    Err(e) => panic!("the bridge never dialed: {e}"),
+                }
+            };
+            assert_eq!(frame_of(&mut *conn), DistFrame::EdgeHello { edge: 5, incarnation: 0 });
+            let welcome =
+                DistFrame::Welcome { next_seq, events_received: next_seq, finals_received: 0 };
+            conn.send(&welcome.encode_to_vec()).unwrap();
+            let mut written = Vec::new();
+            while written.last() != Some(&last) {
+                let DistFrame::Data(run) = frame_of(&mut *conn) else { panic!("not a data frame") };
+                written.extend(run.iter().map(|(seq, _)| *seq));
+            }
+            written
+        };
+        for n in 0..6u64 {
+            data_tx.send(ev(n)).unwrap();
+        }
+        assert_eq!(serve(0, 5), (0..6).collect::<Vec<u64>>());
+        // The receiver took in 0..4 of them; two more are sent meanwhile.
+        data_tx.send(ev(6)).unwrap();
+        data_tx.send(ev(7)).unwrap();
+        assert_eq!(serve(4, 7), (4..8).collect::<Vec<u64>>());
+        shutdown.store(true, Ordering::Release);
     }
 
     /// A paused inbound edge (one-way partition) delays frames but the

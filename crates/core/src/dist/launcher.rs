@@ -447,7 +447,7 @@ impl Cluster {
 
         // Source: real SourceHandle on a local link; its consumer side is
         // a bridge dialing worker 0 (edge 0). The source's responder
-        // thread answers replay requests arriving back over the socket.
+        // thread applies the acks arriving back over the socket.
         let (src_data_tx, src_data_rx) = link::<Message>(LinkConfig::instant());
         let (src_ctrl_tx, src_ctrl_rx) = link::<Control>(LinkConfig::instant());
         let source =

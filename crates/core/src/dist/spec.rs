@@ -19,8 +19,7 @@ pub const SPEC_ENV: &str = "STREAMMINE_WORKER_SPEC";
 pub struct WorkerSpec {
     /// Worker index == operator index in the cluster chain.
     pub worker: u32,
-    /// Restart count of this worker (0 on first launch); the lease epoch
-    /// and the replay-request dedup token.
+    /// Restart count of this worker (0 on first launch); the lease epoch.
     pub incarnation: u64,
     /// Address of the parent's control listener.
     pub ctrl_addr: String,

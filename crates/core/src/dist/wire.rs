@@ -60,8 +60,8 @@ pub enum DistFrame {
     /// a paced stream; a replay, or an event's worth of speculative output
     /// and finalizes, shares one frame.
     Data(Vec<(u64, Message)>),
-    /// Receiver-to-sender control traffic (acks, replay requests) riding
-    /// the same socket in the reverse direction.
+    /// Receiver-to-sender control traffic (acks) riding the same socket in
+    /// the reverse direction.
     Ctrl(Control),
 }
 
@@ -290,7 +290,6 @@ mod tests {
                 (5, Message::Control(Control::Eof)),
             ]),
             DistFrame::Data(Vec::new()),
-            DistFrame::Ctrl(Control::ReplayRequest { from: 6, token: 1 }),
             DistFrame::Ctrl(Control::Ack { upto: 17 }),
         ];
         for c in cases {

@@ -414,7 +414,6 @@ pub(crate) fn run_worker(
         obs,
         health: Arc::new(NodeHealth::new()),
         recovering: spec.incarnation > 0,
-        incarnation: spec.incarnation,
     };
     let _node = Node::start(seed);
 

@@ -25,8 +25,9 @@ use crate::message::{Control, Message};
 ///
 /// Events are stamped with the source's clock at push time, which is what
 /// end-to-end latency is measured against. The source retains sent events
-/// for replay (the paper's "log messages at the source components", §1) and
-/// answers downstream replay requests on a background responder thread.
+/// for replay (the paper's "log messages at the source components", §1) in
+/// its ring, which a recovering reader rewinds itself; a background
+/// responder thread applies the reader's acknowledgments.
 pub struct SourceHandle {
     id: OperatorId,
     tx: LinkSender<Message>,
@@ -61,22 +62,9 @@ impl SourceHandle {
             std::thread::Builder::new()
                 .name(format!("source-{}-ctrl", id))
                 .spawn(move || {
-                    // Last `(token, from)` served with at least one
-                    // re-delivered frame: a watchdog retry of the same
-                    // request over a slow lane is dropped instead of
-                    // doubling the replay (same discipline as the node's
-                    // downstream-replay dedup).
-                    let mut served: Option<(u64, u64)> = None;
                     while let Ok((seq, ctrl)) = ctrl_rx.recv() {
-                        match ctrl {
-                            Control::ReplayRequest { from, token } => {
-                                let retry = served == Some((token, from));
-                                if !retry && tx.replay_from(from) > 0 {
-                                    served = Some((token, from));
-                                }
-                            }
-                            Control::Ack { upto } => tx.ack_upto(upto),
-                            _ => {}
+                        if let Control::Ack { upto } = ctrl {
+                            tx.ack_upto(upto);
                         }
                         // Handled: nobody re-reads a control link.
                         ctrl_rx.ack_upto(seq + 1);
@@ -630,21 +618,25 @@ mod tests {
     }
 
     #[test]
-    fn source_replays_on_request() {
+    fn source_retains_what_it_pushed_until_acknowledged() {
         let clock: SharedClock = shared(SystemClock::new());
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
         let (ctrl_tx, ctrl_rx) = link::<Control>(LinkConfig::instant());
         let source = SourceHandle::new(OperatorId::new(0), data_tx, ctrl_rx, clock, &Obs::new());
         source.push(Value::Int(1));
         source.push(Value::Int(2));
-        // Consume both, then ask for replay from 0 like a recovering node.
-        let a = data_rx.recv().unwrap();
-        let b = data_rx.recv().unwrap();
-        assert_eq!(a.0, 0);
-        assert_eq!(b.0, 1);
-        ctrl_tx.send(Control::ReplayRequest { from: 0, token: 1 }).unwrap();
-        let a2 = data_rx.recv().unwrap();
-        assert_eq!(a2.0, 0, "replayed with original link sequence");
+        // Consume both, then read again from 0 like a recovering node.
+        assert_eq!(data_rx.recv().unwrap().0, 0);
+        assert_eq!(data_rx.recv().unwrap().0, 1);
+        assert_eq!(data_rx.rewind_to(0), 0);
+        assert_eq!(data_rx.recv().unwrap().0, 0, "re-read under its original link sequence");
         assert_eq!(source.pushed(), 2);
+        // The responder applies the reader's ack: sequence 0 is gone.
+        ctrl_tx.send(Control::Ack { upto: 1 }).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while source.tx.retained_len() == 2 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(data_rx.rewind_to(0), 1);
     }
 }

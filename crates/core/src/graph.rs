@@ -7,7 +7,7 @@
 //! experiments.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -237,9 +237,6 @@ pub(crate) struct NodePersist {
     clock: SharedClock,
     health: Arc<NodeHealth>,
     obs: Obs,
-    /// Restart count: 0 until the first supervised restart. Becomes the
-    /// node's incarnation (replay-request dedup token / lease epoch).
-    restarts: AtomicU64,
 }
 
 impl NodePersist {
@@ -263,7 +260,6 @@ impl NodePersist {
             obs: self.obs.clone(),
             health: self.health.clone(),
             recovering,
-            incarnation: self.restarts.load(Ordering::Acquire),
         }
     }
 
@@ -282,14 +278,13 @@ impl NodePersist {
 
     /// Joins a dead coordinator, discards the notices in flight to it, and
     /// starts a fresh coordinator in recovery mode (checkpoint restore +
-    /// log replay + upstream replay).
+    /// log replay + input rewind).
     pub(crate) fn restart(&self) {
         if let Some(join) = self.join.lock().take() {
             let _ = join.join();
         }
         self.inbox.drain();
         self.health.reset();
-        self.restarts.fetch_add(1, Ordering::AcqRel);
         *self.join.lock() = Some(Node::start(self.seed(true)));
     }
 }
@@ -385,7 +380,6 @@ impl Graph {
                 clock: clock.clone(),
                 health: Arc::new(NodeHealth::new()),
                 obs: obs.clone(),
-                restarts: AtomicU64::new(0),
             };
             *persist.join.lock() = Some(Node::start(persist.seed(false)));
             nodes.push(persist);
@@ -555,8 +549,9 @@ impl Running {
         self.edges[i].data.heal();
     }
 
-    /// Severs the control (ack / replay-request) link of edge `i` —
-    /// delaying acknowledgments without touching data flow.
+    /// Severs the control (ack) link of edge `i` — delaying
+    /// acknowledgments without touching data flow, or recovery: a node
+    /// rewinds its input rings itself.
     ///
     /// # Panics
     ///
@@ -610,9 +605,9 @@ impl Running {
     }
 
     /// Injects a transient delivery-delay spike on an inter-operator
-    /// *control* lane: acks and replay requests within the window arrive
-    /// `extra` late, modeling real socket latency on the control path
-    /// without touching data delivery.
+    /// *control* lane: acks within the window arrive `extra` late, modeling
+    /// real socket latency on the control path without touching data
+    /// delivery.
     pub fn delay_spike_edge_ctrl(&self, i: usize, extra: Duration, window: Duration) {
         self.edges[i].ctrl.delay_spike(extra, window);
     }
@@ -648,7 +643,7 @@ impl Running {
 
     /// Starts a supervisor that monitors every node's heartbeat and
     /// auto-restarts crashed nodes (checkpoint restore + log replay +
-    /// upstream replay) with capped exponential backoff. The returned
+    /// input rewind) with capped exponential backoff. The returned
     /// handle exposes the recovery timeline; dropping it stops monitoring
     /// (nodes keep running).
     pub fn supervise(&self, config: SupervisorConfig) -> Supervisor {
@@ -675,8 +670,11 @@ impl Running {
     }
 
     /// Restarts a crashed operator: restores the latest checkpoint, replays
-    /// the stable log's determinants, and requests upstream replay — the
-    /// paper's precise recovery procedure (§2.2).
+    /// the stable log's determinants, and rewinds its input rings to the
+    /// checkpoint's positions — the paper's precise recovery procedure
+    /// (§2.2). Its "ask the upstream to resend" is no message here: the
+    /// rings outlive the operator and it moves its own cursors back, so
+    /// recovery waits for neither the upstream nor the control lanes.
     ///
     /// # Panics
     ///

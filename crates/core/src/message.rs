@@ -2,8 +2,10 @@
 //!
 //! Data events and control traffic share each link, mirroring the paper's
 //! protocol (§2.2, Figure 1): speculative data first, then finalize /
-//! revoke control messages once logs stabilize, acknowledgments for output
-//! buffer pruning, and replay requests during recovery.
+//! revoke control messages once logs stabilize, and acknowledgments for
+//! output buffer pruning. The paper's replay request is not a message here:
+//! an edge is a retained ring that outlives its reader, and a recovering
+//! reader moves its own cursor back.
 
 use std::fmt;
 
@@ -36,20 +38,6 @@ pub enum Control {
         /// First link sequence still needed.
         upto: u64,
     },
-    /// A recovering receiver asks the sender to re-deliver retained
-    /// messages starting at the given link sequence.
-    ReplayRequest {
-        /// First link sequence to re-deliver.
-        from: u64,
-        /// Receiver incarnation that issued the request. A watchdog
-        /// retry carries the same token as the original request, so a
-        /// sender that already served `(token, from)` — and actually
-        /// re-delivered frames — can drop the duplicate instead of
-        /// resending the same range twice over a slow control lane. A
-        /// restarted receiver bumps its token, which un-dedups exactly
-        /// when re-delivery is needed again.
-        token: u64,
-    },
     /// No more data will be sent on this link.
     Eof,
 }
@@ -60,7 +48,6 @@ impl fmt::Display for Control {
             Control::Finalize { id, version } => write!(f, "finalize {id} v{version}"),
             Control::Revoke { id } => write!(f, "revoke {id}"),
             Control::Ack { upto } => write!(f, "ack <{upto}"),
-            Control::ReplayRequest { from, token } => write!(f, "replay from {from} (t{token})"),
             Control::Eof => write!(f, "eof"),
         }
     }
@@ -137,11 +124,7 @@ impl Encode for Control {
                 enc.put_u8(2);
                 enc.put_u64(*upto);
             }
-            Control::ReplayRequest { from, token } => {
-                enc.put_u8(3);
-                enc.put_u64(*from);
-                enc.put_u64(*token);
-            }
+            // Tag 3 was the replay request; it stays retired.
             Control::Eof => enc.put_u8(4),
         }
     }
@@ -153,7 +136,6 @@ impl Decode for Control {
             0 => Control::Finalize { id: EventId::decode(dec)?, version: dec.get_u32()? },
             1 => Control::Revoke { id: EventId::decode(dec)? },
             2 => Control::Ack { upto: dec.get_u64()? },
-            3 => Control::ReplayRequest { from: dec.get_u64()?, token: dec.get_u64()? },
             4 => Control::Eof,
             tag => return Err(DecodeError::InvalidTag { type_name: "Control", tag }),
         })
@@ -207,12 +189,28 @@ mod tests {
             Control::Finalize { id: id(), version: 3 },
             Control::Revoke { id: id() },
             Control::Ack { upto: 99 },
-            Control::ReplayRequest { from: 7, token: 2 },
             Control::Eof,
         ];
         for c in cases {
             assert_eq!(roundtrip(&c).unwrap(), c);
         }
+    }
+
+    /// Tag 3 carried the replay request of an older peer: a clean error,
+    /// whatever follows it.
+    #[test]
+    fn retired_replay_request_tag_is_a_decode_error() {
+        use streammine_common::codec::decode_from_slice;
+        let mut old = vec![3u8];
+        old.extend_from_slice(&7u64.to_le_bytes());
+        old.extend_from_slice(&2u64.to_le_bytes());
+        for bytes in [&old[..], &old[..1]] {
+            let err = decode_from_slice::<Control>(bytes).unwrap_err();
+            assert!(matches!(err, DecodeError::InvalidTag { type_name: "Control", tag: 3 }));
+        }
+        let mut framed = vec![1u8];
+        framed.extend_from_slice(&old);
+        assert!(decode_from_slice::<Message>(&framed).is_err());
     }
 
     #[test]

@@ -4,7 +4,11 @@
 //! serials, runs the processing function (plainly or under STM control),
 //! logs determinants, emits speculative or final events, finalizes /
 //! revises / revokes them as speculation resolves, checkpoints state, and
-//! performs precise recovery after a crash.
+//! performs precise recovery after a crash: restore the checkpoint, rewind
+//! the input rings it reads to the checkpoint's positions, swallow the
+//! re-derived outputs its edges already carry. An edge is a retained ring
+//! that outlives the node, so the rewind is the node moving its own cursor
+//! back — no request, no answer, nothing that can be lost or retried.
 //!
 //! # The two execution modes (§2.3, §2.4)
 //!
@@ -40,7 +44,7 @@
 //!    inside it: nothing can revise an output after its finalize entered
 //!    the wire.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -52,7 +56,7 @@ use streammine_common::event::{Event, TraceCtx, Value};
 use streammine_common::ids::{EventId, OperatorId};
 use streammine_common::pool::ThreadPool;
 use streammine_common::rng::DetRng;
-use streammine_net::{BackoffConfig, LinkSender};
+use streammine_net::LinkSender;
 use streammine_obs::{span_key, Counter, Gauge, Histogram, Journal, JournalKind, Labels, Obs};
 use streammine_sketch::{ErrorBound, ErrorBudget};
 use streammine_stm::{Serial, StatsSnapshot, StmAbort, StmRuntime, TxnHandle, TxnId};
@@ -76,27 +80,6 @@ pub const MAX_OUTPUTS_PER_EVENT: u64 = 1 << 16;
 /// how many frames the coordinator reads from one input ring before it
 /// looks at control again.
 pub(crate) const BATCH_MAX_EVENTS: usize = 32;
-
-/// How long an input port may sit on a sequence gap (or an unanswered
-/// recovery replay request) before the node re-requests replay from the
-/// upstream: 50 ms, doubling per retry up to 800 ms, so even a badly
-/// stalled replay is re-requested at least that often. Replay requests are
-/// fire-and-forget control messages: if the upstream crashes between
-/// reading one and serving it, the request dies with it — the retry turns
-/// that lost message into a bounded delay instead of a recovery deadlock.
-const REPLAY_RETRY: BackoffConfig = BackoffConfig::millis(50, 800);
-
-/// Capped retries a recovery replay request may fire without progress and
-/// without held frames before the watchdog disarms it. An upstream that
-/// recovered its node at the stream tail legitimately has nothing to
-/// replay (a checkpoint ack trimmed its retention): every retry is served
-/// with zero frames, `outstanding` never clears through progress, and
-/// without this the port retries forever at the cap — so a *second* fault
-/// on the same edge minutes later is first detected at 800 ms instead of
-/// 50 ms. Any live upstream answers within the ~2.4 s the disarm
-/// tolerates; a sequence gap appearing later re-arms detection via the
-/// cursor's gap flag at the fresh 50 ms interval.
-const REPLAY_DISARM_RETRIES: u32 = 2;
 
 /// The current view of a pending event's input (revisions replace it).
 #[derive(Clone)]
@@ -173,46 +156,16 @@ struct Resend {
     finals: AtomicU64,
 }
 
+/// Whether an output routed to `target` (`None`: every edge) goes out on
+/// edge `out`.
+fn routes_to(target: Option<u32>, out: usize) -> bool {
+    target.is_none_or(|t| t as usize == out)
+}
+
 /// Takes one off `count` if any is left: `true` when the caller's output
 /// is one of the swallowed.
 fn swallow(count: &AtomicU64) -> bool {
     count.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1)).is_ok()
-}
-
-/// Watches one input port for replay progress: while a recovery replay
-/// request is outstanding, or a sequence gap persists, the port re-requests
-/// replay after [`REPLAY_RETRY`] without progress — with exponential
-/// backoff between retries, so a merely *slow* control lane (tens to
-/// hundreds of milliseconds of real socket latency) is given time to
-/// deliver the in-flight answer instead of being piled with duplicates.
-struct ReplayWatch {
-    /// Position of an unanswered recovery replay request (cleared once the
-    /// cursor advances past it).
-    outstanding: Option<u64>,
-    /// The cursor's expected sequence at the last check.
-    last_next: u64,
-    /// Last time the port made progress (or was re-requested).
-    last_progress: Instant,
-    /// Re-requests fired since the port last made progress; the quiet
-    /// period before the next one is `REPLAY_RETRY.delay(retries + 1)`.
-    retries: u32,
-    /// Consecutive retries fired at the backoff cap without progress;
-    /// feeds the vacuous-request disarm ([`REPLAY_DISARM_RETRIES`]).
-    capped_retries: u32,
-}
-
-impl ReplayWatch {
-    /// A watch on a port whose cursor expects `next`, with a recovery
-    /// replay request from there `outstanding` or not.
-    fn at(next: u64, outstanding: bool) -> Self {
-        ReplayWatch {
-            outstanding: outstanding.then_some(next),
-            last_next: next,
-            last_progress: Instant::now(),
-            retries: 0,
-            capped_retries: 0,
-        }
-    }
 }
 
 /// Runtime state of approximate recovery
@@ -277,14 +230,6 @@ enum StallReason {
     SpecCap { open: usize, retained: usize },
 }
 
-/// What a node remembers about an input event it fully processed.
-#[derive(Debug, Clone, Copy)]
-struct ProcessedInfo {
-    /// Final version of the input (kept for protocol diagnostics).
-    #[allow(dead_code)]
-    version: u32,
-}
-
 /// Per-node metric handles, registered once at construction. Bumping one
 /// on the hot path is a relaxed atomic op; the registry lock is never
 /// taken after registration.
@@ -298,10 +243,9 @@ struct NodeMetrics {
     spec_finalized: Counter,
     /// Rollback + re-execution rounds.
     spec_rollbacks: Counter,
-    /// Upstream replay requests sent (recovery + stall retries).
+    /// Input rings rewound by recovery: one per port per recovery. (The
+    /// name dates from when the rewind was a request to the upstream.)
     replay_requests: Counter,
-    /// Downstream replay requests served from the link buffer.
-    replay_served: Counter,
     /// Re-executed outputs swallowed because they were already on the wire.
     resend_suppressed: Counter,
     /// Time events sat in a port queue before processing.
@@ -348,7 +292,6 @@ impl NodeMetrics {
             spec_finalized: r.counter("spec.finalized", Labels::op(op)),
             spec_rollbacks: r.counter("spec.rollbacks", Labels::op(op)),
             replay_requests: r.counter("replay.requests", Labels::op(op)),
-            replay_served: r.counter("replay.served", Labels::op(op)),
             resend_suppressed: r.counter("resend.suppressed", Labels::op(op)),
             queue_wait_us: r.histogram("stage.queue_wait_us", Labels::op(op)),
             process_us: r.histogram("stage.process_us", Labels::op(op)),
@@ -381,8 +324,8 @@ pub(crate) struct NodeSeed {
     pub clock: SharedClock,
     /// Everything the node reads; survives its crashes.
     pub inbox: Arc<Inbox>,
-    /// Control back to each input port's sender (acks, replay requests): a
-    /// severed control link delays — never loses — them.
+    /// Control back to each input port's sender (acks): a severed control
+    /// link delays — never loses — them.
     pub up: Vec<LinkSender<Control>>,
     pub down: Vec<DownEdge>,
     pub log: Option<StableLog>,
@@ -395,10 +338,6 @@ pub(crate) struct NodeSeed {
     pub health: Arc<NodeHealth>,
     /// True when this node restarts after a crash (triggers replay).
     pub recovering: bool,
-    /// Monotonic restart count of this node (0 for the first start).
-    /// Stamped into outgoing replay requests as the dedup token and used
-    /// by the distributed control plane as the lease epoch.
-    pub incarnation: u64,
 }
 
 /// The running state of one operator.
@@ -422,13 +361,11 @@ pub(crate) struct Node {
     obs: Obs,
     metrics: NodeMetrics,
 
-    /// Per-port receive cursors: in-order delivery position, duplicates
-    /// and pre-rewind stragglers dropped.
+    /// Per-port receive cursors: the in-order delivery position, which a
+    /// checkpoint records and recovery rewinds the ring to.
     cursors: Vec<EdgeCursor>,
-    /// Per-port replay progress watchdogs (lost-replay-request retry).
-    replay_watch: Vec<ReplayWatch>,
     /// Last time periodic maintenance ([`Node::tick`]) ran; checked in the
-    /// main loop so a busy node still retries replay on schedule.
+    /// main loop so a busy node still beats and publishes gauges.
     last_tick: Instant,
     /// Per-port queues of `(event, enqueued_at)` read but not admitted yet
     /// (replay-order merge, overload gate; the enqueue instant feeds the
@@ -442,7 +379,18 @@ pub(crate) struct Node {
     recovered: HashMap<u64, Vec<Determinant>>,
 
     next_serial: u64,
-    processed: HashMap<EventId, ProcessedInfo>,
+    /// Per port: every upstream event with an id sequence below it is
+    /// covered by the last checkpoint (saved or restored) and dropped if it
+    /// shows up again. At a checkpoint nothing is pending, parked or queued
+    /// and finals arrive in the sender's serial order, so what was consumed
+    /// is an id prefix per port. Unlike [`Self::processed`] it is durable:
+    /// a sender that recovers *after* this node did re-sends what it
+    /// re-derives under the ids this node consumed before its own crash.
+    covered_below: Vec<u64>,
+    /// Per port: the ids consumed for good (processed, or committed) since
+    /// the last checkpoint or the start; duplicates of them are dropped.
+    /// Each save folds them into `covered_below` and clears them.
+    processed: Vec<HashSet<EventId>>,
     pending: HashMap<EventId, Arc<PendingTxn>>,
     pending_by_txn: HashMap<TxnId, EventId>,
     pending_by_serial: HashMap<u64, EventId>,
@@ -457,15 +405,6 @@ pub(crate) struct Node {
     resend: Arc<Vec<Resend>>,
     /// What an attempt needs to publish, shared by every attempt.
     send_view: Arc<NodeSendView>,
-    /// Per-down-edge `(token, from)` of the last replay request served
-    /// with at least one re-delivered frame. A watchdog retry of the same
-    /// request (same token, same position) is dropped instead of resent:
-    /// the answer is already in flight on a slow lane. Zero-frame serves
-    /// never dedup — deduping one would wedge the peer if its request
-    /// raced ahead of the data it asked for.
-    served_replays: Vec<Option<(u64, u64)>>,
-    /// This node's restart count, stamped into outgoing replay requests.
-    incarnation: u64,
     /// Approximate-recovery state (`Some` iff the config declares
     /// [`RecoveryMode::Approximate`]).
     approx: Option<ApproxState>,
@@ -597,13 +536,13 @@ impl Node {
             obs: seed.obs,
             metrics,
             cursors: (0..inputs).map(|_| EdgeCursor::starting_at(0)).collect(),
-            replay_watch: (0..inputs).map(|_| ReplayWatch::at(0, false)).collect(),
             last_tick: Instant::now(),
             port_queues: (0..inputs).map(|_| VecDeque::new()).collect(),
             parked: HashMap::new(),
             recovered: HashMap::new(),
             next_serial: 0,
-            processed: HashMap::new(),
+            covered_below: vec![0; inputs],
+            processed: vec![HashSet::new(); inputs],
             pending: HashMap::new(),
             pending_by_txn: HashMap::new(),
             pending_by_serial: HashMap::new(),
@@ -611,8 +550,6 @@ impl Node {
             out_batch: (0..outputs).map(|_| Vec::new()).collect(),
             resend,
             send_view,
-            served_replays: vec![None; outputs],
-            incarnation: seed.incarnation,
             approx,
             events_since_checkpoint: 0,
             eof_count: 0,
@@ -625,8 +562,11 @@ impl Node {
     }
 
     // -----------------------------------------------------------------
-    // Recovery (§2.2): restore checkpoint, rebuild the decision tapes
-    // from the stable log, ask upstreams to replay.
+    // Recovery (§2.2): restore the checkpoint, rebuild the decision tapes
+    // from the stable log, size the resend suppression, rewind the input
+    // rings. The paper's "ask the upstream to resend" is the last step and
+    // no message: the ring is retained outside the node and read by a
+    // cursor, which the node moves back itself.
     // -----------------------------------------------------------------
 
     fn recover(&mut self) {
@@ -639,6 +579,9 @@ impl Node {
                 match self.registry.restore(&cp.state) {
                     Ok(()) => {
                         from_positions = cp.input_positions.clone();
+                        if cp.inputs_covered_below.len() == self.covered_below.len() {
+                            self.covered_below = cp.inputs_covered_below.clone();
+                        }
                         covered_serials = cp.events_processed;
                         covers_log = cp.covers_log;
                         if cp.outputs_sent.len() == sent_baseline.len() {
@@ -679,9 +622,6 @@ impl Node {
                 .filter(|record| record.serial >= covered_serials);
             self.recovered = recovered_tapes(records);
         }
-        // Ask every upstream for the suffix we have not durably covered. A
-        // severed control link holds the request until it heals —
-        // recovery is delayed, never lost.
         if self.recovering {
             // Per edge, the re-derived events and finalizes already on the
             // wire: the edge's counts minus the checkpoint's baseline (at a
@@ -726,20 +666,34 @@ impl Node {
                     }
                 }
             }
-            for (port, ctrl_tx) in self.up.iter().enumerate() {
-                ctrl_tx.push(Control::ReplayRequest {
-                    from: from_positions[port],
-                    token: self.incarnation,
-                });
+            // Read again what the checkpoint does not cover: every frame
+            // from its position on is still in the ring (acks trim to a
+            // checkpoint's positions, never past them), including what
+            // arrived while the node was down. In a worker the ring is the
+            // acceptor's fresh local one, numbered from the position, and
+            // the reconnect handshake rewinds the sender's side instead.
+            for (port, from) in from_positions.into_iter().enumerate() {
+                let stands = self.inbox.inputs[port].rewind_to(from);
                 self.metrics.replay_requests.incr();
-                self.obs.journal.record(
-                    Some(self.id.index()),
-                    JournalKind::ReplayRequest { port: port as u32, from: from_positions[port] },
-                );
-                // Watch the port until the replay actually lands: the
-                // request can be lost if the upstream crashes before
-                // serving it, and then only a retry unwedges recovery.
-                self.replay_watch[port] = ReplayWatch::at(from_positions[port], true);
+                self.obs
+                    .journal
+                    .record(Some(self.id.index()), JournalKind::Rewind { port: port as u32, from });
+                // Frontier invariant: the ring reaches back to the
+                // checkpoint. Short of it, the frames in between are gone
+                // and the cursor would drop everything after them while it
+                // waits for them.
+                if stands > from {
+                    self.obs.journal.warn(
+                        Some(self.id.index()),
+                        "rewind-short",
+                        format!(
+                            "port {port}: the ring is trimmed to {stands}, past the \
+                             checkpoint's position {from}; {} frame(s) cannot be replayed",
+                            stands - from
+                        ),
+                    );
+                }
+                debug_assert!(stands <= from, "port {port}: rewound to {stands}, not {from}");
             }
         }
     }
@@ -802,9 +756,8 @@ impl Node {
     fn run(&mut self) {
         while self.running {
             // Control first, and never gated: a node stalled on
-            // backpressure or an admission cap still serves downstream
-            // replay requests and receives the acks, commits and
-            // log-stability callbacks that end the stall.
+            // backpressure or an admission cap still receives the acks,
+            // commits and log-stability callbacks that end the stall.
             let mut worked = self.serve_control();
             if !self.running {
                 break;
@@ -827,14 +780,12 @@ impl Node {
                 self.flush_out_batches();
                 // The one place the coordinator sleeps — never inside a
                 // read: until something signals, a frame in flight falls
-                // due, or the heartbeat (an idle node still beats and runs
-                // the replay watchdog).
+                // due, or the heartbeat (an idle node still beats).
                 let heartbeat = self.last_tick + HEARTBEAT_INTERVAL;
                 let deadline = self.earliest_due().map_or(heartbeat, |due| due.min(heartbeat));
                 self.inbox.park_until(deadline);
             }
-            // A node under steady load never sleeps out a heartbeat, but
-            // stalled replays still need periodic service.
+            // A node under steady load never sleeps out a heartbeat.
             if self.last_tick.elapsed() >= HEARTBEAT_INTERVAL {
                 self.tick();
             }
@@ -855,14 +806,13 @@ impl Node {
         self.health.set_state(if self.crashed { NodeState::Crashed } else { NodeState::CleanExit });
     }
 
-    /// Periodic idle work: heartbeat, replay watchdog, gauges.
+    /// Periodic idle work: heartbeat, gauges.
     fn tick(&mut self) {
         self.last_tick = Instant::now();
         self.health.beat();
         for edge in &self.down {
             edge.data_tx.publish_gauges();
         }
-        self.retry_stalled_replay();
         let unadmitted: usize = self.port_queues.iter().map(VecDeque::len).sum();
         self.metrics.intake_depth.set(unadmitted as i64);
         self.metrics.spec_open.set(self.pending.len() as i64);
@@ -908,9 +858,9 @@ impl Node {
 
     /// Evaluates the overload gate, entering or ending a stall episode.
     /// Returns `true` while the node must not pull data. Control-plane
-    /// work (replay serving, acks, commits, log callbacks) is never
-    /// gated — that asymmetry is what makes the flow-control protocol
-    /// deadlock-free: a stalled consumer still serves acks and replay.
+    /// work (acks, commits, log callbacks) is never gated — that asymmetry
+    /// is what makes the flow-control protocol deadlock-free: a stalled
+    /// node still takes in what ends its stall.
     fn check_overload(&mut self) -> bool {
         match self.overload_reason() {
             Some(reason) => {
@@ -955,62 +905,6 @@ impl Node {
             JournalKind::BackpressureResume { stall_us: stalled.as_micros() as u64 },
         );
         self.obs.tracer.record_backpressure(self.id.index(), stalled.as_micros() as u64);
-    }
-
-    /// Re-requests upstream replay for any input port that is stuck: either
-    /// a recovery replay request went unanswered, or live traffic is parked
-    /// behind a sequence gap that nothing is filling. Replay is idempotent
-    /// (the cursor drops duplicates), so a spurious retry costs
-    /// bandwidth, never correctness.
-    fn retry_stalled_replay(&mut self) {
-        let now = Instant::now();
-        for (port, watch) in self.replay_watch.iter_mut().enumerate() {
-            let (next, gap) = (self.cursors[port].next_seq(), self.cursors[port].saw_gap());
-            if next != watch.last_next {
-                let outstanding = watch.outstanding.filter(|from| next <= *from);
-                *watch = ReplayWatch { outstanding, ..ReplayWatch::at(next, false) };
-                continue;
-            }
-            let interval = REPLAY_RETRY.delay(watch.retries + 1);
-            let stuck = watch.outstanding.is_some() || gap;
-            if stuck && now.duration_since(watch.last_progress) >= interval {
-                // Vacuous-request disarm: a recovery request that survived
-                // the whole backoff ramp plus capped retries, with nothing
-                // held behind a gap, is asking for data nobody retains —
-                // recovery happened at the stream tail. Stand down so the
-                // next fault on this edge is detected at the fresh 50 ms
-                // interval, not the 800 ms cap.
-                if watch.outstanding.is_some()
-                    && !gap
-                    && watch.capped_retries >= REPLAY_DISARM_RETRIES
-                {
-                    *watch = ReplayWatch::at(next, false);
-                    self.obs.journal.warn(
-                        Some(self.id.index()),
-                        "replay-watch-disarmed",
-                        format!(
-                            "port {port}: recovery replay from {next} unanswered and \
-                                 unanswerable; backoff reset"
-                        ),
-                    );
-                    continue;
-                }
-                self.up[port].push(Control::ReplayRequest { from: next, token: self.incarnation });
-                self.metrics.replay_requests.incr();
-                self.obs.journal.record(
-                    Some(self.id.index()),
-                    JournalKind::ReplayRequest { port: port as u32, from: next },
-                );
-                watch.last_progress = now;
-                if interval >= REPLAY_RETRY.cap {
-                    watch.capped_retries += 1;
-                }
-                // Back off: over a real socket the previous answer may
-                // simply still be in flight. Without this, a 500 ms lane
-                // collects ten duplicate requests per lost one.
-                watch.retries += 1;
-            }
-        }
     }
 
     /// Handles every queued notice, then every readable downstream
@@ -1143,26 +1037,6 @@ impl Node {
     fn handle_downstream(&mut self, out: u32, ctrl: Control) {
         match ctrl {
             Control::Ack { upto } => self.down[out as usize].data_tx.ack_upto(upto),
-            Control::ReplayRequest { from, token } => {
-                // Same incarnation asking for the same position again is
-                // the watchdog retrying over a slow lane: the first serve
-                // already rewound the link, so a second serve would
-                // deliver every frame twice. Only a serve that actually
-                // moved the link's cursor back dedups — an empty serve
-                // means the receiver had not read that far yet, and the
-                // retry must stay answerable.
-                if self.served_replays[out as usize] == Some((token, from)) {
-                    return;
-                }
-                self.metrics.replay_served.incr();
-                self.obs
-                    .journal
-                    .record(Some(self.id.index()), JournalKind::ReplayServe { edge: out, from });
-                let sent = self.down[out as usize].data_tx.replay_from(from);
-                if sent > 0 {
-                    self.served_replays[out as usize] = Some((token, from));
-                }
-            }
             other => debug_assert!(false, "unexpected downstream control {other}"),
         }
     }
@@ -1222,9 +1096,12 @@ impl Node {
             }
             return; // same or older version: duplicate, silently dropped
         }
-        // Duplicate of an already processed event (recovery replay): a
-        // finalized event can never legally be revised, so drop outright.
-        if self.processed.contains_key(&event.id) {
+        // Duplicate of an already processed event (recovery replay, or a
+        // recovered sender re-sending what it re-derives): a finalized
+        // event can never legally be revised, so drop outright.
+        if event.id.seq < self.covered_below[port as usize]
+            || self.processed[port as usize].contains(&event.id)
+        {
             return;
         }
         if !self.config.speculative {
@@ -1263,6 +1140,37 @@ impl Node {
         tape
     }
 
+    /// Admits `event` from `port` into processing: the next serial, its
+    /// trace span and journal record, its decision tape.
+    fn admit(&mut self, port: u32, event: &Event, queue_wait: Duration) -> (u64, Tape) {
+        let serial = self.next_serial;
+        self.next_serial += 1;
+        if let Some(ctx) = event.trace {
+            self.obs.tracer.begin_span(
+                ctx.id,
+                ctx.parent,
+                self.id.index(),
+                serial,
+                queue_wait.as_micros() as u64,
+            );
+        }
+        self.obs.journal.record_traced(
+            Some(self.id.index()),
+            event.trace.map(|c| c.id),
+            JournalKind::Ingest { serial, port },
+        );
+        let tape = self.open_tape(serial, port, event.trace.is_some());
+        (serial, tape)
+    }
+
+    /// The input `id` from `port` is consumed for good — processed, or its
+    /// transaction committed: a duplicate is dropped from now on, and the
+    /// next checkpoint covers it.
+    fn note_consumed(&mut self, port: u32, id: EventId) {
+        self.processed[port as usize].insert(id);
+        self.events_since_checkpoint += 1;
+    }
+
     // -----------------------------------------------------------------
     // Non-speculative path
     // -----------------------------------------------------------------
@@ -1277,29 +1185,12 @@ impl Node {
                 // update is the loss the budget charged at resume.
                 approx.skip_remaining -= 1;
                 self.next_serial += 1;
-                self.processed.insert(event.id, ProcessedInfo { version: event.version });
-                self.note_event_consumed(port);
+                self.note_consumed(port, event.id);
                 return;
             }
         }
-        let serial = self.next_serial;
-        self.next_serial += 1;
+        let (serial, tape) = self.admit(port, &event, queue_wait);
         let trace_id = event.trace.map(|c| c.id);
-        if let Some(ctx) = event.trace {
-            self.obs.tracer.begin_span(
-                ctx.id,
-                ctx.parent,
-                self.id.index(),
-                serial,
-                queue_wait.as_micros() as u64,
-            );
-        }
-        self.obs.journal.record_traced(
-            Some(self.id.index()),
-            trace_id,
-            JournalKind::Ingest { serial, port },
-        );
-        let tape = self.open_tape(serial, port, trace_id.is_some());
         let mut ctx = OpCtx {
             registry: &self.registry,
             access: StateAccess::Plain,
@@ -1338,8 +1229,7 @@ impl Node {
             assign_output_ids(self.id, serial, event.timestamp, &ctx.outputs, false, child);
         drop(ctx);
 
-        self.processed.insert(event.id, ProcessedInfo { version: event.version });
-        self.note_event_consumed(port);
+        self.note_consumed(port, event.id);
 
         // Hold the outputs until every decision the event took is stable
         // (§2.4) — each record has been on its way since it was taken.
@@ -1388,7 +1278,7 @@ impl Node {
         // Speculative mode: a stable log is one leg of the commit gate.
         if let Some(id) = self.pending_by_serial.get(&serial).cloned() {
             if let Some(pending) = self.pending.get(&id).cloned() {
-                self.maybe_authorize(&pending);
+                maybe_authorize_pending(&pending);
             }
         }
         // A drained hold queue may unblock a deferred checkpoint.
@@ -1402,7 +1292,7 @@ impl Node {
     fn send_outputs_final(&mut self, outputs: Vec<(Event, Option<u32>)>) {
         for (event, target) in outputs {
             for out in 0..self.down.len() {
-                if target.map(|t| t as usize == out).unwrap_or(true) {
+                if routes_to(target, out) {
                     if swallow(&self.resend[out].events) {
                         self.metrics.resend_suppressed.incr();
                         continue;
@@ -1416,20 +1306,11 @@ impl Node {
         }
     }
 
-    /// Sends edge `out`'s buffered outputs: a lone event as plain `Data`
-    /// (identical wire behavior to unbatched operation), several as one
-    /// `DataBatch`.
+    /// Sends edge `out`'s buffered outputs as one frame.
     fn flush_edge(&mut self, out: usize) {
-        let events = &mut self.out_batch[out];
-        let msg = match events.len() {
-            0 => return,
-            // Pop the lone event and keep the buffer (and its capacity);
-            // only the multi-event frame has to hand the Vec itself over
-            // the wire.
-            1 => Message::Data(events.pop().expect("len checked")),
-            _ => Message::DataBatch(std::mem::take(events)),
+        let Some(msg) = data_frame(&mut self.out_batch[out], &self.metrics.batch_events) else {
+            return;
         };
-        self.metrics.batch_events.record(msg.event_count() as u64);
         self.down[out].sent.events.fetch_add(msg.event_count() as u64, Ordering::AcqRel);
         self.down[out].data_tx.push(msg);
     }
@@ -1445,23 +1326,7 @@ impl Node {
     // -----------------------------------------------------------------
 
     fn process_spec(&mut self, port: u32, event: Event, queue_wait: Duration) {
-        let serial = self.next_serial;
-        self.next_serial += 1;
-        if let Some(ctx) = event.trace {
-            self.obs.tracer.begin_span(
-                ctx.id,
-                ctx.parent,
-                self.id.index(),
-                serial,
-                queue_wait.as_micros() as u64,
-            );
-        }
-        self.obs.journal.record_traced(
-            Some(self.id.index()),
-            event.trace.map(|c| c.id),
-            JournalKind::Ingest { serial, port },
-        );
-        let tape = self.open_tape(serial, port, event.trace.is_some());
+        let (serial, tape) = self.admit(port, &event, queue_wait);
         let stm = self.stm.as_ref().expect("speculative node has an stm");
         let handle = stm.begin(Serial(serial));
         let pending = Arc::new(PendingTxn {
@@ -1488,7 +1353,6 @@ impl Node {
         self.pending.insert(event.id, pending.clone());
         self.pending_by_txn.insert(handle.id(), event.id);
         self.pending_by_serial.insert(serial, event.id);
-        self.note_event_consumed(port);
         self.spawn_attempt(pending);
     }
 
@@ -1585,7 +1449,7 @@ impl Node {
                 }
             };
             if matches {
-                self.maybe_authorize(&pending);
+                maybe_authorize_pending(&pending);
                 return;
             }
         }
@@ -1628,7 +1492,7 @@ impl Node {
                 self.spec_retained.fetch_sub(sent.len() as i64, Ordering::Relaxed);
                 for (event, target) in sent.iter() {
                     for (out, edge) in self.down.iter().enumerate() {
-                        if target.map(|t| t as usize == out).unwrap_or(true) {
+                        if routes_to(*target, out) {
                             edge.data_tx.push(Message::Control(Control::Revoke { id: event.id }));
                         }
                     }
@@ -1636,10 +1500,6 @@ impl Node {
             }
             pending.handle.discard();
         }
-    }
-
-    fn maybe_authorize(&self, pending: &Arc<PendingTxn>) {
-        maybe_authorize_pending(pending);
     }
 
     fn on_txn_committed(&mut self, txn: TxnId) {
@@ -1659,9 +1519,7 @@ impl Node {
             for (event, target) in sent.iter() {
                 if event.speculative {
                     for (out, edge) in self.down.iter().enumerate() {
-                        if target.map(|t| t as usize == out).unwrap_or(true)
-                            && !swallow(&self.resend[out].finals)
-                        {
+                        if routes_to(*target, out) && !swallow(&self.resend[out].finals) {
                             edge.sent.finals.fetch_add(1, Ordering::AcqRel);
                             edge.data_tx.push(Message::Control(Control::Finalize {
                                 id: event.id,
@@ -1683,12 +1541,10 @@ impl Node {
             pending.trace.map(|c| c.id),
             JournalKind::Commit { serial: pending.serial },
         );
-        let version = pending.input.lock().version;
-        self.processed.insert(id, ProcessedInfo { version });
+        self.note_consumed(pending.port, id);
         self.pending.remove(&id);
         self.pending_by_txn.remove(&txn);
         self.pending_by_serial.remove(&pending.serial);
-        self.events_since_checkpoint += 1;
         self.maybe_checkpoint();
     }
 
@@ -1714,12 +1570,6 @@ impl Node {
     // -----------------------------------------------------------------
     // Checkpointing
     // -----------------------------------------------------------------
-
-    fn note_event_consumed(&mut self, _port: u32) {
-        if !self.config.speculative {
-            self.events_since_checkpoint += 1;
-        }
-    }
 
     fn maybe_checkpoint(&mut self) {
         let Some(interval) = self.config.checkpoint_every else { return };
@@ -1758,6 +1608,12 @@ impl Node {
         // the (replay-retaining) links before the covering events become
         // unreplayable.
         self.flush_out_batches();
+        // What was consumed since the last save becomes covered. Nothing is
+        // pending, parked or queued here, so per port that is an id prefix.
+        for (covered, consumed) in self.covered_below.iter_mut().zip(&mut self.processed) {
+            let top = consumed.drain().map(|id| id.seq + 1).max();
+            *covered = top.map_or(*covered, |top| top.max(*covered));
+        }
         let Some(store) = &self.checkpoints else { return };
         // Positions = the link seq each upstream must replay from. Every
         // frame read is fully processed (the queues are empty), so that is
@@ -1776,6 +1632,7 @@ impl Node {
             covers_log,
             self.next_serial,
             positions.clone(),
+            self.covered_below.clone(),
             outputs_sent,
             self.registry.snapshot(),
             rng_state,
@@ -1892,9 +1749,14 @@ impl NodeSendView {
             let mut published = 0u64;
             for (out, edge) in self.down.iter().enumerate() {
                 let mut run: Vec<Event> = Vec::new();
+                let flush = |run: &mut Vec<Event>| {
+                    if let Some(frame) = data_frame(run, &self.batch_events) {
+                        edge.data_tx.push(frame);
+                    }
+                };
                 let mut sent_here = 0u64;
                 for (msg, target) in &to_send {
-                    if !target.map(|t| t as usize == out).unwrap_or(true) {
+                    if !routes_to(*target, out) {
                         continue;
                     }
                     match msg {
@@ -1909,12 +1771,12 @@ impl NodeSendView {
                             sent_here += 1;
                         }
                         other => {
-                            flush_run(&edge.data_tx, &mut run, &self.batch_events);
+                            flush(&mut run);
                             edge.data_tx.push(other.clone());
                         }
                     }
                 }
-                flush_run(&edge.data_tx, &mut run, &self.batch_events);
+                flush(&mut run);
                 edge.sent.events.fetch_add(sent_here, Ordering::AcqRel);
                 published += sent_here;
             }
@@ -1930,18 +1792,20 @@ impl NodeSendView {
     }
 }
 
-/// Sends a run of consecutive data events on one edge: nothing for an
-/// empty run, plain `Data` for one event, a `DataBatch` frame otherwise.
-fn flush_run(edge: &LinkSender<Message>, run: &mut Vec<Event>, batch_events: &Histogram) {
-    let msg = match run.len() {
-        0 => return,
-        // As in `flush_edge`: a lone event is popped so the run buffer
-        // keeps its capacity; a batch frame must own its Vec.
-        1 => Message::Data(run.pop().expect("len checked")),
-        _ => Message::DataBatch(std::mem::take(run)),
+/// Empties `events` into the frame that carries them, counted in
+/// `batch_events`: none for no events, plain `Data` for a lone one
+/// (identical wire behavior to unbatched operation), a `DataBatch`
+/// otherwise.
+fn data_frame(events: &mut Vec<Event>, batch_events: &Histogram) -> Option<Message> {
+    let msg = match events.len() {
+        0 => return None,
+        // Pop the lone event and keep the buffer (and its capacity); only
+        // the multi-event frame has to hand the Vec itself over the wire.
+        1 => Message::Data(events.pop().expect("len checked")),
+        _ => Message::DataBatch(std::mem::take(events)),
     };
     batch_events.record(msg.event_count() as u64);
-    edge.push(msg);
+    Some(msg)
 }
 
 /// Opens the commit gate when (and only when) every condition holds: no
@@ -2045,7 +1909,6 @@ mod tests {
                 obs: obs.clone(),
                 health: Arc::new(NodeHealth::new()),
                 recovering: false,
-                incarnation: 0,
             };
             Rig { input, out_tx, out_rx, out_ctrl, inbox, obs, seed: Some(seed), node: None }
         }
@@ -2106,27 +1969,22 @@ mod tests {
         start.elapsed()
     }
 
+    /// Control is served before data, and never gated: with a data frame, an
+    /// ack and a shutdown all waiting when the coordinator first looks, the
+    /// ack is applied and the node stops without admitting the event.
     #[test]
     fn control_is_served_before_data() {
         let rig = Rig::new(OperatorConfig::plain(), LinkConfig::instant(), LinkConfig::instant());
-        // Both wait when the coordinator first looks: data sent first.
         rig.send(0, false);
-        rig.out_ctrl.send(Control::ReplayRequest { from: 0, token: 1 }).unwrap();
-        let rig = rig.start();
-        assert_eq!(rig.outputs(1), vec![Value::Int(0)]);
-        let order: Vec<&str> = rig
-            .obs
-            .journal
-            .events()
-            .iter()
-            .filter_map(|e| match e.kind {
-                JournalKind::ReplayServe { .. } => Some("replay-serve"),
-                JournalKind::Ingest { .. } => Some("ingest"),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(order, vec!["replay-serve", "ingest"]);
-        wait_until("the control frame is acknowledged", || rig.out_ctrl.retained_len() == 0);
+        rig.out_ctrl.send(Control::Ack { upto: 1 }).unwrap();
+        rig.inbox.post(Notice::Command(NodeCommand::Shutdown));
+        let mut rig = rig.start();
+        rig.node.take().expect("started").join().expect("the coordinator panicked");
+        assert_eq!(rig.out_ctrl.retained_len(), 0, "the ack was not read");
+        let ingested =
+            rig.obs.journal.count_matching(|e| matches!(e.kind, JournalKind::Ingest { .. }));
+        assert_eq!(ingested, 0, "data was admitted ahead of the shutdown");
+        assert_eq!(rig.out_rx.try_recv(), Ok(None));
     }
 
     /// The coordinator never sleeps inside a read: while a data frame is in
@@ -2142,24 +2000,57 @@ mod tests {
         assert_eq!(rig.outputs(1), vec![Value::Int(0)]);
         // A loaded machine can delay any one wake-up; a coordinator asleep
         // in a read delays every one of them by most of the 20 ms.
-        let mut best = [Duration::MAX; 2];
+        let mut best = Duration::MAX;
         for round in 1..=5u64 {
             // Outputs 0..round are read, the last one not yet acknowledged.
             let sent = Instant::now();
             rig.send(round, false);
-            rig.out_ctrl.send(Control::ReplayRequest { from: round - 1, token: round }).unwrap();
-            let replay = wait_until(
-                "the replay is served",
-                || matches!(rig.out_rx.try_recv(), Ok(Some((seq, _))) if seq == round - 1),
-            );
             rig.out_ctrl.send(Control::Ack { upto: round }).unwrap();
             let ack = wait_until("the ack is applied", || rig.out_tx.retained_len() == 0);
-            best = [best[0].min(replay), best[1].min(ack)];
+            best = best.min(ack);
             assert_eq!(rig.outputs(1), vec![Value::Int(round as i64)]);
             assert!(sent.elapsed() >= DELAY, "the frame arrived before it was due");
         }
-        assert!(best[0] < PROMPT, "a replay request waited {:?} behind a frame in flight", best[0]);
-        assert!(best[1] < PROMPT, "an ack waited {:?} behind a frame in flight", best[1]);
+        assert!(best < PROMPT, "an ack waited {best:?} behind a frame in flight");
+    }
+
+    /// A recovering node rewinds its input ring to its checkpoint's
+    /// position itself. A ring trimmed past that position cannot be
+    /// rewound that far, and the node says so — a pinned warning, and in a
+    /// debug build a failed frontier assertion — instead of waiting for
+    /// ever for frames nobody holds.
+    #[test]
+    fn rewind_that_cannot_reach_the_checkpoint_is_loud() {
+        let mut rig =
+            Rig::new(OperatorConfig::plain(), LinkConfig::instant(), LinkConfig::instant());
+        // Five frames read, the first four acknowledged away; the
+        // checkpoint claims the node needs them from the third on.
+        for n in 0..5 {
+            rig.send(n, false);
+            rig.inbox.inputs[0].try_recv().unwrap().expect("just sent");
+        }
+        rig.input.ack_upto(4);
+        let store = streammine_storage::checkpoint::instant_store();
+        let no_state = StateRegistry::plain().snapshot();
+        store.save(LogSeq(0), 2, vec![2], vec![2], vec![2], no_state, Vec::new());
+        let seed = rig.seed.as_mut().expect("not started");
+        seed.checkpoints = Some(Arc::new(store));
+        seed.recovering = true;
+        let health = seed.health.clone();
+        let rig = rig.start();
+        let short = |e: &streammine_obs::JournalEvent| {
+            matches!(e.kind, JournalKind::Warn { code: "rewind-short", .. }) && e.kind.pinned()
+        };
+        wait_until("the short rewind is journaled", || rig.obs.journal.count_matching(short) == 1);
+        let rewinds =
+            rig.obs.journal.count_matching(|e| matches!(e.kind, JournalKind::Rewind { .. }));
+        assert_eq!(rewinds, 1);
+        assert_eq!(rig.obs.registry.counter_value("replay.requests", Labels::op(0)), Some(1));
+        if cfg!(debug_assertions) {
+            wait_until("the frontier assertion stops the node", || {
+                health.state() == NodeState::Crashed
+            });
+        }
     }
 
     /// What a stalled node does not read stays in the ring, the full

@@ -9,9 +9,8 @@
 //!   backpressure: what a stalled coordinator does not read stays unread
 //!   in the ring, the window fills and the producer saturates in turn, hop
 //!   by hop, with no second queue in between;
-//! * its **downstream control rings**, one per output — acks and replay
-//!   requests, acknowledged as they are read (nobody re-reads a control
-//!   link);
+//! * its **downstream control rings**, one per output — acks,
+//!   acknowledged as they are read (nobody re-reads a control link);
 //! * one unbounded **notice queue** for what is not an edge: log-stability
 //!   callbacks, STM commits and aborts, engine commands, and the control
 //!   frames a bridge read off its socket. It must never block — a log
@@ -23,11 +22,15 @@
 //!   sleeps.
 //!
 //! The coordinator serves notices and control rings first, so a stalled
-//! node keeps serving replay requests and acks — the deadlock-freedom core
-//! of the flow-control protocol. The inbox survives operator crashes —
-//! links, sequence counters and retained output buffers are exactly the
-//! state that lives *outside* the failed process in the paper's model;
-//! only the notices in flight die with it.
+//! node keeps applying acks — the deadlock-freedom core of the
+//! flow-control protocol. The inbox survives operator crashes — links,
+//! sequence counters and retained output buffers are exactly the state
+//! that lives *outside* the failed process in the paper's model; only the
+//! notices in flight die with it. That is also the whole of upstream
+//! replay: a recovering node moves the cursor of each input ring back to
+//! its checkpoint's position ([`LinkReceiver::rewind_to`]) and reads on.
+//! Nothing is asked of the upstream, so nothing can be lost, retried or
+//! answered twice.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -166,16 +169,13 @@ impl Inbox {
 /// (crash replay, reconnect) consecutive sequences again from the rewind
 /// point — so the cursor only has to ask "is this the sequence I expect?"
 /// and drop everything else: a lower sequence is a duplicate from an
-/// overlapping replay or a zombie sender; a higher one was read before a
-/// rewind that is about to deliver it again, in order.
+/// overlapping replay or a zombie sender; a higher one belongs to a
+/// connection whose reconnect rewind delivers it again, in order.
 #[derive(Debug)]
 pub(crate) struct EdgeCursor {
     next: u64,
     events: u64,
     finals: u64,
-    /// A sequence past `next` was dropped and nothing was accepted since:
-    /// only a rewind (which the replay watchdog requests) fills the gap.
-    gap: bool,
 }
 
 impl EdgeCursor {
@@ -191,7 +191,7 @@ impl EdgeCursor {
     /// unreplayable), `events` data events consumed before it — all of
     /// them final, or the checkpoint would not have been taken.
     pub fn resuming(seq: u64, events: u64) -> EdgeCursor {
-        EdgeCursor { next: seq, events, finals: events, gap: false }
+        EdgeCursor { next: seq, events, finals: events }
     }
 
     /// The next expected link sequence.
@@ -210,22 +210,15 @@ impl EdgeCursor {
         self.finals
     }
 
-    /// Whether the cursor is waiting behind a gap.
-    pub fn saw_gap(&self) -> bool {
-        self.gap
-    }
-
     /// Offers a frame; `true` when it is the expected one (the cursor
     /// advances and the caller processes it), `false` when it is dropped.
     pub fn accept(&mut self, link_seq: u64, msg: &Message) -> bool {
         if link_seq != self.next {
-            self.gap |= link_seq > self.next;
             return false;
         }
         self.next += 1;
         self.events += msg.event_count() as u64;
         self.finals += msg.final_count() as u64;
-        self.gap = false;
         true
     }
 }
@@ -246,9 +239,8 @@ mod tests {
     fn cursor_accepts_only_the_expected_sequence() {
         let mut c = EdgeCursor::starting_at(0);
         assert!(c.accept(0, &msg(0)));
-        // Ahead of the cursor: dropped, and remembered as a gap.
+        // Ahead of the cursor: dropped.
         assert!(!c.accept(2, &msg(2)));
-        assert!(c.saw_gap());
         assert_eq!((c.next_seq(), c.events()), (1, 1));
         // The rewind delivers from the gap on, in order; batches count
         // events, not frames.
@@ -257,12 +249,10 @@ mod tests {
             Event::new(EventId::new(OperatorId::new(0), 11), 0, Value::Int(2)),
         ]);
         assert!(c.accept(1, &batch));
-        assert!(!c.saw_gap());
         assert!(c.accept(2, &msg(2)));
         assert_eq!((c.next_seq(), c.events()), (3, 4));
-        // Stale duplicate: dropped, and not a gap.
+        // Stale duplicate: dropped.
         assert!(!c.accept(1, &msg(1)));
-        assert!(!c.saw_gap());
         assert_eq!((c.events(), c.finals()), (4, 4));
         // A speculative event is an event when it arrives and a final only
         // with its `Finalize`.

@@ -1,5 +1,5 @@
-//! The one capped exponential backoff: restart supervision, redialing and
-//! the replay watchdog all space their retries with it.
+//! The one capped exponential backoff: restart supervision and redialing
+//! both space their retries with it.
 
 use std::time::Duration;
 

@@ -12,8 +12,8 @@
 //!
 //! * the **output buffer** of upstream backup (§2.2): a message stays in
 //!   the ring until acknowledged, so a recovering downstream re-reads from
-//!   a sequence number — [`LinkSender::replay_from`] moves the cursor back,
-//!   it copies nothing and can never stop half way;
+//!   a sequence number — [`LinkReceiver::rewind_to`] moves the cursor back,
+//!   it copies nothing, needs no message and can never stop half way;
 //! * the **in-flight queue**, delivering in order and reliably, with a
 //!   configurable **propagation delay** and optional jitter. The instant a
 //!   message is due is stored with the entry, and a message is *readable*
@@ -49,8 +49,8 @@
 //! tx.send(8)?;
 //! assert_eq!(rx.recv()?, (0, 7));
 //! assert_eq!(rx.recv()?, (1, 8));
-//! // Downstream crashed and recovered: re-read everything retained.
-//! tx.replay_from(0);
+//! // The reader crashed and recovered: it re-reads everything retained.
+//! assert_eq!(rx.rewind_to(0), 0);
 //! assert_eq!(rx.recv()?, (0, 7));
 //! # Ok::<(), streammine_net::LinkError>(())
 //! ```
@@ -459,15 +459,14 @@ impl<T> Shared<T> {
         }
     }
 
-    fn rewind(&self, from: u64) -> usize {
+    fn rewind(&self, from: u64) -> u64 {
         let mut ring = self.ring.lock();
         let to = from.max(ring.base).min(ring.cursor);
-        let moved = (ring.cursor - to) as usize;
-        ring.cursor = to;
-        if moved > 0 {
+        if to < ring.cursor {
+            ring.cursor = to;
             self.wake(&mut ring);
         }
-        moved
+        to
     }
 }
 
@@ -658,15 +657,6 @@ impl<T: Clone + Send + 'static> LinkSender<T> {
     /// inside one stability wait.
     pub fn is_saturated_with(&self, inflight: usize) -> bool {
         self.shared.ring.lock().unread() + inflight >= self.shared.config.capacity
-    }
-
-    /// Makes the receiver re-read from sequence `from` (clamped to what is
-    /// still retained); never moves it forward. Used when the downstream
-    /// recovers from a crash. Returns how many already-read messages will
-    /// be delivered again — zero when the receiver had not got that far
-    /// yet, in which case it gets them in order anyway.
-    pub fn replay_from(&self, from: u64) -> usize {
-        self.shared.rewind(from)
     }
 
     /// Acknowledges everything with sequence `< upto` — the downstream
@@ -860,10 +850,15 @@ impl<T: Clone + Send + 'static> LinkReceiver<T> {
         self.recv_until(Some(Instant::now() + timeout))
     }
 
-    /// The receiver's side of [`LinkSender::replay_from`]: a consumer that
-    /// learns how far its peer really got (a bridge, from the reconnect
-    /// handshake) moves its own cursor back to there.
-    pub fn rewind_to(&self, from: u64) -> usize {
+    /// Moves the cursor back to sequence `from`, so that the reader gets
+    /// `from` and everything after it again, in order; never moves it
+    /// forward. A ring is rewound by its reader and by nobody else: a node
+    /// recovering from a crash, to its checkpoint's position; a bridge, to
+    /// where the reconnect handshake says its peer really got. Returns
+    /// where the cursor stands now: `from`, or below it when the reader had
+    /// not got that far — or **above** it when acknowledgments already
+    /// trimmed the ring past `from`, and what the reader asked for is gone.
+    pub fn rewind_to(&self, from: u64) -> u64 {
         self.shared.rewind(from)
     }
 
@@ -930,17 +925,29 @@ mod tests {
         for _ in 0..5 {
             rx.recv().unwrap();
         }
-        assert_eq!(tx.replay_from(2), 3);
+        assert_eq!(rx.rewind_to(2), 2);
         assert_eq!(rx.recv().unwrap(), (2, 2));
         assert_eq!(rx.recv().unwrap(), (3, 3));
         assert_eq!(rx.recv().unwrap(), (4, 4));
         // Never forward: the receiver is at 5, asking from 9 moves nothing.
-        assert_eq!(tx.replay_from(9), 0);
+        assert_eq!(rx.rewind_to(9), 5);
         assert_eq!(rx.try_recv().unwrap(), None);
-        // Below the acknowledged base: clamped to what is retained.
+    }
+
+    /// A rewind below what acknowledgments trimmed cannot reach its
+    /// frontier, and says so: the cursor stands above what was asked for.
+    #[test]
+    fn a_rewind_below_the_trimmed_base_reports_where_it_stopped() {
+        let (tx, rx) = link::<u8>(LinkConfig::instant());
+        for i in 0..5 {
+            tx.send(i).unwrap();
+            rx.recv().unwrap();
+        }
         tx.ack_upto(4);
-        assert_eq!(rx.rewind_to(0), 1);
+        assert_eq!(rx.rewind_to(4), 4, "the first retained sequence is reachable");
+        assert_eq!(rx.rewind_to(0), 4, "short: 0..4 are gone");
         assert_eq!(rx.recv().unwrap(), (4, 4));
+        assert_eq!(rx.try_recv().unwrap(), None);
     }
 
     #[test]
@@ -953,7 +960,7 @@ mod tests {
         assert_eq!(tx.send(4).unwrap_err(), LinkError::Saturated);
         // The window is full, yet the rewind goes through, whole, and the
         // receiver gets every sequence from 0 in order.
-        assert_eq!(tx.replay_from(0), 1);
+        assert_eq!(rx.rewind_to(0), 0);
         assert_eq!(tx.send(4).unwrap_err(), LinkError::Saturated);
         let seqs: Vec<u64> = (0..3).map(|_| rx.recv().unwrap().0).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
@@ -1114,7 +1121,7 @@ mod tests {
         tx.send(2).unwrap();
         tx.send(3).unwrap();
         // Window full; the receiver crashes and reads from 0 again.
-        assert_eq!(tx.replay_from(0), 2);
+        assert_eq!(rx.rewind_to(0), 0);
         tx.publish_gauges();
         let labels = Labels::op_port(0, 0);
         assert_eq!(registry.gauge_value("edge.pending_hwm", labels), Some(0));
@@ -1182,7 +1189,7 @@ mod tests {
         tx.set_next_seq(40);
         assert_eq!(tx.send(1).unwrap(), 40);
         assert_eq!(rx.recv().unwrap(), (40, 1));
-        assert_eq!(rx.rewind_to(0), 1, "a rewind stops at the first retained sequence");
+        assert_eq!(rx.rewind_to(0), 40, "a rewind stops at the first retained sequence");
     }
 
     #[test]
@@ -1252,7 +1259,7 @@ mod tests {
         tx.heal();
         assert!(waker.park_until(soon()));
         assert_eq!(rx.try_recv().unwrap(), Some((1, 2)));
-        tx.replay_from(0);
+        rx.rewind_to(0);
         assert!(waker.park_until(soon()), "a rewind is a signal");
         drop(tx);
         assert!(waker.park_until(soon()), "the last sender leaving is a signal");

@@ -45,7 +45,7 @@ proptest! {
             rx.recv().unwrap();
         }
         let from = (count as f64 * from_frac) as u64;
-        tx.replay_from(from);
+        rx.rewind_to(from);
         for i in from..count {
             let (seq, v) = rx.recv().unwrap();
             prop_assert_eq!(seq, i);
@@ -69,7 +69,7 @@ proptest! {
         let ack = (count as f64 * ack_frac) as u64;
         tx.ack_upto(ack);
         prop_assert_eq!(tx.retained_len() as u64, count - ack);
-        tx.replay_from(0);
+        rx.rewind_to(0);
         let mut replayed = 0;
         while let Ok(Some((seq, _))) = rx.try_recv() {
             prop_assert!(seq >= ack, "acked message {} replayed", seq);
@@ -178,7 +178,7 @@ proptest! {
                 }
                 7 => {
                     let to = arg.max(base).min(cursor);
-                    prop_assert_eq!(tx.replay_from(arg), (cursor - to) as usize);
+                    prop_assert_eq!(rx.rewind_to(arg), to);
                     cursor = to;
                 }
                 8 => {
@@ -197,7 +197,7 @@ proptest! {
         // Nothing accepted and still owed is lost: from the first retained
         // sequence the receiver gets every one, in order, to the tail.
         tx.heal();
-        tx.replay_from(0);
+        rx.rewind_to(0);
         for seq in base..tail {
             prop_assert_eq!(rx.recv_timeout(SPIKE_PATIENCE), Ok((seq, seq)));
         }

@@ -180,16 +180,12 @@ impl Encode for JournalKind {
                 enc.put_u64(*serial);
                 enc.put_u32(*cascade_depth);
             }
-            JournalKind::ReplayRequest { port, from } => {
+            JournalKind::Rewind { port, from } => {
                 enc.put_u8(5);
                 enc.put_u32(*port);
                 enc.put_u64(*from);
             }
-            JournalKind::ReplayServe { edge, from } => {
-                enc.put_u8(6);
-                enc.put_u32(*edge);
-                enc.put_u64(*from);
-            }
+            // Tag 6 was the served replay request; it stays retired.
             JournalKind::ResendSuppressed { edge, count } => {
                 enc.put_u8(7);
                 enc.put_u32(*edge);
@@ -246,8 +242,7 @@ impl Decode for JournalKind {
             2 => JournalKind::LogStable { serial: dec.get_u64()? },
             3 => JournalKind::Commit { serial: dec.get_u64()? },
             4 => JournalKind::Rollback { serial: dec.get_u64()?, cascade_depth: dec.get_u32()? },
-            5 => JournalKind::ReplayRequest { port: dec.get_u32()?, from: dec.get_u64()? },
-            6 => JournalKind::ReplayServe { edge: dec.get_u32()?, from: dec.get_u64()? },
+            5 => JournalKind::Rewind { port: dec.get_u32()?, from: dec.get_u64()? },
             7 => JournalKind::ResendSuppressed { edge: dec.get_u32()?, count: dec.get_u64()? },
             8 => JournalKind::CheckpointSaved { id: dec.get_u64()?, covers_log: dec.get_u64()? },
             9 => JournalKind::Restart { attempt: dec.get_u32()?, backoff_us: dec.get_u64()? },
@@ -920,8 +915,7 @@ mod tests {
             JournalKind::LogStable { serial: 5 },
             JournalKind::Commit { serial: 6 },
             JournalKind::Rollback { serial: 7, cascade_depth: 8 },
-            JournalKind::ReplayRequest { port: 9, from: 10 },
-            JournalKind::ReplayServe { edge: 11, from: 12 },
+            JournalKind::Rewind { port: 9, from: 10 },
             JournalKind::ResendSuppressed { edge: 13, count: 14 },
             JournalKind::CheckpointSaved { id: 15, covers_log: 16 },
             JournalKind::Restart { attempt: 17, backoff_us: 18 },

@@ -80,18 +80,12 @@ pub enum JournalKind {
         /// Transactions aborted downstream of this one.
         cascade_depth: u32,
     },
-    /// Recovery asked upstream `port` to replay from link sequence `from`.
-    ReplayRequest {
+    /// Recovery moved the cursor of input ring `port` back, to read again
+    /// from link sequence `from` (the checkpoint's position).
+    Rewind {
         /// Input port.
         port: u32,
-        /// First link sequence requested.
-        from: u64,
-    },
-    /// This node served a downstream replay request on output `edge`.
-    ReplayServe {
-        /// Output edge index.
-        edge: u32,
-        /// First link sequence replayed.
+        /// First link sequence read again.
         from: u64,
     },
     /// Re-executed outputs on `edge` were suppressed instead of re-sent
@@ -167,11 +161,16 @@ pub enum JournalKind {
     },
 }
 
-/// Code of the one [`JournalKind::Warn`] that is pinned: a cluster
-/// worker's transaction re-executed and may have drawn out of serial
-/// order, so a replacement process re-deriving its decisions from the
-/// slot's seed might not draw what it drew.
+/// Code of a pinned [`JournalKind::Warn`]: a cluster worker's transaction
+/// re-executed and may have drawn out of serial order, so a replacement
+/// process re-deriving its decisions from the slot's seed might not draw
+/// what it drew.
 pub const REDERIVATION_BROKEN: &str = "rederivation-broken";
+
+/// Code of the other pinned warning: a recovering node's rewind stopped
+/// above its checkpoint's position, because acknowledgments had trimmed
+/// the input ring past it — the frames in between are gone.
+const REWIND_SHORT: &str = "rewind-short";
 
 impl JournalKind {
     /// The minimum verbosity at which this record is kept.
@@ -203,7 +202,7 @@ impl JournalKind {
                 | JournalKind::CheckpointSaved { .. }
                 | JournalKind::ApproxResume { .. }
                 | JournalKind::ApproxEscalate { .. }
-                | JournalKind::Warn { code: REDERIVATION_BROKEN, .. }
+                | JournalKind::Warn { code: REDERIVATION_BROKEN | REWIND_SHORT, .. }
         )
     }
 }
@@ -244,12 +243,7 @@ impl fmt::Display for JournalEvent {
             JournalKind::Rollback { serial, cascade_depth } => {
                 write!(f, " rollback serial={serial} cascade={cascade_depth}")
             }
-            JournalKind::ReplayRequest { port, from } => {
-                write!(f, " replay-request port={port} from={from}")
-            }
-            JournalKind::ReplayServe { edge, from } => {
-                write!(f, " replay-serve edge={edge} from={from}")
-            }
+            JournalKind::Rewind { port, from } => write!(f, " rewind port={port} from={from}"),
             JournalKind::ResendSuppressed { edge, count } => {
                 write!(f, " resend-suppressed edge={edge} count={count}")
             }
@@ -606,8 +600,10 @@ mod tests {
         let j = trace_journal(4);
         j.record(Some(1), JournalKind::Restart { attempt: 1, backoff_us: 100 });
         j.record(Some(0), JournalKind::CheckpointSaved { id: 1, covers_log: 9 });
-        // Of the warnings only the broken re-derivation is pinned.
+        // Of the warnings only the broken re-derivation and the short
+        // rewind are pinned.
         j.warn(Some(0), REDERIVATION_BROKEN, "1 rollback".into());
+        j.warn(Some(0), REWIND_SHORT, "port 0 stands at 9, not 4".into());
         j.warn(Some(0), "plain-mode-abort", "evictable".into());
         // Flood with ordinary traffic far past the ring capacity.
         for serial in 0..50 {
@@ -618,7 +614,8 @@ mod tests {
         assert!(matches!(evs[0].kind, JournalKind::Restart { attempt: 1, .. }));
         assert!(matches!(evs[1].kind, JournalKind::CheckpointSaved { id: 1, .. }));
         assert!(matches!(evs[2].kind, JournalKind::Warn { code: REDERIVATION_BROKEN, .. }));
-        assert_eq!(j.len(), 4 + 3);
+        assert!(matches!(evs[3].kind, JournalKind::Warn { code: REWIND_SHORT, .. }));
+        assert_eq!(j.len(), 4 + 4);
         assert_eq!(
             j.count_matching(|e| matches!(e.kind, JournalKind::Restart { .. })),
             1,
@@ -626,7 +623,7 @@ mod tests {
         );
         let dump = j.render();
         assert!(dump.contains("restart attempt=1"), "{dump}");
-        assert!(dump.contains("3 pinned"), "{dump}");
+        assert!(dump.contains("4 pinned"), "{dump}");
     }
 
     #[test]

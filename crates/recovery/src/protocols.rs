@@ -133,6 +133,7 @@ impl HaStrategy for PassiveStandby {
             self.op.processed(),
             vec![seq + 1],
             Vec::new(),
+            Vec::new(),
             state,
             Vec::new(),
         );
@@ -320,6 +321,7 @@ impl HaStrategy for ApproximateCheckpoint {
                 LogSeq(0),
                 self.op.processed(),
                 vec![seq + 1],
+                Vec::new(),
                 Vec::new(),
                 self.op.snapshot(),
                 Vec::new(),

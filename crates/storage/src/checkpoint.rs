@@ -74,6 +74,13 @@ pub struct Checkpoint {
     /// Per-input-stream positions: link sequence each upstream should
     /// replay from (used to ask upstreams for replay).
     pub input_positions: Vec<u64>,
+    /// Per-input-stream id frontier: every upstream event whose id
+    /// sequence is below it is covered by the snapshot. A sender that
+    /// recovers later re-sends such events under fresh link sequences, and
+    /// the operator's memory of the ids it consumed dies with it — this is
+    /// what lets it drop them all the same. Empty when the saver tracks
+    /// no ids: nothing is known to be covered.
+    pub inputs_covered_below: Vec<u64>,
     /// Per-output-edge count of data events the operator had sent when the
     /// snapshot was taken. Recovery replays only the post-checkpoint
     /// suffix, so the difference between the link's live send counter and
@@ -97,6 +104,7 @@ impl Encode for Checkpoint {
         self.outputs_sent.encode(enc);
         enc.put_bytes(&self.state);
         enc.put_bytes(&self.rng_state);
+        self.inputs_covered_below.encode(enc);
     }
 }
 
@@ -110,6 +118,7 @@ impl Decode for Checkpoint {
             outputs_sent: Vec::<u64>::decode(dec)?,
             state: dec.get_bytes()?,
             rng_state: dec.get_bytes()?,
+            inputs_covered_below: Vec::<u64>::decode(dec)?,
         })
     }
 }
@@ -271,11 +280,14 @@ impl CheckpointStore {
     /// from a background thread or accept the pause, exactly the trade-off
     /// the paper's speculation hides. Transient device faults are retried
     /// with backoff up to a bound.
+    // One argument per field of the image; the id is the store's to assign.
+    #[allow(clippy::too_many_arguments)]
     pub fn save(
         &self,
         covers_log: LogSeq,
         events_processed: u64,
         input_positions: Vec<u64>,
+        inputs_covered_below: Vec<u64>,
         outputs_sent: Vec<u64>,
         state: Vec<u8>,
         rng_state: Vec<u8>,
@@ -291,6 +303,7 @@ impl CheckpointStore {
             covers_log,
             events_processed,
             input_positions,
+            inputs_covered_below,
             outputs_sent,
             state,
             rng_state,
@@ -405,15 +418,23 @@ mod tests {
     fn save_and_restore_latest() {
         let store = instant_store();
         assert!(store.latest().is_none());
-        store.save(LogSeq(10), 7, vec![3, 4], vec![5], b"state-a".to_vec(), vec![]);
-        let cp =
-            store.save(LogSeq(20), 16, vec![7, 9], vec![11], b"state-b".to_vec(), b"rng".to_vec());
+        store.save(LogSeq(10), 7, vec![3, 4], vec![], vec![5], b"state-a".to_vec(), vec![]);
+        let cp = store.save(
+            LogSeq(20),
+            16,
+            vec![7, 9],
+            vec![6, 8],
+            vec![11],
+            b"state-b".to_vec(),
+            b"rng".to_vec(),
+        );
         assert_eq!(cp.id, 1);
         let latest = store.latest().unwrap();
         assert_eq!(latest.state, b"state-b".to_vec());
         assert_eq!(latest.covers_log, LogSeq(20));
         assert_eq!(latest.events_processed, 16);
         assert_eq!(latest.input_positions, vec![7, 9]);
+        assert_eq!(latest.inputs_covered_below, vec![6, 8]);
         assert_eq!(latest.rng_state, b"rng".to_vec());
     }
 
@@ -421,7 +442,7 @@ mod tests {
     fn keeps_at_most_two() {
         let store = instant_store();
         for i in 0..5u64 {
-            store.save(LogSeq(i), i, vec![], vec![], vec![i as u8], vec![]);
+            store.save(LogSeq(i), i, vec![], vec![], vec![], vec![i as u8], vec![]);
         }
         assert_eq!(store.retained(), 2);
         assert_eq!(store.latest().unwrap().id, 4);
@@ -434,6 +455,7 @@ mod tests {
             covers_log: LogSeq(99),
             events_processed: 42,
             input_positions: vec![1, 2, 3],
+            inputs_covered_below: vec![7, 8, 9],
             outputs_sent: vec![4, 5],
             state: vec![0xAB; 16],
             rng_state: vec![0xCD; 32],
@@ -444,7 +466,7 @@ mod tests {
     #[test]
     fn checkpoint_write_is_charged_to_device() {
         let store = instant_store();
-        store.save(LogSeq(0), 0, vec![], vec![], vec![1, 2, 3], vec![]);
+        store.save(LogSeq(0), 0, vec![], vec![], vec![], vec![1, 2, 3], vec![]);
         assert_eq!(store.device().write_count(), 1);
         assert!(store.device().bytes_written() > 0);
     }
@@ -452,8 +474,8 @@ mod tests {
     #[test]
     fn corrupt_newest_falls_back_to_previous() {
         let store = instant_store();
-        store.save(LogSeq(5), 3, vec![1], vec![], b"old".to_vec(), vec![]);
-        store.save(LogSeq(9), 6, vec![2], vec![], b"new".to_vec(), vec![]);
+        store.save(LogSeq(5), 3, vec![1], vec![], vec![], b"old".to_vec(), vec![]);
+        store.save(LogSeq(9), 6, vec![2], vec![], vec![], b"new".to_vec(), vec![]);
         assert!(store.corrupt_latest());
         let latest = store.latest().unwrap();
         assert_eq!(latest.state, b"old".to_vec());
@@ -463,7 +485,7 @@ mod tests {
     #[test]
     fn all_corrupt_yields_none() {
         let store = instant_store();
-        store.save(LogSeq(1), 1, vec![], vec![], b"only".to_vec(), vec![]);
+        store.save(LogSeq(1), 1, vec![], vec![], vec![], b"only".to_vec(), vec![]);
         assert!(store.corrupt_latest());
         assert!(store.latest().is_none());
     }
@@ -474,8 +496,8 @@ mod tests {
         let obs = Obs::tracing();
         let store = instant_store();
         store.attach_obs(CheckpointObs::registered(&obs, 5));
-        store.save(LogSeq(1), 1, vec![], vec![], b"a".to_vec(), vec![]);
-        store.save(LogSeq(2), 2, vec![], vec![], b"b".to_vec(), vec![]);
+        store.save(LogSeq(1), 1, vec![], vec![], vec![], b"a".to_vec(), vec![]);
+        store.save(LogSeq(2), 2, vec![], vec![], vec![], b"b".to_vec(), vec![]);
         assert_eq!(obs.registry.counter_value("checkpoint.saves", Labels::op(5)), Some(2));
         let save_us = obs.registry.histogram_snapshot("checkpoint.save_us", Labels::op(5)).unwrap();
         assert_eq!(save_us.count(), 2);
@@ -505,12 +527,12 @@ mod tests {
         let path = temp_path("roundtrip");
         let store = instant_store();
         assert!(!store.attach_file(path.clone()), "no image yet");
-        store.save(LogSeq(3), 9, vec![2], vec![4], b"alpha".to_vec(), vec![]);
-        store.save(LogSeq(6), 18, vec![5], vec![8], b"beta".to_vec(), b"rng".to_vec());
+        store.save(LogSeq(3), 9, vec![2], vec![], vec![4], b"alpha".to_vec(), vec![]);
+        store.save(LogSeq(6), 18, vec![5], vec![], vec![8], b"beta".to_vec(), b"rng".to_vec());
         store.add_approx_loss(7);
         store.note_escalation();
         // Counters changed after the last save land with the next one.
-        store.save(LogSeq(9), 27, vec![9], vec![12], b"gamma".to_vec(), vec![]);
+        store.save(LogSeq(9), 27, vec![9], vec![], vec![12], b"gamma".to_vec(), vec![]);
 
         let respawned = instant_store();
         assert!(respawned.attach_file(path.clone()), "image must load");
@@ -521,7 +543,7 @@ mod tests {
         assert_eq!(respawned.approx_loss(), 7);
         assert_eq!(respawned.approx_escalations(), 1);
         // The id counter continues instead of colliding.
-        let cp = respawned.save(LogSeq(12), 36, vec![], vec![], b"delta".to_vec(), vec![]);
+        let cp = respawned.save(LogSeq(12), 36, vec![], vec![], vec![], b"delta".to_vec(), vec![]);
         assert_eq!(cp.id, 3);
         let _ = std::fs::remove_file(&path);
     }
@@ -531,7 +553,7 @@ mod tests {
         let path = temp_path("torn");
         let store = instant_store();
         store.attach_file(path.clone());
-        store.save(LogSeq(1), 1, vec![], vec![], b"x".to_vec(), vec![]);
+        store.save(LogSeq(1), 1, vec![], vec![], vec![], b"x".to_vec(), vec![]);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
         let respawned = instant_store();
@@ -545,7 +567,7 @@ mod tests {
     fn save_survives_transient_device_faults() {
         let store = CheckpointStore::new(DiskSpec::simulated(Duration::ZERO).with_fault_rate(0.9));
         for i in 0..5u64 {
-            store.save(LogSeq(i), i, vec![], vec![], vec![i as u8], vec![]);
+            store.save(LogSeq(i), i, vec![], vec![], vec![], vec![i as u8], vec![]);
         }
         assert_eq!(store.latest().unwrap().id, 4);
         assert!(store.save_retries() > 0, "0.9 fault rate produced no retries");

@@ -209,9 +209,10 @@ fn stalled_sink_backpressure_is_bounded_and_precise() {
 
 /// The deadlock-freedom property, exercised rather than argued: a node
 /// crashes *while the whole chain is saturated* and recovery still
-/// completes, because (a) replay requests ride the ungated control lane
-/// and (b) a replay rewinds the link's cursor, which needs no room in the
-/// (full) window, so replay never waits on the traffic it re-delivers.
+/// completes, because (a) the recovering node rewinds its input rings
+/// itself, asking nobody, and (b) a rewind moves the ring's cursor, which
+/// needs no room in the (full) window, so replay never waits on the
+/// traffic it re-delivers.
 #[test]
 fn crash_while_saturated_recovers_without_deadlock() {
     let reference = run_reference();

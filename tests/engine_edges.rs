@@ -222,8 +222,8 @@ fn double_crash_recovery_still_precise() {
 }
 
 /// Control links are consumed, not replayed: every consumer acknowledges
-/// what it has forwarded, so however long the graph runs no `Ack` or
-/// `ReplayRequest` stays behind in a link.
+/// what it has forwarded, so however long the graph runs no `Ack` stays
+/// behind in a link.
 #[test]
 fn control_links_retain_nothing_over_a_long_run() {
     const EVENTS: usize = 50_000;

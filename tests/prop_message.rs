@@ -66,8 +66,6 @@ fn control_strategy() -> impl Strategy<Value = Control> {
             .prop_map(|(id, version)| Control::Finalize { id, version }),
         event_id_strategy().prop_map(|id| Control::Revoke { id }),
         any::<u64>().prop_map(|upto| Control::Ack { upto }),
-        (any::<u64>(), any::<u64>())
-            .prop_map(|(from, token)| Control::ReplayRequest { from, token }),
         Just(Control::Eof),
     ]
 }
@@ -113,5 +111,16 @@ proptest! {
         // Either a clean decode error or a (different) valid message —
         // both acceptable; a panic or abort is the only failure mode.
         let _ = decode_from_slice::<Message>(&bytes);
+    }
+
+    /// Control tag 3 was the replay request. It is retired, not reused: a
+    /// frame of an older peer is a decode error whatever follows the tag.
+    #[test]
+    fn retired_control_tag_3_never_decodes(tail in proptest::collection::vec(any::<u8>(), 0..24)) {
+        let mut bytes = vec![3u8];
+        bytes.extend_from_slice(&tail);
+        prop_assert!(decode_from_slice::<Control>(&bytes).is_err());
+        bytes.insert(0, 1); // framed as `Message::Control`
+        prop_assert!(decode_from_slice::<Message>(&bytes).is_err());
     }
 }

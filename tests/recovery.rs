@@ -429,3 +429,167 @@ fn crash_between_two_decisions_of_one_event_recovers_identically() {
         assert_eq!(run(cfg, Some(8)), reference, "recovered run differs from the fault-free run");
     }
 }
+
+// ---------------------------------------------------------------------
+// Recovery is rewind-to-a-frontier: a recovering node moves the cursors of
+// its input rings back itself. Nothing is requested of the upstream, so
+// nothing about recovery depends on the reverse (control) lane, on the
+// upstream being alive, or on a timer.
+// ---------------------------------------------------------------------
+
+const BEFORE_CRASH: usize = 12;
+const TOTAL: usize = 16;
+
+/// src → op0 → op1 → sink, both random taggers on a fast log.
+fn two_taggers(cfg0: OperatorConfig, cfg1: OperatorConfig) -> (Running, SourceId, SinkId) {
+    let mut b = GraphBuilder::new();
+    let op0 = b.add_operator(RandomTagger, cfg0);
+    let op1 = b.add_operator(RandomTagger, cfg1);
+    b.connect(op0, op1).unwrap();
+    let src = b.source_into(op0).unwrap();
+    let sink = b.sink_from(op1).unwrap();
+    (b.build().unwrap().start(), src, sink)
+}
+
+fn logged() -> OperatorConfig {
+    OperatorConfig::logged(LoggingConfig::simulated(FAST_LOG))
+}
+
+/// Pushes events `range` one at a time, each final at the sink before the
+/// next is pushed.
+fn push_paced(running: &Running, src: SourceId, sink: SinkId, range: std::ops::Range<usize>) {
+    for i in range {
+        running.source(src).push(Value::Int(i as i64));
+        assert!(
+            running.sink(sink).wait_final(i + 1, Duration::from_secs(10)),
+            "event {i} never became final\n{}",
+            running.journal_dump()
+        );
+    }
+}
+
+/// The sink's finals of a fault-free run of `TOTAL` events, in order.
+fn fault_free(make: impl Fn() -> (Running, SourceId, SinkId)) -> Vec<Value> {
+    let (running, src, sink) = make();
+    push_paced(&running, src, sink, 0..TOTAL);
+    let out = payloads(&running.sink(sink).final_events());
+    running.shutdown();
+    out
+}
+
+fn op(i: u32) -> streammine::common::ids::OperatorId {
+    streammine::common::ids::OperatorId::new(i)
+}
+
+fn rewinds(running: &Running, op: u32) -> u64 {
+    running.metrics().counter("replay.requests", streammine::obs::Labels::op(op)).unwrap_or(0)
+}
+
+/// The downstream crashes and recovers, then its speculative upstream
+/// does. In process a speculative sender re-sends what it re-derives,
+/// under fresh link sequences, and counts on the receiver to drop by event
+/// id — but the receiver's memory of the ids it consumed died with it. The
+/// checkpoint's per-port id frontier is what still knows them.
+#[test]
+fn downstream_then_speculative_upstream_crash_stays_exactly_once() {
+    let make = || {
+        two_taggers(
+            OperatorConfig::speculative(LoggingConfig::simulated(FAST_LOG))
+                .with_checkpoint_every(8),
+            logged().with_checkpoint_every(2),
+        )
+    };
+    let expected = fault_free(make);
+    let (running, src, sink) = make();
+    // op0's last checkpoint lands at 8, op1's at 12.
+    push_paced(&running, src, sink, 0..BEFORE_CRASH);
+    std::thread::sleep(Duration::from_millis(50));
+    running.crash(op(1));
+    running.recover(op(1));
+    running.crash(op(0));
+    running.recover(op(0));
+    push_paced(&running, src, sink, BEFORE_CRASH..TOTAL);
+    // Anything op0 re-sent has had its time to come through.
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(
+        running.sink(sink).final_count(),
+        TOTAL,
+        "re-sent events were processed a second time\n{}",
+        running.journal_dump()
+    );
+    assert_eq!(payloads(&running.sink(sink).final_events()), expected);
+    running.shutdown();
+}
+
+/// The reverse lane of the recovering node's input edge stays severed
+/// across crash, recovery and the rest of the stream: the node rewinds its
+/// input ring itself and the output is that of the fault-free run.
+#[test]
+fn recovery_does_not_wait_for_the_control_lane() {
+    let make = || two_taggers(logged(), logged());
+    let expected = fault_free(make);
+    let (running, src, sink) = make();
+    push_paced(&running, src, sink, 0..BEFORE_CRASH);
+    running.sever_edge_ctrl(0);
+    running.crash(op(1));
+    running.recover(op(1));
+    for i in BEFORE_CRASH..TOTAL {
+        running.source(src).push(Value::Int(i as i64));
+    }
+    assert!(
+        running.sink(sink).wait_final(TOTAL, Duration::from_secs(3)),
+        "recovery stuck at {}/{TOTAL} behind a severed control lane\n{}",
+        running.sink(sink).final_count(),
+        running.journal_dump()
+    );
+    assert_eq!(payloads(&running.sink(sink).final_events()), expected);
+    running.heal_edge_ctrl(0);
+    running.shutdown();
+}
+
+/// Two faults on one edge, the first at the stream tail: op1's checkpoint
+/// covers everything op0 ever sent, so the first rewind re-reads nothing,
+/// and the second, two events later, re-reads those two. Both are the same
+/// three steps and neither leaves anything armed behind.
+#[test]
+fn two_faults_on_one_edge_the_first_at_the_tail_recover_alike() {
+    let make = || two_taggers(logged(), logged().with_checkpoint_every(4));
+    let expected = fault_free(make);
+    let (running, src, sink) = make();
+    push_paced(&running, src, sink, 0..BEFORE_CRASH);
+    // The checkpoint at 12 follows the twelfth final by a moment.
+    std::thread::sleep(Duration::from_millis(100));
+    running.crash(op(1));
+    running.recover(op(1));
+    push_paced(&running, src, sink, BEFORE_CRASH..BEFORE_CRASH + 2);
+    running.crash(op(1));
+    running.recover(op(1));
+    push_paced(&running, src, sink, BEFORE_CRASH + 2..TOTAL);
+    assert_eq!(payloads(&running.sink(sink).final_events()), expected);
+    assert_eq!(rewinds(&running, 1), 2, "one rewind per port per recovery");
+    let journal = running.journal_dump();
+    assert!(!journal.contains("rewind-short"), "a checkpoint position was out of reach\n{journal}");
+    running.shutdown();
+}
+
+/// A node recovered at the stream tail has nothing to re-read and nothing
+/// to say: one rewind per port, and — the lane is severed, so anything
+/// sent would still sit in it — not one control frame towards its upstream
+/// in a second of idling.
+#[test]
+fn an_idle_recovered_node_sends_nothing() {
+    let (running, src, sink) = two_taggers(logged(), logged().with_checkpoint_every(4));
+    push_paced(&running, src, sink, 0..BEFORE_CRASH);
+    // The checkpoint at 12 and its ack upstream follow the twelfth final.
+    std::thread::sleep(Duration::from_millis(100));
+    running.sever_edge_ctrl(0);
+    running.crash(op(1));
+    running.recover(op(1));
+    std::thread::sleep(Duration::from_secs(1));
+    assert_eq!(rewinds(&running, 1), 1, "one input port, one recovery");
+    // Source → op0, op0 → op1, op1 → sink.
+    let retained = running.control_links_retained();
+    assert_eq!(retained[1], 0, "the idle node sent control upstream: {retained:?}");
+    running.heal_edge_ctrl(0);
+    running.shutdown();
+}
