@@ -20,10 +20,13 @@
 //! A restart bumps the worker's incarnation and raises the control
 //! plane's expected epoch *before* the replacement spawns, so a zombie of
 //! the old incarnation is fenced rather than allowed to double-drive the
-//! topology. The restarted process rebuilds its node from the spec
-//! (checkpoint-free), re-handshakes its edges, and the combination of
-//! upstream retention replay + handshake resend-suppression yields output
-//! byte-identical to a failure-free run.
+//! topology. The restarted process rebuilds its node from the spec and its
+//! predecessor's newest checkpoint image, re-handshakes its edges, and the
+//! combination of upstream retention replay (from the checkpoint's
+//! position) + handshake resend-suppression yields output byte-identical
+//! to a failure-free run. The images live in one directory per cluster,
+//! under the temp directory, created by [`Cluster::launch`] and removed by
+//! [`Cluster::shutdown`].
 //!
 //! Precise workers speculate ([`super::worker`]): what crosses the
 //! sockets between them is speculative until its `Finalize` follows. The
@@ -32,7 +35,7 @@
 //! here: in what [`Cluster::sink`] hands out and in the recovery
 //! timelines' `first_output` and `drain`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,7 +46,7 @@ use crossbeam_channel::RecvTimeoutError;
 use parking_lot::{Condvar, Mutex};
 use streammine_common::clock::{shared, SystemClock};
 use streammine_common::ids::OperatorId;
-use streammine_net::{link, BackoffConfig, LinkConfig, TcpTransport, Transport};
+use streammine_net::{link, BackoffConfig, EdgeMetrics, LinkConfig, TcpTransport, Transport};
 use streammine_obs::{
     prometheus_text, timelines_json, ClusterObs, Counter, FaultKind, HttpServer, Labels, Obs,
     RecoveryModeTag, RecoveryTimeline, RegistrySnapshot, TransportMetrics,
@@ -69,6 +72,14 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
 const REAP_RECHECK: BackoffConfig =
     BackoffConfig { base: Duration::from_micros(100), cap: Duration::from_millis(2) };
 const REAP_RECHECKS: u32 = 6;
+/// Default checkpoint interval of a slot, in processed events. Each save
+/// acks the upstream's ring up to the checkpoint's position, so what an
+/// edge retains is bounded by about two intervals of frames (an event and
+/// its finalize each) instead of growing for the whole run. It costs one
+/// device write per interval on the worker's thread, and it stays above
+/// the 48 events the benchmark's `tcp_kill` delivers before its kill, so
+/// that recovery is still the full replay.
+const CHECKPOINT_EVERY: u64 = 64;
 
 /// One operator slot in the cluster chain.
 #[derive(Debug, Clone)]
@@ -80,49 +91,72 @@ pub struct NodeSpec {
     /// Replicated decision-log disks.
     pub disks: u32,
     /// Crash-recovery contract: precise (the default) or approximate
-    /// under a declared bound. Approximate slots also need
-    /// `checkpoint_every` and a `checkpoint_dir` so the respawned
-    /// process finds its predecessor's snapshot.
+    /// under a declared bound.
     pub recovery: RecoveryMode,
     /// Checkpoint interval in processed events (`None` = no
-    /// checkpointing; recovery is full upstream replay).
+    /// checkpointing: nothing is acked upstream and recovery is a full
+    /// upstream replay). Every image goes into the cluster's checkpoint
+    /// directory, where the respawned process finds its predecessor's.
     pub checkpoint_every: Option<u64>,
-    /// Directory for the worker's persisted checkpoint image (`None` =
-    /// checkpoints stay in process memory and die with the process).
-    pub checkpoint_dir: Option<PathBuf>,
 }
 
 impl NodeSpec {
-    /// A precise, checkpoint-free slot that logs each event's decisions on
-    /// `disks` devices of `log_micros` write latency. The log makes its
-    /// output *final*, not sendable: the worker forwards every output at
-    /// once, speculative, and finalizes it when the record is stable (and
-    /// the input itself final), so a chain of such slots waits for one log
-    /// write, not one per slot.
+    /// A precise slot that logs each event's decisions on `disks` devices
+    /// of `log_micros` write latency and checkpoints every 64 events. The
+    /// log makes its output *final*, not sendable: the worker forwards
+    /// every output at once, speculative, and finalizes it when the record
+    /// is stable (and the input itself final), so a chain of such slots
+    /// waits for one log write, not one per slot. The checkpoint acks its
+    /// upstream's retention away, and a replacement resumes from it,
+    /// replaying only the suffix after it.
     pub fn logged(operator: &str, log_micros: u64, disks: u32) -> NodeSpec {
         NodeSpec {
             operator: operator.into(),
             log_micros,
             disks,
             recovery: RecoveryMode::Precise,
-            checkpoint_every: None,
-            checkpoint_dir: None,
+            checkpoint_every: Some(CHECKPOINT_EVERY),
         }
     }
 
     /// Switches the slot to approximate recovery: checkpoints every
-    /// `every` events into `dir`, resumes stale within `bound`.
+    /// `every` events, resumes stale within `bound`.
     #[must_use]
-    pub fn with_approximate_recovery(
-        mut self,
-        bound: ErrorBound,
-        every: u64,
-        dir: PathBuf,
-    ) -> NodeSpec {
+    pub fn with_approximate_recovery(mut self, bound: ErrorBound, every: u64) -> NodeSpec {
         self.recovery = RecoveryMode::Approximate(bound);
         self.checkpoint_every = Some(every);
-        self.checkpoint_dir = Some(dir);
         self
+    }
+}
+
+/// The directory a cluster's workers keep their checkpoint images in: one
+/// per [`Cluster::launch`], named by process id and a process-wide count so
+/// two clusters never share one, removed with the cluster.
+struct CheckpointDir(PathBuf);
+
+impl CheckpointDir {
+    fn create() -> Result<CheckpointDir, String> {
+        static LAUNCHED: AtomicU64 = AtomicU64::new(0);
+        let n = LAUNCHED.fetch_add(1, Ordering::Relaxed);
+        let path =
+            std::env::temp_dir().join(format!("streammine-cluster-{}-{n}", std::process::id()));
+        // One already there was left by a dead process that had this pid:
+        // its images would pass for the predecessors of this cluster's
+        // first incarnations.
+        let _ = std::fs::remove_dir_all(&path);
+        std::fs::create_dir_all(&path)
+            .map_err(|e| format!("checkpoint dir {}: {e}", path.display()))?;
+        Ok(CheckpointDir(path))
+    }
+
+    fn remove(&self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl Drop for CheckpointDir {
+    fn drop(&mut self) {
+        self.remove();
     }
 }
 
@@ -385,6 +419,7 @@ pub struct Cluster {
     sink_acceptor: Acceptor,
     /// The monitor thread, joined by the first [`Cluster::shutdown`].
     monitor: Mutex<Option<JoinHandle<()>>>,
+    checkpoints: CheckpointDir,
     n: usize,
 }
 
@@ -393,17 +428,19 @@ impl std::fmt::Debug for Cluster {
         f.debug_struct("Cluster")
             .field("workers", &self.n)
             .field("restarts", &self.restarts())
+            .field("checkpoints", &self.checkpoints.0)
             .finish()
     }
 }
 
 impl Cluster {
-    /// Spawns the worker processes and starts the monitor.
+    /// Creates the checkpoint directory, spawns the worker processes and
+    /// starts the monitor.
     ///
     /// # Errors
     ///
-    /// Returns a message when a listener cannot bind or a process cannot
-    /// spawn.
+    /// Returns a message when a listener cannot bind, the checkpoint
+    /// directory cannot be created or a process cannot spawn.
     pub fn launch(spec: ClusterSpec) -> Result<Cluster, String> {
         let n = spec.operators.len();
         if n == 0 {
@@ -449,6 +486,7 @@ impl Cluster {
         // a bridge dialing worker 0 (edge 0). The source's responder
         // thread applies the acks arriving back over the socket.
         let (src_data_tx, src_data_rx) = link::<Message>(LinkConfig::instant());
+        src_data_tx.set_metrics(EdgeMetrics::registered(&obs.registry, n as u32, 0));
         let (src_ctrl_tx, src_ctrl_rx) = link::<Control>(LinkConfig::instant());
         let source =
             SourceHandle::new(OperatorId::new(n as u32), src_data_tx, src_ctrl_rx, clock, &obs);
@@ -469,10 +507,11 @@ impl Cluster {
         .start();
 
         // First generation of children.
+        let checkpoints = CheckpointDir::create()?;
         {
             let mut slots = shared.slots.lock();
             for i in 0..n {
-                let child = spawn_worker(&spec, i, 0, plane.local_addr())?;
+                let child = spawn_worker(&spec, &checkpoints.0, i, 0, plane.local_addr())?;
                 slots.push(WorkerSlot {
                     child: Some(child),
                     incarnation: 0,
@@ -488,6 +527,7 @@ impl Cluster {
             shared: shared.clone(),
             plane: plane.clone(),
             spec,
+            checkpoint_dir: checkpoints.0.clone(),
             src_slot,
             sink_addr: sink_acceptor.local_addr().to_string(),
         };
@@ -497,7 +537,18 @@ impl Cluster {
             .expect("spawn cluster monitor");
         let monitor = Mutex::new(Some(monitor));
 
-        Ok(Cluster { source, sink, obs, plane, shared, shutdown, sink_acceptor, monitor, n })
+        Ok(Cluster {
+            source,
+            sink,
+            obs,
+            plane,
+            shared,
+            shutdown,
+            sink_acceptor,
+            monitor,
+            checkpoints,
+            n,
+        })
     }
 
     /// The cluster's source endpoint.
@@ -670,7 +721,8 @@ impl Cluster {
         )
     }
 
-    /// Stops every worker and the parent-side machinery.
+    /// Stops every worker and the parent-side machinery, and removes the
+    /// workers' checkpoint images.
     pub fn shutdown(&self) {
         self.shared.stopping.store(true, Ordering::Release);
         for i in 0..self.n {
@@ -691,6 +743,8 @@ impl Cluster {
                 let _ = child.wait();
             }
         }
+        // Nobody is left to write an image, or to read one back.
+        self.checkpoints.remove();
         self.shutdown.store(true, Ordering::Release);
         self.plane.poke();
         self.sink_acceptor.poke();
@@ -707,6 +761,7 @@ impl Drop for Cluster {
 
 fn spawn_worker(
     spec: &ClusterSpec,
+    checkpoint_dir: &Path,
     i: usize,
     incarnation: u64,
     ctrl_addr: &str,
@@ -726,11 +781,7 @@ fn spawn_worker(
         trace_one_in: spec.trace_one_in,
         telemetry_millis: spec.telemetry_millis,
         checkpoint_every: op.checkpoint_every.unwrap_or(0),
-        checkpoint_dir: op
-            .checkpoint_dir
-            .as_ref()
-            .map(|d| d.to_string_lossy().into_owned())
-            .unwrap_or_default(),
+        checkpoint_dir: checkpoint_dir.to_string_lossy().into_owned(),
         approx_eps_ppm: match op.recovery {
             RecoveryMode::Approximate(b) => b.epsilon_ppm(),
             RecoveryMode::Precise => 0,
@@ -754,6 +805,8 @@ struct Monitor {
     shared: Arc<MonitorShared>,
     plane: Arc<ControlPlane>,
     spec: ClusterSpec,
+    /// The cluster's checkpoint directory, handed to every incarnation.
+    checkpoint_dir: PathBuf,
     /// Where the source's bridge dials: worker 0.
     src_slot: DialSlot,
     sink_addr: String,
@@ -933,7 +986,7 @@ impl Monitor {
                 let _ = child.kill();
                 let _ = child.wait();
             }
-            match spawn_worker(&self.spec, i, next, plane.local_addr()) {
+            match spawn_worker(&self.spec, &self.checkpoint_dir, i, next, plane.local_addr()) {
                 Ok(child) => {
                     slot.child = Some(child);
                     slot.incarnation = next;

@@ -48,8 +48,9 @@ pub struct WorkerSpec {
     /// Checkpoint interval in processed events (`0` = no checkpointing —
     /// the worker recovers by full upstream replay).
     pub checkpoint_every: u64,
-    /// Directory holding the worker's persisted checkpoint image (empty =
-    /// checkpoints stay in process memory and die with it).
+    /// The cluster's checkpoint directory, owned by the launcher: the
+    /// worker's image is `worker<worker>.ckpt` in it, where every later
+    /// incarnation of the slot finds it.
     pub checkpoint_dir: String,
     /// Approximate-recovery ε in parts-per-million (`0` = precise
     /// recovery; the ppm pair is only meaningful together).

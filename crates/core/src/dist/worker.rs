@@ -17,40 +17,53 @@
 //! them. An **approximate** slot stays non-speculative (it skips the log
 //! hold anyway) and parks a speculative input until its `Finalize`.
 //!
-//! By default workers are **checkpoint-free**: recovery is a full
-//! upstream replay plus handshake-driven resend suppression. Nothing the
+//! By default workers **checkpoint and ack**: every `checkpoint_every`
+//! events, once the node is settled, it takes an image of state, RNG
+//! position, input positions and output counts. Its out-ring lives in
+//! this process, so the image waits until the downstream has acked every
+//! output it counts; then it is saved to the worker's file in the
+//! launcher's checkpoint directory, and each upstream ring is acked up to
+//! its positions — what an edge retains is bounded by the interval, not
+//! by the run. An image that does not reach the file acks nothing. A
+//! respawned incarnation loads its predecessor's newest image, primes its
+//! in-edge cursors at the image's positions (so the upstream bridge
+//! rewinds only that far), restores, and replays the suffix after it,
+//! swallowing the `Welcome` counts past the image's output counts — the
+//! downstream acked them, so it holds them all. Nothing else the
 //! process loses on SIGKILL is needed for correctness — the deterministic
-//! RNG re-derives every decision from the fixed per-slot seed and the
-//! replayed input order, and non-checkpointing nodes never ack (and
-//! therefore never trim) upstream retention. The downstream may hold open
+//! RNG, restored to the image's position, re-derives every later decision
+//! from the replayed input order. The downstream may hold open
 //! transactions on what the dead incarnation published and never
 //! finalized; the replacement re-derives the same events under the same
 //! ids, swallows the ones the receiver's cursor counted, and sends the
 //! finalizes still owed — it re-confirms its predecessor's speculation,
-//! so nothing has to be revoked.
+//! so nothing has to be revoked. A spec with `checkpoint_every == 0`
+//! keeps nothing: it never acks, and recovers by a full upstream replay
+//! from the per-slot seed.
 //!
 //! **Precondition of that re-derivation:** the slot takes its decisions in
-//! serial order. The decision log lives in process memory and dies with
-//! the process, so a replacement cannot read a logged draw back — it draws
-//! again from the per-slot RNG, event by event, in serial order. A
-//! re-execution by itself no longer disturbs that: it reads the decisions
-//! of its first execution from the event's tape and the stream does not
-//! move. What would is a draw *out of serial order*: two STM threads
-//! drawing for neighbouring serials in whichever order they get there, or
-//! a re-execution that asks for more decisions than its tape holds after
-//! later events have drawn — the replacement, whose replayed inputs
-//! arrive final, executes each event once and draws them the other way
-//! round. A slot has one input and one thread and its upstream never
-//! revises, so nothing re-executes at all; the cluster tests assert
-//! `spec.rollbacks == 0` for every worker, and a worker that does see a
-//! rollback journals one `rederivation-broken` warning, which reaches the
-//! launcher with its telemetry. A spec with
-//! `checkpoint_every > 0` opts into checkpointing; pointing
-//! `checkpoint_dir` at a directory makes the image durable across the
-//! process boundary so a respawned incarnation resumes from its
-//! predecessor's snapshot — the substrate of approximate recovery
-//! (`approx_eps_ppm > 0`), which trades a bounded sketch error for
-//! replaying only the un-delivered suffix.
+//! serial order, from the checkpoint on. The decision log lives in process
+//! memory and dies with the process, so a replacement cannot read a logged
+//! draw back — it draws again from the restored RNG, event by event, in
+//! serial order. A re-execution by itself no longer disturbs that: it
+//! reads the decisions of its first execution from the event's tape and
+//! the stream does not move. What would is a draw *out of serial order*:
+//! two STM threads drawing for neighbouring serials in whichever order
+//! they get there, or a re-execution that asks for more decisions than its
+//! tape holds after later events have drawn — the replacement, whose
+//! replayed inputs arrive final, executes each event once and draws them
+//! the other way round. A slot has one input and one thread and its
+//! upstream never revises, so nothing re-executes at all; the cluster
+//! tests assert `spec.rollbacks == 0` for every worker, and a worker that
+//! does see a rollback journals one `rederivation-broken` warning, which
+//! reaches the launcher with its telemetry.
+//!
+//! A checkpoint needs a settled node (nothing open, held or parked), so a
+//! worker fed faster than its commits settle does not checkpoint and
+//! retains as a checkpoint-free one does. Approximate slots
+//! (`approx_eps_ppm > 0`) resume from the same image *stale*: they drop
+//! the replayed inputs whose outputs are already downstream, within a
+//! bounded sketch error, instead of re-executing them.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -58,7 +71,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use streammine_common::clock::{shared, SystemClock};
-use streammine_net::{link, LinkConfig, TcpTransport, Transport};
+use streammine_net::{link, EdgeMetrics, LinkConfig, TcpTransport, Transport};
 use streammine_obs::{Labels, Obs, TransportMetrics, REDERIVATION_BROKEN};
 
 use crate::config::{LoggingConfig, OperatorConfig};
@@ -234,26 +247,21 @@ pub(crate) fn run_worker(
     };
     // Checkpoint store, when the spec asks for one — created before the
     // in-edges so a respawn can prime its receive cursors from the image.
-    // Attaching a file under `checkpoint_dir` makes the image durable
-    // across SIGKILL: the respawned incarnation preloads its
-    // predecessor's snapshot (and, in approximate mode, the baked
-    // error-budget loss) before recovering.
-    let checkpoints = if spec.checkpoint_every > 0 {
+    // The image is a file in the launcher's directory, so it survives
+    // SIGKILL: the respawned incarnation preloads its predecessor's
+    // snapshot (and, in approximate mode, the baked error-budget loss)
+    // before recovering.
+    let checkpoints = (spec.checkpoint_every > 0).then(|| {
         let store = Arc::new(CheckpointStore::new(DiskSpec::simulated(Duration::from_micros(
             spec.log_micros,
         ))));
         store.attach_obs(CheckpointObs::registered(&obs, spec.worker));
-        if !spec.checkpoint_dir.is_empty() {
-            let dir = std::path::PathBuf::from(&spec.checkpoint_dir);
-            let _ = std::fs::create_dir_all(&dir);
-            store.attach_file(dir.join(format!("worker{}.ckpt", spec.worker)));
-        }
-        Some(store)
-    } else {
-        None
-    };
+        let image = format!("worker{}.ckpt", spec.worker);
+        store.attach_file(std::path::Path::new(&spec.checkpoint_dir).join(image));
+        store
+    });
     // A respawn resumes each in-edge at the checkpoint's input position:
-    // every pre-crash checkpoint acked the upstream up to that position,
+    // every pre-crash save acked the upstream up to that position,
     // trimming its retention, so a cursor welcoming the reconnect from 0
     // would wait forever for frames nobody can replay. The events consumed
     // before it are the serials the checkpoint covers when there is one
@@ -329,6 +337,8 @@ pub(crate) fn run_worker(
     let mut gates = Vec::new();
     for (out, edge) in spec.out_edges.iter().copied().enumerate() {
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
+        // The ring the downstream's checkpoints trim: `edge.retained`.
+        data_tx.set_metrics(EdgeMetrics::registered(&obs.registry, spec.worker, edge));
         let slot = DialSlot::new();
         let (gate_tx, gate_rx) = crossbeam_channel::bounded(1);
         let notices = inbox.clone();

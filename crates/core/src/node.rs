@@ -156,6 +156,22 @@ struct Resend {
     finals: AtomicU64,
 }
 
+/// A checkpoint taken but not saved yet: the fields of the image, and per
+/// down-edge the ring position its downstream must have acknowledged
+/// before it may be saved (see [`Node::maybe_checkpoint`]).
+struct Image {
+    covers_log: LogSeq,
+    events_processed: u64,
+    input_positions: Vec<u64>,
+    inputs_covered_below: Vec<u64>,
+    outputs_sent: Vec<u64>,
+    state: Vec<u8>,
+    rng_state: Vec<u8>,
+    /// Per down-edge: where the outputs the image counts end in the ring
+    /// (0 where the ring outlives the node, so nothing is waited for).
+    outputs_end: Vec<u64>,
+}
+
 /// Whether an output routed to `target` (`None`: every edge) goes out on
 /// edge `out`.
 fn routes_to(target: Option<u32>, out: usize) -> bool {
@@ -409,6 +425,10 @@ pub(crate) struct Node {
     /// [`RecoveryMode::Approximate`]).
     approx: Option<ApproxState>,
     events_since_checkpoint: u64,
+    /// The checkpoint taken last, while it waits for its downstreams.
+    image: Option<Image>,
+    /// Per down-edge: the highest position the downstream acknowledged.
+    down_acked: Vec<u64>,
     eof_count: usize,
     recovering: bool,
     running: bool,
@@ -552,6 +572,8 @@ impl Node {
             send_view,
             approx,
             events_since_checkpoint: 0,
+            image: None,
+            down_acked: vec![0; outputs],
             eof_count: 0,
             recovering: seed.recovering,
             running: true,
@@ -1036,7 +1058,12 @@ impl Node {
 
     fn handle_downstream(&mut self, out: u32, ctrl: Control) {
         match ctrl {
-            Control::Ack { upto } => self.down[out as usize].data_tx.ack_upto(upto),
+            Control::Ack { upto } => {
+                self.down[out as usize].data_tx.ack_upto(upto);
+                let acked = &mut self.down_acked[out as usize];
+                *acked = (*acked).max(upto);
+                self.save_image();
+            }
             other => debug_assert!(false, "unexpected downstream control {other}"),
         }
     }
@@ -1601,7 +1628,8 @@ impl Node {
         {
             return; // try again once in-flight work settles
         }
-        if self.checkpoints.is_none() {
+        // One image waits for its downstreams at a time.
+        if self.checkpoints.is_none() || self.image.is_some() {
             return;
         }
         // Outputs still buffered for batching are volatile; put them on
@@ -1614,29 +1642,64 @@ impl Node {
             let top = consumed.drain().map(|id| id.seq + 1).max();
             *covered = top.map_or(*covered, |top| top.max(*covered));
         }
+        self.image = Some(Image {
+            covers_log: LogSeq(self.log.as_ref().map(|l| l.appended()).unwrap_or(0)),
+            events_processed: self.next_serial,
+            // The link seq each upstream must replay from. Every frame read
+            // is fully processed (the queues are empty), so that is the
+            // cursor's delivery position.
+            input_positions: self.cursors.iter().map(EdgeCursor::next_seq).collect(),
+            inputs_covered_below: self.covered_below.clone(),
+            // With the hold queue drained and batches flushed, the send
+            // counters cover exactly the outputs of the checkpointed
+            // prefix — the baseline recovery subtracts to size its resend
+            // suppression.
+            outputs_sent: self.down.iter().map(|e| e.sent.events.load(Ordering::Acquire)).collect(),
+            state: self.registry.snapshot(),
+            // The serialized RNG goes into the checkpoint so the random
+            // stream stays continuous across a crash (see `recover`).
+            rng_state: encode_to_vec(&*self.rng.lock()),
+            // A ring told its counts by the receiver lives in this process
+            // and dies with it, and a replacement re-derives only the
+            // outputs past the image's counts: the image waits until the
+            // receiver acknowledges every output it counts. Its own
+            // checkpoint acks them, so a crash of the receiver cannot lose
+            // them either.
+            outputs_end: self
+                .down
+                .iter()
+                .map(|e| if e.sent.by_receiver { e.data_tx.sent() } else { 0 })
+                .collect(),
+        });
+        self.events_since_checkpoint = 0;
+        self.save_image();
+    }
+
+    /// Saves the waiting image once every downstream has acknowledged the
+    /// outputs it counts, then acks the upstreams down to its positions.
+    fn save_image(&mut self) {
+        let acked = &self.down_acked;
+        let Some(image) = self
+            .image
+            .take_if(|image| image.outputs_end.iter().zip(acked).all(|(end, acked)| acked >= end))
+        else {
+            return;
+        };
         let Some(store) = &self.checkpoints else { return };
-        // Positions = the link seq each upstream must replay from. Every
-        // frame read is fully processed (the queues are empty), so that is
-        // the cursor's delivery position.
-        let positions: Vec<u64> = self.cursors.iter().map(EdgeCursor::next_seq).collect();
-        let covers_log = LogSeq(self.log.as_ref().map(|l| l.appended()).unwrap_or(0));
-        // The serialized RNG goes into the checkpoint so the random stream
-        // stays continuous across a crash (see `recover`).
-        let rng_state = encode_to_vec(&*self.rng.lock());
-        // With the hold queue drained and batches flushed, the send
-        // counters cover exactly the outputs of the checkpointed prefix —
-        // the baseline recovery subtracts to size its resend suppression.
-        let outputs_sent: Vec<u64> =
-            self.down.iter().map(|e| e.sent.events.load(Ordering::Acquire)).collect();
-        let cp = store.save(
+        let covers_log = image.covers_log;
+        let positions = image.input_positions.clone();
+        let saved = store.save(
             covers_log,
-            self.next_serial,
-            positions.clone(),
-            self.covered_below.clone(),
-            outputs_sent,
-            self.registry.snapshot(),
-            rng_state,
+            image.events_processed,
+            image.input_positions,
+            image.inputs_covered_below,
+            image.outputs_sent,
+            image.state,
+            image.rng_state,
         );
+        // An image that missed its file (the store warned) is not one a
+        // replacement can resume from: nothing is acked on its strength.
+        let Ok(cp) = saved else { return };
         self.obs.journal.record(
             Some(self.id.index()),
             JournalKind::CheckpointSaved { id: cp.id, covers_log: covers_log.0 },
@@ -1657,7 +1720,6 @@ impl Node {
         for (port, ctrl_tx) in self.up.iter().enumerate() {
             ctrl_tx.push(Control::Ack { upto: positions[port] });
         }
-        self.events_since_checkpoint = 0;
     }
 }
 
@@ -2032,7 +2094,7 @@ mod tests {
         rig.input.ack_upto(4);
         let store = streammine_storage::checkpoint::instant_store();
         let no_state = StateRegistry::plain().snapshot();
-        store.save(LogSeq(0), 2, vec![2], vec![2], vec![2], no_state, Vec::new());
+        store.save(LogSeq(0), 2, vec![2], vec![2], vec![2], no_state, Vec::new()).unwrap();
         let seed = rig.seed.as_mut().expect("not started");
         seed.checkpoints = Some(Arc::new(store));
         seed.recovering = true;

@@ -184,8 +184,10 @@ impl JournalKind {
             | JournalKind::BackpressureStall { .. }
             | JournalKind::BackpressureResume { .. }
             | JournalKind::SpecCapHit { .. }
-            // Approximate-recovery decisions are rare (one per recovery)
-            // and change the output contract; a post-mortem needs them.
+            // Recovery decisions are rare (one per recovery, or per port
+            // of one) and a post-mortem needs them: where the replay began,
+            // and what the approximate contract gave up.
+            | JournalKind::Rewind { .. }
             | JournalKind::ApproxResume { .. }
             | JournalKind::ApproxEscalate { .. } => Verbosity::Warn,
             _ => Verbosity::Trace,

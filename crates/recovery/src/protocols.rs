@@ -128,15 +128,17 @@ impl HaStrategy for PassiveStandby {
         // Checkpoint state *and* the pending output, then release.
         let mut state = self.op.snapshot();
         state.extend(encode_to_vec(&out));
-        self.store.save(
-            LogSeq(0),
-            self.op.processed(),
-            vec![seq + 1],
-            Vec::new(),
-            Vec::new(),
-            state,
-            Vec::new(),
-        );
+        self.store
+            .save(
+                LogSeq(0),
+                self.op.processed(),
+                vec![seq + 1],
+                Vec::new(),
+                Vec::new(),
+                state,
+                Vec::new(),
+            )
+            .expect("a store bound to no file keeps its checkpoints in memory");
         self.emitted += 1;
         vec![out]
     }
@@ -317,15 +319,17 @@ impl HaStrategy for ApproximateCheckpoint {
         let out = self.op.process(seq, value);
         self.processed += 1;
         if self.processed.is_multiple_of(self.every) {
-            self.store.save(
-                LogSeq(0),
-                self.op.processed(),
-                vec![seq + 1],
-                Vec::new(),
-                Vec::new(),
-                self.op.snapshot(),
-                Vec::new(),
-            );
+            self.store
+                .save(
+                    LogSeq(0),
+                    self.op.processed(),
+                    vec![seq + 1],
+                    Vec::new(),
+                    Vec::new(),
+                    self.op.snapshot(),
+                    Vec::new(),
+                )
+                .expect("a store bound to no file keeps its checkpoints in memory");
         }
         vec![out]
     }

@@ -222,8 +222,8 @@ impl CheckpointStore {
     /// Rewrites the persist file (when bound) from the current kept
     /// frames and counters: temp file + rename, so a crash mid-write
     /// leaves the previous image intact.
-    fn persist(&self, kept: &[Vec<u8>]) {
-        let Some(path) = self.persist_path.lock().clone() else { return };
+    fn persist(&self, kept: &[Vec<u8>]) -> std::io::Result<()> {
+        let Some(path) = self.persist_path.lock().clone() else { return Ok(()) };
         let mut enc = Encoder::new();
         enc.put_u64(*self.next_id.lock());
         enc.put_u64(self.approx_loss.load(Ordering::Relaxed));
@@ -235,7 +235,7 @@ impl CheckpointStore {
         let framed = crc32::frame(enc.into_vec());
         let tmp = path.with_extension("tmp");
         let wrote = std::fs::write(&tmp, &framed).and_then(|()| std::fs::rename(&tmp, &path));
-        if let Err(e) = wrote {
+        if let Err(e) = &wrote {
             if let Some(obs) = self.obs.lock().clone() {
                 obs.journal.warn(
                     Some(obs.op),
@@ -244,6 +244,7 @@ impl CheckpointStore {
                 );
             }
         }
+        wrote
     }
 
     /// Updates permanently missing from the persisted state lineage
@@ -280,6 +281,13 @@ impl CheckpointStore {
     /// from a background thread or accept the pause, exactly the trade-off
     /// the paper's speculation hides. Transient device faults are retried
     /// with backoff up to a bound.
+    ///
+    /// # Errors
+    ///
+    /// When the store is bound to a file ([`CheckpointStore::attach_file`])
+    /// and the image did not reach it. The checkpoint is still kept in
+    /// memory, but a new process would not find it, so nothing may be
+    /// acknowledged on its strength.
     // One argument per field of the image; the id is the store's to assign.
     #[allow(clippy::too_many_arguments)]
     pub fn save(
@@ -291,7 +299,7 @@ impl CheckpointStore {
         outputs_sent: Vec<u64>,
         state: Vec<u8>,
         rng_state: Vec<u8>,
-    ) -> Checkpoint {
+    ) -> std::io::Result<Checkpoint> {
         let id = {
             let mut next = self.next_id.lock();
             let id = *next;
@@ -343,8 +351,8 @@ impl CheckpointStore {
         if excess > 0 {
             kept.drain(..excess);
         }
-        self.persist(&kept);
-        cp
+        self.persist(&kept)?;
+        Ok(cp)
     }
 
     /// The most recent *valid* checkpoint, if any.
@@ -418,16 +426,20 @@ mod tests {
     fn save_and_restore_latest() {
         let store = instant_store();
         assert!(store.latest().is_none());
-        store.save(LogSeq(10), 7, vec![3, 4], vec![], vec![5], b"state-a".to_vec(), vec![]);
-        let cp = store.save(
-            LogSeq(20),
-            16,
-            vec![7, 9],
-            vec![6, 8],
-            vec![11],
-            b"state-b".to_vec(),
-            b"rng".to_vec(),
-        );
+        store
+            .save(LogSeq(10), 7, vec![3, 4], vec![], vec![5], b"state-a".to_vec(), vec![])
+            .unwrap();
+        let cp = store
+            .save(
+                LogSeq(20),
+                16,
+                vec![7, 9],
+                vec![6, 8],
+                vec![11],
+                b"state-b".to_vec(),
+                b"rng".to_vec(),
+            )
+            .unwrap();
         assert_eq!(cp.id, 1);
         let latest = store.latest().unwrap();
         assert_eq!(latest.state, b"state-b".to_vec());
@@ -442,7 +454,7 @@ mod tests {
     fn keeps_at_most_two() {
         let store = instant_store();
         for i in 0..5u64 {
-            store.save(LogSeq(i), i, vec![], vec![], vec![], vec![i as u8], vec![]);
+            store.save(LogSeq(i), i, vec![], vec![], vec![], vec![i as u8], vec![]).unwrap();
         }
         assert_eq!(store.retained(), 2);
         assert_eq!(store.latest().unwrap().id, 4);
@@ -466,7 +478,7 @@ mod tests {
     #[test]
     fn checkpoint_write_is_charged_to_device() {
         let store = instant_store();
-        store.save(LogSeq(0), 0, vec![], vec![], vec![], vec![1, 2, 3], vec![]);
+        store.save(LogSeq(0), 0, vec![], vec![], vec![], vec![1, 2, 3], vec![]).unwrap();
         assert_eq!(store.device().write_count(), 1);
         assert!(store.device().bytes_written() > 0);
     }
@@ -474,8 +486,8 @@ mod tests {
     #[test]
     fn corrupt_newest_falls_back_to_previous() {
         let store = instant_store();
-        store.save(LogSeq(5), 3, vec![1], vec![], vec![], b"old".to_vec(), vec![]);
-        store.save(LogSeq(9), 6, vec![2], vec![], vec![], b"new".to_vec(), vec![]);
+        store.save(LogSeq(5), 3, vec![1], vec![], vec![], b"old".to_vec(), vec![]).unwrap();
+        store.save(LogSeq(9), 6, vec![2], vec![], vec![], b"new".to_vec(), vec![]).unwrap();
         assert!(store.corrupt_latest());
         let latest = store.latest().unwrap();
         assert_eq!(latest.state, b"old".to_vec());
@@ -485,7 +497,7 @@ mod tests {
     #[test]
     fn all_corrupt_yields_none() {
         let store = instant_store();
-        store.save(LogSeq(1), 1, vec![], vec![], vec![], b"only".to_vec(), vec![]);
+        store.save(LogSeq(1), 1, vec![], vec![], vec![], b"only".to_vec(), vec![]).unwrap();
         assert!(store.corrupt_latest());
         assert!(store.latest().is_none());
     }
@@ -496,8 +508,8 @@ mod tests {
         let obs = Obs::tracing();
         let store = instant_store();
         store.attach_obs(CheckpointObs::registered(&obs, 5));
-        store.save(LogSeq(1), 1, vec![], vec![], vec![], b"a".to_vec(), vec![]);
-        store.save(LogSeq(2), 2, vec![], vec![], vec![], b"b".to_vec(), vec![]);
+        store.save(LogSeq(1), 1, vec![], vec![], vec![], b"a".to_vec(), vec![]).unwrap();
+        store.save(LogSeq(2), 2, vec![], vec![], vec![], b"b".to_vec(), vec![]).unwrap();
         assert_eq!(obs.registry.counter_value("checkpoint.saves", Labels::op(5)), Some(2));
         let save_us = obs.registry.histogram_snapshot("checkpoint.save_us", Labels::op(5)).unwrap();
         assert_eq!(save_us.count(), 2);
@@ -527,12 +539,14 @@ mod tests {
         let path = temp_path("roundtrip");
         let store = instant_store();
         assert!(!store.attach_file(path.clone()), "no image yet");
-        store.save(LogSeq(3), 9, vec![2], vec![], vec![4], b"alpha".to_vec(), vec![]);
-        store.save(LogSeq(6), 18, vec![5], vec![], vec![8], b"beta".to_vec(), b"rng".to_vec());
+        store.save(LogSeq(3), 9, vec![2], vec![], vec![4], b"alpha".to_vec(), vec![]).unwrap();
+        store
+            .save(LogSeq(6), 18, vec![5], vec![], vec![8], b"beta".to_vec(), b"rng".to_vec())
+            .unwrap();
         store.add_approx_loss(7);
         store.note_escalation();
         // Counters changed after the last save land with the next one.
-        store.save(LogSeq(9), 27, vec![9], vec![], vec![12], b"gamma".to_vec(), vec![]);
+        store.save(LogSeq(9), 27, vec![9], vec![], vec![12], b"gamma".to_vec(), vec![]).unwrap();
 
         let respawned = instant_store();
         assert!(respawned.attach_file(path.clone()), "image must load");
@@ -543,9 +557,40 @@ mod tests {
         assert_eq!(respawned.approx_loss(), 7);
         assert_eq!(respawned.approx_escalations(), 1);
         // The id counter continues instead of colliding.
-        let cp = respawned.save(LogSeq(12), 36, vec![], vec![], vec![], b"delta".to_vec(), vec![]);
+        let cp = respawned
+            .save(LogSeq(12), 36, vec![], vec![], vec![], b"delta".to_vec(), vec![])
+            .unwrap();
         assert_eq!(cp.id, 3);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A save whose image cannot reach its file says so (and warns): a new
+    /// process would not find it, so its caller must not act on it. Once
+    /// the file is writable again, the next save persists both kept frames.
+    #[test]
+    fn a_save_that_misses_its_file_fails() {
+        use streammine_obs::JournalKind;
+        let dir = temp_path("gone").with_extension("d");
+        let path = dir.join("worker0.ckpt");
+        let obs = Obs::tracing();
+        let store = instant_store();
+        store.attach_obs(CheckpointObs::registered(&obs, 2));
+        assert!(!store.attach_file(path.clone()), "no image yet");
+        let missed = store.save(LogSeq(1), 4, vec![4], vec![], vec![4], b"a".to_vec(), vec![]);
+        assert!(missed.is_err(), "the directory does not exist, yet the save succeeded");
+        let warned = obs.journal.count_matching(|e| {
+            matches!(&e.kind, JournalKind::Warn { code: "checkpoint-persist-failed", .. })
+                && e.op == Some(2)
+        });
+        assert_eq!(warned, 1);
+
+        std::fs::create_dir(&dir).unwrap();
+        store.save(LogSeq(2), 8, vec![8], vec![], vec![8], b"b".to_vec(), vec![]).unwrap();
+        let respawned = instant_store();
+        assert!(respawned.attach_file(path), "image must load");
+        assert_eq!(respawned.retained(), 2);
+        assert_eq!(respawned.latest().unwrap().events_processed, 8);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -553,7 +598,7 @@ mod tests {
         let path = temp_path("torn");
         let store = instant_store();
         store.attach_file(path.clone());
-        store.save(LogSeq(1), 1, vec![], vec![], vec![], b"x".to_vec(), vec![]);
+        store.save(LogSeq(1), 1, vec![], vec![], vec![], b"x".to_vec(), vec![]).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
         let respawned = instant_store();
@@ -567,7 +612,7 @@ mod tests {
     fn save_survives_transient_device_faults() {
         let store = CheckpointStore::new(DiskSpec::simulated(Duration::ZERO).with_fault_rate(0.9));
         for i in 0..5u64 {
-            store.save(LogSeq(i), i, vec![], vec![], vec![], vec![i as u8], vec![]);
+            store.save(LogSeq(i), i, vec![], vec![], vec![], vec![i as u8], vec![]).unwrap();
         }
         assert_eq!(store.latest().unwrap().id, 4);
         assert!(store.save_retries() > 0, "0.9 fault rate produced no retries");

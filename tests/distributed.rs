@@ -5,7 +5,8 @@
 //!
 //! This is the paper's precise-recovery guarantee at its strongest: the
 //! non-deterministic decisions of every hop are visible in the output
-//! bytes, the processes hold no checkpoints, and recovery crosses real
+//! bytes, a replacement resumes from its predecessor's checkpoint image
+//! (or, before the first one, from nothing), and recovery crosses real
 //! process and socket boundaries — with speculation open across them:
 //! every precise worker forwards its outputs before its log is stable, so
 //! a kill lands on events the downstream holds un-finalized.
@@ -23,7 +24,7 @@ use streammine::common::event::{Event, Value};
 use streammine::core::dist::{Cluster, ClusterSpec, NodeSpec};
 use streammine::core::{GraphBuilder, LoggingConfig, OperatorConfig};
 use streammine::obs::{
-    validate_chrome_trace, validate_prometheus, FaultKind, Labels, RecoveryModeTag,
+    validate_chrome_trace, validate_prometheus, FaultKind, JournalKind, Labels, RecoveryModeTag,
     RecoveryTimeline, RegistrySnapshot,
 };
 use streammine::operators::RandomTagger;
@@ -67,11 +68,28 @@ fn reference(hops: usize, input: &[Value]) -> Vec<Value> {
     out
 }
 
+/// `hops` random taggers at the default checkpoint interval.
 fn tagger_chain(hops: usize) -> ClusterSpec {
     ClusterSpec::new(
         vec![NodeSpec::logged("random-tagger", FAST_LOG_US, 1); hops],
         PathBuf::from(env!("CARGO_BIN_EXE_streammine_worker")),
     )
+}
+
+/// [`tagger_chain`] with every slot checkpointing every `every` events
+/// (`None`: never).
+fn tagger_chain_checkpointing(hops: usize, every: Option<u64>) -> ClusterSpec {
+    let mut spec = tagger_chain(hops);
+    spec.operators.iter_mut().for_each(|op| op.checkpoint_every = every);
+    spec
+}
+
+/// The directory the cluster keeps its checkpoint images in, as its
+/// `Debug` shows it.
+fn checkpoint_dir(cluster: &Cluster) -> PathBuf {
+    let shown = format!("{cluster:?}");
+    let (_, rest) = shown.split_once("checkpoints: \"").expect("no checkpoint dir in Debug");
+    PathBuf::from(&rest[..rest.find('"').expect("unterminated checkpoint dir")])
 }
 
 /// Worker `w`'s node metric `name` in the merged cluster snapshot (summed
@@ -124,8 +142,14 @@ struct RunOutcome {
 
 /// Runs the distributed chain, injecting `plan` step by step while
 /// feeding, and returns the run's [`RunOutcome`].
-fn cluster_run(hops: usize, input: &[Value], plan: &ProcFaultPlan, pace: Duration) -> RunOutcome {
-    let cluster = Cluster::launch(tagger_chain(hops)).expect("cluster launch");
+fn cluster_run(
+    spec: ClusterSpec,
+    input: &[Value],
+    plan: &ProcFaultPlan,
+    pace: Duration,
+) -> RunOutcome {
+    let hops = spec.operators.len();
+    let cluster = Cluster::launch(spec).expect("cluster launch");
     assert!(cluster.wait_connected(Duration::from_secs(30)), "cluster never wired up");
     let mut pending = plan.events.iter().peekable();
     for (step, v) in input.iter().enumerate() {
@@ -177,7 +201,12 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
 fn two_process_chain_matches_in_process_reference() {
     let input = inputs(12);
     let expected = reference(2, &input);
-    let r = cluster_run(2, &input, &ProcFaultPlan::scripted(vec![]), Duration::from_millis(2));
+    let r = cluster_run(
+        tagger_chain(2),
+        &input,
+        &ProcFaultPlan::scripted(vec![]),
+        Duration::from_millis(2),
+    );
     assert_eq!(r.out, expected, "fault-free distributed run diverged from in-process reference");
     assert_eq!(r.restarts, 0, "fault-free run should not restart anyone");
     assert!(r.timelines.is_empty(), "fault-free run fabricated a recovery timeline");
@@ -191,7 +220,7 @@ fn sigkill_mid_stream_recovers_byte_identical() {
         step: 6,
         kind: ProcFaultKind::KillWorker { worker: 1 },
     }]);
-    let r = cluster_run(3, &input, &plan, Duration::from_millis(10));
+    let r = cluster_run(tagger_chain(3), &input, &plan, Duration::from_millis(10));
     assert!(r.crashes >= 1, "the SIGKILL was never detected as a crash");
     assert!(r.restarts >= 1, "the killed worker was never restarted");
     assert_eq!(r.out, expected, "recovery after SIGKILL changed the output bytes");
@@ -209,20 +238,16 @@ fn sigkill_mid_stream_recovers_byte_identical() {
     assert!(t.drain_us.is_some(), "drain never stamped");
 }
 
-/// A SIGKILL with a long retained history: 100 events are final at the
-/// sink when the middle worker dies, so its upstream holds 100 frames the
-/// replacement must be handed again, whole, with the 50 live ones behind
-/// them. A replay that stops part way (a bounded replay budget) or a gap
-/// parked where no watchdog looks never finishes this.
-#[test]
-fn sigkill_after_100_delivered_recovers_within_10s() {
+/// 100 paced events final at the sink, a SIGKILL of the middle worker, 50
+/// more pushed at once: all 150 must be final, byte-identical, within
+/// 10 s. Returns the cluster, shut down.
+fn sigkill_after_100_delivered(spec: ClusterSpec) -> Cluster {
     let input = inputs(150);
     let expected = reference(3, &input);
-    let cluster = Cluster::launch(tagger_chain(3)).expect("cluster launch");
+    let cluster = Cluster::launch(spec).expect("cluster launch");
     assert!(cluster.wait_connected(Duration::from_secs(30)), "cluster never wired up");
     for v in &input[..100] {
-        // Paced, so that every event is a frame of its own and the
-        // upstream really retains 100 of them.
+        // Paced, so that every event is a frame of its own.
         cluster.source().push(v.clone());
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -241,6 +266,38 @@ fn sigkill_after_100_delivered_recovers_within_10s() {
     assert_eq!(payloads(&cluster.sink().final_events()), expected);
     assert_eq!(cluster.crashes_detected(), 1);
     cluster.shutdown();
+    cluster
+}
+
+/// A SIGKILL with a long retained history: without checkpoints the
+/// upstream holds all 100 frames, and the replacement must be handed them
+/// again, whole, with the 50 live ones behind them. A replay that stops
+/// part way (a bounded replay budget) or a gap parked where no watchdog
+/// looks never finishes this.
+#[test]
+fn sigkill_after_100_delivered_recovers_within_10s() {
+    sigkill_after_100_delivered(tagger_chain_checkpointing(3, None));
+}
+
+/// The same kill at the default interval: the middle worker checkpointed
+/// at 64 events and acked its upstream's ring down to the image's
+/// position, so its replacement restores the image and rewinds only that
+/// far — its journal's `rewind` says from where.
+#[test]
+fn sigkill_after_100_delivered_resumes_from_the_checkpoint() {
+    let cluster = sigkill_after_100_delivered(tagger_chain(3));
+    let journal = cluster.telemetry().journal();
+    let rewound_from: Vec<u64> = journal
+        .iter()
+        .filter(|r| (r.worker, r.incarnation) == (1, 1))
+        .filter_map(|r| match r.event.kind {
+            JournalKind::Rewind { from, .. } => Some(from),
+            _ => None,
+        })
+        .collect();
+    let render = || cluster.telemetry().journal_render();
+    assert_eq!(rewound_from.len(), 1, "one port, one recovery: {rewound_from:?}\n{}", render());
+    assert!(rewound_from[0] > 0, "the replacement replayed from 0, not its image\n{}", render());
 }
 
 #[test]
@@ -256,7 +313,7 @@ fn lease_expiry_fences_a_silent_worker_and_recovers() {
         step: 5,
         kind: ProcFaultKind::PauseBeats { worker: 2, millis: 900 },
     }]);
-    let r = cluster_run(3, &input, &plan, Duration::from_millis(10));
+    let r = cluster_run(tagger_chain(3), &input, &plan, Duration::from_millis(10));
     assert!(r.expiries >= 1, "the silent worker's lease never expired");
     assert!(r.restarts >= 1, "the fenced worker was never restarted");
     assert_eq!(r.out, expected, "lease-expiry recovery changed the output bytes");
@@ -266,6 +323,9 @@ fn lease_expiry_fences_a_silent_worker_and_recovers() {
     );
 }
 
+/// Every slot checkpoints every 8 events, so the faults of a 24-step plan
+/// land after checkpoints: a replacement restores an image and replays
+/// only the suffix, and an upstream has acked its ring down to it.
 #[test]
 fn chaos_grid_16_seeds_byte_identical_under_real_faults() {
     const SEEDS: u64 = 16;
@@ -278,7 +338,8 @@ fn chaos_grid_16_seeds_byte_identical_under_real_faults() {
     for seed in 0..SEEDS {
         let plan = ProcFaultPlan::random(seed, STEPS, HOPS as u32);
         total_events += plan.events.len();
-        let r = cluster_run(HOPS, &input, &plan, Duration::from_millis(20));
+        let spec = tagger_chain_checkpointing(HOPS, Some(8));
+        let r = cluster_run(spec, &input, &plan, Duration::from_millis(20));
         assert_eq!(
             r.out, expected,
             "seed {seed}: distributed output diverged from reference under {plan}"
@@ -303,10 +364,31 @@ fn chaos_grid_16_seeds_byte_identical_under_real_faults() {
     );
 }
 
+/// A checkpoint taken while the downstream cannot receive must not count
+/// the outputs stuck in the sender's ring. Worker 2's listener is down
+/// for 300 ms from step 10; worker 1 keeps processing and reaches its
+/// interval (8) inside the window, with the outputs since step 10 held in
+/// its ring, which lives in its memory. The SIGKILL at step 20 takes that
+/// ring with it: the replacement must re-derive those outputs, so it may
+/// only resume from an image whose outputs worker 2 acknowledged.
+#[test]
+fn sigkill_after_a_checkpoint_the_downstream_never_received_recovers() {
+    let input = inputs(40);
+    let expected = reference(3, &input);
+    let plan = ProcFaultPlan::scripted(vec![
+        ProcFaultEvent { step: 10, kind: ProcFaultKind::ListenerDrop { worker: 2, millis: 300 } },
+        ProcFaultEvent { step: 20, kind: ProcFaultKind::KillWorker { worker: 1 } },
+    ]);
+    let spec = tagger_chain_checkpointing(3, Some(8));
+    let r = cluster_run(spec, &input, &plan, Duration::from_millis(20));
+    assert!(r.restarts >= 1, "the killed worker was never restarted");
+    assert_eq!(r.out, expected, "a checkpoint covered outputs its downstream never received");
+}
+
 /// Approximate recovery across real process boundaries: an identity hop
 /// feeds a count-min worker declared approximate (ε = 0.25), which
-/// checkpoints every 3 events into a directory the replacement process
-/// reads after a real SIGKILL. The replacement resumes from the *stale*
+/// checkpoints every 3 events into the cluster's checkpoint directory,
+/// where the replacement process finds the image after a real SIGKILL. The replacement resumes from the *stale*
 /// snapshot — replayed inputs whose outputs already reached the sink are
 /// dropped against the error budget instead of re-executed — so sink
 /// estimates may run below the fault-free run's, but never above and
@@ -325,24 +407,16 @@ fn sigkill_approximate_recovery_stays_within_declared_bound() {
     let n: u64 = 48;
     let input: Vec<Value> = (0..n).map(|i| Value::Int((i % 9) as i64)).collect();
 
-    let base = std::env::temp_dir().join(format!("streammine-approx-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    let spec_for = |tag: &str| {
-        ClusterSpec::new(
-            vec![
-                NodeSpec::logged("identity", FAST_LOG_US, 1),
-                NodeSpec::logged("count-min", FAST_LOG_US, 1).with_approximate_recovery(
-                    bound,
-                    3,
-                    base.join(tag),
-                ),
-            ],
-            PathBuf::from(env!("CARGO_BIN_EXE_streammine_worker")),
-        )
-    };
+    let spec = ClusterSpec::new(
+        vec![
+            NodeSpec::logged("identity", FAST_LOG_US, 1),
+            NodeSpec::logged("count-min", FAST_LOG_US, 1).with_approximate_recovery(bound, 3),
+        ],
+        PathBuf::from(env!("CARGO_BIN_EXE_streammine_worker")),
+    );
 
-    let run = |spec: ClusterSpec, plan: &ProcFaultPlan| {
-        let cluster = Cluster::launch(spec).expect("cluster launch");
+    let run = |plan: &ProcFaultPlan| {
+        let cluster = Cluster::launch(spec.clone()).expect("cluster launch");
         assert!(cluster.wait_connected(Duration::from_secs(30)), "cluster never wired up");
         let mut pending = plan.events.iter().peekable();
         for (step, v) in input.iter().enumerate() {
@@ -378,15 +452,14 @@ fn sigkill_approximate_recovery_stays_within_declared_bound() {
         (estimates, cluster.recovery_timelines(), restarts)
     };
 
-    let (baseline, clean_timelines, _) =
-        run(spec_for("baseline"), &ProcFaultPlan::scripted(vec![]));
+    let (baseline, clean_timelines, _) = run(&ProcFaultPlan::scripted(vec![]));
     assert!(clean_timelines.is_empty(), "fault-free run fabricated a recovery timeline");
 
     let plan = ProcFaultPlan::scripted(vec![ProcFaultEvent {
         step: 30,
         kind: ProcFaultKind::KillWorker { worker: 1 },
     }]);
-    let (recovered, timelines, restarts) = run(spec_for("faulty"), &plan);
+    let (recovered, timelines, restarts) = run(&plan);
     assert!(restarts >= 1, "the killed worker was never restarted");
 
     let report = verify_bounded_divergence(bound, n, &baseline, &recovered)
@@ -406,11 +479,10 @@ fn sigkill_approximate_recovery_stays_within_declared_bound() {
         step: 30,
         kind: ProcFaultKind::KillWorker { worker: 0 },
     }]);
-    let (recovered, timelines, restarts) = run(spec_for("precise-hop-killed"), &plan);
+    let (recovered, timelines, restarts) = run(&plan);
     assert!(restarts >= 1, "the killed precise hop was never restarted");
     assert_eq!(recovered, baseline, "a precise hop's crash cost the approximate slot accuracy");
     assert!(timelines.iter().all(|t| t.mode == RecoveryModeTag::Precise && t.worker == 0));
-    let _ = std::fs::remove_dir_all(&base);
 }
 
 #[test]
@@ -764,4 +836,97 @@ fn figure3_over_sockets_is_flat_in_depth() {
         slope < LOG_US as f64,
         "three more workers cost {slope:.0} us, a log write or more: {table:?}"
     );
+}
+
+/// What an edge retains is bounded by the checkpoint interval, not by the
+/// run: each worker's checkpoint acks its upstream's ring down to the
+/// image's position. 600 paced events through three taggers; once they
+/// are final, no worker's out-edge ring (an event and its finalize per
+/// event) and not the launcher's source ring holds more than two
+/// intervals of frames. Without the acks the first two worker rings end
+/// at 1 200 frames and the source ring at 600.
+#[test]
+fn retention_is_bounded_by_the_checkpoint_interval() {
+    const EVENTS: u64 = 600;
+    const BOUND: i64 = 2 * 64 + 16;
+    let cluster = Cluster::launch(tagger_chain(3)).expect("cluster launch");
+    assert!(cluster.wait_connected(Duration::from_secs(30)), "cluster never wired up");
+    for v in inputs(EVENTS) {
+        cluster.source().push(v);
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        cluster.sink().wait_final(EVENTS as usize, Duration::from_secs(60)),
+        "stalled at {}/{EVENTS} final events",
+        cluster.sink().final_count(),
+    );
+    // Edge 0 is the launcher's source ring (the parent reports as
+    // operator 3, without a worker label); edge e > 0 leaves worker e - 1.
+    let retained = |snapshot: &RegistrySnapshot| -> Vec<Option<i64>> {
+        (0..=3u32)
+            .map(|edge| {
+                let labels = match edge {
+                    0 => Labels::op_port(3, 0),
+                    e => Labels::op_port(e - 1, e).with_worker(e - 1),
+                };
+                snapshot.gauge("edge.retained", labels)
+            })
+            .collect()
+    };
+    // A worker saves its last checkpoint, and acks its upstream, once its
+    // downstream acked the outputs the checkpoint counts: the acks travel
+    // up the chain after the sink saw the last final, and the workers
+    // republish their gauges every heartbeat. A loaded host only delays it.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let bounded = |frames: &[Option<i64>]| frames.iter().all(|f| f.is_some_and(|f| f <= BOUND));
+    while !bounded(&retained(&cluster.cluster_snapshot())) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    cluster.shutdown();
+    let retained: Vec<i64> = retained(&cluster.cluster_snapshot())
+        .into_iter()
+        .enumerate()
+        .map(|(edge, f)| f.unwrap_or_else(|| panic!("no edge.retained gauge for edge {edge}")))
+        .collect();
+    eprintln!("edge.retained after {EVENTS} events, edges 0..=3: {retained:?}");
+    for (edge, frames) in retained.iter().enumerate() {
+        assert!(*frames <= BOUND, "edge {edge} retains {frames} frames (bound {BOUND})");
+    }
+}
+
+/// The checkpoint images live in one directory per cluster: there from
+/// launch, through a SIGKILL and respawn, and gone with the cluster —
+/// after `shutdown`, and after a plain drop.
+#[test]
+fn the_checkpoint_directory_lives_as_long_as_the_cluster() {
+    let input = inputs(80);
+    let expected = reference(2, &input);
+    let cluster = Cluster::launch(tagger_chain(2)).expect("cluster launch");
+    let dir = checkpoint_dir(&cluster);
+    assert!(dir.is_dir(), "{} was not created", dir.display());
+    assert!(cluster.wait_connected(Duration::from_secs(30)), "cluster never wired up");
+    for (step, v) in input.iter().enumerate() {
+        if step == 70 {
+            cluster.kill_worker(1);
+        }
+        cluster.source().push(v.clone());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        cluster.sink().wait_final(input.len(), Duration::from_secs(30)),
+        "stalled at {}/{} final events",
+        cluster.sink().final_count(),
+        input.len(),
+    );
+    assert_eq!(payloads(&cluster.sink().final_events()), expected);
+    assert_eq!(cluster.restarts(), 1);
+    assert!(dir.is_dir(), "{} is gone after the respawn", dir.display());
+    cluster.shutdown();
+    assert!(!dir.exists(), "{} outlived shutdown", dir.display());
+
+    let cluster = Cluster::launch(tagger_chain(2)).expect("cluster launch");
+    let dir = checkpoint_dir(&cluster);
+    assert!(dir.is_dir(), "{} was not created", dir.display());
+    drop(cluster);
+    assert!(!dir.exists(), "{} outlived the dropped cluster", dir.display());
 }
