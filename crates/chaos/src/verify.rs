@@ -30,7 +30,7 @@ use crate::proc_plan::ProcFaultPlan;
 /// * every restarted operator counted at least one `replay.requests{op}`
 ///   per restart — the counter keeps the paper's name for the step and
 ///   counts the input rings a recovering node rewound (a restart without
-///   one would mean recovery skipped upstream replay);
+///   one would mean recovery skipped the rewind);
 /// * per operator, journal `BackpressureResume` records never outnumber
 ///   stall entries (`BackpressureStall` + `SpecCapHit`) — a resume
 ///   without a stall is impossible;
@@ -66,7 +66,8 @@ pub fn verify_recovery_counters(
         let replays = snap.counter("replay.requests", Labels::op(op)).unwrap_or(0);
         if replays < expected {
             return Err(format!(
-                "op{op}: only {replays} replay.requests for {expected} supervised restarts"
+                "op{op}: only {replays} replay.requests (input rings rewound) for \
+                 {expected} supervised restarts"
             ));
         }
     }

@@ -152,7 +152,7 @@ impl OutBridge {
                     }
                     None => DRAIN_POLL,
                 };
-                if self.dial.waker.park_until(Instant::now() + patience) {
+                if self.dial.waker.park(Some(Instant::now() + patience)) {
                     failures = 0;
                 }
                 continue;
@@ -615,7 +615,7 @@ fn pump_edge_ctrl(
                         }
                     }
                     drop(writer);
-                    state.writer_installed.park_until(Instant::now() + DRAIN_POLL);
+                    state.writer_installed.park(Some(Instant::now() + DRAIN_POLL));
                 }
             }
             Err(LinkError::Timeout) => continue,

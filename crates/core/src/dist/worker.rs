@@ -87,7 +87,6 @@ use streammine_storage::{CheckpointObs, CheckpointStore, DiskSpec};
 use crate::message::{Control, Message};
 use crate::node::{Node, NodeSeed};
 use crate::operator::Operator;
-use crate::supervisor::NodeHealth;
 use streammine_common::ids::OperatorId;
 
 /// How long a worker waits for its first `Wire` and for every out-edge
@@ -356,6 +355,7 @@ pub(crate) fn run_worker(
         }
         .start();
         dial_slots.insert(edge, slot);
+        inbox.wake_on_room(&data_tx);
         down_data.push(data_tx);
         gates.push(gate_rx);
     }
@@ -422,7 +422,7 @@ pub(crate) fn run_worker(
         checkpoints,
         rng_seed: spec.rng_seed,
         obs,
-        health: Arc::new(NodeHealth::new()),
+        exits: None,
         recovering: spec.incarnation > 0,
     };
     let _node = Node::start(seed);

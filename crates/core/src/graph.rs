@@ -12,6 +12,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crossbeam_channel::{Receiver, Sender};
 use parking_lot::Mutex;
 use streammine_common::clock::{shared, SharedClock, SystemClock};
 use streammine_common::error::{Error, Result};
@@ -28,7 +29,7 @@ use crate::message::{Control, Message};
 use crate::node::{Node, NodeSeed};
 use crate::operator::Operator;
 use crate::plumbing::{DownEdge, Inbox, NodeCommand, Notice, Sent};
-use crate::supervisor::{NodeHealth, Supervisor, SupervisorConfig};
+use crate::supervisor::{Signal, Supervisor};
 
 /// Identifies an external source created by the builder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,8 +219,8 @@ impl fmt::Debug for Graph {
 
 /// The per-node state that survives crashes: links, sequence counters,
 /// retained output buffers, logs, checkpoints — everything the paper's
-/// model keeps outside the failed process — plus the health record the
-/// supervisor watches.
+/// model keeps outside the failed process — plus where its coordinator
+/// reports its exit.
 pub(crate) struct NodePersist {
     id: OperatorId,
     operator: Arc<dyn Operator>,
@@ -235,7 +236,7 @@ pub(crate) struct NodePersist {
     join: Mutex<Option<JoinHandle<()>>>,
     rng_seed: u64,
     clock: SharedClock,
-    health: Arc<NodeHealth>,
+    exits: Sender<Signal>,
     obs: Obs,
 }
 
@@ -258,34 +259,30 @@ impl NodePersist {
             checkpoints: self.checkpoints.clone(),
             rng_seed: self.rng_seed,
             obs: self.obs.clone(),
-            health: self.health.clone(),
+            exits: Some(self.exits.clone()),
             recovering,
         }
     }
 
-    pub(crate) fn id(&self) -> OperatorId {
-        self.id
-    }
-
-    pub(crate) fn health(&self) -> &NodeHealth {
-        &self.health
-    }
-
-    /// Whether the coordinator thread has exited (crash backstop check).
-    pub(crate) fn thread_finished(&self) -> bool {
-        self.join.lock().as_ref().map(JoinHandle::is_finished).unwrap_or(true)
-    }
-
     /// Joins a dead coordinator, discards the notices in flight to it, and
     /// starts a fresh coordinator in recovery mode (checkpoint restore +
-    /// log replay + input rewind).
-    pub(crate) fn restart(&self) {
-        if let Some(join) = self.join.lock().take() {
-            let _ = join.join();
+    /// log replay + input rewind) — unless the graph is `stopping`:
+    /// `false` then, and no coordinator runs.
+    pub(crate) fn restart(&self, stopping: &AtomicBool) -> bool {
+        // Under the lock, so a crash or a shutdown finds the old
+        // coordinator or the new one, never the gap between them.
+        let mut join = self.join.lock();
+        if let Some(old) = join.take() {
+            let _ = old.join();
         }
         self.inbox.drain();
-        self.health.reset();
-        *self.join.lock() = Some(Node::start(self.seed(true)));
+        // After the drain: a shutdown that sets the flag later posts its
+        // command to the new coordinator.
+        if stopping.load(Ordering::SeqCst) {
+            return false;
+        }
+        *join = Some(Node::start(self.seed(true)));
+        true
     }
 }
 
@@ -296,6 +293,7 @@ impl Graph {
         let clock = b.clock.clone();
         let obs = b.obs.clone();
         let n = b.ops.len();
+        let (signals, exits) = crossbeam_channel::unbounded();
 
         // Per node, in port / output order: the rings it reads (its
         // inbox) and the senders it writes. A node reads its rings itself;
@@ -365,11 +363,13 @@ impl Graph {
             if let Some(store) = &checkpoints {
                 store.attach_obs(CheckpointObs::registered(&obs, i as u32));
             }
+            let inbox = Inbox::new(std::mem::take(&mut inputs[i]), std::mem::take(&mut ctrls[i]));
+            down_data[i].iter().for_each(|out| inbox.wake_on_room(out));
             let persist = NodePersist {
                 id: OperatorId::new(i as u32),
                 operator: spec.operator,
                 config: spec.config,
-                inbox: Inbox::new(std::mem::take(&mut inputs[i]), std::mem::take(&mut ctrls[i])),
+                inbox,
                 log,
                 checkpoints,
                 up_ctrl: std::mem::take(&mut up_ctrl[i]),
@@ -378,7 +378,7 @@ impl Graph {
                 join: Mutex::new(None),
                 rng_seed: 0xABCD_0000 + i as u64,
                 clock: clock.clone(),
-                health: Arc::new(NodeHealth::new()),
+                exits: signals.clone(),
                 obs: obs.clone(),
             };
             *persist.join.lock() = Some(Node::start(persist.seed(false)));
@@ -392,6 +392,8 @@ impl Graph {
             sources,
             sinks,
             stopping: Arc::new(AtomicBool::new(false)),
+            signals,
+            exits,
             obs,
         }
     }
@@ -414,6 +416,9 @@ pub struct Running {
     sources: Vec<SourceHandle>,
     sinks: Vec<SinkHandle>,
     stopping: Arc<AtomicBool>,
+    /// Every coordinator's exit report, and the supervisor's wake-up.
+    signals: Sender<Signal>,
+    exits: Receiver<Signal>,
     obs: Obs,
 }
 
@@ -641,13 +646,20 @@ impl Running {
         }
     }
 
-    /// Starts a supervisor that monitors every node's heartbeat and
-    /// auto-restarts crashed nodes (checkpoint restore + log replay +
-    /// input rewind) with capped exponential backoff. The returned
+    /// Starts a supervisor that waits for coordinator threads to exit and
+    /// restarts every one that crashed — a simulated crash or a panic —
+    /// from its checkpoint (restore + log replay + input rewind), after
+    /// [`Supervisor::BACKOFF`]'s capped exponential delay. The returned
     /// handle exposes the recovery timeline; dropping it stops monitoring
     /// (nodes keep running).
-    pub fn supervise(&self, config: SupervisorConfig) -> Supervisor {
-        Supervisor::spawn(self.nodes.clone(), self.stopping.clone(), config, self.obs.clone())
+    pub fn supervise(&self) -> Supervisor {
+        Supervisor::spawn(
+            self.nodes.clone(),
+            self.stopping.clone(),
+            self.signals.clone(),
+            self.exits.clone(),
+            self.obs.clone(),
+        )
     }
 
     /// Simulates a crash of `op`: the node thread stops and all volatile
@@ -659,10 +671,13 @@ impl Running {
     /// Panics on an unknown operator.
     pub fn crash(&self, op: OperatorId) {
         let node = &self.nodes[op.index() as usize];
+        // Held across the crash, so a supervised restart runs before it or
+        // after it, never half-way through.
+        let mut join = node.join.lock();
         // Commands are notices: a node stalled on backpressure still sees
         // the crash immediately.
         node.inbox.post(Notice::Command(NodeCommand::Crash));
-        if let Some(join) = node.join.lock().take() {
+        if let Some(join) = join.take() {
             let _ = join.join();
         }
         // Notices in flight die with the process.
@@ -682,14 +697,14 @@ impl Running {
     pub fn recover(&self, op: OperatorId) {
         let node = &self.nodes[op.index() as usize];
         assert!(node.join.lock().is_none(), "recover() on a running operator {op}");
-        node.restart();
+        node.restart(&self.stopping);
     }
 
     /// Stops all operators and waits for their threads.
     pub fn shutdown(self) {
-        // Supervisors observe this flag and stand down before the clean
-        // exits below could be mistaken for anything else.
-        self.stopping.store(true, Ordering::Release);
+        // No restart begins after this; the supervisor wakes and stops.
+        self.stopping.store(true, Ordering::SeqCst);
+        let _ = self.signals.send(Signal::Stop);
         for node in self.nodes.iter() {
             node.inbox.post(Notice::Command(NodeCommand::Shutdown));
         }

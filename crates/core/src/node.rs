@@ -69,7 +69,7 @@ use crate::message::{Control, Message};
 use crate::operator::{OpCtx, Operator, PortId, SetupCtx};
 use crate::plumbing::{DownEdge, EdgeCursor, Inbox, NodeCommand, Notice};
 use crate::state::{StateAccess, StateRegistry};
-use crate::supervisor::{NodeHealth, NodeState, HEARTBEAT_INTERVAL};
+use crate::supervisor::Signal;
 
 /// Maximum outputs a single `process` call may emit (output event ids pack
 /// the emit index into the low bits of the sequence number).
@@ -292,8 +292,8 @@ struct NodeMetrics {
     /// Events read from the input rings but not yet admitted.
     intake_depth: Gauge,
     /// STM runtime counters (`stm.*`, including `stm.fastpath.*`),
-    /// refreshed from [`StatsSnapshot::fields`] each tick. Empty on
-    /// non-speculative nodes. Same order as `fields()`.
+    /// refreshed from [`StatsSnapshot::fields`] before every park. Empty
+    /// on non-speculative nodes. Same order as `fields()`.
     stm_gauges: Vec<Gauge>,
 }
 
@@ -349,9 +349,9 @@ pub(crate) struct NodeSeed {
     pub rng_seed: u64,
     /// Shared observability bundle (metrics registry + journal).
     pub obs: Obs,
-    /// Crash-surviving health record: the loop beats it, the supervisor
-    /// watches it.
-    pub health: Arc<NodeHealth>,
+    /// Where the coordinator thread reports its exit (a graph's
+    /// supervisor listens there).
+    pub exits: Option<crossbeam_channel::Sender<Signal>>,
     /// True when this node restarts after a crash (triggers replay).
     pub recovering: bool,
 }
@@ -373,16 +373,12 @@ pub(crate) struct Node {
     stm: Option<StmRuntime>,
     pool: Option<Arc<ThreadPool>>,
     rng: Arc<Mutex<DetRng>>,
-    health: Arc<NodeHealth>,
     obs: Obs,
     metrics: NodeMetrics,
 
     /// Per-port receive cursors: the in-order delivery position, which a
     /// checkpoint records and recovery rewinds the ring to.
     cursors: Vec<EdgeCursor>,
-    /// Last time periodic maintenance ([`Node::tick`]) ran; checked in the
-    /// main loop so a busy node still beats and publishes gauges.
-    last_tick: Instant,
     /// Per-port queues of `(event, enqueued_at)` read but not admitted yet
     /// (replay-order merge, overload gate; the enqueue instant feeds the
     /// queue-wait histogram).
@@ -450,33 +446,37 @@ pub(crate) struct Node {
 
 impl Node {
     /// Builds a fresh node (initial start or post-crash restart) and runs
-    /// recovery if a checkpoint or log exists.
+    /// recovery if a checkpoint or log exists. The thread's last act is to
+    /// report its exit on the seed's channel.
     pub fn start(seed: NodeSeed) -> std::thread::JoinHandle<()> {
-        let health = seed.health.clone();
+        let exits = seed.exits.clone();
         let journal = seed.obs.journal.clone();
         std::thread::Builder::new()
             .name(format!("node-{}", seed.id))
             .spawn(move || {
-                let id = seed.id;
+                let op = seed.id;
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
                     let mut node = Node::build(seed);
                     node.recover();
-                    node.run();
+                    node.run()
                 }));
-                if let Err(panic) = result {
+                // A panicked coordinator is a crash the supervisor can
+                // recover from, not a hung process.
+                let crashed = result.unwrap_or_else(|panic| {
                     let msg = panic
                         .downcast_ref::<String>()
                         .map(String::as_str)
                         .or_else(|| panic.downcast_ref::<&str>().copied())
                         .unwrap_or("<non-string panic>");
                     journal.warn(
-                        Some(id.index()),
+                        Some(op.index()),
                         "coordinator-panic",
                         format!("coordinator panicked: {msg}"),
                     );
-                    // A panicked coordinator is a crash the supervisor can
-                    // recover from, not a hung process.
-                    health.set_state(NodeState::Crashed);
+                    true
+                });
+                if let Some(exits) = exits {
+                    let _ = exits.send(Signal::Exited { op, crashed });
                 }
             })
             .expect("spawn node thread")
@@ -552,11 +552,9 @@ impl Node {
             stm,
             pool,
             rng: Arc::new(Mutex::new(DetRng::seed_from(seed.rng_seed))),
-            health: seed.health,
             obs: seed.obs,
             metrics,
             cursors: (0..inputs).map(|_| EdgeCursor::starting_at(0)).collect(),
-            last_tick: Instant::now(),
             port_queues: (0..inputs).map(|_| VecDeque::new()).collect(),
             parked: HashMap::new(),
             recovered: HashMap::new(),
@@ -775,7 +773,8 @@ impl Node {
     // Main loop
     // -----------------------------------------------------------------
 
-    fn run(&mut self) {
+    /// Runs until a shutdown or a simulated crash; `true` for a crash.
+    fn run(&mut self) -> bool {
         while self.running {
             // Control first, and never gated: a node stalled on
             // backpressure or an admission cap still receives the acks,
@@ -785,14 +784,12 @@ impl Node {
                 break;
             }
             // The gate decides what may be read, and a stall can end
-            // without any message (the consumer draining a link frees its
-            // window silently): evaluate it on every pass, so queued work
-            // resumes within one heartbeat at the latest.
+            // without any message (the consumer reading on frees its
+            // window, which only signals the waker): evaluate it on every
+            // pass.
             self.drain_ready_events();
             worked |= self.read_inputs();
-            if worked {
-                self.health.beat();
-            } else {
+            if !worked {
                 // Adaptive flush: buffered outputs only hit the wire when
                 // nothing is readable (about to sleep) or a buffer reached
                 // the size threshold. Under low load that is after every
@@ -800,16 +797,12 @@ impl Node {
                 // message and latency is unchanged; under backlog the
                 // buffers fill toward `BATCH_MAX_EVENTS`-sized frames.
                 self.flush_out_batches();
+                // Gauges stay current while the node sleeps.
+                self.publish_gauges();
                 // The one place the coordinator sleeps — never inside a
-                // read: until something signals, a frame in flight falls
-                // due, or the heartbeat (an idle node still beats).
-                let heartbeat = self.last_tick + HEARTBEAT_INTERVAL;
-                let deadline = self.earliest_due().map_or(heartbeat, |due| due.min(heartbeat));
-                self.inbox.park_until(deadline);
-            }
-            // A node under steady load never sleeps out a heartbeat.
-            if self.last_tick.elapsed() >= HEARTBEAT_INTERVAL {
-                self.tick();
+                // read: until something signals or a frame in flight falls
+                // due.
+                self.inbox.park(self.earliest_due());
             }
         }
         if !self.crashed {
@@ -817,7 +810,7 @@ impl Node {
             // loses them with the rest of volatile state (recovery
             // re-derives them from replay).
             self.flush_out_batches();
-            self.tick();
+            self.publish_gauges();
         }
         self.operator.terminate();
         if let Some(pool) = self.pool.take() {
@@ -825,13 +818,10 @@ impl Node {
                 pool.shutdown();
             }
         }
-        self.health.set_state(if self.crashed { NodeState::Crashed } else { NodeState::CleanExit });
+        self.crashed
     }
 
-    /// Periodic idle work: heartbeat, gauges.
-    fn tick(&mut self) {
-        self.last_tick = Instant::now();
-        self.health.beat();
+    fn publish_gauges(&self) {
         for edge in &self.down {
             edge.data_tx.publish_gauges();
         }
@@ -1956,6 +1946,7 @@ mod tests {
             let (out_tx, out_rx) = link::<Message>(output_link);
             let (out_ctrl, out_ctrl_rx) = link::<Control>(LinkConfig::instant());
             let inbox = Inbox::new(vec![input_rx], vec![out_ctrl_rx]);
+            inbox.wake_on_room(&out_tx);
             let obs = Obs::tracing();
             let seed = NodeSeed {
                 id: OperatorId::new(0),
@@ -1969,7 +1960,7 @@ mod tests {
                 checkpoints: None,
                 rng_seed: 1,
                 obs: obs.clone(),
-                health: Arc::new(NodeHealth::new()),
+                exits: None,
                 recovering: false,
             };
             Rig { input, out_tx, out_rx, out_ctrl, inbox, obs, seed: Some(seed), node: None }
@@ -2017,6 +2008,9 @@ mod tests {
     }
 
     const PATIENCE: Duration = Duration::from_secs(10);
+    /// Long enough for a node that wrongly reads, admits or sends to have
+    /// done so.
+    const SETTLE: Duration = Duration::from_millis(30);
 
     fn source_event(n: u64) -> Event {
         Event::new(EventId::new(OperatorId::new(9), n), 0, Value::Int(n as i64))
@@ -2098,7 +2092,6 @@ mod tests {
         let seed = rig.seed.as_mut().expect("not started");
         seed.checkpoints = Some(Arc::new(store));
         seed.recovering = true;
-        let health = seed.health.clone();
         let rig = rig.start();
         let short = |e: &streammine_obs::JournalEvent| {
             matches!(e.kind, JournalKind::Warn { code: "rewind-short", .. }) && e.kind.pinned()
@@ -2109,9 +2102,8 @@ mod tests {
         assert_eq!(rewinds, 1);
         assert_eq!(rig.obs.registry.counter_value("replay.requests", Labels::op(0)), Some(1));
         if cfg!(debug_assertions) {
-            wait_until("the frontier assertion stops the node", || {
-                health.state() == NodeState::Crashed
-            });
+            let node = rig.node.as_ref().expect("started");
+            wait_until("the frontier assertion stops the node", || node.is_finished());
         }
     }
 
@@ -2130,7 +2122,7 @@ mod tests {
         wait_until("the output window is full", || rig.out_tx.is_saturated_with(0));
         rig.send(1, false);
         rig.send(2, false);
-        std::thread::sleep(HEARTBEAT_INTERVAL * 5);
+        std::thread::sleep(SETTLE);
         assert_eq!(
             rig.input.send(Message::Data(source_event(3))),
             Err(streammine_net::LinkError::Saturated),
@@ -2138,10 +2130,10 @@ mod tests {
         );
         std::thread::scope(|s| {
             let producer = s.spawn(|| rig.input.send_blocking(Message::Data(source_event(3))));
-            std::thread::sleep(HEARTBEAT_INTERVAL * 5);
+            std::thread::sleep(SETTLE);
             assert!(!producer.is_finished(), "sent into a full window");
-            // The downstream drains: the stall ends within a heartbeat,
-            // the node reads on, and the producer's send goes through.
+            // The downstream drains: the stall ends on the read, the node
+            // reads on, and the producer's send goes through.
             let drained: Vec<Value> = (0..4).map(Value::Int).collect();
             assert_eq!(rig.outputs(4), drained);
             assert_eq!(producer.join().unwrap(), Ok(3));
@@ -2169,7 +2161,7 @@ mod tests {
         // Event 0 stays open until finalized, so 1, 2 and 3 wait.
         rig.notify(Control::Finalize { id: kept, version: 0 });
         rig.notify(Control::Revoke { id: dropped });
-        std::thread::sleep(HEARTBEAT_INTERVAL * 3);
+        std::thread::sleep(SETTLE);
         assert_eq!(rig.out_rx.try_recv(), Ok(None), "admitted past the cap");
         rig.notify(Control::Finalize { id: open, version: 0 });
         assert_eq!(rig.outputs(2), vec![Value::Int(1), Value::Int(3)]);
@@ -2247,7 +2239,7 @@ mod tests {
         let finalize =
             |serial| Message::Control(Control::Finalize { id: output(serial), version: 0 });
         assert_eq!(finalizes, [finalize(1), finalize(2)]);
-        std::thread::sleep(HEARTBEAT_INTERVAL * 3);
+        std::thread::sleep(SETTLE);
         assert_eq!(rig.out_rx.try_recv(), Ok(None), "something the receiver holds was sent again");
         let counter = |name| rig.obs.registry.counter_value(name, Labels::op(0));
         assert_eq!(counter("resend.suppressed"), Some(2));

@@ -325,7 +325,7 @@ mod tests {
         let mut notices = std::collections::VecDeque::new();
         let deadline = Instant::now() + Duration::from_secs(5);
         while !tape.is_stable() && Instant::now() < deadline {
-            log.inbox.park_until(deadline);
+            log.inbox.park(Some(deadline));
         }
         assert!(tape.is_stable());
         log.inbox.take_notices(&mut notices);

@@ -19,7 +19,8 @@
 //!   and it is bounded anyway by bounded in-flight state (open
 //!   transactions, the hold queue, the control windows);
 //! * one **waker** all of them signal, the only place the coordinator
-//!   sleeps.
+//!   sleeps. The consumer of each output ring signals it too, on its
+//!   first read after the coordinator found that window full.
 //!
 //! The coordinator serves notices and control rings first, so a stalled
 //! node keeps applying acks — the deadlock-freedom core of the
@@ -148,11 +149,18 @@ impl Inbox {
         std::mem::swap(&mut *self.notices.lock(), into);
     }
 
-    /// Sleeps until a ring or the notice queue signals, or `deadline`;
-    /// `false` when the deadline came first. A signal since the last park
-    /// returns at once — poll everything, *then* park.
-    pub fn park_until(&self, deadline: Instant) -> bool {
-        self.waker.park_until(deadline)
+    /// Makes the consumer of the node's output ring `out` signal this
+    /// inbox when it reads on after the node found the window full: the
+    /// read is what ends a backpressure stall.
+    pub fn wake_on_room(&self, out: &LinkSender<Message>) {
+        out.set_waker(self.waker.clone());
+    }
+
+    /// Sleeps until a ring or the notice queue signals, or `deadline` if
+    /// there is one; `false` when the deadline came first. A signal since
+    /// the last park returns at once — poll everything, *then* park.
+    pub fn park(&self, deadline: Option<Instant>) -> bool {
+        self.waker.park(deadline)
     }
 
     /// Discards the queued notices (crash simulation: they die with the
@@ -368,7 +376,7 @@ mod tests {
                 }
                 if consumed == before {
                     let parked_at = Instant::now();
-                    let signalled = inbox.park_until(parked_at + PARK);
+                    let signalled = inbox.park(Some(parked_at + PARK));
                     assert!(
                         signalled,
                         "slept {:?} through a wake-up at {consumed}/{total}",

@@ -37,7 +37,9 @@
 //! a consumer of several rings — polls each with
 //! [`LinkReceiver::try_recv`] and parks on one [`Waker`] that every ring
 //! signals ([`LinkReceiver::set_waker`]) until something was sent or the
-//! earliest in-flight message ([`LinkReceiver::next_due`]) is due.
+//! earliest in-flight message ([`LinkReceiver::next_due`]) is due. A
+//! producer that stops on a full window parks on its own waker
+//! ([`LinkSender::set_waker`]), which the receiver's next read signals.
 //!
 //! # Example
 //!
@@ -271,9 +273,9 @@ impl Waker {
         }
     }
 
-    /// Sleeps until signalled or `deadline`, consuming the signal; `false`
-    /// when the deadline came first.
-    pub fn park_until(&self, deadline: Instant) -> bool {
+    /// Sleeps until signalled or `deadline` (with none, until signalled),
+    /// consuming the signal; `false` when the deadline came first.
+    pub fn park(&self, deadline: Option<Instant>) -> bool {
         let mut state = self.inner.state.lock();
         loop {
             if std::mem::take(&mut state.signalled) {
@@ -281,12 +283,17 @@ impl Waker {
                 return true;
             }
             let now = Instant::now();
-            if now >= deadline {
+            if deadline.is_some_and(|deadline| now >= deadline) {
                 state.parked = false;
                 return false;
             }
             state.parked = true;
-            let _ = self.inner.cv.wait_for(&mut state, deadline - now);
+            match deadline {
+                Some(deadline) => {
+                    let _ = self.inner.cv.wait_for(&mut state, deadline - now);
+                }
+                None => self.inner.cv.wait(&mut state),
+            }
         }
     }
 }
@@ -324,7 +331,8 @@ struct Ring<T> {
     /// The receiver is parked on the condvar (so an idle send skips the
     /// wake-up call).
     rx_waiting: bool,
-    /// A blocking send is parked until the cursor advances.
+    /// A producer waits for the cursor to advance: a blocking send, or
+    /// one that was told the window is full.
     tx_waiting: bool,
     tx_alive: bool,
     rx_alive: bool,
@@ -436,6 +444,8 @@ struct Shared<T> {
     writable: Condvar,
     /// The consumer's own waker, signalled with `readable`.
     waker: OnceLock<Waker>,
+    /// The producer's own waker, signalled with `writable`.
+    tx_waker: OnceLock<Waker>,
     config: LinkConfig,
 }
 
@@ -554,6 +564,7 @@ pub fn link<T: Clone + Send + 'static>(config: LinkConfig) -> (LinkSender<T>, Li
         readable: Condvar::new(),
         writable: Condvar::new(),
         waker: OnceLock::new(),
+        tx_waker: OnceLock::new(),
         config,
     });
     let token = Arc::new(SenderToken { shared: shared.clone() });
@@ -655,8 +666,26 @@ impl<T: Clone + Send + 'static> LinkSender<T> {
     /// stability, say — are counted. Admission gates use this so deferred
     /// publication cannot overshoot the window by everything admitted
     /// inside one stability wait.
+    ///
+    /// A `true` answer arms the producer's waker ([`LinkSender::set_waker`]):
+    /// the receiver's next read signals it.
     pub fn is_saturated_with(&self, inflight: usize) -> bool {
-        self.shared.ring.lock().unread() + inflight >= self.shared.config.capacity
+        let mut ring = self.shared.ring.lock();
+        let saturated = ring.unread() + inflight >= self.shared.config.capacity;
+        ring.tx_waiting |= saturated;
+        saturated
+    }
+
+    /// Makes the receiver's next read signal `waker` once
+    /// [`LinkSender::is_saturated_with`] has answered `true`, for a
+    /// producer that stops on a full window and sleeps on the waker. A read
+    /// costs nothing extra while the producer is not stopped.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the ring already has a producer waker.
+    pub fn set_waker(&self, waker: Waker) {
+        assert!(self.shared.tx_waker.set(waker).is_ok(), "the ring already has a producer waker");
     }
 
     /// Acknowledges everything with sequence `< upto` — the downstream
@@ -752,11 +781,14 @@ impl<T: Clone + Send + 'static> LinkSender<T> {
 
 impl<T: Clone + Send + 'static> LinkReceiver<T> {
     /// Reads the message at the cursor if it is readable, and lets a
-    /// blocked sender know the window moved.
+    /// waiting producer know the window moved.
     fn take(&self, ring: &mut Ring<T>) -> Head<T> {
         let head = ring.take();
         if matches!(head, Head::Ready(..)) && std::mem::take(&mut ring.tx_waiting) {
             self.shared.writable.notify_all();
+            if let Some(waker) = self.shared.tx_waker.get() {
+                waker.wake();
+            }
         }
         head
     }
@@ -1247,22 +1279,44 @@ mod tests {
         let (tx, rx) = link::<u8>(LinkConfig::instant());
         rx.set_waker(waker.clone());
         let soon = || Instant::now() + Duration::from_millis(5);
-        assert!(!waker.park_until(soon()), "nothing was sent");
+        assert!(!waker.park(Some(soon())), "nothing was sent");
         tx.send(1).unwrap();
-        assert!(waker.park_until(soon()), "a send is a signal");
-        assert!(!waker.park_until(soon()), "the signal is consumed");
+        assert!(waker.park(Some(soon())), "a send is a signal");
+        assert!(!waker.park(Some(soon())), "the signal is consumed");
         assert_eq!(rx.try_recv().unwrap(), Some((0, 1)));
         // Behind a sever nothing became readable; the heal is the signal.
         tx.sever();
         tx.send(2).unwrap();
-        assert!(!waker.park_until(soon()));
+        assert!(!waker.park(Some(soon())));
         tx.heal();
-        assert!(waker.park_until(soon()));
+        assert!(waker.park(Some(soon())));
         assert_eq!(rx.try_recv().unwrap(), Some((1, 2)));
         rx.rewind_to(0);
-        assert!(waker.park_until(soon()), "a rewind is a signal");
+        assert!(waker.park(Some(soon())), "a rewind is a signal");
         drop(tx);
-        assert!(waker.park_until(soon()), "the last sender leaving is a signal");
+        assert!(waker.park(Some(soon())), "the last sender leaving is a signal");
+    }
+
+    #[test]
+    fn a_read_wakes_only_a_producer_that_saw_the_window_full() {
+        let now = Instant::now;
+        let waker = Waker::new();
+        let (tx, rx) = link::<u8>(LinkConfig::instant().with_capacity(1));
+        tx.set_waker(waker.clone());
+        // Told the window is full, the producer stops; the next read
+        // signals it.
+        tx.send(1).unwrap();
+        assert!(tx.is_saturated_with(0));
+        assert!(!waker.park(Some(now())), "nothing was read");
+        assert_eq!(rx.try_recv().unwrap(), Some((0, 1)));
+        assert!(waker.park(Some(now())), "the read is a signal");
+        // A producer that never saw the window full is not woken by reads.
+        tx.send(2).unwrap();
+        assert_eq!(rx.try_recv().unwrap(), Some((1, 2)));
+        assert!(!tx.is_saturated_with(0));
+        tx.send(3).unwrap();
+        assert_eq!(rx.try_recv().unwrap(), Some((2, 3)));
+        assert!(!waker.park(Some(now())), "a read the producer did not wait for");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Top-k under chaos: a two-operator pipeline (stamped relay → count
 //! sketch) is driven through a *seeded random fault schedule* — node
-//! crashes recovered by the supervisor, link severs, delayed acks, disk
-//! faults and stalls — and its outputs are verified byte-identical to a
-//! failure-free run. The fault timeline is reproducible: re-run with the
+//! crashes, link severs, delayed acks, disk faults and stalls — and its
+//! outputs are verified byte-identical to a failure-free run. Each crashed
+//! node's thread exits, and the supervisor restarts it on that exit. The fault timeline is reproducible: re-run with the
 //! same seed and the exact same faults fire at the exact same steps.
 //!
 //! Run with: `cargo run --example chaos_topk` (optionally `SEED=n`)
@@ -12,9 +12,7 @@ use std::time::Duration;
 use streammine::chaos::{FaultPlan, FaultScheduler, Topology};
 use streammine::common::event::Value;
 use streammine::common::rng::DetRng;
-use streammine::core::{
-    GraphBuilder, LoggingConfig, OperatorConfig, Running, SinkId, SourceId, SupervisorConfig,
-};
+use streammine::core::{GraphBuilder, LoggingConfig, OperatorConfig, Running, SinkId, SourceId};
 use streammine::operators::{SketchOp, StampedRelay};
 
 const EVENTS: u64 = 120;
@@ -59,7 +57,9 @@ fn main() {
 
     // ---- Chaos run: same workload under a random fault schedule -------
     let (running, src, sink) = topk_graph();
-    let supervisor = running.supervise(SupervisorConfig::aggressive());
+    // A crashed coordinator thread reports its exit; the supervisor
+    // restarts it after a 4 ms backoff that doubles per rapid re-crash.
+    let supervisor = running.supervise();
     let topo = Topology::probe(&running);
     let plan = FaultPlan::random(seed, EVENTS, &topo);
     println!("fault {plan}");

@@ -5,15 +5,19 @@
 //! under supervised (automatic) recovery instead of scripted `recover()`
 //! calls.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use streammine::chaos::{FaultPlan, FaultScheduler, Topology};
 use streammine::common::event::{Event, Value};
 use streammine::common::ids::OperatorId;
 use streammine::core::{
-    GraphBuilder, LoggingConfig, OperatorConfig, Running, SinkId, SourceId, SupervisorConfig,
+    GraphBuilder, LoggingConfig, OpCtx, Operator, OperatorConfig, Running, SinkId, SourceId,
+    Supervisor,
 };
+use streammine::obs::JournalKind;
 use streammine::operators::RandomTagger;
+use streammine::stm::StmAbort;
 
 const FAST_LOG: Duration = Duration::from_micros(200);
 const SEEDS: u64 = 16;
@@ -21,7 +25,7 @@ const STEPS: u64 = 36;
 
 /// src → tagger → tagger → tagger → sink: three hops, all logged
 /// non-speculative with checkpoints (so chaos exercises checkpoint restore,
-/// log replay, and upstream replay at every depth).
+/// log replay, and input-ring rewind at every depth).
 fn pipeline() -> (Running, SourceId, SinkId) {
     let mut b = GraphBuilder::new();
     let cfg =
@@ -63,8 +67,7 @@ fn chaos_grid_preserves_precise_outputs() {
     let reference = failure_free_reference();
     for seed in 0..SEEDS {
         let (running, src, sink) = pipeline();
-        let config = SupervisorConfig::aggressive();
-        let supervisor = running.supervise(config.clone());
+        let supervisor = running.supervise();
         let topo = Topology::probe(&running);
         let plan = FaultPlan::random(seed, STEPS, &topo);
         // Reproducible fault timeline: same (seed, steps, topology) — same
@@ -105,11 +108,12 @@ fn chaos_grid_preserves_precise_outputs() {
             supervisor.restarts()
         );
         for ev in supervisor.events() {
-            assert_eq!(ev.backoff, config.backoff.delay(ev.attempt), "backoff off-schedule: {ev}");
+            let expected = Supervisor::BACKOFF.delay(ev.attempt);
+            assert_eq!(ev.backoff, expected, "backoff off-schedule: {ev}");
         }
         // The metrics registry's account of recovery must agree with the
         // supervisor's event trail: same restart counts per operator, and
-        // at least one upstream replay request per supervised restart.
+        // at least one input ring rewound per supervised restart.
         // (Stop monitoring first so both accounts are frozen.)
         supervisor.stop();
         streammine::chaos::verify_recovery_counters(
@@ -171,13 +175,12 @@ fn network_nemesis_grid_preserves_precise_outputs() {
     }
 }
 
-/// The supervisor notices a crash on its own (heartbeat + published crash
-/// state) and restarts the node — the test never calls `recover()`.
+/// The supervisor learns of a crash from the coordinator thread's exit
+/// and restarts the node — the test never calls `recover()`.
 #[test]
 fn supervisor_restarts_crashed_node_without_manual_recover() {
     let (running, src, sink) = pipeline();
-    let config = SupervisorConfig::aggressive();
-    let supervisor = running.supervise(config.clone());
+    let supervisor = running.supervise();
     let op1 = OperatorId::new(1);
 
     for i in 0..10 {
@@ -216,9 +219,75 @@ fn supervisor_restarts_crashed_node_without_manual_recover() {
     assert!(events.len() >= 2);
     assert_eq!(events[0].op, op1);
     assert_eq!(events[0].attempt, 1);
-    assert_eq!(events[0].backoff, config.backoff.delay(1));
+    assert_eq!(events[0].backoff, Supervisor::BACKOFF.delay(1));
     assert_eq!(events[1].attempt, 2, "rapid re-crash should escalate the attempt counter");
     assert!(events[1].backoff > events[0].backoff, "backoff should grow across rapid crashes");
+    running.shutdown();
+}
+
+/// A [`RandomTagger`] that panics the first time it sees input `at`: a
+/// bug in the operator, on the coordinator thread.
+struct PanicsOnce {
+    at: Option<i64>,
+}
+
+static PANICKED: AtomicBool = AtomicBool::new(false);
+
+impl Operator for PanicsOnce {
+    fn process(&self, ctx: &mut OpCtx<'_, '_>, event: &Event) -> Result<(), StmAbort> {
+        let input = event.payload.field(0).and_then(Value::as_i64);
+        if input.is_some() && input == self.at && !PANICKED.swap(true, Ordering::SeqCst) {
+            panic!("operator bug on input {input:?}");
+        }
+        RandomTagger.process(ctx, event)
+    }
+}
+
+/// A coordinator that panics is a crash like any other: its thread exits,
+/// the supervisor restarts it, and recovery replays the input it died on.
+#[test]
+fn supervisor_restarts_a_panicking_coordinator() {
+    let build = |at| {
+        let mut b = GraphBuilder::new();
+        let cfg =
+            || OperatorConfig::logged(LoggingConfig::simulated(FAST_LOG)).with_checkpoint_every(7);
+        let op0 = b.add_operator(RandomTagger, cfg());
+        let op1 = b.add_operator(PanicsOnce { at }, cfg());
+        let op2 = b.add_operator(RandomTagger, cfg());
+        b.connect(op0, op1).unwrap();
+        b.connect(op1, op2).unwrap();
+        let src = b.source_into(op0).unwrap();
+        let sink = b.sink_from(op2).unwrap();
+        (b.build().unwrap().start(), src, sink)
+    };
+    let run = |running: &Running, src, sink| {
+        for i in 0..STEPS {
+            running.source(src).push(Value::Int(i as i64));
+        }
+        assert!(
+            running.sink(sink).wait_final(STEPS as usize, Duration::from_secs(30)),
+            "stalled at {}/{STEPS}\n{}",
+            running.sink(sink).final_count(),
+            running.journal_dump()
+        );
+        payloads(&running.sink(sink).final_events_by_id())
+    };
+    let (reference, src, sink) = build(None);
+    let expected = run(&reference, src, sink);
+    reference.shutdown();
+
+    let (running, src, sink) = build(Some(11));
+    let supervisor = running.supervise();
+    assert_eq!(run(&running, src, sink), expected);
+    assert!(PANICKED.load(Ordering::SeqCst), "the operator never panicked");
+    supervisor.stop();
+    let journal = &running.obs().journal;
+    let panics = journal.count_matching(|e| {
+        matches!(e.kind, JournalKind::Warn { code: "coordinator-panic", .. }) && e.op == Some(1)
+    });
+    let restarts = journal.count_matching(|e| matches!(e.kind, JournalKind::Restart { .. }));
+    assert_eq!((panics, restarts), (1, 1), "{}", running.journal_dump());
+    assert_eq!(supervisor.events().len(), 1);
     running.shutdown();
 }
 
@@ -370,7 +439,7 @@ fn traced_chaos_grid_reproduces_trace_contexts_exactly() {
 
     for seed in 0..4 {
         let (running, src, sink) = traced_pipeline();
-        let supervisor = running.supervise(SupervisorConfig::aggressive());
+        let supervisor = running.supervise();
         let topo = Topology::probe(&running);
         let mut sched = FaultScheduler::new(FaultPlan::random(seed, STEPS, &topo));
         for step in 0..STEPS {

@@ -759,7 +759,7 @@ fn sigkill_with_speculation_open_recovers_byte_identical() {
             records.iter().all(|r| r.final_at_us.is_some() && r.event.is_final()),
             "victim {victim}: a sink record stayed speculative"
         );
-        // Every node republishes its gauges each heartbeat (10 ms); the
+        // Every node republishes its gauges on the way to every park; the
         // closing telemetry report carries what they read then.
         std::thread::sleep(Duration::from_millis(100));
         cluster.shutdown();
@@ -876,7 +876,8 @@ fn retention_is_bounded_by_the_checkpoint_interval() {
     // A worker saves its last checkpoint, and acks its upstream, once its
     // downstream acked the outputs the checkpoint counts: the acks travel
     // up the chain after the sink saw the last final, and the workers
-    // republish their gauges every heartbeat. A loaded host only delays it.
+    // republish their gauges on the way to every park. A loaded host only
+    // delays it.
     let deadline = Instant::now() + Duration::from_secs(10);
     let bounded = |frames: &[Option<i64>]| frames.iter().all(|f| f.is_some_and(|f| f <= BOUND));
     while !bounded(&retained(&cluster.cluster_snapshot())) && Instant::now() < deadline {

@@ -376,8 +376,8 @@ fn replayed_transaction_that_retries_keeps_its_logged_decisions() {
         after.iter().filter_map(|e| e.payload.field(1).and_then(Value::as_i64)).collect();
     counts.sort_unstable();
     assert_eq!(counts, (1..=50).collect::<Vec<_>>());
-    // The premise: the replay did conflict (the gauge is refreshed every
-    // heartbeat; it counts the new incarnation's retries alone).
+    // The premise: the replay did conflict (the gauge is refreshed on the
+    // way to every park; it counts the new incarnation's retries alone).
     std::thread::sleep(Duration::from_millis(100));
     let retries = running.metrics().gauge("stm.retries", streammine::obs::Labels::op(0));
     assert!(retries > Some(0), "no replayed transaction re-executed: nothing was tested");

@@ -4,7 +4,8 @@
 //! An operator is one thread that reads its own connections: a node costs
 //! its coordinator plus one writer per log device, a source its control
 //! responder, a sink its collector — and nothing per edge. A crashed and
-//! recovered node leaves no thread of its earlier incarnation behind.
+//! recovered node leaves no thread of its earlier incarnation behind, and
+//! an idle node sleeps until something happens: it has no tick.
 
 #![cfg(target_os = "linux")]
 
@@ -78,5 +79,38 @@ fn four_relay_chain_runs_on_ten_threads_across_a_crash() {
     }
     assert!(running.sink(sink).wait_final(200, Duration::from_secs(30)));
     assert_eq!(threads_since(&harness), expected, "a recovered node leaked a thread");
+
+    // Drained, the coordinators sleep: no tick wakes them.
+    std::thread::sleep(Duration::from_millis(50)); // the last acks and log callbacks
+    let before = node_switches();
+    assert_eq!(before.len(), 4, "one coordinator per operator: {before:?}");
+    std::thread::sleep(Duration::from_millis(300));
+    for ((name, was), (_, is)) in before.iter().zip(&node_switches()) {
+        assert!(is - was <= 2, "{name} woke {} times in 300 ms while idle", is - was);
+    }
     running.shutdown();
+}
+
+/// Voluntary context switches of every `node-op*` thread, by name.
+fn node_switches() -> Vec<(String, u64)> {
+    let mut switches: Vec<(String, u64)> = thread_ids()
+        .into_iter()
+        .filter_map(|tid| {
+            let comm = std::fs::read_to_string(format!("/proc/self/task/{tid}/comm")).ok()?;
+            let comm = comm.trim_end();
+            if !comm.starts_with("node-op") {
+                return None;
+            }
+            let status = std::fs::read_to_string(format!("/proc/self/task/{tid}/status")).ok()?;
+            let count = status
+                .lines()
+                .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))?
+                .trim()
+                .parse()
+                .ok()?;
+            Some((comm.to_string(), count))
+        })
+        .collect();
+    switches.sort();
+    switches
 }
