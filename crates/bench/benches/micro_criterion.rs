@@ -86,7 +86,7 @@ fn bench_logger(c: &mut Criterion) {
                         devices
                     ]);
                     let tickets: Vec<_> =
-                        (0..100u64).map(|i| log.append(i.to_le_bytes().to_vec())).collect();
+                        (0..100u64).map(|i| log.append(i.to_le_bytes())).collect();
                     for t in tickets {
                         t.wait();
                     }

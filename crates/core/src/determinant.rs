@@ -50,7 +50,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use streammine_common::codec::{encode_to_vec, Decode, DecodeError, Decoder, Encode, Encoder};
+use streammine_common::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 use streammine_obs::{Histogram, Tracer};
 use streammine_storage::log::StableLog;
 
@@ -166,6 +166,8 @@ pub(crate) struct DecisionLog {
     pub tracer: Arc<Tracer>,
     /// Owning operator index (the tracer's span key).
     pub op: u32,
+    /// Where a record is encoded before the log copies it in.
+    pub scratch: Mutex<Vec<u8>>,
 }
 
 impl DecisionLog {
@@ -183,7 +185,12 @@ impl DecisionLog {
         let log_wait = self.log_wait_us.clone();
         let tracer = traced.then(|| self.tracer.clone());
         let op = self.op;
-        self.log.append(encode_to_vec(&record)).subscribe(move || {
+        let ticket = {
+            let mut scratch = self.scratch.lock();
+            record.encode_into(&mut scratch);
+            self.log.append(&*scratch)
+        };
+        ticket.subscribe(move || {
             let waited = appended_at.elapsed();
             log_wait.record_duration(waited);
             if in_flight.fetch_sub(1, Ordering::AcqRel) == 1 {

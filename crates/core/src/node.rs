@@ -525,6 +525,7 @@ impl Node {
             log_wait_us: metrics.log_wait_us.clone(),
             tracer: seed.obs.tracer.clone(),
             op: seed.id.index(),
+            scratch: Mutex::default(),
         });
         let send_view = Arc::new(NodeSendView {
             id: seed.id,

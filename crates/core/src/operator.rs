@@ -275,6 +275,7 @@ mod tests {
             log_wait_us: obs.registry.histogram("stage.log_wait_us", Labels::op(0)),
             tracer: obs.tracer.clone(),
             op: 0,
+            scratch: Mutex::default(),
         }
     }
 

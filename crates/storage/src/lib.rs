@@ -14,7 +14,10 @@
 //!   batched per device (group commit), and acknowledged through
 //!   [`LogTicket`](log::LogTicket)s that support both blocking waits and
 //!   callbacks — the engine subscribes a callback that authorizes the
-//!   corresponding transaction's commit.
+//!   corresponding transaction's commit. What is stable is kept as one
+//!   byte image of CRC-framed records with a dense index by sequence
+//!   number, and a ticket is the log plus a sequence number, so a warm
+//!   append allocates nothing per record.
 //! * [`checkpoint`] — a checkpoint store with the standard
 //!   checkpoint/log-truncation contract.
 //!
@@ -26,7 +29,7 @@
 //! use streammine_storage::log::StableLog;
 //!
 //! let log = StableLog::new(vec![DiskSpec::simulated(Duration::from_millis(1)); 2]);
-//! let ticket = log.append(b"decision: 42".to_vec());
+//! let ticket = log.append(b"decision: 42");
 //! ticket.wait();
 //! assert!(ticket.is_stable());
 //! assert_eq!(log.stable_entries().len(), 1);

@@ -19,14 +19,29 @@
 //! ticket, and why a recovery read takes, per event, only the contiguous
 //! prefix of what it finds.
 //!
-//! A record exists once: the append frames it (CRC32), the writer moves
-//! the frame into the readable set after the device write, and reads
-//! validate it there. The first frame that fails its checksum truncates
-//! the log from that sequence number onward — a torn tail shortens the
-//! replayable suffix, it does not fail recovery.
+//! The readable set is one byte image: CRC32-framed records
+//! (`checksum || payload`) back to back, in the order their writes
+//! completed, with a dense slot index by sequence number saying where each
+//! record is (in flight, stable at a position, or gone). An append copies
+//! the payload into the pending queue's buffer; a writer swaps that buffer
+//! for its own, and after the device write frames each record straight
+//! into the image — no per-record allocation survives the append. Reads
+//! validate the frames there. The first frame that fails its checksum
+//! truncates the log from that sequence number onward — a torn tail
+//! shortens the replayable suffix, it does not fail recovery.
+//!
+//! The image is cut into fixed 64 KiB blocks that are never reallocated,
+//! so a growing log leaves no outgrown buffers behind in the allocator.
+//! Truncation below a checkpoint frees the blocks at the front once
+//! nothing readable is left in them: O(1) per block, and nothing is
+//! copied.
+//!
+//! A [`LogTicket`] is the log plus a sequence number: whether a record is
+//! stable, and the callbacks waiting for it, live in the log.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -86,144 +101,341 @@ impl fmt::Display for LogSeq {
 
 type Callback = Box<dyn FnOnce() + Send>;
 
-struct TicketState {
-    stable: bool,
-    /// Callbacks registered before stability, waiting to fire.
-    callbacks: Vec<Callback>,
-    /// True while `mark_stable` is still running queued callbacks; `wait`
-    /// only returns once they have all fired, so a waiter never observes a
-    /// stable record whose release actions are still in flight.
-    draining: bool,
-}
-
-struct TicketInner {
-    seq: LogSeq,
-    state: Mutex<TicketState>,
-    cv: Condvar,
-}
-
-/// Acknowledgment handle for one appended record.
+/// Acknowledgment handle for one appended record: the log and the
+/// record's sequence number.
 ///
 /// Supports blocking waits and callbacks; the engine subscribes a callback
 /// that releases the corresponding output events / authorizes the
 /// transaction commit, so no thread blocks per record.
 #[derive(Clone)]
 pub struct LogTicket {
-    inner: Arc<TicketInner>,
+    /// `None` for [`LogTicket::already_stable`].
+    log: Option<Arc<LogShared>>,
+    seq: LogSeq,
 }
 
 impl fmt::Debug for LogTicket {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LogTicket")
-            .field("seq", &self.inner.seq)
+            .field("seq", &self.seq)
             .field("stable", &self.is_stable())
             .finish()
     }
 }
 
 impl LogTicket {
-    fn new(seq: LogSeq) -> Self {
-        LogTicket {
-            inner: Arc::new(TicketInner {
-                seq,
-                state: Mutex::new(TicketState {
-                    stable: false,
-                    callbacks: Vec::new(),
-                    draining: false,
-                }),
-                cv: Condvar::new(),
-            }),
-        }
-    }
-
     /// An already-stable ticket (used when nothing needed logging).
     pub fn already_stable() -> Self {
-        let t = LogTicket::new(LogSeq(u64::MAX));
-        t.mark_stable();
-        t
+        LogTicket { log: None, seq: LogSeq(u64::MAX) }
     }
 
     /// The record's sequence number.
     pub fn seq(&self) -> LogSeq {
-        self.inner.seq
+        self.seq
     }
 
     /// Whether the record is stable on its device.
     pub fn is_stable(&self) -> bool {
-        self.inner.state.lock().stable
+        self.log.as_ref().is_none_or(|log| log.state.lock().is_stable(self.seq.0))
     }
 
     /// Blocks until the record is stable *and* every callback subscribed
     /// before stability has finished running.
     pub fn wait(&self) {
-        let mut guard = self.inner.state.lock();
-        while !guard.stable || guard.draining {
-            self.inner.cv.wait(&mut guard);
+        if let Some(log) = &self.log {
+            let mut state = log.state.lock();
+            while !state.is_settled(self.seq.0) {
+                log.stable_cv.wait(&mut state);
+            }
         }
     }
 
     /// Runs `f` when the record becomes stable (immediately if it already
     /// is). Callbacks run on the device writer thread — keep them short.
     pub fn subscribe<F: FnOnce() + Send + 'static>(&self, f: F) {
-        let mut guard = self.inner.state.lock();
-        if guard.stable && !guard.draining {
-            drop(guard);
-            f();
-        } else {
-            guard.callbacks.push(Box::new(f));
-        }
-    }
-
-    fn mark_stable(&self) {
-        let mut guard = self.inner.state.lock();
-        guard.stable = true;
-        guard.draining = true;
-        // Run callbacks unlocked; loop because one may subscribe another.
-        loop {
-            let callbacks = std::mem::take(&mut guard.callbacks);
-            if callbacks.is_empty() {
-                break;
+        if let Some(log) = &self.log {
+            let mut state = log.state.lock();
+            if !state.is_settled(self.seq.0) {
+                // A second subscriber chains behind the first: one box per
+                // subscription, and they run in subscription order.
+                let callback: Callback = match state.waiting.remove(&self.seq.0) {
+                    Some(first) => Box::new(move || {
+                        first();
+                        f();
+                    }),
+                    None => Box::new(f),
+                };
+                state.waiting.insert(self.seq.0, callback);
+                return;
             }
-            drop(guard);
-            for cb in callbacks {
-                cb();
-            }
-            guard = self.inner.state.lock();
         }
-        guard.draining = false;
-        drop(guard);
-        self.inner.cv.notify_all();
+        f();
     }
 }
 
-struct Pending {
-    seq: u64,
-    /// The CRC-framed record; moved into the readable set once written.
-    record: Vec<u8>,
-    ticket: LogTicket,
+/// Where the record at one sequence number is: a readable frame (at least
+/// four bytes) at image position `pos`, or one of the two states below.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    pos: u32,
+    len: u32,
+}
+
+impl Slot {
+    /// Appended, its write not finished.
+    const IN_FLIGHT: Slot = Slot { pos: 0, len: 0 };
+    /// Written, not readable: truncated, dropped as corrupt, or below the
+    /// truncation watermark when its write finished.
+    const GONE: Slot = Slot { pos: 0, len: 1 };
+
+    /// The frame's position and length, if the record is readable.
+    fn frame(self) -> Option<(u32, u32)> {
+        (self.len >= 4).then_some((self.pos, self.len))
+    }
+}
+
+/// Bytes per image block. A block is allocated whole and never grows: a
+/// growing `Vec` leaves each buffer it outgrew behind in the allocator,
+/// which here cost about as much again as the records themselves.
+const BLOCK: usize = 64 * 1024;
+
+struct Block {
+    bytes: Vec<u8>,
+    /// Bytes of readable frames in this block.
+    live: usize,
+}
+
+/// The readable set's bytes: CRC-framed records (`checksum || payload`)
+/// back to back, in the order their writes completed — one byte stream
+/// cut into blocks, which a frame may straddle. A position is a `u32`
+/// modulo 2³²: only its distance from `origin` is used, and what is live
+/// spans less than 4 GiB.
+#[derive(Default)]
+struct Image {
+    blocks: VecDeque<Block>,
+    /// Stream position of the first byte of `blocks[0]`.
+    origin: u32,
+}
+
+/// The pieces of `len` bytes starting `at` bytes into the image: block
+/// index and byte range in that block.
+fn pieces(at: usize, len: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
+    let (mut block, mut off, mut left) = (at / BLOCK, at % BLOCK, len);
+    std::iter::from_fn(move || {
+        (left > 0).then(|| {
+            let n = left.min(BLOCK - off);
+            let piece = (block, off..off + n);
+            (block, off, left) = (block + 1, 0, left - n);
+            piece
+        })
+    })
+}
+
+impl Image {
+    fn offset(&self, pos: u32) -> usize {
+        pos.wrapping_sub(self.origin) as usize
+    }
+
+    /// Appends the frame made of `parts` and returns its position.
+    fn push(&mut self, parts: [&[u8]; 2]) -> u32 {
+        let end =
+            self.blocks.back().map_or(0, |last| (self.blocks.len() - 1) * BLOCK + last.bytes.len());
+        for mut bytes in parts {
+            while !bytes.is_empty() {
+                if self.blocks.back().is_none_or(|last| last.bytes.len() == BLOCK) {
+                    self.blocks.push_back(Block { bytes: Vec::with_capacity(BLOCK), live: 0 });
+                }
+                let last = self.blocks.back_mut().expect("a block with room");
+                let n = bytes.len().min(BLOCK - last.bytes.len());
+                last.bytes.extend_from_slice(&bytes[..n]);
+                last.live += n;
+                bytes = &bytes[n..];
+            }
+        }
+        self.origin.wrapping_add(end as u32)
+    }
+
+    /// The frame at `pos`: borrowed from its block, or gathered into
+    /// `scratch` when it straddles blocks.
+    fn frame<'a>(&'a self, pos: u32, len: u32, scratch: &'a mut Vec<u8>) -> &'a [u8] {
+        let (at, len) = (self.offset(pos), len as usize);
+        if at % BLOCK + len <= BLOCK {
+            return &self.blocks[at / BLOCK].bytes[at % BLOCK..][..len];
+        }
+        scratch.clear();
+        for (block, range) in pieces(at, len) {
+            scratch.extend_from_slice(&self.blocks[block].bytes[range]);
+        }
+        scratch
+    }
+
+    fn byte_mut(&mut self, pos: u32) -> &mut u8 {
+        let at = self.offset(pos);
+        &mut self.blocks[at / BLOCK].bytes[at % BLOCK]
+    }
+
+    /// The frame at `pos` is no longer readable; blocks at the front left
+    /// with nothing readable are freed.
+    fn release(&mut self, pos: u32, len: u32) {
+        for (block, range) in pieces(self.offset(pos), len as usize) {
+            self.blocks[block].live -= range.len();
+        }
+        while self.blocks.front().is_some_and(|first| first.live == 0) {
+            self.blocks.pop_front();
+            self.origin = self.origin.wrapping_add(BLOCK as u32);
+        }
+    }
+}
+
+/// Records appended and not yet taken by a writer: the payloads back to
+/// back, in sequence order from `first`.
+#[derive(Default)]
+struct Queued {
+    first: u64,
+    bytes: Vec<u8>,
+    lens: Vec<u32>,
+}
+
+impl Queued {
+    /// Moves up to [`MAX_BATCH`] records into `batch` (emptied first). The
+    /// whole queue moves by swapping buffers, so neither side allocates
+    /// once both have grown to the traffic.
+    fn take_into(&mut self, batch: &mut Queued) {
+        batch.bytes.clear();
+        batch.lens.clear();
+        batch.first = self.first;
+        if self.lens.len() <= MAX_BATCH {
+            std::mem::swap(&mut self.bytes, &mut batch.bytes);
+            std::mem::swap(&mut self.lens, &mut batch.lens);
+        } else {
+            let bytes: usize = self.lens[..MAX_BATCH].iter().map(|&len| len as usize).sum();
+            batch.bytes.extend(self.bytes.drain(..bytes));
+            batch.lens.extend(self.lens.drain(..MAX_BATCH));
+        }
+        self.first += batch.lens.len() as u64;
+    }
+}
+
+/// The readable set and the acknowledgment state, under one lock.
+#[derive(Default)]
+struct LogState {
+    /// The one copy of a record after its write — the device models the
+    /// write's latency and faults, it does not keep the bytes.
+    image: Image,
+    /// `slots[i]` is record `base + i`. Every record below `base` was
+    /// written and is gone; past the end, records are in flight.
+    base: u64,
+    slots: VecDeque<Slot>,
+    /// Records below this sequence are pruned, including ones that become
+    /// stable after the truncation request (checkpoint covers them).
+    watermark: u64,
+    /// Callbacks subscribed before their record was stable, by sequence.
+    waiting: HashMap<u64, Callback>,
+    /// Written batches whose callbacks are still running on their writer.
+    draining: Vec<Range<u64>>,
+}
+
+impl LogState {
+    fn slot(&self, seq: u64) -> Slot {
+        match seq.checked_sub(self.base) {
+            None => Slot::GONE,
+            Some(i) => self.slots.get(i as usize).copied().unwrap_or(Slot::IN_FLIGHT),
+        }
+    }
+
+    fn is_stable(&self, seq: u64) -> bool {
+        self.slot(seq) != Slot::IN_FLIGHT
+    }
+
+    /// Stable, and no callback subscribed before that is still running.
+    fn is_settled(&self, seq: u64) -> bool {
+        self.is_stable(seq) && !self.draining.iter().any(|batch| batch.contains(&seq))
+    }
+
+    /// The write of record `seq` finished: frame it into the image, unless
+    /// a truncation already covers it.
+    fn write(&mut self, seq: u64, payload: &[u8]) {
+        let i = (seq - self.base) as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, Slot::IN_FLIGHT);
+        }
+        self.slots[i] = if seq >= self.watermark {
+            let checksum = crc32::checksum(payload).to_le_bytes();
+            Slot { pos: self.image.push([&checksum, payload]), len: payload.len() as u32 + 4 }
+        } else {
+            Slot::GONE
+        };
+        self.pop_gone();
+    }
+
+    /// Makes the readable records in `seqs` gone and returns how many
+    /// there were.
+    fn drop_readable(&mut self, seqs: Range<u64>) -> u64 {
+        let index = |seq: u64| (seq.saturating_sub(self.base) as usize).min(self.slots.len());
+        let (lo, hi) = (index(seqs.start), index(seqs.end));
+        let mut dropped = 0;
+        for slot in self.slots.range_mut(lo..hi) {
+            if let Some((pos, len)) = slot.frame() {
+                self.image.release(pos, len);
+                *slot = Slot::GONE;
+                dropped += 1;
+            }
+        }
+        self.pop_gone();
+        dropped
+    }
+
+    fn pop_gone(&mut self) {
+        while self.slots.front() == Some(&Slot::GONE) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+    }
+
+    /// Moves the callbacks waiting for records in `seqs` into `out`.
+    fn take_callbacks(&mut self, seqs: Range<u64>, out: &mut Vec<Callback>) {
+        if self.waiting.is_empty() {
+            return;
+        }
+        out.extend(seqs.filter_map(|seq| self.waiting.remove(&seq)));
+    }
 }
 
 struct LogShared {
-    queue: Mutex<VecDeque<Pending>>,
+    queue: Mutex<Queued>,
     queue_cv: Condvar,
-    /// The readable set: every written record not yet truncated, framed.
-    /// The one copy of a record after its write — the device models the
-    /// write's latency and faults, it does not keep the bytes.
-    stable: Mutex<BTreeMap<u64, Vec<u8>>>,
-    /// Signalled, under `stable`'s lock, after `stable_count` moved.
+    state: Mutex<LogState>,
+    /// Signalled, under `state`'s lock, after `stable_count` moved and
+    /// after a batch's callbacks finished.
     stable_cv: Condvar,
     stopping: AtomicBool,
     appended: AtomicU64,
     stable_count: AtomicU64,
-    /// Records below this sequence are pruned, including ones that become
-    /// stable after the truncation request (checkpoint covers them).
-    truncate_watermark: AtomicU64,
     /// Records dropped by torn-tail truncation during validated reads.
     corrupt_dropped: AtomicU64,
     /// Device write attempts retried after a transient disk fault.
     write_retries: AtomicU64,
     /// Observability hooks, once the engine attached them.
     obs: OnceLock<LogObs>,
+}
+
+impl LogShared {
+    /// Runs the callbacks of the written batch `seqs`, unlocked; loops
+    /// because one may subscribe another, then lets waiters through.
+    fn run_callbacks(&self, seqs: Range<u64>, callbacks: &mut Vec<Callback>) {
+        loop {
+            for callback in callbacks.drain(..) {
+                callback();
+            }
+            let mut state = self.state.lock();
+            state.take_callbacks(seqs.clone(), callbacks);
+            if callbacks.is_empty() {
+                state.draining.retain(|batch| *batch != seqs);
+                break;
+            }
+        }
+        self.stable_cv.notify_all();
+    }
 }
 
 /// The stable decision log: N parallel storage points with group commit.
@@ -233,7 +445,6 @@ struct LogShared {
 pub struct StableLog {
     shared: Arc<LogShared>,
     devices: Vec<Arc<StorageDevice>>,
-    next_seq: Arc<AtomicU64>,
     writers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -242,7 +453,6 @@ impl Clone for StableLog {
         StableLog {
             shared: self.shared.clone(),
             devices: self.devices.clone(),
-            next_seq: self.next_seq.clone(),
             writers: self.writers.clone(),
         }
     }
@@ -277,14 +487,13 @@ impl StableLog {
             .map(|(i, s)| Arc::new(StorageDevice::new(s, 0x5EED_0000 + i as u64)))
             .collect();
         let shared = Arc::new(LogShared {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queued::default()),
             queue_cv: Condvar::new(),
-            stable: Mutex::new(BTreeMap::new()),
+            state: Mutex::new(LogState::default()),
             stable_cv: Condvar::new(),
             stopping: AtomicBool::new(false),
             appended: AtomicU64::new(0),
             stable_count: AtomicU64::new(0),
-            truncate_watermark: AtomicU64::new(0),
             corrupt_dropped: AtomicU64::new(0),
             write_retries: AtomicU64::new(0),
             obs: OnceLock::new(),
@@ -301,35 +510,33 @@ impl StableLog {
                     .expect("spawn log writer")
             })
             .collect();
-        StableLog {
-            shared,
-            devices,
-            next_seq: Arc::new(AtomicU64::new(0)),
-            writers: Arc::new(Mutex::new(writers)),
-        }
+        StableLog { shared, devices, writers: Arc::new(Mutex::new(writers)) }
     }
 
-    fn writer_loop(shared: &Arc<LogShared>, dev: &Arc<StorageDevice>) {
+    fn writer_loop(shared: &LogShared, dev: &StorageDevice) {
+        let mut batch = Queued::default();
+        let mut callbacks: Vec<Callback> = Vec::new();
         loop {
-            let mut batch: Vec<Pending> = {
-                let mut q = shared.queue.lock();
-                while q.is_empty() {
+            {
+                let mut queue = shared.queue.lock();
+                while queue.lens.is_empty() {
                     if shared.stopping.load(Ordering::Acquire) {
                         return;
                     }
-                    shared.queue_cv.wait(&mut q);
+                    shared.queue_cv.wait(&mut queue);
                 }
-                let take = q.len().min(MAX_BATCH);
-                q.drain(..take).collect()
-            };
+                queue.take_into(&mut batch);
+            }
+            let records = batch.lens.len();
+            let seqs = batch.first..batch.first + records as u64;
             // Transient disk faults (injected or real) fail the whole
             // batch; retry with a small exponential backoff until the
             // write sticks — the record is not acknowledged before then.
-            let bytes: usize = batch.iter().map(|p| p.record.len()).sum();
+            let framed_bytes = batch.bytes.len() + 4 * records;
             let write_start = std::time::Instant::now();
             let mut retries = 0u64;
             let mut delay = Duration::from_micros(100);
-            while dev.write(bytes).is_err() {
+            while dev.write(framed_bytes).is_err() {
                 retries += 1;
                 shared.write_retries.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(delay);
@@ -337,39 +544,49 @@ impl StableLog {
             }
             if let Some(obs) = shared.obs.get() {
                 obs.write_us.record_duration(write_start.elapsed());
-                obs.batch_groups.record(batch.len() as u64);
+                obs.batch_groups.record(records as u64);
                 obs.write_retries.add(retries);
             }
             {
-                // The watermark is read after the write: a truncation
-                // issued during it still applies to these records.
-                let watermark = shared.truncate_watermark.load(Ordering::Acquire);
-                let mut stable = shared.stable.lock();
-                for p in &mut batch {
-                    if p.seq >= watermark {
-                        stable.insert(p.seq, std::mem::take(&mut p.record));
-                    }
+                // The watermark is read under the lock, after the write: a
+                // truncation issued during it still applies to these
+                // records.
+                let mut state = shared.state.lock();
+                let mut at = 0;
+                for (seq, &len) in seqs.clone().zip(&batch.lens) {
+                    let end = at + len as usize;
+                    state.write(seq, &batch.bytes[at..end]);
+                    at = end;
                 }
-                shared.stable_count.fetch_add(batch.len() as u64, Ordering::Relaxed);
+                shared.stable_count.fetch_add(records as u64, Ordering::Relaxed);
+                state.take_callbacks(seqs.clone(), &mut callbacks);
+                if !callbacks.is_empty() {
+                    state.draining.push(seqs.clone());
+                }
             }
             shared.stable_cv.notify_all();
-            for p in batch {
-                p.ticket.mark_stable();
+            if !callbacks.is_empty() {
+                shared.run_callbacks(seqs, &mut callbacks);
             }
         }
     }
 
     /// Appends one record asynchronously; the returned ticket resolves when
-    /// the record is stable. The record is framed with a CRC32 checksum so
+    /// the record is stable. The log frames it with a CRC32 checksum so
     /// recovery reads can detect a torn or corrupted tail.
-    pub fn append(&self, record: Vec<u8>) -> LogTicket {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let ticket = LogTicket::new(LogSeq(seq));
-        self.shared.appended.fetch_add(1, Ordering::Relaxed);
-        let record = crc32::frame(record);
-        self.shared.queue.lock().push_back(Pending { seq, record, ticket: ticket.clone() });
+    pub fn append(&self, record: impl AsRef<[u8]>) -> LogTicket {
+        let record = record.as_ref();
+        let len = u32::try_from(record.len() + 4).expect("a log record is under 4 GiB") - 4;
+        let seq = {
+            let mut queue = self.shared.queue.lock();
+            let seq = queue.first + queue.lens.len() as u64;
+            queue.bytes.extend_from_slice(record);
+            queue.lens.push(len);
+            self.shared.appended.fetch_add(1, Ordering::Relaxed);
+            seq
+        };
         self.shared.queue_cv.notify_one();
-        ticket
+        LogTicket { log: Some(self.shared.clone()), seq: LogSeq(seq) }
     }
 
     /// Every stable record with its sequence number, in sequence order,
@@ -377,20 +594,23 @@ impl StableLog {
     /// there onward — a torn tail must not panic recovery, only shorten
     /// the replayable suffix (upstream replay re-derives the rest).
     pub fn stable_entries(&self) -> Vec<(LogSeq, Vec<u8>)> {
-        let mut stable = self.shared.stable.lock();
-        let mut out = Vec::with_capacity(stable.len());
-        let mut bad_from: Option<u64> = None;
-        for (&seq, framed) in stable.iter() {
-            match crc32::unframe(framed) {
-                Some(payload) => out.push((LogSeq(seq), payload.to_vec())),
-                None => {
-                    bad_from = Some(seq);
-                    break;
+        let mut state = self.shared.state.lock();
+        let mut out = Vec::with_capacity(state.slots.len());
+        let mut torn: Option<u64> = None;
+        let mut scratch = Vec::new();
+        for (seq, slot) in (state.base..).zip(&state.slots) {
+            if let Some((pos, len)) = slot.frame() {
+                match crc32::unframe(state.image.frame(pos, len, &mut scratch)) {
+                    Some(payload) => out.push((LogSeq(seq), payload.to_vec())),
+                    None => {
+                        torn = Some(seq);
+                        break;
+                    }
                 }
             }
         }
-        if let Some(from) = bad_from {
-            let dropped = stable.split_off(&from).len() as u64;
+        if let Some(from) = torn {
+            let dropped = state.drop_readable(from..u64::MAX);
             self.shared.corrupt_dropped.fetch_add(dropped, Ordering::Relaxed);
             if let Some(obs) = self.shared.obs.get() {
                 obs.corrupt_dropped.add(dropped);
@@ -424,22 +644,36 @@ impl StableLog {
     /// Flips one bit in the last stable record, simulating a torn tail
     /// (fault injection). Returns `false` when the log is empty.
     pub fn corrupt_tail(&self) -> bool {
-        let mut stable = self.shared.stable.lock();
-        match stable.values_mut().next_back().and_then(|record| record.last_mut()) {
-            Some(byte) => {
-                *byte ^= 0x40;
+        let mut state = self.shared.state.lock();
+        match state.slots.iter().rev().find_map(|slot| slot.frame()) {
+            Some((pos, len)) => {
+                *state.image.byte_mut(pos.wrapping_add(len - 1)) ^= 0x40;
                 true
             }
             None => false,
         }
     }
 
+    /// Flips bit `bit` (counted from the first byte of the frame, modulo
+    /// its length) of record `seq` as stored (fault injection). Returns
+    /// `false` when the record is not readable.
+    pub fn corrupt_bit(&self, seq: LogSeq, bit: usize) -> bool {
+        let mut state = self.shared.state.lock();
+        let Some((pos, len)) = state.slot(seq.0).frame() else {
+            return false;
+        };
+        let bit = bit % (len as usize * 8);
+        *state.image.byte_mut(pos.wrapping_add((bit / 8) as u32)) ^= 1 << (bit % 8);
+        true
+    }
+
     /// Prunes records with sequence `< upto` (after a checkpoint). Also
     /// applies to records still in flight: they are dropped from the
     /// readable set when their write completes.
     pub fn truncate_below(&self, upto: LogSeq) {
-        self.shared.truncate_watermark.fetch_max(upto.0, Ordering::AcqRel);
-        self.shared.stable.lock().retain(|&s, _| s >= upto.0);
+        let mut state = self.shared.state.lock();
+        state.watermark = state.watermark.max(upto.0);
+        state.drop_readable(0..upto.0);
     }
 
     /// Records appended so far (stable or not).
@@ -455,9 +689,9 @@ impl StableLog {
     /// Blocks until everything appended so far is stable.
     pub fn flush(&self) {
         let target = self.appended();
-        let mut stable = self.shared.stable.lock();
+        let mut state = self.shared.state.lock();
         while self.shared.stable_count.load(Ordering::Relaxed) < target {
-            self.shared.stable_cv.wait(&mut stable);
+            self.shared.stable_cv.wait(&mut state);
         }
     }
 
@@ -504,7 +738,7 @@ mod tests {
     #[test]
     fn append_becomes_stable_and_readable() {
         let log = fast_log(1);
-        let t = log.append(b"hello".to_vec());
+        let t = log.append(b"hello");
         t.wait();
         assert!(t.is_stable());
         assert_eq!(records(&log), vec![b"hello".to_vec()]);
@@ -543,7 +777,7 @@ mod tests {
     fn subscribe_fires_on_stability() {
         let log = fast_log(1);
         let hits = Arc::new(AtomicU32::new(0));
-        let t = log.append(b"x".to_vec());
+        let t = log.append(b"x");
         let h = hits.clone();
         t.subscribe(move || {
             h.fetch_add(1, Ordering::SeqCst);
@@ -599,6 +833,78 @@ mod tests {
     }
 
     #[test]
+    fn frames_straddle_blocks_and_truncation_frees_dead_ones() {
+        // 4 100-byte frames: the 16th straddles the first block boundary.
+        let log = fast_log(1);
+        let record = |i: u8| vec![i; 4_096];
+        for i in 0..40u8 {
+            log.append(record(i)).wait();
+        }
+        assert_eq!(records(&log), (0..40u8).map(record).collect::<Vec<_>>());
+        assert_eq!(log.shared.state.lock().image.blocks.len(), 3);
+        log.truncate_below(LogSeq(20));
+        {
+            let state = log.shared.state.lock();
+            assert_eq!((state.base, state.slots.len()), (20, 20), "the gone front is popped");
+            assert_eq!(state.image.blocks.len(), 2, "the first block held only dead frames");
+        }
+        assert_eq!(records(&log), (20..40u8).map(record).collect::<Vec<_>>());
+        assert!(log.corrupt_bit(LogSeq(31), 4_100 * 8 - 1), "a bit in the straddling frame");
+        assert_eq!(records(&log), (20..31u8).map(record).collect::<Vec<_>>());
+        log.truncate_below(LogSeq(40));
+        let state = log.shared.state.lock();
+        assert!(state.image.blocks.is_empty() && state.slots.is_empty());
+    }
+
+    #[test]
+    fn truncation_also_drops_records_still_in_flight() {
+        let log = StableLog::new(vec![DiskSpec::simulated(Duration::from_millis(20))]);
+        let tickets: Vec<_> = (0..4u8).map(|i| log.append([i])).collect();
+        log.truncate_below(LogSeq(3));
+        for t in &tickets {
+            t.wait();
+            assert!(t.is_stable());
+        }
+        assert_eq!(records(&log), vec![vec![3u8]]);
+        assert_eq!(log.stable_len(), 4);
+    }
+
+    #[test]
+    fn wait_covers_a_callback_subscribed_by_a_callback() {
+        let log = StableLog::new(vec![DiskSpec::simulated(Duration::from_millis(5))]);
+        let hits = Arc::new(AtomicU32::new(0));
+        let t = log.append(b"x");
+        let (again, h) = (t.clone(), hits.clone());
+        t.subscribe(move || {
+            let h2 = h.clone();
+            again.subscribe(move || {
+                std::thread::sleep(Duration::from_millis(5));
+                h2.fetch_add(1, Ordering::SeqCst);
+            });
+            h.fetch_add(1, Ordering::SeqCst);
+        });
+        t.wait();
+        assert_eq!(hits.load(Ordering::SeqCst), 2, "wait returned before a callback ran");
+    }
+
+    #[test]
+    fn a_backlog_past_the_batch_cap_is_written_in_order() {
+        let log = fast_log(1);
+        log.devices()[0].stall_for(Duration::from_millis(50));
+        let n = MAX_BATCH + 100;
+        for i in 0..n as u32 {
+            log.append(i.to_le_bytes());
+        }
+        log.flush();
+        assert!(log.devices()[0].write_count() >= 2, "one batch holds at most MAX_BATCH");
+        let entries = log.stable_entries();
+        assert_eq!(entries.len(), n);
+        for (i, (seq, record)) in entries.iter().enumerate() {
+            assert_eq!((seq.0, record.as_slice()), (i as u64, &(i as u32).to_le_bytes()[..]));
+        }
+    }
+
+    #[test]
     fn flush_waits_for_all_appends() {
         let log = fast_log(2);
         for i in 0..20u8 {
@@ -643,14 +949,10 @@ mod tests {
     fn corrupt_record_truncates_everything_after_it() {
         let log = fast_log(1);
         for r in [b"a", b"b", b"c"] {
-            log.append(r.to_vec()).wait();
+            log.append(r).wait();
         }
         // Corrupt the *middle* record: the tail after it must go too.
-        {
-            let mut stable = log.shared.stable.lock();
-            let middle = stable.values_mut().nth(1).unwrap();
-            *middle.last_mut().unwrap() ^= 0x01;
-        }
+        assert!(log.corrupt_bit(LogSeq(1), 5 * 8 - 1));
         assert_eq!(records(&log), vec![b"a".to_vec()]);
         assert_eq!(log.corrupt_dropped(), 2);
     }
