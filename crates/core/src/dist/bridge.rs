@@ -58,7 +58,6 @@ use streammine_obs::TransportMetrics;
 
 use crate::dist::wire::DistFrame;
 use crate::message::{Control, Message};
-use crate::plumbing::EdgeCursor;
 
 /// Reconnect backoff of an out-bridge: 10 ms doubling to 400 ms.
 const RECONNECT: BackoffConfig = BackoffConfig::millis(10, 400);
@@ -92,15 +91,61 @@ impl DialSlot {
     }
 }
 
-/// Where a receiver's edge cursor stood when it welcomed a connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Welcomed {
-    /// The next link sequence the receiver expects.
-    pub next_seq: u64,
-    /// Data events it has consumed on the edge.
-    pub events: u64,
-    /// How many of them it knows to be final.
-    pub finals: u64,
+/// The receive cursor of one edge: the next link sequence it accepts and
+/// the cumulative counts of data events accepted and of events known final.
+///
+/// A link hands its receiver consecutive sequences, and after every rewind
+/// (crash replay, reconnect) consecutive sequences again from the rewind
+/// point — so the cursor only has to ask "is this the sequence I expect?"
+/// and drop everything else: a lower sequence is a duplicate from an
+/// overlapping replay or a zombie sender; a higher one belongs to a
+/// connection whose reconnect rewind delivers it again, in order.
+///
+/// A sender's handshake is told where the cursor stands (`Welcome`); the
+/// default cursor is a fresh edge's.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct EdgeCursor {
+    next: u64,
+    events: u64,
+    finals: u64,
+}
+
+impl EdgeCursor {
+    /// A cursor resuming at a checkpoint's frontier: link sequence `seq`
+    /// next (everything below was acknowledged away upstream and is
+    /// unreplayable), `events` data events consumed before it — all of
+    /// them final, or the checkpoint would not have been taken.
+    pub fn resuming(seq: u64, events: u64) -> EdgeCursor {
+        EdgeCursor { next: seq, events, finals: events }
+    }
+
+    /// The next expected link sequence.
+    pub fn next_seq(&self) -> u64 {
+        self.next
+    }
+
+    /// Data events accepted so far.
+    pub fn events(&self) -> u64 {
+        self.events
+    }
+
+    /// Events known final so far: data that arrived final plus `Finalize`
+    /// notices (one per event that arrived speculative).
+    pub fn finals(&self) -> u64 {
+        self.finals
+    }
+
+    /// Offers a frame; `true` when it is the expected one (the cursor
+    /// advances and the caller processes it), `false` when it is dropped.
+    pub fn accept(&mut self, link_seq: u64, msg: &Message) -> bool {
+        if link_seq != self.next {
+            return false;
+        }
+        self.next += 1;
+        self.events += msg.event_count() as u64;
+        self.finals += msg.final_count() as u64;
+        true
+    }
 }
 
 /// Configuration of one sender-side bridge.
@@ -122,7 +167,7 @@ pub(crate) struct OutBridge {
     /// Receives the receiver's cursor from the **first** successful
     /// handshake — a freshly started sender applies it to its link
     /// counters before the node runs.
-    pub first_welcome: Option<crossbeam_channel::Sender<Welcomed>>,
+    pub first_welcome: Option<crossbeam_channel::Sender<EdgeCursor>>,
 }
 
 impl OutBridge {
@@ -168,14 +213,14 @@ impl OutBridge {
             // lost with the old socket (or read from the local link but
             // never written) are all still in the ring — retained until
             // acked. A no-op on a first connection.
-            self.data_rx.rewind_to(welcomed.next_seq);
+            self.data_rx.rewind_to(welcomed.next_seq());
             connected_before = true;
             self.pump(conn);
         }
     }
 
     /// Dials, sends `EdgeHello`, waits for `Welcome`.
-    fn handshake(&self, addr: &str) -> Option<(Welcomed, Box<dyn streammine_net::FrameConn>)> {
+    fn handshake(&self, addr: &str) -> Option<(EdgeCursor, Box<dyn streammine_net::FrameConn>)> {
         let mut conn = self.transport.dial(addr).ok()?;
         let hello =
             DistFrame::EdgeHello { edge: self.edge, incarnation: self.incarnation }.encode_to_vec();
@@ -185,8 +230,11 @@ impl OutBridge {
             match conn.recv() {
                 Ok(bytes) => match decode_from_slice::<DistFrame>(&bytes) {
                     Ok(DistFrame::Welcome { next_seq, events_received, finals_received }) => {
-                        let welcomed =
-                            Welcomed { next_seq, events: events_received, finals: finals_received };
+                        let welcomed = EdgeCursor {
+                            next: next_seq,
+                            events: events_received,
+                            finals: finals_received,
+                        };
                         return Some((welcomed, conn));
                     }
                     _ => return None,
@@ -302,11 +350,8 @@ pub(crate) struct InEdge {
     /// The node's upstream control link (acks), pumped to the current
     /// connection's reverse direction.
     pub ctrl_rx: LinkReceiver<Control>,
-    /// Where this edge resumes — at 0 for a fresh worker, at the
-    /// checkpoint's input position for a respawn. Earlier checkpoint acks
-    /// trimmed the upstream's retention below that point, so welcoming a
-    /// reconnecting sender with anything smaller would park the retained
-    /// suffix behind a gap that can never fill.
+    /// Where this edge resumes: fresh, or at a respawn's checkpoint
+    /// frontier (see `worker::in_edge_cursors`).
     pub cursor: EdgeCursor,
     /// Called with the cursor's count of finals after each accepted frame,
     /// under the cursor lock (so calls are in cursor order): the cluster's
@@ -636,6 +681,43 @@ mod tests {
         Message::Data(Event::new(EventId::new(OperatorId::new(0), n), 0, Value::Int(n as i64)))
     }
 
+    #[test]
+    fn cursor_accepts_only_the_expected_sequence() {
+        let mut c = EdgeCursor::default();
+        assert!(c.accept(0, &ev(0)));
+        // Ahead of the cursor: dropped.
+        assert!(!c.accept(2, &ev(2)));
+        assert_eq!((c.next_seq(), c.events()), (1, 1));
+        // The rewind delivers from the gap on, in order; batches count
+        // events, not frames.
+        let batch = Message::DataBatch(vec![
+            Event::new(EventId::new(OperatorId::new(0), 10), 0, Value::Int(1)),
+            Event::new(EventId::new(OperatorId::new(0), 11), 0, Value::Int(2)),
+        ]);
+        assert!(c.accept(1, &batch));
+        assert!(c.accept(2, &ev(2)));
+        assert_eq!((c.next_seq(), c.events()), (3, 4));
+        // Stale duplicate: dropped.
+        assert!(!c.accept(1, &ev(1)));
+        assert_eq!((c.events(), c.finals()), (4, 4));
+        // A speculative event is an event when it arrives and a final only
+        // with its `Finalize`.
+        let id = EventId::new(OperatorId::new(0), 12);
+        assert!(c.accept(3, &Message::Data(Event::speculative(id, 0, Value::Int(3)))));
+        assert_eq!((c.events(), c.finals()), (5, 4));
+        assert!(c.accept(4, &Message::Control(Control::Finalize { id, version: 0 })));
+        assert_eq!((c.events(), c.finals()), (5, 5));
+    }
+
+    #[test]
+    fn cursor_resumes_at_a_checkpoint_position() {
+        // Sequence 5 next, three events (two frames were notices) before.
+        let mut c = EdgeCursor::resuming(5, 3);
+        assert!(!c.accept(3, &ev(3)), "pre-checkpoint frames are stale");
+        assert!(c.accept(5, &ev(5)));
+        assert_eq!((c.next_seq(), c.events(), c.finals()), (6, 4, 4));
+    }
+
     /// End-to-end over the in-memory transport: an out-bridge dials an
     /// acceptor, frames flow in order, acks flow back, and killing the
     /// connection path (address swap to a fresh acceptor) replays
@@ -655,7 +737,7 @@ mod tests {
                 edge: 7,
                 data_tx: got_tx,
                 ctrl_rx: up_ctrl_rx,
-                cursor: EdgeCursor::starting_at(0),
+                cursor: EdgeCursor::default(),
                 on_advance: None,
                 metrics: TransportMetrics::detached(),
             }],
@@ -684,7 +766,7 @@ mod tests {
         .start();
 
         // First handshake reports a zero cursor.
-        let fresh = Welcomed { next_seq: 0, events: 0, finals: 0 };
+        let fresh = EdgeCursor::default();
         assert_eq!(gate_rx.recv_timeout(Duration::from_secs(5)).unwrap(), fresh);
         for n in 0..5u64 {
             data_tx.send(ev(n)).unwrap();
@@ -835,7 +917,7 @@ mod tests {
                 edge: 1,
                 data_tx: got_tx,
                 ctrl_rx: up_ctrl_rx,
-                cursor: EdgeCursor::starting_at(0),
+                cursor: EdgeCursor::default(),
                 on_advance: None,
                 metrics: TransportMetrics::detached(),
             }],
@@ -901,7 +983,7 @@ mod tests {
         transport: Arc<dyn Transport>,
         dials: crossbeam_channel::Receiver<Instant>,
         dial: DialSlot,
-        connected: crossbeam_channel::Receiver<Welcomed>,
+        connected: crossbeam_channel::Receiver<EdgeCursor>,
         shutdown: Arc<AtomicBool>,
         _data_tx: LinkSender<Message>,
     }
@@ -946,7 +1028,7 @@ mod tests {
             edge,
             data_tx: got_tx,
             ctrl_rx: up_ctrl_rx,
-            cursor: EdgeCursor::starting_at(0),
+            cursor: EdgeCursor::default(),
             on_advance: None,
             metrics: TransportMetrics::detached(),
         }];

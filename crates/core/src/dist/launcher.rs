@@ -55,13 +55,12 @@ use streammine_obs::{
 use streammine_sketch::ErrorBound;
 
 use crate::config::RecoveryMode;
-use crate::dist::bridge::{Acceptor, DialSlot, InEdge, OutBridge};
+use crate::dist::bridge::{Acceptor, DialSlot, EdgeCursor, InEdge, OutBridge};
 use crate::dist::control::{ControlPlane, CtrlEvent, LeaseView};
 use crate::dist::spec::{WorkerSpec, SPEC_ENV};
 use crate::dist::wire::{CtrlMsg, FaultCmd};
 use crate::endpoints::{SinkHandle, SourceHandle};
 use crate::message::{Control, Message};
-use crate::plumbing::EdgeCursor;
 
 /// How long [`Cluster::shutdown`] lets the workers finish by themselves.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
@@ -474,7 +473,7 @@ impl Cluster {
                 edge: n as u32,
                 data_tx: sink_data_tx,
                 ctrl_rx: sink_ctrl_rx,
-                cursor: EdgeCursor::starting_at(0),
+                cursor: EdgeCursor::default(),
                 on_advance: Some(Box::new(move |finals| timelines.observe_cursor(finals))),
                 metrics: TransportMetrics::registered(&obs.registry, (n - 1) as u32, n as u32),
             }],

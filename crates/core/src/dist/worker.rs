@@ -19,15 +19,16 @@
 //!
 //! By default workers **checkpoint and ack**: every `checkpoint_every`
 //! events, once the node is settled, it takes an image of state, RNG
-//! position, input positions and output counts. Its out-ring lives in
+//! position, input frontiers and output counts. Its out-ring lives in
 //! this process, so the image waits until the downstream has acked every
 //! output it counts; then it is saved to the worker's file in the
 //! launcher's checkpoint directory, and each upstream ring is acked up to
 //! its positions — what an edge retains is bounded by the interval, not
 //! by the run. An image that does not reach the file acks nothing. A
-//! respawned incarnation loads its predecessor's newest image, primes its
-//! in-edge cursors at the image's positions (so the upstream bridge
-//! rewinds only that far), restores, and replays the suffix after it,
+//! respawned incarnation loads its predecessor's newest image, primes each
+//! in-edge cursor at its port's frontier in the image (position and events
+//! read: the upstream bridge rewinds only that far and swallows what was
+//! read), restores, and replays the suffix after it,
 //! swallowing the `Welcome` counts past the image's output counts — the
 //! downstream acked them, so it holds them all. Nothing else the
 //! process loses on SIGKILL is needed for correctness — the deterministic
@@ -75,12 +76,13 @@ use streammine_net::{link, EdgeMetrics, LinkConfig, TcpTransport, Transport};
 use streammine_obs::{Labels, Obs, TransportMetrics, REDERIVATION_BROKEN};
 
 use crate::config::{LoggingConfig, OperatorConfig};
-use crate::dist::bridge::{Acceptor, DialSlot, InEdge, OutBridge};
+use crate::dist::bridge::{Acceptor, DialSlot, EdgeCursor, InEdge, OutBridge};
 use crate::dist::control::{CtrlClient, CtrlIdentity};
 use crate::dist::spec::{WorkerSpec, SPEC_ENV};
 use crate::dist::wire::{CtrlMsg, FaultCmd};
-use crate::plumbing::{DownEdge, EdgeCursor, Inbox, Notice, Sent};
+use crate::plumbing::{DownEdge, Inbox, Notice, Sent};
 use streammine_sketch::ErrorBound;
+use streammine_storage::checkpoint::{Checkpoint, InputFrontier};
 use streammine_storage::log::{LogObs, StableLog};
 use streammine_storage::{CheckpointObs, CheckpointStore, DiskSpec};
 
@@ -162,6 +164,19 @@ fn warn_if_rederivation_broke(obs: &Obs, worker: u32, warned: &AtomicBool) {
             ),
         );
     }
+}
+
+/// Where each of `ports` in-edges resumes. A respawn resumes at the
+/// frontier of its predecessor's newest image: every save acked the
+/// upstream up to its position, trimming its retention, so a cursor
+/// welcoming the reconnect from 0 would wait forever for frames nobody can
+/// replay, and the events read below it are what the upstream swallows. An
+/// image of another shape is one the node will not restore either; then,
+/// as without an image, every edge starts at 0.
+fn in_edge_cursors(image: Option<Checkpoint>, ports: usize) -> Vec<EdgeCursor> {
+    let inputs = image.map(|cp| cp.inputs).filter(|inputs| inputs.len() == ports);
+    let inputs = inputs.unwrap_or_else(|| vec![InputFrontier::default(); ports]);
+    inputs.iter().map(|at| EdgeCursor::resuming(at.position, at.events)).collect()
 }
 
 /// Entry point of a worker binary: runs one node per the spec in
@@ -259,22 +274,8 @@ pub(crate) fn run_worker(
         store.attach_file(std::path::Path::new(&spec.checkpoint_dir).join(image));
         store
     });
-    // A respawn resumes each in-edge at the checkpoint's input position:
-    // every pre-crash save acked the upstream up to that position,
-    // trimming its retention, so a cursor welcoming the reconnect from 0
-    // would wait forever for frames nobody can replay. The events consumed
-    // before it are the serials the checkpoint covers when there is one
-    // input (frames are not events: batches, finalizes); with several the
-    // split is not recorded and the position stands in.
-    let resume: Vec<EdgeCursor> = checkpoints
-        .as_ref()
-        .and_then(|s| s.latest())
-        .map(|cp| match cp.input_positions[..] {
-            [seq] => vec![EdgeCursor::resuming(seq, cp.events_processed)],
-            _ => cp.input_positions.iter().map(|&seq| EdgeCursor::resuming(seq, seq)).collect(),
-        })
-        .unwrap_or_default();
-    let mut resume = resume.into_iter();
+    let cursors =
+        in_edge_cursors(checkpoints.as_ref().and_then(|s| s.latest()), spec.in_edges.len());
 
     // In-edges: each is a local ring the node reads like any other, fed
     // by the acceptor's socket threads with the in-order frames of the
@@ -283,7 +284,7 @@ pub(crate) fn run_worker(
     let mut up = Vec::new();
     let mut inputs = Vec::new();
     let mut in_edges = Vec::new();
-    for edge in spec.in_edges.iter().copied() {
+    for (edge, cursor) in spec.in_edges.iter().copied().zip(cursors) {
         let (ctrl_tx, ctrl_rx) = link::<Control>(LinkConfig::instant());
         up.push(ctrl_tx);
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
@@ -292,7 +293,7 @@ pub(crate) fn run_worker(
             edge,
             data_tx,
             ctrl_rx,
-            cursor: resume.next().unwrap_or_else(|| EdgeCursor::starting_at(0)),
+            cursor,
             on_advance: None,
             metrics: TransportMetrics::registered(&obs.registry, spec.worker, edge),
         });
@@ -398,10 +399,10 @@ pub(crate) fn run_worker(
             eprintln!("worker {}: out-edge handshake timed out", spec.worker);
             return exit::WIRING;
         };
-        data_tx.set_next_seq(welcomed.next_seq);
+        data_tx.set_next_seq(welcomed.next_seq());
         let sent = Sent {
-            events: AtomicU64::new(welcomed.events),
-            finals: AtomicU64::new(welcomed.finals),
+            events: AtomicU64::new(welcomed.events()),
+            finals: AtomicU64::new(welcomed.finals()),
             by_receiver: true,
         };
         down.push(DownEdge { data_tx, sent: Arc::new(sent) });
@@ -514,5 +515,63 @@ pub(crate) fn run_worker(
             }
             Ok(_) => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dist::wire::DistFrame;
+    use streammine_common::codec::{decode_from_slice, Encode};
+    use streammine_net::{FrameError, MemTransport};
+
+    /// A respawn primes each in-edge at its own port's frontier in its
+    /// predecessor's image: each upstream is welcomed at the position and
+    /// with the events read of that port. An image of another shape primes
+    /// nothing.
+    #[test]
+    fn in_edges_primed_from_a_two_port_image_welcome_each_upstream_at_its_own_frontier() {
+        let store = streammine_storage::checkpoint::instant_store();
+        let at = |position, events| InputFrontier { position, events, covered_below: events };
+        store
+            .save(Checkpoint { inputs: vec![at(5, 7), at(3, 2)], ..Checkpoint::default() })
+            .unwrap();
+        let transport: Arc<dyn Transport> =
+            Arc::new(MemTransport::new().with_read_timeout(Duration::from_millis(20)));
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let mut ends = Vec::new();
+        let mut in_edges = Vec::new();
+        for (edge, cursor) in [10, 11].into_iter().zip(in_edge_cursors(store.latest(), 2)) {
+            let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
+            let (ctrl_tx, ctrl_rx) = link::<Control>(LinkConfig::instant());
+            ends.push((data_rx, ctrl_tx));
+            let metrics = TransportMetrics::detached();
+            in_edges.push(InEdge { edge, data_tx, ctrl_rx, cursor, on_advance: None, metrics });
+        }
+        let acceptor =
+            Acceptor::start(transport.clone(), "mem-primed:0", in_edges, shutdown.clone()).unwrap();
+        let welcome = |edge| {
+            let mut conn = transport.dial(acceptor.local_addr()).unwrap();
+            conn.send(&DistFrame::EdgeHello { edge, incarnation: 1 }.encode_to_vec()).unwrap();
+            loop {
+                match conn.recv() {
+                    Ok(bytes) => break decode_from_slice::<DistFrame>(&bytes).unwrap(),
+                    Err(FrameError::Timeout) => continue,
+                    Err(e) => panic!("no welcome on edge {edge}: {e}"),
+                }
+            }
+        };
+        let primed = |next_seq, events| DistFrame::Welcome {
+            next_seq,
+            events_received: events,
+            finals_received: events,
+        };
+        assert_eq!(welcome(10), primed(5, 7));
+        assert_eq!(welcome(11), primed(3, 2));
+        let misfit = in_edge_cursors(store.latest(), 3);
+        let fresh: Vec<(u64, u64)> = misfit.iter().map(|c| (c.next_seq(), c.events())).collect();
+        assert_eq!(fresh, vec![(0, 0); 3]);
+        shutdown.store(true, Ordering::Release);
+        acceptor.poke();
     }
 }

@@ -1,5 +1,5 @@
-//! Node plumbing: the inbox a coordinator reads, the edge halves it
-//! writes, and the per-edge receive cursor.
+//! Node plumbing: the inbox a coordinator reads and the edge halves it
+//! writes.
 //!
 //! Each operator is one coordinator loop that reads its own connections
 //! (§2.3). Everything it reads sits in one [`Inbox`]:
@@ -170,67 +170,6 @@ impl Inbox {
     }
 }
 
-/// The receive cursor of one edge: the next link sequence it accepts and
-/// the cumulative counts of data events accepted and of events known final.
-///
-/// A link hands its receiver consecutive sequences, and after every rewind
-/// (crash replay, reconnect) consecutive sequences again from the rewind
-/// point — so the cursor only has to ask "is this the sequence I expect?"
-/// and drop everything else: a lower sequence is a duplicate from an
-/// overlapping replay or a zombie sender; a higher one belongs to a
-/// connection whose reconnect rewind delivers it again, in order.
-#[derive(Debug)]
-pub(crate) struct EdgeCursor {
-    next: u64,
-    events: u64,
-    finals: u64,
-}
-
-impl EdgeCursor {
-    /// A cursor expecting link sequence `seq` next that has counted
-    /// nothing: a fresh edge, or a node's own cursor (only an acceptor's
-    /// counts are ever read).
-    pub fn starting_at(seq: u64) -> EdgeCursor {
-        EdgeCursor::resuming(seq, 0)
-    }
-
-    /// A cursor resuming at a checkpoint: link sequence `seq` next
-    /// (everything below was acknowledged away upstream and is
-    /// unreplayable), `events` data events consumed before it — all of
-    /// them final, or the checkpoint would not have been taken.
-    pub fn resuming(seq: u64, events: u64) -> EdgeCursor {
-        EdgeCursor { next: seq, events, finals: events }
-    }
-
-    /// The next expected link sequence.
-    pub fn next_seq(&self) -> u64 {
-        self.next
-    }
-
-    /// Data events accepted so far.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Events known final so far: data that arrived final plus `Finalize`
-    /// notices (one per event that arrived speculative).
-    pub fn finals(&self) -> u64 {
-        self.finals
-    }
-
-    /// Offers a frame; `true` when it is the expected one (the cursor
-    /// advances and the caller processes it), `false` when it is dropped.
-    pub fn accept(&mut self, link_seq: u64, msg: &Message) -> bool {
-        if link_seq != self.next {
-            return false;
-        }
-        self.next += 1;
-        self.events += msg.event_count() as u64;
-        self.finals += msg.final_count() as u64;
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,43 +180,6 @@ mod tests {
 
     fn msg(n: i64) -> Message {
         Message::Data(Event::new(EventId::new(OperatorId::new(0), n as u64), 0, Value::Int(n)))
-    }
-
-    #[test]
-    fn cursor_accepts_only_the_expected_sequence() {
-        let mut c = EdgeCursor::starting_at(0);
-        assert!(c.accept(0, &msg(0)));
-        // Ahead of the cursor: dropped.
-        assert!(!c.accept(2, &msg(2)));
-        assert_eq!((c.next_seq(), c.events()), (1, 1));
-        // The rewind delivers from the gap on, in order; batches count
-        // events, not frames.
-        let batch = Message::DataBatch(vec![
-            Event::new(EventId::new(OperatorId::new(0), 10), 0, Value::Int(1)),
-            Event::new(EventId::new(OperatorId::new(0), 11), 0, Value::Int(2)),
-        ]);
-        assert!(c.accept(1, &batch));
-        assert!(c.accept(2, &msg(2)));
-        assert_eq!((c.next_seq(), c.events()), (3, 4));
-        // Stale duplicate: dropped.
-        assert!(!c.accept(1, &msg(1)));
-        assert_eq!((c.events(), c.finals()), (4, 4));
-        // A speculative event is an event when it arrives and a final only
-        // with its `Finalize`.
-        let id = EventId::new(OperatorId::new(0), 12);
-        assert!(c.accept(3, &Message::Data(Event::speculative(id, 0, Value::Int(3)))));
-        assert_eq!((c.events(), c.finals()), (5, 4));
-        assert!(c.accept(4, &Message::Control(Control::Finalize { id, version: 0 })));
-        assert_eq!((c.events(), c.finals()), (5, 5));
-    }
-
-    #[test]
-    fn cursor_resumes_at_a_checkpoint_position() {
-        // Sequence 5 next, three events (two frames were notices) before.
-        let mut c = EdgeCursor::resuming(5, 3);
-        assert!(!c.accept(3, &msg(3)), "pre-checkpoint frames are stale");
-        assert!(c.accept(5, &msg(5)));
-        assert_eq!((c.next_seq(), c.events(), c.finals()), (6, 4, 4));
     }
 
     #[test]

@@ -5,9 +5,8 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use streammine_common::codec::{decode_from_slice, encode_to_vec};
-use streammine_storage::checkpoint::CheckpointStore;
+use streammine_storage::checkpoint::{Checkpoint, CheckpointStore, InputFrontier};
 use streammine_storage::disk::DiskSpec;
-use streammine_storage::log::LogSeq;
 
 use crate::reference::{RefEvent, RefOperator};
 
@@ -86,6 +85,13 @@ impl HaStrategy for Amnesia {
     }
 }
 
+/// The image of `state` after `processed` events, the last of them input
+/// `seq`: the stream resumes after it.
+fn checkpoint(processed: u64, seq: u64, state: Vec<u8>) -> Checkpoint {
+    let input = InputFrontier { position: seq + 1, ..InputFrontier::default() };
+    Checkpoint { events_processed: processed, inputs: vec![input], state, ..Checkpoint::default() }
+}
+
 // ---------------------------------------------------------------------
 // Passive standby
 // ---------------------------------------------------------------------
@@ -129,15 +135,7 @@ impl HaStrategy for PassiveStandby {
         let mut state = self.op.snapshot();
         state.extend(encode_to_vec(&out));
         self.store
-            .save(
-                LogSeq(0),
-                self.op.processed(),
-                vec![seq + 1],
-                Vec::new(),
-                Vec::new(),
-                state,
-                Vec::new(),
-            )
+            .save(checkpoint(self.op.processed(), seq, state))
             .expect("a store bound to no file keeps its checkpoints in memory");
         self.emitted += 1;
         vec![out]
@@ -320,15 +318,7 @@ impl HaStrategy for ApproximateCheckpoint {
         self.processed += 1;
         if self.processed.is_multiple_of(self.every) {
             self.store
-                .save(
-                    LogSeq(0),
-                    self.op.processed(),
-                    vec![seq + 1],
-                    Vec::new(),
-                    Vec::new(),
-                    self.op.snapshot(),
-                    Vec::new(),
-                )
+                .save(checkpoint(self.op.processed(), seq, self.op.snapshot()))
                 .expect("a store bound to no file keeps its checkpoints in memory");
         }
         vec![out]

@@ -3,8 +3,8 @@
 //! Stateful operators periodically checkpoint their local state so that the
 //! decision log can be truncated and recovery does not need to replay the
 //! stream from the beginning (§2.2). A checkpoint records the state
-//! snapshot together with the log sequence number and input positions it
-//! covers; recovery restores the latest checkpoint and replays only the log
+//! snapshot together with the log sequence number it covers and where each
+//! input stream stands ([`InputFrontier`]); recovery restores the latest checkpoint and replays only the log
 //! suffix.
 //!
 //! Stored checkpoints are CRC32-framed: [`CheckpointStore::latest`] skips a
@@ -61,26 +61,53 @@ impl CheckpointObs {
     }
 }
 
+/// Where one input stream stands at a checkpoint: the durable part of an
+/// operator's per-port frontier. Recovery rewinds the port to it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InputFrontier {
+    /// The link sequence read next: replay of the stream starts here.
+    pub position: u64,
+    /// Data events read below `position` (a frame may carry several, or
+    /// none). A receiver that resumes the edge in a new process tells its
+    /// sender this count, and the sender swallows that many.
+    pub events: u64,
+    /// Every upstream event whose id sequence is below it is covered by
+    /// the snapshot. A sender that recovers later re-sends such events
+    /// under fresh link sequences, and the operator's memory of the ids it
+    /// consumed dies with it: this is what lets it drop them all the same.
+    pub covered_below: u64,
+}
+
+impl Encode for InputFrontier {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u64(self.position);
+        enc.put_u64(self.events);
+        enc.put_u64(self.covered_below);
+    }
+}
+
+impl Decode for InputFrontier {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(InputFrontier {
+            position: dec.get_u64()?,
+            events: dec.get_u64()?,
+            covered_below: dec.get_u64()?,
+        })
+    }
+}
+
 /// One stored checkpoint.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Checkpoint {
-    /// Monotone checkpoint id.
+    /// Monotone checkpoint id, assigned by [`CheckpointStore::save`].
     pub id: u64,
     /// The snapshot covers all log records with sequence `< covers_log`.
     pub covers_log: LogSeq,
     /// Number of events the operator had fully processed at snapshot time
     /// (the serial counter resumes here).
     pub events_processed: u64,
-    /// Per-input-stream positions: link sequence each upstream should
-    /// replay from (used to ask upstreams for replay).
-    pub input_positions: Vec<u64>,
-    /// Per-input-stream id frontier: every upstream event whose id
-    /// sequence is below it is covered by the snapshot. A sender that
-    /// recovers later re-sends such events under fresh link sequences, and
-    /// the operator's memory of the ids it consumed dies with it — this is
-    /// what lets it drop them all the same. Empty when the saver tracks
-    /// no ids: nothing is known to be covered.
-    pub inputs_covered_below: Vec<u64>,
+    /// Per input port: where the stream stands.
+    pub inputs: Vec<InputFrontier>,
     /// Per-output-edge count of data events the operator had sent when the
     /// snapshot was taken. Recovery replays only the post-checkpoint
     /// suffix, so the difference between the link's live send counter and
@@ -100,11 +127,10 @@ impl Encode for Checkpoint {
         enc.put_u64(self.id);
         enc.put_u64(self.covers_log.0);
         enc.put_u64(self.events_processed);
-        self.input_positions.encode(enc);
+        self.inputs.encode(enc);
         self.outputs_sent.encode(enc);
         enc.put_bytes(&self.state);
         enc.put_bytes(&self.rng_state);
-        self.inputs_covered_below.encode(enc);
     }
 }
 
@@ -114,11 +140,10 @@ impl Decode for Checkpoint {
             id: dec.get_u64()?,
             covers_log: LogSeq(dec.get_u64()?),
             events_processed: dec.get_u64()?,
-            input_positions: Vec::<u64>::decode(dec)?,
+            inputs: Vec::<InputFrontier>::decode(dec)?,
             outputs_sent: Vec::<u64>::decode(dec)?,
             state: dec.get_bytes()?,
             rng_state: dec.get_bytes()?,
-            inputs_covered_below: Vec::<u64>::decode(dec)?,
         })
     }
 }
@@ -275,7 +300,8 @@ impl CheckpointStore {
         *self.obs.lock() = Some(obs);
     }
 
-    /// Synchronously writes a checkpoint; returns it (with its assigned id).
+    /// Synchronously writes `cp` under the next id (whatever id it
+    /// carries); returns it with that id.
     ///
     /// Blocks for the device's modeled write duration — operators call this
     /// from a background thread or accept the pause, exactly the trade-off
@@ -288,33 +314,12 @@ impl CheckpointStore {
     /// and the image did not reach it. The checkpoint is still kept in
     /// memory, but a new process would not find it, so nothing may be
     /// acknowledged on its strength.
-    // One argument per field of the image; the id is the store's to assign.
-    #[allow(clippy::too_many_arguments)]
-    pub fn save(
-        &self,
-        covers_log: LogSeq,
-        events_processed: u64,
-        input_positions: Vec<u64>,
-        inputs_covered_below: Vec<u64>,
-        outputs_sent: Vec<u64>,
-        state: Vec<u8>,
-        rng_state: Vec<u8>,
-    ) -> std::io::Result<Checkpoint> {
-        let id = {
+    pub fn save(&self, mut cp: Checkpoint) -> std::io::Result<Checkpoint> {
+        cp.id = {
             let mut next = self.next_id.lock();
             let id = *next;
             *next += 1;
             id
-        };
-        let cp = Checkpoint {
-            id,
-            covers_log,
-            events_processed,
-            input_positions,
-            inputs_covered_below,
-            outputs_sent,
-            state,
-            rng_state,
         };
         let framed = crc32::frame(cp.encode_to_vec());
         let obs = self.obs.lock().clone();
@@ -422,31 +427,41 @@ mod tests {
     use super::*;
     use streammine_common::codec::roundtrip;
 
+    /// An image of `state` at serial `events`, covering the log below `log`.
+    fn image(log: u64, events: u64, state: &[u8]) -> Checkpoint {
+        Checkpoint {
+            covers_log: LogSeq(log),
+            events_processed: events,
+            state: state.to_vec(),
+            ..Checkpoint::default()
+        }
+    }
+
+    fn at(position: u64, events: u64, covered_below: u64) -> InputFrontier {
+        InputFrontier { position, events, covered_below }
+    }
+
     #[test]
     fn save_and_restore_latest() {
         let store = instant_store();
         assert!(store.latest().is_none());
-        store
-            .save(LogSeq(10), 7, vec![3, 4], vec![], vec![5], b"state-a".to_vec(), vec![])
-            .unwrap();
+        store.save(Checkpoint { inputs: vec![at(3, 3, 0)], ..image(10, 7, b"state-a") }).unwrap();
         let cp = store
-            .save(
-                LogSeq(20),
-                16,
-                vec![7, 9],
-                vec![6, 8],
-                vec![11],
-                b"state-b".to_vec(),
-                b"rng".to_vec(),
-            )
+            .save(Checkpoint {
+                id: 9,
+                inputs: vec![at(7, 5, 6), at(9, 11, 8)],
+                outputs_sent: vec![11],
+                rng_state: b"rng".to_vec(),
+                ..image(20, 16, b"state-b")
+            })
             .unwrap();
         assert_eq!(cp.id, 1);
         let latest = store.latest().unwrap();
         assert_eq!(latest.state, b"state-b".to_vec());
         assert_eq!(latest.covers_log, LogSeq(20));
         assert_eq!(latest.events_processed, 16);
-        assert_eq!(latest.input_positions, vec![7, 9]);
-        assert_eq!(latest.inputs_covered_below, vec![6, 8]);
+        assert_eq!(latest.id, 1, "the store assigns the id");
+        assert_eq!(latest.inputs, vec![at(7, 5, 6), at(9, 11, 8)]);
         assert_eq!(latest.rng_state, b"rng".to_vec());
     }
 
@@ -454,7 +469,7 @@ mod tests {
     fn keeps_at_most_two() {
         let store = instant_store();
         for i in 0..5u64 {
-            store.save(LogSeq(i), i, vec![], vec![], vec![], vec![i as u8], vec![]).unwrap();
+            store.save(image(i, i, &[i as u8])).unwrap();
         }
         assert_eq!(store.retained(), 2);
         assert_eq!(store.latest().unwrap().id, 4);
@@ -466,8 +481,7 @@ mod tests {
             id: 3,
             covers_log: LogSeq(99),
             events_processed: 42,
-            input_positions: vec![1, 2, 3],
-            inputs_covered_below: vec![7, 8, 9],
+            inputs: vec![at(1, 1, 7), at(2, 5, 8), at(3, 2, 9)],
             outputs_sent: vec![4, 5],
             state: vec![0xAB; 16],
             rng_state: vec![0xCD; 32],
@@ -478,7 +492,7 @@ mod tests {
     #[test]
     fn checkpoint_write_is_charged_to_device() {
         let store = instant_store();
-        store.save(LogSeq(0), 0, vec![], vec![], vec![], vec![1, 2, 3], vec![]).unwrap();
+        store.save(image(0, 0, &[1, 2, 3])).unwrap();
         assert_eq!(store.device().write_count(), 1);
         assert!(store.device().bytes_written() > 0);
     }
@@ -486,8 +500,8 @@ mod tests {
     #[test]
     fn corrupt_newest_falls_back_to_previous() {
         let store = instant_store();
-        store.save(LogSeq(5), 3, vec![1], vec![], vec![], b"old".to_vec(), vec![]).unwrap();
-        store.save(LogSeq(9), 6, vec![2], vec![], vec![], b"new".to_vec(), vec![]).unwrap();
+        store.save(image(5, 3, b"old")).unwrap();
+        store.save(image(9, 6, b"new")).unwrap();
         assert!(store.corrupt_latest());
         let latest = store.latest().unwrap();
         assert_eq!(latest.state, b"old".to_vec());
@@ -497,7 +511,7 @@ mod tests {
     #[test]
     fn all_corrupt_yields_none() {
         let store = instant_store();
-        store.save(LogSeq(1), 1, vec![], vec![], vec![], b"only".to_vec(), vec![]).unwrap();
+        store.save(image(1, 1, b"only")).unwrap();
         assert!(store.corrupt_latest());
         assert!(store.latest().is_none());
     }
@@ -508,8 +522,8 @@ mod tests {
         let obs = Obs::tracing();
         let store = instant_store();
         store.attach_obs(CheckpointObs::registered(&obs, 5));
-        store.save(LogSeq(1), 1, vec![], vec![], vec![], b"a".to_vec(), vec![]).unwrap();
-        store.save(LogSeq(2), 2, vec![], vec![], vec![], b"b".to_vec(), vec![]).unwrap();
+        store.save(image(1, 1, b"a")).unwrap();
+        store.save(image(2, 2, b"b")).unwrap();
         assert_eq!(obs.registry.counter_value("checkpoint.saves", Labels::op(5)), Some(2));
         let save_us = obs.registry.histogram_snapshot("checkpoint.save_us", Labels::op(5)).unwrap();
         assert_eq!(save_us.count(), 2);
@@ -539,14 +553,12 @@ mod tests {
         let path = temp_path("roundtrip");
         let store = instant_store();
         assert!(!store.attach_file(path.clone()), "no image yet");
-        store.save(LogSeq(3), 9, vec![2], vec![], vec![4], b"alpha".to_vec(), vec![]).unwrap();
-        store
-            .save(LogSeq(6), 18, vec![5], vec![], vec![8], b"beta".to_vec(), b"rng".to_vec())
-            .unwrap();
+        store.save(image(3, 9, b"alpha")).unwrap();
+        store.save(Checkpoint { rng_state: b"rng".to_vec(), ..image(6, 18, b"beta") }).unwrap();
         store.add_approx_loss(7);
         store.note_escalation();
         // Counters changed after the last save land with the next one.
-        store.save(LogSeq(9), 27, vec![9], vec![], vec![12], b"gamma".to_vec(), vec![]).unwrap();
+        store.save(image(9, 27, b"gamma")).unwrap();
 
         let respawned = instant_store();
         assert!(respawned.attach_file(path.clone()), "image must load");
@@ -557,9 +569,7 @@ mod tests {
         assert_eq!(respawned.approx_loss(), 7);
         assert_eq!(respawned.approx_escalations(), 1);
         // The id counter continues instead of colliding.
-        let cp = respawned
-            .save(LogSeq(12), 36, vec![], vec![], vec![], b"delta".to_vec(), vec![])
-            .unwrap();
+        let cp = respawned.save(image(12, 36, b"delta")).unwrap();
         assert_eq!(cp.id, 3);
         let _ = std::fs::remove_file(&path);
     }
@@ -576,7 +586,7 @@ mod tests {
         let store = instant_store();
         store.attach_obs(CheckpointObs::registered(&obs, 2));
         assert!(!store.attach_file(path.clone()), "no image yet");
-        let missed = store.save(LogSeq(1), 4, vec![4], vec![], vec![4], b"a".to_vec(), vec![]);
+        let missed = store.save(image(1, 4, b"a"));
         assert!(missed.is_err(), "the directory does not exist, yet the save succeeded");
         let warned = obs.journal.count_matching(|e| {
             matches!(&e.kind, JournalKind::Warn { code: "checkpoint-persist-failed", .. })
@@ -585,7 +595,7 @@ mod tests {
         assert_eq!(warned, 1);
 
         std::fs::create_dir(&dir).unwrap();
-        store.save(LogSeq(2), 8, vec![8], vec![], vec![8], b"b".to_vec(), vec![]).unwrap();
+        store.save(image(2, 8, b"b")).unwrap();
         let respawned = instant_store();
         assert!(respawned.attach_file(path), "image must load");
         assert_eq!(respawned.retained(), 2);
@@ -598,7 +608,7 @@ mod tests {
         let path = temp_path("torn");
         let store = instant_store();
         store.attach_file(path.clone());
-        store.save(LogSeq(1), 1, vec![], vec![], vec![], b"x".to_vec(), vec![]).unwrap();
+        store.save(image(1, 1, b"x")).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
         let respawned = instant_store();
@@ -612,7 +622,7 @@ mod tests {
     fn save_survives_transient_device_faults() {
         let store = CheckpointStore::new(DiskSpec::simulated(Duration::ZERO).with_fault_rate(0.9));
         for i in 0..5u64 {
-            store.save(LogSeq(i), i, vec![], vec![], vec![], vec![i as u8], vec![]).unwrap();
+            store.save(image(i, i, &[i as u8])).unwrap();
         }
         assert_eq!(store.latest().unwrap().id, 4);
         assert!(store.save_retries() > 0, "0.9 fault rate produced no retries");

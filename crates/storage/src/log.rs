@@ -90,7 +90,7 @@ impl LogObs {
 }
 
 /// Sequence number of a log record (dense, starting at 0).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LogSeq(pub u64);
 
 impl fmt::Display for LogSeq {

@@ -341,6 +341,7 @@ fn replayed_transaction_that_retries_keeps_its_logged_decisions() {
     // A transaction that reads its decisions back from the log and then
     // aborts on a conflict must read them back again, not take new ones:
     // what it published before the crash is final downstream.
+    const ROUNDS: usize = 10;
     let mut b = GraphBuilder::new();
     let cfg = OperatorConfig::speculative(LoggingConfig::simulated(FAST_LOG)).with_threads(2);
     let op = b.add_operator(TaggedCounter { count: OnceLock::new() }, cfg);
@@ -348,40 +349,50 @@ fn replayed_transaction_that_retries_keeps_its_logged_decisions() {
     let sink = b.sink_from(op).unwrap();
     let running = b.build().unwrap().start();
 
-    for i in 0..40 {
+    let mut pushed = 40;
+    for i in 0..pushed {
         running.source(src).push(Value::Int(i));
     }
     // Final means committed: every decision record is stable.
     assert!(running.sink(sink).wait_final(40, Duration::from_secs(20)));
-    let before = running.sink(sink).final_events_by_id();
-
-    running.crash(op);
-    running.recover(op);
-    for i in 40..50 {
-        running.source(src).push(Value::Int(i));
+    // Two threads make a replayed transaction likely to conflict, not
+    // certain to: crash and recover until an incarnation has retried, and
+    // check the output after every round.
+    for round in 1..=ROUNDS {
+        let before = running.sink(sink).final_events_by_id();
+        running.crash(op);
+        running.recover(op);
+        for i in pushed..pushed + 10 {
+            running.source(src).push(Value::Int(i));
+        }
+        pushed += 10;
+        assert!(
+            running.sink(sink).wait_final(pushed as usize, Duration::from_secs(30)),
+            "round {round}: only {} of {pushed} final after recovery",
+            running.sink(sink).final_count()
+        );
+        // The sink keeps the latest copy of an event it is sent again, so
+        // a re-derived output that differs shows here.
+        let after = running.sink(sink).final_events_by_id();
+        for pre in &before {
+            let post = after.iter().find(|e| e.id == pre.id).expect("pre-crash event vanished");
+            assert_eq!(post.payload, pre.payload, "round {round}: event {} changed", pre.id);
+        }
+        let mut counts: Vec<i64> =
+            after.iter().filter_map(|e| e.payload.field(1).and_then(Value::as_i64)).collect();
+        counts.sort_unstable();
+        assert_eq!(counts, (1..=pushed).collect::<Vec<_>>());
+        // The premise: the replay did conflict (the gauge is refreshed on
+        // the way to every park; it counts this incarnation's retries
+        // alone).
+        std::thread::sleep(Duration::from_millis(100));
+        let retries = running.metrics().gauge("stm.retries", streammine::obs::Labels::op(0));
+        if retries > Some(0) {
+            running.shutdown();
+            return;
+        }
     }
-    assert!(
-        running.sink(sink).wait_final(50, Duration::from_secs(30)),
-        "only {} of 50 final after recovery",
-        running.sink(sink).final_count()
-    );
-    // The sink keeps the latest copy of an event it is sent again, so a
-    // re-derived output that differs shows here.
-    let after = running.sink(sink).final_events_by_id();
-    for pre in &before {
-        let post = after.iter().find(|e| e.id == pre.id).expect("pre-crash event vanished");
-        assert_eq!(post.payload, pre.payload, "event {} changed across recovery", pre.id);
-    }
-    let mut counts: Vec<i64> =
-        after.iter().filter_map(|e| e.payload.field(1).and_then(Value::as_i64)).collect();
-    counts.sort_unstable();
-    assert_eq!(counts, (1..=50).collect::<Vec<_>>());
-    // The premise: the replay did conflict (the gauge is refreshed on the
-    // way to every park; it counts the new incarnation's retries alone).
-    std::thread::sleep(Duration::from_millis(100));
-    let retries = running.metrics().gauge("stm.retries", streammine::obs::Labels::op(0));
-    assert!(retries > Some(0), "no replayed transaction re-executed: nothing was tested");
-    running.shutdown();
+    panic!("no replayed transaction re-executed in {ROUNDS} rounds: nothing was tested");
 }
 
 #[test]
