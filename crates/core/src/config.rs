@@ -67,6 +67,16 @@ pub enum RecoveryMode {
     Approximate(ErrorBound),
 }
 
+/// The default checkpoint interval, in events, of an operator in process
+/// and of a cluster slot. Each save acks the upstream's ring up to the
+/// checkpoint's positions, so what an edge retains, the decision log and
+/// the ids a node remembers are bounded by about two intervals instead of
+/// growing for the whole run. It costs one state snapshot per interval,
+/// and in a cluster it stays above the 48 events the benchmark's
+/// `tcp_kill` delivers before its kill, so that recovery is still the full
+/// replay.
+pub const CHECKPOINT_EVERY: u64 = 64;
+
 /// Configuration of one operator instance (§2.3: "each operator can be
 /// configured as being speculative or not").
 #[derive(Debug, Clone)]
@@ -80,8 +90,13 @@ pub struct OperatorConfig {
     /// Determinant logging; `None` for fully deterministic operators that
     /// need no log (§1: stateless/stateful deterministic cases).
     pub logging: Option<LoggingConfig>,
-    /// Checkpoint the operator state every this many processed events;
-    /// `None` disables checkpointing (upstreams then retain all output).
+    /// Checkpoint the operator state every this many consumed events
+    /// (default [`CHECKPOINT_EVERY`]). A single-threaded speculative
+    /// operator checkpoints its committed prefix while later transactions
+    /// stay open; every other one waits until it is settled. `None`
+    /// disables checkpointing: nothing is acked, so the upstream rings
+    /// keep every frame, the decision log every record and the node every
+    /// consumed id for the whole run, and recovery replays from the start.
     pub checkpoint_every: Option<u64>,
     /// STM tuning (speculative mode).
     pub stm: StmConfig,
@@ -98,7 +113,7 @@ impl Default for OperatorConfig {
             speculative: false,
             threads: 1,
             logging: None,
-            checkpoint_every: None,
+            checkpoint_every: Some(CHECKPOINT_EVERY),
             stm: StmConfig::default(),
             node: NodeConfig::default(),
             recovery: RecoveryMode::Precise,
@@ -267,7 +282,8 @@ mod tests {
 
         // No checkpoint interval: the stale-snapshot resume has nothing
         // to resume from.
-        let c = OperatorConfig::plain().with_approximate_recovery(bound);
+        let c = OperatorConfig { checkpoint_every: None, ..OperatorConfig::plain() }
+            .with_approximate_recovery(bound);
         assert!(matches!(c.validate(), Err(Error::Config(_))));
 
         // Speculative operators keep the precise protocol.

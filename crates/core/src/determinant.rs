@@ -45,14 +45,14 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 use streammine_common::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 use streammine_obs::{Histogram, Tracer};
-use streammine_storage::log::StableLog;
+use streammine_storage::log::{LogSeq, StableLog};
 
 use crate::plumbing::{Inbox, Notice};
 
@@ -176,8 +176,13 @@ impl DecisionLog {
     /// ([`Notice::LogStable`]) — one notice per event, not per decision,
     /// unless the operator outlasts a write between two draws. The
     /// callback may fire on this very thread when the device is that fast
-    /// — posting a notice never blocks.
-    fn persist(&self, record: DecisionRecord, traced: bool, in_flight: &Arc<AtomicUsize>) {
+    /// — posting a notice never blocks. Returns where the record went.
+    fn persist(
+        &self,
+        record: DecisionRecord,
+        traced: bool,
+        in_flight: &Arc<AtomicUsize>,
+    ) -> LogSeq {
         let appended_at = Instant::now();
         in_flight.fetch_add(1, Ordering::AcqRel);
         let in_flight = in_flight.clone();
@@ -200,6 +205,7 @@ impl DecisionLog {
                 inbox.post(Notice::LogStable { serial: record.serial });
             }
         });
+        ticket.seq()
     }
 }
 
@@ -213,6 +219,9 @@ pub(crate) struct Tape {
     /// Records appended for this tape and still on their way. A count,
     /// not the last ticket: striped devices finish out of order.
     in_flight: Arc<AtomicUsize>,
+    /// The log sequence of the first record appended for this tape
+    /// (`u64::MAX`: none yet). A checkpoint must leave it in the log.
+    first_record: AtomicU64,
 }
 
 impl Tape {
@@ -224,7 +233,14 @@ impl Tape {
             traced,
             entries: Mutex::new(recovered),
             in_flight: Arc::new(AtomicUsize::new(0)),
+            first_record: AtomicU64::new(u64::MAX),
         }
+    }
+
+    /// Where the first record appended for this tape went, if any was.
+    pub fn first_record(&self) -> Option<LogSeq> {
+        let seq = self.first_record.load(Ordering::Acquire);
+        (seq != u64::MAX).then_some(LogSeq(seq))
     }
 
     /// Entry `index`: read if the tape holds it; otherwise taken by
@@ -246,7 +262,8 @@ impl Tape {
         entries.push(decision);
         if let Some(log) = log {
             let record = DecisionRecord { serial: self.serial, index: index as u32, decision };
-            log.persist(record, self.traced, &self.in_flight);
+            let seq = log.persist(record, self.traced, &self.in_flight);
+            self.first_record.fetch_min(seq.0, Ordering::AcqRel);
         }
         decision
     }

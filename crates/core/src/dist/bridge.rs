@@ -830,6 +830,12 @@ mod tests {
         for n in 0..10u64 {
             assert_eq!(got_rx.recv_timeout(Duration::from_secs(5)).unwrap(), (n, ev(n)));
         }
+        // The bridge counts a frame once its send returned, which may be
+        // after the acceptor delivered it.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while metrics.frames_out.get() == 0 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
         assert_eq!(metrics.frames_out.get(), 1, "ten ready messages, one write");
         assert_eq!(acceptor.cursor(4), (10, 10));
         shutdown.store(true, Ordering::Release);

@@ -54,7 +54,7 @@ use streammine_obs::{
 
 use streammine_sketch::ErrorBound;
 
-use crate::config::RecoveryMode;
+use crate::config::{RecoveryMode, CHECKPOINT_EVERY};
 use crate::dist::bridge::{Acceptor, DialSlot, EdgeCursor, InEdge, OutBridge};
 use crate::dist::control::{ControlPlane, CtrlEvent, LeaseView};
 use crate::dist::spec::{WorkerSpec, SPEC_ENV};
@@ -71,14 +71,6 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
 const REAP_RECHECK: BackoffConfig =
     BackoffConfig { base: Duration::from_micros(100), cap: Duration::from_millis(2) };
 const REAP_RECHECKS: u32 = 6;
-/// Default checkpoint interval of a slot, in processed events. Each save
-/// acks the upstream's ring up to the checkpoint's position, so what an
-/// edge retains is bounded by about two intervals of frames (an event and
-/// its finalize each) instead of growing for the whole run. It costs one
-/// device write per interval on the worker's thread, and it stays above
-/// the 48 events the benchmark's `tcp_kill` delivers before its kill, so
-/// that recovery is still the full replay.
-const CHECKPOINT_EVERY: u64 = 64;
 
 /// One operator slot in the cluster chain.
 #[derive(Debug, Clone)]

@@ -59,9 +59,14 @@
 //! does see a rollback journals one `rederivation-broken` warning, which
 //! reaches the launcher with its telemetry.
 //!
-//! A checkpoint needs a settled node (nothing open, held or parked), so a
-//! worker fed faster than its commits settle does not checkpoint and
-//! retains as a checkpoint-free one does. Approximate slots
+//! A worker checkpoints only when settled (nothing open, held or parked),
+//! unlike a single-threaded speculative node in process, which images its
+//! committed prefix while later transactions stay open. That image leaves
+//! the open transactions' decisions to be read back from the log, and a
+//! worker's log dies with its process; its outputs counts would also have
+//! to stop at the prefix, while the receiver's cursor counts everything
+//! sent. So a worker fed faster than its commits settle does not
+//! checkpoint and retains as a checkpoint-free one does. Approximate slots
 //! (`approx_eps_ppm > 0`) resume from the same image *stale*: they drop
 //! the replayed inputs whose outputs are already downstream, within a
 //! bounded sketch error, instead of re-executing them.
@@ -236,9 +241,9 @@ pub(crate) fn run_worker(
         } else {
             OperatorConfig::speculative(logging)
         };
-        if spec.checkpoint_every > 0 {
-            c = c.with_checkpoint_every(spec.checkpoint_every);
-        }
+        // 0 is the spec's "no checkpoints", and the store below follows it:
+        // the config must not keep its default interval without one.
+        c.checkpoint_every = (spec.checkpoint_every > 0).then_some(spec.checkpoint_every);
         if spec.approx_eps_ppm > 0 {
             // Range-check before `from_ppm`, which panics on garbage.
             if spec.approx_eps_ppm > 1_000_000

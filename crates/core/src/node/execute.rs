@@ -141,7 +141,14 @@ impl Node {
 
     // Speculative path
 
-    pub(super) fn process_spec(&mut self, port: u32, event: Event, queue_wait: Duration) {
+    pub(super) fn process_spec(
+        &mut self,
+        port: u32,
+        event: Event,
+        queue_wait: Duration,
+        frame: FrameAt,
+    ) {
+        self.note_admitted(self.next_serial, port, event.id, frame);
         let (serial, tape) = self.admit(port, &event, queue_wait);
         let stm = self.stm.as_ref().expect("speculative node has an stm");
         let handle = stm.begin(Serial(serial));
@@ -259,7 +266,7 @@ impl Node {
 
     pub(super) fn on_input_revoked(&mut self, port: u32, id: EventId) {
         self.parked.remove(&id);
-        self.port_queues[port as usize].retain(|(e, _)| e.id != id);
+        self.port_queues[port as usize].retain(|(e, ..)| e.id != id);
         if let Some(pending) = self.pending.remove(&id) {
             self.pending_by_txn.remove(&pending.handle.id());
             self.pending_by_serial.remove(&pending.serial);

@@ -142,8 +142,8 @@ impl Node {
                 }
                 let Ok(Some((link_seq, msg))) = self.inbox.inputs[port].try_recv() else { break };
                 worked = true;
-                self.frontiers[port].read(link_seq, &msg);
-                self.handle_upstream(port as u32, msg);
+                let frame = self.frontiers[port].read(link_seq, &msg);
+                self.handle_upstream(port as u32, msg, frame);
                 self.drain_ready_events();
             }
         }
@@ -155,7 +155,7 @@ impl Node {
     /// still speculative — open and unfinalized, or parked.
     fn reads_port(&self, port: usize) -> bool {
         self.stall_since.is_none()
-            || self.parked.values().any(|(p, _)| *p as usize == port)
+            || self.parked.values().any(|(p, ..)| *p as usize == port)
             || self.pending.values().any(|p| p.port as usize == port && p.input.lock().speculative)
     }
 
@@ -188,14 +188,14 @@ impl Node {
         }
     }
 
-    fn handle_upstream(&mut self, port: u32, msg: Message) {
+    fn handle_upstream(&mut self, port: u32, msg: Message, frame: FrameAt) {
         match msg {
             Message::Data(event) => {
-                self.port_queues[port as usize].push_back((event, Instant::now()));
+                self.port_queues[port as usize].push_back((event, Instant::now(), frame));
             }
             Message::DataBatch(events) => {
                 let now = Instant::now();
-                self.port_queues[port as usize].extend(events.into_iter().map(|e| (e, now)));
+                self.port_queues[port as usize].extend(events.into_iter().map(|e| (e, now, frame)));
             }
             Message::Control(Control::Finalize { id, version }) => {
                 self.on_input_finalized(port, id, version)
@@ -258,16 +258,16 @@ impl Node {
                 });
             let live_port = || self.port_queues.iter().position(|q| !q.is_empty());
             let Some(port) = logged_port.or_else(live_port) else { return };
-            let Some((event, enq)) = self.port_queues[port].pop_front() else { return };
+            let Some((event, enq, frame)) = self.port_queues[port].pop_front() else { return };
             let queue_wait = enq.elapsed();
             self.metrics.queue_wait_us.record_duration(queue_wait);
-            self.accept_event(port as u32, event, queue_wait);
+            self.accept_event(port as u32, event, queue_wait, frame);
         }
     }
 
     /// Routes one data event into processing, handling duplicates,
     /// revisions, and non-speculative parking.
-    fn accept_event(&mut self, port: u32, event: Event, queue_wait: Duration) {
+    fn accept_event(&mut self, port: u32, event: Event, queue_wait: Duration, frame: FrameAt) {
         if let Some(c) = self.metrics.events_in.get(port as usize) {
             c.incr();
         }
@@ -285,12 +285,12 @@ impl Node {
         if !self.config.speculative {
             if event.speculative {
                 // A non-speculative operator only consumes final events.
-                self.parked.insert(event.id, (port, event));
+                self.parked.insert(event.id, (port, event, frame));
                 return;
             }
             self.process_nonspec(port, event, queue_wait);
         } else {
-            self.process_spec(port, event, queue_wait);
+            self.process_spec(port, event, queue_wait, frame);
         }
     }
 
@@ -309,7 +309,7 @@ impl Node {
         if self.config.speculative {
             // Read but not admitted yet (the node was stalled, or is
             // replaying in logged order): final when its turn comes.
-            if let Some((event, _)) = queue.iter_mut().find(|(e, _)| is_it(e)) {
+            if let Some((event, ..)) = queue.iter_mut().find(|(e, ..)| is_it(e)) {
                 event.speculative = false;
             }
             return;
@@ -320,14 +320,14 @@ impl Node {
         // waiting its turn, the event joins the back of the queue as
         // final: the order of processing is that of the frames, whether or
         // not the node was stalled in between.
-        let parked = self.parked.remove(&id).map(|(_, event)| event).filter(is_it);
-        let at = queue.iter().position(|(e, _)| is_it(e));
-        let Some(mut event) = parked.or_else(|| at.and_then(|at| queue.remove(at)).map(|(e, _)| e))
-        else {
+        let parked = self.parked.remove(&id).map(|(_, event, frame)| (event, frame));
+        let at = queue.iter().position(|(e, ..)| is_it(e));
+        let waiting = || at.and_then(|at| queue.remove(at)).map(|(e, _, frame)| (e, frame));
+        let Some((mut event, frame)) = parked.filter(|(e, _)| is_it(e)).or_else(waiting) else {
             return;
         };
-        queue.retain(|(e, _)| e.id != id); // versions it superseded
+        queue.retain(|(e, ..)| e.id != id); // versions it superseded
         event.speculative = false;
-        queue.push_back((event, Instant::now()));
+        queue.push_back((event, Instant::now(), frame));
     }
 }

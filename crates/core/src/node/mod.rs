@@ -43,7 +43,9 @@ use streammine_common::rng::DetRng;
 use streammine_net::LinkSender;
 use streammine_obs::{span_key, Counter, Gauge, Histogram, Journal, JournalKind, Labels, Obs};
 use streammine_sketch::{ErrorBound, ErrorBudget};
-use streammine_stm::{Serial, StatsSnapshot, StmAbort, StmRuntime, TxnHandle, TxnId};
+use streammine_stm::{
+    CommitOrder, Serial, StatsSnapshot, StmAbort, StmRuntime, TxnHandle, TxnId, TxnStatus,
+};
 use streammine_storage::checkpoint::{Checkpoint, CheckpointStore, InputFrontier};
 use streammine_storage::log::{LogSeq, StableLog};
 
@@ -56,7 +58,7 @@ use crate::state::{StateAccess, StateRegistry};
 use crate::supervisor::Signal;
 use execute::{assign_output_ids, maybe_authorize_pending};
 use publish::{routes_to, swallow, NodeSendView, Resend};
-use rewind::{ApproxState, Frontier, Image};
+use rewind::{Admitted, ApproxState, FrameAt, Frontier, Image};
 
 /// Maximum outputs a single `process` call may emit (output event ids pack
 /// the emit index into the low bits of the sequence number).
@@ -259,16 +261,21 @@ pub(crate) struct Node {
     /// Per input port: where the node stands in the stream — what a
     /// checkpoint records and recovery rewinds the ring to.
     frontiers: Vec<Frontier>,
-    /// Per-port queues of `(event, enqueued_at)` read but not admitted yet
-    /// (replay-order merge, overload gate; the enqueue instant feeds the
-    /// queue-wait histogram).
-    port_queues: Vec<VecDeque<(Event, Instant)>>,
-    /// Speculative inputs parked by a non-speculative operator.
-    parked: HashMap<EventId, (u32, Event)>,
+    /// Per-port queues of `(event, enqueued_at, read_at)` read but not
+    /// admitted yet (replay-order merge, overload gate; the enqueue instant
+    /// feeds the queue-wait histogram).
+    port_queues: Vec<VecDeque<(Event, Instant, FrameAt)>>,
+    /// Speculative inputs parked by a non-speculative operator, with the
+    /// port and the frame they were read from.
+    parked: HashMap<EventId, (u32, Event, FrameAt)>,
     /// Tapes recovered from the stable log, by serial, until the event is
     /// admitted again; while any is left the merge follows their input
     /// choices.
     recovered: HashMap<u64, Vec<Determinant>>,
+    /// The records recovery read back from the log, which nothing appends
+    /// again: the sequence of the first, and the serial past the last one
+    /// they are for — until a checkpoint covers that serial.
+    recovered_log: Option<(u64, u64)>,
 
     next_serial: u64,
     /// The serial the last checkpoint, taken or restored, resumes at:
@@ -293,6 +300,10 @@ pub(crate) struct Node {
     approx: Option<ApproxState>,
     /// The checkpoint taken last, while it waits for its downstreams.
     image: Option<Image>,
+    /// `Some` iff the node images its committed prefix (a single-threaded
+    /// speculative node in process): the events admitted since its last
+    /// image, in serial order.
+    admitted: Option<VecDeque<Admitted>>,
     /// Per down-edge: the highest position the downstream acknowledged.
     down_acked: Vec<u64>,
     eof_count: usize,
@@ -408,6 +419,11 @@ impl Node {
             batch_events: metrics.batch_events.clone(),
             spec_retained: spec_retained.clone(),
         });
+        // See `Node::settled_cut` for who may not image a prefix.
+        let images_prefix = seed.config.speculative
+            && seed.config.threads == 1
+            && seed.config.stm.commit_order == CommitOrder::Timestamp
+            && !seed.down.iter().any(|e| e.sent.by_receiver);
         Node {
             id: seed.id,
             operator: seed.operator,
@@ -429,6 +445,7 @@ impl Node {
             port_queues: (0..inputs).map(|_| VecDeque::new()).collect(),
             parked: HashMap::new(),
             recovered: HashMap::new(),
+            recovered_log: None,
             next_serial: 0,
             checkpoint_serial: 0,
             pending: HashMap::new(),
@@ -440,6 +457,7 @@ impl Node {
             send_view,
             approx,
             image: None,
+            admitted: images_prefix.then(VecDeque::new),
             down_acked: vec![0; outputs],
             eof_count: 0,
             running: true,

@@ -8,10 +8,16 @@
 //! skipped. STM cascade rollback is no rewind: it re-executes serials
 //! above the frontier and never moves it.
 //!
+//! A checkpoint covers a settled node, or — on a single-threaded
+//! speculative node — its committed prefix while later transactions stay
+//! open ([`Node::prefix_cut`]).
+//!
 //! Frontier invariants, checked in debug builds: a port reads consecutive
 //! link sequences between rewinds; a rewind reaches back to the checkpoint
 //! (`rewind-short`); `covered_below` only grows and no consumed id lies
-//! below it; nothing below the last checkpoint's serial runs again.
+//! below it; nothing below the last checkpoint's serial runs again; a
+//! committed-prefix image leaves every open transaction's input above its
+//! port's covered prefix and its first log record above `covers_log`.
 
 use super::*;
 
@@ -26,13 +32,25 @@ pub(super) struct Frontier {
     consumed: HashSet<EventId>,
 }
 
+/// Where a data event was read: the link sequence of its frame, and the
+/// data events read on the port before that frame. An image that leaves
+/// the event open records the port from there.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct FrameAt {
+    seq: u64,
+    events: u64,
+}
+
 impl Frontier {
-    /// Takes note of the frame read at `link_seq`. A ring hands out
-    /// consecutive sequences between rewinds, so that is the position.
-    pub(super) fn read(&mut self, link_seq: u64, msg: &Message) {
+    /// Takes note of the frame read at `link_seq`, and returns where its
+    /// events were read. A ring hands out consecutive sequences between
+    /// rewinds, so that is the position.
+    pub(super) fn read(&mut self, link_seq: u64, msg: &Message) -> FrameAt {
         debug_assert_eq!(link_seq, self.at.position, "a read skipped or repeated a sequence");
+        let frame = FrameAt { seq: link_seq, events: self.at.events };
         self.at.position = link_seq + 1;
         self.at.events += msg.event_count() as u64;
+        frame
     }
 
     /// Whether event `id` is new here: neither covered by the last
@@ -50,16 +68,41 @@ impl Frontier {
         self.consumed.insert(id);
     }
 
-    /// At a checkpoint: what was consumed becomes covered, and the durable
-    /// part is what the image records. Nothing is pending, parked or
-    /// queued then, and finals arrive in the sender's serial order, so what
-    /// was consumed is an id prefix.
-    pub(super) fn fold(&mut self) -> InputFrontier {
-        if let Some(top) = self.consumed.drain().map(|id| id.seq + 1).max() {
-            self.at.covered_below = self.at.covered_below.max(top);
-        }
-        self.at
+    /// Just past the highest id consumed since the last checkpoint.
+    pub(super) fn consumed_top(&self) -> u64 {
+        self.consumed.iter().map(|id| id.seq + 1).max().unwrap_or(0)
     }
+
+    /// At a checkpoint: the ids below `covered_below` become covered (the
+    /// prefix never shrinks) and are forgotten as consumed ids, and the
+    /// image records the port from `from`, the frame of its first event
+    /// the image leaves open — from where the port stands when it leaves
+    /// none. The caller vouches that what lies below the prefix is
+    /// consumed for good and what replay re-reads above it is not.
+    pub(super) fn fold(&mut self, covered_below: u64, from: Option<FrameAt>) -> InputFrontier {
+        self.at.covered_below = self.at.covered_below.max(covered_below);
+        let covered = self.at.covered_below;
+        self.consumed.retain(|id| id.seq >= covered);
+        let mut image = self.at;
+        if let Some(frame) = from {
+            image.position = frame.seq;
+            image.events = frame.events;
+        }
+        image
+    }
+}
+
+/// An event admitted since the last image of a node that images its
+/// committed prefix, as that image needs it once the event is the lowest
+/// one left open: where it was read, and where the generator and the log
+/// stood before it took its first decision.
+pub(super) struct Admitted {
+    serial: u64,
+    port: u32,
+    id: EventId,
+    frame: FrameAt,
+    rng: DetRng,
+    log_at: u64,
 }
 
 /// A checkpoint taken but not saved yet, and per down-edge the ring
@@ -144,10 +187,14 @@ impl Node {
             cp.inputs.iter().map(|&at| Frontier { at, consumed: HashSet::new() }).collect();
         if let Some(log) = &self.log {
             let entries = log.stable_entries().into_iter().filter(|(seq, _)| *seq >= cp.covers_log);
-            let records = entries
-                .filter_map(|(_, bytes)| decode_from_slice::<DecisionRecord>(&bytes).ok())
-                .filter(|record| record.serial >= cp.events_processed);
-            self.recovered = recovered_tapes(records);
+            let records: Vec<(LogSeq, DecisionRecord)> = entries
+                .filter_map(|(seq, bytes)| Some((seq, decode_from_slice(&bytes).ok()?)))
+                .filter(|(_, record): &(_, DecisionRecord)| record.serial >= cp.events_processed)
+                .collect();
+            let upto = records.iter().map(|(_, record)| record.serial + 1).max();
+            self.recovered_log =
+                records.first().zip(upto).map(|((first, _), upto)| (first.0, upto));
+            self.recovered = recovered_tapes(records.into_iter().map(|(_, record)| record));
         }
         if recovering {
             self.rewind(&cp);
@@ -324,47 +371,38 @@ impl Node {
         if self.approx.as_ref().is_some_and(|a| a.skip_remaining > 0) {
             return;
         }
-        // A checkpoint may only cover fully settled work: no in-flight
-        // transactions, no outputs still held for log stability, no parked
-        // speculative inputs. Otherwise the covered events' effects would
-        // be lost in a crash while replay skips them. Port queues must be
-        // empty too: a partially consumed DataBatch shares one link
-        // sequence across its events, so a mid-batch position would make
-        // replay re-deliver (and re-serialize) its already-processed
-        // prefix under fresh serials.
-        if !self.pending.is_empty()
-            || !self.hold_queue.is_empty()
-            || !self.parked.is_empty()
-            || self.port_queues.iter().any(|q| !q.is_empty())
-        {
-            return; // try again once in-flight work settles
-        }
         // One image waits for its downstreams at a time.
         if self.checkpoints.is_none() || self.image.is_some() {
             return;
+        }
+        let cut = if self.admitted.is_some() { self.prefix_cut() } else { self.settled_cut() };
+        // `None`: not a cut yet, try again later.
+        let Some(mut checkpoint) = cut else { return };
+        // Nothing appends the records recovery read back again: an image
+        // that leaves any of their serials to replay keeps them all.
+        if let Some((first, upto)) = self.recovered_log {
+            if checkpoint.events_processed < upto {
+                checkpoint.covers_log = LogSeq(checkpoint.covers_log.0.min(first));
+            } else {
+                self.recovered_log = None;
+            }
         }
         // Outputs still buffered for batching are volatile; put them on
         // the (replay-retaining) links before the covering events become
         // unreplayable.
         self.flush_out_batches();
-        self.checkpoint_serial = self.next_serial;
-        let checkpoint = Checkpoint {
-            covers_log: LogSeq(self.log.as_ref().map(|l| l.appended()).unwrap_or(0)),
-            events_processed: self.next_serial,
-            // Every frame read is fully processed (the queues are empty),
-            // so each frontier is where its upstream replays from.
-            inputs: self.frontiers.iter_mut().map(Frontier::fold).collect(),
-            // With the hold queue drained and batches flushed, the send
-            // counters cover exactly the outputs of the checkpointed
-            // prefix — the baseline recovery subtracts to size its resend
-            // suppression.
-            outputs_sent: self.down.iter().map(|e| e.sent.events.load(Ordering::Acquire)).collect(),
-            state: self.registry.snapshot(),
-            // The serialized RNG goes into the checkpoint so the random
-            // stream stays continuous across a crash (see `restore`).
-            rng_state: encode_to_vec(&*self.rng.lock()),
-            ..Checkpoint::default()
-        };
+        self.checkpoint_serial = checkpoint.events_processed;
+        // With the hold queue drained and batches flushed, the send counters
+        // of a settled node cover exactly the outputs of the checkpointed
+        // prefix — the baseline recovery subtracts to size its resend
+        // suppression. A committed prefix leaves open transactions' outputs
+        // on the wire past it; its node re-sends what it re-derives and
+        // subtracts nothing ([`crate::plumbing::Sent::by_receiver`]).
+        checkpoint.outputs_sent =
+            self.down.iter().map(|e| e.sent.events.load(Ordering::Acquire)).collect();
+        // Committed values only: an open transaction's writes are not
+        // visible outside it.
+        checkpoint.state = self.registry.snapshot();
         // A ring told its counts by the receiver lives in this process and
         // dies with it, and a replacement re-derives only the outputs past
         // the image's counts: the image waits until the receiver
@@ -377,6 +415,138 @@ impl Node {
             .collect();
         self.image = Some(Image { checkpoint, outputs_end });
         self.save_image();
+    }
+
+    /// The image of a settled node, which covers every serial taken: no
+    /// in-flight transactions, no outputs still held for log stability, no
+    /// parked speculative inputs — otherwise the covered events' effects
+    /// would be lost in a crash while replay skips them. Port queues must be
+    /// empty too: a partially consumed DataBatch shares one link sequence
+    /// across its events, and the ids consumed are an id prefix only once
+    /// everything read is (finals arrive in the sender's serial order).
+    /// `None` until the node settles.
+    ///
+    /// Multi-threaded speculative nodes draw out of serial order, so no RNG
+    /// position stands for a prefix of their serials; non-speculative ones
+    /// apply an event's state before its outputs are released; and a
+    /// cluster worker's receiver counts every output it was sent. They all
+    /// wait to be settled.
+    fn settled_cut(&mut self) -> Option<Checkpoint> {
+        if !self.pending.is_empty()
+            || !self.hold_queue.is_empty()
+            || !self.parked.is_empty()
+            || self.port_queues.iter().any(|q| !q.is_empty())
+        {
+            return None;
+        }
+        let inputs = self.frontiers.iter_mut().map(|f| f.fold(f.consumed_top(), None)).collect();
+        Some(Checkpoint {
+            covers_log: LogSeq(self.log.as_ref().map_or(0, StableLog::appended)),
+            events_processed: self.next_serial,
+            inputs,
+            // The serialized RNG goes into the checkpoint so the random
+            // stream stays continuous across a crash (see `restore`).
+            rng_state: encode_to_vec(&*self.rng.lock()),
+            ..Checkpoint::default()
+        })
+    }
+
+    /// The image of a single-threaded speculative node's committed prefix:
+    /// every serial below the lowest one still open, while that one and
+    /// later ones stay open and admission goes on. Commits run in serial
+    /// order, and with one thread only the coordinator pumps them, so the
+    /// STM's committed values are exactly those of the prefix — once the
+    /// notice of every commit is served. Per port, replay re-reads from the
+    /// frame of the first event left open (admitted at or above the cut, or
+    /// read and not admitted yet), and the covered id prefix drops the
+    /// committed events it re-reads on the way. The RNG and the log are
+    /// taken as they stood when the lowest open serial was admitted, so the
+    /// open transactions' records survive truncation and recovery reads
+    /// them back. `None` when that is not a consistent cut yet.
+    fn prefix_cut(&mut self) -> Option<Checkpoint> {
+        let low = self.pending_by_serial.keys().min().copied().unwrap_or(self.next_serial);
+        let lowest_open = self.pending_by_serial.get(&low).and_then(|id| self.pending.get(id));
+        if lowest_open.is_some_and(|p| {
+            matches!(p.handle.status(), TxnStatus::Committed | TxnStatus::Committing)
+        }) {
+            return None; // its notice is still queued
+        }
+        let admitted = self.admitted.as_ref()?;
+        let split = admitted.partition_point(|a| a.serial < low);
+        let ports = self.frontiers.len();
+        let mut covered_below: Vec<u64> =
+            self.frontiers.iter().map(|f| f.at.covered_below).collect();
+        for a in admitted.range(..split) {
+            let covered = &mut covered_below[a.port as usize];
+            *covered = (*covered).max(a.id.seq + 1);
+        }
+        // Replay must admit every event left open again; a queued one its
+        // frontier would drop anyway does not count.
+        let mut from: Vec<Option<FrameAt>> = vec![None; ports];
+        let mut lowest_id = vec![u64::MAX; ports];
+        let left_open = admitted.range(split..).map(|a| (a.port as usize, a.id, a.frame));
+        let queued = self.port_queues.iter().enumerate().flat_map(|(port, queue)| {
+            let frontier = &self.frontiers[port];
+            queue.iter().filter(|q| frontier.admits(q.0.id)).map(move |q| (port, q.0.id, q.2))
+        });
+        for (port, id, frame) in left_open.chain(queued) {
+            from[port].get_or_insert(frame);
+            lowest_id[port] = lowest_id[port].min(id.seq);
+        }
+        // A sender that sent out of id order (several threads) can leave an
+        // open id below a committed one; such a port waits for a settled
+        // image.
+        if covered_below.iter().zip(&lowest_id).any(|(covered, lowest)| covered > lowest) {
+            return None;
+        }
+        let first_open = admitted.get(split);
+        let rng_state = match first_open {
+            Some(a) => encode_to_vec(&a.rng),
+            None => encode_to_vec(&*self.rng.lock()),
+        };
+        let log_now = || self.log.as_ref().map_or(0, StableLog::appended);
+        let covers_log = first_open.map_or_else(log_now, |a| a.log_at);
+        let inputs: Vec<InputFrontier> = self
+            .frontiers
+            .iter_mut()
+            .zip(covered_below.into_iter().zip(from))
+            .map(|(f, (covered, from))| f.fold(covered, from))
+            .collect();
+        self.admitted.as_mut().expect("checked above").drain(..split);
+        if cfg!(debug_assertions) {
+            for p in self.pending.values() {
+                let at = inputs[p.port as usize];
+                debug_assert!(
+                    p.input_id.seq >= at.covered_below,
+                    "open {} lies below port {}'s covered prefix {}",
+                    p.input_id,
+                    p.port,
+                    at.covered_below
+                );
+                let first = p.tape.first_record().map_or(u64::MAX, |seq| seq.0);
+                debug_assert!(
+                    covers_log <= first,
+                    "an image covering log {covers_log} truncates open serial {}'s record {first}",
+                    p.serial
+                );
+            }
+        }
+        Some(Checkpoint {
+            covers_log: LogSeq(covers_log),
+            events_processed: low,
+            inputs,
+            rng_state,
+            ..Checkpoint::default()
+        })
+    }
+
+    /// Takes note of the event admitted at `serial`, before it takes a
+    /// decision, on a node that images its committed prefix.
+    pub(super) fn note_admitted(&mut self, serial: u64, port: u32, id: EventId, frame: FrameAt) {
+        let Some(admitted) = &mut self.admitted else { return };
+        let rng = self.rng.lock().clone();
+        let log_at = self.log.as_ref().map_or(0, StableLog::appended);
+        admitted.push_back(Admitted { serial, port, id, frame, rng, log_at });
     }
 
     /// Saves the waiting image once every downstream has acknowledged the

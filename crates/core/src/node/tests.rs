@@ -245,10 +245,37 @@ fn a_frontier_admits_an_id_once_and_folds_past_the_highest_consumed() {
     }
     assert!(!frontier.admits(id(5)), "a duplicate of a consumed id was admitted");
     assert!(frontier.admits(id(4)));
-    assert_eq!(frontier.fold(), InputFrontier { position: 2, events: 2, covered_below: 6 });
+    let top = frontier.consumed_top();
+    assert_eq!(
+        frontier.fold(top, None),
+        InputFrontier { position: 2, events: 2, covered_below: 6 }
+    );
     assert!(!frontier.admits(id(4)), "a duplicate below the covered prefix was admitted");
     assert!(frontier.admits(id(6)));
-    assert_eq!(frontier.fold().covered_below, 6, "an empty fold moved the prefix");
+    assert_eq!(frontier.fold(0, None).covered_below, 6, "an empty fold moved the prefix");
+}
+
+/// A committed-prefix fold records the port from the frame of its first
+/// event left open, below the committed ones the frame also carries; the
+/// live frontier reads on from where it stands and still admits the open
+/// event.
+#[test]
+fn a_prefix_fold_records_the_frame_of_the_first_open_event() {
+    let id = |n| source_event(n).id;
+    let mut frontier = Frontier::default();
+    frontier.read(0, &Message::Data(source_event(0)));
+    let open = frontier.read(1, &Message::DataBatch(vec![source_event(1), source_event(2)]));
+    for n in [0, 1] {
+        frontier.consume(id(n));
+    }
+    let image = frontier.fold(2, Some(open));
+    assert_eq!(image, InputFrontier { position: 1, events: 1, covered_below: 2 });
+    assert!(frontier.admits(id(2)), "the open event is not consumed");
+    assert!(!frontier.admits(id(1)), "a committed event in the open frame was admitted");
+    frontier.read(2, &Message::Data(source_event(3)));
+    let top = frontier.consumed_top();
+    assert_eq!(top, 0, "the fold forgot the consumed ids it covers");
+    assert_eq!(frontier.fold(top, None).position, 3);
 }
 
 /// Between rewinds a port reads consecutive link sequences; one that

@@ -47,8 +47,10 @@ fn payloads(events: &[Event]) -> Vec<Value> {
 /// `ClusterSpec` uses, so its bytes are the distributed ground truth.
 fn reference(hops: usize, input: &[Value]) -> Vec<Value> {
     let mut b = GraphBuilder::new();
-    let cfg =
-        || OperatorConfig::logged(LoggingConfig::simulated(Duration::from_micros(FAST_LOG_US)));
+    let cfg = || OperatorConfig {
+        checkpoint_every: None,
+        ..OperatorConfig::logged(LoggingConfig::simulated(Duration::from_micros(FAST_LOG_US)))
+    };
     let ids: Vec<_> = (0..hops).map(|_| b.add_operator(RandomTagger, cfg())).collect();
     for pair in ids.windows(2) {
         b.connect(pair[0], pair[1]).unwrap();
@@ -277,6 +279,49 @@ fn sigkill_after_100_delivered(spec: ClusterSpec) -> Cluster {
 #[test]
 fn sigkill_after_100_delivered_recovers_within_10s() {
     sigkill_after_100_delivered(tagger_chain_checkpointing(3, None));
+}
+
+/// A cluster configured without checkpoints keeps none: no slot writes an
+/// image into the cluster's directory, and a replacement replays its input
+/// from the start of the stream.
+#[test]
+fn a_checkpoint_free_cluster_writes_no_image_and_replays_from_the_start() {
+    let input = inputs(80);
+    let expected = reference(2, &input);
+    let cluster = Cluster::launch(tagger_chain_checkpointing(2, None)).expect("cluster launch");
+    let dir = checkpoint_dir(&cluster);
+    assert!(cluster.wait_connected(Duration::from_secs(30)), "cluster never wired up");
+    for (step, v) in input.iter().enumerate() {
+        if step == 70 {
+            cluster.kill_worker(1);
+        }
+        cluster.source().push(v.clone());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        cluster.sink().wait_final(input.len(), Duration::from_secs(30)),
+        "stalled at {}/{} final events",
+        cluster.sink().final_count(),
+        input.len(),
+    );
+    assert_eq!(payloads(&cluster.sink().final_events()), expected);
+    let images: Vec<_> = std::fs::read_dir(&dir)
+        .expect("the checkpoint directory lives as long as the cluster")
+        .filter_map(|entry| entry.ok().map(|e| e.file_name()))
+        .filter(|name| name.to_string_lossy().ends_with(".ckpt"))
+        .collect();
+    assert!(images.is_empty(), "a checkpoint-free slot wrote {images:?}");
+    cluster.shutdown();
+    let journal = cluster.telemetry().journal();
+    let rewound_from: Vec<u64> = journal
+        .iter()
+        .filter(|r| (r.worker, r.incarnation) == (1, 1))
+        .filter_map(|r| match r.event.kind {
+            JournalKind::Rewind { from, .. } => Some(from),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(rewound_from, [0], "{}", cluster.telemetry().journal_render());
 }
 
 /// The same kill at the default interval: the middle worker checkpointed

@@ -50,10 +50,11 @@ proptest! {
         checkpoint in prop_oneof![Just(None), Just(Some(4u64)), Just(Some(7u64))],
     ) {
         let mut b = GraphBuilder::new();
-        let mut cfg = OperatorConfig::logged(LoggingConfig::simulated(Duration::from_micros(200)));
-        if let Some(every) = checkpoint {
-            cfg = cfg.with_checkpoint_every(every);
-        }
+        // `None`: no checkpoint, recovery replays from the start.
+        let cfg = OperatorConfig {
+            checkpoint_every: checkpoint,
+            ..OperatorConfig::logged(LoggingConfig::simulated(Duration::from_micros(200)))
+        };
         let op = b.add_operator(SumTagger::default(), cfg);
         let src = b.source_into(op).unwrap();
         let sink = b.sink_from(op).unwrap();
@@ -110,10 +111,11 @@ proptest! {
         checkpoint in prop_oneof![Just(None), Just(Some(3u64)), Just(Some(5u64))],
     ) {
         let mut b = GraphBuilder::new();
-        let mut cfg = OperatorConfig::logged(LoggingConfig::simulated(Duration::from_micros(200)));
-        if let Some(every) = checkpoint {
-            cfg = cfg.with_checkpoint_every(every);
-        }
+        // `None`: no checkpoint, recovery replays from the start.
+        let cfg = OperatorConfig {
+            checkpoint_every: checkpoint,
+            ..OperatorConfig::logged(LoggingConfig::simulated(Duration::from_micros(200)))
+        };
         let op = b.add_operator(SumTagger::default(), cfg);
         let src = b.source_into(op).unwrap();
         let sink = b.sink_from(op).unwrap();

@@ -37,13 +37,14 @@ fn payloads(events: &[Event]) -> Vec<Value> {
     events.iter().map(|e| e.payload.clone()).collect()
 }
 
-/// Builds src → RandomTagger(logged, non-spec) → sink.
+/// Builds src → RandomTagger(logged, non-spec) → sink; with `None` the
+/// tagger never checkpoints and recovers by a full replay from position 0.
 fn tagger_graph(checkpoint: Option<u64>) -> (Running, SourceId, SinkId) {
     let mut b = GraphBuilder::new();
-    let mut cfg = OperatorConfig::logged(LoggingConfig::simulated(FAST_LOG));
-    if let Some(every) = checkpoint {
-        cfg = cfg.with_checkpoint_every(every);
-    }
+    let cfg = OperatorConfig {
+        checkpoint_every: checkpoint,
+        ..OperatorConfig::logged(LoggingConfig::simulated(FAST_LOG))
+    };
     let op = b.add_operator(RandomTagger, cfg);
     let src = b.source_into(op).unwrap();
     let sink = b.sink_from(op).unwrap();
