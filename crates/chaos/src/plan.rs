@@ -4,8 +4,6 @@ use std::fmt;
 
 use streammine_common::rng::DetRng;
 
-use crate::target::ChaosTarget;
-
 /// One kind of injectable fault.
 ///
 /// Probabilities are carried in permille (0–999) so plans stay `Eq` and
@@ -13,8 +11,9 @@ use crate::target::ChaosTarget;
 /// replayed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// Kill operator `op`; the supervisor restarts it from checkpoint +
-    /// decision-log replay.
+    /// Kill operator `op`: its coordinator thread in process, its worker
+    /// process (SIGKILL) in a cluster. The supervisor restarts it from its
+    /// checkpoint and decision log.
     CrashNode {
         /// Operator index.
         op: u32,
@@ -79,6 +78,33 @@ pub enum FaultKind {
         /// Spike window length in milliseconds.
         window_ms: u64,
     },
+    /// Drop `op`'s data listener for `millis` ms: new connections are
+    /// refused and open ones severed, so its upstream redials and resends
+    /// from its ack. A cluster fault.
+    ListenerDrop {
+        /// Operator (worker) index.
+        op: u32,
+        /// Window length in milliseconds.
+        millis: u64,
+    },
+    /// One-way partition: `op` stops delivering the frames arriving on its
+    /// inbound edge for `millis` ms, while its own output and heartbeats
+    /// keep flowing. A cluster fault.
+    PartitionInbound {
+        /// Operator (worker) index.
+        op: u32,
+        /// Window length in milliseconds.
+        millis: u64,
+    },
+    /// Suppress `op`'s heartbeats for `millis` ms. A window longer than the
+    /// lease makes the control plane fence the live worker and restart it.
+    /// A cluster fault.
+    PauseBeats {
+        /// Operator (worker) index.
+        op: u32,
+        /// Window length in milliseconds.
+        millis: u64,
+    },
 }
 
 impl fmt::Display for FaultKind {
@@ -98,6 +124,13 @@ impl fmt::Display for FaultKind {
             FaultKind::DelaySpike { edge, extra_ms, window_ms } => {
                 write!(f, "delay-spike(e{edge}, +{extra_ms}ms/{window_ms}ms)")
             }
+            FaultKind::ListenerDrop { op, millis } => {
+                write!(f, "listener-drop(op{op}, {millis}ms)")
+            }
+            FaultKind::PartitionInbound { op, millis } => {
+                write!(f, "partition-in(op{op}, {millis}ms)")
+            }
+            FaultKind::PauseBeats { op, millis } => write!(f, "pause-beats(op{op}, {millis}ms)"),
         }
     }
 }
@@ -117,8 +150,10 @@ impl fmt::Display for FaultEvent {
     }
 }
 
-/// The shape of a target graph, for random plan generation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The shape of a target graph, for random plan generation
+/// ([`ChaosTarget::topology`](crate::ChaosTarget::topology) probes a live
+/// one).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Topology {
     /// Number of operators (crash candidates).
     pub operators: u32,
@@ -128,15 +163,6 @@ pub struct Topology {
     pub storage_ops: Vec<u32>,
     /// Number of sinks (slow-consumer stall candidates).
     pub sinks: usize,
-}
-
-impl Topology {
-    /// Probes a live target for its shape.
-    pub fn probe(target: &impl ChaosTarget) -> Topology {
-        let operators = target.operator_count() as u32;
-        let storage_ops = (0..operators).filter(|&op| target.has_storage(op)).collect();
-        Topology { operators, edges: target.edge_count(), storage_ops, sinks: target.sink_count() }
-    }
 }
 
 /// A reproducible fault schedule.
@@ -167,6 +193,16 @@ const CRASH_COOLDOWN: u64 = 8;
 
 /// Maximum length (in steps) a random sever / disk-fault window stays open.
 const MAX_WINDOW: u64 = 6;
+
+/// Steps that must pass after a cluster kill or beat pause before the next
+/// one may fire: a respawned process needs time to re-handshake and replay
+/// before the plan knocks the chain over again (one recovery at a time).
+const DISRUPTION_COOLDOWN: u64 = 10;
+
+/// Longest window (ms) a random listener drop or inbound partition stays
+/// open. Short against the lease, so a network fault does not pass for a
+/// dead process.
+const MAX_NET_WINDOW_MS: u64 = 120;
 
 impl FaultPlan {
     /// A hand-scripted plan. Events are sorted by step.
@@ -358,6 +394,51 @@ impl FaultPlan {
         FaultPlan { seed, events }
     }
 
+    /// Draws a random plan of cluster faults over `steps` steps against
+    /// `workers` worker processes: kills, listener drops, inbound partitions
+    /// and beat pauses, roughly one every five steps (a process recovers
+    /// more slowly than a thread, so plans are sparser).
+    ///
+    /// The same `(seed, steps, workers)` always yields the same plan.
+    /// Invariants: kills and beat pauses share one cooldown (one recovery
+    /// in flight at a time), network windows are at most
+    /// [`MAX_NET_WINDOW_MS`], and nothing fires in the last
+    /// `DISRUPTION_COOLDOWN` steps, so the run can quiesce.
+    pub fn random_cluster(seed: u64, steps: u64, workers: u32) -> FaultPlan {
+        let mut rng = DetRng::seed_from(seed ^ 0xD157_C4A5);
+        let mut events = Vec::new();
+        let mut next_disruption_ok = 2u64; // let the cluster boot first
+        for step in 0..steps.saturating_sub(DISRUPTION_COOLDOWN) {
+            if !rng.next_bool(0.2) || workers == 0 {
+                continue;
+            }
+            let op = rng.next_below(u64::from(workers)) as u32;
+            let kind = match rng.next_below(4) {
+                0 if step >= next_disruption_ok => {
+                    next_disruption_ok = step + DISRUPTION_COOLDOWN;
+                    FaultKind::CrashNode { op }
+                }
+                1 => FaultKind::ListenerDrop {
+                    op,
+                    millis: 20 + rng.next_below(MAX_NET_WINDOW_MS - 20),
+                },
+                2 => FaultKind::PartitionInbound {
+                    op,
+                    millis: 20 + rng.next_below(MAX_NET_WINDOW_MS - 20),
+                },
+                3 if step >= next_disruption_ok => {
+                    next_disruption_ok = step + DISRUPTION_COOLDOWN;
+                    // Long enough to overrun a 250 ms lease: the pause must
+                    // resolve as an expiry.
+                    FaultKind::PauseBeats { op, millis: 300 + rng.next_below(200) }
+                }
+                _ => continue,
+            };
+            events.push(FaultEvent { step, kind });
+        }
+        FaultPlan { seed, events }
+    }
+
     /// Whether the plan leaves every sever / disk-fault window closed.
     pub fn windows_closed(&self) -> bool {
         let mut data = std::collections::HashSet::new();
@@ -461,7 +542,10 @@ mod tests {
                     FaultKind::CrashNode { op }
                     | FaultKind::DiskHeal { op }
                     | FaultKind::DiskStall { op, .. }
-                    | FaultKind::DiskFault { op, .. } => assert!(op < t.operators),
+                    | FaultKind::DiskFault { op, .. }
+                    | FaultKind::ListenerDrop { op, .. }
+                    | FaultKind::PartitionInbound { op, .. }
+                    | FaultKind::PauseBeats { op, .. } => assert!(op < t.operators),
                     FaultKind::SeverData { edge }
                     | FaultKind::HealData { edge }
                     | FaultKind::DelayAcks { edge }
@@ -515,6 +599,115 @@ mod tests {
         assert!(spikes > 0, "no delay spikes across 16 seeds");
         assert!(partitions > 0, "no data partitions across 16 seeds");
         assert!(starvations > 0, "no ack starvation across 16 seeds");
+    }
+
+    #[test]
+    fn cluster_plans_are_reproducible_and_keep_one_disruption_at_a_time() {
+        assert_ne!(FaultPlan::random_cluster(1, 40, 3), FaultPlan::random_cluster(2, 40, 3));
+        for seed in 0..64u64 {
+            let plan = FaultPlan::random_cluster(seed, 80, 3);
+            assert_eq!(plan, FaultPlan::random_cluster(seed, 80, 3), "seed {seed}");
+            let disruptions: Vec<u64> = plan
+                .events
+                .iter()
+                .filter(|e| {
+                    matches!(e.kind, FaultKind::CrashNode { .. } | FaultKind::PauseBeats { .. })
+                })
+                .map(|e| e.step)
+                .collect();
+            for pair in disruptions.windows(2) {
+                assert!(
+                    pair[1] - pair[0] >= DISRUPTION_COOLDOWN,
+                    "seed {seed}: disruptions at {} and {} too close",
+                    pair[0],
+                    pair[1]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cluster_plans_target_valid_workers_and_leave_quiesce_room() {
+        let steps = 40;
+        for seed in 0..32u64 {
+            let plan = FaultPlan::random_cluster(seed, steps, 3);
+            let mut last = 0;
+            for ev in &plan.events {
+                assert!(ev.step >= last, "seed {seed}: events not sorted");
+                last = ev.step;
+                assert!(ev.step < steps - DISRUPTION_COOLDOWN, "seed {seed}: no quiet tail ({ev})");
+                let (op, window) = match ev.kind {
+                    FaultKind::CrashNode { op } | FaultKind::PauseBeats { op, .. } => (op, None),
+                    FaultKind::ListenerDrop { op, millis }
+                    | FaultKind::PartitionInbound { op, millis } => (op, Some(millis)),
+                    other => panic!("seed {seed}: {other} is no cluster fault"),
+                };
+                assert!(op < 3, "seed {seed}: worker out of range ({ev})");
+                assert!(window.is_none_or(|ms| ms <= MAX_NET_WINDOW_MS), "seed {seed}: {ev}");
+            }
+        }
+    }
+
+    #[test]
+    fn cluster_plans_hit_every_cluster_fault_kind_across_seeds() {
+        let (mut kills, mut drops, mut partitions, mut pauses) = (0, 0, 0, 0);
+        for seed in 0..24u64 {
+            for ev in &FaultPlan::random_cluster(seed, 60, 3).events {
+                match ev.kind {
+                    FaultKind::CrashNode { .. } => kills += 1,
+                    FaultKind::ListenerDrop { .. } => drops += 1,
+                    FaultKind::PartitionInbound { .. } => partitions += 1,
+                    FaultKind::PauseBeats { .. } => pauses += 1,
+                    _ => {}
+                }
+            }
+        }
+        assert!(kills > 0 && drops > 0 && partitions > 0 && pauses > 0);
+    }
+
+    /// The distributed grid's 16 schedules (24 steps, 3 workers), as the
+    /// cluster generator drew them when it was a plan type of its own:
+    /// `(step, fault, worker, window ms)`, fault `k`ill, listener `d`rop,
+    /// inbound `p`artition or beat `s`ilence. The generator reproduces
+    /// them draw for draw, so the grid covers what it covered.
+    #[test]
+    fn cluster_plans_reproduce_the_pinned_distributed_grid() {
+        #[rustfmt::skip]
+        const GRID: [&[(u64, char, u32, u64)]; 16] = [
+            &[(2, 'd', 2, 51), (3, 'p', 1, 61), (4, 'p', 1, 34), (6, 's', 0, 374)],
+            &[(0, 'p', 2, 78), (2, 'd', 1, 32), (7, 'p', 2, 37), (11, 'd', 2, 88)],
+            &[(7, 'd', 0, 107), (10, 'p', 0, 95), (11, 'k', 1, 0), (13, 'p', 2, 36)],
+            &[(11, 'd', 0, 37)],
+            &[(2, 'p', 1, 66), (4, 'k', 0, 0)],
+            &[(2, 'k', 1, 0), (7, 'p', 0, 67)],
+            &[(2, 's', 2, 368), (10, 'p', 0, 67), (12, 'd', 1, 62)],
+            &[(2, 's', 0, 431), (12, 'd', 1, 90)],
+            &[(0, 'p', 2, 90), (6, 'd', 2, 98), (8, 'p', 2, 118)],
+            &[(2, 'p', 1, 90), (5, 'p', 0, 21)],
+            &[(7, 's', 0, 350)],
+            &[(4, 's', 1, 476)],
+            &[(0, 'p', 2, 93), (4, 'p', 2, 31), (8, 'p', 0, 116)],
+            &[(2, 's', 2, 327), (7, 'p', 0, 58)],
+            &[(9, 'p', 0, 105), (10, 'p', 0, 83), (12, 'p', 0, 92)],
+            &[(6, 'k', 1, 0), (8, 'd', 0, 103), (9, 'p', 1, 78)],
+        ];
+        for (seed, pinned) in GRID.iter().enumerate() {
+            let pinned: Vec<FaultEvent> = pinned
+                .iter()
+                .map(|&(step, fault, op, millis)| FaultEvent {
+                    step,
+                    kind: match fault {
+                        'k' => FaultKind::CrashNode { op },
+                        'd' => FaultKind::ListenerDrop { op, millis },
+                        'p' => FaultKind::PartitionInbound { op, millis },
+                        's' => FaultKind::PauseBeats { op, millis },
+                        other => panic!("no fault '{other}'"),
+                    },
+                })
+                .collect();
+            let plan = FaultPlan::random_cluster(seed as u64, 24, 3);
+            assert_eq!(plan.events, pinned, "seed {seed}: {plan}");
+        }
     }
 
     #[test]

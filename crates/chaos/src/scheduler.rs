@@ -1,8 +1,6 @@
 //! Step-driven fault injection.
 
-use std::time::Duration;
-
-use crate::plan::{FaultEvent, FaultKind, FaultPlan};
+use crate::plan::{FaultEvent, FaultPlan};
 use crate::target::ChaosTarget;
 
 /// Walks a [`FaultPlan`] and injects each event into a [`ChaosTarget`]
@@ -34,12 +32,16 @@ impl FaultScheduler {
 
     /// Injects every pending event with `event.step <= step` into `target`.
     /// Returns how many events fired.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a fault the target cannot inject.
     pub fn advance(&mut self, step: u64, target: &impl ChaosTarget) -> usize {
         let mut fired = 0;
         while self.next < self.plan.events.len() && self.plan.events[self.next].step <= step {
             let ev = self.plan.events[self.next];
             self.next += 1;
-            inject(ev.kind, target);
+            assert!(target.inject(ev.kind), "the target cannot inject {ev}");
             self.injected.push(ev);
             fired += 1;
         }
@@ -63,92 +65,27 @@ impl FaultScheduler {
     }
 }
 
-fn inject(kind: FaultKind, target: &impl ChaosTarget) {
-    match kind {
-        FaultKind::CrashNode { op } => target.crash_node(op),
-        FaultKind::SeverData { edge } => target.sever_data(edge),
-        FaultKind::HealData { edge } => target.heal_data(edge),
-        FaultKind::DelayAcks { edge } => target.sever_ctrl(edge),
-        FaultKind::RestoreAcks { edge } => target.heal_ctrl(edge),
-        FaultKind::DiskFault { op, permille } => {
-            target.set_storage_fault_rate(op, f64::from(permille) / 1000.0)
-        }
-        FaultKind::DiskHeal { op } => target.set_storage_fault_rate(op, 0.0),
-        FaultKind::DiskStall { op, millis } => {
-            target.stall_storage(op, Duration::from_millis(millis))
-        }
-        FaultKind::StallSink { sink, millis } => {
-            target.stall_sink(sink, Duration::from_millis(millis))
-        }
-        FaultKind::DelaySpike { edge, extra_ms, window_ms } => target.delay_spike(
-            edge,
-            Duration::from_millis(extra_ms),
-            Duration::from_millis(window_ms),
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::Mutex;
 
     use super::*;
-    use crate::plan::Topology;
+    use crate::plan::{FaultKind, Topology};
 
+    /// Records what it is asked to inject; has no beats to pause.
     #[derive(Default)]
     struct MockTarget {
         calls: Mutex<Vec<String>>,
     }
 
-    impl MockTarget {
-        fn record(&self, call: String) {
-            self.calls.lock().unwrap().push(call);
-        }
-    }
-
     impl ChaosTarget for MockTarget {
-        fn operator_count(&self) -> usize {
-            3
+        fn topology(&self) -> Topology {
+            Topology { operators: 3, edges: 2, storage_ops: vec![0, 1, 2], sinks: 1 }
         }
-        fn edge_count(&self) -> usize {
-            2
-        }
-        fn has_storage(&self, _op: u32) -> bool {
-            true
-        }
-        fn crash_node(&self, op: u32) {
-            self.record(format!("crash {op}"));
-        }
-        fn sever_data(&self, edge: usize) {
-            self.record(format!("sever-data {edge}"));
-        }
-        fn heal_data(&self, edge: usize) {
-            self.record(format!("heal-data {edge}"));
-        }
-        fn sever_ctrl(&self, edge: usize) {
-            self.record(format!("sever-ctrl {edge}"));
-        }
-        fn heal_ctrl(&self, edge: usize) {
-            self.record(format!("heal-ctrl {edge}"));
-        }
-        fn set_storage_fault_rate(&self, op: u32, rate: f64) {
-            self.record(format!("fault-rate {op} {rate:.3}"));
-        }
-        fn stall_storage(&self, op: u32, window: Duration) {
-            self.record(format!("stall {op} {}ms", window.as_millis()));
-        }
-        fn sink_count(&self) -> usize {
-            1
-        }
-        fn stall_sink(&self, sink: usize, window: Duration) {
-            self.record(format!("stall-sink {sink} {}ms", window.as_millis()));
-        }
-        fn delay_spike(&self, edge: usize, extra: Duration, window: Duration) {
-            self.record(format!(
-                "delay-spike {edge} +{}ms/{}ms",
-                extra.as_millis(),
-                window.as_millis()
-            ));
+
+        fn inject(&self, fault: FaultKind) -> bool {
+            self.calls.lock().unwrap().push(fault.to_string());
+            !matches!(fault, FaultKind::PauseBeats { .. })
         }
     }
 
@@ -167,34 +104,17 @@ mod tests {
         assert_eq!(sched.finish(&target), 1);
         assert!(sched.exhausted());
         let calls = target.calls.lock().unwrap();
-        assert_eq!(*calls, vec!["sever-data 0", "heal-data 0", "crash 1"]);
+        assert_eq!(*calls, vec!["sever-data(e0)", "heal-data(e0)", "crash(op1)"]);
     }
 
     #[test]
-    fn kinds_map_to_target_hooks() {
-        let plan = FaultPlan::scripted(vec![
-            FaultEvent { step: 0, kind: FaultKind::DiskFault { op: 2, permille: 250 } },
-            FaultEvent { step: 0, kind: FaultKind::DiskStall { op: 2, millis: 7 } },
-            FaultEvent { step: 0, kind: FaultKind::DelayAcks { edge: 1 } },
-            FaultEvent { step: 0, kind: FaultKind::RestoreAcks { edge: 1 } },
-            FaultEvent { step: 0, kind: FaultKind::DiskHeal { op: 2 } },
-            FaultEvent { step: 0, kind: FaultKind::StallSink { sink: 0, millis: 3 } },
-            FaultEvent {
-                step: 0,
-                kind: FaultKind::DelaySpike { edge: 1, extra_ms: 2, window_ms: 5 },
-            },
-        ]);
-        let target = MockTarget::default();
-        let mut sched = FaultScheduler::new(plan);
-        sched.finish(&target);
-        let calls = target.calls.lock().unwrap();
-        assert!(calls.contains(&"fault-rate 2 0.250".to_string()));
-        assert!(calls.contains(&"fault-rate 2 0.000".to_string()));
-        assert!(calls.contains(&"stall 2 7ms".to_string()));
-        assert!(calls.contains(&"sever-ctrl 1".to_string()));
-        assert!(calls.contains(&"heal-ctrl 1".to_string()));
-        assert!(calls.contains(&"stall-sink 0 3ms".to_string()));
-        assert!(calls.contains(&"delay-spike 1 +2ms/5ms".to_string()));
+    #[should_panic(expected = "the target cannot inject @3 pause-beats(op0, 400ms)")]
+    fn a_fault_the_target_cannot_inject_fails_loudly() {
+        let plan = FaultPlan::scripted(vec![FaultEvent {
+            step: 3,
+            kind: FaultKind::PauseBeats { op: 0, millis: 400 },
+        }]);
+        FaultScheduler::new(plan).finish(&MockTarget::default());
     }
 
     #[test]

@@ -1,32 +1,58 @@
-//! Cross-checks between the supervisor's recovery timeline and the
-//! metrics registry.
+//! Cross-checks between a chaos run's fault plan, its recovery timelines
+//! and the metrics registry.
 //!
-//! The engine records every supervised restart twice: as a
-//! [`RecoveryEvent`] in the supervisor's event list and as a
-//! `recovery.restarts` counter bump in the shared metrics registry. A
-//! chaos run that trusts its own assertions should verify the two
-//! accounts agree — a mismatch means either the supervisor restarted a
-//! node without metering it or a counter was bumped for a restart that
-//! never happened, both of which would silently skew any dashboard built
-//! on the registry.
+//! Both runtimes record every supervised restart twice: as a
+//! [`RecoveryTimeline`] (the in-process supervisor's and the cluster
+//! monitor's one shape) and as counters in a metrics registry. A chaos run
+//! that trusts its own assertions should verify that the two accounts
+//! agree with each other and with the plan — a mismatch means a restart
+//! went unmetered, or a counter was bumped for a restart that never
+//! happened, and either would silently skew any dashboard built on the
+//! registry.
 
 use std::collections::HashMap;
 
-use streammine_core::RecoveryEvent;
 use streammine_obs::FaultKind as TimelineFaultKind;
 use streammine_obs::{
     JournalEvent, JournalKind, Labels, RecoveryTimeline, RegistrySnapshot, Tracer,
 };
 use streammine_sketch::ErrorBound;
 
-use crate::proc_plan::ProcFaultPlan;
+use crate::plan::FaultPlan;
 
-/// Checks that the registry's recovery counters match the supervisor's
-/// event trail and that the journal's backpressure episodes reconcile
-/// with the registry:
+/// The check every recovery record passes, in either runtime: its phases
+/// are monotone (detect ≤ fence ≤ respawn ≤ handshake ≤ first output ≤
+/// drain), and there are no more crash timelines than the plan injected
+/// crashes. Fewer is tolerated: a crash injected in a cluster's quiesce
+/// tail can land after the monitor stopped watching, so the victim dies
+/// unobserved. Returns the number of crash timelines.
+fn check_timelines(plan: &FaultPlan, timelines: &[RecoveryTimeline]) -> Result<u64, String> {
+    if let Some(t) = timelines.iter().find(|t| !t.monotonic()) {
+        return Err(format!(
+            "slot {}#{}: non-monotonic recovery timeline: {}",
+            t.worker,
+            t.incarnation,
+            t.to_json()
+        ));
+    }
+    let crashes = timelines.iter().filter(|t| t.kind == TimelineFaultKind::Crash).count();
+    if crashes > plan.crash_count() {
+        return Err(format!(
+            "plan injected {} crashes but {crashes} crash timelines were recorded",
+            plan.crash_count()
+        ));
+    }
+    Ok(crashes as u64)
+}
+
+/// Checks an in-process chaos run: its supervisor's timelines against the
+/// plan and the registry, and the journal's backpressure episodes against
+/// the registry:
 ///
-/// * `recovery.restarts{op}` equals the number of [`RecoveryEvent`]s for
-///   that operator — no more, no fewer;
+/// * the timelines pass the check both runtimes share (monotone phases,
+///   no more crash timelines than planned crashes);
+/// * `recovery.restarts{op}` equals the number of timelines for that
+///   operator — no more, no fewer;
 /// * every restarted operator counted at least one `replay.requests{op}`
 ///   per restart — the counter keeps the paper's name for the step and
 ///   counts the input rings a recovering node rewound (a restart without
@@ -47,20 +73,22 @@ use crate::proc_plan::ProcFaultPlan;
 ///
 /// Returns a description of the first mismatch found.
 pub fn verify_recovery_counters(
+    plan: &FaultPlan,
+    timelines: &[RecoveryTimeline],
     snap: &RegistrySnapshot,
-    events: &[RecoveryEvent],
     journal: &[JournalEvent],
 ) -> Result<(), String> {
+    check_timelines(plan, timelines)?;
     let mut per_op: HashMap<u32, u64> = HashMap::new();
-    for ev in events {
-        *per_op.entry(ev.op.index()).or_insert(0) += 1;
+    for t in timelines {
+        *per_op.entry(t.worker).or_insert(0) += 1;
     }
     for (&op, &expected) in &per_op {
         let counted = snap.counter("recovery.restarts", Labels::op(op)).unwrap_or(0);
         if counted != expected {
             return Err(format!(
                 "op{op}: registry counted {counted} recovery.restarts, \
-                 supervisor recorded {expected} events"
+                 supervisor recorded {expected} timelines"
             ));
         }
         let replays = snap.counter("replay.requests", Labels::op(op)).unwrap_or(0);
@@ -78,7 +106,7 @@ pub fn verify_recovery_counters(
         }
         let op = sample.labels.op.unwrap_or(u32::MAX);
         if !per_op.contains_key(&op) {
-            return Err(format!("registry has recovery.restarts for op{op} with no events"));
+            return Err(format!("registry has recovery.restarts for op{op} with no timeline"));
         }
     }
     // Backpressure reconciliation: stall entries vs resumes vs counters.
@@ -118,80 +146,37 @@ pub fn verify_recovery_counters(
 }
 
 /// Reconciles a distributed chaos run's recovery timelines with the
-/// fault schedule that produced them and with the cluster-level metrics
-/// the telemetry plane aggregated:
+/// fault plan that produced them and with the cluster-level metrics the
+/// telemetry plane aggregated:
 ///
-/// * every [`RecoveryTimeline`] has monotonically ordered phases
-///   (detect ≤ fence ≤ respawn ≤ handshake ≤ first output ≤ drain);
-/// * crash-kind timelines never outnumber the plan's [`kill_count`] — a
-///   timeline per SIGKILL the monitor *observed*. Fewer is tolerated: a
-///   kill injected during the quiesce tail can land after the monitor
-///   stopped watching, so the victim dies unobserved and no timeline is
-///   reconstructed. The timeline/counter cross-checks below still hold
-///   for everything that was observed;
-/// * timeline kinds agree with the launcher's crash/expiry counters, and
-///   their total equals the restart count;
-/// * the cluster snapshot's launcher-side counters
+/// * the timelines pass the check both runtimes share (monotone phases,
+///   no more crash timelines than planned kills);
+/// * the launcher's counters in the cluster snapshot
 ///   (`control.crash_detected`, `control.lease_expired`,
-///   `recovery.restarts`) say the same thing;
+///   `recovery.restarts`) count the same crash, expiry and total
+///   timelines;
 /// * the worker-labeled `recovery.restarts{worker=w}` series synthesized
 ///   from telemetry incarnations sum to the restart total — a worker
 ///   restart that never reported telemetry would undercount here.
-///
-/// [`kill_count`]: ProcFaultPlan::kill_count
 ///
 /// # Errors
 ///
 /// Returns a description of the first mismatch found.
 pub fn verify_cluster_recovery(
-    plan: &ProcFaultPlan,
+    plan: &FaultPlan,
     timelines: &[RecoveryTimeline],
-    crashes_detected: u64,
-    leases_expired: u64,
-    restarts: u64,
     cluster: &RegistrySnapshot,
 ) -> Result<(), String> {
-    for t in timelines {
-        if !t.monotonic() {
-            return Err(format!(
-                "w{}#{}: non-monotonic recovery timeline: {}",
-                t.worker,
-                t.incarnation,
-                t.to_json()
-            ));
-        }
-    }
-    let crash_timelines =
-        timelines.iter().filter(|t| t.kind == TimelineFaultKind::Crash).count() as u64;
-    let lease_timelines = timelines.len() as u64 - crash_timelines;
-    if crash_timelines > plan.kill_count() as u64 {
-        return Err(format!(
-            "plan injected {} kills but {} crash timelines were reconstructed",
-            plan.kill_count(),
-            crash_timelines
-        ));
-    }
-    if crash_timelines != crashes_detected {
-        return Err(format!(
-            "{crash_timelines} crash timelines vs {crashes_detected} crashes detected"
-        ));
-    }
-    if lease_timelines != leases_expired {
-        return Err(format!(
-            "{lease_timelines} lease-expiry timelines vs {leases_expired} leases expired"
-        ));
-    }
-    if timelines.len() as u64 != restarts {
-        return Err(format!("{} timelines for {restarts} restarts", timelines.len()));
-    }
+    let crashes = check_timelines(plan, timelines)?;
+    let restarts = timelines.len() as u64;
     for (name, expected) in [
-        ("control.crash_detected", crashes_detected),
-        ("control.lease_expired", leases_expired),
+        ("control.crash_detected", crashes),
+        ("control.lease_expired", restarts - crashes),
         ("recovery.restarts", restarts),
     ] {
         let counted = cluster.counter(name, Labels::NONE).unwrap_or(0);
         if counted != expected {
-            return Err(format!("cluster {name} counted {counted}, launcher saw {expected}"));
+            return Err(format!("cluster {name} counted {counted}, the timelines say {expected}"));
         }
     }
     let telemetry_restarts: u64 = cluster
@@ -326,12 +311,42 @@ pub fn verify_rollback_traces(tracer: &Tracer) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-    use streammine_common::ids::OperatorId;
+    use crate::plan::{FaultEvent, FaultKind};
     use streammine_obs::Registry;
 
-    fn event(op: u32, attempt: u32) -> RecoveryEvent {
-        RecoveryEvent { op: OperatorId::new(op), attempt, backoff: Duration::from_millis(1) }
+    fn timeline(worker: u32, kind: TimelineFaultKind) -> RecoveryTimeline {
+        RecoveryTimeline {
+            worker,
+            incarnation: 1,
+            kind,
+            mode: streammine_obs::RecoveryModeTag::Precise,
+            detect_us: 100,
+            fence_us: 150,
+            respawn_us: 400,
+            handshake_us: Some(900),
+            first_output_us: Some(1_500),
+            drain_us: Some(9_000),
+        }
+    }
+
+    fn crash(op: u32) -> RecoveryTimeline {
+        timeline(op, TimelineFaultKind::Crash)
+    }
+
+    /// `kills` crashes of worker `i` at step `20 i`.
+    fn kill_plan(kills: usize) -> FaultPlan {
+        FaultPlan::scripted(
+            (0..kills)
+                .map(|i| FaultEvent {
+                    step: i as u64 * 20,
+                    kind: FaultKind::CrashNode { op: i as u32 },
+                })
+                .collect(),
+        )
+    }
+
+    fn no_faults() -> FaultPlan {
+        FaultPlan::scripted(Vec::new())
     }
 
     #[test]
@@ -339,8 +354,8 @@ mod tests {
         let r = Registry::new();
         r.counter("recovery.restarts", Labels::op(1)).add(2);
         r.counter("replay.requests", Labels::op(1)).add(2);
-        let events = vec![event(1, 1), event(1, 2)];
-        assert!(verify_recovery_counters(&r.snapshot(), &events, &[]).is_ok());
+        let timelines = vec![crash(1), crash(1)];
+        assert!(verify_recovery_counters(&kill_plan(2), &timelines, &r.snapshot(), &[]).is_ok());
     }
 
     #[test]
@@ -348,8 +363,9 @@ mod tests {
         let r = Registry::new();
         r.counter("recovery.restarts", Labels::op(1)).incr();
         r.counter("replay.requests", Labels::op(1)).incr();
-        let events = vec![event(1, 1), event(1, 2)];
-        let err = verify_recovery_counters(&r.snapshot(), &events, &[]).unwrap_err();
+        let timelines = vec![crash(1), crash(1)];
+        let err =
+            verify_recovery_counters(&kill_plan(2), &timelines, &r.snapshot(), &[]).unwrap_err();
         assert!(err.contains("registry counted 1"), "{err}");
     }
 
@@ -357,8 +373,8 @@ mod tests {
     fn missing_replay_requests_fail() {
         let r = Registry::new();
         r.counter("recovery.restarts", Labels::op(0)).incr();
-        let events = vec![event(0, 1)];
-        let err = verify_recovery_counters(&r.snapshot(), &events, &[]).unwrap_err();
+        let err =
+            verify_recovery_counters(&kill_plan(1), &[crash(0)], &r.snapshot(), &[]).unwrap_err();
         assert!(err.contains("replay.requests"), "{err}");
     }
 
@@ -366,8 +382,22 @@ mod tests {
     fn phantom_registry_restarts_fail() {
         let r = Registry::new();
         r.counter("recovery.restarts", Labels::op(3)).incr();
-        let err = verify_recovery_counters(&r.snapshot(), &[], &[]).unwrap_err();
-        assert!(err.contains("no events"), "{err}");
+        let err = verify_recovery_counters(&no_faults(), &[], &r.snapshot(), &[]).unwrap_err();
+        assert!(err.contains("no timeline"), "{err}");
+    }
+
+    #[test]
+    fn an_in_process_timeline_goes_through_the_shared_check() {
+        let r = Registry::new();
+        r.counter("recovery.restarts", Labels::op(0)).incr();
+        r.counter("replay.requests", Labels::op(0)).incr();
+        let mut t = crash(0);
+        t.respawn_us = 120; // before fence
+        let err = verify_recovery_counters(&kill_plan(1), &[t], &r.snapshot(), &[]).unwrap_err();
+        assert!(err.contains("non-monotonic"), "{err}");
+        let err =
+            verify_recovery_counters(&no_faults(), &[crash(0)], &r.snapshot(), &[]).unwrap_err();
+        assert!(err.contains("plan injected 0 crashes"), "{err}");
     }
 
     fn journal_events(op: u32, kinds: Vec<JournalKind>) -> Vec<JournalEvent> {
@@ -390,14 +420,14 @@ mod tests {
                 JournalKind::SpecCapHit { open: 8, retained: 64 },
             ],
         );
-        assert!(verify_recovery_counters(&r.snapshot(), &[], &journal).is_ok());
+        assert!(verify_recovery_counters(&no_faults(), &[], &r.snapshot(), &journal).is_ok());
     }
 
     #[test]
     fn resume_without_stall_fails() {
         let r = Registry::new();
         let journal = journal_events(1, vec![JournalKind::BackpressureResume { stall_us: 5 }]);
-        let err = verify_recovery_counters(&r.snapshot(), &[], &journal).unwrap_err();
+        let err = verify_recovery_counters(&no_faults(), &[], &r.snapshot(), &journal).unwrap_err();
         assert!(err.contains("1 backpressure resumes"), "{err}");
     }
 
@@ -406,23 +436,8 @@ mod tests {
         let r = Registry::new();
         // Journal says a stall happened but the counter never moved.
         let journal = journal_events(0, vec![JournalKind::BackpressureStall { edge: 1 }]);
-        let err = verify_recovery_counters(&r.snapshot(), &[], &journal).unwrap_err();
+        let err = verify_recovery_counters(&no_faults(), &[], &r.snapshot(), &journal).unwrap_err();
         assert!(err.contains("counted only 0"), "{err}");
-    }
-
-    fn timeline(worker: u32, kind: TimelineFaultKind) -> RecoveryTimeline {
-        RecoveryTimeline {
-            worker,
-            incarnation: 1,
-            kind,
-            mode: streammine_obs::RecoveryModeTag::Precise,
-            detect_us: 100,
-            fence_us: 150,
-            respawn_us: 400,
-            handshake_us: Some(900),
-            first_output_us: Some(1_500),
-            drain_us: Some(9_000),
-        }
     }
 
     fn cluster_snapshot(
@@ -440,17 +455,6 @@ mod tests {
         r.snapshot()
     }
 
-    fn kill_plan(kills: usize) -> ProcFaultPlan {
-        ProcFaultPlan::scripted(
-            (0..kills)
-                .map(|i| crate::ProcFaultEvent {
-                    step: i as u64 * 20,
-                    kind: crate::ProcFaultKind::KillWorker { worker: i as u32 },
-                })
-                .collect(),
-        )
-    }
-
     #[test]
     fn reconciled_cluster_recovery_passes() {
         let plan = kill_plan(2);
@@ -460,7 +464,7 @@ mod tests {
             timeline(2, TimelineFaultKind::LeaseExpiry),
         ];
         let snap = cluster_snapshot(2, 1, &[(0, 1), (1, 1), (2, 1)]);
-        assert!(verify_cluster_recovery(&plan, &timelines, 2, 1, 3, &snap).is_ok());
+        assert!(verify_cluster_recovery(&plan, &timelines, &snap).is_ok());
     }
 
     #[test]
@@ -468,7 +472,7 @@ mod tests {
         let mut t = timeline(0, TimelineFaultKind::Crash);
         t.fence_us = 50; // before detect
         let snap = cluster_snapshot(1, 0, &[(0, 1)]);
-        let err = verify_cluster_recovery(&kill_plan(1), &[t], 1, 0, 1, &snap).unwrap_err();
+        let err = verify_cluster_recovery(&kill_plan(1), &[t], &snap).unwrap_err();
         assert!(err.contains("non-monotonic"), "{err}");
     }
 
@@ -479,8 +483,8 @@ mod tests {
         // *unobserved* quiesce-tail kills must not excuse.
         let snap = cluster_snapshot(2, 0, &[(0, 2)]);
         let t = vec![timeline(0, TimelineFaultKind::Crash)];
-        let err = verify_cluster_recovery(&kill_plan(2), &t, 2, 0, 2, &snap).unwrap_err();
-        assert!(err.contains("crashes detected"), "{err}");
+        let err = verify_cluster_recovery(&kill_plan(2), &t, &snap).unwrap_err();
+        assert!(err.contains("control.crash_detected counted 2"), "{err}");
     }
 
     #[test]
@@ -492,7 +496,7 @@ mod tests {
         let plan = kill_plan(2);
         let t = vec![timeline(0, TimelineFaultKind::Crash)];
         let snap = cluster_snapshot(1, 0, &[(0, 1)]);
-        assert!(verify_cluster_recovery(&plan, &t, 1, 0, 1, &snap).is_ok());
+        assert!(verify_cluster_recovery(&plan, &t, &snap).is_ok());
     }
 
     #[test]
@@ -500,8 +504,8 @@ mod tests {
         let plan = kill_plan(1);
         let t = vec![timeline(0, TimelineFaultKind::Crash), timeline(1, TimelineFaultKind::Crash)];
         let snap = cluster_snapshot(2, 0, &[(0, 1), (1, 1)]);
-        let err = verify_cluster_recovery(&plan, &t, 2, 0, 2, &snap).unwrap_err();
-        assert!(err.contains("injected 1 kills"), "{err}");
+        let err = verify_cluster_recovery(&plan, &t, &snap).unwrap_err();
+        assert!(err.contains("injected 1 crashes"), "{err}");
     }
 
     #[test]
@@ -542,7 +546,7 @@ mod tests {
             vec![timeline(0, TimelineFaultKind::Crash), timeline(1, TimelineFaultKind::Crash)];
         // Worker 1's replacement incarnation never reported telemetry.
         let snap = cluster_snapshot(2, 0, &[(0, 1)]);
-        let err = verify_cluster_recovery(&plan, &timelines, 2, 0, 2, &snap).unwrap_err();
+        let err = verify_cluster_recovery(&plan, &timelines, &snap).unwrap_err();
         assert!(err.contains("never reported telemetry"), "{err}");
     }
 

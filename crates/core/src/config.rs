@@ -3,6 +3,7 @@
 use std::time::Duration;
 
 use streammine_common::error::{Error, Result};
+use streammine_obs::RecoveryModeTag;
 use streammine_sketch::ErrorBound;
 use streammine_stm::StmConfig;
 use streammine_storage::disk::DiskSpec;
@@ -65,6 +66,16 @@ pub enum RecoveryMode {
     /// derived from the declared [`ErrorBound`]; when a recovery would
     /// exceed the budget the node escalates to a precise replay cycle.
     Approximate(ErrorBound),
+}
+
+impl RecoveryMode {
+    /// The mode as a recovery timeline records it.
+    pub(crate) fn tag(&self) -> RecoveryModeTag {
+        match self {
+            RecoveryMode::Precise => RecoveryModeTag::Precise,
+            RecoveryMode::Approximate(_) => RecoveryModeTag::Approximate,
+        }
+    }
 }
 
 /// The default checkpoint interval, in events, of an operator in process

@@ -6,16 +6,16 @@
 //! with periodic [`CtrlMsg::Beat`]s. The launcher's monitor distinguishes
 //! failures by combining two signals:
 //!
-//! * the child's **exit status** (`try_wait`) — a definite crash;
+//! * the **end of the child process**, posted on this plane's event queue
+//!   as [`CtrlEvent::Exited`] by the launcher's reaper — a definite crash;
 //! * **lease expiry** without an exit — the process is alive but
 //!   unreachable (or wedged): a partition, handled identically (kill,
 //!   then restart) but counted separately.
 //!
 //! The end of a control connection that had said `Hello` is surfaced as
-//! [`CtrlEvent::WorkerGone`]: the kernel closes a SIGKILLed process's
-//! socket, so the monitor learns of a crash from the read that fails, not
-//! from its next poll. It is a reason to look, never a verdict — the lease
-//! table is untouched by it.
+//! [`CtrlEvent::WorkerGone`]. It is no failure signal: a live worker that
+//! lost its connection redials, and the lease table is untouched by it.
+//! Shutdown counts it, to know when every worker has gone.
 //!
 //! Restarts bump the worker's *expected epoch* **before** the replacement
 //! is spawned, so any zombie of the old incarnation that still manages to
@@ -73,11 +73,20 @@ pub(crate) enum CtrlEvent {
     /// The control connection this incarnation's `Hello` was accepted on
     /// has ended (EOF, reset, torn frame). Parent-local: nothing on the
     /// wire says so, the failed read does. The process may be dead or may
-    /// be redialing; whoever reads this has to look.
+    /// be redialing.
     WorkerGone {
         /// Worker index.
         worker: u32,
         /// The incarnation whose connection ended.
+        incarnation: u64,
+    },
+    /// The process of this incarnation has ended: its reaper read
+    /// end-of-file on the child's stdout. Parent-local, posted through
+    /// [`ControlPlane::notifier`].
+    Exited {
+        /// Worker index.
+        worker: u32,
+        /// The incarnation whose process ended.
         incarnation: u64,
     },
     /// A worker pushed a telemetry report. Surfaced regardless of lease
@@ -149,6 +158,12 @@ impl ControlPlane {
     /// Lease accept/announce events, in arrival order.
     pub fn events(&self) -> &crossbeam_channel::Receiver<CtrlEvent> {
         &self.events_rx
+    }
+
+    /// A sender into [`ControlPlane::events`], for what the launcher
+    /// learns outside the control lane: a process's end.
+    pub fn notifier(&self) -> crossbeam_channel::Sender<CtrlEvent> {
+        self.shared.events.clone()
     }
 
     /// Raises the minimum incarnation for `worker`. Call **before**

@@ -5,17 +5,20 @@
 //! [control plane](super::control) in the calling process, and runs a
 //! **monitor** that turns two failure signals into restarts:
 //!
-//! * a child **exit** (`try_wait`) — a crash, e.g. the nemesis's SIGKILL;
+//! * the **end of a process** — a crash, e.g. the nemesis's SIGKILL. Each
+//!   incarnation has a reaper thread blocked on the child's piped stdout,
+//!   which nothing writes and which reads end-of-file once the process has
+//!   ended, however it ended: before its `Hello` or after. The reaper
+//!   posts the exit, with its incarnation, to the monitor's queue;
 //! * a **lease expiry** — no heartbeat inside the lease window while the
 //!   process still runs: a partition (or a wedged process), killed and
 //!   restarted just like a crash but counted separately.
 //!
-//! The monitor sleeps on the control plane's event queue, not on a timer:
-//! a `Hello` is wired the moment it arrives, and the close of a worker's
-//! control connection makes it look at that worker's process at once. The
-//! poll tick remains as the bound — it is the lease check, and it finds
-//! the exit no closed connection announced (a worker killed before its
-//! `Hello`). A closed connection alone restarts nobody.
+//! The monitor sleeps on the control plane's event queue: a `Hello` is
+//! wired the moment it arrives, and an exit restarts its slot the moment
+//! it arrives. The tick ([`ClusterSpec::poll`]) is the lease check and
+//! nothing else. A closed control connection restarts nobody: a live
+//! worker that lost its connection redials.
 //!
 //! A restart bumps the worker's incarnation and raises the control
 //! plane's expected epoch *before* the replacement spawns, so a zombie of
@@ -36,20 +39,20 @@
 //! timelines' `first_output` and `drain`.
 
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::RecvTimeoutError;
+use crossbeam_channel::{RecvTimeoutError, Sender};
 use parking_lot::{Condvar, Mutex};
 use streammine_common::clock::{shared, SystemClock};
 use streammine_common::ids::OperatorId;
-use streammine_net::{link, BackoffConfig, EdgeMetrics, LinkConfig, TcpTransport, Transport};
+use streammine_net::{link, EdgeMetrics, LinkConfig, TcpTransport, Transport};
 use streammine_obs::{
     prometheus_text, timelines_json, ClusterObs, Counter, FaultKind, HttpServer, Labels, Obs,
-    RecoveryModeTag, RecoveryTimeline, RegistrySnapshot, TransportMetrics,
+    RecoveryTimeline, RegistrySnapshot, TransportMetrics,
 };
 
 use streammine_sketch::ErrorBound;
@@ -64,13 +67,6 @@ use crate::message::{Control, Message};
 
 /// How long [`Cluster::shutdown`] lets the workers finish by themselves.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
-/// Spacing of the looks at a suspect that has not exited yet: the kernel
-/// closes a dying process's sockets a moment before its parent can reap
-/// it. 100 µs doubling to 2 ms; after [`REAP_RECHECKS`] of them (~5 ms)
-/// the suspect is left to the poll tick.
-const REAP_RECHECK: BackoffConfig =
-    BackoffConfig { base: Duration::from_micros(100), cap: Duration::from_millis(2) };
-const REAP_RECHECKS: u32 = 6;
 
 /// One operator slot in the cluster chain.
 #[derive(Debug, Clone)]
@@ -162,7 +158,7 @@ pub struct ClusterSpec {
     pub beat: Duration,
     /// Silence after which a lease is declared expired.
     pub lease_timeout: Duration,
-    /// Monitor poll interval.
+    /// Lease check interval.
     pub poll: Duration,
     /// Per-worker RNG seed base: worker `i` gets `base + i`. Matches the
     /// in-process graph's convention so a single-process run of the same
@@ -180,7 +176,7 @@ pub struct ClusterSpec {
 
 impl ClusterSpec {
     /// A chain of `operators` with the default timing (20 ms beats,
-    /// 250 ms leases, 25 ms monitor poll) and the in-process RNG seeds.
+    /// 250 ms leases checked every 25 ms) and the in-process RNG seeds.
     pub fn new(operators: Vec<NodeSpec>, worker_bin: PathBuf) -> ClusterSpec {
         ClusterSpec {
             operators,
@@ -207,58 +203,32 @@ struct WorkerSlot {
     open_conns: u32,
 }
 
-/// What the monitor concludes from one look at a slot.
-#[derive(Debug, PartialEq, Eq)]
-enum Verdict {
-    Healthy,
-    /// Its control connection closed, its process has not exited (yet):
-    /// worth another look soon, nothing more.
-    Suspect,
-    Restart(FaultKind),
-}
-
-/// The monitor's decision rule. A restart needs an observed exit or an
-/// expired lease; `suspect` (the control connection closed) never
-/// suffices, because a live worker that lost its connection redials.
-fn verdict(
-    exited: bool,
+/// Whether `slot`'s lease has expired: its incarnation said `Hello` and
+/// has not beaten within `lease_timeout`, or its lease was evicted (fenced)
+/// and no newer incarnation of it came back within four lease times. A
+/// booting process is not partitioned: before its `Hello` nothing expires.
+fn lease_expired(
     lease: Option<&LeaseView>,
     slot: &WorkerSlot,
-    suspect: bool,
     now: Instant,
     lease_timeout: Duration,
-) -> Verdict {
-    if exited {
-        return Verdict::Restart(FaultKind::Crash);
-    }
-    let expired = slot.seen_hello
+) -> bool {
+    slot.seen_hello
         && match lease {
             Some(l) => {
                 l.epoch == slot.incarnation
                     && now.saturating_duration_since(l.last_beat) > lease_timeout
             }
-            // Lease evicted (e.g. fenced) without a newer incarnation of
-            // ours: treat as expired once the process has had time to
-            // re-Hello.
             None => now.saturating_duration_since(slot.spawned_at) > lease_timeout * 4,
-        };
-    if expired {
-        Verdict::Restart(FaultKind::LeaseExpiry)
-    } else if suspect {
-        Verdict::Suspect
-    } else {
-        Verdict::Healthy
-    }
+        }
 }
 
-/// Recovery bookkeeping shared between the monitor and the test API.
+/// The launcher's recovery counters, as the registry exports them. The
+/// counts [`Cluster`] reports are the timelines'.
 struct Counters {
     crash_detected: Counter,
     lease_expired: Counter,
     restarts: Counter,
-    crashes: AtomicU64,
-    expiries: AtomicU64,
-    total_restarts: AtomicU64,
 }
 
 /// A recovery timeline under assembly: the launcher-side phases are
@@ -304,9 +274,6 @@ impl MonitorShared {
                 crash_detected: obs.registry.counter("control.crash_detected", Labels::NONE),
                 lease_expired: obs.registry.counter("control.lease_expired", Labels::NONE),
                 restarts: obs.registry.counter("recovery.restarts", Labels::NONE),
-                crashes: AtomicU64::new(0),
-                expiries: AtomicU64::new(0),
-                total_restarts: AtomicU64::new(0),
             },
             stopping: AtomicBool::new(false),
             telemetry: ClusterObs::new(),
@@ -349,18 +316,21 @@ impl MonitorShared {
         }
     }
 
-    /// A control connection of `worker` at `incarnation` closed. `true`
-    /// when that is the slot's current incarnation and leaves it without
-    /// one — a suspect; an older incarnation's is history.
-    fn note_gone(&self, worker: u32, incarnation: u64) -> bool {
+    /// A control connection of `worker` at `incarnation` closed: one
+    /// fewer for shutdown to wait for. An older incarnation's is history.
+    fn note_gone(&self, worker: u32, incarnation: u64) {
         let mut slots = self.slots.lock();
-        match slots.get_mut(worker as usize) {
-            Some(slot) if slot.incarnation == incarnation => {
+        if let Some(slot) = slots.get_mut(worker as usize) {
+            if slot.incarnation == incarnation {
                 slot.open_conns = slot.open_conns.saturating_sub(1);
-                slot.open_conns == 0
             }
-            _ => false,
         }
+    }
+
+    /// How many timelines so far are of `kind` (all of them for `None`).
+    fn count(&self, kind: Option<FaultKind>) -> u64 {
+        let st = self.timelines.lock();
+        st.pending.iter().filter(|p| kind.is_none_or(|k| p.timeline.kind == k)).count() as u64
     }
 
     /// Stamps `handshake` on the pending timeline waiting for this
@@ -502,7 +472,7 @@ impl Cluster {
         {
             let mut slots = shared.slots.lock();
             for i in 0..n {
-                let child = spawn_worker(&spec, &checkpoints.0, i, 0, plane.local_addr())?;
+                let child = spawn_worker(&spec, &checkpoints.0, i, 0, &plane)?;
                 slots.push(WorkerSlot {
                     child: Some(child),
                     incarnation: 0,
@@ -619,19 +589,24 @@ impl Cluster {
         self.plane.lease(worker).map(|l| l.data_addr)
     }
 
-    /// Total worker restarts so far.
-    pub fn restarts(&self) -> u64 {
-        self.shared.counters.total_restarts.load(Ordering::Acquire)
+    /// Number of worker processes (slots) in the chain.
+    pub fn workers(&self) -> usize {
+        self.n
     }
 
-    /// Restarts triggered by an observed process exit.
+    /// Total worker restarts so far: one recovery timeline each.
+    pub fn restarts(&self) -> u64 {
+        self.shared.count(None)
+    }
+
+    /// Restarts triggered by the end of a worker process.
     pub fn crashes_detected(&self) -> u64 {
-        self.shared.counters.crashes.load(Ordering::Acquire)
+        self.shared.count(Some(FaultKind::Crash))
     }
 
     /// Restarts triggered by lease expiry (partition-style).
     pub fn leases_expired(&self) -> u64 {
-        self.shared.counters.expiries.load(Ordering::Acquire)
+        self.shared.count(Some(FaultKind::LeaseExpiry))
     }
 
     /// Microseconds elapsed on the cluster clock — the time base of every
@@ -750,18 +725,19 @@ impl Drop for Cluster {
     }
 }
 
+/// Spawns incarnation `incarnation` of worker `i` and its reaper.
 fn spawn_worker(
     spec: &ClusterSpec,
     checkpoint_dir: &Path,
     i: usize,
     incarnation: u64,
-    ctrl_addr: &str,
+    plane: &ControlPlane,
 ) -> Result<Child, String> {
     let op = &spec.operators[i];
     let wspec = WorkerSpec {
         worker: i as u32,
         incarnation,
-        ctrl_addr: ctrl_addr.to_string(),
+        ctrl_addr: plane.local_addr().to_string(),
         operator: op.operator.clone(),
         rng_seed: spec.rng_seed_base + i as u64,
         log_micros: op.log_micros,
@@ -782,13 +758,44 @@ fn spawn_worker(
             RecoveryMode::Precise => 0,
         },
     };
-    Command::new(&spec.worker_bin)
+    let mut child = Command::new(&spec.worker_bin)
         .env(SPEC_ENV, wspec.to_hex())
         .stdin(Stdio::null())
-        .stdout(Stdio::null())
+        .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()
-        .map_err(|e| format!("spawn worker {i}: {e}"))
+        .map_err(|e| format!("spawn worker {i}: {e}"))?;
+    if let Some(stdout) = child.stdout.take() {
+        // A worker nobody would see end is not kept running.
+        if let Err(e) = reap(stdout, i as u32, incarnation, plane.notifier()) {
+            let _ = child.kill();
+            let _ = child.wait();
+            return Err(format!("spawn reaper of worker {i}: {e}"));
+        }
+    }
+    Ok(child)
+}
+
+/// The crash signal of one incarnation: a thread blocked on its stdout.
+/// Only the child holds the pipe's write end, and the kernel closes it
+/// when the process ends, so the read returns end-of-file then and not
+/// before — for a SIGKILL before `Hello` as for any other end. The
+/// [`Child`] stays in its slot, so the nemesis can still kill it and the
+/// monitor still waits for it.
+fn reap(
+    mut stdout: ChildStdout,
+    worker: u32,
+    incarnation: u64,
+    exits: Sender<CtrlEvent>,
+) -> std::io::Result<()> {
+    std::thread::Builder::new()
+        .name(format!("reaper-w{worker}"))
+        .spawn(move || {
+            // Whatever a worker prints is read and dropped.
+            let _ = std::io::copy(&mut stdout, &mut std::io::sink());
+            let _ = exits.send(CtrlEvent::Exited { worker, incarnation });
+        })
+        .map(drop)
 }
 
 /// The monitor thread's view of the cluster.
@@ -820,7 +827,7 @@ impl Monitor {
                 Ok(CtrlEvent::WorkerGone { worker, incarnation }) => {
                     self.shared.note_gone(worker, incarnation);
                 }
-                Ok(CtrlEvent::WorkerUp { .. }) => {}
+                Ok(CtrlEvent::WorkerUp { .. } | CtrlEvent::Exited { .. }) => {}
                 Err(_) => return,
             }
         }
@@ -831,55 +838,66 @@ impl Monitor {
     }
 
     /// The supervision loop: wires workers as they say `Hello`, restarts
-    /// dead and silent ones. Returns once the cluster is stopping.
+    /// ended and silent ones. Returns once the cluster is stopping.
     fn supervise(&self) {
         let n = self.spec.operators.len();
         let mut tick = Instant::now() + self.spec.poll;
         // Checked before the wait, not after it: an event taken off the
         // queue is accounted for even when it is the last one.
         while !self.stopping() {
-            // Sleep until the control plane has something to say or the
-            // tick is due; a due tick is not kept waiting by a busy queue.
+            // Sleep until the control plane or a reaper has something to
+            // say or the lease check is due; a due check is not kept
+            // waiting by a busy queue.
             let now = Instant::now();
             let event = if now < tick {
                 self.plane.events().recv_timeout(tick - now)
             } else {
                 Err(RecvTimeoutError::Timeout)
             };
-            // Which slots to look at, and whether a closed control
-            // connection is the reason.
-            let (look, suspect) = match event {
+            match event {
                 Ok(CtrlEvent::Telemetry(report)) => {
                     self.shared.telemetry.merge(&report);
-                    continue;
                 }
                 Ok(CtrlEvent::WorkerUp { worker, incarnation, data_addr }) => {
                     if (worker as usize) < n {
                         self.wire(worker, incarnation, data_addr);
                     }
-                    continue;
                 }
                 Ok(CtrlEvent::WorkerGone { worker, incarnation }) => {
-                    if !self.shared.note_gone(worker, incarnation) {
-                        continue;
-                    }
-                    let i = worker as usize;
-                    (i..i + 1, true)
+                    self.shared.note_gone(worker, incarnation);
                 }
-                // The tick: every lease, and every exit that no closed
-                // connection announced (a worker killed before its `Hello`).
+                // An older incarnation's end is the restart that replaced
+                // it; the current one's is a crash. A slot without a child
+                // is a respawn that failed: the lease check retries it.
+                Ok(CtrlEvent::Exited { worker, incarnation }) => {
+                    let i = worker as usize;
+                    let current = {
+                        let slot = &self.shared.slots.lock()[i];
+                        slot.incarnation == incarnation && slot.child.is_some()
+                    };
+                    if current && !self.stopping() {
+                        self.restart(i, FaultKind::Crash);
+                    }
+                }
                 Err(RecvTimeoutError::Timeout) => {
                     tick = Instant::now() + self.spec.poll;
-                    (0..n, false)
+                    for i in 0..n {
+                        let lease = self.plane.lease(i as u32);
+                        let now = Instant::now();
+                        // One statement: the `slots` lock is gone before a
+                        // restart takes it.
+                        let expired = lease_expired(
+                            lease.as_ref(),
+                            &self.shared.slots.lock()[i],
+                            now,
+                            self.spec.lease_timeout,
+                        );
+                        if expired && !self.stopping() {
+                            self.restart(i, FaultKind::LeaseExpiry);
+                        }
+                    }
                 }
                 Err(RecvTimeoutError::Disconnected) => return,
-            };
-            for i in look {
-                let Some(kind) = self.examine(i, suspect) else { continue };
-                if self.stopping() {
-                    return;
-                }
-                self.restart(i, kind);
             }
         }
     }
@@ -918,37 +936,6 @@ impl Monitor {
         }
     }
 
-    /// Looks at slot `i`: has its process exited, has its lease expired?
-    /// A suspect that has done neither is looked at a few more times, off
-    /// the `slots` lock, before it is left to the tick — never waited for.
-    fn examine(&self, i: usize, suspect: bool) -> Option<FaultKind> {
-        let mut rechecks = 0;
-        loop {
-            let verdict = {
-                let mut slots = self.shared.slots.lock();
-                let slot = &mut slots[i];
-                let exited = match slot.child.as_mut() {
-                    Some(child) => child.try_wait().ok().flatten().is_some(),
-                    None => false,
-                };
-                let lease = self.plane.lease(i as u32);
-                let now = Instant::now();
-                verdict(exited, lease.as_ref(), slot, suspect, now, self.spec.lease_timeout)
-            };
-            match verdict {
-                Verdict::Healthy => return None,
-                Verdict::Restart(kind) => return Some(kind),
-                Verdict::Suspect => {
-                    rechecks += 1;
-                    if rechecks > REAP_RECHECKS || self.stopping() {
-                        return None;
-                    }
-                    std::thread::sleep(REAP_RECHECK.delay(rechecks));
-                }
-            }
-        }
-    }
-
     /// Replaces worker `i`'s process by its next incarnation and opens the
     /// fault's recovery timeline.
     fn restart(&self, i: usize, kind: FaultKind) {
@@ -956,14 +943,8 @@ impl Monitor {
         let detect_us = shared.now_us();
         let cursor_at_detect = shared.timelines.lock().last_cursor;
         match kind {
-            FaultKind::Crash => {
-                shared.counters.crash_detected.incr();
-                shared.counters.crashes.fetch_add(1, Ordering::AcqRel);
-            }
-            FaultKind::LeaseExpiry => {
-                shared.counters.lease_expired.incr();
-                shared.counters.expiries.fetch_add(1, Ordering::AcqRel);
-            }
+            FaultKind::Crash => shared.counters.crash_detected.incr(),
+            FaultKind::LeaseExpiry => shared.counters.lease_expired.incr(),
         }
         let next = shared.slots.lock()[i].incarnation + 1;
         // Fence first: anything still claiming the old incarnation must
@@ -977,7 +958,7 @@ impl Monitor {
                 let _ = child.kill();
                 let _ = child.wait();
             }
-            match spawn_worker(&self.spec, &self.checkpoint_dir, i, next, plane.local_addr()) {
+            match spawn_worker(&self.spec, &self.checkpoint_dir, i, next, plane) {
                 Ok(child) => {
                     slot.child = Some(child);
                     slot.incarnation = next;
@@ -998,16 +979,12 @@ impl Monitor {
             self.src_slot.set(None);
         }
         shared.counters.restarts.incr();
-        shared.counters.total_restarts.fetch_add(1, Ordering::AcqRel);
         shared.timelines.lock().pending.push(PendingTimeline {
             timeline: RecoveryTimeline {
                 worker: i as u32,
                 incarnation: next,
                 kind,
-                mode: match self.spec.operators[i].recovery {
-                    RecoveryMode::Approximate(_) => RecoveryModeTag::Approximate,
-                    RecoveryMode::Precise => RecoveryModeTag::Precise,
-                },
+                mode: self.spec.operators[i].recovery.tag(),
                 detect_us,
                 fence_us,
                 respawn_us: shared.now_us(),
@@ -1034,43 +1011,21 @@ mod tests {
         LeaseView { epoch, last_beat, data_addr: "mem:data".into() }
     }
 
-    /// The safety of the crash signal: a closed control connection makes
-    /// the monitor look, and only what it then sees restarts anybody.
     #[test]
-    fn a_dropped_control_connection_alone_restarts_nobody() {
-        let now = Instant::now();
-        let beating = lease(1, now);
-        let up = slot(1, true, now);
-        assert_eq!(verdict(false, Some(&beating), &up, false, now, LEASE), Verdict::Healthy);
-        assert_eq!(verdict(false, Some(&beating), &up, true, now, LEASE), Verdict::Suspect);
-        // Nor while the replacement boots (no Hello yet, nobody's lease).
-        let booting = slot(2, false, now);
-        assert_eq!(verdict(false, None, &booting, true, now, LEASE), Verdict::Suspect);
-        assert_eq!(verdict(false, None, &booting, false, now + LEASE * 8, LEASE), Verdict::Healthy);
-    }
-
-    #[test]
-    fn an_observed_exit_is_a_crash_and_a_silent_lease_an_expiry() {
+    fn a_silent_lease_expires_and_a_booting_process_does_not() {
         let now = Instant::now();
         let up = slot(1, true, now);
-        for suspect in [false, true] {
-            let crash = Verdict::Restart(FaultKind::Crash);
-            assert_eq!(verdict(true, Some(&lease(1, now)), &up, suspect, now, LEASE), crash);
-            assert_eq!(verdict(true, None, &slot(1, false, now), suspect, now, LEASE), crash);
-
-            let expiry = Verdict::Restart(FaultKind::LeaseExpiry);
-            let later = now + LEASE + Duration::from_millis(1);
-            assert_eq!(verdict(false, Some(&lease(1, now)), &up, suspect, later, LEASE), expiry);
-            // Evicted (fenced) and not back after four lease times.
-            let much_later = now + LEASE * 4 + Duration::from_millis(1);
-            assert_eq!(verdict(false, None, &up, suspect, much_later, LEASE), expiry);
-        }
+        assert!(!lease_expired(Some(&lease(1, now)), &up, now, LEASE));
+        let later = now + LEASE + Duration::from_millis(1);
+        assert!(lease_expired(Some(&lease(1, now)), &up, later, LEASE));
+        // Evicted (fenced) and not back after four lease times.
+        assert!(!lease_expired(None, &up, now + LEASE * 2, LEASE));
+        assert!(lease_expired(None, &up, now + LEASE * 4 + Duration::from_millis(1), LEASE));
         // A predecessor's stale lease says nothing about this incarnation.
-        let later = now + LEASE * 2;
-        assert_eq!(
-            verdict(false, Some(&lease(0, now)), &up, false, later, LEASE),
-            Verdict::Healthy
-        );
+        assert!(!lease_expired(Some(&lease(0, now)), &up, now + LEASE * 2, LEASE));
+        // Before its `Hello` a replacement holds no lease to lose.
+        let booting = slot(2, false, now);
+        assert!(!lease_expired(None, &booting, now + LEASE * 8, LEASE));
     }
 
     #[test]
@@ -1079,11 +1034,28 @@ mod tests {
         let mut current = slot(2, true, Instant::now());
         current.open_conns = 2;
         shared.slots.lock().push(current);
-        assert!(!shared.note_gone(0, 1), "an older incarnation's connection is history");
-        assert!(!shared.note_gone(7, 2), "no such worker");
+        shared.note_gone(0, 1); // an older incarnation's connection is history
+        shared.note_gone(7, 2); // no such worker
         assert_eq!(shared.slots.lock()[0].open_conns, 2);
-        assert!(!shared.note_gone(0, 2), "it redialed: one connection is still open");
-        assert!(shared.note_gone(0, 2));
+        shared.note_gone(0, 2);
+        assert_eq!(shared.slots.lock()[0].open_conns, 1, "it redialed: one is still open");
+        shared.note_gone(0, 2);
         assert_eq!(shared.slots.lock()[0].open_conns, 0);
+    }
+
+    /// The crash signal: a reaper posts its incarnation's exit when the
+    /// process ends, whether it said anything or not.
+    #[test]
+    fn a_reaper_posts_the_exit_of_its_incarnation() {
+        let (tx, rx) = crossbeam_channel::unbounded();
+        let mut child = Command::new("sh")
+            .args(["-c", "echo chatter; exit 3"])
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn sh");
+        reap(child.stdout.take().expect("piped"), 4, 7, tx).expect("spawn reaper");
+        let exited = rx.recv_timeout(Duration::from_secs(10)).expect("no exit posted");
+        assert_eq!(exited, CtrlEvent::Exited { worker: 4, incarnation: 7 });
+        assert!(child.wait().is_ok());
     }
 }

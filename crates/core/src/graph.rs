@@ -18,7 +18,7 @@ use streammine_common::clock::{shared, SharedClock, SystemClock};
 use streammine_common::error::{Error, Result};
 use streammine_common::ids::OperatorId;
 use streammine_net::{link, EdgeMetrics, LinkConfig, LinkReceiver, LinkSender};
-use streammine_obs::{Obs, RegistrySnapshot};
+use streammine_obs::{Obs, RecoveryModeTag, RegistrySnapshot};
 use streammine_storage::checkpoint::{CheckpointObs, CheckpointStore};
 use streammine_storage::disk::DiskSpec;
 use streammine_storage::log::{LogObs, StableLog};
@@ -262,6 +262,11 @@ impl NodePersist {
             exits: Some(self.exits.clone()),
             recovering,
         }
+    }
+
+    /// The recovery mode this node's timelines record.
+    pub(crate) fn mode(&self) -> RecoveryModeTag {
+        self.config.recovery.tag()
     }
 
     /// Joins a dead coordinator, discards the notices in flight to it, and
@@ -650,7 +655,7 @@ impl Running {
     /// restarts every one that crashed — a simulated crash or a panic —
     /// from its checkpoint (restore + log replay + input rewind), after
     /// [`Supervisor::BACKOFF`]'s capped exponential delay. The returned
-    /// handle exposes the recovery timeline; dropping it stops monitoring
+    /// handle exposes the recovery timelines; dropping it stops monitoring
     /// (nodes keep running).
     pub fn supervise(&self) -> Supervisor {
         Supervisor::spawn(

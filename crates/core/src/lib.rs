@@ -74,4 +74,4 @@ pub use graph::{Graph, GraphBuilder, Running, SinkId, SourceId};
 pub use message::{Control, Message};
 pub use operator::{OpCtx, Operator, PortId, SetupCtx};
 pub use state::{StateHandle, StateRegistry};
-pub use supervisor::{RecoveryEvent, Supervisor};
+pub use supervisor::Supervisor;

@@ -10,8 +10,12 @@
 //! host. Nothing is polled: it sleeps until the next exit, or until a
 //! restart it scheduled falls due.
 //!
-//! Every restart is recorded as a [`RecoveryEvent`], giving tests and chaos
-//! harnesses an observable, assertable recovery timeline.
+//! Every restart is recorded as a [`RecoveryTimeline`], the shape a
+//! cluster's monitor records for a worker process: the slot is the
+//! operator, the incarnation its restart count. The thread's exit is both
+//! detection and fence (nothing of the old coordinator survives it), the
+//! restart is the respawn, and the later phases belong to processes. The
+//! attempt and the backoff are in the journal's `Restart` record.
 
 use std::fmt;
 use std::sync::atomic::AtomicBool;
@@ -23,7 +27,7 @@ use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use streammine_common::ids::OperatorId;
 use streammine_net::BackoffConfig;
-use streammine_obs::{JournalKind, Labels, Obs};
+use streammine_obs::{FaultKind, JournalKind, Labels, Obs, RecoveryTimeline};
 
 use crate::graph::NodePersist;
 
@@ -40,35 +44,17 @@ pub(crate) enum Signal {
     Stop,
 }
 
-/// One supervised restart, as observed by the monitor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryEvent {
-    /// The restarted operator.
-    pub op: OperatorId,
-    /// 1-based consecutive attempt number (resets after a stability
-    /// window).
-    pub attempt: u32,
-    /// The backoff delay applied before this restart.
-    pub backoff: Duration,
-}
-
-impl fmt::Display for RecoveryEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "restart {} attempt={} backoff={:?}", self.op, self.attempt, self.backoff)
-    }
-}
-
 /// Handle to a running supervisor thread. Dropping it stops monitoring.
 /// A graph has one supervisor at a time.
 pub struct Supervisor {
-    events: Arc<Mutex<Vec<RecoveryEvent>>>,
+    timelines: Arc<Mutex<Vec<RecoveryTimeline>>>,
     signals: Sender<Signal>,
     join: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl fmt::Debug for Supervisor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Supervisor").field("restarts", &self.events.lock().len()).finish()
+        f.debug_struct("Supervisor").field("restarts", &self.restarts()).finish()
     }
 }
 
@@ -86,25 +72,26 @@ impl Supervisor {
     ) -> Supervisor {
         // Exits from before this supervisor are not its to restart.
         while exits.try_recv().is_ok() {}
-        let events: Arc<Mutex<Vec<RecoveryEvent>>> = Arc::new(Mutex::new(Vec::new()));
+        let timelines = Arc::new(Mutex::new(Vec::new()));
         let join = {
-            let events = events.clone();
+            let timelines = timelines.clone();
             std::thread::Builder::new()
                 .name("supervisor".into())
-                .spawn(move || monitor(&nodes, &stopping, &exits, &events, &obs))
+                .spawn(move || monitor(&nodes, &stopping, &exits, &timelines, &obs))
                 .ok()
         };
-        Supervisor { events, signals, join: Mutex::new(join) }
+        Supervisor { timelines, signals, join: Mutex::new(join) }
     }
 
-    /// The recovery timeline so far, in restart order.
-    pub fn events(&self) -> Vec<RecoveryEvent> {
-        self.events.lock().clone()
+    /// The recovery timelines so far, in restart order. Stamps are
+    /// microseconds since the supervisor started.
+    pub fn recovery_timelines(&self) -> Vec<RecoveryTimeline> {
+        self.timelines.lock().clone()
     }
 
     /// Number of supervised restarts performed.
     pub fn restarts(&self) -> usize {
-        self.events.lock().len()
+        self.timelines.lock().len()
     }
 
     /// Stops monitoring and waits for the monitor thread.
@@ -122,19 +109,30 @@ impl Drop for Supervisor {
     }
 }
 
+/// A restart scheduled and not yet done.
+struct Due {
+    at: Instant,
+    op: u32,
+    attempt: u32,
+    backoff: Duration,
+    detect_us: u64,
+}
+
 fn monitor(
     nodes: &[NodePersist],
     stopping: &AtomicBool,
     exits: &Receiver<Signal>,
-    events: &Mutex<Vec<RecoveryEvent>>,
+    timelines: &Mutex<Vec<RecoveryTimeline>>,
     obs: &Obs,
 ) {
+    let epoch = Instant::now();
+    let now_us = || epoch.elapsed().as_micros() as u64;
     let mut attempts = vec![0u32; nodes.len()];
+    let mut restarts = vec![0u64; nodes.len()];
     let mut restarted_at: Vec<Option<Instant>> = vec![None; nodes.len()];
-    // Restarts scheduled and the instant each falls due.
-    let mut due: Vec<(Instant, RecoveryEvent)> = Vec::new();
+    let mut due: Vec<Due> = Vec::new();
     loop {
-        let signal = match due.iter().map(|(at, _)| *at).min() {
+        let signal = match due.iter().map(|d| d.at).min() {
             Some(at) => exits.recv_timeout(at.saturating_duration_since(Instant::now())),
             None => exits.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
@@ -149,31 +147,47 @@ fn monitor(
                 }
                 attempts[i] += 1;
                 let backoff = Supervisor::BACKOFF.delay(attempts[i]);
-                due.push((now + backoff, RecoveryEvent { op, attempt: attempts[i], backoff }));
+                // Stamped from the instant the backoff counts from, so the
+                // timeline shows at least the whole backoff.
+                let detect_us = now.duration_since(epoch).as_micros() as u64;
+                let attempt = attempts[i];
+                due.push(Due { at: now + backoff, op: op.index(), attempt, backoff, detect_us });
             }
             Ok(Signal::Exited { crashed: false, .. }) | Err(RecvTimeoutError::Timeout) => {}
             Ok(Signal::Stop) | Err(RecvTimeoutError::Disconnected) => return,
         }
-        // The event is recorded only when the restart happens, so
+        // The timeline is recorded only when the restart happens, so
         // `restarts()` observes completed recoveries, not intentions.
-        while let Some(next) = due.iter().position(|(at, _)| *at <= Instant::now()) {
-            let (_, ev) = due.swap_remove(next);
-            let op = ev.op.index();
-            if !nodes[op as usize].restart(stopping) {
+        while let Some(next) = due.iter().position(|d| d.at <= Instant::now()) {
+            let d = due.swap_remove(next);
+            let i = d.op as usize;
+            if !nodes[i].restart(stopping) {
                 return;
             }
-            restarted_at[op as usize] = Some(Instant::now());
-            // Mirror the event into the registry + journal so the recovery
-            // timeline is assertable from metrics alone.
-            obs.registry.counter("recovery.restarts", Labels::op(op)).incr();
+            restarted_at[i] = Some(Instant::now());
+            restarts[i] += 1;
+            // Mirror the restart into the registry + journal so the
+            // recovery is assertable from metrics alone.
+            obs.registry.counter("recovery.restarts", Labels::op(d.op)).incr();
             obs.journal.record(
-                Some(op),
+                Some(d.op),
                 JournalKind::Restart {
-                    attempt: ev.attempt,
-                    backoff_us: ev.backoff.as_micros() as u64,
+                    attempt: d.attempt,
+                    backoff_us: d.backoff.as_micros() as u64,
                 },
             );
-            events.lock().push(ev);
+            timelines.lock().push(RecoveryTimeline {
+                worker: d.op,
+                incarnation: restarts[i],
+                kind: FaultKind::Crash,
+                mode: nodes[i].mode(),
+                detect_us: d.detect_us,
+                fence_us: d.detect_us,
+                respawn_us: now_us(),
+                handshake_us: None,
+                first_output_us: None,
+                drain_us: None,
+            });
         }
     }
 }

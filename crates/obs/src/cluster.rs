@@ -26,11 +26,12 @@
 //!   worker *and* incarnation, so one sampled event's path across
 //!   processes (and across a kill/replay) is one Perfetto timeline.
 //!
-//! [`RecoveryTimeline`] is the typed per-fault phase breakdown the
-//! launcher assembles from its own monitor (detect → fence → respawn) and
-//! the replacement worker's signals (handshake, first replayed output,
-//! sink drain); [`ClusterObs`] only defines the type and its JSON form so
-//! harnesses and benches share one schema.
+//! [`RecoveryTimeline`] is the typed per-fault phase breakdown of one
+//! restart, in either runtime. A cluster's launcher assembles it from its
+//! own monitor (detect → fence → respawn) and the replacement worker's
+//! signals (handshake, first replayed output, sink drain); the in-process
+//! supervisor stamps the first three. This module only defines the type
+//! and its JSON form, so harnesses and benches share one schema.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -746,7 +747,8 @@ impl ClusterObs {
 /// What kind of fault a [`RecoveryTimeline`] describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The monitor observed the process exit (e.g. a SIGKILL).
+    /// The slot ended: its process exited (e.g. a SIGKILL), or its
+    /// coordinator thread crashed.
     Crash,
     /// The lease expired without an exit: a partition or a wedged process.
     LeaseExpiry,
@@ -762,9 +764,9 @@ impl FaultKind {
     }
 }
 
-/// Which recovery protocol the failed worker runs, stamped by the
-/// launcher from the worker's operator spec so trajectory data can
-/// distinguish approximate from precise recoveries.
+/// Which recovery protocol the failed slot runs, stamped from its
+/// configured recovery mode so trajectory data can distinguish
+/// approximate from precise recoveries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum RecoveryModeTag {
     /// Byte-identical checkpoint+replay recovery.
@@ -786,24 +788,30 @@ impl RecoveryModeTag {
 
 /// One fault's recovery, decomposed into the phases the paper's
 /// kill-to-first-output latency is made of. All stamps are microseconds
-/// on the launcher's cluster clock (µs since launch), so phases are
-/// directly comparable across faults and workers.
+/// on the supervising clock — since a cluster's launch, or since an
+/// in-process supervisor started — so phases are directly comparable
+/// across faults and slots. An in-process restart has no process to
+/// hand-shake, so its last three phases are `None`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RecoveryTimeline {
-    /// The worker that failed.
+    /// The slot that failed: a cluster's worker, or an in-process
+    /// operator's index.
     pub worker: u32,
-    /// The incarnation spawned to replace it.
+    /// The incarnation that replaced it: the slot's restart count.
     pub incarnation: u64,
     /// How the fault was detected.
     pub kind: FaultKind,
-    /// Recovery protocol of the failed worker (precise or approximate).
+    /// Recovery protocol of the failed slot (precise or approximate).
     pub mode: RecoveryModeTag,
-    /// The monitor noticed the fault (exit reaped or lease declared dead).
+    /// The supervisor noticed the fault (exit received or lease declared
+    /// dead).
     pub detect_us: u64,
-    /// The expected epoch was raised — zombies of the old incarnation are
-    /// fenced from here on.
+    /// Zombies of the old incarnation are fenced from here on: a
+    /// cluster's expected epoch was raised. A thread that exited is fenced
+    /// by its exit, so in process this equals `detect_us`.
     pub fence_us: u64,
-    /// The replacement process was spawned.
+    /// The replacement was started: a process spawned, or a coordinator
+    /// thread restarted after its backoff.
     pub respawn_us: u64,
     /// The replacement's `Hello` claimed the lease (data address known,
     /// re-wiring pushed).

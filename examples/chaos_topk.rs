@@ -2,17 +2,20 @@
 //! sketch) is driven through a *seeded random fault schedule* — node
 //! crashes, link severs, delayed acks, disk faults and stalls — and its
 //! outputs are verified byte-identical to a failure-free run. Each crashed
-//! node's thread exits, and the supervisor restarts it on that exit. The fault timeline is reproducible: re-run with the
-//! same seed and the exact same faults fire at the exact same steps.
+//! node's thread exits, and the supervisor restarts it on that exit and
+//! records the restart as a recovery timeline, printed as JSON. The fault
+//! timeline is reproducible: re-run with the same seed and the exact same
+//! faults fire at the exact same steps.
 //!
 //! Run with: `cargo run --example chaos_topk` (optionally `SEED=n`)
 
 use std::time::Duration;
 
-use streammine::chaos::{FaultPlan, FaultScheduler, Topology};
+use streammine::chaos::{ChaosTarget, FaultPlan, FaultScheduler};
 use streammine::common::event::Value;
 use streammine::common::rng::DetRng;
 use streammine::core::{GraphBuilder, LoggingConfig, OperatorConfig, Running, SinkId, SourceId};
+use streammine::obs::timelines_json;
 use streammine::operators::{SketchOp, StampedRelay};
 
 const EVENTS: u64 = 120;
@@ -60,7 +63,7 @@ fn main() {
     // A crashed coordinator thread reports its exit; the supervisor
     // restarts it after a 4 ms backoff that doubles per rapid re-crash.
     let supervisor = running.supervise();
-    let topo = Topology::probe(&running);
+    let topo = running.topology();
     let plan = FaultPlan::random(seed, EVENTS, &topo);
     println!("fault {plan}");
     let mut sched = FaultScheduler::new(plan);
@@ -76,10 +79,8 @@ fn main() {
     );
     let got = running.sink(sink).final_events_by_id();
 
-    println!("supervised recovery timeline ({} restarts):", supervisor.restarts());
-    for ev in supervisor.events() {
-        println!("  {ev}");
-    }
+    println!("supervised recovery timelines ({} restarts):", supervisor.restarts());
+    println!("  {}", timelines_json(&supervisor.recovery_timelines()));
 
     // ---- Equivalence: chaos must be invisible in the outputs ----------
     assert_eq!(got.len(), expected.len());

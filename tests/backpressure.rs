@@ -130,7 +130,8 @@ fn assert_stalls_reconcile(running: &Running) {
             "op{op}: backpressure.stalls counter disagrees with the journal"
         );
     }
-    streammine::chaos::verify_recovery_counters(&running.metrics(), &[], &journal)
+    let no_faults = streammine::chaos::FaultPlan::scripted(Vec::new());
+    streammine::chaos::verify_recovery_counters(&no_faults, &[], &running.metrics(), &journal)
         .unwrap_or_else(|e| panic!("{e}\n{}", running.journal_dump()));
 }
 

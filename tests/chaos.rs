@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use streammine::chaos::{FaultPlan, FaultScheduler, Topology};
+use streammine::chaos::{verify_recovery_counters, ChaosTarget, FaultPlan, FaultScheduler};
 use streammine::common::event::{Event, Value};
 use streammine::common::ids::OperatorId;
 use streammine::core::{
@@ -44,6 +44,22 @@ fn payloads(events: &[Event]) -> Vec<Value> {
     events.iter().map(|e| e.payload.clone()).collect()
 }
 
+/// `op`'s `Restart` records in the journal, in order: the attempt and the
+/// backoff of each supervised restart.
+fn restart_records(running: &Running, op: u32) -> Vec<(u32, Duration)> {
+    let journal = running.obs().journal.events();
+    journal
+        .iter()
+        .filter(|e| e.op == Some(op))
+        .filter_map(|e| match e.kind {
+            JournalKind::Restart { attempt, backoff_us } => {
+                Some((attempt, Duration::from_micros(backoff_us)))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 /// Runs the pipeline without faults and returns its outputs (ordered by
 /// event id). Operator RNG seeds are a deterministic function of the graph,
 /// so this is *the* failure-free answer for every chaos run below.
@@ -68,7 +84,7 @@ fn chaos_grid_preserves_precise_outputs() {
     for seed in 0..SEEDS {
         let (running, src, sink) = pipeline();
         let supervisor = running.supervise();
-        let topo = Topology::probe(&running);
+        let topo = running.topology();
         let plan = FaultPlan::random(seed, STEPS, &topo);
         // Reproducible fault timeline: same (seed, steps, topology) — same
         // plan, always.
@@ -100,25 +116,40 @@ fn chaos_grid_preserves_precise_outputs() {
             sched.plan()
         );
 
-        // Every injected crash was recovered by the supervisor, and each
-        // recorded backoff matches the capped exponential schedule.
+        // Every injected crash was recovered by the supervisor.
         assert!(
             supervisor.restarts() >= crashes,
             "seed {seed}: {} supervised restarts for {crashes} crashes",
             supervisor.restarts()
         );
-        for ev in supervisor.events() {
-            let expected = Supervisor::BACKOFF.delay(ev.attempt);
-            assert_eq!(ev.backoff, expected, "backoff off-schedule: {ev}");
+        // Stop monitoring first so every account is frozen.
+        supervisor.stop();
+        // Each restart's timeline is monotone, its journal record's backoff
+        // follows the capped exponential schedule, and the timeline spans
+        // at least that backoff from the exit to the restart.
+        let timelines = supervisor.recovery_timelines();
+        for t in &timelines {
+            assert!(t.monotonic(), "seed {seed}: non-monotonic timeline {}", t.to_json());
+            let (attempt, backoff) =
+                restart_records(&running, t.worker)[t.incarnation as usize - 1];
+            assert_eq!(
+                backoff,
+                Supervisor::BACKOFF.delay(attempt),
+                "seed {seed}: attempt {attempt}"
+            );
+            assert!(
+                Duration::from_micros(t.respawn_us - t.detect_us) >= backoff,
+                "seed {seed}: restarted inside its {backoff:?} backoff: {}",
+                t.to_json()
+            );
         }
         // The metrics registry's account of recovery must agree with the
-        // supervisor's event trail: same restart counts per operator, and
-        // at least one input ring rewound per supervised restart.
-        // (Stop monitoring first so both accounts are frozen.)
-        supervisor.stop();
-        streammine::chaos::verify_recovery_counters(
+        // timelines: same restart counts per operator, and at least one
+        // input ring rewound per supervised restart.
+        verify_recovery_counters(
+            sched.plan(),
+            &timelines,
             &running.metrics(),
-            &supervisor.events(),
             &running.obs().journal.events(),
         )
         .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{}", running.journal_dump()));
@@ -137,7 +168,7 @@ fn network_nemesis_grid_preserves_precise_outputs() {
     let reference = failure_free_reference();
     for seed in 0..SEEDS {
         let (running, src, sink) = pipeline();
-        let topo = Topology::probe(&running);
+        let topo = running.topology();
         assert_eq!(topo.sinks, 1, "probe must see the sink");
         let plan = FaultPlan::random_network(seed, STEPS, &topo);
         assert_eq!(plan, FaultPlan::random_network(seed, STEPS, &topo));
@@ -165,9 +196,10 @@ fn network_nemesis_grid_preserves_precise_outputs() {
             "seed {seed}: outputs diverged under network plan {}",
             sched.plan()
         );
-        streammine::chaos::verify_recovery_counters(
-            &running.metrics(),
+        verify_recovery_counters(
+            sched.plan(),
             &[],
+            &running.metrics(),
             &running.obs().journal.events(),
         )
         .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{}", running.journal_dump()));
@@ -215,13 +247,13 @@ fn supervisor_restarts_crashed_node_without_manual_recover() {
     let after = payloads(&running.sink(sink).final_events_by_id());
     assert_eq!(&after[..before.len()], &before[..], "pre-crash outputs changed");
 
-    let events = supervisor.events();
-    assert!(events.len() >= 2);
-    assert_eq!(events[0].op, op1);
-    assert_eq!(events[0].attempt, 1);
-    assert_eq!(events[0].backoff, Supervisor::BACKOFF.delay(1));
-    assert_eq!(events[1].attempt, 2, "rapid re-crash should escalate the attempt counter");
-    assert!(events[1].backoff > events[0].backoff, "backoff should grow across rapid crashes");
+    let timelines = supervisor.recovery_timelines();
+    assert!(timelines.len() >= 2);
+    assert_eq!((timelines[0].worker, timelines[0].incarnation), (op1.index(), 1));
+    let restarts = restart_records(&running, op1.index());
+    assert_eq!(restarts[0], (1, Supervisor::BACKOFF.delay(1)));
+    assert_eq!(restarts[1].0, 2, "rapid re-crash should escalate the attempt counter");
+    assert!(restarts[1].1 > restarts[0].1, "backoff should grow across rapid crashes");
     running.shutdown();
 }
 
@@ -287,7 +319,7 @@ fn supervisor_restarts_a_panicking_coordinator() {
     });
     let restarts = journal.count_matching(|e| matches!(e.kind, JournalKind::Restart { .. }));
     assert_eq!((panics, restarts), (1, 1), "{}", running.journal_dump());
-    assert_eq!(supervisor.events().len(), 1);
+    assert_eq!(supervisor.recovery_timelines().len(), 1);
     running.shutdown();
 }
 
@@ -440,7 +472,7 @@ fn traced_chaos_grid_reproduces_trace_contexts_exactly() {
     for seed in 0..4 {
         let (running, src, sink) = traced_pipeline();
         let supervisor = running.supervise();
-        let topo = Topology::probe(&running);
+        let topo = running.topology();
         let mut sched = FaultScheduler::new(FaultPlan::random(seed, STEPS, &topo));
         for step in 0..STEPS {
             sched.advance(step, &running);
