@@ -5,6 +5,7 @@
 //! model *Consumer* components: they record arrivals, track speculative →
 //! final upgrades, and compute the latency series the evaluation plots.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -216,9 +217,48 @@ pub struct SinkRecord {
     pub versions_seen: u32,
 }
 
+/// `SinkEntry::final_at_us` of a record that is not final yet.
+const NOT_FINAL: Timestamp = Timestamp::MAX;
+
+/// What the sink keeps per event: a [`SinkRecord`] without the part that
+/// is derived (`speculative`: true until final) or rare (the trace
+/// context, kept beside it by position). The payload is the arriving
+/// event's `Arc`, never a copy.
+struct SinkEntry {
+    id: EventId,
+    version: u32,
+    /// `0` marks a revoked record (a tombstone): a live one saw a version.
+    versions_seen: u32,
+    timestamp: Timestamp,
+    payload: Value,
+    first_arrival_us: Timestamp,
+    /// [`NOT_FINAL`] until the record is final; then it never changes.
+    final_at_us: Timestamp,
+}
+
+const _: () = assert!(std::mem::size_of::<SinkEntry>() <= 72);
+
+impl SinkEntry {
+    fn is_final(&self) -> bool {
+        self.final_at_us != NOT_FINAL
+    }
+
+    fn is_live(&self) -> bool {
+        self.versions_seen > 0
+    }
+}
+
 struct SinkState {
-    records: HashMap<EventId, SinkRecord>,
-    final_order: Vec<EventId>,
+    /// Every record in first-arrival order; a revoked one stays as a
+    /// tombstone, so positions never move.
+    arena: Vec<SinkEntry>,
+    /// Live id → position in `arena`. Hashed: output ids are
+    /// `(serial << 16) | k`, far from dense.
+    index: HashMap<EventId, u32>,
+    /// Trace contexts of sampled records, by position.
+    traces: HashMap<u32, TraceCtx>,
+    /// Positions of final records, in finalization order.
+    final_order: Vec<u32>,
     revoked: Vec<EventId>,
     /// Source-push → first (possibly speculative) arrival latency.
     first_arrival_us: Histogram,
@@ -232,7 +272,9 @@ struct SinkState {
 impl SinkState {
     fn new(first_arrival_us: Histogram, final_us: Histogram, tracer: Arc<Tracer>) -> SinkState {
         SinkState {
-            records: HashMap::new(),
+            arena: Vec::new(),
+            index: HashMap::new(),
+            traces: HashMap::new(),
             final_order: Vec::new(),
             revoked: Vec::new(),
             first_arrival_us,
@@ -242,43 +284,120 @@ impl SinkState {
     }
 
     /// Records one data arrival (from a lone message or a batch frame).
+    /// A final record is frozen: a later arrival for its id changes
+    /// nothing.
     fn record_arrival(&mut self, event: Event, now: Timestamp) {
-        let id = event.id;
         let is_final = event.is_final();
-        let mut fresh = false;
-        let entry = self.records.entry(id).or_insert_with(|| {
-            fresh = true;
-            SinkRecord {
-                event: event.clone(),
-                first_arrival_us: now,
-                final_at_us: None,
-                versions_seen: 0,
+        let pos = match self.index.entry(event.id) {
+            Entry::Occupied(slot) => {
+                let pos = *slot.get();
+                let entry = &mut self.arena[pos as usize];
+                if entry.is_final() {
+                    return;
+                }
+                if event.version >= entry.version {
+                    if event.version > entry.version {
+                        entry.versions_seen += 1;
+                    }
+                    entry.version = event.version;
+                    entry.timestamp = event.timestamp;
+                    entry.payload = event.payload;
+                    match event.trace {
+                        Some(ctx) => self.traces.insert(pos, ctx),
+                        None => self.traces.remove(&pos),
+                    };
+                }
+                pos
             }
-        });
-        if fresh {
-            let latency = now.saturating_sub(entry.event.timestamp);
-            self.first_arrival_us.record(latency);
-            if let Some(ctx) = entry.event.trace {
-                self.tracer.sink_first_arrival(ctx.id, ctx.parent, latency);
+            Entry::Vacant(slot) => {
+                let pos = u32::try_from(self.arena.len()).expect("a sink holds < 2^32 records");
+                slot.insert(pos);
+                let latency = now.saturating_sub(event.timestamp);
+                self.first_arrival_us.record(latency);
+                if let Some(ctx) = event.trace {
+                    self.tracer.sink_first_arrival(ctx.id, ctx.parent, latency);
+                    self.traces.insert(pos, ctx);
+                }
+                self.arena.push(SinkEntry {
+                    id: event.id,
+                    version: event.version,
+                    versions_seen: 1,
+                    timestamp: event.timestamp,
+                    payload: event.payload,
+                    first_arrival_us: now,
+                    final_at_us: NOT_FINAL,
+                });
+                pos
+            }
+        };
+        if is_final {
+            self.mark_final(pos, now);
+        }
+    }
+
+    /// Applies a `Finalize`: the live record's current version turns final.
+    fn finalize(&mut self, id: EventId, version: u32, now: Timestamp) {
+        if let Some(&pos) = self.index.get(&id) {
+            let entry = &self.arena[pos as usize];
+            if entry.version == version && !entry.is_final() {
+                self.mark_final(pos, now);
             }
         }
-        if event.version >= entry.event.version {
-            if event.version > entry.event.version {
-                entry.versions_seen += 1;
+    }
+
+    /// Applies a `Revoke`: a live record becomes a tombstone, its payload
+    /// dropped. A final record is frozen, so revoking it changes nothing.
+    fn revoke(&mut self, id: EventId) {
+        if let Some(&pos) = self.index.get(&id) {
+            let entry = &mut self.arena[pos as usize];
+            if entry.is_final() {
+                return;
             }
-            entry.event = event;
+            entry.versions_seen = 0;
+            entry.payload = Value::Null;
+            self.index.remove(&id);
+            self.traces.remove(&pos);
         }
-        entry.versions_seen = entry.versions_seen.max(1);
-        if is_final && entry.final_at_us.is_none() {
-            entry.final_at_us = Some(now);
-            entry.event.speculative = false;
-            let latency = now.saturating_sub(entry.event.timestamp);
-            self.final_us.record(latency);
-            if let Some(ctx) = entry.event.trace {
-                self.tracer.sink_final(ctx.id, ctx.parent, latency);
-            }
-            self.final_order.push(id);
+        self.revoked.push(id);
+    }
+
+    fn mark_final(&mut self, pos: u32, now: Timestamp) {
+        let entry = &mut self.arena[pos as usize];
+        entry.final_at_us = now;
+        let latency = now.saturating_sub(entry.timestamp);
+        self.final_us.record(latency);
+        if let Some(ctx) = self.traces.get(&pos) {
+            self.tracer.sink_final(ctx.id, ctx.parent, latency);
         }
+        self.final_order.push(pos);
+    }
+
+    /// The event a record holds, as the sink's readers see it.
+    fn event(&self, pos: usize) -> Event {
+        let entry = &self.arena[pos];
+        Event {
+            id: entry.id,
+            version: entry.version,
+            timestamp: entry.timestamp,
+            speculative: !entry.is_final(),
+            payload: entry.payload.clone(),
+            trace: self.traces.get(&(pos as u32)).copied(),
+        }
+    }
+
+    fn record(&self, pos: usize) -> SinkRecord {
+        let entry = &self.arena[pos];
+        SinkRecord {
+            event: self.event(pos),
+            first_arrival_us: entry.first_arrival_us,
+            final_at_us: entry.is_final().then_some(entry.final_at_us),
+            versions_seen: entry.versions_seen,
+        }
+    }
+
+    /// Live records in first-arrival order.
+    fn live(&self) -> impl Iterator<Item = (usize, &SinkEntry)> {
+        self.arena.iter().enumerate().filter(|(_, entry)| entry.is_live())
     }
 }
 
@@ -305,7 +424,7 @@ impl fmt::Debug for SinkHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let state = self.state.lock();
         f.debug_struct("SinkHandle")
-            .field("events", &state.records.len())
+            .field("events", &state.index.len())
             .field("final", &state.final_order.len())
             .finish()
     }
@@ -369,25 +488,9 @@ impl SinkHandle {
                                 }
                             }
                             Message::Control(Control::Finalize { id, version }) => {
-                                let st = &mut *s;
-                                if let Some(entry) = st.records.get_mut(&id) {
-                                    if entry.event.version == version && entry.final_at_us.is_none()
-                                    {
-                                        entry.final_at_us = Some(now);
-                                        entry.event.speculative = false;
-                                        let latency = now.saturating_sub(entry.event.timestamp);
-                                        st.final_us.record(latency);
-                                        if let Some(ctx) = entry.event.trace {
-                                            st.tracer.sink_final(ctx.id, ctx.parent, latency);
-                                        }
-                                        st.final_order.push(id);
-                                    }
-                                }
+                                s.finalize(id, version, now)
                             }
-                            Message::Control(Control::Revoke { id }) => {
-                                s.records.remove(&id);
-                                s.revoked.push(id);
-                            }
+                            Message::Control(Control::Revoke { id }) => s.revoke(id),
                             Message::Control(Control::Eof) => {
                                 eof.fetch_add(1, Ordering::SeqCst);
                             }
@@ -428,7 +531,7 @@ impl SinkHandle {
 
     /// Number of events seen at all (speculative or final).
     pub fn seen_count(&self) -> usize {
-        self.state.lock().records.len()
+        self.state.lock().index.len()
     }
 
     /// Ids revoked by the upstream.
@@ -454,7 +557,7 @@ impl SinkHandle {
     /// The final events in finalization order.
     pub fn final_events(&self) -> Vec<Event> {
         let s = self.state.lock();
-        s.final_order.iter().filter_map(|id| s.records.get(id)).map(|r| r.event.clone()).collect()
+        s.final_order.iter().map(|&pos| s.event(pos as usize)).collect()
     }
 
     /// The final events sorted by id (stable across arrival order), for
@@ -471,8 +574,8 @@ impl SinkHandle {
         let s = self.state.lock();
         s.final_order
             .iter()
-            .filter_map(|id| s.records.get(id))
-            .filter_map(|r| r.final_at_us.map(|f| f.saturating_sub(r.event.timestamp) as f64))
+            .map(|&pos| &s.arena[pos as usize])
+            .map(|entry| entry.final_at_us.saturating_sub(entry.timestamp) as f64)
             .collect()
     }
 
@@ -482,17 +585,19 @@ impl SinkHandle {
     pub fn first_arrival_latencies_us(&self) -> Vec<f64> {
         let s = self.state.lock();
         let mut v: Vec<f64> = s
-            .records
-            .values()
-            .map(|r| r.first_arrival_us.saturating_sub(r.event.timestamp) as f64)
+            .live()
+            .map(|(_, entry)| entry.first_arrival_us.saturating_sub(entry.timestamp) as f64)
             .collect();
         v.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
         v
     }
 
-    /// All records (diagnostics).
+    /// One record per live (seen and not revoked) id, in first-arrival
+    /// order. A revoked id that arrives again is a new record, placed by
+    /// its new arrival.
     pub fn records(&self) -> Vec<SinkRecord> {
-        self.state.lock().records.values().cloned().collect()
+        let s = self.state.lock();
+        s.live().map(|(pos, _)| s.record(pos)).collect()
     }
 
     /// Whether EOF arrived.
@@ -513,13 +618,17 @@ mod tests {
     use streammine_net::{link, LinkConfig};
 
     fn setup() -> (SourceHandle, SinkHandle) {
+        setup_with(&Obs::new())
+    }
+
+    fn setup_with(obs: &Obs) -> (SourceHandle, SinkHandle) {
         let clock: SharedClock = shared(SystemClock::new());
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
         let (src_ctrl_tx, src_ctrl_rx) = link::<Control>(LinkConfig::instant());
         let (sink_ctrl_tx, _sink_ctrl_rx) = link::<Control>(LinkConfig::instant());
         let source =
-            SourceHandle::new(OperatorId::new(0), data_tx, src_ctrl_rx, clock.clone(), &Obs::new());
-        let sink = SinkHandle::new(data_rx, sink_ctrl_tx, clock, &Obs::new(), 0, 0);
+            SourceHandle::new(OperatorId::new(0), data_tx, src_ctrl_rx, clock.clone(), obs);
+        let sink = SinkHandle::new(data_rx, sink_ctrl_tx, clock, obs, 0, 0);
         let _ = src_ctrl_tx;
         (source, sink)
     }
@@ -604,6 +713,117 @@ mod tests {
         }
         assert_eq!(sink.revoked(), vec![id]);
         assert_eq!(sink.seen_count(), 0);
+    }
+
+    /// Sends EOF and waits until the sink read it, so every message sent
+    /// before has been applied.
+    fn settle(source: &SourceHandle, sink: &SinkHandle) {
+        source.eof();
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while !sink.saw_eof() && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert!(sink.saw_eof());
+    }
+
+    #[test]
+    fn a_final_record_is_frozen() {
+        let (source, sink) = setup();
+        let kept = source.push(Value::Int(1));
+        let id = source.push(Value::Int(2));
+        assert!(sink.wait_final(2, Duration::from_secs(2)));
+        source.revise(id, 0, Value::Int(99));
+        source.revise(id, 1, Value::Int(100));
+        source.revoke(id);
+        source.push(Value::Int(3));
+        settle(&source, &sink);
+        assert_eq!(sink.final_count(), 3);
+        let finals = sink.final_events();
+        assert_eq!(finals.len(), 3);
+        assert_eq!(finals[1].id, id);
+        assert_eq!((finals[1].version, &finals[1].payload), (0, &Value::Int(2)));
+        assert!(finals[1].is_final());
+        assert!(sink.revoked().is_empty(), "a revoke of a final id is not applied");
+        let records = sink.records();
+        assert_eq!(records.iter().map(|r| r.event.id).collect::<Vec<_>>()[..2], [kept, id]);
+        assert_eq!(records[1].versions_seen, 1);
+        assert_eq!(sink.seen_count(), 3);
+    }
+
+    #[test]
+    fn records_are_live_ids_in_first_arrival_order() {
+        let (source, sink) = setup();
+        let a = source.push_speculative(Value::Int(1));
+        let b = source.push_speculative(Value::Int(2));
+        let c = source.push(Value::Int(3));
+        source.revise(a, 1, Value::Int(10));
+        source.revoke(b);
+        source.finalize(a, 1);
+        let d = source.push_speculative(Value::Int(4));
+        settle(&source, &sink);
+        let records = sink.records();
+        assert_eq!(records.iter().map(|r| r.event.id).collect::<Vec<_>>(), vec![a, c, d]);
+        assert_eq!(records[0].event.payload, Value::Int(10));
+        assert!(records[0].event.is_final() && records[0].final_at_us.is_some());
+        assert!(records[2].event.speculative && records[2].final_at_us.is_none());
+        assert_eq!(sink.seen_count(), 3);
+        assert_eq!(sink.revoked(), vec![b]);
+        assert_eq!(sink.first_arrival_latencies_us().len(), 3);
+        // Finalization order, not arrival order.
+        let finals: Vec<EventId> = sink.final_events().iter().map(|e| e.id).collect();
+        assert_eq!(finals, vec![c, a]);
+    }
+
+    #[test]
+    fn a_revoked_id_that_arrives_again_gets_a_fresh_record() {
+        let (source, sink) = setup();
+        let a = source.push_speculative(Value::Int(1));
+        source.revise(a, 1, Value::Int(2));
+        let b = source.push_speculative(Value::Int(3));
+        source.revoke(a);
+        source.revise(a, 2, Value::Int(4));
+        settle(&source, &sink);
+        let records = sink.records();
+        assert_eq!(records.iter().map(|r| r.event.id).collect::<Vec<_>>(), vec![b, a]);
+        let again = &records[1];
+        assert_eq!((again.event.version, &again.event.payload), (2, &Value::Int(4)));
+        assert_eq!(again.versions_seen, 1, "the revoked record's versions are not carried over");
+        assert!(again.first_arrival_us >= records[0].first_arrival_us);
+        assert_eq!(sink.seen_count(), 2);
+        source.finalize(a, 2);
+        assert!(sink.wait_final(1, Duration::from_secs(2)));
+        assert_eq!(sink.final_events()[0].payload, Value::Int(4));
+    }
+
+    #[test]
+    fn versions_seen_counts_revisions() {
+        let (source, sink) = setup();
+        let id = source.push_speculative(Value::Int(0));
+        source.revise(id, 1, Value::Int(1));
+        source.revise(id, 2, Value::Int(2));
+        source.revise(id, 1, Value::Int(1)); // stale: neither counted nor applied
+        source.revise(id, 2, Value::Int(2)); // a duplicate of the current version
+        settle(&source, &sink);
+        let record = &sink.records()[0];
+        assert_eq!(record.versions_seen, 3);
+        assert_eq!((record.event.version, &record.event.payload), (2, &Value::Int(2)));
+    }
+
+    #[test]
+    fn a_sampled_event_keeps_its_trace_context_through_finalization() {
+        let obs = Obs::sampled(1);
+        let (source, sink) = setup_with(&obs);
+        let id = source.push_speculative(Value::Int(1));
+        source.revise(id, 1, Value::Int(2));
+        source.finalize(id, 1);
+        assert!(sink.wait_final(1, Duration::from_secs(2)));
+        let event = &sink.final_events()[0];
+        let ctx = event.trace.expect("sampled at rate 1");
+        assert_eq!(sink.records()[0].event.trace, Some(ctx));
+        let summaries = obs.tracer.summaries();
+        assert_eq!(summaries.len(), 1, "the sink attributed the final arrival");
+        assert_eq!(summaries[0].trace_id, ctx.id);
+        assert!(summaries[0].first_arrival_us.is_some());
     }
 
     #[test]
