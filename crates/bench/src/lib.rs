@@ -124,21 +124,7 @@ pub fn union_sketch(
     threads: usize,
     sketch_logs: bool,
 ) -> (Running, SourceId, SinkId) {
-    union_sketch_obs(speculative, threads, sketch_logs, None)
-}
-
-/// [`union_sketch`] with an explicit observability stack — used by the
-/// snapshot binaries to run the same topology with causal tracing on.
-pub fn union_sketch_obs(
-    speculative: bool,
-    threads: usize,
-    sketch_logs: bool,
-    obs: Option<streammine_obs::Obs>,
-) -> (Running, SourceId, SinkId) {
     let mut b = GraphBuilder::new();
-    if let Some(obs) = obs {
-        b = b.with_obs(obs);
-    }
     let union_cfg = if speculative {
         OperatorConfig::speculative(LoggingConfig::simulated_n(LOG_DISKS, LOG_LATENCY))
     } else {

@@ -145,11 +145,6 @@ impl Encoder {
         self.buf.put_slice(v);
     }
 
-    /// Appends raw bytes without a length prefix.
-    pub fn put_raw(&mut self, v: &[u8]) {
-        self.buf.put_slice(v);
-    }
-
     /// Number of bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()

@@ -14,18 +14,12 @@
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 use crate::ids::EventId;
 
 /// Microseconds since an arbitrary epoch; the logical event time.
 pub type Timestamp = u64;
-
-/// Returns the current wall-clock time as a [`Timestamp`].
-pub fn wallclock_micros() -> Timestamp {
-    SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_micros() as u64).unwrap_or(0)
-}
 
 /// Dynamically typed event payload.
 ///

@@ -48,8 +48,6 @@ pub(crate) struct LeaseView {
     pub epoch: u64,
     /// Last `Hello`/`Beat` arrival.
     pub last_beat: Instant,
-    /// The worker's data listener address.
-    pub data_addr: String,
 }
 
 struct Lease {
@@ -237,11 +235,7 @@ fn serve_worker(conn: Box<dyn streammine_net::FrameConn>, shared: Arc<PlaneShare
                 shared.leases.lock().insert(
                     worker,
                     Lease {
-                        view: LeaseView {
-                            epoch: incarnation,
-                            last_beat: Instant::now(),
-                            data_addr: data_addr.clone(),
-                        },
+                        view: LeaseView { epoch: incarnation, last_beat: Instant::now() },
                         tx: tx.clone(),
                     },
                 );
@@ -473,7 +467,6 @@ mod tests {
         );
         let lease = plane.lease(2).unwrap();
         assert_eq!(lease.epoch, 0);
-        assert_eq!(lease.data_addr, "mem:data-w2");
 
         // Beats renew the lease.
         let before = plane.lease(2).unwrap().last_beat;

@@ -583,12 +583,6 @@ impl Cluster {
         self.sink_acceptor.cursor(self.n as u32)
     }
 
-    /// The data-plane address a worker's current incarnation listens on,
-    /// if it holds a live lease.
-    pub fn worker_addr(&self, worker: u32) -> Option<String> {
-        self.plane.lease(worker).map(|l| l.data_addr)
-    }
-
     /// Number of worker processes (slots) in the chain.
     pub fn workers(&self) -> usize {
         self.n
@@ -1008,7 +1002,7 @@ mod tests {
     }
 
     fn lease(epoch: u64, last_beat: Instant) -> LeaseView {
-        LeaseView { epoch, last_beat, data_addr: "mem:data".into() }
+        LeaseView { epoch, last_beat }
     }
 
     #[test]

@@ -319,12 +319,7 @@ impl Graph {
             data_tx.set_metrics(EdgeMetrics::registered(&obs.registry, f as u32, out));
             inputs[t].push(data_rx);
             ctrls[f].push(ctrl_rx);
-            edges.push(EdgeHandle {
-                from: *from,
-                to: *to,
-                data: data_tx.clone(),
-                ctrl: ctrl_tx.clone(),
-            });
+            edges.push(EdgeHandle { data: data_tx.clone(), ctrl: ctrl_tx.clone() });
             down_data[f].push(data_tx);
             up_ctrl[t].push(ctrl_tx);
         }
@@ -407,8 +402,6 @@ impl Graph {
 /// A chaos-injection handle on one operator-to-operator edge: severing /
 /// healing its data and control links independently.
 struct EdgeHandle {
-    from: OperatorId,
-    to: OperatorId,
     data: LinkSender<Message>,
     ctrl: LinkSender<Control>,
 }
@@ -531,15 +524,6 @@ impl Running {
         self.edges.len()
     }
 
-    /// The `(from, to)` operators of edge `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range edge index.
-    pub fn edge_endpoints(&self, i: usize) -> (OperatorId, OperatorId) {
-        (self.edges[i].from, self.edges[i].to)
-    }
-
     /// Severs the data link of edge `i`: what is sent from now on waits
     /// in the link until [`Running::heal_edge_data`].
     ///
@@ -612,14 +596,6 @@ impl Running {
     /// Panics on an out-of-range edge index.
     pub fn delay_spike_edge(&self, i: usize, extra: Duration, window: Duration) {
         self.edges[i].data.delay_spike(extra, window);
-    }
-
-    /// Injects a transient delivery-delay spike on an inter-operator
-    /// *control* lane: acks within the window arrive `extra` late, modeling
-    /// real socket latency on the control path without touching data
-    /// delivery.
-    pub fn delay_spike_edge_ctrl(&self, i: usize, extra: Duration, window: Duration) {
-        self.edges[i].ctrl.delay_spike(extra, window);
     }
 
     /// Sets the transient write-fault probability on every storage device

@@ -177,12 +177,6 @@ impl SharedFrameTx {
         *self.slot.lock() = Some(tx);
     }
 
-    /// Drops the current sending half; subsequent sends report `false`
-    /// until a new one is installed.
-    pub fn disconnect(&self) {
-        *self.slot.lock() = None;
-    }
-
     /// Whether a sending half is currently installed.
     pub fn is_connected(&self) -> bool {
         self.slot.lock().is_some()

@@ -2,9 +2,9 @@
 //!
 //! Internal metric names are dotted (`recovery.restarts`); the Prometheus
 //! exporter sanitizes them to the `[a-zA-Z_:][a-zA-Z0-9_:]*` charset the
-//! format requires. [`validate_prometheus`] is the matching linter — CI
-//! runs it over `obs_snapshot` output so a malformed exposition fails the
-//! build instead of a scrape.
+//! format requires. [`validate_prometheus`] is the matching linter — the
+//! observability tests run it over a live graph's exposition, so a
+//! malformed one fails the build instead of a scrape.
 
 use std::fmt::Write as _;
 

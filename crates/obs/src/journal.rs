@@ -396,16 +396,6 @@ impl Journal {
         Verbosity::from_u8(self.level.load(Ordering::Relaxed))
     }
 
-    /// Changes the verbosity.
-    pub fn set_level(&self, level: Verbosity) {
-        self.level.store(level as u8, Ordering::Relaxed);
-    }
-
-    /// Mirrors every kept record to stderr (debugging aid; off by default).
-    pub fn set_echo(&self, echo: bool) {
-        self.echo.store(echo, Ordering::Relaxed);
-    }
-
     /// Whether records at `level` are currently kept. Callers building an
     /// expensive record can skip the work when this is false; `record`
     /// performs the same check itself.

@@ -1,4 +1,4 @@
-//! Stateless operators: filter, map, enrich, union, split, stamped relay.
+//! Stateless operators: map, enrich, union, split, stamped relay.
 
 use std::sync::Mutex as StdMutex;
 use std::time::{Duration, Instant};
@@ -17,34 +17,6 @@ pub fn busy_work(d: Duration) {
     let end = Instant::now() + d;
     while Instant::now() < end {
         std::hint::spin_loop();
-    }
-}
-
-type Predicate = dyn Fn(&Value) -> bool + Send + Sync;
-
-/// Stateless deterministic filter (§1): forwards events whose payload
-/// satisfies the predicate.
-pub struct Filter {
-    pred: Box<Predicate>,
-}
-
-impl Filter {
-    /// Creates a filter from a predicate over the payload.
-    pub fn new(pred: impl Fn(&Value) -> bool + Send + Sync + 'static) -> Self {
-        Filter { pred: Box::new(pred) }
-    }
-}
-
-impl Operator for Filter {
-    fn name(&self) -> &str {
-        "filter"
-    }
-
-    fn process(&self, ctx: &mut OpCtx<'_, '_>, event: &Event) -> Result<(), StmAbort> {
-        if (self.pred)(&event.payload) {
-            ctx.emit(event.payload.clone());
-        }
-        Ok(())
     }
 }
 
@@ -244,21 +216,10 @@ mod tests {
         for v in inputs {
             running.source(src).push(v);
         }
-        // Not all inputs produce outputs (filter); wait for quiescence.
-        std::thread::sleep(Duration::from_millis(100));
-        let _ = n;
+        assert!(running.sink(sink).wait_final(n, Duration::from_secs(5)));
         let out = running.sink(sink).final_events().into_iter().map(|e| e.payload).collect();
         running.shutdown();
         out
-    }
-
-    #[test]
-    fn filter_drops_non_matching() {
-        let out = run_simple(
-            Filter::new(|v| v.as_i64().unwrap_or(0) % 2 == 0),
-            (0..6).map(Value::Int).collect(),
-        );
-        assert_eq!(out, vec![Value::Int(0), Value::Int(2), Value::Int(4)]);
     }
 
     #[test]

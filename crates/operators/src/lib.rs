@@ -4,22 +4,18 @@
 //!
 //! | Operator | State | Determinism | Here |
 //! |---|---|---|---|
-//! | filter | stateless | deterministic | [`Filter`] |
 //! | transformation | stateless | deterministic | [`Map`] |
 //! | enrichment | stateless | deterministic, *costly* | [`Enrich`] |
 //! | union | stateless | order non-deterministic | [`Union`] |
 //! | split | stateless | randomized routing | [`Split`] |
 //! | aggregation (count window) | stateful | order-sensitive | [`CountWindow`] |
-//! | aggregation (event-time window) | stateful | deterministic | [`TimeWindow`] |
 //! | aggregation (system-time window) | stateful | time non-deterministic | [`SystemTimeWindow`] |
-//! | join | stateful | order non-deterministic | [`Join`] |
 //! | classifier (§3.1 example) | stateful, fine-grained | deterministic | [`Classifier`] |
 //! | count-sketch top-k (§4) | stateful, fine-grained, costly | deterministic | [`SketchOp`] |
 //! | count-min (approximate-recovery workload) | stateful, mergeable, bounded-error | deterministic | [`CountMinOp`] |
 //! | relay with logged decision (Fig. 2/3 workload) | stateless | random non-deterministic | [`StampedRelay`] |
 //! | relay with *output-visible* random tag (chaos workload) | stateless | random non-deterministic | [`RandomTagger`] |
 //! | Bernoulli sample / Monte-Carlo (§1's random class) | stateless/stateful | random non-deterministic | [`Sample`], [`MonteCarloPi`] |
-//! | sliding count window (extension) | stateful | order-sensitive | [`SlidingWindow`] |
 //!
 //! All operators keep their state in registered cells, so each runs
 //! unchanged in plain or speculative configuration.
@@ -28,16 +24,12 @@
 
 mod basic;
 mod classifier;
-mod join;
 mod sample;
 mod sketch_op;
-mod sliding;
 mod window;
 
-pub use basic::{busy_work, Enrich, Filter, Map, RandomTagger, Split, StampedRelay, Union};
+pub use basic::{busy_work, Enrich, Map, RandomTagger, Split, StampedRelay, Union};
 pub use classifier::Classifier;
-pub use join::Join;
 pub use sample::{MonteCarloPi, Sample};
 pub use sketch_op::{CountMinOp, SketchOp};
-pub use sliding::SlidingWindow;
-pub use window::{CountWindow, SystemTimeWindow, TimeWindow, WindowAgg};
+pub use window::{CountWindow, SystemTimeWindow, WindowAgg};

@@ -1,6 +1,6 @@
-//! Window aggregations — one per determinism class the paper identifies
-//! (§1): event-time windows are deterministic, count windows depend on
-//! arrival order, system-time windows depend on physical time.
+//! Window aggregations for the two non-deterministic classes the paper
+//! identifies (§1): count windows depend on arrival order, system-time
+//! windows depend on physical time.
 
 use streammine_common::event::{Event, Value};
 use streammine_core::{OpCtx, Operator, SetupCtx, StateHandle};
@@ -82,57 +82,6 @@ impl Operator for CountWindow {
             ctx.set(handle, (0.0, 0, 0.0))?;
         } else {
             ctx.set(handle, acc)?;
-        }
-        Ok(())
-    }
-}
-
-/// Event-time tumbling window (deterministic, §1: "aggregations are
-/// insensitive to ordering if the aggregation window is based on the event
-/// timestamps" — here windows close on timestamp rollover of a
-/// monotone-timestamp stream).
-pub struct TimeWindow {
-    width_us: u64,
-    agg: WindowAgg,
-    state: Mutex<Option<(StateHandle<u64>, AccHandle)>>, // (window start, acc)
-}
-
-impl TimeWindow {
-    /// Creates a tumbling window of `width_us` microseconds of event time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width_us == 0`.
-    pub fn new(width_us: u64, agg: WindowAgg) -> Self {
-        assert!(width_us > 0, "window width must be positive");
-        TimeWindow { width_us, agg, state: Mutex::new(None) }
-    }
-}
-
-impl Operator for TimeWindow {
-    fn name(&self) -> &str {
-        "time-window"
-    }
-
-    fn setup(&self, ctx: &mut SetupCtx<'_>) {
-        *self.state.lock() = Some((ctx.state(u64::MAX), ctx.state((0.0f64, 0u64, 0.0f64))));
-    }
-
-    fn process(&self, ctx: &mut OpCtx<'_, '_>, event: &Event) -> Result<(), StmAbort> {
-        let (start_h, acc_h) = self.state.lock().expect("setup ran");
-        let window = event.timestamp / self.width_us;
-        let current = *ctx.get(start_h)?;
-        let acc = *ctx.get(acc_h)?;
-        if current == u64::MAX {
-            ctx.set(start_h, window)?;
-            ctx.set(acc_h, fold((0.0, 0, 0.0), event.payload.as_f64().unwrap_or(0.0)))?;
-        } else if window > current {
-            // Close the previous window, open the new one.
-            ctx.emit(Value::Float(self.agg.finish(acc.0, acc.1, acc.2)));
-            ctx.set(start_h, window)?;
-            ctx.set(acc_h, fold((0.0, 0, 0.0), event.payload.as_f64().unwrap_or(0.0)))?;
-        } else {
-            ctx.set(acc_h, fold(acc, event.payload.as_f64().unwrap_or(0.0)))?;
         }
         Ok(())
     }
@@ -238,29 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn time_window_closes_on_timestamp_rollover() {
-        // Source timestamps are wall-clock; use a wide window and force a
-        // rollover by sleeping past the boundary.
-        let mut b = GraphBuilder::new();
-        let w = b.add_operator(TimeWindow::new(50_000, WindowAgg::Sum), OperatorConfig::plain());
-        let src = b.source_into(w).unwrap();
-        let sink = b.sink_from(w).unwrap();
-        let running = b.build().unwrap().start();
-        running.source(src).push(Value::Int(1));
-        running.source(src).push(Value::Int(2));
-        std::thread::sleep(Duration::from_millis(60));
-        running.source(src).push(Value::Int(10));
-        std::thread::sleep(Duration::from_millis(60));
-        running.source(src).push(Value::Int(20));
-        assert!(running.sink(sink).wait_final(2, Duration::from_secs(5)));
-        let out: Vec<f64> =
-            running.sink(sink).final_events().iter().filter_map(|e| e.payload.as_f64()).collect();
-        assert_eq!(out[0], 3.0, "first window holds 1+2");
-        assert_eq!(out[1], 10.0);
-        running.shutdown();
-    }
-
-    #[test]
     fn system_time_window_buckets_by_arrival() {
         let mut b = GraphBuilder::new();
         let w = b
@@ -287,7 +213,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "window width must be positive")]
-    fn zero_time_window_panics() {
-        let _ = TimeWindow::new(0, WindowAgg::Sum);
+    fn zero_system_time_window_panics() {
+        let _ = SystemTimeWindow::new(0, WindowAgg::Sum);
     }
 }

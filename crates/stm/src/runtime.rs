@@ -364,36 +364,6 @@ impl StmRuntime {
         self.inner.stats.snapshot()
     }
 
-    /// Number of live (uncommitted, undiscarded) transactions.
-    pub fn live_txns(&self) -> usize {
-        self.inner.graph.lock().uncommitted.len()
-    }
-
-    /// Renders the live transaction table for diagnostics: one line per
-    /// uncommitted transaction with status, authorization, doom flag,
-    /// generation and dependency edges.
-    pub fn dump_state(&self) -> String {
-        use std::fmt::Write as _;
-        let g = self.inner.graph.lock();
-        let mut out = String::new();
-        for (serial, id) in &g.uncommitted {
-            if let Some(n) = g.nodes.get(id) {
-                let mut deps: Vec<u64> = n.deps.iter().map(|d| d.0).collect();
-                deps.sort_unstable();
-                let mut dependents: Vec<u64> = n.dependents.iter().map(|d| d.0).collect();
-                dependents.sort_unstable();
-                let _ = writeln!(
-                    out,
-                    "{serial} {id} status={} auth={} doomed={:?} gen={} deps={deps:?} dependents={dependents:?}",
-                    n.status, n.authorized, n.doomed, n.generation
-                );
-            } else {
-                let _ = writeln!(out, "{serial} {id} <missing node>");
-            }
-        }
-        out
-    }
-
     /// Shuts the runtime down: all live transactions are aborted, blocked
     /// waiters wake up, and new executions fail with
     /// [`AbortReason::Shutdown`].

@@ -47,7 +47,21 @@ pub(crate) struct TxnBuf {
     pub publish_rev: Vec<TxnId>,
 }
 
+/// Entries each publish scratch vector reserves when its state is made,
+/// outside any hot section, so that a pooled state's first publish to meet
+/// another writer does not allocate.
+const PUBLISH_SCRATCH: usize = 4;
+
 impl TxnBuf {
+    fn new() -> TxnBuf {
+        TxnBuf {
+            publish_dooms: Vec::with_capacity(PUBLISH_SCRATCH),
+            publish_fwd: Vec::with_capacity(PUBLISH_SCRATCH),
+            publish_rev: Vec::with_capacity(PUBLISH_SCRATCH),
+            ..TxnBuf::default()
+        }
+    }
+
     /// The buffered write for `id`, if any.
     pub fn write_for(&self, id: VarId) -> Option<&WriteEntry> {
         self.writes.iter().find(|e| e.cell.id == id)
@@ -143,7 +157,7 @@ impl TxnState {
             terminal: AtomicU8::new(TERMINAL_NONE),
             generation: std::sync::atomic::AtomicU64::new(0),
             executing: AtomicBool::new(false),
-            buf: Mutex::new(TxnBuf::default()),
+            buf: Mutex::new(TxnBuf::new()),
             #[cfg(debug_assertions)]
             history: Mutex::new(Vec::new()),
         }
@@ -175,19 +189,6 @@ impl TxnState {
         ));
         #[cfg(not(debug_assertions))]
         let _ = note;
-    }
-
-    /// Renders the history (debug builds).
-    #[allow(dead_code)]
-    pub fn dump_history(&self) -> String {
-        #[cfg(debug_assertions)]
-        {
-            self.history.lock().join("\n")
-        }
-        #[cfg(not(debug_assertions))]
-        {
-            String::new()
-        }
     }
 
     pub fn doom(&self, reason: AbortReason) {
@@ -266,18 +267,6 @@ impl Txn<'_> {
         Ok(value.downcast::<T>().expect("type confusion in TVar"))
     }
 
-    /// Like [`Txn::read`] but clones the value out.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Txn::read`].
-    pub fn read_clone<T: Clone + Send + Sync + 'static>(
-        &mut self,
-        var: &TVar<T>,
-    ) -> Result<T, StmAbort> {
-        Ok((*self.read(var)?).clone())
-    }
-
     /// Transactionally writes `value` to `var` (buffered until publish).
     ///
     /// # Errors
@@ -304,16 +293,6 @@ impl Txn<'_> {
     {
         let old = self.read(var)?;
         self.write(var, f(&old))
-    }
-
-    /// Number of distinct variables written so far in this attempt.
-    pub fn write_set_len(&self) -> usize {
-        self.state.buf.lock().writes.len()
-    }
-
-    /// Number of distinct variables read so far in this attempt.
-    pub fn read_set_len(&self) -> usize {
-        self.state.buf.lock().reads.len()
     }
 }
 

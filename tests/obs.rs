@@ -7,7 +7,7 @@ use std::time::Duration;
 use streammine::common::event::Value;
 use streammine::core::{GraphBuilder, LoggingConfig, OperatorConfig, Running, SinkId, SourceId};
 use streammine::obs::{validate_prometheus, JournalKind, Labels, Obs};
-use streammine::operators::StampedRelay;
+use streammine::operators::{SketchOp, StampedRelay, Union};
 
 const EVENTS: u64 = 20;
 
@@ -248,4 +248,39 @@ fn decomposition_shows_spec_arrival_independent_of_log_latency() {
         nonspec >= log_us,
         "non-spec first arrival {nonspec} us should pay the {log_us} us log"
     );
+}
+
+#[test]
+fn two_thread_sketch_reads_through_the_stm_fastpath() {
+    // The Figure 6/7 application: a speculative union feeding a stamped
+    // count-sketch on two STM threads, both logging on three 2 ms devices.
+    // Reads of cells no writer holds take the lock-free fast path, so the
+    // sketch's exported hit count is live.
+    let mut b = GraphBuilder::new();
+    let log = || LoggingConfig::simulated_n(3, Duration::from_millis(2));
+    let union = b.add_operator(Union::new(), OperatorConfig::speculative(log()));
+    let sketch = b.add_operator(
+        SketchOp::new(256, 3, 17, Duration::from_micros(300)).stamped(),
+        OperatorConfig::speculative(log()).with_threads(2),
+    );
+    b.connect(union, sketch).unwrap();
+    let src = b.source_into(union).unwrap();
+    // An idle second input makes the union's merge order a logged decision.
+    let _idle = b.source_into(union).unwrap();
+    let sink = b.sink_from(sketch).unwrap();
+    let running = b.build().unwrap().start();
+    let events = 200;
+    for i in 0..events {
+        running.source(src).push(Value::Int(i));
+        std::thread::sleep(Duration::from_micros(500));
+    }
+    assert!(running.sink(sink).wait_final(events as usize, Duration::from_secs(20)));
+    // The gauges are refreshed before the node parks; wait for one park.
+    let hits = || running.metrics().gauge("stm.fastpath.hits", Labels::op(1)).unwrap_or(0);
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    while hits() == 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(hits() > 0, "the sketch exported no stm.fastpath.hits over {events} events");
+    running.shutdown();
 }
