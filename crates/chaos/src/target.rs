@@ -27,10 +27,9 @@ pub trait ChaosTarget {
 impl ChaosTarget for Running {
     fn topology(&self) -> Topology {
         let operators = self.operator_count() as u32;
-        let has_storage = |op: u32| {
-            let id = OperatorId::new(op);
-            self.operator_log(id).is_some() || self.operator_checkpoints(id).is_some()
-        };
+        // An operator that logs or checkpoints has one log, and its devices
+        // are the operator's storage.
+        let has_storage = |op: u32| self.operator_log(OperatorId::new(op)).is_some();
         Topology {
             operators,
             edges: self.edge_count(),

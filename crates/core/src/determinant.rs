@@ -50,8 +50,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use streammine_common::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
+use streammine_common::codec::{decode_from_slice, Decode, DecodeError, Decoder, Encode, Encoder};
 use streammine_obs::{Histogram, Tracer};
+use streammine_storage::checkpoint::Checkpoint;
 use streammine_storage::log::{LogSeq, StableLog};
 
 use crate::plumbing::{Inbox, Notice};
@@ -139,6 +140,65 @@ impl Decode for DecisionRecord {
     }
 }
 
+/// One record of a node's log.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum LogRecord {
+    /// A decision (tag 0).
+    Decision(DecisionRecord),
+    /// A checkpoint image (tag 1).
+    Image(Checkpoint),
+}
+
+impl Encode for LogRecord {
+    fn encode(&self, enc: &mut Encoder) {
+        match self {
+            LogRecord::Decision(record) => {
+                enc.put_u8(0);
+                record.encode(enc);
+            }
+            LogRecord::Image(image) => {
+                enc.put_u8(1);
+                image.encode(enc);
+            }
+        }
+    }
+}
+
+impl Decode for LogRecord {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(match dec.get_u8()? {
+            0 => LogRecord::Decision(DecisionRecord::decode(dec)?),
+            1 => LogRecord::Image(Checkpoint::decode(dec)?),
+            tag => return Err(DecodeError::InvalidTag { type_name: "LogRecord", tag }),
+        })
+    }
+}
+
+/// What recovery reads back from a node's log.
+#[derive(Debug, Default)]
+pub(crate) struct ReadBack {
+    /// The newest image that decodes.
+    pub image: Option<Checkpoint>,
+    /// The decisions at or after the image's `covers_log` (all of them
+    /// without an image), in log order.
+    pub decisions: Vec<(LogSeq, DecisionRecord)>,
+}
+
+/// Reads `log`'s stable records once (module docs).
+pub(crate) fn read_back(log: &StableLog) -> ReadBack {
+    let mut read = ReadBack::default();
+    for (seq, bytes) in log.stable_entries() {
+        match decode_from_slice(&bytes) {
+            Ok(LogRecord::Decision(record)) => read.decisions.push((seq, record)),
+            Ok(LogRecord::Image(image)) => read.image = Some(image),
+            Err(_) => {}
+        }
+    }
+    let from = read.image.as_ref().map_or(LogSeq(0), |image| image.covers_log);
+    read.decisions.retain(|(seq, _)| *seq >= from);
+    read
+}
+
 /// The tapes a stable log holds, by serial, from its records in log order
 /// (the prefix and replacement rules of the module docs).
 pub(crate) fn recovered_tapes(
@@ -192,7 +252,7 @@ impl DecisionLog {
         let op = self.op;
         let ticket = {
             let mut scratch = self.scratch.lock();
-            record.encode_into(&mut scratch);
+            LogRecord::Decision(record).encode_into(&mut scratch);
             self.log.append(&*scratch)
         };
         ticket.subscribe(move || {
@@ -278,7 +338,10 @@ impl Tape {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streammine_common::codec::roundtrip;
+    use proptest::prelude::*;
+    use std::time::Duration;
+    use streammine_common::codec::{encode_to_vec, roundtrip};
+    use streammine_storage::disk::DiskSpec;
 
     #[test]
     fn determinants_roundtrip() {
@@ -323,6 +386,104 @@ mod tests {
         let log = [record(8, 0, 80), record(8, 1, 81), record(8, 2, 82), record(8, 1, 91)];
         let tapes = recovered_tapes(log);
         assert_eq!(tapes[&8], vec![Determinant::Random(80), Determinant::Random(91)]);
+    }
+
+    #[test]
+    fn log_records_roundtrip_under_their_tags() {
+        let decision = LogRecord::Decision(record(4, 1, 44));
+        let image =
+            LogRecord::Image(Checkpoint { id: 2, state: vec![1, 2, 3], ..Checkpoint::default() });
+        for r in [decision, image] {
+            assert_eq!(roundtrip(&r).unwrap(), r);
+        }
+        let err = streammine_common::codec::decode_from_slice::<LogRecord>(&[2]).unwrap_err();
+        assert!(matches!(err, DecodeError::InvalidTag { type_name: "LogRecord", tag: 2 }));
+    }
+
+    /// What one random record of the recovery-read property is.
+    #[derive(Debug, Clone)]
+    enum Kind {
+        Decision,
+        /// An image covering the log from this many records before it.
+        Image {
+            back: u64,
+            state: usize,
+        },
+    }
+
+    fn kind() -> impl Strategy<Value = Kind> {
+        // Mostly decisions; some images span the log's 16 KiB blocks.
+        prop_oneof![
+            Just(Kind::Decision),
+            Just(Kind::Decision),
+            Just(Kind::Decision),
+            (0u64..8, 0usize..64).prop_map(|(back, state)| Kind::Image { back, state }),
+            (0u64..8, 60_000usize..90_000).prop_map(|(back, state)| Kind::Image { back, state }),
+        ]
+    }
+
+    fn log_record(seq: u64, kind: &Kind) -> LogRecord {
+        match *kind {
+            Kind::Decision => LogRecord::Decision(record(seq / 3, (seq % 3) as u32, seq)),
+            Kind::Image { back, state } => LogRecord::Image(Checkpoint {
+                id: seq,
+                covers_log: LogSeq(seq.saturating_sub(back)),
+                events_processed: seq / 3,
+                state: vec![seq as u8; state],
+                ..Checkpoint::default()
+            }),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Recovery reads the newest image before a flipped bit and exactly
+        /// the decisions at or after what it covers and before the flip,
+        /// whatever truncation left, on striped devices; it never panics.
+        #[test]
+        fn the_read_is_the_newest_image_before_a_flip_and_the_decisions_it_needs(
+            devices in 1usize..4,
+            kinds in proptest::collection::vec(kind(), 1..40),
+            truncate_at in 0.0f64..1.0,
+            flips in any::<bool>(),
+            victim_at in 0.0f64..1.0,
+            bit in any::<u32>(),
+        ) {
+            let log = StableLog::new(vec![DiskSpec::simulated(Duration::from_micros(50)); devices]);
+            let records: Vec<LogRecord> =
+                kinds.iter().enumerate().map(|(seq, kind)| log_record(seq as u64, kind)).collect();
+            for r in &records {
+                log.append(encode_to_vec(r));
+            }
+            log.flush();
+            let n = records.len() as u64;
+            let watermark = (n as f64 * truncate_at) as u64;
+            log.truncate_below(LogSeq(watermark));
+            // Records at or past `end` are unreadable: the flipped one on.
+            let end = if flips && watermark < n {
+                let victim = (watermark + ((n - watermark) as f64 * victim_at) as u64).min(n - 1);
+                prop_assert!(log.corrupt_bit(LogSeq(victim), bit as usize));
+                victim
+            } else {
+                n
+            };
+            let live = watermark..end;
+            let image = live.clone().rev().find_map(|seq| match &records[seq as usize] {
+                LogRecord::Image(image) => Some(image.clone()),
+                LogRecord::Decision(_) => None,
+            });
+            let from = image.as_ref().map_or(0, |image| image.covers_log.0).max(watermark);
+            let decisions: Vec<(LogSeq, DecisionRecord)> = (from..end)
+                .filter_map(|seq| match records[seq as usize] {
+                    LogRecord::Decision(d) => Some((LogSeq(seq), d)),
+                    LogRecord::Image(_) => None,
+                })
+                .collect();
+            let read = read_back(&log);
+            prop_assert_eq!(read.image, image);
+            prop_assert_eq!(read.decisions, decisions);
+        }
     }
 
     #[test]

@@ -21,20 +21,25 @@
 //! events, once the node is settled, it takes an image of state, RNG
 //! position, input frontiers and output counts. Its out-ring lives in
 //! this process, so the image waits until the downstream has acked every
-//! output it counts; then it is saved to the worker's file in the
-//! launcher's checkpoint directory, and each upstream ring is acked up to
-//! its positions — what an edge retains is bounded by the interval, not
-//! by the run. An image that does not reach the file acks nothing. A
-//! respawned incarnation loads its predecessor's newest image, primes each
-//! in-edge cursor at its port's frontier in the image (position and events
-//! read: the upstream bridge rewinds only that far and swallows what was
-//! read), restores, and replays the suffix after it,
-//! swallowing the `Welcome` counts past the image's output counts — the
-//! downstream acked them, so it holds them all. Nothing else the
-//! process loses on SIGKILL is needed for correctness — the deterministic
-//! RNG, restored to the image's position, re-derives every later decision
-//! from the replayed input order. The downstream may hold open
-//! transactions on what the dead incarnation published and never
+//! output it counts; then it is appended to the worker's log like a
+//! decision. Once that record is stable the node mirrors it, one CRC
+//! frame, to `worker<i>.ckpt` in the launcher's checkpoint directory
+//! (temp file + rename), truncates its log below the image and acks each
+//! upstream ring up to its positions — what an edge retains is bounded by
+//! the interval, not by the run. An image that does not reach the file
+//! acks nothing. A respawned incarnation reads its predecessor's newest
+//! image from the file and appends it as the first record of its fresh
+//! log, covering none of it (the predecessor's sequence numbers mean
+//! nothing there); from then on it recovers through the same read as a
+//! node in process. It primes each in-edge cursor at its port's frontier
+//! in the image (position and events read: the upstream bridge rewinds
+//! only that far and swallows what was read), restores, and replays the
+//! suffix after it, swallowing the `Welcome` counts past the image's
+//! output counts — the downstream acked them, so it holds them all.
+//! Nothing else the process loses on SIGKILL is needed for correctness —
+//! the deterministic RNG, restored to the image's position, re-derives
+//! every later decision from the replayed input order. The downstream may
+//! hold open transactions on what the dead incarnation published and never
 //! finalized; the replacement re-derives the same events under the same
 //! ids, swallows the ones the receiver's cursor counted, and sends the
 //! finalizes still owed — it re-confirms its predecessor's speculation,
@@ -43,9 +48,9 @@
 //! from the per-slot seed.
 //!
 //! **Precondition of that re-derivation:** the slot takes its decisions in
-//! serial order, from the checkpoint on. The decision log lives in process
-//! memory and dies with the process, so a replacement cannot read a logged
-//! draw back — it draws again from the restored RNG, event by event, in
+//! serial order, from the checkpoint on. Only the image reaches the file:
+//! the decision records live in process memory and die with the process,
+//! so a replacement cannot read a logged draw back — it draws again from the restored RNG, event by event, in
 //! serial order. A re-execution by itself no longer disturbs that: it
 //! reads the decisions of its first execution from the event's tape and
 //! the stream does not move. What would is a draw *out of serial order*:
@@ -72,15 +77,19 @@
 //! bounded sketch error, instead of re-executing them.
 
 use std::collections::HashMap;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use streammine_common::clock::{shared, SystemClock};
+use streammine_common::codec::{decode_from_slice, encode_to_vec};
+use streammine_common::crc32;
 use streammine_net::{link, EdgeMetrics, LinkConfig, TcpTransport, Transport};
 use streammine_obs::{Labels, Obs, TransportMetrics, REDERIVATION_BROKEN};
 
 use crate::config::{LoggingConfig, OperatorConfig};
+use crate::determinant::LogRecord;
 use crate::dist::bridge::{Acceptor, DialSlot, EdgeCursor, InEdge, OutBridge};
 use crate::dist::control::{CtrlClient, CtrlIdentity};
 use crate::dist::spec::{WorkerSpec, SPEC_ENV};
@@ -88,8 +97,7 @@ use crate::dist::wire::{CtrlMsg, FaultCmd};
 use crate::plumbing::{DownEdge, Inbox, Notice, Sent};
 use streammine_sketch::ErrorBound;
 use streammine_storage::checkpoint::{Checkpoint, InputFrontier};
-use streammine_storage::log::{LogObs, StableLog};
-use streammine_storage::{CheckpointObs, CheckpointStore, DiskSpec};
+use streammine_storage::log::{LogObs, LogSeq, StableLog};
 
 use crate::message::{Control, Message};
 use crate::node::{Node, NodeSeed};
@@ -184,6 +192,23 @@ fn in_edge_cursors(image: Option<Checkpoint>, ports: usize) -> Vec<EdgeCursor> {
     inputs.iter().map(|at| EdgeCursor::resuming(at.position, at.events)).collect()
 }
 
+/// Writes a stable image `record` to `path` as one CRC frame: temp file +
+/// rename, so a SIGKILL mid-write leaves the previous image.
+pub(crate) fn mirror_image(path: &Path, record: Vec<u8>) -> std::io::Result<()> {
+    let tmp = path.with_extension("tmp");
+    std::fs::write(&tmp, crc32::frame(record))?;
+    std::fs::rename(&tmp, path)
+}
+
+/// The image a predecessor mirrored to `path`, if one is there and intact.
+pub(crate) fn image_in(path: &Path) -> Option<Checkpoint> {
+    let bytes = std::fs::read(path).ok()?;
+    match decode_from_slice(crc32::unframe(&bytes)?) {
+        Ok(LogRecord::Image(image)) => Some(image),
+        _ => None,
+    }
+}
+
 /// Entry point of a worker binary: runs one node per the spec in
 /// [`SPEC_ENV`], returns the process exit code.
 pub fn worker_main(registry: &OperatorRegistry) -> i32 {
@@ -241,8 +266,8 @@ pub(crate) fn run_worker(
         } else {
             OperatorConfig::speculative(logging)
         };
-        // 0 is the spec's "no checkpoints", and the store below follows it:
-        // the config must not keep its default interval without one.
+        // 0 is the spec's "no checkpoints", and the image file below follows
+        // it: the config must not keep its default interval without one.
         c.checkpoint_every = (spec.checkpoint_every > 0).then_some(spec.checkpoint_every);
         if spec.approx_eps_ppm > 0 {
             // Range-check before `from_ppm`, which panics on garbage.
@@ -264,23 +289,21 @@ pub(crate) fn run_worker(
         }
         c
     };
-    // Checkpoint store, when the spec asks for one — created before the
-    // in-edges so a respawn can prime its receive cursors from the image.
-    // The image is a file in the launcher's directory, so it survives
-    // SIGKILL: the respawned incarnation preloads its predecessor's
-    // snapshot (and, in approximate mode, the baked error-budget loss)
-    // before recovering.
-    let checkpoints = (spec.checkpoint_every > 0).then(|| {
-        let store = Arc::new(CheckpointStore::new(DiskSpec::simulated(Duration::from_micros(
-            spec.log_micros,
-        ))));
-        store.attach_obs(CheckpointObs::registered(&obs, spec.worker));
-        let image = format!("worker{}.ckpt", spec.worker);
-        store.attach_file(std::path::Path::new(&spec.checkpoint_dir).join(image));
-        store
-    });
-    let cursors =
-        in_edge_cursors(checkpoints.as_ref().and_then(|s| s.latest()), spec.in_edges.len());
+    // The slot's one durable stream — created before the in-edges so a
+    // respawn can prime its receive cursors from its predecessor's image.
+    // The image file is in the launcher's directory, so it survives
+    // SIGKILL; its record (with, in approximate mode, the error budget's
+    // loss) goes first in the fresh log, stable before the node reads it.
+    let log = StableLog::new(config.logging.as_ref().expect("logged config").disks.clone());
+    log.attach_obs(LogObs::registered(&obs, spec.worker));
+    let image_file = (spec.checkpoint_every > 0)
+        .then(|| Path::new(&spec.checkpoint_dir).join(format!("worker{}.ckpt", spec.worker)));
+    let image = image_file
+        .as_deref()
+        .and_then(image_in)
+        .map(|image| Checkpoint { covers_log: LogSeq(log.appended()), ..image });
+    let primed = image.clone().map(|image| log.append(encode_to_vec(&LogRecord::Image(image))));
+    let cursors = in_edge_cursors(image, spec.in_edges.len());
 
     // In-edges: each is a local ring the node reads like any other, fed
     // by the acceptor's socket threads with the in-order frames of the
@@ -413,8 +436,9 @@ pub(crate) fn run_worker(
         down.push(DownEdge { data_tx, sent: Arc::new(sent) });
     }
 
-    let log = StableLog::new(config.logging.as_ref().expect("logged config").disks.clone());
-    log.attach_obs(LogObs::registered(&obs, spec.worker));
+    if let Some(ticket) = primed {
+        ticket.wait();
+    }
     let reporter_obs = obs.clone();
     let seed = NodeSeed {
         id: OperatorId::new(spec.worker),
@@ -425,7 +449,7 @@ pub(crate) fn run_worker(
         up,
         down,
         log: Some(log),
-        checkpoints,
+        image_file,
         rng_seed: spec.rng_seed,
         obs,
         exits: None,
@@ -536,17 +560,14 @@ mod tests {
     /// nothing.
     #[test]
     fn in_edges_primed_from_a_two_port_image_welcome_each_upstream_at_its_own_frontier() {
-        let store = streammine_storage::checkpoint::instant_store();
         let at = |position, events| InputFrontier { position, events, covered_below: events };
-        store
-            .save(Checkpoint { inputs: vec![at(5, 7), at(3, 2)], ..Checkpoint::default() })
-            .unwrap();
+        let image = Checkpoint { inputs: vec![at(5, 7), at(3, 2)], ..Checkpoint::default() };
         let transport: Arc<dyn Transport> =
             Arc::new(MemTransport::new().with_read_timeout(Duration::from_millis(20)));
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut ends = Vec::new();
         let mut in_edges = Vec::new();
-        for (edge, cursor) in [10, 11].into_iter().zip(in_edge_cursors(store.latest(), 2)) {
+        for (edge, cursor) in [10, 11].into_iter().zip(in_edge_cursors(Some(image.clone()), 2)) {
             let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
             let (ctrl_tx, ctrl_rx) = link::<Control>(LinkConfig::instant());
             ends.push((data_rx, ctrl_tx));
@@ -573,10 +594,26 @@ mod tests {
         };
         assert_eq!(welcome(10), primed(5, 7));
         assert_eq!(welcome(11), primed(3, 2));
-        let misfit = in_edge_cursors(store.latest(), 3);
+        let misfit = in_edge_cursors(Some(image), 3);
         let fresh: Vec<(u64, u64)> = misfit.iter().map(|c| (c.next_seq(), c.events())).collect();
         assert_eq!(fresh, vec![(0, 0); 3]);
         shutdown.store(true, Ordering::Release);
         acceptor.poke();
+    }
+
+    /// The file holds one CRC frame: a replacement reads back the image
+    /// mirrored there, and a torn file is no image at all.
+    #[test]
+    fn a_mirrored_image_reads_back_and_a_torn_one_does_not() {
+        let path = std::env::temp_dir()
+            .join(format!("streammine-worker-{}-mirror.ckpt", std::process::id()));
+        let image =
+            Checkpoint { id: 3, events_processed: 9, approx_loss: 2, ..Checkpoint::default() };
+        mirror_image(&path, encode_to_vec(&LogRecord::Image(image.clone()))).unwrap();
+        assert_eq!(image_in(&path), Some(image));
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+        assert_eq!(image_in(&path), None);
+        let _ = std::fs::remove_file(&path);
     }
 }

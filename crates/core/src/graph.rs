@@ -19,11 +19,12 @@ use streammine_common::error::{Error, Result};
 use streammine_common::ids::OperatorId;
 use streammine_net::{link, EdgeMetrics, LinkConfig, LinkReceiver, LinkSender};
 use streammine_obs::{Obs, RecoveryModeTag, RegistrySnapshot};
-use streammine_storage::checkpoint::{CheckpointObs, CheckpointStore};
+use streammine_storage::checkpoint::Checkpoint;
 use streammine_storage::disk::DiskSpec;
 use streammine_storage::log::{LogObs, StableLog};
 
-use crate::config::OperatorConfig;
+use crate::config::{OperatorConfig, RecoveryMode};
+use crate::determinant::read_back;
 use crate::endpoints::{SinkHandle, SourceHandle};
 use crate::message::{Control, Message};
 use crate::node::{Node, NodeSeed};
@@ -218,16 +219,15 @@ impl fmt::Debug for Graph {
 }
 
 /// The per-node state that survives crashes: links, sequence counters,
-/// retained output buffers, logs, checkpoints — everything the paper's
-/// model keeps outside the failed process — plus where its coordinator
-/// reports its exit.
+/// retained output buffers, the log of its decisions and checkpoints —
+/// everything the paper's model keeps outside the failed process — plus
+/// where its coordinator reports its exit.
 pub(crate) struct NodePersist {
     id: OperatorId,
     operator: Arc<dyn Operator>,
     config: OperatorConfig,
     inbox: Arc<Inbox>,
     log: Option<StableLog>,
-    checkpoints: Option<Arc<CheckpointStore>>,
     up_ctrl: Vec<LinkSender<Control>>,
     down_data: Vec<LinkSender<Message>>,
     /// Per-edge cumulative send counters (see [`Sent`]); survive restarts
@@ -256,7 +256,7 @@ impl NodePersist {
                 .map(|(d, sent)| DownEdge { data_tx: d.clone(), sent: sent.clone() })
                 .collect(),
             log: self.log.clone(),
-            checkpoints: self.checkpoints.clone(),
+            image_file: None,
             rng_seed: self.rng_seed,
             obs: self.obs.clone(),
             exits: Some(self.exits.clone()),
@@ -352,16 +352,20 @@ impl Graph {
         // Persistent per-node infrastructure + node threads.
         let mut nodes = Vec::new();
         for (i, spec) in b.ops.into_iter().enumerate() {
-            let log = spec.config.logging.as_ref().map(|lc| StableLog::new(lc.disks.clone()));
+            // One durable stream per node that logs or checkpoints. A node
+            // that logs no decisions (unlogged, or approximate) keeps its
+            // images on one free device.
+            let disks = match &spec.config.logging {
+                Some(logging) if spec.config.recovery == RecoveryMode::Precise => {
+                    Some(logging.disks.clone())
+                }
+                _ => {
+                    spec.config.checkpoint_every.map(|_| vec![DiskSpec::simulated(Duration::ZERO)])
+                }
+            };
+            let log = disks.map(StableLog::new);
             if let Some(log) = &log {
                 log.attach_obs(LogObs::registered(&obs, i as u32));
-            }
-            let checkpoints = spec
-                .config
-                .checkpoint_every
-                .map(|_| Arc::new(CheckpointStore::new(DiskSpec::simulated(Duration::ZERO))));
-            if let Some(store) = &checkpoints {
-                store.attach_obs(CheckpointObs::registered(&obs, i as u32));
             }
             let inbox = Inbox::new(std::mem::take(&mut inputs[i]), std::mem::take(&mut ctrls[i]));
             down_data[i].iter().for_each(|out| inbox.wake_on_room(out));
@@ -371,7 +375,6 @@ impl Graph {
                 config: spec.config,
                 inbox,
                 log,
-                checkpoints,
                 up_ctrl: std::mem::take(&mut up_ctrl[i]),
                 down_sent: (0..down_data[i].len()).map(|_| Arc::default()).collect(),
                 down_data: std::mem::take(&mut down_data[i]),
@@ -443,7 +446,7 @@ impl Running {
     }
 
     /// A point-in-time snapshot of every engine metric (nodes, edges, log
-    /// writers, checkpoint stores, supervisor).
+    /// writers, supervisor).
     pub fn metrics(&self) -> RegistrySnapshot {
         self.obs.snapshot()
     }
@@ -504,14 +507,17 @@ impl Running {
         &self.sinks[id.0]
     }
 
-    /// The decision log of an operator (diagnostics / experiments).
+    /// The log of an operator: its decisions, when it logs them, and its
+    /// checkpoint images (diagnostics / experiments / fault injection).
+    /// `None` for an operator that neither logs nor checkpoints.
     pub fn operator_log(&self, op: OperatorId) -> Option<&StableLog> {
         self.nodes.get(op.index() as usize).and_then(|n| n.log.as_ref())
     }
 
-    /// The checkpoint store of an operator (diagnostics / fault injection).
-    pub fn operator_checkpoints(&self, op: OperatorId) -> Option<&Arc<CheckpointStore>> {
-        self.nodes.get(op.index() as usize).and_then(|n| n.checkpoints.as_ref())
+    /// The newest stable checkpoint image in an operator's log — the one
+    /// a recovery would restore (diagnostics).
+    pub fn operator_image(&self, op: OperatorId) -> Option<Checkpoint> {
+        read_back(self.operator_log(op)?).image
     }
 
     /// Number of operators in the graph.
@@ -598,32 +604,20 @@ impl Running {
         self.edges[i].data.delay_spike(extra, window);
     }
 
-    /// Sets the transient write-fault probability on every storage device
-    /// of `op` (decision-log disks and checkpoint device). No-op for an
-    /// operator without durable storage.
+    /// Sets the transient write-fault probability on every device of
+    /// `op`'s log, which carries its decisions and its checkpoint images.
+    /// No-op for an operator without a log.
     pub fn set_storage_fault_rate(&self, op: OperatorId, rate: f64) {
-        let Some(node) = self.nodes.get(op.index() as usize) else { return };
-        if let Some(log) = &node.log {
-            for dev in log.devices() {
-                dev.set_fault_rate(rate);
-            }
-        }
-        if let Some(store) = &node.checkpoints {
-            store.device().set_fault_rate(rate);
+        for dev in self.operator_log(op).map_or(&[][..], StableLog::devices) {
+            dev.set_fault_rate(rate);
         }
     }
 
-    /// Stalls every storage write of `op` starting within the next
-    /// `window` (a controller hiccup). No-op without durable storage.
+    /// Stalls every write to `op`'s log — decisions and images — starting
+    /// within the next `window` (a controller hiccup). No-op without a log.
     pub fn stall_storage(&self, op: OperatorId, window: Duration) {
-        let Some(node) = self.nodes.get(op.index() as usize) else { return };
-        if let Some(log) = &node.log {
-            for dev in log.devices() {
-                dev.stall_for(window);
-            }
-        }
-        if let Some(store) = &node.checkpoints {
-            store.device().stall_for(window);
+        for dev in self.operator_log(op).map_or(&[][..], StableLog::devices) {
+            dev.stall_for(window);
         }
     }
 
@@ -645,7 +639,7 @@ impl Running {
 
     /// Simulates a crash of `op`: the node thread stops and all volatile
     /// state (operator state, in-flight transactions, queued messages) is
-    /// lost. Links, logs and checkpoints survive.
+    /// lost. Links and logs, with their checkpoint images, survive.
     ///
     /// # Panics
     ///

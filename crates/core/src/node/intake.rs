@@ -176,12 +176,13 @@ impl Node {
             Notice::TxnCommitted(txn) => self.on_txn_committed(txn),
             Notice::TxnAborted(txn) => self.on_txn_aborted(txn),
             Notice::LogStable { serial } => self.on_log_stable(serial),
+            Notice::ImageStable { seq } => self.on_image_stable(seq),
             Notice::Command(NodeCommand::Shutdown) => {
                 self.running = false;
             }
             Notice::Command(NodeCommand::Crash) => {
                 // Simulated crash: just stop; all volatile state dies with
-                // this object. Links, log and checkpoints survive outside.
+                // this object. Links and the log (images too) survive outside.
                 self.running = false;
                 self.crashed = true;
             }

@@ -29,6 +29,7 @@ mod publish;
 mod rewind;
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,11 +47,13 @@ use streammine_sketch::{ErrorBound, ErrorBudget};
 use streammine_stm::{
     CommitOrder, Serial, StatsSnapshot, StmAbort, StmRuntime, TxnHandle, TxnId, TxnStatus,
 };
-use streammine_storage::checkpoint::{Checkpoint, CheckpointStore, InputFrontier};
+use streammine_storage::checkpoint::{Checkpoint, InputFrontier};
 use streammine_storage::log::{LogSeq, StableLog};
 
 use crate::config::{OperatorConfig, RecoveryMode};
-use crate::determinant::{recovered_tapes, DecisionLog, DecisionRecord, Determinant, Tape};
+use crate::determinant::{
+    read_back, recovered_tapes, DecisionLog, DecisionRecord, Determinant, LogRecord, Tape,
+};
 use crate::message::{Control, Message};
 use crate::operator::{OpCtx, Operator, PortId, SetupCtx};
 use crate::plumbing::{DownEdge, Inbox, NodeCommand, Notice};
@@ -226,8 +229,12 @@ pub(crate) struct NodeSeed {
     /// link delays — never loses — them.
     pub up: Vec<LinkSender<Control>>,
     pub down: Vec<DownEdge>,
+    /// The node's one durable stream: its decisions (when the config logs)
+    /// and its checkpoint images. Without one the node does not checkpoint.
     pub log: Option<StableLog>,
-    pub checkpoints: Option<Arc<CheckpointStore>>,
+    /// Where a worker mirrors each image once it is stable, for the next
+    /// process of its slot to find.
+    pub image_file: Option<PathBuf>,
     pub rng_seed: u64,
     /// Shared observability bundle (metrics registry + journal).
     pub obs: Obs,
@@ -250,7 +257,7 @@ pub(crate) struct Node {
     up: Vec<LinkSender<Control>>,
     down: Vec<DownEdge>,
     log: Option<StableLog>,
-    checkpoints: Option<Arc<CheckpointStore>>,
+    image_file: Option<PathBuf>,
     registry: Arc<StateRegistry>,
     stm: Option<StmRuntime>,
     pool: Option<Arc<ThreadPool>>,
@@ -300,6 +307,11 @@ pub(crate) struct Node {
     approx: Option<ApproxState>,
     /// The checkpoint taken last, while it waits for its downstreams.
     image: Option<Image>,
+    /// Image records appended to the log and not stable yet, oldest first,
+    /// with their sequence numbers.
+    stabilizing: VecDeque<(LogSeq, Vec<u8>)>,
+    /// The id of the image taken last (or restored).
+    image_id: u64,
     /// `Some` iff the node images its committed prefix (a single-threaded
     /// speculative node in process): the events admitted since its last
     /// image, in serial order.
@@ -399,8 +411,10 @@ impl Node {
         // budget: bound-covered state never needs deterministic
         // re-execution (a budget refusal escalates to full replay, which
         // re-derives determinants live off the checkpointed RNG), so no
-        // decision is appended and no output waits for the log.
-        let decisions = seed.log.clone().filter(|_| approx.is_none()).map(|log| DecisionLog {
+        // decision is appended and no output waits for the log. A node
+        // that logs no decisions keeps only its images in its log.
+        let logs_decisions = seed.config.logging.is_some() && approx.is_none();
+        let decisions = seed.log.clone().filter(|_| logs_decisions).map(|log| DecisionLog {
             log,
             inbox: seed.inbox.clone(),
             log_wait_us: metrics.log_wait_us.clone(),
@@ -434,7 +448,7 @@ impl Node {
             up: seed.up,
             down: seed.down,
             log: seed.log,
-            checkpoints: seed.checkpoints,
+            image_file: seed.image_file,
             registry: Arc::new(registry),
             stm,
             pool,
@@ -457,6 +471,8 @@ impl Node {
             send_view,
             approx,
             image: None,
+            stabilizing: VecDeque::new(),
+            image_id: 0,
             admitted: images_prefix.then(VecDeque::new),
             down_acked: vec![0; outputs],
             eof_count: 0,

@@ -10,7 +10,14 @@
 //!
 //! A checkpoint covers a settled node, or — on a single-threaded
 //! speculative node — its committed prefix while later transactions stay
-//! open ([`Node::prefix_cut`]).
+//! open ([`Node::prefix_cut`]). It is taken, waits for its downstreams
+//! (see [`Node::maybe_checkpoint`]), is appended to the node's log as an
+//! image record, and only once that record is stable does the node act on
+//! it: truncate the log below what the image covers and ack its upstreams
+//! down to its positions. Until then the previous image and the decisions
+//! after it stay readable, so a torn newest image costs nothing. The next
+//! image does not wait for that: several may be on their way, and a stable
+//! one supersedes the older ones still in flight.
 //!
 //! Frontier invariants, checked in debug builds: a port reads consecutive
 //! link sequences between rewinds; a rewind reaches back to the checkpoint
@@ -105,9 +112,9 @@ pub(super) struct Admitted {
     log_at: u64,
 }
 
-/// A checkpoint taken but not saved yet, and per down-edge the ring
-/// position its downstream must have acknowledged before it may be saved
-/// (see [`Node::maybe_checkpoint`]).
+/// A checkpoint taken but not appended yet, and per down-edge the ring
+/// position its downstream must have acknowledged before it may be
+/// appended (see [`Node::maybe_checkpoint`]).
 pub(super) struct Image {
     checkpoint: Checkpoint,
     /// Per down-edge: where the outputs the image counts end in the ring
@@ -121,16 +128,19 @@ pub(super) struct Image {
 pub(super) struct ApproxState {
     /// The declared (ε, δ) accuracy contract.
     bound: ErrorBound,
+    /// Updates missing for good from the lineage of the image restored or
+    /// stable last: what later recoveries charge against.
+    baked: u64,
     /// Replayed inputs still to drop in the current resume window. Each
     /// dropped input consumes a serial without running the operator, so
     /// later output ids stay aligned with the fault-free run; its state
     /// update is the loss the budget charged.
     skip_remaining: u64,
     /// Updates dropped by the current resume window, not yet permanent:
-    /// baked into the store's durable loss counter when the next
-    /// checkpoint makes the stale lineage the only lineage. A crash
-    /// before that save re-derives a superset window from the same
-    /// baseline, so baking earlier would double-charge.
+    /// the next image carries them in its `approx_loss`, and they are
+    /// baked once that image is stable and the stale lineage the only
+    /// lineage. A crash before then re-derives a superset window from the
+    /// same baseline, so baking earlier would double-charge.
     window_loss: u64,
     /// `recovery.error_budget.lost` — updates lost across all recoveries.
     lost_gauge: Gauge,
@@ -148,6 +158,7 @@ impl ApproxState {
         let r = &obs.registry;
         ApproxState {
             bound,
+            baked: 0,
             skip_remaining: 0,
             window_loss: 0,
             lost_gauge: r.gauge("recovery.error_budget.lost", Labels::op(op)),
@@ -180,39 +191,41 @@ impl Node {
     /// serials it does not cover from the stable log, and when `recovering`
     /// from a crash rewinds every input port to its restored frontier.
     pub(super) fn recover(&mut self, recovering: bool) {
-        let cp = self.restore();
+        let read = self.log.as_ref().map(read_back).unwrap_or_default();
+        let cp = self.restore(read.image);
         self.next_serial = cp.events_processed;
         self.checkpoint_serial = cp.events_processed;
+        self.image_id = cp.id;
+        if let Some(approx) = &mut self.approx {
+            approx.baked = cp.approx_loss;
+        }
         self.frontiers =
             cp.inputs.iter().map(|&at| Frontier { at, consumed: HashSet::new() }).collect();
-        if let Some(log) = &self.log {
-            let entries = log.stable_entries().into_iter().filter(|(seq, _)| *seq >= cp.covers_log);
-            let records: Vec<(LogSeq, DecisionRecord)> = entries
-                .filter_map(|(seq, bytes)| Some((seq, decode_from_slice(&bytes).ok()?)))
-                .filter(|(_, record): &(_, DecisionRecord)| record.serial >= cp.events_processed)
-                .collect();
-            let upto = records.iter().map(|(_, record)| record.serial + 1).max();
-            self.recovered_log =
-                records.first().zip(upto).map(|((first, _), upto)| (first.0, upto));
-            self.recovered = recovered_tapes(records.into_iter().map(|(_, record)| record));
-        }
+        let records: Vec<(LogSeq, DecisionRecord)> = read
+            .decisions
+            .into_iter()
+            .filter(|(_, record)| record.serial >= cp.events_processed)
+            .collect();
+        let upto = records.iter().map(|(_, record)| record.serial + 1).max();
+        self.recovered_log = records.first().zip(upto).map(|((first, _), upto)| (first.0, upto));
+        self.recovered = recovered_tapes(records.into_iter().map(|(_, record)| record));
         if recovering {
             self.rewind(&cp);
         }
     }
 
-    /// The latest checkpoint, restored into the state registry and the
-    /// generator; a fresh start's when there is none. One that cannot be
-    /// restored degrades the node to the log and a full replay instead of
-    /// killing it — an image of another shape too: it is read from a file,
-    /// and would index rings the node does not have, or be short of some.
-    fn restore(&mut self) -> Checkpoint {
+    /// `image`, restored into the state registry and the generator; a
+    /// fresh start's when there is none. One that cannot be restored
+    /// degrades the node to the log and a full replay instead of killing it
+    /// — an image of another shape too: a worker's comes from a file, and
+    /// would index rings the node does not have, or be short of some.
+    fn restore(&mut self, image: Option<Checkpoint>) -> Checkpoint {
         let fresh = Checkpoint {
             inputs: vec![InputFrontier::default(); self.up.len()],
             outputs_sent: vec![0; self.down.len()],
             ..Checkpoint::default()
         };
-        let Some(cp) = self.checkpoints.as_ref().and_then(|store| store.latest()) else {
+        let Some(cp) = image else {
             return fresh;
         };
         let shape = (cp.inputs.len(), cp.outputs_sent.len());
@@ -318,14 +331,16 @@ impl Node {
     /// exceed the ε·N allowance.
     fn skip_within_budget(&mut self, excess: &[(u64, u64)], covered_serials: u64) -> bool {
         let Some(approx) = &mut self.approx else { return false };
-        let Some(store) = &self.checkpoints else { return false };
+        if self.log.is_none() {
+            return false; // no image to resume from
+        }
         // Operators are 1:1 (one output per input), so the on-wire output
         // excess equals the count of replayed inputs to drop. Edges may
         // disagree only if the crash interrupted a fan-out mid-event;
         // taking the max never re-emits a delivered output (at-most-once
         // on the divergent edge is within the approximate contract).
         let skip = excess.iter().map(|(events, _)| *events).max().unwrap_or(0);
-        let baked = store.approx_loss();
+        let baked = approx.baked;
         let delivered = covered_serials + skip;
         let mut budget = ErrorBudget { bound: approx.bound, lost: baked, escalations: 0 };
         if budget.admit(skip, delivered) {
@@ -341,7 +356,6 @@ impl Node {
             );
             true
         } else {
-            store.note_escalation();
             approx.escalations.incr();
             approx.set_gauges(baked, delivered);
             self.obs.journal.record(
@@ -361,18 +375,18 @@ impl Node {
         if (consumed as u64) < interval {
             return;
         }
-        // Never save mid-resume-window: the save would pin mid-window
+        // Never image mid-resume-window: the image would pin mid-window
         // input positions against pre-crash output counters, corrupting
         // the skip computation of any later crash. The window's loss is
-        // baked into the durable budget only at the first save after the
-        // window drains — a crash before that re-derives a superset
-        // window from the same baseline, so baking earlier would
+        // baked into the budget only once the first image after the
+        // window drains is stable — a crash before that re-derives a
+        // superset window from the same baseline, so baking earlier would
         // double-charge.
         if self.approx.as_ref().is_some_and(|a| a.skip_remaining > 0) {
             return;
         }
         // One image waits for its downstreams at a time.
-        if self.checkpoints.is_none() || self.image.is_some() {
+        if self.log.is_none() || self.image.is_some() {
             return;
         }
         let cut = if self.admitted.is_some() { self.prefix_cut() } else { self.settled_cut() };
@@ -549,33 +563,64 @@ impl Node {
         admitted.push_back(Admitted { serial, port, id, frame, rng, log_at });
     }
 
-    /// Saves the waiting image once every downstream has acknowledged the
-    /// outputs it counts, then acks the upstreams down to its positions.
+    /// Appends the waiting image to the log once every downstream has
+    /// acknowledged the outputs it counts. Its record carries the resume
+    /// window's loss already: the image is of the stale lineage.
     pub(super) fn save_image(&mut self) {
+        let Some(log) = &self.log else { return };
         let acked = &self.down_acked;
-        let Some(image) = self
+        let Some(Image { mut checkpoint, .. }) = self
             .image
             .take_if(|image| image.outputs_end.iter().zip(acked).all(|(end, acked)| acked >= end))
         else {
             return;
         };
-        let Some(store) = &self.checkpoints else { return };
-        // An image that missed its file (the store warned) is not one a
-        // replacement can resume from: nothing is acked on its strength.
-        let Ok(cp) = store.save(image.checkpoint) else { return };
+        self.image_id += 1;
+        checkpoint.id = self.image_id;
+        if let Some(approx) = &self.approx {
+            checkpoint.approx_loss = approx.baked + approx.window_loss;
+        }
+        let record = encode_to_vec(&LogRecord::Image(checkpoint));
+        let ticket = log.append(&record);
+        let seq = ticket.seq();
+        self.stabilizing.push_back((seq, record));
+        let inbox = self.inbox.clone();
+        ticket.subscribe(move || inbox.post(Notice::ImageStable { seq }));
+    }
+
+    /// The image appended at `seq` is stable: once a worker's file holds
+    /// it too, the log is truncated below what it covers and the upstreams
+    /// are acked down to its positions. Older images still on their way
+    /// are superseded; a notice for an image of an earlier incarnation
+    /// changes nothing.
+    pub(super) fn on_image_stable(&mut self, seq: LogSeq) {
+        let Some(at) = self.stabilizing.iter().position(|(at, _)| *at == seq) else {
+            return;
+        };
+        let Some((_, record)) = self.stabilizing.drain(..=at).next_back() else { return };
+        let Ok(LogRecord::Image(cp)) = decode_from_slice(&record) else { return };
+        // An image that missed its file is not one a replacement can
+        // resume from: nothing is acked on its strength.
+        if let Some(path) = &self.image_file {
+            if let Err(e) = crate::dist::worker::mirror_image(path, record) {
+                self.obs.journal.warn(
+                    Some(self.id.index()),
+                    "checkpoint-persist-failed",
+                    format!("could not persist checkpoint image to {}: {e}", path.display()),
+                );
+                return;
+            }
+        }
         self.obs.journal.record(
             Some(self.id.index()),
             JournalKind::CheckpointSaved { id: cp.id, covers_log: cp.covers_log.0 },
         );
-        // The save made the stale lineage the only lineage: the resume
-        // window's provisional loss is now permanent. Bake it into the
-        // store's durable counter so later recoveries charge against it.
+        // The stale lineage is now the only lineage: the resume window's
+        // provisional loss is permanent.
         if let Some(approx) = &mut self.approx {
-            if approx.window_loss > 0 {
-                store.add_approx_loss(approx.window_loss);
-                approx.window_loss = 0;
-            }
-            approx.set_gauges(store.approx_loss(), self.next_serial);
+            approx.baked = cp.approx_loss;
+            approx.window_loss = 0;
+            approx.set_gauges(approx.baked, self.next_serial);
         }
         if let Some(log) = &self.log {
             log.truncate_below(cp.covers_log);

@@ -2,7 +2,7 @@ use super::*;
 use crate::config::{LoggingConfig, NodeConfig};
 use streammine_common::clock::{shared, SystemClock};
 use streammine_net::{link, LinkConfig, LinkReceiver};
-use streammine_storage::checkpoint::instant_store;
+use streammine_storage::disk::DiskSpec;
 
 struct Relay;
 impl Operator for Relay {
@@ -17,6 +17,8 @@ impl Operator for Relay {
 struct Rig {
     /// Into the node's one input port.
     input: LinkSender<Message>,
+    /// The node's control back to that port's sender (acks).
+    up_rx: LinkReceiver<Control>,
     /// The node's one output, sender side (retention, window).
     out_tx: LinkSender<Message>,
     /// The node's one output, as its downstream reads it.
@@ -32,7 +34,7 @@ struct Rig {
 impl Rig {
     fn new(config: OperatorConfig, input_link: LinkConfig, output_link: LinkConfig) -> Rig {
         let (input, input_rx) = link::<Message>(input_link);
-        let (up_ctrl, _) = link::<Control>(LinkConfig::instant());
+        let (up_ctrl, up_rx) = link::<Control>(LinkConfig::instant());
         let (out_tx, out_rx) = link::<Message>(output_link);
         let (out_ctrl, out_ctrl_rx) = link::<Control>(LinkConfig::instant());
         let inbox = Inbox::new(vec![input_rx], vec![out_ctrl_rx]);
@@ -47,13 +49,13 @@ impl Rig {
             inbox: inbox.clone(),
             up: vec![up_ctrl],
             down: vec![DownEdge { data_tx: out_tx.clone(), sent: Arc::default() }],
-            checkpoints: None,
+            image_file: None,
             rng_seed: 1,
             obs: obs.clone(),
             exits: None,
             recovering: false,
         };
-        Rig { input, out_tx, out_rx, out_ctrl, inbox, obs, seed: Some(seed), node: None }
+        Rig { input, up_rx, out_tx, out_rx, out_ctrl, inbox, obs, seed: Some(seed), node: None }
     }
 
     fn start(mut self) -> Rig {
@@ -111,6 +113,13 @@ fn source_event(n: u64) -> Event {
 fn image(outputs: usize) -> Checkpoint {
     let state = StateRegistry::plain().snapshot();
     Checkpoint { outputs_sent: vec![0; outputs], state, ..Checkpoint::default() }
+}
+
+/// A log on one free device holding `image` as its one stable record.
+fn log_holding(image: Checkpoint) -> StableLog {
+    let log = StableLog::new(vec![DiskSpec::simulated(Duration::ZERO)]);
+    log.append(encode_to_vec(&LogRecord::Image(image))).wait();
+    log
 }
 
 fn warned(obs: &Obs, code: &str) -> usize {
@@ -185,11 +194,10 @@ fn rewind_that_cannot_reach_the_checkpoint_is_loud() {
         rig.inbox.inputs[0].try_recv().unwrap().expect("just sent");
     }
     rig.input.ack_upto(4);
-    let store = instant_store();
     let input = InputFrontier { position: 2, events: 2, covered_below: 2 };
-    store.save(Checkpoint { events_processed: 2, inputs: vec![input], ..image(1) }).unwrap();
     let seed = rig.seed.as_mut().expect("not started");
-    seed.checkpoints = Some(Arc::new(store));
+    seed.log =
+        Some(log_holding(Checkpoint { events_processed: 2, inputs: vec![input], ..image(1) }));
     seed.recovering = true;
     let rig = rig.start();
     let short = |e: &streammine_obs::JournalEvent| {
@@ -215,11 +223,10 @@ fn an_image_of_another_shape_is_refused_and_the_input_replays_from_the_start() {
     for n in 0..3 {
         rig.send(n, false);
     }
-    let store = instant_store();
     let input = InputFrontier { position: 2, events: 2, covered_below: 2 };
-    store.save(Checkpoint { events_processed: 2, inputs: vec![input; 3], ..image(1) }).unwrap();
+    let misfit = Checkpoint { events_processed: 2, inputs: vec![input; 3], ..image(1) };
     let seed = rig.seed.as_mut().expect("not started");
-    seed.checkpoints = Some(Arc::new(store));
+    seed.log = Some(log_holding(misfit));
     seed.recovering = true;
     let rig = rig.start();
     assert_eq!(rig.outputs(3), (0..3).map(Value::Int).collect::<Vec<_>>());
@@ -450,4 +457,37 @@ fn output_ids_carry_the_child_trace_context() {
     let outs =
         assign_output_ids(OperatorId::new(3), 5, 99, &[(None, Value::Int(1))], true, Some(ctx));
     assert_eq!(outs[0].0.trace, Some(ctx));
+}
+
+/// A worker acts on an image only once its file holds it: one whose mirror
+/// fails (here its directory is missing) is warned about and acks nothing,
+/// and the next image, once the file can be written, acks its position and
+/// is what a replacement would read.
+#[test]
+fn an_image_that_misses_its_file_acks_nothing() {
+    let dir = std::env::temp_dir().join(format!("streammine-image-{}", std::process::id()));
+    let file = dir.join("worker0.ckpt");
+    let config = OperatorConfig::plain().with_checkpoint_every(2);
+    let mut rig = Rig::new(config, LinkConfig::instant(), LinkConfig::instant());
+    let seed = rig.seed.as_mut().expect("not started");
+    seed.log = Some(StableLog::new(vec![DiskSpec::simulated(Duration::ZERO)]));
+    seed.image_file = Some(file.clone());
+    let rig = rig.start();
+    for n in 0..3 {
+        rig.send(n, false);
+    }
+    assert_eq!(rig.outputs(3), (0..3).map(Value::Int).collect::<Vec<_>>());
+    wait_until("the missed file is warned about", || {
+        warned(&rig.obs, "checkpoint-persist-failed") == 1
+    });
+    assert_eq!(rig.up_rx.try_recv(), Ok(None), "an image that missed its file acked");
+
+    std::fs::create_dir_all(&dir).unwrap();
+    rig.send(3, false);
+    assert_eq!(rig.outputs(1), vec![Value::Int(3)]);
+    let (_, ack) = rig.up_rx.recv_timeout(PATIENCE).expect("the saved image acks");
+    assert_eq!(ack, Control::Ack { upto: 4 });
+    let image = crate::dist::worker::image_in(&file).expect("the file holds the image");
+    assert_eq!(image.events_processed, 4);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -237,13 +237,12 @@ mod tests {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
     use streammine_common::clock::{shared, ManualClock};
-    use streammine_common::codec::decode_from_slice;
     use streammine_common::ids::{EventId, OperatorId};
     use streammine_obs::{Labels, Obs};
     use streammine_storage::disk::DiskSpec;
     use streammine_storage::log::StableLog;
 
-    use crate::determinant::DecisionRecord;
+    use crate::determinant::{read_back, DecisionRecord};
     use crate::plumbing::Inbox;
 
     fn test_ctx<'a>(
@@ -282,7 +281,7 @@ mod tests {
     /// What the log holds once everything appended is stable.
     fn logged(log: &DecisionLog) -> Vec<DecisionRecord> {
         log.log.flush();
-        log.log.stable_entries().iter().map(|(_, r)| decode_from_slice(r).unwrap()).collect()
+        read_back(&log.log).decisions.into_iter().map(|(_, record)| record).collect()
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! * its **downstream control rings**, one per output — acks,
 //!   acknowledged as they are read (nobody re-reads a control link);
 //! * one unbounded **notice queue** for what is not an edge: log-stability
-//!   callbacks, STM commits and aborts, engine commands, and the control
-//!   frames a bridge read off its socket. It must never block — a log
+//!   callbacks (of decisions and of checkpoint images), STM commits and
+//!   aborts, engine commands, and the control frames a bridge read off its
+//!   socket. It must never block — a log
 //!   ticket fires its callback *synchronously on the caller's thread* when
 //!   the serial is already stable, so the coordinator itself posts here —
 //!   and it is bounded anyway by bounded in-flight state (open
@@ -42,6 +43,7 @@ use std::time::Instant;
 use parking_lot::Mutex;
 use streammine_net::{LinkReceiver, LinkSender, Waker};
 use streammine_stm::TxnId;
+use streammine_storage::log::LogSeq;
 
 use crate::message::{Control, Message};
 
@@ -57,6 +59,8 @@ pub(crate) enum Notice {
     TxnAborted(TxnId),
     /// Every decision record appended for `serial` is stable.
     LogStable { serial: u64 },
+    /// The checkpoint image appended at `seq` is stable.
+    ImageStable { seq: LogSeq },
     /// Engine command.
     Command(NodeCommand),
 }

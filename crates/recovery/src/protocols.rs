@@ -4,9 +4,8 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use streammine_common::codec::{decode_from_slice, encode_to_vec};
-use streammine_storage::checkpoint::{Checkpoint, CheckpointStore, InputFrontier};
-use streammine_storage::disk::DiskSpec;
+use streammine_common::codec::encode_to_vec;
+use streammine_storage::disk::{DiskSpec, StorageDevice};
 
 use crate::reference::{RefEvent, RefOperator};
 
@@ -85,11 +84,10 @@ impl HaStrategy for Amnesia {
     }
 }
 
-/// The image of `state` after `processed` events, the last of them input
-/// `seq`: the stream resumes after it.
-fn checkpoint(processed: u64, seq: u64, state: Vec<u8>) -> Checkpoint {
-    let input = InputFrontier { position: seq + 1, ..InputFrontier::default() };
-    Checkpoint { events_processed: processed, inputs: vec![input], state, ..Checkpoint::default() }
+/// Pays one synchronous write of `bytes` on `device`, the modeled cost of
+/// keeping a snapshot on the standby.
+fn write_through(device: &StorageDevice, bytes: usize) {
+    device.write(bytes).expect("a fault-free device");
 }
 
 // ---------------------------------------------------------------------
@@ -102,7 +100,9 @@ fn checkpoint(processed: u64, seq: u64, state: Vec<u8>) -> Checkpoint {
 /// with nothing lost and nothing divergent.
 pub struct PassiveStandby {
     op: RefOperator,
-    store: CheckpointStore,
+    device: StorageDevice,
+    /// The standby's copy: the operator state of the last checkpoint.
+    standby: Vec<u8>,
     /// Outputs included in the last checkpoint, releasable downstream.
     emitted: u64,
 }
@@ -118,7 +118,8 @@ impl PassiveStandby {
     pub fn new(seed: u64, checkpoint_latency: Duration) -> Self {
         PassiveStandby {
             op: RefOperator::new(seed),
-            store: CheckpointStore::new(DiskSpec::simulated(checkpoint_latency)),
+            device: StorageDevice::new(DiskSpec::simulated(checkpoint_latency), seed),
+            standby: Vec::new(),
             emitted: 0,
         }
     }
@@ -132,23 +133,15 @@ impl HaStrategy for PassiveStandby {
     fn process(&mut self, seq: u64, value: i64) -> Vec<RefEvent> {
         let out = self.op.process(seq, value);
         // Checkpoint state *and* the pending output, then release.
-        let mut state = self.op.snapshot();
-        state.extend(encode_to_vec(&out));
-        self.store
-            .save(checkpoint(self.op.processed(), seq, state))
-            .expect("a store bound to no file keeps its checkpoints in memory");
+        let state = self.op.snapshot();
+        write_through(&self.device, state.len() + encode_to_vec(&out).len());
+        self.standby = state;
         self.emitted += 1;
         vec![out]
     }
 
     fn crash_and_takeover(&mut self) -> Vec<RefEvent> {
-        let cp = self.store.latest().expect("at least one checkpoint");
-        // The operator snapshot length is self-delimiting via its codec;
-        // re-split state || last-output.
-        let op_len = RefOperator::new(0).snapshot().len();
-        self.op = RefOperator::restore(&cp.state[..op_len]);
-        let _last_out: RefEvent =
-            decode_from_slice(&cp.state[op_len..]).expect("checkpointed output");
+        self.op = RefOperator::restore(&self.standby);
         // Everything emitted was checkpointed: nothing lost, nothing to
         // re-emit.
         Vec::new()
@@ -278,7 +271,9 @@ impl HaStrategy for ActiveStandby {
 /// the bounded error the runtime's budget accounts for.
 pub struct ApproximateCheckpoint {
     op: RefOperator,
-    store: CheckpointStore,
+    device: StorageDevice,
+    /// The operator state of the last save (`None` before the first).
+    saved: Option<Vec<u8>>,
     seed: u64,
     every: u64,
     processed: u64,
@@ -300,7 +295,8 @@ impl ApproximateCheckpoint {
         assert!(every > 0, "checkpoint interval must be positive");
         ApproximateCheckpoint {
             op: RefOperator::new(seed),
-            store: CheckpointStore::new(DiskSpec::simulated(checkpoint_latency)),
+            device: StorageDevice::new(DiskSpec::simulated(checkpoint_latency), seed),
+            saved: None,
             seed,
             every,
             processed: 0,
@@ -317,9 +313,9 @@ impl HaStrategy for ApproximateCheckpoint {
         let out = self.op.process(seq, value);
         self.processed += 1;
         if self.processed.is_multiple_of(self.every) {
-            self.store
-                .save(checkpoint(self.op.processed(), seq, self.op.snapshot()))
-                .expect("a store bound to no file keeps its checkpoints in memory");
+            let state = self.op.snapshot();
+            write_through(&self.device, state.len());
+            self.saved = Some(state);
         }
         vec![out]
     }
@@ -327,8 +323,8 @@ impl HaStrategy for ApproximateCheckpoint {
     fn crash_and_takeover(&mut self) -> Vec<RefEvent> {
         // Stale-snapshot resume: no replay, the gap since the last save
         // is simply skipped (bounded by `every`).
-        self.op = match self.store.latest() {
-            Some(cp) => RefOperator::restore(&cp.state),
+        self.op = match &self.saved {
+            Some(state) => RefOperator::restore(state),
             None => RefOperator::new(self.seed),
         };
         Vec::new()

@@ -108,7 +108,7 @@ impl DiskSpec {
 
 /// A simulated storage device: charges the model's latency for each write
 /// and injects its faults. It keeps no bytes — whoever writes holds the one
-/// copy (the log's readable set, the checkpoint store's images).
+/// copy (the log's readable set).
 pub struct StorageDevice {
     spec: DiskSpec,
     rng: Mutex<DetRng>,

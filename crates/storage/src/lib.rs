@@ -18,8 +18,9 @@
 //!   byte image of CRC-framed records with a dense index by sequence
 //!   number, and a ticket is the log plus a sequence number, so a warm
 //!   append allocates nothing per record.
-//! * [`checkpoint`] — a checkpoint store with the standard
-//!   checkpoint/log-truncation contract.
+//! * [`checkpoint`] — the checkpoint image and its codec. An image is one
+//!   more record in its operator's log, and once it is stable the log is
+//!   truncated below what it covers: one durable stream per operator.
 //!
 //! # Example
 //!
@@ -42,6 +43,5 @@ pub mod checkpoint;
 pub mod disk;
 pub mod log;
 
-pub use checkpoint::{CheckpointObs, CheckpointStore};
 pub use disk::{DiskSpec, StorageDevice};
 pub use log::{LogObs, LogSeq, LogTicket, StableLog};

@@ -593,3 +593,26 @@ fn scripted_sever_and_stall_only_delay_outputs() {
     assert_eq!(out, reference);
     running.shutdown();
 }
+
+/// A fault plan draws disk faults among the operators with storage: those
+/// that log, and those that checkpoint without logging, whose images go to
+/// a log of their own. An operator that does neither has no device to
+/// fault. The set decides every pinned plan's draws, so it must not move.
+#[test]
+fn storage_faults_target_the_operators_that_log_or_checkpoint() {
+    let mut b = GraphBuilder::new();
+    let logged =
+        b.add_operator(RandomTagger, OperatorConfig::logged(LoggingConfig::simulated(FAST_LOG)));
+    let imaging = b.add_operator(RandomTagger, OperatorConfig::plain());
+    let bare = b.add_operator(
+        RandomTagger,
+        OperatorConfig { checkpoint_every: None, ..OperatorConfig::plain() },
+    );
+    b.connect(logged, imaging).unwrap();
+    b.connect(imaging, bare).unwrap();
+    b.source_into(logged).unwrap();
+    b.sink_from(bare).unwrap();
+    let running = b.build().unwrap().start();
+    assert_eq!(running.topology().storage_ops, vec![logged.index(), imaging.index()]);
+    running.shutdown();
+}

@@ -505,6 +505,66 @@ fn sigkill_approximate_recovery_stays_within_declared_bound() {
     assert!(timelines.iter().all(|t| t.mode == RecoveryModeTag::Precise && t.worker == 0));
 }
 
+/// A replacement of an approximate slot resumes with every window its
+/// lineage dropped charged to the budget. The first SIGKILL leaves outputs
+/// at the sink past the newest image, so the first replacement drops their
+/// inputs: its resume window. The second SIGKILL comes as soon as that
+/// replacement's first image is in the file. The image is of the stale
+/// lineage and must carry the window's loss, so the next replacement
+/// resumes with more lost than it drops itself.
+#[test]
+fn a_respawn_right_after_a_resume_window_keeps_the_window_charged() {
+    let _machine = share_the_machine();
+    // ε = 1 admits every window: the test is about what is charged.
+    let bound = ErrorBound::new(1.0, 0.05);
+    let spec = ClusterSpec::new(
+        vec![NodeSpec::logged("count-min", FAST_LOG_US, 1).with_approximate_recovery(bound, 4)],
+        PathBuf::from(env!("CARGO_BIN_EXE_streammine_worker")),
+    );
+    let cluster = Cluster::launch(spec).expect("cluster launch");
+    assert!(cluster.wait_connected(Duration::from_secs(30)), "cluster never wired up");
+    let image = checkpoint_dir(&cluster).join("worker0.ckpt");
+    let mut pushed = 0;
+    let mut push_one = || {
+        cluster.source().push(Value::Int(pushed % 9));
+        pushed += 1;
+        let final_at_sink = cluster.sink().wait_final(pushed as usize, Duration::from_secs(30));
+        assert!(final_at_sink, "event {pushed} never became final");
+        assert!(pushed < 200, "no image was saved in time");
+        pushed
+    };
+    // The sink acks every 16 frames, and an image is saved once its
+    // outputs are acked: 8 past a multiple of 16, at least 8 outputs at
+    // the sink are past the image in the file.
+    while push_one() % 16 != 8 || !image.exists() {}
+    let first = std::fs::read(&image).expect("the image is there");
+    cluster.kill_worker(0);
+    while std::fs::read(&image).is_ok_and(|now| now == first) {
+        push_one();
+    }
+    cluster.kill_worker(0);
+    push_one();
+    cluster.shutdown();
+    let resumes: Vec<(u64, u64, u64)> = cluster
+        .telemetry()
+        .journal()
+        .iter()
+        .filter_map(|e| match e.event.kind {
+            JournalKind::ApproxResume { skipped, lost, .. } => Some((e.incarnation, skipped, lost)),
+            _ => None,
+        })
+        .collect();
+    let &(_, skipped, lost) = resumes
+        .iter()
+        .find(|(incarnation, ..)| *incarnation == 2)
+        .unwrap_or_else(|| panic!("no resume of the second replacement: {resumes:?}"));
+    assert!(
+        lost > skipped,
+        "the second replacement dropped {skipped} and counts {lost} lost: the first \
+         replacement's window is missing from its budget ({resumes:?})"
+    );
+}
+
 #[test]
 fn cluster_telemetry_aggregates_metrics_traces_and_timelines() {
     let _machine = share_the_machine();

@@ -166,7 +166,9 @@ fn checkpointing_truncates_the_decision_log() {
     assert!(running.sink(sink).wait_final(20, Duration::from_secs(10)));
     std::thread::sleep(Duration::from_millis(100));
     let log = running.operator_log(OperatorId::new(0)).expect("operator logs");
-    assert_eq!(log.appended(), 20, "one decision record per event");
+    // The log carries the images too; their ids count them.
+    let images = running.operator_image(OperatorId::new(0)).expect("an image").id;
+    assert_eq!(log.appended(), 20 + images, "one decision record per event, one per image");
     assert!(
         log.stable_entries().len() <= 6,
         "checkpoints must prune the log, {} records remain",

@@ -605,3 +605,61 @@ fn an_idle_recovered_node_sends_nothing() {
     running.heal_edge_ctrl(0);
     running.shutdown();
 }
+
+/// A crash while the newest image's record is still on its way: the record
+/// lands after the crash, torn, and recovery falls back to the image before
+/// it — whose decisions and ring positions nothing truncated or acked away,
+/// since a node acts on an image only once its record is stable. The
+/// tagger logs no decisions, so its log holds its images alone, and a stall
+/// of its one device holds the newest one back. On 16 seeds the output is
+/// the fault-free run's, byte for byte.
+#[test]
+fn a_torn_newest_image_falls_back_to_the_previous_one() {
+    const EVERY: usize = 8;
+    const EVENTS: usize = 48;
+    let tagger = || {
+        let mut b = GraphBuilder::new();
+        let op = b.add_operator(RandomTagger, OperatorConfig::plain().with_checkpoint_every(8));
+        let src = b.source_into(op).unwrap();
+        let sink = b.sink_from(op).unwrap();
+        (b.build().unwrap().start(), src, sink)
+    };
+    let expected = {
+        let (running, src, sink) = tagger();
+        push_paced(&running, src, sink, 0..EVENTS);
+        let out = payloads(&running.sink(sink).final_events());
+        running.shutdown();
+        out
+    };
+    let id_of = |running: &Running| running.operator_image(op(0)).map(|image| image.id);
+    for seed in 0..16 {
+        let (running, src, sink) = tagger();
+        let before = 3 + (seed * 7) % 29;
+        push_paced(&running, src, sink, 0..before);
+        // The image taken after the last event is stable soon after it.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while id_of(&running).unwrap_or(0) < (before / EVERY) as u64 {
+            assert!(std::time::Instant::now() < deadline, "seed {seed}: an image is missing");
+            std::thread::yield_now();
+        }
+        let previous = id_of(&running);
+        // The event that completes the interval is final at once; the
+        // image taken after it waits for the stall.
+        running.stall_storage(op(0), Duration::from_millis(250));
+        let crash_at = (before / EVERY + 1) * EVERY;
+        push_paced(&running, src, sink, before..crash_at);
+        running.crash(op(0));
+        let log = running.operator_log(op(0)).expect("a checkpointing node has a log");
+        log.flush();
+        assert_eq!(id_of(&running), Some(previous.unwrap_or(0) + 1), "seed {seed}: no new image");
+        assert!(log.corrupt_tail());
+        assert_eq!(id_of(&running), previous, "seed {seed}: the torn image was read");
+        running.recover(op(0));
+        push_paced(&running, src, sink, crash_at..EVENTS);
+        let out = payloads(&running.sink(sink).final_events());
+        assert_eq!(out, expected, "seed {seed}: a torn image at {crash_at} changed the output");
+        let journal = running.journal_dump();
+        assert!(!journal.contains("rewind-short"), "seed {seed}: a ring was acked past\n{journal}");
+        running.shutdown();
+    }
+}

@@ -176,8 +176,7 @@ fn a_crash_with_transactions_open_restores_the_committed_prefix_precisely() {
         let crash_at = 150 + (seed * 97) % 400;
         let (running, src, sink) = chain(3, Obs::new(), tagger);
         closed_loop(&running, src, sink, 0..crash_at);
-        let store = running.operator_checkpoints(middle).expect("checkpoints are on by default");
-        let covered = || store.latest().map_or(0, |image| image.events_processed);
+        let covered = || running.operator_image(middle).map_or(0, |image| image.events_processed);
         let deadline = std::time::Instant::now() + PATIENCE;
         while admitted(&running) <= covered() {
             assert!(std::time::Instant::now() < deadline, "seed {seed}: nothing admitted");
@@ -185,7 +184,7 @@ fn a_crash_with_transactions_open_restores_the_committed_prefix_precisely() {
         }
         running.crash(middle);
         let serial = admitted(&running);
-        let image = store.latest().expect("an image precedes the crash");
+        let image = running.operator_image(middle).expect("an image precedes the crash");
         assert!(
             image.events_processed < serial,
             "seed {seed}: the image covers {} of {serial} serials",
@@ -240,8 +239,7 @@ fn an_image_taken_while_replaying_keeps_the_records_read_back() {
     let tagger = OperatorId::new(1);
     for round in 0..6 {
         let (running, src, sink) = chain(2, Obs::new(), add);
-        let store = running.operator_checkpoints(tagger).expect("checkpoints are on");
-        let saved = || store.latest().map_or(0, |image| image.id);
+        let saved = || running.operator_image(tagger).map_or(0, |image| image.id);
         let crash_at = 300 + 23 * round;
         closed_loop(&running, src, sink, 0..crash_at);
         // Long enough for the last pushed events' time reads to be stable,

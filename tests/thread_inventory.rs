@@ -2,7 +2,8 @@
 //! other test's threads are counted.
 //!
 //! An operator is one thread that reads its own connections: a node costs
-//! its coordinator plus one writer per log device, a source its control
+//! its coordinator plus one writer per log device (a node that checkpoints
+//! has a log even when it logs no decisions), a source its control
 //! responder, a sink its collector — and nothing per edge. A crashed and
 //! recovered node leaves no thread of its earlier incarnation behind, and
 //! an idle node sleeps until something happens: it has no tick.
@@ -88,6 +89,23 @@ fn four_relay_chain_runs_on_ten_threads_across_a_crash() {
     for ((name, was), (_, is)) in before.iter().zip(&node_switches()) {
         assert!(is - was <= 2, "{name} woke {} times in 300 ms while idle", is - was);
     }
+    running.shutdown();
+
+    // A relay that logs no decisions but checkpoints (the default) still
+    // owns one log: its images are records there, on one free device, so
+    // it costs its coordinator plus that device's writer.
+    let harness = thread_ids();
+    let mut b = GraphBuilder::new();
+    let relay = b.add_operator(StampedRelay::new(), OperatorConfig::plain());
+    let src = b.source_into(relay).unwrap();
+    let sink = b.sink_from(relay).unwrap();
+    let running = b.build().unwrap().start();
+    for i in 0..100 {
+        running.source(src).push(Value::Int(i));
+    }
+    assert!(running.sink(sink).wait_final(100, Duration::from_secs(30)));
+    let expected = ["log-writer-0", "node-op0", "sink-collector", "source-op1-ctrl"];
+    assert_eq!(threads_since(&harness), expected.map(String::from).to_vec());
     running.shutdown();
 }
 
