@@ -65,8 +65,8 @@
 //! reaches the launcher with its telemetry.
 //!
 //! A worker checkpoints only when settled (nothing open, held or parked),
-//! unlike a single-threaded speculative node in process, which images its
-//! committed prefix while later transactions stay open. That image leaves
+//! unlike a speculative node in process, which images its committed prefix
+//! while later transactions stay open. That image leaves
 //! the open transactions' decisions to be read back from the log, and a
 //! worker's log dies with its process; its outputs counts would also have
 //! to stop at the prefix, while the receiver's cursor counts everything
@@ -432,6 +432,7 @@ pub(crate) fn run_worker(
             events: AtomicU64::new(welcomed.events()),
             finals: AtomicU64::new(welcomed.finals()),
             by_receiver: true,
+            ..Sent::default()
         };
         down.push(DownEdge { data_tx, sent: Arc::new(sent) });
     }

@@ -30,6 +30,10 @@ impl Node {
     /// every later event's, continues the stream of the run that crashed.
     fn open_tape(&mut self, serial: u64, port: u32, traced: bool) -> Tape {
         let recovered = self.recovered.remove(&serial).unwrap_or_default();
+        debug_assert!(
+            self.recovered.keys().all(|&s| s > serial),
+            "a tape read back below serial {serial} is left over: replay must ignore it"
+        );
         let draws = recovered.iter().filter(|d| matches!(d, Determinant::Random(_))).count();
         if draws > 0 {
             let mut rng = self.rng.lock();

@@ -224,7 +224,11 @@ impl Node {
                 self.down[out as usize].data_tx.ack_upto(upto);
                 let acked = &mut self.down_acked[out as usize];
                 *acked = (*acked).max(upto);
-                self.save_image();
+                // A checkpoint that came due while the image waited was not
+                // taken, and once the input stops nothing else would take it.
+                if self.save_image() {
+                    self.maybe_checkpoint();
+                }
             }
             other => debug_assert!(false, "unexpected downstream control {other}"),
         }

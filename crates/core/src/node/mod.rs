@@ -20,9 +20,12 @@
 //! * [`publish`] — holding outputs for log stability, batching, the
 //!   speculative send path and resend suppression;
 //! * [`rewind`] — the per-port [`rewind::Frontier`], checkpoints, and
-//!   recovery: one rewind to the restored frontiers.
+//!   recovery: one rewind to the restored frontiers;
+//! * [`cut`] — where a checkpoint cuts the serials: a settled node, or a
+//!   speculative node's committed prefix.
 //!
 
+mod cut;
 mod execute;
 mod intake;
 mod publish;
@@ -59,9 +62,10 @@ use crate::operator::{OpCtx, Operator, PortId, SetupCtx};
 use crate::plumbing::{DownEdge, Inbox, NodeCommand, Notice};
 use crate::state::{StateAccess, StateRegistry};
 use crate::supervisor::Signal;
+use cut::Admitted;
 use execute::{assign_output_ids, maybe_authorize_pending};
 use publish::{routes_to, swallow, NodeSendView, Resend};
-use rewind::{Admitted, ApproxState, FrameAt, Frontier, Image};
+use rewind::{ApproxState, FrameAt, Frontier, Image};
 
 /// Maximum outputs a single `process` call may emit (output event ids pack
 /// the emit index into the low bits of the sequence number).
@@ -312,9 +316,9 @@ pub(crate) struct Node {
     stabilizing: VecDeque<(LogSeq, Vec<u8>)>,
     /// The id of the image taken last (or restored).
     image_id: u64,
-    /// `Some` iff the node images its committed prefix (a single-threaded
-    /// speculative node in process): the events admitted since its last
-    /// image, in serial order.
+    /// `Some` iff the node images its committed prefix (a speculative node
+    /// in process): the events admitted since its last image, in serial
+    /// order.
     admitted: Option<VecDeque<Admitted>>,
     /// Per down-edge: the highest position the downstream acknowledged.
     down_acked: Vec<u64>,
@@ -422,6 +426,12 @@ impl Node {
             op: seed.id.index(),
             scratch: Mutex::default(),
         });
+        // See `NodeSendView::version_base`.
+        let version_base = if pool.is_some() {
+            seed.down.iter().map(|e| e.sent.versions.load(Ordering::Relaxed)).max().unwrap_or(0)
+        } else {
+            0
+        };
         let send_view = Arc::new(NodeSendView {
             id: seed.id,
             down: seed.down.clone(),
@@ -432,10 +442,10 @@ impl Node {
             resend_suppressed: metrics.resend_suppressed.clone(),
             batch_events: metrics.batch_events.clone(),
             spec_retained: spec_retained.clone(),
+            version_base,
         });
         // See `Node::settled_cut` for who may not image a prefix.
         let images_prefix = seed.config.speculative
-            && seed.config.threads == 1
             && seed.config.stm.commit_order == CommitOrder::Timestamp
             && !seed.down.iter().any(|e| e.sent.by_receiver);
         Node {

@@ -135,6 +135,14 @@ pub(super) struct NodeSendView {
     pub(super) batch_events: Histogram,
     /// Shared retained-speculative-output count (admission control input).
     pub(super) spec_retained: Arc<AtomicI64>,
+    /// The version the node's outputs start at: 0, except on a pool that
+    /// restarts. Its attempts interleave anew, so an output it re-derives
+    /// may differ from the one its receiver holds under the same version,
+    /// which the receiver would keep — and a finalize of another version
+    /// would never apply. So it issues its outputs above every version it
+    /// put on its edges before ([`crate::plumbing::Sent::versions`]), and
+    /// each one reaches the receiver as a revision.
+    pub(super) version_base: u32,
 }
 
 impl NodeSendView {
@@ -149,8 +157,11 @@ impl NodeSendView {
         // anymore. For gate-ready transactions the commit — and thus the
         // finalize — follows within microseconds.
         let child = pending.trace.map(|c| c.child(span_key(self.id.index(), pending.serial)));
-        let new_events =
+        let mut new_events =
             assign_output_ids(self.id, pending.serial, pending.input_ts, &outputs, true, child);
+        for (event, _) in &mut new_events {
+            event.version = self.version_base;
+        }
 
         // Diff against previously sent outputs (re-execution produces a
         // revision; identical payloads need no resend).
@@ -213,6 +224,7 @@ impl NodeSendView {
                     }
                 };
                 let mut sent_here = 0u64;
+                let mut versions = 0;
                 for (msg, target) in &to_send {
                     if !routes_to(*target, out) {
                         continue;
@@ -227,6 +239,7 @@ impl NodeSendView {
                         Message::Data(e) => {
                             run.push(e.clone());
                             sent_here += 1;
+                            versions = versions.max(e.version + 1);
                         }
                         other => {
                             flush(&mut run);
@@ -236,6 +249,7 @@ impl NodeSendView {
                 }
                 flush(&mut run);
                 edge.sent.events.fetch_add(sent_here, Ordering::AcqRel);
+                edge.sent.versions.fetch_max(versions, Ordering::Relaxed);
                 published += sent_here;
             }
             if published > 0 {

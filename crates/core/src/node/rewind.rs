@@ -8,9 +8,9 @@
 //! skipped. STM cascade rollback is no rewind: it re-executes serials
 //! above the frontier and never moves it.
 //!
-//! A checkpoint covers a settled node, or — on a single-threaded
-//! speculative node — its committed prefix while later transactions stay
-//! open ([`Node::prefix_cut`]). It is taken, waits for its downstreams
+//! A checkpoint covers a settled node, or — on a speculative node in
+//! process — its committed prefix while later transactions stay open (see
+//! [`super::cut`]). It is taken, waits for its downstreams
 //! (see [`Node::maybe_checkpoint`]), is appended to the node's log as an
 //! image record, and only once that record is stable does the node act on
 //! it: truncate the log below what the image covers and ack its upstreams
@@ -24,7 +24,8 @@
 //! (`rewind-short`); `covered_below` only grows and no consumed id lies
 //! below it; nothing below the last checkpoint's serial runs again; a
 //! committed-prefix image leaves every open transaction's input above its
-//! port's covered prefix and its first log record above `covers_log`.
+//! port's covered prefix and its first log record above `covers_log`; no
+//! tape read back lies below the serial replay admits.
 
 use super::*;
 
@@ -75,6 +76,11 @@ impl Frontier {
         self.consumed.insert(id);
     }
 
+    /// Where the covered id prefix ends.
+    pub(super) fn covered_below(&self) -> u64 {
+        self.at.covered_below
+    }
+
     /// Just past the highest id consumed since the last checkpoint.
     pub(super) fn consumed_top(&self) -> u64 {
         self.consumed.iter().map(|id| id.seq + 1).max().unwrap_or(0)
@@ -97,19 +103,6 @@ impl Frontier {
         }
         image
     }
-}
-
-/// An event admitted since the last image of a node that images its
-/// committed prefix, as that image needs it once the event is the lowest
-/// one left open: where it was read, and where the generator and the log
-/// stood before it took its first decision.
-pub(super) struct Admitted {
-    serial: u64,
-    port: u32,
-    id: EventId,
-    frame: FrameAt,
-    rng: DetRng,
-    log_at: u64,
 }
 
 /// A checkpoint taken but not appended yet, and per down-edge the ring
@@ -201,6 +194,9 @@ impl Node {
         }
         self.frontiers =
             cp.inputs.iter().map(|&at| Frontier { at, consumed: HashSet::new() }).collect();
+        // A covered serial's record past `covers_log` was appended late, by
+        // a pool thread (see `super::cut`): replay starts at the image's
+        // serial, and ignores it.
         let records: Vec<(LogSeq, DecisionRecord)> = read
             .decisions
             .into_iter()
@@ -414,9 +410,6 @@ impl Node {
         // subtracts nothing ([`crate::plumbing::Sent::by_receiver`]).
         checkpoint.outputs_sent =
             self.down.iter().map(|e| e.sent.events.load(Ordering::Acquire)).collect();
-        // Committed values only: an open transaction's writes are not
-        // visible outside it.
-        checkpoint.state = self.registry.snapshot();
         // A ring told its counts by the receiver lives in this process and
         // dies with it, and a replacement re-derives only the outputs past
         // the image's counts: the image waits until the receiver
@@ -431,149 +424,18 @@ impl Node {
         self.save_image();
     }
 
-    /// The image of a settled node, which covers every serial taken: no
-    /// in-flight transactions, no outputs still held for log stability, no
-    /// parked speculative inputs — otherwise the covered events' effects
-    /// would be lost in a crash while replay skips them. Port queues must be
-    /// empty too: a partially consumed DataBatch shares one link sequence
-    /// across its events, and the ids consumed are an id prefix only once
-    /// everything read is (finals arrive in the sender's serial order).
-    /// `None` until the node settles.
-    ///
-    /// Multi-threaded speculative nodes draw out of serial order, so no RNG
-    /// position stands for a prefix of their serials; non-speculative ones
-    /// apply an event's state before its outputs are released; and a
-    /// cluster worker's receiver counts every output it was sent. They all
-    /// wait to be settled.
-    fn settled_cut(&mut self) -> Option<Checkpoint> {
-        if !self.pending.is_empty()
-            || !self.hold_queue.is_empty()
-            || !self.parked.is_empty()
-            || self.port_queues.iter().any(|q| !q.is_empty())
-        {
-            return None;
-        }
-        let inputs = self.frontiers.iter_mut().map(|f| f.fold(f.consumed_top(), None)).collect();
-        Some(Checkpoint {
-            covers_log: LogSeq(self.log.as_ref().map_or(0, StableLog::appended)),
-            events_processed: self.next_serial,
-            inputs,
-            // The serialized RNG goes into the checkpoint so the random
-            // stream stays continuous across a crash (see `restore`).
-            rng_state: encode_to_vec(&*self.rng.lock()),
-            ..Checkpoint::default()
-        })
-    }
-
-    /// The image of a single-threaded speculative node's committed prefix:
-    /// every serial below the lowest one still open, while that one and
-    /// later ones stay open and admission goes on. Commits run in serial
-    /// order, and with one thread only the coordinator pumps them, so the
-    /// STM's committed values are exactly those of the prefix — once the
-    /// notice of every commit is served. Per port, replay re-reads from the
-    /// frame of the first event left open (admitted at or above the cut, or
-    /// read and not admitted yet), and the covered id prefix drops the
-    /// committed events it re-reads on the way. The RNG and the log are
-    /// taken as they stood when the lowest open serial was admitted, so the
-    /// open transactions' records survive truncation and recovery reads
-    /// them back. `None` when that is not a consistent cut yet.
-    fn prefix_cut(&mut self) -> Option<Checkpoint> {
-        let low = self.pending_by_serial.keys().min().copied().unwrap_or(self.next_serial);
-        let lowest_open = self.pending_by_serial.get(&low).and_then(|id| self.pending.get(id));
-        if lowest_open.is_some_and(|p| {
-            matches!(p.handle.status(), TxnStatus::Committed | TxnStatus::Committing)
-        }) {
-            return None; // its notice is still queued
-        }
-        let admitted = self.admitted.as_ref()?;
-        let split = admitted.partition_point(|a| a.serial < low);
-        let ports = self.frontiers.len();
-        let mut covered_below: Vec<u64> =
-            self.frontiers.iter().map(|f| f.at.covered_below).collect();
-        for a in admitted.range(..split) {
-            let covered = &mut covered_below[a.port as usize];
-            *covered = (*covered).max(a.id.seq + 1);
-        }
-        // Replay must admit every event left open again; a queued one its
-        // frontier would drop anyway does not count.
-        let mut from: Vec<Option<FrameAt>> = vec![None; ports];
-        let mut lowest_id = vec![u64::MAX; ports];
-        let left_open = admitted.range(split..).map(|a| (a.port as usize, a.id, a.frame));
-        let queued = self.port_queues.iter().enumerate().flat_map(|(port, queue)| {
-            let frontier = &self.frontiers[port];
-            queue.iter().filter(|q| frontier.admits(q.0.id)).map(move |q| (port, q.0.id, q.2))
-        });
-        for (port, id, frame) in left_open.chain(queued) {
-            from[port].get_or_insert(frame);
-            lowest_id[port] = lowest_id[port].min(id.seq);
-        }
-        // A sender that sent out of id order (several threads) can leave an
-        // open id below a committed one; such a port waits for a settled
-        // image.
-        if covered_below.iter().zip(&lowest_id).any(|(covered, lowest)| covered > lowest) {
-            return None;
-        }
-        let first_open = admitted.get(split);
-        let rng_state = match first_open {
-            Some(a) => encode_to_vec(&a.rng),
-            None => encode_to_vec(&*self.rng.lock()),
-        };
-        let log_now = || self.log.as_ref().map_or(0, StableLog::appended);
-        let covers_log = first_open.map_or_else(log_now, |a| a.log_at);
-        let inputs: Vec<InputFrontier> = self
-            .frontiers
-            .iter_mut()
-            .zip(covered_below.into_iter().zip(from))
-            .map(|(f, (covered, from))| f.fold(covered, from))
-            .collect();
-        self.admitted.as_mut().expect("checked above").drain(..split);
-        if cfg!(debug_assertions) {
-            for p in self.pending.values() {
-                let at = inputs[p.port as usize];
-                debug_assert!(
-                    p.input_id.seq >= at.covered_below,
-                    "open {} lies below port {}'s covered prefix {}",
-                    p.input_id,
-                    p.port,
-                    at.covered_below
-                );
-                let first = p.tape.first_record().map_or(u64::MAX, |seq| seq.0);
-                debug_assert!(
-                    covers_log <= first,
-                    "an image covering log {covers_log} truncates open serial {}'s record {first}",
-                    p.serial
-                );
-            }
-        }
-        Some(Checkpoint {
-            covers_log: LogSeq(covers_log),
-            events_processed: low,
-            inputs,
-            rng_state,
-            ..Checkpoint::default()
-        })
-    }
-
-    /// Takes note of the event admitted at `serial`, before it takes a
-    /// decision, on a node that images its committed prefix.
-    pub(super) fn note_admitted(&mut self, serial: u64, port: u32, id: EventId, frame: FrameAt) {
-        let Some(admitted) = &mut self.admitted else { return };
-        let rng = self.rng.lock().clone();
-        let log_at = self.log.as_ref().map_or(0, StableLog::appended);
-        admitted.push_back(Admitted { serial, port, id, frame, rng, log_at });
-    }
-
     /// Appends the waiting image to the log once every downstream has
-    /// acknowledged the outputs it counts. Its record carries the resume
-    /// window's loss already: the image is of the stale lineage.
-    pub(super) fn save_image(&mut self) {
-        let Some(log) = &self.log else { return };
+    /// acknowledged the outputs it counts; `true` when it did. Its record
+    /// carries the resume window's loss already: the image is of the stale
+    /// lineage.
+    pub(super) fn save_image(&mut self) -> bool {
+        let Some(log) = &self.log else { return false };
         let acked = &self.down_acked;
         let Some(Image { mut checkpoint, .. }) = self
             .image
             .take_if(|image| image.outputs_end.iter().zip(acked).all(|(end, acked)| acked >= end))
         else {
-            return;
+            return false;
         };
         self.image_id += 1;
         checkpoint.id = self.image_id;
@@ -586,6 +448,7 @@ impl Node {
         self.stabilizing.push_back((seq, record));
         let inbox = self.inbox.clone();
         ticket.subscribe(move || inbox.post(Notice::ImageStable { seq }));
+        true
     }
 
     /// The image appended at `seq` is stable: once a worker's file holds

@@ -402,7 +402,8 @@ fn respawned_speculative_node_sends_only_what_the_receiver_lacks() {
         Rig::new(OperatorConfig::speculative(log), LinkConfig::instant(), LinkConfig::instant());
     // The receiver holds the outputs of events 0 and 1, the second not
     // final yet.
-    let sent = Arc::new(Sent { events: 2.into(), finals: 1.into(), by_receiver: true });
+    let sent =
+        Arc::new(Sent { events: 2.into(), finals: 1.into(), by_receiver: true, ..Sent::default() });
     let seed = rig.seed.as_mut().expect("not started");
     seed.recovering = true;
     seed.down[0].sent = sent.clone();

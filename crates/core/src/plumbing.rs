@@ -36,7 +36,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU32, AtomicU64};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -93,8 +93,13 @@ pub(crate) struct Sent {
     /// count must be swallowed, speculative or not. In process the ring
     /// survives the node, a speculative node's sends are not a function of
     /// the count (threads, revisions), and it re-sends instead: the
-    /// downstream drops by event id.
+    /// downstream drops by event id, or — a pool's outputs come back above
+    /// every version sent before — takes it as a revision.
     pub by_receiver: bool,
+    /// One past the highest version of a data event the sender put on the
+    /// edge: a speculative node on several threads restarts its outputs'
+    /// versions from here.
+    pub versions: AtomicU32,
 }
 
 /// The downstream-facing half of an edge at the sending node.

@@ -1,22 +1,24 @@
-//! Retention under load: a single-threaded speculative node checkpoints its
-//! committed prefix while later transactions stay open, so a chain that is
-//! never settled still acks its upstreams and what its edges retain stays
-//! bounded by the checkpoint interval. A crash with transactions open
-//! restores that prefix and recovers precisely.
+//! Retention under load: a speculative node in process checkpoints its
+//! committed prefix while later transactions stay open — on one STM thread
+//! or on several — so a chain that is never settled still acks its
+//! upstreams, and what its edges retain stays bounded by the checkpoint
+//! interval. A crash with transactions open restores that prefix and
+//! recovers precisely, on one thread and on two.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use streammine::common::event::{Event, Value};
 use streammine::common::ids::OperatorId;
 use streammine::core::{
-    GraphBuilder, LoggingConfig, OpCtx, Operator, OperatorConfig, Running, SinkId, SourceId,
+    GraphBuilder, LoggingConfig, OpCtx, Operator, OperatorConfig, Running, SetupCtx, SinkId,
+    SourceId, StateHandle,
 };
 use streammine::obs::{
     Journal, JournalKind, Labels, Obs, Registry, SampleValue, Tracer, Verbosity,
 };
-use streammine::operators::StampedRelay;
+use streammine::operators::{SketchOp, StampedRelay, Union};
 use streammine::stm::StmAbort;
 
 const FAST_LOG: Duration = Duration::from_micros(200);
@@ -26,6 +28,9 @@ const STABLE_NOT_FINAL: Duration = Duration::from_millis(2);
 /// Events in flight in the closed loop, as in the benchmark's `chain4_sat`.
 const IN_FLIGHT: usize = 32;
 const PATIENCE: Duration = Duration::from_secs(30);
+/// Events the loaded tests push, and the frames any edge may retain then.
+const LOADED_EVENTS: usize = 5_000;
+const RETAINED_BOUND: i64 = 512;
 
 /// An operator whose output embeds a random draw: outputs match across a
 /// crash only if every draw is reproduced.
@@ -80,27 +85,80 @@ fn payloads(events: &[Event]) -> Vec<Value> {
     events.iter().map(|e| e.payload.clone()).collect()
 }
 
-/// Four speculative relays under a closed loop of 32 are never settled.
-/// Each still saves images — with transactions open at the save — and each
-/// save acks its upstream, so no edge retains more than a few intervals of
-/// frames over 5 000 events.
-#[test]
-fn a_loaded_speculative_chain_checkpoints_with_transactions_open() {
-    const EVENTS: usize = 5_000;
-    const HOPS: usize = 4;
-    const RETAINED_BOUND: i64 = 512;
-    // Every admission and commit is journaled, in a ring that keeps them
-    // all, so the number of open transactions at each save can be read
-    // back in journal order (the saves' own pinned region keeps the last
-    // 256).
-    let obs = Obs {
+/// A count-sketch narrow enough that neighbouring events share counters,
+/// with a per-event cost that keeps two threads' transactions overlapping.
+fn sketch() -> SketchOp {
+    SketchOp::new(32, 3, 7, Duration::from_micros(20)).stamped()
+}
+
+/// src → union → [`sketch`] on two STM threads → sink: the paper's fig 6/7
+/// application. A second, idle source makes the union's merge a logged
+/// decision.
+fn union_sketch(obs: Obs, sketch_log: Duration) -> (Running, SourceId, SinkId) {
+    let mut b = GraphBuilder::new().with_obs(obs);
+    let union = b.add_operator(Union::new(), speculative(FAST_LOG));
+    let sketch = b.add_operator(sketch(), speculative(sketch_log).with_threads(2));
+    b.connect(union, sketch).unwrap();
+    let src = b.source_into(union).unwrap();
+    let _idle = b.source_into(union).unwrap();
+    let sink = b.sink_from(sketch).unwrap();
+    (b.build().unwrap().start(), src, sink)
+}
+
+/// What a sequential count-sketch emits for the inputs `0..events`: one
+/// plain node taking one event at a time.
+fn sequential_sketch(events: usize) -> Vec<Value> {
+    let (running, src, sink) =
+        chain(1, Obs::new(), |_, b| b.add_operator(sketch(), OperatorConfig::plain()));
+    for i in 0..events {
+        running.source(src).push(Value::Int(i as i64));
+    }
+    assert!(running.sink(sink).wait_final(events, PATIENCE));
+    let out = payloads(&running.sink(sink).final_events_by_id());
+    running.shutdown();
+    out
+}
+
+/// A journal that keeps every admission and commit, so the transactions
+/// open at each save can be counted in journal order (the saves' own
+/// pinned region keeps the last 256).
+fn journaled() -> Obs {
+    Obs {
         registry: Arc::new(Registry::new()),
         journal: Arc::new(Journal::with_level(1 << 20, Verbosity::Trace)),
         tracer: Arc::new(Tracer::new()),
-    };
-    let relay =
-        |_, b: &mut GraphBuilder| b.add_operator(StampedRelay::new(), speculative(FAST_LOG));
-    let (running, src, sink) = chain(HOPS, obs.clone(), relay);
+    }
+}
+
+/// Per operator below `ops`: how many of its images were saved with
+/// transactions open.
+fn saves_with_transactions_open(obs: &Obs, ops: usize) -> Vec<usize> {
+    let mut journal = obs.journal.events();
+    journal.sort_by_key(|e| e.seq);
+    let mut open = vec![0i64; ops];
+    let mut saved_open = vec![0usize; ops];
+    for e in &journal {
+        let Some(op) = e.op.map(|op| op as usize).filter(|op| *op < ops) else { continue };
+        match e.kind {
+            JournalKind::Ingest { .. } => open[op] += 1,
+            JournalKind::Commit { .. } => open[op] -= 1,
+            JournalKind::CheckpointSaved { .. } if open[op] > 0 => saved_open[op] += 1,
+            _ => {}
+        }
+    }
+    saved_open
+}
+
+/// Runs `work` while reading every `edge.retained` gauge each 2 ms, and
+/// returns the highest reading.
+fn retained_max_during(running: &Running, work: impl FnOnce()) -> i64 {
+    /// Stops the reader however `work` ends.
+    struct Done<'a>(&'a AtomicBool);
+    impl Drop for Done<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
     let retained_max = AtomicI64::new(0);
     let done = AtomicBool::new(false);
     std::thread::scope(|s| {
@@ -116,32 +174,82 @@ fn a_loaded_speculative_chain_checkpoints_with_transactions_open() {
                 std::thread::sleep(Duration::from_millis(2));
             }
         });
-        closed_loop(&running, src, sink, 0..EVENTS);
-        assert!(running.sink(sink).wait_final(EVENTS, PATIENCE), "the loop did not drain");
-        done.store(true, Ordering::Release);
+        let _done = Done(&done);
+        work();
     });
-    let expected: Vec<Value> = (0..EVENTS).map(|i| Value::Int(i as i64)).collect();
-    assert_eq!(payloads(&running.sink(sink).final_events_by_id()), expected);
+    retained_max.into_inner()
+}
 
-    let mut journal = obs.journal.events();
-    journal.sort_by_key(|e| e.seq);
-    let mut open = [0i64; HOPS];
-    let mut saved_open = [0usize; HOPS];
-    for e in &journal {
-        let Some(op) = e.op.map(|op| op as usize) else { continue };
-        match e.kind {
-            JournalKind::Ingest { .. } => open[op] += 1,
-            JournalKind::Commit { .. } => open[op] -= 1,
-            JournalKind::CheckpointSaved { .. } if open[op] > 0 => saved_open[op] += 1,
-            _ => {}
-        }
-    }
+/// Four speculative relays under a closed loop of 32 are never settled.
+/// Each still saves images — with transactions open at the save — and each
+/// save acks its upstream, so no edge retains more than a few intervals of
+/// frames over 5 000 events.
+#[test]
+fn a_loaded_speculative_chain_checkpoints_with_transactions_open() {
+    const HOPS: usize = 4;
+    let obs = journaled();
+    let relay =
+        |_, b: &mut GraphBuilder| b.add_operator(StampedRelay::new(), speculative(FAST_LOG));
+    let (running, src, sink) = chain(HOPS, obs.clone(), relay);
+    let retained = retained_max_during(&running, || {
+        closed_loop(&running, src, sink, 0..LOADED_EVENTS);
+        assert!(running.sink(sink).wait_final(LOADED_EVENTS, PATIENCE), "the loop did not drain");
+    });
+    let expected: Vec<Value> = (0..LOADED_EVENTS).map(|i| Value::Int(i as i64)).collect();
+    assert_eq!(payloads(&running.sink(sink).final_events_by_id()), expected);
+    let saved_open = saves_with_transactions_open(&obs, HOPS);
     for (op, saves) in saved_open.iter().enumerate() {
         assert!(*saves > 0, "op{op} never saved an image with transactions open: {saved_open:?}");
     }
-    let retained = retained_max.load(Ordering::Relaxed);
     assert!(retained <= RETAINED_BOUND, "an edge retained {retained} frames");
     running.shutdown();
+}
+
+/// The paper's fig 6/7 application under the closed loop: a union feeding
+/// a count-sketch on two STM threads, whose transactions race on shared
+/// counters and commit in serial order. The sketch is never settled, yet
+/// it saves images with transactions open, so the union's ring to it stays
+/// bounded over 5 000 events, and its outputs are a sequential sketch's.
+#[test]
+fn a_loaded_two_thread_sketch_checkpoints_with_transactions_open() {
+    let obs = journaled();
+    let (running, src, sink) = union_sketch(obs.clone(), FAST_LOG);
+    let retained = retained_max_during(&running, || {
+        closed_loop(&running, src, sink, 0..LOADED_EVENTS);
+        assert!(running.sink(sink).wait_final(LOADED_EVENTS, PATIENCE), "the loop did not drain");
+    });
+    assert!(
+        payloads(&running.sink(sink).final_events_by_id()) == sequential_sketch(LOADED_EVENTS),
+        "the two-thread sketch's outputs are not a sequential sketch's"
+    );
+    let saved_open = saves_with_transactions_open(&obs, 2);
+    assert!(saved_open[1] > 0, "the sketch never saved an image with transactions open");
+    assert!(retained <= RETAINED_BOUND, "an edge retained {retained} frames");
+    running.shutdown();
+}
+
+/// Crashes `op` once it has admitted past its newest image, and checks
+/// that it crashed with transactions open: its image covers fewer serials
+/// than it admitted.
+fn crash_past_its_image(running: &Running, op: OperatorId, seed: usize) {
+    let admitted = || {
+        let labels = Labels::op_port(op.index(), 0);
+        running.metrics().counter("events.in", labels).unwrap_or(0)
+    };
+    let covered = || running.operator_image(op).map_or(0, |image| image.events_processed);
+    let deadline = std::time::Instant::now() + PATIENCE;
+    while admitted() <= covered() {
+        assert!(std::time::Instant::now() < deadline, "seed {seed}: nothing admitted");
+        std::thread::yield_now();
+    }
+    running.crash(op);
+    let serial = admitted();
+    let image = running.operator_image(op).expect("an image precedes the crash");
+    assert!(
+        image.events_processed < serial,
+        "seed {seed}: the image covers {} of {serial} serials",
+        image.events_processed
+    );
 }
 
 /// Three speculative random taggers under the closed loop; the middle one
@@ -160,10 +268,6 @@ fn a_crash_with_transactions_open_restores_the_committed_prefix_precisely() {
         b.add_operator(RandomTagger, speculative(log))
     };
     let middle = OperatorId::new(1);
-    let admitted = |running: &Running| {
-        let labels = Labels::op_port(middle.index(), 0);
-        running.metrics().counter("events.in", labels).unwrap_or(0)
-    };
     let reference = {
         let (running, src, sink) = chain(3, Obs::new(), tagger);
         closed_loop(&running, src, sink, 0..EVENTS);
@@ -176,20 +280,7 @@ fn a_crash_with_transactions_open_restores_the_committed_prefix_precisely() {
         let crash_at = 150 + (seed * 97) % 400;
         let (running, src, sink) = chain(3, Obs::new(), tagger);
         closed_loop(&running, src, sink, 0..crash_at);
-        let covered = || running.operator_image(middle).map_or(0, |image| image.events_processed);
-        let deadline = std::time::Instant::now() + PATIENCE;
-        while admitted(&running) <= covered() {
-            assert!(std::time::Instant::now() < deadline, "seed {seed}: nothing admitted");
-            std::thread::yield_now();
-        }
-        running.crash(middle);
-        let serial = admitted(&running);
-        let image = running.operator_image(middle).expect("an image precedes the crash");
-        assert!(
-            image.events_processed < serial,
-            "seed {seed}: the image covers {} of {serial} serials",
-            image.events_processed
-        );
+        crash_past_its_image(&running, middle, seed);
         running.recover(middle);
         closed_loop(&running, src, sink, crash_at..EVENTS);
         assert!(
@@ -202,6 +293,96 @@ fn a_crash_with_transactions_open_restores_the_committed_prefix_precisely() {
         assert_eq!(out, reference, "seed {seed}: crash at {crash_at} changed the output");
         running.shutdown();
     }
+}
+
+/// The two-thread sketch of [`union_sketch`] crashes with transactions
+/// open, at a seeded point past its last image. It restores the committed
+/// prefix, reads back what the open transactions' stable tapes hold, and
+/// the sink's finals are a sequential sketch's, byte for byte, on 16 seeds.
+#[test]
+fn a_two_thread_sketch_crashed_with_transactions_open_recovers_precisely() {
+    const EVENTS: usize = 600;
+    const SEEDS: usize = 16;
+    let sketch = OperatorId::new(1);
+    let reference = sequential_sketch(EVENTS);
+    for seed in 0..SEEDS {
+        let crash_at = 150 + (seed * 97) % 400;
+        // The sketch's slower log keeps what it admitted open for a while.
+        let (running, src, sink) = union_sketch(Obs::new(), SLOW_LOG);
+        closed_loop(&running, src, sink, 0..crash_at);
+        crash_past_its_image(&running, sketch, seed);
+        running.recover(sketch);
+        closed_loop(&running, src, sink, crash_at..EVENTS);
+        assert!(
+            running.sink(sink).wait_final(EVENTS, PATIENCE),
+            "seed {seed}: stuck at {}/{EVENTS} final\n{}",
+            running.sink(sink).final_count(),
+            running.journal_dump()
+        );
+        let out = payloads(&running.sink(sink).final_events_by_id());
+        assert_eq!(out, reference, "seed {seed}: crash at {crash_at} changed the output");
+        running.shutdown();
+    }
+}
+
+/// Counts the events it sees in one state cell every transaction reads and
+/// writes: on two STM threads neighbouring transactions conflict, and all
+/// commit in serial order. A ballast cell registered ahead of the count,
+/// and never written, makes every snapshot take a while before it reads
+/// the count, so that a commit can land inside one.
+#[derive(Default)]
+struct Counter {
+    count: OnceLock<StateHandle<i64>>,
+}
+
+const BALLAST_BYTES: usize = 1 << 15;
+
+impl Operator for Counter {
+    fn name(&self) -> &str {
+        "counter"
+    }
+    fn setup(&self, ctx: &mut SetupCtx<'_>) {
+        let _ballast = ctx.state(vec![0u8; BALLAST_BYTES]);
+        let _ = self.count.set(ctx.state(0i64));
+    }
+    fn process(&self, ctx: &mut OpCtx<'_, '_>, event: &Event) -> Result<(), StmAbort> {
+        let count = *self.count.get().expect("setup ran");
+        let seen = *ctx.get(count)?;
+        ctx.set(count, seen + 1)?;
+        ctx.emit(Value::record(vec![event.payload.clone(), Value::Int(seen + 1)]));
+        Ok(())
+    }
+}
+
+/// A two-thread counter images its committed prefix at every commit while
+/// its pool threads commit on, and is crashed and recovered 20 times with
+/// transactions open. An image whose snapshot took in the commit of a
+/// serial it leaves open would count that event twice after the crash:
+/// every count stays exact.
+#[test]
+fn a_two_thread_counter_imaging_every_commit_counts_exactly_across_crashes() {
+    const ROUNDS: usize = 20;
+    const PER_ROUND: usize = 50;
+    let config = speculative(FAST_LOG).with_threads(2).with_checkpoint_every(1);
+    let add = |_, b: &mut GraphBuilder| b.add_operator(Counter::default(), config.clone());
+    let counter = OperatorId::new(0);
+    let (running, src, sink) = chain(1, Obs::new(), add);
+    for round in 0..ROUNDS {
+        closed_loop(&running, src, sink, round * PER_ROUND..(round + 1) * PER_ROUND);
+        running.crash(counter);
+        running.recover(counter);
+    }
+    let events = ROUNDS * PER_ROUND;
+    assert!(
+        running.sink(sink).wait_final(events, PATIENCE),
+        "stuck at {}/{events} final\n{}",
+        running.sink(sink).final_count(),
+        running.journal_dump()
+    );
+    let counted = |i: usize| Value::record(vec![Value::Int(i as i64), Value::Int(i as i64 + 1)]);
+    let expected: Vec<Value> = (0..events).map(counted).collect();
+    assert_eq!(payloads(&running.sink(sink).final_events_by_id()), expected);
+    running.shutdown();
 }
 
 /// Tags every event with a physical-time read, which only the log can
