@@ -12,8 +12,9 @@ use streammine_storage::disk::DiskSpec;
 #[derive(Debug, Clone)]
 pub struct LoggingConfig {
     /// One storage point per spec (the paper's `N` disks / `Sim X`
-    /// configurations); the log runs one writer thread per point plus the
-    /// shared collector queue (§2.4).
+    /// configurations). The paper's writer thread per point (§2.4) is a
+    /// timeline here: the log runs no thread, and its owner's coordinator
+    /// completes each group when the group's write ends.
     pub disks: Vec<DiskSpec>,
 }
 

@@ -235,8 +235,10 @@ impl DecisionLog {
     /// record that brings the count to zero tells the coordinator
     /// ([`Notice::LogStable`]) — one notice per event, not per decision,
     /// unless the operator outlasts a write between two draws. The
-    /// callback may fire on this very thread when the device is that fast
-    /// — posting a notice never blocks. Returns where the record went.
+    /// callback runs on whichever thread completes the record's group:
+    /// the coordinator, in the wake its log's deadline gives it, or this
+    /// very thread when the device is that fast — posting a notice never
+    /// blocks. Returns where the record went.
     fn persist(
         &self,
         record: DecisionRecord,

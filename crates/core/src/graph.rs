@@ -445,8 +445,8 @@ impl Running {
         &self.obs
     }
 
-    /// A point-in-time snapshot of every engine metric (nodes, edges, log
-    /// writers, supervisor).
+    /// A point-in-time snapshot of every engine metric (nodes, edges,
+    /// logs, supervisor).
     pub fn metrics(&self) -> RegistrySnapshot {
         self.obs.snapshot()
     }

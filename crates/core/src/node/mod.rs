@@ -418,6 +418,13 @@ impl Node {
         // decision is appended and no output waits for the log. A node
         // that logs no decisions keeps only its images in its log.
         let logs_decisions = seed.config.logging.is_some() && approx.is_none();
+        // The coordinator owns its log: it parks until the log's next group
+        // ends, and an append elsewhere (a pool thread) that brings that
+        // sooner wakes it. Every incarnation shares the one inbox.
+        if let Some(log) = &seed.log {
+            let inbox = seed.inbox.clone();
+            log.set_waker(move || inbox.wake());
+        }
         let decisions = seed.log.clone().filter(|_| logs_decisions).map(|log| DecisionLog {
             log,
             inbox: seed.inbox.clone(),
@@ -496,9 +503,15 @@ impl Node {
     /// Runs until a shutdown or a simulated crash; `true` for a crash.
     fn run(&mut self) -> bool {
         while self.running {
+            // The log's groups that ended since the last pass complete
+            // here, on this thread: their callbacks post the notices
+            // (`LogStable`, `ImageStable`) read just below.
+            if let Some(log) = &self.log {
+                log.poll();
+            }
             // Control first, and never gated: a node stalled on
             // backpressure or an admission cap still receives the acks,
-            // commits and log-stability callbacks that end the stall.
+            // commits and log-stability notices that end the stall.
             let mut worked = self.serve_control();
             if !self.running {
                 break;
@@ -520,9 +533,10 @@ impl Node {
                 // Gauges stay current while the node sleeps.
                 self.publish_gauges();
                 // The one place the coordinator sleeps — never inside a
-                // read: until something signals or a frame in flight falls
-                // due.
-                self.inbox.park(self.earliest_due());
+                // read: until something signals, a frame in flight falls
+                // due or the log's next group ends.
+                let log_due = self.log.as_ref().and_then(StableLog::next_due);
+                self.inbox.park(self.earliest_due().into_iter().chain(log_due).min());
             }
         }
         if !self.crashed {

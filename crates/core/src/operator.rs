@@ -324,8 +324,11 @@ mod tests {
         assert!(!tape.is_stable());
         let mut notices = std::collections::VecDeque::new();
         let deadline = Instant::now() + Duration::from_secs(5);
+        // The test owns the log, as a coordinator does: it parks until the
+        // next group ends and completes it.
         while !tape.is_stable() && Instant::now() < deadline {
-            log.inbox.park(Some(deadline));
+            log.inbox.park(log.log.next_due().or(Some(deadline)));
+            log.log.poll();
         }
         assert!(tape.is_stable());
         log.inbox.take_notices(&mut notices);

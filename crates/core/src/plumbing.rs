@@ -158,6 +158,12 @@ impl Inbox {
         std::mem::swap(&mut *self.notices.lock(), into);
     }
 
+    /// Wakes the coordinator without a notice: its log has a group that
+    /// ends sooner than the deadline it may be parked on.
+    pub fn wake(&self) {
+        self.waker.wake();
+    }
+
     /// Makes the consumer of the node's output ring `out` signal this
     /// inbox when it reads on after the node found the window full: the
     /// read is what ends a backpressure stall.

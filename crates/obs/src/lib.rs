@@ -5,7 +5,7 @@
 //!
 //! * [`Registry`] — a lock-free metrics registry of named counters,
 //!   gauges, and fixed-bucket log₂ histograms keyed by `(op, port/edge)`
-//!   [`Labels`]. Every node, edge transport, log writer, and the
+//!   [`Labels`]. Every node, edge transport, log, and the
 //!   supervisor registers here; the hot path is a relaxed atomic add.
 //! * [`Journal`] — a ring-buffered structured event journal recording the
 //!   speculation lifecycle (ingest → speculative publish → log stable →

@@ -85,9 +85,10 @@ impl HaStrategy for Amnesia {
 }
 
 /// Pays one synchronous write of `bytes` on `device`, the modeled cost of
-/// keeping a snapshot on the standby.
+/// keeping a snapshot on the standby: the caller sleeps until it ends.
 fn write_through(device: &StorageDevice, bytes: usize) {
-    device.write(bytes).expect("a fault-free device");
+    let end = device.write(Instant::now(), bytes).expect("a fault-free device");
+    std::thread::sleep(end.saturating_duration_since(Instant::now()));
 }
 
 // ---------------------------------------------------------------------

@@ -10,6 +10,10 @@
 //! writes ([`DiskSpec::with_fault_rate`], [`StorageDevice::set_fault_rate`])
 //! and stall for bounded windows ([`StorageDevice::stall_for`]); callers
 //! retry transient [`DiskError`]s.
+//!
+//! A device is priced, not waited on: [`StorageDevice::write`] says when a
+//! write started at a given instant ends, and its caller keeps the
+//! device's timeline (the log's group commit, `crate::log`).
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,13 +78,6 @@ impl DiskSpec {
         }
     }
 
-    /// Renames the spec (for reports).
-    #[must_use]
-    pub fn named(mut self, name: &str) -> Self {
-        self.name = name.to_string();
-        self
-    }
-
     /// Sets the transient write-failure probability (fault injection).
     #[must_use]
     pub fn with_fault_rate(mut self, rate: f64) -> Self {
@@ -106,18 +103,18 @@ impl DiskSpec {
     }
 }
 
-/// A simulated storage device: charges the model's latency for each write
-/// and injects its faults. It keeps no bytes — whoever writes holds the one
-/// copy (the log's readable set).
+/// A simulated storage device: prices each write on a timeline and injects
+/// its faults. It neither sleeps nor keeps bytes — whoever writes keeps
+/// the device's timeline and holds the one copy (the log's readable set).
 pub struct StorageDevice {
     spec: DiskSpec,
     rng: Mutex<DetRng>,
     writes: AtomicU64,
-    bytes: AtomicU64,
     /// Live fault probability, f64 bit-pattern (runtime-adjustable).
     fault_bits: AtomicU64,
     faults: AtomicU64,
-    stall_until: Mutex<Option<Instant>>,
+    /// The stall window, `[from, until)`.
+    stall: Mutex<Option<(Instant, Instant)>>,
 }
 
 impl fmt::Debug for StorageDevice {
@@ -138,33 +135,27 @@ impl StorageDevice {
             spec,
             rng: Mutex::new(DetRng::seed_from(seed)),
             writes: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
             fault_bits,
             faults: AtomicU64::new(0),
-            stall_until: Mutex::new(None),
+            stall: Mutex::new(None),
         }
     }
 
-    /// The device's spec.
-    pub fn spec(&self) -> &DiskSpec {
-        &self.spec
-    }
-
-    /// One synchronous stable write of `total` bytes — a whole batch of
-    /// records under group commit: blocks for the modeled duration.
+    /// One stable write of `total` bytes — a whole batch of records under
+    /// group commit — that the device starts at `at`, or when a stall
+    /// window holding `at` ends. Returns the instant the write ends; it
+    /// blocks nobody.
     ///
     /// # Errors
     ///
-    /// [`DiskError`] with the configured fault probability; nothing counts
-    /// as persisted and the caller should retry the whole write.
-    pub fn write(&self, total: usize) -> Result<(), DiskError> {
-        let stall = *self.stall_until.lock();
-        if let Some(until) = stall {
-            let now = Instant::now();
-            if until > now {
-                std::thread::sleep(until - now);
-            }
-        }
+    /// [`DiskError`], with the end of the failed attempt, at the
+    /// configured fault probability: nothing counts as persisted and the
+    /// caller should retry the whole write.
+    pub fn write(&self, at: Instant, total: usize) -> Result<Instant, (Instant, DiskError)> {
+        let start = match *self.stall.lock() {
+            Some((from, until)) if (from..until).contains(&at) => until,
+            _ => at,
+        };
         let (d, faulted) = {
             let mut rng = self.rng.lock();
             let d = self.spec.write_duration(total, &mut rng);
@@ -172,16 +163,12 @@ impl StorageDevice {
             let faulted = rate > 0.0 && rng.next_f64() < rate;
             (d, faulted)
         };
-        if !d.is_zero() {
-            std::thread::sleep(d);
-        }
         if faulted {
             self.faults.fetch_add(1, Ordering::Relaxed);
-            return Err(DiskError);
+            return Err((start + d, DiskError));
         }
         self.writes.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(total as u64, Ordering::Relaxed);
-        Ok(())
+        Ok(start + d)
     }
 
     /// Changes the transient-fault probability at runtime (chaos hook).
@@ -189,18 +176,16 @@ impl StorageDevice {
         self.fault_bits.store(rate.clamp(0.0, 0.999).to_bits(), Ordering::Release);
     }
 
-    /// The current transient-fault probability.
-    pub fn fault_rate(&self) -> f64 {
-        f64::from_bits(self.fault_bits.load(Ordering::Acquire))
-    }
-
     /// Stalls every write starting within the next `window` (chaos hook:
     /// a controller hiccup / queue saturation). Windows do not stack; the
     /// later deadline wins.
     pub fn stall_for(&self, window: Duration) {
-        let until = Instant::now() + window;
-        let mut stall = self.stall_until.lock();
-        *stall = Some(stall.map_or(until, |cur| cur.max(until)));
+        let now = Instant::now();
+        let mut stall = self.stall.lock();
+        *stall = Some(match *stall {
+            Some((from, until)) if until > now => (from, until.max(now + window)),
+            _ => (now, now + window),
+        });
     }
 
     /// Number of physical (batched) writes performed.
@@ -211,11 +196,6 @@ impl StorageDevice {
     /// Number of injected transient write failures.
     pub fn fault_count(&self) -> u64 {
         self.faults.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes written.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
     }
 }
 
@@ -252,18 +232,12 @@ mod tests {
     }
 
     #[test]
-    fn device_counts_writes_and_bytes() {
+    fn device_counts_writes() {
         let dev = StorageDevice::new(DiskSpec::simulated(Duration::ZERO), 7);
-        dev.write(2).unwrap();
-        dev.write(1).unwrap();
+        let now = Instant::now();
+        assert_eq!(dev.write(now, 2), Ok(now));
+        dev.write(now, 1).unwrap();
         assert_eq!(dev.write_count(), 2);
-        assert_eq!(dev.bytes_written(), 3);
-    }
-
-    #[test]
-    fn named_overrides_report_name() {
-        let spec = DiskSpec::simulated(Duration::from_millis(5)).named("disk A");
-        assert_eq!(spec.name, "disk A");
     }
 
     #[test]
@@ -273,44 +247,43 @@ mod tests {
         let mut ok = 0;
         let mut failed = 0;
         for _ in 0..200 {
-            match dev.write(1) {
-                Ok(()) => ok += 1,
-                Err(DiskError) => failed += 1,
+            match dev.write(Instant::now(), 1) {
+                Ok(_) => ok += 1,
+                Err((_, DiskError)) => failed += 1,
             }
         }
         assert!(ok > 0 && failed > 0, "expected a mix, got ok={ok} failed={failed}");
         assert_eq!(dev.fault_count(), failed);
         // Failed writes persist nothing.
         assert_eq!(dev.write_count(), ok);
-        assert_eq!(dev.bytes_written(), ok);
     }
 
     #[test]
     fn fault_rate_can_be_changed_at_runtime() {
         let dev = StorageDevice::new(DiskSpec::simulated(Duration::ZERO), 12);
         dev.set_fault_rate(0.999);
-        assert!(dev.fault_rate() > 0.99);
         let mut failed = 0;
         for _ in 0..50 {
-            if dev.write(1).is_err() {
+            if dev.write(Instant::now(), 1).is_err() {
                 failed += 1;
             }
         }
         assert!(failed > 0);
         dev.set_fault_rate(0.0);
-        assert!(dev.write(1).is_ok());
+        assert!(dev.write(Instant::now(), 1).is_ok());
     }
 
     #[test]
-    fn stall_window_delays_writes() {
-        let dev = StorageDevice::new(DiskSpec::simulated(Duration::ZERO), 13);
+    fn stall_window_delays_writes_that_start_in_it() {
+        let dev = StorageDevice::new(DiskSpec::simulated(Duration::from_millis(2)), 13);
+        let before = Instant::now();
         dev.stall_for(Duration::from_millis(20));
         let start = Instant::now();
-        dev.write(1).unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(18), "write did not stall");
-        // Window over: writes are fast again.
-        let start = Instant::now();
-        dev.write(1).unwrap();
-        assert!(start.elapsed() < Duration::from_millis(10));
+        let end = dev.write(start, 1).unwrap();
+        assert!(end >= start + Duration::from_millis(20), "write did not stall");
+        // A write that started before the window, or after it, is not held.
+        assert_eq!(dev.write(before, 1), Ok(before + Duration::from_millis(2)));
+        let after = start + Duration::from_millis(30);
+        assert_eq!(dev.write(after, 1), Ok(after + Duration::from_millis(2)));
     }
 }

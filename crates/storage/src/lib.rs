@@ -9,15 +9,15 @@
 //!   real local disks and "simulated disks" with fixed 10 ms / 5 ms write
 //!   latency (the `Sim 10` / `Sim 5` configurations of Figures 2–3);
 //!   [`DiskSpec`](disk::DiskSpec) expresses all of them.
-//! * [`log`] — the asynchronous decision log. Requests are handed to a set
-//!   of writer threads (one per storage point plus a collector, §2.4),
-//!   batched per device (group commit), and acknowledged through
+//! * [`log`] — the asynchronous decision log. Requests are batched per
+//!   device (group commit, §2.4) and acknowledged through
 //!   [`LogTicket`](log::LogTicket)s that support both blocking waits and
 //!   callbacks — the engine subscribes a callback that authorizes the
-//!   corresponding transaction's commit. What is stable is kept as one
-//!   byte image of CRC-framed records with a dense index by sequence
-//!   number, and a ticket is the log plus a sequence number, so a warm
-//!   append allocates nothing per record.
+//!   corresponding transaction's commit. The paper's writer thread per
+//!   storage point is a timeline here: the log runs no thread, and every
+//!   read of it completes the groups whose write has ended. What is
+//!   stable is one byte image of CRC-framed records with a dense index by
+//!   sequence number, so a warm append allocates nothing per record.
 //! * [`checkpoint`] — the checkpoint image and its codec. An image is one
 //!   more record in its operator's log, and once it is stable the log is
 //!   truncated below what it covers: one durable stream per operator.

@@ -8,44 +8,41 @@
 //! (`core::determinant`), so a write runs beside the operator that caused
 //! it; a record here is opaque bytes under a dense sequence number.
 //!
-//! The paper provisions *"one thread per storage point plus 1 extra thread
-//! that collects the requests while the others are busy"*. Here the
-//! collector is the shared pending queue itself: each of the N device
-//! writer threads drains whatever accumulated while it was busy (group
-//! commit) and writes it as one batch — the same N-way parallel,
-//! batch-amortized behaviour with one fewer moving part. With N > 1 the
-//! devices stripe the sequence: record *n + 1* can be stable before record
-//! *n*, which is why a caller that needs several records waits for each
-//! ticket, and why a recovery read takes, per event, only the contiguous
-//! prefix of what it finds.
+//! The paper gives each storage point a writer thread because a real disk
+//! write blocks. A device here is a latency model, so it is a timeline: it
+//! records when it is next free. A group (group commit) starts then — or
+//! at its first record's append if the device was idle — holds every
+//! record appended before its start, at most [`MAX_BATCH`], and ends one
+//! [`DiskSpec::write_duration`] later; failed attempts and stall windows
+//! go on the same timeline, and nothing else moves a group. With N > 1
+//! the devices stripe the sequence: record *n + 1* can be stable before
+//! record *n*, which is why a caller that needs several records waits for
+//! each ticket, and why a recovery read takes, per event, only the
+//! contiguous prefix of what it finds.
+//!
+//! The log runs no thread. Every read — [`StableLog::poll`],
+//! [`LogTicket::is_stable`], [`LogTicket::wait`], [`LogTicket::subscribe`],
+//! [`StableLog::stable_entries`], [`StableLog::flush`] — completes each
+//! group whose end has passed and runs its callbacks outside the lock. The
+//! owner parks until [`StableLog::next_due`], and an append that brings
+//! that forward signals its waker ([`StableLog::set_waker`]).
 //!
 //! The readable set is one byte image: CRC32-framed records
-//! (`checksum || payload`) back to back, in the order their writes
-//! completed, with a dense slot index by sequence number saying where each
-//! record is (in flight, stable at a position, or gone). An append copies
-//! the payload into the pending queue's buffer; a writer swaps that buffer
-//! for its own, and after the device write frames each record straight
-//! into the image — no per-record allocation survives the append. Reads
-//! validate the frames there. The first frame that fails its checksum
-//! truncates the log from that sequence number onward — a torn tail
-//! shortens the replayable suffix, it does not fail recovery.
-//!
-//! The image is cut into fixed 16 KiB blocks that are never reallocated,
-//! so a growing log leaves no outgrown buffers behind in the allocator.
-//! Truncation below a checkpoint frees the blocks at the front once
-//! nothing readable is left in them: O(1) per block, and nothing is
-//! copied.
-//!
-//! A [`LogTicket`] is the log plus a sequence number: whether a record is
-//! stable, and the callbacks waiting for it, live in the log.
+//! (`checksum || payload`) back to back in append order, in fixed 16 KiB
+//! blocks, with a dense slot index by sequence number. An append frames
+//! the record into the image and completion marks it stable, so a warm
+//! append allocates nothing. Reads validate the frames; the first that
+//! fails its checksum truncates the log from there onward — a torn tail
+//! shortens the replayable suffix, it does not fail recovery. Truncation
+//! below a checkpoint frees the blocks at the front once nothing live is
+//! left in them, and nothing is copied.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 use streammine_common::crc32;
@@ -64,9 +61,10 @@ pub struct LogObs {
     pub op: u32,
     /// Journal receiving degradation warnings.
     pub journal: Arc<Journal>,
-    /// Device write duration per batch, microseconds (`log.write_us`).
+    /// The device's busy time per batch, start to end, retries included,
+    /// microseconds (`log.write_us`).
     pub write_us: Histogram,
-    /// Records drained per device batch (`log.batch_groups`).
+    /// Records per device batch (`log.batch_groups`).
     pub batch_groups: Histogram,
     /// Mirror of [`StableLog::write_retries`] (`log.write_retries`).
     pub write_retries: Counter,
@@ -109,88 +107,81 @@ type Callback = Box<dyn FnOnce() + Send>;
 /// transaction commit, so no thread blocks per record.
 #[derive(Clone)]
 pub struct LogTicket {
-    /// `None` for [`LogTicket::already_stable`].
-    log: Option<Arc<LogShared>>,
+    log: Arc<LogShared>,
     seq: LogSeq,
 }
 
 impl fmt::Debug for LogTicket {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LogTicket")
-            .field("seq", &self.seq)
-            .field("stable", &self.is_stable())
-            .finish()
+        f.debug_struct("LogTicket").field("seq", &self.seq).finish()
     }
 }
 
 impl LogTicket {
-    /// An already-stable ticket (used when nothing needed logging).
-    pub fn already_stable() -> Self {
-        LogTicket { log: None, seq: LogSeq(u64::MAX) }
-    }
-
     /// The record's sequence number.
     pub fn seq(&self) -> LogSeq {
         self.seq
     }
 
-    /// Whether the record is stable on its device.
+    /// Whether the record is stable on its device (a read: it completes
+    /// the groups that have ended).
     pub fn is_stable(&self) -> bool {
-        self.log.as_ref().is_none_or(|log| log.state.lock().is_stable(self.seq.0))
+        self.log.poll();
+        self.log.state.lock().slot(self.seq.0).stable
     }
 
     /// Blocks until the record is stable *and* every callback subscribed
-    /// before stability has finished running.
+    /// before stability has finished running, sleeping until the log's
+    /// next group ends.
     pub fn wait(&self) {
-        if let Some(log) = &self.log {
-            let mut state = log.state.lock();
-            while !state.is_settled(self.seq.0) {
-                log.stable_cv.wait(&mut state);
-            }
-        }
+        self.log.wait_until(|state| state.is_settled(self.seq.0));
     }
 
-    /// Runs `f` when the record becomes stable (immediately if it already
-    /// is). Callbacks run on the device writer thread — keep them short.
+    /// Runs `f` when the record becomes stable (at once if it already is,
+    /// or its group has ended: subscribing is a read). Callbacks run on
+    /// whichever thread finds the record's group complete — the log's
+    /// owner, or any reader — so keep them short and non-blocking.
     pub fn subscribe<F: FnOnce() + Send + 'static>(&self, f: F) {
-        if let Some(log) = &self.log {
-            let mut state = log.state.lock();
-            if !state.is_settled(self.seq.0) {
-                // A second subscriber chains behind the first: one box per
-                // subscription, and they run in subscription order.
-                let callback: Callback = match state.waiting.remove(&self.seq.0) {
-                    Some(first) => Box::new(move || {
-                        first();
-                        f();
-                    }),
-                    None => Box::new(f),
-                };
-                state.waiting.insert(self.seq.0, callback);
-                return;
-            }
+        self.log.poll();
+        let mut state = self.log.state.lock();
+        if state.is_settled(self.seq.0) {
+            drop(state);
+            return f();
         }
-        f();
+        // A second subscriber chains behind the first: one box per
+        // subscription, and they run in subscription order.
+        let callback: Callback = match state.waiting.remove(&self.seq.0) {
+            Some(first) => Box::new(move || {
+                first();
+                f();
+            }),
+            None => Box::new(f),
+        };
+        state.waiting.insert(self.seq.0, callback);
     }
 }
 
-/// Where the record at one sequence number is: a readable frame (at least
-/// four bytes) at image position `pos`, or one of the two states below.
+/// Where the record at one sequence number is: its frame (`len` bytes at
+/// image position `pos`; `len == 0` when it has none), and whether its
+/// group completed. A stable record with a frame is readable; one without
+/// is gone (truncated, or dropped as corrupt).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
     pos: u32,
     len: u32,
+    stable: bool,
 }
 
 impl Slot {
-    /// Appended, its write not finished.
-    const IN_FLIGHT: Slot = Slot { pos: 0, len: 0 };
-    /// Written, not readable: truncated, dropped as corrupt, or below the
-    /// truncation watermark when its write finished.
-    const GONE: Slot = Slot { pos: 0, len: 1 };
+    /// Stable and not readable.
+    const GONE: Slot = Slot { pos: 0, len: 0, stable: true };
+    /// In flight with no frame: appended below the truncation watermark,
+    /// or truncated while in flight.
+    const UNWRITTEN: Slot = Slot { pos: 0, len: 0, stable: false };
 
     /// The frame's position and length, if the record is readable.
     fn frame(self) -> Option<(u32, u32)> {
-        (self.len >= 4).then_some((self.pos, self.len))
+        (self.stable && self.len > 0).then_some((self.pos, self.len))
     }
 }
 
@@ -204,15 +195,14 @@ const BLOCK: usize = 16 * 1024;
 
 struct Block {
     bytes: Vec<u8>,
-    /// Bytes of readable frames in this block.
+    /// Bytes of live frames (readable or in flight) in this block.
     live: usize,
 }
 
-/// The readable set's bytes: CRC-framed records (`checksum || payload`)
-/// back to back, in the order their writes completed — one byte stream
-/// cut into blocks, which a frame may straddle. A position is a `u32`
-/// modulo 2³²: only its distance from `origin` is used, and what is live
-/// spans less than 4 GiB.
+/// The frames' bytes: CRC-framed records (`checksum || payload`) back to
+/// back, in append order — one byte stream cut into blocks, which a frame
+/// may straddle. A position is a `u32` modulo 2³²: only its distance from
+/// `origin` is used, and what is live spans less than 4 GiB.
 #[derive(Default)]
 struct Image {
     blocks: VecDeque<Block>,
@@ -277,8 +267,8 @@ impl Image {
         &mut self.blocks[at / BLOCK].bytes[at % BLOCK]
     }
 
-    /// The frame at `pos` is no longer readable; blocks at the front left
-    /// with nothing readable are freed.
+    /// The frame at `pos` is no longer live; blocks at the front left
+    /// with nothing live are freed.
     fn release(&mut self, pos: u32, len: u32) {
         for (block, range) in pieces(self.offset(pos), len as usize) {
             self.blocks[block].live -= range.len();
@@ -290,98 +280,78 @@ impl Image {
     }
 }
 
-/// Records appended and not yet taken by a writer: the payloads back to
-/// back, in sequence order from `first`.
-#[derive(Default)]
-struct Queued {
-    first: u64,
-    bytes: Vec<u8>,
-    lens: Vec<u32>,
+/// A batch of records on its device: the sequence numbers it holds and
+/// the instant its write ends.
+struct Group {
+    seqs: Range<u64>,
+    end: Instant,
 }
 
-impl Queued {
-    /// Moves up to [`MAX_BATCH`] records into `batch` (emptied first). The
-    /// whole queue moves by swapping buffers, so neither side allocates
-    /// once both have grown to the traffic.
-    fn take_into(&mut self, batch: &mut Queued) {
-        batch.bytes.clear();
-        batch.lens.clear();
-        batch.first = self.first;
-        if self.lens.len() <= MAX_BATCH {
-            std::mem::swap(&mut self.bytes, &mut batch.bytes);
-            std::mem::swap(&mut self.lens, &mut batch.lens);
-        } else {
-            let bytes: usize = self.lens[..MAX_BATCH].iter().map(|&len| len as usize).sum();
-            batch.bytes.extend(self.bytes.drain(..bytes));
-            batch.lens.extend(self.lens.drain(..MAX_BATCH));
-        }
-        self.first += batch.lens.len() as u64;
-    }
-}
-
-/// The readable set and the acknowledgment state, under one lock.
+/// The readable set, the devices' timelines and the acknowledgment state,
+/// under one lock.
 #[derive(Default)]
 struct LogState {
-    /// The one copy of a record after its write — the device models the
-    /// write's latency and faults, it does not keep the bytes.
+    /// The one copy of a record — the device models the write's latency
+    /// and faults, it does not keep the bytes.
     image: Image,
-    /// `slots[i]` is record `base + i`. Every record below `base` was
-    /// written and is gone; past the end, records are in flight.
+    /// `slots[i]` is record `base + i`; every appended record has one.
+    /// Every record below `base` is stable and gone.
     base: u64,
     slots: VecDeque<Slot>,
-    /// Records below this sequence are pruned, including ones that become
-    /// stable after the truncation request (checkpoint covers them).
+    /// Records below this sequence are pruned, including ones appended
+    /// after the truncation request (a checkpoint covers them).
     watermark: u64,
+    /// The last records appended, which no group holds yet: when each was
+    /// appended and its framed length.
+    queued: VecDeque<(Instant, u32)>,
+    /// Per device, its groups not completed yet, in start (so end) order:
+    /// the device is free at the end of its last one. Every queued record
+    /// was appended after the end of any group completed before.
+    lanes: Vec<VecDeque<Group>>,
+    /// Records whose group completed.
+    stable: u64,
     /// Callbacks subscribed before their record was stable, by sequence.
     waiting: HashMap<u64, Callback>,
-    /// Written batches whose callbacks are still running on their writer.
+    /// Completed groups whose callbacks are still running.
     draining: Vec<Range<u64>>,
+    /// Storage the next completion's callbacks are moved into.
+    spare: Vec<Callback>,
 }
 
 impl LogState {
+    fn appended(&self) -> u64 {
+        self.base + self.slots.len() as u64
+    }
+
     fn slot(&self, seq: u64) -> Slot {
         match seq.checked_sub(self.base) {
             None => Slot::GONE,
-            Some(i) => self.slots.get(i as usize).copied().unwrap_or(Slot::IN_FLIGHT),
+            Some(i) => self.slots.get(i as usize).copied().unwrap_or(Slot::UNWRITTEN),
         }
-    }
-
-    fn is_stable(&self, seq: u64) -> bool {
-        self.slot(seq) != Slot::IN_FLIGHT
     }
 
     /// Stable, and no callback subscribed before that is still running.
     fn is_settled(&self, seq: u64) -> bool {
-        self.is_stable(seq) && !self.draining.iter().any(|batch| batch.contains(&seq))
+        self.slot(seq).stable && !self.draining.iter().any(|group| group.contains(&seq))
     }
 
-    /// The write of record `seq` finished: frame it into the image, unless
-    /// a truncation already covers it.
-    fn write(&mut self, seq: u64, payload: &[u8]) {
-        let i = (seq - self.base) as usize;
-        if i >= self.slots.len() {
-            self.slots.resize(i + 1, Slot::IN_FLIGHT);
-        }
-        self.slots[i] = if seq >= self.watermark {
-            let checksum = crc32::checksum(payload).to_le_bytes();
-            Slot { pos: self.image.push([&checksum, payload]), len: payload.len() as u32 + 4 }
-        } else {
-            Slot::GONE
-        };
-        self.pop_gone();
+    /// When the earliest group in flight ends.
+    fn next_due(&self) -> Option<Instant> {
+        self.lanes.iter().filter_map(|lane| lane.front().map(|g| g.end)).min()
     }
 
-    /// Makes the readable records in `seqs` gone and returns how many
-    /// there were.
-    fn drop_readable(&mut self, seqs: Range<u64>) -> u64 {
+    /// Releases the frames of the records in `seqs` — readable ones, and
+    /// ones in flight too when `in_flight` — and returns how many readable
+    /// ones there were.
+    fn drop_frames(&mut self, seqs: Range<u64>, in_flight: bool) -> u64 {
         let index = |seq: u64| (seq.saturating_sub(self.base) as usize).min(self.slots.len());
         let (lo, hi) = (index(seqs.start), index(seqs.end));
         let mut dropped = 0;
         for slot in self.slots.range_mut(lo..hi) {
-            if let Some((pos, len)) = slot.frame() {
-                self.image.release(pos, len);
-                *slot = Slot::GONE;
-                dropped += 1;
+            if slot.len > 0 && (slot.stable || in_flight) {
+                self.image.release(slot.pos, slot.len);
+                dropped += u64::from(slot.stable);
+                *slot = if slot.stable { Slot::GONE } else { Slot::UNWRITTEN };
             }
         }
         self.pop_gone();
@@ -395,6 +365,25 @@ impl LogState {
         }
     }
 
+    /// Completes the group that ended first, if one ended by `now`: its
+    /// records turn stable, and its waiting callbacks move to `out`.
+    fn complete_next(&mut self, now: Instant, out: &mut Vec<Callback>) -> Option<Range<u64>> {
+        let lane = self
+            .lanes
+            .iter_mut()
+            .filter(|lane| lane.front().is_some_and(|g| g.end <= now))
+            .min_by_key(|lane| lane.front().map(|g| g.end))?;
+        let seqs = lane.pop_front().expect("a due group").seqs;
+        let base = self.base;
+        for slot in self.slots.range_mut((seqs.start - base) as usize..(seqs.end - base) as usize) {
+            slot.stable = true;
+        }
+        self.stable += seqs.end - seqs.start;
+        self.pop_gone();
+        self.take_callbacks(seqs.clone(), out);
+        Some(seqs)
+    }
+
     /// Moves the callbacks waiting for records in `seqs` into `out`.
     fn take_callbacks(&mut self, seqs: Range<u64>, out: &mut Vec<Callback>) {
         if self.waiting.is_empty() {
@@ -405,68 +394,124 @@ impl LogState {
 }
 
 struct LogShared {
-    queue: Mutex<Queued>,
-    queue_cv: Condvar,
+    devices: Vec<Arc<StorageDevice>>,
     state: Mutex<LogState>,
-    /// Signalled, under `state`'s lock, after `stable_count` moved and
-    /// after a batch's callbacks finished.
+    /// Signalled after a group completed and after its callbacks finished.
     stable_cv: Condvar,
-    stopping: AtomicBool,
-    appended: AtomicU64,
-    stable_count: AtomicU64,
     /// Records dropped by torn-tail truncation during validated reads.
     corrupt_dropped: AtomicU64,
     /// Device write attempts retried after a transient disk fault.
     write_retries: AtomicU64,
     /// Observability hooks, once the engine attached them.
     obs: OnceLock<LogObs>,
+    /// The owner's waker, once set.
+    waker: OnceLock<Box<dyn Fn() + Send + Sync>>,
 }
 
 impl LogShared {
-    /// Runs the callbacks of the written batch `seqs`, unlocked; loops
-    /// because one may subscribe another, then lets waiters through.
-    fn run_callbacks(&self, seqs: Range<u64>, callbacks: &mut Vec<Callback>) {
-        loop {
-            for callback in callbacks.drain(..) {
-                callback();
+    /// Starts every group whose start has come by `now`, on the device
+    /// free first: a group takes the records appended by its start.
+    fn schedule(&self, state: &mut LogState, now: Instant) {
+        while let Some(&(first, _)) = state.queued.front() {
+            let (lane, free_at) = (state.lanes.iter().map(|lane| lane.back().map(|g| g.end)))
+                .enumerate()
+                .min_by_key(|&(_, free_at)| free_at)
+                .expect("a log has a device");
+            let start = free_at.map_or(first, |free_at| free_at.max(first));
+            if start > now {
+                return;
             }
-            let mut state = self.state.lock();
-            state.take_callbacks(seqs.clone(), callbacks);
+            let n = state.queued.iter().take(MAX_BATCH).take_while(|(at, _)| *at <= start).count();
+            let from = state.appended() - state.queued.len() as u64;
+            let bytes: usize = state.queued.drain(..n).map(|(_, len)| len as usize).sum();
+            // A transient fault fails the whole attempt, retried after a
+            // small exponential backoff until the write sticks.
+            let (mut at, mut retries, mut delay) = (start, 0, Duration::from_micros(100));
+            let end = loop {
+                match self.devices[lane].write(at, bytes) {
+                    Ok(end) => break end,
+                    Err((failed, _)) => {
+                        (at, retries) = (failed + delay, retries + 1);
+                        delay = (delay * 2).min(Duration::from_millis(5));
+                    }
+                }
+            };
+            self.write_retries.fetch_add(retries, Ordering::Relaxed);
+            if let Some(obs) = self.obs.get() {
+                obs.write_us.record_duration(end - start);
+                obs.batch_groups.record(n as u64);
+                obs.write_retries.add(retries);
+            }
+            state.lanes[lane].push_back(Group { seqs: from..from + n as u64, end });
+        }
+    }
+
+    /// Completes every group that has ended, in end order, running each
+    /// one's callbacks unlocked, then lets waiters through.
+    fn poll(&self) {
+        let now = Instant::now();
+        let mut state = self.state.lock();
+        self.schedule(&mut state, now);
+        let mut callbacks = std::mem::take(&mut state.spare);
+        let mut completed = false;
+        while let Some(seqs) = state.complete_next(now, &mut callbacks) {
+            completed = true;
             if callbacks.is_empty() {
-                state.draining.retain(|batch| *batch != seqs);
-                break;
+                continue;
+            }
+            state.draining.push(seqs.clone());
+            // Loops because a callback may subscribe another to the group.
+            while !callbacks.is_empty() {
+                drop(state);
+                callbacks.drain(..).for_each(|callback| callback());
+                state = self.state.lock();
+                state.take_callbacks(seqs.clone(), &mut callbacks);
+            }
+            state.draining.retain(|group| *group != seqs);
+        }
+        state.spare = callbacks;
+        drop(state);
+        if completed {
+            self.stable_cv.notify_all();
+        }
+    }
+
+    /// Polls until `done` holds, sleeping until the next group ends (or
+    /// another thread's callbacks finish) in between.
+    fn wait_until(&self, done: impl Fn(&LogState) -> bool) {
+        loop {
+            self.poll();
+            let mut state = self.state.lock();
+            if done(&state) {
+                return;
+            }
+            match state.next_due() {
+                Some(due) => {
+                    let now = Instant::now();
+                    if due > now {
+                        self.stable_cv.wait_for(&mut state, due - now);
+                    }
+                }
+                None => self.stable_cv.wait(&mut state),
             }
         }
-        self.stable_cv.notify_all();
     }
 }
 
 /// The stable decision log: N parallel storage points with group commit.
 ///
-/// Cheap to clone; all clones share the same log. Dropping the last clone
-/// flushes queued requests and joins the writer threads.
+/// Cheap to clone; all clones share the same log. It runs no thread: its
+/// devices are timelines that every read of the log advances.
+#[derive(Clone)]
 pub struct StableLog {
     shared: Arc<LogShared>,
-    devices: Vec<Arc<StorageDevice>>,
-    writers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-}
-
-impl Clone for StableLog {
-    fn clone(&self) -> Self {
-        StableLog {
-            shared: self.shared.clone(),
-            devices: self.devices.clone(),
-            writers: self.writers.clone(),
-        }
-    }
 }
 
 impl fmt::Debug for StableLog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StableLog")
-            .field("devices", &self.devices.len())
-            .field("appended", &self.shared.appended.load(Ordering::Relaxed))
-            .field("stable", &self.shared.stable_count.load(Ordering::Relaxed))
+            .field("devices", &self.shared.devices.len())
+            .field("stable", &self.shared.state.lock().stable)
             .finish()
     }
 }
@@ -489,107 +534,74 @@ impl StableLog {
             .enumerate()
             .map(|(i, s)| Arc::new(StorageDevice::new(s, 0x5EED_0000 + i as u64)))
             .collect();
-        let shared = Arc::new(LogShared {
-            queue: Mutex::new(Queued::default()),
-            queue_cv: Condvar::new(),
-            state: Mutex::new(LogState::default()),
-            stable_cv: Condvar::new(),
-            stopping: AtomicBool::new(false),
-            appended: AtomicU64::new(0),
-            stable_count: AtomicU64::new(0),
-            corrupt_dropped: AtomicU64::new(0),
-            write_retries: AtomicU64::new(0),
-            obs: OnceLock::new(),
-        });
-        let writers = devices
-            .iter()
-            .enumerate()
-            .map(|(i, dev)| {
-                let shared = shared.clone();
-                let dev = dev.clone();
-                std::thread::Builder::new()
-                    .name(format!("log-writer-{i}"))
-                    .spawn(move || Self::writer_loop(&shared, &dev))
-                    .expect("spawn log writer")
-            })
-            .collect();
-        StableLog { shared, devices, writers: Arc::new(Mutex::new(writers)) }
-    }
-
-    fn writer_loop(shared: &LogShared, dev: &StorageDevice) {
-        let mut batch = Queued::default();
-        let mut callbacks: Vec<Callback> = Vec::new();
-        loop {
-            {
-                let mut queue = shared.queue.lock();
-                while queue.lens.is_empty() {
-                    if shared.stopping.load(Ordering::Acquire) {
-                        return;
-                    }
-                    shared.queue_cv.wait(&mut queue);
-                }
-                queue.take_into(&mut batch);
-            }
-            let records = batch.lens.len();
-            let seqs = batch.first..batch.first + records as u64;
-            // Transient disk faults (injected or real) fail the whole
-            // batch; retry with a small exponential backoff until the
-            // write sticks — the record is not acknowledged before then.
-            let framed_bytes = batch.bytes.len() + 4 * records;
-            let write_start = std::time::Instant::now();
-            let mut retries = 0u64;
-            let mut delay = Duration::from_micros(100);
-            while dev.write(framed_bytes).is_err() {
-                retries += 1;
-                shared.write_retries.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(Duration::from_millis(5));
-            }
-            if let Some(obs) = shared.obs.get() {
-                obs.write_us.record_duration(write_start.elapsed());
-                obs.batch_groups.record(records as u64);
-                obs.write_retries.add(retries);
-            }
-            {
-                // The watermark is read under the lock, after the write: a
-                // truncation issued during it still applies to these
-                // records.
-                let mut state = shared.state.lock();
-                let mut at = 0;
-                for (seq, &len) in seqs.clone().zip(&batch.lens) {
-                    let end = at + len as usize;
-                    state.write(seq, &batch.bytes[at..end]);
-                    at = end;
-                }
-                shared.stable_count.fetch_add(records as u64, Ordering::Relaxed);
-                state.take_callbacks(seqs.clone(), &mut callbacks);
-                if !callbacks.is_empty() {
-                    state.draining.push(seqs.clone());
-                }
-            }
-            shared.stable_cv.notify_all();
-            if !callbacks.is_empty() {
-                shared.run_callbacks(seqs, &mut callbacks);
-            }
+        let lanes = devices.iter().map(|_| VecDeque::new()).collect();
+        let state = LogState { lanes, ..LogState::default() };
+        StableLog {
+            shared: Arc::new(LogShared {
+                devices,
+                state: Mutex::new(state),
+                stable_cv: Condvar::new(),
+                corrupt_dropped: AtomicU64::new(0),
+                write_retries: AtomicU64::new(0),
+                obs: OnceLock::new(),
+                waker: OnceLock::new(),
+            }),
         }
     }
 
     /// Appends one record asynchronously; the returned ticket resolves when
     /// the record is stable. The log frames it with a CRC32 checksum so
-    /// recovery reads can detect a torn or corrupted tail.
+    /// recovery reads can detect a torn or corrupted tail. When the record
+    /// makes a group end sooner than any in flight, the owner's waker is
+    /// signalled.
     pub fn append(&self, record: impl AsRef<[u8]>) -> LogTicket {
         let record = record.as_ref();
-        let len = u32::try_from(record.len() + 4).expect("a log record is under 4 GiB") - 4;
-        let seq = {
-            let mut queue = self.shared.queue.lock();
-            let seq = queue.first + queue.lens.len() as u64;
-            queue.bytes.extend_from_slice(record);
-            queue.lens.push(len);
-            self.shared.appended.fetch_add(1, Ordering::Relaxed);
-            seq
+        let len = u32::try_from(record.len() + 4).expect("a log record is under 4 GiB");
+        let checksum = crc32::checksum(record).to_le_bytes();
+        let (seq, sooner) = {
+            let mut state = self.shared.state.lock();
+            let now = Instant::now();
+            let seq = state.appended();
+            let slot = if seq >= state.watermark {
+                Slot { pos: state.image.push([&checksum, record]), len, stable: false }
+            } else {
+                Slot::UNWRITTEN
+            };
+            state.slots.push_back(slot);
+            state.queued.push_back((now, len));
+            let due = state.next_due();
+            self.shared.schedule(&mut state, now);
+            let sooner = state.next_due().is_some_and(|next| due.is_none_or(|due| next < due));
+            (seq, sooner)
         };
-        self.shared.queue_cv.notify_one();
-        LogTicket { log: Some(self.shared.clone()), seq: LogSeq(seq) }
+        if sooner {
+            if let Some(wake) = self.shared.waker.get() {
+                wake();
+            }
+        }
+        LogTicket { log: self.shared.clone(), seq: LogSeq(seq) }
+    }
+
+    /// Completes every group whose write has ended by now, running the
+    /// callbacks subscribed to its records on this thread.
+    pub fn poll(&self) {
+        self.shared.poll();
+    }
+
+    /// When the next group in flight ends — the instant a later
+    /// [`StableLog::poll`] completes something — or `None` when nothing is
+    /// in flight.
+    pub fn next_due(&self) -> Option<Instant> {
+        let mut state = self.shared.state.lock();
+        self.shared.schedule(&mut state, Instant::now());
+        state.next_due()
+    }
+
+    /// Sets the waker of the log's owner, the thread that parks until
+    /// [`StableLog::next_due`]: an append that makes a group end sooner
+    /// signals it. A log has one owner; a second call changes nothing.
+    pub fn set_waker(&self, wake: impl Fn() + Send + Sync + 'static) {
+        let _ = self.shared.waker.set(Box::new(wake));
     }
 
     /// Every stable record with its sequence number, in sequence order,
@@ -597,6 +609,7 @@ impl StableLog {
     /// there onward — a torn tail must not panic recovery, only shorten
     /// the replayable suffix (upstream replay re-derives the rest).
     pub fn stable_entries(&self) -> Vec<(LogSeq, Vec<u8>)> {
+        self.shared.poll();
         let mut state = self.shared.state.lock();
         let mut out = Vec::with_capacity(state.slots.len());
         let mut torn: Option<u64> = None;
@@ -613,7 +626,7 @@ impl StableLog {
             }
         }
         if let Some(from) = torn {
-            let dropped = state.drop_readable(from..u64::MAX);
+            let dropped = state.drop_frames(from..u64::MAX, false);
             self.shared.corrupt_dropped.fetch_add(dropped, Ordering::Relaxed);
             if let Some(obs) = self.shared.obs.get() {
                 obs.corrupt_dropped.add(dropped);
@@ -671,62 +684,42 @@ impl StableLog {
     }
 
     /// Prunes records with sequence `< upto` (after a checkpoint). Also
-    /// applies to records still in flight: they are dropped from the
-    /// readable set when their write completes.
+    /// applies to records still in flight, and to ones appended later
+    /// below `upto`: they turn stable but never readable.
     pub fn truncate_below(&self, upto: LogSeq) {
         let mut state = self.shared.state.lock();
         state.watermark = state.watermark.max(upto.0);
-        state.drop_readable(0..upto.0);
+        state.drop_frames(0..upto.0, true);
     }
 
     /// Records appended so far (stable or not).
     pub fn appended(&self) -> u64 {
-        self.shared.appended.load(Ordering::Relaxed)
+        self.shared.state.lock().appended()
     }
 
-    /// Records stable so far.
+    /// Records stable so far (a read: it completes the groups that have
+    /// ended).
     pub fn stable_len(&self) -> u64 {
-        self.shared.stable_count.load(Ordering::Relaxed)
+        self.shared.poll();
+        self.shared.state.lock().stable
     }
 
     /// Blocks until everything appended so far is stable.
     pub fn flush(&self) {
         let target = self.appended();
-        let mut state = self.shared.state.lock();
-        while self.shared.stable_count.load(Ordering::Relaxed) < target {
-            self.shared.stable_cv.wait(&mut state);
-        }
+        self.shared.wait_until(|state| state.stable >= target);
     }
 
     /// The underlying devices (for statistics).
     pub fn devices(&self) -> &[Arc<StorageDevice>] {
-        &self.devices
+        &self.shared.devices
     }
 
-    /// Stops the writer threads after draining queued requests.
+    /// Completes everything appended so far: a [`StableLog::flush`]. The
+    /// log runs no thread, so there is nothing else to stop; it stays
+    /// usable.
     pub fn shutdown(&self) {
         self.flush();
-        {
-            // Under the queue's lock: a writer between its check of the
-            // flag and its wait would otherwise miss the notification and
-            // wait for ever.
-            let _queue = self.shared.queue.lock();
-            self.shared.stopping.store(true, Ordering::Release);
-        }
-        self.shared.queue_cv.notify_all();
-        let mut writers = self.writers.lock();
-        for h in writers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for StableLog {
-    fn drop(&mut self) {
-        // Only the last clone shuts the log down.
-        if Arc::strong_count(&self.writers) == 1 && !self.shared.stopping.load(Ordering::Acquire) {
-            self.shutdown();
-        }
     }
 }
 
@@ -734,7 +727,6 @@ impl Drop for StableLog {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
-    use std::time::{Duration, Instant};
 
     fn fast_log(n: usize) -> StableLog {
         StableLog::new(vec![DiskSpec::simulated(Duration::from_micros(200)); n])
@@ -798,13 +790,6 @@ mod tests {
             h.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(hits.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn already_stable_ticket_is_stable() {
-        let t = LogTicket::already_stable();
-        assert!(t.is_stable());
-        t.wait(); // must not block
     }
 
     #[test]
@@ -925,7 +910,7 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_drains_and_joins() {
+    fn shutdown_completes_everything_appended() {
         let log = fast_log(2);
         for i in 0..10u8 {
             log.append(vec![i]);
@@ -999,6 +984,127 @@ mod tests {
             .collect();
         assert_eq!(warns.len(), 1, "one torn-tail warning expected");
         assert_eq!(warns[0].op, Some(3));
+    }
+
+    #[test]
+    fn back_to_back_groups_cost_exactly_their_write() {
+        // One record every 100 µs for 100 ms keeps one 2 ms device busy: a
+        // group starts where the last one ended (or, after the appending
+        // thread was held up past a whole write, at its next append) and
+        // ends one write later, however late anyone looks. The test keeps
+        // that timeline from its own instants around each append — a
+        // group starts no later than the log's, and holds a record only if
+        // the log's does or an earlier one — and checks each record 1 ms
+        // after its group's end: a group that ran long pushes every later
+        // one back.
+        let (write, slack) = (Duration::from_millis(2), Duration::from_millis(1));
+        let log = StableLog::new(vec![DiskSpec::simulated(write)]);
+        let t0 = Instant::now();
+        let (mut tickets, mut group_of, mut ends) = (Vec::new(), Vec::new(), Vec::<Instant>::new());
+        let mut checked = 0;
+        let mut check = |tickets: &[LogTicket], group_of: &[usize], ends: &[Instant]| {
+            while checked < tickets.len() && ends[group_of[checked]] + slack <= Instant::now() {
+                let group = group_of[checked];
+                assert!(tickets[checked].is_stable(), "group {group} ended more than 1 ms ago");
+                checked += 1;
+            }
+        };
+        for i in 0..1_000u32 {
+            let due = t0 + Duration::from_micros(100) * i;
+            std::thread::sleep(due.saturating_duration_since(Instant::now()));
+            let before = Instant::now();
+            tickets.push(log.append(i.to_le_bytes()));
+            if ends.last().is_none_or(|&end| Instant::now() > end - write) {
+                ends.push(ends.last().map_or(before, |&end| end.max(before)) + write);
+            }
+            group_of.push(ends.len() - 1);
+            check(&tickets, &group_of, &ends);
+        }
+        assert!(ends.len() >= 40, "{} groups in 100 ms of 2 ms writes", ends.len());
+        // The first 50 groups (the 50th ends 100 ms in when nothing held
+        // the appends up), each checked once its end is 1 ms past.
+        let fiftieth = group_of.iter().take_while(|&&group| group < 50).count();
+        let last = ends[group_of[fiftieth - 1]] + slack;
+        std::thread::sleep(last.saturating_duration_since(Instant::now()));
+        check(&tickets[..fiftieth], &group_of, &ends);
+        assert!(checked >= fiftieth);
+    }
+
+    #[test]
+    fn a_record_appended_after_its_group_started_waits_for_the_next() {
+        let write = Duration::from_millis(10);
+        let log = StableLog::new(vec![DiskSpec::simulated(write)]);
+        let before = Instant::now();
+        let first = log.append(b"first");
+        std::thread::sleep(Duration::from_millis(2));
+        let late = log.append(b"late");
+        first.wait();
+        assert!(!late.is_stable(), "a late record rode a group that started before it");
+        assert!(before.elapsed() >= write);
+        late.wait();
+        assert!(before.elapsed() >= write * 2, "the late record's group ended early");
+        assert_eq!(log.devices()[0].write_count(), 2);
+    }
+
+    #[test]
+    fn next_due_is_the_earliest_end_and_a_sooner_one_wakes_the_owner() {
+        let log = StableLog::new(vec![DiskSpec::simulated(Duration::from_millis(20)); 2]);
+        let wakes = Arc::new(AtomicU32::new(0));
+        let w = wakes.clone();
+        log.set_waker(move || {
+            w.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(log.next_due(), None, "nothing in flight");
+        let before = Instant::now();
+        let a = log.append(b"a");
+        let due = log.next_due().expect("a group in flight");
+        assert!(due >= before + Duration::from_millis(20));
+        assert_eq!(wakes.load(Ordering::SeqCst), 1, "the first group wakes the owner");
+        // The second device takes the next record: a later end, no wake.
+        log.append(b"b");
+        // Both devices busy: the record waits in the queue, no wake.
+        log.append(b"c");
+        assert_eq!(wakes.load(Ordering::SeqCst), 1);
+        assert_eq!(log.next_due(), Some(due));
+        log.poll();
+        assert!(Instant::now() >= due || !a.is_stable());
+        log.flush();
+        assert_eq!(log.next_due(), None);
+    }
+
+    #[test]
+    fn a_stall_delays_the_next_groups_end() {
+        let write = Duration::from_millis(2);
+        let log = StableLog::new(vec![DiskSpec::simulated(write)]);
+        log.devices()[0].stall_for(Duration::from_millis(10));
+        let start = Instant::now();
+        log.append(b"stalled").wait();
+        assert!(
+            start.elapsed() >= Duration::from_millis(10) + write,
+            "the stall did not hold the group"
+        );
+        let start = Instant::now();
+        log.append(b"after").wait();
+        assert!(start.elapsed() < Duration::from_millis(10), "the window outlived itself");
+    }
+
+    #[test]
+    fn every_record_turns_stable_under_faults_and_each_retry_is_counted() {
+        let spec = DiskSpec::simulated(Duration::from_micros(200)).with_fault_rate(0.3);
+        let log = StableLog::new(vec![spec]);
+        let tickets: Vec<_> = (0..40u8)
+            .map(|i| {
+                let ticket = log.append([i]);
+                ticket.wait();
+                ticket
+            })
+            .collect();
+        assert!(tickets.iter().all(LogTicket::is_stable));
+        assert_eq!(records(&log), (0..40u8).map(|i| vec![i]).collect::<Vec<_>>());
+        let dev = &log.devices()[0];
+        assert!(log.write_retries() > 0, "0.3 fault rate produced no retries");
+        assert_eq!(log.write_retries(), dev.fault_count(), "one retry per failed attempt");
+        assert_eq!(dev.write_count(), 40, "one successful write per group");
     }
 
     #[test]
