@@ -184,10 +184,10 @@ pub(crate) struct ReadBack {
     pub decisions: Vec<(LogSeq, DecisionRecord)>,
 }
 
-/// Reads `log`'s stable records once (module docs).
-pub(crate) fn read_back(log: &StableLog) -> ReadBack {
+/// Reads a log's (or a log file's) stable records once (module docs).
+pub(crate) fn read_back(entries: Vec<(LogSeq, Vec<u8>)>) -> ReadBack {
     let mut read = ReadBack::default();
-    for (seq, bytes) in log.stable_entries() {
+    for (seq, bytes) in entries {
         match decode_from_slice(&bytes) {
             Ok(LogRecord::Decision(record)) => read.decisions.push((seq, record)),
             Ok(LogRecord::Image(image)) => read.image = Some(image),
@@ -482,7 +482,7 @@ mod tests {
                     LogRecord::Image(_) => None,
                 })
                 .collect();
-            let read = read_back(&log);
+            let read = read_back(log.stable_entries());
             prop_assert_eq!(read.image, image);
             prop_assert_eq!(read.decisions, decisions);
         }

@@ -521,7 +521,6 @@ mod tests {
             worker: 7,
             incarnation: 0,
             seq: 1,
-            fin: false,
             metrics: vec![],
             journal: vec![],
             spans: vec![],

@@ -24,11 +24,12 @@
 //! plane's expected epoch *before* the replacement spawns, so a zombie of
 //! the old incarnation is fenced rather than allowed to double-drive the
 //! topology. The restarted process rebuilds its node from the spec and its
-//! predecessor's newest checkpoint image, re-handshakes its edges, and the
-//! combination of upstream retention replay (from the checkpoint's
-//! position) + handshake resend-suppression yields output byte-identical
-//! to a failure-free run. The images live in one directory per cluster,
-//! under the temp directory, created by [`Cluster::launch`] and removed by
+//! predecessor's log — its newest checkpoint image and the decisions
+//! after it — re-handshakes its edges, and the combination of upstream
+//! retention replay (from the checkpoint's position), the decisions read
+//! back and handshake resend-suppression yields output byte-identical to
+//! a failure-free run. The logs live in one directory per cluster, under
+//! the temp directory, created by [`Cluster::launch`] and removed by
 //! [`Cluster::shutdown`].
 //!
 //! Precise workers speculate ([`super::worker`]): what crosses the
@@ -56,11 +57,14 @@ use streammine_obs::{
 };
 
 use streammine_sketch::ErrorBound;
+use streammine_storage::checkpoint::Checkpoint;
+use streammine_storage::log::StableLog;
 
 use crate::config::{RecoveryMode, CHECKPOINT_EVERY};
+use crate::determinant::read_back;
 use crate::dist::bridge::{Acceptor, DialSlot, EdgeCursor, InEdge, OutBridge};
 use crate::dist::control::{ControlPlane, CtrlEvent, LeaseView};
-use crate::dist::spec::{WorkerSpec, SPEC_ENV};
+use crate::dist::spec::{log_file, WorkerSpec, SPEC_ENV};
 use crate::dist::wire::{CtrlMsg, FaultCmd};
 use crate::endpoints::{SinkHandle, SourceHandle};
 use crate::message::{Control, Message};
@@ -82,8 +86,9 @@ pub struct NodeSpec {
     pub recovery: RecoveryMode,
     /// Checkpoint interval in processed events (`None` = no
     /// checkpointing: nothing is acked upstream and recovery is a full
-    /// upstream replay). Every image goes into the cluster's checkpoint
-    /// directory, where the respawned process finds its predecessor's.
+    /// upstream replay). Every image goes into the slot's log file in the
+    /// cluster's directory, where the respawned process finds its
+    /// predecessor's.
     pub checkpoint_every: Option<u64>,
 }
 
@@ -116,7 +121,7 @@ impl NodeSpec {
     }
 }
 
-/// The directory a cluster's workers keep their checkpoint images in: one
+/// The directory a cluster's workers keep their logs in: one
 /// per [`Cluster::launch`], named by process id and a process-wide count so
 /// two clusters never share one, removed with the cluster.
 struct CheckpointDir(PathBuf);
@@ -128,8 +133,8 @@ impl CheckpointDir {
         let path =
             std::env::temp_dir().join(format!("streammine-cluster-{}-{n}", std::process::id()));
         // One already there was left by a dead process that had this pid:
-        // its images would pass for the predecessors of this cluster's
-        // first incarnations.
+        // its logs would pass for the predecessors of this cluster's first
+        // incarnations.
         let _ = std::fs::remove_dir_all(&path);
         std::fs::create_dir_all(&path)
             .map_err(|e| format!("checkpoint dir {}: {e}", path.display()))?;
@@ -588,6 +593,11 @@ impl Cluster {
         self.n
     }
 
+    /// The image worker `i`'s next incarnation would restore (diagnostics).
+    pub fn worker_image(&self, i: usize) -> Option<Checkpoint> {
+        read_back(StableLog::read_file(&log_file(&self.checkpoints.0, i as u32))).image
+    }
+
     /// Total worker restarts so far: one recovery timeline each.
     pub fn restarts(&self) -> u64 {
         self.shared.count(None)
@@ -682,7 +692,7 @@ impl Cluster {
     }
 
     /// Stops every worker and the parent-side machinery, and removes the
-    /// workers' checkpoint images.
+    /// workers' logs.
     pub fn shutdown(&self) {
         self.shared.stopping.store(true, Ordering::Release);
         for i in 0..self.n {
@@ -703,7 +713,7 @@ impl Cluster {
                 let _ = child.wait();
             }
         }
-        // Nobody is left to write an image, or to read one back.
+        // Nobody is left to write a log, or to read one back.
         self.checkpoints.remove();
         self.shutdown.store(true, Ordering::Release);
         self.plane.poke();
@@ -797,7 +807,7 @@ struct Monitor {
     shared: Arc<MonitorShared>,
     plane: Arc<ControlPlane>,
     spec: ClusterSpec,
-    /// The cluster's checkpoint directory, handed to every incarnation.
+    /// The cluster's log directory, handed to every incarnation.
     checkpoint_dir: PathBuf,
     /// Where the source's bridge dials: worker 0.
     src_slot: DialSlot,

@@ -8,6 +8,8 @@
 //! worker binary needs no argument parsing and a truncated or corrupted
 //! spec is detected before anything starts.
 
+use std::path::{Path, PathBuf};
+
 use streammine_common::codec::{decode_from_slice, Decode, DecodeError, Decoder, Encode, Encoder};
 use streammine_common::crc32;
 
@@ -25,8 +27,9 @@ pub struct WorkerSpec {
     pub ctrl_addr: String,
     /// Operator name, resolved against the worker binary's registry.
     pub operator: String,
-    /// Seed of the operator's deterministic RNG. Fixed per worker slot so
-    /// every incarnation re-derives the same random decisions.
+    /// Seed of the operator's deterministic RNG, fixed per worker slot: an
+    /// incarnation with no image to restore starts where the first did,
+    /// and steps the generator over every draw it reads back.
     pub rng_seed: u64,
     /// Simulated stable-write latency of the decision log, microseconds.
     pub log_micros: u64,
@@ -48,9 +51,9 @@ pub struct WorkerSpec {
     /// Checkpoint interval in processed events (`0` = no checkpointing —
     /// the worker recovers by full upstream replay).
     pub checkpoint_every: u64,
-    /// The cluster's checkpoint directory, owned by the launcher: the
-    /// worker's image is `worker<worker>.ckpt` in it, where every later
-    /// incarnation of the slot finds it.
+    /// The cluster's directory, owned by the launcher: the worker's log —
+    /// its decisions and checkpoint images — is `worker<worker>.log` in it
+    /// (`log_file`), where every later incarnation of the slot reads it.
     pub checkpoint_dir: String,
     /// Approximate-recovery ε in parts-per-million (`0` = precise
     /// recovery; the ppm pair is only meaningful together).
@@ -101,6 +104,11 @@ impl Decode for WorkerSpec {
             approx_delta_ppm: dec.get_u64()?,
         })
     }
+}
+
+/// The log file of `worker` in the cluster directory `dir`.
+pub(crate) fn log_file(dir: impl AsRef<Path>, worker: u32) -> PathBuf {
+    dir.as_ref().join(format!("worker{worker}.log"))
 }
 
 impl WorkerSpec {

@@ -312,7 +312,6 @@ mod tests {
                 worker: 1,
                 incarnation: 2,
                 seq: 3,
-                fin: true,
                 metrics: vec![streammine_obs::Sample {
                     name: "events.in".into(),
                     labels: streammine_obs::Labels::op_port(1, 0),

@@ -17,87 +17,54 @@
 //! them. An **approximate** slot stays non-speculative (it skips the log
 //! hold anyway) and parks a speculative input until its `Finalize`.
 //!
-//! By default workers **checkpoint and ack**: every `checkpoint_every`
-//! events, once the node is settled, it takes an image of state, RNG
-//! position, input frontiers and output counts. Its out-ring lives in
-//! this process, so the image waits until the downstream has acked every
-//! output it counts; then it is appended to the worker's log like a
-//! decision. Once that record is stable the node mirrors it, one CRC
-//! frame, to `worker<i>.ckpt` in the launcher's checkpoint directory
-//! (temp file + rename), truncates its log below the image and acks each
-//! upstream ring up to its positions — what an edge retains is bounded by
-//! the interval, not by the run. An image that does not reach the file
-//! acks nothing. A respawned incarnation reads its predecessor's newest
-//! image from the file and appends it as the first record of its fresh
-//! log, covering none of it (the predecessor's sequence numbers mean
-//! nothing there); from then on it recovers through the same read as a
-//! node in process. It primes each in-edge cursor at its port's frontier
-//! in the image (position and events read: the upstream bridge rewinds
-//! only that far and swallows what was read), restores, and replays the
-//! suffix after it, swallowing the `Welcome` counts past the image's
-//! output counts — the downstream acked them, so it holds them all.
-//! Nothing else the process loses on SIGKILL is needed for correctness —
-//! the deterministic RNG, restored to the image's position, re-derives
-//! every later decision from the replayed input order. The downstream may
-//! hold open transactions on what the dead incarnation published and never
-//! finalized; the replacement re-derives the same events under the same
-//! ids, swallows the ones the receiver's cursor counted, and sends the
-//! finalizes still owed — it re-confirms its predecessor's speculation,
-//! so nothing has to be revoked. A spec with `checkpoint_every == 0`
-//! keeps nothing: it never acks, and recovers by a full upstream replay
-//! from the per-slot seed.
+//! A worker's log is its file, `worker<i>.log` in the launcher's cluster
+//! directory ([`StableLog::open`]): a group reaches the file before it is
+//! stable, so a decision is there before its output finalizes and an
+//! image before it truncates or acks. Every `checkpoint_every` events a
+//! settled node takes an image; its out-ring lives in this process, so the
+//! image waits until the downstream acked every output it counts. Once it
+//! is stable the log (and its file) is truncated below it and each
+//! upstream ring acked up to its positions: retention is bounded by the
+//! interval, not by the run. With `checkpoint_every == 0` nothing is
+//! acked, and recovery replays the whole stream over the whole log.
 //!
-//! **Precondition of that re-derivation:** the slot takes its decisions in
-//! serial order, from the checkpoint on. Only the image reaches the file:
-//! the decision records live in process memory and die with the process,
-//! so a replacement cannot read a logged draw back — it draws again from the restored RNG, event by event, in
-//! serial order. A re-execution by itself no longer disturbs that: it
-//! reads the decisions of its first execution from the event's tape and
-//! the stream does not move. What would is a draw *out of serial order*:
-//! two STM threads drawing for neighbouring serials in whichever order
-//! they get there, or a re-execution that asks for more decisions than its
-//! tape holds after later events have drawn — the replacement, whose
-//! replayed inputs arrive final, executes each event once and draws them
-//! the other way round. A slot has one input and one thread and its
-//! upstream never revises, so nothing re-executes at all; the cluster
-//! tests assert `spec.rollbacks == 0` for every worker, and a worker that
-//! does see a rollback journals one `rederivation-broken` warning, which
-//! reaches the launcher with its telemetry.
+//! A respawned incarnation opens its predecessor's file and recovers as a
+//! node in process does (`determinant::read_back`): it primes each
+//! in-edge cursor at its port's frontier in the newest image (the upstream
+//! bridge rewinds that far and swallows what was read), restores, and
+//! replays the suffix, reading back every decision logged and drawing
+//! live only past them; it swallows the `Welcome` counts past the image's
+//! output counts. Outputs its predecessor published and never finalized
+//! come again under the same ids, so it re-confirms that speculation and
+//! nothing has to be revoked.
 //!
-//! A worker checkpoints only when settled (nothing open, held or parked),
-//! unlike a speculative node in process, which images its committed prefix
-//! while later transactions stay open. That image leaves
-//! the open transactions' decisions to be read back from the log, and a
-//! worker's log dies with its process; its outputs counts would also have
-//! to stop at the prefix, while the receiver's cursor counts everything
-//! sent. So a worker fed faster than its commits settle does not
-//! checkpoint and retains as a checkpoint-free one does. Approximate slots
-//! (`approx_eps_ppm > 0`) resume from the same image *stale*: they drop
-//! the replayed inputs whose outputs are already downstream, within a
-//! bounded sketch error, instead of re-executing them.
+//! A worker images only when settled (nothing open, held or parked): a
+//! committed-prefix image's output counts would have to stop at the
+//! prefix, while the receiver's cursor counts everything sent. So a worker
+//! fed faster than its commits settle retains as a checkpoint-free one
+//! does. Approximate slots (`approx_eps_ppm > 0`) resume from the image
+//! *stale*: they drop the replayed inputs whose outputs are downstream,
+//! within a bounded sketch error, instead of re-executing them.
 
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use streammine_common::clock::{shared, SystemClock};
-use streammine_common::codec::{decode_from_slice, encode_to_vec};
-use streammine_common::crc32;
 use streammine_net::{link, EdgeMetrics, LinkConfig, TcpTransport, Transport};
-use streammine_obs::{Labels, Obs, TransportMetrics, REDERIVATION_BROKEN};
+use streammine_obs::{Obs, TransportMetrics};
 
 use crate::config::{LoggingConfig, OperatorConfig};
-use crate::determinant::LogRecord;
+use crate::determinant::read_back;
 use crate::dist::bridge::{Acceptor, DialSlot, EdgeCursor, InEdge, OutBridge};
 use crate::dist::control::{CtrlClient, CtrlIdentity};
-use crate::dist::spec::{WorkerSpec, SPEC_ENV};
+use crate::dist::spec::{log_file, WorkerSpec, SPEC_ENV};
 use crate::dist::wire::{CtrlMsg, FaultCmd};
 use crate::plumbing::{DownEdge, Inbox, Notice, Sent};
 use streammine_sketch::ErrorBound;
 use streammine_storage::checkpoint::{Checkpoint, InputFrontier};
-use streammine_storage::log::{LogObs, LogSeq, StableLog};
+use streammine_storage::log::{LogObs, StableLog};
 
 use crate::message::{Control, Message};
 use crate::node::{Node, NodeSeed};
@@ -159,54 +126,14 @@ impl OperatorRegistry {
     }
 }
 
-/// The re-derivation precondition (module docs), checked where the
-/// launcher gets to see it. A rollback is the one way a single-threaded
-/// slot can take a decision out of serial order (a re-execution that asks
-/// past its tape), so the first one this worker's node counts is
-/// journaled, once, ahead of the telemetry report that carries it.
-fn warn_if_rederivation_broke(obs: &Obs, worker: u32, warned: &AtomicBool) {
-    let rollbacks = obs.registry.counter_value("spec.rollbacks", Labels::op(worker)).unwrap_or(0);
-    if rollbacks > 0 && !warned.swap(true, Ordering::Relaxed) {
-        obs.journal.warn(
-            Some(worker),
-            REDERIVATION_BROKEN,
-            format!(
-                "{rollbacks} transaction(s) re-executed: one that took a decision its first \
-                 execution had not drew after later events, and a replacement of this worker \
-                 would not re-derive the same decisions"
-            ),
-        );
-    }
-}
-
-/// Where each of `ports` in-edges resumes. A respawn resumes at the
-/// frontier of its predecessor's newest image: every save acked the
-/// upstream up to its position, trimming its retention, so a cursor
-/// welcoming the reconnect from 0 would wait forever for frames nobody can
-/// replay, and the events read below it are what the upstream swallows. An
-/// image of another shape is one the node will not restore either; then,
-/// as without an image, every edge starts at 0.
+/// Where each of `ports` in-edges resumes: at the frontier of the newest
+/// image in the log — the upstream acked its retention away below it, and
+/// swallows the events read there — or, without one (or with one of
+/// another shape, which the node will not restore either), at 0.
 fn in_edge_cursors(image: Option<Checkpoint>, ports: usize) -> Vec<EdgeCursor> {
     let inputs = image.map(|cp| cp.inputs).filter(|inputs| inputs.len() == ports);
     let inputs = inputs.unwrap_or_else(|| vec![InputFrontier::default(); ports]);
     inputs.iter().map(|at| EdgeCursor::resuming(at.position, at.events)).collect()
-}
-
-/// Writes a stable image `record` to `path` as one CRC frame: temp file +
-/// rename, so a SIGKILL mid-write leaves the previous image.
-pub(crate) fn mirror_image(path: &Path, record: Vec<u8>) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, crc32::frame(record))?;
-    std::fs::rename(&tmp, path)
-}
-
-/// The image a predecessor mirrored to `path`, if one is there and intact.
-pub(crate) fn image_in(path: &Path) -> Option<Checkpoint> {
-    let bytes = std::fs::read(path).ok()?;
-    match decode_from_slice(crc32::unframe(&bytes)?) {
-        Ok(LogRecord::Image(image)) => Some(image),
-        _ => None,
-    }
 }
 
 /// Entry point of a worker binary: runs one node per the spec in
@@ -266,8 +193,8 @@ pub(crate) fn run_worker(
         } else {
             OperatorConfig::speculative(logging)
         };
-        // 0 is the spec's "no checkpoints", and the image file below follows
-        // it: the config must not keep its default interval without one.
+        // 0 is the spec's "no checkpoints": the config must not keep its
+        // default interval.
         c.checkpoint_every = (spec.checkpoint_every > 0).then_some(spec.checkpoint_every);
         if spec.approx_eps_ppm > 0 {
             // Range-check before `from_ppm`, which panics on garbage.
@@ -289,21 +216,13 @@ pub(crate) fn run_worker(
         }
         c
     };
-    // The slot's one durable stream — created before the in-edges so a
-    // respawn can prime its receive cursors from its predecessor's image.
-    // The image file is in the launcher's directory, so it survives
-    // SIGKILL; its record (with, in approximate mode, the error budget's
-    // loss) goes first in the fresh log, stable before the node reads it.
-    let log = StableLog::new(config.logging.as_ref().expect("logged config").disks.clone());
+    // The slot's one durable stream, in the launcher's directory so it
+    // survives SIGKILL — opened before the in-edges so a respawn can prime
+    // its receive cursors from its predecessor's newest image.
+    let disks = config.logging.as_ref().expect("logged config").disks.clone();
+    let log = StableLog::open(disks, log_file(&spec.checkpoint_dir, spec.worker));
     log.attach_obs(LogObs::registered(&obs, spec.worker));
-    let image_file = (spec.checkpoint_every > 0)
-        .then(|| Path::new(&spec.checkpoint_dir).join(format!("worker{}.ckpt", spec.worker)));
-    let image = image_file
-        .as_deref()
-        .and_then(image_in)
-        .map(|image| Checkpoint { covers_log: LogSeq(log.appended()), ..image });
-    let primed = image.clone().map(|image| log.append(encode_to_vec(&LogRecord::Image(image))));
-    let cursors = in_edge_cursors(image, spec.in_edges.len());
+    let cursors = in_edge_cursors(read_back(log.stable_entries()).image, spec.in_edges.len());
 
     // In-edges: each is a local ring the node reads like any other, fed
     // by the acceptor's socket threads with the in-order frames of the
@@ -437,9 +356,6 @@ pub(crate) fn run_worker(
         down.push(DownEdge { data_tx, sent: Arc::new(sent) });
     }
 
-    if let Some(ticket) = primed {
-        ticket.wait();
-    }
     let reporter_obs = obs.clone();
     let seed = NodeSeed {
         id: OperatorId::new(spec.worker),
@@ -450,7 +366,6 @@ pub(crate) fn run_worker(
         up,
         down,
         log: Some(log),
-        image_file,
         rng_seed: spec.rng_seed,
         obs,
         exits: None,
@@ -465,10 +380,8 @@ pub(crate) fn run_worker(
     // so no record is lost. `0` disables the periodic push; the final
     // flush below still runs.
     let report_seq = Arc::new(AtomicU64::new(0));
-    let warned = Arc::new(AtomicBool::new(false));
     if spec.telemetry_millis > 0 {
         let obs = reporter_obs.clone();
-        let warned = warned.clone();
         let ctrl = ctrl.clone();
         let shutdown = shutdown.clone();
         let report_seq = report_seq.clone();
@@ -483,13 +396,11 @@ pub(crate) fn run_worker(
                     if shutdown.load(Ordering::Acquire) {
                         return;
                     }
-                    warn_if_rederivation_broke(&obs, worker, &warned);
                     let seq = report_seq.fetch_add(1, Ordering::Relaxed) + 1;
                     let (report, mark) = streammine_obs::TelemetryReport::gather(
                         worker,
                         incarnation,
                         seq,
-                        false,
                         &obs,
                         journal_mark,
                     );
@@ -527,13 +438,11 @@ pub(crate) fn run_worker(
                 // the aggregator dedups) plus the closing snapshot, so a
                 // clean shutdown never strands the tail of this
                 // incarnation's history.
-                warn_if_rederivation_broke(&reporter_obs, spec.worker, &warned);
                 let seq = report_seq.fetch_add(1, Ordering::Relaxed) + 1;
                 let (report, _) = streammine_obs::TelemetryReport::gather(
                     spec.worker,
                     spec.incarnation,
                     seq,
-                    true,
                     &reporter_obs,
                     0,
                 );
@@ -600,21 +509,5 @@ mod tests {
         assert_eq!(fresh, vec![(0, 0); 3]);
         shutdown.store(true, Ordering::Release);
         acceptor.poke();
-    }
-
-    /// The file holds one CRC frame: a replacement reads back the image
-    /// mirrored there, and a torn file is no image at all.
-    #[test]
-    fn a_mirrored_image_reads_back_and_a_torn_one_does_not() {
-        let path = std::env::temp_dir()
-            .join(format!("streammine-worker-{}-mirror.ckpt", std::process::id()));
-        let image =
-            Checkpoint { id: 3, events_processed: 9, approx_loss: 2, ..Checkpoint::default() };
-        mirror_image(&path, encode_to_vec(&LogRecord::Image(image.clone()))).unwrap();
-        assert_eq!(image_in(&path), Some(image));
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        assert_eq!(image_in(&path), None);
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -256,7 +256,6 @@ impl NodePersist {
                 .map(|(d, sent)| DownEdge { data_tx: d.clone(), sent: sent.clone() })
                 .collect(),
             log: self.log.clone(),
-            image_file: None,
             rng_seed: self.rng_seed,
             obs: self.obs.clone(),
             exits: Some(self.exits.clone()),
@@ -517,7 +516,7 @@ impl Running {
     /// The newest stable checkpoint image in an operator's log — the one
     /// a recovery would restore (diagnostics).
     pub fn operator_image(&self, op: OperatorId) -> Option<Checkpoint> {
-        read_back(self.operator_log(op)?).image
+        read_back(self.operator_log(op)?.stable_entries()).image
     }
 
     /// Number of operators in the graph.

@@ -32,7 +32,6 @@ mod publish;
 mod rewind;
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -236,9 +235,6 @@ pub(crate) struct NodeSeed {
     /// The node's one durable stream: its decisions (when the config logs)
     /// and its checkpoint images. Without one the node does not checkpoint.
     pub log: Option<StableLog>,
-    /// Where a worker mirrors each image once it is stable, for the next
-    /// process of its slot to find.
-    pub image_file: Option<PathBuf>,
     pub rng_seed: u64,
     /// Shared observability bundle (metrics registry + journal).
     pub obs: Obs,
@@ -261,7 +257,6 @@ pub(crate) struct Node {
     up: Vec<LinkSender<Control>>,
     down: Vec<DownEdge>,
     log: Option<StableLog>,
-    image_file: Option<PathBuf>,
     registry: Arc<StateRegistry>,
     stm: Option<StmRuntime>,
     pool: Option<Arc<ThreadPool>>,
@@ -465,7 +460,6 @@ impl Node {
             up: seed.up,
             down: seed.down,
             log: seed.log,
-            image_file: seed.image_file,
             registry: Arc::new(registry),
             stm,
             pool,

@@ -184,7 +184,7 @@ impl Node {
     /// serials it does not cover from the stable log, and when `recovering`
     /// from a crash rewinds every input port to its restored frontier.
     pub(super) fn recover(&mut self, recovering: bool) {
-        let read = self.log.as_ref().map(read_back).unwrap_or_default();
+        let read = self.log.as_ref().map(|log| read_back(log.stable_entries())).unwrap_or_default();
         let cp = self.restore(read.image);
         self.next_serial = cp.events_processed;
         self.checkpoint_serial = cp.events_processed;
@@ -451,29 +451,17 @@ impl Node {
         true
     }
 
-    /// The image appended at `seq` is stable: once a worker's file holds
-    /// it too, the log is truncated below what it covers and the upstreams
-    /// are acked down to its positions. Older images still on their way
-    /// are superseded; a notice for an image of an earlier incarnation
-    /// changes nothing.
+    /// The image appended at `seq` is stable (in a worker's file too): the
+    /// log is truncated below what it covers and the upstreams are acked
+    /// down to its positions. Older images still on their way are
+    /// superseded; a notice for an image of an earlier incarnation changes
+    /// nothing.
     pub(super) fn on_image_stable(&mut self, seq: LogSeq) {
         let Some(at) = self.stabilizing.iter().position(|(at, _)| *at == seq) else {
             return;
         };
         let Some((_, record)) = self.stabilizing.drain(..=at).next_back() else { return };
         let Ok(LogRecord::Image(cp)) = decode_from_slice(&record) else { return };
-        // An image that missed its file is not one a replacement can
-        // resume from: nothing is acked on its strength.
-        if let Some(path) = &self.image_file {
-            if let Err(e) = crate::dist::worker::mirror_image(path, record) {
-                self.obs.journal.warn(
-                    Some(self.id.index()),
-                    "checkpoint-persist-failed",
-                    format!("could not persist checkpoint image to {}: {e}", path.display()),
-                );
-                return;
-            }
-        }
         self.obs.journal.record(
             Some(self.id.index()),
             JournalKind::CheckpointSaved { id: cp.id, covers_log: cp.covers_log.0 },

@@ -49,7 +49,6 @@ impl Rig {
             inbox: inbox.clone(),
             up: vec![up_ctrl],
             down: vec![DownEdge { data_tx: out_tx.clone(), sent: Arc::default() }],
-            image_file: None,
             rng_seed: 1,
             obs: obs.clone(),
             exits: None,
@@ -460,35 +459,38 @@ fn output_ids_carry_the_child_trace_context() {
     assert_eq!(outs[0].0.trace, Some(ctx));
 }
 
-/// A worker acts on an image only once its file holds it: one whose mirror
-/// fails (here its directory is missing) is warned about and acks nothing,
-/// and the next image, once the file can be written, acks its position and
-/// is what a replacement would read.
+/// A worker acts on an image only once its log file holds it: one whose
+/// write fails (here the file's directory is missing) is a failed device
+/// attempt, retried and counted, and acks nothing; once the file can be
+/// written the images ack their positions, and a log reopened from the
+/// file reads the newest back.
 #[test]
 fn an_image_that_misses_its_file_acks_nothing() {
     let dir = std::env::temp_dir().join(format!("streammine-image-{}", std::process::id()));
-    let file = dir.join("worker0.ckpt");
+    let _ = std::fs::remove_dir_all(&dir);
+    let file = dir.join("worker0.log");
     let config = OperatorConfig::plain().with_checkpoint_every(2);
     let mut rig = Rig::new(config, LinkConfig::instant(), LinkConfig::instant());
-    let seed = rig.seed.as_mut().expect("not started");
-    seed.log = Some(StableLog::new(vec![DiskSpec::simulated(Duration::ZERO)]));
-    seed.image_file = Some(file.clone());
+    let log = StableLog::open(vec![DiskSpec::simulated(Duration::ZERO)], &file);
+    rig.seed.as_mut().expect("not started").log = Some(log.clone());
     let rig = rig.start();
     for n in 0..3 {
         rig.send(n, false);
     }
     assert_eq!(rig.outputs(3), (0..3).map(Value::Int).collect::<Vec<_>>());
-    wait_until("the missed file is warned about", || {
-        warned(&rig.obs, "checkpoint-persist-failed") == 1
-    });
+    wait_until("the failed file write is retried", || log.write_retries() > 0);
+    std::thread::sleep(SETTLE);
     assert_eq!(rig.up_rx.try_recv(), Ok(None), "an image that missed its file acked");
 
     std::fs::create_dir_all(&dir).unwrap();
     rig.send(3, false);
     assert_eq!(rig.outputs(1), vec![Value::Int(3)]);
-    let (_, ack) = rig.up_rx.recv_timeout(PATIENCE).expect("the saved image acks");
+    let (_, ack) = rig.up_rx.recv_timeout(PATIENCE).expect("the retried image acks");
+    assert_eq!(ack, Control::Ack { upto: 2 });
+    let (_, ack) = rig.up_rx.recv_timeout(PATIENCE).expect("the next image acks");
     assert_eq!(ack, Control::Ack { upto: 4 });
-    let image = crate::dist::worker::image_in(&file).expect("the file holds the image");
+    let reopened = StableLog::open(vec![DiskSpec::simulated(Duration::ZERO)], &file);
+    let image = read_back(reopened.stable_entries()).image.expect("the file holds the image");
     assert_eq!(image.events_processed, 4);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -281,7 +281,11 @@ mod tests {
     /// What the log holds once everything appended is stable.
     fn logged(log: &DecisionLog) -> Vec<DecisionRecord> {
         log.log.flush();
-        read_back(&log.log).decisions.into_iter().map(|(_, record)| record).collect()
+        read_back(log.log.stable_entries())
+            .decisions
+            .into_iter()
+            .map(|(_, record)| record)
+            .collect()
     }
 
     #[test]

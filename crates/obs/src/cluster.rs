@@ -339,8 +339,6 @@ pub struct TelemetryReport {
     /// merged for this `(worker, incarnation)`, which makes duplicate and
     /// reordered delivery idempotent.
     pub seq: u64,
-    /// Set on the final flush of a clean shutdown.
-    pub fin: bool,
     /// The *cumulative* metrics snapshot of this incarnation (a process
     /// restart resets the registry, so per-incarnation snapshots compose
     /// across incarnations without double counting).
@@ -358,7 +356,6 @@ impl Encode for TelemetryReport {
         enc.put_u32(self.worker);
         enc.put_u64(self.incarnation);
         enc.put_u64(self.seq);
-        self.fin.encode(enc);
         self.metrics.encode(enc);
         self.journal.encode(enc);
         self.spans.encode(enc);
@@ -371,7 +368,6 @@ impl Decode for TelemetryReport {
             worker: dec.get_u32()?,
             incarnation: dec.get_u64()?,
             seq: dec.get_u64()?,
-            fin: bool::decode(dec)?,
             metrics: Vec::<Sample>::decode(dec)?,
             journal: Vec::<JournalEvent>::decode(dec)?,
             spans: Vec::<Span>::decode(dec)?,
@@ -389,7 +385,6 @@ impl TelemetryReport {
         worker: u32,
         incarnation: u64,
         seq: u64,
-        fin: bool,
         obs: &Obs,
         journal_after: u64,
     ) -> (TelemetryReport, u64) {
@@ -400,7 +395,6 @@ impl TelemetryReport {
             worker,
             incarnation,
             seq,
-            fin,
             metrics: obs.snapshot().samples,
             journal,
             spans: obs.tracer.spans(),
@@ -432,8 +426,6 @@ struct IncarnationState {
     metrics: Vec<Sample>,
     /// Journal watermark: events below this seq are already merged.
     journal_seq: u64,
-    /// Whether the final (clean-shutdown) flush arrived.
-    fin: bool,
 }
 
 #[derive(Default)]
@@ -494,7 +486,6 @@ impl ClusterObs {
         }
         inc.report_seq = report.seq;
         inc.metrics = report.metrics.clone();
-        inc.fin |= report.fin;
         let mut journal_seq = prior_journal_seq;
         let mut fresh = Vec::new();
         for ev in &report.journal {
@@ -529,25 +520,6 @@ impl ClusterObs {
     /// Reports dropped by the duplicate/reorder guard.
     pub fn duplicates(&self) -> u64 {
         self.state.lock().duplicates
-    }
-
-    /// Highest incarnation that has reported for `worker`, if any. Equals
-    /// the worker's restart count as observed through telemetry — it never
-    /// undercounts, because a replacement incarnation's very first report
-    /// (which carries its `restart` journal record) establishes it.
-    pub fn incarnation(&self, worker: u32) -> Option<u64> {
-        self.state
-            .lock()
-            .incarnations
-            .keys()
-            .filter(|(w, _)| *w == worker)
-            .map(|(_, inc)| *inc)
-            .max()
-    }
-
-    /// Whether `worker`'s incarnation `inc` sent its final flush.
-    pub fn finished(&self, worker: u32, inc: u64) -> bool {
-        self.state.lock().incarnations.get(&(worker, inc)).map(|i| i.fin).unwrap_or(false)
     }
 
     /// The cluster-wide metrics snapshot: every worker sample re-keyed
@@ -896,14 +868,13 @@ mod tests {
         );
         let trace = obs.tracer.sample(9, 0).unwrap();
         obs.tracer.begin_span(trace, 0, worker, seq, 5);
-        let (report, _) = TelemetryReport::gather(worker, incarnation, seq, false, &obs, 0);
+        let (report, _) = TelemetryReport::gather(worker, incarnation, seq, &obs, 0);
         report
     }
 
     #[test]
     fn report_roundtrips_through_codec() {
         let mut report = sample_report(1, 2, 3);
-        report.fin = true;
         report.journal.push(JournalEvent {
             seq: 99,
             at_us: 1234,
@@ -986,7 +957,6 @@ mod tests {
         // Restart count = max incarnation, even though no intermediate
         // report listed it.
         assert_eq!(snap.counter("recovery.restarts", Labels::NONE.with_worker(0)), Some(1));
-        assert_eq!(cluster.incarnation(0), Some(1));
     }
 
     #[test]
@@ -1067,7 +1037,6 @@ mod tests {
             worker: 0,
             incarnation: 0,
             seq: 1,
-            fin: false,
             metrics: vec![],
             journal: vec![],
             spans: vec![s0.clone()],
@@ -1130,16 +1099,16 @@ mod tests {
         let cluster = ClusterObs::new();
         let obs = Obs::tracing();
         obs.journal.record(Some(0), JournalKind::Commit { serial: 1 });
-        let (r1, mark) = TelemetryReport::gather(0, 0, 1, false, &obs, 0);
+        let (r1, mark) = TelemetryReport::gather(0, 0, 1, &obs, 0);
         assert!(cluster.merge(&r1));
         obs.journal.record(Some(0), JournalKind::Commit { serial: 2 });
-        let (r2, _) = TelemetryReport::gather(0, 0, 2, false, &obs, mark);
+        let (r2, _) = TelemetryReport::gather(0, 0, 2, &obs, mark);
         assert_eq!(r2.journal.len(), 1, "second gather carries only fresh records");
         assert!(cluster.merge(&r2));
         assert_eq!(cluster.journal().len(), 2);
         // A full re-send (as after a reconnect, watermark reset) adds
         // nothing the cluster already holds.
-        let (r3, _) = TelemetryReport::gather(0, 0, 3, false, &obs, 0);
+        let (r3, _) = TelemetryReport::gather(0, 0, 3, &obs, 0);
         assert!(cluster.merge(&r3));
         assert_eq!(cluster.journal().len(), 2, "watermark dedups re-sent journal records");
         let dump = cluster.journal_render();

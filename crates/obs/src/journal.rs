@@ -161,13 +161,7 @@ pub enum JournalKind {
     },
 }
 
-/// Code of a pinned [`JournalKind::Warn`]: a cluster worker's transaction
-/// re-executed and may have drawn out of serial order, so a replacement
-/// process re-deriving its decisions from the slot's seed might not draw
-/// what it drew.
-pub const REDERIVATION_BROKEN: &str = "rederivation-broken";
-
-/// Code of the other pinned warning: a recovering node's rewind stopped
+/// Code of the one pinned warning: a recovering node's rewind stopped
 /// above its checkpoint's position, because acknowledgments had trimmed
 /// the input ring past it — the frames in between are gone.
 const REWIND_SHORT: &str = "rewind-short";
@@ -204,7 +198,7 @@ impl JournalKind {
                 | JournalKind::CheckpointSaved { .. }
                 | JournalKind::ApproxResume { .. }
                 | JournalKind::ApproxEscalate { .. }
-                | JournalKind::Warn { code: REDERIVATION_BROKEN | REWIND_SHORT, .. }
+                | JournalKind::Warn { code: REWIND_SHORT, .. }
         )
     }
 }
@@ -592,9 +586,7 @@ mod tests {
         let j = trace_journal(4);
         j.record(Some(1), JournalKind::Restart { attempt: 1, backoff_us: 100 });
         j.record(Some(0), JournalKind::CheckpointSaved { id: 1, covers_log: 9 });
-        // Of the warnings only the broken re-derivation and the short
-        // rewind are pinned.
-        j.warn(Some(0), REDERIVATION_BROKEN, "1 rollback".into());
+        // Of the warnings only the short rewind is pinned.
         j.warn(Some(0), REWIND_SHORT, "port 0 stands at 9, not 4".into());
         j.warn(Some(0), "plain-mode-abort", "evictable".into());
         // Flood with ordinary traffic far past the ring capacity.
@@ -605,9 +597,8 @@ mod tests {
         // The restart + checkpoint are still there, oldest first.
         assert!(matches!(evs[0].kind, JournalKind::Restart { attempt: 1, .. }));
         assert!(matches!(evs[1].kind, JournalKind::CheckpointSaved { id: 1, .. }));
-        assert!(matches!(evs[2].kind, JournalKind::Warn { code: REDERIVATION_BROKEN, .. }));
-        assert!(matches!(evs[3].kind, JournalKind::Warn { code: REWIND_SHORT, .. }));
-        assert_eq!(j.len(), 4 + 4);
+        assert!(matches!(evs[2].kind, JournalKind::Warn { code: REWIND_SHORT, .. }));
+        assert_eq!(j.len(), 3 + 4);
         assert_eq!(
             j.count_matching(|e| matches!(e.kind, JournalKind::Restart { .. })),
             1,
@@ -615,7 +606,7 @@ mod tests {
         );
         let dump = j.render();
         assert!(dump.contains("restart attempt=1"), "{dump}");
-        assert!(dump.contains("4 pinned"), "{dump}");
+        assert!(dump.contains("3 pinned"), "{dump}");
     }
 
     #[test]

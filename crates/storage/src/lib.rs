@@ -18,6 +18,8 @@
 //!   read of it completes the groups whose write has ended. What is
 //!   stable is one byte image of CRC-framed records with a dense index by
 //!   sequence number, so a warm append allocates nothing per record.
+//!   A log opened on a file outlives its process: a group reaches the
+//!   file before it is stable, and reopening reads it back.
 //! * [`checkpoint`] — the checkpoint image and its codec. An image is one
 //!   more record in its operator's log, and once it is stable the log is
 //!   truncated below what it covers: one durable stream per operator.

@@ -4,42 +4,47 @@
 //! asynchronous storage request* for a non-deterministic decision and
 //! continue; resulting events are held (non-speculative mode) or sent
 //! speculatively (speculative mode) until the request is stable. The engine
-//! appends one record per decision, at the moment the decision is taken
-//! (`core::determinant`), so a write runs beside the operator that caused
-//! it; a record here is opaque bytes under a dense sequence number.
+//! appends one record per decision when it is taken (`core::determinant`),
+//! so a write runs beside the operator; a record here is opaque bytes
+//! under a dense sequence number.
 //!
 //! The paper gives each storage point a writer thread because a real disk
-//! write blocks. A device here is a latency model, so it is a timeline: it
-//! records when it is next free. A group (group commit) starts then — or
-//! at its first record's append if the device was idle — holds every
-//! record appended before its start, at most [`MAX_BATCH`], and ends one
+//! write blocks. A device here is a latency model, so it is a timeline: a
+//! group (group commit) starts when the device is next free — or at its
+//! first record's append if it was idle — holds every record appended
+//! before its start, at most [`MAX_BATCH`], and ends one
 //! [`DiskSpec::write_duration`] later; failed attempts and stall windows
-//! go on the same timeline, and nothing else moves a group. With N > 1
-//! the devices stripe the sequence: record *n + 1* can be stable before
-//! record *n*, which is why a caller that needs several records waits for
-//! each ticket, and why a recovery read takes, per event, only the
-//! contiguous prefix of what it finds.
+//! go on the same timeline. With N > 1 the devices stripe the sequence:
+//! record *n + 1* can be stable before record *n*, so a recovery read
+//! takes, per event, only the contiguous prefix of what it finds.
 //!
-//! The log runs no thread. Every read — [`StableLog::poll`],
-//! [`LogTicket::is_stable`], [`LogTicket::wait`], [`LogTicket::subscribe`],
-//! [`StableLog::stable_entries`], [`StableLog::flush`] — completes each
-//! group whose end has passed and runs its callbacks outside the lock. The
-//! owner parks until [`StableLog::next_due`], and an append that brings
-//! that forward signals its waker ([`StableLog::set_waker`]).
+//! The log runs no thread. Every read — [`StableLog::poll`], a ticket's
+//! `is_stable`, `wait` or `subscribe`, [`StableLog::stable_entries`],
+//! [`StableLog::flush`] — completes each group whose end has passed and
+//! runs its callbacks outside the lock. The owner parks until
+//! [`StableLog::next_due`]; an append that brings that forward signals its
+//! waker ([`StableLog::set_waker`]).
 //!
 //! The readable set is one byte image: CRC32-framed records
-//! (`checksum || payload`) back to back in append order, in fixed 16 KiB
-//! blocks, with a dense slot index by sequence number. An append frames
-//! the record into the image and completion marks it stable, so a warm
-//! append allocates nothing. Reads validate the frames; the first that
-//! fails its checksum truncates the log from there onward — a torn tail
-//! shortens the replayable suffix, it does not fail recovery. Truncation
-//! below a checkpoint frees the blocks at the front once nothing live is
-//! left in them, and nothing is copied.
+//! (`checksum || payload`) in append order, in fixed 16 KiB blocks, with a
+//! dense slot index by sequence number, so a warm append allocates
+//! nothing. The first frame a read finds torn truncates the log from
+//! there: a torn tail shortens the replayable suffix, it does not fail
+//! recovery. Truncation below a checkpoint frees the front blocks once
+//! nothing live is left in them.
+//!
+//! A log opened on a file ([`StableLog::open`]) outlives its process: a
+//! group's frames reach the file, each with its sequence number, before
+//! the group turns stable, and a write the file does not take is a failed
+//! device attempt. A truncation, a torn read or a failed write has the
+//! file rewritten whole (temp + rename) from what is readable.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Write};
 use std::ops::Range;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -280,11 +285,40 @@ impl Image {
     }
 }
 
-/// A batch of records on its device: the sequence numbers it holds and
-/// the instant its write ends.
+/// [`StableLog::read_file`], and the length of the file's intact prefix.
+fn read_frames(path: &Path) -> (Vec<(LogSeq, Vec<u8>)>, u64) {
+    let bytes = std::fs::read(path).unwrap_or_default();
+    let mut records = BTreeMap::new();
+    let mut rest = &bytes[..];
+    while let Some((header, tail)) = rest.split_first_chunk::<16>() {
+        let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().unwrap());
+        let len = word(8) as usize;
+        if crc32::checksum(&header[..12]) != word(12) || tail.len() < len {
+            break;
+        }
+        let Some(record) = crc32::unframe(&tail[..len]) else { break };
+        let seq = u64::from_le_bytes(header[..8].try_into().unwrap());
+        records.insert(seq, record.to_vec());
+        rest = &tail[len..];
+    }
+    let records = records.into_iter().map(|(seq, record)| (LogSeq(seq), record)).collect();
+    (records, (bytes.len() - rest.len()) as u64)
+}
+
+/// A batch of records on its device: the sequence numbers it holds, their
+/// framed bytes, the instant its write ends, and the backoff of a retry.
 struct Group {
     seqs: Range<u64>,
+    bytes: usize,
     end: Instant,
+    backoff: Duration,
+}
+
+/// A log's file of frames `seq u64 || len u32 || crc32 of those 12 bytes ||
+/// frame`; `append` is `None` while it may differ from the readable set.
+struct LogFile {
+    path: PathBuf,
+    append: Option<File>,
 }
 
 /// The readable set, the devices' timelines and the acknowledgment state,
@@ -316,6 +350,7 @@ struct LogState {
     draining: Vec<Range<u64>>,
     /// Storage the next completion's callbacks are moved into.
     spare: Vec<Callback>,
+    file: Option<LogFile>,
 }
 
 impl LogState {
@@ -365,23 +400,39 @@ impl LogState {
         }
     }
 
-    /// Completes the group that ended first, if one ended by `now`: its
-    /// records turn stable, and its waiting callbacks move to `out`.
-    fn complete_next(&mut self, now: Instant, out: &mut Vec<Callback>) -> Option<Range<u64>> {
-        let lane = self
-            .lanes
-            .iter_mut()
-            .filter(|lane| lane.front().is_some_and(|g| g.end <= now))
-            .min_by_key(|lane| lane.front().map(|g| g.end))?;
-        let seqs = lane.pop_front().expect("a due group").seqs;
-        let base = self.base;
-        for slot in self.slots.range_mut((seqs.start - base) as usize..(seqs.end - base) as usize) {
-            slot.stable = true;
+    /// Writes the frames of the records in `seqs` to the file: appended,
+    /// or — `whole`, or when the file may differ from the readable set —
+    /// with every readable frame into a new file renamed over it.
+    fn write_file(&mut self, seqs: Range<u64>, whole: bool) -> io::Result<()> {
+        let LogState { image, slots, base, file, .. } = self;
+        let Some(file) = file else { return Ok(()) };
+        let whole = whole || file.append.is_none();
+        let from = if whole { *base } else { seqs.start.max(*base) };
+        let (mut buf, mut scratch) = (Vec::new(), Vec::new());
+        for (seq, slot) in (from..).zip(slots.range((from - *base) as usize..)) {
+            if seq >= seqs.end && !whole {
+                break;
+            }
+            if slot.len > 0 && (slot.stable || seqs.contains(&seq)) {
+                let at = buf.len();
+                buf.extend_from_slice(&seq.to_le_bytes());
+                buf.extend_from_slice(&slot.len.to_le_bytes());
+                let checksum = crc32::checksum(&buf[at..]).to_le_bytes();
+                buf.extend_from_slice(&checksum);
+                buf.extend_from_slice(image.frame(slot.pos, slot.len, &mut scratch));
+            }
         }
-        self.stable += seqs.end - seqs.start;
-        self.pop_gone();
-        self.take_callbacks(seqs.clone(), out);
-        Some(seqs)
+        let tmp = file.path.with_extension("tmp");
+        let written = match file.append.as_mut() {
+            Some(append) if !whole => append.write_all(&buf),
+            _ => std::fs::write(&tmp, &buf).and_then(|()| std::fs::rename(&tmp, &file.path)),
+        };
+        file.append = match written {
+            Ok(()) if whole => OpenOptions::new().append(true).open(&file.path).ok(),
+            Ok(()) => file.append.take(),
+            Err(_) => None,
+        };
+        written
     }
 
     /// Moves the callbacks waiting for records in `seqs` into `out`.
@@ -409,6 +460,57 @@ struct LogShared {
 }
 
 impl LogShared {
+    /// Sets when `group`'s write on device `lane`, tried at `at` after
+    /// `retries` failed attempts, ends: each failed attempt is counted and
+    /// retried after the group's backoff, which doubles up to 5 ms.
+    fn write(&self, lane: usize, group: &mut Group, mut at: Instant, mut retries: u64) {
+        group.end = loop {
+            match self.devices[lane].write(at, group.bytes) {
+                Ok(end) => break end,
+                Err((failed, _)) => {
+                    (at, retries) = (failed + group.backoff, retries + 1);
+                    group.backoff = (group.backoff * 2).min(Duration::from_millis(5));
+                }
+            }
+        };
+        self.write_retries.fetch_add(retries, Ordering::Relaxed);
+        if let Some(obs) = self.obs.get() {
+            obs.write_retries.add(retries);
+        }
+    }
+
+    /// Completes the group that ended first, if one ended by `now`: its
+    /// frames go to the file, its records turn stable, and its waiting
+    /// callbacks move to `out`. One the file did not take is retried.
+    fn complete_next(
+        &self,
+        state: &mut LogState,
+        now: Instant,
+        out: &mut Vec<Callback>,
+    ) -> Option<Range<u64>> {
+        loop {
+            let lane = (0..state.lanes.len())
+                .filter(|&i| state.lanes[i].front().is_some_and(|g| g.end <= now))
+                .min_by_key(|&i| state.lanes[i].front().map(|g| g.end))?;
+            let seqs = state.lanes[lane].front().expect("a due group").seqs.clone();
+            if state.write_file(seqs.clone(), false).is_err() {
+                let group = state.lanes[lane].front_mut().expect("a due group");
+                let at = now + group.backoff;
+                group.backoff = (group.backoff * 2).min(Duration::from_millis(5));
+                self.write(lane, group, at, 1);
+                continue;
+            }
+            state.lanes[lane].pop_front();
+            let base = state.base;
+            let slots = (seqs.start - base) as usize..(seqs.end - base) as usize;
+            state.slots.range_mut(slots).for_each(|slot| slot.stable = true);
+            state.stable += seqs.end - seqs.start;
+            state.pop_gone();
+            state.take_callbacks(seqs.clone(), out);
+            return Some(seqs);
+        }
+    }
+
     /// Starts every group whose start has come by `now`, on the device
     /// free first: a group takes the records appended by its start.
     fn schedule(&self, state: &mut LogState, now: Instant) {
@@ -426,23 +528,14 @@ impl LogShared {
             let bytes: usize = state.queued.drain(..n).map(|(_, len)| len as usize).sum();
             // A transient fault fails the whole attempt, retried after a
             // small exponential backoff until the write sticks.
-            let (mut at, mut retries, mut delay) = (start, 0, Duration::from_micros(100));
-            let end = loop {
-                match self.devices[lane].write(at, bytes) {
-                    Ok(end) => break end,
-                    Err((failed, _)) => {
-                        (at, retries) = (failed + delay, retries + 1);
-                        delay = (delay * 2).min(Duration::from_millis(5));
-                    }
-                }
-            };
-            self.write_retries.fetch_add(retries, Ordering::Relaxed);
+            let (seqs, backoff) = (from..from + n as u64, Duration::from_micros(100));
+            let mut group = Group { seqs, bytes, end: start, backoff };
+            self.write(lane, &mut group, start, 0);
             if let Some(obs) = self.obs.get() {
-                obs.write_us.record_duration(end - start);
+                obs.write_us.record_duration(group.end - start);
                 obs.batch_groups.record(n as u64);
-                obs.write_retries.add(retries);
             }
-            state.lanes[lane].push_back(Group { seqs: from..from + n as u64, end });
+            state.lanes[lane].push_back(group);
         }
     }
 
@@ -454,7 +547,7 @@ impl LogShared {
         self.schedule(&mut state, now);
         let mut callbacks = std::mem::take(&mut state.spare);
         let mut completed = false;
-        while let Some(seqs) = state.complete_next(now, &mut callbacks) {
+        while let Some(seqs) = self.complete_next(&mut state, now, &mut callbacks) {
             completed = true;
             if callbacks.is_empty() {
                 continue;
@@ -549,6 +642,38 @@ impl StableLog {
         }
     }
 
+    /// A log over `specs` whose groups also go to the file at `path`, holding
+    /// its intact records ([`StableLog::read_file`]) as stable; appends follow
+    /// the highest. While the file cannot be written, no group turns stable.
+    pub fn open(specs: Vec<DiskSpec>, path: impl Into<PathBuf>) -> Self {
+        let path = path.into();
+        let log = StableLog::new(specs);
+        let mut state = log.shared.state.lock();
+        let (records, intact) = read_frames(&path);
+        state.base = records.first().map_or(0, |(seq, _)| seq.0);
+        for (LogSeq(seq), record) in records {
+            let at = (seq - state.base) as usize;
+            state.slots.resize(at, Slot::GONE);
+            let checksum = crc32::checksum(&record).to_le_bytes();
+            let pos = state.image.push([&checksum, &record]);
+            state.slots.push_back(Slot { pos, len: record.len() as u32 + 4, stable: true });
+        }
+        (state.stable, state.watermark) = (state.appended(), state.base);
+        // New frames follow the intact ones: a torn tail is cut off first.
+        let file = OpenOptions::new().create(true).append(true).open(&path);
+        let append = file.and_then(|file| file.set_len(intact).map(|()| file)).ok();
+        state.file = Some(LogFile { path, append });
+        drop(state);
+        log
+    }
+
+    /// The intact records of the log file at `path` with their sequence
+    /// numbers, in sequence order: the read stops at the first frame that
+    /// fails its checksum or is cut short, and a missing file holds none.
+    pub fn read_file(path: &Path) -> Vec<(LogSeq, Vec<u8>)> {
+        read_frames(path).0
+    }
+
     /// Appends one record asynchronously; the returned ticket resolves when
     /// the record is stable. The log frames it with a CRC32 checksum so
     /// recovery reads can detect a torn or corrupted tail. When the record
@@ -627,6 +752,7 @@ impl StableLog {
         }
         if let Some(from) = torn {
             let dropped = state.drop_frames(from..u64::MAX, false);
+            let _ = state.write_file(0..0, true);
             self.shared.corrupt_dropped.fetch_add(dropped, Ordering::Relaxed);
             if let Some(obs) = self.shared.obs.get() {
                 obs.corrupt_dropped.add(dropped);
@@ -683,13 +809,14 @@ impl StableLog {
         true
     }
 
-    /// Prunes records with sequence `< upto` (after a checkpoint). Also
-    /// applies to records still in flight, and to ones appended later
-    /// below `upto`: they turn stable but never readable.
+    /// Prunes records with sequence `< upto` (after a checkpoint), in the
+    /// file too. Also applies to records still in flight, and to ones
+    /// appended later below `upto`: they turn stable but never readable.
     pub fn truncate_below(&self, upto: LogSeq) {
         let mut state = self.shared.state.lock();
         state.watermark = state.watermark.max(upto.0);
         state.drop_frames(0..upto.0, true);
+        let _ = state.write_file(0..0, true);
     }
 
     /// Records appended so far (stable or not).
@@ -1105,6 +1232,63 @@ mod tests {
         assert!(log.write_retries() > 0, "0.3 fault rate produced no retries");
         assert_eq!(log.write_retries(), dev.fault_count(), "one retry per failed attempt");
         assert_eq!(dev.write_count(), 40, "one successful write per group");
+    }
+
+    /// A file in a fresh directory under the temp dir, which the caller
+    /// removes.
+    fn scratch_file(name: &str) -> (PathBuf, PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("streammine-log-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        (dir.clone(), dir.join("worker0.log"))
+    }
+
+    /// A log reopened from its file reads back what was stable, under the
+    /// same sequence numbers, and appends after it; a frame cut short or
+    /// with a flipped bit ends the read there.
+    #[test]
+    fn a_reopened_file_reads_back_and_a_torn_frame_ends_it() {
+        let (dir, path) = scratch_file("reopen");
+        std::fs::create_dir_all(&dir).unwrap();
+        let log = StableLog::open(vec![DiskSpec::simulated(Duration::from_micros(200)); 2], &path);
+        for i in 0..6u8 {
+            log.append(vec![i; 3 + i as usize]);
+        }
+        log.flush();
+        log.truncate_below(LogSeq(2));
+        let kept = log.stable_entries();
+        assert_eq!(StableLog::read_file(&path), kept);
+        let log = StableLog::open(vec![DiskSpec::simulated(Duration::ZERO)], &path);
+        assert_eq!(log.stable_entries(), kept);
+        let next = log.append(b"next");
+        assert_eq!(next.seq(), LogSeq(6), "a reopened log appends after the highest record");
+        next.wait();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
+        assert_eq!(StableLog::read_file(&path), kept, "a torn last frame is no record");
+        let mut flipped = bytes.clone();
+        // The first payload byte of seq 3's frame, after seq 2's 16 + 4 + 5.
+        flipped[25 + 16 + 4] ^= 0x10;
+        std::fs::write(&path, &flipped).unwrap();
+        assert_eq!(StableLog::read_file(&path), kept[..1]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A write the file does not take is a failed device attempt: the
+    /// group is retried, counted, and nothing turns stable until the file
+    /// holds it.
+    #[test]
+    fn a_group_the_file_does_not_take_is_retried_and_stays_unstable() {
+        let (dir, path) = scratch_file("missing");
+        let log = StableLog::open(vec![DiskSpec::simulated(Duration::from_micros(100))], &path);
+        let ticket = log.append(b"held");
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!ticket.is_stable(), "stable on a record the file does not hold");
+        assert!(log.write_retries() > 0, "a failed file write is a retried attempt");
+        std::fs::create_dir_all(&dir).unwrap();
+        ticket.wait();
+        assert_eq!(StableLog::read_file(&path), vec![(LogSeq(0), b"held".to_vec())]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -12,8 +12,15 @@
 //!
 //! The second property flips one bit anywhere in one stored frame: the
 //! read must truncate exactly there, never panic, and leave the log usable.
+//!
+//! Both also run on a log opened on a file: at every quiet point the file
+//! must hold exactly the readable set, a log reopened from it must read
+//! the same, and a bit flipped in the file ends the reopened read at the
+//! frame it hit.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -59,8 +66,33 @@ fn payload(seq: u64, len: usize, seed: u8) -> Vec<u8> {
     (0..len).map(|i| (seq as u8).wrapping_mul(31) ^ seed ^ i as u8).collect()
 }
 
-fn log_on(devices: usize, write_us: u64) -> StableLog {
-    StableLog::new(vec![DiskSpec::simulated(Duration::from_micros(write_us)); devices])
+fn disks(devices: usize, write_us: u64) -> Vec<DiskSpec> {
+    vec![DiskSpec::simulated(Duration::from_micros(write_us)); devices]
+}
+
+/// A fresh directory for one case's log file (removed by [`Scratch`]'s
+/// drop) and the file's path in it.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new() -> Scratch {
+        static CASE: AtomicU64 = AtomicU64::new(0);
+        let case = CASE.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("streammine-prop-log-{}-{case}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("a scratch directory");
+        Scratch(dir)
+    }
+
+    fn file(&self) -> PathBuf {
+        self.0.join("worker0.log")
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// The log's semantics, one rule per field.
@@ -124,8 +156,25 @@ proptest! {
         devices in 1usize..4,
         write_us in 0u64..400,
         ops in proptest::collection::vec(op(), 1..40),
+        on_file in any::<bool>(),
     ) {
-        let log = log_on(devices, write_us);
+        let scratch = Scratch::new();
+        let log = if on_file {
+            StableLog::open(disks(devices, write_us), scratch.file())
+        } else {
+            StableLog::new(disks(devices, write_us))
+        };
+        // At a quiet point the file holds exactly the readable set.
+        let file_agrees = |model: &Model| -> Result<(), TestCaseError> {
+            if on_file {
+                let read: BTreeMap<u64, Vec<u8>> = StableLog::read_file(&scratch.file())
+                    .into_iter()
+                    .map(|(seq, record)| (seq.0, record))
+                    .collect();
+                prop_assert_eq!(read, model.reference());
+            }
+            Ok(())
+        };
         let mut tickets: Vec<LogTicket> = Vec::new();
         let mut model = Model::default();
         for op in ops {
@@ -174,12 +223,28 @@ proptest! {
                 }
             }
             check(&log, &model, quiet)?;
+            if quiet {
+                file_agrees(&model)?;
+            }
         }
         log.flush();
         model.stable.extend(0..model.appended.len() as u64);
         check(&log, &model, true)?;
         for t in &tickets {
             t.wait();
+        }
+        file_agrees(&model)?;
+        if on_file {
+            // A reopened log reads what the model does and appends after
+            // the highest record it holds.
+            let reopened = StableLog::open(disks(devices, write_us), scratch.file());
+            let read: BTreeMap<u64, Vec<u8>> =
+                reopened.stable_entries().into_iter().map(|(seq, r)| (seq.0, r)).collect();
+            let reference = model.reference();
+            let next = reference.keys().next_back().map_or(0, |last| last + 1);
+            prop_assert_eq!(read, reference);
+            prop_assert_eq!(reopened.append(b"next").seq(), LogSeq(next));
+            reopened.flush();
         }
     }
 
@@ -191,7 +256,7 @@ proptest! {
         victim_at in 0.0f64..1.0,
         bit in any::<u32>(),
     ) {
-        let log = log_on(devices, 50);
+        let log = StableLog::new(disks(devices, 50));
         let records: Vec<Vec<u8>> =
             lens.iter().enumerate().map(|(seq, &len)| payload(seq as u64, len, 0xA5)).collect();
         for record in &records {
@@ -215,5 +280,52 @@ proptest! {
         let mut after = expected;
         after.push((next.seq(), b"after".to_vec()));
         prop_assert_eq!(log.stable_entries(), after);
+    }
+
+    #[test]
+    fn any_flipped_bit_in_the_file_truncates_the_reopened_read_there(
+        devices in 1usize..4,
+        lens in proptest::collection::vec(record_len(), 1..40),
+        truncate_at in 0.0f64..0.5,
+        victim_at in 0.0f64..1.0,
+        bit in any::<u32>(),
+    ) {
+        let scratch = Scratch::new();
+        let log = StableLog::open(disks(devices, 50), scratch.file());
+        let records: Vec<Vec<u8>> =
+            lens.iter().enumerate().map(|(seq, &len)| payload(seq as u64, len, 0x5A)).collect();
+        for record in &records {
+            log.append(record);
+        }
+        log.flush();
+        // The truncation rewrites the file from what it keeps, in sequence
+        // order.
+        let watermark = (records.len() as f64 * truncate_at) as u64;
+        log.truncate_below(LogSeq(watermark));
+        let mut bytes = std::fs::read(scratch.file()).unwrap();
+        let live = &records[watermark as usize..];
+        // Every frame costs the same overhead beside its payload.
+        let payloads: usize = live.iter().map(Vec::len).sum();
+        prop_assert_eq!((bytes.len() - payloads) % live.len(), 0);
+        let overhead = (bytes.len() - payloads) / live.len();
+        let victim = ((live.len() as f64 * victim_at) as usize).min(live.len() - 1);
+        let at: usize = live[..victim].iter().map(|r| overhead + r.len()).sum();
+        let bit = bit as usize % ((overhead + live[victim].len()) * 8);
+        bytes[at + bit / 8] ^= 1 << (bit % 8);
+        std::fs::write(scratch.file(), &bytes).unwrap();
+
+        let victim = watermark + victim as u64;
+        let expected: Vec<(LogSeq, Vec<u8>)> =
+            (watermark..victim).map(|seq| (LogSeq(seq), records[seq as usize].clone())).collect();
+        let reopened = StableLog::open(disks(devices, 50), scratch.file());
+        prop_assert_eq!(reopened.stable_entries(), expected.clone());
+        // The reopened log takes new records, and its file, rewritten
+        // from what it read, reads them back.
+        let next = reopened.append(b"after");
+        next.wait();
+        let mut after = expected;
+        after.push((next.seq(), b"after".to_vec()));
+        prop_assert_eq!(reopened.stable_entries(), after.clone());
+        prop_assert_eq!(StableLog::read_file(&scratch.file()), after);
     }
 }

@@ -5,9 +5,9 @@
 //!
 //! This is the paper's precise-recovery guarantee at its strongest: the
 //! non-deterministic decisions of every hop are visible in the output
-//! bytes, a replacement resumes from its predecessor's checkpoint image
-//! (or, before the first one, from nothing), and recovery crosses real
-//! process and socket boundaries — with speculation open across them:
+//! bytes, a replacement resumes from its predecessor's log file — its
+//! newest checkpoint image and the decisions logged after it — and
+//! recovery crosses real process and socket boundaries — with speculation open across them:
 //! every precise worker forwards its outputs before its log is stable, so
 //! a kill lands on events the downstream holds un-finalized.
 
@@ -100,8 +100,8 @@ fn tagger_chain_checkpointing(hops: usize, every: Option<u64>) -> ClusterSpec {
     spec
 }
 
-/// The directory the cluster keeps its checkpoint images in, as its
-/// `Debug` shows it.
+/// The directory the cluster keeps its workers' logs in, as its `Debug`
+/// shows it.
 fn checkpoint_dir(cluster: &Cluster) -> PathBuf {
     let shown = format!("{cluster:?}");
     let (_, rest) = shown.split_once("checkpoints: \"").expect("no checkpoint dir in Debug");
@@ -115,18 +115,19 @@ fn worker_counter(snapshot: &RegistrySnapshot, name: &str, w: u32) -> u64 {
 }
 
 /// The run did not silently take a non-speculative path: each of the
-/// `precise` workers put speculative output on its socket. And none of
-/// them re-executed a transaction — the one way a single-threaded slot
-/// could take a decision out of serial order, which is the precondition
-/// under which a replacement process re-derives its predecessor's
-/// decisions from the slot's seed (DESIGN §13).
+/// `precise` workers put speculative output on its socket.
 fn assert_speculated(snapshot: &RegistrySnapshot, precise: std::ops::Range<u32>, what: &str) {
     for w in precise {
         let published = worker_counter(snapshot, "spec.published", w);
         assert!(published > 0, "{what}: worker {w} published nothing speculatively");
-        let rollbacks = worker_counter(snapshot, "spec.rollbacks", w);
-        assert_eq!(rollbacks, 0, "{what}: worker {w} re-executed {rollbacks} transaction(s)");
     }
+}
+
+/// Decision records worker `w` made stable, over its incarnations: one
+/// `stage.log_wait_us` sample each.
+fn decisions_logged(snapshot: &RegistrySnapshot, w: u32) -> u64 {
+    let labels = Labels::op(w).with_worker(w);
+    snapshot.histogram("stage.log_wait_us", labels).map_or(0, |h| h.count())
 }
 
 /// Everything a chaos run leaves behind: output bytes, recovery counters,
@@ -269,16 +270,15 @@ fn sigkill_after_100_delivered_recovers_within_10s() {
     sigkill_after_100_delivered(tagger_chain_checkpointing(3, None));
 }
 
-/// A cluster configured without checkpoints keeps none: no slot writes an
-/// image into the cluster's directory, and a replacement replays its input
-/// from the start of the stream.
+/// A cluster configured without checkpoints keeps none: no slot's log
+/// holds an image, and a replacement replays its input from the start of
+/// the stream.
 #[test]
 fn a_checkpoint_free_cluster_writes_no_image_and_replays_from_the_start() {
     let _machine = share_the_machine();
     let input = inputs(80);
     let expected = reference(2, &input);
     let cluster = Cluster::launch(tagger_chain_checkpointing(2, None)).expect("cluster launch");
-    let dir = checkpoint_dir(&cluster);
     assert!(cluster.wait_connected(Duration::from_secs(30)), "cluster never wired up");
     for (step, v) in input.iter().enumerate() {
         if step == 70 {
@@ -294,12 +294,10 @@ fn a_checkpoint_free_cluster_writes_no_image_and_replays_from_the_start() {
         input.len(),
     );
     assert_eq!(payloads(&cluster.sink().final_events()), expected);
-    let images: Vec<_> = std::fs::read_dir(&dir)
-        .expect("the checkpoint directory lives as long as the cluster")
-        .filter_map(|entry| entry.ok().map(|e| e.file_name()))
-        .filter(|name| name.to_string_lossy().ends_with(".ckpt"))
-        .collect();
-    assert!(images.is_empty(), "a checkpoint-free slot wrote {images:?}");
+    for w in 0..cluster.workers() {
+        let image = cluster.worker_image(w);
+        assert!(image.is_none(), "checkpoint-free worker {w} logged an image: {image:?}");
+    }
     cluster.shutdown();
     let journal = cluster.telemetry().journal();
     let rewound_from: Vec<u64> = journal
@@ -333,6 +331,60 @@ fn sigkill_after_100_delivered_resumes_from_the_checkpoint() {
     let render = || cluster.telemetry().journal_render();
     assert_eq!(rewound_from.len(), 1, "one port, one recovery: {rewound_from:?}\n{}", render());
     assert!(rewound_from[0] > 0, "the replacement replayed from 0, not its image\n{}", render());
+}
+
+/// A replacement reads its predecessor's decisions back from the log
+/// file, and draws none of them again. Each of 16 runs kills one worker of
+/// three after `pre` events are final — so every decision they took is in
+/// the file — past its newest image, then pushes 20 more. The replacement
+/// replays the serials after the image and makes stable one decision
+/// record per new event, none for a replayed one; the output stays
+/// byte-identical. (A replacement that re-draws from its restored RNG
+/// appends one record per replayed event.)
+#[test]
+fn a_replacement_reads_its_decisions_back_instead_of_drawing_again() {
+    let _machine = share_the_machine();
+    const AFTER: u64 = 20;
+    for seed in 0..16u64 {
+        let (pre, w) = (70 + 7 * seed, (seed % 3) as u32);
+        let input = inputs(pre + AFTER);
+        let expected = reference(3, &input);
+        let cluster = Cluster::launch(tagger_chain(3)).expect("cluster launch");
+        assert!(cluster.wait_connected(Duration::from_secs(30)), "cluster never wired up");
+        for v in &input[..pre as usize] {
+            cluster.source().push(v.clone());
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(cluster.sink().wait_final(pre as usize, Duration::from_secs(30)), "seed {seed}");
+        // The last report of the incarnation about to die counts them all.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while decisions_logged(&cluster.cluster_snapshot(), w) < pre {
+            assert!(Instant::now() < deadline, "seed {seed}: worker {w} never reported {pre}");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let covered = cluster.worker_image(w as usize).map_or(0, |image| image.events_processed);
+        assert!(covered < pre, "seed {seed}: worker {w}'s image covers all {pre} events");
+        cluster.kill_worker(w as usize);
+        for v in &input[pre as usize..] {
+            cluster.source().push(v.clone());
+        }
+        assert!(
+            cluster.sink().wait_final(input.len(), Duration::from_secs(30)),
+            "seed {seed}: recovery of worker {w} wedged at {}/{} final events",
+            cluster.sink().final_count(),
+            input.len(),
+        );
+        assert_eq!(payloads(&cluster.sink().final_events()), expected, "seed {seed}");
+        cluster.shutdown();
+        let appended = decisions_logged(&cluster.cluster_snapshot(), w) - pre;
+        assert_eq!(
+            appended,
+            AFTER,
+            "seed {seed}: worker {w}'s replacement logged {appended} decisions for {AFTER} new \
+             events, replaying {} it read back",
+            pre - covered,
+        );
+    }
 }
 
 #[test]
@@ -509,7 +561,7 @@ fn sigkill_approximate_recovery_stays_within_declared_bound() {
 /// lineage dropped charged to the budget. The first SIGKILL leaves outputs
 /// at the sink past the newest image, so the first replacement drops their
 /// inputs: its resume window. The second SIGKILL comes as soon as that
-/// replacement's first image is in the file. The image is of the stale
+/// replacement's first image is in its log file. The image is of the stale
 /// lineage and must carry the window's loss, so the next replacement
 /// resumes with more lost than it drops itself.
 #[test]
@@ -523,7 +575,7 @@ fn a_respawn_right_after_a_resume_window_keeps_the_window_charged() {
     );
     let cluster = Cluster::launch(spec).expect("cluster launch");
     assert!(cluster.wait_connected(Duration::from_secs(30)), "cluster never wired up");
-    let image = checkpoint_dir(&cluster).join("worker0.ckpt");
+    let image_id = || cluster.worker_image(0).map(|image| image.id);
     let mut pushed = 0;
     let mut push_one = || {
         cluster.source().push(Value::Int(pushed % 9));
@@ -536,10 +588,10 @@ fn a_respawn_right_after_a_resume_window_keeps_the_window_charged() {
     // The sink acks every 16 frames, and an image is saved once its
     // outputs are acked: 8 past a multiple of 16, at least 8 outputs at
     // the sink are past the image in the file.
-    while push_one() % 16 != 8 || !image.exists() {}
-    let first = std::fs::read(&image).expect("the image is there");
+    while push_one() % 16 != 8 || image_id().is_none() {}
+    let first = image_id();
     cluster.kill_worker(0);
-    while std::fs::read(&image).is_ok_and(|now| now == first) {
+    while image_id() == first {
         push_one();
     }
     cluster.kill_worker(0);
@@ -1018,7 +1070,7 @@ fn retention_is_bounded_by_the_checkpoint_interval() {
     }
 }
 
-/// The checkpoint images live in one directory per cluster: there from
+/// The workers' logs live in one directory per cluster: there from
 /// launch, through a SIGKILL and respawn, and gone with the cluster —
 /// after `shutdown`, and after a plain drop.
 #[test]
