@@ -23,10 +23,11 @@
 //! scheduler; it is never skipped.
 //!
 //! Both runtimes record a restart as one
-//! [`RecoveryTimeline`](streammine_obs::RecoveryTimeline), and the two
-//! verifiers ([`verify_recovery_counters`], [`verify_cluster_recovery`])
-//! check the timelines against the plan with one shared check before
-//! reconciling them with their registries.
+//! [`RecoveryTimeline`](streammine_obs::RecoveryTimeline) and one tick of
+//! `recovery.restarts{op=slot}`, and the two verifiers
+//! ([`verify_recovery_counters`], [`verify_cluster_recovery`]) check both
+//! against the plan with one shared check before the checks particular to
+//! their runtime.
 
 #![warn(missing_docs)]
 

@@ -1,9 +1,9 @@
 //! Cross-checks between a chaos run's fault plan, its recovery timelines
 //! and the metrics registry.
 //!
-//! Both runtimes record every supervised restart twice: as a
-//! [`RecoveryTimeline`] (the in-process supervisor's and the cluster
-//! monitor's one shape) and as counters in a metrics registry. A chaos run
+//! Both runtimes record every supervised restart twice, from the one
+//! place that records restarts: as a [`RecoveryTimeline`] and as
+//! `recovery.restarts{op=slot}` in a metrics registry. A chaos run
 //! that trusts its own assertions should verify that the two accounts
 //! agree with each other and with the plan — a mismatch means a restart
 //! went unmetered, or a counter was bumped for a restart that never
@@ -22,11 +22,18 @@ use crate::plan::FaultPlan;
 
 /// The check every recovery record passes, in either runtime: its phases
 /// are monotone (detect ≤ fence ≤ respawn ≤ handshake ≤ first output ≤
-/// drain), and there are no more crash timelines than the plan injected
-/// crashes. Fewer is tolerated: a crash injected in a cluster's quiesce
+/// drain); there are no more crash timelines than the plan injected
+/// crashes (fewer is tolerated: a crash injected in a cluster's quiesce
 /// tail can land after the monitor stopped watching, so the victim dies
-/// unobserved. Returns the number of crash timelines.
-fn check_timelines(plan: &FaultPlan, timelines: &[RecoveryTimeline]) -> Result<u64, String> {
+/// unobserved); and the registry's `recovery.restarts{op}` equals, per
+/// slot, the number of timelines of that slot — no more, no fewer — and
+/// counts no slot without one. Worker-labeled series are telemetry,
+/// checked apart. Returns the timelines per slot.
+fn check_restarts(
+    plan: &FaultPlan,
+    timelines: &[RecoveryTimeline],
+    snap: &RegistrySnapshot,
+) -> Result<HashMap<u32, u64>, String> {
     if let Some(t) = timelines.iter().find(|t| !t.monotonic()) {
         return Err(format!(
             "slot {}#{}: non-monotonic recovery timeline: {}",
@@ -42,17 +49,36 @@ fn check_timelines(plan: &FaultPlan, timelines: &[RecoveryTimeline]) -> Result<u
             plan.crash_count()
         ));
     }
-    Ok(crashes as u64)
+    let mut per_slot: HashMap<u32, u64> = HashMap::new();
+    for t in timelines {
+        *per_slot.entry(t.worker).or_insert(0) += 1;
+    }
+    for (&op, &expected) in &per_slot {
+        let counted = snap.counter("recovery.restarts", Labels::op(op)).unwrap_or(0);
+        if counted != expected {
+            return Err(format!(
+                "op{op}: registry counted {counted} recovery.restarts, \
+                 supervisor recorded {expected} timelines"
+            ));
+        }
+    }
+    let counted = snap.samples.iter().filter(|s| s.labels.worker.is_none());
+    for sample in counted.filter(|s| s.name == "recovery.restarts") {
+        let op = sample.labels.op.unwrap_or(u32::MAX);
+        if !per_slot.contains_key(&op) {
+            return Err(format!("registry has recovery.restarts for op{op} with no timeline"));
+        }
+    }
+    Ok(per_slot)
 }
 
 /// Checks an in-process chaos run: its supervisor's timelines against the
 /// plan and the registry, and the journal's backpressure episodes against
 /// the registry:
 ///
-/// * the timelines pass the check both runtimes share (monotone phases,
-///   no more crash timelines than planned crashes);
-/// * `recovery.restarts{op}` equals the number of timelines for that
-///   operator — no more, no fewer;
+/// * the timelines pass the checks both runtimes share (monotone phases,
+///   no more crash timelines than planned crashes, and
+///   `recovery.restarts{op}` equal to the timelines per operator);
 /// * every restarted operator counted at least one `replay.requests{op}`
 ///   per restart — the counter keeps the paper's name for the step and
 ///   counts the input rings a recovering node rewound (a restart without
@@ -78,35 +104,13 @@ pub fn verify_recovery_counters(
     snap: &RegistrySnapshot,
     journal: &[JournalEvent],
 ) -> Result<(), String> {
-    check_timelines(plan, timelines)?;
-    let mut per_op: HashMap<u32, u64> = HashMap::new();
-    for t in timelines {
-        *per_op.entry(t.worker).or_insert(0) += 1;
-    }
-    for (&op, &expected) in &per_op {
-        let counted = snap.counter("recovery.restarts", Labels::op(op)).unwrap_or(0);
-        if counted != expected {
-            return Err(format!(
-                "op{op}: registry counted {counted} recovery.restarts, \
-                 supervisor recorded {expected} timelines"
-            ));
-        }
+    for (op, expected) in check_restarts(plan, timelines, snap)? {
         let replays = snap.counter("replay.requests", Labels::op(op)).unwrap_or(0);
         if replays < expected {
             return Err(format!(
                 "op{op}: only {replays} replay.requests (input rings rewound) for \
                  {expected} supervised restarts"
             ));
-        }
-    }
-    // The registry must not claim restarts the supervisor never saw.
-    for sample in &snap.samples {
-        if sample.name != "recovery.restarts" {
-            continue;
-        }
-        let op = sample.labels.op.unwrap_or(u32::MAX);
-        if !per_op.contains_key(&op) {
-            return Err(format!("registry has recovery.restarts for op{op} with no timeline"));
         }
     }
     // Backpressure reconciliation: stall entries vs resumes vs counters.
@@ -149,12 +153,9 @@ pub fn verify_recovery_counters(
 /// fault plan that produced them and with the cluster-level metrics the
 /// telemetry plane aggregated:
 ///
-/// * the timelines pass the check both runtimes share (monotone phases,
-///   no more crash timelines than planned kills);
-/// * the launcher's counters in the cluster snapshot
-///   (`control.crash_detected`, `control.lease_expired`,
-///   `recovery.restarts`) count the same crash, expiry and total
-///   timelines;
+/// * the timelines pass the checks both runtimes share (monotone phases,
+///   no more crash timelines than planned kills, and the launcher's
+///   `recovery.restarts{op=slot}` equal to the timelines per slot);
 /// * the worker-labeled `recovery.restarts{worker=w}` series synthesized
 ///   from telemetry incarnations sum to the restart total — a worker
 ///   restart that never reported telemetry would undercount here.
@@ -167,18 +168,8 @@ pub fn verify_cluster_recovery(
     timelines: &[RecoveryTimeline],
     cluster: &RegistrySnapshot,
 ) -> Result<(), String> {
-    let crashes = check_timelines(plan, timelines)?;
+    check_restarts(plan, timelines, cluster)?;
     let restarts = timelines.len() as u64;
-    for (name, expected) in [
-        ("control.crash_detected", crashes),
-        ("control.lease_expired", restarts - crashes),
-        ("recovery.restarts", restarts),
-    ] {
-        let counted = cluster.counter(name, Labels::NONE).unwrap_or(0);
-        if counted != expected {
-            return Err(format!("cluster {name} counted {counted}, the timelines say {expected}"));
-        }
-    }
     let telemetry_restarts: u64 = cluster
         .samples
         .iter()
@@ -440,15 +431,13 @@ mod tests {
         assert!(err.contains("counted only 0"), "{err}");
     }
 
-    fn cluster_snapshot(
-        crashes: u64,
-        expiries: u64,
-        per_worker: &[(u32, u64)],
-    ) -> RegistrySnapshot {
+    /// The launcher's `recovery.restarts{op=slot}` per slot in `slots`,
+    /// and the telemetry's `recovery.restarts{worker=w}` per `per_worker`.
+    fn cluster_snapshot(slots: &[(u32, u64)], per_worker: &[(u32, u64)]) -> RegistrySnapshot {
         let r = Registry::new();
-        r.counter("control.crash_detected", Labels::NONE).add(crashes);
-        r.counter("control.lease_expired", Labels::NONE).add(expiries);
-        r.counter("recovery.restarts", Labels::NONE).add(crashes + expiries);
+        for &(op, n) in slots {
+            r.counter("recovery.restarts", Labels::op(op)).add(n);
+        }
         for &(w, n) in per_worker {
             r.counter("recovery.restarts", Labels::NONE.with_worker(w)).add(n);
         }
@@ -463,7 +452,7 @@ mod tests {
             timeline(1, TimelineFaultKind::Crash),
             timeline(2, TimelineFaultKind::LeaseExpiry),
         ];
-        let snap = cluster_snapshot(2, 1, &[(0, 1), (1, 1), (2, 1)]);
+        let snap = cluster_snapshot(&[(0, 1), (1, 1), (2, 1)], &[(0, 1), (1, 1), (2, 1)]);
         assert!(verify_cluster_recovery(&plan, &timelines, &snap).is_ok());
     }
 
@@ -471,20 +460,20 @@ mod tests {
     fn non_monotonic_timeline_fails() {
         let mut t = timeline(0, TimelineFaultKind::Crash);
         t.fence_us = 50; // before detect
-        let snap = cluster_snapshot(1, 0, &[(0, 1)]);
+        let snap = cluster_snapshot(&[(0, 1)], &[(0, 1)]);
         let err = verify_cluster_recovery(&kill_plan(1), &[t], &snap).unwrap_err();
         assert!(err.contains("non-monotonic"), "{err}");
     }
 
     #[test]
     fn missing_crash_timeline_fails() {
-        // The monitor counted two crashes but only one timeline survived:
-        // an observed recovery went unrecorded, which tolerance for
-        // *unobserved* quiesce-tail kills must not excuse.
-        let snap = cluster_snapshot(2, 0, &[(0, 2)]);
+        // The launcher counted two restarts but only one timeline
+        // survived: an observed recovery went unrecorded, which tolerance
+        // for *unobserved* quiesce-tail kills must not excuse.
+        let snap = cluster_snapshot(&[(0, 2)], &[(0, 2)]);
         let t = vec![timeline(0, TimelineFaultKind::Crash)];
         let err = verify_cluster_recovery(&kill_plan(2), &t, &snap).unwrap_err();
-        assert!(err.contains("control.crash_detected counted 2"), "{err}");
+        assert!(err.contains("registry counted 2"), "{err}");
     }
 
     #[test]
@@ -495,7 +484,7 @@ mod tests {
         // must reconcile against the 2-kill plan.
         let plan = kill_plan(2);
         let t = vec![timeline(0, TimelineFaultKind::Crash)];
-        let snap = cluster_snapshot(1, 0, &[(0, 1)]);
+        let snap = cluster_snapshot(&[(0, 1)], &[(0, 1)]);
         assert!(verify_cluster_recovery(&plan, &t, &snap).is_ok());
     }
 
@@ -503,7 +492,7 @@ mod tests {
     fn excess_crash_timelines_fail() {
         let plan = kill_plan(1);
         let t = vec![timeline(0, TimelineFaultKind::Crash), timeline(1, TimelineFaultKind::Crash)];
-        let snap = cluster_snapshot(2, 0, &[(0, 1), (1, 1)]);
+        let snap = cluster_snapshot(&[(0, 1), (1, 1)], &[(0, 1), (1, 1)]);
         let err = verify_cluster_recovery(&plan, &t, &snap).unwrap_err();
         assert!(err.contains("injected 1 crashes"), "{err}");
     }
@@ -545,7 +534,7 @@ mod tests {
         let timelines =
             vec![timeline(0, TimelineFaultKind::Crash), timeline(1, TimelineFaultKind::Crash)];
         // Worker 1's replacement incarnation never reported telemetry.
-        let snap = cluster_snapshot(2, 0, &[(0, 1)]);
+        let snap = cluster_snapshot(&[(0, 1), (1, 1)], &[(0, 1)]);
         let err = verify_cluster_recovery(&plan, &timelines, &snap).unwrap_err();
         assert!(err.contains("never reported telemetry"), "{err}");
     }

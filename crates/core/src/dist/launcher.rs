@@ -15,22 +15,26 @@
 //!   restarted just like a crash but counted separately.
 //!
 //! The monitor sleeps on the control plane's event queue: a `Hello` is
-//! wired the moment it arrives, and an exit restarts its slot the moment
-//! it arrives. The tick ([`ClusterSpec::poll`]) is the lease check and
-//! nothing else. A closed control connection restarts nobody: a live
-//! worker that lost its connection redials.
+//! wired the moment it arrives, and an exit fails its slot the moment it
+//! arrives. When the slot respawns is the graph's one restart policy
+//! (`core::restart`): a first crash at once, a crash loop after a
+//! backoff, a respawn that does not start as the slot's next crash. The
+//! monitor parks until the next event, the next due restart or the tick
+//! ([`ClusterSpec::poll`]), which is the lease check and nothing else. A
+//! closed control connection restarts nobody: a live worker that lost its
+//! connection redials.
 //!
-//! A restart bumps the worker's incarnation and raises the control
-//! plane's expected epoch *before* the replacement spawns, so a zombie of
-//! the old incarnation is fenced rather than allowed to double-drive the
-//! topology. The restarted process rebuilds its node from the spec and its
-//! predecessor's log — its newest checkpoint image and the decisions
-//! after it — re-handshakes its edges, and the combination of upstream
-//! retention replay (from the checkpoint's position), the decisions read
-//! back and handshake resend-suppression yields output byte-identical to
-//! a failure-free run. The logs live in one directory per cluster, under
-//! the temp directory, created by [`Cluster::launch`] and removed by
-//! [`Cluster::shutdown`].
+//! A failure bumps the worker's incarnation, raises the control plane's
+//! expected epoch and kills what is left of the process at once, before
+//! any backoff, so a zombie of the old incarnation is fenced rather than
+//! allowed to double-drive the topology. The restarted process rebuilds
+//! its node from the spec and its predecessor's log — its newest
+//! checkpoint image and the decisions after it — re-handshakes its edges,
+//! and the combination of upstream retention replay (from the
+//! checkpoint's position), the decisions read back and handshake
+//! resend-suppression yields output byte-identical to a failure-free run.
+//! The logs live in one directory per cluster, under the temp directory,
+//! created by [`Cluster::launch`] and removed by [`Cluster::shutdown`].
 //!
 //! Precise workers speculate ([`super::worker`]): what crosses the
 //! sockets between them is speculative until its `Finalize` follows. The
@@ -52,8 +56,8 @@ use streammine_common::clock::{shared, SystemClock};
 use streammine_common::ids::OperatorId;
 use streammine_net::{link, EdgeMetrics, LinkConfig, TcpTransport, Transport};
 use streammine_obs::{
-    prometheus_text, timelines_json, ClusterObs, Counter, FaultKind, HttpServer, Labels, Obs,
-    RecoveryTimeline, RegistrySnapshot, TransportMetrics,
+    prometheus_text, timelines_json, ClusterObs, FaultKind, HttpServer, Obs, RecoveryTimeline,
+    RegistrySnapshot, TransportMetrics,
 };
 
 use streammine_sketch::ErrorBound;
@@ -68,6 +72,7 @@ use crate::dist::spec::{log_file, WorkerSpec, SPEC_ENV};
 use crate::dist::wire::{CtrlMsg, FaultCmd};
 use crate::endpoints::{SinkHandle, SourceHandle};
 use crate::message::{Control, Message};
+use crate::restart::{Restart, Restarts};
 
 /// How long [`Cluster::shutdown`] lets the workers finish by themselves.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
@@ -197,9 +202,9 @@ impl ClusterSpec {
 }
 
 struct WorkerSlot {
+    /// `None` from a failure until its restart spawns the next incarnation.
     child: Option<Child>,
     incarnation: u64,
-    spawned_at: Instant,
     /// Set once this incarnation's `Hello` arrived (lease checks start
     /// only then — a booting process is not "partitioned").
     seen_hello: bool,
@@ -209,9 +214,9 @@ struct WorkerSlot {
 }
 
 /// Whether `slot`'s lease has expired: its incarnation said `Hello` and
-/// has not beaten within `lease_timeout`, or its lease was evicted (fenced)
-/// and no newer incarnation of it came back within four lease times. A
-/// booting process is not partitioned: before its `Hello` nothing expires.
+/// has not beaten within `lease_timeout`. A booting process is not
+/// partitioned: before its `Hello` nothing expires. (A lease is evicted
+/// only by a failure's fence, which also clears `seen_hello`.)
 fn lease_expired(
     lease: Option<&LeaseView>,
     slot: &WorkerSlot,
@@ -219,39 +224,10 @@ fn lease_expired(
     lease_timeout: Duration,
 ) -> bool {
     slot.seen_hello
-        && match lease {
-            Some(l) => {
-                l.epoch == slot.incarnation
-                    && now.saturating_duration_since(l.last_beat) > lease_timeout
-            }
-            None => now.saturating_duration_since(slot.spawned_at) > lease_timeout * 4,
-        }
-}
-
-/// The launcher's recovery counters, as the registry exports them. The
-/// counts [`Cluster`] reports are the timelines'.
-struct Counters {
-    crash_detected: Counter,
-    lease_expired: Counter,
-    restarts: Counter,
-}
-
-/// A recovery timeline under assembly: the launcher-side phases are
-/// stamped synchronously by the monitor; the rest fill in as the
-/// replacement's `Hello` arrives (monitor) and the sink edge accepts
-/// output again (the sink connection's thread, as it happens).
-struct PendingTimeline {
-    timeline: RecoveryTimeline,
-    /// Finals the sink edge had counted at detection: one beyond this
-    /// proves the replacement's replayed deliveries — and their finalizes
-    /// — reached the end of the chain.
-    cursor_at_detect: u64,
-}
-
-struct TimelineState {
-    pending: Vec<PendingTimeline>,
-    last_cursor: u64,
-    last_advance_us: u64,
+        && lease.is_some_and(|l| {
+            l.epoch == slot.incarnation
+                && now.saturating_duration_since(l.last_beat) > lease_timeout
+        })
 }
 
 struct MonitorShared {
@@ -259,65 +235,23 @@ struct MonitorShared {
     addrs: Mutex<Vec<Option<String>>>,
     /// Notified whenever the monitor records an address in `addrs`.
     wired: Condvar,
-    counters: Counters,
     stopping: AtomicBool,
     /// Cluster-level aggregation of worker telemetry reports.
     telemetry: ClusterObs,
-    timelines: Mutex<TimelineState>,
-    /// Zero of the cluster clock all timeline stamps use.
-    epoch: Instant,
+    /// When each slot restarts, and the record of each restart.
+    restarts: Restarts,
 }
 
 impl MonitorShared {
-    /// The bookkeeping of an `n`-worker cluster nobody has joined yet.
-    fn new(obs: &Obs, n: usize) -> MonitorShared {
+    /// The bookkeeping of a cluster of `operators` nobody has joined yet.
+    fn new(obs: &Obs, operators: &[NodeSpec]) -> MonitorShared {
         MonitorShared {
             slots: Mutex::new(Vec::new()),
-            addrs: Mutex::new(vec![None; n]),
+            addrs: Mutex::new(vec![None; operators.len()]),
             wired: Condvar::new(),
-            counters: Counters {
-                crash_detected: obs.registry.counter("control.crash_detected", Labels::NONE),
-                lease_expired: obs.registry.counter("control.lease_expired", Labels::NONE),
-                restarts: obs.registry.counter("recovery.restarts", Labels::NONE),
-            },
             stopping: AtomicBool::new(false),
             telemetry: ClusterObs::new(),
-            timelines: Mutex::new(TimelineState {
-                pending: Vec::new(),
-                last_cursor: 0,
-                last_advance_us: 0,
-            }),
-            epoch: Instant::now(),
-        }
-    }
-
-    fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
-    }
-
-    /// The sink edge's advance hook: tracks how many events the edge has
-    /// delivered *final* — a speculative arrival is not output anybody may
-    /// act on — and stamps `first_output` on pending timelines whose
-    /// replacement has handshaked and whose backlog that count has now
-    /// passed. Without a fault on record it reads no clock.
-    fn observe_cursor(&self, cursor_finals: u64) {
-        let mut st = self.timelines.lock();
-        if cursor_finals <= st.last_cursor {
-            return;
-        }
-        st.last_cursor = cursor_finals;
-        if st.pending.is_empty() {
-            return;
-        }
-        let now = self.now_us();
-        st.last_advance_us = now;
-        for p in st.pending.iter_mut() {
-            if p.timeline.handshake_us.is_some()
-                && p.timeline.first_output_us.is_none()
-                && cursor_finals > p.cursor_at_detect
-            {
-                p.timeline.first_output_us = Some(now);
-            }
+            restarts: Restarts::new(obs, operators.iter().map(|op| op.recovery.tag()).collect()),
         }
     }
 
@@ -330,46 +264,6 @@ impl MonitorShared {
                 slot.open_conns = slot.open_conns.saturating_sub(1);
             }
         }
-    }
-
-    /// How many timelines so far are of `kind` (all of them for `None`).
-    fn count(&self, kind: Option<FaultKind>) -> u64 {
-        let st = self.timelines.lock();
-        st.pending.iter().filter(|p| kind.is_none_or(|k| p.timeline.kind == k)).count() as u64
-    }
-
-    /// Stamps `handshake` on the pending timeline waiting for this
-    /// worker incarnation's `Hello`.
-    fn stamp_handshake(&self, worker: u32, incarnation: u64) {
-        let mut st = self.timelines.lock();
-        let now = self.now_us();
-        for p in st.pending.iter_mut() {
-            if p.timeline.worker == worker
-                && p.timeline.incarnation == incarnation
-                && p.timeline.handshake_us.is_none()
-            {
-                p.timeline.handshake_us = Some(now);
-            }
-        }
-    }
-
-    /// The timelines assembled so far. `drain` resolves lazily to the
-    /// sink cursor's last advance, so it settles once the run has drained
-    /// and the cursor stops moving.
-    fn recovery_timelines(&self) -> Vec<RecoveryTimeline> {
-        let st = self.timelines.lock();
-        st.pending
-            .iter()
-            .map(|p| {
-                let mut t = p.timeline.clone();
-                if t.drain_us.is_none() {
-                    if let Some(first) = t.first_output_us {
-                        t.drain_us = Some(st.last_advance_us.max(first));
-                    }
-                }
-                t
-            })
-            .collect()
     }
 }
 
@@ -422,7 +316,7 @@ impl Cluster {
                 .map_err(|e| format!("control listener: {e}"))?,
         );
 
-        let shared = Arc::new(MonitorShared::new(&obs, n));
+        let shared = Arc::new(MonitorShared::new(&obs, &spec.operators));
 
         // Sink: real SinkHandle on a local link, fed by an acceptor for
         // the last edge (id = n). The link carries the remote sequence
@@ -441,7 +335,7 @@ impl Cluster {
                 data_tx: sink_data_tx,
                 ctrl_rx: sink_ctrl_rx,
                 cursor: EdgeCursor::default(),
-                on_advance: Some(Box::new(move |finals| timelines.observe_cursor(finals))),
+                on_advance: Some(Box::new(move |finals| timelines.restarts.observe_cursor(finals))),
                 metrics: TransportMetrics::registered(&obs.registry, (n - 1) as u32, n as u32),
             }],
             shutdown.clone(),
@@ -481,7 +375,6 @@ impl Cluster {
                 slots.push(WorkerSlot {
                     child: Some(child),
                     incarnation: 0,
-                    spawned_at: Instant::now(),
                     seen_hello: false,
                     open_conns: 0,
                 });
@@ -600,23 +493,23 @@ impl Cluster {
 
     /// Total worker restarts so far: one recovery timeline each.
     pub fn restarts(&self) -> u64 {
-        self.shared.count(None)
+        self.shared.restarts.count(None)
     }
 
     /// Restarts triggered by the end of a worker process.
     pub fn crashes_detected(&self) -> u64 {
-        self.shared.count(Some(FaultKind::Crash))
+        self.shared.restarts.count(Some(FaultKind::Crash))
     }
 
     /// Restarts triggered by lease expiry (partition-style).
     pub fn leases_expired(&self) -> u64 {
-        self.shared.count(Some(FaultKind::LeaseExpiry))
+        self.shared.restarts.count(Some(FaultKind::LeaseExpiry))
     }
 
     /// Microseconds elapsed on the cluster clock — the time base of every
     /// [`RecoveryTimeline`] stamp.
     pub fn now_us(&self) -> u64 {
-        self.shared.now_us()
+        self.shared.restarts.now_us()
     }
 
     /// The launcher-side telemetry aggregator merging worker reports.
@@ -626,7 +519,7 @@ impl Cluster {
 
     /// Structured per-fault recovery timelines assembled so far.
     pub fn recovery_timelines(&self) -> Vec<RecoveryTimeline> {
-        self.shared.recovery_timelines()
+        self.shared.restarts.timelines()
     }
 
     /// Cluster-wide metrics snapshot: the parent's own samples plus the
@@ -676,7 +569,7 @@ impl Cluster {
                     "/cluster/journal" => ("text/plain", shared.telemetry.journal_render()),
                     "/cluster/traces" => ("application/json", shared.telemetry.chrome_trace()),
                     "/cluster/recovery" => {
-                        ("application/json", timelines_json(&shared.recovery_timelines()))
+                        ("application/json", timelines_json(&shared.restarts.timelines()))
                     }
                     "/" => (
                         "text/plain",
@@ -841,20 +734,23 @@ impl Monitor {
         self.shared.stopping.load(Ordering::Acquire)
     }
 
-    /// The supervision loop: wires workers as they say `Hello`, restarts
-    /// ended and silent ones. Returns once the cluster is stopping.
+    /// The supervision loop: wires workers as they say `Hello`, fences
+    /// ended and silent ones and respawns them when their restart falls
+    /// due. Returns once the cluster is stopping.
     fn supervise(&self) {
         let n = self.spec.operators.len();
+        let restarts = &self.shared.restarts;
         let mut tick = Instant::now() + self.spec.poll;
         // Checked before the wait, not after it: an event taken off the
         // queue is accounted for even when it is the last one.
         while !self.stopping() {
             // Sleep until the control plane or a reaper has something to
-            // say or the lease check is due; a due check is not kept
-            // waiting by a busy queue.
+            // say, a restart falls due or the lease check is due; neither
+            // is kept waiting by a busy queue.
             let now = Instant::now();
-            let event = if now < tick {
-                self.plane.events().recv_timeout(tick - now)
+            let wake = restarts.next_due().map_or(tick, |due| due.min(tick));
+            let event = if now < wake {
+                self.plane.events().recv_timeout(wake - now)
             } else {
                 Err(RecvTimeoutError::Timeout)
             };
@@ -870,9 +766,8 @@ impl Monitor {
                 Ok(CtrlEvent::WorkerGone { worker, incarnation }) => {
                     self.shared.note_gone(worker, incarnation);
                 }
-                // An older incarnation's end is the restart that replaced
-                // it; the current one's is a crash. A slot without a child
-                // is a respawn that failed: the lease check retries it.
+                // An older incarnation's end is the fault already handled;
+                // the current one's is a crash.
                 Ok(CtrlEvent::Exited { worker, incarnation }) => {
                     let i = worker as usize;
                     let current = {
@@ -880,16 +775,16 @@ impl Monitor {
                         slot.incarnation == incarnation && slot.child.is_some()
                     };
                     if current && !self.stopping() {
-                        self.restart(i, FaultKind::Crash);
+                        self.fail(i, FaultKind::Crash);
                     }
                 }
-                Err(RecvTimeoutError::Timeout) => {
+                Err(RecvTimeoutError::Timeout) if Instant::now() >= tick => {
                     tick = Instant::now() + self.spec.poll;
                     for i in 0..n {
                         let lease = self.plane.lease(i as u32);
                         let now = Instant::now();
-                        // One statement: the `slots` lock is gone before a
-                        // restart takes it.
+                        // One statement: the `slots` lock is gone before
+                        // the fence takes it.
                         let expired = lease_expired(
                             lease.as_ref(),
                             &self.shared.slots.lock()[i],
@@ -897,11 +792,15 @@ impl Monitor {
                             self.spec.lease_timeout,
                         );
                         if expired && !self.stopping() {
-                            self.restart(i, FaultKind::LeaseExpiry);
+                            self.fail(i, FaultKind::LeaseExpiry);
                         }
                     }
                 }
+                Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => return,
+            }
+            while let Some(due) = restarts.take_due(Instant::now()) {
+                self.respawn(due);
             }
         }
     }
@@ -917,7 +816,7 @@ impl Monitor {
             slots[i].seen_hello = true;
             slots[i].open_conns += 1;
         }
-        self.shared.stamp_handshake(worker, incarnation);
+        self.shared.restarts.stamp_handshake(worker, incarnation);
         let downstream = {
             let mut addrs = self.shared.addrs.lock();
             addrs[i] = Some(data_addr.clone());
@@ -940,64 +839,48 @@ impl Monitor {
         }
     }
 
-    /// Replaces worker `i`'s process by its next incarnation and opens the
-    /// fault's recovery timeline.
-    fn restart(&self, i: usize, kind: FaultKind) {
-        let (shared, plane) = (&self.shared, &self.plane);
-        let detect_us = shared.now_us();
-        let cursor_at_detect = shared.timelines.lock().last_cursor;
-        match kind {
-            FaultKind::Crash => shared.counters.crash_detected.incr(),
-            FaultKind::LeaseExpiry => shared.counters.lease_expired.incr(),
-        }
-        let next = shared.slots.lock()[i].incarnation + 1;
-        // Fence first: anything still claiming the old incarnation must
-        // not survive alongside the replacement.
-        plane.expect_epoch(i as u32, next);
-        let fence_us = shared.now_us();
-        {
-            let mut slots = shared.slots.lock();
+    /// Worker `i` failed: fences its incarnation — anything still
+    /// claiming it must not survive alongside the replacement — and
+    /// schedules the restart. Until then the slot has no process and
+    /// holds no lease to lose.
+    fn fail(&self, i: usize, kind: FaultKind) {
+        self.shared.restarts.failed(i as u32, kind, || {
+            let mut slots = self.shared.slots.lock();
             let slot = &mut slots[i];
-            if let Some(child) = slot.child.as_mut() {
+            slot.incarnation += 1;
+            self.plane.expect_epoch(i as u32, slot.incarnation);
+            if let Some(mut child) = slot.child.take() {
                 let _ = child.kill();
                 let _ = child.wait();
             }
-            match spawn_worker(&self.spec, &self.checkpoint_dir, i, next, plane) {
-                Ok(child) => {
-                    slot.child = Some(child);
-                    slot.incarnation = next;
-                    slot.spawned_at = Instant::now();
-                    slot.seen_hello = false;
-                    slot.open_conns = 0;
-                }
-                Err(e) => {
-                    eprintln!("cluster: respawn of worker {i} failed: {e}");
-                    slot.child = None;
-                }
-            }
-        }
-        shared.addrs.lock()[i] = None;
+            slot.seen_hello = false;
+            slot.open_conns = 0;
+        });
+        self.shared.addrs.lock()[i] = None;
         if i == 0 {
             // Dialing the dead address is pointless; the bridge waits for
             // the replacement's Hello.
             self.src_slot.set(None);
         }
-        shared.counters.restarts.incr();
-        shared.timelines.lock().pending.push(PendingTimeline {
-            timeline: RecoveryTimeline {
-                worker: i as u32,
-                incarnation: next,
-                kind,
-                mode: self.spec.operators[i].recovery.tag(),
-                detect_us,
-                fence_us,
-                respawn_us: shared.now_us(),
-                handshake_us: None,
-                first_output_us: None,
-                drain_us: None,
-            },
-            cursor_at_detect,
-        });
+    }
+
+    /// Spawns the incarnation a due restart is for. One that does not
+    /// start is the slot's next crash.
+    fn respawn(&self, due: Restart) {
+        let i = due.slot as usize;
+        let mut slots = self.shared.slots.lock();
+        let slot = &mut slots[i];
+        match spawn_worker(&self.spec, &self.checkpoint_dir, i, slot.incarnation, &self.plane) {
+            Ok(child) => {
+                slot.child = Some(child);
+                drop(slots);
+                self.shared.restarts.restarted(due);
+            }
+            Err(e) => {
+                drop(slots);
+                self.shared.restarts.respawn_failed(due, e);
+            }
+        }
     }
 }
 
@@ -1007,8 +890,8 @@ mod tests {
 
     const LEASE: Duration = Duration::from_millis(250);
 
-    fn slot(incarnation: u64, seen_hello: bool, spawned_at: Instant) -> WorkerSlot {
-        WorkerSlot { child: None, incarnation, spawned_at, seen_hello, open_conns: 0 }
+    fn slot(incarnation: u64, seen_hello: bool) -> WorkerSlot {
+        WorkerSlot { child: None, incarnation, seen_hello, open_conns: 0 }
     }
 
     fn lease(epoch: u64, last_beat: Instant) -> LeaseView {
@@ -1018,24 +901,21 @@ mod tests {
     #[test]
     fn a_silent_lease_expires_and_a_booting_process_does_not() {
         let now = Instant::now();
-        let up = slot(1, true, now);
+        let up = slot(1, true);
         assert!(!lease_expired(Some(&lease(1, now)), &up, now, LEASE));
         let later = now + LEASE + Duration::from_millis(1);
         assert!(lease_expired(Some(&lease(1, now)), &up, later, LEASE));
-        // Evicted (fenced) and not back after four lease times.
-        assert!(!lease_expired(None, &up, now + LEASE * 2, LEASE));
-        assert!(lease_expired(None, &up, now + LEASE * 4 + Duration::from_millis(1), LEASE));
         // A predecessor's stale lease says nothing about this incarnation.
         assert!(!lease_expired(Some(&lease(0, now)), &up, now + LEASE * 2, LEASE));
         // Before its `Hello` a replacement holds no lease to lose.
-        let booting = slot(2, false, now);
+        let booting = slot(2, false);
         assert!(!lease_expired(None, &booting, now + LEASE * 8, LEASE));
     }
 
     #[test]
     fn a_gone_event_counts_only_against_the_current_incarnation() {
-        let shared = MonitorShared::new(&Obs::new(), 1);
-        let mut current = slot(2, true, Instant::now());
+        let shared = MonitorShared::new(&Obs::new(), &[NodeSpec::logged("relay", 0, 1)]);
+        let mut current = slot(2, true);
         current.open_conns = 2;
         shared.slots.lock().push(current);
         shared.note_gone(0, 1); // an older incarnation's connection is history

@@ -10,15 +10,15 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crossbeam_channel::{Receiver, Sender};
+use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use streammine_common::clock::{shared, SharedClock, SystemClock};
 use streammine_common::error::{Error, Result};
 use streammine_common::ids::OperatorId;
 use streammine_net::{link, EdgeMetrics, LinkConfig, LinkReceiver, LinkSender};
-use streammine_obs::{Obs, RecoveryModeTag, RegistrySnapshot};
+use streammine_obs::{FaultKind, Obs, RecoveryTimeline, RegistrySnapshot};
 use streammine_storage::checkpoint::Checkpoint;
 use streammine_storage::disk::DiskSpec;
 use streammine_storage::log::{LogObs, StableLog};
@@ -27,10 +27,10 @@ use crate::config::{OperatorConfig, RecoveryMode};
 use crate::determinant::read_back;
 use crate::endpoints::{SinkHandle, SourceHandle};
 use crate::message::{Control, Message};
-use crate::node::{Node, NodeSeed};
+use crate::node::{Exit, Node, NodeSeed};
 use crate::operator::Operator;
 use crate::plumbing::{DownEdge, Inbox, NodeCommand, Notice, Sent};
-use crate::supervisor::{Signal, Supervisor};
+use crate::restart::Restarts;
 
 /// Identifies an external source created by the builder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,7 +236,7 @@ pub(crate) struct NodePersist {
     join: Mutex<Option<JoinHandle<()>>>,
     rng_seed: u64,
     clock: SharedClock,
-    exits: Sender<Signal>,
+    exits: Sender<Exit>,
     obs: Obs,
 }
 
@@ -263,16 +263,11 @@ impl NodePersist {
         }
     }
 
-    /// The recovery mode this node's timelines record.
-    pub(crate) fn mode(&self) -> RecoveryModeTag {
-        self.config.recovery.tag()
-    }
-
     /// Joins a dead coordinator, discards the notices in flight to it, and
     /// starts a fresh coordinator in recovery mode (checkpoint restore +
     /// log replay + input rewind) — unless the graph is `stopping`:
     /// `false` then, and no coordinator runs.
-    pub(crate) fn restart(&self, stopping: &AtomicBool) -> bool {
+    fn restart(&self, stopping: &AtomicBool) -> bool {
         // Under the lock, so a crash or a shutdown finds the old
         // coordinator or the new one, never the gap between them.
         let mut join = self.join.lock();
@@ -387,6 +382,7 @@ impl Graph {
             nodes.push(persist);
         }
 
+        let modes = nodes.iter().map(|n| n.config.recovery.tag()).collect();
         Running {
             clock,
             nodes: Arc::new(nodes),
@@ -396,6 +392,8 @@ impl Graph {
             stopping: Arc::new(AtomicBool::new(false)),
             signals,
             exits,
+            restarts: Arc::new(Restarts::new(&obs, modes)),
+            supervisor: Mutex::new(None),
             obs,
         }
     }
@@ -416,9 +414,12 @@ pub struct Running {
     sources: Vec<SourceHandle>,
     sinks: Vec<SinkHandle>,
     stopping: Arc<AtomicBool>,
-    /// Every coordinator's exit report, and the supervisor's wake-up.
-    signals: Sender<Signal>,
-    exits: Receiver<Signal>,
+    /// Every coordinator's exit report.
+    signals: Sender<Exit>,
+    exits: Receiver<Exit>,
+    restarts: Arc<Restarts>,
+    /// The thread [`Running::supervise`] started, if it did.
+    supervisor: Mutex<Option<JoinHandle<()>>>,
     obs: Obs,
 }
 
@@ -620,20 +621,40 @@ impl Running {
         }
     }
 
-    /// Starts a supervisor that waits for coordinator threads to exit and
-    /// restarts every one that crashed — a simulated crash or a panic —
-    /// from its checkpoint (restore + log replay + input rewind), after
-    /// [`Supervisor::BACKOFF`]'s capped exponential delay. The returned
-    /// handle exposes the recovery timelines; dropping it stops monitoring
-    /// (nodes keep running).
-    pub fn supervise(&self) -> Supervisor {
-        Supervisor::spawn(
-            self.nodes.clone(),
-            self.stopping.clone(),
-            self.signals.clone(),
-            self.exits.clone(),
-            self.obs.clone(),
-        )
+    /// Starts the supervisor: one thread that waits for coordinator
+    /// threads to exit and restarts every one that crashed — a simulated
+    /// crash or a panic — from its checkpoint (restore + log replay +
+    /// input rewind). A first crash restarts at once; a crash within
+    /// 200 ms of the operator's last restart waits 4 ms, doubling per
+    /// such crash up to 40 ms. It runs until [`Running::shutdown`]; a
+    /// second call does nothing.
+    pub fn supervise(&self) {
+        let mut supervisor = self.supervisor.lock();
+        if supervisor.is_some() {
+            return;
+        }
+        // Exits from before supervision are not its to restart.
+        while self.exits.try_recv().is_ok() {}
+        let (nodes, stopping) = (self.nodes.clone(), self.stopping.clone());
+        let (exits, restarts) = (self.exits.clone(), self.restarts.clone());
+        *supervisor = std::thread::Builder::new()
+            .name("supervisor".into())
+            .spawn(move || supervise(&nodes, &stopping, &exits, &restarts))
+            .ok();
+    }
+
+    /// Supervised restarts so far.
+    pub fn restarts(&self) -> u64 {
+        self.restarts.count(None)
+    }
+
+    /// One timeline per supervised restart, in restart order; stamps are
+    /// microseconds since the graph started. The thread's exit is both
+    /// detection and fence, and the restart is the respawn; the later
+    /// phases belong to processes. The attempt and the backoff are in the
+    /// journal's `Restart` record.
+    pub fn recovery_timelines(&self) -> Vec<RecoveryTimeline> {
+        self.restarts.timelines()
     }
 
     /// Simulates a crash of `op`: the node thread stops and all volatile
@@ -676,9 +697,8 @@ impl Running {
 
     /// Stops all operators and waits for their threads.
     pub fn shutdown(self) {
-        // No restart begins after this; the supervisor wakes and stops.
+        // No restart begins after this.
         self.stopping.store(true, Ordering::SeqCst);
-        let _ = self.signals.send(Signal::Stop);
         for node in self.nodes.iter() {
             node.inbox.post(Notice::Command(NodeCommand::Shutdown));
         }
@@ -687,10 +707,45 @@ impl Running {
                 let _ = join.join();
             }
         }
+        // The coordinators' exits woke the supervisor, unless none ran:
+        // one more report does.
+        if let Some(supervisor) = self.supervisor.lock().take() {
+            let _ = self.signals.send(Exit { op: OperatorId::new(0), crashed: false });
+            let _ = supervisor.join();
+        }
         for node in self.nodes.iter() {
             if let Some(log) = &node.log {
                 log.shutdown();
             }
+        }
+    }
+}
+
+/// The in-process respawn step: a crashed coordinator's exit is its
+/// slot's failure, and a restart that falls due starts a new coordinator.
+/// Returns once the graph stops.
+fn supervise(
+    nodes: &[NodePersist],
+    stopping: &AtomicBool,
+    exits: &Receiver<Exit>,
+    restarts: &Restarts,
+) {
+    while !stopping.load(Ordering::SeqCst) {
+        let exit = match restarts.next_due() {
+            Some(at) => exits.recv_timeout(at.saturating_duration_since(Instant::now())),
+            None => exits.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match exit {
+            // Nothing of the old coordinator outlives its exit: no fence.
+            Ok(Exit { op, crashed: true }) => restarts.failed(op.index(), FaultKind::Crash, || {}),
+            Ok(Exit { crashed: false, .. }) | Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return,
+        }
+        while let Some(due) = restarts.take_due(Instant::now()) {
+            if !nodes[due.slot as usize].restart(stopping) {
+                return;
+            }
+            restarts.restarted(due);
         }
     }
 }

@@ -64,8 +64,8 @@ pub mod message;
 pub mod node;
 pub mod operator;
 pub mod plumbing;
+mod restart;
 pub mod state;
-pub mod supervisor;
 
 pub use config::{LoggingConfig, NodeConfig, OperatorConfig, RecoveryMode};
 pub use determinant::{DecisionRecord, Determinant};
@@ -74,4 +74,3 @@ pub use graph::{Graph, GraphBuilder, Running, SinkId, SourceId};
 pub use message::{Control, Message};
 pub use operator::{OpCtx, Operator, PortId, SetupCtx};
 pub use state::{StateHandle, StateRegistry};
-pub use supervisor::Supervisor;

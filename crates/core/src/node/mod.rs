@@ -60,7 +60,6 @@ use crate::message::{Control, Message};
 use crate::operator::{OpCtx, Operator, PortId, SetupCtx};
 use crate::plumbing::{DownEdge, Inbox, NodeCommand, Notice};
 use crate::state::{StateAccess, StateRegistry};
-use crate::supervisor::Signal;
 use cut::Admitted;
 use execute::{assign_output_ids, maybe_authorize_pending};
 use publish::{routes_to, swallow, NodeSendView, Resend};
@@ -221,6 +220,13 @@ impl NodeMetrics {
     }
 }
 
+/// What a coordinator thread reports on its way out.
+pub(crate) struct Exit {
+    pub op: OperatorId,
+    /// `false` for a clean shutdown.
+    pub crashed: bool,
+}
+
 pub(crate) struct NodeSeed {
     pub id: OperatorId,
     pub operator: Arc<dyn Operator>,
@@ -240,7 +246,7 @@ pub(crate) struct NodeSeed {
     pub obs: Obs,
     /// Where the coordinator thread reports its exit (a graph's
     /// supervisor listens there).
-    pub exits: Option<crossbeam_channel::Sender<Signal>>,
+    pub exits: Option<crossbeam_channel::Sender<Exit>>,
     /// True when this node restarts after a crash (triggers replay).
     pub recovering: bool,
 }
@@ -368,7 +374,7 @@ impl Node {
                     true
                 });
                 if let Some(exits) = exits {
-                    let _ = exits.send(Signal::Exited { op, crashed });
+                    let _ = exits.send(Exit { op, crashed });
                 }
             })
             .expect("spawn node thread")

@@ -27,11 +27,11 @@
 //!   processes (and across a kill/replay) is one Perfetto timeline.
 //!
 //! [`RecoveryTimeline`] is the typed per-fault phase breakdown of one
-//! restart, in either runtime. A cluster's launcher assembles it from its
-//! own monitor (detect → fence → respawn) and the replacement worker's
-//! signals (handshake, first replayed output, sink drain); the in-process
-//! supervisor stamps the first three. This module only defines the type
-//! and its JSON form, so harnesses and benches share one schema.
+//! restart, in either runtime. Both build it in one place, the engine's
+//! restart book, which stamps detect → fence → respawn; in a cluster the
+//! replacement worker's signals (handshake, first replayed output, sink
+//! drain) fill in the rest. This module only defines the type and its
+//! JSON form, so harnesses and benches share one schema.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -761,7 +761,7 @@ impl RecoveryModeTag {
 /// One fault's recovery, decomposed into the phases the paper's
 /// kill-to-first-output latency is made of. All stamps are microseconds
 /// on the supervising clock — since a cluster's launch, or since an
-/// in-process supervisor started — so phases are directly comparable
+/// in-process graph started — so phases are directly comparable
 /// across faults and slots. An in-process restart has no process to
 /// hand-shake, so its last three phases are `None`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -779,11 +779,13 @@ pub struct RecoveryTimeline {
     /// dead).
     pub detect_us: u64,
     /// Zombies of the old incarnation are fenced from here on: a
-    /// cluster's expected epoch was raised. A thread that exited is fenced
-    /// by its exit, so in process this equals `detect_us`.
+    /// cluster's expected epoch was raised and the old process killed. A
+    /// thread that exited is fenced by its exit, so in process this
+    /// follows `detect_us` at once.
     pub fence_us: u64,
-    /// The replacement was started: a process spawned, or a coordinator
-    /// thread restarted after its backoff.
+    /// The replacement was started, after the restart's backoff (none
+    /// for a first crash): a process spawned, or a coordinator thread
+    /// restarted.
     pub respawn_us: u64,
     /// The replacement's `Hello` claimed the lease (data address known,
     /// re-wiring pushed).
@@ -1002,7 +1004,7 @@ mod tests {
         // Merged with a parent snapshot the exposition still lints (TYPE
         // grouping survives the re-sort).
         let parent = Obs::new();
-        parent.registry.counter("recovery.restarts", Labels::NONE).add(2);
+        parent.registry.counter("recovery.restarts", Labels::op(1)).add(2);
         let merged = cluster.merged_snapshot(&parent.snapshot());
         let text = prometheus_text(&merged);
         assert!(validate_prometheus(&text).unwrap() >= 5, "{text}");

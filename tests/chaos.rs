@@ -13,7 +13,6 @@ use streammine::common::event::{Event, Value};
 use streammine::common::ids::OperatorId;
 use streammine::core::{
     GraphBuilder, LoggingConfig, OpCtx, Operator, OperatorConfig, Running, SinkId, SourceId,
-    Supervisor,
 };
 use streammine::obs::JournalKind;
 use streammine::operators::RandomTagger;
@@ -83,7 +82,7 @@ fn chaos_grid_preserves_precise_outputs() {
     let reference = failure_free_reference();
     for seed in 0..SEEDS {
         let (running, src, sink) = pipeline();
-        let supervisor = running.supervise();
+        running.supervise();
         let topo = running.topology();
         let plan = FaultPlan::random(seed, STEPS, &topo);
         // Reproducible fault timeline: same (seed, steps, topology) — same
@@ -116,27 +115,27 @@ fn chaos_grid_preserves_precise_outputs() {
             sched.plan()
         );
 
-        // Every injected crash was recovered by the supervisor.
+        // Every injected crash was recovered by the supervisor. A crash
+        // restarts its operator once, so the accounts are now final.
         assert!(
-            supervisor.restarts() >= crashes,
+            running.restarts() >= crashes as u64,
             "seed {seed}: {} supervised restarts for {crashes} crashes",
-            supervisor.restarts()
+            running.restarts()
         );
-        // Stop monitoring first so every account is frozen.
-        supervisor.stop();
         // Each restart's timeline is monotone, its journal record's backoff
-        // follows the capped exponential schedule, and the timeline spans
-        // at least that backoff from the exit to the restart.
-        let timelines = supervisor.recovery_timelines();
+        // follows the one restart policy (a first crash at once, a re-crash
+        // after 4 ms doubling to 40 ms), and the timeline spans at least
+        // that backoff from the exit to the restart.
+        let timelines = running.recovery_timelines();
         for t in &timelines {
             assert!(t.monotonic(), "seed {seed}: non-monotonic timeline {}", t.to_json());
             let (attempt, backoff) =
                 restart_records(&running, t.worker)[t.incarnation as usize - 1];
-            assert_eq!(
-                backoff,
-                Supervisor::BACKOFF.delay(attempt),
-                "seed {seed}: attempt {attempt}"
-            );
+            let policy = match attempt {
+                1 => Duration::ZERO,
+                k => Duration::from_millis(4 << (k - 2).min(4)).min(Duration::from_millis(40)),
+            };
+            assert_eq!(backoff, policy, "seed {seed}: attempt {attempt}");
             assert!(
                 Duration::from_micros(t.respawn_us - t.detect_us) >= backoff,
                 "seed {seed}: restarted inside its {backoff:?} backoff: {}",
@@ -212,7 +211,7 @@ fn network_nemesis_grid_preserves_precise_outputs() {
 #[test]
 fn supervisor_restarts_crashed_node_without_manual_recover() {
     let (running, src, sink) = pipeline();
-    let supervisor = running.supervise();
+    running.supervise();
     let op1 = OperatorId::new(1);
 
     for i in 0..10 {
@@ -224,14 +223,14 @@ fn supervisor_restarts_crashed_node_without_manual_recover() {
     running.crash(op1);
     // First supervised restart.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while supervisor.restarts() < 1 {
+    while running.restarts() < 1 {
         assert!(std::time::Instant::now() < deadline, "supervisor never restarted op1");
         std::thread::sleep(Duration::from_millis(1));
     }
     // Crash again inside the stability window: the attempt counter grows
-    // and the backoff doubles.
+    // and the restart waits.
     running.crash(op1);
-    while supervisor.restarts() < 2 {
+    while running.restarts() < 2 {
         assert!(std::time::Instant::now() < deadline, "no second supervised restart");
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -247,11 +246,11 @@ fn supervisor_restarts_crashed_node_without_manual_recover() {
     let after = payloads(&running.sink(sink).final_events_by_id());
     assert_eq!(&after[..before.len()], &before[..], "pre-crash outputs changed");
 
-    let timelines = supervisor.recovery_timelines();
+    let timelines = running.recovery_timelines();
     assert!(timelines.len() >= 2);
     assert_eq!((timelines[0].worker, timelines[0].incarnation), (op1.index(), 1));
     let restarts = restart_records(&running, op1.index());
-    assert_eq!(restarts[0], (1, Supervisor::BACKOFF.delay(1)));
+    assert_eq!(restarts[0], (1, Duration::ZERO), "a first crash restarts at once");
     assert_eq!(restarts[1].0, 2, "rapid re-crash should escalate the attempt counter");
     assert!(restarts[1].1 > restarts[0].1, "backoff should grow across rapid crashes");
     running.shutdown();
@@ -309,17 +308,16 @@ fn supervisor_restarts_a_panicking_coordinator() {
     reference.shutdown();
 
     let (running, src, sink) = build(Some(11));
-    let supervisor = running.supervise();
+    running.supervise();
     assert_eq!(run(&running, src, sink), expected);
     assert!(PANICKED.load(Ordering::SeqCst), "the operator never panicked");
-    supervisor.stop();
     let journal = &running.obs().journal;
     let panics = journal.count_matching(|e| {
         matches!(e.kind, JournalKind::Warn { code: "coordinator-panic", .. }) && e.op == Some(1)
     });
     let restarts = journal.count_matching(|e| matches!(e.kind, JournalKind::Restart { .. }));
     assert_eq!((panics, restarts), (1, 1), "{}", running.journal_dump());
-    assert_eq!(supervisor.recovery_timelines().len(), 1);
+    assert_eq!(running.recovery_timelines().len(), 1);
     running.shutdown();
 }
 
@@ -471,7 +469,7 @@ fn traced_chaos_grid_reproduces_trace_contexts_exactly() {
 
     for seed in 0..4 {
         let (running, src, sink) = traced_pipeline();
-        let supervisor = running.supervise();
+        running.supervise();
         let topo = running.topology();
         let mut sched = FaultScheduler::new(FaultPlan::random(seed, STEPS, &topo));
         for step in 0..STEPS {
@@ -491,7 +489,6 @@ fn traced_chaos_grid_reproduces_trace_contexts_exactly() {
         for (i, (o, r)) in out.iter().zip(reference.iter()).enumerate() {
             assert_eq!(o, r, "seed {seed}: traced output {i} diverged (trace context included)");
         }
-        supervisor.stop();
         // The tracer's books must stay internally consistent under faults,
         // and the chrome export must remain loadable.
         streammine::chaos::verify_rollback_traces(&running.obs().tracer)

@@ -872,6 +872,83 @@ fn kill_before_hello_is_found_without_the_lease_check() {
     panic!("in five trials the replacement said Hello before the second kill");
 }
 
+/// A slot that cannot boot is a crash loop, not a busy loop. Every
+/// incarnation of a worker whose operator the registry does not know
+/// exits at once, and the one restart policy spaces the respawns: the
+/// first at once, then 4 ms doubling to 40 ms, about 12 in 400 ms.
+#[test]
+fn a_crash_looping_worker_is_respawned_on_a_backoff() {
+    let _machine = share_the_machine();
+    let spec = ClusterSpec::new(
+        vec![NodeSpec::logged("no-such-operator", FAST_LOG_US, 1)],
+        PathBuf::from(env!("CARGO_BIN_EXE_streammine_worker")),
+    );
+    let cluster = Cluster::launch(spec).expect("cluster launch");
+    let deadline = Instant::now() + Duration::from_millis(400);
+    while Instant::now() < deadline && cluster.restarts() <= 16 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let restarts = cluster.restarts();
+    cluster.shutdown();
+    assert!(restarts >= 2, "the crash loop was restarted {restarts} times");
+    assert!(restarts <= 16, "{restarts} respawns in 400 ms: the crash loop does not back off");
+}
+
+/// Removes a file when dropped.
+struct RemoveOnDrop(PathBuf);
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// A respawn that does not start is the slot's next crash, on the same
+/// backoff. With the worker binary moved away, the killed worker's
+/// respawns fail one after another; once it is back, the next one starts
+/// within the policy's 40 ms cap (plus a 60 ms margin) — no lease check
+/// is involved — and the output is byte-identical.
+#[test]
+fn a_failed_respawn_is_retried_on_the_backoff() {
+    let _machine = have_the_machine_alone();
+    let input = inputs(40);
+    let expected = reference(3, &input);
+    let bin = std::env::temp_dir().join(format!("streammine-worker-copy-{}", std::process::id()));
+    let away = bin.with_extension("away");
+    let _cleanup = (RemoveOnDrop(bin.clone()), RemoveOnDrop(away.clone()));
+    std::fs::copy(env!("CARGO_BIN_EXE_streammine_worker"), &bin).expect("copy the worker");
+    let mut spec = tagger_chain(3);
+    spec.worker_bin = bin.clone();
+    let cluster = Cluster::launch(spec).expect("cluster launch");
+    assert!(cluster.wait_connected(Duration::from_secs(30)), "cluster never wired up");
+    for v in &input[..20] {
+        cluster.source().push(v.clone());
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert!(cluster.sink().wait_final(20, Duration::from_secs(30)), "pre-kill stream stalled");
+    std::fs::rename(&bin, &away).expect("move the worker binary away");
+    cluster.kill_worker(1);
+    std::thread::sleep(Duration::from_millis(150));
+    std::fs::rename(&away, &bin).expect("put the worker binary back");
+    let back_us = cluster.now_us();
+    for v in &input[20..] {
+        cluster.source().push(v.clone());
+    }
+    assert!(
+        cluster.sink().wait_final(input.len(), Duration::from_secs(10)),
+        "wedged at {}/{} final events",
+        cluster.sink().final_count(),
+        input.len(),
+    );
+    assert_eq!(payloads(&cluster.sink().final_events()), expected);
+    cluster.shutdown();
+    let respawned_us = cluster.recovery_timelines().iter().map(|t| t.respawn_us).max();
+    let respawned_us = respawned_us.expect("no restart recorded");
+    assert!(respawned_us >= back_us, "a respawn started without its binary");
+    let waited_ms = (respawned_us - back_us) as f64 / 1e3;
+    assert!(waited_ms <= 100.0, "respawned {waited_ms} ms after the binary was back");
+}
+
 /// A SIGKILL while speculation is open across every socket: the middle
 /// worker's log takes 50 ms, so its outputs — and everything derived from
 /// them downstream — sit speculative at the sink, un-finalized, when the
