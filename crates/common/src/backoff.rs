@@ -1,5 +1,6 @@
-//! The one capped exponential backoff: restart supervision and redialing
-//! both space their retries with it.
+//! The one capped exponential backoff: restart supervision, redialing,
+//! the STM's conflict retries and the decision log's write retries all
+//! space their attempts with it.
 
 use std::time::Duration;
 
@@ -16,6 +17,11 @@ impl BackoffConfig {
     /// A policy starting at `base_ms` and capped at `cap_ms` milliseconds.
     pub const fn millis(base_ms: u64, cap_ms: u64) -> BackoffConfig {
         BackoffConfig { base: Duration::from_millis(base_ms), cap: Duration::from_millis(cap_ms) }
+    }
+
+    /// A policy starting at `base_us` and capped at `cap_us` microseconds.
+    pub const fn micros(base_us: u64, cap_us: u64) -> BackoffConfig {
+        BackoffConfig { base: Duration::from_micros(base_us), cap: Duration::from_micros(cap_us) }
     }
 
     /// Delay before the next attempt after `failures` consecutive failures.

@@ -2,6 +2,7 @@
 //!
 //! This crate contains the pieces every other StreamMine crate builds on:
 //!
+//! * [`backoff`] — the one capped exponential backoff every retry waits on.
 //! * [`event`] — the event model: [`Event`](event::Event) carrying a typed
 //!   [`Value`](event::Value) payload, identified by `(source, sequence)` and a
 //!   *version* that is bumped whenever a speculative event is re-emitted after
@@ -34,6 +35,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod backoff;
 pub mod buf;
 pub mod clock;
 pub mod codec;
@@ -45,6 +47,7 @@ pub mod pool;
 pub mod rng;
 pub mod stats;
 
+pub use backoff::BackoffConfig;
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use error::{Error, Result};
 pub use event::{Event, Value};

@@ -103,10 +103,11 @@ pub struct OperatorConfig {
     /// need no log (§1: stateless/stateful deterministic cases).
     pub logging: Option<LoggingConfig>,
     /// Checkpoint the operator state every this many consumed events
-    /// (default [`CHECKPOINT_EVERY`]). A speculative operator in process
-    /// checkpoints its committed prefix while later transactions stay
-    /// open, on one thread or on several; every other one waits until it
-    /// is settled. `None`
+    /// (default [`CHECKPOINT_EVERY`]). A speculative operator that commits
+    /// in timestamp order checkpoints its committed prefix at every
+    /// this-many-th serial while later transactions stay open, on one
+    /// thread or on several, in process or in a cluster worker; every
+    /// other one waits until it is settled. `None`
     /// disables checkpointing: nothing is acked, so the upstream rings
     /// keep every frame, the decision log every record and the node every
     /// consumed id for the whole run, and recovery replays from the start.

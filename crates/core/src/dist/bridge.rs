@@ -50,9 +50,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use streammine_common::codec::{decode_from_slice, Encode};
+use streammine_common::BackoffConfig;
 use streammine_net::{
-    BackoffConfig, FrameError, FrameListener, FrameTx, LinkError, LinkReceiver, LinkSender,
-    Transport, Waker,
+    FrameError, FrameListener, FrameTx, LinkError, LinkReceiver, LinkSender, Transport, Waker,
 };
 use streammine_obs::TransportMetrics;
 
@@ -113,10 +113,12 @@ pub(crate) struct EdgeCursor {
 impl EdgeCursor {
     /// A cursor resuming at a checkpoint's frontier: link sequence `seq`
     /// next (everything below was acknowledged away upstream and is
-    /// unreplayable), `events` data events consumed before it — all of
-    /// them final, or the checkpoint would not have been taken.
-    pub fn resuming(seq: u64, events: u64) -> EdgeCursor {
-        EdgeCursor { next: seq, events, finals: events }
+    /// unreplayable), `events` data events consumed before it and `finals`
+    /// of them known final there. A committed-prefix image may leave the
+    /// finalize of an event it read past `seq`: the cursor counts it when
+    /// the upstream sends it again.
+    pub fn resuming(seq: u64, events: u64, finals: u64) -> EdgeCursor {
+        EdgeCursor { next: seq, events, finals }
     }
 
     /// The next expected link sequence.
@@ -160,8 +162,9 @@ pub(crate) struct OutBridge {
     pub dial: DialSlot,
     /// The retained local link's consumer side.
     pub data_rx: LinkReceiver<Message>,
-    /// Where received control frames (acks) go.
-    pub ctrl_sink: Box<dyn Fn(Control) + Send + Sync>,
+    /// The control ring received control frames (acks) are pushed to: the
+    /// sending node reads it as it reads an in-process edge's.
+    pub ctrl_sink: LinkSender<Control>,
     pub metrics: TransportMetrics,
     pub shutdown: Arc<AtomicBool>,
     /// Receives the receiver's cursor from the **first** successful
@@ -268,7 +271,7 @@ impl OutBridge {
                             self.metrics.frames_in.incr();
                             self.metrics.bytes_in.add(bytes.len() as u64);
                             if let Ok(DistFrame::Ctrl(c)) = decode_from_slice::<DistFrame>(&bytes) {
-                                (self.ctrl_sink)(c);
+                                self.ctrl_sink.push(c);
                             }
                         }
                         Err(e) if e.is_fatal() => {
@@ -711,11 +714,16 @@ mod tests {
 
     #[test]
     fn cursor_resumes_at_a_checkpoint_position() {
-        // Sequence 5 next, three events (two frames were notices) before.
-        let mut c = EdgeCursor::resuming(5, 3);
+        // Sequence 5 next, three events (two frames were notices) before,
+        // two of them final there.
+        let mut c = EdgeCursor::resuming(5, 3, 2);
         assert!(!c.accept(3, &ev(3)), "pre-checkpoint frames are stale");
         assert!(c.accept(5, &ev(5)));
-        assert_eq!((c.next_seq(), c.events(), c.finals()), (6, 4, 4));
+        assert_eq!((c.next_seq(), c.events(), c.finals()), (6, 4, 3));
+        // The third event's finalize lay past the checkpoint's position.
+        let id = EventId::new(OperatorId::new(0), 2);
+        assert!(c.accept(6, &Message::Control(Control::Finalize { id, version: 0 })));
+        assert_eq!((c.events(), c.finals()), (4, 4));
     }
 
     /// End-to-end over the in-memory transport: an out-bridge dials an
@@ -746,7 +754,7 @@ mod tests {
         .unwrap();
 
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
-        let (acks_tx, acks_rx) = crossbeam_channel::unbounded();
+        let (acks_tx, acks_rx) = link::<Control>(LinkConfig::instant());
         let (gate_tx, gate_rx) = crossbeam_channel::bounded(1);
         let dial = DialSlot::new();
         dial.set(Some(acceptor.local_addr().to_string()));
@@ -756,9 +764,7 @@ mod tests {
             transport: transport.clone(),
             dial,
             data_rx,
-            ctrl_sink: Box::new(move |c| {
-                acks_tx.send(c).unwrap();
-            }),
+            ctrl_sink: acks_tx,
             metrics: TransportMetrics::detached(),
             shutdown: shutdown.clone(),
             first_welcome: Some(gate_tx),
@@ -778,9 +784,10 @@ mod tests {
         assert_eq!(acceptor.cursor(7), (5, 5));
 
         // Reverse direction: an ack from the receiver's node reaches the
-        // sender's ctrl sink.
+        // sender's control ring.
         up_ctrl_tx.send(Control::Ack { upto: 3 }).unwrap();
-        assert_eq!(acks_rx.recv_timeout(Duration::from_secs(5)).unwrap(), Control::Ack { upto: 3 });
+        let (_, ack) = acks_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(ack, Control::Ack { upto: 3 });
 
         // Sever everything; the bridge reconnects and the handshake-driven
         // replay resends only what the cursor still misses (nothing, here),
@@ -821,7 +828,7 @@ mod tests {
             transport,
             dial,
             data_rx,
-            ctrl_sink: Box::new(|_| {}),
+            ctrl_sink: link::<Control>(LinkConfig::instant()).0,
             metrics: metrics.clone(),
             shutdown: shutdown.clone(),
             first_welcome: None,
@@ -861,7 +868,7 @@ mod tests {
             transport: transport.clone(),
             dial,
             data_rx,
-            ctrl_sink: Box::new(|_| {}),
+            ctrl_sink: link::<Control>(LinkConfig::instant()).0,
             metrics: TransportMetrics::detached(),
             shutdown: shutdown.clone(),
             first_welcome: None,
@@ -940,7 +947,7 @@ mod tests {
             transport,
             dial,
             data_rx,
-            ctrl_sink: Box::new(|_| {}),
+            ctrl_sink: link::<Control>(LinkConfig::instant()).0,
             metrics: TransportMetrics::detached(),
             shutdown: shutdown.clone(),
             first_welcome: None,
@@ -1011,7 +1018,7 @@ mod tests {
             transport: transport.clone(),
             dial: dial.clone(),
             data_rx,
-            ctrl_sink: Box::new(|_| {}),
+            ctrl_sink: link::<Control>(LinkConfig::instant()).0,
             metrics: TransportMetrics::detached(),
             shutdown: shutdown.clone(),
             first_welcome: Some(gate_tx),

@@ -29,7 +29,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use streammine_common::codec::{decode_from_slice, Encode};
-use streammine_net::{BackoffConfig, FrameError, SharedFrameTx, Transport};
+use streammine_common::BackoffConfig;
+use streammine_net::{FrameError, SharedFrameTx, Transport};
 use streammine_obs::TelemetryReport;
 
 use crate::dist::wire::CtrlMsg;

@@ -357,9 +357,7 @@ impl Cluster {
             transport: transport.clone(),
             dial: src_slot.clone(),
             data_rx: src_data_rx,
-            ctrl_sink: Box::new(move |c| {
-                let _ = src_ctrl_tx.send(c);
-            }),
+            ctrl_sink: src_ctrl_tx,
             metrics: TransportMetrics::registered(&obs.registry, n as u32, 0),
             shutdown: shutdown.clone(),
             first_welcome: None,

@@ -20,31 +20,30 @@
 //! A worker's log is its file, `worker<i>.log` in the launcher's cluster
 //! directory ([`StableLog::open`]): a group reaches the file before it is
 //! stable, so a decision is there before its output finalizes and an
-//! image before it truncates or acks. Every `checkpoint_every` events a
-//! settled node takes an image; its out-ring lives in this process, so the
-//! image waits until the downstream acked every output it counts. Once it
-//! is stable the log (and its file) is truncated below it and each
-//! upstream ring acked up to its positions: retention is bounded by the
-//! interval, not by the run. With `checkpoint_every == 0` nothing is
-//! acked, and recovery replays the whole stream over the whole log.
+//! image before it truncates or acks. Every `checkpoint_every` events the
+//! node takes an image — a precise slot of its committed prefix, with
+//! transactions open, as a node in process does; an approximate one once
+//! it is settled. Its out-ring lives in this process, so the image waits
+//! until the downstream acked every output it counts. Once it is stable
+//! the log (and its file) is truncated below it and each upstream ring
+//! acked up to its positions: retention is bounded by the interval, not by
+//! the run, however fast the worker is fed. With `checkpoint_every == 0`
+//! nothing is acked, and recovery replays the whole stream over the whole
+//! log.
 //!
 //! A respawned incarnation opens its predecessor's file and recovers as a
 //! node in process does (`determinant::read_back`): it primes each
-//! in-edge cursor at its port's frontier in the newest image (the upstream
-//! bridge rewinds that far and swallows what was read), restores, and
-//! replays the suffix, reading back every decision logged and drawing
-//! live only past them; it swallows the `Welcome` counts past the image's
-//! output counts. Outputs its predecessor published and never finalized
-//! come again under the same ids, so it re-confirms that speculation and
-//! nothing has to be revoked.
-//!
-//! A worker images only when settled (nothing open, held or parked): a
-//! committed-prefix image's output counts would have to stop at the
-//! prefix, while the receiver's cursor counts everything sent. So a worker
-//! fed faster than its commits settle retains as a checkpoint-free one
-//! does. Approximate slots (`approx_eps_ppm > 0`) resume from the image
-//! *stale*: they drop the replayed inputs whose outputs are downstream,
-//! within a bounded sketch error, instead of re-executing them.
+//! in-edge cursor at its port's frontier in the newest image — position,
+//! events read and finals read below it; the upstream bridge rewinds that
+//! far and swallows what was read — restores, and replays the suffix,
+//! reading back every decision logged and drawing live only past them; it
+//! swallows the `Welcome` counts past what the image's covered serials
+//! put on each edge. Outputs its predecessor published and never
+//! finalized come again under the same ids, so it re-confirms that
+//! speculation and nothing has to be revoked. Approximate slots
+//! (`approx_eps_ppm > 0`) resume from the image *stale*: they drop the
+//! replayed inputs whose outputs are downstream, within a bounded sketch
+//! error, instead of re-executing them.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -61,7 +60,7 @@ use crate::dist::bridge::{Acceptor, DialSlot, EdgeCursor, InEdge, OutBridge};
 use crate::dist::control::{CtrlClient, CtrlIdentity};
 use crate::dist::spec::{log_file, WorkerSpec, SPEC_ENV};
 use crate::dist::wire::{CtrlMsg, FaultCmd};
-use crate::plumbing::{DownEdge, Inbox, Notice, Sent};
+use crate::plumbing::{DownEdge, Inbox, Sent};
 use streammine_sketch::ErrorBound;
 use streammine_storage::checkpoint::{Checkpoint, InputFrontier};
 use streammine_storage::log::{LogObs, StableLog};
@@ -128,12 +127,13 @@ impl OperatorRegistry {
 
 /// Where each of `ports` in-edges resumes: at the frontier of the newest
 /// image in the log — the upstream acked its retention away below it, and
-/// swallows the events read there — or, without one (or with one of
-/// another shape, which the node will not restore either), at 0.
+/// swallows the events and finalizes read there — or, without one (or
+/// with one of another shape, which the node will not restore either), at
+/// 0.
 fn in_edge_cursors(image: Option<Checkpoint>, ports: usize) -> Vec<EdgeCursor> {
     let inputs = image.map(|cp| cp.inputs).filter(|inputs| inputs.len() == ports);
     let inputs = inputs.unwrap_or_else(|| vec![InputFrontier::default(); ports]);
-    inputs.iter().map(|at| EdgeCursor::resuming(at.position, at.events)).collect()
+    inputs.iter().map(|at| EdgeCursor::resuming(at.position, at.events, at.finals)).collect()
 }
 
 /// Entry point of a worker binary: runs one node per the spec in
@@ -245,9 +245,11 @@ pub(crate) fn run_worker(
             metrics: TransportMetrics::registered(&obs.registry, spec.worker, edge),
         });
     }
-    // Out-edges have no control ring here: their bridges post what they
-    // read off the socket as notices.
-    let inbox = Inbox::new(inputs, Vec::new());
+    // Out-edges: each bridge pushes the acks it reads off its socket to a
+    // control ring the node reads, as it reads an in-process edge's.
+    let (out_ctrls, ctrls): (Vec<_>, Vec<_>) =
+        spec.out_edges.iter().map(|_| link::<Control>(LinkConfig::instant())).unzip();
+    let inbox = Inbox::new(inputs, ctrls);
     let acceptor =
         match Acceptor::start(transport.clone(), "127.0.0.1:0", in_edges, shutdown.clone()) {
             Ok(a) => a,
@@ -282,21 +284,19 @@ pub(crate) fn run_worker(
     let mut down_data = Vec::new();
     let mut dial_slots: HashMap<u32, DialSlot> = HashMap::new();
     let mut gates = Vec::new();
-    for (out, edge) in spec.out_edges.iter().copied().enumerate() {
+    for (edge, ctrl_sink) in spec.out_edges.iter().copied().zip(out_ctrls) {
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
         // The ring the downstream's checkpoints trim: `edge.retained`.
         data_tx.set_metrics(EdgeMetrics::registered(&obs.registry, spec.worker, edge));
         let slot = DialSlot::new();
         let (gate_tx, gate_rx) = crossbeam_channel::bounded(1);
-        let notices = inbox.clone();
-        let out = out as u32;
         OutBridge {
             edge,
             incarnation: spec.incarnation,
             transport: transport.clone(),
             dial: slot.clone(),
             data_rx,
-            ctrl_sink: Box::new(move |ctrl| notices.post(Notice::Downstream { out, ctrl })),
+            ctrl_sink,
             metrics: TransportMetrics::registered(&obs.registry, spec.worker, edge),
             shutdown: shutdown.clone(),
             first_welcome: Some(gate_tx),
@@ -465,13 +465,20 @@ mod tests {
     use streammine_net::{FrameError, MemTransport};
 
     /// A respawn primes each in-edge at its own port's frontier in its
-    /// predecessor's image: each upstream is welcomed at the position and
-    /// with the events read of that port. An image of another shape primes
-    /// nothing.
+    /// predecessor's image: each upstream is welcomed at the position, with
+    /// the events read of that port and the finals read below the position.
+    /// A committed-prefix image reads fewer finals than events: the
+    /// finalizes of events it read lie past its position. An image of
+    /// another shape primes nothing.
     #[test]
     fn in_edges_primed_from_a_two_port_image_welcome_each_upstream_at_its_own_frontier() {
-        let at = |position, events| InputFrontier { position, events, covered_below: events };
-        let image = Checkpoint { inputs: vec![at(5, 7), at(3, 2)], ..Checkpoint::default() };
+        let at = |position, events, finals| InputFrontier {
+            position,
+            events,
+            finals,
+            covered_below: events,
+        };
+        let image = Checkpoint { inputs: vec![at(5, 7, 4), at(3, 2, 2)], ..Checkpoint::default() };
         let transport: Arc<dyn Transport> =
             Arc::new(MemTransport::new().with_read_timeout(Duration::from_millis(20)));
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -497,13 +504,13 @@ mod tests {
                 }
             }
         };
-        let primed = |next_seq, events| DistFrame::Welcome {
+        let primed = |next_seq, events_received, finals_received| DistFrame::Welcome {
             next_seq,
-            events_received: events,
-            finals_received: events,
+            events_received,
+            finals_received,
         };
-        assert_eq!(welcome(10), primed(5, 7));
-        assert_eq!(welcome(11), primed(3, 2));
+        assert_eq!(welcome(10), primed(5, 7, 4));
+        assert_eq!(welcome(11), primed(3, 2, 2));
         let misfit = in_edge_cursors(Some(image), 3);
         let fresh: Vec<(u64, u64)> = misfit.iter().map(|c| (c.next_seq(), c.events())).collect();
         assert_eq!(fresh, vec![(0, 0); 3]);

@@ -6,7 +6,7 @@
 //! final upgrades, and compute the latency series the evaluation plots.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -283,17 +283,17 @@ impl SinkState {
         }
     }
 
-    /// Records one data arrival (from a lone message or a batch frame).
-    /// A final record is frozen: a later arrival for its id changes
-    /// nothing.
-    fn record_arrival(&mut self, event: Event, now: Timestamp) {
+    /// Records one data arrival (from a lone message or a batch frame);
+    /// returns the record's position while it is not final. A final record
+    /// is frozen: a later arrival for its id changes nothing.
+    fn record_arrival(&mut self, event: Event, now: Timestamp) -> Option<u32> {
         let is_final = event.is_final();
         let pos = match self.index.entry(event.id) {
             Entry::Occupied(slot) => {
                 let pos = *slot.get();
                 let entry = &mut self.arena[pos as usize];
                 if entry.is_final() {
-                    return;
+                    return None;
                 }
                 if event.version >= entry.version {
                     if event.version > entry.version {
@@ -332,7 +332,16 @@ impl SinkState {
         };
         if is_final {
             self.mark_final(pos, now);
+            return None;
         }
+        Some(pos)
+    }
+
+    /// Whether the record at `pos` waits for nothing more: final, or
+    /// revoked.
+    fn settled(&self, pos: u32) -> bool {
+        let entry = &self.arena[pos as usize];
+        entry.is_final() || !entry.is_live()
     }
 
     /// Applies a `Finalize`: the live record's current version turns final.
@@ -401,9 +410,9 @@ impl SinkState {
     }
 }
 
-/// How many data/control frames a sink consumes between `Ack`s to its
-/// upstream. Acks trim the upstream's replay-retention buffer, so the
-/// interval bounds retained memory without an ack per frame.
+/// How many frames a sink's acknowledged position advances between `Ack`s
+/// to its upstream. Acks trim the upstream's replay-retention buffer, so
+/// the interval bounds retained memory without an ack per frame.
 const SINK_ACK_INTERVAL: u64 = 16;
 
 /// Observes a graph edge, recording arrivals and finalizations.
@@ -458,7 +467,12 @@ impl SinkHandle {
             std::thread::Builder::new()
                 .name("sink-collector".into())
                 .spawn(move || {
-                    let mut frames: u64 = 0;
+                    // The frames that brought a record not final yet. A
+                    // sink acks below the first of them, as a node acks
+                    // below its first open event: an ack at `q` says every
+                    // event below `q` is final here.
+                    let mut open: VecDeque<(u64, u32)> = VecDeque::new();
+                    let mut acked = 0;
                     loop {
                         // Chaos hook: a stalled sink simply stops calling
                         // recv(), so the upstream link's window fills and
@@ -471,20 +485,17 @@ impl SinkHandle {
                             }
                         }
                         let Ok((seq, msg)) = rx.recv() else { break };
-                        frames += 1;
-                        if frames.is_multiple_of(SINK_ACK_INTERVAL) {
-                            // Periodic cumulative ack: trims upstream
-                            // replay retention.
-                            let _ = ctrl_tx.send(Control::Ack { upto: seq + 1 });
-                        }
                         let now = clock.now_micros();
                         let mut s = state.lock();
                         let finals_before = s.final_order.len();
                         match msg {
-                            Message::Data(event) => s.record_arrival(event, now),
+                            Message::Data(event) => {
+                                open.extend(s.record_arrival(event, now).map(|pos| (seq, pos)));
+                            }
                             Message::DataBatch(events) => {
                                 for event in events {
-                                    s.record_arrival(event, now);
+                                    let pos = s.record_arrival(event, now);
+                                    open.extend(pos.map(|pos| (seq, pos)));
                                 }
                             }
                             Message::Control(Control::Finalize { id, version }) => {
@@ -499,7 +510,17 @@ impl SinkHandle {
                         // Waiters wait for finals: a speculative arrival
                         // is not worth waking them for.
                         let finals_grew = s.final_order.len() > finals_before;
+                        while open.front().is_some_and(|&(_, pos)| s.settled(pos)) {
+                            open.pop_front();
+                        }
                         drop(s);
+                        // Periodic cumulative ack: trims upstream replay
+                        // retention.
+                        let ackable = open.front().map_or(seq + 1, |&(at, _)| at);
+                        if ackable >= acked + SINK_ACK_INTERVAL {
+                            acked = ackable;
+                            let _ = ctrl_tx.send(Control::Ack { upto: acked });
+                        }
                         if finals_grew {
                             cv.notify_all();
                         }
@@ -631,6 +652,32 @@ mod tests {
         let sink = SinkHandle::new(data_rx, sink_ctrl_tx, clock, obs, 0, 0);
         let _ = src_ctrl_tx;
         (source, sink)
+    }
+
+    /// A sink acks below its first record that is not final, as a node
+    /// acks below its first open event: a speculative first frame holds
+    /// every ack back until its finalize, and then the ack covers all.
+    #[test]
+    fn a_sink_acks_below_its_first_record_not_final() {
+        let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
+        let (ctrl_tx, ctrl_rx) = link::<Control>(LinkConfig::instant());
+        let clock: SharedClock = shared(SystemClock::new());
+        let _sink = SinkHandle::new(data_rx, ctrl_tx, clock, &Obs::new(), 0, 0);
+        let event = |n: u64| Event::new(EventId::new(OperatorId::new(0), n), 0, Value::Int(0));
+        let mut first = event(0);
+        first.speculative = true;
+        data_tx.send(Message::Data(first)).unwrap();
+        for n in 1..=20 {
+            data_tx.send(Message::Data(event(n))).unwrap();
+        }
+        let id = event(0).id;
+        data_tx.send(Message::Control(Control::Finalize { id, version: 0 })).unwrap();
+        let (_, ack) = ctrl_rx.recv_timeout(Duration::from_secs(5)).expect("the sink acks");
+        assert_eq!(
+            ack,
+            Control::Ack { upto: 22 },
+            "the first ack must wait for frame 0's finalize"
+        );
     }
 
     #[test]

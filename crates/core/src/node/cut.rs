@@ -1,18 +1,35 @@
-//! Where a checkpoint cuts the node's serials (§2.2). A speculative node in
-//! process that commits in timestamp order images its committed prefix —
-//! every serial below the lowest one still open — while later transactions
-//! stay open and admission goes on ([`Node::prefix_cut`]), on one STM
-//! thread or on several. Any other node waits until it is settled
+//! Where a checkpoint cuts the node's serials (§2.2). A speculative node
+//! that commits in timestamp order images its committed prefix — every
+//! serial below the lowest one still open — while later transactions stay
+//! open and admission goes on ([`Node::prefix_cut`]), on one STM thread or
+//! on several, in process or in a cluster worker. A non-speculative node,
+//! or one that commits in conflict order, waits until it is settled
 //! ([`Node::settled_cut`]).
 //!
-//! On a pool of STM threads three things hold that one thread gets for
-//! free, and the prefix cut makes each of them true:
+//! The prefix is cut at fixed logical times: at every `checkpoint_every`-th
+//! serial. The serial a cut is due at does not commit before the cut is
+//! taken, passed up or — refused — moved one serial on
+//! ([`Node::prefix_cut_due`]), so no commit races the snapshot, and
+//! the nodes of a chain whose serials match (one output per input) cut at
+//! the same events: a node's image, once stable, acknowledges all that its
+//! upstream's image of the same cut counts.
 //!
-//! * **Commits race the snapshot.** Pool threads commit too, not only the
-//!   coordinator. In timestamp order only the lowest open serial can
-//!   commit next, so the state is snapshotted between two checks that it
-//!   has not begun to. If it has, the cut is dropped, nothing is touched,
-//!   and its commit notice tries again.
+//! An image counts what the serials it covers put on each down-edge: data
+//! events and finalizes, sent or swallowed as already there, each serial
+//! in its own [`Tally`]. So a covered serial that re-publishes after a
+//! later one was admitted is counted right, and a new process that resumes
+//! from the image swallows exactly what its receiver holds beyond it.
+//! Where the receiver's cursor is all that outlives the sender (a
+//! worker's out-edge), the image waits until the receiver acknowledged
+//! the last frame a covered serial put there. An acknowledgment at `q`
+//! says every event in the frames below `q` is final at the receiver — a
+//! node acks its image's positions, which leave every open event above
+//! them, and a sink acks below its first event not final — so the data
+//! frames are enough: their finalizes were received too.
+//!
+//! On a pool of STM threads two things hold that one thread gets for free,
+//! and the prefix cut makes each of them true:
+//!
 //! * **The generator.** Draws run out of serial order, so no position of
 //!   the generator stands for a prefix. The image takes it as it stands at
 //!   the cut: a serial left open reads back what its stable tape holds and
@@ -26,10 +43,36 @@
 
 use super::*;
 
+/// What one serial put on one down-edge, sent or swallowed as already
+/// there, and where in the ring its frames end.
+#[derive(Debug, Default)]
+pub(super) struct Tally {
+    pub(super) events: AtomicU64,
+    pub(super) finals: AtomicU64,
+    /// One past its last data frame in the ring (0: none).
+    pub(super) data_end: AtomicU64,
+    /// One past its last finalize in the ring (0: none).
+    pub(super) finals_end: AtomicU64,
+}
+
+impl Tally {
+    /// One past the last frame the receiver must acknowledge for this
+    /// serial: its last data frame — the receiver holds an event final
+    /// below its ack, so the finalize came too — or, when the serial's
+    /// data were all swallowed, its last finalize.
+    fn end(&self) -> u64 {
+        match self.data_end.load(Ordering::Acquire) {
+            0 => self.finals_end.load(Ordering::Acquire),
+            end => end,
+        }
+    }
+}
+
 /// An event admitted since the last image of a node that images its
 /// committed prefix, as that image needs it once the event is the lowest
 /// one left open: where it was read, where the log stood before it took
-/// its first decision, and — on one thread — the generator it found.
+/// its first decision, and — on one thread — the generator it found; and
+/// once it is covered, what it put on each down-edge.
 pub(super) struct Admitted {
     serial: u64,
     port: u32,
@@ -37,6 +80,7 @@ pub(super) struct Admitted {
     frame: FrameAt,
     rng: Option<DetRng>,
     log_at: u64,
+    put: Arc<[Tally]>,
 }
 
 impl Node {
@@ -50,9 +94,9 @@ impl Node {
     /// `None` until the node settles.
     ///
     /// A non-speculative node applies an event's state before its outputs
-    /// are released, and a cluster worker's receiver counts every output it
-    /// was sent: both wait to be settled.
-    pub(super) fn settled_cut(&mut self) -> Option<Checkpoint> {
+    /// are released, and one that commits in conflict order commits out of
+    /// serial order: both wait to be settled.
+    pub(super) fn settled_cut(&mut self) -> Option<Image> {
         if !self.pending.is_empty()
             || !self.hold_queue.is_empty()
             || !self.parked.is_empty()
@@ -61,16 +105,26 @@ impl Node {
             return None;
         }
         let inputs = self.frontiers.iter_mut().map(|f| f.fold(f.consumed_top(), None)).collect();
-        Some(Checkpoint {
+        // Outputs still buffered for batching are volatile; put them on
+        // the (replay-retaining) links before the covering events become
+        // unreplayable. Then the send counters cover exactly the outputs
+        // of the covered events.
+        self.flush_out_batches();
+        let count = |n: &AtomicU64| n.load(Ordering::Acquire);
+        let checkpoint = Checkpoint {
             covers_log: LogSeq(self.log.as_ref().map_or(0, StableLog::appended)),
             events_processed: self.next_serial,
             inputs,
+            outputs_sent: self.down.iter().map(|e| count(&e.sent.events)).collect(),
+            finals_sent: self.down.iter().map(|e| count(&e.sent.finals)).collect(),
             // The serialized RNG goes into the checkpoint so the random
             // stream stays continuous across a crash (see `restore`).
             rng_state: encode_to_vec(&*self.rng.lock()),
             state: self.registry.snapshot(),
             ..Checkpoint::default()
-        })
+        };
+        let outputs_end = self.outputs_end(|out| self.down[out].data_tx.sent());
+        Some(Image { checkpoint, outputs_end })
     }
 
     /// The image of a speculative node's committed prefix: every serial
@@ -83,23 +137,10 @@ impl Node {
     /// and the covered id prefix drops the committed events it re-reads on
     /// the way. The log is taken as it stood when the lowest open serial
     /// was admitted, so the open transactions' records survive truncation
-    /// and recovery reads them back. `None` when that is not a consistent
-    /// cut yet; nothing is touched then.
-    pub(super) fn prefix_cut(&mut self) -> Option<Checkpoint> {
-        let low = self.pending_by_serial.keys().min().copied().unwrap_or(self.next_serial);
-        let lowest_open = self.pending_by_serial.get(&low).and_then(|id| self.pending.get(id));
-        let handle = lowest_open.map(|p| p.handle.clone());
-        // Whether the lowest open transaction began to commit. One thread
-        // only finds it so with its notice still queued; on a pool a worker
-        // thread may begin it at any moment, during the snapshot too.
-        let moved = || {
-            handle
-                .as_ref()
-                .is_some_and(|h| matches!(h.status(), TxnStatus::Committed | TxnStatus::Committing))
-        };
-        if moved() {
-            return None;
-        }
+    /// and recovery reads them back. The outputs it counts are those of the
+    /// covered serials' tallies. `None` when that is not a consistent cut
+    /// yet; nothing is touched then.
+    fn prefix_cut(&mut self, low: u64) -> Option<Image> {
         let admitted = self.admitted.as_ref()?;
         let split = admitted.partition_point(|a| a.serial < low);
         let ports = self.frontiers.len();
@@ -123,8 +164,8 @@ impl Node {
             lowest_id[port] = lowest_id[port].min(id.seq);
         }
         // A sender that sent out of id order (several threads) can leave an
-        // open id below a committed one; such a port waits for a settled
-        // image.
+        // open id below a committed one: no cut here, try again once more
+        // has committed.
         if covered_below.iter().zip(&lowest_id).any(|(covered, lowest)| covered > lowest) {
             return None;
         }
@@ -136,20 +177,31 @@ impl Node {
         let log_now = || self.log.as_ref().map_or(0, StableLog::appended);
         let covers_log = first_open.map_or_else(log_now, |a| a.log_at);
         // Committed values only: an open transaction's writes are not
-        // visible outside it.
+        // visible outside it, and the lowest one is held.
         let state = self.registry.snapshot();
-        if moved() {
-            return None; // the snapshot may hold some of its writes
-        }
         let inputs: Vec<InputFrontier> = self
             .frontiers
             .iter_mut()
             .zip(covered_below.into_iter().zip(from))
             .map(|(f, (covered, from))| f.fold(covered, from))
             .collect();
-        self.admitted.as_mut().expect("checked above").drain(..split);
+        let mut ends = vec![0; self.down.len()];
+        for a in self.admitted.as_mut().expect("checked above").drain(..split) {
+            for (out, tally) in a.put.iter().enumerate() {
+                let (events, finals) = &mut self.covered_sent[out];
+                *events += tally.events.load(Ordering::Acquire);
+                *finals += tally.finals.load(Ordering::Acquire);
+                ends[out] = ends[out].max(tally.end());
+            }
+        }
         if cfg!(debug_assertions) {
             for p in self.pending.values() {
+                let status = p.handle.status();
+                debug_assert!(
+                    !matches!(status, TxnStatus::Committed | TxnStatus::Committing),
+                    "open serial {} began to commit past the cut at {low}",
+                    p.serial
+                );
                 let at = inputs[p.port as usize];
                 debug_assert!(
                     p.input_id.seq >= at.covered_below,
@@ -166,22 +218,67 @@ impl Node {
                 );
             }
         }
-        Some(Checkpoint {
+        let checkpoint = Checkpoint {
             covers_log: LogSeq(covers_log),
             events_processed: low,
             inputs,
+            outputs_sent: self.covered_sent.iter().map(|(events, _)| *events).collect(),
+            finals_sent: self.covered_sent.iter().map(|(_, finals)| *finals).collect(),
             rng_state,
             state,
             ..Checkpoint::default()
-        })
+        };
+        Some(Image { checkpoint, outputs_end: self.outputs_end(|out| ends[out]) })
+    }
+
+    /// The image due on a node that images its committed prefix, once
+    /// every serial below `cut_at` committed (or was revoked): taken at the
+    /// lowest serial still open. The next cut is then due at the next
+    /// multiple of `interval`, where every node of the chain cuts; so it is
+    /// when two images still wait for their downstreams and this one is
+    /// passed up. A cut refused for an open id below a covered one (a
+    /// sender that sent out of id order) lets that lowest serial alone
+    /// commit and is tried again after it.
+    pub(super) fn prefix_cut_due(&mut self, interval: u64) -> Option<Image> {
+        let cut_at = self.send_view.cut_at.load(Ordering::Relaxed);
+        if self.next_serial < cut_at {
+            return None;
+        }
+        let low = self.pending_by_serial.keys().min().copied().unwrap_or(self.next_serial);
+        if low < cut_at {
+            return None;
+        }
+        let on_grid = (low / interval + 1) * interval;
+        let (image, next) = if !self.may_wait() {
+            (None, on_grid)
+        } else {
+            match self.prefix_cut(low) {
+                Some(image) => (Some(image), on_grid),
+                None => (None, low + 1),
+            }
+        };
+        self.send_view.cut_at.store(next, Ordering::SeqCst);
+        for held in self.pending.values().filter(|p| p.serial < next) {
+            maybe_authorize_pending(held, &self.send_view.cut_at);
+        }
+        image
     }
 
     /// Takes note of the event admitted at `serial`, before it takes a
-    /// decision, on a node that images its committed prefix.
-    pub(super) fn note_admitted(&mut self, serial: u64, port: u32, id: EventId, frame: FrameAt) {
+    /// decision, on a node that images its committed prefix; `put` tallies
+    /// its outputs.
+    pub(super) fn note_admitted(
+        &mut self,
+        serial: u64,
+        port: u32,
+        id: EventId,
+        frame: FrameAt,
+        put: &Arc<[Tally]>,
+    ) {
         let Some(admitted) = &mut self.admitted else { return };
         let rng = self.pool.is_none().then(|| self.rng.lock().clone());
         let log_at = self.log.as_ref().map_or(0, StableLog::appended);
-        admitted.push_back(Admitted { serial, port, id, frame, rng, log_at });
+        let put = put.clone();
+        admitted.push_back(Admitted { serial, port, id, frame, rng, log_at, put });
     }
 }

@@ -152,7 +152,8 @@ impl Node {
         queue_wait: Duration,
         frame: FrameAt,
     ) {
-        self.note_admitted(self.next_serial, port, event.id, frame);
+        let put: Arc<[Tally]> = self.down.iter().map(|_| Tally::default()).collect();
+        self.note_admitted(self.next_serial, port, event.id, frame, &put);
         let (serial, tape) = self.admit(port, &event, queue_wait);
         let stm = self.stm.as_ref().expect("speculative node has an stm");
         let handle = stm.begin(Serial(serial));
@@ -173,6 +174,7 @@ impl Node {
             applied_gen: AtomicU64::new(0),
             tape,
             sent: Mutex::new(Vec::new()),
+            put,
             finalized: AtomicBool::new(false),
             attempts_pending: AtomicU64::new(0),
             trace: event.trace,
@@ -251,7 +253,7 @@ impl Node {
             // Only after the attempt's outputs are fully on the wire may
             // the commit gate re-open.
             pending.attempts_pending.fetch_sub(1, Ordering::SeqCst);
-            maybe_authorize_pending(&pending);
+            maybe_authorize_pending(&pending, &node_view.cut_at);
         };
         match &self.pool {
             Some(pool) => pool.execute(run),
@@ -288,6 +290,8 @@ impl Node {
             }
             pending.handle.discard();
         }
+        // The lowest open serial may have been this one.
+        self.maybe_checkpoint();
     }
 
     /// The open transaction `txn` is the execution of, if any is.
@@ -309,16 +313,19 @@ impl Node {
             // Finalized outputs stop counting against the retained-
             // speculation admission cap.
             self.spec_retained.fetch_sub(sent.len() as i64, Ordering::Relaxed);
-            for (event, target) in sent.iter() {
-                if event.speculative {
-                    for (out, edge) in self.down.iter().enumerate() {
-                        if routes_to(*target, out) && !swallow(&self.resend[out].finals) {
-                            edge.sent.finals.fetch_add(1, Ordering::AcqRel);
-                            edge.data_tx.push(Message::Control(Control::Finalize {
-                                id: event.id,
-                                version: event.version,
-                            }));
-                        }
+            for (event, target) in sent.iter().filter(|(event, _)| event.speculative) {
+                for (out, edge) in self.down.iter().enumerate() {
+                    if !routes_to(*target, out) {
+                        continue;
+                    }
+                    let tally = &pending.put[out];
+                    tally.finals.fetch_add(1, Ordering::AcqRel);
+                    if !swallow(&self.resend[out].finals) {
+                        edge.sent.finals.fetch_add(1, Ordering::AcqRel);
+                        let (id, version) = (event.id, event.version);
+                        let pushed =
+                            edge.data_tx.push(Message::Control(Control::Finalize { id, version }));
+                        tally.finals_end.fetch_max(pushed.seq() + 1, Ordering::AcqRel);
                     }
                 }
             }
@@ -363,9 +370,18 @@ impl Node {
 /// Opens the commit gate when (and only when) every condition holds: no
 /// attempt is mid-flight (its outputs must hit the wire before any
 /// finalize can, and it may still take decisions), every decision on the
-/// tape is stable, and the input event is final.
-pub(super) fn maybe_authorize_pending(pending: &Arc<PendingTxn>) {
-    if pending.attempts_pending.load(Ordering::SeqCst) != 0 {
+/// tape is stable, the input event is final, and the serial lies below
+/// `cut_at` — the serial the node's next committed-prefix image is taken
+/// at waits for that image (see [`super::cut`]).
+///
+/// A pool thread ends an attempt and then reads `cut_at`; the coordinator
+/// moves `cut_at` and then reads the attempt count. Both sides store and
+/// load `SeqCst`, so at least one of them sees the other's store and
+/// authorizes: with a weaker store both could read the old values.
+pub(super) fn maybe_authorize_pending(pending: &Arc<PendingTxn>, cut_at: &AtomicU64) {
+    if pending.attempts_pending.load(Ordering::SeqCst) != 0
+        || pending.serial >= cut_at.load(Ordering::SeqCst)
+    {
         return;
     }
     if pending.tape.is_stable() && !pending.input.lock().speculative {

@@ -172,7 +172,6 @@ impl Node {
 
     fn handle_notice(&mut self, notice: Notice) {
         match notice {
-            Notice::Downstream { out, ctrl } => self.handle_downstream(out, ctrl),
             Notice::TxnCommitted(txn) => self.on_txn_committed(txn),
             Notice::TxnAborted(txn) => self.on_txn_aborted(txn),
             Notice::LogStable { serial } => self.on_log_stable(serial),
@@ -305,7 +304,7 @@ impl Node {
             if view.version == version {
                 view.speculative = false;
                 drop(view);
-                maybe_authorize_pending(pending);
+                maybe_authorize_pending(pending, &self.send_view.cut_at);
                 return;
             }
         }

@@ -21,8 +21,8 @@
 //!   speculative send path and resend suppression;
 //! * [`rewind`] — the per-port [`rewind::Frontier`], checkpoints, and
 //!   recovery: one rewind to the restored frontiers;
-//! * [`cut`] — where a checkpoint cuts the serials: a settled node, or a
-//!   speculative node's committed prefix.
+//! * [`cut`] — where a checkpoint cuts the serials: a speculative node's
+//!   committed prefix, or a settled node — and what the cut's outputs are.
 //!
 
 mod cut;
@@ -60,7 +60,7 @@ use crate::message::{Control, Message};
 use crate::operator::{OpCtx, Operator, PortId, SetupCtx};
 use crate::plumbing::{DownEdge, Inbox, NodeCommand, Notice};
 use crate::state::{StateAccess, StateRegistry};
-use cut::Admitted;
+use cut::{Admitted, Tally};
 use execute::{assign_output_ids, maybe_authorize_pending};
 use publish::{routes_to, swallow, NodeSendView, Resend};
 use rewind::{ApproxState, FrameAt, Frontier, Image};
@@ -112,6 +112,9 @@ struct PendingTxn {
     tape: Tape,
     /// Events as last sent downstream (by emit index), with their routing.
     sent: Mutex<Vec<(Event, Option<u32>)>>,
+    /// Per down-edge: what the event's outputs put there, for the image
+    /// that covers it.
+    put: Arc<[Tally]>,
     /// True once every sent output is final (txn committed + finalizes sent).
     finalized: AtomicBool,
     /// Number of (re-)execution attempts scheduled but not yet fully
@@ -310,17 +313,21 @@ pub(crate) struct Node {
     /// Approximate-recovery state (`Some` iff the config declares
     /// [`RecoveryMode::Approximate`]).
     approx: Option<ApproxState>,
-    /// The checkpoint taken last, while it waits for its downstreams.
-    image: Option<Image>,
+    /// The checkpoints taken and not appended yet, oldest first, while
+    /// they wait for their downstreams.
+    waiting: VecDeque<Image>,
     /// Image records appended to the log and not stable yet, oldest first,
     /// with their sequence numbers.
     stabilizing: VecDeque<(LogSeq, Vec<u8>)>,
     /// The id of the image taken last (or restored).
     image_id: u64,
-    /// `Some` iff the node images its committed prefix (a speculative node
-    /// in process): the events admitted since its last image, in serial
-    /// order.
+    /// `Some` iff the node images its committed prefix: the events
+    /// admitted since its last image, in serial order.
     admitted: Option<VecDeque<Admitted>>,
+    /// Per down-edge: the data events and finalizes that the serials the
+    /// last image (taken or restored) covers put on the edge, sent or
+    /// swallowed.
+    covered_sent: Vec<(u64, u64)>,
     /// Per down-edge: the highest position the downstream acknowledged.
     down_acked: Vec<u64>,
     eof_count: usize,
@@ -440,6 +447,11 @@ impl Node {
         } else {
             0
         };
+        // See `Node::settled_cut` for who may not image a prefix.
+        let images_prefix = seed.config.speculative
+            && seed.config.stm.commit_order == CommitOrder::Timestamp
+            && seed.log.is_some();
+        let cut_at = seed.config.checkpoint_every.filter(|_| images_prefix).unwrap_or(u64::MAX);
         let send_view = Arc::new(NodeSendView {
             id: seed.id,
             down: seed.down.clone(),
@@ -451,11 +463,8 @@ impl Node {
             batch_events: metrics.batch_events.clone(),
             spec_retained: spec_retained.clone(),
             version_base,
+            cut_at: AtomicU64::new(cut_at),
         });
-        // See `Node::settled_cut` for who may not image a prefix.
-        let images_prefix = seed.config.speculative
-            && seed.config.stm.commit_order == CommitOrder::Timestamp
-            && !seed.down.iter().any(|e| e.sent.by_receiver);
         Node {
             id: seed.id,
             operator: seed.operator,
@@ -487,10 +496,11 @@ impl Node {
             resend,
             send_view,
             approx,
-            image: None,
+            waiting: VecDeque::new(),
             stabilizing: VecDeque::new(),
             image_id: 0,
-            admitted: images_prefix.then(VecDeque::new),
+            admitted: (cut_at < u64::MAX).then(VecDeque::new),
+            covered_sent: vec![(0, 0); outputs],
             down_acked: vec![0; outputs],
             eof_count: 0,
             running: true,

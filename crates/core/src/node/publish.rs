@@ -76,7 +76,7 @@ impl Node {
         }
         // Speculative mode: a stable log is one leg of the commit gate.
         if let Some(pending) = pending {
-            maybe_authorize_pending(&pending);
+            maybe_authorize_pending(&pending, &self.send_view.cut_at);
         }
         // A drained hold queue may unblock a deferred checkpoint.
         self.maybe_checkpoint();
@@ -143,6 +143,12 @@ pub(super) struct NodeSendView {
     /// put on its edges before ([`crate::plumbing::Sent::versions`]), and
     /// each one reaches the receiver as a revision.
     pub(super) version_base: u32,
+    /// On a node that images its committed prefix, the serial its next
+    /// image is taken at: no serial at or past it commits until then
+    /// ([`super::cut`]). `u64::MAX` on any other node. Stored by the
+    /// coordinator after the cut's snapshot and loaded wherever a commit is
+    /// authorized, both `SeqCst` (see [`super::execute::maybe_authorize_pending`]).
+    pub(super) cut_at: AtomicU64,
 }
 
 impl NodeSendView {
@@ -217,10 +223,12 @@ impl NodeSendView {
             // order on each link is exactly what unbatched sending yields.
             let mut published = 0u64;
             for (out, edge) in self.down.iter().enumerate() {
+                let tally = &pending.put[out];
                 let mut run: Vec<Event> = Vec::new();
                 let flush = |run: &mut Vec<Event>| {
                     if let Some(frame) = data_frame(run, &self.batch_events) {
-                        edge.data_tx.push(frame);
+                        let seq = edge.data_tx.push(frame).seq();
+                        tally.data_end.fetch_max(seq + 1, Ordering::AcqRel);
                     }
                 };
                 let mut sent_here = 0u64;
@@ -235,6 +243,7 @@ impl NodeSendView {
                         // edge.
                         Message::Data(_) if swallow(&self.resend[out].events) => {
                             self.resend_suppressed.incr();
+                            tally.events.fetch_add(1, Ordering::AcqRel);
                         }
                         Message::Data(e) => {
                             run.push(e.clone());
@@ -248,6 +257,7 @@ impl NodeSendView {
                     }
                 }
                 flush(&mut run);
+                tally.events.fetch_add(sent_here, Ordering::AcqRel);
                 edge.sent.events.fetch_add(sent_here, Ordering::AcqRel);
                 edge.sent.versions.fetch_max(versions, Ordering::Relaxed);
                 published += sent_here;

@@ -8,8 +8,8 @@
 //! skipped. STM cascade rollback is no rewind: it re-executes serials
 //! above the frontier and never moves it.
 //!
-//! A checkpoint covers a settled node, or — on a speculative node in
-//! process — its committed prefix while later transactions stay open (see
+//! A checkpoint covers a settled node, or — on a speculative node — its
+//! committed prefix while later transactions stay open (see
 //! [`super::cut`]). It is taken, waits for its downstreams
 //! (see [`Node::maybe_checkpoint`]), is appended to the node's log as an
 //! image record, and only once that record is stable does the node act on
@@ -41,12 +41,13 @@ pub(super) struct Frontier {
 }
 
 /// Where a data event was read: the link sequence of its frame, and the
-/// data events read on the port before that frame. An image that leaves
-/// the event open records the port from there.
+/// data events and finals read on the port before that frame. An image
+/// that leaves the event open records the port from there.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct FrameAt {
     seq: u64,
     events: u64,
+    finals: u64,
 }
 
 impl Frontier {
@@ -55,9 +56,10 @@ impl Frontier {
     /// rewinds, so that is the position.
     pub(super) fn read(&mut self, link_seq: u64, msg: &Message) -> FrameAt {
         debug_assert_eq!(link_seq, self.at.position, "a read skipped or repeated a sequence");
-        let frame = FrameAt { seq: link_seq, events: self.at.events };
+        let frame = FrameAt { seq: link_seq, events: self.at.events, finals: self.at.finals };
         self.at.position = link_seq + 1;
         self.at.events += msg.event_count() as u64;
+        self.at.finals += msg.final_count() as u64;
         frame
     }
 
@@ -100,6 +102,7 @@ impl Frontier {
         if let Some(frame) = from {
             image.position = frame.seq;
             image.events = frame.events;
+            image.finals = frame.finals;
         }
         image
     }
@@ -109,10 +112,10 @@ impl Frontier {
 /// position its downstream must have acknowledged before it may be
 /// appended (see [`Node::maybe_checkpoint`]).
 pub(super) struct Image {
-    checkpoint: Checkpoint,
+    pub(super) checkpoint: Checkpoint,
     /// Per down-edge: where the outputs the image counts end in the ring
     /// (0 where the ring outlives the node, so nothing is waited for).
-    outputs_end: Vec<u64>,
+    pub(super) outputs_end: Vec<u64>,
 }
 
 /// Runtime state of approximate recovery
@@ -188,12 +191,18 @@ impl Node {
         let cp = self.restore(read.image);
         self.next_serial = cp.events_processed;
         self.checkpoint_serial = cp.events_processed;
+        if let Some(interval) = self.config.checkpoint_every.filter(|_| self.admitted.is_some()) {
+            let next = (cp.events_processed / interval + 1) * interval;
+            self.send_view.cut_at.store(next, Ordering::SeqCst);
+        }
         self.image_id = cp.id;
         if let Some(approx) = &mut self.approx {
             approx.baked = cp.approx_loss;
         }
         self.frontiers =
             cp.inputs.iter().map(|&at| Frontier { at, consumed: HashSet::new() }).collect();
+        self.covered_sent =
+            cp.outputs_sent.iter().copied().zip(cp.finals_sent.iter().copied()).collect();
         // A covered serial's record past `covers_log` was appended late, by
         // a pool thread (see `super::cut`): replay starts at the image's
         // serial, and ignores it.
@@ -216,16 +225,18 @@ impl Node {
     /// — an image of another shape too: a worker's comes from a file, and
     /// would index rings the node does not have, or be short of some.
     fn restore(&mut self, image: Option<Checkpoint>) -> Checkpoint {
+        let outputs = self.down.len();
         let fresh = Checkpoint {
             inputs: vec![InputFrontier::default(); self.up.len()],
-            outputs_sent: vec![0; self.down.len()],
+            outputs_sent: vec![0; outputs],
+            finals_sent: vec![0; outputs],
             ..Checkpoint::default()
         };
         let Some(cp) = image else {
             return fresh;
         };
         let shape = (cp.inputs.len(), cp.outputs_sent.len());
-        let restored = if shape != (self.up.len(), self.down.len()) {
+        let restored = if shape != (self.up.len(), outputs) || cp.finals_sent.len() != outputs {
             Err(format!("an image of (inputs, outputs) {shape:?} does not fit the node"))
         } else {
             self.registry.restore(&cp.state).map_err(|e| e.to_string())
@@ -251,20 +262,17 @@ impl Node {
     /// becomes of the re-derived outputs the edges carry already.
     fn rewind(&mut self, cp: &Checkpoint) {
         // Per edge, the re-derived events and finalizes already on the
-        // wire: the edge's counts minus the checkpoint's baseline (at a
-        // checkpoint every event sent is final, so one baseline serves
-        // both). A speculative node subtracts only from a receiver's count
-        // ([`crate::plumbing::Sent::by_receiver`]).
-        let excess: Vec<(u64, u64)> = self
-            .down
-            .iter()
-            .zip(&cp.outputs_sent)
-            .map(|(edge, baseline)| {
+        // wire: the edge's counts minus what the events the checkpoint
+        // covers put there. A speculative node subtracts only from a
+        // receiver's count ([`crate::plumbing::Sent::by_receiver`]).
+        let excess: Vec<(u64, u64)> = (self.down.iter().zip(&cp.outputs_sent).zip(&cp.finals_sent))
+            .map(|((edge, events), finals)| {
                 if self.config.speculative && !edge.sent.by_receiver {
                     return (0, 0);
                 }
-                let over = |n: &AtomicU64| n.load(Ordering::Acquire).saturating_sub(*baseline);
-                (over(&edge.sent.events), over(&edge.sent.finals))
+                let over =
+                    |n: &AtomicU64, base: u64| n.load(Ordering::Acquire).saturating_sub(base);
+                (over(&edge.sent.events, *events), over(&edge.sent.finals, *finals))
             })
             .collect();
         if !self.skip_within_budget(&excess, cp.events_processed) {
@@ -365,29 +373,33 @@ impl Node {
         }
     }
 
+    /// Takes a checkpoint when one is due: on a node that images its
+    /// committed prefix once every serial below the one its next image is
+    /// due at committed ([`Node::prefix_cut_due`]); on any other node once
+    /// `checkpoint_every` events were consumed since the last, it is
+    /// settled and no image waits.
     pub(super) fn maybe_checkpoint(&mut self) {
         let Some(interval) = self.config.checkpoint_every else { return };
-        let consumed: usize = self.frontiers.iter().map(|f| f.consumed.len()).sum();
-        if (consumed as u64) < interval {
-            return;
-        }
-        // Never image mid-resume-window: the image would pin mid-window
-        // input positions against pre-crash output counters, corrupting
-        // the skip computation of any later crash. The window's loss is
-        // baked into the budget only once the first image after the
-        // window drains is stable — a crash before that re-derives a
-        // superset window from the same baseline, so baking earlier would
-        // double-charge.
-        if self.approx.as_ref().is_some_and(|a| a.skip_remaining > 0) {
-            return;
-        }
-        // One image waits for its downstreams at a time.
-        if self.log.is_none() || self.image.is_some() {
-            return;
-        }
-        let cut = if self.admitted.is_some() { self.prefix_cut() } else { self.settled_cut() };
+        let cut = if self.admitted.is_some() {
+            self.prefix_cut_due(interval)
+        } else {
+            let consumed: usize = self.frontiers.iter().map(|f| f.consumed.len()).sum();
+            // Never image mid-resume-window: the image would pin mid-window
+            // input positions against pre-crash output counters, corrupting
+            // the skip computation of any later crash. The window's loss is
+            // baked into the budget only once the first image after the
+            // window drains is stable — a crash before that re-derives a
+            // superset window from the same baseline, so baking earlier
+            // would double-charge.
+            let resuming = self.approx.as_ref().is_some_and(|a| a.skip_remaining > 0);
+            if (consumed as u64) < interval || resuming || !self.may_wait() {
+                return;
+            }
+            self.settled_cut()
+        };
         // `None`: not a cut yet, try again later.
-        let Some(mut checkpoint) = cut else { return };
+        let Some(mut image) = cut else { return };
+        let checkpoint = &mut image.checkpoint;
         // Nothing appends the records recovery read back again: an image
         // that leaves any of their serials to replay keeps them all.
         if let Some((first, upto)) = self.recovered_log {
@@ -397,44 +409,43 @@ impl Node {
                 self.recovered_log = None;
             }
         }
-        // Outputs still buffered for batching are volatile; put them on
-        // the (replay-retaining) links before the covering events become
-        // unreplayable.
-        self.flush_out_batches();
         self.checkpoint_serial = checkpoint.events_processed;
-        // With the hold queue drained and batches flushed, the send counters
-        // of a settled node cover exactly the outputs of the checkpointed
-        // prefix — the baseline recovery subtracts to size its resend
-        // suppression. A committed prefix leaves open transactions' outputs
-        // on the wire past it; its node re-sends what it re-derives and
-        // subtracts nothing ([`crate::plumbing::Sent::by_receiver`]).
-        checkpoint.outputs_sent =
-            self.down.iter().map(|e| e.sent.events.load(Ordering::Acquire)).collect();
-        // A ring told its counts by the receiver lives in this process and
-        // dies with it, and a replacement re-derives only the outputs past
-        // the image's counts: the image waits until the receiver
-        // acknowledges every output it counts. Its own checkpoint acks
-        // them, so a crash of the receiver cannot lose them either.
-        let outputs_end = self
-            .down
-            .iter()
-            .map(|e| if e.sent.by_receiver { e.data_tx.sent() } else { 0 })
-            .collect();
-        self.image = Some(Image { checkpoint, outputs_end });
+        self.waiting.push_back(image);
         self.save_image();
     }
 
-    /// Appends the waiting image to the log once every downstream has
-    /// acknowledged the outputs it counts; `true` when it did. Its record
-    /// carries the resume window's loss already: the image is of the stale
-    /// lineage.
+    /// Whether an image may be taken: the node has a log, and fewer than
+    /// two images wait for their downstreams. The next cut is not put off
+    /// while one waits, so a late acknowledgment does not move a node's
+    /// cut points off its downstream's.
+    pub(super) fn may_wait(&self) -> bool {
+        self.log.is_some() && self.waiting.len() < 2
+    }
+
+    /// Where the outputs an image counts end on each down-edge, as `end`
+    /// puts it, on an edge whose ring dies with this process: a
+    /// replacement re-derives only the outputs past the image's counts, so
+    /// the image waits until the receiver acknowledges them all. 0 where
+    /// the ring outlives the node, so nothing is waited for.
+    pub(super) fn outputs_end(&self, end: impl Fn(usize) -> u64) -> Vec<u64> {
+        (self.down.iter().enumerate())
+            .map(|(out, e)| if e.sent.by_receiver { end(out) } else { 0 })
+            .collect()
+    }
+
+    /// Appends the newest waiting image whose outputs every downstream has
+    /// acknowledged to the log, and drops the older ones it supersedes;
+    /// `true` when it did. Its record carries the resume window's loss
+    /// already: the image is of the stale lineage.
     pub(super) fn save_image(&mut self) -> bool {
         let Some(log) = &self.log else { return false };
         let acked = &self.down_acked;
-        let Some(Image { mut checkpoint, .. }) = self
-            .image
-            .take_if(|image| image.outputs_end.iter().zip(acked).all(|(end, acked)| acked >= end))
-        else {
+        let ready = (self.waiting.iter())
+            .take_while(|image| {
+                image.outputs_end.iter().zip(acked).all(|(end, acked)| acked >= end)
+            })
+            .count();
+        let Some(Image { mut checkpoint, .. }) = self.waiting.drain(..ready).next_back() else {
             return false;
         };
         self.image_id += 1;

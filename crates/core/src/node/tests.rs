@@ -111,7 +111,12 @@ fn source_event(n: u64) -> Event {
 /// each of `outputs` edges.
 fn image(outputs: usize) -> Checkpoint {
     let state = StateRegistry::plain().snapshot();
-    Checkpoint { outputs_sent: vec![0; outputs], state, ..Checkpoint::default() }
+    Checkpoint {
+        outputs_sent: vec![0; outputs],
+        finals_sent: vec![0; outputs],
+        state,
+        ..Checkpoint::default()
+    }
 }
 
 /// A log on one free device holding `image` as its one stable record.
@@ -193,7 +198,7 @@ fn rewind_that_cannot_reach_the_checkpoint_is_loud() {
         rig.inbox.inputs[0].try_recv().unwrap().expect("just sent");
     }
     rig.input.ack_upto(4);
-    let input = InputFrontier { position: 2, events: 2, covered_below: 2 };
+    let input = InputFrontier { position: 2, events: 2, finals: 2, covered_below: 2 };
     let seed = rig.seed.as_mut().expect("not started");
     seed.log =
         Some(log_holding(Checkpoint { events_processed: 2, inputs: vec![input], ..image(1) }));
@@ -222,7 +227,7 @@ fn an_image_of_another_shape_is_refused_and_the_input_replays_from_the_start() {
     for n in 0..3 {
         rig.send(n, false);
     }
-    let input = InputFrontier { position: 2, events: 2, covered_below: 2 };
+    let input = InputFrontier { position: 2, events: 2, finals: 2, covered_below: 2 };
     let misfit = Checkpoint { events_processed: 2, inputs: vec![input; 3], ..image(1) };
     let seed = rig.seed.as_mut().expect("not started");
     seed.log = Some(log_holding(misfit));
@@ -254,7 +259,7 @@ fn a_frontier_admits_an_id_once_and_folds_past_the_highest_consumed() {
     let top = frontier.consumed_top();
     assert_eq!(
         frontier.fold(top, None),
-        InputFrontier { position: 2, events: 2, covered_below: 6 }
+        InputFrontier { position: 2, events: 2, finals: 3, covered_below: 6 }
     );
     assert!(!frontier.admits(id(4)), "a duplicate below the covered prefix was admitted");
     assert!(frontier.admits(id(6)));
@@ -275,7 +280,7 @@ fn a_prefix_fold_records_the_frame_of_the_first_open_event() {
         frontier.consume(id(n));
     }
     let image = frontier.fold(2, Some(open));
-    assert_eq!(image, InputFrontier { position: 1, events: 1, covered_below: 2 });
+    assert_eq!(image, InputFrontier { position: 1, events: 1, finals: 1, covered_below: 2 });
     assert!(frontier.admits(id(2)), "the open event is not consumed");
     assert!(!frontier.admits(id(1)), "a committed event in the open frame was admitted");
     frontier.read(2, &Message::Data(source_event(3)));
@@ -427,6 +432,123 @@ fn respawned_speculative_node_sends_only_what_the_receiver_lacks() {
     // What the edge carries now, whoever sent it.
     assert_eq!(sent.events.load(Ordering::Acquire), 3);
     assert_eq!(sent.finals.load(Ordering::Acquire), 3);
+}
+
+/// A speculative node whose receiver's cursor is all that outlives it (a
+/// worker's out-edge) images its committed prefix with a transaction open.
+/// The image counts what the covered serials put on the edge — serial 0's
+/// revision too, published after serial 1 was admitted — and not what the
+/// open serial 2 put there; it is saved once the receiver acknowledged the
+/// covered serials' frames. A new process that resumes from it, told what
+/// the receiver holds, sends exactly what the receiver lacks: the finalize
+/// of serial 2's output.
+#[test]
+fn a_worker_images_its_committed_prefix_and_a_respawn_sends_what_the_receiver_lacks() {
+    use crate::plumbing::Sent;
+    let log = LoggingConfig::simulated(Duration::from_millis(1));
+    let config = OperatorConfig::speculative(log).with_checkpoint_every(2);
+    let mut rig = Rig::new(config, LinkConfig::instant(), LinkConfig::instant());
+    let seed = rig.seed.as_mut().expect("not started");
+    seed.down[0].sent = Arc::new(Sent { by_receiver: true, ..Sent::default() });
+    let (config, log, up) =
+        (seed.config.clone(), seed.log.clone().expect("logged"), seed.up.clone());
+    let rig = rig.start();
+    let output = |serial: u64| EventId::new(OperatorId::new(0), serial << 16);
+    let e0 = rig.send(0, true);
+    let e1 = rig.send(1, true);
+    rig.send(2, true);
+    assert_eq!(rig.outputs(3), (0..3).map(Value::Int).collect::<Vec<_>>());
+    // Serial 0 re-publishes after serials 1 and 2 were admitted.
+    let mut revised = source_event(0);
+    (revised.version, revised.speculative, revised.payload) = (1, true, Value::Int(10));
+    rig.input.send(Message::Data(revised)).unwrap();
+    assert_eq!(rig.outputs(1), vec![Value::Int(10)]);
+    rig.notify(Control::Finalize { id: e0, version: 1 });
+    rig.notify(Control::Finalize { id: e1, version: 0 });
+    let finalize =
+        |serial, version| Message::Control(Control::Finalize { id: output(serial), version });
+    let finals: Vec<Message> =
+        (0..2).map(|_| rig.out_rx.recv_timeout(PATIENCE).expect("a finalize is owed").1).collect();
+    assert_eq!(finals, [finalize(0, 1), finalize(1, 0)]);
+    // Serials 0 and 1 committed, serial 2 is open: the prefix image waits
+    // for the receiver's ack of serial 0's revision, at ring position 3.
+    std::thread::sleep(SETTLE);
+    assert_eq!(rig.up_rx.try_recv(), Ok(None), "an image was saved before its outputs were acked");
+    rig.out_ctrl.send(Control::Ack { upto: 4 }).unwrap();
+    let (_, ack) = rig.up_rx.recv_timeout(PATIENCE).expect("the prefix image acks its upstream");
+    assert_eq!(ack, Control::Ack { upto: 2 }, "replay re-reads from serial 2's frame");
+    let image = read_back(log.stable_entries()).image.expect("the image is stable");
+    assert_eq!(image.events_processed, 2);
+    assert_eq!((image.outputs_sent, image.finals_sent), (vec![3], vec![2]));
+    assert_eq!(
+        image.inputs[0],
+        InputFrontier { position: 2, events: 2, finals: 0, covered_below: 2 }
+    );
+
+    // A new process: the receiver holds all four events and two finals.
+    rig.inbox.post(Notice::Command(NodeCommand::Crash));
+    let mut rig = rig;
+    rig.node.take().expect("started").join().expect("the coordinator panicked");
+    let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
+    data_tx.set_next_seq(rig.out_tx.sent());
+    let sent =
+        Arc::new(Sent { events: 4.into(), finals: 2.into(), by_receiver: true, ..Sent::default() });
+    let respawn = Node::start(NodeSeed {
+        id: OperatorId::new(0),
+        operator: Arc::new(Relay),
+        config,
+        clock: shared(SystemClock::new()),
+        inbox: rig.inbox.clone(),
+        up,
+        down: vec![DownEdge { data_tx, sent: sent.clone() }],
+        log: Some(log),
+        rng_seed: 1,
+        obs: rig.obs.clone(),
+        exits: None,
+        recovering: true,
+    });
+    rig.node = Some(respawn);
+    rig.notify(Control::Finalize { id: source_event(2).id, version: 0 });
+    let (_, owed) = data_rx.recv_timeout(PATIENCE).expect("serial 2's finalize is owed");
+    assert_eq!(owed, finalize(2, 0));
+    std::thread::sleep(SETTLE);
+    assert_eq!(data_rx.try_recv(), Ok(None), "something the receiver holds was sent again");
+    assert_eq!((sent.events.load(Ordering::Acquire), sent.finals.load(Ordering::Acquire)), (4, 3));
+}
+
+/// Cut at every serial on two STM threads under a window of 16 events: a
+/// pool thread ends an attempt and then reads the held cut, while the
+/// coordinator moves the cut and then reads the attempt count, once per
+/// event. One of them must authorize the held serial each time, or every
+/// later serial waits behind it: all 4 000 events commit.
+#[test]
+fn a_two_thread_node_cutting_at_every_serial_commits_every_event() {
+    const EVENTS: u64 = 4_000;
+    const IN_FLIGHT: u64 = 16;
+    let log = LoggingConfig::simulated(Duration::from_micros(20));
+    let config = OperatorConfig::speculative(log).with_threads(2).with_checkpoint_every(1);
+    let rig = Rig::new(config, LinkConfig::instant(), LinkConfig::instant());
+    let log = rig.seed.as_ref().and_then(|seed| seed.log.clone()).expect("logged");
+    let rig = rig.start();
+    let (mut sent, mut finals) = (0, 0);
+    while finals < EVENTS {
+        while sent < EVENTS && sent < finals + IN_FLIGHT {
+            rig.send(sent, false);
+            sent += 1;
+        }
+        while let Ok(Some(_)) = rig.up_rx.try_recv() {}
+        let Ok((_, msg)) = rig.out_rx.recv_timeout(PATIENCE) else {
+            panic!("stalled at {finals}/{EVENTS} final with {sent} sent");
+        };
+        finals += match msg {
+            Message::Data(event) => u64::from(!event.speculative),
+            Message::DataBatch(events) => events.iter().filter(|e| !e.speculative).count() as u64,
+            Message::Control(Control::Finalize { .. }) => 1,
+            Message::Control(_) => 0,
+        };
+    }
+    let imaged = || read_back(log.stable_entries()).image.map_or(0, |i| i.events_processed);
+    wait_until("the last serial is imaged", || imaged() == EVENTS);
 }
 
 #[test]

@@ -10,11 +10,11 @@
 //!   in the ring, the window fills and the producer saturates in turn, hop
 //!   by hop, with no second queue in between;
 //! * its **downstream control rings**, one per output — acks,
-//!   acknowledged as they are read (nobody re-reads a control link);
+//!   acknowledged as they are read (nobody re-reads a control link). In a
+//!   worker the out-bridge pushes the acks it reads off its socket there;
 //! * one unbounded **notice queue** for what is not an edge: log-stability
 //!   callbacks (of decisions and of checkpoint images), STM commits and
-//!   aborts, engine commands, and the control frames a bridge read off its
-//!   socket. It must never block — a log
+//!   aborts, and engine commands. It must never block — a log
 //!   ticket fires its callback *synchronously on the caller's thread* when
 //!   the serial is already stable, so the coordinator itself posts here —
 //!   and it is bounded anyway by bounded in-flight state (open
@@ -50,9 +50,6 @@ use crate::message::{Control, Message};
 /// What reaches a node's coordinator other than over a ring.
 #[derive(Debug)]
 pub(crate) enum Notice {
-    /// A control message from the downstream on output `out` that a bridge
-    /// read off its socket (in process it comes over a control ring).
-    Downstream { out: u32, ctrl: Control },
     /// The STM committed a transaction (speculative mode).
     TxnCommitted(TxnId),
     /// The STM cascade-aborted an open transaction (speculative mode).
@@ -125,8 +122,8 @@ impl fmt::Debug for DownEdge {
 pub(crate) struct Inbox {
     /// The input rings, by port.
     pub inputs: Vec<LinkReceiver<Message>>,
-    /// The downstream control rings, by output (none where a bridge
-    /// carries the edge: its control arrives as notices).
+    /// The downstream control rings, by output. Where a bridge carries the
+    /// edge, it pushes what it reads off its socket to this ring.
     pub ctrls: Vec<LinkReceiver<Control>>,
     notices: Mutex<VecDeque<Notice>>,
     waker: Waker,

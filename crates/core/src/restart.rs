@@ -18,7 +18,7 @@
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use streammine_net::BackoffConfig;
+use streammine_common::BackoffConfig;
 use streammine_obs::{FaultKind, JournalKind, Labels, Obs, RecoveryModeTag, RecoveryTimeline};
 
 /// After a slot's last restart is this old, its next crash is a first

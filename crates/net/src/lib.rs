@@ -60,11 +60,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod backoff;
 pub mod tcp;
 pub mod transport;
 
-pub use backoff::BackoffConfig;
 pub use tcp::TcpTransport;
 pub use transport::{
     FrameConn, FrameError, FrameListener, FrameRx, FrameTx, MemTransport, SharedFrameTx, Transport,

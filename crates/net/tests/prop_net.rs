@@ -3,7 +3,8 @@
 //! ring checked against a `Vec` model.
 
 use proptest::prelude::*;
-use streammine_net::{link, BackoffConfig, LinkConfig, LinkError, SendOutcome};
+use streammine_common::BackoffConfig;
+use streammine_net::{link, LinkConfig, LinkError, SendOutcome};
 
 /// How long the ring model waits for a message a delay spike (under 50 µs
 /// here) holds in flight.

@@ -59,6 +59,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
+use streammine_common::BackoffConfig;
 
 use crate::fence::{ColdSection, HotSection};
 use crate::graph::Graph;
@@ -74,6 +75,10 @@ use crate::var::{DynValue, ReadKind, ReaderRec, TVar, VarCell, WriterRec};
 /// high-water mark of an operator without pinning memory indefinitely.
 const TXN_POOL_CAP: usize = 256;
 
+/// The wait before the k-th retry of a conflict-aborted transaction, for
+/// k ≥ 2 (the first retry only yields): 80 µs doubling to 2 ms.
+const CONFLICT_BACKOFF: BackoffConfig = BackoffConfig::micros(40, 2_000);
+
 /// Tuning knobs for a runtime.
 #[derive(Debug, Clone)]
 pub struct StmConfig {
@@ -81,10 +86,6 @@ pub struct StmConfig {
     pub commit_order: CommitOrder,
     /// Dependency tracking granularity (see [`DependencyMode`]).
     pub dependency_mode: DependencyMode,
-    /// Base back-off after a conflict abort; doubled per consecutive retry.
-    pub backoff_base: Duration,
-    /// Upper bound for the back-off.
-    pub backoff_max: Duration,
     /// Enable the striped-lock fast path for reads of variables with no
     /// registered writers (see the module docs). Disable to force every
     /// read through the metadata mutex — used by equivalence tests and as
@@ -97,8 +98,6 @@ impl Default for StmConfig {
         StmConfig {
             commit_order: CommitOrder::default(),
             dependency_mode: DependencyMode::default(),
-            backoff_base: Duration::from_micros(20),
-            backoff_max: Duration::from_millis(2),
             fastpath: true,
         }
     }
@@ -334,14 +333,10 @@ impl StmRuntime {
     }
 
     fn backoff(&self, attempt: u32) {
-        if attempt <= 1 {
-            std::thread::yield_now();
-            return;
+        match conflict_wait(attempt) {
+            None => std::thread::yield_now(),
+            Some(wait) => std::thread::sleep(wait),
         }
-        let base = self.inner.config.backoff_base;
-        let factor = 1u32 << attempt.min(10);
-        let wait = (base * factor).min(self.inner.config.backoff_max);
-        std::thread::sleep(wait);
     }
 
     /// Registers a non-blocking callback that is handed the id of every
@@ -1121,9 +1116,27 @@ impl RuntimeInner {
     }
 }
 
+/// How long the `attempt`-th retry after a conflict abort waits; `None`:
+/// it only yields.
+fn conflict_wait(attempt: u32) -> Option<Duration> {
+    (attempt > 1).then(|| CONFLICT_BACKOFF.delay(attempt))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The conflict retry waits are min(20 µs · 2^k, 2 ms) from the second
+    /// attempt on; the first only yields.
+    #[test]
+    fn conflict_retries_yield_once_then_double_from_80us_to_2ms() {
+        let waits: Vec<Option<u64>> =
+            (1..=9).map(|k| conflict_wait(k).map(|d| d.as_micros() as u64)).collect();
+        let expected = [None, Some(80), Some(160), Some(320), Some(640), Some(1280)];
+        assert_eq!(waits[..6], expected);
+        assert_eq!(waits[6..], [Some(2_000); 3]);
+        assert_eq!(conflict_wait(u32::MAX), Some(Duration::from_millis(2)));
+    }
 
     #[test]
     fn single_transaction_commits_and_applies() {

@@ -27,6 +27,11 @@ pub struct InputFrontier {
     /// none). A receiver that resumes the edge in a new process tells its
     /// sender this count, and the sender swallows that many.
     pub events: u64,
+    /// How many of them were final below `position`: those that arrived
+    /// final, plus the `Finalize` notices read there. The finalize of an
+    /// event read below `position` may lie above it, where the resumed
+    /// edge reads it again; it counts there, not here.
+    pub finals: u64,
     /// Every upstream event whose id sequence is below it is covered by
     /// the snapshot. A sender that recovers later re-sends such events
     /// under fresh link sequences, and the operator's memory of the ids it
@@ -38,6 +43,7 @@ impl Encode for InputFrontier {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u64(self.position);
         enc.put_u64(self.events);
+        enc.put_u64(self.finals);
         enc.put_u64(self.covered_below);
     }
 }
@@ -47,6 +53,7 @@ impl Decode for InputFrontier {
         Ok(InputFrontier {
             position: dec.get_u64()?,
             events: dec.get_u64()?,
+            finals: dec.get_u64()?,
             covered_below: dec.get_u64()?,
         })
     }
@@ -64,12 +71,15 @@ pub struct Checkpoint {
     pub events_processed: u64,
     /// Per input port: where the stream stands.
     pub inputs: Vec<InputFrontier>,
-    /// Per-output-edge count of data events the operator had sent when the
-    /// snapshot was taken. Recovery replays only the post-checkpoint
-    /// suffix, so the difference between the link's live send counter and
-    /// this value is exactly the number of re-executed outputs that are
-    /// already on the wire and must not be re-sent.
+    /// Per output edge: the data events the covered events put on it, sent
+    /// or swallowed as already there. Recovery replays only the events the
+    /// image does not cover, so what the edge carries beyond this count is
+    /// exactly the re-executed outputs that are on the wire already and
+    /// must not be sent again.
     pub outputs_sent: Vec<u64>,
+    /// Per output edge: the `Finalize` notices the covered events put on
+    /// it, sent or swallowed — the same baseline for the finalizes.
+    pub finals_sent: Vec<u64>,
     /// Serialized operator state.
     pub state: Vec<u8>,
     /// Serialized operator RNG state: restoring it keeps the random stream
@@ -89,6 +99,7 @@ impl Encode for Checkpoint {
         enc.put_u64(self.events_processed);
         self.inputs.encode(enc);
         self.outputs_sent.encode(enc);
+        self.finals_sent.encode(enc);
         enc.put_bytes(&self.state);
         enc.put_bytes(&self.rng_state);
         enc.put_u64(self.approx_loss);
@@ -103,6 +114,7 @@ impl Decode for Checkpoint {
             events_processed: dec.get_u64()?,
             inputs: Vec::<InputFrontier>::decode(dec)?,
             outputs_sent: Vec::<u64>::decode(dec)?,
+            finals_sent: Vec::<u64>::decode(dec)?,
             state: dec.get_bytes()?,
             rng_state: dec.get_bytes()?,
             approx_loss: dec.get_u64()?,
@@ -117,14 +129,19 @@ mod tests {
 
     #[test]
     fn checkpoint_roundtrips_through_codec() {
-        let at =
-            |position, events, covered_below| InputFrontier { position, events, covered_below };
+        let at = |position, events, covered_below| InputFrontier {
+            position,
+            events,
+            finals: events - 1,
+            covered_below,
+        };
         let cp = Checkpoint {
             id: 3,
             covers_log: LogSeq(99),
             events_processed: 42,
             inputs: vec![at(1, 1, 7), at(2, 5, 8), at(3, 2, 9)],
             outputs_sent: vec![4, 5],
+            finals_sent: vec![3, 5],
             state: vec![0xAB; 16],
             rng_state: vec![0xCD; 32],
             approx_loss: 6,

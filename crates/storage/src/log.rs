@@ -50,7 +50,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use streammine_common::crc32;
+use streammine_common::{crc32, BackoffConfig};
 use streammine_obs::{Counter, Histogram, Journal, Labels, Obs};
 
 use crate::disk::{DiskSpec, StorageDevice};
@@ -306,12 +306,24 @@ fn read_frames(path: &Path) -> (Vec<(LogSeq, Vec<u8>)>, u64) {
 }
 
 /// A batch of records on its device: the sequence numbers it holds, their
-/// framed bytes, the instant its write ends, and the backoff of a retry.
+/// framed bytes, the instant its write ends, and its failed attempts so far.
 struct Group {
     seqs: Range<u64>,
     bytes: usize,
     end: Instant,
-    backoff: Duration,
+    failures: u32,
+}
+
+/// The wait before the k-th retry of a failed group write: 100 µs
+/// doubling to 5 ms.
+const WRITE_RETRY: BackoffConfig = BackoffConfig::micros(100, 5_000);
+
+impl Group {
+    /// Counts one more failed attempt and returns the wait before the next.
+    fn failed(&mut self) -> Duration {
+        self.failures += 1;
+        WRITE_RETRY.delay(self.failures)
+    }
 }
 
 /// A log's file of frames `seq u64 || len u32 || crc32 of those 12 bytes ||
@@ -462,15 +474,12 @@ struct LogShared {
 impl LogShared {
     /// Sets when `group`'s write on device `lane`, tried at `at` after
     /// `retries` failed attempts, ends: each failed attempt is counted and
-    /// retried after the group's backoff, which doubles up to 5 ms.
+    /// retried after the group's backoff ([`WRITE_RETRY`]).
     fn write(&self, lane: usize, group: &mut Group, mut at: Instant, mut retries: u64) {
         group.end = loop {
             match self.devices[lane].write(at, group.bytes) {
                 Ok(end) => break end,
-                Err((failed, _)) => {
-                    (at, retries) = (failed + group.backoff, retries + 1);
-                    group.backoff = (group.backoff * 2).min(Duration::from_millis(5));
-                }
+                Err((failed, _)) => (at, retries) = (failed + group.failed(), retries + 1),
             }
         };
         self.write_retries.fetch_add(retries, Ordering::Relaxed);
@@ -495,8 +504,7 @@ impl LogShared {
             let seqs = state.lanes[lane].front().expect("a due group").seqs.clone();
             if state.write_file(seqs.clone(), false).is_err() {
                 let group = state.lanes[lane].front_mut().expect("a due group");
-                let at = now + group.backoff;
-                group.backoff = (group.backoff * 2).min(Duration::from_millis(5));
+                let at = now + group.failed();
                 self.write(lane, group, at, 1);
                 continue;
             }
@@ -528,8 +536,8 @@ impl LogShared {
             let bytes: usize = state.queued.drain(..n).map(|(_, len)| len as usize).sum();
             // A transient fault fails the whole attempt, retried after a
             // small exponential backoff until the write sticks.
-            let (seqs, backoff) = (from..from + n as u64, Duration::from_micros(100));
-            let mut group = Group { seqs, bytes, end: start, backoff };
+            let seqs = from..from + n as u64;
+            let mut group = Group { seqs, bytes, end: start, failures: 0 };
             self.write(lane, &mut group, start, 0);
             if let Some(obs) = self.obs.get() {
                 obs.write_us.record_duration(group.end - start);
@@ -854,6 +862,17 @@ impl StableLog {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+
+    /// The k-th retry of a failed group write waits min(100 µs · 2^(k−1),
+    /// 5 ms).
+    #[test]
+    fn write_retries_double_from_100us_to_5ms() {
+        let now = Instant::now();
+        let mut group = Group { seqs: 0..1, bytes: 1, end: now, failures: 0 };
+        let waits: Vec<u64> = (0..9).map(|_| group.failed().as_micros() as u64).collect();
+        assert_eq!(waits, [100, 200, 400, 800, 1_600, 3_200, 5_000, 5_000, 5_000]);
+        assert_eq!(group.failures, 9);
+    }
 
     fn fast_log(n: usize) -> StableLog {
         StableLog::new(vec![DiskSpec::simulated(Duration::from_micros(200)); n])

@@ -1110,19 +1110,7 @@ fn retention_is_bounded_by_the_checkpoint_interval() {
         "stalled at {}/{EVENTS} final events",
         cluster.sink().final_count(),
     );
-    // Edge 0 is the launcher's source ring (the parent reports as
-    // operator 3, without a worker label); edge e > 0 leaves worker e - 1.
-    let retained = |snapshot: &RegistrySnapshot| -> Vec<Option<i64>> {
-        (0..=3u32)
-            .map(|edge| {
-                let labels = match edge {
-                    0 => Labels::op_port(3, 0),
-                    e => Labels::op_port(e - 1, e).with_worker(e - 1),
-                };
-                snapshot.gauge("edge.retained", labels)
-            })
-            .collect()
-    };
+    let retained = |snapshot: &RegistrySnapshot| retained_frames(snapshot, 3);
     // A worker saves a checkpoint, and acks its upstream, once its
     // downstream acked the outputs the checkpoint counts: the acks travel
     // up the chain after the sink saw the last final, and a checkpoint
@@ -1144,6 +1132,113 @@ fn retention_is_bounded_by_the_checkpoint_interval() {
     eprintln!("edge.retained after {EVENTS} events, edges 0..=3: {frames:?}");
     for (edge, frames) in frames.iter().enumerate() {
         assert!(*frames <= BOUND, "edge {edge} retains {frames} frames (bound {BOUND})");
+    }
+}
+
+/// Every edge's `edge.retained` frames: edge 0 is the launcher's source ring
+/// (the parent reports as operator `hops`, without a worker label); edge
+/// e > 0 leaves worker e - 1.
+fn retained_frames(snapshot: &RegistrySnapshot, hops: u32) -> Vec<Option<i64>> {
+    (0..=hops)
+        .map(|edge| {
+            let labels = match edge {
+                0 => Labels::op_port(hops, 0),
+                e => Labels::op_port(e - 1, e).with_worker(e - 1),
+            };
+            snapshot.gauge("edge.retained", labels)
+        })
+        .collect()
+}
+
+/// Speculative workers fed faster than they settle image their committed
+/// prefix with transactions open, as a node in process does. Three taggers
+/// at the slots' default interval (64), on 2 ms logs, in a closed loop of
+/// 32 events in flight (a worker that settled between events would keep
+/// up with ~450 a second): every worker saves an image while the loop
+/// still runs; from then on the source ring and every worker's out-ring
+/// (an event and its finalize per event) stay bounded by the interval and
+/// the loop; and a SIGKILL of the middle worker under that load leaves the
+/// output byte-identical. A worker that waits to be settled never saves an
+/// image here, acks nothing, and its upstream rings grow with the run.
+///
+/// The bound: the source ring holds the interval since its last trim, plus
+/// what the loop pushed since the event it is next trimmed at. That trim
+/// comes once the event reached the last worker (one end-to-end latency,
+/// at least one log write), and then an image was appended and stable at
+/// each of the three workers in turn, each appended on its downstream's
+/// ack: one log write each, and at most one more for the group already on
+/// the device. The loop pushes its 32 events per end-to-end latency, so at
+/// most (1 + 2 × 3) × 32 events meanwhile. Two intervals plus the events
+/// in flight (160) is not a bound at this interval: the source peaks at
+/// 160–192 frames in release, up to (1 + 3) × 32 past the interval.
+#[test]
+fn workers_fed_faster_than_they_settle_image_their_committed_prefix() {
+    let _machine = share_the_machine();
+    const EVENTS: usize = 600;
+    const KILL_AT: usize = 400;
+    const IN_FLIGHT: i64 = 32;
+    const INTERVAL: i64 = 64;
+    const WORKERS: i64 = 3;
+    let input = inputs(EVENTS as u64);
+    let expected = reference(3, &input);
+    let mut spec = tagger_chain(3);
+    spec.operators.iter_mut().for_each(|op| {
+        assert_eq!(op.checkpoint_every, Some(INTERVAL as u64), "not the slots' default");
+        op.log_micros = 2_000;
+    });
+    // The loop outruns the default 50 ms reports of the workers' gauges.
+    spec.telemetry_millis = 5;
+    let cluster = Cluster::launch(spec).expect("cluster launch");
+    assert!(cluster.wait_connected(Duration::from_secs(30)), "cluster never wired up");
+    let images = || (0..3).map(|w| cluster.worker_image(w).map_or(0, |i| i.events_processed));
+    let bound =
+        |edge: usize| (1 + i64::from(edge > 0)) * (INTERVAL + (1 + 2 * WORKERS) * IN_FLIGHT);
+    let mut retained_max = [0i64; 4];
+    let mut imaged_at = None;
+    for (pushed, v) in input.iter().enumerate() {
+        if pushed == KILL_AT {
+            assert!(imaged_at.is_some(), "by event {pushed} not every worker saved an image");
+            cluster.kill_worker(1);
+        }
+        let done = (pushed + 1).saturating_sub(IN_FLIGHT as usize);
+        assert!(
+            cluster.sink().wait_final(done, Duration::from_secs(30)),
+            "the loop stalled at {}/{pushed} final events",
+            cluster.sink().final_count(),
+        );
+        cluster.source().push(v.clone());
+        if pushed < KILL_AT && pushed % 16 == 15 {
+            // Until every worker's first image is stable nothing is acked
+            // yet: retention is bounded from then on.
+            if imaged_at.is_some() {
+                let frames = retained_frames(&cluster.cluster_snapshot(), 3);
+                for (max, frames) in retained_max.iter_mut().zip(frames) {
+                    *max = (*max).max(frames.unwrap_or(0));
+                }
+            } else if images().all(|covered| covered >= INTERVAL as u64) {
+                imaged_at = Some(pushed);
+            }
+        }
+    }
+    assert!(
+        cluster.sink().wait_final(EVENTS, Duration::from_secs(60)),
+        "recovery under load wedged at {}/{EVENTS} final events (sink cursor {:?})",
+        cluster.sink().final_count(),
+        cluster.sink_cursor(),
+    );
+    assert_eq!(payloads(&cluster.sink().final_events()), expected);
+    assert_eq!(cluster.crashes_detected(), 1);
+    cluster.shutdown();
+    eprintln!(
+        "every worker imaged >= {INTERVAL} events by event {imaged_at:?}; \
+         edge.retained max from then to the kill, edges 0..=3: {retained_max:?}"
+    );
+    for (edge, frames) in retained_max.iter().enumerate() {
+        assert!(
+            *frames <= bound(edge),
+            "edge {edge} retained {frames} frames (bound {})",
+            bound(edge)
+        );
     }
 }
 
