@@ -116,6 +116,58 @@ pub fn shared<C: Clock + 'static>(clock: C) -> SharedClock {
     Arc::new(clock)
 }
 
+#[cfg(target_os = "linux")]
+mod slack {
+    use std::ffi::{c_int, c_ulong};
+
+    // `<linux/prctl.h>`; std links libc, so `prctl` needs no crate.
+    const PR_SET_TIMERSLACK: c_int = 29;
+    const PR_GET_TIMERSLACK: c_int = 30;
+
+    extern "C" {
+        fn prctl(option: c_int, ...) -> c_int;
+    }
+
+    pub fn exact() {
+        // 1 ns is the least slack there is; 0 would restore the default.
+        let ns: c_ulong = 1;
+        // SAFETY: this option reads one integer argument and sets only the
+        // calling thread's timer slack.
+        unsafe { prctl(PR_SET_TIMERSLACK, ns) };
+    }
+
+    pub fn read() -> Option<u64> {
+        // SAFETY: this option takes no argument and returns the slack.
+        let ns = unsafe { prctl(PR_GET_TIMERSLACK) };
+        u64::try_from(ns).ok()
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+mod slack {
+    pub fn exact() {}
+
+    pub fn read() -> Option<u64> {
+        None
+    }
+}
+
+/// Makes the calling thread's timed waits end at their deadline, not up to
+/// the kernel's default timer slack (50 µs on Linux) after it, and so every
+/// thread it spawns from now on. Only engine-owned threads that park until a
+/// deadline on the critical path call it (a node's coordinator, before it
+/// spawns its STM pool): a caller's own threads keep their slack. Elsewhere
+/// than Linux it does nothing.
+pub fn exact_wakes() {
+    slack::exact();
+}
+
+/// The calling thread's timer slack in nanoseconds (`None` where it cannot
+/// be read: not Linux).
+pub fn timer_slack_ns() -> Option<u64> {
+    slack::read()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

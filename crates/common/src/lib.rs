@@ -11,7 +11,8 @@
 //! * [`codec`] — a small self-contained binary wire format (no serde format
 //!   crate is available offline; checkpoints, decision logs and link frames
 //!   all use this).
-//! * [`clock`] — a clock abstraction so tests can control time.
+//! * [`clock`] — a clock abstraction so tests can control time, and the
+//!   exact timer wake-ups a node's coordinator asks for.
 //! * [`crc32`] — per-record checksum framing for stable-storage records,
 //!   so recovery can truncate a torn log tail instead of panicking.
 //! * [`rng`] — a deterministic, seedable RNG used both for workload

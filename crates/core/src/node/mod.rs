@@ -359,6 +359,10 @@ impl Node {
             .name(format!("node-{}", seed.id))
             .spawn(move || {
                 let op = seed.id;
+                // The coordinator parks until its log's group ends; exact
+                // wakes keep that on the deadline. Set before `build`, so
+                // the STM pool inherits it.
+                streammine_common::clock::exact_wakes();
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
                     let recovering = seed.recovering;
                     let mut node = Node::build(seed);

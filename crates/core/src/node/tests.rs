@@ -616,3 +616,54 @@ fn an_image_that_misses_its_file_acks_nothing() {
     assert_eq!(image.events_processed, 4);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A logged coordinator parks until its log's group ends, so it asks for
+/// 1 ns of timer slack, and its STM pool inherits it. The application's
+/// thread that builds, pushes, waits and shuts down keeps its own.
+#[cfg(target_os = "linux")]
+#[test]
+fn engine_threads_wake_exactly_and_the_callers_thread_keeps_its_slack() {
+    use crate::graph::GraphBuilder;
+    use streammine_common::clock::timer_slack_ns;
+
+    /// Each `process` call's thread name and timer slack.
+    type Seen = Arc<Mutex<Vec<(String, Option<u64>)>>>;
+    struct SlackProbe(Seen);
+    impl Operator for SlackProbe {
+        fn process(&self, ctx: &mut OpCtx<'_, '_>, event: &Event) -> Result<(), StmAbort> {
+            let thread = std::thread::current().name().unwrap_or("<unnamed>").to_string();
+            self.0.lock().push((thread, timer_slack_ns()));
+            ctx.emit(event.payload.clone());
+            Ok(())
+        }
+    }
+
+    let mine = timer_slack_ns();
+    assert!(mine.is_some_and(|ns| ns > 1), "the test's thread starts with a slack: {mine:?}");
+    for (threads, runs_on) in [(1, "node-op0"), (2, "op0-worker-")] {
+        let seen = Seen::default();
+        let mut b = GraphBuilder::new();
+        let cfg = OperatorConfig::speculative(LoggingConfig::simulated(Duration::from_millis(2)))
+            .with_threads(threads);
+        let op = b.add_operator(SlackProbe(seen.clone()), cfg);
+        let src = b.source_into(op).unwrap();
+        let sink = b.sink_from(op).unwrap();
+        let running = b.build().unwrap().start();
+        assert_eq!(timer_slack_ns(), mine, "build().start() changed the caller's slack");
+        for i in 0..20 {
+            running.source(src).push(Value::Int(i));
+        }
+        assert_eq!(timer_slack_ns(), mine, "push changed the caller's slack");
+        assert!(running.sink(sink).wait_final(20, PATIENCE));
+        assert_eq!(timer_slack_ns(), mine, "wait_final changed the caller's slack");
+        running.shutdown();
+        assert_eq!(timer_slack_ns(), mine, "shutdown changed the caller's slack");
+
+        let seen = seen.lock();
+        assert!(seen.len() >= 20, "{threads} thread(s): processed {} events", seen.len());
+        for (thread, slack) in seen.iter() {
+            assert!(thread.starts_with(runs_on), "{threads} thread(s): ran on {thread}");
+            assert_eq!(*slack, Some(1), "{threads} thread(s): {thread}'s timer slack");
+        }
+    }
+}

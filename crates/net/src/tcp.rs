@@ -27,6 +27,10 @@
 //!   would hide partitions from the failure detector.
 //! * **No head-of-line surprises** — `TCP_NODELAY` is set; frames are
 //!   written with a single `write_all` of header + payload.
+//! * **One `read` per small frame** — each connection reads into a
+//!   buffer of its own, so a small frame usually costs one `read` and
+//!   frames that arrived together are cut from one. A frame larger than
+//!   the buffer is read straight into its own allocation.
 //!
 //! Reconnect policy deliberately lives one layer up (the edge bridges in
 //! `streammine-core::dist`), because only that layer knows whether a
@@ -133,7 +137,7 @@ impl Transport for TcpTransport {
             }
         })?;
         self.configure(&stream)?;
-        Ok(Box::new(TcpFrameConn { stream, peer: addr.to_string() }))
+        Ok(Box::new(TcpFrameConn::new(stream, addr.to_string())))
     }
 }
 
@@ -146,7 +150,7 @@ impl FrameListener for TcpFrameListener {
     fn accept(&self) -> Result<Box<dyn FrameConn>, FrameError> {
         let (stream, peer) = self.listener.accept().map_err(io_err)?;
         self.transport.configure(&stream)?;
-        Ok(Box::new(TcpFrameConn { stream, peer: peer.to_string() }))
+        Ok(Box::new(TcpFrameConn::new(stream, peer.to_string())))
     }
 
     fn local_addr(&self) -> String {
@@ -157,99 +161,167 @@ impl FrameListener for TcpFrameListener {
     }
 }
 
-/// Writes one `[len][crc][payload]` frame with a single `write_all`.
-fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> Result<(), FrameError> {
+/// Writes one `[len][crc][payload]` frame with a single `write_all`,
+/// assembled in the writer's `scratch` (kept between frames, so a small
+/// frame costs no allocation).
+fn write_frame(
+    stream: &mut TcpStream,
+    scratch: &mut Vec<u8>,
+    payload: &[u8],
+) -> Result<(), FrameError> {
     if payload.len() > MAX_FRAME {
         return Err(FrameError::TooLarge(payload.len() as u64));
     }
-    let mut buf = Vec::with_capacity(FRAME_HEADER + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32::checksum(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
-    stream.write_all(&buf).map_err(io_err)
+    scratch.clear();
+    scratch.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    scratch.extend_from_slice(&crc32::checksum(payload).to_le_bytes());
+    scratch.extend_from_slice(payload);
+    let written = stream.write_all(scratch).map_err(io_err);
+    // One large frame does not pin its size for the connection's life.
+    scratch.shrink_to(READ_AHEAD);
+    written
 }
 
-/// Reads exactly `buf.len()` bytes, classifying the three ways a stream
-/// can come up short: clean EOF before the first byte (`Closed` iff
-/// `at_boundary`), EOF or stall after some bytes (`Torn` — the partial
-/// frame is discarded), timeout before the first byte (`Timeout`).
-fn read_exact_classified(
+/// Bytes a connection reads at once: a small frame usually arrives whole
+/// in one `read`, and frames that arrived together are cut from it.
+const READ_AHEAD: usize = 8 * 1024;
+
+/// One `read` into `dst`: the bytes it brought, at least one. A read that
+/// brings none is classified by where in a frame it came: before its
+/// first byte (`at_boundary`) EOF is `Closed` and a stall `Timeout`;
+/// after some bytes either is `Torn` and the partial frame is discarded —
+/// a stall mid-frame is indistinguishable from a torn peer for our
+/// purposes: truncate, don't resume.
+fn read_some(
     stream: &mut TcpStream,
-    buf: &mut [u8],
+    dst: &mut [u8],
+    needed: usize,
+    got: usize,
     at_boundary: bool,
-) -> Result<(), FrameError> {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if at_boundary && filled == 0 {
-                    Err(FrameError::Closed)
-                } else {
-                    Err(FrameError::Torn { needed: buf.len() - filled, got: filled })
-                };
-            }
-            Ok(n) => filled += n,
+) -> Result<usize, FrameError> {
+    loop {
+        let stalled = match stream.read(dst) {
+            Ok(0) => false,
+            Ok(n) => return Ok(n),
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                return if at_boundary && filled == 0 {
-                    Err(FrameError::Timeout)
-                } else {
-                    // A stall mid-frame is indistinguishable from a torn
-                    // peer for our purposes: truncate, don't resume.
-                    Err(FrameError::Torn { needed: buf.len() - filled, got: filled })
-                };
-            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => true,
             Err(e) => return Err(io_err(e)),
-        }
+        };
+        return Err(match (at_boundary, stalled) {
+            (true, false) => FrameError::Closed,
+            (true, true) => FrameError::Timeout,
+            (false, _) => FrameError::Torn { needed, got },
+        });
     }
-    Ok(())
 }
 
-/// Reads one complete frame and validates its checksum.
-fn read_frame(stream: &mut TcpStream) -> Result<Vec<u8>, FrameError> {
-    let mut header = [0u8; FRAME_HEADER];
-    read_exact_classified(stream, &mut header, true)?;
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    let stored = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    if len > MAX_FRAME {
-        return Err(FrameError::TooLarge(len as u64));
+/// A connection's receive side: the bytes read past the last frame it
+/// returned. It moves with the read half in `split`, so nothing read
+/// during a handshake is lost.
+struct RxBuf {
+    buf: Box<[u8]>,
+    /// `buf[start..end]` is read and not yet returned.
+    start: usize,
+    end: usize,
+}
+
+impl RxBuf {
+    fn new() -> RxBuf {
+        RxBuf { buf: vec![0u8; READ_AHEAD].into_boxed_slice(), start: 0, end: 0 }
     }
-    let mut payload = vec![0u8; len];
-    read_exact_classified(stream, &mut payload, false)?;
-    let computed = crc32::checksum(&payload);
-    if computed != stored {
-        return Err(FrameError::Crc { stored, computed });
+
+    fn buffered(&self) -> usize {
+        self.end - self.start
     }
-    Ok(payload)
+
+    /// One `read` into the buffer, its unread bytes moved to the front
+    /// first, for a frame that still lacks `needed` bytes.
+    fn fill(
+        &mut self,
+        stream: &mut TcpStream,
+        needed: usize,
+        at_boundary: bool,
+    ) -> Result<(), FrameError> {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        let got = self.end;
+        self.end += read_some(stream, &mut self.buf[got..], needed, got, at_boundary)?;
+        Ok(())
+    }
+
+    /// Reads one complete frame and validates its checksum.
+    fn recv(&mut self, stream: &mut TcpStream) -> Result<Vec<u8>, FrameError> {
+        while self.buffered() < FRAME_HEADER {
+            let got = self.buffered();
+            self.fill(stream, FRAME_HEADER - got, got == 0)?;
+        }
+        let header = &self.buf[self.start..self.start + FRAME_HEADER];
+        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
+        let stored = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+        if len > MAX_FRAME {
+            return Err(FrameError::TooLarge(len as u64));
+        }
+        self.start += FRAME_HEADER;
+        let payload = if len <= self.buf.len() {
+            while self.buffered() < len {
+                self.fill(stream, len - self.buffered(), false)?;
+            }
+            let payload = self.buf[self.start..self.start + len].to_vec();
+            self.start += len;
+            payload
+        } else {
+            // Larger than the buffer: read straight into its own allocation.
+            let mut payload = vec![0u8; len];
+            let mut got = self.buffered();
+            payload[..got].copy_from_slice(&self.buf[self.start..self.end]);
+            self.start = self.end;
+            while got < len {
+                got += read_some(stream, &mut payload[got..], len - got, got, false)?;
+            }
+            payload
+        };
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+        let computed = crc32::checksum(&payload);
+        if computed != stored {
+            return Err(FrameError::Crc { stored, computed });
+        }
+        Ok(payload)
+    }
 }
 
 struct TcpFrameConn {
     stream: TcpStream,
+    rx: RxBuf,
+    scratch: Vec<u8>,
     peer: String,
+}
+
+impl TcpFrameConn {
+    fn new(stream: TcpStream, peer: String) -> TcpFrameConn {
+        TcpFrameConn { stream, rx: RxBuf::new(), scratch: Vec::new(), peer }
+    }
 }
 
 impl FrameConn for TcpFrameConn {
     fn send(&mut self, payload: &[u8]) -> Result<(), FrameError> {
-        write_frame(&mut self.stream, payload)
+        write_frame(&mut self.stream, &mut self.scratch, payload)
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, FrameError> {
-        read_frame(&mut self.stream)
+        self.rx.recv(&mut self.stream)
     }
 
     fn split(self: Box<Self>) -> (Box<dyn FrameTx>, Box<dyn FrameRx>) {
         // try_clone shares one socket between the halves; failure leaves
         // the rx half permanently closed, which the owning bridge treats
         // like any dead connection (tear down and redial).
-        match self.stream.try_clone() {
-            Ok(clone) => (
-                Box::new(TcpTxHalf { stream: self.stream }),
-                Box::new(TcpRxHalf { stream: Some(clone) }),
-            ),
-            Err(_) => {
-                (Box::new(TcpTxHalf { stream: self.stream }), Box::new(TcpRxHalf { stream: None }))
-            }
-        }
+        let TcpFrameConn { stream, rx, scratch, .. } = *self;
+        let read = stream.try_clone().ok();
+        (Box::new(TcpTxHalf { stream, scratch }), Box::new(TcpRxHalf { stream: read, rx }))
     }
 
     fn peer_addr(&self) -> String {
@@ -259,22 +331,24 @@ impl FrameConn for TcpFrameConn {
 
 struct TcpTxHalf {
     stream: TcpStream,
+    scratch: Vec<u8>,
 }
 
 impl FrameTx for TcpTxHalf {
     fn send(&mut self, payload: &[u8]) -> Result<(), FrameError> {
-        write_frame(&mut self.stream, payload)
+        write_frame(&mut self.stream, &mut self.scratch, payload)
     }
 }
 
 struct TcpRxHalf {
     stream: Option<TcpStream>,
+    rx: RxBuf,
 }
 
 impl FrameRx for TcpRxHalf {
     fn recv(&mut self) -> Result<Vec<u8>, FrameError> {
         match self.stream.as_mut() {
-            Some(stream) => read_frame(stream),
+            Some(stream) => self.rx.recv(stream),
             None => Err(FrameError::Closed),
         }
     }
@@ -420,6 +494,102 @@ mod tests {
         }
         fwd.join().unwrap();
         back.join().unwrap();
+    }
+
+    /// `[len][crc][payload]`, as `write_frame` puts it on the wire.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&crc32::checksum(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    /// Dials a raw listener whose accepted socket `peer` writes to.
+    fn raw_peer(
+        t: &TcpTransport,
+        peer: impl FnOnce(TcpStream) + Send + 'static,
+    ) -> (Box<dyn FrameConn>, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let writer = std::thread::spawn(move || peer(listener.accept().unwrap().0));
+        (t.dial(&addr.to_string()).unwrap(), writer)
+    }
+
+    #[test]
+    fn two_frames_in_one_segment_both_come_back() {
+        let (mut conn, writer) = raw_peer(&TcpTransport::new(), |mut s| {
+            s.write_all(&[framed(b"first"), framed(b"second")].concat()).unwrap();
+        });
+        assert_eq!(conn.recv().unwrap(), b"first");
+        assert_eq!(conn.recv().unwrap(), b"second");
+        assert_eq!(conn.recv().unwrap_err(), FrameError::Closed);
+        writer.join().unwrap();
+    }
+
+    #[test]
+    fn a_frame_split_across_reads_comes_back_whole() {
+        let (mut conn, writer) = raw_peer(&TcpTransport::new(), |mut s| {
+            s.set_nodelay(true).unwrap();
+            let frame = framed(b"split across two reads");
+            for part in [&frame[..5], &frame[5..12], &frame[12..]] {
+                s.write_all(part).unwrap();
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        });
+        assert_eq!(conn.recv().unwrap(), b"split across two reads");
+        writer.join().unwrap();
+    }
+
+    #[test]
+    fn frames_larger_than_the_read_ahead_come_back_whole() {
+        let big: Vec<u8> = (0..3 * READ_AHEAD).map(|i| i as u8).collect();
+        let sent = big.clone();
+        let (mut conn, writer) = raw_peer(&TcpTransport::new(), move |mut s| {
+            s.write_all(&[framed(b"small"), framed(&sent), framed(b"after")].concat()).unwrap();
+        });
+        assert_eq!(conn.recv().unwrap(), b"small");
+        assert_eq!(conn.recv().unwrap(), big);
+        assert_eq!(conn.recv().unwrap(), b"after");
+        writer.join().unwrap();
+    }
+
+    #[test]
+    fn eof_after_a_buffered_partial_header_is_torn() {
+        // The partial header arrives in the same read as the frame before
+        // it: it is buffered, not at a frame boundary.
+        let (mut conn, writer) = raw_peer(&TcpTransport::new(), |mut s| {
+            s.write_all(&[framed(b"whole"), vec![1, 2, 3]].concat()).unwrap();
+        });
+        assert_eq!(conn.recv().unwrap(), b"whole");
+        assert_eq!(conn.recv().unwrap_err(), FrameError::Torn { needed: 5, got: 3 });
+        writer.join().unwrap();
+    }
+
+    #[test]
+    fn a_stall_after_a_buffered_partial_frame_is_torn_not_a_timeout() {
+        let t = TcpTransport::new().with_read_timeout(Duration::from_millis(20));
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let (mut conn, writer) = raw_peer(&t, move |mut s| {
+            let next = framed(b"never finished");
+            s.write_all(&[framed(b"whole"), next[..11].to_vec()].concat()).unwrap();
+            let _ = done_rx.recv(); // holds the socket open: a stall, not EOF
+        });
+        assert_eq!(conn.recv().unwrap(), b"whole");
+        assert_eq!(conn.recv().unwrap_err(), FrameError::Torn { needed: 11, got: 3 });
+        done_tx.send(()).unwrap();
+        writer.join().unwrap();
+    }
+
+    #[test]
+    fn split_keeps_the_bytes_read_before_it() {
+        let (mut conn, writer) = raw_peer(&TcpTransport::new(), |mut s| {
+            s.write_all(&[framed(b"handshake"), framed(b"data")].concat()).unwrap();
+        });
+        assert_eq!(conn.recv().unwrap(), b"handshake");
+        let (_tx, mut rx) = conn.split();
+        assert_eq!(rx.recv().unwrap(), b"data");
+        writer.join().unwrap();
     }
 
     #[test]
