@@ -36,8 +36,9 @@ impl LoggingConfig {
 /// window of the link it reads ([`streammine_net::LinkConfig::capacity`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeConfig {
-    /// Maximum concurrently open speculative transactions. At the cap the
-    /// node stops admitting new speculative work and paces itself by log
+    /// Maximum concurrently open transactions: speculative ones, or on a
+    /// non-speculative operator the events that wait for their log. At the
+    /// cap the node stops admitting new work and paces itself by log
     /// stability instead (paper §2 semantics) — it never aborts.
     pub max_open_speculations: usize,
     /// Maximum speculative output events retained (published but not yet
@@ -103,16 +104,17 @@ pub struct OperatorConfig {
     /// need no log (§1: stateless/stateful deterministic cases).
     pub logging: Option<LoggingConfig>,
     /// Checkpoint the operator state every this many consumed events
-    /// (default [`CHECKPOINT_EVERY`]). A speculative operator that commits
-    /// in timestamp order checkpoints its committed prefix at every
-    /// this-many-th serial while later transactions stay open, on one
-    /// thread or on several, in process or in a cluster worker; every
-    /// other one waits until it is settled. `None`
+    /// (default [`CHECKPOINT_EVERY`]). Every operator checkpoints its
+    /// committed prefix at every this-many-th serial while later
+    /// transactions stay open, speculative or not, on one thread or on
+    /// several, in process or in a cluster worker; one that commits in
+    /// conflict order once nothing is open. `None`
     /// disables checkpointing: nothing is acked, so the upstream rings
     /// keep every frame, the decision log every record and the node every
     /// consumed id for the whole run, and recovery replays from the start.
     pub checkpoint_every: Option<u64>,
-    /// STM tuning (speculative mode).
+    /// STM tuning. A non-speculative operator commits in timestamp order
+    /// whatever `commit_order` says: its outputs go out at its commits.
     pub stm: StmConfig,
     /// Overload robustness: speculation admission caps.
     pub node: NodeConfig,

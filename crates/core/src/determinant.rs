@@ -16,7 +16,7 @@
 //! record `(serial, k, determinant)` to the stable log (§2.4: "issue an
 //! asynchronous storage request … and continue") and counting it in
 //! flight. The write runs beside the rest of the operator, and whoever
-//! must wait for it — the commit gate, the hold queue — waits for *all*
+//! must wait for it — the commit gate — waits for *all*
 //! of the tape's records, not the last one appended: on striped devices a
 //! later record can be stable before an earlier one. The record that
 //! empties the count posts the event's one stability notice, so what a

@@ -14,16 +14,16 @@
 //! follows once the log is stable and the input itself was finalized. The
 //! log waits of a chain of workers overlap instead of adding up; only the
 //! launcher's sink, which externalises finals alone, waits for all of
-//! them. An **approximate** slot stays non-speculative (it skips the log
-//! hold anyway) and parks a speculative input until its `Finalize`.
+//! them. An **approximate** slot stays non-speculative: it logs no
+//! decision, sends its outputs final when each event's transaction
+//! commits, and parks a speculative input until its `Finalize`.
 //!
 //! A worker's log is its file, `worker<i>.log` in the launcher's cluster
 //! directory ([`StableLog::open`]): a group reaches the file before it is
 //! stable, so a decision is there before its output finalizes and an
 //! image before it truncates or acks. Every `checkpoint_every` events the
-//! node takes an image — a precise slot of its committed prefix, with
-//! transactions open, as a node in process does; an approximate one once
-//! it is settled. Its out-ring lives in this process, so the image waits
+//! node takes an image of its committed prefix, with transactions open, as
+//! a node in process does. Its out-ring lives in this process, so the image waits
 //! until the downstream acked every output it counts. Once it is stable
 //! the log (and its file) is truncated below it and each upstream ring
 //! acked up to its positions: retention is bounded by the interval, not by
@@ -186,8 +186,8 @@ pub(crate) fn run_worker(
     let config = {
         let logging =
             LoggingConfig::simulated_n(spec.disks as usize, Duration::from_micros(spec.log_micros));
-        // Precise slots speculate; approximate ones may not (and skip the
-        // log hold without it).
+        // Precise slots speculate; approximate ones may not, and log no
+        // decision.
         let mut c = if spec.approx_eps_ppm > 0 {
             OperatorConfig::logged(logging)
         } else {

@@ -1,18 +1,20 @@
-//! Where a checkpoint cuts the node's serials (§2.2). A speculative node
-//! that commits in timestamp order images its committed prefix — every
-//! serial below the lowest one still open — while later transactions stay
-//! open and admission goes on ([`Node::prefix_cut`]), on one STM thread or
-//! on several, in process or in a cluster worker. A non-speculative node,
-//! or one that commits in conflict order, waits until it is settled
-//! ([`Node::settled_cut`]).
+//! Where a checkpoint cuts the node's serials (§2.2). Every node images
+//! its committed prefix — every serial below the lowest one still open —
+//! while later transactions stay open and admission goes on
+//! ([`Node::prefix_cut`]): speculative or not, on one STM thread or on
+//! several, in process or in a cluster worker. A non-speculative node's
+//! open transactions are the events that wait for their log, its parked
+//! inputs are read and not admitted.
 //!
 //! The prefix is cut at fixed logical times: at every `checkpoint_every`-th
-//! serial. The serial a cut is due at does not commit before the cut is
-//! taken, passed up or — refused — moved one serial on
-//! ([`Node::prefix_cut_due`]), so no commit races the snapshot, and
-//! the nodes of a chain whose serials match (one output per input) cut at
-//! the same events: a node's image, once stable, acknowledges all that its
-//! upstream's image of the same cut counts.
+//! serial. On a node that commits in timestamp order, the serial a cut is
+//! due at does not commit before the cut is taken, passed up or — refused —
+//! moved one serial on ([`Node::prefix_cut_due`]), so no commit races the
+//! snapshot, and the nodes of a chain whose serials match (one output per
+//! input) cut at the same events: a node's image, once stable,
+//! acknowledges all that its upstream's image of the same cut counts. A
+//! node that commits in conflict order commits out of serial order, so it
+//! holds no serial and is cut only when nothing is open.
 //!
 //! An image counts what the serials it covers put on each down-edge: data
 //! events and finalizes, sent or swallowed as already there, each serial
@@ -68,11 +70,11 @@ impl Tally {
     }
 }
 
-/// An event admitted since the last image of a node that images its
-/// committed prefix, as that image needs it once the event is the lowest
-/// one left open: where it was read, where the log stood before it took
-/// its first decision, and — on one thread — the generator it found; and
-/// once it is covered, what it put on each down-edge.
+/// An event admitted since the node's last image, as the image needs it
+/// once the event is the lowest one left open: where it was read, where
+/// the log stood before it took its first decision, and — on one thread —
+/// the generator it found; and once it is covered, what it put on each
+/// down-edge.
 pub(super) struct Admitted {
     serial: u64,
     port: u32,
@@ -84,62 +86,20 @@ pub(super) struct Admitted {
 }
 
 impl Node {
-    /// The image of a settled node, which covers every serial taken: no
-    /// in-flight transactions, no outputs still held for log stability, no
-    /// parked speculative inputs — otherwise the covered events' effects
-    /// would be lost in a crash while replay skips them. Port queues must be
-    /// empty too: a partially consumed DataBatch shares one link sequence
-    /// across its events, and the ids consumed are an id prefix only once
-    /// everything read is (finals arrive in the sender's serial order).
-    /// `None` until the node settles.
-    ///
-    /// A non-speculative node applies an event's state before its outputs
-    /// are released, and one that commits in conflict order commits out of
-    /// serial order: both wait to be settled.
-    pub(super) fn settled_cut(&mut self) -> Option<Image> {
-        if !self.pending.is_empty()
-            || !self.hold_queue.is_empty()
-            || !self.parked.is_empty()
-            || self.port_queues.iter().any(|q| !q.is_empty())
-        {
-            return None;
-        }
-        let inputs = self.frontiers.iter_mut().map(|f| f.fold(f.consumed_top(), None)).collect();
-        // Outputs still buffered for batching are volatile; put them on
-        // the (replay-retaining) links before the covering events become
-        // unreplayable. Then the send counters cover exactly the outputs
-        // of the covered events.
-        self.flush_out_batches();
-        let count = |n: &AtomicU64| n.load(Ordering::Acquire);
-        let checkpoint = Checkpoint {
-            covers_log: LogSeq(self.log.as_ref().map_or(0, StableLog::appended)),
-            events_processed: self.next_serial,
-            inputs,
-            outputs_sent: self.down.iter().map(|e| count(&e.sent.events)).collect(),
-            finals_sent: self.down.iter().map(|e| count(&e.sent.finals)).collect(),
-            // The serialized RNG goes into the checkpoint so the random
-            // stream stays continuous across a crash (see `restore`).
-            rng_state: encode_to_vec(&*self.rng.lock()),
-            state: self.registry.snapshot(),
-            ..Checkpoint::default()
-        };
-        let outputs_end = self.outputs_end(|out| self.down[out].data_tx.sent());
-        Some(Image { checkpoint, outputs_end })
-    }
-
-    /// The image of a speculative node's committed prefix: every serial
-    /// below the lowest one still open, while that one and later ones stay
-    /// open. Commits run in serial order, so the STM's committed values are
-    /// exactly those of the prefix — once the notice of every commit is
-    /// served, and while the lowest open serial has not begun to commit.
-    /// Per port, replay re-reads from the frame of the first event left
-    /// open (admitted at or above the cut, or read and not admitted yet),
-    /// and the covered id prefix drops the committed events it re-reads on
-    /// the way. The log is taken as it stood when the lowest open serial
-    /// was admitted, so the open transactions' records survive truncation
-    /// and recovery reads them back. The outputs it counts are those of the
-    /// covered serials' tallies. `None` when that is not a consistent cut
-    /// yet; nothing is touched then.
+    /// The image of the node's committed prefix: every serial below the
+    /// lowest one still open, while that one and later ones stay open.
+    /// Commits below it ran in serial order (or nothing is open), so the
+    /// STM's committed values are exactly those of the prefix — once the
+    /// notice of every commit is served, and while the lowest open serial
+    /// has not begun to commit. Per port, replay re-reads from the earliest
+    /// frame of an event left open (admitted at or above the cut, or read
+    /// and not admitted yet: queued or parked), and the covered id prefix
+    /// drops the committed events it re-reads on the way. The log is taken
+    /// as it stood when the lowest open serial was admitted, so the open
+    /// transactions' records survive truncation and recovery reads them
+    /// back. The outputs it counts are those of the covered serials'
+    /// tallies. `None` when that is not a consistent cut yet; nothing is
+    /// touched then.
     fn prefix_cut(&mut self, low: u64) -> Option<Image> {
         let admitted = self.admitted.as_ref()?;
         let split = admitted.partition_point(|a| a.serial < low);
@@ -150,17 +110,20 @@ impl Node {
             let covered = &mut covered_below[a.port as usize];
             *covered = (*covered).max(a.id.seq + 1);
         }
-        // Replay must admit every event left open again; a queued one its
+        // Replay must admit every event left open again; a read one its
         // frontier would drop anyway does not count.
         let mut from: Vec<Option<FrameAt>> = vec![None; ports];
         let mut lowest_id = vec![u64::MAX; ports];
         let left_open = admitted.range(split..).map(|a| (a.port as usize, a.id, a.frame));
         let queued = self.port_queues.iter().enumerate().flat_map(|(port, queue)| {
-            let frontier = &self.frontiers[port];
-            queue.iter().filter(|q| frontier.admits(q.0.id)).map(move |q| (port, q.0.id, q.2))
+            queue.iter().map(move |(event, _, frame)| (port, event.id, *frame))
         });
-        for (port, id, frame) in left_open.chain(queued) {
-            from[port].get_or_insert(frame);
+        let parked = self.parked.values().map(|(port, event, at)| (*port as usize, event.id, *at));
+        let read = queued.chain(parked).filter(|(port, id, _)| self.frontiers[*port].admits(*id));
+        for (port, id, frame) in left_open.chain(read) {
+            if from[port].is_none_or(|at| frame < at) {
+                from[port] = Some(frame);
+            }
             lowest_id[port] = lowest_id[port].min(id.seq);
         }
         // A sender that sent out of id order (several threads) can leave an
@@ -172,13 +135,16 @@ impl Node {
         let first_open = admitted.get(split);
         let rng_state = match first_open.and_then(|a| a.rng.as_ref()) {
             Some(rng) => encode_to_vec(rng),
-            None => encode_to_vec(&*self.rng.lock()),
+            None => encode_to_vec(&*self.runner.rng.lock()),
         };
         let log_now = || self.log.as_ref().map_or(0, StableLog::appended);
         let covers_log = first_open.map_or_else(log_now, |a| a.log_at);
         // Committed values only: an open transaction's writes are not
         // visible outside it, and the lowest one is held.
-        let state = self.registry.snapshot();
+        let state = self.runner.registry.snapshot();
+        // The covered serials' final outputs still buffered for batching
+        // are volatile: on the rings they are counted and outlive a crash.
+        self.flush_out_batches();
         let inputs: Vec<InputFrontier> = self
             .frontiers
             .iter_mut()
@@ -231,22 +197,36 @@ impl Node {
         Some(Image { checkpoint, outputs_end: self.outputs_end(|out| ends[out]) })
     }
 
-    /// The image due on a node that images its committed prefix, once
-    /// every serial below `cut_at` committed (or was revoked): taken at the
-    /// lowest serial still open. The next cut is then due at the next
-    /// multiple of `interval`, where every node of the chain cuts; so it is
-    /// when two images still wait for their downstreams and this one is
-    /// passed up. A cut refused for an open id below a covered one (a
-    /// sender that sent out of id order) lets that lowest serial alone
-    /// commit and is tried again after it.
+    /// The image due, once every serial below the one it is due at
+    /// committed (or was revoked): taken at the lowest serial still open.
+    /// The next cut is then due at the next multiple of `interval`, where
+    /// every node of the chain cuts; so it is when two images still wait
+    /// for their downstreams and this one is passed up. A cut refused for
+    /// an open id below a covered one (a sender that sent out of id order)
+    /// lets that lowest serial alone commit and is tried again after it.
+    ///
+    /// A node that commits in conflict order holds no serial: its cut is
+    /// due at the multiple of `interval` past its last image, and taken
+    /// once nothing is open. No image is taken inside an approximate
+    /// resume window: it would pin mid-window input positions against
+    /// pre-crash output counters, corrupting the skip computation of any
+    /// later crash.
     pub(super) fn prefix_cut_due(&mut self, interval: u64) -> Option<Image> {
+        if self.approx.as_ref().is_some_and(ApproxState::resuming) {
+            return None;
+        }
         let cut_at = self.send_view.cut_at.load(Ordering::Relaxed);
-        if self.next_serial < cut_at {
+        let ordered = cut_at < u64::MAX;
+        let due = if ordered { cut_at } else { (self.checkpoint_serial / interval + 1) * interval };
+        if self.next_serial < due {
             return None;
         }
         let low = self.pending_by_serial.keys().min().copied().unwrap_or(self.next_serial);
-        if low < cut_at {
+        if low < due || (!ordered && low < self.next_serial) {
             return None;
+        }
+        if !ordered {
+            return self.may_wait().then(|| self.prefix_cut(low)).flatten();
         }
         let on_grid = (low / interval + 1) * interval;
         let (image, next) = if !self.may_wait() {
@@ -265,8 +245,7 @@ impl Node {
     }
 
     /// Takes note of the event admitted at `serial`, before it takes a
-    /// decision, on a node that images its committed prefix; `put` tallies
-    /// its outputs.
+    /// decision, on a node that checkpoints; `put` tallies its outputs.
     pub(super) fn note_admitted(
         &mut self,
         serial: u64,
@@ -276,7 +255,7 @@ impl Node {
         put: &Arc<[Tally]>,
     ) {
         let Some(admitted) = &mut self.admitted else { return };
-        let rng = self.pool.is_none().then(|| self.rng.lock().clone());
+        let rng = self.pool.is_none().then(|| self.runner.rng.lock().clone());
         let log_at = self.log.as_ref().map_or(0, StableLog::appended);
         let put = put.clone();
         admitted.push_back(Admitted { serial, port, id, frame, rng, log_at, put });

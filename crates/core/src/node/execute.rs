@@ -2,21 +2,25 @@
 //! or revoked upstream, a transaction aborted by a conflict. Rollback
 //! re-executes serials above the frontier and never moves it.
 //!
-//! # The two execution modes (§2.3, §2.4)
+//! # One execution path (§2.3, §2.4)
 //!
-//! * **Non-speculative**: events are processed sequentially; outputs are
-//!   *held* until every decision record of the event is stable on disk —
-//!   each was appended the moment the decision was taken, so the write
-//!   runs beside the operator — then sent as final. A speculative input
-//!   event is parked until its finalize arrives — a non-speculative
-//!   operator only consumes and produces final events.
-//! * **Speculative**: each event runs as an STM transaction; outputs are
-//!   sent immediately, tagged speculative when anything about them may
-//!   still change (speculative inputs, open dependencies, unstable log).
-//!   When the transaction commits — inputs final + log stable +
-//!   dependencies committed, in timestamp order — `Finalize` control
-//!   messages upgrade the outputs downstream. Rollbacks re-execute the
-//!   event and re-emit revised outputs under a bumped version.
+//! Every admitted event runs as an STM transaction, which commits once its
+//! input is final, every decision it took is stable — each record was
+//! appended the moment the decision was taken, so the write runs beside
+//! the operator — and, in timestamp order, every earlier serial committed.
+//! Whether the operator is speculative decides only when the outputs go
+//! out:
+//!
+//! * **Speculative**: at once, tagged speculative while anything about
+//!   them may still change. When the transaction commits, `Finalize`
+//!   control messages upgrade them downstream; a rollback re-executes the
+//!   event and re-emits revised outputs under a bumped version. Attempts
+//!   may run on a pool of STM threads.
+//! * **Non-speculative**: nothing before the commit, and then the outputs
+//!   go out final, in serial order, batched per edge. Such a node runs
+//!   one event at a time on its coordinator, and a speculative input event
+//!   is parked until its finalize arrives — it only consumes and produces
+//!   final events.
 
 use super::*;
 
@@ -36,7 +40,7 @@ impl Node {
         );
         let draws = recovered.iter().filter(|d| matches!(d, Determinant::Random(_))).count();
         if draws > 0 {
-            let mut rng = self.rng.lock();
+            let mut rng = self.runner.rng.lock();
             for _ in 0..draws {
                 let _ = rng.next_u64();
             }
@@ -72,80 +76,9 @@ impl Node {
         (serial, tape)
     }
 
-    // Non-speculative path
-
-    pub(super) fn process_nonspec(&mut self, port: u32, event: Event, queue_wait: Duration) {
-        if self.approx.as_mut().is_some_and(ApproxState::skips) {
-            // Approximate resume window: this replayed input's output is
-            // already on the wire downstream. Consume its serial without
-            // running the operator so later output ids stay aligned with
-            // the fault-free run; its dropped state update is the loss the
-            // budget charged at resume.
-            self.next_serial += 1;
-            self.frontiers[port as usize].consume(event.id);
-            return;
-        }
-        let (serial, tape) = self.admit(port, &event, queue_wait);
-        let trace_id = event.trace.map(|c| c.id);
-        let mut ctx = OpCtx {
-            registry: &self.registry,
-            access: StateAccess::Plain,
-            outputs: Vec::new(),
-            tape: &tape,
-            drawn: usize::from(self.up.len() > 1),
-            log: self.send_view.decisions.as_ref(),
-            rng: &self.rng,
-            clock: &self.clock,
-            input_port: PortId(port),
-            input_ts: event.timestamp,
-        };
-        let process_start = Instant::now();
-        let process_result = self.operator.process(&mut ctx, &event);
-        let process_took = process_start.elapsed();
-        self.metrics.process_us.record_duration(process_took);
-        if event.trace.is_some() {
-            self.obs.tracer.record_process(
-                self.id.index(),
-                serial,
-                process_took.as_micros() as u64,
-            );
-        }
-        if process_result.is_err() {
-            // StmAbort cannot legitimately occur outside speculative mode;
-            // treat it as an operator bug and drop the event's outputs
-            // rather than killing the coordinator.
-            self.obs.journal.warn(
-                Some(self.id.index()),
-                "plain-mode-abort",
-                format!("process aborted on {}; outputs dropped", event.id),
-            );
-        }
-        let child = event.trace.map(|c| c.child(span_key(self.id.index(), serial)));
-        let outputs =
-            assign_output_ids(self.id, serial, event.timestamp, &ctx.outputs, false, child);
-        drop(ctx);
-
-        self.frontiers[port as usize].consume(event.id);
-
-        // Hold the outputs until every decision the event took is stable
-        // (§2.4) — each record has been on its way since it was taken.
-        // Nothing taken live (deterministic, or all of it read back from
-        // the log) or stable already: forward now, unless earlier outputs
-        // are still held, which go first.
-        if self.hold_queue.is_empty() && tape.is_stable() {
-            if trace_id.is_some() {
-                self.obs.tracer.record_commit(self.id.index(), serial, 0);
-            }
-            self.send_outputs_final(outputs);
-        } else {
-            self.hold_queue.push_back((serial, HeldOutput { tape, outputs, trace: trace_id }));
-        }
-        self.maybe_checkpoint();
-    }
-
-    // Speculative path
-
-    pub(super) fn process_spec(
+    /// Runs `event`, read from `port` in `frame`, as the transaction of the
+    /// next serial.
+    pub(super) fn execute(
         &mut self,
         port: u32,
         event: Event,
@@ -155,8 +88,7 @@ impl Node {
         let put: Arc<[Tally]> = self.down.iter().map(|_| Tally::default()).collect();
         self.note_admitted(self.next_serial, port, event.id, frame, &put);
         let (serial, tape) = self.admit(port, &event, queue_wait);
-        let stm = self.stm.as_ref().expect("speculative node has an stm");
-        let handle = stm.begin(Serial(serial));
+        let handle = self.stm.begin(Serial(serial));
         let pending = Arc::new(PendingTxn {
             serial,
             input_id: event.id,
@@ -166,10 +98,10 @@ impl Node {
             rollbacks: AtomicU64::new(0),
             input: Mutex::new(InputView {
                 version: event.version,
-                payload: event.payload.clone(),
+                payload: event.payload,
                 speculative: event.speculative,
             }),
-            handle: handle.clone(),
+            handle,
             attempt: Mutex::new(None),
             applied_gen: AtomicU64::new(0),
             tape,
@@ -179,13 +111,23 @@ impl Node {
             attempts_pending: AtomicU64::new(0),
             trace: event.trace,
         });
-        self.pending.insert(event.id, pending.clone());
-        self.pending_by_txn.insert(handle.id(), event.id);
+        self.spawn_attempt(pending.clone());
+        // A non-speculative attempt runs here, on the coordinator. One that
+        // committed during it, with nothing before it open, sends its
+        // outputs now, before the next event is admitted; the notice of
+        // its commit then finds nothing to do.
+        let settled = !self.config.speculative && self.pending.is_empty();
+        if settled && pending.handle.status() == TxnStatus::Committed {
+            self.committed(&pending);
+            return;
+        }
+        self.pending_by_txn.insert(pending.handle.id(), event.id);
         self.pending_by_serial.insert(serial, event.id);
-        self.spawn_attempt(pending);
+        self.pending.insert(event.id, pending);
     }
 
-    /// Runs (or re-runs) the processing transaction for `pending`.
+    /// Runs (or re-runs) the processing transaction for `pending`: on the
+    /// node's pool if it has one, here otherwise.
     fn spawn_attempt(&self, pending: Arc<PendingTxn>) {
         // Frontier invariant: what the last checkpoint covers never runs
         // again.
@@ -196,68 +138,12 @@ impl Node {
             self.checkpoint_serial
         );
         pending.attempts_pending.fetch_add(1, Ordering::SeqCst);
-        let stm = self.stm.as_ref().expect("speculative node").clone();
-        let operator = self.operator.clone();
-        let registry = self.registry.clone();
-        let rng = self.rng.clone();
-        let clock = self.clock.clone();
-        let first_draw = usize::from(self.up.len() > 1);
-        let process_us = self.metrics.process_us.clone();
-        let attempt_tracer = pending.trace.is_some().then(|| self.obs.tracer.clone());
-        let op_index = self.id.index();
-        let node_view = self.send_view.clone();
-        let run = move || {
-            let body = |txn: &mut streammine_stm::Txn<'_>| -> Result<(), StmAbort> {
-                let view = pending.input.lock().clone();
-                let event = Event {
-                    id: pending.input_id,
-                    version: view.version,
-                    timestamp: pending.input_ts,
-                    speculative: view.speculative,
-                    payload: view.payload,
-                    trace: pending.trace,
-                };
-                let generation = txn.generation();
-                let mut ctx = OpCtx {
-                    registry: &registry,
-                    access: StateAccess::Txn(txn),
-                    outputs: Vec::new(),
-                    tape: &pending.tape,
-                    drawn: first_draw,
-                    log: node_view.decisions.as_ref(),
-                    rng: &rng,
-                    clock: &clock,
-                    input_port: PortId(pending.port),
-                    input_ts: pending.input_ts,
-                };
-                let process_start = Instant::now();
-                let process_result = operator.process(&mut ctx, &event);
-                let process_took = process_start.elapsed();
-                process_us.record_duration(process_took);
-                if let Some(tracer) = &attempt_tracer {
-                    tracer.record_process(
-                        op_index,
-                        pending.serial,
-                        process_took.as_micros() as u64,
-                    );
-                }
-                process_result?;
-                // The generation tag orders diff application across
-                // concurrently finishing attempts.
-                *pending.attempt.lock() = Some((generation, ctx.outputs));
-                Ok(())
-            };
-            if stm.reexecute(&pending.handle, body).is_ok() {
-                node_view.after_publish(&pending);
-            }
-            // Only after the attempt's outputs are fully on the wire may
-            // the commit gate re-open.
-            pending.attempts_pending.fetch_sub(1, Ordering::SeqCst);
-            maybe_authorize_pending(&pending, &node_view.cut_at);
-        };
         match &self.pool {
-            Some(pool) => pool.execute(run),
-            None => run(),
+            Some(pool) => {
+                let runner = self.runner.clone();
+                pool.execute(move || runner.run(&pending));
+            }
+            None => self.runner.run(&pending),
         }
     }
 
@@ -299,53 +185,76 @@ impl Node {
         self.pending_by_txn.get(&txn).and_then(|id| self.pending.get(id)).cloned()
     }
 
-    pub(super) fn on_txn_committed(&mut self, txn: TxnId) {
-        let Some(pending) = self.pending_txn(txn) else { return };
-        let id = pending.input_id;
-        // Upgrade all sent outputs to final downstream. Holding the sent
-        // lock while sending orders these finalizes after every attempt's
-        // output diff and blocks any straggler diff from revising or
-        // revoking a finalized output afterwards (it observes `finalized`
-        // under the same lock).
-        {
-            let sent = pending.sent.lock();
-            pending.finalized.store(true, Ordering::Release);
-            // Finalized outputs stop counting against the retained-
-            // speculation admission cap.
-            self.spec_retained.fetch_sub(sent.len() as i64, Ordering::Relaxed);
-            for (event, target) in sent.iter().filter(|(event, _)| event.speculative) {
-                for (out, edge) in self.down.iter().enumerate() {
-                    if !routes_to(*target, out) {
-                        continue;
-                    }
-                    let tally = &pending.put[out];
-                    tally.finals.fetch_add(1, Ordering::AcqRel);
-                    if !swallow(&self.resend[out].finals) {
-                        edge.sent.finals.fetch_add(1, Ordering::AcqRel);
-                        let (id, version) = (event.id, event.version);
-                        let pushed =
-                            edge.data_tx.push(Message::Control(Control::Finalize { id, version }));
-                        tally.finals_end.fetch_max(pushed.seq() + 1, Ordering::AcqRel);
-                    }
-                }
-            }
-        }
-        self.metrics.spec_finalized.incr();
-        let gate = pending.started.elapsed();
-        self.metrics.commit_gate_us.record_duration(gate);
+    /// Transaction `txn` committed; `false` when it is not the node's
+    /// open transaction (any more).
+    pub(super) fn on_txn_committed(&mut self, txn: TxnId) -> bool {
+        let Some(pending) = self.pending_txn(txn) else { return false };
+        self.pending.remove(&pending.input_id);
+        self.pending_by_txn.remove(&txn);
+        self.pending_by_serial.remove(&pending.serial);
+        self.committed(&pending);
+        true
+    }
+
+    /// `pending`'s transaction committed: its outputs go out final — as
+    /// finalizes of what a speculative attempt published, or sent now —
+    /// and its input is consumed for good.
+    fn committed(&mut self, pending: &PendingTxn) {
+        let gate = if self.config.speculative {
+            self.finalize_sent(pending);
+            self.metrics.spec_finalized.incr();
+            let gate = pending.started.elapsed();
+            self.metrics.commit_gate_us.record_duration(gate);
+            gate.as_micros() as u64
+        } else {
+            // Nothing went out before the commit: the outputs of the
+            // attempt that committed go out now, final.
+            let (_, outputs) = pending.attempt.lock().take().unwrap_or_default();
+            let child = pending.trace.map(|c| c.child(span_key(self.id.index(), pending.serial)));
+            let ts = pending.input_ts;
+            let outputs = assign_output_ids(self.id, pending.serial, ts, &outputs, false, child);
+            self.send_outputs_final(outputs, &pending.put);
+            0
+        };
         if pending.trace.is_some() {
-            self.obs.tracer.record_commit(self.id.index(), pending.serial, gate.as_micros() as u64);
+            self.obs.tracer.record_commit(self.id.index(), pending.serial, gate);
         }
         self.obs.journal.record_traced(
             Some(self.id.index()),
             pending.trace.map(|c| c.id),
             JournalKind::Commit { serial: pending.serial },
         );
-        self.frontiers[pending.port as usize].consume(id);
-        self.pending.remove(&id);
-        self.pending_by_txn.remove(&txn);
-        self.pending_by_serial.remove(&pending.serial);
+        self.frontiers[pending.port as usize].consume(pending.input_id);
         self.maybe_checkpoint();
+    }
+
+    /// Upgrades every output `pending` sent to final downstream. Holding
+    /// the sent lock while sending orders these finalizes after every
+    /// attempt's output diff and blocks any straggler diff from revising or
+    /// revoking a finalized output afterwards (it observes `finalized`
+    /// under the same lock).
+    fn finalize_sent(&self, pending: &PendingTxn) {
+        let sent = pending.sent.lock();
+        pending.finalized.store(true, Ordering::Release);
+        // Finalized outputs stop counting against the retained-speculation
+        // admission cap.
+        self.spec_retained.fetch_sub(sent.len() as i64, Ordering::Relaxed);
+        for (event, target) in sent.iter().filter(|(event, _)| event.speculative) {
+            for (out, edge) in self.down.iter().enumerate() {
+                if !routes_to(*target, out) {
+                    continue;
+                }
+                let tally = &pending.put[out];
+                tally.finals.fetch_add(1, Ordering::AcqRel);
+                if !swallow(&self.resend[out].finals) {
+                    edge.sent.finals.fetch_add(1, Ordering::AcqRel);
+                    let (id, version) = (event.id, event.version);
+                    let pushed =
+                        edge.data_tx.push(Message::Control(Control::Finalize { id, version }));
+                    tally.finals_end.fetch_max(pushed.seq() + 1, Ordering::AcqRel);
+                }
+            }
+        }
     }
 
     pub(super) fn on_txn_aborted(&mut self, txn: TxnId) {
@@ -364,6 +273,80 @@ impl Node {
         );
         // Cascade abort: re-execute the event (§3: rollback + re-execution).
         self.spawn_attempt(pending);
+    }
+}
+
+/// What an attempt needs, shared by every attempt of the node: built once,
+/// so an attempt on the coordinator clones nothing and one on a pool
+/// thread one `Arc`.
+pub(super) struct Runner {
+    pub(super) stm: StmRuntime,
+    pub(super) operator: Arc<dyn Operator>,
+    pub(super) registry: Arc<StateRegistry>,
+    pub(super) rng: Arc<Mutex<DetRng>>,
+    pub(super) clock: SharedClock,
+    /// The tape entry the operator's first draw takes: 1 on a multi-input
+    /// node, whose entry 0 is the merge's choice.
+    pub(super) first_draw: usize,
+    pub(super) process_us: Histogram,
+    pub(super) tracer: Arc<Tracer>,
+    pub(super) send_view: Arc<NodeSendView>,
+    /// Whether an attempt publishes its outputs at once (a speculative
+    /// node); a non-speculative attempt's wait in its capture for the
+    /// commit.
+    pub(super) publishes: bool,
+}
+
+impl Runner {
+    /// Runs one attempt of `pending`'s transaction, publishes its outputs
+    /// if the node speculates, and then re-evaluates its commit gate.
+    fn run(&self, pending: &Arc<PendingTxn>) {
+        let op_index = self.send_view.id.index();
+        let log = self.send_view.decisions.as_ref();
+        let body = |txn: &mut streammine_stm::Txn<'_>| -> Result<(), StmAbort> {
+            let view = pending.input.lock().clone();
+            let event = Event {
+                id: pending.input_id,
+                version: view.version,
+                timestamp: pending.input_ts,
+                speculative: view.speculative,
+                payload: view.payload,
+                trace: pending.trace,
+            };
+            let generation = txn.generation();
+            let mut ctx = OpCtx {
+                registry: &self.registry,
+                txn,
+                outputs: Vec::new(),
+                tape: &pending.tape,
+                drawn: self.first_draw,
+                log,
+                rng: &self.rng,
+                clock: &self.clock,
+                input_port: PortId(pending.port),
+                input_ts: pending.input_ts,
+            };
+            let process_start = Instant::now();
+            let process_result = self.operator.process(&mut ctx, &event);
+            let process_took = process_start.elapsed();
+            self.process_us.record_duration(process_took);
+            if pending.trace.is_some() {
+                let took = process_took.as_micros() as u64;
+                self.tracer.record_process(op_index, pending.serial, took);
+            }
+            process_result?;
+            // The generation tag orders diff application across
+            // concurrently finishing attempts.
+            *pending.attempt.lock() = Some((generation, ctx.outputs));
+            Ok(())
+        };
+        if self.stm.reexecute(&pending.handle, body).is_ok() && self.publishes {
+            self.send_view.after_publish(pending);
+        }
+        // Only after the attempt's outputs are fully on the wire may the
+        // commit gate re-open.
+        pending.attempts_pending.fetch_sub(1, Ordering::SeqCst);
+        maybe_authorize_pending(pending, &self.send_view.cut_at);
     }
 }
 

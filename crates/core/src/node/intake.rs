@@ -9,7 +9,8 @@ use super::*;
 enum StallReason {
     /// A downstream edge is saturated (its link window is full).
     Edge(u32),
-    /// Speculation admission control: too many open transactions or
+    /// Admission control: too many open transactions (speculative ones,
+    /// or on a non-speculative node events that wait for their log) or
     /// retained speculative outputs.
     SpecCap { open: usize, retained: usize },
 }
@@ -20,26 +21,17 @@ impl Node {
 
     /// Why the node must stop pulling new data events, if it must.
     fn overload_reason(&self) -> Option<StallReason> {
-        // Outputs already produced but held for log stability will land on
-        // every downstream link once their records turn stable; counting
-        // them against the window keeps the overshoot past it bounded by
-        // one event's outputs, instead of everything admitted inside a
-        // stability wait. (Event count is conservative: micro-batching
-        // can coalesce them into fewer frames, never more.)
-        let held: usize = self.hold_queue.iter().map(|(_, h)| h.outputs.len()).sum();
         for (out, edge) in self.down.iter().enumerate() {
-            if edge.data_tx.is_saturated_with(held) {
+            if edge.data_tx.is_saturated() {
                 return Some(StallReason::Edge(out as u32));
             }
         }
-        if self.config.speculative {
-            let open = self.pending.len();
-            let retained = self.spec_retained.load(Ordering::Relaxed).max(0) as usize;
-            if open >= self.config.node.max_open_speculations
-                || retained >= self.config.node.max_retained_spec_outputs
-            {
-                return Some(StallReason::SpecCap { open, retained });
-            }
+        let open = self.pending.len();
+        let retained = self.spec_retained.load(Ordering::Relaxed).max(0) as usize;
+        if open >= self.config.node.max_open_speculations
+            || retained >= self.config.node.max_retained_spec_outputs
+        {
+            return Some(StallReason::SpecCap { open, retained });
         }
         None
     }
@@ -95,13 +87,7 @@ impl Node {
     /// control frame, acknowledging what it read; `true` when there was
     /// any.
     pub(super) fn serve_control(&mut self) -> bool {
-        let mut notices = std::mem::take(&mut self.notices);
-        self.inbox.take_notices(&mut notices);
-        let mut worked = !notices.is_empty();
-        for notice in notices.drain(..) {
-            self.handle_notice(notice);
-        }
-        self.notices = notices;
+        let mut worked = self.serve_notices();
         for out in 0..self.inbox.ctrls.len() {
             let mut handled = None;
             while let Ok(Some((seq, ctrl))) = self.inbox.ctrls[out].try_recv() {
@@ -114,6 +100,18 @@ impl Node {
                 worked = true;
             }
         }
+        worked
+    }
+
+    /// Handles every queued notice; `true` when any changed something.
+    pub(super) fn serve_notices(&mut self) -> bool {
+        let mut notices = std::mem::take(&mut self.notices);
+        self.inbox.take_notices(&mut notices);
+        let mut worked = false;
+        for notice in notices.drain(..) {
+            worked |= self.handle_notice(notice);
+        }
+        self.notices = notices;
         worked
     }
 
@@ -137,6 +135,11 @@ impl Node {
         let mut worked = false;
         for port in 0..self.inbox.inputs.len() {
             for _ in 0..BATCH_MAX_EVENTS {
+                // A crash or shutdown served on the way (at an EOF) ends
+                // the reading.
+                if !self.running {
+                    return worked;
+                }
                 if !self.reads_port(port) {
                     break;
                 }
@@ -170,9 +173,11 @@ impl Node {
         rings.flatten().min()
     }
 
-    fn handle_notice(&mut self, notice: Notice) {
+    /// Handles `notice`; `false` when it was about nothing left to do: the
+    /// commit of a transaction its attempt saw through already.
+    fn handle_notice(&mut self, notice: Notice) -> bool {
         match notice {
-            Notice::TxnCommitted(txn) => self.on_txn_committed(txn),
+            Notice::TxnCommitted(txn) => return self.on_txn_committed(txn),
             Notice::TxnAborted(txn) => self.on_txn_aborted(txn),
             Notice::LogStable { serial } => self.on_log_stable(serial),
             Notice::ImageStable { seq } => self.on_image_stable(seq),
@@ -186,6 +191,7 @@ impl Node {
                 self.crashed = true;
             }
         }
+        true
     }
 
     fn handle_upstream(&mut self, port: u32, msg: Message, frame: FrameAt) {
@@ -204,7 +210,12 @@ impl Node {
             Message::Control(Control::Eof) => {
                 self.eof_count += 1;
                 if self.eof_count >= self.up.len() {
-                    // Buffered data must precede EOF on the wire.
+                    // What committed must precede EOF on the wire: the
+                    // commits not served yet, then the buffered outputs.
+                    self.serve_notices();
+                    if !self.running {
+                        return;
+                    }
                     self.flush_out_batches();
                     for edge in &self.down {
                         edge.data_tx.push(Message::Control(Control::Eof));
@@ -236,7 +247,8 @@ impl Node {
     /// Pulls queued events into processing: what the log recorded, in the
     /// logged order; live, in arrival order.
     pub(super) fn drain_ready_events(&mut self) {
-        loop {
+        // A stopped node admits nothing more.
+        while self.running {
             // Overload gate first: while a downstream edge is saturated or
             // a speculation cap is hit, admit nothing — queued events wait
             // in `port_queues` and unread in the input rings, and the
@@ -270,7 +282,8 @@ impl Node {
     }
 
     /// Routes one data event into processing, handling duplicates,
-    /// revisions, and non-speculative parking.
+    /// revisions, non-speculative parking and the approximate resume
+    /// window.
     fn accept_event(&mut self, port: u32, event: Event, queue_wait: Duration, frame: FrameAt) {
         if let Some(c) = self.metrics.events_in.get(port as usize) {
             c.incr();
@@ -286,16 +299,32 @@ impl Node {
         if !self.frontiers[port as usize].admits(event.id) {
             return;
         }
-        if !self.config.speculative {
-            if event.speculative {
-                // A non-speculative operator only consumes final events.
-                self.parked.insert(event.id, (port, event, frame));
-                return;
-            }
-            self.process_nonspec(port, event, queue_wait);
-        } else {
-            self.process_spec(port, event, queue_wait, frame);
+        if !self.config.speculative && event.speculative {
+            // A non-speculative operator only consumes final events.
+            self.parked.insert(event.id, (port, event, frame));
+            return;
         }
+        if self.approx.as_mut().is_some_and(ApproxState::skips) {
+            // Approximate resume window: this replayed input's output is
+            // already on the wire downstream. Consume its serial without
+            // running the operator so later output ids stay aligned with
+            // the fault-free run; its dropped state update is the loss the
+            // budget charged at resume. Its serial put what is on the wire
+            // already, which the next image counts. The window's last skip
+            // may let the image due meanwhile be taken.
+            let put: Arc<[Tally]> = self.down.iter().map(|_| Tally::default()).collect();
+            for (tally, resend) in put.iter().zip(self.resend.iter()) {
+                if swallow(&resend.events) {
+                    tally.events.fetch_add(1, Ordering::AcqRel);
+                }
+            }
+            self.note_admitted(self.next_serial, port, event.id, frame, &put);
+            self.next_serial += 1;
+            self.frontiers[port as usize].consume(event.id);
+            self.maybe_checkpoint();
+            return;
+        }
+        self.execute(port, event, queue_wait, frame);
     }
 
     fn on_input_finalized(&mut self, port: u32, id: EventId, version: u32) {

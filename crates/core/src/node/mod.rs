@@ -1,9 +1,10 @@
 //! The per-operator runtime (coordinator loop).
 //!
 //! One [`Node`] drives one operator instance: it merges inputs, assigns
-//! serials, runs the processing function (plainly or under STM control),
-//! logs determinants, emits speculative or final events, finalizes /
-//! revises / revokes them as speculation resolves, checkpoints state, and
+//! serials, runs the processing function of each event as an STM
+//! transaction, logs determinants, emits speculative events or — when the
+//! transaction commits — final ones, finalizes / revises / revokes them as
+//! speculation resolves, checkpoints state, and
 //! performs precise recovery after a crash: restore the checkpoint, rewind
 //! each input port to the frontier it records, swallow the re-derived
 //! outputs its edges already carry. An edge is a retained ring that
@@ -15,14 +16,14 @@
 //! * this one — the node's state, its construction and its loop;
 //! * [`intake`] — reading the rings, the overload gate, admission order,
 //!   duplicate suppression and input finalizes;
-//! * [`execute`] — running an admitted event, plainly or as an STM
-//!   transaction, and STM cascade rollback (revision, revoke, abort);
-//! * [`publish`] — holding outputs for log stability, batching, the
-//!   speculative send path and resend suppression;
+//! * [`execute`] — running an admitted event as an STM transaction, its
+//!   commit, and STM cascade rollback (revision, revoke, abort);
+//! * [`publish`] — batching a commit's final outputs, the speculative send
+//!   path and resend suppression;
 //! * [`rewind`] — the per-port [`rewind::Frontier`], checkpoints, and
 //!   recovery: one rewind to the restored frontiers;
-//! * [`cut`] — where a checkpoint cuts the serials: a speculative node's
-//!   committed prefix, or a settled node — and what the cut's outputs are.
+//! * [`cut`] — where a checkpoint cuts the serials: the node's committed
+//!   prefix — and what the cut's outputs are.
 //!
 
 mod cut;
@@ -44,10 +45,13 @@ use streammine_common::ids::{EventId, OperatorId};
 use streammine_common::pool::ThreadPool;
 use streammine_common::rng::DetRng;
 use streammine_net::LinkSender;
-use streammine_obs::{span_key, Counter, Gauge, Histogram, Journal, JournalKind, Labels, Obs};
+use streammine_obs::{
+    span_key, Counter, Gauge, Histogram, Journal, JournalKind, Labels, Obs, Tracer,
+};
 use streammine_sketch::{ErrorBound, ErrorBudget};
 use streammine_stm::{
-    CommitOrder, Serial, StatsSnapshot, StmAbort, StmRuntime, TxnHandle, TxnId, TxnStatus,
+    CommitOrder, Serial, StatsSnapshot, StmAbort, StmConfig, StmRuntime, TxnHandle, TxnId,
+    TxnStatus,
 };
 use streammine_storage::checkpoint::{Checkpoint, InputFrontier};
 use streammine_storage::log::{LogSeq, StableLog};
@@ -59,10 +63,10 @@ use crate::determinant::{
 use crate::message::{Control, Message};
 use crate::operator::{OpCtx, Operator, PortId, SetupCtx};
 use crate::plumbing::{DownEdge, Inbox, NodeCommand, Notice};
-use crate::state::{StateAccess, StateRegistry};
+use crate::state::StateRegistry;
 use cut::{Admitted, Tally};
-use execute::{assign_output_ids, maybe_authorize_pending};
-use publish::{routes_to, swallow, NodeSendView, Resend};
+use execute::{assign_output_ids, maybe_authorize_pending, Runner};
+use publish::{routes_to, swallow, NodeSendView, OutBatch, Resend};
 use rewind::{ApproxState, FrameAt, Frontier, Image};
 
 /// Maximum outputs a single `process` call may emit (output event ids pack
@@ -86,7 +90,8 @@ struct InputView {
 /// `(generation, outputs)` captured by one execution attempt.
 type AttemptCapture = (u64, Vec<(Option<u32>, Value)>);
 
-/// Tracking info for one in-flight speculative event.
+/// Tracking info for one admitted event whose transaction has not
+/// committed yet.
 struct PendingTxn {
     serial: u64,
     input_id: EventId,
@@ -128,14 +133,6 @@ struct PendingTxn {
     trace: Option<TraceCtx>,
 }
 
-/// Output held by a non-speculative operator until its log is stable.
-struct HeldOutput {
-    tape: Tape,
-    outputs: Vec<(Event, Option<u32>)>,
-    /// Trace id of the input event, when sampled for tracing.
-    trace: Option<u64>,
-}
-
 /// Per-node metric handles, registered once at construction. Bumping one
 /// on the hot path is a relaxed atomic op; the registry lock is never
 /// taken after registration.
@@ -175,7 +172,8 @@ struct NodeMetrics {
     backpressure_stall_us: Histogram,
     /// Times speculation admission control engaged (a cap was hit).
     spec_cap_hits: Counter,
-    /// Open speculative transactions right now.
+    /// Open transactions right now: speculative ones, or on a
+    /// non-speculative node the events that wait for their log.
     spec_open: Gauge,
     /// Published-but-unfinalized speculative outputs right now.
     spec_retained: Gauge,
@@ -257,19 +255,17 @@ pub(crate) struct NodeSeed {
 /// The running state of one operator.
 pub(crate) struct Node {
     id: OperatorId,
-    operator: Arc<dyn Operator>,
     config: OperatorConfig,
-    clock: SharedClock,
     inbox: Arc<Inbox>,
     /// Spare storage the notice queue is swapped against.
     notices: VecDeque<Notice>,
     up: Vec<LinkSender<Control>>,
     down: Vec<DownEdge>,
     log: Option<StableLog>,
-    registry: Arc<StateRegistry>,
-    stm: Option<StmRuntime>,
+    stm: StmRuntime,
+    /// What runs an attempt: the operator, its state and generator.
+    runner: Arc<Runner>,
     pool: Option<Arc<ThreadPool>>,
-    rng: Arc<Mutex<DetRng>>,
     obs: Obs,
     metrics: NodeMetrics,
 
@@ -299,12 +295,11 @@ pub(crate) struct Node {
     pending: HashMap<EventId, Arc<PendingTxn>>,
     pending_by_txn: HashMap<TxnId, EventId>,
     pending_by_serial: HashMap<u64, EventId>,
-    hold_queue: VecDeque<(u64, HeldOutput)>,
-    /// Per-down-edge buffers of final outputs awaiting a batched send
-    /// (non-speculative path). Flushed when they reach
+    /// Per-down-edge buffers of final outputs awaiting a batched send (a
+    /// non-speculative node's commits). Flushed when they reach
     /// [`BATCH_MAX_EVENTS`] or when nothing is left to read, so batching
     /// never adds latency under low load.
-    out_batch: Vec<Vec<Event>>,
+    out_batch: Vec<OutBatch>,
     /// Per down-edge: re-derived outputs still to swallow (shared with the
     /// speculative send path).
     resend: Arc<Vec<Resend>>,
@@ -321,8 +316,8 @@ pub(crate) struct Node {
     stabilizing: VecDeque<(LogSeq, Vec<u8>)>,
     /// The id of the image taken last (or restored).
     image_id: u64,
-    /// `Some` iff the node images its committed prefix: the events
-    /// admitted since its last image, in serial order.
+    /// `Some` iff the node checkpoints: the events admitted since its last
+    /// image, in serial order.
     admitted: Option<VecDeque<Admitted>>,
     /// Per down-edge: the data events and finalizes that the serials the
     /// last image (taken or restored) covers put on the edge, sent or
@@ -392,22 +387,24 @@ impl Node {
     }
 
     fn build(seed: NodeSeed) -> Node {
-        let stm = seed.config.speculative.then(|| StmRuntime::with_config(seed.config.stm.clone()));
-        let mut registry = match &stm {
-            Some(rt) => StateRegistry::speculative(rt.clone()),
-            None => StateRegistry::plain(),
-        };
+        // A non-speculative node sends its outputs when it commits, so it
+        // commits in serial order: what replay re-derives is then a prefix
+        // of what went out.
+        let stm = StmRuntime::with_config(if seed.config.speculative {
+            seed.config.stm.clone()
+        } else {
+            StmConfig { commit_order: CommitOrder::Timestamp, ..seed.config.stm.clone() }
+        });
+        let mut registry = StateRegistry::new(stm.clone());
         seed.operator.setup(&mut SetupCtx { registry: &mut registry });
-        if let Some(rt) = &stm {
-            // STM notifications go straight into the notice queue:
-            // unbounded, but at most `max_open_speculations` transactions
-            // are in flight (admission control), each with at most one
-            // outstanding notification per state change.
-            let inbox = seed.inbox.clone();
-            rt.set_abort_sink(move |txn| inbox.post(Notice::TxnAborted(txn)));
-            let inbox = seed.inbox.clone();
-            rt.set_commit_sink(move |txn| inbox.post(Notice::TxnCommitted(txn)));
-        }
+        // STM notifications go straight into the notice queue: unbounded,
+        // but at most `max_open_speculations` transactions are in flight
+        // (admission control), each with at most one outstanding
+        // notification per state change.
+        let inbox = seed.inbox.clone();
+        stm.set_abort_sink(move |txn| inbox.post(Notice::TxnAborted(txn)));
+        let inbox = seed.inbox.clone();
+        stm.set_commit_sink(move |txn| inbox.post(Notice::TxnCommitted(txn)));
         let pool = (seed.config.speculative && seed.config.threads > 1).then(|| {
             Arc::new(ThreadPool::new(&format!("op{}-worker", seed.id.index()), seed.config.threads))
         });
@@ -451,11 +448,11 @@ impl Node {
         } else {
             0
         };
-        // See `Node::settled_cut` for who may not image a prefix.
-        let images_prefix = seed.config.speculative
-            && seed.config.stm.commit_order == CommitOrder::Timestamp
-            && seed.log.is_some();
-        let cut_at = seed.config.checkpoint_every.filter(|_| images_prefix).unwrap_or(u64::MAX);
+        // A node without a log does not checkpoint; one that commits in
+        // conflict order holds no serial for its cut (see `cut`).
+        let checkpoints = seed.config.checkpoint_every.filter(|_| seed.log.is_some());
+        let ordered = stm.config().commit_order == CommitOrder::Timestamp;
+        let cut_at = checkpoints.filter(|_| ordered).unwrap_or(u64::MAX);
         let send_view = Arc::new(NodeSendView {
             id: seed.id,
             down: seed.down.clone(),
@@ -469,20 +466,29 @@ impl Node {
             version_base,
             cut_at: AtomicU64::new(cut_at),
         });
+        let runner = Arc::new(Runner {
+            stm: stm.clone(),
+            operator: seed.operator,
+            registry: Arc::new(registry),
+            rng: Arc::new(Mutex::new(DetRng::seed_from(seed.rng_seed))),
+            clock: seed.clock,
+            first_draw: usize::from(inputs > 1),
+            process_us: metrics.process_us.clone(),
+            tracer: seed.obs.tracer.clone(),
+            send_view: send_view.clone(),
+            publishes: seed.config.speculative,
+        });
         Node {
             id: seed.id,
-            operator: seed.operator,
             config: seed.config,
-            clock: seed.clock,
             inbox: seed.inbox,
             notices: VecDeque::new(),
             up: seed.up,
             down: seed.down,
             log: seed.log,
-            registry: Arc::new(registry),
             stm,
+            runner,
             pool,
-            rng: Arc::new(Mutex::new(DetRng::seed_from(seed.rng_seed))),
             obs: seed.obs,
             metrics,
             frontiers: (0..inputs).map(|_| Frontier::default()).collect(),
@@ -495,15 +501,14 @@ impl Node {
             pending: HashMap::new(),
             pending_by_txn: HashMap::new(),
             pending_by_serial: HashMap::new(),
-            hold_queue: VecDeque::new(),
-            out_batch: (0..outputs).map(|_| Vec::new()).collect(),
+            out_batch: (0..outputs).map(|_| OutBatch::default()).collect(),
             resend,
             send_view,
             approx,
             waiting: VecDeque::new(),
             stabilizing: VecDeque::new(),
             image_id: 0,
-            admitted: (cut_at < u64::MAX).then(VecDeque::new),
+            admitted: checkpoints.map(|_| VecDeque::new()),
             covered_sent: vec![(0, 0); outputs],
             down_acked: vec![0; outputs],
             eof_count: 0,
@@ -560,7 +565,7 @@ impl Node {
             self.flush_out_batches();
             self.publish_gauges();
         }
-        self.operator.terminate();
+        self.runner.operator.terminate();
         if let Some(pool) = self.pool.take() {
             if let Ok(pool) = Arc::try_unwrap(pool) {
                 pool.shutdown();
@@ -577,8 +582,8 @@ impl Node {
         self.metrics.intake_depth.set(unadmitted as i64);
         self.metrics.spec_open.set(self.pending.len() as i64);
         self.metrics.spec_retained.set(self.spec_retained.load(Ordering::Relaxed).max(0));
-        if let Some(stm) = &self.stm {
-            let fields = stm.stats().fields();
+        if !self.metrics.stm_gauges.is_empty() {
+            let fields = self.stm.stats().fields();
             for ((_, value), gauge) in fields.iter().zip(&self.metrics.stm_gauges) {
                 gauge.set(*value as i64);
             }

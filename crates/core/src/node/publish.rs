@@ -1,6 +1,6 @@
-//! What the node sends: final outputs held until their decisions are
-//! stable and batched per edge, the speculative diff an attempt publishes,
-//! and the resend suppression of a recovering node.
+//! What the node sends: the final outputs of a non-speculative node's
+//! committed transactions, batched per edge; the speculative diff an
+//! attempt publishes; and the resend suppression of a recovering node.
 //!
 //! # Emission-ordering protocol (speculative mode)
 //!
@@ -39,6 +39,14 @@ pub(super) struct Resend {
     pub(super) finals: AtomicU64,
 }
 
+/// One down-edge's final outputs awaiting a batched send, and the tallies
+/// of the serials they are from, which learn where their frame ends.
+#[derive(Default)]
+pub(super) struct OutBatch {
+    events: Vec<Event>,
+    puts: Vec<Arc<[Tally]>>,
+}
+
 /// Whether an output routed to `target` (`None`: every edge) goes out on
 /// edge `out`.
 pub(super) fn routes_to(target: Option<u32>, out: usize) -> bool {
@@ -55,49 +63,44 @@ impl Node {
     pub(super) fn on_log_stable(&mut self, serial: u64) {
         let pending =
             self.pending_by_serial.get(&serial).and_then(|id| self.pending.get(id)).cloned();
-        let trace_id = pending.as_ref().and_then(|p| p.trace.map(|c| c.id)).or_else(|| {
-            self.hold_queue.iter().find(|(s, _)| *s == serial).and_then(|(_, h)| h.trace)
-        });
         self.obs.journal.record_traced(
             Some(self.id.index()),
-            trace_id,
+            pending.as_ref().and_then(|p| p.trace.map(|c| c.id)),
             JournalKind::LogStable { serial },
         );
-        // Non-speculative mode: flush the stable prefix in serial order
-        // (keeps FIFO downstream).
-        while self.hold_queue.front().is_some_and(|(_, held)| held.tape.is_stable()) {
-            let (s, held) = self.hold_queue.pop_front().expect("nonempty");
-            if held.trace.is_some() {
-                // A held output turning loose is the non-speculative commit
-                // point: log stable, outputs final downstream.
-                self.obs.tracer.record_commit(self.id.index(), s, 0);
-            }
-            self.send_outputs_final(held.outputs);
-        }
-        // Speculative mode: a stable log is one leg of the commit gate.
+        // A stable log is one leg of the commit gate.
         if let Some(pending) = pending {
             maybe_authorize_pending(&pending, &self.send_view.cut_at);
         }
-        // A drained hold queue may unblock a deferred checkpoint.
-        self.maybe_checkpoint();
     }
 
-    /// Stages final outputs for sending. Events accumulate in per-edge
-    /// buffers (payloads are shared via their `Arc`, not deep-copied) and
-    /// go out as one `DataBatch` frame when a buffer reaches
-    /// [`BATCH_MAX_EVENTS`] or the coordinator runs out of readable work.
-    pub(super) fn send_outputs_final(&mut self, outputs: Vec<(Event, Option<u32>)>) {
+    /// Stages the final outputs of a committed serial, which `put` tallies,
+    /// for sending. Events accumulate in per-edge buffers (payloads are
+    /// shared via their `Arc`, not deep-copied) and go out as one
+    /// `DataBatch` frame when a buffer reaches [`BATCH_MAX_EVENTS`] or the
+    /// coordinator runs out of readable work.
+    pub(super) fn send_outputs_final(
+        &mut self,
+        outputs: Vec<(Event, Option<u32>)>,
+        put: &Arc<[Tally]>,
+    ) {
         for (event, target) in outputs {
             for out in 0..self.down.len() {
-                if routes_to(target, out) {
-                    if swallow(&self.resend[out].events) {
-                        self.metrics.resend_suppressed.incr();
-                        continue;
-                    }
-                    self.out_batch[out].push(event.clone());
-                    if self.out_batch[out].len() >= BATCH_MAX_EVENTS {
-                        self.flush_edge(out);
-                    }
+                if !routes_to(target, out) {
+                    continue;
+                }
+                put[out].events.fetch_add(1, Ordering::AcqRel);
+                if swallow(&self.resend[out].events) {
+                    self.metrics.resend_suppressed.incr();
+                    continue;
+                }
+                let batch = &mut self.out_batch[out];
+                batch.events.push(event.clone());
+                if !batch.puts.last().is_some_and(|last| Arc::ptr_eq(last, put)) {
+                    batch.puts.push(put.clone());
+                }
+                if batch.events.len() >= BATCH_MAX_EVENTS {
+                    self.flush_edge(out);
                 }
             }
         }
@@ -105,11 +108,15 @@ impl Node {
 
     /// Sends edge `out`'s buffered outputs as one frame.
     fn flush_edge(&mut self, out: usize) {
-        let Some(msg) = data_frame(&mut self.out_batch[out], &self.metrics.batch_events) else {
+        let batch = &mut self.out_batch[out];
+        let Some(msg) = data_frame(&mut batch.events, &self.metrics.batch_events) else {
             return;
         };
         self.down[out].sent.events.fetch_add(msg.event_count() as u64, Ordering::AcqRel);
-        self.down[out].data_tx.push(msg);
+        let end = self.down[out].data_tx.push(msg).seq() + 1;
+        for put in batch.puts.drain(..) {
+            put[out].data_end.fetch_max(end, Ordering::AcqRel);
+        }
     }
 
     pub(super) fn flush_out_batches(&mut self) {
@@ -143,9 +150,9 @@ pub(super) struct NodeSendView {
     /// put on its edges before ([`crate::plumbing::Sent::versions`]), and
     /// each one reaches the receiver as a revision.
     pub(super) version_base: u32,
-    /// On a node that images its committed prefix, the serial its next
-    /// image is taken at: no serial at or past it commits until then
-    /// ([`super::cut`]). `u64::MAX` on any other node. Stored by the
+    /// On a node that commits in timestamp order and checkpoints, the
+    /// serial its next image is taken at: no serial at or past it commits
+    /// until then ([`super::cut`]). `u64::MAX` on any other node. Stored by the
     /// coordinator after the cut's snapshot and loaded wherever a commit is
     /// authorized, both `SeqCst` (see [`super::execute::maybe_authorize_pending`]).
     pub(super) cut_at: AtomicU64,

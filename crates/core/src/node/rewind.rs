@@ -8,16 +8,15 @@
 //! skipped. STM cascade rollback is no rewind: it re-executes serials
 //! above the frontier and never moves it.
 //!
-//! A checkpoint covers a settled node, or — on a speculative node — its
-//! committed prefix while later transactions stay open (see
-//! [`super::cut`]). It is taken, waits for its downstreams
-//! (see [`Node::maybe_checkpoint`]), is appended to the node's log as an
-//! image record, and only once that record is stable does the node act on
-//! it: truncate the log below what the image covers and ack its upstreams
-//! down to its positions. Until then the previous image and the decisions
-//! after it stay readable, so a torn newest image costs nothing. The next
-//! image does not wait for that: several may be on their way, and a stable
-//! one supersedes the older ones still in flight.
+//! A checkpoint covers the node's committed prefix while later
+//! transactions stay open (see [`super::cut`]). It is taken, waits for its
+//! downstreams (see [`Node::maybe_checkpoint`]), is appended to the node's
+//! log as an image record, and only once that record is stable does the
+//! node act on it: truncate the log below what the image covers and ack
+//! its upstreams down to its positions. Until then the previous image and
+//! the decisions after it stay readable, so a torn newest image costs
+//! nothing. The next image does not wait for that: several may be on their
+//! way, and a stable one supersedes the older ones still in flight.
 //!
 //! Frontier invariants, checked in debug builds: a port reads consecutive
 //! link sequences between rewinds; a rewind reaches back to the checkpoint
@@ -43,7 +42,7 @@ pub(super) struct Frontier {
 /// Where a data event was read: the link sequence of its frame, and the
 /// data events and finals read on the port before that frame. An image
 /// that leaves the event open records the port from there.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(super) struct FrameAt {
     seq: u64,
     events: u64,
@@ -81,11 +80,6 @@ impl Frontier {
     /// Where the covered id prefix ends.
     pub(super) fn covered_below(&self) -> u64 {
         self.at.covered_below
-    }
-
-    /// Just past the highest id consumed since the last checkpoint.
-    pub(super) fn consumed_top(&self) -> u64 {
-        self.consumed.iter().map(|id| id.seq + 1).max().unwrap_or(0)
     }
 
     /// At a checkpoint: the ids below `covered_below` become covered (the
@@ -172,6 +166,11 @@ impl ApproxState {
         skips
     }
 
+    /// Whether a resume window is still being dropped.
+    pub(super) fn resuming(&self) -> bool {
+        self.skip_remaining > 0
+    }
+
     /// Refreshes the budget gauges for `delivered` events and `lost`
     /// realized losses.
     fn set_gauges(&self, lost: u64, delivered: u64) {
@@ -191,7 +190,8 @@ impl Node {
         let cp = self.restore(read.image);
         self.next_serial = cp.events_processed;
         self.checkpoint_serial = cp.events_processed;
-        if let Some(interval) = self.config.checkpoint_every.filter(|_| self.admitted.is_some()) {
+        let holds_cut = self.send_view.cut_at.load(Ordering::Relaxed) < u64::MAX;
+        if let Some(interval) = self.config.checkpoint_every.filter(|_| holds_cut) {
             let next = (cp.events_processed / interval + 1) * interval;
             self.send_view.cut_at.store(next, Ordering::SeqCst);
         }
@@ -239,7 +239,7 @@ impl Node {
         let restored = if shape != (self.up.len(), outputs) || cp.finals_sent.len() != outputs {
             Err(format!("an image of (inputs, outputs) {shape:?} does not fit the node"))
         } else {
-            self.registry.restore(&cp.state).map_err(|e| e.to_string())
+            self.runner.registry.restore(&cp.state).map_err(|e| e.to_string())
         };
         if let Err(e) = restored {
             self.obs.journal.warn(
@@ -253,7 +253,7 @@ impl Node {
         // across the crash: re-executed events that never reached the log
         // draw exactly the values the failure-free run drew.
         if let Ok(rng) = decode_from_slice::<DetRng>(&cp.rng_state) {
-            *self.rng.lock() = rng;
+            *self.runner.rng.lock() = rng;
         }
         cp
     }
@@ -275,22 +275,24 @@ impl Node {
                 (over(&edge.sent.events, *events), over(&edge.sent.finals, *finals))
             })
             .collect();
-        if !self.skip_within_budget(&excess, cp.events_processed) {
-            // Replay regenerates the post-checkpoint output stream in its
-            // original send order (sends are a serial-order prefix), so the
-            // first `excess` regenerated events per edge are byte-identical
-            // to what the edge already carries. Swallow them; whoever holds
-            // them (the link's retained buffer, the receiver) serves any
-            // downstream replay of that range.
-            for (out, (events, finals)) in excess.into_iter().enumerate() {
-                self.resend[out].events.store(events, Ordering::Relaxed);
-                self.resend[out].finals.store(finals, Ordering::Relaxed);
-                if events > 0 {
-                    self.obs.journal.record(
-                        Some(self.id.index()),
-                        JournalKind::ResendSuppressed { edge: out as u32, count: events },
-                    );
-                }
+        // Replay regenerates the post-checkpoint output stream in its
+        // original send order (sends are a serial-order prefix), so the
+        // first `excess` regenerated events per edge are byte-identical to
+        // what the edge already carries. Swallow them; whoever holds them
+        // (the link's retained buffer, the receiver) serves any downstream
+        // replay of that range. Within an approximate budget the replayed
+        // inputs that produced them are dropped instead, and each takes
+        // what its serial put on the wire off the counts (see
+        // `Node::accept_event`).
+        let skipping = self.skip_within_budget(&excess, cp.events_processed);
+        for (out, (events, finals)) in excess.into_iter().enumerate() {
+            self.resend[out].events.store(events, Ordering::Relaxed);
+            self.resend[out].finals.store(finals, Ordering::Relaxed);
+            if events > 0 && !skipping {
+                self.obs.journal.record(
+                    Some(self.id.index()),
+                    JournalKind::ResendSuppressed { edge: out as u32, count: events },
+                );
             }
         }
         // Read again what the checkpoint does not cover: every frame from
@@ -373,30 +375,10 @@ impl Node {
         }
     }
 
-    /// Takes a checkpoint when one is due: on a node that images its
-    /// committed prefix once every serial below the one its next image is
-    /// due at committed ([`Node::prefix_cut_due`]); on any other node once
-    /// `checkpoint_every` events were consumed since the last, it is
-    /// settled and no image waits.
+    /// Takes a checkpoint when one is due ([`Node::prefix_cut_due`]).
     pub(super) fn maybe_checkpoint(&mut self) {
         let Some(interval) = self.config.checkpoint_every else { return };
-        let cut = if self.admitted.is_some() {
-            self.prefix_cut_due(interval)
-        } else {
-            let consumed: usize = self.frontiers.iter().map(|f| f.consumed.len()).sum();
-            // Never image mid-resume-window: the image would pin mid-window
-            // input positions against pre-crash output counters, corrupting
-            // the skip computation of any later crash. The window's loss is
-            // baked into the budget only once the first image after the
-            // window drains is stable — a crash before that re-derives a
-            // superset window from the same baseline, so baking earlier
-            // would double-charge.
-            let resuming = self.approx.as_ref().is_some_and(|a| a.skip_remaining > 0);
-            if (consumed as u64) < interval || resuming || !self.may_wait() {
-                return;
-            }
-            self.settled_cut()
-        };
+        let cut = self.prefix_cut_due(interval);
         // `None`: not a cut yet, try again later.
         let Some(mut image) = cut else { return };
         let checkpoint = &mut image.checkpoint;
@@ -490,5 +472,13 @@ impl Node {
         for (ctrl_tx, input) in self.up.iter().zip(&cp.inputs) {
             ctrl_tx.push(Control::Ack { upto: input.position });
         }
+    }
+}
+
+#[cfg(test)]
+impl Frontier {
+    /// How many ids were consumed above the covered prefix.
+    pub(super) fn consumed_len(&self) -> usize {
+        self.consumed.len()
     }
 }

@@ -110,7 +110,7 @@ fn source_event(n: u64) -> Event {
 /// A checkpoint of the relay's (empty) state that counts no outputs on
 /// each of `outputs` edges.
 fn image(outputs: usize) -> Checkpoint {
-    let state = StateRegistry::plain().snapshot();
+    let state = StateRegistry::new(StmRuntime::new()).snapshot();
     Checkpoint {
         outputs_sent: vec![0; outputs],
         finals_sent: vec![0; outputs],
@@ -256,11 +256,11 @@ fn a_frontier_admits_an_id_once_and_folds_past_the_highest_consumed() {
     }
     assert!(!frontier.admits(id(5)), "a duplicate of a consumed id was admitted");
     assert!(frontier.admits(id(4)));
-    let top = frontier.consumed_top();
     assert_eq!(
-        frontier.fold(top, None),
+        frontier.fold(6, None),
         InputFrontier { position: 2, events: 2, finals: 3, covered_below: 6 }
     );
+    assert_eq!(frontier.consumed_len(), 0, "the fold kept consumed ids it covers");
     assert!(!frontier.admits(id(4)), "a duplicate below the covered prefix was admitted");
     assert!(frontier.admits(id(6)));
     assert_eq!(frontier.fold(0, None).covered_below, 6, "an empty fold moved the prefix");
@@ -281,12 +281,11 @@ fn a_prefix_fold_records_the_frame_of_the_first_open_event() {
     }
     let image = frontier.fold(2, Some(open));
     assert_eq!(image, InputFrontier { position: 1, events: 1, finals: 1, covered_below: 2 });
+    assert_eq!(frontier.consumed_len(), 0, "the fold kept consumed ids it covers");
     assert!(frontier.admits(id(2)), "the open event is not consumed");
     assert!(!frontier.admits(id(1)), "a committed event in the open frame was admitted");
     frontier.read(2, &Message::Data(source_event(3)));
-    let top = frontier.consumed_top();
-    assert_eq!(top, 0, "the fold forgot the consumed ids it covers");
-    assert_eq!(frontier.fold(top, None).position, 3);
+    assert_eq!(frontier.fold(0, None).position, 3);
 }
 
 /// Between rewinds a port reads consecutive link sequences; one that
@@ -310,7 +309,7 @@ fn stalled_node_leaves_its_input_unread_and_the_window_blocks_the_producer() {
     .start();
     // One output fills the downstream window: the node stalls.
     rig.send(0, false);
-    wait_until("the output window is full", || rig.out_tx.is_saturated_with(0));
+    wait_until("the output window is full", || rig.out_tx.is_saturated());
     rig.send(1, false);
     rig.send(2, false);
     std::thread::sleep(SETTLE);
@@ -383,7 +382,7 @@ fn notices_find_events_a_stalled_plain_node_read_ahead() {
     .start();
     let parked = rig.send(10, true);
     rig.send(0, false);
-    wait_until("the output window is full", || rig.out_tx.is_saturated_with(0));
+    wait_until("the output window is full", || rig.out_tx.is_saturated());
     let kept = rig.send(1, true);
     let dropped = rig.send(2, true);
     rig.notify(Control::Finalize { id: kept, version: 0 });

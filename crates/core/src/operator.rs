@@ -4,8 +4,9 @@
 //! registration), a required processing method, and an optional termination
 //! method — mirroring §2.3. Crucially, *"the specification of an operator is
 //! independent of its configuration"*: the same `process` code runs
-//! speculatively under STM control or plainly, because all state access and
-//! all non-determinism go through the [`OpCtx`].
+//! speculatively or not — as an STM transaction either way, which publishes
+//! its outputs at once or only when it commits — because all state access
+//! and all non-determinism go through the [`OpCtx`].
 //!
 //! `process` may be invoked concurrently (optimistic parallelization) and
 //! may be re-invoked for the same event (speculative rollback +
@@ -20,10 +21,10 @@ use streammine_common::clock::SharedClock;
 use streammine_common::codec::{Decode, Encode};
 use streammine_common::event::{Event, Timestamp, Value};
 use streammine_common::rng::DetRng;
-use streammine_stm::StmAbort;
+use streammine_stm::{StmAbort, Txn};
 
 use crate::determinant::{DecisionLog, Determinant, Tape};
-use crate::state::{StateAccess, StateHandle, StateRegistry};
+use crate::state::{StateHandle, StateRegistry};
 
 /// Index of an input port of an operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -55,7 +56,8 @@ impl SetupCtx<'_> {
 /// Context passed to [`Operator::process`] for one input event.
 pub struct OpCtx<'a, 'rt> {
     pub(crate) registry: &'a StateRegistry,
-    pub(crate) access: StateAccess<'a, 'rt>,
+    /// The transaction this execution of the event runs as.
+    pub(crate) txn: &'a mut Txn<'rt>,
     pub(crate) outputs: Vec<(Option<u32>, Value)>,
     /// The event's decision tape, shared by every execution of it.
     pub(crate) tape: &'a Tape,
@@ -85,32 +87,32 @@ impl<'a, 'rt> OpCtx<'a, 'rt> {
     ///
     /// # Errors
     ///
-    /// Propagates [`StmAbort`] in speculative mode; the engine retries the
-    /// whole `process` call.
+    /// Propagates [`StmAbort`] on a conflict; the engine retries the whole
+    /// `process` call.
     pub fn get<T>(&mut self, handle: StateHandle<T>) -> Result<std::sync::Arc<T>, StmAbort>
     where
         T: Clone + Encode + Decode + Send + Sync + 'static,
     {
-        self.registry.read(handle, &mut self.access)
+        self.registry.read(handle, self.txn)
     }
 
     /// Writes a state cell.
     ///
     /// # Errors
     ///
-    /// Propagates [`StmAbort`] in speculative mode.
+    /// Propagates [`StmAbort`] on a conflict.
     pub fn set<T>(&mut self, handle: StateHandle<T>, value: T) -> Result<(), StmAbort>
     where
         T: Clone + Encode + Decode + Send + Sync + 'static,
     {
-        self.registry.write(handle, &mut self.access, value)
+        self.registry.write(handle, self.txn, value)
     }
 
     /// Read-modify-write of a state cell.
     ///
     /// # Errors
     ///
-    /// Propagates [`StmAbort`] in speculative mode.
+    /// Propagates [`StmAbort`] on a conflict.
     pub fn update<T>(
         &mut self,
         handle: StateHandle<T>,
@@ -206,8 +208,8 @@ impl<'a, 'rt> OpCtx<'a, 'rt> {
 ///
 /// Implementations hold only immutable configuration; all mutable state
 /// lives in cells registered during [`Operator::setup`], which is what lets
-/// the engine run the same code speculatively or plainly, checkpoint it,
-/// and re-execute it after rollbacks.
+/// the engine run the same code as a transaction, speculative or not,
+/// checkpoint it, and re-execute it after rollbacks.
 pub trait Operator: Send + Sync + 'static {
     /// Human-readable name for logs and reports.
     fn name(&self) -> &str {
@@ -223,7 +225,7 @@ pub trait Operator: Send + Sync + 'static {
     ///
     /// # Errors
     ///
-    /// Returns [`StmAbort`] when a speculative conflict requires rollback —
+    /// Returns [`StmAbort`] when a conflict requires rollback —
     /// implementations simply propagate it with `?`.
     fn process(&self, ctx: &mut OpCtx<'_, '_>, event: &Event) -> Result<(), StmAbort>;
 
@@ -234,35 +236,75 @@ pub trait Operator: Send + Sync + 'static {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
     use streammine_common::clock::{shared, ManualClock};
     use streammine_common::ids::{EventId, OperatorId};
     use streammine_obs::{Labels, Obs};
+    use streammine_stm::{Serial, StmRuntime};
     use streammine_storage::disk::DiskSpec;
     use streammine_storage::log::StableLog;
 
     use crate::determinant::{read_back, DecisionRecord};
     use crate::plumbing::Inbox;
 
-    fn test_ctx<'a>(
-        registry: &'a StateRegistry,
-        rng: &'a Mutex<DetRng>,
-        clock: &'a SharedClock,
-        tape: &'a Tape,
-        log: Option<&'a DecisionLog>,
-    ) -> OpCtx<'a, 'static> {
-        OpCtx {
-            registry,
-            access: StateAccess::Plain,
-            outputs: Vec::new(),
-            tape,
-            drawn: 0,
-            log,
-            rng,
-            clock,
-            input_port: PortId(0),
-            input_ts: 42,
+    /// What an execution needs besides its event's tape: the state, the
+    /// generator, the clock, and a runtime to run it as a transaction.
+    struct Env {
+        rt: StmRuntime,
+        registry: StateRegistry,
+        rng: Mutex<DetRng>,
+        clock: SharedClock,
+        serials: AtomicU64,
+    }
+
+    impl Env {
+        fn new(seed: u64) -> Env {
+            Env::with_clock(seed, shared(ManualClock::new()))
+        }
+
+        fn with_clock(seed: u64, clock: SharedClock) -> Env {
+            let rt = StmRuntime::new();
+            Env {
+                registry: StateRegistry::new(rt.clone()),
+                rt,
+                rng: Mutex::new(DetRng::seed_from(seed)),
+                clock,
+                serials: AtomicU64::new(0),
+            }
+        }
+
+        /// Runs `f` on the context of one execution of the event whose
+        /// tape is `tape`, as a transaction that commits.
+        fn run<R>(
+            &self,
+            tape: &Tape,
+            log: Option<&DecisionLog>,
+            f: impl FnOnce(&mut OpCtx<'_, '_>) -> R,
+        ) -> R {
+            let serial = Serial(self.serials.fetch_add(1, Ordering::Relaxed));
+            let mut f = Some(f);
+            let (handle, r) = (self.rt)
+                .execute(serial, |txn| {
+                    let mut ctx = OpCtx {
+                        registry: &self.registry,
+                        txn,
+                        outputs: Vec::new(),
+                        tape,
+                        drawn: 0,
+                        log,
+                        rng: &self.rng,
+                        clock: &self.clock,
+                        input_port: PortId(0),
+                        input_ts: 42,
+                    };
+                    Ok(f.take().expect("one attempt")(&mut ctx))
+                })
+                .unwrap();
+            handle.authorize();
+            handle.wait_committed();
+            r
         }
     }
 
@@ -290,16 +332,15 @@ mod tests {
 
     #[test]
     fn live_decisions_are_logged_as_they_are_taken() {
-        let registry = StateRegistry::plain();
-        let rng = Mutex::new(DetRng::seed_from(1));
-        let clock: SharedClock = shared(ManualClock::new());
+        let env = Env::new(1);
         let log = decision_log();
         let tape = Tape::new(7, false, Vec::new());
-        let mut ctx = test_ctx(&registry, &rng, &clock, &tape, Some(&log));
-        let r = ctx.random_u64();
-        // Appended by the draw itself, not when the operator returns.
-        assert_eq!(log.log.appended(), 1);
-        let t = ctx.now_micros();
+        let (r, t) = env.run(&tape, Some(&log), |ctx| {
+            let r = ctx.random_u64();
+            // Appended by the draw itself, not when the operator returns.
+            assert_eq!(log.log.appended(), 1);
+            (r, ctx.now_micros())
+        });
         assert_eq!(
             logged(&log),
             vec![
@@ -311,9 +352,7 @@ mod tests {
 
     #[test]
     fn an_event_posts_one_stability_notice_however_many_decisions_it_took() {
-        let registry = StateRegistry::plain();
-        let rng = Mutex::new(DetRng::seed_from(6));
-        let clock: SharedClock = shared(ManualClock::new());
+        let env = Env::new(6);
         // Slow enough that all five draws are appended before the first
         // write returns.
         let log = DecisionLog {
@@ -321,10 +360,11 @@ mod tests {
             ..decision_log()
         };
         let tape = Tape::new(3, false, Vec::new());
-        let mut ctx = test_ctx(&registry, &rng, &clock, &tape, Some(&log));
-        for _ in 0..5 {
-            ctx.random_u64();
-        }
+        env.run(&tape, Some(&log), |ctx| {
+            for _ in 0..5 {
+                ctx.random_u64();
+            }
+        });
         assert!(!tape.is_stable());
         let mut notices = std::collections::VecDeque::new();
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -342,33 +382,27 @@ mod tests {
 
     #[test]
     fn second_attempt_reads_the_first_attempts_decisions_and_appends_nothing() {
-        let registry = StateRegistry::plain();
-        let rng = Mutex::new(DetRng::seed_from(2));
         let clock = Arc::new(ManualClock::new());
-        let shared_clock: SharedClock = clock.clone();
+        let env = Env::with_clock(2, clock.clone());
         let log = decision_log();
         let tape = Tape::new(0, false, Vec::new());
-        let mut first = test_ctx(&registry, &rng, &shared_clock, &tape, Some(&log));
-        let (r, t) = (first.random_u64(), first.now_micros());
-        let position = rng.lock().clone();
+        let first = env.run(&tape, Some(&log), |ctx| (ctx.random_u64(), ctx.now_micros()));
+        let position = env.rng.lock().clone();
         clock.advance(Duration::from_micros(500));
-        let mut second = test_ctx(&registry, &rng, &shared_clock, &tape, Some(&log));
-        assert_eq!((second.random_u64(), second.now_micros()), (r, t));
+        let second = env.run(&tape, Some(&log), |ctx| (ctx.random_u64(), ctx.now_micros()));
+        assert_eq!(second, first);
         assert_eq!(log.log.appended(), 2, "a re-execution logged again");
-        assert_eq!(*rng.lock(), position, "a re-execution moved the random stream");
+        assert_eq!(*env.rng.lock(), position, "a re-execution moved the random stream");
     }
 
     #[test]
     fn attempt_that_draws_more_extends_tape_and_log_by_the_new_entries() {
-        let registry = StateRegistry::plain();
-        let rng = Mutex::new(DetRng::seed_from(3));
-        let clock: SharedClock = shared(ManualClock::new());
+        let env = Env::new(3);
         let log = decision_log();
         let tape = Tape::new(4, false, Vec::new());
-        let first = test_ctx(&registry, &rng, &clock, &tape, Some(&log)).random_u64();
-        let mut second = test_ctx(&registry, &rng, &clock, &tape, Some(&log));
-        assert_eq!(second.random_u64(), first);
-        let extra = second.random_u64();
+        let first = env.run(&tape, Some(&log), |ctx| ctx.random_u64());
+        let (again, extra) = env.run(&tape, Some(&log), |ctx| (ctx.random_u64(), ctx.random_u64()));
+        assert_eq!(again, first);
         assert_ne!(extra, first);
         assert_eq!(
             logged(&log),
@@ -381,59 +415,54 @@ mod tests {
 
     #[test]
     fn recovered_prefix_is_read_and_live_draws_follow_it() {
-        let registry = StateRegistry::plain();
-        let rng = Mutex::new(DetRng::seed_from(4));
-        let clock: SharedClock = shared(ManualClock::new());
+        let env = Env::new(4);
         let log = decision_log();
         let tape = Tape::new(9, false, vec![Determinant::Random(99), Determinant::Time(123)]);
-        let mut ctx = test_ctx(&registry, &rng, &clock, &tape, Some(&log));
-        assert_eq!(ctx.random_u64(), 99);
-        assert_eq!(ctx.now_micros(), 123);
-        assert_eq!(log.log.appended(), 0, "an entry read back was logged again");
-        let live = ctx.random_u64();
+        let live = env.run(&tape, Some(&log), |ctx| {
+            assert_eq!(ctx.random_u64(), 99);
+            assert_eq!(ctx.now_micros(), 123);
+            assert_eq!(log.log.appended(), 0, "an entry read back was logged again");
+            ctx.random_u64()
+        });
         let record = DecisionRecord { serial: 9, index: 2, decision: Determinant::Random(live) };
         assert_eq!(logged(&log), vec![record]);
     }
 
     #[test]
     fn without_a_log_decisions_are_taken_once_and_nothing_is_awaited() {
-        let registry = StateRegistry::plain();
-        let rng = Mutex::new(DetRng::seed_from(5));
-        let clock: SharedClock = shared(ManualClock::new());
+        let env = Env::new(5);
         let tape = Tape::new(0, false, Vec::new());
-        let v = test_ctx(&registry, &rng, &clock, &tape, None).random_below(10);
+        let v = env.run(&tape, None, |ctx| ctx.random_below(10));
         assert!(v < 10);
-        assert_eq!(test_ctx(&registry, &rng, &clock, &tape, None).random_below(10), v);
+        assert_eq!(env.run(&tape, None, |ctx| ctx.random_below(10)), v);
         assert!(tape.is_stable());
     }
 
     #[test]
     #[should_panic(expected = "replay divergence")]
     fn replay_divergence_panics() {
-        let registry = StateRegistry::plain();
-        let rng = Mutex::new(DetRng::seed_from(3));
-        let clock: SharedClock = shared(ManualClock::new());
+        let env = Env::new(3);
         let tape = Tape::new(0, false, vec![Determinant::Time(1)]);
-        let _ = test_ctx(&registry, &rng, &clock, &tape, None).random_u64();
+        env.run(&tape, None, |ctx| ctx.random_u64());
     }
 
     #[test]
     fn emit_collects_outputs_and_state_roundtrips() {
-        let mut registry = StateRegistry::plain();
-        let h = registry.register(5i64);
-        let rng = Mutex::new(DetRng::seed_from(5));
-        let clock: SharedClock = shared(ManualClock::new());
+        let mut env = Env::new(5);
+        let h = env.registry.register(5i64);
         let tape = Tape::new(0, false, Vec::new());
-        let mut ctx = test_ctx(&registry, &rng, &clock, &tape, None);
-        ctx.update(h, |v| v + 1).unwrap();
-        assert_eq!(*ctx.get(h).unwrap(), 6);
-        ctx.emit(Value::Int(1));
-        ctx.emit_to(1, Value::Int(2));
-        assert_eq!(ctx.outputs.len(), 2);
-        assert_eq!(ctx.outputs[0].0, None);
-        assert_eq!(ctx.outputs[1].0, Some(1));
-        assert_eq!(ctx.input_port(), PortId(0));
-        assert_eq!(ctx.input_timestamp(), 42);
+        env.run(&tape, None, |ctx| {
+            ctx.update(h, |v| v + 1).unwrap();
+            assert_eq!(*ctx.get(h).unwrap(), 6);
+            ctx.emit(Value::Int(1));
+            ctx.emit_to(1, Value::Int(2));
+            assert_eq!(ctx.outputs.len(), 2);
+            assert_eq!(ctx.outputs[0].0, None);
+            assert_eq!(ctx.outputs[1].0, Some(1));
+            assert_eq!(ctx.input_port(), PortId(0));
+            assert_eq!(ctx.input_timestamp(), 42);
+        });
+        assert_eq!(*env.run(&tape, None, |ctx| ctx.get(h).unwrap()), 6, "the update committed");
     }
 
     #[test]
@@ -443,9 +472,8 @@ mod tests {
         }
         // Handles are normally created in setup; for this unit test we
         // create the registry by hand.
-        let mut registry = StateRegistry::plain();
-        let out = registry.register(0i64);
-        let op = Doubler { out };
+        let mut env = Env::new(6);
+        let op = Doubler { out: env.registry.register(0i64) };
         impl Operator for Doubler {
             fn name(&self) -> &str {
                 "doubler"
@@ -457,14 +485,13 @@ mod tests {
                 Ok(())
             }
         }
-        let rng = Mutex::new(DetRng::seed_from(6));
-        let clock: SharedClock = shared(ManualClock::new());
         let tape = Tape::new(0, false, Vec::new());
-        let mut ctx = test_ctx(&registry, &rng, &clock, &tape, None);
         let ev = Event::new(EventId::new(OperatorId::new(0), 0), 1, Value::Int(21));
-        op.process(&mut ctx, &ev).unwrap();
-        assert_eq!(ctx.outputs, vec![(None, Value::Int(42))]);
-        assert_eq!(*ctx.get(op.out).unwrap(), 42);
+        env.run(&tape, None, |ctx| {
+            op.process(ctx, &ev).unwrap();
+            assert_eq!(ctx.outputs, vec![(None, Value::Int(42))]);
+            assert_eq!(*ctx.get(op.out).unwrap(), 42);
+        });
         assert_eq!(op.name(), "doubler");
         op.terminate();
     }

@@ -18,7 +18,7 @@
 //!   ticket fires its callback *synchronously on the caller's thread* when
 //!   the serial is already stable, so the coordinator itself posts here —
 //!   and it is bounded anyway by bounded in-flight state (open
-//!   transactions, the hold queue, the control windows);
+//!   transactions, the control windows);
 //! * one **waker** all of them signal, the only place the coordinator
 //!   sleeps. The consumer of each output ring signals it too, on its
 //!   first read after the coordinator found that window full.

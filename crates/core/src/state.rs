@@ -1,12 +1,12 @@
-//! Dual-mode operator state.
+//! Operator state.
 //!
 //! The paper stresses that *"the specification of an operator is
 //! independent of its configuration"* (§2.3): the same processing code runs
-//! speculatively (under STM control) or plainly. To make that possible in
-//! Rust, operators never own their state directly — they register typed
-//! cells during setup and access them through the context. Depending on the
-//! operator's configuration the cells are backed by STM [`TVar`]s (with all
-//! the conflict/dependency machinery) or by plain slots.
+//! speculatively or not. Every node runs each event as an STM transaction
+//! (a non-speculative one only publishes nothing before it commits), so
+//! operators never own their state directly — they register typed cells
+//! during setup, backed by STM [`TVar`]s, and access them through the
+//! context's transaction.
 //!
 //! Registration also gives the engine *checkpointing for free*: every cell
 //! must be codec-serializable, so the engine can snapshot and restore the
@@ -17,7 +17,6 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use streammine_common::codec::{decode_from_slice, encode_to_vec, Decode, Encode};
 use streammine_common::error::{Error, Result};
 use streammine_stm::{StmAbort, StmRuntime, TVar, Txn};
@@ -47,21 +46,9 @@ impl<T> fmt::Debug for StateHandle<T> {
     }
 }
 
-/// How state is accessed during one `process` call.
-pub(crate) enum StateAccess<'a, 'rt> {
-    /// Direct access (non-speculative operator).
-    Plain,
-    /// Through an STM transaction (speculative operator).
-    Txn(&'a mut Txn<'rt>),
-}
-
 trait Slot: Send + Sync {
-    fn read(&self, access: &mut StateAccess<'_, '_>) -> std::result::Result<DynVal, StmAbort>;
-    fn write(
-        &self,
-        access: &mut StateAccess<'_, '_>,
-        v: DynVal,
-    ) -> std::result::Result<(), StmAbort>;
+    fn read(&self, txn: &mut Txn<'_>) -> std::result::Result<DynVal, StmAbort>;
+    fn write(&self, txn: &mut Txn<'_>, v: DynVal) -> std::result::Result<(), StmAbort>;
     fn snapshot(&self) -> Vec<u8>;
     fn restore(&self, bytes: &[u8]) -> Result<()>;
 }
@@ -74,26 +61,13 @@ impl<T> Slot for StmSlot<T>
 where
     T: Clone + Encode + Decode + Send + Sync + 'static,
 {
-    fn read(&self, access: &mut StateAccess<'_, '_>) -> std::result::Result<DynVal, StmAbort> {
-        match access {
-            StateAccess::Txn(txn) => Ok(txn.read(&self.var)? as DynVal),
-            StateAccess::Plain => Ok(self.var.load() as DynVal),
-        }
+    fn read(&self, txn: &mut Txn<'_>) -> std::result::Result<DynVal, StmAbort> {
+        Ok(txn.read(&self.var)? as DynVal)
     }
 
-    fn write(
-        &self,
-        access: &mut StateAccess<'_, '_>,
-        v: DynVal,
-    ) -> std::result::Result<(), StmAbort> {
+    fn write(&self, txn: &mut Txn<'_>, v: DynVal) -> std::result::Result<(), StmAbort> {
         let typed = v.downcast::<T>().expect("type confusion in state slot");
-        match access {
-            StateAccess::Txn(txn) => txn.write(&self.var, (*typed).clone()),
-            StateAccess::Plain => {
-                self.var.restore((*typed).clone());
-                Ok(())
-            }
-        }
+        txn.write(&self.var, (*typed).clone())
     }
 
     fn snapshot(&self) -> Vec<u8> {
@@ -107,73 +81,22 @@ where
     }
 }
 
-struct PlainSlot<T> {
-    value: Mutex<Arc<T>>,
-}
-
-impl<T> Slot for PlainSlot<T>
-where
-    T: Clone + Encode + Decode + Send + Sync + 'static,
-{
-    fn read(&self, _access: &mut StateAccess<'_, '_>) -> std::result::Result<DynVal, StmAbort> {
-        Ok(self.value.lock().clone() as DynVal)
-    }
-
-    fn write(
-        &self,
-        _access: &mut StateAccess<'_, '_>,
-        v: DynVal,
-    ) -> std::result::Result<(), StmAbort> {
-        let typed = v.downcast::<T>().expect("type confusion in state slot");
-        *self.value.lock() = typed;
-        Ok(())
-    }
-
-    fn snapshot(&self) -> Vec<u8> {
-        encode_to_vec(&**self.value.lock())
-    }
-
-    fn restore(&self, bytes: &[u8]) -> Result<()> {
-        let value: T = decode_from_slice(bytes)?;
-        *self.value.lock() = Arc::new(value);
-        Ok(())
-    }
-}
-
 /// Registry of an operator's state cells, created during setup.
 pub struct StateRegistry {
     slots: Vec<Box<dyn Slot>>,
-    runtime: Option<StmRuntime>,
+    runtime: StmRuntime,
 }
 
 impl fmt::Debug for StateRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StateRegistry")
-            .field("slots", &self.slots.len())
-            .field("speculative", &self.runtime.is_some())
-            .finish()
+        f.debug_struct("StateRegistry").field("slots", &self.slots.len()).finish()
     }
 }
 
 impl StateRegistry {
-    /// A registry backing cells with plain slots (non-speculative mode).
-    pub fn plain() -> Self {
-        StateRegistry { slots: Vec::new(), runtime: None }
-    }
-
-    /// A registry backing cells with STM variables (speculative mode).
-    pub fn speculative(runtime: StmRuntime) -> Self {
-        StateRegistry { slots: Vec::new(), runtime: Some(runtime) }
-    }
-
-    /// Whether cells are STM-backed.
-    pub fn is_speculative(&self) -> bool {
-        self.runtime.is_some()
-    }
-
-    /// The backing STM runtime in speculative mode.
-    pub fn runtime(&self) -> Option<&StmRuntime> {
-        self.runtime.as_ref()
+    /// A registry backing cells with variables of `runtime`.
+    pub fn new(runtime: StmRuntime) -> Self {
+        StateRegistry { slots: Vec::new(), runtime }
     }
 
     /// Registers a state cell with an initial value.
@@ -182,11 +105,7 @@ impl StateRegistry {
         T: Clone + Encode + Decode + Send + Sync + 'static,
     {
         let index = self.slots.len();
-        let slot: Box<dyn Slot> = match &self.runtime {
-            Some(rt) => Box::new(StmSlot { var: rt.new_var(init) }),
-            None => Box::new(PlainSlot { value: Mutex::new(Arc::new(init)) }),
-        };
-        self.slots.push(slot);
+        self.slots.push(Box::new(StmSlot { var: self.runtime.new_var(init) }));
         StateHandle { index, _pd: PhantomData }
     }
 
@@ -203,25 +122,25 @@ impl StateRegistry {
     pub(crate) fn read<T>(
         &self,
         handle: StateHandle<T>,
-        access: &mut StateAccess<'_, '_>,
+        txn: &mut Txn<'_>,
     ) -> std::result::Result<Arc<T>, StmAbort>
     where
         T: Clone + Encode + Decode + Send + Sync + 'static,
     {
-        let v = self.slots[handle.index].read(access)?;
+        let v = self.slots[handle.index].read(txn)?;
         Ok(v.downcast::<T>().expect("type confusion in state handle"))
     }
 
     pub(crate) fn write<T>(
         &self,
         handle: StateHandle<T>,
-        access: &mut StateAccess<'_, '_>,
+        txn: &mut Txn<'_>,
         value: T,
     ) -> std::result::Result<(), StmAbort>
     where
         T: Clone + Encode + Decode + Send + Sync + 'static,
     {
-        self.slots[handle.index].write(access, Arc::new(value))
+        self.slots[handle.index].write(txn, Arc::new(value))
     }
 
     /// Serializes all cells' committed values (for a checkpoint).
@@ -257,82 +176,81 @@ mod tests {
     use super::*;
     use streammine_stm::Serial;
 
-    #[test]
-    fn plain_registry_read_write() {
-        let mut reg = StateRegistry::plain();
-        let h = reg.register(10i64);
-        assert!(!reg.is_speculative());
-        assert_eq!(reg.len(), 1);
-        let mut access = StateAccess::Plain;
-        assert_eq!(*reg.read(h, &mut access).unwrap(), 10);
-        reg.write(h, &mut access, 42).unwrap();
-        assert_eq!(*reg.read(h, &mut access).unwrap(), 42);
-    }
-
-    #[test]
-    fn speculative_registry_goes_through_txn() {
-        let rt = StmRuntime::new();
-        let mut reg = StateRegistry::speculative(rt.clone());
-        let h = reg.register(0i64);
-        assert!(reg.is_speculative());
-        let reg = Arc::new(reg);
-        let r2 = reg.clone();
-        let (handle, _) = rt
-            .execute(Serial(0), move |txn| {
-                let mut access = StateAccess::Txn(txn);
-                let v = *r2.read(h, &mut access)?;
-                r2.write(h, &mut access, v + 5)
-            })
-            .unwrap();
-        // Uncommitted: plain read still sees the old value.
-        let mut plain = StateAccess::Plain;
-        assert_eq!(*reg.read(h, &mut plain).unwrap(), 0);
+    /// Runs `body` as the transaction at `serial`, commits it and returns
+    /// what it returned.
+    fn commit<R>(
+        rt: &StmRuntime,
+        serial: u64,
+        body: impl FnMut(&mut Txn<'_>) -> std::result::Result<R, StmAbort>,
+    ) -> R {
+        let (handle, r) = rt.execute(Serial(serial), body).unwrap();
         handle.authorize();
         handle.wait_committed();
-        assert_eq!(*reg.read(h, &mut plain).unwrap(), 5);
+        r
     }
 
     #[test]
-    fn snapshot_restore_roundtrip_plain() {
-        let mut reg = StateRegistry::plain();
+    fn registry_reads_and_writes_through_a_transaction() {
+        let rt = StmRuntime::new();
+        let mut reg = StateRegistry::new(rt.clone());
+        let h = reg.register(10i64);
+        assert_eq!(reg.len(), 1);
+        commit(&rt, 0, |txn| {
+            assert_eq!(*reg.read(h, txn)?, 10);
+            reg.write(h, txn, 42)
+        });
+        assert_eq!(*commit(&rt, 1, |txn| reg.read(h, txn)), 42);
+    }
+
+    #[test]
+    fn a_snapshot_holds_committed_values_only() {
+        let rt = StmRuntime::new();
+        let mut reg = StateRegistry::new(rt.clone());
+        let h = reg.register(0i64);
+        let before = reg.snapshot();
+        let (handle, ()) = rt
+            .execute(Serial(0), |txn| {
+                let v = *reg.read(h, txn)?;
+                reg.write(h, txn, v + 5)
+            })
+            .unwrap();
+        assert_eq!(reg.snapshot(), before, "an open transaction's write was snapshotted");
+        handle.authorize();
+        handle.wait_committed();
+        let rt2 = StmRuntime::new();
+        let mut reg2 = StateRegistry::new(rt2.clone());
+        let h2 = reg2.register(0i64);
+        reg2.restore(&reg.snapshot()).unwrap();
+        assert_eq!(*commit(&rt2, 0, |txn| reg2.read(h2, txn)), 5);
+    }
+
+    #[test]
+    fn snapshot_restore_roundtrip() {
+        let rt = StmRuntime::new();
+        let mut reg = StateRegistry::new(rt.clone());
         let a = reg.register(1i64);
         let b = reg.register(String::from("x"));
-        let mut access = StateAccess::Plain;
-        reg.write(a, &mut access, 7).unwrap();
-        reg.write(b, &mut access, "hello".to_string()).unwrap();
-        let snap = reg.snapshot();
-
-        let mut reg2 = StateRegistry::plain();
-        let a2 = reg2.register(0i64);
-        let b2 = reg2.register(String::new());
-        reg2.restore(&snap).unwrap();
-        let mut access2 = StateAccess::Plain;
-        assert_eq!(*reg2.read(a2, &mut access2).unwrap(), 7);
-        assert_eq!(*reg2.read(b2, &mut access2).unwrap(), "hello");
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrip_speculative() {
-        let rt = StmRuntime::new();
-        let mut reg = StateRegistry::speculative(rt.clone());
-        let h = reg.register(3i64);
+        commit(&rt, 0, |txn| {
+            reg.write(a, txn, 7)?;
+            reg.write(b, txn, "hello".to_string())
+        });
         let snap = reg.snapshot();
 
         let rt2 = StmRuntime::new();
-        let mut reg2 = StateRegistry::speculative(rt2);
-        let h2 = reg2.register(0i64);
+        let mut reg2 = StateRegistry::new(rt2.clone());
+        let a2 = reg2.register(0i64);
+        let b2 = reg2.register(String::new());
         reg2.restore(&snap).unwrap();
-        let mut access = StateAccess::Plain;
-        assert_eq!(*reg2.read(h2, &mut access).unwrap(), 3);
-        let _ = h;
+        let (a, b) = commit(&rt2, 0, |txn| Ok((reg2.read(a2, txn)?, reg2.read(b2, txn)?)));
+        assert_eq!((*a, b.as_str()), (7, "hello"));
     }
 
     #[test]
     fn restore_slot_count_mismatch_is_error() {
-        let mut reg = StateRegistry::plain();
+        let mut reg = StateRegistry::new(StmRuntime::new());
         reg.register(1i64);
         let snap = reg.snapshot();
-        let mut reg2 = StateRegistry::plain();
+        let mut reg2 = StateRegistry::new(StmRuntime::new());
         reg2.register(1i64);
         reg2.register(2i64);
         let err = reg2.restore(&snap).unwrap_err();
@@ -341,7 +259,7 @@ mod tests {
 
     #[test]
     fn empty_registry_snapshot_roundtrips() {
-        let reg = StateRegistry::plain();
+        let reg = StateRegistry::new(StmRuntime::new());
         assert!(reg.is_empty());
         let snap = reg.snapshot();
         reg.restore(&snap).unwrap();

@@ -653,29 +653,25 @@ impl<T: Clone + Send + 'static> LinkSender<T> {
     /// that has already computed an output cannot un-compute it, and
     /// dropping it would break precise recovery. The outcome says whether
     /// the window is now full, which is the producer's signal to stop
-    /// (see [`LinkSender::is_saturated_with`]) — so the ring exceeds the
+    /// (see [`LinkSender::is_saturated`]) — so the ring exceeds the
     /// window by at most what the producer emits between two checks.
     pub fn push(&self, msg: T) -> SendOutcome {
         self.append(self.shared.ring.lock(), msg)
     }
 
-    /// Whether the window is full once `inflight` more messages the
-    /// producer has already committed to sending — outputs held for log
-    /// stability, say — are counted. Admission gates use this so deferred
-    /// publication cannot overshoot the window by everything admitted
-    /// inside one stability wait.
+    /// Whether the window is full: the producer's admission gate.
     ///
     /// A `true` answer arms the producer's waker ([`LinkSender::set_waker`]):
     /// the receiver's next read signals it.
-    pub fn is_saturated_with(&self, inflight: usize) -> bool {
+    pub fn is_saturated(&self) -> bool {
         let mut ring = self.shared.ring.lock();
-        let saturated = ring.unread() + inflight >= self.shared.config.capacity;
+        let saturated = ring.unread() >= self.shared.config.capacity;
         ring.tx_waiting |= saturated;
         saturated
     }
 
     /// Makes the receiver's next read signal `waker` once
-    /// [`LinkSender::is_saturated_with`] has answered `true`, for a
+    /// [`LinkSender::is_saturated`] has answered `true`, for a
     /// producer that stops on a full window and sleeps on the waker. A read
     /// costs nothing extra while the producer is not stopped.
     ///
@@ -1118,10 +1114,9 @@ mod tests {
         let (tx, rx) = link::<u8>(LinkConfig::instant().with_capacity(2));
         tx.set_metrics(EdgeMetrics::registered(&registry, 0, 0));
         assert_eq!(tx.push(1), SendOutcome::Sent(0));
-        assert!(!tx.is_saturated_with(0));
-        assert!(tx.is_saturated_with(1), "held outputs count against the window");
+        assert!(!tx.is_saturated());
         assert_eq!(tx.push(2), SendOutcome::Saturated(1), "the window is now full");
-        assert!(tx.is_saturated_with(0));
+        assert!(tx.is_saturated());
         assert_eq!(tx.push(3), SendOutcome::Saturated(2), "over the window: still accepted");
         assert_eq!(tx.pending_len(), 1, "soft cap: nothing is dropped");
         let labels = Labels::op_port(0, 0);
@@ -1132,7 +1127,7 @@ mod tests {
         // The consumer draining (not time passing) is what frees space.
         let got: Vec<u8> = (0..3).map(|_| rx.recv().unwrap().1).collect();
         assert_eq!(got, vec![1, 2, 3]);
-        assert!(!tx.is_saturated_with(0));
+        assert!(!tx.is_saturated());
         tx.publish_gauges();
         assert_eq!(registry.gauge_value("edge.pending", labels), Some(0));
         assert_eq!(registry.gauge_value("edge.pending_hwm", labels), Some(1));
@@ -1304,14 +1299,14 @@ mod tests {
         // Told the window is full, the producer stops; the next read
         // signals it.
         tx.send(1).unwrap();
-        assert!(tx.is_saturated_with(0));
+        assert!(tx.is_saturated());
         assert!(!waker.park(Some(now())), "nothing was read");
         assert_eq!(rx.try_recv().unwrap(), Some((0, 1)));
         assert!(waker.park(Some(now())), "the read is a signal");
         // A producer that never saw the window full is not woken by reads.
         tx.send(2).unwrap();
         assert_eq!(rx.try_recv().unwrap(), Some((1, 2)));
-        assert!(!tx.is_saturated_with(0));
+        assert!(!tx.is_saturated());
         tx.send(3).unwrap();
         assert_eq!(rx.try_recv().unwrap(), Some((2, 3)));
         assert!(!waker.park(Some(now())), "a read the producer did not wait for");

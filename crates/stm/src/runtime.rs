@@ -54,11 +54,11 @@
 //! the writer's own publish-time reader scan (writer published after our
 //! registration). Failures fall back to [`AbortReason::StaleRead`] retries.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use streammine_common::BackoffConfig;
 
 use crate::fence::{ColdSection, HotSection};
@@ -121,6 +121,10 @@ pub(crate) struct RuntimeInner {
     next_txn: AtomicU64,
     pub(crate) graph: Mutex<Graph>,
     pub(crate) cv: Condvar,
+    /// Threads waiting on `cv` for an outcome. They count themselves under
+    /// the graph lock, where every outcome is decided, so a change with
+    /// nobody waiting skips the wake-up call.
+    waiters: AtomicUsize,
     pub(crate) config: StmConfig,
     pub(crate) stats: StmStats,
     abort_sink: Mutex<Option<TxnSink>>,
@@ -160,6 +164,7 @@ impl StmRuntime {
                 next_txn: AtomicU64::new(0),
                 graph: Mutex::new(Graph::default()),
                 cv: Condvar::new(),
+                waiters: AtomicUsize::new(0),
                 config,
                 stats: StmStats::default(),
                 abort_sink: Mutex::new(None),
@@ -718,7 +723,7 @@ impl RuntimeInner {
             }
         };
         drop(buf);
-        self.cv.notify_all();
+        self.notify_waiters();
         self.finish_abort_actions(actions);
         match result {
             Ok(()) => {
@@ -769,7 +774,7 @@ impl RuntimeInner {
             }
             st.terminal.store(TERMINAL_DISCARDED, Ordering::Release);
         }
-        self.cv.notify_all();
+        self.notify_waiters();
         self.finish_abort_actions(actions);
         self.cleanup_txn(st);
         self.release_execution(st);
@@ -785,7 +790,7 @@ impl RuntimeInner {
             if matches!(status, TxnStatus::Committed | TxnStatus::Aborted) {
                 return status;
             }
-            self.cv.wait(&mut g);
+            self.wait(&mut g);
         }
     }
 
@@ -799,7 +804,22 @@ impl RuntimeInner {
                 TERMINAL_DISCARDED => panic!("transaction {} discarded while awaited", st.id),
                 _ => {}
             }
-            self.cv.wait(&mut g);
+            self.wait(&mut g);
+        }
+    }
+
+    /// Waits on `cv`, counted in `waiters` while it does.
+    fn wait(&self, g: &mut MutexGuard<'_, Graph>) {
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        self.cv.wait(g);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Wakes the threads waiting for an outcome, if any is: called once
+    /// the graph lock that decided it is released.
+    fn notify_waiters(&self) {
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.cv.notify_all();
         }
     }
 
@@ -940,7 +960,7 @@ impl RuntimeInner {
             let mut g = self.graph.lock();
             self.mark_abort_locked(&mut g, root, reason, rearm_root, &mut actions);
         }
-        self.cv.notify_all();
+        self.notify_waiters();
         self.finish_abort_actions(actions);
     }
 
@@ -1064,7 +1084,7 @@ impl RuntimeInner {
                 self.apply_commit(&st);
                 self.recycle_state(st);
             }
-            self.cv.notify_all();
+            self.notify_waiters();
         }
         BATCH.with(|b| b.set(batch));
     }
@@ -1156,6 +1176,26 @@ mod tests {
         assert_eq!(h.wait_outcome(), TxnStatus::Committed);
         assert_eq!(*v.load(), 15);
         assert_eq!(v.version(), 1);
+    }
+
+    /// A thread blocked on an outcome wakes when another thread decides
+    /// it: the wake-up call is skipped only while nobody waits.
+    #[test]
+    fn a_blocked_waiter_wakes_on_commit_and_on_discard() {
+        let rt = StmRuntime::new();
+        let (h0, _) = rt.execute(Serial(0), |_| Ok(())).unwrap();
+        let (h1, _) = rt.execute(Serial(1), |_| Ok(())).unwrap();
+        std::thread::scope(|scope| {
+            let committed = scope.spawn(|| h0.wait_outcome());
+            let discarded = scope.spawn(|| h1.wait_outcome());
+            while rt.inner.waiters.load(Ordering::SeqCst) < 2 {
+                std::thread::yield_now();
+            }
+            h0.authorize();
+            h1.discard();
+            assert_eq!(committed.join().unwrap(), TxnStatus::Committed);
+            assert_eq!(discarded.join().unwrap(), TxnStatus::Aborted);
+        });
     }
 
     #[test]

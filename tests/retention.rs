@@ -1,7 +1,7 @@
-//! Retention under load: a speculative node in process checkpoints its
-//! committed prefix while later transactions stay open — on one STM thread
-//! or on several — so a chain that is never settled still acks its
-//! upstreams, and what its edges retain stays bounded by the checkpoint
+//! Retention under load: a node in process checkpoints its committed
+//! prefix while later transactions stay open — speculative or not, on one
+//! STM thread or on several — so a chain that is never settled still acks
+//! its upstreams, and what its edges retain stays bounded by the checkpoint
 //! interval. A crash with transactions open restores that prefix and
 //! recovers precisely, on one thread and on two.
 
@@ -24,6 +24,11 @@ use streammine::stm::StmAbort;
 
 const FAST_LOG: Duration = Duration::from_micros(200);
 const SLOW_LOG: Duration = Duration::from_millis(5);
+/// The log of the non-speculative inputs: the benchmark's device.
+const NONSPEC_LOG: Duration = Duration::from_millis(2);
+/// Events a second of the open loop into non-speculative relays: four per
+/// [`NONSPEC_LOG`] write, so a relay always has events waiting for it.
+const NONSPEC_RATE: f64 = 2_000.0;
 /// Past a `FAST_LOG` write, well short of a `SLOW_LOG` one.
 const STABLE_NOT_FINAL: Duration = Duration::from_millis(2);
 /// Events in flight in the closed loop, as in the benchmark's `chain4_sat`.
@@ -48,9 +53,36 @@ impl Operator for RandomTagger {
     }
 }
 
+/// A relay that takes one logged decision per event and forwards the
+/// event unchanged: a non-speculative one sends each output only once
+/// that decision is stable.
+struct DrawingRelay;
+
+impl Operator for DrawingRelay {
+    fn name(&self) -> &str {
+        "drawing-relay"
+    }
+    fn process(&self, ctx: &mut OpCtx<'_, '_>, event: &Event) -> Result<(), StmAbort> {
+        ctx.random_u64();
+        ctx.emit(event.payload.clone());
+        Ok(())
+    }
+}
+
 fn speculative(log: Duration) -> OperatorConfig {
     OperatorConfig::speculative(LoggingConfig::simulated(log))
 }
+
+/// A non-speculative operator that logs its decisions on [`NONSPEC_LOG`].
+fn nonspec() -> OperatorConfig {
+    OperatorConfig::logged(LoggingConfig::simulated(NONSPEC_LOG))
+}
+
+/// Adds the i-th operator of a [`chain`].
+type AddOp<'a> = &'a dyn Fn(usize, &mut GraphBuilder) -> OperatorId;
+
+/// Pushes a run's events into a chain's source.
+type Drive<'a> = &'a dyn Fn(&Running, SourceId, SinkId);
 
 /// src → `hops` operators, the i-th added by `add(i, ..)` → sink.
 fn chain(
@@ -78,6 +110,17 @@ fn closed_loop(running: &Running, src: SourceId, sink: SinkId, range: std::ops::
                 running.sink(sink).final_count(),
             );
         }
+        running.source(src).push(Value::Int(pushed as i64));
+    }
+}
+
+/// Pushes events `range` at `rate` events a second, whatever the sink
+/// took in.
+fn open_loop(running: &Running, src: SourceId, range: std::ops::Range<usize>, rate: f64) {
+    let start = Instant::now();
+    for (k, pushed) in range.enumerate() {
+        let due = start + Duration::from_secs_f64(k as f64 / rate);
+        std::thread::sleep(due.saturating_duration_since(Instant::now()));
         running.source(src).push(Value::Int(pushed as i64));
     }
 }
@@ -181,29 +224,52 @@ fn retained_max_during(running: &Running, work: impl FnOnce()) -> i64 {
     retained_max.into_inner()
 }
 
-/// Four speculative relays under a closed loop of 32 are never settled.
-/// Each still saves images — with transactions open at the save — and each
-/// save acks its upstream, so no edge retains more than a few intervals of
-/// frames over 5 000 events.
+/// Four relays under load are never settled: speculative ones under a
+/// closed loop of 32 keep transactions open, and non-speculative ones —
+/// each event takes a 2 ms log write — fed by an open loop of four events
+/// per write always have events waiting for their log. Each relay still
+/// saves images with transactions open — a non-speculative one at least
+/// every other interval — and each save acks its upstream, so no edge
+/// retains more than a few intervals of frames over 5 000 events.
 #[test]
 fn a_loaded_speculative_chain_checkpoints_with_transactions_open() {
     const HOPS: usize = 4;
-    let obs = journaled();
-    let relay =
+    let speculative_relays =
         |_, b: &mut GraphBuilder| b.add_operator(StampedRelay::new(), speculative(FAST_LOG));
-    let (running, src, sink) = chain(HOPS, obs.clone(), relay);
-    let retained = retained_max_during(&running, || {
-        closed_loop(&running, src, sink, 0..LOADED_EVENTS);
-        assert!(running.sink(sink).wait_final(LOADED_EVENTS, PATIENCE), "the loop did not drain");
-    });
-    let expected: Vec<Value> = (0..LOADED_EVENTS).map(|i| Value::Int(i as i64)).collect();
-    assert_eq!(payloads(&running.sink(sink).final_events_by_id()), expected);
-    let saved_open = saves_with_transactions_open(&obs, HOPS);
-    for (op, saves) in saved_open.iter().enumerate() {
-        assert!(*saves > 0, "op{op} never saved an image with transactions open: {saved_open:?}");
+    let nonspec_relays = |_, b: &mut GraphBuilder| b.add_operator(DrawingRelay, nonspec());
+    let closed: Drive = &|running, src, sink| closed_loop(running, src, sink, 0..LOADED_EVENTS);
+    let open: Drive = &|running, src, _| open_loop(running, src, 0..LOADED_EVENTS, NONSPEC_RATE);
+    let every_other_interval = LOADED_EVENTS / CHECKPOINT_EVERY as usize / 2;
+    let inputs: [(&str, AddOp, Drive, usize); 2] = [
+        ("speculative", &speculative_relays, closed, 1),
+        ("non-speculative", &nonspec_relays, open, every_other_interval),
+    ];
+    for (name, relay, drive, min_saves) in inputs {
+        let obs = journaled();
+        let (running, src, sink) = chain(HOPS, obs.clone(), relay);
+        let retained = retained_max_during(&running, || {
+            drive(&running, src, sink);
+            assert!(
+                running.sink(sink).wait_final(LOADED_EVENTS, PATIENCE),
+                "{name}: the loop did not drain"
+            );
+        });
+        let expected: Vec<Value> = (0..LOADED_EVENTS).map(|i| Value::Int(i as i64)).collect();
+        assert_eq!(payloads(&running.sink(sink).final_events_by_id()), expected, "{name}");
+        let saved_open = saves_with_transactions_open(&obs, HOPS);
+        eprintln!(
+            "{name}: images saved with transactions open {saved_open:?}, retained {retained}"
+        );
+        for (op, saves) in saved_open.iter().enumerate() {
+            assert!(
+                *saves >= min_saves,
+                "{name}: op{op} saved {saves} images with transactions open, not {min_saves}: \
+                 {saved_open:?}"
+            );
+        }
+        assert!(retained <= RETAINED_BOUND, "{name}: an edge retained {retained} frames");
+        running.shutdown();
     }
-    assert!(retained <= RETAINED_BOUND, "an edge retained {retained} frames");
-    running.shutdown();
 }
 
 /// The paper's fig 6/7 application under the closed loop: a union feeding
@@ -288,10 +354,10 @@ fn a_speculative_node_fed_out_of_id_order_checkpoints_under_load() {
     running.shutdown();
 }
 
-/// Crashes `op` once it has admitted past its newest image, and checks
-/// that it crashed with transactions open: its image covers fewer serials
-/// than it admitted.
-fn crash_past_its_image(running: &Running, op: OperatorId, seed: usize) {
+/// Crashes `op` once it has admitted past its newest image. `Err` when
+/// the crash came too late to find a transaction open — the image covers
+/// every serial it admitted — or there is no image.
+fn crash_past_its_image(running: &Running, op: OperatorId) -> Result<(), String> {
     let admitted = || {
         let labels = Labels::op_port(op.index(), 0);
         running.metrics().counter("events.in", labels).unwrap_or(0)
@@ -299,59 +365,106 @@ fn crash_past_its_image(running: &Running, op: OperatorId, seed: usize) {
     let covered = || running.operator_image(op).map_or(0, |image| image.events_processed);
     let deadline = std::time::Instant::now() + PATIENCE;
     while admitted() <= covered() {
-        assert!(std::time::Instant::now() < deadline, "seed {seed}: nothing admitted");
+        assert!(std::time::Instant::now() < deadline, "nothing admitted");
         std::thread::yield_now();
     }
     running.crash(op);
     let serial = admitted();
-    let image = running.operator_image(op).expect("an image precedes the crash");
-    assert!(
-        image.events_processed < serial,
-        "seed {seed}: the image covers {} of {serial} serials",
-        image.events_processed
-    );
+    let Some(image) = running.operator_image(op) else {
+        return Err(format!("no image precedes the crash at {serial} serials"));
+    };
+    if image.events_processed < serial {
+        Ok(())
+    } else {
+        Err(format!("the image covers {} of {serial} serials", image.events_processed))
+    }
 }
 
-/// Three speculative random taggers under the closed loop; the middle one
-/// crashes with transactions open, at a seeded point past its last image.
-/// It restores the committed prefix — below the serial it had reached —
-/// reads the open transactions' decisions back from the log, and the sink's
-/// finals are those of the fault-free run, byte for byte, on 16 seeds.
+/// Crashes `op` with transactions open, `pushed` events into the closed
+/// loop of `events`: its image covers fewer serials than it admitted. A
+/// crash that lands after everything admitted was committed and imaged —
+/// a loaded machine can get there first — is recovered from, and the
+/// crash is tried again a few events on, a bounded number of times.
+/// Returns the events pushed by the crash that held; `op` is down then.
+fn crash_with_transactions_open(
+    running: &Running,
+    (src, sink): (SourceId, SinkId),
+    op: OperatorId,
+    mut pushed: usize,
+    events: usize,
+) -> Result<usize, String> {
+    const ATTEMPTS: usize = 8;
+    const STEP: usize = 8;
+    for attempt in 1.. {
+        match crash_past_its_image(running, op) {
+            Ok(()) => return Ok(pushed),
+            Err(miss) if attempt == ATTEMPTS || pushed == events => {
+                return Err(format!("{miss} on crash {attempt} of at most {ATTEMPTS}"));
+            }
+            Err(_) => {
+                running.recover(op);
+                let next = (pushed + STEP).min(events);
+                closed_loop(running, src, sink, pushed..next);
+                pushed = next;
+            }
+        }
+    }
+    unreachable!("the loop returns by its last attempt")
+}
+
+/// Three random taggers under the closed loop; the middle one crashes with
+/// transactions open, at a seeded point past its last image. It restores
+/// the committed prefix — below the serial it had reached — reads the open
+/// transactions' decisions back from the log, and the sink's finals are
+/// those of the fault-free run, byte for byte, on 16 seeds. Speculative
+/// taggers, whose transactions are open while their inputs are, and
+/// non-speculative ones on 2 ms logs, whose events wait for their log.
 #[test]
 fn a_crash_with_transactions_open_restores_the_committed_prefix_precisely() {
     const EVENTS: usize = 600;
     const SEEDS: usize = 16;
-    // The middle tagger's slower log keeps what it admitted open for a
-    // while, so a crash soon after an admission finds transactions open.
-    let tagger = |i, b: &mut GraphBuilder| {
+    // The middle speculative tagger's slower log keeps what it admitted
+    // open for a while, so a crash soon after an admission finds
+    // transactions open.
+    let speculative_taggers = |i, b: &mut GraphBuilder| {
         let log = if i == 1 { SLOW_LOG } else { FAST_LOG };
         b.add_operator(RandomTagger, speculative(log))
     };
+    let nonspec_taggers = |_, b: &mut GraphBuilder| b.add_operator(RandomTagger, nonspec());
+    let inputs: [(&str, AddOp); 2] =
+        [("speculative", &speculative_taggers), ("non-speculative", &nonspec_taggers)];
     let middle = OperatorId::new(1);
-    let reference = {
-        let (running, src, sink) = chain(3, Obs::new(), tagger);
-        closed_loop(&running, src, sink, 0..EVENTS);
-        assert!(running.sink(sink).wait_final(EVENTS, PATIENCE));
-        let out = payloads(&running.sink(sink).final_events());
-        running.shutdown();
-        out
-    };
-    for seed in 0..SEEDS {
-        let crash_at = 150 + (seed * 97) % 400;
-        let (running, src, sink) = chain(3, Obs::new(), tagger);
-        closed_loop(&running, src, sink, 0..crash_at);
-        crash_past_its_image(&running, middle, seed);
-        running.recover(middle);
-        closed_loop(&running, src, sink, crash_at..EVENTS);
-        assert!(
-            running.sink(sink).wait_final(EVENTS, PATIENCE),
-            "seed {seed}: stuck at {}/{EVENTS} final\n{}",
-            running.sink(sink).final_count(),
-            running.journal_dump()
-        );
-        let out = payloads(&running.sink(sink).final_events());
-        assert_eq!(out, reference, "seed {seed}: crash at {crash_at} changed the output");
-        running.shutdown();
+    for (name, tagger) in inputs {
+        let reference = {
+            let (running, src, sink) = chain(3, Obs::new(), tagger);
+            closed_loop(&running, src, sink, 0..EVENTS);
+            assert!(running.sink(sink).wait_final(EVENTS, PATIENCE));
+            let out = payloads(&running.sink(sink).final_events());
+            running.shutdown();
+            out
+        };
+        for seed in 0..SEEDS {
+            let crash_at = 150 + (seed * 97) % 400;
+            let (running, src, sink) = chain(3, Obs::new(), tagger);
+            closed_loop(&running, src, sink, 0..crash_at);
+            let pushed =
+                crash_with_transactions_open(&running, (src, sink), middle, crash_at, EVENTS)
+                    .unwrap_or_else(|miss| panic!("{name}, seed {seed}: {miss}"));
+            running.recover(middle);
+            closed_loop(&running, src, sink, pushed..EVENTS);
+            assert!(
+                running.sink(sink).wait_final(EVENTS, PATIENCE),
+                "{name}, seed {seed}: stuck at {}/{EVENTS} final\n{}",
+                running.sink(sink).final_count(),
+                running.journal_dump()
+            );
+            let out = payloads(&running.sink(sink).final_events());
+            assert_eq!(
+                out, reference,
+                "{name}, seed {seed}: crash at {crash_at} changed the output"
+            );
+            running.shutdown();
+        }
     }
 }
 
@@ -370,9 +483,10 @@ fn a_two_thread_sketch_crashed_with_transactions_open_recovers_precisely() {
         // The sketch's slower log keeps what it admitted open for a while.
         let (running, src, sink) = union_sketch(Obs::new(), SLOW_LOG);
         closed_loop(&running, src, sink, 0..crash_at);
-        crash_past_its_image(&running, sketch, seed);
+        let pushed = crash_with_transactions_open(&running, (src, sink), sketch, crash_at, EVENTS)
+            .unwrap_or_else(|miss| panic!("seed {seed}: {miss}"));
         running.recover(sketch);
-        closed_loop(&running, src, sink, crash_at..EVENTS);
+        closed_loop(&running, src, sink, pushed..EVENTS);
         assert!(
             running.sink(sink).wait_final(EVENTS, PATIENCE),
             "seed {seed}: stuck at {}/{EVENTS} final\n{}",

@@ -1,5 +1,8 @@
-//! Thread inventory of a running graph, in a test binary of its own so no
-//! other test's threads are counted.
+//! Thread inventory of a running graph, in a test binary of its own. The
+//! test harness may start a test's thread while another test counts, so
+//! its threads are left out by name; each test runs its graph from a
+//! thread of its own, so a thread the graph starts without naming it is
+//! counted under that thread's name.
 //!
 //! An operator is one thread that reads its own connections: a node costs
 //! its coordinator and nothing per log device — a modeled device is a
@@ -31,16 +34,64 @@ fn thread_ids() -> BTreeSet<String> {
         .collect()
 }
 
-/// The kernel names (`comm`, at most 15 bytes) of every thread that was
-/// not there `before`, sorted.
+/// The kernel name (`comm`, at most 15 bytes) of thread `tid`, if it is
+/// still there.
+fn comm(tid: &str) -> Option<String> {
+    let comm = std::fs::read_to_string(format!("/proc/self/task/{tid}/comm")).ok()?;
+    Some(comm.trim_end().to_string())
+}
+
+/// This binary's tests, read from its source: the harness runs each on a
+/// thread named after it.
+fn test_names() -> Vec<&'static str> {
+    let mut lines = include_str!("thread_inventory.rs").lines();
+    let mut names = Vec::new();
+    while let Some(line) = lines.next() {
+        if line == "#[test]" {
+            let name = lines.next().and_then(|next| next.strip_prefix("fn "));
+            names.extend(name.and_then(|name| name.split('(').next()));
+        }
+    }
+    names
+}
+
+/// Whether a thread so named is the harness's: a test's thread (the kernel
+/// keeps the first 15 bytes of its test's name), or one the harness
+/// started that has not named itself yet (it carries the main thread's
+/// name until then).
+fn harness_named(name: &str) -> bool {
+    let main = std::fs::read_to_string("/proc/self/comm").unwrap_or_default();
+    name == main.trim_end() || test_names().iter().any(|test| test.starts_with(name))
+}
+
+/// The ids of the threads that were not there `before`, the harness's
+/// left out.
+fn new_thread_ids(before: &BTreeSet<String>) -> BTreeSet<String> {
+    let counted = |tid: &&String| comm(tid).is_some_and(|name| !harness_named(&name));
+    thread_ids().difference(before).filter(counted).cloned().collect()
+}
+
+/// The names of the threads that were not there `before`, the harness's
+/// left out, sorted.
 fn threads_since(before: &BTreeSet<String>) -> Vec<String> {
-    let mut names: Vec<String> = thread_ids()
-        .difference(before)
-        .filter_map(|tid| std::fs::read_to_string(format!("/proc/self/task/{tid}/comm")).ok())
-        .map(|comm| comm.trim_end().to_string())
-        .collect();
+    let mut names: Vec<String> =
+        new_thread_ids(before).iter().filter_map(|tid| comm(tid)).collect();
     names.sort();
     names
+}
+
+/// Runs `body` on a thread named `inventory`: a thread the graph starts
+/// from there without a name of its own carries that name, which no test
+/// expects, where one started from a test's thread would carry the
+/// test's name and be left out as the harness's.
+fn on_own_thread(body: impl FnOnce() + Send) {
+    std::thread::scope(|scope| {
+        let thread = std::thread::Builder::new().name("inventory".into());
+        let run = thread.spawn_scoped(scope, body).expect("spawn the test's thread");
+        if let Err(panic) = run.join() {
+            std::panic::resume_unwind(panic);
+        }
+    });
 }
 
 /// Four speculative relays on one 2 ms device each, between a source and
@@ -61,6 +112,10 @@ fn four_speculative_relays() -> (Running, SourceId, SinkId) {
 #[test]
 fn four_relay_chain_runs_on_six_threads_across_a_crash() {
     let _alone = ALONE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    on_own_thread(six_threads_across_a_crash);
+}
+
+fn six_threads_across_a_crash() {
     let harness = thread_ids();
     let (running, src, sink) = four_speculative_relays();
 
@@ -121,17 +176,19 @@ fn four_relay_chain_runs_on_six_threads_across_a_crash() {
 /// threads (release, 2 cores); without, 11.4-11.7 over 6.
 #[test]
 fn a_paced_speculative_chain_wakes_once_per_hand_over() {
+    let _alone = ALONE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    on_own_thread(wakes_once_per_hand_over);
+}
+
+fn wakes_once_per_hand_over() {
     const RATE: f64 = 300.0;
     const WARM: i64 = 60;
     const MEASURED: i64 = 600;
     /// Between what the two designs read (above).
     const BOUND: f64 = 16.0;
 
-    let _alone = ALONE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let harness = thread_ids();
     let (running, src, sink) = four_speculative_relays();
-    let graph: BTreeSet<String> = thread_ids().difference(&harness).cloned().collect();
-
     let paced = |from: i64, to: i64| {
         let t0 = Instant::now();
         for i in from..to {
@@ -142,6 +199,8 @@ fn a_paced_speculative_chain_wakes_once_per_hand_over() {
     };
     paced(0, WARM);
     assert!(running.sink(sink).wait_final(WARM as usize, Duration::from_secs(30)));
+    // A thread names itself once it runs: the warm-up has let them all.
+    let graph = new_thread_ids(&harness);
     let before = total_switches(&graph);
     paced(WARM, WARM + MEASURED);
     assert!(running.sink(sink).wait_final((WARM + MEASURED) as usize, Duration::from_secs(30)));
@@ -171,12 +230,11 @@ fn node_switches() -> Vec<(String, u64)> {
     let mut switches: Vec<(String, u64)> = thread_ids()
         .into_iter()
         .filter_map(|tid| {
-            let comm = std::fs::read_to_string(format!("/proc/self/task/{tid}/comm")).ok()?;
-            let comm = comm.trim_end();
+            let comm = comm(&tid)?;
             if !comm.starts_with("node-op") {
                 return None;
             }
-            Some((comm.to_string(), switches_of(&tid)?))
+            Some((comm, switches_of(&tid)?))
         })
         .collect();
     switches.sort();
