@@ -28,13 +28,14 @@ pub enum FaultKind {
         /// Edge index.
         edge: usize,
     },
-    /// Sever the control link of edge `edge` — acknowledgments and replay
-    /// requests are delayed until restored.
+    /// Hold the acknowledgments on edge `edge`'s ring: its watermark stays
+    /// put until restored, and the highest ack taken meanwhile applies
+    /// then.
     DelayAcks {
         /// Edge index.
         edge: usize,
     },
-    /// Restore the control link of edge `edge`.
+    /// Release the acknowledgments held on edge `edge`'s ring.
     RestoreAcks {
         /// Edge index.
         edge: usize,

@@ -12,7 +12,9 @@
 //!   write). The bridge is the ring's reader and the only one who rewinds
 //!   it, once per connection, so a sequence is written on a connection at
 //!   most once; the reverse direction of the same socket carries the
-//!   remote receiver's acks back into the sender's inbox. On connection
+//!   remote receiver's acks, which the bridge applies to the ring it reads
+//!   — the sending node reads them there as the ring's watermark, as it
+//!   does on an in-process edge. On connection
 //!   loss it redials, re-handshakes, and rewinds its own read position to
 //!   the remote cursor (`Welcome.next_seq`) — every frame the peer has not
 //!   consumed is still in the ring, so it is simply read again. Between
@@ -34,7 +36,13 @@
 //!   predecessors are cut off: frames a dead process left in a socket
 //!   buffer — a speculative event, a finalize — must not arrive after its
 //!   successor was welcomed, or the receiver would hold one more than the
-//!   successor was told and get it a second time.
+//!   successor was told and get it a second time. The consumer acks the
+//!   local ring as it acks any ring it reads, and one writer thread per
+//!   edge sends that watermark back over the edge's current connection
+//!   whenever it is above what the connection was last sent: an ack waits
+//!   while no connection exists, is never lost, and a superseded one is
+//!   never sent. A write to a wedged peer blocks that writer alone, never
+//!   the node that acked.
 //!
 //! The acceptor also implements the distributed nemesis faults: a
 //! listener *blackhole* (new connections dropped, existing ones severed)
@@ -160,11 +168,9 @@ pub(crate) struct OutBridge {
     /// Dial address of the receiving process's listener, set by the
     /// control plane's wiring and re-read on every dial attempt.
     pub dial: DialSlot,
-    /// The retained local link's consumer side.
+    /// The retained local link's consumer side; the acks read off the
+    /// socket are applied to it.
     pub data_rx: LinkReceiver<Message>,
-    /// The control ring received control frames (acks) are pushed to: the
-    /// sending node reads it as it reads an in-process edge's.
-    pub ctrl_sink: LinkSender<Control>,
     pub metrics: TransportMetrics,
     pub shutdown: Arc<AtomicBool>,
     /// Receives the receiver's cursor from the **first** successful
@@ -253,8 +259,9 @@ impl OutBridge {
     }
 
     /// Drives one established connection: this thread writes data frames,
-    /// a scoped helper thread reads control frames. Returns when the
-    /// connection dies (either direction) or shutdown is requested.
+    /// a scoped helper thread reads acks and applies them to the ring.
+    /// Returns when the connection dies (either direction) or shutdown is
+    /// requested.
     fn pump(&self, conn: Box<dyn streammine_net::FrameConn>) {
         let (mut tx, mut rx) = conn.split();
         let dead = Arc::new(AtomicBool::new(false));
@@ -270,8 +277,10 @@ impl OutBridge {
                         Ok(bytes) => {
                             self.metrics.frames_in.incr();
                             self.metrics.bytes_in.add(bytes.len() as u64);
-                            if let Ok(DistFrame::Ctrl(c)) = decode_from_slice::<DistFrame>(&bytes) {
-                                self.ctrl_sink.push(c);
+                            if let Ok(DistFrame::Ctrl(Control::Ack { upto })) =
+                                decode_from_slice::<DistFrame>(&bytes)
+                            {
+                                self.data_rx.ack_upto(upto);
                             }
                         }
                         Err(e) if e.is_fatal() => {
@@ -345,14 +354,10 @@ pub(crate) struct InEdge {
     /// Graph-global edge id.
     pub edge: u32,
     /// The local ring the consumer (a node's inbox, a sink) reads; it must
-    /// be unused. The remote sender retains the edge for replay, so this
-    /// hop is acknowledged ahead — it keeps nothing once read — and it is
-    /// numbered from `cursor`'s sequence, so the consumer sees the wire's
-    /// own sequences.
+    /// be unused. It is numbered from `cursor`'s sequence, so the consumer
+    /// sees the wire's own sequences, and the consumer's acks on it — its
+    /// watermark — go back to the remote sender as they are.
     pub data_tx: LinkSender<Message>,
-    /// The node's upstream control link (acks), pumped to the current
-    /// connection's reverse direction.
-    pub ctrl_rx: LinkReceiver<Control>,
     /// Where this edge resumes: fresh, or at a respawn's checkpoint
     /// frontier (see `worker::in_edge_cursors`).
     pub cursor: EdgeCursor,
@@ -380,10 +385,12 @@ struct EdgeState {
     intake: Mutex<Intake>,
     data_tx: LinkSender<Message>,
     on_advance: Option<Box<dyn Fn(u64) + Send + Sync>>,
-    writer: Mutex<Option<Box<dyn FrameTx>>>,
-    /// Signalled when a connection installs itself as `writer`; the
-    /// control pump parks here while it has a frame and no connection.
-    writer_installed: Waker,
+    /// The current connection's outbound half, and the ack watermark it
+    /// was last sent.
+    writer: Mutex<Option<(Box<dyn FrameTx>, u64)>>,
+    /// Signalled when the ring's watermark advances and when a connection
+    /// installs itself as `writer`: the ack writer parks here.
+    acks: Waker,
     pause_until: Mutex<Option<Instant>>,
     metrics: TransportMetrics,
 }
@@ -406,8 +413,8 @@ pub(crate) struct Acceptor {
 }
 
 impl Acceptor {
-    /// Binds `addr` on `transport` and starts the accept loop plus one
-    /// control pump per edge.
+    /// Binds `addr` on `transport` and starts the accept loop plus one ack
+    /// writer per edge.
     pub fn start(
         transport: Arc<dyn Transport>,
         addr: &str,
@@ -417,21 +424,20 @@ impl Acceptor {
         let listener = transport.bind(addr)?;
         let local_addr = listener.local_addr();
         let mut map = HashMap::new();
-        let mut pumps = Vec::new();
         for e in edges {
-            e.data_tx.ack_upto(u64::MAX);
             e.data_tx.set_next_seq(e.cursor.next_seq());
+            let acks = Waker::new();
+            e.data_tx.set_waker(acks.clone());
             let state = Arc::new(EdgeState {
                 intake: Mutex::new(Intake { cursor: e.cursor, sender: 0 }),
                 data_tx: e.data_tx,
                 on_advance: e.on_advance,
                 writer: Mutex::new(None),
-                writer_installed: Waker::new(),
+                acks,
                 pause_until: Mutex::new(None),
                 metrics: e.metrics,
             });
-            map.insert(e.edge, state.clone());
-            pumps.push((e.edge, e.ctrl_rx, state));
+            map.insert(e.edge, state);
         }
         let shared = Arc::new(AcceptorShared {
             edges: map,
@@ -439,12 +445,12 @@ impl Acceptor {
             conn_epoch: AtomicU64::new(0),
             shutdown: shutdown.clone(),
         });
-        for (edge, ctrl_rx, state) in pumps {
-            let shutdown = shutdown.clone();
+        for (edge, state) in &shared.edges {
+            let (state, shutdown) = (state.clone(), shutdown.clone());
             std::thread::Builder::new()
                 .name(format!("bridge-ctrl-e{edge}"))
-                .spawn(move || pump_edge_ctrl(ctrl_rx, state, shutdown))
-                .expect("spawn edge ctrl pump");
+                .spawn(move || write_acks(&state, &shutdown))
+                .expect("spawn edge ack writer");
         }
         let accept_shared = shared.clone();
         std::thread::Builder::new()
@@ -482,10 +488,11 @@ impl Acceptor {
         }
     }
 
-    /// Unblocks the accept loop so it can observe shutdown. Call after
-    /// setting the shared shutdown flag.
+    /// Unblocks the accept loop and the ack writers so they can observe
+    /// shutdown. Call after setting the shared shutdown flag.
     pub fn poke(&self) {
         let _ = self.transport.dial(&self.local_addr);
+        self.shared.edges.values().for_each(|state| state.acks.wake());
     }
 }
 
@@ -553,10 +560,10 @@ fn serve_conn(mut conn: Box<dyn streammine_net::FrameConn>, shared: Arc<Acceptor
         return;
     }
     let (tx, mut rx) = conn.split();
-    // This connection becomes the edge's current outbound control path;
-    // an older connection's writer (if any) is dropped here.
-    *state.writer.lock() = Some(tx);
-    state.writer_installed.wake();
+    // This connection becomes the edge's current outbound ack path, sent
+    // nothing yet; an older connection's writer (if any) is dropped here.
+    *state.writer.lock() = Some((tx, 0));
+    state.acks.wake();
     loop {
         if shared.shutdown.load(Ordering::Acquire)
             || shared.conn_epoch.load(Ordering::Acquire) != joined_epoch
@@ -630,45 +637,33 @@ fn serve_conn(mut conn: Box<dyn streammine_net::FrameConn>, shared: Arc<Acceptor
     }
 }
 
-/// Pumps a node's upstream control link out over the edge's current
-/// connection. Control frames wait (bounded retained link, unbounded
-/// patience) while no connection exists — acks are delayed, never lost,
-/// exactly like a severed in-process link.
-fn pump_edge_ctrl(
-    ctrl_rx: LinkReceiver<Control>,
-    state: Arc<EdgeState>,
-    shutdown: Arc<AtomicBool>,
-) {
+/// Sends an edge's ack watermark over its current connection whenever it
+/// is above what that connection was last sent, and otherwise parks on the
+/// edge's waker: an ack advancing the watermark and a new connection both
+/// signal it. Only the newest watermark is ever written. Returns at
+/// shutdown ([`Acceptor::poke`] wakes it).
+fn write_acks(state: &EdgeState, shutdown: &AtomicBool) {
     while !shutdown.load(Ordering::Acquire) {
-        match ctrl_rx.recv_timeout(DRAIN_POLL) {
-            Ok((seq, ctrl)) => {
-                let bytes = DistFrame::Ctrl(ctrl).encode_to_vec();
-                loop {
-                    if shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    let mut writer = state.writer.lock();
-                    if let Some(tx) = writer.as_mut() {
-                        match tx.send(&bytes) {
-                            Ok(()) => {
-                                state.metrics.frames_out.incr();
-                                state.metrics.bytes_out.add(bytes.len() as u64);
-                                // Written: nobody re-reads a control link.
-                                ctrl_rx.ack_upto(seq + 1);
-                                break;
-                            }
-                            Err(_) => {
-                                *writer = None; // dead conn; wait for the next
-                            }
-                        }
-                    }
-                    drop(writer);
-                    state.writer_installed.park(Some(Instant::now() + DRAIN_POLL));
+        let upto = state.data_tx.acked();
+        let mut writer = state.writer.lock();
+        let dead = match writer.as_mut() {
+            Some((tx, sent)) if upto > *sent => {
+                let bytes = DistFrame::Ctrl(Control::Ack { upto }).encode_to_vec();
+                let written = tx.send(&bytes).is_ok();
+                if written {
+                    state.metrics.frames_out.incr();
+                    state.metrics.bytes_out.add(bytes.len() as u64);
+                    *sent = upto;
                 }
+                !written
             }
-            Err(LinkError::Timeout) => continue,
-            Err(_) => return,
+            _ => false,
+        };
+        if dead {
+            *writer = None; // wait for the next connection
         }
+        drop(writer);
+        state.acks.park(None);
     }
 }
 
@@ -737,14 +732,12 @@ mod tests {
         let shutdown = Arc::new(AtomicBool::new(false));
 
         let (got_tx, got_rx) = link::<Message>(LinkConfig::instant());
-        let (up_ctrl_tx, up_ctrl_rx) = link::<Control>(LinkConfig::instant());
         let acceptor = Acceptor::start(
             transport.clone(),
             "mem-acc:0",
             vec![InEdge {
                 edge: 7,
                 data_tx: got_tx,
-                ctrl_rx: up_ctrl_rx,
                 cursor: EdgeCursor::default(),
                 on_advance: None,
                 metrics: TransportMetrics::detached(),
@@ -754,7 +747,6 @@ mod tests {
         .unwrap();
 
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
-        let (acks_tx, acks_rx) = link::<Control>(LinkConfig::instant());
         let (gate_tx, gate_rx) = crossbeam_channel::bounded(1);
         let dial = DialSlot::new();
         dial.set(Some(acceptor.local_addr().to_string()));
@@ -764,7 +756,6 @@ mod tests {
             transport: transport.clone(),
             dial,
             data_rx,
-            ctrl_sink: acks_tx,
             metrics: TransportMetrics::detached(),
             shutdown: shutdown.clone(),
             first_welcome: Some(gate_tx),
@@ -783,11 +774,15 @@ mod tests {
         }
         assert_eq!(acceptor.cursor(7), (5, 5));
 
-        // Reverse direction: an ack from the receiver's node reaches the
-        // sender's control ring.
-        up_ctrl_tx.send(Control::Ack { upto: 3 }).unwrap();
-        let (_, ack) = acks_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(ack, Control::Ack { upto: 3 });
+        // Reverse direction: the receiver's node acks the ring it reads,
+        // and the ack arrives as the sender ring's watermark.
+        got_rx.ack_upto(3);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while data_tx.acked() < 3 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(data_tx.acked(), 3);
+        assert_eq!(data_tx.retained_len(), 2, "the ack trimmed the sender ring");
 
         // Sever everything; the bridge reconnects and the handshake-driven
         // replay resends only what the cursor still misses (nothing, here),
@@ -828,7 +823,6 @@ mod tests {
             transport,
             dial,
             data_rx,
-            ctrl_sink: link::<Control>(LinkConfig::instant()).0,
             metrics: metrics.clone(),
             shutdown: shutdown.clone(),
             first_welcome: None,
@@ -868,7 +862,6 @@ mod tests {
             transport: transport.clone(),
             dial,
             data_rx,
-            ctrl_sink: link::<Control>(LinkConfig::instant()).0,
             metrics: TransportMetrics::detached(),
             shutdown: shutdown.clone(),
             first_welcome: None,
@@ -922,14 +915,12 @@ mod tests {
             Arc::new(MemTransport::new().with_read_timeout(Duration::from_millis(20)));
         let shutdown = Arc::new(AtomicBool::new(false));
         let (got_tx, got_rx) = link::<Message>(LinkConfig::instant());
-        let (_up_ctrl_tx, up_ctrl_rx) = link::<Control>(LinkConfig::instant());
         let acceptor = Acceptor::start(
             transport.clone(),
             "mem-pause:0",
             vec![InEdge {
                 edge: 1,
                 data_tx: got_tx,
-                ctrl_rx: up_ctrl_rx,
                 cursor: EdgeCursor::default(),
                 on_advance: None,
                 metrics: TransportMetrics::detached(),
@@ -947,7 +938,6 @@ mod tests {
             transport,
             dial,
             data_rx,
-            ctrl_sink: link::<Control>(LinkConfig::instant()).0,
             metrics: TransportMetrics::detached(),
             shutdown: shutdown.clone(),
             first_welcome: None,
@@ -1018,7 +1008,6 @@ mod tests {
             transport: transport.clone(),
             dial: dial.clone(),
             data_rx,
-            ctrl_sink: link::<Control>(LinkConfig::instant()).0,
             metrics: TransportMetrics::detached(),
             shutdown: shutdown.clone(),
             first_welcome: Some(gate_tx),
@@ -1036,11 +1025,9 @@ mod tests {
         shutdown: &Arc<AtomicBool>,
     ) -> (Acceptor, LinkReceiver<Message>) {
         let (got_tx, got_rx) = link::<Message>(LinkConfig::instant());
-        let (_up_ctrl_tx, up_ctrl_rx) = link::<Control>(LinkConfig::instant());
         let edges = vec![InEdge {
             edge,
             data_tx: got_tx,
-            ctrl_rx: up_ctrl_rx,
             cursor: EdgeCursor::default(),
             on_advance: None,
             metrics: TransportMetrics::detached(),

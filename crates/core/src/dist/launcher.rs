@@ -71,7 +71,7 @@ use crate::dist::control::{ControlPlane, CtrlEvent, LeaseView};
 use crate::dist::spec::{log_file, WorkerSpec, SPEC_ENV};
 use crate::dist::wire::{CtrlMsg, FaultCmd};
 use crate::endpoints::{SinkHandle, SourceHandle};
-use crate::message::{Control, Message};
+use crate::message::Message;
 use crate::restart::{Restart, Restarts};
 
 /// How long [`Cluster::shutdown`] lets the workers finish by themselves.
@@ -320,12 +320,10 @@ impl Cluster {
 
         // Sink: real SinkHandle on a local link, fed by an acceptor for
         // the last edge (id = n). The link carries the remote sequence
-        // numbers (in-order from 0), so the sink's cumulative acks refer
-        // to the sequences the last worker retained.
+        // numbers (in-order from 0), so the sink's cumulative acks on it
+        // refer to the sequences the last worker retained.
         let (sink_data_tx, sink_data_rx) = link::<Message>(LinkConfig::instant());
-        let (sink_ctrl_tx, sink_ctrl_rx) = link::<Control>(LinkConfig::instant());
-        let sink =
-            SinkHandle::new(sink_data_rx, sink_ctrl_tx, clock.clone(), &obs, (n - 1) as u32, 0);
+        let sink = SinkHandle::new(sink_data_rx, clock.clone(), &obs, (n - 1) as u32, 0);
         let timelines = shared.clone();
         let sink_acceptor = Acceptor::start(
             transport.clone(),
@@ -333,7 +331,6 @@ impl Cluster {
             vec![InEdge {
                 edge: n as u32,
                 data_tx: sink_data_tx,
-                ctrl_rx: sink_ctrl_rx,
                 cursor: EdgeCursor::default(),
                 on_advance: Some(Box::new(move |finals| timelines.restarts.observe_cursor(finals))),
                 metrics: TransportMetrics::registered(&obs.registry, (n - 1) as u32, n as u32),
@@ -343,13 +340,11 @@ impl Cluster {
         .map_err(|e| format!("sink listener: {e}"))?;
 
         // Source: real SourceHandle on a local link; its consumer side is
-        // a bridge dialing worker 0 (edge 0). The source's responder
-        // thread applies the acks arriving back over the socket.
+        // a bridge dialing worker 0 (edge 0), which applies the acks
+        // arriving back over the socket to the ring.
         let (src_data_tx, src_data_rx) = link::<Message>(LinkConfig::instant());
         src_data_tx.set_metrics(EdgeMetrics::registered(&obs.registry, n as u32, 0));
-        let (src_ctrl_tx, src_ctrl_rx) = link::<Control>(LinkConfig::instant());
-        let source =
-            SourceHandle::new(OperatorId::new(n as u32), src_data_tx, src_ctrl_rx, clock, &obs);
+        let source = SourceHandle::new(OperatorId::new(n as u32), src_data_tx, clock, &obs);
         let src_slot = DialSlot::new();
         OutBridge {
             edge: 0,
@@ -357,7 +352,6 @@ impl Cluster {
             transport: transport.clone(),
             dial: src_slot.clone(),
             data_rx: src_data_rx,
-            ctrl_sink: src_ctrl_tx,
             metrics: TransportMetrics::registered(&obs.registry, n as u32, 0),
             shutdown: shutdown.clone(),
             first_welcome: None,

@@ -65,7 +65,7 @@ use streammine_sketch::ErrorBound;
 use streammine_storage::checkpoint::{Checkpoint, InputFrontier};
 use streammine_storage::log::{LogObs, StableLog};
 
-use crate::message::{Control, Message};
+use crate::message::Message;
 use crate::node::{Node, NodeSeed};
 use crate::operator::Operator;
 use streammine_common::ids::OperatorId;
@@ -226,30 +226,22 @@ pub(crate) fn run_worker(
 
     // In-edges: each is a local ring the node reads like any other, fed
     // by the acceptor's socket threads with the in-order frames of the
-    // wire; each edge's upstream control link is pumped back over the
-    // edge's current connection.
-    let mut up = Vec::new();
+    // wire; the node's acks on it go back over the edge's current
+    // connection.
     let mut inputs = Vec::new();
     let mut in_edges = Vec::new();
     for (edge, cursor) in spec.in_edges.iter().copied().zip(cursors) {
-        let (ctrl_tx, ctrl_rx) = link::<Control>(LinkConfig::instant());
-        up.push(ctrl_tx);
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
         inputs.push(data_rx);
         in_edges.push(InEdge {
             edge,
             data_tx,
-            ctrl_rx,
             cursor,
             on_advance: None,
             metrics: TransportMetrics::registered(&obs.registry, spec.worker, edge),
         });
     }
-    // Out-edges: each bridge pushes the acks it reads off its socket to a
-    // control ring the node reads, as it reads an in-process edge's.
-    let (out_ctrls, ctrls): (Vec<_>, Vec<_>) =
-        spec.out_edges.iter().map(|_| link::<Control>(LinkConfig::instant())).unzip();
-    let inbox = Inbox::new(inputs, ctrls);
+    let inbox = Inbox::new(inputs);
     let acceptor =
         match Acceptor::start(transport.clone(), "127.0.0.1:0", in_edges, shutdown.clone()) {
             Ok(a) => a,
@@ -281,10 +273,12 @@ pub(crate) fn run_worker(
     };
 
     // Out-edges: links + bridges now, addresses when the Wire arrives.
+    // Each bridge applies the acks it reads off its socket to the ring it
+    // reads, as an in-process reader acks its own.
     let mut down_data = Vec::new();
     let mut dial_slots: HashMap<u32, DialSlot> = HashMap::new();
     let mut gates = Vec::new();
-    for (edge, ctrl_sink) in spec.out_edges.iter().copied().zip(out_ctrls) {
+    for edge in spec.out_edges.iter().copied() {
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
         // The ring the downstream's checkpoints trim: `edge.retained`.
         data_tx.set_metrics(EdgeMetrics::registered(&obs.registry, spec.worker, edge));
@@ -296,7 +290,6 @@ pub(crate) fn run_worker(
             transport: transport.clone(),
             dial: slot.clone(),
             data_rx,
-            ctrl_sink,
             metrics: TransportMetrics::registered(&obs.registry, spec.worker, edge),
             shutdown: shutdown.clone(),
             first_welcome: Some(gate_tx),
@@ -363,7 +356,6 @@ pub(crate) fn run_worker(
         config,
         clock,
         inbox,
-        up,
         down,
         log: Some(log),
         rng_seed: spec.rng_seed,
@@ -486,10 +478,9 @@ mod tests {
         let mut in_edges = Vec::new();
         for (edge, cursor) in [10, 11].into_iter().zip(in_edge_cursors(Some(image.clone()), 2)) {
             let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
-            let (ctrl_tx, ctrl_rx) = link::<Control>(LinkConfig::instant());
-            ends.push((data_rx, ctrl_tx));
+            ends.push(data_rx);
             let metrics = TransportMetrics::detached();
-            in_edges.push(InEdge { edge, data_tx, ctrl_rx, cursor, on_advance: None, metrics });
+            in_edges.push(InEdge { edge, data_tx, cursor, on_advance: None, metrics });
         }
         let acceptor =
             Acceptor::start(transport.clone(), "mem-primed:0", in_edges, shutdown.clone()).unwrap();

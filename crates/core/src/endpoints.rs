@@ -27,8 +27,8 @@ use crate::message::{Control, Message};
 /// Events are stamped with the source's clock at push time, which is what
 /// end-to-end latency is measured against. The source retains sent events
 /// for replay (the paper's "log messages at the source components", §1) in
-/// its ring, which a recovering reader rewinds itself; a background
-/// responder thread applies the reader's acknowledgments.
+/// its ring, which a recovering reader rewinds itself and acknowledges on
+/// once its image no longer needs them. A source runs no thread.
 pub struct SourceHandle {
     id: OperatorId,
     tx: LinkSender<Message>,
@@ -38,7 +38,6 @@ pub struct SourceHandle {
     /// sequence-based) sampling check are stamped with a root trace
     /// context.
     tracer: Arc<Tracer>,
-    _responder: Option<JoinHandle<()>>,
 }
 
 impl fmt::Debug for SourceHandle {
@@ -54,33 +53,15 @@ impl SourceHandle {
     pub(crate) fn new(
         id: OperatorId,
         tx: LinkSender<Message>,
-        ctrl_rx: LinkReceiver<Control>,
         clock: SharedClock,
         obs: &Obs,
     ) -> Self {
-        let responder = {
-            let tx = tx.clone();
-            std::thread::Builder::new()
-                .name(format!("source-{}-ctrl", id))
-                .spawn(move || {
-                    while let Ok((seq, ctrl)) = ctrl_rx.recv() {
-                        if let Control::Ack { upto } = ctrl {
-                            tx.ack_upto(upto);
-                        }
-                        // Handled: nobody re-reads a control link.
-                        ctrl_rx.ack_upto(seq + 1);
-                    }
-                })
-                .ok()
-        };
-        SourceHandle {
-            id,
-            tx,
-            clock,
-            next_seq: AtomicU64::new(0),
-            tracer: obs.tracer.clone(),
-            _responder: responder,
-        }
+        SourceHandle { id, tx, clock, next_seq: AtomicU64::new(0), tracer: obs.tracer.clone() }
+    }
+
+    /// Frames the source's ring still holds for replay.
+    pub(crate) fn retained(&self) -> usize {
+        self.tx.retained_len()
     }
 
     /// Sends one frame, blocking while the edge is saturated. A source is
@@ -410,9 +391,9 @@ impl SinkState {
     }
 }
 
-/// How many frames a sink's acknowledged position advances between `Ack`s
-/// to its upstream. Acks trim the upstream's replay-retention buffer, so
-/// the interval bounds retained memory without an ack per frame.
+/// How many frames a sink's acknowledged position advances between acks
+/// on its ring. Acks trim the upstream's replay-retention buffer, so the
+/// interval bounds retained memory without an ack per frame.
 const SINK_ACK_INTERVAL: u64 = 16;
 
 /// Observes a graph edge, recording arrivals and finalizations.
@@ -424,8 +405,6 @@ pub struct SinkHandle {
     /// Slow-consumer injection: the collector stops draining its link
     /// until this deadline, so the link's window stays full.
     stall_until: Arc<Mutex<Option<std::time::Instant>>>,
-    /// The upstream control link (the collector holds the working clone).
-    ctrl_tx: LinkSender<Control>,
     _collector: Option<JoinHandle<()>>,
 }
 
@@ -442,7 +421,6 @@ impl fmt::Debug for SinkHandle {
 impl SinkHandle {
     pub(crate) fn new(
         rx: LinkReceiver<Message>,
-        ctrl_tx: LinkSender<Control>,
         clock: SharedClock,
         obs: &Obs,
         from_op: u32,
@@ -458,7 +436,6 @@ impl SinkHandle {
         let eof = Arc::new(AtomicU64::new(0));
         let stall_until: Arc<Mutex<Option<std::time::Instant>>> = Arc::new(Mutex::new(None));
         let collector = {
-            let ctrl_tx = ctrl_tx.clone();
             let state = state.clone();
             let cv = cv.clone();
             let clock = clock.clone();
@@ -514,12 +491,12 @@ impl SinkHandle {
                             open.pop_front();
                         }
                         drop(s);
-                        // Periodic cumulative ack: trims upstream replay
-                        // retention.
+                        // Periodic cumulative ack on the ring read: trims
+                        // upstream replay retention.
                         let ackable = open.front().map_or(seq + 1, |&(at, _)| at);
                         if ackable >= acked + SINK_ACK_INTERVAL {
                             acked = ackable;
-                            let _ = ctrl_tx.send(Control::Ack { upto: acked });
+                            rx.ack_upto(acked);
                         }
                         if finals_grew {
                             cv.notify_all();
@@ -528,12 +505,7 @@ impl SinkHandle {
                 })
                 .ok()
         };
-        SinkHandle { clock, state, cv, eof, stall_until, ctrl_tx, _collector: collector }
-    }
-
-    /// Messages still held by the sink's upstream control link.
-    pub(crate) fn ctrl_retained(&self) -> usize {
-        self.ctrl_tx.retained_len()
+        SinkHandle { clock, state, cv, eof, stall_until, _collector: collector }
     }
 
     /// Stalls the collector for `window` starting at its next loop
@@ -645,12 +617,8 @@ mod tests {
     fn setup_with(obs: &Obs) -> (SourceHandle, SinkHandle) {
         let clock: SharedClock = shared(SystemClock::new());
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
-        let (src_ctrl_tx, src_ctrl_rx) = link::<Control>(LinkConfig::instant());
-        let (sink_ctrl_tx, _sink_ctrl_rx) = link::<Control>(LinkConfig::instant());
-        let source =
-            SourceHandle::new(OperatorId::new(0), data_tx, src_ctrl_rx, clock.clone(), obs);
-        let sink = SinkHandle::new(data_rx, sink_ctrl_tx, clock, obs, 0, 0);
-        let _ = src_ctrl_tx;
+        let source = SourceHandle::new(OperatorId::new(0), data_tx, clock.clone(), obs);
+        let sink = SinkHandle::new(data_rx, clock, obs, 0, 0);
         (source, sink)
     }
 
@@ -660,9 +628,8 @@ mod tests {
     #[test]
     fn a_sink_acks_below_its_first_record_not_final() {
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
-        let (ctrl_tx, ctrl_rx) = link::<Control>(LinkConfig::instant());
         let clock: SharedClock = shared(SystemClock::new());
-        let _sink = SinkHandle::new(data_rx, ctrl_tx, clock, &Obs::new(), 0, 0);
+        let sink = SinkHandle::new(data_rx, clock, &Obs::new(), 0, 0);
         let event = |n: u64| Event::new(EventId::new(OperatorId::new(0), n), 0, Value::Int(0));
         let mut first = event(0);
         first.speculative = true;
@@ -670,14 +637,18 @@ mod tests {
         for n in 1..=20 {
             data_tx.send(Message::Data(event(n))).unwrap();
         }
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while sink.seen_count() < 21 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(sink.seen_count(), 21, "the sink read every frame");
+        assert_eq!(data_tx.acked(), 0, "the first ack must wait for frame 0's finalize");
         let id = event(0).id;
         data_tx.send(Message::Control(Control::Finalize { id, version: 0 })).unwrap();
-        let (_, ack) = ctrl_rx.recv_timeout(Duration::from_secs(5)).expect("the sink acks");
-        assert_eq!(
-            ack,
-            Control::Ack { upto: 22 },
-            "the first ack must wait for frame 0's finalize"
-        );
+        while data_tx.acked() == 0 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(data_tx.acked(), 22, "the ack covers every frame once all are final");
     }
 
     #[test]
@@ -888,8 +859,7 @@ mod tests {
     fn source_retains_what_it_pushed_until_acknowledged() {
         let clock: SharedClock = shared(SystemClock::new());
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
-        let (ctrl_tx, ctrl_rx) = link::<Control>(LinkConfig::instant());
-        let source = SourceHandle::new(OperatorId::new(0), data_tx, ctrl_rx, clock, &Obs::new());
+        let source = SourceHandle::new(OperatorId::new(0), data_tx, clock, &Obs::new());
         source.push(Value::Int(1));
         source.push(Value::Int(2));
         // Consume both, then read again from 0 like a recovering node.
@@ -898,12 +868,9 @@ mod tests {
         assert_eq!(data_rx.rewind_to(0), 0);
         assert_eq!(data_rx.recv().unwrap().0, 0, "re-read under its original link sequence");
         assert_eq!(source.pushed(), 2);
-        // The responder applies the reader's ack: sequence 0 is gone.
-        ctrl_tx.send(Control::Ack { upto: 1 }).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while source.tx.retained_len() == 2 && std::time::Instant::now() < deadline {
-            std::thread::yield_now();
-        }
+        // The reader acknowledges on the ring it reads: sequence 0 is gone.
+        data_rx.ack_upto(1);
+        assert_eq!(source.retained(), 1);
         assert_eq!(data_rx.rewind_to(0), 1);
     }
 }

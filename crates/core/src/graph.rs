@@ -26,7 +26,7 @@ use streammine_storage::log::{LogObs, StableLog};
 use crate::config::{OperatorConfig, RecoveryMode};
 use crate::determinant::read_back;
 use crate::endpoints::{SinkHandle, SourceHandle};
-use crate::message::{Control, Message};
+use crate::message::Message;
 use crate::node::{Exit, Node, NodeSeed};
 use crate::operator::Operator;
 use crate::plumbing::{DownEdge, Inbox, NodeCommand, Notice, Sent};
@@ -228,7 +228,6 @@ pub(crate) struct NodePersist {
     config: OperatorConfig,
     inbox: Arc<Inbox>,
     log: Option<StableLog>,
-    up_ctrl: Vec<LinkSender<Control>>,
     down_data: Vec<LinkSender<Message>>,
     /// Per-edge cumulative send counters (see [`Sent`]); survive restarts
     /// with the links.
@@ -248,7 +247,6 @@ impl NodePersist {
             config: self.config.clone(),
             clock: self.clock.clone(),
             inbox: self.inbox.clone(),
-            up: self.up_ctrl.clone(),
             down: self
                 .down_data
                 .iter()
@@ -297,25 +295,22 @@ impl Graph {
         // Per node, in port / output order: the rings it reads (its
         // inbox) and the senders it writes. A node reads its rings itself;
         // what it leaves unread fills the window — backpressure end to end.
+        // Each edge is one ring: its reader acknowledges on it what it will
+        // never read again.
         let mut inputs: Vec<Vec<LinkReceiver<Message>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut ctrls: Vec<Vec<LinkReceiver<Control>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut up_ctrl: Vec<Vec<LinkSender<Control>>> = (0..n).map(|_| Vec::new()).collect();
         let mut down_data: Vec<Vec<LinkSender<Message>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut edges: Vec<EdgeHandle> = Vec::new();
+        let mut edges: Vec<LinkSender<Message>> = Vec::new();
 
         // Operator-to-operator edges.
         for (from, to) in &b.op_edges {
             let f = from.index() as usize;
             let t = to.index() as usize;
             let (data_tx, data_rx) = link::<Message>(b.link_config.clone());
-            let (ctrl_tx, ctrl_rx) = link::<Control>(b.link_config.clone());
             let out = down_data[f].len() as u32;
             data_tx.set_metrics(EdgeMetrics::registered(&obs.registry, f as u32, out));
             inputs[t].push(data_rx);
-            ctrls[f].push(ctrl_rx);
-            edges.push(EdgeHandle { data: data_tx.clone(), ctrl: ctrl_tx.clone() });
+            edges.push(data_tx.clone());
             down_data[f].push(data_tx);
-            up_ctrl[t].push(ctrl_tx);
         }
 
         // External sources.
@@ -323,11 +318,9 @@ impl Graph {
         for (i, to) in b.sources.iter().enumerate() {
             let t = to.index() as usize;
             let (data_tx, data_rx) = link::<Message>(b.link_config.clone());
-            let (ctrl_tx, ctrl_rx) = link::<Control>(b.link_config.clone());
             inputs[t].push(data_rx);
-            up_ctrl[t].push(ctrl_tx);
             let source_id = OperatorId::new((n + i) as u32);
-            sources.push(SourceHandle::new(source_id, data_tx, ctrl_rx, clock.clone(), &b.obs));
+            sources.push(SourceHandle::new(source_id, data_tx, clock.clone(), &b.obs));
         }
 
         // Sinks.
@@ -335,12 +328,10 @@ impl Graph {
         for from in &b.sinks {
             let f = from.index() as usize;
             let (data_tx, data_rx) = link::<Message>(b.link_config.clone());
-            let (ctrl_tx, ctrl_rx) = link::<Control>(b.link_config.clone());
             let out = down_data[f].len() as u32;
-            ctrls[f].push(ctrl_rx);
             data_tx.set_metrics(EdgeMetrics::registered(&obs.registry, f as u32, out));
             down_data[f].push(data_tx);
-            sinks.push(SinkHandle::new(data_rx, ctrl_tx, clock.clone(), &obs, f as u32, out));
+            sinks.push(SinkHandle::new(data_rx, clock.clone(), &obs, f as u32, out));
         }
 
         // Persistent per-node infrastructure + node threads.
@@ -361,7 +352,7 @@ impl Graph {
             if let Some(log) = &log {
                 log.attach_obs(LogObs::registered(&obs, i as u32));
             }
-            let inbox = Inbox::new(std::mem::take(&mut inputs[i]), std::mem::take(&mut ctrls[i]));
+            let inbox = Inbox::new(std::mem::take(&mut inputs[i]));
             down_data[i].iter().for_each(|out| inbox.wake_on_room(out));
             let persist = NodePersist {
                 id: OperatorId::new(i as u32),
@@ -369,7 +360,6 @@ impl Graph {
                 config: spec.config,
                 inbox,
                 log,
-                up_ctrl: std::mem::take(&mut up_ctrl[i]),
                 down_sent: (0..down_data[i].len()).map(|_| Arc::default()).collect(),
                 down_data: std::mem::take(&mut down_data[i]),
                 join: Mutex::new(None),
@@ -399,18 +389,12 @@ impl Graph {
     }
 }
 
-/// A chaos-injection handle on one operator-to-operator edge: severing /
-/// healing its data and control links independently.
-struct EdgeHandle {
-    data: LinkSender<Message>,
-    ctrl: LinkSender<Control>,
-}
-
 /// A running graph: handles to sources, sinks and fault injection.
 pub struct Running {
     clock: SharedClock,
     nodes: Arc<Vec<NodePersist>>,
-    edges: Vec<EdgeHandle>,
+    /// Each operator-to-operator edge's ring (chaos-injection targets).
+    edges: Vec<LinkSender<Message>>,
     sources: Vec<SourceHandle>,
     sinks: Vec<SinkHandle>,
     stopping: Arc<AtomicBool>,
@@ -537,7 +521,7 @@ impl Running {
     ///
     /// Panics on an out-of-range edge index.
     pub fn sever_edge_data(&self, i: usize) {
-        self.edges[i].data.sever();
+        self.edges[i].sever();
     }
 
     /// Heals the data link of edge `i`; the backlog flows in order.
@@ -546,36 +530,50 @@ impl Running {
     ///
     /// Panics on an out-of-range edge index.
     pub fn heal_edge_data(&self, i: usize) {
-        self.edges[i].data.heal();
+        self.edges[i].heal();
     }
 
-    /// Severs the control (ack) link of edge `i` — delaying
-    /// acknowledgments without touching data flow, or recovery: a node
-    /// rewinds its input rings itself.
+    /// Holds the acknowledgments on edge `i`'s ring — delaying them
+    /// without touching data flow, or recovery: a node rewinds its input
+    /// rings itself. The highest one taken meanwhile applies at
+    /// [`Running::heal_edge_ctrl`].
     ///
     /// # Panics
     ///
     /// Panics on an out-of-range edge index.
     pub fn sever_edge_ctrl(&self, i: usize) {
-        self.edges[i].ctrl.sever();
+        self.edges[i].hold_acks();
     }
 
-    /// Heals the control link of edge `i`.
+    /// Releases the acknowledgments held on edge `i`'s ring.
     ///
     /// # Panics
     ///
     /// Panics on an out-of-range edge index.
     pub fn heal_edge_ctrl(&self, i: usize) {
-        self.edges[i].ctrl.heal();
+        self.edges[i].release_acks();
     }
 
-    /// Messages still held by every control link of the graph (each
-    /// node's upstream links, then each sink's): consumers acknowledge
-    /// what they forward, so these stay near zero however long the graph
-    /// runs (diagnostics).
-    pub fn control_links_retained(&self) -> Vec<usize> {
-        let nodes = self.nodes.iter().flat_map(|n| n.up_ctrl.iter().map(LinkSender::retained_len));
-        nodes.chain(self.sinks.iter().map(SinkHandle::ctrl_retained)).collect()
+    /// Edge `i`'s ack watermark: its receiver acknowledged every frame
+    /// below it (diagnostics).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-range edge index.
+    pub fn edge_acked(&self, i: usize) -> u64 {
+        self.edges[i].acked()
+    }
+
+    /// Messages held by every ring of the graph: each source's, then each
+    /// operator's output rings in output order (its edges and its sinks).
+    /// A reader acknowledges what it will never read again — a node below
+    /// its stable image, a sink below its first record not final — so a
+    /// ring read by either stays bounded however long the graph runs
+    /// (diagnostics).
+    pub fn rings_retained(&self) -> Vec<usize> {
+        let nodes =
+            self.nodes.iter().flat_map(|n| n.down_data.iter().map(LinkSender::retained_len));
+        self.sources.iter().map(SourceHandle::retained).chain(nodes).collect()
     }
 
     /// Number of sinks (chaos-injection targets for slow-consumer stalls).
@@ -601,7 +599,7 @@ impl Running {
     ///
     /// Panics on an out-of-range edge index.
     pub fn delay_spike_edge(&self, i: usize, extra: Duration, window: Duration) {
-        self.edges[i].data.delay_spike(extra, window);
+        self.edges[i].delay_spike(extra, window);
     }
 
     /// Sets the transient write-fault probability on every device of
@@ -684,7 +682,7 @@ impl Running {
     /// checkpoint's positions — the paper's precise recovery procedure
     /// (§2.2). Its "ask the upstream to resend" is no message here: the
     /// rings outlive the operator and it moves its own cursors back, so
-    /// recovery waits for neither the upstream nor the control lanes.
+    /// recovery waits for neither the upstream nor its acks.
     ///
     /// # Panics
     ///

@@ -46,7 +46,7 @@ impl Node {
             }
         }
         let tape = Tape::new(serial, traced, recovered);
-        if self.up.len() > 1 {
+        if self.inbox.inputs.len() > 1 {
             let log = self.send_view.decisions.as_ref();
             tape.decide(0, log, || Determinant::InputChoice(port));
         }

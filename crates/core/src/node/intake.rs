@@ -83,22 +83,17 @@ impl Node {
         self.obs.tracer.record_backpressure(self.id.index(), stalled.as_micros() as u64);
     }
 
-    /// Handles every queued notice, then every readable downstream
-    /// control frame, acknowledging what it read; `true` when there was
-    /// any.
+    /// Handles every queued notice, then — while an image waits for its
+    /// downstreams — reads their ack watermarks; `true` when either
+    /// changed something. An advancing watermark signals the inbox, so the
+    /// ack that lets the image be saved wakes the node.
     pub(super) fn serve_control(&mut self) -> bool {
         let mut worked = self.serve_notices();
-        for out in 0..self.inbox.ctrls.len() {
-            let mut handled = None;
-            while let Ok(Some((seq, ctrl))) = self.inbox.ctrls[out].try_recv() {
-                self.handle_downstream(out as u32, ctrl);
-                handled = Some(seq);
-            }
-            if let Some(seq) = handled {
-                // Handled: nobody re-reads a control link.
-                self.inbox.ctrls[out].ack_upto(seq + 1);
-                worked = true;
-            }
+        // A checkpoint that came due while the image waited was not taken,
+        // and once the input stops nothing else would take it.
+        if !self.waiting.is_empty() && self.save_image() {
+            self.maybe_checkpoint();
+            worked = true;
         }
         worked
     }
@@ -167,10 +162,7 @@ impl Node {
     pub(super) fn earliest_due(&self) -> Option<Instant> {
         let inputs =
             self.inbox.inputs.iter().enumerate().filter(|(port, _)| self.reads_port(*port));
-        let rings = inputs
-            .map(|(_, rx)| rx.next_due())
-            .chain(self.inbox.ctrls.iter().map(|rx| rx.next_due()));
-        rings.flatten().min()
+        inputs.filter_map(|(_, rx)| rx.next_due()).min()
     }
 
     /// Handles `notice`; `false` when it was about nothing left to do: the
@@ -209,7 +201,7 @@ impl Node {
             Message::Control(Control::Revoke { id }) => self.on_input_revoked(port, id),
             Message::Control(Control::Eof) => {
                 self.eof_count += 1;
-                if self.eof_count >= self.up.len() {
+                if self.eof_count >= self.inbox.inputs.len() {
                     // What committed must precede EOF on the wire: the
                     // commits not served yet, then the buffered outputs.
                     self.serve_notices();
@@ -225,22 +217,6 @@ impl Node {
             Message::Control(other) => {
                 debug_assert!(false, "unexpected upstream control {other}");
             }
-        }
-    }
-
-    fn handle_downstream(&mut self, out: u32, ctrl: Control) {
-        match ctrl {
-            Control::Ack { upto } => {
-                self.down[out as usize].data_tx.ack_upto(upto);
-                let acked = &mut self.down_acked[out as usize];
-                *acked = (*acked).max(upto);
-                // A checkpoint that came due while the image waited was not
-                // taken, and once the input stops nothing else would take it.
-                if self.save_image() {
-                    self.maybe_checkpoint();
-                }
-            }
-            other => debug_assert!(false, "unexpected downstream control {other}"),
         }
     }
 

@@ -44,7 +44,6 @@ use streammine_common::event::{Event, TraceCtx, Value};
 use streammine_common::ids::{EventId, OperatorId};
 use streammine_common::pool::ThreadPool;
 use streammine_common::rng::DetRng;
-use streammine_net::LinkSender;
 use streammine_obs::{
     span_key, Counter, Gauge, Histogram, Journal, JournalKind, Labels, Obs, Tracer,
 };
@@ -233,11 +232,9 @@ pub(crate) struct NodeSeed {
     pub operator: Arc<dyn Operator>,
     pub config: OperatorConfig,
     pub clock: SharedClock,
-    /// Everything the node reads; survives its crashes.
+    /// Everything the node reads, and acknowledges on; survives its
+    /// crashes.
     pub inbox: Arc<Inbox>,
-    /// Control back to each input port's sender (acks): a severed control
-    /// link delays — never loses — them.
-    pub up: Vec<LinkSender<Control>>,
     pub down: Vec<DownEdge>,
     /// The node's one durable stream: its decisions (when the config logs)
     /// and its checkpoint images. Without one the node does not checkpoint.
@@ -259,7 +256,6 @@ pub(crate) struct Node {
     inbox: Arc<Inbox>,
     /// Spare storage the notice queue is swapped against.
     notices: VecDeque<Notice>,
-    up: Vec<LinkSender<Control>>,
     down: Vec<DownEdge>,
     log: Option<StableLog>,
     stm: StmRuntime,
@@ -323,8 +319,6 @@ pub(crate) struct Node {
     /// last image (taken or restored) covers put on the edge, sent or
     /// swallowed.
     covered_sent: Vec<(u64, u64)>,
-    /// Per down-edge: the highest position the downstream acknowledged.
-    down_acked: Vec<u64>,
     eof_count: usize,
     running: bool,
     crashed: bool,
@@ -408,7 +402,7 @@ impl Node {
         let pool = (seed.config.speculative && seed.config.threads > 1).then(|| {
             Arc::new(ThreadPool::new(&format!("op{}-worker", seed.id.index()), seed.config.threads))
         });
-        let inputs = seed.up.len();
+        let inputs = seed.inbox.inputs.len();
         let outputs = seed.down.len();
         let metrics =
             NodeMetrics::registered(&seed.obs, seed.id.index(), inputs, seed.config.speculative);
@@ -483,7 +477,6 @@ impl Node {
             config: seed.config,
             inbox: seed.inbox,
             notices: VecDeque::new(),
-            up: seed.up,
             down: seed.down,
             log: seed.log,
             stm,
@@ -510,7 +503,6 @@ impl Node {
             image_id: 0,
             admitted: checkpoints.map(|_| VecDeque::new()),
             covered_sent: vec![(0, 0); outputs],
-            down_acked: vec![0; outputs],
             eof_count: 0,
             running: true,
             crashed: false,
@@ -529,8 +521,8 @@ impl Node {
                 log.poll();
             }
             // Control first, and never gated: a node stalled on
-            // backpressure or an admission cap still receives the acks,
-            // commits and log-stability notices that end the stall.
+            // backpressure or an admission cap still receives the commits,
+            // log-stability notices and acks that end the stall.
             let mut worked = self.serve_control();
             if !self.running {
                 break;

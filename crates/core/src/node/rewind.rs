@@ -13,9 +13,9 @@
 //! downstreams (see [`Node::maybe_checkpoint`]), is appended to the node's
 //! log as an image record, and only once that record is stable does the
 //! node act on it: truncate the log below what the image covers and ack
-//! its upstreams down to its positions. Until then the previous image and
-//! the decisions after it stay readable, so a torn newest image costs
-//! nothing. The next image does not wait for that: several may be on their
+//! each input ring — the ring it reads — up to its position. Until then
+//! the previous image and the decisions after it stay readable, so a torn
+//! newest image costs nothing. The next image does not wait for that: several may be on their
 //! way, and a stable one supersedes the older ones still in flight.
 //!
 //! Frontier invariants, checked in debug builds: a port reads consecutive
@@ -227,7 +227,7 @@ impl Node {
     fn restore(&mut self, image: Option<Checkpoint>) -> Checkpoint {
         let outputs = self.down.len();
         let fresh = Checkpoint {
-            inputs: vec![InputFrontier::default(); self.up.len()],
+            inputs: vec![InputFrontier::default(); self.inbox.inputs.len()],
             outputs_sent: vec![0; outputs],
             finals_sent: vec![0; outputs],
             ..Checkpoint::default()
@@ -236,7 +236,8 @@ impl Node {
             return fresh;
         };
         let shape = (cp.inputs.len(), cp.outputs_sent.len());
-        let restored = if shape != (self.up.len(), outputs) || cp.finals_sent.len() != outputs {
+        let inputs = self.inbox.inputs.len();
+        let restored = if shape != (inputs, outputs) || cp.finals_sent.len() != outputs {
             Err(format!("an image of (inputs, outputs) {shape:?} does not fit the node"))
         } else {
             self.runner.registry.restore(&cp.state).map_err(|e| e.to_string())
@@ -416,16 +417,15 @@ impl Node {
     }
 
     /// Appends the newest waiting image whose outputs every downstream has
-    /// acknowledged to the log, and drops the older ones it supersedes;
-    /// `true` when it did. Its record carries the resume window's loss
-    /// already: the image is of the stale lineage.
+    /// acknowledged — the watermark of each output ring — to the log, and
+    /// drops the older ones it supersedes; `true` when it did. Its record
+    /// carries the resume window's loss already: the image is of the stale
+    /// lineage.
     pub(super) fn save_image(&mut self) -> bool {
         let Some(log) = &self.log else { return false };
-        let acked = &self.down_acked;
+        let acked = |(end, edge): (&u64, &DownEdge)| edge.data_tx.acked() >= *end;
         let ready = (self.waiting.iter())
-            .take_while(|image| {
-                image.outputs_end.iter().zip(acked).all(|(end, acked)| acked >= end)
-            })
+            .take_while(|image| image.outputs_end.iter().zip(&self.down).all(acked))
             .count();
         let Some(Image { mut checkpoint, .. }) = self.waiting.drain(..ready).next_back() else {
             return false;
@@ -445,8 +445,8 @@ impl Node {
     }
 
     /// The image appended at `seq` is stable (in a worker's file too): the
-    /// log is truncated below what it covers and the upstreams are acked
-    /// down to its positions. Older images still on their way are
+    /// log is truncated below what it covers and each input ring is acked
+    /// up to its position. Older images still on their way are
     /// superseded; a notice for an image of an earlier incarnation changes
     /// nothing.
     pub(super) fn on_image_stable(&mut self, seq: LogSeq) {
@@ -469,8 +469,8 @@ impl Node {
         if let Some(log) = &self.log {
             log.truncate_below(cp.covers_log);
         }
-        for (ctrl_tx, input) in self.up.iter().zip(&cp.inputs) {
-            ctrl_tx.push(Control::Ack { upto: input.position });
+        for (ring, input) in self.inbox.inputs.iter().zip(&cp.inputs) {
+            ring.ack_upto(input.position);
         }
     }
 }

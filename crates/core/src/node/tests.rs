@@ -1,7 +1,7 @@
 use super::*;
 use crate::config::{LoggingConfig, NodeConfig};
 use streammine_common::clock::{shared, SystemClock};
-use streammine_net::{link, LinkConfig, LinkReceiver};
+use streammine_net::{link, LinkConfig, LinkReceiver, LinkSender};
 use streammine_storage::disk::DiskSpec;
 
 struct Relay;
@@ -15,16 +15,13 @@ impl Operator for Relay {
 /// One relay node on hand-held rings: what a graph wires around a
 /// coordinator, with every end in the test's hands.
 struct Rig {
-    /// Into the node's one input port.
+    /// Into the node's one input port; the node acks on it
+    /// ([`LinkSender::acked`]).
     input: LinkSender<Message>,
-    /// The node's control back to that port's sender (acks).
-    up_rx: LinkReceiver<Control>,
     /// The node's one output, sender side (retention, window).
     out_tx: LinkSender<Message>,
-    /// The node's one output, as its downstream reads it.
+    /// The node's one output, as its downstream reads — and acks — it.
     out_rx: LinkReceiver<Message>,
-    /// The downstream's control back to the node.
-    out_ctrl: LinkSender<Control>,
     inbox: Arc<Inbox>,
     obs: Obs,
     seed: Option<NodeSeed>,
@@ -34,10 +31,8 @@ struct Rig {
 impl Rig {
     fn new(config: OperatorConfig, input_link: LinkConfig, output_link: LinkConfig) -> Rig {
         let (input, input_rx) = link::<Message>(input_link);
-        let (up_ctrl, up_rx) = link::<Control>(LinkConfig::instant());
         let (out_tx, out_rx) = link::<Message>(output_link);
-        let (out_ctrl, out_ctrl_rx) = link::<Control>(LinkConfig::instant());
-        let inbox = Inbox::new(vec![input_rx], vec![out_ctrl_rx]);
+        let inbox = Inbox::new(vec![input_rx]);
         inbox.wake_on_room(&out_tx);
         let obs = Obs::tracing();
         let seed = NodeSeed {
@@ -47,14 +42,13 @@ impl Rig {
             config,
             clock: shared(SystemClock::new()),
             inbox: inbox.clone(),
-            up: vec![up_ctrl],
             down: vec![DownEdge { data_tx: out_tx.clone(), sent: Arc::default() }],
             rng_seed: 1,
             obs: obs.clone(),
             exits: None,
             recovering: false,
         };
-        Rig { input, up_rx, out_tx, out_rx, out_ctrl, inbox, obs, seed: Some(seed), node: None }
+        Rig { input, out_tx, out_rx, inbox, obs, seed: Some(seed), node: None }
     }
 
     fn start(mut self) -> Rig {
@@ -139,48 +133,47 @@ fn wait_until(what: &str, done: impl Fn() -> bool) -> Duration {
     start.elapsed()
 }
 
-/// Control is served before data, and never gated: with a data frame, an
-/// ack and a shutdown all waiting when the coordinator first looks, the
-/// ack is applied and the node stops without admitting the event.
+/// Control is served before data, and never gated: with a data frame and
+/// a shutdown command both waiting when the coordinator first looks, the
+/// command is served and the node stops without reading the frame.
 #[test]
 fn control_is_served_before_data() {
     let rig = Rig::new(OperatorConfig::plain(), LinkConfig::instant(), LinkConfig::instant());
     rig.send(0, false);
-    rig.out_ctrl.send(Control::Ack { upto: 1 }).unwrap();
     rig.inbox.post(Notice::Command(NodeCommand::Shutdown));
     let mut rig = rig.start();
     rig.node.take().expect("started").join().expect("the coordinator panicked");
-    assert_eq!(rig.out_ctrl.retained_len(), 0, "the ack was not read");
+    assert_eq!(rig.inbox.inputs[0].try_recv(), Ok(Some((0, Message::Data(source_event(0))))));
     let ingested = rig.obs.journal.count_matching(|e| matches!(e.kind, JournalKind::Ingest { .. }));
     assert_eq!(ingested, 0, "data was admitted ahead of the shutdown");
     assert_eq!(rig.out_rx.try_recv(), Ok(None));
 }
 
 /// The coordinator never sleeps inside a read: while a data frame is in
-/// flight on a 20 ms link, downstream control is served at once.
+/// flight on a 20 ms link, a command is served at once.
 #[test]
 fn control_is_served_while_a_data_frame_is_in_flight() {
     const DELAY: Duration = Duration::from_millis(20);
     const PROMPT: Duration = Duration::from_millis(5);
-    let rig =
-        Rig::new(OperatorConfig::plain(), LinkConfig::with_delay(DELAY), LinkConfig::instant())
-            .start();
-    rig.send(0, false);
-    assert_eq!(rig.outputs(1), vec![Value::Int(0)]);
     // A loaded machine can delay any one wake-up; a coordinator asleep
     // in a read delays every one of them by most of the 20 ms.
     let mut best = Duration::MAX;
-    for round in 1..=5u64 {
-        // Outputs 0..round are read, the last one not yet acknowledged.
-        let sent = Instant::now();
+    for round in 0..5u64 {
+        let mut rig =
+            Rig::new(OperatorConfig::plain(), LinkConfig::with_delay(DELAY), LinkConfig::instant())
+                .start();
         rig.send(round, false);
-        rig.out_ctrl.send(Control::Ack { upto: round }).unwrap();
-        let ack = wait_until("the ack is applied", || rig.out_tx.retained_len() == 0);
-        best = best.min(ack);
         assert_eq!(rig.outputs(1), vec![Value::Int(round as i64)]);
-        assert!(sent.elapsed() >= DELAY, "the frame arrived before it was due");
+        // The next frame is in flight; the shutdown is served before it
+        // is due, and the frame is never read.
+        rig.send(round + 1, false);
+        rig.inbox.post(Notice::Command(NodeCommand::Shutdown));
+        let node = rig.node.take().expect("started");
+        best = best.min(wait_until("the command is served", || node.is_finished()));
+        node.join().expect("the coordinator panicked");
+        assert_eq!(rig.out_rx.try_recv(), Ok(None), "the frame in flight was read");
     }
-    assert!(best < PROMPT, "an ack waited {best:?} behind a frame in flight");
+    assert!(best < PROMPT, "a command waited {best:?} behind a frame in flight");
 }
 
 /// A recovering node rewinds its input ring to its checkpoint's
@@ -449,8 +442,7 @@ fn a_worker_images_its_committed_prefix_and_a_respawn_sends_what_the_receiver_la
     let mut rig = Rig::new(config, LinkConfig::instant(), LinkConfig::instant());
     let seed = rig.seed.as_mut().expect("not started");
     seed.down[0].sent = Arc::new(Sent { by_receiver: true, ..Sent::default() });
-    let (config, log, up) =
-        (seed.config.clone(), seed.log.clone().expect("logged"), seed.up.clone());
+    let (config, log) = (seed.config.clone(), seed.log.clone().expect("logged"));
     let rig = rig.start();
     let output = |serial: u64| EventId::new(OperatorId::new(0), serial << 16);
     let e0 = rig.send(0, true);
@@ -472,10 +464,10 @@ fn a_worker_images_its_committed_prefix_and_a_respawn_sends_what_the_receiver_la
     // Serials 0 and 1 committed, serial 2 is open: the prefix image waits
     // for the receiver's ack of serial 0's revision, at ring position 3.
     std::thread::sleep(SETTLE);
-    assert_eq!(rig.up_rx.try_recv(), Ok(None), "an image was saved before its outputs were acked");
-    rig.out_ctrl.send(Control::Ack { upto: 4 }).unwrap();
-    let (_, ack) = rig.up_rx.recv_timeout(PATIENCE).expect("the prefix image acks its upstream");
-    assert_eq!(ack, Control::Ack { upto: 2 }, "replay re-reads from serial 2's frame");
+    assert_eq!(rig.input.acked(), 0, "an image was saved before its outputs were acked");
+    rig.out_rx.ack_upto(4);
+    wait_until("the prefix image acks its input ring", || rig.input.acked() > 0);
+    assert_eq!(rig.input.acked(), 2, "replay re-reads from serial 2's frame");
     let image = read_back(log.stable_entries()).image.expect("the image is stable");
     assert_eq!(image.events_processed, 2);
     assert_eq!((image.outputs_sent, image.finals_sent), (vec![3], vec![2]));
@@ -498,7 +490,6 @@ fn a_worker_images_its_committed_prefix_and_a_respawn_sends_what_the_receiver_la
         config,
         clock: shared(SystemClock::new()),
         inbox: rig.inbox.clone(),
-        up,
         down: vec![DownEdge { data_tx, sent: sent.clone() }],
         log: Some(log),
         rng_seed: 1,
@@ -535,7 +526,6 @@ fn a_two_thread_node_cutting_at_every_serial_commits_every_event() {
             rig.send(sent, false);
             sent += 1;
         }
-        while let Ok(Some(_)) = rig.up_rx.try_recv() {}
         let Ok((_, msg)) = rig.out_rx.recv_timeout(PATIENCE) else {
             panic!("stalled at {finals}/{EVENTS} final with {sent} sent");
         };
@@ -601,15 +591,13 @@ fn an_image_that_misses_its_file_acks_nothing() {
     assert_eq!(rig.outputs(3), (0..3).map(Value::Int).collect::<Vec<_>>());
     wait_until("the failed file write is retried", || log.write_retries() > 0);
     std::thread::sleep(SETTLE);
-    assert_eq!(rig.up_rx.try_recv(), Ok(None), "an image that missed its file acked");
+    assert_eq!(rig.input.acked(), 0, "an image that missed its file acked");
 
     std::fs::create_dir_all(&dir).unwrap();
+    wait_until("the retried image acks", || rig.input.acked() == 2);
     rig.send(3, false);
     assert_eq!(rig.outputs(1), vec![Value::Int(3)]);
-    let (_, ack) = rig.up_rx.recv_timeout(PATIENCE).expect("the retried image acks");
-    assert_eq!(ack, Control::Ack { upto: 2 });
-    let (_, ack) = rig.up_rx.recv_timeout(PATIENCE).expect("the next image acks");
-    assert_eq!(ack, Control::Ack { upto: 4 });
+    wait_until("the next image acks", || rig.input.acked() == 4);
     let reopened = StableLog::open(vec![DiskSpec::simulated(Duration::ZERO)], &file);
     let image = read_back(reopened.stable_entries()).image.expect("the file holds the image");
     assert_eq!(image.events_processed, 4);

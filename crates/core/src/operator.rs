@@ -312,7 +312,7 @@ mod tests {
         let obs = Obs::tracing();
         DecisionLog {
             log: StableLog::new(vec![DiskSpec::simulated(Duration::from_micros(100))]),
-            inbox: Inbox::new(Vec::new(), Vec::new()),
+            inbox: Inbox::new(Vec::new()),
             log_wait_us: obs.registry.histogram("stage.log_wait_us", Labels::op(0)),
             tracer: obs.tracer.clone(),
             op: 0,

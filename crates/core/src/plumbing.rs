@@ -9,23 +9,25 @@
 //!   backpressure: what a stalled coordinator does not read stays unread
 //!   in the ring, the window fills and the producer saturates in turn, hop
 //!   by hop, with no second queue in between;
-//! * its **downstream control rings**, one per output — acks,
-//!   acknowledged as they are read (nobody re-reads a control link). In a
-//!   worker the out-bridge pushes the acks it reads off its socket there;
 //! * one unbounded **notice queue** for what is not an edge: log-stability
 //!   callbacks (of decisions and of checkpoint images), STM commits and
 //!   aborts, and engine commands. It must never block — a log
 //!   ticket fires its callback *synchronously on the caller's thread* when
 //!   the serial is already stable, so the coordinator itself posts here —
 //!   and it is bounded anyway by bounded in-flight state (open
-//!   transactions, the control windows);
+//!   transactions, images on their way);
 //! * one **waker** all of them signal, the only place the coordinator
-//!   sleeps. The consumer of each output ring signals it too, on its
-//!   first read after the coordinator found that window full.
+//!   sleeps. Each output ring signals it too: its consumer's first read
+//!   after the coordinator found that window full, and every advance of
+//!   the ring's ack watermark.
 //!
-//! The coordinator serves notices and control rings first, so a stalled
-//! node keeps applying acks — the deadlock-freedom core of the
-//! flow-control protocol. The inbox survives operator crashes — links,
+//! There is no reverse ring. A reader acknowledges the ring it reads (a
+//! node, its input rings below its stable image's positions), so an ack
+//! trims its ring whether or not the ring's producer runs, and a producer
+//! that waits for one reads the watermark of its output ring
+//! ([`LinkSender::acked`]). The coordinator serves notices first, so a
+//! stalled node keeps taking in what ends its stall — the deadlock-freedom
+//! core of the flow-control protocol. The inbox survives operator crashes — links,
 //! sequence counters and retained output buffers are exactly the state
 //! that lives *outside* the failed process in the paper's model; only the
 //! notices in flight die with it. That is also the whole of upstream
@@ -45,7 +47,7 @@ use streammine_net::{LinkReceiver, LinkSender, Waker};
 use streammine_stm::TxnId;
 use streammine_storage::log::LogSeq;
 
-use crate::message::{Control, Message};
+use crate::message::Message;
 
 /// What reaches a node's coordinator other than over a ring.
 #[derive(Debug)]
@@ -122,9 +124,6 @@ impl fmt::Debug for DownEdge {
 pub(crate) struct Inbox {
     /// The input rings, by port.
     pub inputs: Vec<LinkReceiver<Message>>,
-    /// The downstream control rings, by output. Where a bridge carries the
-    /// edge, it pushes what it reads off its socket to this ring.
-    pub ctrls: Vec<LinkReceiver<Control>>,
     notices: Mutex<VecDeque<Notice>>,
     waker: Waker,
 }
@@ -132,14 +131,10 @@ pub(crate) struct Inbox {
 impl Inbox {
     /// An inbox over the given rings; each signals the inbox's waker from
     /// now on.
-    pub fn new(
-        inputs: Vec<LinkReceiver<Message>>,
-        ctrls: Vec<LinkReceiver<Control>>,
-    ) -> Arc<Inbox> {
+    pub fn new(inputs: Vec<LinkReceiver<Message>>) -> Arc<Inbox> {
         let waker = Waker::new();
         inputs.iter().for_each(|rx| rx.set_waker(waker.clone()));
-        ctrls.iter().for_each(|rx| rx.set_waker(waker.clone()));
-        Arc::new(Inbox { inputs, ctrls, notices: Mutex::new(VecDeque::new()), waker })
+        Arc::new(Inbox { inputs, notices: Mutex::new(VecDeque::new()), waker })
     }
 
     /// Queues a notice and wakes the coordinator. Never blocks.
@@ -161,9 +156,10 @@ impl Inbox {
         self.waker.wake();
     }
 
-    /// Makes the consumer of the node's output ring `out` signal this
-    /// inbox when it reads on after the node found the window full: the
-    /// read is what ends a backpressure stall.
+    /// Makes the node's output ring `out` signal this inbox when its
+    /// consumer reads on after the node found the window full — the read
+    /// is what ends a backpressure stall — and when its ack watermark
+    /// advances, which an image waiting for that ack reads.
     pub fn wake_on_room(&self, out: &LinkSender<Message>) {
         out.set_waker(self.waker.clone());
     }
@@ -196,7 +192,7 @@ mod tests {
 
     #[test]
     fn notices_are_taken_in_order_and_die_with_a_crash() {
-        let inbox = Inbox::new(Vec::new(), Vec::new());
+        let inbox = Inbox::new(Vec::new());
         inbox.post(Notice::LogStable { serial: 1 });
         inbox.post(Notice::LogStable { serial: 2 });
         let mut got = VecDeque::new();
@@ -221,7 +217,7 @@ mod tests {
     /// readable — a signal between its last poll and its park is kept.
     #[test]
     fn one_consumer_drains_many_producers_without_a_lost_wakeup() {
-        const RINGS: usize = 3;
+        const RINGS: usize = 6;
         const PER_PRODUCER: u64 = 2_000;
         /// Far longer than any hand-over; a park that lasts this long with
         /// something readable slept through its signal.
@@ -230,23 +226,14 @@ mod tests {
         // Tiny windows, so producers also block on the consumer's cursor.
         let (data_txs, data_rxs): (Vec<_>, Vec<_>) =
             (0..RINGS).map(|_| link::<Message>(LinkConfig::instant().with_capacity(4))).unzip();
-        let (ctrl_txs, ctrl_rxs): (Vec<_>, Vec<_>) =
-            (0..RINGS).map(|_| link::<Control>(LinkConfig::instant().with_capacity(4))).unzip();
-        let inbox = Inbox::new(data_rxs, ctrl_rxs);
-        let total = PER_PRODUCER * (2 * RINGS as u64 + 1);
+        let inbox = Inbox::new(data_rxs);
+        let total = PER_PRODUCER * (RINGS as u64 + 1);
 
         std::thread::scope(|s| {
             for tx in &data_txs {
                 s.spawn(move || {
                     for n in 0..PER_PRODUCER {
                         tx.send_blocking(msg(n as i64)).unwrap();
-                    }
-                });
-            }
-            for tx in &ctrl_txs {
-                s.spawn(move || {
-                    for n in 0..PER_PRODUCER {
-                        tx.send_blocking(Control::Ack { upto: n }).unwrap();
                     }
                 });
             }
@@ -258,7 +245,6 @@ mod tests {
             });
 
             let mut next_data = [0u64; RINGS];
-            let mut next_ctrl = [0u64; RINGS];
             let mut next_notice = 0u64;
             let mut notices = VecDeque::new();
             let mut consumed = 0u64;
@@ -271,14 +257,6 @@ mod tests {
                     );
                     next_notice += 1;
                     consumed += 1;
-                }
-                for (ring, rx) in inbox.ctrls.iter().enumerate() {
-                    while let Some((seq, ctrl)) = rx.try_recv().unwrap() {
-                        assert_eq!((seq, ctrl), (next_ctrl[ring], Control::Ack { upto: seq }));
-                        rx.ack_upto(seq + 1);
-                        next_ctrl[ring] += 1;
-                        consumed += 1;
-                    }
                 }
                 for (ring, rx) in inbox.inputs.iter().enumerate() {
                     // One frame per ring per pass: the consumer parks often.

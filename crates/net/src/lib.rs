@@ -8,7 +8,11 @@
 //! A link is **one ring per edge**: a queue of unacknowledged messages
 //! with a base sequence number, under one mutex. The sender appends, the
 //! receiver reads through a cursor kept in the same shared state, and an
-//! acknowledgment trims the front. That one buffer is, at once,
+//! acknowledgment trims the front. An acknowledgment is the ring's own
+//! **watermark** ([`LinkSender::acked`]): the reader that no longer needs
+//! a prefix says so on the ring it reads ([`LinkReceiver::ack_upto`]), so
+//! there is no second, reverse ring of superseded acks. That one buffer
+//! is, at once,
 //!
 //! * the **output buffer** of upstream backup (§2.2): a message stays in
 //!   the ring until acknowledged, so a recovering downstream re-reads from
@@ -31,15 +35,19 @@
 //! * the **severed-link backlog** (failure injection): severing freezes
 //!   how far the cursor may read; what is sent meanwhile waits in the ring
 //!   and flows, in order, when the link heals. A transient
-//!   [`LinkSender::delay_spike`] models congestion without reordering.
+//!   [`LinkSender::delay_spike`] models congestion without reordering, and
+//!   [`LinkSender::hold_acks`] delays acknowledgments: the highest one
+//!   taken meanwhile is applied at [`LinkSender::release_acks`], none is
+//!   lost.
 //!
 //! A receiver either blocks on its own ring ([`LinkReceiver::recv`]) or —
 //! a consumer of several rings — polls each with
 //! [`LinkReceiver::try_recv`] and parks on one [`Waker`] that every ring
 //! signals ([`LinkReceiver::set_waker`]) until something was sent or the
 //! earliest in-flight message ([`LinkReceiver::next_due`]) is due. A
-//! producer that stops on a full window parks on its own waker
-//! ([`LinkSender::set_waker`]), which the receiver's next read signals.
+//! producer parks on its own waker ([`LinkSender::set_waker`]): the
+//! receiver's next read signals it after it stopped on a full window, and
+//! every advance of the watermark signals it too.
 //!
 //! # Example
 //!
@@ -318,9 +326,12 @@ struct Ring<T> {
     /// Sever: sequences at or past it are not readable (`u64::MAX` while
     /// connected).
     limit: u64,
-    /// Everything below it is acknowledged; an entry goes once it is also
-    /// read.
+    /// The watermark: everything below it is acknowledged, and an entry
+    /// goes once it is also read. It only grows.
     acked: u64,
+    /// While acknowledgments are held (failure injection), the highest one
+    /// taken meanwhile; applied at the release.
+    held: Option<u64>,
     last_due: Option<Instant>,
     spike: Option<Spike>,
     rng: DetRng,
@@ -442,7 +453,8 @@ struct Shared<T> {
     writable: Condvar,
     /// The consumer's own waker, signalled with `readable`.
     waker: OnceLock<Waker>,
-    /// The producer's own waker, signalled with `writable`.
+    /// The producer's own waker, signalled with `writable` and when the
+    /// watermark advances.
     tx_waker: OnceLock<Waker>,
     config: LinkConfig,
 }
@@ -460,10 +472,26 @@ impl<T> Shared<T> {
 
     fn ack_upto(&self, upto: u64) {
         let mut ring = self.ring.lock();
-        ring.acked = ring.acked.max(upto);
+        match &mut ring.held {
+            Some(held) => *held = (*held).max(upto),
+            None => self.advance(ring, upto),
+        }
+    }
+
+    /// Moves the watermark up to `upto`, trims what is read below it and
+    /// signals the producer; a lower `upto` changes nothing.
+    fn advance(&self, mut ring: MutexGuard<'_, Ring<T>>, upto: u64) {
+        if upto <= ring.acked {
+            return;
+        }
+        ring.acked = upto;
         ring.trim();
         if let Some(m) = &ring.metrics {
             m.retained.set(ring.entries.len() as i64);
+        }
+        drop(ring);
+        if let Some(waker) = self.tx_waker.get() {
+            waker.wake();
         }
     }
 
@@ -549,6 +577,7 @@ pub fn link<T: Clone + Send + 'static>(config: LinkConfig) -> (LinkSender<T>, Li
             read_hwm: 0,
             limit: u64::MAX,
             acked: 0,
+            held: None,
             last_due: None,
             spike: None,
             rng: DetRng::seed_from(config.seed),
@@ -673,7 +702,9 @@ impl<T: Clone + Send + 'static> LinkSender<T> {
     /// Makes the receiver's next read signal `waker` once
     /// [`LinkSender::is_saturated`] has answered `true`, for a
     /// producer that stops on a full window and sleeps on the waker. A read
-    /// costs nothing extra while the producer is not stopped.
+    /// costs nothing extra while the producer is not stopped. Every
+    /// advance of the watermark ([`LinkSender::acked`]) signals it too, for
+    /// a producer that waits for its receiver's acknowledgment.
     ///
     /// # Panics
     ///
@@ -687,6 +718,30 @@ impl<T: Clone + Send + 'static> LinkSender<T> {
     /// An acknowledged message leaves the ring once it has also been read.
     pub fn ack_upto(&self, upto: u64) {
         self.shared.ack_upto(upto);
+    }
+
+    /// The watermark: every sequence below it is acknowledged. It only
+    /// grows; acknowledgments held back ([`LinkSender::hold_acks`]) do not
+    /// count until released.
+    pub fn acked(&self) -> u64 {
+        self.shared.ring.lock().acked
+    }
+
+    /// Holds acknowledgments back (failure injection): the watermark stays
+    /// where it is, and the highest acknowledgment taken meanwhile waits
+    /// for [`LinkSender::release_acks`]. Data flow is untouched.
+    pub fn hold_acks(&self) {
+        let mut ring = self.shared.ring.lock();
+        ring.held = Some(ring.held.unwrap_or(ring.acked));
+    }
+
+    /// Applies the highest acknowledgment taken while held, and takes
+    /// acknowledgments at once again.
+    pub fn release_acks(&self) {
+        let mut ring = self.shared.ring.lock();
+        if let Some(held) = ring.held.take() {
+            self.shared.advance(ring, held);
+        }
     }
 
     /// Number of messages in the ring (unacknowledged or unread).
@@ -888,9 +943,11 @@ impl<T: Clone + Send + 'static> LinkReceiver<T> {
         self.shared.rewind(from)
     }
 
-    /// The receiver's side of [`LinkSender::ack_upto`], for a consumer
-    /// that is the last one to need what it reads (the reader of a control
-    /// link acknowledges what it has handled).
+    /// The receiver's side of [`LinkSender::ack_upto`]: a reader
+    /// acknowledges the ring it reads once it will never read a prefix
+    /// again (a node, below its stable image's position; a sink, below its
+    /// first record not final). The producer sees the watermark move
+    /// ([`LinkSender::acked`]).
     pub fn ack_upto(&self, upto: u64) {
         self.shared.ack_upto(upto);
     }
@@ -1310,6 +1367,37 @@ mod tests {
         tx.send(3).unwrap();
         assert_eq!(rx.try_recv().unwrap(), Some((2, 3)));
         assert!(!waker.park(Some(now())), "a read the producer did not wait for");
+    }
+
+    /// The watermark only grows, acknowledgments taken while held wait
+    /// for the release as their maximum, and each advance — and only an
+    /// advance — signals the producer.
+    #[test]
+    fn the_watermark_grows_holds_and_signals_its_producer() {
+        let now = Instant::now;
+        let waker = Waker::new();
+        let (tx, rx) = link::<u8>(LinkConfig::instant());
+        tx.set_waker(waker.clone());
+        for i in 0..8 {
+            tx.send(i).unwrap();
+            rx.recv().unwrap();
+        }
+        rx.ack_upto(3);
+        assert_eq!((tx.acked(), tx.retained_len()), (3, 5));
+        assert!(waker.park(Some(now())), "an advance is a signal");
+        rx.ack_upto(2);
+        assert_eq!(tx.acked(), 3, "the watermark never goes back");
+        assert!(!waker.park(Some(now())), "a stale ack is no signal");
+        tx.hold_acks();
+        rx.ack_upto(6);
+        rx.ack_upto(5);
+        assert_eq!((tx.acked(), tx.retained_len()), (3, 5), "held acks trim nothing");
+        assert!(!waker.park(Some(now())), "a held ack is no signal");
+        tx.release_acks();
+        assert_eq!((tx.acked(), tx.retained_len()), (6, 2), "the highest held ack applies");
+        assert!(waker.park(Some(now())), "the release advanced the watermark");
+        rx.ack_upto(7);
+        assert_eq!(tx.acked(), 7, "released: acks apply at once again");
     }
 
     #[test]

@@ -115,24 +115,29 @@ proptest! {
     }
 
     /// The ring against a `Vec` model under arbitrary interleavings of
-    /// send / push / recv / sever / heal / replay / ack / delay spike: the
+    /// send / push / recv / sever / heal / replay / ack / delay spike /
+    /// held acks: the
     /// receiver is handed exactly the sequence at its cursor (in order,
     /// never a gap), a rewind stops at what is retained, the rejecting
     /// send says `Saturated` iff the window is full and then uses no
     /// sequence number, and nothing accepted is lost before it is both
     /// read and acknowledged. A message a spike still holds in flight is
     /// not readable yet: the non-blocking read may find nothing, the
-    /// blocking one waits out the spike and gets exactly that message.
+    /// blocking one waits out the spike and gets exactly that message. The
+    /// watermark is the highest ack taken while acks were not held; a
+    /// release applies the highest one held.
     #[test]
     fn ring_matches_vec_model(
         capacity in 1usize..10,
-        ops in proptest::collection::vec((0u8..10, 0u64..48), 1..160),
+        ops in proptest::collection::vec((0u8..12, 0u64..48), 1..160),
     ) {
         let (tx, rx) = link::<u64>(LinkConfig::instant().with_capacity(capacity));
         // The model: sequence `s` carries payload `s`; `tail` messages were
         // accepted, those below `base` are gone.
         let (mut tail, mut base, mut cursor, mut acked) = (0u64, 0u64, 0u64, 0u64);
         let mut limit = u64::MAX;
+        // The highest ack taken while held, if acks are held.
+        let mut held: Option<u64> = None;
         for (op, arg) in ops {
             let full = (tail - cursor) as usize >= capacity;
             match op {
@@ -184,7 +189,18 @@ proptest! {
                 }
                 8 => {
                     tx.ack_upto(arg);
-                    acked = acked.max(arg);
+                    match &mut held {
+                        Some(held) => *held = (*held).max(arg),
+                        None => acked = acked.max(arg),
+                    }
+                }
+                10 => {
+                    tx.hold_acks();
+                    held = Some(held.unwrap_or(acked));
+                }
+                11 => {
+                    tx.release_acks();
+                    acked = acked.max(held.take().unwrap_or(0));
                 }
                 _ => tx.delay_spike(
                     std::time::Duration::from_micros(arg),
@@ -193,6 +209,7 @@ proptest! {
             }
             base = base.max(acked.min(cursor));
             prop_assert_eq!(tx.retained_len() as u64, tail - base);
+            prop_assert_eq!(tx.acked(), acked);
             prop_assert_eq!(tx.is_severed(), limit != u64::MAX);
         }
         // Nothing accepted and still owed is lost: from the first retained

@@ -223,16 +223,22 @@ fn double_crash_recovery_still_precise() {
     running.shutdown();
 }
 
-/// Control links are consumed, not replayed: every consumer acknowledges
-/// what it has forwarded, so however long the graph runs no `Ack` stays
-/// behind in a link.
+/// Every reader acknowledges the ring it reads, so however long the graph
+/// runs each ring keeps only what its reader may read again. A relay acks
+/// its input ring up to its last stable image's position, and its images
+/// cut every `EVERY` events: at the end of the run the last image covers
+/// all but the last `EVERY - 1` events at most, which lie in as many
+/// frames, plus the frame of a batch the cut splits — so a relay's input
+/// ring keeps at most `EVERY` frames. A sink acks below its first record
+/// not final once that passes its last ack by 16 frames, so with every
+/// record final its ring keeps at most 15.
 #[test]
-fn control_links_retain_nothing_over_a_long_run() {
+fn every_ring_is_trimmed_over_a_long_run() {
     const EVENTS: usize = 50_000;
+    const EVERY: u64 = 64;
+    const SINK_BOUND: usize = 15;
     let mut b = GraphBuilder::new();
-    // Checkpoints make both operators ack their upstreams; the sink acks
-    // every 16 frames on its own.
-    let cfg = || OperatorConfig::plain().with_checkpoint_every(64);
+    let cfg = || OperatorConfig::plain().with_checkpoint_every(EVERY);
     let a = b.add_operator(StampedRelay::new(), cfg());
     let c = b.add_operator(StampedRelay::new(), cfg());
     b.connect(a, c).unwrap();
@@ -243,10 +249,17 @@ fn control_links_retain_nothing_over_a_long_run() {
         running.source(src).push(Value::Int(i as i64));
     }
     assert!(running.sink(sink).wait_final(EVENTS, Duration::from_secs(120)));
-    // Let the last acks in flight reach their pumps.
-    std::thread::sleep(Duration::from_millis(100));
-    let retained = running.control_links_retained();
-    assert_eq!(retained.len(), 3, "source, operator and sink control links");
-    assert!(retained.iter().all(|&n| n <= 4), "control links leak: {retained:?} retained");
+    // Source → a, a → c, c → sink. The last image is acked once it is
+    // stable, a moment after the last final.
+    let bounds = [EVERY as usize, EVERY as usize, SINK_BOUND];
+    let trimmed = |retained: &[usize]| retained.iter().zip(&bounds).all(|(n, bound)| n <= bound);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let mut retained = running.rings_retained();
+    while !trimmed(&retained) && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+        retained = running.rings_retained();
+    }
+    assert_eq!(retained.len(), 3, "the source's, the edge's and the sink's ring");
+    assert!(trimmed(&retained), "rings retain {retained:?} frames, bounds {bounds:?}");
     running.shutdown();
 }

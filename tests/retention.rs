@@ -38,6 +38,9 @@ const PATIENCE: Duration = Duration::from_secs(30);
 const LOADED_EVENTS: usize = 5_000;
 const RETAINED_BOUND: i64 = 512;
 
+/// The slow device of the node that acks a dead upstream's ring.
+const STALLED_LOG: Duration = Duration::from_millis(20);
+
 /// An operator whose output embeds a random draw: outputs match across a
 /// crash only if every draw is reproduced.
 struct RandomTagger;
@@ -627,4 +630,64 @@ fn an_image_taken_while_replaying_keeps_the_records_read_back() {
         }
         running.shutdown();
     }
+}
+
+/// A reader acks the ring it reads, so it needs nothing of the ring's
+/// producer: op0 (plain) feeds op1 (non-speculative, its decisions on a
+/// slow device, an image every 4 events), op0 crashes once its burst is in
+/// their ring, and nobody restarts it. op1 drains the ring and images it,
+/// and the ring keeps only what op1's last stable image does not cover.
+#[test]
+fn a_dead_upstreams_ring_is_trimmed_by_its_reader() {
+    const BURST: usize = 40;
+    let mut b = GraphBuilder::new();
+    let op0 = b.add_operator(DrawingRelay, OperatorConfig::plain());
+    let logged = OperatorConfig::logged(LoggingConfig::simulated(STALLED_LOG));
+    let op1 = b.add_operator(DrawingRelay, logged.with_checkpoint_every(4));
+    b.connect(op0, op1).unwrap();
+    let src = b.source_into(op0).unwrap();
+    let sink = b.sink_from(op1).unwrap();
+    let running = b.build().unwrap().start();
+    for i in 0..BURST {
+        running.source(src).push(Value::Int(i as i64));
+    }
+    // op1 admits each event as it reads it, and its first log write is
+    // not over yet: the burst is in the ring, and no image is.
+    let registry = &running.obs().registry;
+    let read = || registry.counter_value("events.in", Labels::op_port(1, 0)).unwrap_or(0);
+    let deadline = Instant::now() + PATIENCE;
+    while read() < BURST as u64 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(read(), BURST as u64, "op1 did not read the burst");
+    running.crash(op0);
+    assert!(running.sink(sink).wait_final(BURST, PATIENCE), "op1 did not drain the ring");
+    let edge = Labels::op_port(0, 0);
+    let trimmed = || {
+        let position = running.operator_image(op1).map_or(0, |image| image.inputs[0].position);
+        let sent = registry.counter_value("edge.sent", edge).unwrap_or(0);
+        let retained = registry.gauge_value("edge.retained", edge).unwrap_or(-1);
+        (position, sent, retained)
+    };
+    let deadline = Instant::now() + PATIENCE;
+    let imaged_and_acked = |(position, sent, retained): (u64, u64, i64)| {
+        running.operator_image(op1).is_some_and(|image| image.events_processed == BURST as u64)
+            && retained == (sent - position) as i64
+    };
+    while !imaged_and_acked(trimmed()) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (position, sent, retained) = trimmed();
+    assert_eq!(
+        running.operator_image(op1).map(|image| image.events_processed),
+        Some(BURST as u64),
+        "op1's last image does not cover the burst"
+    );
+    assert_eq!(
+        retained,
+        (sent - position) as i64,
+        "the ring of {sent} frames is not trimmed to op1's image at {position}"
+    );
+    assert_eq!(running.edge_acked(0), position, "the ring's watermark is op1's image");
+    running.shutdown();
 }

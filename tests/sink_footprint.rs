@@ -1,7 +1,7 @@
 //! Footprint fence for what a sink keeps per event.
 //!
 //! Installs a `#[global_allocator]` that tracks live heap bytes and their
-//! high-water mark (every thread: source responder, node, sink collector),
+//! high-water mark (every thread: node, sink collector),
 //! pushes 15 000 events through source → one plain relay → sink and waits
 //! until all are final. The peak growth of live bytes over the started
 //! graph, per event, is what the engine keeps per event once the edges are
