@@ -2,14 +2,15 @@
 
 use std::time::Duration;
 
+use streammine_common::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 use streammine_common::error::{Error, Result};
 use streammine_obs::RecoveryModeTag;
 use streammine_sketch::ErrorBound;
-use streammine_stm::StmConfig;
+use streammine_stm::{CommitOrder, DependencyMode, StmConfig};
 use streammine_storage::disk::DiskSpec;
 
 /// Determinant-logging configuration of one operator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoggingConfig {
     /// One storage point per spec (the paper's `N` disks / `Sim X`
     /// configurations). The paper's writer thread per point (§2.4) is a
@@ -92,7 +93,7 @@ pub const CHECKPOINT_EVERY: u64 = 64;
 
 /// Configuration of one operator instance (§2.3: "each operator can be
 /// configured as being speculative or not").
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatorConfig {
     /// Speculative mode: events are emitted before logs stabilize, tagged
     /// speculative, and finalized later; processing runs under STM control.
@@ -243,6 +244,88 @@ impl OperatorConfig {
             }
         }
         Ok(())
+    }
+
+    /// The devices of the operator's one durable stream, in process and in
+    /// a cluster worker alike: its logging disks when it logs decisions
+    /// (logged and precise); one free device for its images when it logs
+    /// none (unlogged, or approximate) but checkpoints; none otherwise.
+    pub(crate) fn log_disks(&self) -> Option<Vec<DiskSpec>> {
+        match &self.logging {
+            Some(logging) if self.recovery == RecoveryMode::Precise => Some(logging.disks.clone()),
+            _ => self.checkpoint_every.map(|_| vec![DiskSpec::simulated(Duration::ZERO)]),
+        }
+    }
+}
+
+/// The form a cluster worker receives its slot's configuration in: every
+/// field in declaration order, the nested ones inline. What decodes is not
+/// yet valid: its reader calls [`OperatorConfig::validate`].
+impl Encode for OperatorConfig {
+    fn encode(&self, enc: &mut Encoder) {
+        self.speculative.encode(enc);
+        self.threads.encode(enc);
+        self.logging.as_ref().map(|l| l.disks.len()).encode(enc);
+        for disk in self.logging.iter().flat_map(|l| &l.disks) {
+            enc.put_u64(disk.write_latency.as_nanos() as u64);
+            enc.put_f64(disk.jitter);
+            disk.bytes_per_sec.encode(enc);
+            enc.put_f64(disk.fault_rate);
+            disk.name.encode(enc);
+        }
+        self.checkpoint_every.encode(enc);
+        enc.put_u8(self.stm.commit_order as u8);
+        enc.put_u8(self.stm.dependency_mode as u8);
+        self.stm.fastpath.encode(enc);
+        self.node.max_open_speculations.encode(enc);
+        self.node.max_retained_spec_outputs.encode(enc);
+        match self.recovery {
+            RecoveryMode::Precise => None,
+            RecoveryMode::Approximate(bound) => Some(bound),
+        }
+        .encode(enc);
+    }
+}
+
+impl Decode for OperatorConfig {
+    fn decode(dec: &mut Decoder<'_>) -> std::result::Result<Self, DecodeError> {
+        let speculative = bool::decode(dec)?;
+        let threads = usize::decode(dec)?;
+        let logging = match Option::<usize>::decode(dec)? {
+            Some(n) => {
+                let mut disks = Vec::with_capacity(n.min(16));
+                for _ in 0..n {
+                    disks.push(DiskSpec {
+                        write_latency: Duration::from_nanos(dec.get_u64()?),
+                        jitter: dec.get_f64()?,
+                        bytes_per_sec: Option::<u64>::decode(dec)?,
+                        fault_rate: dec.get_f64()?,
+                        name: String::decode(dec)?,
+                    });
+                }
+                Some(LoggingConfig { disks })
+            }
+            None => None,
+        };
+        let checkpoint_every = Option::<u64>::decode(dec)?;
+        let commit_order = match dec.get_u8()? {
+            0 => CommitOrder::Timestamp,
+            1 => CommitOrder::Conflict,
+            tag => return Err(DecodeError::InvalidTag { type_name: "CommitOrder", tag }),
+        };
+        let dependency_mode = match dec.get_u8()? {
+            0 => DependencyMode::FineGrained,
+            1 => DependencyMode::TaintAll,
+            tag => return Err(DecodeError::InvalidTag { type_name: "DependencyMode", tag }),
+        };
+        let stm = StmConfig { commit_order, dependency_mode, fastpath: bool::decode(dec)? };
+        let node = NodeConfig {
+            max_open_speculations: usize::decode(dec)?,
+            max_retained_spec_outputs: usize::decode(dec)?,
+        };
+        let recovery = Option::<ErrorBound>::decode(dec)?
+            .map_or(RecoveryMode::Precise, RecoveryMode::Approximate);
+        Ok(OperatorConfig { speculative, threads, logging, checkpoint_every, stm, node, recovery })
     }
 }
 

@@ -40,6 +40,10 @@ const CTRL_DIAL_TIMEOUT: Duration = Duration::from_secs(10);
 /// Worker-side redial backoff for the control connection: 5 ms doubling
 /// to 200 ms.
 const CTRL_REDIAL: BackoffConfig = BackoffConfig::millis(5, 200);
+/// A cluster worker's heartbeat period.
+const BEAT: Duration = Duration::from_millis(20);
+/// The silence after which the launcher declares a worker's lease expired.
+pub(crate) const LEASE_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// A live lease: the newest incarnation seen for a worker slot and when
 /// it last proved liveness.
@@ -266,7 +270,7 @@ fn serve_worker(conn: Box<dyn streammine_net::FrameConn>, shared: Arc<PlaneShare
 }
 
 /// Who a control client claims to be: the identity fields carried by its
-/// `Hello` and echoed in every `Beat`.
+/// `Hello` and echoed in every `Beat`, sent every [`BEAT`].
 pub(crate) struct CtrlIdentity {
     /// Worker index.
     pub worker: u32,
@@ -274,8 +278,6 @@ pub(crate) struct CtrlIdentity {
     pub incarnation: u64,
     /// Where this worker's data listener accepts edge connections.
     pub data_addr: String,
-    /// Heartbeat period.
-    pub beat: Duration,
 }
 
 /// Worker-side control client: dials the parent, claims the lease, beats,
@@ -300,7 +302,7 @@ impl CtrlClient {
         events: crossbeam_channel::Sender<CtrlMsg>,
         shutdown: Arc<AtomicBool>,
     ) -> Result<CtrlClient, FrameError> {
-        let CtrlIdentity { worker, incarnation, data_addr, beat } = identity;
+        let CtrlIdentity { worker, incarnation, data_addr } = identity;
         let pause_until = Arc::new(Mutex::new(None));
         let shared_tx = SharedFrameTx::new();
         let client = CtrlClient {
@@ -378,7 +380,7 @@ impl CtrlClient {
                                     break; // redial + re-Hello
                                 }
                             }
-                            std::thread::sleep(beat);
+                            std::thread::sleep(BEAT);
                         }
                     });
                 }
@@ -450,12 +452,7 @@ mod tests {
         let client = CtrlClient::connect(
             t,
             plane.local_addr().to_string(),
-            CtrlIdentity {
-                worker: 2,
-                incarnation: 0,
-                data_addr: "mem:data-w2".into(),
-                beat: Duration::from_millis(10),
-            },
+            CtrlIdentity { worker: 2, incarnation: 0, data_addr: "mem:data-w2".into() },
             ev_tx,
             shutdown.clone(),
         )
@@ -505,12 +502,7 @@ mod tests {
         let client = CtrlClient::connect(
             t,
             plane.local_addr().to_string(),
-            CtrlIdentity {
-                worker: 7,
-                incarnation: 0,
-                data_addr: "mem:data-w7".into(),
-                beat: Duration::from_millis(10),
-            },
+            CtrlIdentity { worker: 7, incarnation: 0, data_addr: "mem:data-w7".into() },
             ev_tx,
             shutdown.clone(),
         )
@@ -559,7 +551,6 @@ mod tests {
                 worker: 4,
                 incarnation: 0, // zombie incarnation
                 data_addr: "mem:data-w4".into(),
-                beat: Duration::from_millis(10),
             },
             ev_tx,
             shutdown.clone(),
@@ -587,12 +578,7 @@ mod tests {
         let _client = CtrlClient::connect(
             t,
             plane.local_addr().to_string(),
-            CtrlIdentity {
-                worker: 1,
-                incarnation: 0,
-                data_addr: "mem:data-w1".into(),
-                beat: Duration::from_millis(10),
-            },
+            CtrlIdentity { worker: 1, incarnation: 0, data_addr: "mem:data-w1".into() },
             ev_tx,
             shutdown.clone(),
         )

@@ -36,11 +36,11 @@
 //! The logs live in one directory per cluster, under the temp directory,
 //! created by [`Cluster::launch`] and removed by [`Cluster::shutdown`].
 //!
-//! Precise workers speculate ([`super::worker`]): what crosses the
-//! sockets between them is speculative until its `Finalize` follows. The
-//! cluster's sink is the barrier — [`SinkHandle`] reports an event final
-//! only when the last worker said so, and only finals count as output
-//! here: in what [`Cluster::sink`] hands out and in the recovery
+//! Speculative slots speculate across processes ([`super::worker`]): what
+//! crosses the sockets between them is speculative until its `Finalize`
+//! follows. The cluster's sink is the barrier — [`SinkHandle`] reports an
+//! event final only when the last worker said so, and only finals count
+//! as output here: in what [`Cluster::sink`] hands out and in the recovery
 //! timelines' `first_output` and `drain`.
 
 use std::path::{Path, PathBuf};
@@ -60,14 +60,13 @@ use streammine_obs::{
     RegistrySnapshot, TransportMetrics,
 };
 
-use streammine_sketch::ErrorBound;
 use streammine_storage::checkpoint::Checkpoint;
 use streammine_storage::log::StableLog;
 
-use crate::config::{RecoveryMode, CHECKPOINT_EVERY};
+use crate::config::{LoggingConfig, OperatorConfig};
 use crate::determinant::read_back;
 use crate::dist::bridge::{Acceptor, DialSlot, EdgeCursor, InEdge, OutBridge};
-use crate::dist::control::{ControlPlane, CtrlEvent, LeaseView};
+use crate::dist::control::{ControlPlane, CtrlEvent, LeaseView, LEASE_TIMEOUT};
 use crate::dist::spec::{log_file, WorkerSpec, SPEC_ENV};
 use crate::dist::wire::{CtrlMsg, FaultCmd};
 use crate::endpoints::{SinkHandle, SourceHandle};
@@ -77,52 +76,32 @@ use crate::restart::{Restart, Restarts};
 /// How long [`Cluster::shutdown`] lets the workers finish by themselves.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
 
-/// One operator slot in the cluster chain.
+/// One operator slot in the cluster chain: an operator, by its name in
+/// the worker binary's registry, and its configuration — the
+/// [`OperatorConfig`] an operator in process takes. The worker builds its
+/// node from that config as it stands, and its log, images included, goes
+/// into the slot's file in the cluster's directory, where a respawned
+/// process finds its predecessor's.
 #[derive(Debug, Clone)]
 pub struct NodeSpec {
     /// Operator name, resolved by the worker binary's registry.
     pub operator: String,
-    /// Simulated stable-log write latency, microseconds.
-    pub log_micros: u64,
-    /// Replicated decision-log disks.
-    pub disks: u32,
-    /// Crash-recovery contract: precise (the default) or approximate
-    /// under a declared bound.
-    pub recovery: RecoveryMode,
-    /// Checkpoint interval in processed events (`None` = no
-    /// checkpointing: nothing is acked upstream and recovery is a full
-    /// upstream replay). Every image goes into the slot's log file in the
-    /// cluster's directory, where the respawned process finds its
-    /// predecessor's.
-    pub checkpoint_every: Option<u64>,
+    /// The operator's configuration.
+    pub config: OperatorConfig,
 }
 
 impl NodeSpec {
-    /// A precise slot that logs each event's decisions on `disks` devices
-    /// of `log_micros` write latency and checkpoints every 64 events. The
-    /// log makes its output *final*, not sendable: the worker forwards
-    /// every output at once, speculative, and finalizes it when the record
-    /// is stable (and the input itself final), so a chain of such slots
-    /// waits for one log write, not one per slot. The checkpoint acks its
-    /// upstream's retention away, and a replacement resumes from it,
-    /// replaying only the suffix after it.
+    /// A speculative slot on one thread that logs each event's decisions
+    /// on `disks` devices of `log_micros` write latency and checkpoints
+    /// every 64 events. The log makes its output *final*, not sendable: the
+    /// worker forwards every output at once, speculative, and finalizes it
+    /// when the record is stable (and the input itself final), so a chain
+    /// of such slots waits for one log write, not one per slot. The
+    /// checkpoint acks its upstream's retention away, and a replacement
+    /// resumes from it, replaying only the suffix after it.
     pub fn logged(operator: &str, log_micros: u64, disks: u32) -> NodeSpec {
-        NodeSpec {
-            operator: operator.into(),
-            log_micros,
-            disks,
-            recovery: RecoveryMode::Precise,
-            checkpoint_every: Some(CHECKPOINT_EVERY),
-        }
-    }
-
-    /// Switches the slot to approximate recovery: checkpoints every
-    /// `every` events, resumes stale within `bound`.
-    #[must_use]
-    pub fn with_approximate_recovery(mut self, bound: ErrorBound, every: u64) -> NodeSpec {
-        self.recovery = RecoveryMode::Approximate(bound);
-        self.checkpoint_every = Some(every);
-        self
+        let logging = LoggingConfig::simulated_n(disks as usize, Duration::from_micros(log_micros));
+        NodeSpec { operator: operator.into(), config: OperatorConfig::speculative(logging) }
     }
 }
 
@@ -164,16 +143,8 @@ pub struct ClusterSpec {
     pub operators: Vec<NodeSpec>,
     /// Path to the worker binary (calls [`super::worker_main`]).
     pub worker_bin: PathBuf,
-    /// Worker heartbeat interval.
-    pub beat: Duration,
-    /// Silence after which a lease is declared expired.
-    pub lease_timeout: Duration,
     /// Lease check interval.
     pub poll: Duration,
-    /// Per-worker RNG seed base: worker `i` gets `base + i`. Matches the
-    /// in-process graph's convention so a single-process run of the same
-    /// chain is the byte-identical reference.
-    pub rng_seed_base: u64,
     /// Causal-tracer sampling rate for the whole cluster: trace one source
     /// event in this many (`0` = tracing off). Applied to the parent's
     /// endpoints and every worker, so sampled trace ids line up across
@@ -185,16 +156,15 @@ pub struct ClusterSpec {
 }
 
 impl ClusterSpec {
-    /// A chain of `operators` with the default timing (20 ms beats,
-    /// 250 ms leases checked every 25 ms) and the in-process RNG seeds.
+    /// A chain of `operators` whose workers beat every 20 ms, with their
+    /// 250 ms leases checked every 25 ms. Slot `i` seeds its RNG as the
+    /// operator at index `i` in process does, so a single-process run of
+    /// the same chain is the byte-identical reference.
     pub fn new(operators: Vec<NodeSpec>, worker_bin: PathBuf) -> ClusterSpec {
         ClusterSpec {
             operators,
             worker_bin,
-            beat: Duration::from_millis(20),
-            lease_timeout: Duration::from_millis(250),
             poll: Duration::from_millis(25),
-            rng_seed_base: 0xABCD_0000,
             trace_one_in: 0,
             telemetry_millis: 50,
         }
@@ -214,19 +184,14 @@ struct WorkerSlot {
 }
 
 /// Whether `slot`'s lease has expired: its incarnation said `Hello` and
-/// has not beaten within `lease_timeout`. A booting process is not
+/// has not beaten within [`LEASE_TIMEOUT`]. A booting process is not
 /// partitioned: before its `Hello` nothing expires. (A lease is evicted
 /// only by a failure's fence, which also clears `seen_hello`.)
-fn lease_expired(
-    lease: Option<&LeaseView>,
-    slot: &WorkerSlot,
-    now: Instant,
-    lease_timeout: Duration,
-) -> bool {
+fn lease_expired(lease: Option<&LeaseView>, slot: &WorkerSlot, now: Instant) -> bool {
     slot.seen_hello
         && lease.is_some_and(|l| {
             l.epoch == slot.incarnation
-                && now.saturating_duration_since(l.last_beat) > lease_timeout
+                && now.saturating_duration_since(l.last_beat) > LEASE_TIMEOUT
         })
 }
 
@@ -251,7 +216,10 @@ impl MonitorShared {
             wired: Condvar::new(),
             stopping: AtomicBool::new(false),
             telemetry: ClusterObs::new(),
-            restarts: Restarts::new(obs, operators.iter().map(|op| op.recovery.tag()).collect()),
+            restarts: Restarts::new(
+                obs,
+                operators.iter().map(|op| op.config.recovery.tag()).collect(),
+            ),
         }
     }
 
@@ -628,24 +596,12 @@ fn spawn_worker(
         incarnation,
         ctrl_addr: plane.local_addr().to_string(),
         operator: op.operator.clone(),
-        rng_seed: spec.rng_seed_base + i as u64,
-        log_micros: op.log_micros,
-        disks: op.disks,
+        config: op.config.clone(),
         in_edges: vec![i as u32],
         out_edges: vec![(i + 1) as u32],
-        beat_millis: spec.beat.as_millis() as u64,
         trace_one_in: spec.trace_one_in,
         telemetry_millis: spec.telemetry_millis,
-        checkpoint_every: op.checkpoint_every.unwrap_or(0),
         checkpoint_dir: checkpoint_dir.to_string_lossy().into_owned(),
-        approx_eps_ppm: match op.recovery {
-            RecoveryMode::Approximate(b) => b.epsilon_ppm(),
-            RecoveryMode::Precise => 0,
-        },
-        approx_delta_ppm: match op.recovery {
-            RecoveryMode::Approximate(b) => b.delta_ppm(),
-            RecoveryMode::Precise => 0,
-        },
     };
     let mut child = Command::new(&spec.worker_bin)
         .env(SPEC_ENV, wspec.to_hex())
@@ -777,12 +733,8 @@ impl Monitor {
                         let now = Instant::now();
                         // One statement: the `slots` lock is gone before
                         // the fence takes it.
-                        let expired = lease_expired(
-                            lease.as_ref(),
-                            &self.shared.slots.lock()[i],
-                            now,
-                            self.spec.lease_timeout,
-                        );
+                        let expired =
+                            lease_expired(lease.as_ref(), &self.shared.slots.lock()[i], now);
                         if expired && !self.stopping() {
                             self.fail(i, FaultKind::LeaseExpiry);
                         }
@@ -880,8 +832,6 @@ impl Monitor {
 mod tests {
     use super::*;
 
-    const LEASE: Duration = Duration::from_millis(250);
-
     fn slot(incarnation: u64, seen_hello: bool) -> WorkerSlot {
         WorkerSlot { child: None, incarnation, seen_hello, open_conns: 0 }
     }
@@ -894,14 +844,14 @@ mod tests {
     fn a_silent_lease_expires_and_a_booting_process_does_not() {
         let now = Instant::now();
         let up = slot(1, true);
-        assert!(!lease_expired(Some(&lease(1, now)), &up, now, LEASE));
-        let later = now + LEASE + Duration::from_millis(1);
-        assert!(lease_expired(Some(&lease(1, now)), &up, later, LEASE));
+        assert!(!lease_expired(Some(&lease(1, now)), &up, now));
+        let later = now + LEASE_TIMEOUT + Duration::from_millis(1);
+        assert!(lease_expired(Some(&lease(1, now)), &up, later));
         // A predecessor's stale lease says nothing about this incarnation.
-        assert!(!lease_expired(Some(&lease(0, now)), &up, now + LEASE * 2, LEASE));
+        assert!(!lease_expired(Some(&lease(0, now)), &up, now + LEASE_TIMEOUT * 2));
         // Before its `Hello` a replacement holds no lease to lose.
         let booting = slot(2, false);
-        assert!(!lease_expired(None, &booting, now + LEASE * 8, LEASE));
+        assert!(!lease_expired(None, &booting, now + LEASE_TIMEOUT * 8));
     }
 
     #[test]

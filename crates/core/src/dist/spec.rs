@@ -1,25 +1,29 @@
 //! The serialized per-process topology spec.
 //!
 //! The launcher hands each worker process its slice of the topology as a
-//! [`WorkerSpec`]: which operator to run, its logging and RNG
-//! configuration, the edge ids it consumes and produces, and where the
-//! parent's control listener lives. The spec travels CRC-framed and
-//! hex-encoded in the `STREAMMINE_WORKER_SPEC` environment variable, so a
-//! worker binary needs no argument parsing and a truncated or corrupted
-//! spec is detected before anything starts.
+//! [`WorkerSpec`]: which operator to run and its [`OperatorConfig`] — the
+//! same configuration an operator in process takes — the edge ids it
+//! consumes and produces, and where the parent's control listener lives.
+//! The spec travels CRC-framed and hex-encoded in the
+//! `STREAMMINE_WORKER_SPEC` environment variable, so a worker binary needs
+//! no argument parsing, and a truncated or corrupted spec, or one whose
+//! config does not validate, is refused before anything starts.
 
 use std::path::{Path, PathBuf};
 
 use streammine_common::codec::{decode_from_slice, Decode, DecodeError, Decoder, Encode, Encoder};
 use streammine_common::crc32;
 
+use crate::config::OperatorConfig;
+
 /// Environment variable carrying the hex-encoded [`WorkerSpec`].
 pub const SPEC_ENV: &str = "STREAMMINE_WORKER_SPEC";
 
 /// Everything one worker process needs to build and run its node.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkerSpec {
-    /// Worker index == operator index in the cluster chain.
+    /// Worker index == operator index in the cluster chain; it also fixes
+    /// the operator's RNG seed, as an operator's index does in process.
     pub worker: u32,
     /// Restart count of this worker (0 on first launch); the lease epoch.
     pub incarnation: u64,
@@ -27,20 +31,12 @@ pub struct WorkerSpec {
     pub ctrl_addr: String,
     /// Operator name, resolved against the worker binary's registry.
     pub operator: String,
-    /// Seed of the operator's deterministic RNG, fixed per worker slot: an
-    /// incarnation with no image to restore starts where the first did,
-    /// and steps the generator over every draw it reads back.
-    pub rng_seed: u64,
-    /// Simulated stable-write latency of the decision log, microseconds.
-    pub log_micros: u64,
-    /// Number of replicated decision-log disks.
-    pub disks: u32,
+    /// The operator's configuration, as the node is built from it.
+    pub config: OperatorConfig,
     /// Edge ids consumed, in input-port order.
     pub in_edges: Vec<u32>,
     /// Edge ids produced, in output order.
     pub out_edges: Vec<u32>,
-    /// Heartbeat interval in milliseconds.
-    pub beat_millis: u64,
     /// Causal-tracer sampling rate: trace one source event in this many
     /// (`0` = tracer disabled). Fixed per cluster so every worker samples
     /// the same deterministic trace ids.
@@ -48,18 +44,10 @@ pub struct WorkerSpec {
     /// Telemetry report period in milliseconds (`0` = only the final
     /// flush on clean shutdown).
     pub telemetry_millis: u64,
-    /// Checkpoint interval in processed events (`0` = no checkpointing —
-    /// the worker recovers by full upstream replay).
-    pub checkpoint_every: u64,
     /// The cluster's directory, owned by the launcher: the worker's log —
     /// its decisions and checkpoint images — is `worker<worker>.log` in it
     /// (`log_file`), where every later incarnation of the slot reads it.
     pub checkpoint_dir: String,
-    /// Approximate-recovery ε in parts-per-million (`0` = precise
-    /// recovery; the ppm pair is only meaningful together).
-    pub approx_eps_ppm: u64,
-    /// Approximate-recovery δ in parts-per-million.
-    pub approx_delta_ppm: u64,
 }
 
 impl Encode for WorkerSpec {
@@ -68,18 +56,12 @@ impl Encode for WorkerSpec {
         enc.put_u64(self.incarnation);
         self.ctrl_addr.encode(enc);
         self.operator.encode(enc);
-        enc.put_u64(self.rng_seed);
-        enc.put_u64(self.log_micros);
-        enc.put_u32(self.disks);
+        self.config.encode(enc);
         self.in_edges.encode(enc);
         self.out_edges.encode(enc);
-        enc.put_u64(self.beat_millis);
         enc.put_u64(self.trace_one_in);
         enc.put_u64(self.telemetry_millis);
-        enc.put_u64(self.checkpoint_every);
         self.checkpoint_dir.encode(enc);
-        enc.put_u64(self.approx_eps_ppm);
-        enc.put_u64(self.approx_delta_ppm);
     }
 }
 
@@ -90,18 +72,12 @@ impl Decode for WorkerSpec {
             incarnation: dec.get_u64()?,
             ctrl_addr: String::decode(dec)?,
             operator: String::decode(dec)?,
-            rng_seed: dec.get_u64()?,
-            log_micros: dec.get_u64()?,
-            disks: dec.get_u32()?,
+            config: OperatorConfig::decode(dec)?,
             in_edges: Vec::<u32>::decode(dec)?,
             out_edges: Vec::<u32>::decode(dec)?,
-            beat_millis: dec.get_u64()?,
             trace_one_in: dec.get_u64()?,
             telemetry_millis: dec.get_u64()?,
-            checkpoint_every: dec.get_u64()?,
             checkpoint_dir: String::decode(dec)?,
-            approx_eps_ppm: dec.get_u64()?,
-            approx_delta_ppm: dec.get_u64()?,
         })
     }
 }
@@ -124,7 +100,8 @@ impl WorkerSpec {
         out
     }
 
-    /// Parses a spec produced by [`WorkerSpec::to_hex`].
+    /// Parses a spec produced by [`WorkerSpec::to_hex`] whose config
+    /// validates.
     pub fn from_hex(hex: &str) -> Result<WorkerSpec, String> {
         if !hex.len().is_multiple_of(2) {
             return Err("spec hex has odd length".into());
@@ -137,13 +114,22 @@ impl WorkerSpec {
             bytes.push(((hi << 4) | lo) as u8);
         }
         let payload = crc32::unframe(&bytes).ok_or("spec frame invalid (CRC or length)")?;
-        decode_from_slice::<WorkerSpec>(payload).map_err(|e| format!("spec decode failed: {e}"))
+        let spec = decode_from_slice::<WorkerSpec>(payload)
+            .map_err(|e| format!("spec decode failed: {e}"))?;
+        spec.config.validate().map_err(|e| format!("spec config invalid: {e}"))?;
+        Ok(spec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    use crate::config::{LoggingConfig, NodeConfig};
+    use streammine_sketch::ErrorBound;
+    use streammine_stm::{CommitOrder, DependencyMode, StmConfig};
+    use streammine_storage::disk::DiskSpec;
 
     fn spec() -> WorkerSpec {
         WorkerSpec {
@@ -151,19 +137,54 @@ mod tests {
             incarnation: 3,
             ctrl_addr: "127.0.0.1:9000".into(),
             operator: "random-tagger".into(),
-            rng_seed: 0xABCD_0001,
-            log_micros: 200,
-            disks: 1,
+            config: OperatorConfig::default(),
             in_edges: vec![1],
             out_edges: vec![2],
-            beat_millis: 20,
             trace_one_in: 8,
             telemetry_millis: 50,
-            checkpoint_every: 32,
             checkpoint_dir: "/tmp/streammine-ckpt".into(),
-            approx_eps_ppm: 10_000,
-            approx_delta_ppm: 50_000,
         }
+    }
+
+    /// Every field of a config that is not the default crosses: two
+    /// threads in conflict order on two disks of different models, and an
+    /// approximate bound with no checkpoints.
+    fn exotic() -> OperatorConfig {
+        let hdd = DiskSpec { fault_rate: 0.125, ..DiskSpec::local_hdd() };
+        let logging =
+            LoggingConfig { disks: vec![DiskSpec::simulated(Duration::from_micros(700)), hdd] };
+        OperatorConfig {
+            checkpoint_every: None,
+            stm: StmConfig {
+                commit_order: CommitOrder::Conflict,
+                dependency_mode: DependencyMode::TaintAll,
+                fastpath: false,
+            },
+            node: NodeConfig { max_open_speculations: 3, max_retained_spec_outputs: 5 },
+            ..OperatorConfig::speculative(logging).with_threads(2)
+        }
+        .with_approximate_recovery(ErrorBound::new(0.01, 0.05))
+    }
+
+    #[test]
+    fn a_config_that_is_not_the_default_roundtrips() {
+        let s = WorkerSpec { config: exotic(), ..spec() };
+        let back = decode_from_slice::<WorkerSpec>(&s.encode_to_vec()).unwrap();
+        assert_eq!(back, s);
+    }
+
+    /// A config that decodes but does not validate, or whose bound does
+    /// not decode, is refused with the spec: the worker exits `BAD_SPEC`.
+    #[test]
+    fn a_spec_whose_config_is_out_of_range_is_refused() {
+        assert!(WorkerSpec::from_hex(&spec().to_hex()).is_ok());
+        let threads = WorkerSpec { config: OperatorConfig::default().with_threads(0), ..spec() };
+        let err = WorkerSpec::from_hex(&threads.to_hex()).unwrap_err();
+        assert!(err.contains("threads"), "{err}");
+        let no_epsilon = ErrorBound { epsilon: 0.0, delta: 0.05 };
+        let config = OperatorConfig::default().with_approximate_recovery(no_epsilon);
+        let err = WorkerSpec::from_hex(&WorkerSpec { config, ..spec() }.to_hex()).unwrap_err();
+        assert!(err.contains("ErrorBound"), "{err}");
     }
 
     #[test]

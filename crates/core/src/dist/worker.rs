@@ -8,28 +8,33 @@
 //! suppresses exactly the outputs already on the wire), and then runs the
 //! node until the parent says otherwise.
 //!
-//! A **precise** slot runs a speculative node on one thread: every output
-//! goes on the wire the moment it is computed, flagged speculative, while
-//! its decision record is still on its way to the log, and a `Finalize`
-//! follows once the log is stable and the input itself was finalized. The
-//! log waits of a chain of workers overlap instead of adding up; only the
-//! launcher's sink, which externalises finals alone, waits for all of
-//! them. An **approximate** slot stays non-speculative: it logs no
-//! decision, sends its outputs final when each event's transaction
-//! commits, and parks a speculative input until its `Finalize`.
+//! The node is the one its spec's config
+//! ([`OperatorConfig`](crate::config::OperatorConfig)) describes, built as
+//! an operator in process is, with the same seed for its index; the
+//! worker derives nothing. A slot built by `NodeSpec::logged` speculates
+//! on one thread: every output goes on the wire the moment it is
+//! computed, flagged speculative, while its decision record is still on
+//! its way to the log, and a `Finalize` follows once the log is stable and
+//! the input itself was finalized. The log waits of a chain of such
+//! workers overlap instead of adding up; only the launcher's sink, which
+//! externalises finals alone, waits for all of them. A non-speculative
+//! slot (plain, or approximate) sends its outputs final when each event's
+//! transaction commits, and parks a speculative input until its
+//! `Finalize`.
 //!
 //! A worker's log is its file, `worker<i>.log` in the launcher's cluster
-//! directory ([`StableLog::open`]): a group reaches the file before it is
-//! stable, so a decision is there before its output finalizes and an
-//! image before it truncates or acks. Every `checkpoint_every` events the
-//! node takes an image of its committed prefix, with transactions open, as
-//! a node in process does. Its out-ring lives in this process, so the image waits
-//! until the downstream acked every output it counts. Once it is stable
-//! the log (and its file) is truncated below it and each upstream ring
-//! acked up to its positions: retention is bounded by the interval, not by
-//! the run, however fast the worker is fed. With `checkpoint_every == 0`
-//! nothing is acked, and recovery replays the whole stream over the whole
-//! log.
+//! directory ([`StableLog::open`]), on the devices an operator in process
+//! would log on (its config's `log_disks`): a group reaches the file
+//! before it is stable, so a decision is there before its output
+//! finalizes and an image before it truncates or acks. Every
+//! `checkpoint_every` events the node takes an image of its committed
+//! prefix, with transactions open, as a node in process does. Its out-ring
+//! lives in this process, so the image waits until the downstream acked
+//! every output it counts. Once it is stable the log (and its file) is
+//! truncated below it and each upstream ring acked up to its positions:
+//! retention is bounded by the interval, not by the run, however fast the
+//! worker is fed. Without a checkpoint interval nothing is acked, and
+//! recovery replays the whole stream over the whole log.
 //!
 //! A respawned incarnation opens its predecessor's file and recovers as a
 //! node in process does (`determinant::read_back`): it primes each
@@ -40,10 +45,10 @@
 //! swallows the `Welcome` counts past what the image's covered serials
 //! put on each edge. Outputs its predecessor published and never
 //! finalized come again under the same ids, so it re-confirms that
-//! speculation and nothing has to be revoked. Approximate slots
-//! (`approx_eps_ppm > 0`) resume from the image *stale*: they drop the
-//! replayed inputs whose outputs are downstream, within a bounded sketch
-//! error, instead of re-executing them.
+//! speculation and nothing has to be revoked. Approximate slots resume
+//! from the image *stale*: they drop the replayed inputs whose outputs are
+//! downstream, within a bounded sketch error, instead of re-executing
+//! them.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -54,14 +59,12 @@ use streammine_common::clock::{shared, SystemClock};
 use streammine_net::{link, EdgeMetrics, LinkConfig, TcpTransport, Transport};
 use streammine_obs::{Obs, TransportMetrics};
 
-use crate::config::{LoggingConfig, OperatorConfig};
 use crate::determinant::read_back;
 use crate::dist::bridge::{Acceptor, DialSlot, EdgeCursor, InEdge, OutBridge};
 use crate::dist::control::{CtrlClient, CtrlIdentity};
 use crate::dist::spec::{log_file, WorkerSpec, SPEC_ENV};
 use crate::dist::wire::{CtrlMsg, FaultCmd};
 use crate::plumbing::{DownEdge, Inbox, Sent};
-use streammine_sketch::ErrorBound;
 use streammine_storage::checkpoint::{Checkpoint, InputFrontier};
 use streammine_storage::log::{LogObs, StableLog};
 
@@ -79,7 +82,8 @@ const WIRING_TIMEOUT: Duration = Duration::from_secs(30);
 pub mod exit {
     /// Clean shutdown, ordered by the parent.
     pub const OK: i32 = 0;
-    /// The spec was missing, truncated, or corrupted.
+    /// The spec was missing, truncated or corrupted, or its config did
+    /// not validate.
     pub const BAD_SPEC: i32 = 2;
     /// A newer incarnation holds this worker's lease.
     pub const FENCED: i32 = 3;
@@ -183,46 +187,16 @@ pub(crate) fn run_worker(
     }
     let clock = shared(SystemClock::new());
     let shutdown = Arc::new(AtomicBool::new(false));
-    let config = {
-        let logging =
-            LoggingConfig::simulated_n(spec.disks as usize, Duration::from_micros(spec.log_micros));
-        // Precise slots speculate; approximate ones may not, and log no
-        // decision.
-        let mut c = if spec.approx_eps_ppm > 0 {
-            OperatorConfig::logged(logging)
-        } else {
-            OperatorConfig::speculative(logging)
-        };
-        // 0 is the spec's "no checkpoints": the config must not keep its
-        // default interval.
-        c.checkpoint_every = (spec.checkpoint_every > 0).then_some(spec.checkpoint_every);
-        if spec.approx_eps_ppm > 0 {
-            // Range-check before `from_ppm`, which panics on garbage.
-            if spec.approx_eps_ppm > 1_000_000
-                || spec.approx_delta_ppm == 0
-                || spec.approx_delta_ppm >= 1_000_000
-            {
-                eprintln!("worker {}: approximate bound ppm out of range", spec.worker);
-                return exit::BAD_SPEC;
-            }
-            c = c.with_approximate_recovery(ErrorBound::from_ppm(
-                spec.approx_eps_ppm,
-                spec.approx_delta_ppm,
-            ));
-        }
-        if let Err(e) = c.validate() {
-            eprintln!("worker {}: invalid config from spec: {e}", spec.worker);
-            return exit::BAD_SPEC;
-        }
-        c
-    };
     // The slot's one durable stream, in the launcher's directory so it
     // survives SIGKILL — opened before the in-edges so a respawn can prime
     // its receive cursors from its predecessor's newest image.
-    let disks = config.logging.as_ref().expect("logged config").disks.clone();
-    let log = StableLog::open(disks, log_file(&spec.checkpoint_dir, spec.worker));
-    log.attach_obs(LogObs::registered(&obs, spec.worker));
-    let cursors = in_edge_cursors(read_back(log.stable_entries()).image, spec.in_edges.len());
+    let log = spec.config.log_disks().map(|disks| {
+        let log = StableLog::open(disks, log_file(&spec.checkpoint_dir, spec.worker));
+        log.attach_obs(LogObs::registered(&obs, spec.worker));
+        log
+    });
+    let image = log.as_ref().and_then(|log| read_back(log.stable_entries()).image);
+    let cursors = in_edge_cursors(image, spec.in_edges.len());
 
     // In-edges: each is a local ring the node reads like any other, fed
     // by the acceptor's socket threads with the in-order frames of the
@@ -260,7 +234,6 @@ pub(crate) fn run_worker(
             worker: spec.worker,
             incarnation: spec.incarnation,
             data_addr: acceptor.local_addr().to_string(),
-            beat: Duration::from_millis(spec.beat_millis),
         },
         ctrl_events_tx,
         shutdown.clone(),
@@ -353,12 +326,11 @@ pub(crate) fn run_worker(
     let seed = NodeSeed {
         id: OperatorId::new(spec.worker),
         operator,
-        config,
+        config: spec.config,
         clock,
         inbox,
         down,
-        log: Some(log),
-        rng_seed: spec.rng_seed,
+        log,
         obs,
         exits: None,
         recovering: spec.incarnation > 0,

@@ -20,10 +20,9 @@ use streammine_common::ids::OperatorId;
 use streammine_net::{link, EdgeMetrics, LinkConfig, LinkReceiver, LinkSender};
 use streammine_obs::{FaultKind, Obs, RecoveryTimeline, RegistrySnapshot};
 use streammine_storage::checkpoint::Checkpoint;
-use streammine_storage::disk::DiskSpec;
 use streammine_storage::log::{LogObs, StableLog};
 
-use crate::config::{OperatorConfig, RecoveryMode};
+use crate::config::OperatorConfig;
 use crate::determinant::read_back;
 use crate::endpoints::{SinkHandle, SourceHandle};
 use crate::message::Message;
@@ -233,7 +232,6 @@ pub(crate) struct NodePersist {
     /// with the links.
     down_sent: Vec<Arc<Sent>>,
     join: Mutex<Option<JoinHandle<()>>>,
-    rng_seed: u64,
     clock: SharedClock,
     exits: Sender<Exit>,
     obs: Obs,
@@ -254,7 +252,6 @@ impl NodePersist {
                 .map(|(d, sent)| DownEdge { data_tx: d.clone(), sent: sent.clone() })
                 .collect(),
             log: self.log.clone(),
-            rng_seed: self.rng_seed,
             obs: self.obs.clone(),
             exits: Some(self.exits.clone()),
             recovering,
@@ -337,18 +334,8 @@ impl Graph {
         // Persistent per-node infrastructure + node threads.
         let mut nodes = Vec::new();
         for (i, spec) in b.ops.into_iter().enumerate() {
-            // One durable stream per node that logs or checkpoints. A node
-            // that logs no decisions (unlogged, or approximate) keeps its
-            // images on one free device.
-            let disks = match &spec.config.logging {
-                Some(logging) if spec.config.recovery == RecoveryMode::Precise => {
-                    Some(logging.disks.clone())
-                }
-                _ => {
-                    spec.config.checkpoint_every.map(|_| vec![DiskSpec::simulated(Duration::ZERO)])
-                }
-            };
-            let log = disks.map(StableLog::new);
+            // One durable stream per node that logs or checkpoints.
+            let log = spec.config.log_disks().map(StableLog::new);
             if let Some(log) = &log {
                 log.attach_obs(LogObs::registered(&obs, i as u32));
             }
@@ -363,7 +350,6 @@ impl Graph {
                 down_sent: (0..down_data[i].len()).map(|_| Arc::default()).collect(),
                 down_data: std::mem::take(&mut down_data[i]),
                 join: Mutex::new(None),
-                rng_seed: 0xABCD_0000 + i as u64,
                 clock: clock.clone(),
                 exits: signals.clone(),
                 obs: obs.clone(),

@@ -83,12 +83,19 @@ impl Node {
         self.obs.tracer.record_backpressure(self.id.index(), stalled.as_micros() as u64);
     }
 
-    /// Handles every queued notice, then — while an image waits for its
-    /// downstreams — reads their ack watermarks; `true` when either
-    /// changed something. An advancing watermark signals the inbox, so the
-    /// ack that lets the image be saved wakes the node.
+    /// Handles the queued notices until none changes anything, then —
+    /// while an image waits for its downstreams — reads their ack
+    /// watermarks; `true` when either changed something. An advancing
+    /// watermark signals the inbox, so the ack that lets the image be
+    /// saved wakes the node. A `LogStable` served here commits, and the
+    /// commit's own notice, which stages its finals, comes back to the
+    /// inbox: served in the same call, it does not wait behind a read pass
+    /// through the operator.
     pub(super) fn serve_control(&mut self) -> bool {
-        let mut worked = self.serve_notices();
+        let mut worked = false;
+        while self.running && self.serve_notices() {
+            worked = true;
+        }
         // A checkpoint that came due while the image waited was not taken,
         // and once the input stops nothing else would take it.
         if !self.waiting.is_empty() && self.save_image() {

@@ -227,6 +227,13 @@ pub(crate) struct Exit {
     pub crashed: bool,
 }
 
+/// The seed of operator `id`'s RNG, fixed by its index: an operator in
+/// process and the cluster slot at the same index draw the same numbers,
+/// and every incarnation of either starts where the first did.
+fn rng_seed(id: OperatorId) -> u64 {
+    0xABCD_0000 + u64::from(id.index())
+}
+
 pub(crate) struct NodeSeed {
     pub id: OperatorId,
     pub operator: Arc<dyn Operator>,
@@ -239,7 +246,6 @@ pub(crate) struct NodeSeed {
     /// The node's one durable stream: its decisions (when the config logs)
     /// and its checkpoint images. Without one the node does not checkpoint.
     pub log: Option<StableLog>,
-    pub rng_seed: u64,
     /// Shared observability bundle (metrics registry + journal).
     pub obs: Obs,
     /// Where the coordinator thread reports its exit (a graph's
@@ -464,7 +470,7 @@ impl Node {
             stm: stm.clone(),
             operator: seed.operator,
             registry: Arc::new(registry),
-            rng: Arc::new(Mutex::new(DetRng::seed_from(seed.rng_seed))),
+            rng: Arc::new(Mutex::new(DetRng::seed_from(rng_seed(seed.id)))),
             clock: seed.clock,
             first_draw: usize::from(inputs > 1),
             process_us: metrics.process_us.clone(),

@@ -43,7 +43,6 @@ impl Rig {
             clock: shared(SystemClock::new()),
             inbox: inbox.clone(),
             down: vec![DownEdge { data_tx: out_tx.clone(), sent: Arc::default() }],
-            rng_seed: 1,
             obs: obs.clone(),
             exits: None,
             recovering: false,
@@ -492,7 +491,6 @@ fn a_worker_images_its_committed_prefix_and_a_respawn_sends_what_the_receiver_la
         inbox: rig.inbox.clone(),
         down: vec![DownEdge { data_tx, sent: sent.clone() }],
         log: Some(log),
-        rng_seed: 1,
         obs: rig.obs.clone(),
         exits: None,
         recovering: true,
@@ -653,4 +651,90 @@ fn engine_threads_wake_exactly_and_the_callers_thread_keeps_its_slack() {
             assert_eq!(*slack, Some(1), "{threads} thread(s): {thread}'s timer slack");
         }
     }
+}
+
+/// A relay that counts, each time it runs, the commits its node journaled
+/// so far; on the event `gate_at` it first says so and then waits for the
+/// test's go-ahead.
+struct CommitCounting {
+    journal: Arc<Journal>,
+    gate_at: i64,
+    entered: crossbeam_channel::Sender<()>,
+    go: crossbeam_channel::Receiver<()>,
+    seen: Arc<Mutex<Vec<(i64, usize)>>>,
+}
+
+impl Operator for CommitCounting {
+    fn process(&self, ctx: &mut OpCtx<'_, '_>, event: &Event) -> Result<(), StmAbort> {
+        let n = event.payload.as_i64().expect("an int");
+        if n == self.gate_at {
+            self.entered.send(()).expect("the test listens");
+            self.go.recv().expect("the test lets go");
+        }
+        let commits = self.journal.count_matching(|e| matches!(e.kind, JournalKind::Commit { .. }));
+        self.seen.lock().push((n, commits));
+        ctx.emit(event.payload.clone());
+        Ok(())
+    }
+}
+
+/// A commit's finals go out before the operator runs again. A logged node
+/// reads event 0 on port 0 and event 1 on port 1 in one pass, and logs
+/// each one's input choice as it reads it. Both records are stable while
+/// the operator still runs event 1, and event 2 arrives on port 0
+/// meanwhile. The next pass completes the groups, which commits events 0
+/// and 1 — each commit's notice comes back to the inbox — and reads event
+/// 2. The commits, with their outputs staged for sending, are served to
+/// their end first: by then the operator has seen both.
+#[test]
+fn a_stable_groups_commit_is_served_before_the_next_read() {
+    const LOG: Duration = Duration::from_millis(5);
+    let (port0, rx0) = link::<Message>(LinkConfig::instant());
+    let (port1, rx1) = link::<Message>(LinkConfig::instant());
+    let (out_tx, out_rx) = link::<Message>(LinkConfig::instant());
+    let inbox = Inbox::new(vec![rx0, rx1]);
+    let obs = Obs::tracing();
+    let (entered_tx, entered) = crossbeam_channel::unbounded();
+    let (go, go_rx) = crossbeam_channel::unbounded();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let operator = CommitCounting {
+        journal: obs.journal.clone(),
+        gate_at: 1,
+        entered: entered_tx,
+        go: go_rx,
+        seen: seen.clone(),
+    };
+    let config = OperatorConfig::logged(LoggingConfig::simulated(LOG));
+    let send = |port: &LinkSender<Message>, n| port.send(Message::Data(source_event(n))).unwrap();
+    send(&port0, 0);
+    send(&port1, 1);
+    let node = Node::start(NodeSeed {
+        id: OperatorId::new(0),
+        operator: Arc::new(operator),
+        log: config.logging.as_ref().map(|l| StableLog::new(l.disks.clone())),
+        config,
+        clock: shared(SystemClock::new()),
+        inbox: inbox.clone(),
+        down: vec![DownEdge { data_tx: out_tx, sent: Arc::default() }],
+        obs: obs.clone(),
+        exits: None,
+        recovering: false,
+    });
+    entered.recv_timeout(PATIENCE).expect("the operator never ran event 1");
+    send(&port0, 2);
+    // Each record's group ends at most two writes after event 1 was read.
+    std::thread::sleep(LOG * 4);
+    go.send(()).unwrap();
+    let mut finals = 0;
+    while finals < 3 {
+        match out_rx.recv_timeout(PATIENCE).expect("the node fell silent").1 {
+            Message::Data(_) => finals += 1,
+            Message::DataBatch(events) => finals += events.len(),
+            Message::Control(_) => {}
+        }
+    }
+    inbox.post(Notice::Command(NodeCommand::Shutdown));
+    node.join().expect("the coordinator panicked");
+    let seen = seen.lock().clone();
+    assert_eq!(seen, [(0, 0), (1, 0), (2, 2)], "event 2 ran first\n{}", obs.journal.render());
 }

@@ -80,7 +80,7 @@ const TXN_POOL_CAP: usize = 256;
 const CONFLICT_BACKOFF: BackoffConfig = BackoffConfig::micros(40, 2_000);
 
 /// Tuning knobs for a runtime.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StmConfig {
     /// Commit ordering policy (see [`CommitOrder`]).
     pub commit_order: CommitOrder,

@@ -14,6 +14,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
@@ -22,13 +23,14 @@ use streammine::chaos::{
     FaultScheduler,
 };
 use streammine::common::event::{Event, Value};
-use streammine::core::dist::{Cluster, ClusterSpec, NodeSpec};
+use streammine::core::dist::worker::exit;
+use streammine::core::dist::{Cluster, ClusterSpec, NodeSpec, WorkerSpec, SPEC_ENV};
 use streammine::core::{GraphBuilder, LoggingConfig, OperatorConfig};
 use streammine::obs::{
     validate_chrome_trace, validate_prometheus, FaultKind, JournalKind, Labels, RecoveryModeTag,
     RecoveryTimeline, RegistrySnapshot,
 };
-use streammine::operators::RandomTagger;
+use streammine::operators::{CountMinOp, Map, RandomTagger};
 use streammine::sketch::ErrorBound;
 
 /// Simulated stable-log write latency (µs) — fast, so runs stay short.
@@ -84,6 +86,41 @@ fn reference(hops: usize, input: &[Value]) -> Vec<Value> {
     out
 }
 
+/// The final payloads of a fault-free run of `slots` in process: each
+/// operator built as the worker binary registers its slot's name, with the
+/// slot's config.
+fn in_process(slots: &[NodeSpec], input: &[Value]) -> Vec<Value> {
+    let mut b = GraphBuilder::new();
+    let mut ids = Vec::new();
+    for slot in slots {
+        let config = slot.config.clone();
+        ids.push(match slot.operator.as_str() {
+            "random-tagger" => b.add_operator(RandomTagger, config),
+            "identity" => b.add_operator(Map::new(|v| v.clone()), config),
+            "count-min" => {
+                b.add_operator(CountMinOp::new(256, 4, 11, Duration::ZERO).stamped(), config)
+            }
+            other => panic!("no in-process twin of {other}"),
+        });
+    }
+    for pair in ids.windows(2) {
+        b.connect(pair[0], pair[1]).unwrap();
+    }
+    let src = b.source_into(ids[0]).unwrap();
+    let sink = b.sink_from(*ids.last().unwrap()).unwrap();
+    let running = b.build().unwrap().start();
+    for v in input {
+        running.source(src).push(v.clone());
+    }
+    assert!(
+        running.sink(sink).wait_final(input.len(), Duration::from_secs(60)),
+        "in-process run did not finish"
+    );
+    let out = payloads(&running.sink(sink).final_events());
+    running.shutdown();
+    out
+}
+
 /// `hops` random taggers at the default checkpoint interval.
 fn tagger_chain(hops: usize) -> ClusterSpec {
     ClusterSpec::new(
@@ -96,8 +133,16 @@ fn tagger_chain(hops: usize) -> ClusterSpec {
 /// (`None`: never).
 fn tagger_chain_checkpointing(hops: usize, every: Option<u64>) -> ClusterSpec {
     let mut spec = tagger_chain(hops);
-    spec.operators.iter_mut().for_each(|op| op.checkpoint_every = every);
+    spec.operators.iter_mut().for_each(|op| op.config.checkpoint_every = every);
     spec
+}
+
+/// A non-speculative `operator` slot that recovers approximately within
+/// `bound` from an image every `every` events.
+fn approximate(operator: &str, bound: ErrorBound, every: u64) -> NodeSpec {
+    let config =
+        OperatorConfig::plain().with_approximate_recovery(bound).with_checkpoint_every(every);
+    NodeSpec { operator: operator.into(), config }
 }
 
 /// The directory the cluster keeps its workers' logs in, as its `Debug`
@@ -115,9 +160,13 @@ fn worker_counter(snapshot: &RegistrySnapshot, name: &str, w: u32) -> u64 {
 }
 
 /// The run did not silently take a non-speculative path: each of the
-/// `precise` workers put speculative output on its socket.
-fn assert_speculated(snapshot: &RegistrySnapshot, precise: std::ops::Range<u32>, what: &str) {
-    for w in precise {
+/// `speculative` workers put speculative output on its socket.
+fn assert_speculated(
+    snapshot: &RegistrySnapshot,
+    speculative: impl IntoIterator<Item = u32>,
+    what: &str,
+) {
+    for w in speculative {
         let published = worker_counter(snapshot, "spec.published", w);
         assert!(published > 0, "{what}: worker {w} published nothing speculatively");
     }
@@ -145,7 +194,9 @@ struct RunOutcome {
 /// Runs the distributed chain, injecting `plan` step by step while
 /// feeding, and returns the run's [`RunOutcome`].
 fn cluster_run(spec: ClusterSpec, input: &[Value], plan: &FaultPlan, pace: Duration) -> RunOutcome {
-    let hops = spec.operators.len();
+    let slots = spec.operators.iter().enumerate();
+    let speculative: Vec<u32> =
+        slots.filter(|(_, op)| op.config.speculative).map(|(w, _)| w as u32).collect();
     let cluster = Cluster::launch(spec).expect("cluster launch");
     assert!(cluster.wait_connected(Duration::from_secs(30)), "cluster never wired up");
     let mut sched = FaultScheduler::new(plan.clone());
@@ -166,7 +217,7 @@ fn cluster_run(spec: ClusterSpec, input: &[Value], plan: &FaultPlan, pace: Durat
     let stats = (cluster.restarts(), cluster.crashes_detected(), cluster.leases_expired());
     cluster.shutdown();
     let snapshot = cluster.cluster_snapshot();
-    assert_speculated(&snapshot, 0..hops as u32, &format!("plan {plan}"));
+    assert_speculated(&snapshot, speculative, &format!("plan {plan}"));
     RunOutcome {
         out,
         restarts: stats.0,
@@ -202,6 +253,69 @@ fn two_process_chain_matches_in_process_reference() {
     assert_eq!(r.out, expected, "fault-free distributed run diverged from in-process reference");
     assert_eq!(r.restarts, 0, "fault-free run should not restart anyone");
     assert!(r.timelines.is_empty(), "fault-free run fabricated a recovery timeline");
+}
+
+/// A slot is an operator and its `OperatorConfig`, whatever that says.
+/// A count-min slot on two STM threads runs in a worker, fault-free, and
+/// its estimates are those of the same config in process.
+#[test]
+fn a_two_thread_slot_matches_the_same_config_in_process() {
+    let _machine = share_the_machine();
+    let input: Vec<Value> = (0..40).map(|i| Value::Int(i % 9)).collect();
+    let mut slot = NodeSpec::logged("count-min", FAST_LOG_US, 1);
+    slot.config = slot.config.with_threads(2);
+    let spec = ClusterSpec::new(
+        vec![slot.clone()],
+        PathBuf::from(env!("CARGO_BIN_EXE_streammine_worker")),
+    );
+    let r = cluster_run(spec, &input, &FaultPlan::scripted(vec![]), Duration::from_millis(2));
+    assert_eq!(r.out, in_process(&[slot], &input), "the two-thread slot diverged");
+    assert_eq!(r.restarts, 0, "fault-free run should not restart anyone");
+}
+
+/// A plain slot — no log, no speculation — behind a logged tagger: the
+/// worker builds both nodes as a graph in process would, and the output
+/// is that graph's.
+#[test]
+fn a_logged_tagger_feeding_a_plain_slot_matches_in_process() {
+    let _machine = share_the_machine();
+    let input = inputs(30);
+    let slots = vec![
+        NodeSpec::logged("random-tagger", FAST_LOG_US, 1),
+        NodeSpec { operator: "identity".into(), config: OperatorConfig::plain() },
+    ];
+    let spec =
+        ClusterSpec::new(slots.clone(), PathBuf::from(env!("CARGO_BIN_EXE_streammine_worker")));
+    let r = cluster_run(spec, &input, &FaultPlan::scripted(vec![]), Duration::from_millis(2));
+    assert_eq!(r.out, in_process(&slots, &input), "the mixed chain diverged");
+    assert_eq!(r.out, reference(1, &input), "the plain slot changed what it relays");
+    let plain_published = worker_counter(&r.snapshot, "spec.published", 1);
+    assert_eq!(plain_published, 0, "the plain slot speculated");
+}
+
+/// A spec whose config does not validate is refused before the worker
+/// dials anything: the process exits `BAD_SPEC`.
+#[test]
+fn a_worker_refuses_a_config_that_does_not_validate() {
+    let spec = WorkerSpec {
+        worker: 0,
+        incarnation: 0,
+        ctrl_addr: "127.0.0.1:1".into(),
+        operator: "identity".into(),
+        config: OperatorConfig::plain().with_threads(0),
+        in_edges: vec![0],
+        out_edges: vec![1],
+        trace_one_in: 0,
+        telemetry_millis: 0,
+        checkpoint_dir: std::env::temp_dir().to_string_lossy().into_owned(),
+    };
+    let status = Command::new(env!("CARGO_BIN_EXE_streammine_worker"))
+        .env(SPEC_ENV, spec.to_hex())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("run the worker binary");
+    assert_eq!(status.code(), Some(exit::BAD_SPEC));
 }
 
 #[test]
@@ -492,10 +606,7 @@ fn sigkill_approximate_recovery_stays_within_declared_bound() {
     let input: Vec<Value> = (0..n).map(|i| Value::Int((i % 9) as i64)).collect();
 
     let spec = ClusterSpec::new(
-        vec![
-            NodeSpec::logged("identity", FAST_LOG_US, 1),
-            NodeSpec::logged("count-min", FAST_LOG_US, 1).with_approximate_recovery(bound, 3),
-        ],
+        vec![NodeSpec::logged("identity", FAST_LOG_US, 1), approximate("count-min", bound, 3)],
         PathBuf::from(env!("CARGO_BIN_EXE_streammine_worker")),
     );
 
@@ -570,7 +681,7 @@ fn a_respawn_right_after_a_resume_window_keeps_the_window_charged() {
     // ε = 1 admits every window: the test is about what is charged.
     let bound = ErrorBound::new(1.0, 0.05);
     let spec = ClusterSpec::new(
-        vec![NodeSpec::logged("count-min", FAST_LOG_US, 1).with_approximate_recovery(bound, 4)],
+        vec![approximate("count-min", bound, 4)],
         PathBuf::from(env!("CARGO_BIN_EXE_streammine_worker")),
     );
     let cluster = Cluster::launch(spec).expect("cluster launch");
@@ -966,7 +1077,7 @@ fn sigkill_with_speculation_open_recovers_byte_identical() {
     // the first.
     for victim in [1u32, 2, 0] {
         let mut spec = tagger_chain(3);
-        spec.operators[1].log_micros = SLOW_LOG_US;
+        spec.operators[1] = NodeSpec::logged("random-tagger", SLOW_LOG_US, 1);
         let cluster = Cluster::launch(spec).expect("cluster launch");
         assert!(cluster.wait_connected(Duration::from_secs(30)), "cluster never wired up");
         for v in &input[..20] {
@@ -1042,7 +1153,7 @@ fn figure3_over_sockets_is_flat_in_depth() {
     const EVENTS: usize = 40;
     let p50_us = |depth: usize| {
         let mut spec = tagger_chain(depth);
-        spec.operators.iter_mut().for_each(|op| op.log_micros = LOG_US);
+        spec.operators.fill(NodeSpec::logged("random-tagger", LOG_US, 1));
         let cluster = Cluster::launch(spec).expect("cluster launch");
         assert!(cluster.wait_connected(Duration::from_secs(30)), "cluster never wired up");
         for v in inputs(EVENTS as u64) {
@@ -1183,8 +1294,8 @@ fn workers_fed_faster_than_they_settle_image_their_committed_prefix() {
     let expected = reference(3, &input);
     let mut spec = tagger_chain(3);
     spec.operators.iter_mut().for_each(|op| {
-        assert_eq!(op.checkpoint_every, Some(INTERVAL as u64), "not the slots' default");
-        op.log_micros = 2_000;
+        assert_eq!(op.config.checkpoint_every, Some(INTERVAL as u64), "not the slots' default");
+        *op = NodeSpec::logged("random-tagger", 2_000, 1);
     });
     // The loop outruns the default 50 ms reports of the workers' gauges.
     spec.telemetry_millis = 5;
