@@ -53,17 +53,17 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use streammine_common::codec::{decode_from_slice, Encode};
 use streammine_common::BackoffConfig;
 use streammine_net::{
-    FrameError, FrameListener, FrameTx, LinkError, LinkReceiver, LinkSender, Transport, Waker,
+    FrameError, FrameListener, FrameTx, LinkReceiver, LinkSender, Transport, Waker,
 };
 use streammine_obs::TransportMetrics;
 
+use crate::dist::control::LaneEvent;
 use crate::dist::wire::DistFrame;
 use crate::message::{Control, Message};
 
@@ -71,15 +71,15 @@ use crate::message::{Control, Message};
 const RECONNECT: BackoffConfig = BackoffConfig::millis(10, 400);
 /// How long a handshake waits for the `Welcome` before redialing.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
-/// Poll interval of local-link drains (shutdown / connection-death checks).
-const DRAIN_POLL: Duration = Duration::from_millis(20);
 /// Most ring messages an out-bridge puts into one frame.
 const MAX_RUN: usize = 64;
 
 /// Where an out-bridge dials: the address the control plane last wired
-/// (`None`: nowhere yet, or the peer is known dead) and the waker its
-/// bridge parks on while it has nobody to talk to. Setting it signals, so
-/// a restarted downstream (new port) is dialed the moment it is known.
+/// (`None`: nowhere yet, or the peer is known dead) and the one waker its
+/// bridge parks on. Setting it signals, so a restarted downstream (new
+/// port) is dialed the moment it is known; the bridge's ring signals it
+/// too, as the ring's consumer waker, and so does the bridge's ack reader
+/// when its connection ends.
 #[derive(Clone, Default)]
 pub(crate) struct DialSlot {
     addr: Arc<Mutex<Option<String>>>,
@@ -176,16 +176,18 @@ pub(crate) struct OutBridge {
     /// Receives the receiver's cursor from the **first** successful
     /// handshake — a freshly started sender applies it to its link
     /// counters before the node runs.
-    pub first_welcome: Option<crossbeam_channel::Sender<EdgeCursor>>,
+    pub first_welcome: Option<crossbeam_channel::Sender<LaneEvent>>,
 }
 
 impl OutBridge {
-    /// Runs the bridge on a background thread until shutdown.
-    pub fn start(self) -> JoinHandle<()> {
+    /// Runs the bridge on a thread of its own until shutdown, or until its
+    /// ring's last sender has left and nothing is left to read.
+    pub fn start(self) {
+        self.data_rx.set_waker(self.dial.waker.clone());
         std::thread::Builder::new()
             .name(format!("bridge-out-e{}", self.edge))
             .spawn(move || self.run())
-            .expect("spawn out bridge")
+            .expect("spawn out bridge");
     }
 
     fn run(mut self) {
@@ -198,16 +200,17 @@ impl OutBridge {
                 // Nobody answers (or nobody to dial): wait to be wired
                 // anew. The back-off is the deadline, so it only paces
                 // retries against an address that has not changed; with no
-                // address the deadline is just the shutdown check.
-                let patience = match addr {
-                    Some(_) => {
-                        failures += 1;
-                        RECONNECT.delay(failures)
+                // address there is none. The ring's signals do not end the
+                // wait: what it holds goes out once connected.
+                let patience = addr.as_ref().map(|_| {
+                    failures += 1;
+                    Instant::now() + RECONNECT.delay(failures)
+                });
+                while self.dial.waker.park(patience) && !self.shutdown.load(Ordering::Acquire) {
+                    if *self.dial.addr.lock() != addr {
+                        failures = 0;
+                        break;
                     }
-                    None => DRAIN_POLL,
-                };
-                if self.dial.waker.park(Some(Instant::now() + patience)) {
-                    failures = 0;
                 }
                 continue;
             };
@@ -215,8 +218,8 @@ impl OutBridge {
             self.metrics.handshakes.incr();
             if connected_before {
                 self.metrics.reconnects.incr();
-            } else if let Some(gate) = self.first_welcome.take() {
-                let _ = gate.send(welcomed);
+            } else if let Some(lane) = self.first_welcome.take() {
+                let _ = lane.send(LaneEvent::Welcomed(self.edge, welcomed));
             }
             // Read again from what the receiver has not consumed: frames
             // lost with the old socket (or read from the local link but
@@ -224,7 +227,9 @@ impl OutBridge {
             // acked. A no-op on a first connection.
             self.data_rx.rewind_to(welcomed.next_seq());
             connected_before = true;
-            self.pump(conn);
+            if self.pump(conn) {
+                return;
+            }
         }
     }
 
@@ -259,20 +264,16 @@ impl OutBridge {
     }
 
     /// Drives one established connection: this thread writes data frames,
-    /// a scoped helper thread reads acks and applies them to the ring.
+    /// a scoped reader thread reads acks and applies them to the ring.
     /// Returns when the connection dies (either direction) or shutdown is
-    /// requested.
-    fn pump(&self, conn: Box<dyn streammine_net::FrameConn>) {
+    /// requested; `true` when the ring's last sender has left.
+    fn pump(&self, conn: Box<dyn streammine_net::FrameConn>) -> bool {
         let (mut tx, mut rx) = conn.split();
-        let dead = Arc::new(AtomicBool::new(false));
+        let dead = AtomicBool::new(false);
         std::thread::scope(|s| {
-            let reader_dead = dead.clone();
-            let handle = s.spawn(|| {
-                let dead = reader_dead;
-                loop {
-                    if self.shutdown.load(Ordering::Acquire) || dead.load(Ordering::Acquire) {
-                        break;
-                    }
+            let reader = std::thread::Builder::new().name(format!("bridge-ack-e{}", self.edge));
+            let handle = reader.spawn_scoped(s, || {
+                while !self.shutdown.load(Ordering::Acquire) && !dead.load(Ordering::Acquire) {
                     match rx.recv() {
                         Ok(bytes) => {
                             self.metrics.frames_in.incr();
@@ -285,59 +286,56 @@ impl OutBridge {
                         }
                         Err(e) if e.is_fatal() => {
                             classify(&self.metrics, &e);
-                            dead.store(true, Ordering::Release);
                             break;
                         }
                         Err(_) => continue,
                     }
                 }
+                dead.store(true, Ordering::Release);
+                self.dial.waker.wake();
             });
-            loop {
-                if self.shutdown.load(Ordering::Acquire) {
-                    dead.store(true, Ordering::Release);
-                    break;
-                }
-                if dead.load(Ordering::Acquire) {
-                    break;
-                }
-                match self.data_rx.recv_timeout(DRAIN_POLL) {
-                    Ok(first) => {
-                        // Whatever else is readable rides along: a replay,
-                        // a burst, an event and the finalize behind it cost
-                        // one write and one wake-up of the peer, not one
-                        // per message. Nothing is waited for.
-                        let mut run = vec![first];
-                        while run.len() < MAX_RUN {
-                            match self.data_rx.try_recv() {
-                                Ok(Some(next)) => run.push(next),
-                                // Empty, or gone: the next `recv` says which.
-                                Ok(None) | Err(_) => break,
-                            }
-                        }
-                        let bytes = DistFrame::Data(run).encode_to_vec();
-                        match tx.send(&bytes) {
-                            Ok(()) => {
-                                self.metrics.frames_out.incr();
-                                self.metrics.bytes_out.add(bytes.len() as u64);
-                            }
-                            Err(_) => {
-                                // Its messages stay retained in the link; the
-                                // next handshake's rewind reads them again.
-                                dead.store(true, Ordering::Release);
-                                break;
-                            }
-                        }
+            let handle = handle.expect("spawn out bridge ack reader");
+            let mut closed = false;
+            while !self.shutdown.load(Ordering::Acquire) && !dead.load(Ordering::Acquire) {
+                let first = match self.data_rx.try_recv() {
+                    Ok(Some(first)) => first,
+                    // Until the ring, the ack reader or a new address
+                    // signals.
+                    Ok(None) => {
+                        self.dial.waker.park(None);
+                        continue;
                     }
-                    Err(LinkError::Timeout) => continue,
+                    // Local sender gone: the process is shutting down.
                     Err(_) => {
-                        // Local sender gone: the process is shutting down.
-                        dead.store(true, Ordering::Release);
+                        closed = true;
                         break;
                     }
+                };
+                // Whatever else is readable rides along: a replay, a
+                // burst, an event and the finalize behind it cost one
+                // write and one wake-up of the peer, not one per message.
+                // Nothing is waited for.
+                let mut run = vec![first];
+                while run.len() < MAX_RUN {
+                    match self.data_rx.try_recv() {
+                        Ok(Some(next)) => run.push(next),
+                        // Empty, or gone: the next read says which.
+                        Ok(None) | Err(_) => break,
+                    }
                 }
+                let bytes = DistFrame::Data(run).encode_to_vec();
+                if tx.send(&bytes).is_err() {
+                    // Its messages stay retained in the link; the next
+                    // handshake's rewind reads them again.
+                    break;
+                }
+                self.metrics.frames_out.incr();
+                self.metrics.bytes_out.add(bytes.len() as u64);
             }
+            dead.store(true, Ordering::Release);
             let _ = handle.join();
-        });
+            closed
+        })
     }
 }
 
@@ -747,10 +745,10 @@ mod tests {
         .unwrap();
 
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
-        let (gate_tx, gate_rx) = crossbeam_channel::bounded(1);
+        let (lane_tx, lane_rx) = crossbeam_channel::unbounded();
         let dial = DialSlot::new();
         dial.set(Some(acceptor.local_addr().to_string()));
-        let _bridge = OutBridge {
+        OutBridge {
             edge: 7,
             incarnation: 0,
             transport: transport.clone(),
@@ -758,13 +756,13 @@ mod tests {
             data_rx,
             metrics: TransportMetrics::detached(),
             shutdown: shutdown.clone(),
-            first_welcome: Some(gate_tx),
+            first_welcome: Some(lane_tx),
         }
         .start();
 
         // First handshake reports a zero cursor.
-        let fresh = EdgeCursor::default();
-        assert_eq!(gate_rx.recv_timeout(Duration::from_secs(5)).unwrap(), fresh);
+        let fresh = LaneEvent::Welcomed(7, EdgeCursor::default());
+        assert_eq!(lane_rx.recv_timeout(Duration::from_secs(5)).unwrap(), fresh);
         for n in 0..5u64 {
             data_tx.send(ev(n)).unwrap();
         }
@@ -907,6 +905,55 @@ mod tests {
         shutdown.store(true, Ordering::Release);
     }
 
+    /// The voluntary context switches of this process's thread `name`.
+    #[cfg(target_os = "linux")]
+    fn switches_of(name: &str) -> u64 {
+        let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
+        let task = tasks.filter_map(Result::ok).map(|task| task.path()).find(|task| {
+            std::fs::read_to_string(task.join("comm")).is_ok_and(|comm| comm.trim_end() == name)
+        });
+        let status = std::fs::read_to_string(task.expect("no such thread").join("status")).unwrap();
+        let switches =
+            status.lines().find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"));
+        switches.expect("a count").trim().parse().unwrap()
+    }
+
+    /// A connected bridge with nothing to send sleeps until its ring, its
+    /// ack reader or a new address signals it: no poll wakes its writer.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_idle_connected_bridge_writer_does_not_wake() {
+        let transport: Arc<dyn Transport> =
+            Arc::new(MemTransport::new().with_read_timeout(Duration::from_millis(20)));
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (acceptor, got_rx) = acceptor_at(&transport, "mem-idle:0", 9, &shutdown);
+        let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
+        let dial = DialSlot::new();
+        dial.set(Some(acceptor.local_addr().to_string()));
+        OutBridge {
+            edge: 9,
+            incarnation: 0,
+            transport,
+            dial,
+            data_rx,
+            metrics: TransportMetrics::detached(),
+            shutdown: shutdown.clone(),
+            first_welcome: None,
+        }
+        .start();
+        data_tx.send(ev(0)).unwrap();
+        assert_eq!(got_rx.recv_timeout(Duration::from_secs(5)).unwrap(), (0, ev(0)));
+        std::thread::sleep(Duration::from_millis(20));
+        let before = switches_of("bridge-out-e9");
+        std::thread::sleep(Duration::from_millis(200));
+        let woke = switches_of("bridge-out-e9") - before;
+        assert_eq!(woke, 0, "an idle bridge's writer woke {woke} times in 200 ms");
+        // Its ack reader is a thread of its own, named for the edge.
+        switches_of("bridge-ack-e9");
+        shutdown.store(true, Ordering::Release);
+        acceptor.poke();
+    }
+
     /// A paused inbound edge (one-way partition) delays frames but the
     /// cursor dedups any overlap once the window ends.
     #[test]
@@ -932,7 +979,7 @@ mod tests {
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
         let dial = DialSlot::new();
         dial.set(Some(acceptor.local_addr().to_string()));
-        let _bridge = OutBridge {
+        OutBridge {
             edge: 1,
             incarnation: 0,
             transport,
@@ -986,7 +1033,7 @@ mod tests {
         transport: Arc<dyn Transport>,
         dials: crossbeam_channel::Receiver<Instant>,
         dial: DialSlot,
-        connected: crossbeam_channel::Receiver<EdgeCursor>,
+        connected: crossbeam_channel::Receiver<LaneEvent>,
         shutdown: Arc<AtomicBool>,
         _data_tx: LinkSender<Message>,
     }
@@ -999,7 +1046,7 @@ mod tests {
         });
         let shutdown = Arc::new(AtomicBool::new(false));
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
-        let (gate_tx, connected) = crossbeam_channel::bounded(1);
+        let (lane_tx, connected) = crossbeam_channel::unbounded();
         let dial = DialSlot::new();
         dial.set(Some(first.to_string()));
         OutBridge {
@@ -1010,7 +1057,7 @@ mod tests {
             data_rx,
             metrics: TransportMetrics::detached(),
             shutdown: shutdown.clone(),
-            first_welcome: Some(gate_tx),
+            first_welcome: Some(lane_tx),
         }
         .start();
         Rig { transport, dials, dial, connected, shutdown, _data_tx: data_tx }
@@ -1074,8 +1121,8 @@ mod tests {
         let rig = bridge_dialing("mem:late");
         let attempts: Vec<Instant> =
             (0..5).map(|_| rig.dials.recv_timeout(Duration::from_secs(5)).unwrap()).collect();
-        // Setting the slot signalled once, which the park after the first
-        // failure consumes; from the second on it is 10 + 20 + 40 ms.
+        // Only a new address ends a wait, not the signal setting the slot
+        // left: the retries are 10 + 20 + 40 + 80 ms apart.
         assert!(attempts[4] - attempts[1] >= Duration::from_millis(70), "retries were not paced");
         let acceptor = listen(&rig, "mem:late");
         rig.connected.recv_timeout(Duration::from_secs(5)).expect("the retries stopped");

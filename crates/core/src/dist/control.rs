@@ -21,21 +21,30 @@
 //! is spawned, so any zombie of the old incarnation that still manages to
 //! present a `Hello` or `Beat` is answered with [`CtrlMsg::Fence`] and
 //! exits instead of double-driving the topology.
+//!
+//! A worker's side of the lane is its main thread: a [`CtrlLane`] dials,
+//! says `Hello` and then serves one queue, sending each `Beat` and each
+//! telemetry report when its deadline comes. One reader thread per
+//! connection puts the parent's pushes on that queue, and the out-bridges
+//! put their first `Welcome`s there. A failed send or an ended reader
+//! makes it dial again and say `Hello` again.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crossbeam_channel::{Receiver, Sender};
 use parking_lot::Mutex;
 use streammine_common::codec::{decode_from_slice, Encode};
 use streammine_common::BackoffConfig;
-use streammine_net::{FrameError, SharedFrameTx, Transport};
-use streammine_obs::TelemetryReport;
+use streammine_net::{FrameError, FrameRx, FrameTx, SharedFrameTx, Transport};
+use streammine_obs::{Obs, TelemetryReport};
 
+use crate::dist::bridge::EdgeCursor;
 use crate::dist::wire::CtrlMsg;
 
-/// How long a worker keeps redialing the control listener at startup.
+/// How long a worker keeps redialing the control listener.
 const CTRL_DIAL_TIMEOUT: Duration = Duration::from_secs(10);
 /// Worker-side redial backoff for the control connection: 5 ms doubling
 /// to 200 ms.
@@ -270,7 +279,7 @@ fn serve_worker(conn: Box<dyn streammine_net::FrameConn>, shared: Arc<PlaneShare
 }
 
 /// Who a control client claims to be: the identity fields carried by its
-/// `Hello` and echoed in every `Beat`, sent every [`BEAT`].
+/// `Hello` and echoed in every `Beat`.
 pub(crate) struct CtrlIdentity {
     /// Worker index.
     pub worker: u32,
@@ -280,167 +289,253 @@ pub(crate) struct CtrlIdentity {
     pub data_addr: String,
 }
 
-/// Worker-side control client: dials the parent, claims the lease, beats,
-/// and forwards parent pushes (`Wire`/`Fence`/`Fault`/`Shutdown`) to the
-/// worker's main loop.
-pub(crate) struct CtrlClient {
-    pause_until: Arc<Mutex<Option<Instant>>>,
-    shutdown: Arc<AtomicBool>,
-    /// The live sending half, shared with the beat writer (which owns
-    /// redialing). Lets other worker threads — the telemetry reporter —
-    /// push parent-bound messages on the same connection.
-    tx: SharedFrameTx,
+/// What a worker's main thread serves, in arrival order, off its control
+/// lane's one queue.
+#[derive(Debug, PartialEq)]
+pub(crate) enum LaneEvent {
+    /// A push from the parent, read off the control connection.
+    Parent(CtrlMsg),
+    /// An out-edge's first handshake: where its receiver stands, which the
+    /// worker applies to its link counters before its node starts.
+    Welcomed(u32, EdgeCursor),
+    /// The reader of the numbered control connection has ended; the lane
+    /// redials if it was the live one.
+    ReaderEnded(u64),
 }
 
-impl CtrlClient {
-    /// Connects and starts the beat/read threads. Parent pushes arrive on
-    /// `events`. Returns after the first successful `Hello`.
+/// A worker's control client, run by the worker's main thread (see the
+/// module docs).
+pub(crate) struct CtrlLane {
+    transport: Arc<dyn Transport>,
+    addr: String,
+    identity: CtrlIdentity,
+    /// The live connection's sending half; `None` until the redial once a
+    /// send on it failed or its reader ended.
+    tx: Option<Box<dyn FrameTx>>,
+    /// The live connection's number, and whether its reader may go on.
+    conn: (u64, Arc<AtomicBool>),
+    queue: (Sender<LaneEvent>, Receiver<LaneEvent>),
+    /// When the next `Beat` is due; a `PauseBeats` fault moves it.
+    beat_at: Instant,
+    obs: Obs,
+    /// The reporting period and the next report's deadline; `None`: only
+    /// the final report is sent.
+    reports: Option<(Duration, Instant)>,
+    /// The last report's number, and the journal watermark past the last
+    /// report that was sent.
+    reported: (u64, u64),
+    shutdown: Arc<AtomicBool>,
+}
+
+impl CtrlLane {
+    /// Dials the control plane at `addr` and says `Hello`. From then on
+    /// the lane reports `obs` every `report_every` (never with `None`).
     pub fn connect(
         transport: Arc<dyn Transport>,
-        ctrl_addr: String,
+        addr: String,
         identity: CtrlIdentity,
-        events: crossbeam_channel::Sender<CtrlMsg>,
+        (obs, report_every): (Obs, Option<Duration>),
         shutdown: Arc<AtomicBool>,
-    ) -> Result<CtrlClient, FrameError> {
-        let CtrlIdentity { worker, incarnation, data_addr } = identity;
-        let pause_until = Arc::new(Mutex::new(None));
-        let shared_tx = SharedFrameTx::new();
-        let client = CtrlClient {
-            pause_until: pause_until.clone(),
-            shutdown: shutdown.clone(),
-            tx: shared_tx.clone(),
+    ) -> Result<CtrlLane, FrameError> {
+        let now = Instant::now();
+        let mut lane = CtrlLane {
+            transport,
+            addr,
+            identity,
+            tx: None,
+            conn: (0, Arc::new(AtomicBool::new(false))),
+            queue: crossbeam_channel::unbounded(),
+            beat_at: now + BEAT,
+            obs,
+            reports: report_every.map(|every| (every, now + every)),
+            reported: (0, 0),
+            shutdown,
         };
-        let (ready_tx, ready_rx) = crossbeam_channel::bounded(1);
-        std::thread::Builder::new()
-            .name(format!("ctrl-client-w{worker}"))
-            .spawn(move || {
-                let mut ready = Some(ready_tx);
-                while !shutdown.load(Ordering::Acquire) {
-                    let conn = match dial_backoff(&*transport, &ctrl_addr, &shutdown) {
-                        Some(c) => c,
-                        None => {
-                            if let Some(r) = ready.take() {
-                                let _ = r.send(Err(FrameError::Addr(format!(
-                                    "control listener unreachable at {ctrl_addr}"
-                                ))));
-                            }
-                            return;
-                        }
-                    };
-                    let (raw_tx, mut rx) = conn.split();
-                    shared_tx.install(raw_tx);
-                    let hello =
-                        CtrlMsg::Hello { worker, incarnation, data_addr: data_addr.clone() };
-                    if !shared_tx.send(&hello.encode_to_vec()) {
-                        continue;
-                    }
-                    if let Some(r) = ready.take() {
-                        let _ = r.send(Ok(()));
-                    }
-                    // Reader: parent pushes → worker main loop.
-                    let conn_dead = Arc::new(AtomicBool::new(false));
-                    std::thread::scope(|s| {
-                        let reader_dead = conn_dead.clone();
-                        let events = &events;
-                        let shutdown = &shutdown;
-                        s.spawn(move || loop {
-                            if shutdown.load(Ordering::Acquire)
-                                || reader_dead.load(Ordering::Acquire)
-                            {
-                                return;
-                            }
-                            match rx.recv() {
-                                Ok(bytes) => {
-                                    if let Ok(msg) = decode_from_slice::<CtrlMsg>(&bytes) {
-                                        let _ = events.send(msg);
-                                    }
-                                }
-                                Err(e) if e.is_fatal() => {
-                                    reader_dead.store(true, Ordering::Release);
-                                    return;
-                                }
-                                Err(_) => continue,
-                            }
-                        });
-                        // Writer: beats, honoring the pause-beats fault.
-                        loop {
-                            if shutdown.load(Ordering::Acquire) || conn_dead.load(Ordering::Acquire)
-                            {
-                                conn_dead.store(true, Ordering::Release);
-                                break;
-                            }
-                            let paused = pause_until
-                                .lock()
-                                .map(|until| Instant::now() < until)
-                                .unwrap_or(false);
-                            if !paused {
-                                let beat_msg = CtrlMsg::Beat { worker, incarnation };
-                                if !shared_tx.send(&beat_msg.encode_to_vec()) {
-                                    conn_dead.store(true, Ordering::Release);
-                                    break; // redial + re-Hello
-                                }
-                            }
-                            std::thread::sleep(BEAT);
-                        }
-                    });
+        lane.redial()?;
+        Ok(lane)
+    }
+
+    /// A sender onto the lane's queue, for an out-bridge's first welcome.
+    pub fn queue(&self) -> Sender<LaneEvent> {
+        self.queue.0.clone()
+    }
+
+    /// Waits until `until` (for ever with `None`) for the next thing the
+    /// main thread serves: a parent's push or an out-edge's first welcome.
+    /// Beats and reports falling due meanwhile are sent, and a lost
+    /// connection is dialed again. `Ok(None)` when `until` came first; an
+    /// error when the control plane stayed unreachable for a whole redial.
+    pub fn next(&mut self, until: Option<Instant>) -> Result<Option<LaneEvent>, FrameError> {
+        loop {
+            if self.tx.is_none() {
+                self.redial()?;
+            }
+            let now = Instant::now();
+            if now >= self.beat_at {
+                self.beat_at = now + BEAT;
+                let CtrlIdentity { worker, incarnation, .. } = self.identity;
+                self.send(&CtrlMsg::Beat { worker, incarnation });
+            }
+            if let Some((every, at)) = self.reports {
+                if now >= at {
+                    self.reports = Some((every, now + every));
+                    self.report(self.reported.1);
                 }
-            })
-            .expect("spawn ctrl client");
-        match ready_rx.recv_timeout(CTRL_DIAL_TIMEOUT + Duration::from_secs(1)) {
-            Ok(Ok(())) => Ok(client),
-            Ok(Err(e)) => Err(e),
-            Err(_) => Err(FrameError::Timeout),
-        }
-    }
-
-    /// Pushes a parent-bound message on the live control connection.
-    /// Returns `false` when the connection is currently down (the beat
-    /// writer is redialing) or the send fails — callers just retry on
-    /// their next period; reports are idempotent at the aggregator.
-    pub fn send(&self, msg: &CtrlMsg) -> bool {
-        self.tx.send(&msg.encode_to_vec())
-    }
-
-    /// Applies the pause-beats fault: no beats for `window`.
-    pub fn pause_beats(&self, window: Duration) {
-        *self.pause_until.lock() = Some(Instant::now() + window);
-    }
-
-    /// Stops the client's threads (shared flag; threads exit on next poll).
-    pub fn stop(&self) {
-        self.shutdown.store(true, Ordering::Release);
-    }
-}
-
-fn dial_backoff(
-    transport: &dyn Transport,
-    addr: &str,
-    shutdown: &AtomicBool,
-) -> Option<Box<dyn streammine_net::FrameConn>> {
-    let deadline = Instant::now() + CTRL_DIAL_TIMEOUT;
-    let mut failures = 0;
-    loop {
-        if shutdown.load(Ordering::Acquire) || Instant::now() >= deadline {
-            return None;
-        }
-        match transport.dial(addr) {
-            Ok(c) => return Some(c),
-            Err(_) => {
-                failures += 1;
-                std::thread::sleep(CTRL_REDIAL.delay(failures));
+            }
+            if self.tx.is_none() {
+                continue;
+            }
+            let due = self.reports.map_or(self.beat_at, |(_, at)| at.min(self.beat_at));
+            let wake = until.map_or(due, |until| until.min(due));
+            match self.queue.1.recv_timeout(wake.saturating_duration_since(now)) {
+                Ok(LaneEvent::ReaderEnded(conn)) => {
+                    if conn == self.conn.0 {
+                        self.tx = None;
+                    }
+                }
+                Ok(event) => return Ok(Some(event)),
+                Err(_) if until.is_some_and(|until| Instant::now() >= until) => return Ok(None),
+                Err(_) => {}
             }
         }
     }
+
+    /// Applies the pause-beats fault: no `Beat` for `window`. Reports go on.
+    pub fn pause_beats(&mut self, window: Duration) {
+        self.beat_at = self.beat_at.max(Instant::now() + window);
+    }
+
+    /// Sends a telemetry report: the whole metrics snapshot, the journal
+    /// past `journal_from` and every span. A report that was sent moves
+    /// the journal watermark past what it carried; one that was not (the
+    /// connection is down) is superseded by the next, which carries its
+    /// records too. `0` carries the whole journal: the final report, which
+    /// the aggregator dedups.
+    pub fn report(&mut self, journal_from: u64) {
+        self.reported.0 += 1;
+        let CtrlIdentity { worker, incarnation, .. } = self.identity;
+        let (report, mark) =
+            TelemetryReport::gather(worker, incarnation, self.reported.0, &self.obs, journal_from);
+        if self.send(&CtrlMsg::Telemetry(report)) {
+            self.reported.1 = mark;
+        }
+    }
+
+    /// Sends `msg`; a failed send drops the connection, for `next` to redial.
+    fn send(&mut self, msg: &CtrlMsg) -> bool {
+        let sent = self.tx.as_mut().is_some_and(|tx| tx.send(&msg.encode_to_vec()).is_ok());
+        if !sent {
+            self.tx = None;
+        }
+        sent
+    }
+
+    /// Retires the connection, if any, and dials until a new one carries
+    /// the `Hello`, then starts its reader.
+    fn redial(&mut self) -> Result<(), FrameError> {
+        self.tx = None;
+        self.conn.1.store(false, Ordering::Release);
+        let CtrlIdentity { worker, incarnation, ref data_addr } = self.identity;
+        let hello = CtrlMsg::Hello { worker, incarnation, data_addr: data_addr.clone() };
+        let deadline = Instant::now() + CTRL_DIAL_TIMEOUT;
+        let mut failures = 0;
+        while !self.shutdown.load(Ordering::Acquire) && Instant::now() < deadline {
+            let Ok(conn) = self.transport.dial(&self.addr) else {
+                failures += 1;
+                std::thread::sleep(CTRL_REDIAL.delay(failures));
+                continue;
+            };
+            let (mut tx, rx) = conn.split();
+            if tx.send(&hello.encode_to_vec()).is_err() {
+                continue;
+            }
+            let reading = Arc::new(AtomicBool::new(true));
+            self.conn = (self.conn.0 + 1, reading.clone());
+            let (conn, queue, shutdown) =
+                (self.conn.0, self.queue.0.clone(), self.shutdown.clone());
+            std::thread::Builder::new()
+                .name(format!("ctrl-read-w{worker}"))
+                .spawn(move || read_parent(rx, conn, &queue, &reading, &shutdown))
+                .expect("spawn ctrl reader");
+            self.tx = Some(tx);
+            return Ok(());
+        }
+        Err(FrameError::Addr(format!("control listener unreachable at {}", self.addr)))
+    }
+}
+
+/// Puts what the parent pushes on connection `conn` onto the worker's
+/// queue until the connection ends, it is retired or the worker shuts
+/// down, and then says that it ended.
+fn read_parent(
+    mut rx: Box<dyn FrameRx>,
+    conn: u64,
+    queue: &Sender<LaneEvent>,
+    reading: &AtomicBool,
+    shutdown: &AtomicBool,
+) {
+    while reading.load(Ordering::Acquire) && !shutdown.load(Ordering::Acquire) {
+        match rx.recv() {
+            Ok(bytes) => {
+                if let Ok(msg) = decode_from_slice::<CtrlMsg>(&bytes) {
+                    if queue.send(LaneEvent::Parent(msg)).is_err() {
+                        return;
+                    }
+                }
+            }
+            Err(e) if e.is_fatal() => break,
+            Err(_) => {}
+        }
+    }
+    let _ = queue.send(LaneEvent::ReaderEnded(conn));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::wire::FaultCmd;
     use streammine_net::MemTransport;
 
     fn mem() -> Arc<dyn Transport> {
         Arc::new(MemTransport::new().with_read_timeout(Duration::from_millis(20)))
+    }
+
+    /// A worker's lane at `plane` as `(worker, incarnation)`, reporting
+    /// every `report_every`.
+    fn lane(
+        t: &Arc<dyn Transport>,
+        plane: &ControlPlane,
+        (worker, incarnation): (u32, u64),
+        report_every: Option<Duration>,
+        shutdown: &Arc<AtomicBool>,
+    ) -> CtrlLane {
+        let data_addr = format!("mem:data-w{worker}");
+        CtrlLane::connect(
+            t.clone(),
+            plane.local_addr().to_string(),
+            CtrlIdentity { worker, incarnation, data_addr },
+            (Obs::new(), report_every),
+            shutdown.clone(),
+        )
+        .unwrap()
+    }
+
+    /// Serves `lane` until it hands over a parent's push that `wanted`
+    /// accepts; panics after five seconds.
+    fn serve_until(lane: &mut CtrlLane, wanted: impl Fn(&CtrlMsg) -> bool) -> CtrlMsg {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            match lane.next(Some(deadline)).unwrap() {
+                Some(LaneEvent::Parent(msg)) if wanted(&msg) => return msg,
+                Some(_) => continue,
+                None => panic!("no such push arrived"),
+            }
+        }
+    }
+
+    /// Serves `lane` for `window`, handing over nothing.
+    fn serve_for(lane: &mut CtrlLane, window: Duration) {
+        let until = Instant::now() + window;
+        while lane.next(Some(until)).unwrap().is_some() {}
     }
 
     #[test]
@@ -448,15 +543,7 @@ mod tests {
         let t = mem();
         let shutdown = Arc::new(AtomicBool::new(false));
         let plane = ControlPlane::start(t.clone(), "mem-ctrl:0", shutdown.clone()).unwrap();
-        let (ev_tx, ev_rx) = crossbeam_channel::unbounded();
-        let client = CtrlClient::connect(
-            t,
-            plane.local_addr().to_string(),
-            CtrlIdentity { worker: 2, incarnation: 0, data_addr: "mem:data-w2".into() },
-            ev_tx,
-            shutdown.clone(),
-        )
-        .unwrap();
+        let mut lane = lane(&t, &plane, (2, 0), None, &shutdown);
 
         let up = plane.events().recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(
@@ -466,29 +553,15 @@ mod tests {
         let lease = plane.lease(2).unwrap();
         assert_eq!(lease.epoch, 0);
 
-        // Beats renew the lease.
+        // Beats renew the lease while the lane is served.
         let before = plane.lease(2).unwrap().last_beat;
-        std::thread::sleep(Duration::from_millis(60));
+        serve_for(&mut lane, Duration::from_millis(60));
         assert!(plane.lease(2).unwrap().last_beat > before, "beats should renew the lease");
 
-        // Parent push reaches the worker's event stream.
+        // A parent push reaches the worker's main thread.
         let wire = CtrlMsg::Wire { outs: vec![(3, "mem:data-w3".into())] };
         assert!(plane.send_to(2, &wire));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match ev_rx.recv_timeout(deadline - Instant::now()) {
-                Ok(CtrlMsg::Wire { outs }) => {
-                    assert_eq!(outs, vec![(3, "mem:data-w3".to_string())]);
-                    break;
-                }
-                Ok(_) => continue,
-                Err(e) => panic!("wire never arrived: {e}"),
-            }
-        }
-        let fault = CtrlMsg::Fault(FaultCmd::PauseBeats { millis: 50 });
-        assert!(plane.send_to(2, &fault));
-
-        client.stop();
+        assert_eq!(serve_until(&mut lane, |msg| matches!(msg, CtrlMsg::Wire { .. })), wire);
         shutdown.store(true, Ordering::Release);
         plane.poke();
     }
@@ -498,39 +571,52 @@ mod tests {
         let t = mem();
         let shutdown = Arc::new(AtomicBool::new(false));
         let plane = ControlPlane::start(t.clone(), "mem-telemetry:0", shutdown.clone()).unwrap();
-        let (ev_tx, _ev_rx) = crossbeam_channel::unbounded();
-        let client = CtrlClient::connect(
-            t,
-            plane.local_addr().to_string(),
-            CtrlIdentity { worker: 7, incarnation: 0, data_addr: "mem:data-w7".into() },
-            ev_tx,
-            shutdown.clone(),
-        )
-        .unwrap();
+        let mut lane = lane(&t, &plane, (7, 0), Some(Duration::from_millis(10)), &shutdown);
         let up = plane.events().recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(matches!(up, CtrlEvent::WorkerUp { worker: 7, .. }));
 
-        let report = TelemetryReport {
-            worker: 7,
-            incarnation: 0,
-            seq: 1,
-            metrics: vec![],
-            journal: vec![],
-            spans: vec![],
-        };
-        assert!(client.send(&CtrlMsg::Telemetry(report.clone())));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match plane.events().recv_timeout(deadline - Instant::now()) {
-                Ok(CtrlEvent::Telemetry(r)) => {
-                    assert_eq!(r, report);
-                    break;
-                }
-                Ok(_) => continue,
-                Err(e) => panic!("telemetry never arrived: {e}"),
+        // Periodic reports, numbered from 1, then a final one.
+        serve_for(&mut lane, Duration::from_millis(35));
+        lane.report(0);
+        let mut seqs = Vec::new();
+        while let Ok(event) = plane.events().recv_timeout(Duration::from_millis(200)) {
+            if let CtrlEvent::Telemetry(report) = event {
+                assert_eq!((report.worker, report.incarnation), (7, 0));
+                seqs.push(report.seq);
             }
         }
-        client.stop();
+        assert!(seqs.len() >= 3, "reports: {seqs:?}");
+        assert_eq!(seqs, (1..=seqs.len() as u64).collect::<Vec<_>>());
+        shutdown.store(true, Ordering::Release);
+        plane.poke();
+    }
+
+    /// A `PauseBeats` fault stops the beats and nothing else: the lease
+    /// ages through the window while the reports keep arriving, and the
+    /// beats resume after it.
+    #[test]
+    fn paused_beats_still_report() {
+        let t = mem();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let plane = ControlPlane::start(t.clone(), "mem-paused:0", shutdown.clone()).unwrap();
+        let mut lane = lane(&t, &plane, (8, 0), Some(Duration::from_millis(10)), &shutdown);
+        plane.events().recv_timeout(Duration::from_secs(5)).unwrap();
+        lane.pause_beats(Duration::from_millis(150));
+        // A beat sent before the pause may still be on its way.
+        serve_for(&mut lane, Duration::from_millis(30));
+        let paused = plane.lease(8).unwrap().last_beat;
+        let reports = || {
+            std::iter::from_fn(|| plane.events().try_recv().ok())
+                .filter(|event| matches!(event, CtrlEvent::Telemetry(_)))
+                .count()
+        };
+        reports();
+        serve_for(&mut lane, Duration::from_millis(80));
+        assert_eq!(plane.lease(8).unwrap().last_beat, paused, "a Beat arrived while paused");
+        let reports = reports();
+        assert!(reports >= 3, "{reports} reports in 80 ms of a paused lane");
+        serve_for(&mut lane, Duration::from_millis(100));
+        assert!(plane.lease(8).unwrap().last_beat > paused, "the beats never resumed");
         shutdown.store(true, Ordering::Release);
         plane.poke();
     }
@@ -543,27 +629,9 @@ mod tests {
         // The monitor has already decided incarnation 0 is dead.
         plane.expect_epoch(4, 1);
 
-        let (ev_tx, ev_rx) = crossbeam_channel::unbounded();
-        let _client = CtrlClient::connect(
-            t,
-            plane.local_addr().to_string(),
-            CtrlIdentity {
-                worker: 4,
-                incarnation: 0, // zombie incarnation
-                data_addr: "mem:data-w4".into(),
-            },
-            ev_tx,
-            shutdown.clone(),
-        )
-        .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match ev_rx.recv_timeout(deadline - Instant::now()) {
-                Ok(CtrlMsg::Fence) => break,
-                Ok(_) => continue,
-                Err(e) => panic!("zombie never fenced: {e}"),
-            }
-        }
+        // A zombie incarnation.
+        let mut lane = lane(&t, &plane, (4, 0), None, &shutdown);
+        serve_until(&mut lane, |msg| *msg == CtrlMsg::Fence);
         assert!(plane.lease(4).is_none(), "a fenced incarnation must not hold the lease");
         shutdown.store(true, Ordering::Release);
         plane.poke();
@@ -574,27 +642,12 @@ mod tests {
         let t = mem();
         let shutdown = Arc::new(AtomicBool::new(false));
         let plane = ControlPlane::start(t.clone(), "mem-bump:0", shutdown.clone()).unwrap();
-        let (ev_tx, ev_rx) = crossbeam_channel::unbounded();
-        let _client = CtrlClient::connect(
-            t,
-            plane.local_addr().to_string(),
-            CtrlIdentity { worker: 1, incarnation: 0, data_addr: "mem:data-w1".into() },
-            ev_tx,
-            shutdown.clone(),
-        )
-        .unwrap();
+        let mut lane = lane(&t, &plane, (1, 0), None, &shutdown);
         plane.events().recv_timeout(Duration::from_secs(5)).unwrap();
         // Partition declared: the monitor bumps the epoch while the old
         // incarnation is still connected — it gets fenced immediately.
         plane.expect_epoch(1, 1);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match ev_rx.recv_timeout(deadline - Instant::now()) {
-                Ok(CtrlMsg::Fence) => break,
-                Ok(_) => continue,
-                Err(e) => panic!("live stale lease never fenced: {e}"),
-            }
-        }
+        serve_until(&mut lane, |msg| *msg == CtrlMsg::Fence);
         assert!(plane.lease(1).is_none());
         shutdown.store(true, Ordering::Release);
         plane.poke();

@@ -2,11 +2,16 @@
 //!
 //! A worker binary calls [`worker_main`] with an [`OperatorRegistry`]. The
 //! runtime decodes its [`super::WorkerSpec`] from the environment, binds a
-//! data listener, dials the parent's control plane, waits to be wired,
-//! handshakes every out-edge (applying the receiver cursors to its link
-//! counters **before** the node starts, so a restarted incarnation
-//! suppresses exactly the outputs already on the wire), and then runs the
-//! node until the parent says otherwise.
+//! data listener and dials the parent's control plane. From then on its
+//! main thread is the worker's control client (`CtrlLane`): it serves
+//! one queue — the parent's pushes, which one reader thread reads off the
+//! control connection, and each out-bridge's first `Welcome` — and sends
+//! its beats and telemetry reports as their deadlines come. It wires the
+//! out-bridges, starts the node once every out-edge is welcomed (applying
+//! the receiver cursors to its link counters **before** the node starts, so
+//! a restarted incarnation suppresses exactly the outputs already on the
+//! wire), applies the nemesis's faults and runs until the parent says
+//! otherwise.
 //!
 //! The node is the one its spec's config
 //! ([`OperatorConfig`](crate::config::OperatorConfig)) describes, built as
@@ -53,7 +58,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use streammine_common::clock::{shared, SystemClock};
 use streammine_net::{link, EdgeMetrics, LinkConfig, TcpTransport, Transport};
@@ -61,7 +66,7 @@ use streammine_obs::{Obs, TransportMetrics};
 
 use crate::determinant::read_back;
 use crate::dist::bridge::{Acceptor, DialSlot, EdgeCursor, InEdge, OutBridge};
-use crate::dist::control::{CtrlClient, CtrlIdentity};
+use crate::dist::control::{CtrlIdentity, CtrlLane, LaneEvent};
 use crate::dist::spec::{log_file, WorkerSpec, SPEC_ENV};
 use crate::dist::wire::{CtrlMsg, FaultCmd};
 use crate::plumbing::{DownEdge, Inbox, Sent};
@@ -73,8 +78,8 @@ use crate::node::{Node, NodeSeed};
 use crate::operator::Operator;
 use streammine_common::ids::OperatorId;
 
-/// How long a worker waits for its first `Wire` and for every out-edge
-/// handshake before giving up.
+/// How long a worker waits, from its `Hello`, for every out-edge to be
+/// wired and welcomed before giving up.
 const WIRING_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Worker exit codes (the launcher's monitor treats any non-zero exit it
@@ -225,9 +230,11 @@ pub(crate) fn run_worker(
             }
         };
 
-    // Control lane: claim the lease, then wait to be wired.
-    let (ctrl_events_tx, ctrl_events) = crossbeam_channel::unbounded();
-    let ctrl = match CtrlClient::connect(
+    // Control lane: claim the lease. From here on this thread is the
+    // worker's control client, and what it serves comes off one queue.
+    let report_every =
+        (spec.telemetry_millis > 0).then(|| Duration::from_millis(spec.telemetry_millis));
+    let mut lane = match CtrlLane::connect(
         transport.clone(),
         spec.ctrl_addr.clone(),
         CtrlIdentity {
@@ -235,10 +242,10 @@ pub(crate) fn run_worker(
             incarnation: spec.incarnation,
             data_addr: acceptor.local_addr().to_string(),
         },
-        ctrl_events_tx,
+        (obs.clone(), report_every),
         shutdown.clone(),
     ) {
-        Ok(c) => Arc::new(c),
+        Ok(lane) => lane,
         Err(e) => {
             eprintln!("worker {}: control plane unreachable: {e}", spec.worker);
             return exit::WIRING;
@@ -247,16 +254,14 @@ pub(crate) fn run_worker(
 
     // Out-edges: links + bridges now, addresses when the Wire arrives.
     // Each bridge applies the acks it reads off its socket to the ring it
-    // reads, as an in-process reader acks its own.
-    let mut down_data = Vec::new();
-    let mut dial_slots: HashMap<u32, DialSlot> = HashMap::new();
-    let mut gates = Vec::new();
+    // reads, as an in-process reader acks its own, and puts its first
+    // `Welcome` on the lane.
+    let mut outs = Vec::new();
     for edge in spec.out_edges.iter().copied() {
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
         // The ring the downstream's checkpoints trim: `edge.retained`.
         data_tx.set_metrics(EdgeMetrics::registered(&obs.registry, spec.worker, edge));
         let slot = DialSlot::new();
-        let (gate_tx, gate_rx) = crossbeam_channel::bounded(1);
         OutBridge {
             edge,
             incarnation: spec.incarnation,
@@ -265,158 +270,98 @@ pub(crate) fn run_worker(
             data_rx,
             metrics: TransportMetrics::registered(&obs.registry, spec.worker, edge),
             shutdown: shutdown.clone(),
-            first_welcome: Some(gate_tx),
+            first_welcome: Some(lane.queue()),
         }
         .start();
-        dial_slots.insert(edge, slot);
         inbox.wake_on_room(&data_tx);
-        down_data.push(data_tx);
-        gates.push(gate_rx);
+        outs.push((edge, slot, data_tx));
     }
 
-    // A `Wire` fills the dial slots, which wakes their bridges.
-    let wire = |outs: Vec<(u32, String)>| {
-        for (edge, addr) in outs {
-            if let Some(slot) = dial_slots.get(&edge) {
-                slot.set(Some(addr));
-            }
-        }
-    };
-    let deadline = std::time::Instant::now() + WIRING_TIMEOUT;
-    'wired: loop {
-        let left = deadline.saturating_duration_since(std::time::Instant::now());
-        match ctrl_events.recv_timeout(left) {
-            Ok(CtrlMsg::Wire { outs }) => {
-                wire(outs);
-                break 'wired;
-            }
-            Ok(CtrlMsg::Fence) => return exit::FENCED,
-            Ok(CtrlMsg::Shutdown) => return exit::OK,
-            Ok(_) => continue,
-            Err(_) => {
-                if spec.out_edges.is_empty() {
-                    break 'wired; // nothing to wire
-                }
-                eprintln!("worker {}: never wired", spec.worker);
-                return exit::WIRING;
-            }
-        }
-    }
-
-    // Handshake gates: the receiver cursors, applied to the link counters
-    // before the node runs. `next_seq` re-bases fresh output frames; the
-    // counts are the re-derived events and finalizes to suppress.
-    let mut down = Vec::new();
-    for (gate, data_tx) in gates.iter().zip(down_data) {
-        let Ok(welcomed) = gate.recv_timeout(WIRING_TIMEOUT) else {
-            eprintln!("worker {}: out-edge handshake timed out", spec.worker);
-            return exit::WIRING;
-        };
-        data_tx.set_next_seq(welcomed.next_seq());
-        let sent = Sent {
-            events: AtomicU64::new(welcomed.events()),
-            finals: AtomicU64::new(welcomed.finals()),
-            by_receiver: true,
-            ..Sent::default()
-        };
-        down.push(DownEdge { data_tx, sent: Arc::new(sent) });
-    }
-
-    let reporter_obs = obs.clone();
-    let seed = NodeSeed {
+    let mut seed = Some(NodeSeed {
         id: OperatorId::new(spec.worker),
         operator,
         config: spec.config,
         clock,
         inbox,
-        down,
+        down: Vec::new(),
         log,
         obs,
         exits: None,
         recovering: spec.incarnation > 0,
-    };
-    let _node = Node::start(seed);
-
-    // Telemetry reporter: push a full snapshot + fresh journal records +
-    // all spans up the control lane every `telemetry_millis`. A failed
-    // send (connection mid-redial) just skips a period — the next report
-    // supersedes it, and the journal watermark only advances on success
-    // so no record is lost. `0` disables the periodic push; the final
-    // flush below still runs.
-    let report_seq = Arc::new(AtomicU64::new(0));
-    if spec.telemetry_millis > 0 {
-        let obs = reporter_obs.clone();
-        let ctrl = ctrl.clone();
-        let shutdown = shutdown.clone();
-        let report_seq = report_seq.clone();
-        let (worker, incarnation) = (spec.worker, spec.incarnation);
-        let period = Duration::from_millis(spec.telemetry_millis);
-        std::thread::Builder::new()
-            .name(format!("telemetry-w{worker}"))
-            .spawn(move || {
-                let mut journal_mark = 0u64;
-                loop {
-                    std::thread::sleep(period);
-                    if shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    let seq = report_seq.fetch_add(1, Ordering::Relaxed) + 1;
-                    let (report, mark) = streammine_obs::TelemetryReport::gather(
-                        worker,
-                        incarnation,
-                        seq,
-                        &obs,
-                        journal_mark,
-                    );
-                    if ctrl.send(&CtrlMsg::Telemetry(report)) {
-                        journal_mark = mark;
-                    }
-                }
-            })
-            .expect("spawn telemetry reporter");
-    }
-
-    // Steady state: obey the parent until told to stop.
+    });
+    let mut welcomed: HashMap<u32, EdgeCursor> = HashMap::new();
+    let wiring = Instant::now() + WIRING_TIMEOUT;
     loop {
-        match ctrl_events.recv() {
-            // A downstream neighbor restarted at a new address: its
-            // bridge, parked between dials of the dead one, redials now.
-            Ok(CtrlMsg::Wire { outs }) => wire(outs),
-            Ok(CtrlMsg::Fault(cmd)) => match cmd {
-                FaultCmd::ListenerDrop { millis } => {
-                    acceptor.drop_listener(Duration::from_millis(millis));
+        // The node starts once every out-edge is welcomed: the receiver
+        // cursors, applied to the link counters before it runs. `next_seq`
+        // re-bases fresh output frames; the counts are the re-derived
+        // events and finalizes to suppress.
+        if seed.is_some() && welcomed.len() == outs.len() {
+            let mut seed = seed.take().expect("not started yet");
+            for (edge, _, data_tx) in &outs {
+                let welcomed = welcomed[edge];
+                data_tx.set_next_seq(welcomed.next_seq());
+                let sent = Sent {
+                    events: AtomicU64::new(welcomed.events()),
+                    finals: AtomicU64::new(welcomed.finals()),
+                    by_receiver: true,
+                    ..Sent::default()
+                };
+                seed.down.push(DownEdge { data_tx: data_tx.clone(), sent: Arc::new(sent) });
+            }
+            Node::start(seed);
+        }
+        let msg = match lane.next(seed.as_ref().map(|_| wiring)) {
+            Ok(Some(LaneEvent::Parent(msg))) => msg,
+            Ok(Some(LaneEvent::Welcomed(edge, cursor))) => {
+                welcomed.insert(edge, cursor);
+                continue;
+            }
+            Ok(Some(LaneEvent::ReaderEnded(_))) => continue,
+            Ok(None) => {
+                eprintln!("worker {}: never wired", spec.worker);
+                return exit::WIRING;
+            }
+            Err(e) => {
+                eprintln!("worker {}: control plane lost: {e}", spec.worker);
+                shutdown.store(true, Ordering::Release);
+                return if seed.is_some() { exit::WIRING } else { exit::OK };
+            }
+        };
+        match msg {
+            // A downstream neighbor (re)started at a new address: its
+            // bridge, parked between dials of the dead one, dials now.
+            CtrlMsg::Wire { outs: wired } => {
+                for (edge, addr) in wired {
+                    if let Some((_, slot, _)) = outs.iter().find(|(out, ..)| *out == edge) {
+                        slot.set(Some(addr));
+                    }
                 }
-                FaultCmd::PauseInbound { edge, millis } => {
-                    acceptor.pause_inbound(edge, Duration::from_millis(millis));
-                }
-                FaultCmd::PauseBeats { millis } => {
-                    ctrl.pause_beats(Duration::from_millis(millis));
-                }
-            },
-            Ok(CtrlMsg::Fence) => {
+            }
+            CtrlMsg::Fault(FaultCmd::ListenerDrop { millis }) => {
+                acceptor.drop_listener(Duration::from_millis(millis));
+            }
+            CtrlMsg::Fault(FaultCmd::PauseInbound { edge, millis }) => {
+                acceptor.pause_inbound(edge, Duration::from_millis(millis));
+            }
+            CtrlMsg::Fault(FaultCmd::PauseBeats { millis }) => {
+                lane.pause_beats(Duration::from_millis(millis));
+            }
+            CtrlMsg::Fence => {
                 shutdown.store(true, Ordering::Release);
                 return exit::FENCED;
             }
-            Ok(CtrlMsg::Shutdown) | Err(_) => {
-                // Final telemetry flush: the whole journal (watermark 0 —
-                // the aggregator dedups) plus the closing snapshot, so a
+            CtrlMsg::Shutdown => {
+                // The final report carries the whole journal (watermark 0
+                // — the aggregator dedups) and the closing snapshot, so a
                 // clean shutdown never strands the tail of this
                 // incarnation's history.
-                let seq = report_seq.fetch_add(1, Ordering::Relaxed) + 1;
-                let (report, _) = streammine_obs::TelemetryReport::gather(
-                    spec.worker,
-                    spec.incarnation,
-                    seq,
-                    &reporter_obs,
-                    0,
-                );
-                let _ = ctrl.send(&CtrlMsg::Telemetry(report));
+                lane.report(0);
                 shutdown.store(true, Ordering::Release);
-                ctrl.stop();
                 acceptor.poke();
                 return exit::OK;
             }
-            Ok(_) => {}
+            _ => {}
         }
     }
 }

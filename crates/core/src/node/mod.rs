@@ -533,20 +533,17 @@ impl Node {
             if !self.running {
                 break;
             }
+            // The finals the commits served above staged go out before the
+            // operator runs again, one frame per edge for all of them (or
+            // at `BATCH_MAX_EVENTS`): only commits stage finals.
+            self.flush_out_batches();
             // The gate decides what may be read, and a stall can end
             // without any message (the consumer reading on frees its
             // window, which only signals the waker): evaluate it on every
-            // pass.
+            // pass, with what the commits sent on the wire.
             self.drain_ready_events();
             worked |= self.read_inputs();
             if !worked {
-                // Adaptive flush: buffered outputs only hit the wire when
-                // nothing is readable (about to sleep) or a buffer reached
-                // the size threshold. Under low load that is after every
-                // event, so each output goes out at once as a plain `Data`
-                // message and latency is unchanged; under backlog the
-                // buffers fill toward `BATCH_MAX_EVENTS`-sized frames.
-                self.flush_out_batches();
                 // Gauges stay current while the node sleeps.
                 self.publish_gauges();
                 // The one place the coordinator sleeps — never inside a

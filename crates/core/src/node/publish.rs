@@ -77,8 +77,8 @@ impl Node {
     /// Stages the final outputs of a committed serial, which `put` tallies,
     /// for sending. Events accumulate in per-edge buffers (payloads are
     /// shared via their `Arc`, not deep-copied) and go out as one
-    /// `DataBatch` frame when a buffer reaches [`BATCH_MAX_EVENTS`] or the
-    /// coordinator runs out of readable work.
+    /// `DataBatch` frame when a buffer reaches [`BATCH_MAX_EVENTS`] or
+    /// before the coordinator reads its inputs again.
     pub(super) fn send_outputs_final(
         &mut self,
         outputs: Vec<(Event, Option<u32>)>,

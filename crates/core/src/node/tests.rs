@@ -654,14 +654,15 @@ fn engine_threads_wake_exactly_and_the_callers_thread_keeps_its_slack() {
 }
 
 /// A relay that counts, each time it runs, the commits its node journaled
-/// so far; on the event `gate_at` it first says so and then waits for the
-/// test's go-ahead.
+/// so far and the events its node put on its out ring; on the event
+/// `gate_at` it first says so and then waits for the test's go-ahead.
 struct CommitCounting {
     journal: Arc<Journal>,
+    out: Arc<crate::plumbing::Sent>,
     gate_at: i64,
     entered: crossbeam_channel::Sender<()>,
     go: crossbeam_channel::Receiver<()>,
-    seen: Arc<Mutex<Vec<(i64, usize)>>>,
+    seen: Arc<Mutex<Vec<(i64, usize, u64)>>>,
 }
 
 impl Operator for CommitCounting {
@@ -672,7 +673,7 @@ impl Operator for CommitCounting {
             self.go.recv().expect("the test lets go");
         }
         let commits = self.journal.count_matching(|e| matches!(e.kind, JournalKind::Commit { .. }));
-        self.seen.lock().push((n, commits));
+        self.seen.lock().push((n, commits, self.out.events.load(Ordering::Acquire)));
         ctx.emit(event.payload.clone());
         Ok(())
     }
@@ -684,8 +685,9 @@ impl Operator for CommitCounting {
 /// the operator still runs event 1, and event 2 arrives on port 0
 /// meanwhile. The next pass completes the groups, which commits events 0
 /// and 1 — each commit's notice comes back to the inbox — and reads event
-/// 2. The commits, with their outputs staged for sending, are served to
-/// their end first: by then the operator has seen both.
+/// 2. The commits are served to their end first, and their finals put on
+/// the out ring: by then the operator has seen both commits, and the ring
+/// holds both outputs.
 #[test]
 fn a_stable_groups_commit_is_served_before_the_next_read() {
     const LOG: Duration = Duration::from_millis(5);
@@ -697,8 +699,10 @@ fn a_stable_groups_commit_is_served_before_the_next_read() {
     let (entered_tx, entered) = crossbeam_channel::unbounded();
     let (go, go_rx) = crossbeam_channel::unbounded();
     let seen = Arc::new(Mutex::new(Vec::new()));
+    let out = Arc::default();
     let operator = CommitCounting {
         journal: obs.journal.clone(),
+        out: Arc::clone(&out),
         gate_at: 1,
         entered: entered_tx,
         go: go_rx,
@@ -715,7 +719,7 @@ fn a_stable_groups_commit_is_served_before_the_next_read() {
         config,
         clock: shared(SystemClock::new()),
         inbox: inbox.clone(),
-        down: vec![DownEdge { data_tx: out_tx, sent: Arc::default() }],
+        down: vec![DownEdge { data_tx: out_tx, sent: out }],
         obs: obs.clone(),
         exits: None,
         recovering: false,
@@ -736,5 +740,6 @@ fn a_stable_groups_commit_is_served_before_the_next_read() {
     inbox.post(Notice::Command(NodeCommand::Shutdown));
     node.join().expect("the coordinator panicked");
     let seen = seen.lock().clone();
-    assert_eq!(seen, [(0, 0), (1, 0), (2, 2)], "event 2 ran first\n{}", obs.journal.render());
+    let render = obs.journal.render();
+    assert_eq!(seen, [(0, 0, 0), (1, 0, 0), (2, 2, 2)], "event 2 ran too early\n{render}");
 }

@@ -143,17 +143,11 @@ pub trait Transport: Send + Sync {
     fn dial(&self, addr: &str) -> Result<Box<dyn FrameConn>, FrameError>;
 }
 
-/// A cloneable, reconnect-aware handle to the sending half of a split
-/// connection.
-///
-/// Bridges that redial keep the live [`FrameTx`] inside their writer loop,
-/// which makes it single-owner — no other thread can opportunistically
-/// send a frame on the same connection. `SharedFrameTx` is the shared
-/// slot for that pattern: the writer [`install`](SharedFrameTx::install)s
-/// each freshly dialed half (and owns redialing), while any thread may
-/// [`send`](SharedFrameTx::send) through the current one. A send on a
-/// dead or empty slot reports `false` and clears the slot; senders treat
-/// that as "retry after the next reconnect", never as an error.
+/// A cloneable handle to the sending half of a split connection, for
+/// several threads that send on one connection: the connection's reader
+/// answers on it while others push through it. The owner
+/// [`install`](SharedFrameTx::install)s the half; a send on a dead or empty
+/// slot reports `false` and clears the slot, never an error.
 #[derive(Clone, Default)]
 pub struct SharedFrameTx {
     slot: Arc<Mutex<Option<Box<dyn FrameTx>>>>,
@@ -161,7 +155,7 @@ pub struct SharedFrameTx {
 
 impl fmt::Debug for SharedFrameTx {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SharedFrameTx").field("connected", &self.is_connected()).finish()
+        f.debug_struct("SharedFrameTx").finish_non_exhaustive()
     }
 }
 
@@ -177,14 +171,9 @@ impl SharedFrameTx {
         *self.slot.lock() = Some(tx);
     }
 
-    /// Whether a sending half is currently installed.
-    pub fn is_connected(&self) -> bool {
-        self.slot.lock().is_some()
-    }
-
     /// Sends one frame through the installed half. Returns `false` — and
-    /// clears the slot on a fatal error, so the owning writer redials —
-    /// when the slot is empty or the send fails.
+    /// clears the slot on a fatal error — when the slot is empty or the
+    /// send fails.
     pub fn send(&self, payload: &[u8]) -> bool {
         let mut slot = self.slot.lock();
         match slot.as_mut() {

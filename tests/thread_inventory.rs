@@ -16,11 +16,13 @@
 #![cfg(target_os = "linux")]
 
 use std::collections::BTreeSet;
+use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use streammine::common::event::Value;
 use streammine::common::ids::OperatorId;
+use streammine::core::dist::{Cluster, ClusterSpec, NodeSpec, WorkerSpec, SPEC_ENV};
 use streammine::core::{GraphBuilder, LoggingConfig, OperatorConfig, Running, SinkId, SourceId};
 use streammine::operators::StampedRelay;
 
@@ -169,6 +171,67 @@ fn five_threads_across_a_crash() {
     let expected = ["node-op0", "sink-collector"];
     assert_eq!(threads_since(&harness), expected.map(String::from).to_vec());
     running.shutdown();
+}
+
+/// A cluster worker is its operator, its sockets' readers and nothing that
+/// only sleeps. The middle worker of a chain of three runs on its main
+/// thread, which is its control client (beats, reports, wiring, faults);
+/// its control connection's reader; its data listener's acceptor, the one
+/// socket reader and the one ack writer of its in-edge; the writer and the
+/// ack reader of its out-edge; and its node's coordinator.
+#[test]
+fn a_cluster_worker_runs_on_its_main_thread_and_its_sockets_readers() {
+    let _alone = ALONE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let spec = ClusterSpec::new(
+        vec![NodeSpec::logged("stamped-relay", 200, 1); 3],
+        PathBuf::from(env!("CARGO_BIN_EXE_streammine_worker")),
+    );
+    let cluster = Cluster::launch(spec).expect("cluster launch");
+    assert!(cluster.wait_connected(Duration::from_secs(30)), "the cluster never wired up");
+    for i in 0..20 {
+        cluster.source().push(Value::Int(i));
+    }
+    assert!(cluster.sink().wait_final(20, Duration::from_secs(30)), "the chain stalled");
+
+    let middle = children().into_iter().find(|pid| worker_of(pid) == Some(1));
+    let middle = middle.expect("no child process is worker 1");
+    let mut names: Vec<String> = std::fs::read_dir(format!("/proc/{middle}/task"))
+        .expect("the worker's tasks")
+        .filter_map(|task| {
+            let comm = std::fs::read_to_string(task.ok()?.path().join("comm")).ok()?;
+            Some(comm.trim_end().to_string())
+        })
+        .collect();
+    names.sort();
+    cluster.shutdown();
+    let expected = [
+        "bridge-accept",
+        "bridge-ack-e2",
+        "bridge-conn",
+        "bridge-ctrl-e1",
+        "bridge-out-e2",
+        "ctrl-read-w1",
+        "node-op1",
+        "streammine_work",
+    ];
+    assert_eq!(names, expected.map(String::from).to_vec());
+}
+
+/// The process ids of this process's children.
+fn children() -> Vec<String> {
+    let tasks = thread_ids().into_iter();
+    let lists = tasks
+        .filter_map(|tid| std::fs::read_to_string(format!("/proc/self/task/{tid}/children")).ok());
+    lists.flat_map(|list| list.split_whitespace().map(String::from).collect::<Vec<_>>()).collect()
+}
+
+/// The worker index of process `pid`, read from the spec in its
+/// environment.
+fn worker_of(pid: &str) -> Option<u32> {
+    let environ = std::fs::read(format!("/proc/{pid}/environ")).ok()?;
+    let prefix = format!("{SPEC_ENV}=");
+    let hex = environ.split(|&b| b == 0).find_map(|var| var.strip_prefix(prefix.as_bytes()))?;
+    WorkerSpec::from_hex(std::str::from_utf8(hex).ok()?).ok().map(|spec| spec.worker)
 }
 
 /// Paced at 300 ev/s through four speculative relays on 2 ms devices, the
